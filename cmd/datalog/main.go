@@ -435,11 +435,11 @@ func run(args []string, w, ew io.Writer) (err error) {
 		}
 		out = res.Out
 	default:
-		o, err := s.Eval(prog, in, sem)
+		res, err := s.EvalContext(ctx, prog, in, sem)
 		if err != nil {
 			return err
 		}
-		out = o
+		out = res.Out
 	}
 	printAnswer(out)
 	return nil

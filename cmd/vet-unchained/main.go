@@ -6,11 +6,12 @@
 // by hand — -V=full for the build cache, -flags for flag discovery,
 // then one invocation per package unit with a JSON .cfg file — so it
 // needs nothing outside the standard library. It runs the analyzers
-// of internal/lint: stageloop (every engine stage loop must poll
-// engine.Options.Interrupted), tuplemut (no writes through shared
-// tuple payloads outside internal/tuple), and astmut (no in-place
-// writes through shared AST rule/literal slices outside internal/ast
-// — rewrite passes must copy-on-write).
+// of internal/lint: stageloop (engines run their stages through
+// engine.Options.Loop and never call the stage protocol themselves),
+// tuplemut (no writes through shared tuple payloads outside
+// internal/tuple), and astmut (no in-place writes through shared AST
+// rule/literal slices outside internal/ast — rewrite passes must
+// copy-on-write).
 //
 // Diagnostics print as "file:line:col: analyzer: message" on stderr
 // and the tool exits 2, which go vet reports as a failure.

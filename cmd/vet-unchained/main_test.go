@@ -29,8 +29,8 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// TestVetToolPassesOnRepo: the engine packages satisfy both
-// invariants (the acceptance criterion for `make vet-custom`).
+// TestVetToolPassesOnRepo: the engine packages satisfy every
+// invariant (the acceptance criterion for `make vet-custom`).
 func TestVetToolPassesOnRepo(t *testing.T) {
 	bin := buildTool(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/...", "./cmd/...", ".")
@@ -42,7 +42,7 @@ func TestVetToolPassesOnRepo(t *testing.T) {
 }
 
 // TestVetToolFailsOnFixture: the deliberately-broken fixture trips
-// both analyzers.
+// every analyzer.
 func TestVetToolFailsOnFixture(t *testing.T) {
 	bin := buildTool(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin,
@@ -52,7 +52,7 @@ func TestVetToolFailsOnFixture(t *testing.T) {
 	if err == nil {
 		t.Fatalf("go vet passed on the broken fixture:\n%s", out)
 	}
-	for _, want := range []string{"Interrupted", "shared tuple payload", "shared AST slice", "drain loop", "fixture.go"} {
+	for _, want := range []string{"BeginStage called outside the stage-loop driver", "shared tuple payload", "shared AST slice", "drain loop", "fixture.go"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Errorf("vet output missing %q:\n%s", want, out)
 		}

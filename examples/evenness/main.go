@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	s := unchained.NewSession()
 	u := s.U
 
@@ -32,11 +34,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := s.Eval(p, in, unchained.Stratified)
+		st, err := s.EvalContext(ctx, p, in, unchained.Stratified)
 		if err != nil {
 			log.Fatal(err)
 		}
-		infl, err := s.Eval(p, in, unchained.Inflationary)
+		infl, err := s.EvalContext(ctx, p, in, unchained.Inflationary)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +46,7 @@ func main() {
 			r := out.Relation("EvenAns")
 			return r != nil && r.Len() > 0
 		}
-		fmt.Printf("%4d %8v %12v %12v %12v\n", k, k%2 == 0, even(sp.Out), even(st), even(infl))
+		fmt.Printf("%4d %8v %12v %12v %12v\n", k, k%2 == 0, even(sp.Out), even(st.Out), even(infl.Out))
 	}
 
 	fmt.Println("\nwhy order is needed: the engines are generic —")

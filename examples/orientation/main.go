@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,22 +20,23 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	s := unchained.NewSession()
 	prog := s.MustParse(`!G(X,Y) :- G(X,Y), G(Y,X).`)
 	edb := s.MustFacts(`G(a,b). G(b,a). G(c,d). G(d,c). G(d,e).`)
 
 	// Deterministic Datalog¬¬: both edges of each cycle vanish.
-	det, err := s.Eval(prog, edb, unchained.NonInflationary)
+	det, err := s.EvalContext(ctx, prog, edb, unchained.NonInflationary)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("deterministic Datalog¬¬ (parallel firing) removes whole cycles:")
-	fmt.Print(indent(s.Format(det.Restrict([]string{"G"}, nil))))
+	fmt.Print(indent(s.Format(det.Out.Restrict([]string{"G"}, nil))))
 
 	// Nondeterministic sampled runs: each seed picks an orientation.
 	fmt.Println("\nsampled N-Datalog¬¬ runs (seeded, reproducible):")
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := s.RunNondet(prog, unchained.DialectNDatalogNegNeg, edb, seed)
+		res, err := s.RunNondetContext(ctx, prog, unchained.DialectNDatalogNegNeg, edb, unchained.WithSeed(seed))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +48,7 @@ func main() {
 	}
 
 	// Exhaustive effect: all orientations, and poss/cert.
-	eff, err := s.Effects(prog, unchained.DialectNDatalogNegNeg, edb)
+	eff, err := s.EffectsContext(ctx, prog, unchained.DialectNDatalogNegNeg, edb)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,6 +11,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	s := unchained.NewSession()
 
 	// Transitive closure (Section 3.1) — valid in every dialect.
@@ -31,11 +33,11 @@ func main() {
 		unchained.WellFounded,
 		unchained.Inflationary,
 	} {
-		out, err := s.Eval(prog, edb, sem)
+		res, err := s.EvalContext(ctx, prog, edb, sem)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("-- %v: |T| = %d\n", sem, out.Relation("T").Len())
+		fmt.Printf("-- %v: |T| = %d\n", sem, res.Out.Relation("T").Len())
 	}
 
 	// The stratified complement (Section 3.2) shows where the
@@ -45,14 +47,14 @@ func main() {
 		T(X,Y) :- G(X,Z), T(Z,Y).
 		CT(X,Y) :- !T(X,Y).
 	`)
-	if _, err := s.Eval(ct, edb, unchained.MinimalModel); err != nil {
+	if _, err := s.EvalContext(ctx, ct, edb, unchained.MinimalModel); err != nil {
 		fmt.Println("-- minimal-model rejects negation, as it must:")
 		fmt.Println("  ", err)
 	}
-	out, err := s.Eval(ct, edb, unchained.Stratified)
+	res, err := s.EvalContext(ctx, ct, edb, unchained.Stratified)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("-- stratified complement of the closure:")
-	fmt.Print(s.Format(out.Restrict([]string{"CT"}, nil)))
+	fmt.Print(s.Format(res.Out.Restrict([]string{"CT"}, nil)))
 }

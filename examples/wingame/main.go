@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 		Moves(b,c). Moves(c,a). Moves(a,b). Moves(a,d).
 		Moves(d,e). Moves(d,f). Moves(f,g).
 	`)
-	wfs, err := s.EvalWellFounded3(prog, edb)
+	wfs, err := s.EvalWellFounded3Context(context.Background(), prog, edb)
 	if err != nil {
 		log.Fatal(err)
 	}

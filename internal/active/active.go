@@ -88,8 +88,8 @@ type System struct {
 
 // Options tunes Run; the zero value is the default configuration.
 // The active engine keeps its own options type (its Trace hook
-// observes firings, not instance stages) but shares the engine
-// package's context discipline: Ctx is polled between firings and Run
+// observes firings, not instance stages) but runs on the engine
+// package's stage-loop driver: Ctx is polled between firings and Run
 // stops with the typed engine error.
 type Options struct {
 	// Ctx, if non-nil, bounds the cascade: it is polled between
@@ -118,15 +118,6 @@ type Options struct {
 	Stats *stats.Collector
 }
 
-func (o *Options) planDisabled() bool { return o != nil && o.LiteralOrder }
-
-func (o *Options) planCache() *eval.PlanCache {
-	if o == nil {
-		return nil
-	}
-	return o.Plans
-}
-
 func (o *Options) maxFirings() int {
 	if o == nil || o.MaxFirings <= 0 {
 		return 1 << 16
@@ -134,11 +125,13 @@ func (o *Options) maxFirings() int {
 	return o.MaxFirings
 }
 
-func (o *Options) stats() *stats.Collector {
+// shared maps the cascade's options onto the shared engine layer,
+// which supplies the stage-loop driver and the matcher environment.
+func (o *Options) shared() *engine.Options {
 	if o == nil {
 		return nil
 	}
-	return o.Stats
+	return &engine.Options{Ctx: o.Ctx, LiteralOrder: o.LiteralOrder, Plans: o.Plans, Stats: o.Stats}
 }
 
 // NewSystem validates and compiles the rules.
@@ -191,7 +184,8 @@ type Result struct {
 // Run applies the external updates to a copy of the working memory
 // and processes the resulting event cascade to quiescence.
 func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result, error) {
-	col := opt.stats()
+	eo := opt.shared()
+	col := eo.Collector()
 	if col.Enabled() {
 		names := make([]string, len(s.rules))
 		for i, r := range s.rules {
@@ -222,51 +216,42 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 		}
 	}
 
-	firings := 0
-	limit := opt.maxFirings()
-	var ctx context.Context
-	if opt != nil {
-		ctx = opt.Ctx
+	type firing struct {
+		ri      int
+		evIndex int
+		facts   []eval.Fact
+		key     string
+	}
+	better := func(a, b *firing) bool {
+		pa, pb := s.rules[a.ri].src.Priority, s.rules[b.ri].src.Priority
+		if pa != pb {
+			return pa > pb
+		}
+		if opt != nil && opt.Specificity {
+			sa, sb := len(s.rules[a.ri].src.Cond), len(s.rules[b.ri].src.Cond)
+			if sa != sb {
+				return sa > sb
+			}
+		}
+		ea, eb := agenda[a.evIndex].seq, agenda[b.evIndex].seq
+		if ea != eb {
+			return ea > eb // recency
+		}
+		if a.ri != b.ri {
+			return a.ri < b.ri
+		}
+		return a.key < b.key
 	}
 	// Refraction (OPS5): an instantiation (rule, event, bound
 	// actions) fires at most once.
 	fired := map[string]bool{}
 	adomc := eval.NewAdomCache(s.u, nil, false)
-	for {
-		if err := engine.Interrupted(ctx, firings); err != nil {
-			wm = wm.Restrict(withoutEvent(wm.Names()), nil)
-			return &Result{Out: wm, Firings: firings, Stats: col.Summary()}, err
-		}
-		// Conflict resolution: among unfired instantiations whose
-		// condition currently holds, pick by priority, then event
-		// recency, then rule order.
-		type firing struct {
-			ri      int
-			evIndex int
-			facts   []eval.Fact
-			key     string
-		}
-		var best *firing
-		better := func(a, b *firing) bool {
-			pa, pb := s.rules[a.ri].src.Priority, s.rules[b.ri].src.Priority
-			if pa != pb {
-				return pa > pb
-			}
-			if opt != nil && opt.Specificity {
-				sa, sb := len(s.rules[a.ri].src.Cond), len(s.rules[b.ri].src.Cond)
-				if sa != sb {
-					return sa > sb
-				}
-			}
-			ea, eb := agenda[a.evIndex].seq, agenda[b.evIndex].seq
-			if ea != eb {
-				return ea > eb // recency
-			}
-			if a.ri != b.ri {
-				return a.ri < b.ri
-			}
-			return a.key < b.key
-		}
+	var best *firing
+	// Conflict resolution: among unfired instantiations whose
+	// condition currently holds, pick by priority, then event
+	// recency, then rule order. No pick means quiescence.
+	resolve := func() bool {
+		best = nil
 		for evIndex := len(agenda) - 1; evIndex >= 0; evIndex-- {
 			ev := agenda[evIndex]
 			// Bind the event by planting its tuple in the reserved
@@ -282,10 +267,7 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 				if !planted {
 					wm.Ensure(eventRel(len(ev.Tuple)), len(ev.Tuple)).Insert(ev.Tuple)
 					planted = true
-					ctx = &eval.Ctx{
-						In: wm, Adom: adomc.Domain(wm), DeltaLit: -1, Stats: col,
-						NoPlan: opt.planDisabled(), Plans: opt.planCache(), PlanTrace: true,
-					}
+					ctx = eo.EvalCtx(col, wm, adomc.Domain(wm))
 				}
 				r.cr.Enumerate(ctx, func(b eval.Binding) bool {
 					facts := r.cr.HeadFacts(b, nil)
@@ -310,43 +292,46 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 				wm.Relation(eventRel(len(ev.Tuple))).Delete(ev.Tuple)
 			}
 		}
-		if best == nil {
-			break // quiescent: no unfired applicable instantiation
-		}
-		fired[best.key] = true
-		firings++
-		if opt != nil && opt.Trace != nil {
-			opt.Trace(s.rules[best.ri].src.Name, agenda[best.evIndex])
-		}
-		if firings > limit {
-			return nil, fmt.Errorf("%w (%d)", ErrFiringLimit, firings)
-		}
-		col.BeginStage()
-		inserted, deleted, noop := 0, 0, 0
-		for _, f := range best.facts {
-			kind := Inserted
-			if f.Neg {
-				kind = Deleted
+		return best != nil
+	}
+	// The cascade may run MaxFirings firings; the one after that is the
+	// error.
+	firings, err := eo.ChooseLoop(col, opt.maxFirings()+1,
+		func(firings int) error { return fmt.Errorf("%w (%d)", ErrFiringLimit, firings) },
+		resolve,
+		func(int) (engine.Outcome, error) {
+			fired[best.key] = true
+			if opt != nil && opt.Trace != nil {
+				opt.Trace(s.rules[best.ri].src.Name, agenda[best.evIndex])
 			}
-			nev := Event{Kind: kind, Pred: f.Pred, Tuple: f.Tuple}
-			if apply(nev) {
-				push(nev)
+			inserted, deleted, noop := 0, 0, 0
+			for _, f := range best.facts {
+				kind := Inserted
 				if f.Neg {
-					deleted++
-				} else {
-					inserted++
+					kind = Deleted
 				}
-			} else {
-				noop++
+				nev := Event{Kind: kind, Pred: f.Pred, Tuple: f.Tuple}
+				if apply(nev) {
+					push(nev)
+					if f.Neg {
+						deleted++
+					} else {
+						inserted++
+					}
+				} else {
+					noop++
+				}
 			}
-		}
-		col.Fired(best.ri, inserted, noop)
-		col.Retracted(deleted)
-		col.EndStage(inserted - deleted)
+			col.Fired(best.ri, inserted, noop)
+			col.Retracted(deleted)
+			return engine.Outcome{Delta: inserted - deleted}, nil
+		})
+	if err != nil && !engine.IsInterrupt(err) {
+		return nil, err
 	}
 	// Drop the reserved matching relations from the result.
 	wm = wm.Restrict(withoutEvent(wm.Names()), nil)
-	return &Result{Out: wm, Firings: firings, Stats: col.Summary()}, nil
+	return &Result{Out: wm, Firings: firings, Stats: col.Summary()}, err
 }
 
 // withoutEvent filters the reserved relation names from a name list.

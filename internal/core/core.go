@@ -86,19 +86,57 @@ type Result struct {
 	Stats *stats.Summary
 }
 
-// ruleNames renders the program's rules for the per-rule stats
-// breakdown; it returns nil (disabling the breakdown) when the
-// collector is disabled, so the rendering cost is only paid when
-// statistics are on.
-func ruleNames(p *ast.Program, u *value.Universe, col *stats.Collector) []string {
-	if !col.Enabled() {
-		return nil
+// begin is the prelude the engines of this package share: validate the
+// program against the engine's dialect, compile it, reset the
+// collector under the engine's name and fork the input into the
+// working instance. The per-rule names are rendered only when the
+// collector is enabled.
+func begin(engineName string, d ast.Dialect, p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) ([]*eval.Rule, *stats.Collector, *tuple.Instance, error) {
+	if err := p.Validate(d); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: %w", err)
 	}
-	names := make([]string, len(p.Rules))
-	for i := range p.Rules {
-		names[i] = p.Rules[i].String(u)
+	rules, err := eval.CompileProgram(p)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return names
+	col := opt.Collector()
+	var names []string
+	if col.Enabled() {
+		names = make([]string, len(p.Rules))
+		for i := range p.Rules {
+			names[i] = p.Rules[i].String(u)
+		}
+	}
+	col.Reset(engineName, names)
+	return rules, col, in.SnapshotWith(col.Cow()), nil
+}
+
+// result assembles what the stage loop left behind: the instance and
+// stage count with the summary, alongside a context interruption as
+// partial progress; any other failure yields no result.
+func result(out *tuple.Instance, stages int, col *stats.Collector, err error) (*Result, error) {
+	if err != nil && !engine.IsInterrupt(err) {
+		return nil, err
+	}
+	return &Result{Out: out, Stages: stages, Stats: col.Summary()}, err
+}
+
+func stageLimitErr(stages int) error {
+	return fmt.Errorf("%w (after %d stages)", ErrStageLimit, stages)
+}
+
+// insertNew returns an emit function for eval.Rule.Fire that collects
+// the facts absent from in into pend: re-derivations are filtered at
+// emission, so pend holds only a stage's genuinely new facts instead
+// of growing with the full instance.
+func insertNew(in *tuple.Instance, pend *[]eval.Fact) func(eval.Fact) bool {
+	return func(f eval.Fact) bool {
+		if in.Has(f.Pred, f.Tuple) {
+			return false
+		}
+		*pend = append(*pend, f)
+		return true
+	}
 }
 
 // EvalInflationary evaluates a Datalog¬ program under the
@@ -106,59 +144,25 @@ func ruleNames(p *ast.Program, u *value.Universe, col *stats.Collector) []string
 // mutated. The program may of course be pure Datalog; on positive
 // programs the result coincides with the minimum model (Section 3.1).
 func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	rules, err := eval.CompileProgram(p)
+	rules, col, out, err := begin("inflationary", ast.DialectDatalogNeg, p, in, u, opt)
 	if err != nil {
 		return nil, err
 	}
-	col := opt.Collector()
-	col.Reset("inflationary", ruleNames(p, u, col))
-	out := in.SnapshotWith(col.Cow())
 	adom := eval.ActiveDomain(u, p.Constants(), in)
-	stages := 0
-	limit := opt.StageLimit(1 << 30)
 	// Index probes build lazily inside the shared relations; with
 	// workers > 1 the indexes are forced each stage before fan-out so
 	// the workers only read (see stageParallel).
 	workers := opt.WorkerCount()
-	for {
-		if err := opt.Interrupted(stages); err != nil {
-			return &Result{Out: out, Stages: stages, Stats: col.Summary()}, err
-		}
-		ctx := &eval.Ctx{
-			In: out, Adom: adom, DeltaLit: -1, Scan: opt.ScanEnabled(), Stats: col,
-			NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: workers <= 1,
-		}
-		col.BeginStage()
+	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(int) (engine.Outcome, error) {
+		ctx := opt.EvalCtx(col, out, adom)
+		ctx.PlanTrace = workers <= 1
 		var pend []eval.Fact
 		if workers > 1 {
 			pend = stageParallel(rules, ctx, workers, col)
 		} else {
+			emit := insertNew(out, &pend)
 			for ri, cr := range rules {
-				col.BeginRule(ri)
-				cr.Enumerate(ctx, func(b eval.Binding) bool {
-					derived, reder := 0, 0
-					for _, f := range cr.HeadFacts(b, nil) {
-						// Filter re-derivations at emission, matching
-						// stageParallel: pend holds only facts absent
-						// from the previous instance, instead of
-						// growing with the full instance each stage.
-						if ctx.In.Has(f.Pred, f.Tuple) {
-							reder++
-						} else {
-							pend = append(pend, f)
-							derived++
-						}
-					}
-					col.Fired(ri, derived, reder)
-					return true
-				})
-				col.EndRule(ri)
+				cr.Fire(ctx, ri, nil, emit)
 			}
 		}
 		delta := tuple.NewInstance()
@@ -168,15 +172,11 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 			}
 		}
 		if delta.Facts() == 0 {
-			return &Result{Out: out, Stages: stages, Stats: col.Summary()}, nil
+			return engine.Outcome{Status: engine.Confirm}, nil
 		}
-		stages++
-		col.EndStage(delta.Facts())
-		opt.EmitTrace(stages, delta)
-		if stages >= limit {
-			return nil, fmt.Errorf("%w (after %d stages)", ErrStageLimit, stages)
-		}
-	}
+		return engine.Outcome{Delta: delta.Facts(), State: delta}, nil
+	})
+	return result(out, stages, col, err)
 }
 
 // EvalNonInflationary evaluates a Datalog¬¬ program (Section 4.2).
@@ -188,92 +188,47 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 // detection on instance states and returns ErrNonTerminating when a
 // state repeats without being a fixpoint.
 func EvalNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(ast.DialectDatalogNegNeg); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	rules, err := eval.CompileProgram(p)
+	rules, col, cur, err := begin("noninflationary", ast.DialectDatalogNegNeg, p, in, u, opt)
 	if err != nil {
 		return nil, err
 	}
-	col := opt.Collector()
-	col.Reset("noninflationary", ruleNames(p, u, col))
-	cur := in.SnapshotWith(col.Cow())
 	adom := eval.ActiveDomain(u, p.Constants(), in)
-	policy := opt.Conflict()
-	limit := opt.StageLimit(1 << 20)
-
-	// Brent's cycle detection: `saved` trails the current state and
-	// is refreshed at power-of-two stage numbers.
-	saved := cur.Clone()
-	power := 1
-	lam := 0
-
-	stages := 0
-	for {
-		if err := opt.Interrupted(stages); err != nil {
-			return &Result{Out: cur, Stages: stages, Stats: col.Summary()}, err
-		}
-		col.BeginStage()
-		next, applied, conflict := stageNonInflationary(rules, cur, adom, policy, opt, col)
-		if conflict != nil {
-			return nil, conflict
+	cycle := engine.NewCycle(cur)
+	stages, err := opt.Loop(col, opt.StageLimit(1<<20), stageLimitErr, func(int) (engine.Outcome, error) {
+		next, applied, err := stageNonInflationary(rules, opt.EvalCtx(col, cur, adom), opt.Conflict(), u)
+		if err != nil {
+			return engine.Outcome{}, err
 		}
 		if next.Equal(cur) {
-			return &Result{Out: cur, Stages: stages, Stats: col.Summary()}, nil
-		}
-		stages++
-		col.EndStage(applied)
-		opt.EmitTrace(stages, next)
-		if stages >= limit {
-			return nil, fmt.Errorf("%w (after %d stages)", ErrStageLimit, stages)
+			return engine.Outcome{Status: engine.Confirm}, nil
 		}
 		cur = next
-		lam++
-		if cur.Equal(saved) {
-			return nil, fmt.Errorf("%w (cycle of length %d)", ErrNonTerminating, lam)
+		out := engine.Outcome{Delta: applied, State: next}
+		if n := cycle.Visit(cur); n > 0 {
+			out.Err = fmt.Errorf("%w (cycle of length %d)", ErrNonTerminating, n)
 		}
-		if lam == power {
-			saved = cur.Clone()
-			power *= 2
-			lam = 0
-		}
-	}
+		return out, nil
+	})
+	return result(cur, stages, col, err)
 }
 
 // stageNonInflationary computes one parallel firing of all rules on
-// cur and returns the successor instance along with the number of
-// changes (retractions + insertions) actually applied to it. It
-// returns ErrInconsistent (wrapped) when the policy is Inconsistent
-// and a conflict arises.
-func stageNonInflationary(rules []*eval.Rule, cur *tuple.Instance, adom []value.Value, policy ConflictPolicy, opt *Options, col *stats.Collector) (*tuple.Instance, int, error) {
-	ctx := &eval.Ctx{
-		In: cur, Adom: adom, DeltaLit: -1, Scan: opt.ScanEnabled(), Stats: col,
-		NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
-	}
+// the instance of ctx and returns the successor instance along with
+// the number of changes (retractions + insertions) actually applied to
+// it. It returns ErrInconsistent (wrapped, naming the fact) when the
+// policy is Inconsistent and a conflict arises.
+func stageNonInflationary(rules []*eval.Rule, ctx *eval.Ctx, policy ConflictPolicy, u *value.Universe) (*tuple.Instance, int, error) {
+	cur, col := ctx.In, ctx.Stats
 	pos := tuple.NewInstance()
 	neg := tuple.NewInstance()
+	stage := func(f eval.Fact) bool {
+		if f.Neg {
+			return neg.Insert(f.Pred, f.Tuple)
+		}
+		return pos.Insert(f.Pred, f.Tuple)
+	}
 	for ri, cr := range rules {
-		col.BeginRule(ri)
-		cr.Enumerate(ctx, func(b eval.Binding) bool {
-			derived, reder := 0, 0
-			for _, f := range cr.HeadFacts(b, nil) {
-				staged := pos
-				if f.Neg {
-					staged = neg
-				}
-				if staged.Insert(f.Pred, f.Tuple) {
-					derived++
-				} else {
-					reder++
-				}
-			}
-			col.Fired(ri, derived, reder)
-			return true
-		})
-		col.EndRule(ri)
+		cr.Fire(ctx, ri, nil, stage)
 	}
 	next := cur.Clone()
 	applied := 0
@@ -311,7 +266,7 @@ func stageNonInflationary(rules []*eval.Rule, cur *tuple.Instance, adom []value.
 				}
 			case Inconsistent:
 				if inPos {
-					conflictErr = fmt.Errorf("%w: %s%s", ErrInconsistent, name, "")
+					conflictErr = fmt.Errorf("%w: %s%s", ErrInconsistent, name, t.String(u))
 					return false
 				}
 				if next.Delete(name, t) {
@@ -349,27 +304,15 @@ func stageNonInflationary(rules []*eval.Rule, cur *tuple.Instance, adom []value.
 // computationally complete (Theorem 4.6), termination is not
 // guaranteed; the default stage limit is 4096.
 func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(ast.DialectDatalogNew); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	rules, err := eval.CompileProgram(p)
+	rules, col, out, err := begin("invent", ast.DialectDatalogNew, p, in, u, opt)
 	if err != nil {
 		return nil, err
 	}
-	col := opt.Collector()
-	col.Reset("invent", ruleNames(p, u, col))
-	out := in.SnapshotWith(col.Cow())
-	progConsts := p.Constants()
-	limit := opt.StageLimit(4096)
-	stages := 0
 
 	// Skolem memo: (rule, body binding) -> invented values, one per
 	// head-only variable.
 	memo := make(map[string][]value.Value)
-	skolem := func(ri int, b eval.Binding, ho []int) []value.Value {
+	skolem := func(ri int, b eval.Binding, ho []int) func(int) value.Value {
 		var key strings.Builder
 		fmt.Fprintf(&key, "%d|", ri)
 		for _, v := range b {
@@ -379,65 +322,41 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 			key.WriteByte(byte(v >> 24))
 		}
 		k := key.String()
-		if vs, ok := memo[k]; ok {
-			return vs
+		vs, ok := memo[k]
+		if !ok {
+			vs = make([]value.Value, len(ho))
+			for i := range vs {
+				vs[i] = u.Fresh()
+			}
+			col.Invented(len(vs))
+			memo[k] = vs
 		}
-		vs := make([]value.Value, len(ho))
-		for i := range vs {
-			vs[i] = u.Fresh()
+		return func(id int) value.Value {
+			for i, h := range ho {
+				if h == id {
+					return vs[i]
+				}
+			}
+			return value.None
 		}
-		col.Invented(len(vs))
-		memo[k] = vs
-		return vs
 	}
 
 	// The active domain grows as values are invented; the cache
 	// recomputes adom(P, K) only on stages that actually changed the
 	// instance (this engine only ever inserts).
-	adomc := eval.NewAdomCache(u, progConsts, true)
-	for {
-		if err := opt.Interrupted(stages); err != nil {
-			return &Result{Out: out, Stages: stages, Stats: col.Summary()}, err
-		}
-		ctx := &eval.Ctx{
-			In: out, Adom: adomc.Domain(out), DeltaLit: -1, Scan: opt.ScanEnabled(), Stats: col,
-			NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
-		}
-		col.BeginStage()
+	adomc := eval.NewAdomCache(u, p.Constants(), true)
+	stages, err := opt.Loop(col, opt.StageLimit(4096), stageLimitErr, func(int) (engine.Outcome, error) {
+		ctx := opt.EvalCtx(col, out, adomc.Domain(out))
+		// Skolemization re-uses an instantiation's invented values, so a
+		// re-fired instantiation emits facts that are already present.
 		var pend []eval.Fact
+		emit := insertNew(out, &pend)
 		for ri, cr := range rules {
-			ho := cr.HeadOnlyVarIDs()
-			col.BeginRule(ri)
-			cr.Enumerate(ctx, func(b eval.Binding) bool {
-				var facts []eval.Fact
-				if len(ho) == 0 {
-					facts = cr.HeadFacts(b, nil)
-				} else {
-					vs := skolem(ri, b, ho)
-					idx := map[int]value.Value{}
-					for i, id := range ho {
-						idx[id] = vs[i]
-					}
-					facts = cr.HeadFacts(b, func(id int) value.Value { return idx[id] })
-				}
-				// Filter re-derivations at emission (same shape as the
-				// inflationary serial loop): Skolemization already
-				// re-used the instantiation's invented values, so a
-				// re-fired instantiation emits facts that are already
-				// present.
-				derived, reder := 0, 0
-				for _, f := range facts {
-					if ctx.In.Has(f.Pred, f.Tuple) {
-						reder++
-					} else {
-						pend = append(pend, f)
-						derived++
-					}
-				}
-				col.Fired(ri, derived, reder)
-				return true
-			})
-			col.EndRule(ri)
+			var heads func(eval.Binding) []eval.Fact
+			if ho := cr.HeadOnlyVarIDs(); len(ho) > 0 {
+				heads = func(b eval.Binding) []eval.Fact { return cr.HeadFacts(b, skolem(ri, b, ho)) }
+			}
+			cr.Fire(ctx, ri, heads, emit)
 		}
 		delta := 0
 		for _, f := range pend {
@@ -446,15 +365,11 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 			}
 		}
 		if delta == 0 {
-			return &Result{Out: out, Stages: stages, Stats: col.Summary()}, nil
+			return engine.Outcome{Status: engine.Confirm}, nil
 		}
-		stages++
-		col.EndStage(delta)
-		opt.EmitTrace(stages, out)
-		if stages >= limit {
-			return nil, fmt.Errorf("%w (after %d stages)", ErrStageLimit, stages)
-		}
-	}
+		return engine.Outcome{Delta: delta, State: out}, nil
+	})
+	return result(out, stages, col, err)
 }
 
 // ValidateDomainSafe checks the syntactic safety restriction of

@@ -291,9 +291,13 @@ func TestConflictPolicies(t *testing.T) {
 		t.Fatalf("no-op: pre-existing P(a) vanished")
 	}
 
-	// Inconsistent: error.
-	if _, err := EvalNonInflationary(p, in, u, &Options{Policy: Inconsistent}); !errors.Is(err, ErrInconsistent) {
+	// Inconsistent: error, naming the fact inferred both ways.
+	_, err = EvalNonInflationary(p, in, u, &Options{Policy: Inconsistent})
+	if !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("inconsistent policy: err = %v", err)
+	}
+	if !strings.HasSuffix(err.Error(), ": P(a)") {
+		t.Fatalf("inconsistent policy: message %q does not render the conflicting fact", err.Error())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"unchained/internal/ast"
+	"unchained/internal/engine"
 	"unchained/internal/eval"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
@@ -101,59 +102,50 @@ func (p *Provenance) Render(e *Explanation) string {
 // EvalInflationaryProv is EvalInflationary with provenance tracking:
 // alongside the fixpoint it returns a Provenance answering Why
 // queries for every derived fact. Tracking costs one support-list
-// materialization per new fact.
+// materialization per firing.
 func EvalInflationaryProv(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, *Provenance, error) {
-	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	rules, err := eval.CompileProgram(p)
+	rules, col, out, err := begin("inflationary", ast.DialectDatalogNeg, p, in, u, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	prov := &Provenance{prog: p, u: u, input: in.Clone(), m: map[string]Derivation{}}
-	out := in.SnapshotWith(opt.Collector().Cow())
 	adom := eval.ActiveDomain(u, p.Constants(), in)
-	stages := 0
-	limit := opt.StageLimit(1 << 30)
-	type pending struct {
-		fact eval.Fact
-		der  Derivation
-	}
-	for {
-		if err := opt.Interrupted(stages); err != nil {
-			return &Result{Out: out, Stages: stages, Stats: opt.Collector().Summary()}, prov, err
-		}
-		ctx := &eval.Ctx{
-			In: out, Adom: adom, DeltaLit: -1, Scan: opt.ScanEnabled(),
-			NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(),
-		}
-		var pend []pending
+	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(stage int) (engine.Outcome, error) {
+		ctx := opt.EvalCtx(col, out, adom)
+		var pend []eval.Fact
+		var ders []Derivation
+		emit := insertNew(out, &pend)
 		for ri, cr := range rules {
-			cr.Enumerate(ctx, func(b eval.Binding) bool {
-				supports := cr.BodySupports(b)
-				for _, f := range cr.HeadFacts(b, nil) {
-					pend = append(pend, pending{fact: f, der: Derivation{Rule: ri, Stage: stages + 1, Supports: supports}})
+			// A firing's supports are materialized before its head facts
+			// are emitted, so every fact it adds to pend is paired with
+			// them in ders.
+			var supports []eval.Fact
+			cr.Fire(ctx, ri, func(b eval.Binding) []eval.Fact {
+				supports = cr.BodySupports(b)
+				return cr.HeadFacts(b, nil)
+			}, func(f eval.Fact) bool {
+				if !emit(f) {
+					return false
 				}
+				ders = append(ders, Derivation{Rule: ri, Stage: stage, Supports: supports})
 				return true
 			})
 		}
-		changed := false
-		for _, pd := range pend {
-			if out.Insert(pd.fact.Pred, pd.fact.Tuple) {
-				changed = true
-				key := provKey(pd.fact.Pred, pd.fact.Tuple)
-				if _, dup := prov.m[key]; !dup {
-					prov.m[key] = pd.der
-				}
+		changed := 0
+		for i, f := range pend {
+			if out.Insert(f.Pred, f.Tuple) {
+				changed++
+				prov.m[provKey(f.Pred, f.Tuple)] = ders[i]
 			}
 		}
-		if !changed {
-			return &Result{Out: out, Stages: stages}, prov, nil
+		if changed == 0 {
+			return engine.Outcome{Status: engine.Confirm}, nil
 		}
-		stages++
-		opt.EmitTrace(stages, out)
-		if stages >= limit {
-			return nil, nil, fmt.Errorf("%w (after %d stages)", ErrStageLimit, stages)
-		}
+		return engine.Outcome{Delta: changed, State: out}, nil
+	})
+	res, err := result(out, stages, col, err)
+	if res == nil {
+		return nil, nil, err
 	}
+	return res, prov, err
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"unchained/internal/engine"
 	"unchained/internal/parser"
+	"unchained/internal/stats"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -129,5 +132,44 @@ func TestProvenanceWithNegation(t *testing.T) {
 	}
 	if len(e.Children) != 1 || e.Children[0].Pred != "Delay" {
 		t.Fatalf("supports of Good(a) should be just Delay: %+v", e.Children)
+	}
+}
+
+// TestProvenanceStats: the provenance run is an engine run like the
+// others. It resets the collector it is handed (a reused collector
+// does not carry a previous run's counters over) and attaches the
+// summary on success as well as on interruption.
+func TestProvenanceStats(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(tcSrc, u)
+	in := parser.MustParseFacts(`G(a,b). G(b,c). G(c,d).`, u)
+	col := stats.New()
+	plain, err := EvalInflationary(p, in, u, &Options{Stats: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := EvalInflationaryProv(p, in, u, &Options{Stats: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats == nil {
+		t.Fatal("no Stats on the success path")
+	}
+	if res.Stats.Stages != res.Stages || res.Stats.Stages != plain.Stats.Stages {
+		t.Fatalf("Stats.Stages = %d, Stages = %d, plain run = %d", res.Stats.Stages, res.Stages, plain.Stats.Stages)
+	}
+	if res.Stats.Firings != plain.Stats.Firings || res.Stats.Derived != plain.Stats.Derived {
+		t.Fatalf("collector not reset: firings %d derived %d, plain run %d %d",
+			res.Stats.Firings, res.Stats.Derived, plain.Stats.Firings, plain.Stats.Derived)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, prov, err := EvalInflationaryProv(p, in, u, &Options{Ctx: ctx, Stats: col})
+	if !engine.IsInterrupt(err) || res == nil || res.Stats == nil || prov == nil {
+		t.Fatalf("interrupted run: res=%v prov=%v err=%v", res, prov, err)
+	}
+	if res.Stats.Firings != 0 {
+		t.Fatalf("interrupted before the first stage, yet %d firings", res.Stats.Firings)
 	}
 }

@@ -19,8 +19,8 @@ import (
 
 // Options is the unified engine configuration (see engine.Options).
 // The declarative engines honor Ctx (deadline/cancellation between
-// semi-naive rounds), Scan, MaxStages and Stats; the zero value is
-// the default configuration and a nil *Options is valid.
+// semi-naive rounds), Scan, LiteralOrder, Plans, Shards and Stats; the
+// zero value is the default configuration and a nil *Options is valid.
 type Options = engine.Options
 
 // Result is the outcome of a 2-valued evaluation.
@@ -37,33 +37,59 @@ type Result struct {
 	Stats *stats.Summary
 }
 
+// result assembles what the rounds left behind: the instance and round
+// count with the summary, alongside a context interruption as partial
+// progress; any other failure yields no result.
+func result(out *tuple.Instance, rounds int, col *stats.Collector, err error) (*Result, error) {
+	if err != nil && !engine.IsInterrupt(err) {
+		return nil, err
+	}
+	return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, err
+}
+
+// idbSet returns the program's intensional predicates as a set.
+func idbSet(p *ast.Program) map[string]bool {
+	idb := map[string]bool{}
+	for _, n := range p.IDB() {
+		idb[n] = true
+	}
+	return idb
+}
+
 // Eval computes the minimum model of a positive Datalog program on
 // the input instance using semi-naive evaluation (Section 3.1). The
 // input is not mutated.
 func Eval(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	if err := p.Validate(ast.DialectDatalog); err != nil {
 		return nil, fmt.Errorf("declarative: %w", err)
 	}
+	return evalFixpoint("minimal-model", p, in, u, opt)
+}
+
+// evalFixpoint runs the whole program to one semi-naive fixpoint under
+// the given engine name (minimal model, semi-positive).
+func evalFixpoint(engineName string, p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	rules, err := eval.CompileProgram(p)
 	if err != nil {
 		return nil, err
 	}
 	col := opt.Collector()
-	col.Reset("minimal-model", nil)
+	col.Reset(engineName, nil)
 	out := in.SnapshotWith(col.Cow())
-	idb := map[string]bool{}
-	for _, n := range p.IDB() {
-		idb[n] = true
+	rounds, err := semiNaive(rules, out, nil, idbSet(p), eval.ActiveDomain(u, p.Constants(), in), opt)
+	return result(out, rounds, col, err)
+}
+
+// staged returns the emit function of a round for eval.Rule.Fire:
+// every head fact goes to pend unfiltered (the round's insert pass
+// dedupes), and is classified as new or already present in out only
+// when the collector is enabled, which keeps the Has probe off the
+// disabled path.
+func staged(out *tuple.Instance, pend *[]eval.Fact, col *stats.Collector) func(eval.Fact) bool {
+	return func(f eval.Fact) bool {
+		*pend = append(*pend, f)
+		return !col.Enabled() || !out.Has(f.Pred, f.Tuple)
 	}
-	adom := eval.ActiveDomain(u, p.Constants(), in)
-	rounds, err := semiNaive(rules, out, nil, idb, adom, opt)
-	if err != nil {
-		return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, err
-	}
-	return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, nil
 }
 
 // EvalNaive computes the same minimum model by naive iteration
@@ -81,47 +107,25 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 	col.Reset("naive", nil)
 	out := in.SnapshotWith(col.Cow())
 	adom := eval.ActiveDomain(u, p.Constants(), in)
-	rounds := 0
-	for {
-		if err := opt.Interrupted(rounds); err != nil {
-			return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, err
-		}
-		rounds++
-		inserted := 0
-		ctx := &eval.Ctx{
-			In: out, Adom: adom, DeltaLit: -1, Scan: opt.ScanEnabled(), Stats: col,
-			NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
-		}
-		col.BeginStage()
+	rounds, err := opt.Loop(col, 0, nil, func(int) (engine.Outcome, error) {
+		ctx := opt.EvalCtx(col, out, adom)
 		var pend []eval.Fact
+		emit := staged(out, &pend, col)
 		for _, cr := range rules {
-			cr.Enumerate(ctx, func(b eval.Binding) bool {
-				facts := cr.HeadFacts(b, nil)
-				if col.Enabled() {
-					derived, reder := 0, 0
-					for _, f := range facts {
-						if out.Has(f.Pred, f.Tuple) {
-							reder++
-						} else {
-							derived++
-						}
-					}
-					col.Fired(-1, derived, reder)
-				}
-				pend = append(pend, facts...)
-				return true
-			})
+			cr.Fire(ctx, -1, nil, emit)
 		}
+		inserted := 0
 		for _, f := range pend {
 			if out.Insert(f.Pred, f.Tuple) {
 				inserted++
 			}
 		}
-		col.EndStage(inserted)
 		if inserted == 0 {
-			return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, nil
+			return engine.Outcome{Status: engine.Last}, nil
 		}
-	}
+		return engine.Outcome{Delta: inserted}, nil
+	})
+	return result(out, rounds, col, err)
 }
 
 // semiNaive runs semi-naive evaluation of rules to fixpoint, mutating
@@ -133,52 +137,11 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 // that may grow during this fixpoint. opt supplies the scan switch
 // and the collector, which records each delta round as one stage
 // (callers Reset it; inner fixpoints only record), and the context
-// polled between rounds. Returns the number of delta rounds and a
-// typed engine error when the context interrupts the fixpoint.
+// polled between rounds. Returns the number of rounds (the last one,
+// which yields an empty delta, included) and a typed engine error when
+// the context interrupts the fixpoint.
 func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, recursive map[string]bool, adom []value.Value, opt *Options) (int, error) {
-	scan := opt.ScanEnabled()
 	col := opt.Collector()
-	// emit counts a firing's facts as derived/re-derived against the
-	// current instance; the Enabled guard keeps the extra Has probes
-	// off the disabled path.
-	emit := func(facts []eval.Fact) {
-		if !col.Enabled() {
-			return
-		}
-		derived, reder := 0, 0
-		for _, f := range facts {
-			if out.Has(f.Pred, f.Tuple) {
-				reder++
-			} else {
-				derived++
-			}
-		}
-		col.Fired(-1, derived, reder)
-	}
-
-	// Round 0: naive pass over every rule.
-	delta := tuple.NewInstance()
-	ctx := &eval.Ctx{
-		In: out, NegIn: negIn, Adom: adom, DeltaLit: -1, Scan: scan, Stats: col,
-		NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
-	}
-	col.BeginStage()
-	var pend []eval.Fact
-	for _, cr := range rules {
-		cr.Enumerate(ctx, func(b eval.Binding) bool {
-			facts := cr.HeadFacts(b, nil)
-			emit(facts)
-			pend = append(pend, facts...)
-			return true
-		})
-	}
-	for _, f := range pend {
-		if out.Insert(f.Pred, f.Tuple) {
-			delta.Insert(f.Pred, f.Tuple)
-		}
-	}
-	rounds := 1
-	col.EndStage(delta.Facts())
 
 	// Precompute, per rule, the delta variants: one per positive body
 	// literal over a recursive predicate, compiled with that literal
@@ -200,28 +163,33 @@ func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, r
 	}
 
 	shards := opt.ShardCount()
-	for delta.Facts() > 0 {
-		if err := opt.Interrupted(rounds); err != nil {
-			return rounds, err
-		}
-		rounds++
-		col.BeginStage()
+	var delta *tuple.Instance
+	var pend []eval.Fact
+	emit := staged(out, &pend, col)
+	return opt.Loop(col, 0, nil, func(round int) (engine.Outcome, error) {
+		ctx := opt.EvalCtx(col, out, adom)
+		ctx.NegIn = negIn
 		next := tuple.NewInstance()
-		if shards > 1 {
+		pend = pend[:0]
+		switch {
+		case round == 1:
+			// A naive pass over every rule seeds the first delta.
+			for _, cr := range rules {
+				cr.Fire(ctx, -1, nil, emit)
+			}
+		case shards > 1:
 			// Shard-parallel round: workers join their hash-slice of
 			// the delta against COW forks of out/negIn and stream fact
 			// batches to this goroutine, which merges them into out and
 			// the next delta. Sets make the merge order-independent, so
 			// the fixpoint is byte-identical to the serial path. A done
-			// context aborts the workers mid-round; the Interrupted
-			// poll at the top of the next iteration surfaces the error.
-			base := &eval.Ctx{
-				In: out, NegIn: negIn, Adom: adom, Scan: scan, Stats: col,
-				NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(),
-			}
+			// context aborts the workers mid-round; the driver's poll
+			// before the next round surfaces the error. The channel
+			// holds one batch in flight per shard plus headroom, so the
+			// barrier rarely blocks a worker.
 			merged := 0
 			derived := uint64(0)
-			eval.RunSharded(variants, base, delta, shards, opt.MergeBufferCap(),
+			eval.RunSharded(variants, ctx, delta, shards, 2*shards,
 				opt.Context().Done(), func(batch []eval.Fact) {
 					merged += len(batch)
 					for _, f := range batch {
@@ -237,30 +205,24 @@ func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, r
 			// new-vs-seen anyway, so charge derived/rederived here.
 			col.FiredBatch(-1, 0, derived, uint64(merged)-derived)
 			col.ShardRound(merged)
-		} else {
-			pend = pend[:0]
+		default:
+			ctx.Delta = delta
 			for _, v := range variants {
-				ctx := &eval.Ctx{
-					In: out, NegIn: negIn, Adom: adom, Delta: delta, DeltaLit: v.Lit, Scan: scan, Stats: col,
-					NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
-				}
-				v.Rule.Enumerate(ctx, func(b eval.Binding) bool {
-					facts := v.Rule.HeadFacts(b, nil)
-					emit(facts)
-					pend = append(pend, facts...)
-					return true
-				})
+				ctx.DeltaLit = v.Lit
+				v.Rule.Fire(ctx, -1, nil, emit)
 			}
-			for _, f := range pend {
-				if out.Insert(f.Pred, f.Tuple) {
-					next.Insert(f.Pred, f.Tuple)
-				}
+		}
+		for _, f := range pend {
+			if out.Insert(f.Pred, f.Tuple) {
+				next.Insert(f.Pred, f.Tuple)
 			}
 		}
 		delta = next
-		col.EndStage(delta.Facts())
-	}
-	return rounds, nil
+		if delta.Facts() == 0 {
+			return engine.Outcome{Status: engine.Last}, nil
+		}
+		return engine.Outcome{Delta: delta.Facts()}, nil
+	})
 }
 
 // EvalStratified evaluates a stratifiable Datalog¬ program under the
@@ -269,9 +231,6 @@ func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, r
 // semi-naive evaluation; negation within a stratum refers only to
 // already-completed relations.
 func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
 		return nil, fmt.Errorf("declarative: %w", err)
 	}
@@ -307,10 +266,10 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 		col.EndPhase("stratum", s+1)
 		totalRounds += rounds
 		if err != nil {
-			return &Result{Out: out, Rounds: totalRounds, Stats: col.Summary()}, err
+			return result(out, totalRounds, col, err)
 		}
 	}
-	return &Result{Out: out, Rounds: totalRounds, Stats: col.Summary()}, nil
+	return result(out, totalRounds, col, nil)
 }
 
 // TruthValue is a value of the 3-valued logic of the well-founded
@@ -398,9 +357,6 @@ func (w *WFSResult) Total() bool {
 // set of true facts and the over-sequence decreases to the set of
 // true-or-unknown facts.
 func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*WFSResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
 		return nil, fmt.Errorf("declarative: %w", err)
 	}
@@ -408,10 +364,7 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 	if err != nil {
 		return nil, err
 	}
-	idb := map[string]bool{}
-	for _, n := range p.IDB() {
-		idb[n] = true
-	}
+	idb := idbSet(p)
 	col := opt.Collector()
 	col.Reset("wellfounded", nil)
 	adom := eval.ActiveDomain(u, p.Constants(), in)
@@ -426,23 +379,20 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 		return out, err
 	}
 
+	// The alternation itself is not a stage loop: its stages are the
+	// semi-naive rounds inside each Γ application, and every application
+	// starts with the driver's context poll, so a deadline interrupts
+	// even slowly-converging models between applications.
 	under := in.SnapshotWith(col.Cow())
 	rounds := 0
 	var over *tuple.Instance
 	for {
-		// The Γ application count is the natural "stage" of the
-		// alternating fixpoint; poll the context between applications
-		// so a deadline interrupts even slowly-converging models.
-		var err error
+		var newUnder *tuple.Instance
 		if over, err = gamma(under); err == nil {
-			err = opt.Interrupted(rounds + 1)
+			newUnder, err = gamma(over)
 		}
 		if err != nil {
-			return &WFSResult{True: under, Possible: over, u: u, Rounds: rounds, Adom: adom, Stats: col.Summary()}, err
-		}
-		newUnder, err := gamma(over)
-		if err != nil {
-			return &WFSResult{True: under, Possible: over, u: u, Rounds: rounds, Adom: adom, Stats: col.Summary()}, err
+			break
 		}
 		rounds += 2
 		if newUnder.Equal(under) {
@@ -450,5 +400,8 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 		}
 		under = newUnder
 	}
-	return &WFSResult{True: under, Possible: over, u: u, Rounds: rounds, Adom: adom, Stats: col.Summary()}, nil
+	if err != nil && !engine.IsInterrupt(err) {
+		return nil, err
+	}
+	return &WFSResult{True: under, Possible: over, u: u, Rounds: rounds, Adom: adom, Stats: col.Summary()}, err
 }

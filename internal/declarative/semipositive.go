@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"unchained/internal/ast"
-	"unchained/internal/eval"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -26,10 +25,7 @@ func ValidateSemiPositive(p *ast.Program) error {
 	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
 		return fmt.Errorf("declarative: %w", err)
 	}
-	idb := map[string]bool{}
-	for _, n := range p.IDB() {
-		idb[n] = true
-	}
+	idb := idbSet(p)
 	for ri, r := range p.Rules {
 		for _, l := range r.Body {
 			if l.Kind == ast.LitAtom && l.Neg && idb[l.Atom.Pred] {
@@ -46,24 +42,8 @@ func ValidateSemiPositive(p *ast.Program) error {
 // this fragment already expresses db-ptime (Theorem 4.7, due to
 // Papadimitriou [101] in the paper's numbering).
 func EvalSemiPositive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	if err := ValidateSemiPositive(p); err != nil {
 		return nil, err
 	}
-	rules, err := eval.CompileProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	idb := map[string]bool{}
-	for _, n := range p.IDB() {
-		idb[n] = true
-	}
-	col := opt.Collector()
-	col.Reset("semi-positive", nil)
-	out := in.SnapshotWith(col.Cow())
-	adom := eval.ActiveDomain(u, p.Constants(), in)
-	rounds, err := semiNaive(rules, out, nil, idb, adom, opt)
-	return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, err
+	return evalFixpoint("semi-positive", p, in, u, opt)
 }

@@ -1,28 +1,32 @@
-// Package engine is the shared evaluation-options layer of the
-// repository: one Options struct carried by every engine (core,
-// declarative, while, nondet, incr, magic) instead of the per-package
-// option types and positional trailing collector arguments the
-// engines grew up with.
-//
-// The two things the package unifies:
+// Package engine is the shared evaluation layer of the repository: one
+// Options struct carried by every engine (core, declarative, while,
+// nondet, incr, magic, and — mapped from its own options — active),
+// and the one stage-loop driver they all run on.
 //
 //   - Configuration. Options gathers the cross-engine knobs — a
 //     context.Context for deadline/cancellation, the stats collector,
-//     stage/iteration bounds, stage-parallel worker count, the
-//     Datalog¬¬ conflict policy, and the index-ablation Scan switch —
-//     so the engine packages alias it (type Options = engine.Options)
-//     and existing composite literals keep compiling.
+//     the stage bound, stage-parallel workers and data-parallel shards,
+//     the Datalog¬¬ conflict policy, and the index-ablation Scan switch
+//     — so the engine packages alias it (type Options = engine.Options).
+//     EvalCtx derives the matcher environment from it.
 //
-//   - Interruption. Engines call Options.Interrupted between stages;
-//     when the context is done they stop with a typed error
-//     (ErrCanceled or ErrDeadline) wrapped with the stage count at
-//     which evaluation was interrupted, and return their partial
-//     progress statistics alongside the error. This is what makes the
-//     Turing-complete members of the family (Datalog¬¬, Datalog¬new,
-//     the while language — Fig. 1 of the paper) safe to evaluate in a
-//     long-lived service: a caller can always bound a call with a
-//     deadline and get a clean, attributable failure instead of a
-//     hung goroutine.
+//   - The stage loop. The paper's whole family is one procedure — fire
+//     all rules against the current instance, apply the result, repeat
+//     until nothing changes — varied only in what a stage does. Loop
+//     (loop.go) is that procedure: it validates the options, polls the
+//     context before every stage, brackets the stage in the collector,
+//     counts it, shows it to Options.Trace and enforces the stage
+//     bound. An engine supplies the step and assembles its result; it
+//     never calls BeginStage, EndStage or polls the context itself
+//     (internal/lint's stageloop analyzer rejects that). When the
+//     context is done the loop stops with a typed error (ErrCanceled or
+//     ErrDeadline) wrapped with the completed stage count, and the
+//     engine returns its partial progress alongside it. This is what
+//     makes the Turing-complete members of the family (Datalog¬¬,
+//     Datalog¬new, the while language — Fig. 1 of the paper) safe to
+//     evaluate in a long-lived service: a caller can always bound a
+//     call with a deadline and get a clean, attributable failure
+//     instead of a hung goroutine.
 //
 // A nil *Options is valid everywhere and means "all defaults, no
 // context, no statistics".
@@ -37,6 +41,7 @@ import (
 	"unchained/internal/stats"
 	"unchained/internal/trace"
 	"unchained/internal/tuple"
+	"unchained/internal/value"
 )
 
 // Sentinel errors.
@@ -146,46 +151,29 @@ type Options struct {
 	// byte-identical to serial evaluation. 0 or 1 means serial.
 	Shards int
 
-	// MergeBuffer is the capacity (in fact batches) of the channel
-	// shard workers stream their results through to the merge barrier;
-	// buffering lets the barrier insert one shard's facts while other
-	// shards still enumerate. 0 means a default sized to the shard
-	// count.
-	MergeBuffer int
-
 	// Policy is the Datalog¬¬ conflict policy (default
 	// PreferPositive).
 	Policy ConflictPolicy
 
 	// MaxStages bounds the number of stages; 0 means the engine
 	// default (unbounded for the engines guaranteed to terminate;
-	// 1<<20 for Datalog¬¬; 4096 for Datalog¬new). For engines whose
-	// unit is not the stage (while iterations, nondet steps) it acts
-	// as the bound when the engine-specific field below is unset, so
-	// one knob caps every engine.
+	// 1<<20 for Datalog¬¬; 4096 for Datalog¬new). It also bounds the
+	// engines whose unit is not the stage: while-loop iterations and
+	// the steps of a sampled nondeterministic run (default 1<<20 each).
 	MaxStages int
-
-	// MaxIters bounds while-language loop-body iterations; 0 falls
-	// back to MaxStages, then the engine default (1<<20).
-	MaxIters int
-
-	// MaxSteps bounds a sampled nondeterministic run; 0 falls back to
-	// MaxStages, then the engine default (1<<20).
-	MaxSteps int
 
 	// MaxStates bounds exhaustive effect enumeration (distinct
 	// instance states; default 1<<16). MaxStages deliberately does
 	// not feed it: states are memory, not time.
 	MaxStates int
 
-	// Trace, if non-nil, is called after every stage with the stage
-	// number (1-based) and the facts newly inferred (inflationary) or
-	// the full instance state (noninflationary, invent).
-	//
-	// Deprecated: Trace is the legacy bare stage hook, kept as an
-	// adapter for callers that want the instance state itself (the
-	// structured span stream carries counters, not tuples). New code
-	// should use Tracer, which covers every engine uniformly.
+	// Trace, if non-nil, is shown every counted stage of the
+	// forward-chaining engines: the stage number (1-based) and the
+	// facts newly inferred (inflationary) or the full instance state
+	// (noninflationary, invent). It is called from exactly one place,
+	// the stage-loop driver (Loop), and is what `datalog -stages`
+	// prints instance sizes from — the span stream (Tracer) carries
+	// counters, not tuples.
 	Trace func(stage int, state *tuple.Instance)
 
 	// Stats, if non-nil, collects per-stage and per-rule evaluation
@@ -217,12 +205,9 @@ func (o *Options) Validate() error {
 		v    int
 	}{
 		{"MaxStages", o.MaxStages},
-		{"MaxIters", o.MaxIters},
-		{"MaxSteps", o.MaxSteps},
 		{"MaxStates", o.MaxStates},
 		{"Workers", o.Workers},
 		{"Shards", o.Shards},
-		{"MergeBuffer", o.MergeBuffer},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s must be >= 0, got %d", ErrInvalidOptions, f.name, f.v)
@@ -239,29 +224,19 @@ func (o *Options) Context() context.Context {
 	return o.Ctx
 }
 
-// Interrupted polls the evaluation context. It returns nil while the
+// interrupted polls the evaluation context. It returns nil while the
 // context is live (or absent) and a typed, stage-stamped error —
 // "engine: deadline exceeded after N stages" or "engine: evaluation
-// canceled after N stages" — once it is done. Engines call it between
-// stages, so an in-flight stage always completes.
-func (o *Options) Interrupted(stages int) error {
+// canceled after N stages" — once it is done. Loop calls it before
+// every stage, so an in-flight stage always completes.
+func (o *Options) interrupted(stages int) error {
 	if o == nil || o.Ctx == nil {
 		return nil
 	}
-	return Interrupted(o.Ctx, stages)
-}
-
-// Interrupted is the free-function form of Options.Interrupted, for
-// engines with their own options type (the active-database engine)
-// and for servers bracketing whole requests.
-func Interrupted(ctx context.Context, stages int) error {
-	if ctx == nil {
-		return nil
-	}
 	select {
-	case <-ctx.Done():
+	case <-o.Ctx.Done():
 		base := ErrCanceled
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		if errors.Is(o.Ctx.Err(), context.DeadlineExceeded) {
 			base = ErrDeadline
 		}
 		return fmt.Errorf("%w after %d stages", base, stages)
@@ -271,25 +246,23 @@ func Interrupted(ctx context.Context, stages int) error {
 }
 
 // IsInterrupt reports whether err is a context interruption produced
-// by Interrupted (canceled or deadline). Engines use it to decide
+// by Loop (canceled or deadline). Engines use it to decide
 // whether partial progress should accompany the error.
 func IsInterrupt(err error) bool {
 	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline)
 }
 
-// ScanEnabled reports the index-ablation switch.
-func (o *Options) ScanEnabled() bool { return o != nil && o.Scan }
-
-// PlanDisabled reports whether the cardinality planner is switched
-// off (LiteralOrder).
-func (o *Options) PlanDisabled() bool { return o != nil && o.LiteralOrder }
-
-// PlanCache returns the shared plan cache, or nil.
-func (o *Options) PlanCache() *eval.PlanCache {
-	if o == nil {
-		return nil
+// EvalCtx returns the matcher environment for one enumeration pass
+// over in: the scan switch, the planner switch and the plan cache come
+// from the options, probes are charged to col, no body literal is
+// pinned to a delta, and plan spans are on (a caller that fans the
+// pass out across goroutines turns PlanTrace off).
+func (o *Options) EvalCtx(col *stats.Collector, in *tuple.Instance, adom []value.Value) *eval.Ctx {
+	ctx := &eval.Ctx{In: in, Adom: adom, DeltaLit: -1, Stats: col, PlanTrace: true}
+	if o != nil {
+		ctx.Scan, ctx.NoPlan, ctx.Plans = o.Scan, o.LiteralOrder, o.Plans
 	}
-	return o.Plans
+	return ctx
 }
 
 // Collector returns the stats collector engines should record into:
@@ -341,38 +314,23 @@ func (o *Options) ShardCount() int {
 	return o.Shards
 }
 
-// MergeBufferCap resolves the merge-barrier channel capacity: the
-// configured MergeBuffer, or twice the shard count when unset (one
-// batch in flight per shard plus headroom, so the barrier rarely
-// blocks a worker).
-func (o *Options) MergeBufferCap() int {
-	if o != nil && o.MergeBuffer > 0 {
-		return o.MergeBuffer
-	}
-	return 2 * o.ShardCount()
-}
-
-// Parallel is the redesigned parallelism configuration, applied
-// atomically by SetParallel (and the facade's WithParallel): the two
-// orthogonal axes — rule-level Workers and data-parallel Shards —
-// plus the merge-barrier buffer. The zero value means fully serial.
+// Parallel is the parallelism configuration, applied atomically by
+// SetParallel (and the facade's WithParallel): the two orthogonal axes,
+// rule-level Workers and data-parallel Shards. The zero value means
+// fully serial.
 type Parallel struct {
 	// Workers is the rule-level stage parallelism (Options.Workers).
 	Workers int
 	// Shards is the data-parallel shard count for semi-naive delta
 	// rounds (Options.Shards).
 	Shards int
-	// MergeBuffer is the merge-barrier channel capacity in batches;
-	// 0 picks a default from the shard count (Options.MergeBuffer).
-	MergeBuffer int
 }
 
-// SetParallel installs a Parallel configuration, replacing all three
+// SetParallel installs a Parallel configuration, replacing both
 // parallelism fields at once.
 func (o *Options) SetParallel(p Parallel) {
 	o.Workers = p.Workers
 	o.Shards = p.Shards
-	o.MergeBuffer = p.MergeBuffer
 }
 
 // StageLimit resolves the stage bound against the engine default.
@@ -383,47 +341,10 @@ func (o *Options) StageLimit(def int) int {
 	return o.MaxStages
 }
 
-// IterLimit resolves the while-iteration bound: MaxIters, then
-// MaxStages, then the engine default.
-func (o *Options) IterLimit(def int) int {
-	if o == nil {
-		return def
-	}
-	if o.MaxIters > 0 {
-		return o.MaxIters
-	}
-	if o.MaxStages > 0 {
-		return o.MaxStages
-	}
-	return def
-}
-
-// StepLimit resolves the nondet sampled-run bound: MaxSteps, then
-// MaxStages, then the engine default.
-func (o *Options) StepLimit(def int) int {
-	if o == nil {
-		return def
-	}
-	if o.MaxSteps > 0 {
-		return o.MaxSteps
-	}
-	if o.MaxStages > 0 {
-		return o.MaxStages
-	}
-	return def
-}
-
 // StateLimit resolves the effect-enumeration bound.
 func (o *Options) StateLimit(def int) int {
 	if o == nil || o.MaxStates <= 0 {
 		return def
 	}
 	return o.MaxStates
-}
-
-// EmitTrace invokes the stage trace hook, if any.
-func (o *Options) EmitTrace(stage int, state *tuple.Instance) {
-	if o != nil && o.Trace != nil {
-		o.Trace(stage, state)
-	}
 }

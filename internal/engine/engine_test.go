@@ -13,14 +13,14 @@ func TestNilOptionsDefaults(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatalf("nil options should validate: %v", err)
 	}
-	if err := o.Interrupted(3); err != nil {
+	if err := o.interrupted(3); err != nil {
 		t.Fatalf("nil options should never interrupt: %v", err)
 	}
 	if o.Context() == nil {
 		t.Fatal("Context() must never return nil")
 	}
-	if o.ScanEnabled() || o.Collector() != nil {
-		t.Fatal("nil options: scan off, no collector")
+	if ctx := o.EvalCtx(nil, nil, nil); ctx.Scan || ctx.NoPlan || ctx.Plans != nil || o.Collector() != nil {
+		t.Fatal("nil options: scan off, planner on, no plan cache, no collector")
 	}
 	if got := o.Conflict(); got != PreferPositive {
 		t.Fatalf("default policy = %v", got)
@@ -31,10 +31,9 @@ func TestNilOptionsDefaults(t *testing.T) {
 	if o.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d", o.ShardCount())
 	}
-	if o.StageLimit(7) != 7 || o.IterLimit(8) != 8 || o.StepLimit(9) != 9 || o.StateLimit(10) != 10 {
+	if o.StageLimit(7) != 7 || o.StateLimit(10) != 10 {
 		t.Fatal("nil options must yield engine defaults")
 	}
-	o.EmitTrace(1, nil) // must not panic
 }
 
 func TestValidate(t *testing.T) {
@@ -44,19 +43,15 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", &Options{}, true},
-		{"all positive", &Options{MaxStages: 1, MaxIters: 2, MaxSteps: 3, MaxStates: 4, Workers: 5}, true},
+		{"all positive", &Options{MaxStages: 1, MaxStates: 4, Workers: 5}, true},
 		{"MaxStages -1", &Options{MaxStages: -1}, false},
-		{"MaxIters -1", &Options{MaxIters: -1}, false},
-		{"MaxSteps -1", &Options{MaxSteps: -1}, false},
 		{"MaxStates -1", &Options{MaxStates: -1}, false},
 		{"Workers -1", &Options{Workers: -1}, false},
 		{"Shards 8", &Options{Shards: 8}, true},
 		{"Shards -1", &Options{Shards: -1}, false},
-		{"MergeBuffer 4", &Options{MergeBuffer: 4}, true},
-		{"MergeBuffer -1", &Options{MergeBuffer: -1}, false},
 		{"Parallel all positive", func() *Options {
 			o := &Options{}
-			o.SetParallel(Parallel{Workers: 2, Shards: 4, MergeBuffer: 8})
+			o.SetParallel(Parallel{Workers: 2, Shards: 4})
 			return o
 		}(), true},
 		{"Parallel negative shards", func() *Options {
@@ -67,11 +62,6 @@ func TestValidate(t *testing.T) {
 		{"Parallel negative workers", func() *Options {
 			o := &Options{}
 			o.SetParallel(Parallel{Workers: -1})
-			return o
-		}(), false},
-		{"Parallel negative merge buffer", func() *Options {
-			o := &Options{}
-			o.SetParallel(Parallel{MergeBuffer: -3})
 			return o
 		}(), false},
 	} {
@@ -87,17 +77,12 @@ func TestValidate(t *testing.T) {
 
 func TestParallelAccessors(t *testing.T) {
 	o := &Options{}
-	o.SetParallel(Parallel{Workers: 3, Shards: 4, MergeBuffer: 16})
-	if o.Workers != 3 || o.Shards != 4 || o.MergeBuffer != 16 {
+	o.SetParallel(Parallel{Workers: 3, Shards: 4})
+	if o.Workers != 3 || o.Shards != 4 {
 		t.Fatalf("SetParallel did not copy fields: %+v", o)
 	}
-	if o.ShardCount() != 4 || o.WorkerCount() != 3 || o.MergeBufferCap() != 16 {
-		t.Fatalf("accessors: shards=%d workers=%d buf=%d", o.ShardCount(), o.WorkerCount(), o.MergeBufferCap())
-	}
-	// MergeBuffer unset: default is twice the shard count.
-	o2 := &Options{Shards: 4}
-	if o2.MergeBufferCap() != 8 {
-		t.Fatalf("default MergeBufferCap = %d, want 8", o2.MergeBufferCap())
+	if o.ShardCount() != 4 || o.WorkerCount() != 3 {
+		t.Fatalf("accessors: shards=%d workers=%d", o.ShardCount(), o.WorkerCount())
 	}
 	// Zero/one shards mean serial.
 	for _, o3 := range []*Options{nil, {}, {Shards: 1}} {
@@ -107,28 +92,24 @@ func TestParallelAccessors(t *testing.T) {
 	}
 }
 
-func TestLimitFallbacks(t *testing.T) {
+func TestLimits(t *testing.T) {
 	o := &Options{MaxStages: 100}
-	if o.IterLimit(5) != 100 || o.StepLimit(5) != 100 {
-		t.Fatal("MaxStages must act as the fallback bound for iters and steps")
+	if o.StageLimit(5) != 100 {
+		t.Fatal("MaxStages must win over the engine default")
 	}
 	if o.StateLimit(5) != 5 {
 		t.Fatal("MaxStages must not bound the state count")
-	}
-	o2 := &Options{MaxStages: 100, MaxIters: 7, MaxSteps: 9}
-	if o2.IterLimit(5) != 7 || o2.StepLimit(5) != 9 {
-		t.Fatal("engine-specific bounds must win over MaxStages")
 	}
 }
 
 func TestInterruptedCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	o := &Options{Ctx: ctx}
-	if err := o.Interrupted(2); err != nil {
+	if err := o.interrupted(2); err != nil {
 		t.Fatalf("live context: %v", err)
 	}
 	cancel()
-	err := o.Interrupted(2)
+	err := o.interrupted(2)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -141,7 +122,7 @@ func TestInterruptedDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	err := Interrupted(ctx, 41)
+	err := (&Options{Ctx: ctx}).interrupted(41)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}

@@ -335,6 +335,42 @@ func (r *Rule) HeadFacts(b Binding, invent func(varID int) value.Value) []Fact {
 	return out
 }
 
+// Fire is the firing kernel the engines share: it enumerates the rule
+// under ctx and passes every head fact of every satisfied valuation to
+// emit, which stages the fact wherever the engine collects its stage
+// and reports whether it is new there. Each valuation is recorded in
+// ctx.Stats as one firing of rule ri (-1 for engines without per-rule
+// attribution) with its new/already-present tally, inside the
+// collector's rule bracket. heads materializes a valuation's head
+// facts; nil means r.HeadFacts(b, nil), and an engine passes its own
+// to invent values or to look at the binding. With a nil collector
+// the tally costs nothing: emit is where any membership probe lives,
+// so an engine that needs none to stage a fact skips it when its
+// collector is disabled.
+func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact) bool) {
+	col := ctx.Stats
+	col.BeginRule(ri)
+	r.Enumerate(ctx, func(b Binding) bool {
+		var facts []Fact
+		if heads != nil {
+			facts = heads(b)
+		} else {
+			facts = r.HeadFacts(b, nil)
+		}
+		derived, rederived := 0, 0
+		for _, f := range facts {
+			if emit(f) {
+				derived++
+			} else {
+				rederived++
+			}
+		}
+		col.Fired(ri, derived, rederived)
+		return true
+	})
+	col.EndRule(ri)
+}
+
 // WarmIndexes pre-builds every hash index the rules' match steps will
 // probe against the context's instances — In, Delta, the Aux overlay,
 // and the NegIn reduct alike, including the mask-0 full-relation

@@ -15,7 +15,6 @@
 package incr
 
 import (
-	"context"
 	"fmt"
 
 	"unchained/internal/ast"
@@ -89,20 +88,16 @@ type View struct {
 	edb      map[string]bool
 	state    *tuple.Instance // EDB ∪ derived IDB
 	adom     []value.Value
-	scan     bool
 	// layers is the SCC condensation, dependencies first; counts holds
 	// the support counters of the counting layers (pred -> tuple key).
 	layers []*layer
 	counts map[string]map[string]supportEntry
-	// noPlan/plans mirror the Materialize options so every propagation
-	// round joins with the same planner configuration as the initial
-	// materialization.
-	noPlan bool
-	plans  *eval.PlanCache
-	// ctx, inherited from the Materialize options, bounds every
-	// subsequent propagation; maintenance calls return the typed
-	// engine error when it is done. nil means no bound.
-	ctx context.Context
+	// opt is the Materialize options (nil when none). Every propagation
+	// round joins with the same scan and planner configuration as the
+	// initial materialization, and its context bounds every subsequent
+	// maintenance call, which returns the typed engine error when it is
+	// done.
+	opt *engine.Options
 	// Stats is the collector carried by the Materialize options (nil
 	// when none): it accumulates across the initial materialization
 	// and every subsequent Apply propagation, each delta round
@@ -132,7 +127,7 @@ type deltaVariant struct {
 // view. Positive programs evaluate to the minimum model; programs
 // with (stratifiable) negation evaluate under the stratified
 // semantics. The input instance is copied.
-func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *declarative.Options) (*View, error) {
+func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *engine.Options) (*View, error) {
 	positive := p.Validate(ast.DialectDatalog) == nil
 	if !positive {
 		if err := p.Validate(ast.DialectDatalogNeg); err != nil {
@@ -158,24 +153,18 @@ func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *dec
 	if err != nil {
 		return nil, err
 	}
+	// Collector() rather than the bare Stats field: when only a Tracer
+	// is configured, maintenance operations keep emitting into the same
+	// auto-created collector the materialization run traced through.
 	v := &View{
-		prog:   p,
-		rules:  rules,
-		u:      u,
-		idb:    map[string]bool{},
-		edb:    map[string]bool{},
-		state:  res.Out,
-		scan:   opt != nil && opt.Scan,
-		noPlan: opt.PlanDisabled(),
-		plans:  opt.PlanCache(),
-	}
-	if opt != nil {
-		// Collector() rather than the bare Stats field: when only a
-		// Tracer is configured, maintenance operations keep emitting
-		// into the same auto-created collector the materialization
-		// run traced through.
-		v.Stats = opt.Collector()
-		v.ctx = opt.Ctx
+		prog:  p,
+		rules: rules,
+		u:     u,
+		idb:   map[string]bool{},
+		edb:   map[string]bool{},
+		state: res.Out,
+		opt:   opt,
+		Stats: opt.Collector(),
 	}
 	// The one-shot evaluation labeled the collector after its engine;
 	// from here on it accumulates maintenance work, so relabel without
@@ -335,43 +324,59 @@ func (v *View) buildLayers() {
 // counts subsequent batches maintain differentially.
 func (v *View) initCounts() error {
 	v.counts = map[string]map[string]supportEntry{}
-	for _, l := range v.layers {
-		if !l.counting {
-			continue
-		}
-		for pred := range l.preds {
-			if v.counts[pred] == nil {
-				v.counts[pred] = map[string]supportEntry{}
+	// One polled pass that is not a stage of the maintained run, so it
+	// has no stage to file plan spans under.
+	_, err := v.opt.Loop(nil, 0, nil, func(int) (engine.Outcome, error) {
+		ctx := v.opt.EvalCtx(v.Stats, v.state, v.adom)
+		ctx.PlanTrace = false
+		for _, l := range v.layers {
+			if !l.counting {
+				continue
 			}
-		}
-		for _, ri := range l.rules {
-			if err := engine.Interrupted(v.ctx, 0); err != nil {
-				return err
-			}
-			ctx := &eval.Ctx{
-				In: v.state, Adom: v.adom, DeltaLit: -1, Scan: v.scan, Stats: v.Stats,
-				NoPlan: v.noPlan, Plans: v.plans,
-			}
-			rule := v.rules[ri]
-			rule.Enumerate(ctx, func(b eval.Binding) bool {
-				for _, f := range rule.HeadFacts(b, nil) {
-					if f.Bottom || f.Neg || !l.preds[f.Pred] {
-						continue
-					}
-					c := v.counts[f.Pred]
-					k := f.Tuple.Key()
-					e := c[k]
-					if e.t == nil {
-						e.t = f.Tuple
-					}
-					e.n++
-					c[k] = e
+			for pred := range l.preds {
+				if v.counts[pred] == nil {
+					v.counts[pred] = map[string]supportEntry{}
 				}
-				return true
-			})
+			}
+			for _, ri := range l.rules {
+				rule := v.rules[ri]
+				rule.Enumerate(ctx, func(b eval.Binding) bool {
+					for _, f := range rule.HeadFacts(b, nil) {
+						if !l.owns(f) {
+							continue
+						}
+						c := v.counts[f.Pred]
+						k := f.Tuple.Key()
+						e := c[k]
+						if e.t == nil {
+							e.t = f.Tuple
+						}
+						e.n++
+						c[k] = e
+					}
+					return true
+				})
+			}
 		}
-	}
-	return nil
+		return engine.Outcome{Status: engine.Last}, nil
+	})
+	return err
+}
+
+// owns reports whether a head fact is one the layer maintains: a
+// positive fact of one of its predicates. A multi-head rule belongs to
+// every layer one of its heads is in, and each applies only its own.
+func (l *layer) owns(f eval.Fact) bool {
+	return !f.Bottom && !f.Neg && l.preds[f.Pred]
+}
+
+// pinned returns the matcher environment for a delta variant: in is
+// the instance the unpinned literals match, pin the delta driving the
+// variant's pinned literal.
+func (v *View) pinned(dv deltaVariant, in, pin *tuple.Instance) *eval.Ctx {
+	ctx := v.opt.EvalCtx(v.Stats, in, v.adom)
+	ctx.Delta, ctx.DeltaLit = pin, dv.lit
+	return ctx
 }
 
 func (v *View) refreshAdom() {
@@ -528,14 +533,19 @@ func firstChange(dv deltaVariant, b eval.Binding, d *Delta, gain bool) bool {
 }
 
 // countLayer maintains a non-recursive layer by exact support
-// counting. Lost firings are enumerated against the pre-batch state,
-// gained firings against the current state (all lower layers final);
-// net counts crossing zero update the model.
+// counting, as one stage. Lost firings are enumerated against the
+// pre-batch state, gained firings against the current state (all lower
+// layers final); net counts crossing zero update the model.
 func (v *View) countLayer(l *layer, old *tuple.Instance, d *Delta) error {
-	if err := engine.Interrupted(v.ctx, 0); err != nil {
-		return err
-	}
-	v.Stats.BeginStage()
+	_, err := v.opt.Loop(v.Stats, 0, nil, func(int) (engine.Outcome, error) {
+		return engine.Outcome{Status: engine.Last, Delta: v.recount(l, old, d)}, nil
+	})
+	return err
+}
+
+// recount is countLayer's stage; it returns the number of facts that
+// entered or left the model.
+func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
 	type change struct {
 		pred string
 		t    tuple.Tuple
@@ -552,34 +562,24 @@ func (v *View) countLayer(l *layer, old *tuple.Instance, d *Delta) error {
 		c.n += delta
 	}
 	for _, gain := range []bool{false, true} {
-		in := old
+		in, sign := old, int64(-1)
 		if gain {
-			in = v.state
+			in, sign = v.state, 1
 		}
 		for _, ri := range l.rules {
-			rule := v.rules[ri]
 			for _, dv := range v.variants[ri] {
 				pin := pinFor(dv, d, gain)
 				if !hasPred(pin, dv.pred) {
 					continue
 				}
-				ctx := &eval.Ctx{
-					In: in, Adom: v.adom, Delta: pin, DeltaLit: dv.lit, Scan: v.scan, Stats: v.Stats,
-					NoPlan: v.noPlan, Plans: v.plans, PlanTrace: true,
-				}
-				sign := int64(1)
-				if !gain {
-					sign = -1
-				}
-				dv.rule.Enumerate(ctx, func(b eval.Binding) bool {
+				dv.rule.Enumerate(v.pinned(dv, in, pin), func(b eval.Binding) bool {
 					if !firstChange(dv, b, d, gain) {
 						return true
 					}
-					for _, f := range rule.HeadFacts(remapBinding(dv.rule, rule, b), nil) {
-						if f.Bottom || f.Neg || !l.preds[f.Pred] {
-							continue
+					for _, f := range dv.rule.HeadFacts(b, nil) {
+						if l.owns(f) {
+							record(f, sign)
 						}
-						record(f, sign)
 					}
 					v.Stats.Fired(-1, 0, 0)
 					return true
@@ -614,109 +614,42 @@ func (v *View) countLayer(l *layer, old *tuple.Instance, d *Delta) error {
 			moved++
 		}
 	}
-	v.Stats.EndStage(moved)
-	return nil
-}
-
-// remapBinding translates a binding produced by a variant rule into
-// the base rule's variable layout. Variant rules share the source
-// rule's text (and CompileDelta preserves first-occurrence variable
-// ids), so in practice this is the identity; flipped variants are
-// compiled from an equal-variable copy and also share the layout. The
-// helper exists to keep head materialization correct if those
-// invariants ever change.
-func remapBinding(from, to *eval.Rule, b eval.Binding) eval.Binding {
-	if from == to || len(from.Vars) == len(to.Vars) {
-		return b
-	}
-	out := make(eval.Binding, len(to.Vars))
-	for i, name := range to.Vars {
-		for j, fname := range from.Vars {
-			if fname == name && j < len(b) {
-				out[i] = b[j]
-				break
-			}
-		}
-	}
-	return out
+	return moved
 }
 
 // dredLayer maintains a recursive layer with delete–rederive.
 func (v *View) dredLayer(l *layer, old *tuple.Instance, d *Delta) error {
-	// Phase 1: over-delete. Seed with every firing of the layer's
-	// rules that a lower-layer (or EDB) change may have invalidated,
-	// then transitively delete along the layer's internal positive
-	// edges. Matching runs against the pre-batch state: that is where
-	// the invalidated derivations lived.
+	// Phase 1: over-delete. The first stage seeds with every firing of
+	// the layer's rules that a lower-layer (or EDB) change may have
+	// invalidated; the following waves delete transitively along the
+	// layer's internal positive edges until a wave deletes nothing.
+	// Matching runs against the pre-batch state: that is where the
+	// invalidated derivations lived.
 	var overdel []eval.Fact
-	round := tuple.NewInstance()
-	deleteHead := func(f eval.Fact) {
-		if f.Bottom || f.Neg || !l.preds[f.Pred] {
-			return
-		}
-		if v.state.Delete(f.Pred, f.Tuple) {
-			d.remove(f.Pred, f.Tuple)
-			round.Insert(f.Pred, f.Tuple)
-			overdel = append(overdel, eval.Fact{Pred: f.Pred, Tuple: f.Tuple})
-		}
-	}
-	v.Stats.BeginStage()
-	for _, ri := range l.rules {
-		rule := v.rules[ri]
-		for _, dv := range v.variants[ri] {
-			if l.preds[dv.pred] {
-				continue // internal edges propagate in the waves below
-			}
-			pin := pinFor(dv, d, false)
-			if !hasPred(pin, dv.pred) {
-				continue
-			}
-			ctx := &eval.Ctx{
-				In: old, Adom: v.adom, Delta: pin, DeltaLit: dv.lit, Scan: v.scan, Stats: v.Stats,
-				NoPlan: v.noPlan, Plans: v.plans, PlanTrace: true,
-			}
-			dv.rule.Enumerate(ctx, func(b eval.Binding) bool {
-				for _, f := range rule.HeadFacts(remapBinding(dv.rule, rule, b), nil) {
-					deleteHead(f)
-				}
-				v.Stats.Fired(-1, 0, 0)
-				return true
-			})
-		}
-	}
-	v.Stats.EndStage(-round.Facts())
-	waves := 0
-	for round.Facts() > 0 {
-		if err := engine.Interrupted(v.ctx, waves); err != nil {
-			return err
-		}
-		waves++
-		v.Stats.BeginStage()
+	var round *tuple.Instance
+	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
 		next := tuple.NewInstance()
-		prev := round
-		deleteWave := func(f eval.Fact) {
-			if f.Bottom || f.Neg || !l.preds[f.Pred] {
-				return
-			}
-			if v.state.Delete(f.Pred, f.Tuple) {
-				d.remove(f.Pred, f.Tuple)
-				next.Insert(f.Pred, f.Tuple)
-				overdel = append(overdel, eval.Fact{Pred: f.Pred, Tuple: f.Tuple})
-			}
-		}
 		for _, ri := range l.rules {
-			rule := v.rules[ri]
 			for _, dv := range v.variants[ri] {
-				if dv.neg || !l.preds[dv.pred] || !hasPred(prev, dv.pred) {
+				pin := round
+				if n == 1 {
+					if l.preds[dv.pred] {
+						continue // internal edges propagate in the waves
+					}
+					pin = pinFor(dv, d, false)
+				} else if dv.neg || !l.preds[dv.pred] {
 					continue
 				}
-				ctx := &eval.Ctx{
-					In: old, Adom: v.adom, Delta: prev, DeltaLit: dv.lit, Scan: v.scan, Stats: v.Stats,
-					NoPlan: v.noPlan, Plans: v.plans, PlanTrace: true,
+				if !hasPred(pin, dv.pred) {
+					continue
 				}
-				dv.rule.Enumerate(ctx, func(b eval.Binding) bool {
-					for _, f := range rule.HeadFacts(remapBinding(dv.rule, rule, b), nil) {
-						deleteWave(f)
+				dv.rule.Enumerate(v.pinned(dv, old, pin), func(b eval.Binding) bool {
+					for _, f := range dv.rule.HeadFacts(b, nil) {
+						if l.owns(f) && v.state.Delete(f.Pred, f.Tuple) {
+							d.remove(f.Pred, f.Tuple)
+							next.Insert(f.Pred, f.Tuple)
+							overdel = append(overdel, eval.Fact{Pred: f.Pred, Tuple: f.Tuple})
+						}
 					}
 					v.Stats.Fired(-1, 0, 0)
 					return true
@@ -724,48 +657,20 @@ func (v *View) dredLayer(l *layer, old *tuple.Instance, d *Delta) error {
 			}
 		}
 		round = next
-		v.Stats.EndStage(-round.Facts())
+		if round.Facts() == 0 {
+			return engine.Outcome{Status: engine.Last}, nil
+		}
+		return engine.Outcome{Delta: -round.Facts()}, nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Phase 2: insert and rederive. Seed the genuinely new firings
 	// enabled by lower-layer changes against the current state, then
 	// alternate semi-naive propagation with rederivation of
 	// over-deleted facts until neither makes progress.
-	seeds := tuple.NewInstance()
-	v.Stats.BeginStage()
-	for _, ri := range l.rules {
-		rule := v.rules[ri]
-		for _, dv := range v.variants[ri] {
-			if l.preds[dv.pred] {
-				continue
-			}
-			pin := pinFor(dv, d, true)
-			if !hasPred(pin, dv.pred) {
-				continue
-			}
-			ctx := &eval.Ctx{
-				In: v.state, Adom: v.adom, Delta: pin, DeltaLit: dv.lit, Scan: v.scan, Stats: v.Stats,
-				NoPlan: v.noPlan, Plans: v.plans, PlanTrace: true,
-			}
-			dv.rule.Enumerate(ctx, func(b eval.Binding) bool {
-				derived := 0
-				for _, f := range rule.HeadFacts(remapBinding(dv.rule, rule, b), nil) {
-					if f.Bottom || f.Neg || !l.preds[f.Pred] {
-						continue
-					}
-					if v.state.Insert(f.Pred, f.Tuple) {
-						d.add(f.Pred, f.Tuple)
-						seeds.Insert(f.Pred, f.Tuple)
-						derived++
-					}
-				}
-				v.Stats.Fired(-1, derived, 0)
-				return true
-			})
-		}
-	}
-	v.Stats.EndStage(seeds.Facts())
-	if err := v.propagate(l, seeds, d); err != nil {
+	if err := v.propagate(l, nil, d); err != nil {
 		return err
 	}
 	for {
@@ -796,52 +701,46 @@ func (v *View) dredLayer(l *layer, old *tuple.Instance, d *Delta) error {
 }
 
 // propagate runs semi-naive insertion rounds within a recursive layer
-// until no new facts appear, polling the view's context between
-// rounds. On interruption the state holds the partially-propagated
-// model; callers surface the typed error so the view is known to be
-// suspect.
+// until a round adds nothing. A nil delta seeds the rounds from the
+// batch instead: the first round then fires the variants pinned at the
+// lower-layer (or EDB) changes in d. The driver polls the view's
+// context between rounds; on interruption the state holds the
+// partially-propagated model and callers surface the typed error so
+// the view is known to be suspect.
 func (v *View) propagate(l *layer, delta *tuple.Instance, d *Delta) error {
-	rounds := 0
-	for delta.Facts() > 0 {
-		if err := engine.Interrupted(v.ctx, rounds); err != nil {
-			return err
-		}
-		rounds++
-		v.Stats.BeginStage()
+	_, err := v.opt.Loop(v.Stats, 0, nil, func(int) (engine.Outcome, error) {
 		next := tuple.NewInstance()
+		emit := func(f eval.Fact) bool {
+			if !l.owns(f) || !v.state.Insert(f.Pred, f.Tuple) {
+				return false
+			}
+			d.add(f.Pred, f.Tuple)
+			next.Insert(f.Pred, f.Tuple)
+			return true
+		}
 		for _, ri := range l.rules {
-			rule := v.rules[ri]
 			for _, dv := range v.variants[ri] {
-				if dv.neg || !l.preds[dv.pred] || !hasPred(delta, dv.pred) {
+				pin := delta
+				if delta == nil {
+					if l.preds[dv.pred] {
+						continue
+					}
+					pin = pinFor(dv, d, true)
+				} else if dv.neg || !l.preds[dv.pred] {
 					continue
 				}
-				ctx := &eval.Ctx{
-					In: v.state, Adom: v.adom, Delta: delta, DeltaLit: dv.lit, Scan: v.scan, Stats: v.Stats,
-					NoPlan: v.noPlan, Plans: v.plans, PlanTrace: true,
+				if hasPred(pin, dv.pred) {
+					dv.rule.Fire(v.pinned(dv, v.state, pin), -1, nil, emit)
 				}
-				dv.rule.Enumerate(ctx, func(b eval.Binding) bool {
-					derived, reder := 0, 0
-					for _, f := range rule.HeadFacts(remapBinding(dv.rule, rule, b), nil) {
-						if f.Bottom || f.Neg || !l.preds[f.Pred] {
-							continue
-						}
-						if v.state.Insert(f.Pred, f.Tuple) {
-							d.add(f.Pred, f.Tuple)
-							next.Insert(f.Pred, f.Tuple)
-							derived++
-						} else {
-							reder++
-						}
-					}
-					v.Stats.Fired(-1, derived, reder)
-					return true
-				})
 			}
 		}
 		delta = next
-		v.Stats.EndStage(delta.Facts())
-	}
-	return nil
+		if delta.Facts() == 0 {
+			return engine.Outcome{Status: engine.Last}, nil
+		}
+		return engine.Outcome{Delta: delta.Facts()}, nil
+	})
+	return err
 }
 
 // extendAdom merges the tuple's values into the sorted active domain.
@@ -913,7 +812,8 @@ func (v *View) derivable(f eval.Fact) bool {
 		}
 		// One-shot substituted probe rules: planning them would cost
 		// more than the single enumeration saves.
-		ctx := &eval.Ctx{In: v.state, Adom: v.adom, DeltaLit: -1, Scan: v.scan, Stats: v.Stats, NoPlan: true}
+		ctx := v.opt.EvalCtx(v.Stats, v.state, v.adom)
+		ctx.NoPlan = true
 		found := false
 		pc.Enumerate(ctx, func(eval.Binding) bool {
 			found = true

@@ -16,8 +16,9 @@ type col struct{}
 func (col) BeginStage() {}
 func (col) EndStage()   {}
 
-// badStageLoop never polls Interrupted: context cancellation could
-// not stop it if it were a real engine.
+// badStageLoop brackets its own stages instead of plugging a step into
+// the driver: nothing polls the context, so cancellation could not
+// stop it if it were a real engine.
 func badStageLoop(c col) {
 	for i := 0; i < 1000; i++ {
 		c.BeginStage()

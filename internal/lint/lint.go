@@ -1,13 +1,15 @@
 // Package lint holds the repo's custom static analyzers, run against
 // every build via `go vet -vettool` (cmd/vet-unchained) and `make
-// vet-custom`. They enforce two engine-layer invariants the type
+// vet-custom`. They enforce three engine-layer invariants the type
 // system cannot express:
 //
-//   - stageloop: every engine stage loop must consult context
-//     cancellation. A stats BeginStage call inside a for-loop marks a
-//     stage loop; its nearest enclosing loop must lexically contain an
-//     engine Interrupted call, or a request deadline could never
-//     interrupt that engine (the property internal/serve relies on).
+//   - stageloop: engines do not write their own stage loop. The stage
+//     protocol — poll the context, BeginStage, EndStage — lives in one
+//     place, the driver (engine.Options.Loop), which is what guarantees
+//     that a request deadline interrupts every engine (the property
+//     internal/serve relies on). A call to BeginStage, EndStage or
+//     Interrupted from an engine package is a finding: plug a step into
+//     the driver instead.
 //   - tuplemut: tuple.Tuple values share their backing array across
 //     copy-on-write instance snapshots, so writing through an index
 //     (t[i] = v) outside internal/tuple mutates every holder of the
@@ -68,8 +70,9 @@ func (p *Pass) path() string {
 	return ""
 }
 
-// enginePackages are the import-path suffixes of the packages whose
-// stage loops must poll for interruption.
+// enginePackages are the import-path suffixes of the packages that
+// run their stages through the driver (internal/engine itself, which
+// hosts it, is not among them).
 var enginePackages = []string{
 	"internal/core",
 	"internal/declarative",
@@ -185,9 +188,11 @@ func checkDrainLoops(f *ast.File) []Diag {
 	return diags
 }
 
-// Stageloop flags BeginStage calls whose nearest enclosing for-loop
-// never calls Interrupted (a stage loop no context deadline can
-// stop), and iterator drain loops with no exit path.
+// stageProtocol names the calls only the driver may make.
+var stageProtocol = map[string]bool{"BeginStage": true, "EndStage": true, "Interrupted": true}
+
+// Stageloop flags stage-protocol calls made outside the driver, and
+// iterator drain loops with no exit path.
 func Stageloop(p *Pass) []Diag {
 	if !p.AllPackages && !isEnginePackage(p.path()) {
 		return nil
@@ -198,36 +203,13 @@ func Stageloop(p *Pass) []Diag {
 			continue
 		}
 		diags = append(diags, checkDrainLoops(f)...)
-		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
+			if call, ok := n.(*ast.CallExpr); ok && stageProtocol[calleeName(call)] {
+				diags = append(diags, Diag{
+					Pos:     call.Pos(),
+					Message: calleeName(call) + " called outside the stage-loop driver: plug a step into (engine.Options).Loop, which polls the context and brackets the stage",
+				})
 			}
-			stack = append(stack, n)
-			call, ok := n.(*ast.CallExpr)
-			if !ok || calleeName(call) != "BeginStage" {
-				return true
-			}
-			// Nearest lexically-enclosing loop; a BeginStage outside
-			// any loop (single-stage engines) needs no poll.
-			var loop ast.Node
-			for i := len(stack) - 2; i >= 0; i-- {
-				switch stack[i].(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-					loop = stack[i]
-				}
-				if loop != nil {
-					break
-				}
-			}
-			if loop == nil || containsCall(loop, "Interrupted") {
-				return true
-			}
-			diags = append(diags, Diag{
-				Pos:     call.Pos(),
-				Message: "stage loop never calls (engine.Options).Interrupted: context cancellation cannot stop this engine",
-			})
 			return true
 		})
 	}

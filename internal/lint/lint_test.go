@@ -190,73 +190,58 @@ func parseOnly(t *testing.T, path, src string) *Pass {
 	return &Pass{Fset: fset, Files: []*ast.File{f}, Path: path}
 }
 
+// stageLoopBad is a hand-rolled stage loop: it polls and brackets its
+// stages itself instead of plugging a step into the driver.
 const stageLoopBad = `package core
-func eval(col Col, opt Opt) {
-	for i := 0; i < 10; i++ {
-		col.BeginStage()
-		col.EndStage()
-	}
-}
-type Col interface{ BeginStage(); EndStage() }
-type Opt interface{ Interrupted(int) error }
-`
-
-const stageLoopGood = `package core
 func eval(col Col, opt Opt) {
 	for i := 0; i < 10; i++ {
 		if err := opt.Interrupted(i); err != nil {
 			return
 		}
 		col.BeginStage()
-		col.EndStage()
+		col.EndStage(1)
 	}
 }
-type Col interface{ BeginStage(); EndStage() }
+type Col interface{ BeginStage(); EndStage(int) }
 type Opt interface{ Interrupted(int) error }
 `
 
-func TestStageloopFlagsUnpolledLoop(t *testing.T) {
+// stageLoopGood runs its stages through the driver.
+const stageLoopGood = `package core
+func eval(col Col, opt Opt) {
+	opt.Loop(col, 10, nil, func(int) (int, error) { return 1, nil })
+}
+type Col interface{}
+type Opt interface{ Loop(Col, int, func(int) error, func(int) (int, error)) (int, error) }
+`
+
+func TestStageloopFlagsProtocolCalls(t *testing.T) {
 	ds := Stageloop(parseOnly(t, "x/internal/core", stageLoopBad))
-	if len(ds) != 1 || !strings.Contains(ds[0].Message, "Interrupted") {
-		t.Fatalf("diags: %v", messages(ds))
+	if len(ds) != 3 {
+		t.Fatalf("got %d diags, want one per protocol call: %v", len(ds), messages(ds))
+	}
+	for i, name := range []string{"Interrupted", "BeginStage", "EndStage"} {
+		if !strings.HasPrefix(ds[i].Message, name+" called outside the stage-loop driver") {
+			t.Errorf("diag %d: %q", i, ds[i].Message)
+		}
 	}
 }
 
-func TestStageloopAcceptsPolledLoop(t *testing.T) {
+func TestStageloopAcceptsDriverStep(t *testing.T) {
 	if ds := Stageloop(parseOnly(t, "x/internal/core", stageLoopGood)); len(ds) != 0 {
 		t.Fatalf("false positive: %v", messages(ds))
 	}
 }
 
-func TestStageloopSingleStageNeedsNoPoll(t *testing.T) {
+func TestStageloopFlagsCallOutsideAnyLoop(t *testing.T) {
+	// The parent rule let a BeginStage outside a for-loop through; a
+	// single stage goes through the driver like any other.
 	p := parseOnly(t, "x/internal/declarative", `package declarative
 func one(col Col) { col.BeginStage(); col.EndStage() }
 type Col interface{ BeginStage(); EndStage() }
 `)
-	if ds := Stageloop(p); len(ds) != 0 {
-		t.Fatalf("flagged single-stage call: %v", messages(ds))
-	}
-}
-
-func TestStageloopNearestLoopRule(t *testing.T) {
-	// The inner loop polls; an outer loop that doesn't is fine because
-	// the nearest enclosing loop of BeginStage is the inner one.
-	p := parseOnly(t, "x/internal/nondet", `package nondet
-func eval(col Col, opt Opt) {
-	for {
-		for i := 0; ; i++ {
-			if opt.Interrupted(i) != nil {
-				return
-			}
-			col.BeginStage()
-		}
-	}
-}
-type Col interface{ BeginStage() }
-type Opt interface{ Interrupted(int) error }
-`)
-	if ds := Stageloop(p); len(ds) != 0 {
-		t.Fatalf("nearest-loop rule broken: %v", messages(ds))
+	if ds := Stageloop(p); len(ds) != 2 {
+		t.Fatalf("single-stage protocol calls: %v", messages(ds))
 	}
 }
 
@@ -266,7 +251,7 @@ func TestStageloopSkipsNonEnginePackages(t *testing.T) {
 	}
 	p := parseOnly(t, "x/internal/stats", stageLoopBad)
 	p.AllPackages = true
-	if ds := Stageloop(p); len(ds) != 1 {
+	if ds := Stageloop(p); len(ds) != 3 {
 		t.Fatalf("AllPackages filter override broken: %v", messages(ds))
 	}
 }

@@ -74,7 +74,7 @@ func TestNDatalogNewDivergesWithLimit(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(`Q(N) :- P(X).`, u)
 	in := parser.MustParseFacts(`P(a).`, u)
-	_, err := Run(p, ast.DialectNDatalogNew, in, u, 1, &Options{MaxSteps: 25})
+	_, err := Run(p, ast.DialectNDatalogNew, in, u, 1, &Options{MaxStages: 25})
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
 	}

@@ -46,7 +46,8 @@ import (
 
 // Sentinel errors.
 var (
-	// ErrStepLimit reports a sampled run exceeding Options.MaxSteps.
+	// ErrStepLimit reports a sampled run exceeding its step bound
+	// (Options.MaxStages, default 1<<20).
 	ErrStepLimit = errors.New("nondet: step limit exceeded")
 	// ErrStateLimit reports exhaustive enumeration exceeding
 	// Options.MaxStates distinct instance states.
@@ -58,7 +59,7 @@ var (
 // Options is the unified engine configuration (see engine.Options).
 // The nondeterministic engines honor Ctx (polled between applied
 // firings in Run and between popped states in Effects), Scan,
-// MaxSteps (default 1<<20; MaxStages acts as fallback), MaxStates
+// MaxStages (the step bound of Run, default 1<<20), MaxStates
 // (default 1<<16) and Stats: each applied rule firing counts as one
 // stage of a sampled run. A nil *Options is valid.
 type Options = engine.Options
@@ -166,10 +167,7 @@ func (p *program) bottomApplicable(cur *tuple.Instance, adom []value.Value, opt 
 	if len(p.bottoms) == 0 {
 		return false
 	}
-	ctx := &eval.Ctx{
-		In: cur, Adom: adom, DeltaLit: -1, Scan: opt.ScanEnabled(),
-		NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
-	}
+	ctx := opt.EvalCtx(nil, cur, adom)
 	for _, cr := range p.bottoms {
 		hit := false
 		cr.Enumerate(ctx, func(eval.Binding) bool {
@@ -187,10 +185,7 @@ func (p *program) bottomApplicable(cur *tuple.Instance, adom []value.Value, opt 
 // canonical (sorted) order, so that a seeded random choice over them
 // is reproducible even though relation iteration order is not.
 func (p *program) successors(cur *tuple.Instance, adom []value.Value, u *value.Universe, opt *Options) []candidate {
-	ctx := &eval.Ctx{
-		In: cur, Adom: adom, DeltaLit: -1, Scan: opt.ScanEnabled(),
-		NoPlan: opt.PlanDisabled(), Plans: opt.PlanCache(), PlanTrace: true,
-	}
+	ctx := opt.EvalCtx(nil, cur, adom)
 	var all []candidate
 	for ri, cr := range p.rules {
 		inventing := len(cr.HeadOnlyVarIDs()) > 0
@@ -262,51 +257,49 @@ func Run(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Universe, s
 	if err != nil {
 		return nil, err
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	col := opt.Collector()
 	col.Reset("ndatalog", nil)
 	rng := rand.New(rand.NewSource(seed))
 	cur := in.SnapshotWith(col.Cow())
-	limit := opt.StepLimit(1 << 20)
-	steps := 0
 	// One domain computation per state instead of one per Enumerate
 	// batch: bottomApplicable and successors see the same instance, so
 	// the second Domain call is a cache hit, and a step that only
 	// rearranges known values (delete + reinsert) skips the re-sort
 	// entirely.
 	adomc := eval.NewAdomCache(u, prog.consts, false)
-	for {
-		if err := opt.Interrupted(steps); err != nil {
-			return &Result{Out: cur, Steps: steps, Stats: col.Summary()}, err
-		}
-		adom := adomc.Domain(cur)
-		if prog.bottomApplicable(cur, adom, opt) {
-			return &Result{Steps: steps, Aborted: true, Stats: col.Summary()}, nil
-		}
-		cands := prog.successors(cur, adom, u, opt)
-		if len(cands) == 0 {
-			return &Result{Out: cur, Steps: steps, Stats: col.Summary()}, nil
-		}
-		col.BeginStage()
-		var freshBefore int64
-		if col.Enabled() {
-			freshBefore = u.FreshCount()
-		}
-		next, deleted, inserted := cands[rng.Intn(len(cands))].apply(cur, u)
-		cur = next
-		col.Fired(-1, inserted, 0)
-		col.Retracted(deleted)
-		if col.Enabled() {
-			col.Invented(int(u.FreshCount() - freshBefore))
-		}
-		col.EndStage(inserted - deleted)
-		steps++
-		if steps >= limit {
-			return nil, fmt.Errorf("%w (after %d steps)", ErrStepLimit, steps)
-		}
+	var cands []candidate
+	aborted := false
+	steps, err := opt.ChooseLoop(col, opt.StageLimit(1<<20),
+		func(steps int) error { return fmt.Errorf("%w (after %d steps)", ErrStepLimit, steps) },
+		func() bool {
+			adom := adomc.Domain(cur)
+			if aborted = prog.bottomApplicable(cur, adom, opt); aborted {
+				return false
+			}
+			cands = prog.successors(cur, adom, u, opt)
+			return len(cands) > 0
+		},
+		func(int) (engine.Outcome, error) {
+			var freshBefore int64
+			if col.Enabled() {
+				freshBefore = u.FreshCount()
+			}
+			next, deleted, inserted := cands[rng.Intn(len(cands))].apply(cur, u)
+			cur = next
+			col.Fired(-1, inserted, 0)
+			col.Retracted(deleted)
+			if col.Enabled() {
+				col.Invented(int(u.FreshCount() - freshBefore))
+			}
+			return engine.Outcome{Delta: inserted - deleted}, nil
+		})
+	if err != nil && !engine.IsInterrupt(err) {
+		return nil, err
 	}
+	if aborted {
+		return &Result{Steps: steps, Aborted: true, Stats: col.Summary()}, nil
+	}
+	return &Result{Out: cur, Steps: steps, Stats: col.Summary()}, err
 }
 
 // SampleSuccessful retries Run with seeds seed, seed+1, ... until a
@@ -349,9 +342,6 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 			return nil, fmt.Errorf("nondet: exhaustive effects are undefined for inventing rules (the state space is infinite); use Run")
 		}
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	col := opt.Collector()
 	col.Reset("effects", nil)
 	limit := opt.StateLimit(1 << 16)
@@ -375,55 +365,58 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 	adomc := eval.NewAdomCache(u, prog.consts, false)
 	queue := []*tuple.Instance{start}
 	remember(start)
-	explored := 0
 	eff := &EffectSet{}
 	var effSeen = map[uint64]bucket{}
 
-	for len(queue) > 0 {
-		if err := opt.Interrupted(explored); err != nil {
-			eff.Explored = explored
-			eff.Stats = col.Summary()
-			return eff, err
+	// The search is polled like a stage loop but its states are not
+	// stages (the summary carries totals only), so the driver runs it
+	// with no collector: one popped state per pass.
+	explored, err := opt.Loop(nil, 0, nil, func(n int) (engine.Outcome, error) {
+		if n > limit {
+			return engine.Outcome{}, fmt.Errorf("%w (%d states)", ErrStateLimit, n)
 		}
 		cur := queue[0]
 		queue = queue[1:]
-		explored++
-		if explored > limit {
-			return nil, fmt.Errorf("%w (%d states)", ErrStateLimit, explored)
-		}
 		adom := adomc.Domain(cur)
-		if prog.bottomApplicable(cur, adom, opt) {
-			continue // abandoned computation: contributes nothing
-		}
-		cands := prog.successors(cur, adom, u, opt)
-		if len(cands) == 0 {
-			fp := cur.Fingerprint()
-			dup := false
-			for _, t := range effSeen[fp] {
-				if t.Equal(cur) {
-					dup = true
-					break
+		// A state with an applicable ⊥ rule is an abandoned
+		// computation: it contributes nothing.
+		if !prog.bottomApplicable(cur, adom, opt) {
+			cands := prog.successors(cur, adom, u, opt)
+			if len(cands) == 0 {
+				fp := cur.Fingerprint()
+				dup := false
+				for _, t := range effSeen[fp] {
+					if t.Equal(cur) {
+						dup = true
+						break
+					}
+				}
+				if !dup {
+					effSeen[fp] = append(effSeen[fp], cur)
+					eff.States = append(eff.States, cur)
 				}
 			}
-			if !dup {
-				effSeen[fp] = append(effSeen[fp], cur)
-				eff.States = append(eff.States, cur)
-			}
-			continue
-		}
-		for _, c := range cands {
-			next, deleted, inserted := c.apply(cur, u)
-			col.Fired(-1, inserted, 0)
-			col.Retracted(deleted)
-			if !lookup(next) {
-				remember(next)
-				queue = append(queue, next)
+			for _, c := range cands {
+				next, deleted, inserted := c.apply(cur, u)
+				col.Fired(-1, inserted, 0)
+				col.Retracted(deleted)
+				if !lookup(next) {
+					remember(next)
+					queue = append(queue, next)
+				}
 			}
 		}
+		if len(queue) == 0 {
+			return engine.Outcome{Status: engine.Last}, nil
+		}
+		return engine.Outcome{}, nil
+	})
+	if err != nil && !engine.IsInterrupt(err) {
+		return nil, err
 	}
 	eff.Explored = explored
 	eff.Stats = col.Summary()
-	return eff, nil
+	return eff, err
 }
 
 // Deterministic reports whether the effect is a single state (the

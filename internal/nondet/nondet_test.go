@@ -258,7 +258,7 @@ func TestRunStepLimit(t *testing.T) {
 		P(X) :- !P(X), M(X).
 	`, u)
 	in := parser.MustParseFacts(`M(a).`, u)
-	_, err := Run(p, ast.DialectNDatalogNegNeg, in, u, 1, &Options{MaxSteps: 50})
+	_, err := Run(p, ast.DialectNDatalogNegNeg, in, u, 1, &Options{MaxStages: 50})
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
 	}

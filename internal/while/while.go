@@ -30,7 +30,8 @@ import (
 // revisits a previous state at the loop head.
 var ErrNonTerminating = errors.New("while: program does not terminate (state cycle)")
 
-// ErrIterLimit reports exceeding Options.MaxIters.
+// ErrIterLimit reports exceeding the iteration bound (Options.MaxStages,
+// default 1<<20).
 var ErrIterLimit = errors.New("while: iteration limit exceeded")
 
 // Stmt is a program statement.
@@ -89,8 +90,8 @@ func (p *Program) Fixpoint() bool {
 
 // Options is the unified engine configuration (see engine.Options).
 // The interpreter honors Ctx (deadline/cancellation between loop-body
-// iterations), MaxIters (default 1<<20; MaxStages acts as fallback)
-// and Stats: each assignment counts as a firing and each loop-body
+// iterations), MaxStages (the iteration bound, default 1<<20) and
+// Stats: each assignment counts as a firing and each loop-body
 // iteration as a stage. A nil *Options is valid.
 type Options = engine.Options
 
@@ -118,25 +119,20 @@ type interp struct {
 // the Options context is canceled or its deadline passes, Run returns
 // the typed engine error together with the partially-computed state.
 func Run(p *Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	col := opt.Collector()
 	col.Reset("while", nil)
 	state := in.SnapshotWith(col.Cow())
 	it := &interp{
 		adom:  eval.ActiveDomain(u, p.Consts, in),
-		limit: opt.IterLimit(1 << 20),
+		limit: opt.StageLimit(1 << 20),
 		col:   col,
 		opt:   opt,
 	}
-	if err := it.seq(p.Stmts, state); err != nil {
-		if engine.IsInterrupt(err) {
-			return &Result{Out: state, Iters: it.iters, Stats: col.Summary()}, err
-		}
+	err := it.seq(p.Stmts, state)
+	if err != nil && !engine.IsInterrupt(err) {
 		return nil, err
 	}
-	return &Result{Out: state, Iters: it.iters, Stats: col.Summary()}, nil
+	return &Result{Out: state, Iters: it.iters, Stats: col.Summary()}, err
 }
 
 func (it *interp) seq(ss []Stmt, state *tuple.Instance) error {
@@ -198,35 +194,31 @@ func (it *interp) assign(a Assign, state *tuple.Instance) error {
 func (it *interp) loop(l Loop, state *tuple.Instance) error {
 	// Brent's cycle detection over loop-head states gives exact
 	// non-termination detection for the deterministic body.
-	saved := state.Clone()
-	power, lam := 1, 0
-	for {
-		if err := it.opt.Interrupted(it.iters); err != nil {
-			return err
-		}
+	cycle := engine.NewCycle(state)
+	_, err := it.opt.Loop(it.col, 0, nil, func(int) (engine.Outcome, error) {
 		before := state.Clone()
-		it.col.BeginStage()
 		if err := it.seq(l.Body, state); err != nil {
-			return err
+			return engine.Outcome{}, err
 		}
+		var out engine.Outcome
 		if it.col.Enabled() {
-			it.col.EndStage(state.Facts() - before.Facts())
+			out.Delta = state.Facts() - before.Facts()
 		}
+		// The bound is on the program's total iterations, across nested
+		// and successive loops, so it is checked here against it.iters
+		// and not by each loop's own driver.
 		it.iters++
-		if it.iters >= it.limit {
-			return fmt.Errorf("%w (after %d iterations)", ErrIterLimit, it.iters)
+		switch {
+		case it.iters >= it.limit:
+			out.Err = fmt.Errorf("%w (after %d iterations)", ErrIterLimit, it.iters)
+		case state.Equal(before):
+			out.Status = engine.Last // no change: loop ends
+		default:
+			if n := cycle.Visit(state); n > 0 {
+				out.Err = fmt.Errorf("%w (cycle of length %d)", ErrNonTerminating, n)
+			}
 		}
-		if state.Equal(before) {
-			return nil // no change: loop ends
-		}
-		lam++
-		if state.Equal(saved) {
-			return fmt.Errorf("%w (cycle of length %d)", ErrNonTerminating, lam)
-		}
-		if lam == power {
-			saved = state.Clone()
-			power *= 2
-			lam = 0
-		}
-	}
+		return out, nil
+	})
+	return err
 }

@@ -133,7 +133,7 @@ func TestWhileNonTerminationDetected(t *testing.T) {
 func TestIterLimit(t *testing.T) {
 	u := value.New()
 	in := facts(t, u, `G(a,b). G(b,c). G(c,d). G(d,e). G(e,f).`)
-	_, err := Run(tcFixpoint(), in, u, &Options{MaxIters: 1})
+	_, err := Run(tcFixpoint(), in, u, &Options{MaxStages: 1})
 	if !errors.Is(err, ErrIterLimit) {
 		t.Fatalf("err = %v, want ErrIterLimit", err)
 	}

@@ -40,7 +40,7 @@ func TestParallelWarmStratifiedNegation(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := s.EvalContext(context.Background(), p, in,
-			unchained.SemanticsByName["inflationary"], unchained.WithWorkers(workers))
+			unchained.SemanticsByName["inflationary"], unchained.WithParallel(unchained.Parallel{Workers: workers}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,10 +15,10 @@
 //	    T(X,Y) :- G(X,Z), T(Z,Y).
 //	`)
 //	edb, _ := s.Facts(`G(a,b). G(b,c).`)
-//	out, _ := s.Eval(prog, edb, unchained.Stratified)
-//	fmt.Print(s.Format(out))
+//	res, _ := s.EvalContext(ctx, prog, edb, unchained.Stratified)
+//	fmt.Print(s.Format(res.Out))
 //
-// The v2 evaluation surface is EvalContext and its functional options:
+// Evaluation takes functional options:
 //
 //	res, err := s.EvalContext(ctx, prog, edb, unchained.NonInflationary,
 //	    unchained.WithStats(unchained.NewStatsCollector()),
@@ -31,8 +31,9 @@
 // forks evaluate the same parsed programs in parallel.
 //
 // Each semantics of the paper is a Semantics value; nondeterministic
-// programs run through Session.RunNondet (one sampled computation)
-// and Session.Effects (exhaustive eff(P) with poss/cert). The
+// programs run through Session.RunNondetContext (one sampled
+// computation) and Session.EffectsContext (exhaustive eff(P) with
+// poss/cert). The
 // internal packages implement the machinery: internal/core holds the
 // forward-chaining engines (the paper's contribution),
 // internal/declarative the model-theoretic ones, internal/nondet the
@@ -86,8 +87,7 @@ type (
 	// Datalog¬¬ (pass one via WithConflictPolicy).
 	ConflictPolicy = engine.ConflictPolicy
 	// Parallel is the parallelism configuration (pass one via
-	// WithParallel): rule-level Workers, data-parallel Shards, and the
-	// merge-barrier buffer.
+	// WithParallel): rule-level Workers and data-parallel Shards.
 	Parallel = engine.Parallel
 	// Tracer is a structured span-stream sink (pass one via
 	// WithTracer); see docs/OBSERVABILITY.md for the event model.
@@ -126,7 +126,7 @@ var (
 	ErrCanceled = engine.ErrCanceled
 	ErrDeadline = engine.ErrDeadline
 	// ErrInvalidOptions reports an evaluation option outside its
-	// domain (negative workers, shards, or merge buffer).
+	// domain (a negative bound, worker count or shard count).
 	ErrInvalidOptions = engine.ErrInvalidOptions
 )
 
@@ -141,7 +141,7 @@ const (
 // NewStatsCollector returns an empty statistics collector.
 func NewStatsCollector() *StatsCollector { return stats.New() }
 
-// Semantics selects an evaluation semantics for Session.Eval,
+// Semantics selects an evaluation semantics for Session.EvalContext,
 // following the map of the paper: the declarative column (Section 3)
 // and the forward-chaining column (Section 4).
 type Semantics uint8
@@ -154,8 +154,8 @@ const (
 	// Stratified is stratified Datalog¬ (Section 3.2).
 	Stratified
 	// WellFounded is the 2-valued reading (true facts) of the
-	// well-founded semantics (Section 3.3). Use EvalWellFounded3 for
-	// the full 3-valued model.
+	// well-founded semantics (Section 3.3). Use EvalWellFounded3Context
+	// for the full 3-valued model.
 	WellFounded
 	// Inflationary is Datalog¬ with forward-chaining fixpoint
 	// semantics (Section 4.1).
@@ -298,20 +298,11 @@ func WithMaxStages(n int) Opt { return func(cfg *evalConfig) { cfg.opt.MaxStages
 // evaluates each stage's rules across that many goroutines
 // (inflationary engine), Shards hash-partitions each semi-naive delta
 // round across that many data-parallel workers over copy-on-write
-// forks (declarative engines and everything built on them), and
-// MergeBuffer sizes the merge-barrier channel (0 = default). The two
+// forks (declarative engines and everything built on them). The two
 // axes are orthogonal and both preserve byte-identical output; see
-// docs/PARALLEL.md. WithParallel replaces all three fields at once —
-// the zero value of an omitted field means serial/default.
+// docs/PARALLEL.md. WithParallel replaces both fields at once — the
+// zero value of an omitted field means serial.
 func WithParallel(p Parallel) Opt { return func(cfg *evalConfig) { cfg.opt.SetParallel(p) } }
-
-// WithWorkers evaluates each stage's rules across n goroutines
-// (inflationary engine); 0 or 1 means sequential.
-//
-// Deprecated: WithWorkers is the legacy single-axis knob, kept as a
-// wrapper for existing callers. Use WithParallel, which also exposes
-// the data-parallel shard axis.
-func WithWorkers(n int) Opt { return func(cfg *evalConfig) { cfg.opt.Workers = n } }
 
 // WithSeed fixes the RNG seed of sampled nondeterministic runs.
 func WithSeed(seed int64) Opt { return func(cfg *evalConfig) { cfg.seed = seed } }
@@ -332,17 +323,6 @@ func WithLiteralOrder() Opt { return func(cfg *evalConfig) { cfg.opt.LiteralOrde
 // evaluations through c (see NewPlanCache). Without it each compiled
 // rule keeps a private single-entry memo.
 func WithPlanCache(c *PlanCache) Opt { return func(cfg *evalConfig) { cfg.opt.Plans = c } }
-
-// WithTrace observes every stage with the stage number and the
-// current (or newly-inferred) facts.
-//
-// Deprecated: WithTrace is the legacy bare stage hook, kept as an
-// adapter for callers that need the instance state itself. Use
-// WithTracer (structured span stream covering every engine) or
-// WithTraceFile; see docs/OBSERVABILITY.md for the migration path.
-func WithTrace(fn func(stage int, state *Instance)) Opt {
-	return func(cfg *evalConfig) { cfg.opt.Trace = fn }
-}
 
 // WithTracer streams structured evaluation spans (eval → stratum →
 // stage → rule) and typed events to t. Repeated/combined uses fan
@@ -443,19 +423,6 @@ func (s *Session) EvalContext(ctx context.Context, p *Program, in *Instance, sem
 	return nil, fmt.Errorf("unchained: unknown semantics %v", sem)
 }
 
-// Eval evaluates a deterministic program under the chosen semantics
-// and returns the final instance (input plus derived facts).
-//
-// Deprecated: use EvalContext, which adds deadlines, statistics and
-// the other functional options. Eval remains as a thin wrapper.
-func (s *Session) Eval(p *Program, in *Instance, sem Semantics) (*Instance, error) {
-	res, err := s.EvalContext(context.Background(), p, in, sem)
-	if err != nil {
-		return nil, err
-	}
-	return res.Out, nil
-}
-
 // WFS is the 3-valued well-founded model (Section 3.3).
 type WFS = declarative.WFSResult
 
@@ -466,27 +433,12 @@ func (s *Session) EvalWellFounded3Context(ctx context.Context, p *Program, in *I
 	return declarative.EvalWellFounded(p, in, s.U, &cfg.opt)
 }
 
-// EvalWellFounded3 computes the full 3-valued well-founded model.
-//
-// Deprecated: use EvalWellFounded3Context.
-func (s *Session) EvalWellFounded3(p *Program, in *Instance) (*WFS, error) {
-	return s.EvalWellFounded3Context(context.Background(), p, in)
-}
-
 // RunNondetContext performs one sampled nondeterministic computation
 // under dialect d, reproducible in the seed (WithSeed), bounded by
 // the context.
 func (s *Session) RunNondetContext(ctx context.Context, p *Program, d Dialect, in *Instance, opts ...Opt) (*nondet.Result, error) {
 	cfg := buildConfig(ctx, opts)
 	return nondet.Run(p, d, in, s.U, cfg.seed, &cfg.opt)
-}
-
-// RunNondet performs one sampled nondeterministic computation under
-// dialect d (one of the N-Datalog dialects), reproducible in seed.
-//
-// Deprecated: use RunNondetContext with WithSeed.
-func (s *Session) RunNondet(p *Program, d Dialect, in *Instance, seed int64) (*nondet.Result, error) {
-	return s.RunNondetContext(context.Background(), p, d, in, WithSeed(seed))
 }
 
 // EffectsContext exhaustively computes eff(P) on small inputs
@@ -497,14 +449,6 @@ func (s *Session) EffectsContext(ctx context.Context, p *Program, d Dialect, in 
 	return nondet.Effects(p, d, in, s.U, &cfg.opt)
 }
 
-// Effects exhaustively computes eff(P) on small inputs (Definition
-// 5.2), enabling poss/cert (Definition 5.10).
-//
-// Deprecated: use EffectsContext.
-func (s *Session) Effects(p *Program, d Dialect, in *Instance) (*nondet.EffectSet, error) {
-	return s.EffectsContext(context.Background(), p, d, in)
-}
-
 // WithOrder returns a copy of the instance extended with Succ, First
 // and Last over its active domain (the ordered-database setting of
 // Theorem 4.7).
@@ -512,7 +456,8 @@ func (s *Session) WithOrder(in *Instance) *Instance {
 	return order.WithOrder(in, s.U, nil, nil)
 }
 
-// Dialects re-exported for RunNondet/Effects and Program.Validate.
+// Dialects re-exported for RunNondetContext/EffectsContext and
+// Program.Validate.
 const (
 	DialectDatalog        = ast.DialectDatalog
 	DialectDatalogNeg     = ast.DialectDatalogNeg
@@ -527,7 +472,8 @@ const (
 
 // EvalProvenanceContext runs the inflationary semantics with
 // derivation tracking under a context bound and returns the fixpoint
-// plus a Provenance for Why queries.
+// plus a Provenance for Why queries (see core.Provenance.Render for
+// pretty derivation trees).
 func (s *Session) EvalProvenanceContext(ctx context.Context, p *Program, in *Instance, opts ...Opt) (*Instance, *core.Provenance, error) {
 	cfg := buildConfig(ctx, opts)
 	res, prov, err := core.EvalInflationaryProv(p, in, s.U, &cfg.opt)
@@ -535,15 +481,6 @@ func (s *Session) EvalProvenanceContext(ctx context.Context, p *Program, in *Ins
 		return nil, nil, err
 	}
 	return res.Out, prov, nil
-}
-
-// EvalProvenance runs the inflationary semantics with derivation
-// tracking and returns the fixpoint plus a Provenance for Why
-// queries (see core.Provenance.Render for pretty derivation trees).
-//
-// Deprecated: use EvalProvenanceContext.
-func (s *Session) EvalProvenance(p *Program, in *Instance) (*Instance, *core.Provenance, error) {
-	return s.EvalProvenanceContext(context.Background(), p, in)
 }
 
 // MaterializeContext evaluates a program (positive Datalog or
@@ -571,20 +508,12 @@ func (s *Session) MaterializeContext(ctx context.Context, p *Program, in *Instan
 	return incr.Materialize(p, in, s.U, &cfg.opt)
 }
 
-// Materialize evaluates a program and returns an incrementally
-// maintained view (support counting + DRed under stratified
-// negation).
-//
-// Deprecated: use MaterializeContext.
-func (s *Session) Materialize(p *Program, in *Instance) (*incr.View, error) {
-	return s.MaterializeContext(context.Background(), p, in)
-}
-
 // QueryContext answers a single query atom goal-directedly via the
-// magic-sets rewriting (positive Datalog only) under a context bound,
-// returning the matching tuples and the evaluation summary (nil
-// unless WithStats was passed; on interruption the summary carries
-// the partial progress).
+// magic-sets rewriting (positive Datalog only) under a context bound.
+// Constant arguments of the query are the bound positions. It returns
+// the matching tuples and the evaluation summary (nil unless WithStats
+// was passed; on interruption the summary carries the partial
+// progress).
 func (s *Session) QueryContext(ctx context.Context, p *Program, query Atom, in *Instance, opts ...Opt) (*tuple.Relation, *StatsSummary, error) {
 	cfg := buildConfig(ctx, opts)
 	// The caller observes only the query predicate, so it is the
@@ -594,14 +523,4 @@ func (s *Session) QueryContext(ctx context.Context, p *Program, query Atom, in *
 		p = s.optimizeEval(p, in, MinimalModel, cfg)
 	}
 	return magic.AnswerStats(p, query, in, s.U, &cfg.opt)
-}
-
-// Query answers a single query atom goal-directedly via the
-// magic-sets rewriting (positive Datalog only). Constant arguments of
-// the query are the bound positions.
-//
-// Deprecated: use QueryContext.
-func (s *Session) Query(p *Program, query ast.Atom, in *Instance) (*tuple.Relation, error) {
-	out, _, err := s.QueryContext(context.Background(), p, query, in)
-	return out, err
 }

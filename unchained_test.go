@@ -1,6 +1,7 @@
 package unchained
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,12 +21,12 @@ func TestSessionQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Eval(prog, edb, MinimalModel)
+	res, err := s.EvalContext(context.Background(), prog, edb, MinimalModel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Has("T", Tuple{s.Sym("a"), s.Sym("c")}) {
-		t.Fatalf("T(a,c) missing:\n%s", s.Format(out))
+	if !res.Out.Has("T", Tuple{s.Sym("a"), s.Sym("c")}) {
+		t.Fatalf("T(a,c) missing:\n%s", s.Format(res.Out))
 	}
 }
 
@@ -35,11 +36,11 @@ func TestSessionAllSemanticsOnPositiveProgram(t *testing.T) {
 	edb := s.MustFacts(`G(a,b). G(b,c). G(c,a).`)
 	var outs []*Instance
 	for _, sem := range []Semantics{MinimalModel, Stratified, WellFounded, Inflationary, NonInflationary, Invent} {
-		out, err := s.Eval(prog, edb, sem)
+		res, err := s.EvalContext(context.Background(), prog, edb, sem)
 		if err != nil {
 			t.Fatalf("%v: %v", sem, err)
 		}
-		outs = append(outs, out)
+		outs = append(outs, res.Out)
 	}
 	for i := 1; i < len(outs); i++ {
 		if !outs[0].Equal(outs[i]) {
@@ -52,7 +53,7 @@ func TestSessionWellFounded3(t *testing.T) {
 	s := NewSession()
 	prog := s.MustParse(`Win(X) :- Moves(X,Y), !Win(Y).`)
 	edb := s.MustFacts(`Moves(a,b). Moves(b,a).`)
-	wfs, err := s.EvalWellFounded3(prog, edb)
+	wfs, err := s.EvalWellFounded3Context(context.Background(), prog, edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +66,14 @@ func TestSessionNondet(t *testing.T) {
 	s := NewSession()
 	prog := s.MustParse(`!G(X,Y) :- G(X,Y), G(Y,X).`)
 	edb := s.MustFacts(`G(a,b). G(b,a).`)
-	res, err := s.RunNondet(prog, DialectNDatalogNegNeg, edb, 3)
+	res, err := s.RunNondetContext(context.Background(), prog, DialectNDatalogNegNeg, edb, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Out.Relation("G").Len() != 1 {
 		t.Fatalf("orientation left %d edges", res.Out.Relation("G").Len())
 	}
-	eff, err := s.Effects(prog, DialectNDatalogNegNeg, edb)
+	eff, err := s.EffectsContext(context.Background(), prog, DialectNDatalogNegNeg, edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,13 @@ func TestSessionEvalErrorPropagation(t *testing.T) {
 	s := NewSession()
 	prog := s.MustParse(`Win(X) :- Moves(X,Y), !Win(Y).`)
 	edb := s.MustFacts(`Moves(a,b).`)
-	if _, err := s.Eval(prog, edb, MinimalModel); err == nil {
+	if _, err := s.EvalContext(context.Background(), prog, edb, MinimalModel); err == nil {
 		t.Fatalf("negation accepted by minimal-model semantics")
 	}
-	if _, err := s.Eval(prog, edb, Stratified); err == nil {
+	if _, err := s.EvalContext(context.Background(), prog, edb, Stratified); err == nil {
 		t.Fatalf("nonstratifiable program accepted by stratified semantics")
 	}
-	if _, err := s.Eval(prog, edb, Inflationary); err != nil {
+	if _, err := s.EvalContext(context.Background(), prog, edb, Inflationary); err != nil {
 		t.Fatalf("inflationary should accept the win program: %v", err)
 	}
 }
@@ -131,7 +132,7 @@ func TestSessionProvenance(t *testing.T) {
 	s := NewSession()
 	prog := s.MustParse(`T(X,Y) :- G(X,Y). T(X,Y) :- G(X,Z), T(Z,Y).`)
 	edb := s.MustFacts(`G(a,b). G(b,c).`)
-	out, prov, err := s.EvalProvenance(prog, edb)
+	out, prov, err := s.EvalProvenanceContext(context.Background(), prog, edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSessionMaterializeAndQuery(t *testing.T) {
 	s := NewSession()
 	prog := s.MustParse(`T(X,Y) :- G(X,Y). T(X,Y) :- G(X,Z), T(Z,Y).`)
 	edb := s.MustFacts(`G(a,b). G(b,c).`)
-	v, err := s.Materialize(prog, edb)
+	v, err := s.MaterializeContext(context.Background(), prog, edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestSessionMaterializeAndQuery(t *testing.T) {
 	if !v.Has("T", Tuple{s.Sym("a"), s.Sym("d")}) {
 		t.Fatalf("incremental insert not propagated")
 	}
-	ans, err := s.Query(prog, ast.NewAtom("T", ast.C(s.Sym("a")), ast.V("Y")), edb)
+	ans, _, err := s.QueryContext(context.Background(), prog, ast.NewAtom("T", ast.C(s.Sym("a")), ast.V("Y")), edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +172,11 @@ func TestSessionSemiPositive(t *testing.T) {
 	s := NewSession()
 	prog := s.MustParse(`R(X) :- S(X). R(Y) :- R(X), G(X,Y), !Blocked(Y).`)
 	edb := s.MustFacts(`S(a). G(a,b). G(b,c). Blocked(c).`)
-	out, err := s.Eval(prog, edb, SemiPositive)
+	res, err := s.EvalContext(context.Background(), prog, edb, SemiPositive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Relation("R").Len() != 2 {
-		t.Fatalf("R = %d", out.Relation("R").Len())
+	if res.Out.Relation("R").Len() != 2 {
+		t.Fatalf("R = %d", res.Out.Relation("R").Len())
 	}
 }
