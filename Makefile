@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # while still catching a PR that lands a large untested subsystem.
 COVERAGE_BASELINE ?= 78.0
 
-.PHONY: all build vet vet-custom bench-build lint-programs test race bench bench-json bench-baseline fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
+.PHONY: all build vet vet-custom bench-build bench-pair lint-programs test race bench bench-json bench-baseline fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
 
 all: verify
 
@@ -30,6 +30,14 @@ vet-custom:
 # unseen.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Ten alternating pairs of benchmark runs, BASE against the working
+# tree, with each side's median, quartiles and win count per end-to-end
+# metric: make bench-pair BASE=HEAD~1 WORKLOAD=tc-join
+PAIRS ?= 10
+SECONDS ?= 22
+bench-pair:
+	scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" $(PAIRS) $(SECONDS)
 
 # Run the static analyzer (-lint) over every shipped program; exits
 # non-zero if any acquires an error-severity diagnostic.

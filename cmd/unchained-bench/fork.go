@@ -23,7 +23,7 @@ func forkInstance(total int) (*tuple.Instance, *value.Universe) {
 		for i := 0; i < per; i++ {
 			in.Insert(name, tuple.Tuple{vals[i], vals[(i+1)%per]})
 		}
-		in.Relation(name).Probe(1, tuple.Tuple{vals[0], value.None})
+		in.Relation(name).BuildIndex(1)
 	}
 	return in, u
 }

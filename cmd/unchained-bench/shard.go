@@ -2,8 +2,9 @@
 // recursive join. Transitive closure over a dense random graph is the
 // showcase shape: after the serial round 0, every delta round joins
 // the freshly derived T-delta against the full edge relation, so the
-// work the shards split grows with the frontier and the merge barrier
-// is a small fraction of each round.
+// work the shards split grows with the frontier and the serial fold of
+// the round's new facts into the instance is a small fraction of each
+// round.
 package main
 
 import (
@@ -86,6 +87,6 @@ func expP10(quick bool) error {
 		return err
 	}
 	fmt.Println("   shape: delta rounds dominate TC, so hash-partitioning the frontier scales with cores;")
-	fmt.Println("   the merge barrier stays cheap because relations dedupe on insert.")
+	fmt.Println("   workers drop known facts against their snapshot, so only new facts reach the serial fold.")
 	return nil
 }

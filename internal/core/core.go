@@ -156,25 +156,20 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
 		ctx.PlanTrace = workers <= 1
-		var pend []eval.Fact
+		st := eval.NewStaging(out)
 		if workers > 1 {
-			pend = stageParallel(rules, ctx, workers, col)
+			for _, f := range stageParallel(rules, ctx, workers, col) {
+				st.Emit(f)
+			}
 		} else {
-			emit := insertNew(out, &pend)
 			for ri, cr := range rules {
-				cr.Fire(ctx, ri, nil, emit)
+				cr.Fire(ctx, ri, nil, st.Emit)
 			}
 		}
-		delta := tuple.NewInstance()
-		for _, f := range pend {
-			if out.Insert(f.Pred, f.Tuple) {
-				delta.Insert(f.Pred, f.Tuple)
-			}
+		if n := st.Fold(); n > 0 {
+			return engine.Outcome{Delta: n, State: st.Next}, nil
 		}
-		if delta.Facts() == 0 {
-			return engine.Outcome{Status: engine.Confirm}, nil
-		}
-		return engine.Outcome{Delta: delta.Facts(), State: delta}, nil
+		return engine.Outcome{Status: engine.Confirm}, nil
 	})
 	return result(out, stages, col, err)
 }
@@ -349,25 +344,18 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 		ctx := opt.EvalCtx(col, out, adomc.Domain(out))
 		// Skolemization re-uses an instantiation's invented values, so a
 		// re-fired instantiation emits facts that are already present.
-		var pend []eval.Fact
-		emit := insertNew(out, &pend)
+		st := eval.NewStaging(out)
 		for ri, cr := range rules {
 			var heads func(eval.Binding) []eval.Fact
 			if ho := cr.HeadOnlyVarIDs(); len(ho) > 0 {
 				heads = func(b eval.Binding) []eval.Fact { return cr.HeadFacts(b, skolem(ri, b, ho)) }
 			}
-			cr.Fire(ctx, ri, heads, emit)
+			cr.Fire(ctx, ri, heads, st.Emit)
 		}
-		delta := 0
-		for _, f := range pend {
-			if out.Insert(f.Pred, f.Tuple) {
-				delta++
-			}
+		if n := st.Fold(); n > 0 {
+			return engine.Outcome{Delta: n, State: out}, nil
 		}
-		if delta == 0 {
-			return engine.Outcome{Status: engine.Confirm}, nil
-		}
-		return engine.Outcome{Delta: delta, State: out}, nil
+		return engine.Outcome{Status: engine.Confirm}, nil
 	})
 	return result(out, stages, col, err)
 }

@@ -80,18 +80,6 @@ func evalFixpoint(engineName string, p *ast.Program, in *tuple.Instance, u *valu
 	return result(out, rounds, col, err)
 }
 
-// staged returns the emit function of a round for eval.Rule.Fire:
-// every head fact goes to pend unfiltered (the round's insert pass
-// dedupes), and is classified as new or already present in out only
-// when the collector is enabled, which keeps the Has probe off the
-// disabled path.
-func staged(out *tuple.Instance, pend *[]eval.Fact, col *stats.Collector) func(eval.Fact) bool {
-	return func(f eval.Fact) bool {
-		*pend = append(*pend, f)
-		return !col.Enabled() || !out.Has(f.Pred, f.Tuple)
-	}
-}
-
 // EvalNaive computes the same minimum model by naive iteration
 // (re-deriving everything each round); it exists as the baseline for
 // the semi-naive ablation benchmark (P1 in DESIGN.md).
@@ -109,17 +97,11 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 	adom := eval.ActiveDomain(u, p.Constants(), in)
 	rounds, err := opt.Loop(col, 0, nil, func(int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
-		var pend []eval.Fact
-		emit := staged(out, &pend, col)
+		st := eval.NewStaging(out)
 		for _, cr := range rules {
-			cr.Fire(ctx, -1, nil, emit)
+			cr.Fire(ctx, -1, nil, st.Emit)
 		}
-		inserted := 0
-		for _, f := range pend {
-			if out.Insert(f.Pred, f.Tuple) {
-				inserted++
-			}
-		}
+		inserted := st.Fold()
 		if inserted == 0 {
 			return engine.Outcome{Status: engine.Last}, nil
 		}
@@ -163,65 +145,59 @@ func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, r
 	}
 
 	shards := opt.ShardCount()
-	var delta *tuple.Instance
-	var pend []eval.Fact
-	emit := staged(out, &pend, col)
+	var delta *tuple.Instance   // the facts new last round,
+	var parts []*tuple.Instance // or their hash partition (shards > 1)
 	return opt.Loop(col, 0, nil, func(round int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
 		ctx.NegIn = negIn
-		next := tuple.NewInstance()
-		pend = pend[:0]
-		switch {
-		case round == 1:
-			// A naive pass over every rule seeds the first delta.
-			for _, cr := range rules {
-				cr.Fire(ctx, -1, nil, emit)
-			}
-		case shards > 1:
+		n := 0
+		if round > 1 && shards > 1 {
 			// Shard-parallel round: workers join their hash-slice of
-			// the delta against COW forks of out/negIn and stream fact
-			// batches to this goroutine, which merges them into out and
-			// the next delta. Sets make the merge order-independent, so
-			// the fixpoint is byte-identical to the serial path. A done
-			// context aborts the workers mid-round; the driver's poll
-			// before the next round surfaces the error. The channel
-			// holds one batch in flight per shard plus headroom, so the
-			// barrier rarely blocks a worker.
-			merged := 0
-			derived := uint64(0)
-			eval.RunSharded(variants, ctx, delta, shards, 2*shards,
-				opt.Context().Done(), func(batch []eval.Fact) {
-					merged += len(batch)
-					for _, f := range batch {
-						if out.Insert(f.Pred, f.Tuple) {
-							next.Insert(f.Pred, f.Tuple)
-							derived++
-						}
-					}
-				})
-			// Shard workers only tally firings (classifying each fact
-			// against the snapshot would cost a probe per emission in
-			// the parallel hot path); the merge's Insert answered
-			// new-vs-seen anyway, so charge derived/rederived here.
-			col.FiredBatch(-1, 0, derived, uint64(merged)-derived)
-			col.ShardRound(merged)
-		default:
-			ctx.Delta = delta
-			for _, v := range variants {
-				ctx.DeltaLit = v.Lit
-				v.Rule.Fire(ctx, -1, nil, emit)
+			// the delta against COW forks of out/negIn, drop the facts
+			// out holds and hand back the rest partitioned as the delta
+			// was, so it is the next delta without another pass; only
+			// the fold into out is serial. Sets make the result
+			// independent of scheduling, so the fixpoint is
+			// byte-identical to the serial path. A done context aborts
+			// the workers mid-round; the driver's poll before the next
+			// round surfaces the error.
+			if round == 2 {
+				parts = delta.Partition(shards)
 			}
-		}
-		for _, f := range pend {
-			if out.Insert(f.Pred, f.Tuple) {
-				next.Insert(f.Pred, f.Tuple)
+			var emitted uint64
+			parts, emitted = eval.RunSharded(variants, ctx, parts, opt.Context().Done())
+			for _, part := range parts {
+				n += eval.Fold(out, part)
 			}
+			// Shard workers only tally firings; the parts hold exactly
+			// the facts new to out, so charge derived/rederived here.
+			col.FiredBatch(-1, 0, uint64(n), emitted-uint64(n))
+			col.ShardRound(int(emitted))
+		} else {
+			// Every head fact out lacks is staged at emission and
+			// becomes both the next delta and, folded in after the
+			// round, part of out: no fact is queued, and none is copied
+			// more than once per set it joins.
+			st := eval.NewStaging(out)
+			if round == 1 {
+				// A naive pass over every rule seeds the first delta.
+				for _, cr := range rules {
+					cr.Fire(ctx, -1, nil, st.Emit)
+				}
+			} else {
+				ctx.Delta = delta
+				for _, v := range variants {
+					ctx.DeltaLit = v.Lit
+					v.Rule.Fire(ctx, -1, nil, st.Emit)
+				}
+			}
+			delta = st.Next
+			n = st.Fold()
 		}
-		delta = next
-		if delta.Facts() == 0 {
-			return engine.Outcome{Status: engine.Last}, nil
+		if n > 0 {
+			return engine.Outcome{Delta: n}, nil
 		}
-		return engine.Outcome{Delta: delta.Facts()}, nil
+		return engine.Outcome{Status: engine.Last}, nil
 	})
 }
 

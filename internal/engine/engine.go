@@ -145,8 +145,8 @@ type Options struct {
 	// model, semi-positive, stratified strata, well-founded Γ
 	// applications, and everything built on them — incr, magic). Each
 	// shard evaluates every delta-variant rule against a copy-on-write
-	// snapshot of the current instance and its slice of the delta; a
-	// merge barrier dedupes the shards' facts into the next delta.
+	// snapshot of the current instance and its slice of the delta; the
+	// shards' new facts are merged by hash into the next delta's slices.
 	// Relations are sets and rendering sorts, so the result is
 	// byte-identical to serial evaluation. 0 or 1 means serial.
 	Shards int

@@ -99,6 +99,10 @@ type Rule struct {
 	headOnly []int // ids of head-only (invented-value) variables
 	nBody    int   // number of body literals (for delta variants)
 	posBody  []int // body indexes of positive atom literals
+	// width is the widest body atom, ∀-bodies included: the scratch a
+	// step depth needs for its probe pattern or check tuple. headWidth
+	// is the summed arity of the head atoms (see Enumerate, Fire).
+	width, headWidth int
 
 	deltaLit int    // pinned-first delta literal, or -1
 	planKey  string // structural body identity for shared plan caching
@@ -155,6 +159,12 @@ func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
 			return slot{isVar: true, varID: id(t.Var)}
 		}
 		return slot{val: t.Const}
+	}
+	for _, l := range r.Body {
+		cr.width = max(cr.width, len(l.Atom.Args))
+		for _, inner := range l.ForallBody {
+			cr.width = max(cr.width, len(inner.Atom.Args))
+		}
 	}
 
 	// Pre-intern body variables so ids follow first occurrence order.
@@ -474,6 +484,7 @@ func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
 				ha.Slots = append(ha.Slots, s)
 			}
 			cr.heads = append(cr.heads, ha)
+			cr.headWidth += len(ha.Slots)
 		default:
 			return nil, fmt.Errorf("eval: illegal head literal kind")
 		}

@@ -368,3 +368,27 @@ func TestForallWithEquality(t *testing.T) {
 	_, got = enumerate(t, `All :- forall Y (Q(Y)).`, `Q(a). R(b).`)
 	expect(t, got)
 }
+
+// TestStagingSkipsRederivedPredicates: a predicate whose facts the round
+// only rederives gets no relation in Next — as the next round's delta an
+// empty relation would still be probed, and counted, by every variant
+// that reads it.
+func TestStagingSkipsRederivedPredicates(t *testing.T) {
+	u := value.New()
+	a, b := u.Sym("a"), u.Sym("b")
+	out := tuple.NewInstance()
+	out.Insert("T", tuple.Tuple{a, b})
+	st := NewStaging(out)
+	if st.Emit(Fact{Pred: "T", Tuple: tuple.Tuple{a, b}}) {
+		t.Fatal("a fact Out holds reported as absent")
+	}
+	if !st.Emit(Fact{Pred: "S", Tuple: tuple.Tuple{a}}) || st.Emit(Fact{Pred: "T", Tuple: tuple.Tuple{a, b}}) {
+		t.Fatal("wrong absent/known report after a predicate switch")
+	}
+	if st.Next.Relation("T") != nil || st.Next.Relation("S").Len() != 1 {
+		t.Fatalf("Next = %q, want only S(a)", st.Next.String(u))
+	}
+	if n := st.Fold(); n != 1 || !out.Has("S", tuple.Tuple{a}) {
+		t.Fatalf("Fold = %d, S(a) in out = %v", n, out.Has("S", tuple.Tuple{a}))
+	}
+}

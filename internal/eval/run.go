@@ -74,8 +74,15 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 			tr.counts = make([]int64, len(steps))
 		}
 	}
-	b := make(Binding, len(r.Vars))
-	r.run(ctx, steps, 0, b, emit, tr)
+	// The binding and every step's probe pattern or check tuple share
+	// one buffer: the whole enumeration allocates it and nothing else,
+	// however many valuations it visits.
+	buf := make([]value.Value, len(r.Vars)+len(steps)*r.width)
+	f := frame{
+		ctx: ctx, steps: steps, tr: tr,
+		b: buf[:len(r.Vars):len(r.Vars)], scratch: buf[len(r.Vars):], width: r.width,
+	}
+	f.run(0, emit)
 	if tr == nil {
 		return
 	}
@@ -92,11 +99,39 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 	}
 }
 
-// drainMatch pulls the iterator dry, binding and recursing per candidate.
-// skip, if non-nil, suppresses candidates it contains — the Aux
-// overlay pass uses the In relation here so tuples present in both
+// frame is the state of one Enumerate call. The scratch tuples live
+// here and not in the steps, because a plan is shared by every goroutine
+// that enumerates the rule (PlanCache, the stage and shard workers). The
+// cursor of a match step is a stack value of that step's run call (an
+// Iterator carries no key scratch to recycle), and emit travels as an
+// argument.
+type frame struct {
+	ctx     *Ctx
+	steps   []step
+	tr      *planTrace
+	b       Binding
+	scratch []value.Value // width values per step depth (Rule.width)
+	width   int
+}
+
+// ground writes slots under the current binding into step si's scratch
+// and returns it as a tuple: a probe pattern (unbound positions hold
+// whatever the binding does; probes ignore them) or a fully bound fact
+// to test. It is valid until the next ground call for the same depth.
+func (f *frame) ground(si int, slots []slot) tuple.Tuple {
+	t := f.scratch[si*f.width:][:len(slots)]
+	for pos, s := range slots {
+		t[pos] = slotVal(s, f.b)
+	}
+	return tuple.Tuple(t)
+}
+
+// drainMatch pulls it, step si's iterator, dry, binding and recursing
+// per candidate. skip, if non-nil, suppresses candidates it contains — the
+// Aux overlay pass uses the In relation here so tuples present in both
 // sources are visited exactly once. Returns false on early exit.
-func (r *Rule) drainMatch(ctx *Ctx, steps []step, st *step, it *tuple.Iterator, si int, b Binding, emit func(Binding) bool, skip *tuple.Relation, tr *planTrace) bool {
+func (f *frame) drainMatch(si int, it *tuple.Iterator, skip *tuple.Relation, emit func(Binding) bool) bool {
+	st, b := &f.steps[si], f.b
 	for {
 		t, more := it.Next()
 		if !more {
@@ -105,8 +140,8 @@ func (r *Rule) drainMatch(ctx *Ctx, steps []step, st *step, it *tuple.Iterator, 
 		if skip != nil && skip.Contains(t) {
 			continue
 		}
-		if tr != nil && tr.counts != nil {
-			tr.counts[si]++
+		if f.tr != nil && f.tr.counts != nil {
+			f.tr.counts[si]++
 		}
 		ok := true
 		for _, ab := range st.binds {
@@ -118,17 +153,27 @@ func (r *Rule) drainMatch(ctx *Ctx, steps []step, st *step, it *tuple.Iterator, 
 				break
 			}
 		}
-		if ok && !r.run(ctx, steps, si+1, b, emit, tr) {
+		if ok && !f.run(si+1, emit) {
 			return false
 		}
 	}
 }
 
-func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding) bool, tr *planTrace) bool {
-	if si == len(steps) {
-		return emit(b)
+// probe positions it on rel.
+func (f *frame) probe(rel *tuple.Relation, mask uint32, pattern tuple.Tuple, it *tuple.Iterator) {
+	f.tr.probe(f.ctx.Scan)
+	if f.ctx.Scan {
+		rel.ScanIter(mask, pattern, it)
+	} else {
+		rel.ProbeIter(mask, pattern, it)
 	}
-	st := &steps[si]
+}
+
+func (f *frame) run(si int, emit func(Binding) bool) bool {
+	if si == len(f.steps) {
+		return emit(f.b)
+	}
+	ctx, b, st := f.ctx, f.b, &f.steps[si]
 	switch st.kind {
 	case stepMatch:
 		src := ctx.In
@@ -148,40 +193,19 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 		if rel == nil && aux == nil {
 			return true // empty relation: no matches, keep going elsewhere
 		}
-		// Build the probe pattern for the bound positions.
 		var pattern tuple.Tuple
 		if st.mask != 0 {
-			pattern = make(tuple.Tuple, st.arity)
-			for pos, s := range st.slots {
-				if st.mask&(1<<uint(pos)) == 0 {
-					continue
-				}
-				if s.isVar {
-					pattern[pos] = b[s.varID]
-				} else {
-					pattern[pos] = s.val
-				}
-			}
+			pattern = f.ground(si, st.slots)
 		}
 		var it tuple.Iterator
 		done := true
 		if rel != nil {
-			tr.probe(ctx.Scan)
-			if ctx.Scan {
-				rel.ScanIter(st.mask, pattern, &it)
-			} else {
-				rel.ProbeIter(st.mask, pattern, &it)
-			}
-			done = r.drainMatch(ctx, steps, st, &it, si, b, emit, nil, tr)
+			f.probe(rel, st.mask, pattern, &it)
+			done = f.drainMatch(si, &it, nil, emit)
 		}
 		if done && aux != nil {
-			tr.probe(ctx.Scan)
-			if ctx.Scan {
-				aux.ScanIter(st.mask, pattern, &it)
-			} else {
-				aux.ProbeIter(st.mask, pattern, &it)
-			}
-			done = r.drainMatch(ctx, steps, st, &it, si, b, emit, rel, tr)
+			f.probe(aux, st.mask, pattern, &it)
+			done = f.drainMatch(si, &it, rel, emit)
 		}
 		for _, ab := range st.binds {
 			b[ab.varID] = value.None
@@ -189,34 +213,20 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 		return done
 
 	case stepNegCheck:
-		t := make(tuple.Tuple, st.arity)
-		for pos, s := range st.slots {
-			if s.isVar {
-				t[pos] = b[s.varID]
-			} else {
-				t[pos] = s.val
-			}
-		}
 		negSrc := ctx.In
 		if ctx.NegIn != nil {
 			negSrc = ctx.NegIn
 		}
 		rel := relOf(negSrc, st.pred)
-		if rel != nil && rel.Contains(t) {
+		if rel != nil && rel.Contains(f.ground(si, st.slots)) {
 			return true // literal false under this valuation
 		}
-		return r.run(ctx, steps, si+1, b, emit, tr)
+		return f.run(si+1, emit)
 
 	case stepEqAssign:
 		// left is the unbound variable side by construction.
-		var v value.Value
-		if st.right.isVar {
-			v = b[st.right.varID]
-		} else {
-			v = st.right.val
-		}
-		b[st.left.varID] = v
-		ok := r.run(ctx, steps, si+1, b, emit, tr)
+		b[st.left.varID] = slotVal(st.right, b)
+		ok := f.run(si+1, emit)
 		b[st.left.varID] = value.None
 		return ok
 
@@ -225,12 +235,12 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 		if (l == rr) == st.negEq {
 			return true
 		}
-		return r.run(ctx, steps, si+1, b, emit, tr)
+		return f.run(si+1, emit)
 
 	case stepEnum:
 		for _, v := range ctx.Adom {
 			b[st.enumVar] = v
-			if !r.run(ctx, steps, si+1, b, emit, tr) {
+			if !f.run(si+1, emit) {
 				b[st.enumVar] = value.None
 				return false
 			}
@@ -239,32 +249,29 @@ func (r *Rule) run(ctx *Ctx, steps []step, si int, b Binding, emit func(Binding)
 		return true
 
 	case stepForall:
-		if r.forallHolds(ctx, st, 0, b) {
-			return r.run(ctx, steps, si+1, b, emit, tr)
+		if f.forallHolds(si, 0) {
+			return f.run(si+1, emit)
 		}
 		return true
 	}
 	return true
 }
 
-// forallHolds checks a ∀-literal: every extension of the current
-// binding over the quantified variables (valuated in the active
-// domain) must satisfy all inner checks.
-func (r *Rule) forallHolds(ctx *Ctx, st *step, qi int, b Binding) bool {
+// forallHolds checks the ∀-literal of step si: every extension of the
+// current binding over the quantified variables (valuated in the
+// active domain) must satisfy all inner checks.
+func (f *frame) forallHolds(si, qi int) bool {
+	ctx, b, st := f.ctx, f.b, &f.steps[si]
 	if qi == len(st.forallVars) {
 		for _, c := range st.forallPlan {
 			switch c.kind {
 			case stepMatch, stepNegCheck:
-				t := make(tuple.Tuple, len(c.slots))
-				for pos, s := range c.slots {
-					t[pos] = slotVal(s, b)
-				}
 				src := ctx.In
 				if c.kind == stepNegCheck && ctx.NegIn != nil {
 					src = ctx.NegIn
 				}
 				rel := relOf(src, c.pred)
-				has := rel != nil && rel.Contains(t)
+				has := rel != nil && rel.Contains(f.ground(si, c.slots))
 				if has == (c.kind == stepNegCheck) {
 					return false
 				}
@@ -281,7 +288,7 @@ func (r *Rule) forallHolds(ctx *Ctx, st *step, qi int, b Binding) bool {
 	saved := b[id]
 	for _, v := range ctx.Adom {
 		b[id] = v
-		if !r.forallHolds(ctx, st, qi+1, b) {
+		if !f.forallHolds(si, qi+1) {
 			b[id] = saved
 			return false
 		}
@@ -306,31 +313,36 @@ type Fact struct {
 }
 
 // HeadFacts materializes the head literals of the rule under binding
-// b. invent supplies values for head-only variables; it is called
-// once per head-only variable per call (so all head literals of one
-// firing share the invented values). invent may be nil when the rule
-// has no head-only variables.
+// b into fresh storage the caller may keep. invent supplies values for
+// head-only variables; it is called once per head-only variable per
+// call (so all head literals of one firing share the invented values).
+// invent may be nil when the rule has no head-only variables.
 func (r *Rule) HeadFacts(b Binding, invent func(varID int) value.Value) []Fact {
-	var local Binding
 	if len(r.headOnly) > 0 {
-		local = make(Binding, len(b))
+		local := make(Binding, len(b))
 		copy(local, b)
 		for _, id := range r.headOnly {
 			local[id] = invent(id)
 		}
 		b = local
 	}
-	out := make([]Fact, 0, len(r.heads))
+	return r.appendHeads(make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth), b)
+}
+
+// appendHeads appends the rule's head facts under b to out, writing
+// their tuples into vals (r.headWidth values).
+func (r *Rule) appendHeads(out []Fact, vals []value.Value, b Binding) []Fact {
 	for _, h := range r.heads {
 		if h.Bottom {
 			out = append(out, Fact{Bottom: true})
 			continue
 		}
-		t := make(tuple.Tuple, len(h.Slots))
+		n := len(h.Slots)
 		for pos, s := range h.Slots {
-			t[pos] = slotVal(s, b)
+			vals[pos] = slotVal(s, b)
 		}
-		out = append(out, Fact{Neg: h.Neg, Pred: h.Pred, Tuple: t})
+		out = append(out, Fact{Neg: h.Neg, Pred: h.Pred, Tuple: tuple.Tuple(vals[:n:n])})
+		vals = vals[n:]
 	}
 	return out
 }
@@ -338,24 +350,30 @@ func (r *Rule) HeadFacts(b Binding, invent func(varID int) value.Value) []Fact {
 // Fire is the firing kernel the engines share: it enumerates the rule
 // under ctx and passes every head fact of every satisfied valuation to
 // emit, which stages the fact wherever the engine collects its stage
-// and reports whether it is new there. Each valuation is recorded in
-// ctx.Stats as one firing of rule ri (-1 for engines without per-rule
-// attribution) with its new/already-present tally, inside the
-// collector's rule bracket. heads materializes a valuation's head
-// facts; nil means r.HeadFacts(b, nil), and an engine passes its own
-// to invent values or to look at the binding. With a nil collector
-// the tally costs nothing: emit is where any membership probe lives,
-// so an engine that needs none to stage a fact skips it when its
-// collector is disabled.
+// (see Staging) and reports whether it is new there. Each valuation is
+// recorded in ctx.Stats as one firing of rule ri (-1 for engines
+// without per-rule attribution) with its new/already-present tally,
+// inside the collector's rule bracket.
+//
+// heads materializes a valuation's head facts; an engine passes its
+// own to invent values or to look at the binding. With a nil heads the
+// facts are written into scratch that the next valuation overwrites:
+// Fact.Tuple is then valid only during the emit call, and an emit that
+// keeps a fact must copy the tuple (Relation.Insert does).
 func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact) bool) {
 	col := ctx.Stats
 	col.BeginRule(ri)
+	var scratch []Fact
+	var vals []value.Value
+	if heads == nil {
+		scratch, vals = make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth)
+	}
 	r.Enumerate(ctx, func(b Binding) bool {
 		var facts []Fact
 		if heads != nil {
 			facts = heads(b)
 		} else {
-			facts = r.HeadFacts(b, nil)
+			facts = r.appendHeads(scratch, vals, b)
 		}
 		derived, rederived := 0, 0
 		for _, f := range facts {
@@ -371,10 +389,59 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 	col.EndRule(ri)
 }
 
+// Staging is the set a round of a fixpoint engine collects its head
+// facts in: Out is the instance the round reads, Next holds the facts
+// the round derived that Out lacks. Out is not written until Fold, so
+// every fact of the round is classified against Out as it stood when
+// the round began, and Fold knows every staged fact to be new.
+type Staging struct {
+	Out, Next *tuple.Instance
+	// The relations of the last fact's predicate on both sides: a rule
+	// emits runs of facts for one head, so they are resolved once per
+	// run and not once per fact.
+	pred    string
+	out, to *tuple.Relation
+}
+
+// NewStaging returns an empty staging set over out.
+func NewStaging(out *tuple.Instance) *Staging {
+	return &Staging{Out: out, Next: tuple.NewInstance()}
+}
+
+// Emit is the emit function for Fire: it stages f unless Out holds it,
+// and reports whether Out lacks it — the derived-versus-rederived split
+// of the firing tally.
+func (s *Staging) Emit(f Fact) bool {
+	if f.Pred != s.pred {
+		s.pred, s.out, s.to = f.Pred, s.Out.Relation(f.Pred), s.Next.Relation(f.Pred)
+	}
+	if s.out != nil && s.out.Contains(f.Tuple) {
+		return false
+	}
+	if s.to == nil {
+		// Only now: a predicate the round merely rederives must not
+		// appear in Next, where the next round would probe it.
+		s.to = s.Next.Ensure(f.Pred, len(f.Tuple))
+	}
+	s.to.Insert(f.Tuple)
+	return true
+}
+
+// Fold inserts the staged facts into Out and returns their number.
+func (s *Staging) Fold() int { return Fold(s.Out, s.Next) }
+
+// Fold inserts every fact of from into out and returns from's size.
+func Fold(out, from *tuple.Instance) int {
+	from.EachRel(func(name string, r *tuple.Relation) {
+		out.Ensure(name, r.Arity()).UnionInPlace(r)
+	})
+	return from.Facts()
+}
+
 // WarmIndexes pre-builds every hash index the rules' match steps will
 // probe against the context's instances — In, Delta, the Aux overlay,
-// and the NegIn reduct alike, including the mask-0 full-relation
-// index. Indexes are otherwise built lazily on first probe, which
+// and the NegIn reduct alike (full scans and fully-bound probes need
+// none). Indexes are otherwise built lazily on first probe, which
 // mutates the shared relation — unsafe when several goroutines
 // evaluate rules of the same stage concurrently. Warming makes
 // subsequent Enumerate calls read-only on the instance. It also

@@ -1,14 +1,17 @@
-// Shard-parallel semi-naive delta rounds. The delta instance is
-// hash-partitioned across N workers (tuple.Instance.Partition); each
-// worker evaluates every delta-variant rule against a copy-on-write
-// snapshot of the current instance and its private slice of the
-// delta, so lazy index builds land in the snapshot's private overlay
-// instead of racing on shared storage. Workers stream fact batches
-// through a bounded channel to the caller's goroutine, where the
-// merge barrier dedupes them into the instance and the next delta —
-// insertion overlaps enumeration, and because relations are sets the
-// merged result is independent of arrival order: byte-identical to
-// the serial round.
+// Shard-parallel semi-naive delta rounds. The delta is hash-partitioned
+// across N workers (tuple.Instance.Partition); each worker evaluates
+// every delta-variant rule against a copy-on-write snapshot of the
+// current instance and its private slice of the delta, so lazy index
+// builds land in the snapshot's private overlay instead of racing on
+// shared storage. A worker fires as the serial round does — head facts
+// in reused scratch, dropped at once when the snapshot holds them — and
+// files the rest by the hash of the head tuple into one small set per
+// destination shard. A second parallel step unions, per destination,
+// what the workers filed there: the round's new facts come out already
+// partitioned, which is the next round's delta as it stands. Nothing
+// passes through the calling goroutine, and because relations are sets
+// the result is independent of scheduling: byte-identical to the serial
+// round.
 package eval
 
 import (
@@ -16,6 +19,7 @@ import (
 	"time"
 
 	"unchained/internal/tuple"
+	"unchained/internal/value"
 )
 
 // DeltaVariant pairs a delta-compiled rule (CompileDelta) with the
@@ -25,123 +29,143 @@ type DeltaVariant struct {
 	Lit  int
 }
 
-// shardBatch is the number of facts a worker accumulates before
-// shipping a batch to the merge barrier.
-const shardBatch = 4096
-
 // cancelPollMask throttles the workers' cancellation poll to one
 // non-blocking channel check per 256 firings.
 const cancelPollMask = 255
 
-// RunSharded evaluates every delta variant over a tuple-hash
-// partition of delta across `shards` workers and calls sink — on the
-// calling goroutine — with batches of emitted head facts. base
-// supplies the shared read-only environment (In, NegIn, Adom, Scan,
-// Stats, NoPlan, Plans); every worker receives private snapshots of
-// In and NegIn. mergeBuf is the batch-channel capacity (minimum 1).
-// done, when non-nil, aborts the round early: workers notice within
-// cancelPollMask firings, ship what they have, and exit — RunSharded
-// always drains every batch and joins every worker before returning,
-// so no goroutine outlives the call. Workers classify emitted facts
-// as derived vs re-derived against their pre-round snapshots, so the
-// stats collector (base.Stats, concurrency-safe counters) sees the
-// same totals as a serial round; each worker also attributes its
-// round wall time and emitted-fact count to its shard index via
-// Collector.ShardWork, feeding the per-shard skew breakdown of stats
-// summaries and flight records.
-//
-// The caller must not mutate delta during the call; mutating the
-// instance behind base.In is safe (workers read their own forks).
-func RunSharded(variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards, mergeBuf int, done <-chan struct{}, sink func([]Fact)) {
-	if shards < 1 {
-		shards = 1
+// eachShard runs work(0..n-1) on n goroutines and joins them.
+func eachShard(n int, work func(s int)) {
+	var wg sync.WaitGroup
+	for s := 0; s < n; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			work(s)
+		}(s)
 	}
-	if mergeBuf < 1 {
-		mergeBuf = 1
-	}
-	parts := delta.Partition(shards)
+	wg.Wait()
+}
 
+// RunSharded evaluates every delta variant with one worker per part of
+// a tuple-hash partition of the delta (tuple.Instance.Partition, or the
+// result of the previous call). It returns the head facts base.In lacks,
+// partitioned the same way (every part with every relation that has a
+// new fact in any, as Partition makes them), and the number of head
+// facts emitted, those base.In holds included. base supplies the shared read-only
+// environment (In, NegIn, Adom, Scan, Stats, NoPlan, Plans); every
+// worker receives private snapshots of In and NegIn. done, when
+// non-nil, aborts the round early: workers notice within
+// cancelPollMask firings and stop, and what they had filed is still
+// returned — RunSharded joins every worker before returning, so no
+// goroutine outlives the call. Workers tally their firings locally and
+// charge base.Stats (concurrency-safe counters) once per variant; the
+// derived-versus-rederived split is the caller's, from the sizes of the
+// returned parts. Each worker also attributes its wall time and
+// emitted-fact count to its shard index via Collector.ShardWork,
+// feeding the per-shard skew breakdown of stats summaries and flight
+// records.
+//
+// The caller must not mutate parts or the instance behind base.In
+// during the call.
+func RunSharded(variants []DeltaVariant, base *Ctx, parts []*tuple.Instance, done <-chan struct{}) ([]*tuple.Instance, uint64) {
+	n := len(parts)
 	// Snapshot the shared instances once per shard on this goroutine:
 	// Snapshot folds private index overlays into the shared payload,
 	// which must not race with worker probes.
-	ins := make([]*tuple.Instance, shards)
-	negs := make([]*tuple.Instance, shards)
-	for s := 0; s < shards; s++ {
+	ins := make([]*tuple.Instance, n)
+	negs := make([]*tuple.Instance, n)
+	for s := range ins {
 		ins[s] = base.In.Snapshot()
 		if base.NegIn != nil {
 			negs[s] = base.NegIn.Snapshot()
 		}
 	}
+	filed := make([][]*tuple.Instance, n) // filed[s][t]: by worker s, for shard t
+	emitted := make([]uint64, n)
+	eachShard(n, func(s int) {
+		ctx := &Ctx{
+			In: ins[s], NegIn: negs[s], Adom: base.Adom,
+			Delta: parts[s], Scan: base.Scan, Stats: base.Stats,
+			NoPlan: base.NoPlan, Plans: base.Plans,
+		}
+		filed[s], emitted[s] = runShard(variants, ctx, s, n, done)
+	})
+	next := make([]*tuple.Instance, n)
+	eachShard(n, func(t int) {
+		next[t] = filed[0][t]
+		for _, row := range filed[1:] {
+			Fold(next[t], row[t])
+		}
+	})
+	total := uint64(0)
+	for _, e := range emitted {
+		total += e
+	}
+	return next, total
+}
 
-	ch := make(chan []Fact, mergeBuf)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			ctx := &Ctx{
-				In: ins[s], NegIn: negs[s], Adom: base.Adom,
-				Delta: parts[s], Scan: base.Scan, Stats: base.Stats,
-				NoPlan: base.NoPlan, Plans: base.Plans,
-			}
-			col := base.Stats
-			buf := make([]Fact, 0, shardBatch)
-			fired := 0
-			aborted := false
-			emitted := uint64(0)
-			var begin time.Time
-			if col.Enabled() {
-				begin = time.Now()
-			}
-			for _, v := range variants {
-				if aborted {
-					break
+// runShard is worker s of RunSharded: it fires every variant over
+// ctx.Delta and files the head facts ctx.In lacks by destination shard.
+func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{}) ([]*tuple.Instance, uint64) {
+	col := ctx.Stats
+	var begin time.Time
+	if col.Enabled() {
+		begin = time.Now()
+	}
+	to := make([]*tuple.Instance, n)
+	for t := range to {
+		to[t] = tuple.NewInstance()
+	}
+	emitted, aborted := uint64(0), false
+	for _, v := range variants {
+		if aborted {
+			break
+		}
+		ctx.DeltaLit = v.Lit
+		rule := v.Rule
+		facts, vals := make([]Fact, 0, len(rule.heads)), make([]value.Value, rule.headWidth)
+		// The relations of the last head predicate — in the snapshot,
+		// and in every destination set once a fact of it is new (in all
+		// of them, so that the parts keep one schema, that of a serial
+		// delta): a rule emits runs of facts for one head.
+		var pred string
+		var have *tuple.Relation
+		var file []*tuple.Relation
+		// Firings tally locally, flushed in one FiredBatch below:
+		// per-binding atomic adds on the shared collector contend
+		// badly across shard workers.
+		var firings uint64
+		rule.Enumerate(ctx, func(b Binding) bool {
+			for _, f := range rule.appendHeads(facts, vals, b) {
+				if f.Pred != pred {
+					pred, have, file = f.Pred, ctx.In.Relation(f.Pred), file[:0]
 				}
-				ctx.DeltaLit = v.Lit
-				rule := v.Rule
-				// Firings tally locally, flushed in one FiredBatch
-				// below: per-binding atomic adds on the shared
-				// collector contend badly across shard workers. The
-				// derived/rederived split is not classified here at
-				// all — the merge barrier's Insert already probes
-				// every fact, so the caller's sink charges those
-				// counters for free (see EvalSeminaive).
-				var firings uint64
-				rule.Enumerate(ctx, func(b Binding) bool {
-					facts := rule.HeadFacts(b, nil)
-					firings++
-					buf = append(buf, facts...)
-					emitted += uint64(len(facts))
-					if len(buf) >= shardBatch {
-						ch <- buf
-						buf = make([]Fact, 0, shardBatch)
+				emitted++
+				if have != nil && have.Contains(f.Tuple) {
+					continue
+				}
+				if len(file) == 0 {
+					for _, inst := range to {
+						file = append(file, inst.Ensure(f.Pred, len(f.Tuple)))
 					}
-					fired++
-					if done != nil && fired&cancelPollMask == 0 {
-						select {
-						case <-done:
-							aborted = true
-							return false
-						default:
-						}
-					}
-					return true
-				})
-				col.FiredBatch(-1, firings, 0, 0)
+				}
+				file[f.Tuple.Shard(n)].Insert(f.Tuple)
 			}
-			if len(buf) > 0 {
-				ch <- buf
+			firings++
+			if done != nil && firings&cancelPollMask == 0 {
+				select {
+				case <-done:
+					aborted = true
+					return false
+				default:
+				}
 			}
-			if col.Enabled() {
-				col.ShardWork(s, time.Since(begin).Nanoseconds(), emitted)
-			}
-		}(s)
+			return true
+		})
+		col.FiredBatch(-1, firings, 0, 0)
 	}
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-	for batch := range ch {
-		sink(batch)
+	if col.Enabled() {
+		col.ShardWork(s, time.Since(begin).Nanoseconds(), emitted)
 	}
+	return to, emitted
 }

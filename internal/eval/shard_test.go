@@ -39,93 +39,112 @@ func shardFixture(t *testing.T, n int) (*value.Universe, []DeltaVariant, *Ctx, *
 	return u, []DeltaVariant{{Rule: dv, Lit: 1}}, base, delta
 }
 
-// collectSharded runs RunSharded and returns the emitted facts
-// rendered and sorted for comparison.
-func collectSharded(u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards, mergeBuf int, done <-chan struct{}) []string {
+// collectSharded runs one RunSharded round over a fresh partition of
+// delta and returns the facts it handed back, rendered and sorted, with
+// the emitted-fact count. Every fact must sit in the part its hash
+// names and the parts must share one schema: the result is the next
+// round's partitioned delta.
+func collectSharded(t *testing.T, u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards int, done <-chan struct{}) ([]string, uint64) {
+	t.Helper()
+	parts, emitted := RunSharded(variants, base, delta.Partition(shards), done)
 	var got []string
-	RunSharded(variants, base, delta, shards, mergeBuf, done, func(batch []Fact) {
-		for _, f := range batch {
-			got = append(got, f.Pred+f.Tuple.String(u))
+	for s, part := range parts {
+		if a, b := fmt.Sprint(part.Names()), fmt.Sprint(parts[0].Names()); a != b {
+			t.Errorf("part %d has relations %s, part 0 %s: the parts must share one schema", s, a, b)
+		}
+		part.EachRel(func(name string, r *tuple.Relation) {
+			r.Each(func(tp tuple.Tuple) bool {
+				if tp.Shard(len(parts)) != s {
+					t.Errorf("%s%s handed back in part %d of %d", name, tp.String(u), s, len(parts))
+				}
+				got = append(got, name+tp.String(u))
+				return true
+			})
+		})
+	}
+	sort.Strings(got)
+	return got, emitted
+}
+
+// serialRound is the reference: the variants fired on one goroutine
+// over the whole delta into a Staging, as the serial engine does.
+func serialRound(u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance) ([]string, uint64) {
+	st := NewStaging(base.In)
+	emitted := uint64(0)
+	for _, v := range variants {
+		ctx := *base
+		ctx.Delta, ctx.DeltaLit = delta, v.Lit
+		v.Rule.Fire(&ctx, -1, nil, func(f Fact) bool {
+			emitted++
+			return st.Emit(f)
+		})
+	}
+	var got []string
+	st.Next.EachRel(func(name string, r *tuple.Relation) {
+		for _, tp := range r.Tuples() {
+			got = append(got, name+tp.String(u))
 		}
 	})
 	sort.Strings(got)
-	return got
+	return got, emitted
 }
 
-// TestRunShardedMatchesSerial is the merge-barrier unit test: at 1, 2,
-// and 8 shards the emitted fact multiset (after dedupe — relations are
-// sets) must equal the serial enumeration of the same round.
+// TestRunShardedMatchesSerial is the round's unit test: at 1, 2 and 8
+// shards the facts handed back — each once, in the part its hash names,
+// none that In already holds — must be the facts the serial round
+// stages, and the emitted count must be the serial round's: every delta
+// tuple lives on exactly one shard, so shards neither overlap nor drop
+// work.
 func TestRunShardedMatchesSerial(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 64)
-
-	// Serial reference: enumerate the variant over the whole delta.
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
-	if len(ref) == 0 {
-		t.Fatal("fixture produced no facts; test is vacuous")
+	// One fact of the round is already known: it is emitted, not staged.
+	base.In.Insert("T", tuple.Tuple{u.Sym("n0"), u.Sym("n2")})
+	ref, refEmitted := serialRound(u, variants, base, delta)
+	if len(ref) != 63 || refEmitted != 64 {
+		t.Fatalf("fixture staged %d facts of %d emitted, want 63 of 64", len(ref), refEmitted)
 	}
-	dedupe := func(in []string) []string {
-		out := in[:0:0]
-		for i, s := range in {
-			if i == 0 || s != in[i-1] {
-				out = append(out, s)
-			}
+	for _, shards := range []int{1, 2, 8} {
+		got, emitted := collectSharded(t, u, variants, base, delta, shards, nil)
+		if emitted != refEmitted {
+			t.Errorf("shards=%d emitted %d facts, serial %d — shards overlap or drop work", shards, emitted, refEmitted)
 		}
-		return out
-	}
-	refSet := dedupe(ref)
-	for _, shards := range []int{2, 8} {
-		for _, buf := range []int{1, 2 * shards} {
-			got := dedupe(collectSharded(u, variants, base, delta, shards, buf, nil))
-			if len(got) != len(refSet) {
-				t.Fatalf("shards=%d buf=%d emitted %d distinct facts, serial %d", shards, buf, len(got), len(refSet))
-			}
-			for i := range got {
-				if got[i] != refSet[i] {
-					t.Fatalf("shards=%d buf=%d fact %d = %s, serial %s", shards, buf, i, got[i], refSet[i])
-				}
-			}
-		}
-	}
-}
-
-// TestRunShardedDisjointWork checks that shards do not duplicate
-// firings: the raw (pre-dedupe) emission count must match serial,
-// because every delta tuple lives on exactly one shard.
-func TestRunShardedDisjointWork(t *testing.T) {
-	u, variants, base, delta := shardFixture(t, 64)
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
-	for _, shards := range []int{2, 8} {
-		got := collectSharded(u, variants, base, delta, shards, 4, nil)
 		if len(got) != len(ref) {
-			t.Fatalf("shards=%d emitted %d facts raw, serial %d — shards overlap or drop work", shards, len(got), len(ref))
+			t.Fatalf("shards=%d handed back %d facts, serial staged %d", shards, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("shards=%d fact %d = %s, serial %s", shards, i, got[i], ref[i])
+			}
 		}
 	}
 }
 
 // TestRunShardedCancelled closes done before the round starts: workers
-// must notice within their poll window, the barrier must still drain
-// and join (no goroutine may be left writing to the channel), and the
-// call must return. Partial output is acceptable; a hang is not.
+// must notice at their first poll (every 256 firings; each of the 8 has
+// about 512 to do) and the call must join them and return. Partial
+// output is acceptable; a hang or a full round is not.
 func TestRunShardedCancelled(t *testing.T) {
-	u, variants, base, delta := shardFixture(t, 512)
+	u, variants, base, delta := shardFixture(t, 4096)
 	done := make(chan struct{})
 	close(done)
-	got := collectSharded(u, variants, base, delta, 8, 1, done)
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
-	if len(got) > len(ref) {
-		t.Fatalf("cancelled round emitted %d facts, full round %d", len(got), len(ref))
+	_, emitted := collectSharded(t, u, variants, base, delta, 8, done)
+	if emitted >= 4096 {
+		t.Fatalf("cancelled round emitted %d facts, the full round 4096", emitted)
 	}
 }
 
-// TestRunShardedClampsArguments pins the defensive clamps: zero or
-// negative shard and buffer counts degrade to the serial configuration
-// instead of panicking.
-func TestRunShardedClampsArguments(t *testing.T) {
+// TestRunShardedDegenerateParts pins the edges: a shard count of zero
+// partitions into one part, which runs as the serial round does, and no
+// parts at all is an empty round, not a panic.
+func TestRunShardedDegenerateParts(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 16)
-	ref := collectSharded(u, variants, base, delta, 1, 1, nil)
-	got := collectSharded(u, variants, base, delta, 0, 0, nil)
+	ref, _ := serialRound(u, variants, base, delta)
+	got, _ := collectSharded(t, u, variants, base, delta, 0, nil)
 	if len(got) != len(ref) {
-		t.Fatalf("clamped run emitted %d facts, serial %d", len(got), len(ref))
+		t.Fatalf("one-part run handed back %d facts, serial %d", len(got), len(ref))
+	}
+	if parts, emitted := RunSharded(variants, base, nil, nil); len(parts) != 0 || emitted != 0 {
+		t.Fatalf("empty partition: %d parts, %d emitted", len(parts), emitted)
 	}
 }
 
@@ -155,7 +174,7 @@ func TestRunShardedNegInSnapshot(t *testing.T) {
 	}
 	variants := []DeltaVariant{{Rule: dv, Lit: 0}}
 	base := &Ctx{In: in, NegIn: negIn, Adom: ActiveDomain(u, nil, in)}
-	got := collectSharded(u, variants, base, delta, 4, 2, nil)
+	got, _ := collectSharded(t, u, variants, base, delta, 4, nil)
 	if len(got) != 16 {
 		t.Fatalf("want 16 facts (odd-indexed P's), got %d: %v", len(got), got)
 	}

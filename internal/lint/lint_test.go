@@ -97,10 +97,20 @@ func okAppend(in tuple.Tuple) tuple.Tuple {
 func okRead(t tuple.Tuple) int { return t[0] }
 
 func okOtherSlice(s []int) { s[0] = 1 }
+
+func okScratch(scratch []int, v int) tuple.Tuple {
+	scratch[0] = v
+	return tuple.Tuple(scratch)
+}
+
+func badScratchView(scratch []int) {
+	view := tuple.Tuple(scratch)
+	view[0] = 1
+}
 `, map[string]string{"x/internal/tuple": tupleDep})
 	ds := TupleMut(p)
-	if len(ds) != 3 {
-		t.Fatalf("got %d diags, want 3: %v", len(ds), messages(ds))
+	if len(ds) != 4 {
+		t.Fatalf("got %d diags, want 4: %v", len(ds), messages(ds))
 	}
 	for _, d := range ds {
 		if !strings.Contains(d.Message, "shared tuple payload") {

@@ -109,6 +109,7 @@ func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
 		return nil, err
 	}
 	in := tuple.NewInstance()
+	var t tuple.Tuple // one scratch for every fact: Insert copies it
 	for i, r := range prog.Rules {
 		if len(r.Body) != 0 || len(r.Head) != 1 {
 			return nil, fmt.Errorf("fact %d: not a ground fact", i+1)
@@ -117,12 +118,12 @@ func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
 		if h.Kind != ast.LitAtom || h.Neg {
 			return nil, fmt.Errorf("fact %d: not a positive atom", i+1)
 		}
-		t := make(tuple.Tuple, len(h.Atom.Args))
+		t = t[:0]
 		for j, a := range h.Atom.Args {
 			if a.IsVar() {
 				return nil, fmt.Errorf("fact %d: argument %d is a variable", i+1, j+1)
 			}
-			t[j] = a.Const
+			t = append(t, a.Const)
 		}
 		if r := in.Relation(h.Atom.Pred); r != nil && r.Arity() != len(t) {
 			return nil, fmt.Errorf("fact %d: %s has arity %d here but %d earlier",

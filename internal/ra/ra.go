@@ -144,6 +144,7 @@ func Join(a, b *tuple.Relation, on ...EqPair) *tuple.Relation {
 		mask |= 1 << uint(p.R)
 	}
 	pattern := make(tuple.Tuple, b.Arity())
+	var it tuple.Iterator
 	a.Each(func(ta tuple.Tuple) bool {
 		for i := range pattern {
 			pattern[i] = value.None
@@ -151,7 +152,8 @@ func Join(a, b *tuple.Relation, on ...EqPair) *tuple.Relation {
 		for _, p := range on {
 			pattern[p.R] = ta[p.L]
 		}
-		for _, tb := range b.Probe(mask, pattern) {
+		b.ProbeIter(mask, pattern, &it)
+		for tb, ok := it.Next(); ok; tb, ok = it.Next() {
 			nt := make(tuple.Tuple, 0, len(ta)+len(tb))
 			nt = append(nt, ta...)
 			nt = append(nt, tb...)

@@ -77,7 +77,7 @@ type StageStats struct {
 // ShardStats is one shard worker's totals across all shard-parallel
 // delta rounds of a run: how many rounds the shard participated in,
 // its cumulative wall time inside round enumeration, and the facts it
-// emitted toward the merge barrier. Comparing WallNS across shards is
+// emitted (before any dedupe). Comparing WallNS across shards is
 // the skew diagnostic for parallel runs that fail to speed up.
 type ShardStats struct {
 	// Shard is the 0-based shard index.
@@ -123,7 +123,7 @@ type Summary struct {
 	WallNS int64 `json:"wall_ns"`
 	// ShardRounds counts semi-naive delta rounds evaluated
 	// shard-parallel (Options.Shards > 1); ShardFactsMerged counts the
-	// facts those rounds pushed through the merge barrier (before
+	// facts the workers of those rounds emitted (before
 	// deduplication). Zero for serial evaluation.
 	ShardRounds      uint64 `json:"shard_rounds,omitempty"`
 	ShardFactsMerged uint64 `json:"shard_facts_merged,omitempty"`
@@ -581,9 +581,9 @@ func (c *Collector) Invented(n int) {
 	}
 }
 
-// ShardRound records one shard-parallel delta round that pushed
-// merged facts (pre-dedup) through the merge barrier. Called from the
-// engine's goroutine after the barrier closes.
+// ShardRound records one shard-parallel delta round and the number of
+// facts its workers emitted (merged, pre-dedup). Called from the
+// engine's goroutine after the workers have joined.
 func (c *Collector) ShardRound(merged int) {
 	if c == nil {
 		return
@@ -593,8 +593,8 @@ func (c *Collector) ShardRound(merged int) {
 }
 
 // ShardWork attributes one shard worker's round to its shard: the
-// worker's enumeration wall time and the facts it emitted toward the
-// merge barrier (pre-dedup). Safe for concurrent use — each worker
+// worker's enumeration wall time and the facts it emitted
+// (pre-dedup). Safe for concurrent use — each worker
 // calls it once per round just before exiting, so the mutex is far
 // off the per-firing hot path.
 func (c *Collector) ShardWork(shard int, wallNS int64, facts uint64) {

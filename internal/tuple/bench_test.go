@@ -24,12 +24,21 @@ func benchRelation(n int) (*Relation, []Tuple, *value.Universe) {
 	return r, tuples, u
 }
 
+// exhaust pulls the iterator dry, as a join step does.
+func exhaust(it *Iterator) (n int) {
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
+		n++
+	}
+	return n
+}
+
 func BenchmarkRelationInsert(b *testing.B) {
 	u := value.New()
 	vals := make([]value.Value, 1024)
 	for i := range vals {
 		vals[i] = u.Int(int64(i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	r := NewRelation(2)
 	for i := 0; i < b.N; i++ {
@@ -39,6 +48,7 @@ func BenchmarkRelationInsert(b *testing.B) {
 
 func BenchmarkRelationContains(b *testing.B) {
 	r, tuples, _ := benchRelation(4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Contains(tuples[i%len(tuples)])
@@ -49,10 +59,13 @@ func BenchmarkRelationProbeIndexed(b *testing.B) {
 	for _, n := range []int{1024, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r, tuples, _ := benchRelation(n)
-			r.Probe(1, tuples[0]) // build the index outside the loop
+			r.BuildIndex(1) // outside the loop
+			var it Iterator
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Probe(1, tuples[i%len(tuples)])
+				r.ProbeIter(1, tuples[i%len(tuples)], &it)
+				exhaust(&it)
 			}
 		})
 	}
@@ -60,22 +73,28 @@ func BenchmarkRelationProbeIndexed(b *testing.B) {
 
 func BenchmarkRelationProbeScan(b *testing.B) {
 	r, tuples, _ := benchRelation(1024)
+	var it Iterator
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.ProbeScan(1, tuples[i%len(tuples)])
+		r.ScanIter(1, tuples[i%len(tuples)], &it)
+		exhaust(&it)
 	}
 }
 
 func BenchmarkRelationMutateWithLiveIndex(b *testing.B) {
 	// Incremental index maintenance: insert/delete cycles with a live
 	// index must stay O(1)-ish instead of rebuilding.
-	r, tuples, u := benchRelation(4096)
-	r.Probe(1, tuples[0]) // force the index
+	r, _, u := benchRelation(4096)
+	r.BuildIndex(1)
 	fresh := Tuple{u.Int(9999), u.Int(9999)}
+	var it Iterator
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Insert(fresh)
-		r.Probe(1, fresh)
+		r.ProbeIter(1, fresh, &it)
+		exhaust(&it)
 		r.Delete(fresh)
 	}
 }
@@ -95,7 +114,7 @@ func benchForkInstance(total int) (*Instance, *value.Universe) {
 		for i := 0; i < per; i++ {
 			in.Insert(name, Tuple{vals[i], vals[(i+1)%per]})
 		}
-		in.Relation(name).Probe(1, Tuple{vals[0], value.None})
+		in.Relation(name).BuildIndex(1)
 	}
 	return in, u
 }
@@ -108,16 +127,19 @@ func BenchmarkForkSnapshot(b *testing.B) {
 	in, u := benchForkInstance(100_000)
 	x, y := u.Int(1_000_001), u.Int(1_000_002)
 	b.Run("cow-snapshot", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = in.Snapshot()
 		}
 	})
 	b.Run("deep-clone", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = in.DeepClone()
 		}
 	})
 	b.Run("snapshot-then-write", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := in.Snapshot()
 			s.Insert("R0", Tuple{x, y}) // promotes R0 only
@@ -129,9 +151,9 @@ func BenchmarkInstanceFingerprint(b *testing.B) {
 	r, _, _ := benchRelation(4096)
 	in := NewInstance()
 	in.rels["R"] = r
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.fpValid = false // force recomputation
 		in.Fingerprint()
 	}
 }

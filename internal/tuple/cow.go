@@ -1,31 +1,71 @@
-// Copy-on-write relation storage. A Relation's tuple set and its
-// secondary indexes live in a relData that snapshots share by
-// pointer: Instance.Snapshot (and Clone) hands every child the same
-// relData and marks both sides shared. The first mutation after a
+// Copy-on-write relation storage. A Relation's rows, its membership
+// table and its secondary indexes live in a relData that snapshots
+// share by pointer: Instance.Snapshot (and Clone) hands every child the
+// same relData and marks both sides shared. The first mutation after a
 // snapshot promotes the writer onto a private copy (a fresh
-// generation), carrying the warm indexes across so the fork does not
-// re-pay index construction for data it did not change.
+// generation) — a handful of slice copies, warm indexes included, so
+// the fork does not re-pay index construction for data it did not
+// change.
 //
 // Concurrency contract: taking snapshots of the same Relation or
 // Instance from multiple goroutines is safe, and so is reading
-// (Probe/Contains/Each) concurrently with snapshots as long as nobody
-// mutates. Mutation (Insert/Delete) requires exclusive access to that
-// Relation, exactly as before the COW rewrite.
+// (ProbeIter/Contains/Each) concurrently with snapshots as long as
+// nobody mutates and every index the readers probe is already built
+// (BuildIndex, eval.WarmIndexes). Mutation (Insert/Delete) requires
+// exclusive access to that Relation.
 package tuple
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+
+	"unchained/internal/value"
+)
 
 // relData is the structurally shared payload of a Relation: one
-// generation of the tuple set plus the hash indexes built over it.
-// Once a relData is reachable from more than one Relation it is
-// frozen — only a sole owner mutates tuples or adds indexes in place.
+// generation of the rows plus the hash tables built over them. Once a
+// relData is reachable from more than one Relation it is frozen — only
+// a sole owner appends rows, flips tombstones or adds indexes in place.
 type relData struct {
 	// gen stamps the generation: promote() bumps it on the private
 	// copy, so two relations with the same data pointer (and hence
 	// equal gen) are known-identical without comparing tuples.
-	gen     uint64
-	tuples  map[string]Tuple
-	indexes map[uint32]map[string][]Tuple
+	gen uint64
+	rows
+	n int // rows stored, deleted ones included (arity 0 stores no values)
+	// dead is the bitset of deleted rows: nil until the first delete,
+	// and from then on at least n bits long. A deleted row keeps its
+	// storage, its table slot and its place in every index — a later
+	// insert of the same tuple revives it, readers skip it — until repack
+	// drops it.
+	dead    []uint64
+	ndead   int
+	member  table    // keyed on the whole row
+	indexes []*table // secondary indexes, by mask
+}
+
+func (d *relData) isDead(row int) bool { return deadBit(d.dead, row) }
+
+// deadBit reports whether row is marked in the tombstone bitset.
+func deadBit(dead []uint64, row int) bool {
+	return dead != nil && dead[row>>6]&(1<<uint(row&63)) != 0
+}
+
+// find returns the row holding t (of hash h) whether live or deleted,
+// or -1.
+func (d *relData) find(t Tuple, h uint64) int {
+	_, row := d.member.find(d.rows, t, h)
+	return row
+}
+
+// indexOn returns the index on mask among ixs, or nil.
+func indexOn(ixs []*table, mask uint32) *table {
+	for _, ix := range ixs {
+		if ix.mask == mask {
+			return ix
+		}
+	}
+	return nil
 }
 
 // Counters tallies copy-on-write traffic. All methods are safe on a
@@ -111,67 +151,71 @@ func (r *Relation) Snapshot() *Relation {
 		// Fold the private overlay indexes into a fresh frozen relData
 		// (same generation: the tuple set is unchanged). The old
 		// relData stays untouched for any siblings still holding it.
-		merged := make(map[uint32]map[string][]Tuple, len(r.data.indexes)+len(r.own))
-		for m, idx := range r.data.indexes {
-			merged[m] = idx
-		}
-		for m, idx := range r.own {
-			merged[m] = idx
-		}
-		r.data = &relData{gen: r.data.gen, tuples: r.data.tuples, indexes: merged}
-		r.own = nil
+		d := *r.data
+		d.indexes = append(slices.Clip(d.indexes), r.own...)
+		r.data, r.own = &d, nil
 	}
 	r.shared.Store(true)
-	c := &Relation{arity: r.arity, data: r.data, fp: r.fp, fpValid: r.fpValid, cow: r.cow}
+	c := &Relation{arity: r.arity, data: r.data, fp: r.fp, cow: r.cow}
 	c.shared.Store(true)
 	return c
 }
 
 // promote gives r a private copy of its shared storage; it must be
-// called before any in-place mutation while r is shared. Tuples are
-// copied and every warm index is carried across with its buckets
-// capacity-trimmed, so a later append reallocates instead of
-// clobbering a sibling's backing array.
+// called before any in-place mutation while r is shared. Rows,
+// tombstones and tables are copied slice by slice (row ids, and with
+// them every slot and block, stay what they were) and every warm index
+// is carried across.
 func (r *Relation) promote() {
 	if !r.shared.Load() {
 		return
 	}
 	d := r.data
-	tuples := make(map[string]Tuple, len(d.tuples))
-	for k, t := range d.tuples {
-		tuples[k] = t
+	nd := &relData{
+		gen: d.gen + 1, rows: rows{cloneRoom(d.vals, r.arity), r.arity}, n: d.n,
+		dead: slices.Clone(d.dead), ndead: d.ndead, member: d.member.clone(),
 	}
-	var indexes map[uint32]map[string][]Tuple
-	carried := len(d.indexes) + len(r.own)
-	if carried > 0 {
-		indexes = make(map[uint32]map[string][]Tuple, carried)
-		carry := func(src map[uint32]map[string][]Tuple) {
-			for mask, idx := range src {
-				ni := make(map[string][]Tuple, len(idx))
-				for k, bucket := range idx {
-					ni[k] = bucket[:len(bucket):len(bucket)]
-				}
-				indexes[mask] = ni
-			}
+	for _, ixs := range [][]*table{d.indexes, r.own} {
+		for _, ix := range ixs {
+			c := ix.clone()
+			nd.indexes = append(nd.indexes, &c)
 		}
-		carry(d.indexes)
-		carry(r.own)
 	}
-	r.data = &relData{gen: d.gen + 1, tuples: tuples, indexes: indexes}
-	r.own = nil
+	r.data, r.own = nd, nil
 	r.shared.Store(false)
-	r.cow.addPromotion(len(tuples), carried)
+	r.cow.addPromotion(r.Len(), len(nd.indexes))
 }
 
-// DeepClone returns an eager deep copy of the relation: fresh tuple
-// map, no indexes, no sharing. It reproduces the pre-COW Clone and
-// exists for the fork benchmarks that quantify the COW win.
-func (r *Relation) DeepClone() *Relation {
-	c := NewRelation(r.arity)
-	for k, t := range r.data.tuples {
-		c.data.tuples[k] = t
+// repack moves the live rows into fresh storage with the same indexes
+// rebuilt over them, dropping the deleted rows. Delete calls it once
+// they outnumber the live ones, which keeps storage, tables and blocks
+// proportional to the live set at amortized constant cost per delete.
+// The old arrays are left as they are for whoever still reads them.
+func (r *Relation) repack() {
+	d := r.data
+	nd := &relData{gen: d.gen, rows: rows{make([]value.Value, 0, r.Len()*r.arity), r.arity}}
+	nd.member.reserve(r.Len())
+	for row := 0; row < d.n; row++ {
+		if !d.isDead(row) {
+			t := d.at(row)
+			nd.vals = append(nd.vals, t...)
+			nd.member.put(t.Hash(), nd.n)
+			nd.n++
+		}
 	}
-	c.fp, c.fpValid = r.fp, r.fpValid
-	c.cow = r.cow
-	return c
+	for _, ix := range d.indexes {
+		nd.indexes = append(nd.indexes, newIndex(ix.mask, nd.rows, nd.n))
+	}
+	r.data = nd
+}
+
+// DeepClone returns an eager deep copy of the relation: fresh rows and
+// membership table, no indexes, no sharing. It reproduces the pre-COW
+// Clone and exists for the fork benchmarks that quantify the COW win.
+func (r *Relation) DeepClone() *Relation {
+	d := r.data
+	return &Relation{arity: r.arity, fp: r.fp, cow: r.cow, data: &relData{
+		rows: rows{slices.Clone(d.vals), r.arity}, n: d.n,
+		dead: slices.Clone(d.dead), ndead: d.ndead, member: d.member.clone(),
+	}}
 }

@@ -101,25 +101,25 @@ func TestSnapshotReusesWarmIndexes(t *testing.T) {
 		r.Insert(tup(u.Int(int64(i%7)), u.Int(int64(i))))
 	}
 	// Warm an index on column 0 while r owns its data.
-	warm := r.Probe(1, tup(u.Int(3), value.None))
+	warm := probe(r, 1, tup(u.Int(3), value.None))
 	snap := r.Snapshot()
-	if got, ok := snap.data.indexes[1]; !ok || got == nil {
+	if indexOn(snap.data.indexes, 1) == nil {
 		t.Fatalf("snapshot did not inherit the warm index")
 	}
-	if got := snap.Probe(1, tup(u.Int(3), value.None)); len(got) != len(warm) {
+	if got := probe(snap, 1, tup(u.Int(3), value.None)); len(got) != len(warm) {
 		t.Fatalf("probe via inherited index: %d tuples, want %d", len(got), len(warm))
 	}
 	// Indexes built while shared go into the private overlay, and a
 	// later snapshot folds them into the common storage.
-	_ = snap.Probe(2, tup(value.None, u.Int(9)))
-	if _, ok := snap.data.indexes[2]; ok {
+	_ = probe(snap, 2, tup(value.None, u.Int(9)))
+	if indexOn(snap.data.indexes, 2) != nil {
 		t.Fatalf("index built while shared leaked into frozen storage")
 	}
-	if _, ok := snap.own[2]; !ok {
+	if indexOn(snap.own, 2) == nil {
 		t.Fatalf("index built while shared missing from overlay")
 	}
 	snap2 := snap.Snapshot()
-	if _, ok := snap2.data.indexes[2]; !ok {
+	if indexOn(snap2.data.indexes, 2) == nil {
 		t.Fatalf("second snapshot did not fold overlay indexes")
 	}
 }
@@ -130,24 +130,24 @@ func TestPromoteCarriesIndexesSafely(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		r.Insert(tup(u.Int(int64(i%3)), u.Int(int64(i))))
 	}
-	_ = r.Probe(1, tup(u.Int(0), value.None)) // warm index
+	_ = probe(r, 1, tup(u.Int(0), value.None)) // warm index
 	snap := r.Snapshot()
 
 	// Writing through the snapshot promotes it; the carried index must
 	// keep answering correctly on both sides afterwards.
 	snap.Insert(tup(u.Int(0), u.Int(999)))
-	if got := len(snap.Probe(1, tup(u.Int(0), value.None))); got != 11 {
+	if got := len(probe(snap, 1, tup(u.Int(0), value.None))); got != 11 {
 		t.Fatalf("promoted probe: %d, want 11", got)
 	}
-	if got := len(r.Probe(1, tup(u.Int(0), value.None))); got != 10 {
+	if got := len(probe(r, 1, tup(u.Int(0), value.None))); got != 10 {
 		t.Fatalf("parent probe after child promote: %d, want 10", got)
 	}
 	// And the parent's own promote must not disturb the child.
 	r.Delete(tup(u.Int(0), u.Int(0)))
-	if got := len(snap.Probe(1, tup(u.Int(0), value.None))); got != 11 {
+	if got := len(probe(snap, 1, tup(u.Int(0), value.None))); got != 11 {
 		t.Fatalf("child probe after parent promote: %d, want 11", got)
 	}
-	if got := len(r.Probe(1, tup(u.Int(0), value.None))); got != 9 {
+	if got := len(probe(r, 1, tup(u.Int(0), value.None))); got != 9 {
 		t.Fatalf("parent probe after delete: %d, want 9", got)
 	}
 }
@@ -204,7 +204,7 @@ func TestCounters(t *testing.T) {
 
 func TestConcurrentSnapshotsAndReads(t *testing.T) {
 	in, u := buildInstance(t, 4, 200)
-	_ = in.Relation("R0").Probe(1, tup(u.Int(5), value.None)) // warm one index
+	_ = probe(in.Relation("R0"), 1, tup(u.Int(5), value.None)) // warm one index
 	// Intern every value up front: the Universe itself is not safe for
 	// concurrent interning (Session.Fork clones it per goroutine).
 	tags := make([]value.Value, 8)
@@ -225,7 +225,7 @@ func TestConcurrentSnapshotsAndReads(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				snap.Insert("R0", tup(tags[g], ints[i]))
 			}
-			if got := len(snap.Relation("R0").Probe(1, tup(tags[g], value.None))); got != 50 {
+			if got := len(probe(snap.Relation("R0"), 1, tup(tags[g], value.None))); got != 50 {
 				t.Errorf("goroutine %d: probe %d, want 50", g, got)
 			}
 			if snap.Relation("R1").Len() != 200 {

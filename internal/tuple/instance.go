@@ -233,9 +233,14 @@ func (in *Instance) EachRel(fn func(name string, r *Relation)) {
 // (with duplicates) and returns the extended slice. Callers dedupe.
 func (in *Instance) ActiveDomain(dst []value.Value) []value.Value {
 	for _, r := range in.rels {
-		for _, t := range r.data.tuples {
-			dst = append(dst, t...)
+		if r.data.ndead == 0 {
+			dst = append(dst, r.data.vals...)
+			continue
 		}
+		r.Each(func(t Tuple) bool {
+			dst = append(dst, t...)
+			return true
+		})
 	}
 	return dst
 }
@@ -259,15 +264,24 @@ func (in *Instance) Restrict(names []string, sch Schema) *Instance {
 }
 
 // String renders the instance deterministically: relations sorted by
-// name, tuples sorted by value.Compare.
+// name, tuples sorted by value.Compare. The values of the whole
+// instance are ranked once and each relation is sorted by rank and
+// written straight into the output.
 func (in *Instance) String(u *value.Universe) string {
+	names := in.Names()
+	rels := make([]*Relation, len(names))
+	for i, n := range names {
+		rels[i] = in.rels[n]
+	}
+	rank := valueRanks(u, rels...)
 	var b strings.Builder
-	for _, n := range in.Names() {
-		r := in.rels[n]
-		for _, t := range r.SortedTuples(u) {
-			b.WriteString(n)
-			b.WriteString(t.String(u))
-			b.WriteString(".\n")
+	var ts []Tuple
+	var line []byte
+	for i, r := range rels {
+		ts = r.appendSorted(ts[:0], rank)
+		for _, t := range ts {
+			line = append(t.appendTo(append(line[:0], names[i]...), u), ".\n"...)
+			b.Write(line)
 		}
 	}
 	return b.String()

@@ -1,51 +1,81 @@
-// Streaming probe iterators. Iterator is the pull-based counterpart
-// of Relation.Probe/ProbeScan: a probe positions a caller-owned cursor
-// over the matching tuples instead of materializing a fresh result
-// slice, so a per-step candidate allocation disappears from the rule
-// matcher's hot loop and an early exit (a satisfied existential, a
-// canceled enumeration) stops pulling immediately.
+// Streaming probe iterators. A probe positions a caller-owned cursor
+// over the matching rows instead of materializing a result slice, so
+// the rule matcher's hot loop allocates nothing per step and an early
+// exit (a satisfied existential, a canceled enumeration) stops pulling
+// immediately.
 //
-// An Iterator captures its source once, at reset time: the single
-// stored tuple for a fully-bound probe, an index bucket slice header
-// otherwise. Later inserts append to buckets (never disturbing the
-// captured header's fixed length) and deletes rebuild buckets into
-// fresh slices, so the cursor stays memory-safe — stale at worst —
-// under the same "engines may mutate between probes" contract the
-// slice-returning Probe always had.
+// An Iterator captures its source once, at reset time: the row storage
+// and tombstones as they stand, and either a row range (a full scan, or
+// the one row of a fully-bound probe) or the newest block of an index
+// key with the row ids it then held. Rows are never
+// overwritten and a block only gains ids past those, so the
+// cursor stays memory-safe — stale at worst — while the relation is
+// inserted into, deleted from, promoted or re-packed under it: it
+// returns only tuples that match its probe and were members at some
+// moment since it was positioned, each at most once.
 package tuple
 
 // Iterator is a cursor over the results of one relation probe. The
 // zero value is an exhausted iterator; ProbeIter/ScanIter reset it.
-// An Iterator is single-goroutine and may be reused across probes;
-// reuse recycles its internal key scratch buffer.
+// An Iterator is single-goroutine and may be reused across probes.
 type Iterator struct {
-	one     Tuple   // pending single result (fully-bound probe hit)
-	tuples  []Tuple // remaining candidates (bucket or snapshot)
-	i       int
-	filter  bool // scan mode: candidates still need the mask test
+	rows
+	// The run [i, hi) still to visit: of rows, or — when blocks is set,
+	// by an index probe — of positions in blocks holding row ids, with
+	// older linking to the key's next block (see table.blocks).
+	i, hi  int
+	blocks []uint32
+	older  uint32
+	// fast marks an index probe with nothing to filter, the cursor a
+	// join step spends its time in. The others skip tombstoned rows and,
+	// in scan mode, rows that differ from pattern on a masked column;
+	// pattern is read until the cursor is exhausted or reset.
+	fast    bool
 	mask    uint32
+	dead    []uint64
 	pattern Tuple
-	key     []byte  // scratch for allocation-free index lookups
-	scratch []Tuple // scratch for allocation-free scan-mode matches
 }
 
 // Next returns the next matching tuple, or ok=false when the probe is
 // exhausted. The returned tuple is shared storage; callers must not
 // mutate it.
 func (it *Iterator) Next() (t Tuple, ok bool) {
-	if it.one != nil {
-		t, it.one = it.one, nil
-		return t, true
+	if i := it.i; it.fast && i < it.hi {
+		row := int(it.blocks[i])
+		it.i = i + 1
+		return it.at(row), true
 	}
-	for it.i < len(it.tuples) {
-		t := it.tuples[it.i]
-		it.i++
-		if it.filter && !maskEq(t, it.mask, it.pattern) {
+	return it.step()
+}
+
+// step is Next in general: the run with rows to skip, the key's next
+// block, or the end.
+func (it *Iterator) step() (Tuple, bool) {
+	for {
+		row := it.i
+		if row >= it.hi {
+			if it.older == 0 {
+				return nil, false
+			}
+			it.load(int(it.older) - 1)
 			continue
 		}
-		return t, true
+		it.i++
+		if it.blocks != nil {
+			row = int(it.blocks[row])
+		}
+		if deadBit(it.dead, row) {
+			continue
+		}
+		if t := it.at(row); it.mask == 0 || maskEq(t, it.mask, it.pattern) {
+			return t, true
+		}
 	}
-	return nil, false
+}
+
+// load makes the block at offset o of blocks the cursor's current run.
+func (it *Iterator) load(o int) {
+	it.older, it.i, it.hi = it.blocks[o], o+2, o+2+int(it.blocks[o+1]&0xffff)
 }
 
 // maskEq reports whether t agrees with pattern on every masked column.
@@ -58,66 +88,74 @@ func maskEq(t Tuple, mask uint32, pattern Tuple) bool {
 	return true
 }
 
-// appendMaskKey appends the packed values of t at the masked columns
-// to dst (the []byte twin of maskKey, for map lookups that the
-// compiler can keep allocation-free via idx[string(dst)]).
-func appendMaskKey(dst []byte, t Tuple, mask uint32) []byte {
-	for i, v := range t {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return dst
+// fullMask reports whether mask binds every column of the relation, so
+// that a probe is a membership lookup and needs no index.
+func (r *Relation) fullMask(mask uint32) bool {
+	return mask != 0 && r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1
 }
 
 // ProbeIter resets it to cursor over the tuples whose values at the
-// masked columns equal the corresponding entries of pattern (the
-// iterator form of Probe). A zero mask yields every tuple via the
-// cached mask-0 index — unlike Tuples(), repeated full probes of an
-// unchanged relation allocate nothing; a fully-bound mask is a direct
-// hash hit; anything else is an index-bucket cursor.
+// masked columns equal the corresponding entries of pattern (entries at
+// unmasked columns are ignored). A zero mask walks the rows; a
+// fully-bound mask is a membership lookup; anything else reads the
+// key's blocks in a lazily built, incrementally maintained index. None
+// of them allocates once the index exists.
 func (r *Relation) ProbeIter(mask uint32, pattern Tuple, it *Iterator) {
-	it.one, it.tuples, it.i, it.filter = nil, nil, 0, false
-	if mask == 0 {
-		it.tuples = r.index(0)[""]
-		return
-	}
-	it.key = appendMaskKey(it.key[:0], pattern, mask)
-	if r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1 {
-		if stored, ok := r.data.tuples[string(it.key)]; ok {
-			it.one = stored
+	d := r.data
+	*it = Iterator{rows: d.rows, dead: d.dead}
+	switch {
+	case mask == 0:
+		it.hi = d.n
+	case r.fullMask(mask):
+		if row := d.find(pattern, pattern.Hash()); row >= 0 {
+			it.i, it.hi = row, row+1
 		}
-		return
+	default:
+		ix := r.index(mask)
+		if _, o := ix.find(d.rows, pattern, ix.hash(pattern)); o >= 0 {
+			it.blocks, it.fast = ix.blocks, d.dead == nil
+			it.load(o)
+		}
 	}
-	it.tuples = r.index(mask)[string(it.key)]
 }
 
 // ScanIter is the index-free variant of ProbeIter used by the
-// ablation benchmarks: it filters the tuple map into the iterator's
-// recycled scratch buffer (no per-probe allocation once warm, like
-// the slice-returning ProbeScan), building no indexes — so
-// warmed-instance parallel stages stay read-only in scan mode too.
-// A reset invalidates the previous probe's cursor, so reusing the
-// scratch across probes is safe under the single-goroutine contract.
+// ablation benchmarks: it walks every row and filters, building no
+// index — so warmed-instance parallel stages stay read-only in scan
+// mode too. pattern must stay unchanged while the cursor is in use.
 func (r *Relation) ScanIter(mask uint32, pattern Tuple, it *Iterator) {
-	it.one, it.i, it.filter = nil, 0, false
-	it.scratch = it.scratch[:0]
-	for _, t := range r.data.tuples {
-		if mask == 0 || maskEq(t, mask, pattern) {
-			it.scratch = append(it.scratch, t)
-		}
-	}
-	it.tuples = it.scratch
+	d := r.data
+	*it = Iterator{rows: d.rows, dead: d.dead, hi: d.n, mask: mask, pattern: pattern}
 }
 
-// BuildIndex materializes the hash index for the given column mask so
-// that later probes of it are read-only on the relation (see
-// eval.WarmIndexes). A fully-bound mask needs no index (probes hit
-// the tuple map directly) and is a no-op.
-func (r *Relation) BuildIndex(mask uint32) {
-	if mask != 0 && r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1 {
-		return
+// index returns (building if needed) the secondary index on the given
+// column set. mask bit i set means column i participates in the key.
+// While the storage is shared, snapshots reuse the warm indexes baked
+// into it, and new masks are built into the private own overlay (the
+// frozen base is read-only); a sole owner extends the base in place.
+func (r *Relation) index(mask uint32) *table {
+	d := r.data
+	if ix := indexOn(d.indexes, mask); ix != nil {
+		return ix
 	}
-	r.index(mask)
+	if ix := indexOn(r.own, mask); ix != nil {
+		return ix
+	}
+	ix := newIndex(mask, d.rows, d.n)
+	if r.shared.Load() {
+		r.own = append(r.own, ix)
+	} else {
+		d.indexes = append(d.indexes, ix)
+	}
+	return ix
+}
+
+// BuildIndex materializes the index for the given column mask so that
+// later probes of it are read-only on the relation (see
+// eval.WarmIndexes). A zero mask walks the rows and a fully-bound mask
+// hits the membership table; neither needs an index.
+func (r *Relation) BuildIndex(mask uint32) {
+	if mask != 0 && !r.fullMask(mask) {
+		r.index(mask)
+	}
 }

@@ -1,6 +1,6 @@
 // Tuple-hash partitioning for shard-parallel semi-naive evaluation.
 // A delta instance is split across N shard instances by hashing each
-// tuple's packed value sequence: every fact lands on exactly one
+// tuple's values (Tuple.Hash): every fact lands on exactly one
 // shard, so N workers joining against disjoint delta slices enumerate
 // every firing the whole delta would, exactly once. The hash mixes
 // only the tuple payload (not the relation name): partitioning is a
@@ -8,31 +8,21 @@
 // delta yields the same merged result.
 package tuple
 
-// Hash returns a deterministic FNV-1a hash of the tuple's packed
-// value sequence (the same 4-bytes-per-value layout as Key, without
-// materializing the string), finished with a 64-bit avalanche mixer.
-// The mixer matters: FNV's low bits disperse poorly over the dense,
-// structured symbol IDs a universe hands out, and Shard reduces the
-// hash modulo small n — without finalization real partitions skew
-// badly (one shard taking >70% of a 2000-tuple relation in practice).
-// Equal tuples hash equally across processes and runs; the shard
-// partitioner routes on it.
+// Hash returns a deterministic 64-bit hash of the tuple's values: a
+// multiply-xorshift step per value, finished with an avalanche mixer.
+// It is the one hash of the package — the membership table places rows
+// by it, a relation's fingerprint is the XOR of it over the live
+// tuples, and Shard routes on it. The mixer matters: symbol ids are
+// dense and structured, the tables use the top bits and Shard reduces
+// modulo small n — without finalization real partitions skew badly
+// (one shard taking >70% of a 2000-tuple relation in practice). Equal
+// tuples hash equally across processes and runs.
 func (t Tuple) Hash() uint64 {
-	var h uint64 = 14695981039346656037
+	h := uint64(hashSeed)
 	for _, v := range t {
-		h = (h ^ uint64(byte(v))) * 1099511628211
-		h = (h ^ uint64(byte(v>>8))) * 1099511628211
-		h = (h ^ uint64(byte(v>>16))) * 1099511628211
-		h = (h ^ uint64(byte(v>>24))) * 1099511628211
+		h = mix(h, v)
 	}
-	// Murmur3-style finalizer: avalanche the FNV state so every input
-	// bit reaches the low bits Shard actually uses.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	return avalanche(h)
 }
 
 // Shard returns the shard index of the tuple among n shards.
@@ -47,8 +37,7 @@ func (t Tuple) Shard(n int) int {
 // hash: fact R(t) lands in part t.Hash() % n. Every part materializes
 // every relation of the source (possibly empty), so consumers see a
 // uniform schema. The union of the parts is the source instance and
-// the parts are pairwise disjoint. Tuples are shared, not copied —
-// parts must be treated as frozen delta inputs, not mutated.
+// the parts are pairwise disjoint.
 //
 // n <= 1 returns a single part sharing the source's relations via
 // snapshot (cheap, and keeps the uniform-schema contract).

@@ -3,8 +3,12 @@
 // constant tuples of a fixed arity), and database instances (a finite
 // map from relation names to relation instances).
 //
-// Relations are hash sets of packed tuples with optional secondary
-// hash indexes built on demand by the rule matcher. Instances carry a
+// A relation stores its tuples as rows of one flat []value.Value and
+// finds them through an open-addressed table of row ids hashed by the
+// column values (table.go); the secondary indexes the rule matcher
+// asks for are the same table over a subset of the columns, built on
+// demand. Membership tests, inserts and probes build no keys and, once
+// the storage has grown to size, allocate nothing. Instances carry a
 // schema (relation name -> arity) and support the cloning, equality,
 // and fingerprinting operations the forward-chaining engines need for
 // stage iteration and cycle detection (Section 4.2).
@@ -15,9 +19,9 @@
 package tuple
 
 import (
+	"cmp"
 	"fmt"
-	"hash/maphash"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -25,10 +29,13 @@ import (
 )
 
 // Tuple is a constant tuple: a sequence of interned domain values.
+// Tuples a relation hands out alias its row storage and must not be
+// written to (the tuplemut analyzer enforces it outside this package).
 type Tuple []value.Value
 
 // Key packs t into a compact string usable as a map key. Two tuples
-// of the same arity have equal keys iff they are equal.
+// of the same arity have equal keys iff they are equal. Relations do
+// not use it; it serves callers that key their own maps by fact.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	b.Grow(4 * len(t))
@@ -62,147 +69,115 @@ func (t Tuple) Equal(o Tuple) bool {
 }
 
 // String renders t using the universe's display names.
-func (t Tuple) String(u *value.Universe) string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = u.Name(v)
-	}
-	return "(" + strings.Join(parts, ",") + ")"
-}
+func (t Tuple) String(u *value.Universe) string { return string(t.appendTo(nil, u)) }
 
-// hashSeed is the process-wide seed for relation fingerprints. All
-// fingerprints in one process are comparable with each other.
-var hashSeed = maphash.MakeSeed()
+// appendTo appends "(a,b,...)" to dst.
+func (t Tuple) appendTo(dst []byte, u *value.Universe) []byte {
+	dst = append(dst, '(')
+	for i, v := range t {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = u.AppendName(dst, v)
+	}
+	return append(dst, ')')
+}
 
 // Relation is a finite set of constant tuples of a fixed arity.
 // The zero Relation is not ready; use NewRelation.
 //
 // Storage is copy-on-write (see cow.go): data points at a possibly
-// shared relData holding the tuple map and the lazily built secondary
-// hash indexes (column-set bitmask -> packed key -> tuples). While
-// shared, mutations first promote onto a private generation, and
-// freshly built indexes go into the private own overlay instead of
-// the frozen shared map.
+// shared relData holding the rows, the membership table and the lazily
+// built secondary indexes. While shared, mutations first promote onto a
+// private generation, and freshly built indexes go into the private own
+// overlay instead of the frozen shared payload.
 type Relation struct {
 	arity int
 	data  *relData
 	// own holds indexes built while data was shared; the frozen base
 	// cannot accept new masks without racing sibling readers.
-	own map[uint32]map[string][]Tuple
+	own []*table
 	// shared marks the storage as reachable from a snapshot. It is
 	// atomic so concurrent Snapshot calls on the same relation are
 	// race-free.
 	shared atomic.Bool
-	// fp caches the order-independent fingerprint; fpValid marks it.
-	fp      uint64
-	fpValid bool
+	// fp is the XOR of the live tuples' hashes, kept up to date by
+	// every insert and delete (see Fingerprint).
+	fp uint64
 	// cow, when set, tallies snapshot/promote traffic (see Counters).
 	cow *Counters
 }
 
-// NewRelation returns an empty relation of the given arity.
+// NewRelation returns an empty relation of the given arity. It holds
+// no storage until the first insert.
 func NewRelation(arity int) *Relation {
-	return &Relation{arity: arity, data: &relData{tuples: make(map[string]Tuple)}}
+	return &Relation{arity: arity, data: &relData{rows: rows{arity: arity}}}
 }
 
 // Arity reports the relation's arity.
 func (r *Relation) Arity() int { return r.arity }
 
 // Len reports the number of tuples.
-func (r *Relation) Len() int { return len(r.data.tuples) }
+func (r *Relation) Len() int { return r.data.n - r.data.ndead }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.data.tuples) == 0 }
+func (r *Relation) Empty() bool { return r.Len() == 0 }
 
-// maskKey packs the values of t at the masked columns.
-func maskKey(t Tuple, mask uint32) string {
-	var b strings.Builder
-	for i, v := range t {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
-	}
-	return b.String()
-}
-
-// indexInsert adds the stored tuple to every live index. Appending
-// never disturbs probe slices already handed out (their lengths are
-// fixed), so engines may mutate between probes safely. Only called
-// while r solely owns its data (promote guarantees own is nil).
-func (r *Relation) indexInsert(stored Tuple) {
-	for mask, idx := range r.data.indexes {
-		k := maskKey(stored, mask)
-		idx[k] = append(idx[k], stored)
-	}
-}
-
-// indexDelete removes the tuple from every live index. Buckets are
-// rebuilt into fresh slices so probe slices already handed out keep
-// their (stale but memory-safe) contents. The mask-0 index is a
-// single bucket holding every tuple, so "rebuild the bucket" would
-// make each delete O(n); it is dropped instead and rebuilt lazily by
-// the next full-relation probe.
-func (r *Relation) indexDelete(t Tuple) {
-	for mask, idx := range r.data.indexes {
-		if mask == 0 {
-			delete(r.data.indexes, 0)
-			continue
-		}
-		k := maskKey(t, mask)
-		old := idx[k]
-		if len(old) == 0 {
-			continue
-		}
-		fresh := make([]Tuple, 0, len(old)-1)
-		for _, o := range old {
-			if !o.Equal(t) {
-				fresh = append(fresh, o)
-			}
-		}
-		if len(fresh) == 0 {
-			delete(idx, k)
-		} else {
-			idx[k] = fresh
-		}
-	}
-}
-
-// Insert adds t to the relation, reporting whether it was new.
+// Insert adds t to the relation, reporting whether it was new. The
+// values are copied into the relation's rows; t is not retained.
 // Insert panics if the arity does not match: arities are schema-level
 // invariants and a mismatch is a programming error.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("tuple: insert arity %d into relation of arity %d", len(t), r.arity))
 	}
-	k := t.Key()
-	if _, ok := r.data.tuples[k]; ok {
+	h := t.Hash()
+	row := r.data.find(t, h)
+	if row >= 0 && !r.data.isDead(row) {
 		return false
 	}
 	r.promote()
-	stored := t.Clone()
-	r.data.tuples[k] = stored
-	r.indexInsert(stored)
-	r.fpValid = false
+	d := r.data
+	r.fp ^= h
+	if row >= 0 { // deleted earlier: the row is still stored and indexed
+		d.dead[row>>6] &^= 1 << uint(row&63)
+		d.ndead--
+		return true
+	}
+	d.vals = append(d.vals, t...)
+	d.member.put(h, d.n)
+	for _, ix := range d.indexes {
+		ix.link(d.rows, d.n)
+	}
+	d.n++
+	if d.dead != nil && d.n > 64*len(d.dead) {
+		d.dead = append(d.dead, 0)
+	}
 	return true
 }
 
-// Delete removes t, reporting whether it was present.
+// Delete removes t, reporting whether it was present. The row is only
+// marked: tuples and iterators handed out earlier keep reading it.
 func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	k := t.Key()
-	if _, ok := r.data.tuples[k]; !ok {
+	h := t.Hash()
+	row := r.data.find(t, h)
+	if row < 0 || r.data.isDead(row) {
 		return false
 	}
 	r.promote()
-	delete(r.data.tuples, k)
-	r.indexDelete(t)
-	r.fpValid = false
+	d := r.data
+	if d.dead == nil {
+		d.dead = make([]uint64, (d.n+63)/64)
+	}
+	d.dead[row>>6] |= 1 << uint(row&63)
+	d.ndead++
+	r.fp ^= h
+	if d.ndead > d.n/2 && d.ndead >= 32 {
+		r.repack()
+	}
 	return true
 }
 
@@ -211,44 +186,114 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	_, ok := r.data.tuples[t.Key()]
-	return ok
+	row := r.data.find(t, t.Hash())
+	return row >= 0 && !r.data.isDead(row)
 }
 
 // Each calls fn for every tuple in unspecified order; fn must not
 // mutate the relation. If fn returns false, iteration stops.
 func (r *Relation) Each(fn func(Tuple) bool) {
-	for _, t := range r.data.tuples {
-		if !fn(t) {
+	d := r.data
+	for row := 0; row < d.n; row++ {
+		if !d.isDead(row) && !fn(d.at(row)) {
 			return
 		}
 	}
 }
 
 // Tuples returns all tuples in unspecified order. The returned slice
-// is fresh but the tuples are shared; callers must not mutate them.
-func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(r.data.tuples))
-	for _, t := range r.data.tuples {
-		out = append(out, t)
+// is fresh but the tuples alias the relation's rows; callers must not
+// mutate them.
+func (r *Relation) Tuples() []Tuple { return r.appendTuples(make([]Tuple, 0, r.Len())) }
+
+func (r *Relation) appendTuples(dst []Tuple) []Tuple {
+	r.Each(func(t Tuple) bool {
+		dst = append(dst, t)
+		return true
+	})
+	return dst
+}
+
+// ranks maps the values of some relations to their positions among the
+// distinct ones under Universe.Compare: a table indexed by value where
+// the ids run dense, a map where a few values sit in a large universe
+// (a table to the largest id would cost more than the sort it serves).
+type ranks struct {
+	dense  []uint32
+	sparse map[value.Value]uint32
+}
+
+func (k *ranks) of(v value.Value) uint32 {
+	if k.dense != nil {
+		return k.dense[v]
 	}
-	return out
+	return k.sparse[v]
+}
+
+func (k *ranks) set(v value.Value, rank uint32) {
+	if k.dense != nil {
+		k.dense[v] = rank
+	} else {
+		k.sparse[v] = rank
+	}
+}
+
+// valueRanks ranks the distinct values of rels. Ordering tuples by rank
+// is ordering them by u.Compare column by column, at one Compare per
+// pair of distinct values instead of one per pair of tuples and column.
+func valueRanks(u *value.Universe, rels ...*Relation) *ranks {
+	var top value.Value
+	cells := 0
+	for _, r := range rels {
+		cells += len(r.data.vals)
+		for _, v := range r.data.vals {
+			top = max(top, v)
+		}
+	}
+	k := &ranks{}
+	if int(top) <= 8*cells+1024 {
+		k.dense = make([]uint32, int(top)+1)
+	} else {
+		k.sparse = make(map[value.Value]uint32)
+	}
+	var distinct []value.Value
+	for _, r := range rels {
+		r.Each(func(t Tuple) bool {
+			for _, v := range t {
+				if k.of(v) == 0 { // unseen: mark it until it is ranked
+					k.set(v, 1)
+					distinct = append(distinct, v)
+				}
+			}
+			return true
+		})
+	}
+	slices.SortFunc(distinct, u.Compare)
+	for i, v := range distinct {
+		k.set(v, uint32(i))
+	}
+	return k
+}
+
+// appendSorted appends r's tuples to dst in rank order.
+func (r *Relation) appendSorted(dst []Tuple, rank *ranks) []Tuple {
+	from := len(dst)
+	dst = r.appendTuples(dst)
+	slices.SortFunc(dst[from:], func(a, b Tuple) int {
+		for k, v := range a {
+			if c := cmp.Compare(rank.of(v), rank.of(b[k])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	return dst
 }
 
 // SortedTuples returns all tuples ordered by u.Compare column by
 // column, for deterministic output.
 func (r *Relation) SortedTuples(u *value.Universe) []Tuple {
-	out := r.Tuples()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a {
-			if c := u.Compare(a[k], b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return out
+	return r.appendSorted(make([]Tuple, 0, r.Len()), valueRanks(u, r))
 }
 
 // Clone returns a copy of the relation with value semantics. Since
@@ -259,7 +304,8 @@ func (r *Relation) Clone() *Relation { return r.Snapshot() }
 
 // Equal reports whether r and o hold exactly the same tuples.
 // Relations sharing the same storage generation (e.g. a snapshot and
-// its untouched parent) compare in O(1).
+// its untouched parent) compare in O(1), and so do relations whose
+// sizes or fingerprints differ.
 func (r *Relation) Equal(o *Relation) bool {
 	if r.arity != o.arity {
 		return false
@@ -267,124 +313,38 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.data == o.data {
 		return true
 	}
-	if len(r.data.tuples) != len(o.data.tuples) {
+	if r.Len() != o.Len() || r.fp != o.fp {
 		return false
 	}
-	for k := range r.data.tuples {
-		if _, ok := o.data.tuples[k]; !ok {
-			return false
-		}
-	}
-	return true
+	same := true
+	r.Each(func(t Tuple) bool {
+		same = o.Contains(t)
+		return same
+	})
+	return same
 }
 
 // UnionInPlace inserts every tuple of o into r, reporting how many
 // were new.
 func (r *Relation) UnionInPlace(o *Relation) int {
 	added := 0
-	for _, t := range o.data.tuples {
+	o.Each(func(t Tuple) bool {
 		if r.Insert(t) {
 			added++
 		}
-	}
+		return true
+	})
 	return added
 }
 
 // Fingerprint returns an order-independent 64-bit hash of the tuple
-// set (XOR of per-tuple hashes), used by the Datalog¬¬ and
-// nondeterministic engines to detect revisited instance states.
+// set (XOR of the per-tuple Hash values), used by the Datalog¬¬ and
+// nondeterministic engines to detect revisited instance states. It is
+// maintained by Insert and Delete, so reading it costs nothing, and it
+// depends only on the set: not on insertion order, deletes since
+// undone, or the snapshot the relation descends from.
 func (r *Relation) Fingerprint() uint64 {
-	if r.fpValid {
-		return r.fp
-	}
-	var acc uint64
-	for k := range r.data.tuples {
-		acc ^= maphash.String(hashSeed, k)
-	}
 	// Mix in arity and cardinality so that, e.g., the empty relations
 	// of different arities differ only via the instance-level mix.
-	acc ^= uint64(len(r.data.tuples))*0x9e3779b97f4a7c15 + uint64(r.arity)
-	r.fp = acc
-	r.fpValid = true
-	return acc
-}
-
-// index returns (building if needed) the hash index for the given
-// column set. mask bit i set means column i participates in the key.
-// While the storage is shared, snapshots reuse the warm indexes baked
-// into it, and new masks are built into the private own overlay (the
-// frozen base is read-only); a sole owner extends the base in place.
-func (r *Relation) index(mask uint32) map[string][]Tuple {
-	if idx, ok := r.data.indexes[mask]; ok {
-		return idx
-	}
-	if idx, ok := r.own[mask]; ok {
-		return idx
-	}
-	// Pre-size for the worst case (every tuple its own bucket); the
-	// mask-0 index is a single bucket holding the whole relation, the
-	// allocation-free replacement for Tuples() on full scans.
-	var idx map[string][]Tuple
-	if mask == 0 {
-		idx = map[string][]Tuple{"": r.Tuples()}
-	} else {
-		idx = make(map[string][]Tuple, len(r.data.tuples))
-		for _, t := range r.data.tuples {
-			k := maskKey(t, mask)
-			idx[k] = append(idx[k], t)
-		}
-	}
-	if r.shared.Load() {
-		if r.own == nil {
-			r.own = make(map[uint32]map[string][]Tuple)
-		}
-		r.own[mask] = idx
-	} else {
-		if r.data.indexes == nil {
-			r.data.indexes = make(map[uint32]map[string][]Tuple)
-		}
-		r.data.indexes[mask] = idx
-	}
-	return idx
-}
-
-// Probe returns the tuples whose values at the masked columns equal
-// the corresponding entries of pattern (entries at unmasked columns
-// are ignored). With a zero mask it returns all tuples; with every
-// column masked it is a direct hash lookup (no index needed);
-// otherwise it uses a lazily built, incrementally maintained hash
-// index.
-func (r *Relation) Probe(mask uint32, pattern Tuple) []Tuple {
-	if mask == 0 {
-		return r.Tuples()
-	}
-	if r.arity <= 32 && mask == uint32(1)<<uint(r.arity)-1 {
-		if stored, ok := r.data.tuples[pattern.Key()]; ok {
-			return []Tuple{stored}
-		}
-		return nil
-	}
-	return r.index(mask)[maskKey(pattern, mask)]
-}
-
-// ProbeScan is the index-free variant of Probe used by the ablation
-// benchmarks: it scans all tuples and filters.
-func (r *Relation) ProbeScan(mask uint32, pattern Tuple) []Tuple {
-	if mask == 0 {
-		return r.Tuples()
-	}
-	var out []Tuple
-	for _, t := range r.data.tuples {
-		ok := true
-		for i := 0; i < r.arity; i++ {
-			if mask&(1<<uint(i)) != 0 && t[i] != pattern[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, t)
-		}
-	}
-	return out
+	return r.fp ^ (uint64(r.Len())*hashMul + uint64(r.arity))
 }

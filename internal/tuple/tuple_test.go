@@ -2,6 +2,8 @@ package tuple
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +11,27 @@ import (
 )
 
 func tup(vs ...value.Value) Tuple { return Tuple(vs) }
+
+// probe and scan drain ProbeIter and ScanIter into slices.
+func probe(r *Relation, mask uint32, pattern Tuple) []Tuple {
+	var it Iterator
+	r.ProbeIter(mask, pattern, &it)
+	return drain(&it)
+}
+
+func scan(r *Relation, mask uint32, pattern Tuple) []Tuple {
+	var it Iterator
+	r.ScanIter(mask, pattern, &it)
+	return drain(&it)
+}
+
+func drain(it *Iterator) []Tuple {
+	var out []Tuple
+	for t, ok := it.Next(); ok; t, ok = it.Next() {
+		out = append(out, t)
+	}
+	return out
+}
 
 func TestTupleKeyInjective(t *testing.T) {
 	u := value.New()
@@ -150,6 +173,36 @@ func TestSortedTuplesDeterministic(t *testing.T) {
 	}
 }
 
+// TestSortedTuplesSparseUniverse: a small relation whose values sit at
+// the far end of a large universe sorts like any other, and ranking it
+// costs memory in proportion to the relation, not to the largest id.
+func TestSortedTuplesSparseUniverse(t *testing.T) {
+	u := value.New()
+	for i := 0; i < 200_000; i++ {
+		u.Int(int64(i))
+	}
+	r := NewRelation(2)
+	for _, s := range []string{"pear", "apple", "fig"} {
+		r.Insert(tup(u.Sym(s), u.Int(199_999)))
+		r.Insert(tup(u.Sym(s), u.Int(7)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := r.SortedTuples(u)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+		t.Errorf("SortedTuples of 6 tuples allocated %d bytes", grew)
+	}
+	want := "(apple,7) (apple,199999) (fig,7) (fig,199999) (pear,7) (pear,199999)"
+	var parts []string
+	for _, tp := range got {
+		parts = append(parts, tp.String(u))
+	}
+	if s := strings.Join(parts, " "); s != want {
+		t.Fatalf("sorted = %s, want %s", s, want)
+	}
+}
+
 func TestProbeMatchesScan(t *testing.T) {
 	u := value.New()
 	rng := rand.New(rand.NewSource(7))
@@ -163,8 +216,8 @@ func TestProbeMatchesScan(t *testing.T) {
 	}
 	for mask := uint32(0); mask < 8; mask++ {
 		pattern := tup(vals[rng.Intn(8)], vals[rng.Intn(8)], vals[rng.Intn(8)])
-		got := r.Probe(mask, pattern)
-		want := r.ProbeScan(mask, pattern)
+		got := probe(r, mask, pattern)
+		want := scan(r, mask, pattern)
 		if len(got) != len(want) {
 			t.Fatalf("mask %b: probe %d tuples, scan %d", mask, len(got), len(want))
 		}
@@ -185,15 +238,15 @@ func TestProbeAfterMutation(t *testing.T) {
 	a, b, c := u.Sym("a"), u.Sym("b"), u.Sym("c")
 	r := NewRelation(2)
 	r.Insert(tup(a, b))
-	if n := len(r.Probe(1, tup(a, value.None))); n != 1 {
+	if n := len(probe(r, 1, tup(a, value.None))); n != 1 {
 		t.Fatalf("probe before mutation: %d", n)
 	}
 	r.Insert(tup(a, c)) // must invalidate the index
-	if n := len(r.Probe(1, tup(a, value.None))); n != 2 {
+	if n := len(probe(r, 1, tup(a, value.None))); n != 2 {
 		t.Fatalf("probe after insert: %d, want 2 (stale index?)", n)
 	}
 	r.Delete(tup(a, b))
-	if n := len(r.Probe(1, tup(a, value.None))); n != 1 {
+	if n := len(probe(r, 1, tup(a, value.None))); n != 1 {
 		t.Fatalf("probe after delete: %d, want 1 (stale index?)", n)
 	}
 }
@@ -387,11 +440,11 @@ func TestProbeFullMaskFastPath(t *testing.T) {
 	a, b := u.Sym("a"), u.Sym("b")
 	r := NewRelation(2)
 	r.Insert(tup(a, b))
-	hit := r.Probe(3, tup(a, b))
+	hit := probe(r, 3, tup(a, b))
 	if len(hit) != 1 || !hit[0].Equal(tup(a, b)) {
 		t.Fatalf("full-mask probe wrong: %v", hit)
 	}
-	if got := r.Probe(3, tup(b, a)); got != nil {
+	if got := probe(r, 3, tup(b, a)); got != nil {
 		t.Fatalf("full-mask miss returned %v", got)
 	}
 }

@@ -222,6 +222,20 @@ func (u *Universe) Name(v Value) string {
 	}
 }
 
+// AppendName appends what Name(v) returns to dst, without building the
+// string (output rendering calls it once per value of every fact).
+func (u *Universe) AppendName(dst []byte, v Value) []byte {
+	if int(v) < len(u.entries) {
+		switch e := &u.entries[v]; e.kind {
+		case KindSym:
+			return append(dst, e.name...)
+		case KindInt:
+			return strconv.AppendInt(dst, e.num, 10)
+		}
+	}
+	return append(dst, u.Name(v)...)
+}
+
 // Len reports how many values (excluding the None sentinel) have been
 // interned or invented.
 func (u *Universe) Len() int { return len(u.entries) - 1 }

@@ -96,8 +96,8 @@ func TestShardedStatsMatchSerial(t *testing.T) {
 }
 
 // TestShardedCancellationNoGoroutineLeak cancels sharded evaluations
-// mid-flight — including mid-merge-barrier — and checks that no shard
-// worker or merge goroutine outlives its round. The engine must
+// mid-flight — including mid-merge — and checks that no shard worker
+// or merge goroutine outlives its round. The engine must
 // surface the typed cancellation error with partial progress.
 func TestShardedCancellationNoGoroutineLeak(t *testing.T) {
 	s := unchained.NewSession()
@@ -125,7 +125,7 @@ func TestShardedCancellationNoGoroutineLeak(t *testing.T) {
 		}
 	}
 	// Workers poll cancellation every few hundred firings; give them a
-	// moment to drain through the barrier before counting.
+	// moment to join before counting.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {
