@@ -713,3 +713,28 @@ func BenchmarkP9_PlannerAblation(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAnalyzeScaling and BenchmarkOptimizeScaling run the front
+// end on the wide shape (gen.Wide) at 265, 1 057 and 4 225 rules: it
+// is one walk of the rules, so ns/op and allocs/op grow with the rule
+// count (16x the rules, about 16x the cost), not with its square.
+func BenchmarkAnalyzeScaling(b *testing.B) {
+	benchFrontendScaling(b, func(s *Session, p *Program) { s.Analyze(p) })
+}
+
+func BenchmarkOptimizeScaling(b *testing.B) {
+	benchFrontendScaling(b, func(s *Session, p *Program) { s.Optimize(p, nil, Stratified, Opt2, "Out") })
+}
+
+func benchFrontendScaling(b *testing.B, front func(s *Session, p *Program)) {
+	for _, k := range []int{1, 4, 16} {
+		s := NewSession()
+		p := s.MustParse(gen.Wide(64*k, 200*k))
+		b.Run(fmt.Sprintf("rules=%d", len(p.Rules)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				front(s, p)
+			}
+		})
+	}
+}

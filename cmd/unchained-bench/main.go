@@ -19,6 +19,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"unchained/internal/gen"
 )
 
 // experiment is one reproducible unit.
@@ -77,7 +79,13 @@ func main() {
 	serveQueue := flag.Int("serve-queue", 4, "loadgen daemon admission queue depth")
 	serveWait := flag.Duration("serve-queue-wait", 500*time.Millisecond, "loadgen daemon queue wait budget")
 	serveTenants := flag.Int("serve-tenants", 4, "loadgen distinct tenant programs")
+	genWide := flag.Int("gen-wide", 0, "print the front-end stress program (gen.Wide) at about this many rules and exit")
 	flag.Parse()
+
+	if *genWide > 0 {
+		fmt.Print(gen.Wide(*genWide/4, *genWide-*genWide/4-1))
+		return
+	}
 
 	if *serveMode {
 		lg, err := runLoadgen(os.Stdout, loadgenConfig{

@@ -47,12 +47,7 @@ func expP12(quick bool) error {
 
 	// chain-inline: S1..Sn copy E; Out reads the last copy through a
 	// selective filter.
-	var chain strings.Builder
-	fmt.Fprintf(&chain, "S1(X,Y) :- E(X,Y).\n")
-	for i := 2; i <= chainDepth; i++ {
-		fmt.Fprintf(&chain, "S%d(X,Y) :- S%d(X,Y).\n", i, i-1)
-	}
-	fmt.Fprintf(&chain, "Out(X,Y) :- S%d(X,Y), Sel(X).\n", chainDepth)
+	chain := gen.Wide(chainDepth, 0)
 
 	// dead-heavy: the closure rules are unreachable from Out.
 	deadHeavy := `
@@ -68,7 +63,7 @@ func expP12(quick bool) error {
 		edges int
 	}
 	shapes := []shape{
-		{"chain-inline", chain.String(), chainEdges / 4, chainEdges},
+		{"chain-inline", chain, chainEdges / 4, chainEdges},
 		{"dead-heavy", deadHeavy, tcNodes, 5 * tcNodes},
 	}
 

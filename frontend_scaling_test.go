@@ -1,0 +1,77 @@
+package unchained
+
+// Count-based pins on the front end's cost: lex/parse → analyze →
+// optimize is one walk of the rules, so allocations grow with the rule
+// count and not with its square, and reading facts allocates nothing
+// per fact. testing.AllocsPerRun counts, it does not time, so these
+// hold on any box.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"unchained/internal/gen"
+)
+
+// frontendAllocs returns the allocations of one run of front(p) on a
+// freshly parsed src, and the program's rule count.
+func frontendAllocs(t *testing.T, src string, front func(s *Session, p *Program)) (allocs float64, rules int) {
+	t.Helper()
+	s := NewSession()
+	p := s.MustParse(src)
+	return testing.AllocsPerRun(5, func() { front(s, p) }), len(p.Rules)
+}
+
+func TestFrontendAllocsScaleLinearly(t *testing.T) {
+	// A copy chain written callee-last: the worst order for a fixpoint
+	// that re-walks the rules until nothing changes.
+	var reversed strings.Builder
+	for i := 1; i < 256; i++ {
+		fmt.Fprintf(&reversed, "S%d(X,Y) :- S%d(X,Y).\n", i, i+1)
+	}
+	reversed.WriteString("S256(X,Y) :- E(X,Y).\n")
+
+	for _, c := range []struct {
+		name    string
+		perRule float64
+		front   func(s *Session, p *Program)
+	}{
+		{"Analyze", 60, func(s *Session, p *Program) { s.Analyze(p) }},
+		{"Optimize", 70, func(s *Session, p *Program) { s.Optimize(p, nil, Stratified, Opt2, "Out") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			small, n := frontendAllocs(t, gen.Wide(64, 200), c.front)
+			large, m := frontendAllocs(t, gen.Wide(256, 800), c.front)
+			t.Logf("%d rules: %.0f allocs (%.1f per rule); %d rules: %.0f allocs (%.1f per rule)",
+				n, small, small/float64(n), m, large, large/float64(m))
+			if large > 4.3*small {
+				t.Errorf("%d rules cost %.0f allocs, %.1fx the %.0f of %d rules: want <= 4.3x for 4x the rules",
+					m, large, large/small, small, n)
+			}
+			if large > c.perRule*float64(m) {
+				t.Errorf("%.1f allocs per rule at %d rules, want <= %.0f", large/float64(m), m, c.perRule)
+			}
+			chain, k := frontendAllocs(t, reversed.String(), c.front)
+			if chain > c.perRule*float64(k) {
+				t.Errorf("reversed %d-deep chain: %.1f allocs per rule, want <= %.0f", k, chain/float64(k), c.perRule)
+			}
+		})
+	}
+}
+
+func TestParseFactsAllocsPerFact(t *testing.T) {
+	const facts, consts = 4096, 256
+	var b strings.Builder
+	for i := 0; i < facts; i++ {
+		fmt.Fprintf(&b, "G(n%d,n%d).\n", i%consts, (i*7+i/consts)%consts)
+	}
+	src := b.String()
+	s := NewSession()
+	s.MustFacts(src) // intern the constants once: a fact, not a constant, is what is priced
+	allocs := testing.AllocsPerRun(5, func() { s.MustFacts(src) })
+	t.Logf("%d facts: %.0f allocs (%.3f per fact)", facts, allocs, allocs/facts)
+	if allocs > 0.25*facts {
+		t.Errorf("%.3f allocs per fact, want <= 0.25", allocs/facts)
+	}
+}

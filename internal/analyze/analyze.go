@@ -1,28 +1,32 @@
-// Package analyze is the static program analyzer: a multi-pass walk
-// over an ast.Program producing positioned, severity-tagged
-// diagnostics and a classification Report. The passes mirror the
-// syntactic bottom of the paper's Figure 1 hierarchy:
+// Package analyze is the static program analyzer: a few passes over
+// one ast.Index of an ast.Program, producing positioned,
+// severity-tagged diagnostics and a classification Report. The index
+// is built once per call and every pass reads it, so the analysis
+// costs one walk of the rules. The passes mirror the syntactic bottom
+// of the paper's Figure 1 hierarchy:
 //
-//  1. validation — every dialect violation, unsafe variable, and
-//     arity conflict of Program.ValidateDiags, aggregated;
+//  1. validation — the index build; arity conflicts fall out of it;
 //  2. dialect inference — the minimal dialect in the Figure 1 lattice
-//     admitting the program, with a rejection reason (rule + position)
-//     for every stricter dialect;
+//     admitting the program, decided from the rules' feature masks,
+//     with a rejection reason (rule + position) for every stricter
+//     dialect;
 //  3. dependency graph — SCC condensation via internal/stratify,
 //     negative-cycle witness paths for non-stratifiable Datalog¬,
 //     EDB/IDB split, unused and underivable predicates;
-//  4. termination heuristic — Datalog¬¬ derive/retract flip-flop
+//  4. optimizer opportunities — inlinable predicates and dead rules,
+//     by the optimizer's own candidate search and subsumption
+//     relation over the same index and graph;
+//  5. termination heuristic — Datalog¬¬ derive/retract flip-flop
 //     cycles warn (Section 4.2's non-terminating program) unless a
 //     monotone sentinel guards every pair, which is the
 //     ordered-database counter shape of Theorem 4.8 (info, never an
 //     error);
-//  5. semantics recommendation — the cheapest sound engine for the
+//  6. semantics recommendation — the cheapest sound engine for the
 //     inferred class, which SemanticsAuto in the facade dispatches on.
 package analyze
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -135,36 +139,34 @@ func Analyze(p *ast.Program, opt *Options) *Report {
 	r := &Report{Dialect: ast.DialectUnknown}
 
 	t0 := time.Now()
-	arity, perDialect := validateAcross(p)
+	ix := ast.NewIndex(p)
+	r.Diags = ix.ArityDiags()
 	pass("validate", t0)
 
 	t0 = time.Now()
-	r.Diags = append(r.Diags, arity...)
-	inferDialect(p, r, perDialect)
+	inferDialect(ix, r)
 	pass("dialect", t0)
 
 	t0 = time.Now()
-	sh := shapeOf(p)
-	g := stratify.BuildGraph(p)
+	g := stratify.NewGraph(ix)
 	cycle := g.NegativeCycle()
 	r.Stratifiable = cycle == nil
-	r.EDB, r.IDB = p.EDB(), p.IDB()
+	r.EDB, r.IDB = ix.EDB(), ix.IDB()
 	if cycle != nil && r.Dialect == ast.DialectDatalogNeg {
 		r.Diags = append(r.Diags, negCycleDiag(cycle))
 	}
-	r.Diags = append(r.Diags, unusedDiags(p, sh)...)
-	r.Diags = append(r.Diags, underivableDiags(p, sh)...)
+	r.Diags = append(r.Diags, graphDiags(ix)...)
 	pass("depgraph", t0)
 
 	t0 = time.Now()
-	r.Diags = append(r.Diags, optpass.Opportunities(p)...)
+	r.Diags = append(r.Diags, optpass.Opportunities(ix, g)...)
 	pass("opportunities", t0)
 
 	t0 = time.Now()
-	r.Diags = append(r.Diags, terminationDiags(p, sh)...)
+	r.Diags = append(r.Diags, terminationDiags(ix)...)
 	pass("termination", t0)
 
-	r.Semantics, r.Deterministic = recommend(p, r, sh)
+	r.Semantics, r.Deterministic = recommend(ix, r)
 	if r.Dialect != ast.DialectUnknown {
 		r.Diags = append(r.Diags, classDiag(r))
 	}
@@ -176,34 +178,15 @@ func Analyze(p *ast.Program, opt *Options) *Report {
 	return r
 }
 
-// validateAcross validates p against every dialect of the lattice,
-// splitting off the arity conflicts (which are dialect-independent
-// and would otherwise make every dialect fail).
-func validateAcross(p *ast.Program) (arity ast.Diagnostics, perDialect map[ast.Dialect]ast.Diagnostics) {
-	perDialect = make(map[ast.Dialect]ast.Diagnostics, len(lattice))
-	for i, d := range lattice {
-		var rest ast.Diagnostics
-		for _, dg := range p.ValidateDiags(d) {
-			if dg.Code == ast.CodeArity {
-				if i == 0 {
-					arity = append(arity, dg)
-				}
-				continue
-			}
-			rest = append(rest, dg)
-		}
-		perDialect[d] = rest
-	}
-	return arity, perDialect
-}
-
-// inferDialect picks the first lattice dialect with no (non-arity)
-// errors, records a Rejection per stricter dialect, and reports
-// E004 plus the least-bad dialect's violations when nothing admits
-// the program.
-func inferDialect(p *ast.Program, r *Report, perDialect map[ast.Dialect]ast.Diagnostics) {
+// inferDialect picks the first lattice dialect that admits every rule
+// — a test of the index's feature mask, no diagnostics involved —
+// records a Rejection per stricter dialect from that dialect's first
+// violation alone, and reports E004 plus the least-bad dialect's
+// violations when nothing admits the program. Arity conflicts are
+// dialect-independent and stay out of it.
+func inferDialect(ix *ast.Index, r *Report) {
 	for _, d := range lattice {
-		if !perDialect[d].HasErrors() {
+		if ix.Admits(d) {
 			r.Dialect = d
 			break
 		}
@@ -211,22 +194,21 @@ func inferDialect(p *ast.Program, r *Report, perDialect map[ast.Dialect]ast.Diag
 	if r.Dialect == ast.DialectUnknown {
 		// Show the violations of the least-bad candidate so the E004
 		// is actionable.
-		best := lattice[0]
-		bestN := -1
-		for _, d := range lattice {
-			if n := perDialect[d].Count(ast.SevError); bestN < 0 || n < bestN {
-				best, bestN = d, n
+		var best ast.Diagnostics
+		closest := lattice[0]
+		for i, d := range lattice {
+			if ds := ix.DialectDiags(d); i == 0 || len(ds) < len(best) {
+				closest, best = d, ds
 			}
 		}
-		r.Diags = append(r.Diags, perDialect[best]...)
+		r.Diags = append(r.Diags, best...)
 		r.Diags = append(r.Diags, ast.Diagnostic{
 			Severity: ast.SevError,
 			Code:     CodeNoDialect,
-			Message:  fmt.Sprintf("no dialect of the family admits this program (closest: %s)", best),
+			Message:  fmt.Sprintf("no dialect of the family admits this program (closest: %s)", closest),
 		})
 		return
 	}
-	r.Diags = append(r.Diags, perDialect[r.Dialect]...)
 	for _, d := range lattice {
 		if d == r.Dialect {
 			break
@@ -234,7 +216,7 @@ func inferDialect(p *ast.Program, r *Report, perDialect map[ast.Dialect]ast.Diag
 		if !r.Dialect.Includes(d) {
 			continue // incomparable, not stricter
 		}
-		first := firstError(perDialect[d])
+		first, _ := ix.FirstViolation(d)
 		r.Rejections = append(r.Rejections, Rejection{Dialect: d, Pos: first.Pos, Reason: first.Message})
 		r.Diags = append(r.Diags, ast.Diagnostic{
 			Pos:      first.Pos,
@@ -243,73 +225,6 @@ func inferDialect(p *ast.Program, r *Report, perDialect map[ast.Dialect]ast.Diag
 			Message:  fmt.Sprintf("not %s: %s", d, first.Message),
 		})
 	}
-}
-
-func firstError(ds ast.Diagnostics) ast.Diagnostic {
-	sorted := append(ast.Diagnostics(nil), ds...)
-	sorted.Sort()
-	for _, d := range sorted {
-		if d.Severity == ast.SevError {
-			return d
-		}
-	}
-	return ast.Diagnostic{Message: "rejected"}
-}
-
-// shape is the per-predicate occurrence summary the graph passes
-// share: who derives, who retracts, who reads, and where.
-type shape struct {
-	posHead     map[string]bool    // pred has a positive head occurrence
-	retractHead map[string]bool    // pred has a negated head occurrence
-	bodyRead    map[string]bool    // pred occurs in some body
-	headPos     map[string]ast.Pos // first head occurrence (any polarity)
-	// deriveRules / retractRules index p.Rules by head pred.
-	deriveRules  map[string][]int
-	retractRules map[string][]int
-}
-
-func shapeOf(p *ast.Program) *shape {
-	sh := &shape{
-		posHead:      map[string]bool{},
-		retractHead:  map[string]bool{},
-		bodyRead:     map[string]bool{},
-		headPos:      map[string]ast.Pos{},
-		deriveRules:  map[string][]int{},
-		retractRules: map[string][]int{},
-	}
-	var walkBody func(l ast.Literal)
-	walkBody = func(l ast.Literal) {
-		switch l.Kind {
-		case ast.LitAtom:
-			sh.bodyRead[l.Atom.Pred] = true
-		case ast.LitForall:
-			for _, b := range l.ForallBody {
-				walkBody(b)
-			}
-		}
-	}
-	for ri, r := range p.Rules {
-		for _, h := range r.Head {
-			if h.Kind != ast.LitAtom {
-				continue
-			}
-			n := h.Atom.Pred
-			if _, ok := sh.headPos[n]; !ok {
-				sh.headPos[n] = h.SrcPos
-			}
-			if h.Neg {
-				sh.retractHead[n] = true
-				sh.retractRules[n] = append(sh.retractRules[n], ri)
-			} else {
-				sh.posHead[n] = true
-				sh.deriveRules[n] = append(sh.deriveRules[n], ri)
-			}
-		}
-		for _, b := range r.Body {
-			walkBody(b)
-		}
-	}
-	return sh
 }
 
 // negCycleDiag renders a negative-cycle witness path: the finding the
@@ -345,81 +260,30 @@ func negCycleDiag(cycle []stratify.Edge) ast.Diagnostic {
 	return d
 }
 
-// unusedDiags flags derived predicates never read by any body: either
-// the intended answer relation or dead rules.
-func unusedDiags(p *ast.Program, sh *shape) ast.Diagnostics {
+// graphDiags flags the derived predicates never read by any body
+// (I003: the intended answer relation, or dead rules) and those that
+// can never hold a fact (W003, ast.Index.Underivable with positive
+// atoms under ∀ counted).
+func graphDiags(ix *ast.Index) ast.Diagnostics {
 	var ds ast.Diagnostics
-	for _, n := range p.IDB() {
-		if !sh.bodyRead[n] {
+	under := ix.Underivable(true)
+	for id := range ix.Preds {
+		pi := &ix.Preds[id]
+		n := pi.Name
+		if !pi.IDB() {
+			continue
+		}
+		if len(pi.Readers) == 0 {
 			ds = append(ds, ast.Diagnostic{
-				Pos:      sh.headPos[n],
+				Pos:      pi.HeadPos,
 				Severity: ast.SevInfo,
 				Code:     CodeUnused,
 				Message:  fmt.Sprintf("%s is derived but never read (the answer relation, or dead rules)", n),
 			})
 		}
-	}
-	return ds
-}
-
-// underivableDiags flags derived predicates that can never hold a
-// fact: the least fixpoint of "some rule's positive body atoms are
-// all input-fed or derivable" never reaches them. Input-fed means no
-// positive head occurrence (classic EDB, plus retract-only relations
-// whose facts come from the database).
-func underivableDiags(p *ast.Program, sh *shape) ast.Diagnostics {
-	derivable := map[string]bool{}
-	var preds []string
-	for n := range sh.headPos {
-		preds = append(preds, n)
-	}
-	for _, n := range preds {
-		if !sh.posHead[n] {
-			derivable[n] = true
-		}
-	}
-	var posBodyPreds func(l ast.Literal, dst []string) []string
-	posBodyPreds = func(l ast.Literal, dst []string) []string {
-		switch l.Kind {
-		case ast.LitAtom:
-			if !l.Neg {
-				dst = append(dst, l.Atom.Pred)
-			}
-		case ast.LitForall:
-			for _, b := range l.ForallBody {
-				dst = posBodyPreds(b, dst)
-			}
-		}
-		return dst
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range p.Rules {
-			fires := true
-			for _, b := range r.Body {
-				for _, n := range posBodyPreds(b, nil) {
-					if !derivable[n] && sh.posHead[n] {
-						fires = false
-					}
-				}
-			}
-			if !fires {
-				continue
-			}
-			for _, h := range r.Head {
-				if h.Kind == ast.LitAtom && !h.Neg && !derivable[h.Atom.Pred] {
-					derivable[h.Atom.Pred] = true
-					changed = true
-				}
-			}
-		}
-	}
-	var ds ast.Diagnostics
-	sort.Strings(preds)
-	for _, n := range preds {
-		if sh.posHead[n] && !derivable[n] {
+		if under[id] {
 			ds = append(ds, ast.Diagnostic{
-				Pos:      sh.headPos[n],
+				Pos:      pi.HeadPos,
 				Severity: ast.SevWarn,
 				Code:     CodeUnderivable,
 				Message:  fmt.Sprintf("%s can never be derived: every rule for it depends on an underivable relation", n),
@@ -435,21 +299,17 @@ func underivableDiags(p *ast.Program, sh *shape) ast.Diagnostics {
 // negated monotone sentinel — a relation that is derived but never
 // retracted, so once it holds, the flip-flop shuts off for good.
 // That guarded shape is the ordered-database counter (I004, info).
-func terminationDiags(p *ast.Program, sh *shape) ast.Diagnostics {
-	var preds []string
-	for n := range sh.headPos {
-		if sh.posHead[n] && sh.retractHead[n] {
-			preds = append(preds, n)
-		}
-	}
-	sort.Strings(preds)
+func terminationDiags(ix *ast.Index) ast.Diagnostics {
 	var ds ast.Diagnostics
-	for _, n := range preds {
-		rules := append(append([]int(nil), sh.deriveRules[n]...), sh.retractRules[n]...)
-		sentinel := commonSentinel(p, sh, n, rules)
-		retractPos := p.Rules[sh.retractRules[n][0]].SrcPos
-		derivePos := p.Rules[sh.deriveRules[n][0]].SrcPos
-		if sentinel != "" {
+	for id := range ix.Preds {
+		pi := &ix.Preds[id]
+		n := pi.Name
+		if len(pi.Derive) == 0 || len(pi.Retract) == 0 {
+			continue
+		}
+		rules := ix.Prog.Rules
+		retractPos, derivePos := rules[pi.Retract[0]].SrcPos, rules[pi.Derive[0]].SrcPos
+		if sentinel := commonSentinel(ix, int32(id)); sentinel != "" {
 			ds = append(ds, ast.Diagnostic{
 				Pos:      retractPos,
 				Severity: ast.SevInfo,
@@ -470,58 +330,47 @@ func terminationDiags(p *ast.Program, sh *shape) ast.Diagnostics {
 	return ds
 }
 
-// commonSentinel returns a predicate S (≠ n) that every listed rule
-// guards with a negated body atom, where S itself is never retracted
-// — or "" when no such sentinel exists.
-func commonSentinel(p *ast.Program, sh *shape, n string, rules []int) string {
-	var candidates map[string]bool
-	var negBodyPreds func(l ast.Literal, dst map[string]bool)
-	negBodyPreds = func(l ast.Literal, dst map[string]bool) {
-		switch l.Kind {
-		case ast.LitAtom:
-			if l.Neg && l.Atom.Pred != n && !sh.retractHead[l.Atom.Pred] {
-				dst[l.Atom.Pred] = true
-			}
-		case ast.LitForall:
-			for _, b := range l.ForallBody {
-				negBodyPreds(b, dst)
+// commonSentinel returns the first predicate by name S (≠ n) that
+// every rule deriving or retracting n guards with a negated body
+// atom, where S itself is never retracted — or "" when no such
+// sentinel exists. Any sentinel guards the first deriving rule, so
+// that rule's guards are the candidates.
+func commonSentinel(ix *ast.Index, n int32) string {
+	guards := func(ri, s int32) bool {
+		for _, o := range ix.Body(int(ri)) {
+			if o.Pred == s && o.Lit.Neg {
+				return true
 			}
 		}
+		return false
 	}
-	for _, ri := range rules {
-		guards := map[string]bool{}
-		for _, b := range p.Rules[ri].Body {
-			negBodyPreds(b, guards)
-		}
-		if candidates == nil {
-			candidates = guards
+	pi, best := &ix.Preds[n], ""
+candidates:
+	for _, c := range ix.Body(int(pi.Derive[0])) {
+		name := ix.Preds[c.Pred].Name
+		if !c.Lit.Neg || c.Pred == n || len(ix.Preds[c.Pred].Retract) > 0 || (best != "" && name >= best) {
 			continue
 		}
-		for c := range candidates {
-			if !guards[c] {
-				delete(candidates, c)
+		for _, rules := range [2][]int32{pi.Derive[1:], pi.Retract} {
+			for _, ri := range rules {
+				if !guards(ri, c.Pred) {
+					continue candidates
+				}
 			}
 		}
+		best = name
 	}
-	var names []string
-	for c := range candidates {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return ""
-	}
-	return names[0]
+	return best
 }
 
 // recommend picks the cheapest sound engine for the inferred class
 // (the names are the facade's canonical -semantics spellings).
-func recommend(p *ast.Program, r *Report, sh *shape) (string, bool) {
+func recommend(ix *ast.Index, r *Report) (string, bool) {
 	switch r.Dialect {
 	case ast.DialectDatalog:
 		return "minimal-model", true
 	case ast.DialectDatalogNeg:
-		if negationOnInputsOnly(p, sh) {
+		if negationOnInputsOnly(ix) {
 			return "semi-positive", true
 		}
 		if r.Stratifiable {
@@ -547,27 +396,15 @@ func recommend(p *ast.Program, r *Report, sh *shape) (string, bool) {
 
 // negationOnInputsOnly reports whether every negated body atom is on
 // an input-fed relation — the semi-positive class of Theorem 4.7.
-func negationOnInputsOnly(p *ast.Program, sh *shape) bool {
-	ok := true
-	var walk func(l ast.Literal)
-	walk = func(l ast.Literal) {
-		switch l.Kind {
-		case ast.LitAtom:
-			if l.Neg && sh.posHead[l.Atom.Pred] {
-				ok = false
-			}
-		case ast.LitForall:
-			for _, b := range l.ForallBody {
-				walk(b)
+func negationOnInputsOnly(ix *ast.Index) bool {
+	for ri := range ix.Rules {
+		for _, o := range ix.Body(ri) {
+			if o.Lit.Neg && len(ix.Preds[o.Pred].Derive) > 0 {
+				return false
 			}
 		}
 	}
-	for _, r := range p.Rules {
-		for _, b := range r.Body {
-			walk(b)
-		}
-	}
-	return ok
+	return true
 }
 
 // classDiag renders the report summary as the I001 info diagnostic.

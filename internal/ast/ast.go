@@ -335,14 +335,30 @@ func (r Rule) Vars() []string {
 	return dedupe(all)
 }
 
+// dedupe drops repeats in place, keeping first occurrences in order.
+// Rules have a handful of variables, which a scan handles without
+// allocating; only outsized lists pay for a set.
 func dedupe(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := in[:0:0]
+	out := in[:0]
+	var seen map[string]bool
+	if len(in) > 16 {
+		seen = make(map[string]bool, len(in))
+	}
+scan:
 	for _, v := range in {
-		if !seen[v] {
+		if seen != nil {
+			if seen[v] {
+				continue
+			}
 			seen[v] = true
-			out = append(out, v)
+		} else {
+			for _, w := range out {
+				if w == v {
+					continue scan
+				}
+			}
 		}
+		out = append(out, v)
 	}
 	return out
 }
@@ -359,8 +375,8 @@ func NewProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
 // String renders the program.
 func (p *Program) String(u *value.Universe) string {
 	var b strings.Builder
-	for _, r := range p.Rules {
-		b.WriteString(r.String(u))
+	for i := range p.Rules {
+		b.WriteString(p.Rules[i].String(u))
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -368,57 +384,21 @@ func (p *Program) String(u *value.Universe) string {
 
 // IDB returns the sorted names of intensional relations: those
 // occurring in some head atom.
-func (p *Program) IDB() []string {
-	set := map[string]bool{}
-	for _, r := range p.Rules {
-		for _, h := range r.Head {
-			if h.Kind == LitAtom {
-				set[h.Atom.Pred] = true
-			}
-		}
-	}
-	return sortedKeys(set)
-}
+func (p *Program) IDB() []string { return NewIndex(p).IDB() }
 
 // EDB returns the sorted names of extensional relations: those
 // occurring in bodies only.
-func (p *Program) EDB() []string {
-	idb := map[string]bool{}
-	for _, n := range p.IDB() {
-		idb[n] = true
-	}
-	set := map[string]bool{}
-	var walk func(l Literal)
-	walk = func(l Literal) {
-		switch l.Kind {
-		case LitAtom:
-			if !idb[l.Atom.Pred] {
-				set[l.Atom.Pred] = true
-			}
-		case LitForall:
-			for _, b := range l.ForallBody {
-				walk(b)
-			}
-		}
-	}
-	for _, r := range p.Rules {
-		for _, l := range r.Body {
-			walk(l)
-		}
-	}
-	return sortedKeys(set)
-}
+func (p *Program) EDB() []string { return NewIndex(p).EDB() }
 
 // Preds returns the sorted names of all relations mentioned.
 func (p *Program) Preds() []string {
-	set := map[string]bool{}
-	for _, n := range p.IDB() {
-		set[n] = true
+	ix := NewIndex(p)
+	out := make([]string, len(ix.Preds))
+	for i := range ix.Preds {
+		out[i] = ix.Preds[i].Name
 	}
-	for _, n := range p.EDB() {
-		set[n] = true
-	}
-	return sortedKeys(set)
+	sort.Strings(out)
+	return out
 }
 
 // Schema infers the schema of all relations mentioned by the program
@@ -446,7 +426,8 @@ func (p *Program) Schema() (map[string]int, error) {
 		}
 		return nil
 	}
-	for _, r := range p.Rules {
+	for i := range p.Rules {
+		r := &p.Rules[i]
 		for _, h := range r.Head {
 			if err := walk(h); err != nil {
 				return nil, err
@@ -465,7 +446,8 @@ func (p *Program) Schema() (map[string]int, error) {
 // (adom(P) in the paper), in unspecified order.
 func (p *Program) Constants() []value.Value {
 	var all []value.Value
-	for _, r := range p.Rules {
+	for i := range p.Rules {
+		r := &p.Rules[i]
 		for _, h := range r.Head {
 			all = h.constants(all)
 		}
@@ -481,14 +463,5 @@ func (p *Program) Constants() []value.Value {
 			out = append(out, v)
 		}
 	}
-	return out
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

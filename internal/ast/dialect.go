@@ -142,6 +142,28 @@ const (
 	CodeArity = "E003"
 )
 
+// forbids returns the features whose use a dialect rejects.
+func (d Dialect) forbids() Feature {
+	f := d.features()
+	m := FeatMalformed
+	for _, c := range [...]struct {
+		have bool
+		bit  Feature
+	}{
+		{f.bodyNeg, FeatBodyNeg}, {f.headNeg, FeatHeadNeg}, {f.multiHead, FeatMultiHead},
+		{f.equality, FeatEquality}, {f.bottom, FeatBottom}, {f.forall, FeatForall},
+		// Head variables must occur in the body (Definition 3.1), for
+		// N-Datalog in a positive body atom (Definition 5.1), unless
+		// the dialect invents values for them.
+		{f.invention || f.rangeBound, FeatHeadOnlyVar}, {f.invention || !f.rangeBound, FeatUnboundVar},
+	} {
+		if !c.have {
+			m |= c.bit
+		}
+	}
+	return m
+}
+
 // Validate checks that p is a syntactically legal program of dialect
 // d, returning every violation joined into one error (nil when
 // legal) in deterministic source order. It is ValidateDiags with the
@@ -166,107 +188,217 @@ func (p *Program) Validate(d Dialect) error {
 //   - relation arities are consistent program-wide (every conflicting
 //     use is reported, each pointing back at the first use).
 func (p *Program) ValidateDiags(d Dialect) Diagnostics {
-	f := d.features()
-	var ds Diagnostics
-	bad := func(ri int, pos Pos, code string, format string, args ...any) {
-		ds = append(ds, Diagnostic{
-			Pos:      pos,
-			Severity: SevError,
-			Code:     code,
-			Message:  fmt.Sprintf("rule %d: %s", ri+1, fmt.Sprintf(format, args...)),
-		})
-	}
-
-	for ri, r := range p.Rules {
-		if len(r.Head) == 0 {
-			bad(ri, r.SrcPos, CodeDialect, "empty head")
-			continue
-		}
-		if len(r.Head) > 1 && !f.multiHead {
-			bad(ri, r.Head[1].SrcPos, CodeDialect, "%s forbids multiple head literals", d)
-		}
-		for _, h := range r.Head {
-			switch h.Kind {
-			case LitAtom:
-				if h.Neg && !f.headNeg {
-					bad(ri, h.SrcPos, CodeDialect, "%s forbids negation in heads", d)
-				}
-			case LitBottom:
-				if !f.bottom {
-					bad(ri, h.SrcPos, CodeDialect, "%s forbids ⊥ in heads", d)
-				}
-			default:
-				bad(ri, h.SrcPos, CodeDialect, "head literal must be an atom or ⊥")
-			}
-		}
-		var checkBody func(l Literal, inForall bool)
-		checkBody = func(l Literal, inForall bool) {
-			switch l.Kind {
-			case LitAtom:
-				if l.Neg && !f.bodyNeg {
-					bad(ri, l.SrcPos, CodeDialect, "%s forbids negation in bodies", d)
-				}
-			case LitEq:
-				if !f.equality {
-					bad(ri, l.SrcPos, CodeDialect, "%s forbids equality literals", d)
-				}
-			case LitForall:
-				if !f.forall {
-					bad(ri, l.SrcPos, CodeDialect, "%s forbids universal quantification", d)
-				}
-				if inForall {
-					bad(ri, l.SrcPos, CodeDialect, "nested universal quantification is not supported")
-				}
-				if len(l.ForallVars) == 0 {
-					bad(ri, l.SrcPos, CodeDialect, "forall with no quantified variables")
-				}
-				for _, b := range l.ForallBody {
-					checkBody(b, true)
-				}
-			case LitBottom:
-				bad(ri, l.SrcPos, CodeDialect, "⊥ cannot occur in a body")
-			}
-		}
-		for _, b := range r.Body {
-			checkBody(b, false)
-		}
-
-		// Range restriction / safety, with a witness position per
-		// unsafe variable (its first occurrence in the head).
-		bound := map[string]bool{}
-		if f.rangeBound {
-			for _, v := range r.PositiveBodyVars() {
-				bound[v] = true
-			}
-		} else {
-			for _, v := range r.BodyVars() {
-				bound[v] = true
-			}
-		}
-		for _, v := range r.HeadVars() {
-			if bound[v] {
-				continue
-			}
-			if f.invention {
-				continue // head-only variables invent new values
-			}
-			pos := r.headVarPos(v)
-			if f.rangeBound {
-				bad(ri, pos, CodeUnsafeVar, "head variable %s does not occur positively bound in the body", v)
-			} else {
-				bad(ri, pos, CodeUnsafeVar, "head variable %s does not occur in the body", v)
-			}
-		}
-	}
-
-	ds = append(ds, p.arityDiags()...)
+	ix := NewIndex(p)
+	ds := append(ix.DialectDiags(d), ix.ArityDiags()...)
 	ds.Sort()
 	return ds
 }
 
+// Admits reports whether dialect d admits every rule (arity conflicts
+// aside): no rule uses a feature d forbids.
+func (ix *Index) Admits(d Dialect) bool { return ix.Mask&d.forbids() == 0 }
+
+// violations runs the per-rule check of dialect d over the rules d
+// rejects, handing each finding to emit unrendered.
+func (ix *Index) violations(d Dialect, emit func(violation)) {
+	c := ruleCheck{name: d.String(), forbid: d.forbids(), emit: emit}
+	for ri := range ix.Rules {
+		if ix.Rules[ri].Mask&c.forbid != 0 {
+			c.rule = ri
+			c.run(&ix.Prog.Rules[ri])
+		}
+	}
+}
+
+// DialectDiags returns every violation of dialect d, sorted, without
+// the arity conflicts (which no dialect choice cures).
+func (ix *Index) DialectDiags(d Dialect) Diagnostics {
+	var ds Diagnostics
+	ix.violations(d, func(v violation) { ds = append(ds, v.diag()) })
+	ds.Sort()
+	return ds
+}
+
+// FirstViolation returns the violation of dialect d that sorts first
+// (what DialectDiags(d)[0] would be), rendering no other; ok is false
+// when d admits the program.
+func (ix *Index) FirstViolation(d Dialect) (first Diagnostic, ok bool) {
+	var min violation
+	ix.violations(d, func(v violation) {
+		if !ok || v.before(min) {
+			min, ok = v, true
+		}
+	})
+	if ok {
+		first = min.diag()
+	}
+	return first, ok
+}
+
+// violation is one finding of the per-rule check, not yet rendered.
+type violation struct {
+	rule int
+	pos  Pos
+	code string
+	text string // the message after "rule N: "; a %s takes arg
+	arg  string
+}
+
+func (v violation) diag() Diagnostic {
+	text := v.text
+	if v.arg != "" {
+		text = fmt.Sprintf(text, v.arg)
+	}
+	return Diagnostic{
+		Pos:      v.pos,
+		Severity: SevError,
+		Code:     v.code,
+		Message:  fmt.Sprintf("rule %d: %s", v.rule+1, text),
+	}
+}
+
+// before is the Diagnostics.Sort order; only a tie on position and
+// code renders the messages.
+func (v violation) before(o violation) bool {
+	if v.pos != o.pos {
+		return v.pos.Before(o.pos)
+	}
+	if v.code != o.code {
+		return v.code < o.code
+	}
+	return v.diag().Message < o.diag().Message
+}
+
+// ruleCheck is the one walk over a rule that both classifies and
+// validates it: every use of a feature lands in mask, and the uses
+// forbid contains are handed to emit (nil when only the mask is
+// wanted). Sharing the walk is what keeps "the mask admits the rule"
+// and "the rule has no violation" the same statement.
+type ruleCheck struct {
+	rule   int
+	name   string // the dialect, for messages
+	forbid Feature
+	emit   func(violation)
+	mask   Feature
+}
+
+func (c *ruleCheck) see(bit Feature, pos Pos, code, text, arg string) {
+	c.mask |= bit
+	if c.emit != nil && bit&c.forbid != 0 {
+		c.emit(violation{rule: c.rule, pos: pos, code: code, text: text, arg: arg})
+	}
+}
+
+// Features returns the set of features the rule uses.
+func (r *Rule) Features() Feature {
+	var c ruleCheck
+	c.run(r)
+	return c.mask
+}
+
+func (c *ruleCheck) run(r *Rule) {
+	if len(r.Head) == 0 {
+		c.see(FeatMalformed, r.SrcPos, CodeDialect, "empty head", "")
+		return
+	}
+	if len(r.Head) > 1 {
+		c.see(FeatMultiHead, r.Head[1].SrcPos, CodeDialect, "%s forbids multiple head literals", c.name)
+	}
+	for i := range r.Head {
+		switch h := &r.Head[i]; {
+		case h.Kind == LitBottom:
+			c.see(FeatBottom, h.SrcPos, CodeDialect, "%s forbids ⊥ in heads", c.name)
+		case h.Kind != LitAtom:
+			c.see(FeatMalformed, h.SrcPos, CodeDialect, "head literal must be an atom or ⊥", "")
+		case h.Neg:
+			c.see(FeatHeadNeg, h.SrcPos, CodeDialect, "%s forbids negation in heads", c.name)
+		}
+	}
+	for i := range r.Body {
+		c.body(&r.Body[i], false)
+	}
+
+	// Range restriction / safety, with a witness position per unsafe
+	// variable (its first occurrence in the head).
+	var buf [8]string
+	vars := buf[:0]
+	for i := range r.Head {
+		vars = r.Head[i].vars(vars)
+	}
+	for _, v := range dedupe(vars) {
+		inBody, bound := false, false
+		for i := range r.Body {
+			inBody = inBody || r.Body[i].mentions(v, false)
+			bound = bound || r.Body[i].mentions(v, true)
+		}
+		if !inBody {
+			c.see(FeatHeadOnlyVar, r.headVarPos(v), CodeUnsafeVar, "head variable %s does not occur in the body", v)
+		}
+		if !bound {
+			c.see(FeatUnboundVar, r.headVarPos(v), CodeUnsafeVar, "head variable %s does not occur positively bound in the body", v)
+		}
+	}
+}
+
+func (c *ruleCheck) body(l *Literal, inForall bool) {
+	switch l.Kind {
+	case LitAtom:
+		if l.Neg {
+			c.see(FeatBodyNeg, l.SrcPos, CodeDialect, "%s forbids negation in bodies", c.name)
+		}
+	case LitEq:
+		c.see(FeatEquality, l.SrcPos, CodeDialect, "%s forbids equality literals", c.name)
+	case LitForall:
+		c.see(FeatForall, l.SrcPos, CodeDialect, "%s forbids universal quantification", c.name)
+		if inForall {
+			c.see(FeatMalformed, l.SrcPos, CodeDialect, "nested universal quantification is not supported", "")
+		}
+		if len(l.ForallVars) == 0 {
+			c.see(FeatMalformed, l.SrcPos, CodeDialect, "forall with no quantified variables", "")
+		}
+		for i := range l.ForallBody {
+			c.body(&l.ForallBody[i], true)
+		}
+	case LitBottom:
+		c.see(FeatMalformed, l.SrcPos, CodeDialect, "⊥ cannot occur in a body", "")
+	}
+}
+
+// mentions reports whether v occurs free in the literal — as
+// BodyVars counts occurrences, or, with positive set, as
+// PositiveBodyVars does: in a positive atom, at top level or directly
+// under a ∀ that does not quantify v.
+func (l *Literal) mentions(v string, positive bool) bool {
+	switch l.Kind {
+	case LitAtom:
+		if positive && l.Neg {
+			return false
+		}
+		for i := range l.Atom.Args {
+			if l.Atom.Args[i].Var == v {
+				return true
+			}
+		}
+	case LitEq:
+		return !positive && (l.Left.Var == v || l.Right.Var == v)
+	case LitForall:
+		for _, q := range l.ForallVars {
+			if q == v {
+				return false
+			}
+		}
+		for i := range l.ForallBody {
+			if b := &l.ForallBody[i]; (!positive || b.Kind == LitAtom) && b.mentions(v, positive) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // headVarPos returns the position of v's first occurrence in the
 // rule's head (the unsafe-variable witness).
-func (r Rule) headVarPos(v string) Pos {
+func (r *Rule) headVarPos(v string) Pos {
 	for _, h := range r.Head {
 		for _, t := range h.Atom.Args {
 			if t.Var == v {
@@ -278,51 +410,4 @@ func (r Rule) headVarPos(v string) Pos {
 		}
 	}
 	return r.SrcPos
-}
-
-// arityDiags reports every arity conflict (unlike Schema, which stops
-// at the first), each use pointing back at the occurrence that fixed
-// the relation's arity.
-func (p *Program) arityDiags() Diagnostics {
-	type first struct {
-		arity int
-		pos   Pos
-	}
-	seen := map[string]first{}
-	var ds Diagnostics
-	add := func(a Atom) {
-		if f, ok := seen[a.Pred]; ok {
-			if f.arity != a.Arity() {
-				ds = append(ds, Diagnostic{
-					Pos:      a.SrcPos,
-					Severity: SevError,
-					Code:     CodeArity,
-					Message:  fmt.Sprintf("relation %s used with arity %d here but %d earlier", a.Pred, a.Arity(), f.arity),
-					Related:  []Related{{Pos: f.pos, Message: fmt.Sprintf("%s first used with arity %d", a.Pred, f.arity)}},
-				})
-			}
-			return
-		}
-		seen[a.Pred] = first{arity: a.Arity(), pos: a.SrcPos}
-	}
-	var walk func(l Literal)
-	walk = func(l Literal) {
-		switch l.Kind {
-		case LitAtom:
-			add(l.Atom)
-		case LitForall:
-			for _, b := range l.ForallBody {
-				walk(b)
-			}
-		}
-	}
-	for _, r := range p.Rules {
-		for _, h := range r.Head {
-			walk(h)
-		}
-		for _, b := range r.Body {
-			walk(b)
-		}
-	}
-	return ds
 }

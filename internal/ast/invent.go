@@ -26,7 +26,8 @@ func (p *Program) InventTaint() map[string][]bool {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, r := range p.Rules {
+		for ri := range p.Rules {
+			r := &p.Rules[ri]
 			tainted := map[string]bool{}
 			for _, v := range r.HeadOnlyVars() {
 				tainted[v] = true

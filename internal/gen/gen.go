@@ -9,6 +9,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"unchained/internal/tuple"
 	"unchained/internal/value"
@@ -200,4 +201,33 @@ func Merge(ins ...*tuple.Instance) *tuple.Instance {
 		}
 	}
 	return out
+}
+
+// Wide returns the text of the front-end stress program, the two
+// optimizer shapes of experiment P12 at rule-count scale: a depth-deep
+// chain of copy predicates S1..Sdepth over E feeds Out through a
+// filter (inlining folds it), and dead rules that Out never reads hang
+// off the side (reachability removes them). It has depth+1+dead rules
+// and as many derived predicates; every front-end pass should cost
+// one walk of it.
+func Wide(depth, dead int) string {
+	var b strings.Builder
+	b.WriteString("S1(X,Y) :- E(X,Y).\n")
+	for i := 2; i <= depth; i++ {
+		fmt.Fprintf(&b, "S%d(X,Y) :- S%d(X,Y).\n", i, i-1)
+	}
+	fmt.Fprintf(&b, "Out(X,Y) :- S%d(X,Y), Sel(X).\n", depth)
+	for i := 0; i < dead; i++ {
+		switch i % 4 {
+		case 0:
+			fmt.Fprintf(&b, "D%d(X,Y) :- E(X,Y), Sel(Y).\n", i)
+		case 1:
+			fmt.Fprintf(&b, "D%d(X,Z) :- D%d(X,Y), E(Y,Z).\n", i, i-1)
+		case 2:
+			fmt.Fprintf(&b, "D%d(X) :- D%d(X,Y), !Sel(X).\n", i, i-1)
+		default:
+			fmt.Fprintf(&b, "D%d(X,Y) :- D%d(X), E(X,Y), D%d(Y,X).\n", i, i-1, i-2)
+		}
+	}
+	return b.String()
 }

@@ -23,30 +23,24 @@ import (
 	"unchained/internal/ast"
 )
 
-// adorn reorders rule bodies bound-first (unless disabled) and
-// derives the adornment set from the roots.
-func adorn(p *ast.Program, o *Options, res *Result) (*ast.Program, bool) {
-	cur := p
-	changed := false
-	if !o.NoReorder {
-		var out []ast.Rule
-		for ri, r := range p.Rules {
-			nb, ch := reorderBody(r)
-			if !ch {
-				out = append(out, p.Rules[ri])
-				continue
+// reorder rewrites every eligible rule body bound-first.
+func reorder(p *ast.Program, res *Result) (*ast.Program, bool) {
+	var out []ast.Rule
+	for ri := range p.Rules {
+		r := &p.Rules[ri]
+		if nb, ch := reorderBody(r); ch {
+			if out == nil {
+				out = append(out, p.Rules...)
 			}
-			changed = true
-			out = append(out, ast.Rule{Head: r.Head, Body: nb, SrcPos: r.SrcPos})
+			out[ri].Body = nb
 			res.note("adorn", CodeAdorned, r.SrcPos,
 				"rule for %s: body reordered bound-first (SIPS)", headPred(r))
 		}
-		if changed {
-			cur = &ast.Program{Rules: out}
-		}
 	}
-	res.Adornments = adornments(cur, o.Roots)
-	return cur, changed
+	if out == nil {
+		return p, false
+	}
+	return &ast.Program{Rules: out}, true
 }
 
 // reorderBody greedily orders body literals: once-eligible filters
@@ -54,7 +48,7 @@ func adorn(p *ast.Program, o *Options, res *Result) (*ast.Program, bool) {
 // early as possible, and among positive atoms the one with the most
 // bound arguments goes next (ties keep source order). Rules with ∀
 // or ⊥ literals, or fewer than three body literals, are left alone.
-func reorderBody(r ast.Rule) ([]ast.Literal, bool) {
+func reorderBody(r *ast.Rule) ([]ast.Literal, bool) {
 	if len(r.Body) < 3 {
 		return nil, false
 	}
@@ -162,25 +156,14 @@ func literalVars(l ast.Literal) []string {
 
 // adornments propagates binding patterns from the roots (all IDB
 // predicates, all-free, when no roots are declared) through every
-// single-head rule, magic-sets style.
-func adornments(p *ast.Program, roots []string) []Adornment {
-	sch, err := p.Schema()
-	if err != nil {
+// single-head rule of p, magic-sets style. ix indexes p up to body
+// order.
+func adornments(p *ast.Program, ix *ast.Index, roots []string) []Adornment {
+	if len(ix.ArityDiags()) > 0 {
 		return nil
 	}
-	idb := map[string]bool{}
-	for _, q := range p.IDB() {
-		idb[q] = true
-	}
-	rulesFor := map[string][]int{}
-	for i, r := range p.Rules {
-		if len(r.Head) == 1 && r.Head[0].Kind == ast.LitAtom && !r.Head[0].Neg {
-			rulesFor[r.Head[0].Atom.Pred] = append(rulesFor[r.Head[0].Atom.Pred], i)
-		}
-	}
-
 	if len(roots) == 0 {
-		roots = p.IDB()
+		roots = ix.IDB()
 	}
 	seen := map[string]bool{}
 	var queue []Adornment
@@ -193,8 +176,8 @@ func adornments(p *ast.Program, roots []string) []Adornment {
 		queue = append(queue, Adornment{Pred: pred, Pattern: pattern})
 	}
 	for _, q := range roots {
-		if n, ok := sch[q]; ok && idb[q] {
-			push(q, strings.Repeat("f", n))
+		if id, ok := ix.ID(q); ok && ix.Preds[id].IDB() {
+			push(q, strings.Repeat("f", ix.Preds[id].Arity))
 		}
 	}
 
@@ -203,10 +186,11 @@ func adornments(p *ast.Program, roots []string) []Adornment {
 		ad := queue[0]
 		queue = queue[1:]
 		all = append(all, ad)
-		for _, ri := range rulesFor[ad.Pred] {
-			r := p.Rules[ri]
+		id, _ := ix.ID(ad.Pred)
+		for _, ri := range ix.Preds[id].Derive {
+			r := &p.Rules[ri]
 			head := r.Head[0].Atom
-			if len(head.Args) != len(ad.Pattern) {
+			if len(r.Head) != 1 || len(head.Args) != len(ad.Pattern) {
 				continue
 			}
 			bound := map[string]bool{}
@@ -218,7 +202,7 @@ func adornments(p *ast.Program, roots []string) []Adornment {
 			for _, l := range r.Body {
 				switch l.Kind {
 				case ast.LitAtom:
-					if idb[l.Atom.Pred] {
+					if id, _ := ix.ID(l.Atom.Pred); ix.Preds[id].IDB() {
 						var b strings.Builder
 						for _, t := range l.Atom.Args {
 							if !t.IsVar() || bound[t.Var] {

@@ -20,24 +20,22 @@ import (
 // passes idempotent and the diagnostics precise).
 func constprop(p *ast.Program, u *value.Universe, res *Result) (*ast.Program, bool) {
 	var out []ast.Rule
-	changed := false
-	for ri, r := range p.Rules {
-		nr, ch := simplifyRule(r, u, res)
-		if ch {
-			changed = true
-		} else {
-			nr = p.Rules[ri]
+	for ri := range p.Rules {
+		if nr, ch := simplifyRule(&p.Rules[ri], u, res); ch {
+			if out == nil {
+				out = append(out, p.Rules...)
+			}
+			out[ri] = nr
 		}
-		out = append(out, nr)
 	}
-	if !changed {
+	if out == nil {
 		return p, false
 	}
 	return &ast.Program{Rules: out}, true
 }
 
 // simplifyRule rewrites one rule; the input rule is never mutated.
-func simplifyRule(r ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) {
+func simplifyRule(r *ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) {
 	// Variables quantified by a ∀ anywhere in the rule are scoped to
 	// that literal; substituting through them (in either direction)
 	// could capture, so they are excluded from substitutions wholesale.
@@ -62,7 +60,7 @@ func simplifyRule(r ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) {
 	// changes the valuation layout that keys invention, so such rules
 	// only get folding and duplicate elimination, not substitution.
 	subst := map[string]ast.Term{}
-	if len(r.HeadOnlyVars()) == 0 {
+	if r.Features()&ast.FeatHeadOnlyVar == 0 {
 		for _, l := range r.Body {
 			if l.Kind != ast.LitEq || l.Neg {
 				continue
@@ -111,7 +109,7 @@ func simplifyRule(r ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) {
 	}
 
 	if substituted == 0 && folded == 0 && deduped == 0 {
-		return r, false
+		return ast.Rule{}, false
 	}
 	nr := ast.Rule{Head: head, Body: body, SrcPos: r.SrcPos}
 	var parts []string
@@ -239,7 +237,7 @@ func eqTruth(l ast.Literal) (truth, known bool) {
 
 // groundFalseLiteral returns the first body literal that can never
 // hold (a folded-false equality), if any.
-func groundFalseLiteral(r ast.Rule) (ast.Literal, bool) {
+func groundFalseLiteral(r *ast.Rule) (ast.Literal, bool) {
 	for _, l := range r.Body {
 		if truth, known := eqTruth(l); known && !truth {
 			return l, true

@@ -23,146 +23,92 @@ import (
 	"unchained/internal/value"
 )
 
-// deadUnsat removes rules whose body contains a ground-false literal
-// (left behind as a witness by constprop, or written by the user).
-func deadUnsat(p *ast.Program, u *value.Universe, res *Result) (*ast.Program, bool) {
-	var out []ast.Rule
-	changed := false
-	for ri, r := range p.Rules {
-		if lit, ok := groundFalseLiteral(r); ok {
-			changed = true
-			res.RulesRemoved++
-			res.note("dead", CodeDeadRule, r.SrcPos,
-				"rule for %s removed: body literal %s can never hold", headPred(r), lit.String(u))
-			continue
-		}
-		out = append(out, p.Rules[ri])
-	}
-	if !changed {
+// dropRules returns p without the rules drop marks (p itself when it
+// marks none).
+func dropRules(p *ast.Program, drop []bool, n int) (*ast.Program, bool) {
+	if n == 0 {
 		return p, false
+	}
+	out := make([]ast.Rule, 0, len(p.Rules)-n)
+	for ri := range p.Rules {
+		if !drop[ri] {
+			out = append(out, p.Rules[ri])
+		}
 	}
 	return &ast.Program{Rules: out}, true
 }
 
+// deadUnsat removes rules whose body contains a ground-false literal
+// (left behind as a witness by constprop, or written by the user).
+func deadUnsat(p *ast.Program, u *value.Universe, res *Result) (*ast.Program, bool) {
+	drop, n := make([]bool, len(p.Rules)), 0
+	for ri := range p.Rules {
+		r := &p.Rules[ri]
+		if lit, ok := groundFalseLiteral(r); ok {
+			drop[ri], n = true, n+1
+			res.note("dead", CodeDeadRule, r.SrcPos,
+				"rule for %s removed: body literal %s can never hold", headPred(r), lit.String(u))
+		}
+	}
+	res.RulesRemoved += n
+	return dropRules(p, drop, n)
+}
+
 // deadUnderivable removes rules with a positive body atom on an
-// underivable predicate. Derivability is the analyzer's fixpoint:
-// extensional predicates (no positive head occurrence) seed the set —
-// they may always receive input facts — and an intensional predicate
-// is derivable once some rule for it has every positive body atom
-// derivable. Negations, equalities, and ∀-literals are conservatively
-// treated as satisfiable.
+// underivable predicate. Derivability is the analyzer's fixpoint
+// (ast.Index.Underivable): extensional predicates (no positive head
+// occurrence) may always receive input facts, and an intensional
+// predicate is derivable once some rule for it has every positive body
+// atom derivable. Negations, equalities, and ∀-literals are
+// conservatively treated as satisfiable.
 //
 // Removals assume the underivable predicates carry no input facts;
 // the assumption set is recorded for the caller's instance check.
-func deadUnderivable(p *ast.Program, res *Result, assumed map[string]bool) (*ast.Program, bool) {
-	posHead := map[string]bool{}
-	for _, r := range p.Rules {
-		for _, h := range r.Head {
-			if h.Kind == ast.LitAtom && !h.Neg {
-				posHead[h.Atom.Pred] = true
-			}
-		}
-	}
-
-	derivable := map[string]bool{}
-	// Seed: every predicate that is not positively derived may carry
-	// input facts.
-	for _, r := range p.Rules {
-		for _, q := range bodyAtomPreds(r.Body) {
-			if !posHead[q] {
-				derivable[q] = true
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range p.Rules {
-			ok := true
-			for _, l := range r.Body {
-				if l.Kind == ast.LitAtom && !l.Neg && !derivable[l.Atom.Pred] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for _, h := range r.Head {
-				if h.Kind == ast.LitAtom && !h.Neg && !derivable[h.Atom.Pred] {
-					derivable[h.Atom.Pred] = true
-					changed = true
-				}
-			}
-		}
-	}
-
-	underivable := map[string]bool{}
-	for q := range posHead {
-		if !derivable[q] {
-			underivable[q] = true
-		}
-	}
-	if len(underivable) == 0 {
-		return p, false
-	}
-
-	var out []ast.Rule
-	removed := false
-	for ri, r := range p.Rules {
-		dead := ""
-		for _, l := range r.Body {
-			if l.Kind == ast.LitAtom && !l.Neg && underivable[l.Atom.Pred] {
-				dead = l.Atom.Pred
+func deadUnderivable(ix *ast.Index, res *Result, assumed map[string]bool) (*ast.Program, bool) {
+	p, under := ix.Prog, ix.Underivable(false)
+	drop, n := make([]bool, len(p.Rules)), 0
+	for ri := range p.Rules {
+		for _, o := range ix.Body(ri) {
+			if !o.Nested && !o.Lit.Neg && under[o.Pred] {
+				drop[ri], n = true, n+1
+				res.note("dead", CodeDeadRule, p.Rules[ri].SrcPos,
+					"rule for %s removed: body reads underivable predicate %s (assuming it has no input facts)",
+					headPred(&p.Rules[ri]), ix.Preds[o.Pred].Name)
 				break
 			}
 		}
-		if dead == "" {
-			out = append(out, p.Rules[ri])
-			continue
+	}
+	if n > 0 {
+		// The justification is transitive across the whole underivable
+		// set, so the assumption covers all of it.
+		for id, is := range under {
+			if is {
+				assumed[ix.Preds[id].Name] = true
+			}
 		}
-		removed = true
-		res.RulesRemoved++
-		res.note("dead", CodeDeadRule, r.SrcPos,
-			"rule for %s removed: body reads underivable predicate %s (assuming it has no input facts)",
-			headPred(r), dead)
 	}
-	if !removed {
-		return p, false
-	}
-	// The justification is transitive across the whole underivable
-	// set, so the assumption covers all of it.
-	for q := range underivable {
-		assumed[q] = true
-	}
-	return &ast.Program{Rules: out}, true
+	res.RulesRemoved += n
+	return dropRules(p, drop, n)
 }
 
 // deadUnreachable removes rules none of whose head predicates can
 // reach a root. Rules with ⊥ heads are kept (and keep their body
 // predicates reachable): inconsistency is a global observation.
-func deadUnreachable(p *ast.Program, roots []string, res *Result) (*ast.Program, bool) {
-	reach := reachableFrom(p, roots)
-	var out []ast.Rule
-	changed := false
-	for ri, r := range p.Rules {
-		keep := false
-		for _, h := range r.Head {
-			if h.Kind != ast.LitAtom || reach[h.Atom.Pred] {
-				keep = true
-				break
-			}
+func deadUnreachable(ix *ast.Index, roots []string, res *Result) (*ast.Program, bool) {
+	p, reach := ix.Prog, reachableFrom(ix, roots)
+	drop, n := make([]bool, len(p.Rules)), 0
+	for ri := range p.Rules {
+		heads := ix.Heads(ri)
+		keep := len(heads) < len(p.Rules[ri].Head) // a ⊥ (or malformed) head
+		for _, h := range heads {
+			keep = keep || reach[h.Pred]
 		}
-		if keep {
-			out = append(out, p.Rules[ri])
-			continue
+		if !keep {
+			drop[ri], n = true, n+1
+			res.note("dead", CodeDeadRule, p.Rules[ri].SrcPos,
+				"rule for %s removed: unreachable from output root(s)", headPred(&p.Rules[ri]))
 		}
-		changed = true
-		res.RulesRemoved++
-		res.note("dead", CodeDeadRule, r.SrcPos,
-			"rule for %s removed: unreachable from output root(s)", headPred(r))
 	}
-	if !changed {
-		return p, false
-	}
-	return &ast.Program{Rules: out}, true
+	res.RulesRemoved += n
+	return dropRules(p, drop, n)
 }

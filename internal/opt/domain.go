@@ -15,8 +15,8 @@ import (
 // exactly that through a subsumption removal. domainSensitive detects
 // the condition so Optimize can discard constant-changing rewrites.
 func domainSensitive(p *ast.Program) bool {
-	for _, r := range p.Rules {
-		if ruleDomainSensitive(r) {
+	for ri := range p.Rules {
+		if ruleDomainSensitive(&p.Rules[ri]) {
 			return true
 		}
 	}
@@ -27,7 +27,7 @@ func domainSensitive(p *ast.Program) bool {
 // active domain: it quantifies over it (∀-literals) or it contains a
 // variable bound neither by a positive body atom nor by an equality
 // chain rooted in a constant or an already-bound variable.
-func ruleDomainSensitive(r ast.Rule) bool {
+func ruleDomainSensitive(r *ast.Rule) bool {
 	for _, l := range r.Body {
 		if l.Kind == ast.LitForall {
 			return true

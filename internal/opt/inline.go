@@ -35,131 +35,100 @@ const (
 // inlineCand is one inlinable predicate.
 type inlineCand struct {
 	pred      string
-	rule      ast.Rule
+	rule      *ast.Rule
 	callSites int
 }
 
 // inlineCandidates finds predicates defined by exactly one
 // single-head positive rule whose body is all positive atoms and
 // equalities, with no head-only variables and no recursion through
-// the dependency graph.
-func inlineCandidates(p *ast.Program) []inlineCand {
-	headRules := map[string][]int{}
-	for i, r := range p.Rules {
-		for _, h := range r.Head {
-			if h.Kind == ast.LitAtom {
-				headRules[h.Atom.Pred] = append(headRules[h.Atom.Pred], i)
-			}
-		}
-	}
-
-	g := stratify.BuildGraph(p)
-	recursive := map[string]bool{}
-	for _, scc := range g.SCCs() {
-		if len(scc) > 1 {
-			for _, q := range scc {
-				recursive[q] = true
-			}
-		}
-	}
-	for _, e := range g.Edges {
-		if e.From == e.To {
-			recursive[e.From] = true
-		}
-	}
-
+// the dependency graph g of ix, and counts their call sites: the
+// positive top-level body atoms of matching arity in other rules.
+func inlineCandidates(ix *ast.Index, g *stratify.Graph) []inlineCand {
+	const never = ast.FeatMultiHead | ast.FeatBottom | ast.FeatBodyNeg | ast.FeatForall |
+		ast.FeatHeadOnlyVar | ast.FeatMalformed
+	recursive := g.Recursive()
 	var cands []inlineCand
-	for q, idxs := range headRules {
-		if len(idxs) != 1 || recursive[q] {
+	for id := range ix.Preds {
+		q := &ix.Preds[id]
+		if len(q.Derive) != 1 || len(q.Retract) != 0 || recursive[id] {
 			continue
 		}
-		r := p.Rules[idxs[0]]
-		if len(r.Head) != 1 || r.Head[0].Kind != ast.LitAtom || r.Head[0].Neg {
-			continue
-		}
-		if len(r.Body) > inlineMaxBody || len(r.HeadOnlyVars()) > 0 {
-			continue
-		}
-		ok := true
-		for _, l := range r.Body {
-			if l.Kind == ast.LitEq {
-				continue
-			}
-			if l.Kind != ast.LitAtom || l.Neg {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		def := q.Derive[0]
+		r := &ix.Prog.Rules[def]
+		if ix.Rules[def].Mask&never != 0 || len(r.Body) > inlineMaxBody {
 			continue
 		}
 		sites := 0
-		for i, caller := range p.Rules {
-			if i == idxs[0] {
-				continue
-			}
-			for _, l := range caller.Body {
-				if l.Kind == ast.LitAtom && !l.Neg && l.Atom.Pred == q && len(l.Atom.Args) == r.Head[0].Atom.Arity() {
-					sites++
-				}
+		for _, o := range q.Readers {
+			occ := ix.Occ(o)
+			if occ.Rule != def && !occ.Nested && !occ.Lit.Neg && occ.Lit.Atom.Arity() == r.Head[0].Atom.Arity() {
+				sites++
 			}
 		}
-		cands = append(cands, inlineCand{pred: q, rule: r, callSites: sites})
+		cands = append(cands, inlineCand{pred: q.Name, rule: r, callSites: sites})
 	}
 	return cands
 }
 
 // inline expands every eligible call site; chains of candidates
 // resolve over successive pipeline iterations.
-func inline(p *ast.Program, u *value.Universe, res *Result, assumed map[string]bool) (*ast.Program, bool) {
+func inline(ix *ast.Index, u *value.Universe, res *Result, assumed map[string]bool) (*ast.Program, bool) {
 	cmap := map[string]inlineCand{}
-	for _, c := range inlineCandidates(p) {
+	for _, c := range inlineCandidates(ix, stratify.NewGraph(ix)) {
 		if c.callSites == 0 || c.callSites > inlineMaxCallSites {
 			continue
 		}
 		cmap[c.pred] = c
 	}
+	p := ix.Prog
 	if len(cmap) == 0 {
 		return p, false
 	}
 
 	var out []ast.Rule
-	changed := false
-	for ri, r := range p.Rules {
-		nr, inlined := inlineRule(r, cmap, u, res)
+	for ri := range p.Rules {
+		r := &p.Rules[ri]
+		body, inlined := inlineRule(r, cmap, u, res)
 		if len(inlined) == 0 {
-			out = append(out, p.Rules[ri])
 			continue
 		}
-		changed = true
+		if out == nil {
+			out = append(out, p.Rules...)
+		}
 		for _, q := range inlined {
 			assumed[q] = true
 		}
-		out = append(out, nr)
+		out[ri].Body = body
 	}
-	if !changed {
+	if out == nil {
 		return p, false
 	}
 	return &ast.Program{Rules: out}, true
 }
 
 // inlineRule expands the candidate call sites of one rule, returning
-// the rewritten rule and the predicates inlined (empty when nothing
+// the rewritten body and the predicates inlined (empty when nothing
 // fired or a guard tripped).
-func inlineRule(r ast.Rule, cmap map[string]inlineCand, u *value.Universe, res *Result) (ast.Rule, []string) {
+func inlineRule(r *ast.Rule, cmap map[string]inlineCand, u *value.Universe, res *Result) ([]ast.Literal, []string) {
 	// The defining rule never calls its own predicate (candidates are
 	// non-recursive), so it can be processed like any other rule.
+	callee := func(l *ast.Literal) (inlineCand, bool) {
+		if l.Kind != ast.LitAtom || l.Neg {
+			return inlineCand{}, false
+		}
+		c, ok := cmap[l.Atom.Pred]
+		return c, ok && len(l.Atom.Args) == c.rule.Head[0].Atom.Arity()
+	}
 	hit := false
-	for _, l := range r.Body {
-		if l.Kind == ast.LitAtom && !l.Neg {
-			if c, ok := cmap[l.Atom.Pred]; ok && len(l.Atom.Args) == c.rule.Head[0].Atom.Arity() {
-				hit = true
-				break
-			}
+	for i := range r.Body {
+		if _, ok := callee(&r.Body[i]); ok {
+			hit = true
+			break
 		}
 	}
 	if !hit {
-		return r, nil
+		return nil, nil
 	}
 
 	used := map[string]bool{}
@@ -169,30 +138,26 @@ func inlineRule(r ast.Rule, cmap map[string]inlineCand, u *value.Universe, res *
 	counter := 0
 	var body []ast.Literal
 	var inlined []string
-	var notes []Rewrite
-	for _, l := range r.Body {
-		var c inlineCand
-		ok := false
-		if l.Kind == ast.LitAtom && !l.Neg {
-			c, ok = cmap[l.Atom.Pred]
-			ok = ok && len(l.Atom.Args) == c.rule.Head[0].Atom.Arity()
-		}
+	var sites []ast.Pos
+	for i := range r.Body {
+		l := &r.Body[i]
+		c, ok := callee(l)
 		if !ok {
-			body = append(body, l)
+			body = append(body, *l)
 			continue
 		}
 		body = append(body, instantiate(c.rule, l, used, &counter)...)
 		inlined = append(inlined, c.pred)
-		notes = append(notes, Rewrite{Pos: l.SrcPos})
+		sites = append(sites, l.SrcPos)
 	}
 	if len(body) > inlineMaxResult {
-		return r, nil
+		return nil, nil
 	}
 	for i, q := range inlined {
-		res.note("inline", CodeInlined, notes[i].Pos,
+		res.note("inline", CodeInlined, sites[i],
 			"inlined %s into the rule for %s (assuming %s has no input facts)", q, headPred(r), q)
 	}
-	return ast.Rule{Head: r.Head, Body: body, SrcPos: r.SrcPos}, inlined
+	return body, inlined
 }
 
 // instantiate returns the callee's body with variables freshly
@@ -200,7 +165,7 @@ func inlineRule(r ast.Rule, cmap map[string]inlineCand, u *value.Universe, res *
 // or constant head arguments surface as equality literals; an
 // impossible constant match surfaces as a ground-false equality that
 // the next constprop/dead round turns into rule removal.
-func instantiate(def ast.Rule, call ast.Literal, used map[string]bool, counter *int) []ast.Literal {
+func instantiate(def *ast.Rule, call *ast.Literal, used map[string]bool, counter *int) []ast.Literal {
 	ren := map[string]ast.Term{}
 	renamed := map[string]bool{}
 	for _, v := range def.Vars() {

@@ -188,44 +188,47 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 	if p == nil || len(p.Rules) == 0 || o.Level <= O0 {
 		return res
 	}
+	cur := p
 	maxPasses := o.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 4
 	}
-	origIDB := p.IDB()
+	// The rule index every rule-set pass reads. A pass that rewrites
+	// cur drops it, and the next pass that needs one rebuilds it: one
+	// build per iteration once the program is stable.
+	orig := ast.NewIndex(p)
+	ix := orig
+	index := func() *ast.Index {
+		if ix == nil {
+			ix = ast.NewIndex(cur)
+		}
+		return ix
+	}
 	assumed := map[string]bool{} // preds assumed to have no input facts
 
-	cur := p
+	changed := false
+	step := func(next *ast.Program, ch bool) {
+		if ch {
+			cur, ix, changed = next, nil, true
+		}
+	}
 	for i := 0; i < maxPasses; i++ {
 		res.Passes++
-		changed := false
-		var ch bool
-
-		cur, ch = constprop(cur, u, res)
-		changed = changed || ch
-
-		cur, ch = deadUnsat(cur, u, res)
-		changed = changed || ch
-
+		changed = false
+		step(constprop(cur, u, res))
+		step(deadUnsat(cur, u, res))
 		if !o.NoAssume {
-			cur, ch = deadUnderivable(cur, res, assumed)
-			changed = changed || ch
+			step(deadUnderivable(index(), res, assumed))
 		}
-
-		cur, ch = subsume(cur, u, res)
-		changed = changed || ch
-
+		step(subsume(index(), res))
 		if o.Level >= O2 {
 			if !o.NoInline && !o.NoAssume {
-				cur, ch = inline(cur, u, res, assumed)
-				changed = changed || ch
+				step(inline(index(), u, res, assumed))
 			}
 			if len(o.Roots) > 0 {
-				cur, ch = deadUnreachable(cur, o.Roots, res)
-				changed = changed || ch
+				step(deadUnreachable(index(), o.Roots, res))
 			}
 		}
-
 		if !changed {
 			break
 		}
@@ -240,7 +243,7 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 	// is discarded wholesale: the original program is returned with a
 	// single diagnostic recording why.
 	if res.Changed && !sameConstSet(p, cur) && domainSensitive(p) {
-		cur = p
+		cur, ix = p, orig
 		res.Changed = false
 		res.Rewrites = nil
 		res.RulesRemoved = 0
@@ -253,10 +256,17 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 		}
 	}
 
+	// The body reorder moves no atom between rules, so the index of
+	// the program before it serves the adornments and the IDB
+	// comparison below as well.
+	final := index()
 	if o.Level >= O2 {
-		var ch bool
-		cur, ch = adorn(cur, o, res)
-		res.Changed = res.Changed || ch
+		if !o.NoReorder {
+			var ch bool
+			cur, ch = reorder(cur, res)
+			res.Changed = res.Changed || ch
+		}
+		res.Adornments = adornments(cur, final, o.Roots)
 	}
 
 	// Removing a predicate's last deriving rule takes it out of the
@@ -265,22 +275,22 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 	// in which case unreachable predicates are unobservable by
 	// contract. Guard the difference with an emptiness assumption.
 	if res.Changed {
-		finalIDB := map[string]bool{}
-		for _, q := range cur.IDB() {
-			finalIDB[q] = true
-		}
-		var reach map[string]bool
+		var reach []bool
 		if len(o.Roots) > 0 {
-			reach = reachableFrom(p, o.Roots)
+			reach = reachableFrom(orig, o.Roots)
 		}
-		for _, q := range origIDB {
-			if finalIDB[q] {
+		for id := range orig.Preds {
+			q := &orig.Preds[id]
+			if !q.IDB() {
 				continue
 			}
-			if reach != nil && !reach[q] {
+			if fid, ok := final.ID(q.Name); ok && final.Preds[fid].IDB() {
+				continue
+			}
+			if reach != nil && !reach[id] {
 				continue // unobservable: caller reads only the roots
 			}
-			assumed[q] = true
+			assumed[q.Name] = true
 		}
 	}
 
@@ -290,65 +300,42 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 	return res
 }
 
-// reachableFrom computes the predicates reachable from roots in p's
-// dependency graph (head depends on body, either polarity). A rule
-// with a ⊥ head constrains global consistency, so its body
-// predicates are always reachable.
-func reachableFrom(p *ast.Program, roots []string) map[string]bool {
-	g := stratify.BuildGraph(p)
-	out := map[string][]string{}
-	for _, e := range g.Edges {
-		out[e.From] = append(out[e.From], e.To)
-	}
-	reach := map[string]bool{}
-	var queue []string
-	push := func(q string) {
-		if !reach[q] {
-			reach[q] = true
-			queue = append(queue, q)
+// reachableFrom marks, by predicate id, the predicates reachable from
+// roots in the dependency graph (head depends on body, either
+// polarity). A rule with a ⊥ head constrains global consistency, so
+// its body predicates are always reachable.
+func reachableFrom(ix *ast.Index, roots []string) []bool {
+	reach := make([]bool, len(ix.Preds))
+	var queue []int32
+	pushBody := func(ri int) {
+		for _, o := range ix.Body(ri) {
+			if !reach[o.Pred] {
+				reach[o.Pred] = true
+				queue = append(queue, o.Pred)
+			}
 		}
 	}
 	for _, r := range roots {
-		push(r)
+		if id, ok := ix.ID(r); ok && !reach[id] {
+			reach[id] = true
+			queue = append(queue, id)
+		}
 	}
-	for _, r := range p.Rules {
-		for _, h := range r.Head {
-			if h.Kind == ast.LitBottom {
-				for _, b := range bodyAtomPreds(r.Body) {
-					push(b)
-				}
-			}
+	for ri := range ix.Rules {
+		if ix.Rules[ri].Mask&ast.FeatBottom != 0 {
+			pushBody(ri)
 		}
 	}
 	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		for _, next := range out[q] {
-			push(next)
-		}
-	}
-	return reach
-}
-
-// bodyAtomPreds returns the predicates of every atom literal in body,
-// including atoms nested under ∀.
-func bodyAtomPreds(body []ast.Literal) []string {
-	var preds []string
-	var walk func(l ast.Literal)
-	walk = func(l ast.Literal) {
-		switch l.Kind {
-		case ast.LitAtom:
-			preds = append(preds, l.Atom.Pred)
-		case ast.LitForall:
-			for _, b := range l.ForallBody {
-				walk(b)
+		q := &ix.Preds[queue[len(queue)-1]]
+		queue = queue[:len(queue)-1]
+		for _, rules := range [2][]int32{q.Derive, q.Retract} {
+			for _, ri := range rules {
+				pushBody(int(ri))
 			}
 		}
 	}
-	for _, l := range body {
-		walk(l)
-	}
-	return preds
+	return reach
 }
 
 func sortedPreds(set map[string]bool) []string {
@@ -369,13 +356,10 @@ func sortedPreds(set map[string]bool) []string {
 // assumption-free cases, unsatisfiable body and subsumption; the
 // analyzer's W003 already covers underivable predicates). It needs no
 // universe: messages name predicates and positions only.
-func Opportunities(p *ast.Program) ast.Diagnostics {
+func Opportunities(ix *ast.Index, g *stratify.Graph) ast.Diagnostics {
 	var diags ast.Diagnostics
-	if p == nil || len(p.Rules) == 0 {
-		return diags
-	}
-
-	for _, c := range inlineCandidates(p) {
+	rules := ix.Prog.Rules
+	for _, c := range inlineCandidates(ix, g) {
 		if c.callSites == 0 {
 			continue
 		}
@@ -388,7 +372,10 @@ func Opportunities(p *ast.Program) ast.Diagnostics {
 		})
 	}
 
-	for ri, r := range p.Rules {
+	ok := subsumables(ix)
+	var m matcher
+	for ri := range rules {
+		r := &rules[ri]
 		if _, ok := groundFalseLiteral(r); ok {
 			diags = append(diags, ast.Diagnostic{
 				Pos:      r.SrcPos,
@@ -398,17 +385,27 @@ func Opportunities(p *ast.Program) ast.Diagnostics {
 			})
 			continue
 		}
-		if rj, ok := subsumedBy(p, ri); ok {
+		if !ok[ri] {
+			continue
+		}
+		// The first subsumer in source order; of two variants the
+		// earlier one stands, as in the subsume pass.
+		for _, rj := range ix.Preds[ix.Heads(ri)[0].Pred].Derive {
+			by := &rules[rj]
+			if int(rj) == ri || !ok[rj] || !m.subsumes(by, r) || (int(rj) > ri && m.subsumes(r, by)) {
+				continue
+			}
 			d := ast.Diagnostic{
 				Pos:      r.SrcPos,
 				Severity: ast.SevInfo,
 				Code:     "I006",
-				Message:  fmt.Sprintf("rule is dead: subsumed by the rule for %s at %s", headPred(p.Rules[rj]), p.Rules[rj].SrcPos),
+				Message:  fmt.Sprintf("rule is dead: subsumed by the rule for %s at %s", headPred(by), by.SrcPos),
 			}
-			if p.Rules[rj].SrcPos.IsValid() {
-				d.Related = []ast.Related{{Pos: p.Rules[rj].SrcPos, Message: "subsuming rule"}}
+			if by.SrcPos.IsValid() {
+				d.Related = []ast.Related{{Pos: by.SrcPos, Message: "subsuming rule"}}
 			}
 			diags = append(diags, d)
+			break
 		}
 	}
 
@@ -416,7 +413,7 @@ func Opportunities(p *ast.Program) ast.Diagnostics {
 	return diags
 }
 
-func headPred(r ast.Rule) string {
+func headPred(r *ast.Rule) string {
 	for _, h := range r.Head {
 		if h.Kind == ast.LitAtom {
 			return h.Atom.Pred

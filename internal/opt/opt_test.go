@@ -6,6 +6,7 @@ import (
 
 	"unchained/internal/ast"
 	"unchained/internal/parser"
+	"unchained/internal/stratify"
 	"unchained/internal/value"
 )
 
@@ -267,7 +268,8 @@ func TestOpportunities(t *testing.T) {
 	u := value.New()
 	src := "mid(X,Y) :- e(X,Z), e(Z,Y).\np(X,Y) :- mid(X,Y).\ndead(X) :- e(X), a = b.\nq(X) :- e(X).\nq(X) :- e(X).\n"
 	p := parser.MustParse(src, u)
-	diags := Opportunities(p)
+	ix := ast.NewIndex(p)
+	diags := Opportunities(ix, stratify.NewGraph(ix))
 	var codes []string
 	for _, d := range diags {
 		codes = append(codes, d.Code)

@@ -18,187 +18,148 @@ package opt
 
 import (
 	"unchained/internal/ast"
-	"unchained/internal/value"
 )
 
 // subsumeMaxBody bounds the backtracking matcher.
 const subsumeMaxBody = 12
 
+// subsumables marks the rules the relation is defined on: plain
+// deterministic-shaped ones, with one positive atom head, a capped body
+// of atoms and equalities only, and no head-only variables. The rule's
+// feature mask has all but the cap. Such a rule is listed once, in the
+// Derive list of its head predicate, so those lists are the buckets
+// the relation can hold within.
+func subsumables(ix *ast.Index) []bool {
+	const never = ast.FeatMultiHead | ast.FeatHeadNeg | ast.FeatBottom | ast.FeatForall |
+		ast.FeatHeadOnlyVar | ast.FeatMalformed
+	ok := make([]bool, len(ix.Rules))
+	for ri := range ix.Rules {
+		ok[ri] = ix.Rules[ri].Mask&never == 0 && len(ix.Prog.Rules[ri].Body) <= subsumeMaxBody
+	}
+	return ok
+}
+
 // subsume removes every rule subsumed by an earlier-surviving rule.
 // When two rules subsume each other (variants), the one appearing
 // first in the program wins.
-func subsume(p *ast.Program, u *value.Universe, res *Result) (*ast.Program, bool) {
-	type entry struct {
-		idx  int
-		pred string
-		ok   bool
-	}
-	entries := make([]entry, len(p.Rules))
-	byPred := map[string][]int{}
-	for i, r := range p.Rules {
-		e := entry{idx: i}
-		if subsumable(r) {
-			e.ok = true
-			e.pred = r.Head[0].Atom.Pred
-			byPred[e.pred] = append(byPred[e.pred], i)
-		}
-		entries[i] = e
-	}
-
-	dropped := map[int]int{} // removed rule index -> subsuming rule index
-	for _, idxs := range byPred {
-		for a := 0; a < len(idxs); a++ {
-			i := idxs[a]
-			if _, gone := dropped[i]; gone {
+func subsume(ix *ast.Index, res *Result) (*ast.Program, bool) {
+	p, ok := ix.Prog, subsumables(ix)
+	by := make([]int32, len(p.Rules)) // 1 + the index of the rule that subsumes this one
+	var m matcher
+	n := 0
+	for id := range ix.Preds {
+		idxs := ix.Preds[id].Derive
+		for a, i := range idxs {
+			if !ok[i] || by[i] != 0 {
 				continue
 			}
-			for b := a + 1; b < len(idxs); b++ {
-				j := idxs[b]
-				if _, gone := dropped[j]; gone {
+			for _, j := range idxs[a+1:] {
+				if !ok[j] || by[j] != 0 {
 					continue
 				}
-				if subsumes(p.Rules[i], p.Rules[j]) {
-					dropped[j] = i
-				} else if subsumes(p.Rules[j], p.Rules[i]) {
-					dropped[i] = j
+				if m.subsumes(&p.Rules[i], &p.Rules[j]) {
+					by[j], n = i+1, n+1
+				} else if m.subsumes(&p.Rules[j], &p.Rules[i]) {
+					by[i], n = j+1, n+1
 					break
 				}
 			}
 		}
 	}
-	if len(dropped) == 0 {
-		return p, false
-	}
-
-	var out []ast.Rule
+	drop := make([]bool, len(p.Rules))
 	for i := range p.Rules {
-		if by, gone := dropped[i]; gone {
-			res.RulesRemoved++
-			r := p.Rules[i]
-			res.note("subsume", CodeSubsumed, r.SrcPos,
-				"rule for %s removed: subsumed by the rule at %s", headPred(r), p.Rules[by].SrcPos)
-			continue
+		if by[i] != 0 {
+			drop[i] = true
+			res.note("subsume", CodeSubsumed, p.Rules[i].SrcPos,
+				"rule for %s removed: subsumed by the rule at %s", headPred(&p.Rules[i]), p.Rules[by[i]-1].SrcPos)
 		}
-		out = append(out, p.Rules[i])
 	}
-	return &ast.Program{Rules: out}, true
+	res.RulesRemoved += n
+	return dropRules(p, drop, n)
 }
 
-// subsumedBy reports whether p.Rules[ri] is subsumed by some other
-// rule of p (used by Opportunities; first subsumer wins).
-func subsumedBy(p *ast.Program, ri int) (int, bool) {
-	r := p.Rules[ri]
-	if !subsumable(r) {
-		return 0, false
-	}
-	for j, other := range p.Rules {
-		if j == ri || !subsumable(other) || other.Head[0].Atom.Pred != r.Head[0].Atom.Pred {
-			continue
-		}
-		if subsumes(other, r) && !(j > ri && subsumes(r, other)) {
-			return j, true
-		}
-	}
-	return 0, false
+// matcher decides θ-subsumption. θ maps r1's variables to r2's terms
+// in one map reused across calls; bindings are undone from a trail of
+// the variables bound, not by copying the map.
+type matcher struct {
+	theta map[string]ast.Term
+	trail []string
 }
 
-// subsumable restricts the pass to plain deterministic-shaped rules.
-func subsumable(r ast.Rule) bool {
-	if len(r.Head) != 1 || r.Head[0].Kind != ast.LitAtom || r.Head[0].Neg {
-		return false
+// undo unbinds everything bound since the trail was n long.
+func (m *matcher) undo(n int) {
+	for _, v := range m.trail[n:] {
+		delete(m.theta, v)
 	}
-	if len(r.Body) > subsumeMaxBody {
-		return false
-	}
-	for _, l := range r.Body {
-		if l.Kind != ast.LitAtom && l.Kind != ast.LitEq {
-			return false
-		}
-	}
-	return len(r.HeadOnlyVars()) == 0
+	m.trail = m.trail[:n]
 }
 
 // subsumes reports whether r1 subsumes r2 (both already subsumable).
-// θ maps r1's variables to r2's terms; r2 is treated as frozen — its
-// variables only match themselves.
-func subsumes(r1, r2 ast.Rule) bool {
-	theta := map[string]ast.Term{}
-	if !matchAtom(r1.Head[0].Atom, r2.Head[0].Atom, theta) {
-		return false
+// r2 is treated as frozen — its variables only match themselves.
+func (m *matcher) subsumes(r1, r2 *ast.Rule) bool {
+	if m.theta == nil {
+		m.theta = map[string]ast.Term{}
 	}
-	return matchBody(r1.Body, 0, r2.Body, theta)
+	m.undo(0)
+	return m.atom(&r1.Head[0].Atom, &r2.Head[0].Atom) && m.body(r1.Body, r2.Body)
 }
 
-func matchBody(body1 []ast.Literal, at int, body2 []ast.Literal, theta map[string]ast.Term) bool {
-	if at == len(body1) {
+func (m *matcher) body(body1, body2 []ast.Literal) bool {
+	if len(body1) == 0 {
 		return true
 	}
-	l1 := body1[at]
-	for _, l2 := range body2 {
+	l1 := &body1[0]
+	for i := range body2 {
+		l2 := &body2[i]
 		if l1.Kind != l2.Kind || l1.Neg != l2.Neg {
 			continue
 		}
-		trail := snapshot(theta)
-		if matchLiteral(l1, l2, theta) && matchBody(body1, at+1, body2, theta) {
+		mark := len(m.trail)
+		if m.literal(l1, l2) && m.body(body1[1:], body2) {
 			return true
 		}
-		restore(theta, trail)
+		m.undo(mark)
 	}
 	return false
 }
 
-func matchLiteral(l1, l2 ast.Literal, theta map[string]ast.Term) bool {
+func (m *matcher) literal(l1, l2 *ast.Literal) bool {
 	switch l1.Kind {
 	case ast.LitAtom:
-		return matchAtom(l1.Atom, l2.Atom, theta)
+		return m.atom(&l1.Atom, &l2.Atom)
 	case ast.LitEq:
-		trail := snapshot(theta)
-		if matchTerm(l1.Left, l2.Left, theta) && matchTerm(l1.Right, l2.Right, theta) {
+		mark := len(m.trail)
+		if m.term(l1.Left, l2.Left) && m.term(l1.Right, l2.Right) {
 			return true
 		}
-		restore(theta, trail)
-		return matchTerm(l1.Left, l2.Right, theta) && matchTerm(l1.Right, l2.Left, theta)
+		m.undo(mark)
+		return m.term(l1.Left, l2.Right) && m.term(l1.Right, l2.Left)
 	}
 	return false
 }
 
-func matchAtom(a1, a2 ast.Atom, theta map[string]ast.Term) bool {
+func (m *matcher) atom(a1, a2 *ast.Atom) bool {
 	if a1.Pred != a2.Pred || len(a1.Args) != len(a2.Args) {
 		return false
 	}
 	for i := range a1.Args {
-		if !matchTerm(a1.Args[i], a2.Args[i], theta) {
+		if !m.term(a1.Args[i], a2.Args[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// matchTerm directionally matches a term of r1 against a frozen term
-// of r2, extending θ.
-func matchTerm(t1, t2 ast.Term, theta map[string]ast.Term) bool {
+// term directionally matches a term of r1 against a frozen term of
+// r2, extending θ.
+func (m *matcher) term(t1, t2 ast.Term) bool {
 	if !t1.IsVar() {
 		return !t2.IsVar() && t1.Const == t2.Const
 	}
-	if bound, ok := theta[t1.Var]; ok {
+	if bound, ok := m.theta[t1.Var]; ok {
 		return sameTerm(bound, t2)
 	}
-	theta[t1.Var] = t2
+	m.theta[t1.Var] = t2
+	m.trail = append(m.trail, t1.Var)
 	return true
-}
-
-func snapshot(theta map[string]ast.Term) map[string]bool {
-	keys := make(map[string]bool, len(theta))
-	for k := range theta {
-		keys[k] = true
-	}
-	return keys
-}
-
-func restore(theta map[string]ast.Term, keys map[string]bool) {
-	for k := range theta {
-		if !keys[k] {
-			delete(theta, k)
-		}
-	}
 }

@@ -1,10 +1,13 @@
 package parser
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"unchained/internal/ast"
+	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
 
@@ -40,16 +43,87 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzParseFacts does the same for the fact-list parser.
+// parseFactsViaRules is ParseFacts as it used to work, kept as the
+// oracle for the streaming one: parse the whole text into rules, then
+// convert each rule that is a ground fact.
+func parseFactsViaRules(src string, u *value.Universe) (*tuple.Instance, error) {
+	prog, err := Parse(src, u)
+	if err != nil {
+		return nil, err
+	}
+	in := tuple.NewInstance()
+	for i, r := range prog.Rules {
+		if len(r.Body) != 0 || len(r.Head) != 1 {
+			return nil, fmt.Errorf("fact %d: not a ground fact", i+1)
+		}
+		h := r.Head[0]
+		if h.Kind != ast.LitAtom || h.Neg {
+			return nil, fmt.Errorf("fact %d: not a positive atom", i+1)
+		}
+		var t tuple.Tuple
+		for j, a := range h.Atom.Args {
+			if a.IsVar() {
+				return nil, fmt.Errorf("fact %d: argument %d is a variable", i+1, j+1)
+			}
+			t = append(t, a.Const)
+		}
+		if r := in.Relation(h.Atom.Pred); r != nil && r.Arity() != len(t) {
+			return nil, fmt.Errorf("fact %d: %s has arity %d here but %d earlier",
+				i+1, h.Atom.Pred, len(t), r.Arity())
+		}
+		in.Insert(h.Atom.Pred, t)
+	}
+	return in, nil
+}
+
+// sameFacts compares the streaming parser with the oracle on one
+// input: both fail, or both give the same instance over the same
+// constants.
+func sameFacts(t *testing.T, src string) (got, want error) {
+	t.Helper()
+	u, uo := value.New(), value.New()
+	in, got := ParseFacts(src, u)
+	oracle, want := parseFactsViaRules(src, uo)
+	if (got == nil) != (want == nil) {
+		t.Fatalf("ParseFacts(%q): error %v, the rule-parsing oracle %v", src, got, want)
+	}
+	if got == nil && (!in.Equal(oracle) || u.Len() != uo.Len()) {
+		t.Fatalf("ParseFacts(%q) = %d facts over %d constants, the oracle %d over %d",
+			src, in.Facts(), u.Len(), oracle.Facts(), uo.Len())
+	}
+	return got, want
+}
+
+// TestParseFactsOneDefect: an input with exactly one thing wrong with
+// it gets the message it always got.
+func TestParseFactsOneDefect(t *testing.T) {
+	for _, bad := range []string{
+		"T(X) :- G(X).", "G(a,X).", "H(_).", "!G(a,b).", "not G(a,b).", "A(a), B(b).", "a = b.", "1 = 2.",
+		"bottom.", "G(a b).", "G(a,).", "G(a", "G(a,b)", "G(a,b)) .", "(a).", "H(99999999999999999999).",
+		"H(\"a).", "G(a,b) :- H(", "G(a,b) :- .x", "H(-).", "not(a).", "bottom(a).", ", H(a).", "H(a)..",
+		"G(b,c). G(a,b,c).", "G(b,c). G.",
+	} {
+		for _, src := range []string{bad, "G(a,b). P.\n" + bad, "G(a,b).\n" + bad + "\nG(b,c). Q(1,\"x y\")."} {
+			got, want := sameFacts(t, src)
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("ParseFacts(%q): %v, want the error %v", src, got, want)
+			}
+		}
+	}
+	// Facts in their other spellings are facts to both.
+	for _, ok := range []string{"", "P.", "P().", "P :- .", "P(a) :- .", "X(a).", "forall(a).", "G(a,\"b c\",-3). % done\n// too"} {
+		if got, _ := sameFacts(t, ok); got != nil {
+			t.Errorf("ParseFacts(%q): %v", ok, got)
+		}
+	}
+}
+
+// FuzzParseFacts holds the streaming fact-list parser to the oracle on
+// arbitrary input.
 func FuzzParseFacts(f *testing.F) {
 	seedFrom(f, filepath.Join("..", "..", "programs", "facts", "*.facts"))
 	f.Add("G(a,b). G(b,c).")
 	f.Add("R(1, -2, x).")
-	f.Fuzz(func(t *testing.T, src string) {
-		u := value.New()
-		in, err := ParseFacts(src, u)
-		if err == nil && in == nil {
-			t.Fatal("nil instance with nil error")
-		}
-	})
+	f.Add("P :- . Q(). !G(a). G(a,X).")
+	f.Fuzz(func(t *testing.T, src string) { sameFacts(t, src) })
 }

@@ -20,6 +20,11 @@
 // Identifiers starting with an upper-case letter or '_' are
 // variables; identifiers starting lower-case, quoted strings and
 // integers are constants.
+//
+// Facts files are the same syntax restricted to ground positive atoms.
+// ParseFacts reads them off the token stream into tuples, building no
+// rule, atom or term per fact; the rule grammar only sees the
+// statements that are not plainly "pred(const, ...).".
 package parser
 
 import (

@@ -102,36 +102,84 @@ func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
 }
 
 // ParseFacts parses a sequence of ground facts ("G(a,b). P(1).") into
-// a fresh instance, interning constants into u.
+// a fresh instance, interning constants into u. A fact is read off the
+// token stream straight into one scratch tuple and inserted; no rule,
+// atom or term is built for it. Only a statement that is not of the
+// plain shape "pred(const, ...)." is handed to the rule grammar, which
+// either accepts it as a fact in another spelling ("P :- .") or names
+// what is wrong with it.
 func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
-	prog, err := Parse(src, u)
-	if err != nil {
+	p := &parser{lx: newLexer(src), u: u}
+	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	in := tuple.NewInstance()
 	var t tuple.Tuple // one scratch for every fact: Insert copies it
-	for i, r := range prog.Rules {
-		if len(r.Body) != 0 || len(r.Head) != 1 {
-			return nil, fmt.Errorf("fact %d: not a ground fact", i+1)
-		}
-		h := r.Head[0]
-		if h.Kind != ast.LitAtom || h.Neg {
-			return nil, fmt.Errorf("fact %d: not a positive atom", i+1)
-		}
-		t = t[:0]
-		for j, a := range h.Atom.Args {
-			if a.IsVar() {
-				return nil, fmt.Errorf("fact %d: argument %d is a variable", i+1, j+1)
+	for n := 1; p.tok.kind != tokEOF; n++ {
+		lx, first := *p.lx, p.tok
+		pred, ok := first.text, p.plainFact(&t)
+		if !ok {
+			*p.lx, p.tok = lx, first
+			r, err := p.rule()
+			if err != nil {
+				return nil, err
 			}
-			t = append(t, a.Const)
+			if pred, t, err = groundFact(&r, n, t[:0]); err != nil {
+				return nil, err
+			}
 		}
-		if r := in.Relation(h.Atom.Pred); r != nil && r.Arity() != len(t) {
-			return nil, fmt.Errorf("fact %d: %s has arity %d here but %d earlier",
-				i+1, h.Atom.Pred, len(t), r.Arity())
+		if r := in.Relation(pred); r != nil && r.Arity() != len(t) {
+			return nil, fmt.Errorf("fact %d: %s has arity %d here but %d earlier", n, pred, len(t), r.Arity())
 		}
-		in.Insert(h.Atom.Pred, t)
+		in.Insert(pred, t)
 	}
 	return in, nil
+}
+
+// plainFact reads "pred ( const {, const} ) ." or "pred ." with the
+// predicate name current, leaving the constants in *t. On anything
+// else it reports false wherever it got to; the caller rewinds.
+func (p *parser) plainFact(t *tuple.Tuple) bool {
+	*t = (*t)[:0]
+	name := p.tok
+	if (name.kind != tokIdent && name.kind != tokVar) || name.text == "not" || name.text == "bottom" || p.advance() != nil {
+		return false
+	}
+	if p.tok.kind == tokLParen {
+		for sep := tokLParen; p.tok.kind == sep; sep = tokComma {
+			if p.advance() != nil || p.tok.kind == tokVar {
+				return false
+			}
+			c, err := p.term()
+			if err != nil {
+				return false
+			}
+			*t = append(*t, c.Const)
+		}
+		if p.tok.kind != tokRParen || p.advance() != nil {
+			return false
+		}
+	}
+	return p.tok.kind == tokDot && p.advance() == nil
+}
+
+// groundFact converts a parsed rule that must be a ground fact,
+// appending its constants to t.
+func groundFact(r *ast.Rule, n int, t tuple.Tuple) (string, tuple.Tuple, error) {
+	if len(r.Body) != 0 || len(r.Head) != 1 {
+		return "", t, fmt.Errorf("fact %d: not a ground fact", n)
+	}
+	h := &r.Head[0]
+	if h.Kind != ast.LitAtom || h.Neg {
+		return "", t, fmt.Errorf("fact %d: not a positive atom", n)
+	}
+	for j, a := range h.Atom.Args {
+		if a.IsVar() {
+			return "", t, fmt.Errorf("fact %d: argument %d is a variable", n, j+1)
+		}
+		t = append(t, a.Const)
+	}
+	return h.Atom.Pred, t, nil
 }
 
 // MustParseFacts is ParseFacts for trusted sources.

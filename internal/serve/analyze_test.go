@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"unchained/internal/analyze"
+	"unchained/internal/gen"
 )
 
 const winProgram = `Win(X) :- Moves(X,Y), !Win(Y).`
@@ -117,5 +120,53 @@ func TestAnalyzeMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestAnalyzeLargeProgramBounded: /v1/analyze takes bodies up to 8 MiB
+// outside the admission gate, so the analyzer's cost has to stay
+// linear in the program. A 20 000-rule program (the wide shape: a copy
+// chain plus dead rules) comes back well inside a 10 s client timeout
+// with every rule-dependent diagnostic — a quadratic front end needs
+// minutes for it — and asking again for the same text is answered
+// from the memoized report.
+func TestAnalyzeLargeProgramBounded(t *testing.T) {
+	const depth, dead = 4999, 15000 // depth+1+dead = 20 000 rules
+	srv, ts := newInstrumentedServer(t)
+	body, err := json.Marshal(AnalyzeRequest{Envelope: Envelope{Program: gen.Wide(depth, dead)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("request %d: %v", i+1, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d, %v: %.200s", i+1, resp.StatusCode, err, raw)
+		}
+		var out AnalyzeResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		// I001, one I002 (not Datalog: a dead rule negates Sel), I003
+		// for Out and every fourth dead rule, I005 for the chain and
+		// the negation-free half of the dead rules.
+		want := 2 + (1 + dead/4) + (depth + dead/2)
+		if !out.OK || out.Report == nil {
+			t.Fatalf("request %d: %.200s", i+1, raw)
+		}
+		if got := len(out.Report.Diags); got != want {
+			t.Fatalf("request %d: %d diagnostics, want %d", i+1, got, want)
+		}
+	}
+	if hits, misses, _, _ := srv.cache.stats(); hits != 1 || misses != 1 {
+		t.Fatalf("cache hits=%d misses=%d, want 1/1: the second request re-parsed", hits, misses)
+	}
+	if z := srv.snapshot(); z.Analyzes != 2 || z.AnalyzeErrors != 0 {
+		t.Fatalf("counters: %+v", z)
 	}
 }

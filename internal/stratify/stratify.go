@@ -22,92 +22,109 @@ type Edge struct {
 	Pos      ast.Pos // position of the witness body literal
 }
 
-// edgeKey dedups edges on the dependency itself, so the first
-// witness occurrence wins.
-type edgeKey struct {
-	from, to string
-	negative bool
-}
-
-// Graph is the predicate dependency graph of a program.
+// Graph is the predicate dependency graph of a program. Internally
+// predicates are their ast.Index ids and adjacency is one flat array,
+// so the graph algorithms run on slices, not string-keyed maps.
 type Graph struct {
-	Preds []string
+	Preds []string // sorted
 	Edges []Edge
 
-	adj map[string][]int // pred -> indexes into Edges (outgoing)
+	ix    *ast.Index
+	nodes []int32    // predicate ids of Preds, in that order
+	ends  [][2]int32 // per edge: the From and To predicate ids
+	adjAt []int32    // predicate id -> its first slot in adj; one past the last id closes the array
+	adj   []int32    // outgoing edge indexes, grouped by From in edge order
+
+	comp, members, cuts []int32 // what components returns, once computed
 }
 
-// BuildGraph constructs the dependency graph. ∀-literals contribute
-// their inner literals' polarities (a negative literal under ∀ is a
-// negative dependency).
-func BuildGraph(p *ast.Program) *Graph {
-	g := &Graph{adj: map[string][]int{}}
-	predSet := map[string]bool{}
-	seenEdge := map[edgeKey]bool{}
-	addPred := func(n string) {
-		if !predSet[n] {
-			predSet[n] = true
-			g.Preds = append(g.Preds, n)
-		}
-	}
-	addEdge := func(e Edge) {
-		k := edgeKey{from: e.From, to: e.To, negative: e.Negative}
-		if seenEdge[k] {
-			return
-		}
-		seenEdge[k] = true
-		g.adj[e.From] = append(g.adj[e.From], len(g.Edges))
-		g.Edges = append(g.Edges, e)
-	}
-	var walkBody func(head string, ri int, l ast.Literal, negCtx bool)
-	walkBody = func(head string, ri int, l ast.Literal, negCtx bool) {
-		switch l.Kind {
-		case ast.LitAtom:
-			addPred(l.Atom.Pred)
-			addEdge(Edge{From: head, To: l.Atom.Pred, Negative: l.Neg || negCtx, Rule: ri, Pos: l.SrcPos})
-		case ast.LitForall:
-			for _, b := range l.ForallBody {
-				walkBody(head, ri, b, negCtx)
+// BuildGraph constructs the dependency graph of p.
+func BuildGraph(p *ast.Program) *Graph { return NewGraph(ast.NewIndex(p)) }
+
+// NewGraph constructs the dependency graph from a program's index.
+// ∀-literals contribute their inner literals' polarities (a negative
+// literal under ∀ is a negative dependency). Edges are deduplicated on
+// the dependency itself, so the first witness occurrence wins.
+func NewGraph(ix *ast.Index) *Graph {
+	n := len(ix.Preds)
+	m := 2 * len(ix.Rules) // about two body atoms a rule
+	g := &Graph{ix: ix, adjAt: make([]int32, n+1), Edges: make([]Edge, 0, m), ends: make([][2]int32, 0, m)}
+	in := make([]bool, n)
+	seen := make(map[uint64]struct{}, m)
+	for ri := range ix.Rules {
+		body := ix.Body(ri)
+		for _, h := range ix.Heads(ri) {
+			in[h.Pred] = true
+			for _, b := range body {
+				in[b.Pred] = true
+				k := uint64(h.Pred)<<33 | uint64(b.Pred)<<1
+				if b.Lit.Neg {
+					k |= 1
+				}
+				if _, dup := seen[k]; dup {
+					continue
+				}
+				seen[k] = struct{}{}
+				g.Edges = append(g.Edges, Edge{
+					From: ix.Preds[h.Pred].Name, To: ix.Preds[b.Pred].Name,
+					Negative: b.Lit.Neg, Rule: ri, Pos: b.Lit.SrcPos,
+				})
+				g.ends = append(g.ends, [2]int32{h.Pred, b.Pred})
+				g.adjAt[h.Pred+1]++
 			}
 		}
 	}
-	for ri, r := range p.Rules {
-		for _, h := range r.Head {
-			if h.Kind != ast.LitAtom {
-				continue
-			}
-			addPred(h.Atom.Pred)
-			for _, b := range r.Body {
-				walkBody(h.Atom.Pred, ri, b, false)
-			}
+	for v := 0; v < n; v++ {
+		g.adjAt[v+1] += g.adjAt[v]
+		if in[v] {
+			g.nodes = append(g.nodes, int32(v))
 		}
 	}
-	sort.Strings(g.Preds)
+	g.adj = make([]int32, len(g.Edges))
+	next := append([]int32(nil), g.adjAt[:n]...)
+	for ei, e := range g.ends {
+		g.adj[next[e[0]]] = int32(ei)
+		next[e[0]]++
+	}
+	sort.Slice(g.nodes, func(i, j int) bool { return ix.Preds[g.nodes[i]].Name < ix.Preds[g.nodes[j]].Name })
+	g.Preds = make([]string, len(g.nodes))
+	for i, v := range g.nodes {
+		g.Preds[i] = ix.Preds[v].Name
+	}
 	return g
 }
 
-// SCCs returns the strongly connected components of the graph in a
-// reverse-topological order (callees before callers), each component
-// sorted by name. Tarjan's algorithm, iteratively irrelevant here:
-// programs are small, recursion is fine.
-func (g *Graph) SCCs() [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var out [][]string
-	counter := 0
+// out returns the indexes of the edges leaving predicate v.
+func (g *Graph) out(v int32) []int32 { return g.adj[g.adjAt[v]:g.adjAt[v+1]] }
 
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
+// components runs Tarjan's algorithm: comp numbers every predicate's
+// strongly connected component, components in a reverse-topological
+// order (callees before callers); members lists the predicates
+// component by component, component c being
+// members[cuts[c]:cuts[c+1]]. The graph never changes, so the first
+// call's answer is kept. Recursion is fine: its depth is the longest
+// dependency chain.
+func (g *Graph) components() (comp, members, cuts []int32) {
+	if g.cuts != nil {
+		return g.comp, g.members, g.cuts
+	}
+	n := len(g.ix.Preds)
+	index, low := make([]int32, n), make([]int32, n)
+	comp = make([]int32, n)
+	onStack := make([]bool, n)
+	var stack []int32
+	cuts = []int32{0}
+	counter := int32(0)
+
+	var strongconnect func(v int32)
+	strongconnect = func(v int32) {
 		counter++
-		index[v] = counter
-		low[v] = counter
+		index[v], low[v] = counter, counter
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, ei := range g.adj[v] {
-			w := g.Edges[ei].To
-			if _, seen := index[w]; !seen {
+		for _, ei := range g.out(v) {
+			w := g.ends[ei][1]
+			if index[w] == 0 {
 				strongconnect(w)
 				if low[w] < low[v] {
 					low[v] = low[w]
@@ -117,26 +134,59 @@ func (g *Graph) SCCs() [][]string {
 			}
 		}
 		if low[v] == index[v] {
-			var comp []string
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				comp[w] = int32(len(cuts) - 1)
+				members = append(members, w)
 				if w == v {
 					break
 				}
 			}
-			sort.Strings(comp)
-			out = append(out, comp)
+			cuts = append(cuts, int32(len(members)))
 		}
 	}
-	for _, v := range g.Preds {
-		if _, seen := index[v]; !seen {
+	for _, v := range g.nodes {
+		if index[v] == 0 {
 			strongconnect(v)
 		}
 	}
+	g.comp, g.members, g.cuts = comp, members, cuts
+	return comp, members, cuts
+}
+
+// SCCs returns the strongly connected components of the graph in a
+// reverse-topological order (callees before callers), each component
+// sorted by name.
+func (g *Graph) SCCs() [][]string {
+	_, members, cuts := g.components()
+	names := make([]string, len(members))
+	for i, v := range members {
+		names[i] = g.ix.Preds[v].Name
+	}
+	out := make([][]string, len(cuts)-1)
+	for c := range out {
+		out[c] = names[cuts[c]:cuts[c+1]:cuts[c+1]]
+		sort.Strings(out[c])
+	}
 	return out
+}
+
+// Recursive marks, by predicate id, the predicates that depend on
+// themselves: through a cycle of several predicates or a self-loop.
+func (g *Graph) Recursive() []bool {
+	comp, _, cuts := g.components()
+	rec := make([]bool, len(comp))
+	for _, v := range g.nodes {
+		rec[v] = cuts[comp[v]+1]-cuts[comp[v]] > 1
+	}
+	for _, e := range g.ends {
+		if e[0] == e[1] {
+			rec[e[0]] = true
+		}
+	}
+	return rec
 }
 
 // NegativeCycle returns a witness for non-stratifiability: a cycle of
@@ -148,37 +198,31 @@ func (g *Graph) SCCs() [][]string {
 // intra-component edge in graph order, closed by a shortest path
 // back.
 func (g *Graph) NegativeCycle() []Edge {
-	comp := map[string]int{}
-	for i, c := range g.SCCs() {
-		for _, v := range c {
-			comp[v] = i
-		}
-	}
-	for _, e := range g.Edges {
-		if !e.Negative || comp[e.From] != comp[e.To] {
+	comp, _, _ := g.components()
+	for i, e := range g.Edges {
+		from, to := g.ends[i][0], g.ends[i][1]
+		if !e.Negative || comp[from] != comp[to] {
 			continue
 		}
-		if e.To == e.From { // self-negation, e.g. Win :- !Win
+		if to == from { // self-negation, e.g. Win :- !Win
 			return []Edge{e}
 		}
-		// BFS from e.To back to e.From inside the component.
-		prev := map[string]int{} // node -> edge index that reached it
-		queue := []string{e.To}
-		seen := map[string]bool{e.To: true}
+		// BFS from to back to from inside the component.
+		prev := make([]int32, len(comp)) // node -> 1 + the edge index that reached it
+		queue := []int32{to}
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			for _, ei := range g.adj[v] {
-				w := g.Edges[ei].To
-				if seen[w] || comp[w] != comp[e.From] {
+			for _, ei := range g.out(v) {
+				w := g.ends[ei][1]
+				if w == to || prev[w] != 0 || comp[w] != comp[from] {
 					continue
 				}
-				seen[w] = true
-				prev[w] = ei
-				if w == e.From {
+				prev[w] = ei + 1
+				if w == from {
 					var path []Edge
-					for n := w; n != e.To; n = g.Edges[prev[n]].From {
-						path = append(path, g.Edges[prev[n]])
+					for n := w; n != to; n = g.ends[prev[n]-1][0] {
+						path = append(path, g.Edges[prev[n]-1])
 					}
 					// path is collected backwards; reverse it.
 					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
@@ -209,33 +253,27 @@ type Stratification struct {
 // (e.g. the win program of Example 3.2).
 func Stratify(p *ast.Program) (*Stratification, error) {
 	g := BuildGraph(p)
-	sccs := g.SCCs()
-	comp := map[string]int{}
-	for i, c := range sccs {
-		for _, v := range c {
-			comp[v] = i
-		}
-	}
+	comp, members, cuts := g.components()
 	// Reject negative intra-component edges.
-	for _, e := range g.Edges {
-		if e.Negative && comp[e.From] == comp[e.To] {
+	for i, e := range g.Edges {
+		if e.Negative && comp[g.ends[i][0]] == comp[g.ends[i][1]] {
 			return nil, fmt.Errorf("stratify: recursion through negation involving %s and %s", e.From, e.To)
 		}
 	}
 	// Longest-path layering over the component DAG. SCCs come out of
 	// Tarjan in reverse topological order (dependencies first), so a
 	// single left-to-right pass suffices.
-	level := make([]int, len(sccs))
-	for ci := 0; ci < len(sccs); ci++ {
-		for _, v := range sccs[ci] {
-			for _, ei := range g.adj[v] {
-				e := g.Edges[ei]
-				dep := comp[e.To]
-				if dep == ci {
+	level := make([]int, len(cuts)-1)
+	maxLevel := 0
+	for ci := range level {
+		for _, v := range members[cuts[ci]:cuts[ci+1]] {
+			for _, ei := range g.out(v) {
+				dep := comp[g.ends[ei][1]]
+				if int(dep) == ci {
 					continue
 				}
 				need := level[dep]
-				if e.Negative {
+				if g.Edges[ei].Negative {
 					need++
 				}
 				if need > level[ci] {
@@ -243,24 +281,15 @@ func Stratify(p *ast.Program) (*Stratification, error) {
 				}
 			}
 		}
-	}
-	s := &Stratification{Level: map[string]int{}}
-	maxLevel := 0
-	for ci, c := range sccs {
-		for _, v := range c {
-			s.Level[v] = level[ci]
-		}
 		if level[ci] > maxLevel {
 			maxLevel = level[ci]
 		}
 	}
-	s.Strata = make([][]string, maxLevel+1)
-	for _, v := range g.Preds {
-		l := s.Level[v]
-		s.Strata[l] = append(s.Strata[l], v)
-	}
-	for _, st := range s.Strata {
-		sort.Strings(st)
+	s := &Stratification{Level: make(map[string]int, len(g.Preds)), Strata: make([][]string, maxLevel+1)}
+	for i, v := range g.nodes { // in name order, so each stratum comes out sorted
+		l := level[comp[v]]
+		s.Level[g.Preds[i]] = l
+		s.Strata[l] = append(s.Strata[l], g.Preds[i])
 	}
 	return s, nil
 }
