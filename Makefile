@@ -117,7 +117,10 @@ explain-golden:
 
 # Boot the HTTP daemon on a loopback port and run the smoke sequence:
 # /healthz, one terminating eval, one deadline-bounded eval (must be
-# interrupted with partial stats), /statsz counters.
+# interrupted with partial stats), /statsz counters, a standing query,
+# /v1/analyze shed with 429 at a saturated admission gate, and a
+# durable database closed by shutdown and reopened with no WAL tail to
+# truncate.
 serve-smoke:
 	$(GO) run ./cmd/unchained-serve -selftest
 

@@ -36,7 +36,8 @@
 // -otlp-file appends one OTLP/JSON span-export document per
 // evaluation for offline trace viewers (see docs/OBSERVABILITY.md).
 //
-// The daemon drains in-flight evaluations on SIGINT/SIGTERM. With
+// The daemon drains in-flight evaluations on SIGINT/SIGTERM and then
+// syncs and closes its named databases. With
 // -ops-addr it runs a second listener carrying GET /metrics
 // (Prometheus text) and net/http/pprof under /debug/pprof/ — kept off
 // the service port so profiling endpoints are never exposed to
@@ -45,8 +46,10 @@
 // the server on a loopback port, fires a health check, one
 // terminating evaluation, one sharded evaluation, one
 // deadline-bounded non-terminating evaluation, a traced evaluation,
-// a /v1/status probe, a /metrics scrape, and a /debug/flight probe,
-// then exits — the smoke test used by "make serve-smoke". The
+// a /v1/status probe, a /metrics scrape, a /debug/flight probe, a
+// standing query, a /v1/analyze shed by a saturated admission gate,
+// and a durable database reopened after a clean shutdown, then exits
+// — the smoke test used by "make serve-smoke". The
 // -metrics-lint flag boots the same loopback server, drives traffic
 // onto every metric family, and lints the /metrics exposition with
 // internal/promlint — the CI gate behind "make metrics-lint".
@@ -221,12 +224,18 @@ func run(args []string, w, ew io.Writer) int {
 		// Shutdown stops accepting and waits for in-flight handlers;
 		// per-request contexts keep their own deadlines, so draining
 		// cannot hang past the window.
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(ew, "unchained-serve: drain: %v\n", err)
-			return 1
-		}
+		err := srv.Shutdown(ctx)
 		if opsSrv != nil {
 			opsSrv.Shutdown(ctx)
+		}
+		// Sync and close the named databases whether or not the drain
+		// finished: a handler still running sees its store closed.
+		if cerr := service.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(ew, "unchained-serve: drain: %v\n", err)
+			return 1
 		}
 	}
 	return 0
@@ -247,59 +256,87 @@ func opsMux(service *serve.Server) *http.ServeMux {
 	return mux
 }
 
+// loopback boots a daemon on a loopback port. stop drains it and
+// closes its named databases, reporting the first error.
+func loopback(cfg serve.Config) (base string, stop func() error, err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	service := serve.New(cfg)
+	srv := &http.Server{Handler: service}
+	go srv.Serve(ln)
+	return "http://" + ln.Addr().String(), func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		err := srv.Shutdown(ctx)
+		if cerr := service.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
+}
+
+// exchange is one round trip with a loopback daemon: POST req as JSON
+// (GET when req is nil) and decode the JSON answer into `into` unless
+// that is nil. The raw body comes back too, for error messages.
+func exchange(url string, req, into any) (status int, hdr http.Header, body []byte, err error) {
+	var resp *http.Response
+	if req == nil {
+		resp, err = http.Get(url)
+	} else {
+		var b []byte
+		if b, err = json.Marshal(req); err == nil {
+			resp, err = http.Post(url, "application/json", bytes.NewReader(b))
+		}
+	}
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err == nil && into != nil {
+		if err = json.Unmarshal(body, into); err != nil {
+			err = fmt.Errorf("%w (body %s)", err, body)
+		}
+	}
+	return resp.StatusCode, resp.Header, body, err
+}
+
+// tcProgram is the transitive-closure program the smoke steps evaluate.
+const tcProgram = "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y)."
+
 // runSelftest boots the daemon on a loopback port and exercises the
 // endpoints end to end: /healthz, a terminating eval, a deadline-
-// bounded non-terminating eval (must report kind "deadline" with
-// partial stages), and /statsz.
-func runSelftest(cfg serve.Config, w io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// bounded non-terminating eval (must report code "deadline" with
+// partial stages), /statsz, a standing query, /v1/analyze against a
+// saturated gate, and a durable database across a clean restart.
+func runSelftest(cfg serve.Config, w io.Writer) (err error) {
+	base, stop, err := loopback(cfg)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: serve.New(cfg)}
-	go srv.Serve(ln)
 	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
+		if cerr := stop(); err == nil {
+			err = cerr
+		}
 	}()
-	base := "http://" + ln.Addr().String()
 
 	// 1. Health.
-	resp, err := http.Get(base + "/healthz")
+	status, _, body, err := exchange(base+"/healthz", nil, nil)
 	if err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"ok"`) {
-		return fmt.Errorf("healthz: status %d body %s", resp.StatusCode, body)
+	if status != http.StatusOK || !strings.Contains(string(body), `"ok"`) {
+		return fmt.Errorf("healthz: status %d body %s", status, body)
 	}
 	fmt.Fprintf(w, "selftest: healthz ok\n")
 
-	postJSON := func(path string, req any) (int, []byte, error) {
-		b, err := json.Marshal(req)
-		if err != nil {
-			return 0, nil, err
-		}
-		resp, err := http.Post(base+path, "application/json", bytes.NewReader(b))
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		return resp.StatusCode, body, err
-	}
-
 	// 2. A terminating evaluation.
-	status, body, err := postJSON("/v1/eval", serve.EvalRequest{
-		Envelope: serve.Envelope{
-			Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).",
-			Facts:   "G(a,b). G(b,c).",
-			Stats:   true,
-		},
+	tc := serve.EvalRequest{
+		Envelope:  serve.Envelope{Program: tcProgram, Facts: "G(a,b). G(b,c).", Stats: true},
 		Semantics: "minimal-model",
-	})
+	}
+	status, _, body, err = exchange(base+"/v1/eval", tc, nil)
 	if err != nil {
 		return fmt.Errorf("eval: %w", err)
 	}
@@ -310,21 +347,10 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 
 	// 2b. The same evaluation shard-parallel: the output must be
 	// byte-identical and the stats summary must report shard rounds.
-	status, body, err = postJSON("/v1/eval", serve.EvalRequest{
-		Envelope: serve.Envelope{
-			Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).",
-			Facts:   "G(a,b). G(b,c).",
-			Stats:   true,
-			Shards:  4,
-		},
-		Semantics: "minimal-model",
-	})
-	if err != nil {
-		return fmt.Errorf("sharded eval: %w", err)
-	}
 	var sharded serve.EvalResponse
-	if uerr := json.Unmarshal(body, &sharded); uerr != nil {
-		return fmt.Errorf("sharded eval: %w (body %s)", uerr, body)
+	tc.Shards = 4
+	if status, _, body, err = exchange(base+"/v1/eval", tc, &sharded); err != nil {
+		return fmt.Errorf("sharded eval: %w", err)
 	}
 	if status != http.StatusOK || !strings.Contains(sharded.Output, "T(a,c)") ||
 		sharded.Stats == nil || sharded.Stats.ShardRounds == 0 {
@@ -334,23 +360,16 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 
 	// 3. A non-terminating evaluation under a 100ms deadline.
 	start := time.Now()
-	status, body, err = postJSON("/v1/eval", serve.EvalRequest{
-		Envelope: serve.Envelope{
-			Program:   queries.Counter(30),
-			TimeoutMS: 100,
-			Stats:     true,
-		},
+	var evalResp serve.EvalResponse
+	status, _, body, err = exchange(base+"/v1/eval", serve.EvalRequest{
+		Envelope:  serve.Envelope{Program: queries.Counter(30), TimeoutMS: 100, Stats: true},
 		Semantics: "noninflationary",
-	})
+	}, &evalResp)
 	if err != nil {
 		return fmt.Errorf("timeout eval: %w", err)
 	}
-	var evalResp serve.EvalResponse
-	if uerr := json.Unmarshal(body, &evalResp); uerr != nil {
-		return fmt.Errorf("timeout eval: %w (body %s)", uerr, body)
-	}
 	if status != http.StatusRequestTimeout || evalResp.Error == nil ||
-		evalResp.Error.Kind != "deadline" || evalResp.Stages == 0 {
+		evalResp.Error.Code != serve.CodeDeadline || evalResp.Stages == 0 {
 		return fmt.Errorf("timeout eval: status %d body %s", status, body)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -360,20 +379,10 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 
 	// 4. A traced evaluation: the span stream must come back in the
 	// response, opening with a begin-eval event.
-	status, body, err = postJSON("/v1/eval", serve.EvalRequest{
-		Envelope: serve.Envelope{
-			Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).",
-			Facts:   "G(a,b). G(b,c).",
-		},
-		Semantics: "minimal-model",
-		Trace:     true,
-	})
-	if err != nil {
-		return fmt.Errorf("trace eval: %w", err)
-	}
 	var traced serve.EvalResponse
-	if uerr := json.Unmarshal(body, &traced); uerr != nil {
-		return fmt.Errorf("trace eval: %w (body %s)", uerr, body)
+	tc.Shards, tc.Stats, tc.Trace = 0, false, true
+	if status, _, _, err = exchange(base+"/v1/eval", tc, &traced); err != nil {
+		return fmt.Errorf("trace eval: %w", err)
 	}
 	if status != http.StatusOK || len(traced.Trace) == 0 ||
 		traced.Trace[0].Ev != "begin" || traced.Trace[0].Span != "eval" {
@@ -382,15 +391,9 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 	fmt.Fprintf(w, "selftest: trace eval ok (%d events)\n", len(traced.Trace))
 
 	// 4b. Service status: build identity, semantics, and limits.
-	resp, err = http.Get(base + "/v1/status")
-	if err != nil {
-		return fmt.Errorf("status: %w", err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
 	var stat serve.StatusResponse
-	if err := json.Unmarshal(body, &stat); err != nil {
-		return fmt.Errorf("status: %w (body %s)", err, body)
+	if _, _, body, err = exchange(base+"/v1/status", nil, &stat); err != nil {
+		return fmt.Errorf("status: %w", err)
 	}
 	if stat.Service != "unchained-serve" || len(stat.Semantics) == 0 ||
 		stat.Limits.MaxShards < 1 || stat.Limits.MaxInFlight == 0 {
@@ -400,18 +403,13 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 		stat.Limits.MaxShards, stat.Limits.MaxInFlight)
 
 	// 5. Service counters.
-	resp, err = http.Get(base + "/statsz")
+	var st serve.Statsz
+	_, hdr, body, err := exchange(base+"/statsz", nil, &st)
 	if err != nil {
 		return fmt.Errorf("statsz: %w", err)
 	}
-	if rid := resp.Header.Get("X-Request-Id"); len(rid) != 32 || strings.Trim(rid, "0123456789abcdef") != "" {
+	if rid := hdr.Get("X-Request-Id"); len(rid) != 32 || strings.Trim(rid, "0123456789abcdef") != "" {
 		return fmt.Errorf("statsz: X-Request-Id = %q, want 32-hex trace id", rid)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var st serve.Statsz
-	if err := json.Unmarshal(body, &st); err != nil {
-		return fmt.Errorf("statsz: %w (body %s)", err, body)
 	}
 	if st.EvalsOK < 2 || st.Timeouts < 1 {
 		return fmt.Errorf("statsz counters off: %s", body)
@@ -419,12 +417,9 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 	fmt.Fprintf(w, "selftest: statsz ok (evals_ok=%d timeouts=%d)\n", st.EvalsOK, st.Timeouts)
 
 	// 6. Prometheus exposition.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
+	if _, _, body, err = exchange(base+"/metrics", nil, nil); err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
 	for _, want := range []string{
 		"# TYPE unchained_requests_total counter",
 		"unchained_evals_ok_total",
@@ -439,18 +434,12 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 	// 7. Flight recorder: the evaluations above must have left records,
 	// and the deadline-bounded one must be among the slowest with its
 	// stage breakdown intact.
-	resp, err = http.Get(base + "/debug/flight/slowest")
-	if err != nil {
-		return fmt.Errorf("flight: %w", err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
 	var flightPage struct {
 		Total   uint64            `json:"total"`
 		Records []json.RawMessage `json:"records"`
 	}
-	if err := json.Unmarshal(body, &flightPage); err != nil {
-		return fmt.Errorf("flight: %w (body %s)", err, body)
+	if _, _, body, err = exchange(base+"/debug/flight/slowest", nil, &flightPage); err != nil {
+		return fmt.Errorf("flight: %w", err)
 	}
 	if flightPage.Total < 4 || len(flightPage.Records) == 0 {
 		return fmt.Errorf("flight recorder empty: %s", body)
@@ -466,27 +455,21 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 	// 8. Standing queries end to end: seed a named database, subscribe
 	// to transitive closure over it, then assert a new edge and observe
 	// the incremental delta arrive on the stream.
-	status, body, err = postJSON("/v1/facts", serve.FactsRequest{DB: "selftest", Assert: "G(a,b)."})
+	var fr serve.FactsResponse
+	status, _, body, err = exchange(base+"/v1/facts", serve.FactsRequest{DB: "selftest", Assert: "G(a,b)."}, &fr)
 	if err != nil {
 		return fmt.Errorf("facts: %w", err)
-	}
-	var fr serve.FactsResponse
-	if uerr := json.Unmarshal(body, &fr); uerr != nil {
-		return fmt.Errorf("facts: %w (body %s)", uerr, body)
 	}
 	if status != http.StatusOK || !fr.OK || fr.Seq != 1 || fr.Asserted != 1 {
 		return fmt.Errorf("facts: status %d body %s", status, body)
 	}
 	fmt.Fprintf(w, "selftest: facts ok (seq=%d)\n", fr.Seq)
 
-	subBody, err := json.Marshal(serve.SubscribeRequest{
-		DB:      "selftest",
-		Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).",
-	})
+	subBody, err := json.Marshal(serve.SubscribeRequest{DB: "selftest", Program: tcProgram})
 	if err != nil {
 		return err
 	}
-	resp, err = http.Post(base+"/v1/subscribe", "application/json", bytes.NewReader(subBody))
+	resp, err := http.Post(base+"/v1/subscribe", "application/json", bytes.NewReader(subBody))
 	if err != nil {
 		return fmt.Errorf("subscribe: %w", err)
 	}
@@ -527,7 +510,7 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 	if !strings.Contains(snap, "T(a,b)") {
 		return fmt.Errorf("subscribe snapshot missing seed view: %s", snap)
 	}
-	if _, _, err := postJSON("/v1/facts", serve.FactsRequest{DB: "selftest", Assert: "G(b,c)."}); err != nil {
+	if _, _, _, err := exchange(base+"/v1/facts", serve.FactsRequest{DB: "selftest", Assert: "G(b,c)."}, nil); err != nil {
 		return fmt.Errorf("facts during subscribe: %w", err)
 	}
 	delta, err := waitEvent("delta", "delta")
@@ -538,6 +521,117 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 		return fmt.Errorf("subscribe delta missing derived facts: %s", delta)
 	}
 	fmt.Fprintf(w, "selftest: subscribe ok (snapshot + incremental delta)\n")
+
+	if err := selftestSaturatedAnalyze(cfg); err != nil {
+		return fmt.Errorf("analyze under saturation: %w", err)
+	}
+	fmt.Fprintf(w, "selftest: analyze shed at a full queue (429 + Retry-After)\n")
+	if err := selftestRestart(cfg); err != nil {
+		return fmt.Errorf("close and reopen: %w", err)
+	}
+	fmt.Fprintf(w, "selftest: database survived a clean restart (no WAL truncation)\n")
+	return nil
+}
+
+// selftestSaturatedAnalyze checks that /v1/analyze passes the
+// admission gate like every other /v1 POST: with the only slot held by
+// a non-terminating evaluation and the only queue place taken, it is
+// shed with 429, a Retry-After hint and the request id in the body.
+func selftestSaturatedAnalyze(cfg serve.Config) error {
+	cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait = 1, 1, 5*time.Second
+	base, stop, err := loopback(cfg)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	// One holds the slot, one the queue place; each answers 408 at its
+	// deadline, which is what ends this step.
+	slow := serve.EvalRequest{
+		Envelope:  serve.Envelope{Program: queries.Counter(30), TimeoutMS: 600},
+		Semantics: "noninflationary",
+	}
+	done := make(chan error, 2)
+	for _, reached := range []func(serve.Statsz) bool{
+		func(st serve.Statsz) bool { return st.Admitted == 1 },   // the slot is held
+		func(st serve.Statsz) bool { return st.QueueDepth == 1 }, // the queue is full
+	} {
+		go func() {
+			_, _, _, err := exchange(base+"/v1/eval", slow, nil)
+			done <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			var st serve.Statsz
+			if _, _, _, err := exchange(base+"/statsz", nil, &st); err != nil {
+				return err
+			}
+			if reached(st) {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("the daemon never saturated: %+v", st)
+			}
+		}
+	}
+	var out serve.AnalyzeResponse
+	status, hdr, body, err := exchange(base+"/v1/analyze", serve.AnalyzeRequest{
+		Envelope: serve.Envelope{Program: "Win(X) :- Moves(X,Y), !Win(Y)."},
+	}, &out)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" || out.Error == nil ||
+		out.Error.Code != serve.CodeOverloaded || out.Error.Details["request_id"] != hdr.Get("X-Request-Id") {
+		return fmt.Errorf("status %d Retry-After %q body %s", status, hdr.Get("Retry-After"), body)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// selftestRestart asserts a fact into a durable database, shuts the
+// daemon down cleanly, boots a second one over the same directory and
+// checks that the fact is there and that recovery had no torn WAL tail
+// to truncate.
+func selftestRestart(cfg serve.Config) error {
+	dir, err := os.MkdirTemp("", "unchained-selftest-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	cfg.DataDir = dir
+	boot := func(wantAsserted int) (err error) {
+		base, stop, err := loopback(cfg)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := stop(); err == nil {
+				err = cerr
+			}
+		}()
+		var fr serve.FactsResponse
+		status, _, body, err := exchange(base+"/v1/facts", serve.FactsRequest{DB: "restart", Assert: "G(a,b)."}, &fr)
+		if err != nil {
+			return err
+		}
+		var st serve.Statsz
+		if _, _, _, err := exchange(base+"/statsz", nil, &st); err != nil {
+			return err
+		}
+		if status != http.StatusOK || fr.Seq != 1 || fr.Asserted != wantAsserted || st.WALTruncations != 0 {
+			return fmt.Errorf("status %d body %s, %d WAL truncations", status, body, st.WALTruncations)
+		}
+		return nil
+	}
+	if err := boot(1); err != nil {
+		return fmt.Errorf("first boot: %w", err)
+	}
+	if err := boot(0); err != nil { // the fact is already there
+		return fmt.Errorf("second boot: %w", err)
+	}
 	return nil
 }
 
@@ -546,51 +640,26 @@ func runSelftest(cfg serve.Config, w io.Writer) error {
 // and per-semantics labeled ones), then lints the /metrics exposition
 // with internal/promlint.
 func runMetricsLint(cfg serve.Config, w io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := loopback(cfg)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: serve.New(cfg)}
-	go srv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
+	defer stop()
 
-	for _, req := range []serve.EvalRequest{
-		{Envelope: serve.Envelope{
-			Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).",
-			Facts:   "G(a,b). G(b,c).",
-			Shards:  2,
-		}},
-		{Envelope: serve.Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"},
+	// Evaluations, then store traffic so the unchained_store_* families
+	// carry non-zero samples too.
+	for _, traffic := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: tcProgram, Facts: "G(a,b). G(b,c).", Shards: 2}}},
+		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"}},
+		{"/v1/facts", serve.FactsRequest{DB: "lint", Assert: "G(a,b)."}},
 	} {
-		b, err := json.Marshal(req)
-		if err != nil {
+		if _, _, _, err := exchange(base+traffic.path, traffic.req, nil); err != nil {
 			return err
 		}
-		resp, err := http.Post(base+"/v1/eval", "application/json", bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
-
-	// Store and subscription traffic, so the unchained_store_* and
-	// unchained_subscription_* families carry non-zero samples too.
-	fb, err := json.Marshal(serve.FactsRequest{DB: "lint", Assert: "G(a,b)."})
-	if err != nil {
-		return err
-	}
-	fresp, err := http.Post(base+"/v1/facts", "application/json", bytes.NewReader(fb))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, fresp.Body)
-	fresp.Body.Close()
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {

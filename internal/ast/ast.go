@@ -60,6 +60,23 @@ func NewAtom(pred string, args ...Term) Atom { return Atom{Pred: pred, Args: arg
 // Arity reports the number of arguments.
 func (a Atom) Arity() int { return len(a.Args) }
 
+// Adornment is the atom's binding pattern given the variables bound so
+// far: 'b' for a constant or a bound variable, 'f' for a free one, one
+// byte per argument. Magic sets and the optimizer's adornment analysis
+// both propagate demand with it.
+func (a Atom) Adornment(bound map[string]bool) string {
+	var ad strings.Builder
+	ad.Grow(len(a.Args))
+	for _, t := range a.Args {
+		if !t.IsVar() || bound[t.Var] {
+			ad.WriteByte('b')
+		} else {
+			ad.WriteByte('f')
+		}
+	}
+	return ad.String()
+}
+
 // String renders the atom.
 func (a Atom) String(u *value.Universe) string {
 	if len(a.Args) == 0 {

@@ -15,7 +15,6 @@ package magic
 
 import (
 	"fmt"
-	"strings"
 
 	"unchained/internal/ast"
 	"unchained/internal/declarative"
@@ -26,18 +25,6 @@ import (
 
 // adornment is a string of 'b'/'f', one per argument position.
 type adornment string
-
-func adornOf(a ast.Atom, bound map[string]bool) adornment {
-	var sb strings.Builder
-	for _, t := range a.Args {
-		if !t.IsVar() || bound[t.Var] {
-			sb.WriteByte('b')
-		} else {
-			sb.WriteByte('f')
-		}
-	}
-	return adornment(sb.String())
-}
 
 // adornedName and magicName build internal predicate names. They use
 // '#', which the surface syntax cannot produce, so they never collide
@@ -88,7 +75,7 @@ func Rewrite(p *ast.Program, query ast.Atom) (*ast.Program, string, error) {
 		rulesFor[h.Pred] = append(rulesFor[h.Pred], r)
 	}
 
-	queryAd := adornOf(query, nil)
+	queryAd := adornment(query.Adornment(nil))
 	out := &ast.Program{}
 
 	// Seed: the magic fact for the query's bound constants.
@@ -124,7 +111,7 @@ func Rewrite(p *ast.Program, query ast.Atom) (*ast.Program, string, error) {
 			for _, l := range r.Body {
 				a := l.Atom // positive Datalog: all literals are positive atoms
 				if idb[a.Pred] {
-					ad := adornOf(a, bound)
+					ad := adornment(a.Adornment(bound))
 					child := job{a.Pred, ad}
 					if !seen[child] {
 						seen[child] = true

@@ -203,15 +203,7 @@ func adornments(p *ast.Program, ix *ast.Index, roots []string) []Adornment {
 				switch l.Kind {
 				case ast.LitAtom:
 					if id, _ := ix.ID(l.Atom.Pred); ix.Preds[id].IDB() {
-						var b strings.Builder
-						for _, t := range l.Atom.Args {
-							if !t.IsVar() || bound[t.Var] {
-								b.WriteByte('b')
-							} else {
-								b.WriteByte('f')
-							}
-						}
-						push(l.Atom.Pred, b.String())
+						push(l.Atom.Pred, l.Atom.Adornment(bound))
 					}
 					if !l.Neg {
 						for _, t := range l.Atom.Args {

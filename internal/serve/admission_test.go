@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"unchained/internal/queries"
 )
 
 // --- gate unit tests -------------------------------------------------
@@ -182,100 +180,9 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// --- HTTP-level admission and envelope tests -------------------------
-
-// TestAdmissionShedAndQueueTimeoutHTTP drives the daemon into
-// overload: one slow evaluation holds the single slot, a second
-// request queues past the wait budget (503 queue_timeout), and a
-// third finds the queue full (429 overloaded). Both rejections must
-// carry Retry-After and the stable error code; /statsz must count
-// them.
-func TestAdmissionShedAndQueueTimeoutHTTP(t *testing.T) {
-	svc := New(Config{MaxInFlight: 1, QueueDepth: 1, QueueWait: 150 * time.Millisecond})
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-
-	slow := EvalRequest{
-		Envelope:  Envelope{Program: queries.Counter(30), TimeoutMS: 2000},
-		Semantics: "noninflationary",
-	}
-	slowDone := make(chan int, 1)
-	go func() {
-		resp, _ := post(t, ts.URL+"/v1/eval", slow)
-		slowDone <- resp.StatusCode
-	}()
-	waitFor(t, func() bool { return svc.gate.inFlight() == 1 })
-
-	// Second request queues (distinct program = distinct tenant).
-	queuedDone := make(chan *http.Response, 1)
-	queuedBody := make(chan []byte, 1)
-	go func() {
-		resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{
-			Envelope: Envelope{Program: "P(X) :- Q(X).", Facts: "Q(a)."},
-		})
-		queuedDone <- resp
-		queuedBody <- body
-	}()
-	waitFor(t, func() bool { return svc.gate.depth() == 1 })
-
-	// Third request: queue full, shed with 429.
-	resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{
-		Envelope: Envelope{Program: "R(X) :- S(X).", Facts: "S(a)."},
-	})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed status = %d: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 must carry Retry-After")
-	}
-	var out EvalResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Error == nil || out.Error.Code != CodeOverloaded {
-		t.Fatalf("shed envelope = %+v, want code %q", out.Error, CodeOverloaded)
-	}
-	if out.Error.Kind != "overloaded" {
-		t.Fatalf("legacy kind = %q, want overloaded", out.Error.Kind)
-	}
-
-	// The queued request exhausts its 150ms wait budget against a 2s
-	// occupant and comes back 503 queue_timeout.
-	qresp, qbody := <-queuedDone, <-queuedBody
-	if qresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("queued status = %d: %s", qresp.StatusCode, qbody)
-	}
-	if qresp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 must carry Retry-After")
-	}
-	var qout EvalResponse
-	if err := json.Unmarshal(qbody, &qout); err != nil {
-		t.Fatal(err)
-	}
-	if qout.Error == nil || qout.Error.Code != CodeQueueTimeout {
-		t.Fatalf("queue-timeout envelope = %+v, want code %q", qout.Error, CodeQueueTimeout)
-	}
-
-	if code := <-slowDone; code != http.StatusRequestTimeout {
-		t.Fatalf("slow occupant finished %d, want 408 deadline", code)
-	}
-
-	// The counters must agree with what we observed.
-	sresp, sbody := get(t, ts.URL+"/statsz")
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz: %d", sresp.StatusCode)
-	}
-	var stz Statsz
-	if err := json.Unmarshal(sbody, &stz); err != nil {
-		t.Fatal(err)
-	}
-	if stz.Shed != 1 || stz.QueueTimeouts != 1 || stz.Queued != 1 || stz.Admitted < 1 {
-		t.Fatalf("statsz admission counters: %+v", stz)
-	}
-	if stz.QueueDepth != 0 {
-		t.Fatalf("queue depth = %d after drain, want 0", stz.QueueDepth)
-	}
-}
+// --- HTTP-level tests -------------------------------------------------
+// (shedding, queue timeouts and cancellation while queued are rows of
+// TestPipelineContract, on every endpoint)
 
 func get(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
@@ -330,34 +237,6 @@ func TestInvalidParallelOptionsHTTP(t *testing.T) {
 	}
 	if qout.Error == nil || qout.Error.Code != CodeInvalidOptions {
 		t.Fatalf("query envelope = %+v, want code %q", qout.Error, CodeInvalidOptions)
-	}
-}
-
-// TestErrorEnvelopeCodes walks the common failure paths and checks
-// each carries its stable code alongside the legacy kind.
-func TestErrorEnvelopeCodes(t *testing.T) {
-	ts := newTestServer(t)
-	for _, c := range []struct {
-		name   string
-		req    EvalRequest
-		status int
-		code   string
-		kind   string
-	}{
-		{"parse", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, http.StatusBadRequest, CodeParse, "parse"},
-		{"unknown semantics", EvalRequest{Envelope: Envelope{Program: "P(a)."}, Semantics: "nope"}, http.StatusBadRequest, CodeUnknownSem, "bad_request"},
-	} {
-		resp, body := post(t, ts.URL+"/v1/eval", c.req)
-		if resp.StatusCode != c.status {
-			t.Fatalf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.status, body)
-		}
-		var out EvalResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Error == nil || out.Error.Code != c.code || out.Error.Kind != c.kind {
-			t.Fatalf("%s: envelope = %+v, want code %q kind %q", c.name, out.Error, c.code, c.kind)
-		}
 	}
 }
 

@@ -57,7 +57,7 @@ func TestAnalyzeEndpointErrors(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.OK || out.Report == nil || out.Error == nil || out.Error.Kind != "analyze" {
+	if out.OK || out.Report == nil || out.Error == nil || out.Error.Code != CodeAnalyze {
 		t.Fatalf("unexpected response: %s", body)
 	}
 	if !strings.Contains(out.Error.Message, "no dialect of the family admits") {

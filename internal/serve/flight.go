@@ -1,9 +1,9 @@
-// Flight-recorder integration: per-request profile capture shared by
-// the eval and query handlers, the /debug/flight endpoints, and the
-// request-id tagging of error envelopes. The capture rides the same
-// stats collector and trace span stream the engines already feed, so
-// flight records agree with -stats, /statsz and /metrics by
-// construction.
+// Flight-recorder integration: the per-request profile capture the
+// pipeline attaches to every admitted call, the /debug/flight
+// endpoints, and the request-id tagging of error envelopes. The
+// capture rides the same stats collector and trace span stream the
+// engines already feed, so flight records agree with -stats, /statsz
+// and /metrics by construction.
 package serve
 
 import (
@@ -20,9 +20,6 @@ import (
 // one place that survives copy-paste into a bug report). Returns info
 // for chaining.
 func (s *Server) tagError(ri *reqInfo, info *ErrorInfo) *ErrorInfo {
-	if info == nil {
-		return nil
-	}
 	if info.Details == nil {
 		info.Details = map[string]any{}
 	}
@@ -30,50 +27,33 @@ func (s *Server) tagError(ri *reqInfo, info *ErrorInfo) *ErrorInfo {
 	return info
 }
 
-// capture is the per-request flight capture: the always-attached
-// stats collector, the plan-span sink, and (when OTLP export is
-// configured) the OTel span builder. Handlers create one before
-// evaluating and finish it exactly once afterwards.
-type capture struct {
-	ri        *reqInfo
-	tenant    string
-	endpoint  string
-	semantics string
-	workers   int
-	shards    int
-	queueWait time.Duration
-	col       *unchained.StatsCollector
-	plans     *flight.PlanSink
-	spans     *flight.OTLPEval
-}
-
-// newCapture builds the per-request capture and returns the eval
-// options that attach it: a stats collector (always; this is what
-// makes the recorder's numbers exist) plus a tracer fanning out to
-// the plan sink and, if configured, the OTLP span builder.
-func (s *Server) newCapture(ri *reqInfo, tenant, endpoint, semantics string, par unchained.Parallel, queueWait time.Duration) (*capture, []unchained.Opt) {
-	c := &capture{
-		ri: ri, tenant: tenant, endpoint: endpoint, semantics: semantics,
-		workers: par.Workers, shards: par.Shards, queueWait: queueWait,
-		col:   unchained.NewStatsCollector(),
-		plans: &flight.PlanSink{},
-	}
-	opts := []unchained.Opt{
-		unchained.WithStats(c.col),
+// newCapture builds an admitted call's eval options: the resolved
+// parallelism, a stats collector (always; this is what makes the
+// recorder's numbers exist), a tracer fanning out to the plan sink
+// and, if configured, the OTLP span builder, and the program's shared
+// plan cache. The spare capacity is for what the bodies append.
+func (s *Server) newCapture(c *call) {
+	c.plans = &flight.PlanSink{}
+	c.opts = append(make([]unchained.Opt, 0, 8),
+		unchained.WithParallel(c.par),
+		unchained.WithStats(unchained.NewStatsCollector()),
 		unchained.WithTracer(c.plans),
+	)
+	if c.entry != nil {
+		c.opts = append(c.opts, unchained.WithPlanCache(c.entry.plans))
 	}
 	if s.otlp != nil {
-		c.spans = flight.NewOTLPEval(ri.ID, ri.SpanID)
-		opts = append(opts, unchained.WithTracer(c.spans))
+		c.spans = flight.NewOTLPEval(c.ri.ID, c.ri.SpanID)
+		c.opts = append(c.opts, unchained.WithTracer(c.spans))
 	}
-	return c, opts
 }
 
-// finish files the request's flight record: outcome and HTTP status,
-// the queue/eval/wall breakdown, the stats summary's per-stage and
-// per-shard slices, and the captured join plans. It also charges the
-// tenant's accounting bucket and exports the OTLP span tree.
-func (s *Server) finish(c *capture, sum *unchained.StatsSummary, evalDur time.Duration, outcome string, status int, errMsg string) {
+// finish files the flight record of a call that reached the gate:
+// outcome and HTTP status, the queue/eval/wall breakdown, the stats
+// summary's per-stage and per-shard slices, and the captured join
+// plans. It also folds the summary into the service totals, charges
+// the tenant's accounting bucket and exports the OTLP span tree.
+func (s *Server) finish(c *call, status int, fail *ErrorInfo) {
 	rec := &flight.Record{
 		ID:           c.ri.ID,
 		SpanID:       c.ri.SpanID,
@@ -82,29 +62,30 @@ func (s *Server) finish(c *capture, sum *unchained.StatsSummary, evalDur time.Du
 		Endpoint:     c.endpoint,
 		Semantics:    c.semantics,
 		StartUnixNS:  c.ri.Start.UnixNano(),
-		Outcome:      outcome,
+		Outcome:      "ok",
 		Status:       status,
-		Workers:      c.workers,
-		Shards:       c.shards,
+		Workers:      c.par.Workers,
+		Shards:       c.par.Shards,
 		QueueNS:      c.queueWait.Nanoseconds(),
-		EvalNS:       evalDur.Nanoseconds(),
+		EvalNS:       c.evalDur.Nanoseconds(),
 		WallNS:       time.Since(c.ri.Start).Nanoseconds(),
-		Plans:        c.plans.Plans(),
-		Error:        errMsg,
 	}
-	rec.FromSummary(sum)
+	if fail != nil {
+		rec.Outcome, rec.Error = fail.Code, fail.Message
+	}
+	if c.plans != nil { // nil for a request the gate turned away
+		rec.Plans = c.plans.Plans()
+	}
+	rec.FromSummary(c.sum)
+	s.countCow(c.sum)
 	s.flight.Observe(rec)
-	s.tenants.Observe(c.tenant, rec.EvalNS, rec.Derived)
-	s.otlp.Export(rec, c.spans)
-}
-
-// outcomeFor maps an eval handler's error code to the flight-record
-// outcome ("ok" for success).
-func outcomeFor(code string) string {
-	if code == "" {
-		return "ok"
+	if rec.Outcome == CodeOverloaded || rec.Outcome == CodeQueueTimeout {
+		s.tenants.ObserveShed(c.tenant)
+	} else {
+		// A client that gave up queued was not shed by the daemon.
+		s.tenants.Observe(c.tenant, rec.EvalNS, rec.Derived)
 	}
-	return code
+	s.otlp.Export(rec, c.spans)
 }
 
 // flightPage is the JSON body of the /debug/flight endpoints.

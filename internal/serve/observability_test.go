@@ -78,10 +78,11 @@ func parseMetrics(t *testing.T, body string) map[string]uint64 {
 // requests counter is the one principled exception — the /metrics GET
 // itself increments it, so it reads exactly one higher.
 func TestStatszAndMetricsAgree(t *testing.T) {
-	_, ts := newInstrumentedServer(t)
-	// Generate traffic on every counter class: one success, one parse
-	// failure, one timeout.
-	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: `G(a,b).`}, Semantics: "minimal-model"})
+	srv, ts := newInstrumentedServer(t)
+	// Generate traffic on every counter class: one success (asking for
+	// more workers and time than the ceilings allow), one parse failure,
+	// one timeout.
+	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: `G(a,b).`, Workers: 99, TimeoutMS: 1 << 40}, Semantics: "minimal-model"})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: `not a program (`}})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"})
 
@@ -121,12 +122,14 @@ func TestStatszAndMetricsAgree(t *testing.T) {
 		{"unchained_parse_cache_hits_total", z.CacheHits},
 		{"unchained_parse_cache_misses_total", z.CacheMisses},
 		{"unchained_parse_cache_evictions_total", z.CacheEvictions},
-		{"unchained_workers_clamped_total", z.WorkersClamped},
-		{"unchained_timeouts_clamped_total", z.TimeoutsClamped},
 		{"unchained_cow_snapshots_total", z.CowSnapshots},
 		{"unchained_cow_promotions_total", z.CowPromotions},
 		{"unchained_cow_tuples_copied_total", z.CowTuplesCopied},
 		{"unchained_parse_cache_size", uint64(z.CacheSize)},
+		// /metrics-only: read off the server's atomics, not the snapshot.
+		{"unchained_workers_clamped_total", srv.workersClamped.Load()},
+		{"unchained_timeouts_clamped_total", srv.timeoutClamped.Load()},
+		{"unchained_shards_clamped_total", srv.shardsClamped.Load()},
 	}
 	for _, p := range pairs {
 		got, ok := m[p.metric]
@@ -145,6 +148,19 @@ func TestStatszAndMetricsAgree(t *testing.T) {
 	}
 	if z.EvalsOK != 1 || z.BadRequests != 1 || z.Timeouts != 1 {
 		t.Errorf("traffic not attributed: ok=%d bad=%d timeout=%d, want 1/1/1", z.EvalsOK, z.BadRequests, z.Timeouts)
+	}
+	if m["unchained_workers_clamped_total"] != 1 || m["unchained_timeouts_clamped_total"] != 1 {
+		t.Errorf("clamps not counted: workers=%d timeouts=%d, want 1/1",
+			m["unchained_workers_clamped_total"], m["unchained_timeouts_clamped_total"])
+	}
+	var keys map[string]any
+	if _, raw := get(t, ts.URL+"/statsz"); json.Unmarshal(raw, &keys) != nil {
+		t.Fatalf("/statsz is not a JSON object: %s", raw)
+	}
+	for _, gone := range []string{"workers_clamped", "timeouts_clamped", "shards_clamped"} {
+		if _, ok := keys[gone]; ok {
+			t.Errorf("/statsz still carries %q", gone)
+		}
 	}
 }
 

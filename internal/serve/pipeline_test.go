@@ -1,0 +1,304 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"unchained/internal/queries"
+)
+
+// endpoints are the five /v1 POST routes, each with a request it
+// answers 200 to. Every contract below is checked on all of them: the
+// pipeline is one function, and this table is what keeps it that way.
+var endpoints = []struct {
+	path string
+	body any
+}{
+	{"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a,b)."}}},
+	{"/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a,b)."}, Query: "T(a,X)"}},
+	{"/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: winProgram}}},
+	{"/v1/facts", FactsRequest{DB: "contract", Assert: "G(a,b)."}},
+	{"/v1/subscribe", SubscribeRequest{DB: "contract", Program: tcProgram}},
+}
+
+// send issues one request with a raw body under ctx.
+func send(ctx context.Context, method, url string, body []byte) (*http.Response, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp, raw, err
+}
+
+// wantEnvelope checks an error response: the status, the stable code,
+// and the request id in the body matching the X-Request-Id header. The
+// payload is either a JSON body or the last event of a stream.
+func wantEnvelope(t *testing.T, resp *http.Response, body []byte, status int, code string) {
+	t.Helper()
+	if resp.StatusCode != status {
+		t.Fatalf("status %d, want %d: %s", resp.StatusCode, status, body)
+	}
+	var info *ErrorInfo
+	if i := bytes.LastIndex(body, []byte("event: error\ndata: ")); i >= 0 {
+		info = new(ErrorInfo)
+		if err := json.Unmarshal(body[i+len("event: error\ndata: "):], info); err != nil {
+			t.Fatalf("error event %q: %v", body[i:], err)
+		}
+	} else {
+		var out struct {
+			OK    bool       `json:"ok"`
+			Error *ErrorInfo `json:"error"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("body %q: %v", body, err)
+		}
+		if out.OK {
+			t.Fatalf("ok:true beside an error: %s", body)
+		}
+		info = out.Error
+	}
+	if info == nil || info.Code != code {
+		t.Fatalf("envelope %+v, want code %q: %s", info, code, body)
+	}
+	rid := resp.Header.Get("X-Request-Id")
+	if rid == "" || info.Details["request_id"] != rid {
+		t.Fatalf("details.request_id = %v, header %q", info.Details["request_id"], rid)
+	}
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%d without Retry-After", status)
+		}
+	}
+}
+
+// wantRecord waits for the flight record of request id and checks
+// which endpoint filed it and how the request ended.
+func wantRecord(t *testing.T, svc *Server, id, endpoint, outcome string) {
+	t.Helper()
+	waitFor(t, func() bool {
+		for _, rec := range svc.flight.Recent() {
+			if rec.ID == id {
+				if rec.Endpoint != endpoint || rec.Outcome != outcome {
+					t.Fatalf("record %s: %s %q, want %s %q", id, rec.Endpoint, rec.Outcome, endpoint, outcome)
+				}
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// TestPipelineContract runs every /v1 POST endpoint through what the
+// pipeline promises regardless of endpoint: the error envelope for a
+// wrong method, a malformed or oversized body, a full queue, an
+// exhausted queue wait and a client that leaves while queued, with
+// the request id in every error body, and a flight record whose id is
+// the X-Request-Id header for every request that reached the gate.
+func TestPipelineContract(t *testing.T) {
+	for _, ep := range endpoints {
+		ep := ep
+		t.Run(ep.path, func(t *testing.T) {
+			svc := New(Config{MaxInFlight: 1, QueueDepth: 2, QueueWait: 250 * time.Millisecond})
+			ts := httptest.NewServer(svc)
+			defer ts.Close()
+			url := ts.URL + ep.path
+			valid, err := json.Marshal(ep.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bg := context.Background()
+
+			// Before the gate: no flight record, one bad_requests each.
+			resp, body, err := send(bg, http.MethodGet, url, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantEnvelope(t, resp, body, http.StatusMethodNotAllowed, CodeBadRequest)
+			resp, body, _ = send(bg, http.MethodPost, url, []byte(`{"program":`))
+			wantEnvelope(t, resp, body, http.StatusBadRequest, CodeBadRequest)
+			huge := append([]byte(`{"program":"`), bytes.Repeat([]byte("a"), maxBodyBytes)...)
+			resp, body, _ = send(bg, http.MethodPost, url, append(huge, `"}`...))
+			wantEnvelope(t, resp, body, http.StatusBadRequest, CodeBadRequest)
+			if z := svc.snapshot(); z.BadRequests != 3 || z.FlightRecords != 0 {
+				t.Fatalf("after three rejected bodies: bad_requests=%d flight_records=%d", z.BadRequests, z.FlightRecords)
+			}
+
+			// A request that is served leaves a record under its id.
+			okCtx, okCancel := context.WithCancel(bg)
+			req, _ := http.NewRequestWithContext(okCtx, http.MethodPost, url, bytes.NewReader(valid))
+			okResp, err := http.DefaultClient.Do(req)
+			if err != nil || okResp.StatusCode != http.StatusOK {
+				t.Fatalf("valid request: %v %+v", err, okResp)
+			}
+			okCancel() // ends the subscription; the others have answered
+			okResp.Body.Close()
+			outcome := "ok"
+			if ep.path == "/v1/subscribe" {
+				outcome = CodeCanceled
+			}
+			wantRecord(t, svc, okResp.Header.Get("X-Request-Id"), ep.path, outcome)
+			waitFor(t, func() bool { return svc.gate.inFlight() == 0 })
+
+			// Saturate: a non-terminating eval holds the only slot.
+			holdCtx, release := context.WithCancel(bg)
+			defer release()
+			held := make(chan struct{})
+			go func() {
+				defer close(held)
+				hold, _ := json.Marshal(EvalRequest{
+					Envelope:  Envelope{Program: queries.Counter(30), TimeoutMS: 30000},
+					Semantics: "noninflationary",
+				})
+				send(holdCtx, http.MethodPost, ts.URL+"/v1/eval", hold)
+			}()
+			waitFor(t, func() bool { return svc.gate.inFlight() == 1 })
+
+			// A client that leaves while queued is recorded as canceled,
+			// not shed. (The gate keeps counting an abandoned waiter until
+			// the next release, so it still occupies one of the two queue
+			// places below.)
+			goneCtx, leave := context.WithCancel(bg)
+			gone := make(chan error, 1)
+			go func() {
+				_, _, err := send(goneCtx, http.MethodPost, url, valid)
+				gone <- err
+			}()
+			waitFor(t, func() bool { return svc.gate.queuedTot.Load() == 1 })
+			leave()
+			if err := <-gone; err == nil {
+				t.Fatal("canceled request got an answer")
+			}
+			waitFor(t, func() bool { return svc.snapshot().Canceled == 1 })
+			if rec := svc.flight.Recent()[0]; rec.Endpoint != ep.path || rec.Outcome != CodeCanceled {
+				t.Fatalf("newest record %s %q, want %s canceled", rec.Endpoint, rec.Outcome, ep.path)
+			}
+
+			// One request queues and runs out of wait budget (503) ...
+			type answer struct {
+				resp *http.Response
+				body []byte
+			}
+			queued := make(chan answer, 1)
+			go func() {
+				resp, body, _ := send(bg, http.MethodPost, url, valid)
+				queued <- answer{resp, body}
+			}()
+			waitFor(t, func() bool { return svc.gate.queuedTot.Load() == 2 })
+			// ... and while it waits the queue is full: the next is shed (429).
+			resp, body, _ = send(bg, http.MethodPost, url, valid)
+			wantEnvelope(t, resp, body, http.StatusTooManyRequests, CodeOverloaded)
+			wantRecord(t, svc, resp.Header.Get("X-Request-Id"), ep.path, CodeOverloaded)
+			q := <-queued
+			wantEnvelope(t, q.resp, q.body, http.StatusServiceUnavailable, CodeQueueTimeout)
+			wantRecord(t, svc, q.resp.Header.Get("X-Request-Id"), ep.path, CodeQueueTimeout)
+
+			release()
+			<-held
+			waitFor(t, func() bool { return svc.gate.inFlight() == 0 })
+			z := svc.snapshot()
+			if z.Shed != 1 || z.QueueTimeouts != 1 || z.Queued != 2 || z.QueueDepth != 0 {
+				t.Fatalf("admission counters: shed=%d queue_timeouts=%d queued=%d depth=%d",
+					z.Shed, z.QueueTimeouts, z.Queued, z.QueueDepth)
+			}
+		})
+	}
+}
+
+// TestPipelineAccounting fails one request in each phase of each
+// endpoint. Whatever the phase, exactly one outcome counter moves; and
+// every request that got past admission files exactly one flight
+// record and one tenant observation.
+func TestPipelineAccounting(t *testing.T) {
+	svc := New(Config{MaxDBs: 1})
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	postFacts(t, ts.URL, FactsRequest{DB: "acct", Assert: "G(a,b)."})
+
+	const unmaintainable = "CT(X,Y) :- !T(X,Y).\nT(X,Y) :- G(X,Y)."
+	prog := Envelope{Program: tcProgram}
+	for _, c := range []struct {
+		name     string
+		path     string
+		body     any
+		status   int
+		code     string
+		recorded bool // past the gate
+	}{
+		{"eval/semantics", "/v1/eval", EvalRequest{Envelope: prog, Semantics: "nope"}, 400, CodeUnknownSem, false},
+		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Workers: -1}}, 400, CodeInvalidOptions, false},
+		{"eval/program", "/v1/eval", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false},
+		{"eval/facts", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}}, 400, CodeParse, true},
+		{"eval/engine", "/v1/eval", EvalRequest{Envelope: Envelope{Program: winProgram}, Semantics: "stratified"}, 422, CodeEval, true},
+		{"eval/deadline", "/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 30}, Semantics: "noninflationary"}, 408, CodeDeadline, true},
+		{"query/program", "/v1/query", QueryRequest{Envelope: Envelope{Program: "P(X :-"}, Query: "P(a)"}, 400, CodeParse, false},
+		{"query/facts", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}, Query: "T(a,X)"}, 400, CodeParse, true},
+		{"query/goal", "/v1/query", QueryRequest{Envelope: prog, Query: "T(a,"}, 400, CodeParse, true},
+		{"query/engine", "/v1/query", QueryRequest{Envelope: Envelope{Program: winProgram}, Query: "Win(a)"}, 422, CodeEval, true},
+		{"analyze/program", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false},
+		{"analyze/inadmissible", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "!P(X) :- Q(Y)."}}, 422, CodeAnalyze, true},
+		{"facts/name", "/v1/facts", FactsRequest{DB: "no/slash"}, 400, CodeBadRequest, false},
+		{"facts/open", "/v1/facts", FactsRequest{DB: "one-too-many"}, 500, CodeStore, false},
+		{"facts/parse", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a"}, 400, CodeParse, true},
+		{"facts/apply", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a)."}, 422, CodeStore, true},
+		{"subscribe/name", "/v1/subscribe", SubscribeRequest{DB: "no/slash"}, 400, CodeBadRequest, false},
+		{"subscribe/program", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: "P(X :-"}, 400, CodeParse, true},
+		{"subscribe/unmaintainable", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: unmaintainable}, 422, CodeEval, true},
+		// Mid-stream: the 200 is out, the failure is the last event.
+		{"subscribe/deadline", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: tcProgram, TimeoutMS: 30}, 200, CodeDeadline, true},
+	} {
+		before, tenantsBefore := svc.snapshot(), tenantRequests(svc)
+		resp, body := post(t, ts.URL+c.path, c.body)
+		t.Run(c.name, func(t *testing.T) {
+			wantEnvelope(t, resp, body, c.status, c.code)
+			after := svc.snapshot()
+			counted := func(z Statsz) uint64 { return z.BadRequests + z.EvalErrors + z.Timeouts + z.Canceled }
+			if d := counted(after) - counted(before); d != 1 {
+				t.Errorf("outcome counters moved by %d, want 1 (before %+v after %+v)", d, before, after)
+			}
+			want := uint64(0)
+			if c.recorded {
+				want = 1
+				wantRecord(t, svc, resp.Header.Get("X-Request-Id"), c.path, c.code)
+			}
+			if d := after.FlightRecords - before.FlightRecords; d != want {
+				t.Errorf("flight_records moved by %d, want %d", d, want)
+			}
+			if d := tenantRequests(svc) - tenantsBefore; d != want {
+				t.Errorf("tenant observations moved by %d, want %d", d, want)
+			}
+		})
+	}
+	if z := svc.snapshot(); z.EvalsOK != 0 || z.InFlight != 0 {
+		t.Errorf("after failures only: evals_ok=%d in_flight=%d", z.EvalsOK, z.InFlight)
+	}
+}
+
+func tenantRequests(svc *Server) (n uint64) {
+	for _, ten := range svc.tenants.Snapshot() {
+		n += ten.Requests
+	}
+	return n
+}
+
+// TestSubscribeErrorsBeforeTheStreamAreJSON pins that the pre-stream
+// failures in the table above answer as plain JSON, not as a stream.
+func TestSubscribeErrorsBeforeTheStreamAreJSON(t *testing.T) {
+	ts := newTestServer(t)
+	resp, body := post(t, ts.URL+"/v1/subscribe", SubscribeRequest{DB: "ok", Program: "P(X :-"})
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" || strings.Contains(string(body), "event:") {
+		t.Fatalf("content type %q body %s", ct, body)
+	}
+}

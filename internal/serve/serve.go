@@ -34,7 +34,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -256,11 +255,11 @@ func New(cfg Config) *Server {
 		s.semCounts[name] = &atomic.Uint64{}
 	}
 	s.semCounts["query"] = &atomic.Uint64{}
-	s.mux.HandleFunc("/v1/eval", s.handleEval)
-	s.mux.HandleFunc("/v1/query", s.handleQuery)
-	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("/v1/facts", s.handleFacts)
-	s.mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
+	s.post("/v1/eval", func() request { return new(evalRequest) })
+	s.post("/v1/query", func() request { return new(queryRequest) })
+	s.post("/v1/analyze", func() request { return new(analyzeRequest) })
+	s.post("/v1/facts", func() request { return new(factsRequest) })
+	s.post("/v1/subscribe", func() request { return new(subscribeRequest) })
 	s.mux.HandleFunc("/v1/status", s.handleStatus)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
@@ -312,16 +311,6 @@ type reqInfo struct {
 // reqInfoKey is the context key for reqInfo.
 type reqInfoKey struct{}
 
-// requestInfo returns the request's identity, minting a fresh one for
-// requests that did not pass through ServeHTTP (direct handler calls
-// in tests, the ops-listener metrics handler).
-func requestInfo(r *http.Request) *reqInfo {
-	if ri, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
-		return ri
-	}
-	return &reqInfo{ID: flight.NewTraceID(), SpanID: flight.NewSpanID(), Start: time.Now()}
-}
-
 // ServeHTTP implements http.Handler: counts, establishes the request
 // identity (adopting an inbound W3C traceparent or minting a fresh
 // trace id), times the request into the latency histogram, and logs
@@ -371,50 +360,19 @@ const (
 	CodeSubOverflow    = "subscription_overflow" // subscriber fell too far behind
 )
 
-// kindFor maps a stable code to the legacy "kind" value, kept so
-// pre-envelope clients that branch on kind keep working.
-func kindFor(code string) string {
-	switch code {
-	case CodeParse:
-		return "parse"
-	case CodeEval:
-		return "eval"
-	case CodeDeadline:
-		return "deadline"
-	case CodeCanceled:
-		return "canceled"
-	case CodeAnalyze:
-		return "analyze"
-	case CodeStore:
-		return "eval"
-	case CodeOverloaded, CodeQueueTimeout, CodeSubOverflow:
-		return "overloaded"
-	default:
-		return "bad_request"
-	}
-}
-
 // ErrorInfo is the error envelope shared by every endpoint: a stable
 // machine-readable Code, a human-readable Message, and optional
 // Details (e.g. the list of known semantics, or retry hints).
-//
-// Kind predates Code and is retained for compatibility; new clients
-// should branch on Code.
 type ErrorInfo struct {
-	// Kind is one of "bad_request", "parse", "eval", "deadline",
-	// "canceled", "analyze", "overloaded".
-	//
-	// Deprecated: branch on Code.
-	Kind string `json:"kind"`
 	// Code is a stable error code (the Code* constants).
 	Code    string         `json:"code"`
 	Message string         `json:"message"`
 	Details map[string]any `json:"details,omitempty"`
 }
 
-// errInfo builds the envelope for a code, deriving the legacy kind.
+// errInfo builds the envelope for a code.
 func errInfo(code, msg string) *ErrorInfo {
-	return &ErrorInfo{Kind: kindFor(code), Code: code, Message: msg}
+	return &ErrorInfo{Code: code, Message: msg}
 }
 
 // Envelope is the request envelope shared by every /v1 POST body.
@@ -504,54 +462,6 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = enc.Encode(body)
 }
 
-// maxBodyBytes bounds request bodies. Programs are text, not bulk
-// data; 8 MiB is far beyond any reasonable request and bounds memory
-// per connection.
-const maxBodyBytes = 8 << 20
-
-// decode reads a bounded JSON body.
-func decode(r *http.Request, into any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, into)
-}
-
-// classify maps an evaluation error to (stable code, HTTP status).
-func classify(err error) (string, int) {
-	switch {
-	case errors.Is(err, unchained.ErrDeadline):
-		return CodeDeadline, http.StatusRequestTimeout
-	case errors.Is(err, unchained.ErrCanceled):
-		return CodeCanceled, http.StatusRequestTimeout
-	case errors.Is(err, unchained.ErrInvalidOptions):
-		return CodeInvalidOptions, http.StatusBadRequest
-	default:
-		return CodeEval, http.StatusUnprocessableEntity
-	}
-}
-
-// requestContext derives the evaluation context: the request context
-// (so a dropped connection cancels the evaluation) bounded by the
-// effective timeout.
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		if timeoutMS > 0 {
-			s.timeoutClamped.Add(1)
-		}
-		d = s.cfg.MaxTimeout
-	}
-	if d <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
 // parallelFor resolves the envelope's workers/shards fields into the
 // engine's Parallel options, converging on one validation rule with
 // engine.Options.Validate: negative is an error (the engine rejects it
@@ -572,74 +482,23 @@ func (s *Server) parallelFor(env Envelope) (unchained.Parallel, *ErrorInfo) {
 		info.Details = map[string]any{"optimize": env.Optimize}
 		return unchained.Parallel{}, info
 	}
-	w := env.Workers
-	if w == 0 {
-		w = s.cfg.DefaultWorkers
-	}
-	if w > s.cfg.MaxWorkers {
-		s.workersClamped.Add(1)
-		w = s.cfg.MaxWorkers
-	}
-	sh := env.Shards
-	if sh == 0 {
-		sh = s.cfg.DefaultShards
-	}
-	if sh > s.cfg.MaxShards {
-		s.shardsClamped.Add(1)
-		sh = s.cfg.MaxShards
-	}
-	return unchained.Parallel{Workers: w, Shards: sh}, nil
+	return unchained.Parallel{
+		Workers: clampTo(env.Workers, s.cfg.DefaultWorkers, s.cfg.MaxWorkers, &s.workersClamped),
+		Shards:  clampTo(env.Shards, s.cfg.DefaultShards, s.cfg.MaxShards, &s.shardsClamped),
+	}, nil
 }
 
-// admit runs the request through the admission gate, keyed by the
-// parse-cache digest of its program (the tenant). It reports whether
-// the request may proceed (plus the time spent queued, for the flight
-// record); on false it has already written the 429 or 503 envelope
-// (with a Retry-After hint) via writeResp, filed a flight record for
-// the rejection, and charged the tenant's shed counter.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, tenant, endpoint string, writeResp func(status int, info *ErrorInfo)) (time.Duration, bool) {
-	wait, err := s.gate.acquire(r.Context(), tenant)
-	if err == nil {
-		return wait, true
+// clampTo resolves one parallelism knob: zero selects the default and
+// a value over the ceiling is clamped and counted.
+func clampTo(v, def, max int, clamped *atomic.Uint64) int {
+	if v == 0 {
+		v = def
 	}
-	var code string
-	var status int
-	switch {
-	case errors.Is(err, errShed):
-		w.Header().Set("Retry-After", "1")
-		info := s.tagError(ri, errInfo(CodeOverloaded, "admission queue full; retry later"))
-		info.Details["retry_after_s"] = 1
-		code, status = CodeOverloaded, http.StatusTooManyRequests
-		writeResp(status, info)
-	case errors.Is(err, errQueueWait):
-		w.Header().Set("Retry-After", "1")
-		info := s.tagError(ri, errInfo(CodeQueueTimeout, "queued past the admission wait budget; retry later"))
-		info.Details["retry_after_s"] = 1
-		code, status = CodeQueueTimeout, http.StatusServiceUnavailable
-		writeResp(status, info)
-	default:
-		// Client went away while queued.
-		s.cancels.Add(1)
-		code, status = CodeCanceled, http.StatusRequestTimeout
-		writeResp(status, s.tagError(ri, errInfo(CodeCanceled, err.Error())))
+	if v > max {
+		clamped.Add(1)
+		v = max
 	}
-	if code == CodeCanceled {
-		// A client that gave up queued was not shed by the daemon.
-		s.tenants.Observe(tenant, 0, 0)
-	} else {
-		s.tenants.ObserveShed(tenant)
-	}
-	rec := &flight.Record{
-		ID: ri.ID, SpanID: ri.SpanID, ParentSpanID: ri.ParentSpanID,
-		Tenant: tenant, Endpoint: endpoint,
-		StartUnixNS: ri.Start.UnixNano(),
-		Outcome:     code, Status: status, Error: err.Error(),
-		QueueNS: wait.Nanoseconds(),
-		WallNS:  time.Since(ri.Start).Nanoseconds(),
-	}
-	s.flight.Observe(rec)
-	s.otlp.Export(rec, nil)
-	return wait, false
+	return v
 }
 
 // countOpt folds one freshly computed optimization variant into the
@@ -659,244 +518,153 @@ func (s *Server) countSemantics(name string) {
 	}
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	ri := requestInfo(r)
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, EvalResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, "POST required"))})
-		return
+// resolveProgram is the resolve step of the endpoints that evaluate a
+// program: the envelope's parallelism and timeout, and the parse-cache
+// entry whose digest is the tenant.
+func (s *Server) resolveProgram(c *call, env *Envelope, semantics string) (fail *ErrorInfo) {
+	if c.par, fail = s.parallelFor(*env); fail != nil {
+		return fail
 	}
-	var req EvalRequest
-	if err := decode(r, &req); err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, EvalResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, err.Error()))})
-		return
-	}
-	semName := req.Semantics
-	if semName == "" {
-		semName = "minimal-model"
-	}
-	sem, ok := unchained.SemanticsByName[semName]
-	if !ok {
-		s.badReqs.Add(1)
-		info := errInfo(CodeUnknownSem,
-			fmt.Sprintf("unknown semantics %q (one of %v)", semName, unchained.SemanticsNames()))
-		info.Details = map[string]any{"semantics": unchained.SemanticsNames()}
-		writeJSON(w, http.StatusBadRequest, EvalResponse{Error: s.tagError(ri, info)})
-		return
-	}
-	par, info := s.parallelFor(req.Envelope)
-	if info != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, EvalResponse{Error: s.tagError(ri, info)})
-		return
-	}
-
-	entry, err := s.cache.get(req.Program)
+	entry, err := s.cache.get(env.Program)
 	if err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, EvalResponse{Error: s.tagError(ri, errInfo(CodeParse, err.Error()))})
-		return
+		return errInfo(CodeParse, err.Error())
 	}
-	queueWait, ok := s.admit(w, r, ri, entry.key, "/v1/eval", func(status int, info *ErrorInfo) {
-		writeJSON(w, status, EvalResponse{Error: info})
-	})
-	if !ok {
-		return
+	c.entry, c.semantics, c.timeoutMS = entry, semantics, env.TimeoutMS
+	c.tenant = entry.key
+	return nil
+}
+
+// variant substitutes the memoized rewrite of the cached program when
+// its emptiness assumptions hold against this request's facts, and
+// falls back to the program as written otherwise (or at level 0).
+func (s *Server) variant(c *call, level int, noInline bool, in *unchained.Instance) *unchained.Program {
+	if ores := c.entry.optimized(level, noInline, s.countOpt); ores != nil && unchained.OptAssumptionsHold(ores, in) {
+		return ores.Program
 	}
-	defer s.gate.release()
+	return c.entry.prog
+}
+
+// evalRequest is /v1/eval's part of the pipeline.
+type evalRequest struct {
+	EvalRequest
+	resp EvalResponse
+	sem  unchained.Semantics
+}
+
+func (q *evalRequest) reply(fail *ErrorInfo) any { q.resp.Error = fail; return &q.resp }
+
+func (q *evalRequest) resolve(s *Server, c *call) *ErrorInfo {
+	name := q.Semantics
+	if name == "" {
+		name = "minimal-model"
+	}
+	var ok bool
+	if q.sem, ok = unchained.SemanticsByName[name]; !ok {
+		fail := errInfo(CodeUnknownSem,
+			fmt.Sprintf("unknown semantics %q (one of %v)", name, unchained.SemanticsNames()))
+		fail.Details = map[string]any{"semantics": unchained.SemanticsNames()}
+		return fail
+	}
+	return s.resolveProgram(c, &q.Envelope, q.sem.String())
+}
+
+func (q *evalRequest) run(s *Server, c *call) *ErrorInfo {
 	// The fork gives this request a private universe: the cached parse
 	// stays valid (dense handles survive cloning) and concurrent
 	// requests never contend.
-	sess := entry.base.Fork()
-	in, err := sess.Facts(req.Facts)
+	sess := c.entry.base.Fork()
+	in, err := sess.Facts(q.Facts)
 	if err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, EvalResponse{Error: s.tagError(ri, errInfo(CodeParse, err.Error()))})
-		return
+		return errInfo(CodeParse, err.Error())
 	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
-	fcap, capOpts := s.newCapture(ri, entry.key, "/v1/eval", sem.String(), par, queueWait)
-	opts := append(capOpts,
-		unchained.WithMaxStages(req.MaxStages),
-		unchained.WithParallel(par),
-		unchained.WithPlanCache(entry.plans),
-	)
+	opts := append(c.opts, unchained.WithMaxStages(q.MaxStages))
 	var rec *unchained.TraceRecorder
-	if req.Trace {
+	if q.Trace {
 		rec = unchained.NewTraceRecorder(0)
 		opts = append(opts, unchained.WithTracer(rec))
 	}
-
-	// req.Optimize substitutes the memoized rewrite of the cached
-	// program when its emptiness assumptions hold against this
-	// request's facts. "auto" resolves its semantics inside
-	// EvalContext, so it optimizes through the facade option instead.
-	prog := entry.prog
-	if req.Optimize > 0 {
-		if sem == unchained.SemanticsAuto {
-			opts = append(opts, unchained.WithOptimize(unchained.OptLevel(req.Optimize)))
-		} else {
-			noInline := req.MaxStages > 0 || !unchained.OptInlineSafe(sem)
-			if ores := entry.optimized(req.Optimize, noInline, s.countOpt); ores != nil && unchained.OptAssumptionsHold(ores, in) {
-				prog = ores.Program
-			}
-		}
+	// "auto" resolves its semantics inside EvalContext, so it optimizes
+	// through the facade option instead of the memoized variant.
+	prog := c.entry.prog
+	if q.sem != unchained.SemanticsAuto {
+		prog = s.variant(c, q.Optimize, q.MaxStages > 0 || !unchained.OptInlineSafe(q.sem), in)
+	} else if q.Optimize > 0 {
+		opts = append(opts, unchained.WithOptimize(unchained.OptLevel(q.Optimize)))
 	}
 
-	s.countSemantics(sem.String())
-	s.inFlight.Add(1)
-	evalBegin := time.Now()
-	res, err := sess.EvalContext(ctx, prog, in, sem, opts...)
-	evalDur := time.Since(evalBegin)
-	s.evalLat.observe(evalDur)
-	s.inFlight.Add(-1)
+	start := s.engineStart()
+	res, err := sess.EvalContext(c.ctx, prog, in, q.sem, opts...)
+	s.engineDone(c, start)
 
-	resp := EvalResponse{Semantics: sem.String()}
+	q.resp.Semantics = c.semantics
 	if res != nil {
-		resp.Stages = res.Stages
+		q.resp.Stages = res.Stages
+		c.sum = res.Stats
 		// Gate on the request flag: the flight recorder attaches a
 		// collector to every request, so res.Stats is populated even
 		// when the client did not ask for "stats".
-		if req.Stats {
-			resp.Stats = res.Stats
+		if q.Stats {
+			q.resp.Stats = res.Stats
 		}
 		s.stagesRun.Add(uint64(res.Stages))
-		s.countCow(res.Stats)
 	}
 	if rec != nil {
-		resp.Trace = rec.Events()
-		resp.TraceDropped = rec.Dropped()
-	}
-	var sum *unchained.StatsSummary
-	if res != nil {
-		sum = res.Stats
+		q.resp.Trace = rec.Events()
+		q.resp.TraceDropped = rec.Dropped()
 	}
 	if err != nil {
-		code, status := classify(err)
-		switch code {
-		case CodeDeadline:
-			s.timeouts.Add(1)
-		case CodeCanceled:
-			s.cancels.Add(1)
-		default:
-			s.evalErrs.Add(1)
-		}
-		s.finish(fcap, sum, evalDur, outcomeFor(code), status, err.Error())
-		resp.Error = s.tagError(ri, errInfo(code, err.Error()))
-		writeJSON(w, status, resp)
-		return
+		return evalFailure(err)
 	}
 	s.evalsOK.Add(1)
-	s.finish(fcap, sum, evalDur, "ok", http.StatusOK, "")
-	resp.OK = true
-	resp.Output = sess.Format(res.Out)
-	writeJSON(w, http.StatusOK, resp)
+	q.resp.OK = true
+	q.resp.Output = sess.Format(res.Out)
+	return nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	ri := requestInfo(r)
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, QueryResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, "POST required"))})
-		return
-	}
-	var req QueryRequest
-	if err := decode(r, &req); err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, err.Error()))})
-		return
-	}
-	par, info := s.parallelFor(req.Envelope)
-	if info != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: s.tagError(ri, info)})
-		return
-	}
-	entry, err := s.cache.get(req.Program)
-	if err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: s.tagError(ri, errInfo(CodeParse, err.Error()))})
-		return
-	}
-	queueWait, ok := s.admit(w, r, ri, entry.key, "/v1/query", func(status int, info *ErrorInfo) {
-		writeJSON(w, status, QueryResponse{Error: info})
-	})
-	if !ok {
-		return
-	}
-	defer s.gate.release()
-	sess := entry.base.Fork()
-	in, err := sess.Facts(req.Facts)
-	if err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: s.tagError(ri, errInfo(CodeParse, err.Error()))})
-		return
-	}
-	goal, err := sess.ParseAtom(req.Query)
-	if err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: s.tagError(ri, errInfo(CodeParse, err.Error()))})
-		return
-	}
+// queryRequest is /v1/query's part of the pipeline.
+type queryRequest struct {
+	QueryRequest
+	resp QueryResponse
+}
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	fcap, capOpts := s.newCapture(ri, entry.key, "/v1/query", "query", par, queueWait)
-	opts := append(capOpts,
-		unchained.WithParallel(par),
-		unchained.WithPlanCache(entry.plans),
-	)
+func (q *queryRequest) reply(fail *ErrorInfo) any { q.resp.Error = fail; return &q.resp }
 
+func (q *queryRequest) resolve(s *Server, c *call) *ErrorInfo {
+	return s.resolveProgram(c, &q.Envelope, "query")
+}
+
+func (q *queryRequest) run(s *Server, c *call) *ErrorInfo {
+	sess := c.entry.base.Fork() // as on /v1/eval
+	in, err := sess.Facts(q.Facts)
+	var goal unchained.Atom
+	if err == nil {
+		goal, err = sess.ParseAtom(q.Query)
+	}
+	if err != nil {
+		return errInfo(CodeParse, err.Error())
+	}
 	// Magic-sets queries run over minimal-model semantics (timing-safe,
 	// no stage bound), so the full memoized variant applies.
-	prog := entry.prog
-	if req.Optimize > 0 {
-		if ores := entry.optimized(req.Optimize, false, s.countOpt); ores != nil && unchained.OptAssumptionsHold(ores, in) {
-			prog = ores.Program
-		}
-	}
+	prog := s.variant(c, q.Optimize, false, in)
 
-	s.countSemantics("query")
-	s.inFlight.Add(1)
-	evalBegin := time.Now()
-	rel, summary, err := sess.QueryContext(ctx, prog, goal, in, opts...)
-	evalDur := time.Since(evalBegin)
-	s.evalLat.observe(evalDur)
-	s.inFlight.Add(-1)
-	s.countCow(summary)
+	start := s.engineStart()
+	rel, summary, err := sess.QueryContext(c.ctx, prog, goal, in, c.opts...)
+	s.engineDone(c, start)
 
-	resp := QueryResponse{}
-	// Gate on the request flag: the flight recorder attaches a
-	// collector to every request, so the summary is populated even
-	// when the client did not ask for "stats".
-	if req.Stats {
-		resp.Stats = summary
+	c.sum = summary
+	if q.Stats { // as on /v1/eval: the collector is always attached
+		q.resp.Stats = summary
 	}
 	if err != nil {
-		code, status := classify(err)
-		switch code {
-		case CodeDeadline:
-			s.timeouts.Add(1)
-		case CodeCanceled:
-			s.cancels.Add(1)
-		default:
-			s.evalErrs.Add(1)
-		}
-		s.finish(fcap, summary, evalDur, outcomeFor(code), status, err.Error())
-		resp.Error = s.tagError(ri, errInfo(code, err.Error()))
-		writeJSON(w, status, resp)
-		return
+		return evalFailure(err)
 	}
 	s.evalsOK.Add(1)
-	s.finish(fcap, summary, evalDur, "ok", http.StatusOK, "")
-	resp.OK = true
+	q.resp.OK = true
 	for _, t := range rel.SortedTuples(sess.U) {
-		resp.Tuples = append(resp.Tuples, goal.Pred+t.String(sess.U))
+		q.resp.Tuples = append(q.resp.Tuples, goal.Pred+t.String(sess.U))
 	}
-	resp.Count = len(resp.Tuples)
-	writeJSON(w, http.StatusOK, resp)
+	q.resp.Count = len(q.resp.Tuples)
+	return nil
 }
 
 // AnalyzeRequest is the body of POST /v1/analyze: static analysis of
@@ -916,37 +684,38 @@ type AnalyzeResponse struct {
 	Error  *ErrorInfo                `json:"error,omitempty"`
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, AnalyzeResponse{Error: errInfo(CodeBadRequest, "POST required")})
-		return
-	}
-	var req AnalyzeRequest
-	if err := decode(r, &req); err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, AnalyzeResponse{Error: errInfo(CodeBadRequest, err.Error())})
-		return
-	}
-	entry, err := s.cache.get(req.Program)
+// analyzeRequest is /v1/analyze's part of the pipeline.
+type analyzeRequest struct {
+	AnalyzeRequest
+	resp AnalyzeResponse
+}
+
+func (q *analyzeRequest) reply(fail *ErrorInfo) any { q.resp.Error = fail; return &q.resp }
+
+func (q *analyzeRequest) resolve(s *Server, c *call) *ErrorInfo {
+	// Only the program and the timeout are consulted; the evaluation
+	// knobs are ignored, so they are not validated either.
+	entry, err := s.cache.get(q.Program)
 	if err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, AnalyzeResponse{Error: errInfo(CodeParse, err.Error())})
-		return
+		return errInfo(CodeParse, err.Error())
 	}
+	c.entry, c.semantics, c.timeoutMS = entry, "analyze", q.TimeoutMS
+	c.tenant = entry.key
+	return nil
+}
+
+func (q *analyzeRequest) run(s *Server, c *call) *ErrorInfo {
 	s.analyzes.Add(1)
-	rep := entry.report()
-	if rep.Diags.HasErrors() {
+	q.resp.Report = c.entry.report()
+	if q.resp.Report.Diags.HasErrors() {
 		// Inadmissible programs are analysis successes but evaluation
-		// non-starters; report them distinctly so dashboards can tell
+		// non-starters; count them distinctly so dashboards can tell
 		// "clients lint broken programs" from daemon trouble.
 		s.analyzeErrs.Add(1)
-		writeJSON(w, http.StatusUnprocessableEntity, AnalyzeResponse{
-			Report: rep,
-			Error:  errInfo(CodeAnalyze, rep.Diags.Err().Error()),
-		})
-		return
+		return errInfo(CodeAnalyze, q.resp.Report.Diags.Err().Error())
 	}
-	writeJSON(w, http.StatusOK, AnalyzeResponse{OK: true, Report: rep})
+	q.resp.OK = true
+	return nil
 }
 
 // Limits is the /v1/status view of the server's effective knobs:
@@ -1076,14 +845,6 @@ type Statsz struct {
 	OptPasses       uint64 `json:"opt_passes"`
 	OptRewrites     uint64 `json:"opt_rewrites"`
 	OptRulesRemoved uint64 `json:"opt_rules_removed"`
-	// WorkersClamped and TimeoutsClamped predate /v1/status; the
-	// ceilings they count against now live there under "limits".
-	//
-	// Deprecated: read the limits from /v1/status and the clamp
-	// counters from /metrics; these fields remain for dashboards.
-	WorkersClamped  uint64 `json:"workers_clamped"`
-	TimeoutsClamped uint64 `json:"timeouts_clamped"`
-	ShardsClamped   uint64 `json:"shards_clamped"`
 	// Admission-control traffic: requests admitted (immediately or
 	// after queuing), requests that queued, requests shed at a full
 	// queue (429), requests that timed out queued (503), and the
@@ -1165,9 +926,6 @@ func (s *Server) snapshot() Statsz {
 		OptPasses:        s.optPasses.Load(),
 		OptRewrites:      s.optRewrites.Load(),
 		OptRulesRemoved:  s.optRulesRemoved.Load(),
-		WorkersClamped:   s.workersClamped.Load(),
-		TimeoutsClamped:  s.timeoutClamped.Load(),
-		ShardsClamped:    s.shardsClamped.Load(),
 		Admitted:         admitted,
 		Queued:           queuedTot,
 		Shed:             shed,

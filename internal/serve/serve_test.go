@@ -81,7 +81,7 @@ func TestEvalTimeoutReturnsTypedErrorAndPartialStats(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.OK || out.Error == nil || out.Error.Kind != "deadline" {
+	if out.OK || out.Error == nil || out.Error.Code != CodeDeadline {
 		t.Fatalf("want deadline error, got %+v", out)
 	}
 	if !strings.Contains(out.Error.Message, "deadline exceeded after") {

@@ -29,7 +29,6 @@ import (
 	"regexp"
 	"sort"
 	"sync"
-	"time"
 
 	"unchained"
 	"unchained/internal/incr"
@@ -166,89 +165,65 @@ type FactsResponse struct {
 	Error     *ErrorInfo `json:"error,omitempty"`
 }
 
-// instanceFacts flattens a parsed fact instance into store facts.
-func instanceFacts(u *unchained.Universe, in *unchained.Instance) []store.Fact {
+// facts parses ground facts into store facts; call under h.mu.
+func (h *dbHandle) facts(src string) ([]store.Fact, error) {
+	if src == "" {
+		return nil, nil
+	}
+	in, err := h.sess.Facts(src)
+	if err != nil {
+		return nil, err
+	}
 	var out []store.Fact
 	for _, name := range in.Names() {
-		for _, t := range in.Relation(name).SortedTuples(u) {
+		for _, t := range in.Relation(name).SortedTuples(h.sess.U) {
 			out = append(out, store.Fact{Pred: name, Tuple: t})
 		}
 	}
-	return out
+	return out, nil
 }
 
-func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
-	ri := requestInfo(r)
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, FactsResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, "POST required"))})
-		return
-	}
-	var req FactsRequest
-	if err := decode(r, &req); err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, FactsResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, err.Error()))})
-		return
-	}
-	h, info := s.dbs.get(req.DB)
-	if info != nil {
-		s.badReqs.Add(1)
-		status := http.StatusBadRequest
-		if info.Code == CodeStore {
-			status = http.StatusInternalServerError
-		}
-		writeJSON(w, status, FactsResponse{Error: s.tagError(ri, info)})
-		return
-	}
-	tenant := "db:" + req.DB
-	queueWait, ok := s.admit(w, r, ri, tenant, "/v1/facts", func(status int, info *ErrorInfo) {
-		writeJSON(w, status, FactsResponse{Error: info})
-	})
-	if !ok {
-		return
-	}
-	defer s.gate.release()
-	fcap, _ := s.newCapture(ri, tenant, "/v1/facts", "store", unchained.Parallel{}, queueWait)
-	begin := time.Now()
+// factsRequest is /v1/facts' part of the pipeline.
+type factsRequest struct {
+	FactsRequest
+	resp FactsResponse
+}
 
+func (q *factsRequest) reply(fail *ErrorInfo) any { q.resp.Error = fail; return &q.resp }
+
+func (q *factsRequest) resolve(s *Server, c *call) (fail *ErrorInfo) {
+	if c.db, fail = s.dbs.get(q.DB); fail == nil {
+		c.semantics, c.tenant = "store", "db:"+q.DB
+	}
+	return fail
+}
+
+func (q *factsRequest) run(s *Server, c *call) *ErrorInfo {
+	defer s.engineDone(c, s.engineStart())
+	h := c.db
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	var batch store.Batch
-	parse := func(src string) ([]store.Fact, error) {
-		if src == "" {
-			return nil, nil
-		}
-		in, err := h.sess.Facts(src)
-		if err != nil {
-			return nil, err
-		}
-		return instanceFacts(h.sess.U, in), nil
-	}
 	var err error
-	if batch.Assert, err = parse(req.Assert); err == nil {
-		batch.Retract, err = parse(req.Retract)
+	if batch.Assert, err = h.facts(q.Assert); err == nil {
+		batch.Retract, err = h.facts(q.Retract)
 	}
 	if err != nil {
-		h.mu.Unlock()
-		s.badReqs.Add(1)
-		s.finish(fcap, nil, time.Since(begin), CodeParse, http.StatusBadRequest, err.Error())
-		writeJSON(w, http.StatusBadRequest, FactsResponse{Error: s.tagError(ri, errInfo(CodeParse, err.Error()))})
-		return
+		return errInfo(CodeParse, err.Error())
 	}
+	q.resp.DB = q.DB
 	ap, err := h.st.Apply(batch)
-	seq := h.st.Seq()
-	h.mu.Unlock()
 	if err != nil {
-		s.finish(fcap, nil, time.Since(begin), CodeStore, http.StatusUnprocessableEntity, err.Error())
-		writeJSON(w, http.StatusUnprocessableEntity, FactsResponse{DB: req.DB, Error: s.tagError(ri, errInfo(CodeStore, err.Error()))})
-		return
+		return errInfo(CodeStore, err.Error())
 	}
 	s.storeBatches.Add(1)
 	s.storeAsserted.Add(uint64(len(ap.Asserted)))
 	s.storeRetracted.Add(uint64(len(ap.Retracted)))
-	s.finish(fcap, nil, time.Since(begin), "ok", http.StatusOK, "")
-	writeJSON(w, http.StatusOK, FactsResponse{
-		OK: true, DB: req.DB, Seq: seq,
-		Asserted: len(ap.Asserted), Retracted: len(ap.Retracted),
-	})
+	q.resp.OK = true
+	q.resp.Seq = h.st.Seq()
+	q.resp.Asserted = len(ap.Asserted)
+	q.resp.Retracted = len(ap.Retracted)
+	return nil
 }
 
 // SubscribeRequest is the body of POST /v1/subscribe: a standing
@@ -317,164 +292,129 @@ func incrFacts(fs []store.Fact) []incr.Fact {
 	return out
 }
 
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	ri := requestInfo(r)
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, EvalResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, "POST required"))})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, EvalResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, "streaming unsupported by connection"))})
-		return
-	}
-	var req SubscribeRequest
-	if err := decode(r, &req); err != nil {
-		s.badReqs.Add(1)
-		writeJSON(w, http.StatusBadRequest, EvalResponse{Error: s.tagError(ri, errInfo(CodeBadRequest, err.Error()))})
-		return
-	}
-	h, info := s.dbs.get(req.DB)
-	if info != nil {
-		s.badReqs.Add(1)
-		status := http.StatusBadRequest
-		if info.Code == CodeStore {
-			status = http.StatusInternalServerError
-		}
-		writeJSON(w, status, EvalResponse{Error: s.tagError(ri, info)})
-		return
-	}
+// subscribeRequest is /v1/subscribe's part of the pipeline, and the
+// standing query's live state.
+type subscribeRequest struct {
+	SubscribeRequest
+	filter   map[string]bool
+	view     *incr.View
+	updates  chan store.Applied
+	overflow chan struct{}
+}
 
-	// The subscription holds its admission slot for its whole lifetime:
-	// standing queries do evaluation work on every committed batch, so
-	// they count against MaxInFlight like any evaluation. Disconnecting
-	// releases the slot.
-	tenant := sourceKey(req.Program)
-	queueWait, ok := s.admit(w, r, ri, tenant, "/v1/subscribe", func(status int, info *ErrorInfo) {
-		writeJSON(w, status, EvalResponse{Error: info})
-	})
-	if !ok {
-		return
+// reply is only reached before the stream starts, with the bare error
+// envelope; once streaming, the pipeline sends the failure as an event.
+func (q *subscribeRequest) reply(fail *ErrorInfo) any { return EvalResponse{Error: fail} }
+
+func (q *subscribeRequest) resolve(s *Server, c *call) (fail *ErrorInfo) {
+	if c.db, fail = s.dbs.get(q.DB); fail == nil {
+		// The subscription holds its admission slot for its whole
+		// lifetime: standing queries do evaluation work on every
+		// committed batch, so they count against MaxInFlight like any
+		// evaluation. The lifetime runs until disconnect, bounded by
+		// timeout_ms only when given: the server's default evaluation
+		// timeout deliberately does not apply.
+		c.semantics, c.timeoutMS, c.standing = "subscribe", q.TimeoutMS, true
+		c.tenant = sourceKey(q.Program)
 	}
-	defer s.gate.release()
+	return fail
+}
 
-	// Lifetime: until disconnect, bounded by timeout_ms when given.
-	// The server's default evaluation timeout deliberately does not
-	// apply.
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		d := time.Duration(req.TimeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			s.timeoutClamped.Add(1)
-			d = s.cfg.MaxTimeout
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
-	var filter map[string]bool
-	if len(req.Predicates) > 0 {
-		filter = map[string]bool{}
-		for _, p := range req.Predicates {
-			filter[p] = true
-		}
-	}
-
-	fcap, _ := s.newCapture(ri, tenant, "/v1/subscribe", "subscribe", unchained.Parallel{}, queueWait)
-	begin := time.Now()
-
-	// Materialize the view and register the watcher under the handle
-	// mutex: applies are serialized by the same mutex, so no batch can
-	// commit between the snapshot and the watch registration — the
-	// stream is gapless from Seq onward.
+// open materializes the view and registers the watcher under the
+// handle mutex: applies are serialized by the same mutex, so no batch
+// can commit between the snapshot and the watch registration — the
+// stream is gapless from the snapshot's Seq onward.
+func (q *subscribeRequest) open(s *Server, c *call) (snapshot SubscribeEvent, unwatch func(), fail *ErrorInfo) {
+	h := c.db
+	defer s.engineDone(c, s.engineStart())
 	h.mu.Lock()
-	prog, err := h.sess.Parse(req.Program)
+	defer h.mu.Unlock()
+	prog, err := h.sess.Parse(q.Program)
 	if err != nil {
-		h.mu.Unlock()
-		s.badReqs.Add(1)
-		s.finish(fcap, nil, time.Since(begin), CodeParse, http.StatusBadRequest, err.Error())
-		writeJSON(w, http.StatusBadRequest, EvalResponse{Error: s.tagError(ri, errInfo(CodeParse, err.Error()))})
-		return
+		return snapshot, nil, errInfo(CodeParse, err.Error())
 	}
-	view, err := h.sess.MaterializeContext(ctx, prog, h.st.Snapshot())
-	if err != nil {
-		h.mu.Unlock()
-		s.evalErrs.Add(1)
-		s.finish(fcap, nil, time.Since(begin), CodeEval, http.StatusUnprocessableEntity, err.Error())
-		writeJSON(w, http.StatusUnprocessableEntity, EvalResponse{Error: s.tagError(ri, errInfo(CodeEval, err.Error()))})
-		return
+	if q.view, err = h.sess.MaterializeContext(c.ctx, prog, h.st.Snapshot()); err != nil {
+		return snapshot, nil, evalFailure(err)
 	}
-	snapshot := SubscribeEvent{Seq: h.st.Seq(), Facts: factStrings(h.sess.U, view.Instance(), filter)}
-	updates := make(chan store.Applied, s.cfg.SubBuffer)
-	overflow := make(chan struct{})
-	var overflowOnce sync.Once
-	cancelWatch := h.st.Watch(func(ap store.Applied) {
+	// Config.SubBuffer is how far a subscriber may fall behind.
+	q.updates = make(chan store.Applied, s.cfg.SubBuffer)
+	q.overflow = make(chan struct{})
+	var once sync.Once
+	unwatch = h.st.Watch(func(ap store.Applied) {
 		select {
-		case updates <- ap:
+		case q.updates <- ap:
 		default:
 			// Commit path must never block on a slow subscriber: drop
 			// the stream, not the writer.
-			overflowOnce.Do(func() { close(overflow) })
+			once.Do(func() { close(q.overflow) })
 		}
 	})
-	h.mu.Unlock()
-	defer cancelWatch()
+	return SubscribeEvent{Seq: h.st.Seq(), Facts: factStrings(h.sess.U, q.view.Instance(), q.filter)}, unwatch, nil
+}
 
+// maintain brings the view over one committed batch and renders the
+// net delta.
+func (q *subscribeRequest) maintain(s *Server, c *call, ap store.Applied) (SubscribeEvent, error) {
+	h := c.db
+	defer s.engineDone(c, s.engineStart())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delta, err := q.view.Apply(incrFacts(ap.Asserted), incrFacts(ap.Retracted))
+	if err != nil {
+		return SubscribeEvent{}, err
+	}
+	return SubscribeEvent{
+		Seq:     ap.Seq,
+		Added:   factStrings(h.sess.U, delta.Added, q.filter),
+		Removed: factStrings(h.sess.U, delta.Removed, q.filter),
+	}, nil
+}
+
+func (q *subscribeRequest) run(s *Server, c *call) *ErrorInfo {
+	if len(q.Predicates) > 0 {
+		q.filter = map[string]bool{}
+		for _, p := range q.Predicates {
+			q.filter[p] = true
+		}
+	}
+	snapshot, unwatch, fail := q.open(s, c)
+	if fail != nil {
+		return fail
+	}
+	defer unwatch()
 	s.subsStarted.Add(1)
 	s.subsActive.Add(1)
 	defer s.subsActive.Add(-1)
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	if err := sseWrite(w, flusher, "snapshot", snapshot); err != nil {
-		s.finish(fcap, nil, time.Since(begin), CodeCanceled, http.StatusOK, err.Error())
-		return
+	// ServeHTTP's writer always flushes (statusWriter.Flush).
+	c.stream = c.w.(http.Flusher)
+	c.w.Header().Set("Content-Type", "text/event-stream")
+	c.w.Header().Set("Cache-Control", "no-cache")
+	c.w.WriteHeader(http.StatusOK)
+	if err := sseWrite(c.w, c.stream, "snapshot", snapshot); err != nil {
+		return errInfo(CodeCanceled, err.Error())
 	}
-
 	for {
 		select {
-		case <-ctx.Done():
-			outcome := CodeCanceled
-			if ctx.Err() == context.DeadlineExceeded {
-				outcome = CodeDeadline
-				_ = sseWrite(w, flusher, "error", s.tagError(ri, errInfo(CodeDeadline, "subscription timeout reached")))
+		case <-c.ctx.Done():
+			if c.ctx.Err() == context.DeadlineExceeded {
+				return errInfo(CodeDeadline, "subscription timeout reached")
 			}
-			s.finish(fcap, nil, time.Since(begin), outcome, http.StatusOK, ctx.Err().Error())
-			return
-		case <-overflow:
+			return errInfo(CodeCanceled, c.ctx.Err().Error())
+		case <-q.overflow:
 			s.subsOverflows.Add(1)
-			_ = sseWrite(w, flusher, "error", s.tagError(ri, errInfo(CodeSubOverflow,
-				fmt.Sprintf("subscriber fell more than %d batches behind; resubscribe for a fresh snapshot", s.cfg.SubBuffer))))
-			s.finish(fcap, nil, time.Since(begin), CodeSubOverflow, http.StatusOK, "subscriber overflow")
-			return
-		case ap := <-updates:
-			h.mu.Lock()
-			delta, err := view.Apply(incrFacts(ap.Asserted), incrFacts(ap.Retracted))
-			var ev SubscribeEvent
-			if err == nil {
-				ev = SubscribeEvent{
-					Seq:     ap.Seq,
-					Added:   factStrings(h.sess.U, delta.Added, filter),
-					Removed: factStrings(h.sess.U, delta.Removed, filter),
-				}
-			}
-			h.mu.Unlock()
+			return errInfo(CodeSubOverflow,
+				fmt.Sprintf("subscriber fell more than %d batches behind; resubscribe for a fresh snapshot", s.cfg.SubBuffer))
+		case ap := <-q.updates:
+			ev, err := q.maintain(s, c, ap)
 			if err != nil {
-				code, status := classify(err)
-				s.evalErrs.Add(1)
-				_ = sseWrite(w, flusher, "error", s.tagError(ri, errInfo(code, err.Error())))
-				s.finish(fcap, nil, time.Since(begin), code, status, err.Error())
-				return
+				return evalFailure(err)
 			}
 			if len(ev.Added) == 0 && len(ev.Removed) == 0 {
-				// Net-invisible under the predicate filter; stay quiet.
-				continue
+				continue // net-invisible under the predicate filter; stay quiet
 			}
-			if err := sseWrite(w, flusher, "delta", ev); err != nil {
-				s.finish(fcap, nil, time.Since(begin), CodeCanceled, http.StatusOK, err.Error())
-				return
+			if err := sseWrite(c.w, c.stream, "delta", ev); err != nil {
+				return errInfo(CodeCanceled, err.Error())
 			}
 			s.subsDeltas.Add(1)
 			s.subsFacts.Add(uint64(len(ev.Added) + len(ev.Removed)))

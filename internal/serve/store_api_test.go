@@ -265,33 +265,6 @@ func TestSubscribeOverflow(t *testing.T) {
 	}
 }
 
-// TestSubscribeRejectsBadInput pins the pre-stream error paths: bad
-// database names and programs the incremental engine refuses
-// (adom-ranged negation) fail with plain JSON envelopes, not streams.
-func TestSubscribeRejectsBadInput(t *testing.T) {
-	ts := newTestServer(t)
-
-	resp, body := post(t, ts.URL+"/v1/subscribe", SubscribeRequest{DB: "no/slash"})
-	var er EvalResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || er.Error == nil || er.Error.Code != CodeBadRequest {
-		t.Fatalf("bad db name: %d %s", resp.StatusCode, body)
-	}
-
-	resp, body = post(t, ts.URL+"/v1/subscribe", SubscribeRequest{
-		DB:      "ok",
-		Program: "CT(X,Y) :- !T(X,Y).\nT(X,Y) :- G(X,Y).",
-	})
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusUnprocessableEntity || er.Error == nil || er.Error.Code != CodeEval {
-		t.Fatalf("unmaintainable program: %d %s", resp.StatusCode, body)
-	}
-}
-
 // TestFactsDurableAcrossRestart: with a data directory, a second
 // server over the same directory sees the first server's facts — the
 // named database is a WAL store recovered on open.
