@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # while still catching a PR that lands a large untested subsystem.
 COVERAGE_BASELINE ?= 78.0
 
-.PHONY: all build vet vet-custom bench-build bench-pair lint-programs test race bench bench-json bench-baseline fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
+.PHONY: all build vet vet-custom stage-protocol bench-build bench-pair lint-programs test race bench bench-json bench-baseline fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
 
 all: verify
 
@@ -17,12 +17,19 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Custom analyzers (internal/lint via cmd/vet-unchained): engines run
-# their stages through the engine.Loop driver, tuple payloads and AST
-# slices must not be mutated in place. See docs/ANALYSIS.md.
+# Custom analyzers (internal/lint via cmd/vet-unchained): tuple
+# payloads and AST slices must not be mutated in place. See
+# docs/ANALYSIS.md.
 vet-custom:
 	$(GO) build -o bin/vet-unchained ./cmd/vet-unchained
 	$(GO) vet -vettool=$(CURDIR)/bin/vet-unchained ./...
+
+# Engines run their stages through the one driver, which is what makes
+# a request deadline interrupt every one of them: no non-test
+# BeginStage/EndStage call outside internal/engine/loop.go.
+stage-protocol:
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.(BeginStage|EndStage)\(' *.go cmd internal examples bench | grep -v '^internal/engine/loop\.go:')"; \
+	if [ -n "$$out" ]; then echo "stage protocol called outside (*engine.Options).Loop:"; echo "$$out"; exit 1; fi
 
 # bench/ is a module of its own, so "go build ./... && go test ./..."
 # never compiles it: vet and test it here, or a signature change in a
@@ -131,12 +138,12 @@ serve-smoke:
 serve-load:
 	$(GO) run ./cmd/unchained-bench -serve -serve-duration 5s
 
-# Boot a loopback daemon, drive traffic over every metric family, and
-# lint the live /metrics exposition with the hand-rolled checker
+# Boot an in-process daemon, drive traffic over every metric family,
+# and lint the live /metrics exposition with the hand-rolled checker
 # (internal/promlint): stable HELP/TYPE, no duplicate series, counter
 # naming, histogram completeness, bounded label cardinality.
 metrics-lint:
-	$(GO) run ./cmd/unchained-serve -metrics-lint
+	$(GO) test -count=1 -run TestLiveExpositionClean ./internal/promlint/
 
 # Saturate the daemon under the race detector: the flight recorder's
 # ring, top-K heap, and tenant table all take concurrent writes while
@@ -146,5 +153,6 @@ flight-soak:
 	$(GO) run -race ./cmd/unchained-bench -serve -serve-duration 5s
 
 # Tier-1 verification (see ROADMAP.md) plus the custom analyzers, the
-# benchmark module's build and the program-library lint sweep.
-verify: fmt-check build vet vet-custom test race bench-build lint-programs
+# stage-protocol guard, the benchmark module's build and the
+# program-library lint sweep.
+verify: fmt-check build vet vet-custom stage-protocol test race bench-build lint-programs

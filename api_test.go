@@ -180,7 +180,7 @@ func TestConcurrentForkedEvaluations(t *testing.T) {
 			case 2:
 				var res *unchained.EvalResult
 				res, err = s.EvalContext(context.Background(), tc, edb, unchained.Inflationary,
-					unchained.WithParallel(unchained.Parallel{Workers: 4}), unchained.WithStats(unchained.NewStatsCollector()))
+					unchained.WithStats(unchained.NewStatsCollector()))
 				if err == nil && res.Stats == nil {
 					err = errors.New("stats missing")
 				}

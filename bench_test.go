@@ -566,25 +566,6 @@ func BenchmarkP5_MagicSets(b *testing.B) {
 	}
 }
 
-// BenchmarkP6_ParallelStages measures rule-level parallelism in the
-// inflationary engine (stage semantics make it exact) — experiment P6.
-func BenchmarkP6_ParallelStages(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			u := value.New()
-			in := gen.Random(u, "G", 24, 48, 7)
-			p := parser.MustParse(queries.DelayedCT, u)
-			opt := &core.Options{Workers: workers}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.EvalInflationary(p, in, u, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkInflationary measures the inflationary engine on the TC
 // workload with statistics disabled (nil collector — the zero-overhead
 // baseline; compare allocs/op against the stats variant with

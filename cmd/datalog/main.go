@@ -97,7 +97,6 @@ func run(args []string, w, ew io.Writer) (err error) {
 	three := fs.Bool("three", false, "with wellfounded: print the 3-valued model")
 	stages := fs.Bool("stages", false, "trace stages (deterministic forward-chaining semantics)")
 	statsOn := fs.Bool("stats", false, "print a JSON evaluation-statistics summary to stderr")
-	workers := fs.Int("workers", 0, "with -semantics inflationary: parallel stage workers (0 = sequential)")
 	shards := fs.Int("shards", 0, "data-parallel shards per semi-naive delta round (0 = serial; see docs/PARALLEL.md)")
 	timeout := fs.Duration("timeout", 0, "bound evaluation wall time (e.g. 500ms); expiry exits with code 2")
 	tracePath := fs.String("trace", "", "stream a JSONL span-stream trace of the evaluation to this file ('-' for stderr)")
@@ -202,7 +201,6 @@ func run(args []string, w, ew io.Writer) (err error) {
 				Semantics:   *semantics,
 				StartUnixNS: start.UnixNano(),
 				Outcome:     "ok",
-				Workers:     *workers,
 				Shards:      *shards,
 				WallNS:      time.Since(start).Nanoseconds(),
 				Plans:       plans.Plans(),
@@ -222,6 +220,16 @@ func run(args []string, w, ew io.Writer) (err error) {
 		}()
 	}
 
+	// Every engine's options type is an alias of engine.Options and
+	// ignores the fields it has no use for; Trace reaches only the core
+	// engines, the ones that hand Loop a stage state.
+	opt := &engine.Options{Ctx: ctx, Shards: *shards, Stats: col, Tracer: tracer, LiteralOrder: *literalOrder}
+	if *stages {
+		opt.Trace = func(stage int, state *tuple.Instance) {
+			fmt.Fprintf(w, "%% stage %d: %d facts\n", stage, state.Facts())
+		}
+	}
+
 	s := unchained.NewSession()
 	src, err := readFile(*programPath)
 	if err != nil {
@@ -238,7 +246,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 		return lintDatalog(s, prog, *jsonOut, w)
 	}
 	if *language == "while" {
-		return runWhile(ctx, s, src, *factsPath, *attachOrder, col, tracer, emitStats, w)
+		return runWhile(s, src, *factsPath, *attachOrder, opt, emitStats, w)
 	}
 	prog, err := s.Parse(src)
 	if err != nil {
@@ -268,7 +276,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 	}
 
 	if *query != "" {
-		return goalQuery(ctx, s, prog, in, *query, *optLevel, col, tracer, *literalOrder, optExplainW, emitStats, w)
+		return goalQuery(s, prog, in, *query, *optLevel, opt, optExplainW, emitStats, w)
 	}
 	var answerPreds []string
 	if *answer != "" {
@@ -282,24 +290,17 @@ func run(args []string, w, ew io.Writer) (err error) {
 	ansProg := prog
 	if *optLevel > 0 && *why == "" && !*three {
 		if sem, ok := unchained.SemanticsByName[*semantics]; ok {
-			prog = optimizeCLI(s, prog, in, sem, *optLevel, answerPreds, optExplainW)
+			prog = optimizeCLI(s, prog, in, sem, *optLevel, answerPreds, *literalOrder, optExplainW)
 		}
 	}
 	printAnswer := func(out *tuple.Instance) {
 		ans := core.Answer(ansProg, out, answerPreds...)
 		fmt.Fprint(w, s.Format(ans))
 	}
-	opt := &core.Options{Ctx: ctx, Workers: *workers, Shards: *shards, Stats: col, Tracer: tracer, LiteralOrder: *literalOrder}
-	if *stages {
-		opt.Trace = func(stage int, state *tuple.Instance) {
-			fmt.Fprintf(w, "%% stage %d: %d facts\n", stage, state.Facts())
-		}
-	}
-	dopt := &declarative.Options{Ctx: ctx, Shards: *shards, Stats: col, Tracer: tracer, LiteralOrder: *literalOrder}
 
 	switch *semantics {
 	case "wellfounded", "well-founded":
-		wfs, err := declarative.EvalWellFounded(prog, in, s.U, dopt)
+		wfs, err := declarative.EvalWellFounded(prog, in, s.U, opt)
 		if wfs != nil {
 			emitStats(wfs.Stats)
 		}
@@ -331,7 +332,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 		case "ndatalog-new":
 			d = ast.DialectNDatalogNew
 		}
-		res, err := nondet.Run(prog, d, in, s.U, *seed, &nondet.Options{Ctx: ctx, Stats: col, Tracer: tracer, LiteralOrder: *literalOrder})
+		res, err := nondet.Run(prog, d, in, s.U, *seed, opt)
 		if res != nil {
 			emitStats(res.Stats)
 		}
@@ -346,7 +347,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 		printAnswer(res.Out)
 		return nil
 	case "effects":
-		eff, err := nondet.Effects(prog, ast.DialectNDatalogNegNeg, in, s.U, &nondet.Options{Ctx: ctx, Stats: col, Tracer: tracer, LiteralOrder: *literalOrder})
+		eff, err := nondet.Effects(prog, ast.DialectNDatalogNegNeg, in, s.U, opt)
 		if eff != nil {
 			emitStats(eff.Stats)
 		}
@@ -408,7 +409,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 		fmt.Fprintf(w, "%% fixpoint after %d stages (%d values invented)\n", res.Stages, s.U.FreshCount())
 		out = res.Out
 	case unchained.MinimalModel:
-		res, err := declarative.Eval(prog, in, s.U, dopt)
+		res, err := declarative.Eval(prog, in, s.U, opt)
 		if res != nil {
 			emitStats(res.Stats)
 		}
@@ -417,7 +418,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 		}
 		out = res.Out
 	case unchained.Stratified:
-		res, err := declarative.EvalStratified(prog, in, s.U, dopt)
+		res, err := declarative.EvalStratified(prog, in, s.U, opt)
 		if res != nil {
 			emitStats(res.Stats)
 		}
@@ -426,7 +427,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 		}
 		out = res.Out
 	case unchained.SemiPositive:
-		res, err := declarative.EvalSemiPositive(prog, in, s.U, dopt)
+		res, err := declarative.EvalSemiPositive(prog, in, s.U, opt)
 		if res != nil {
 			emitStats(res.Stats)
 		}
@@ -446,7 +447,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 }
 
 // goalQuery answers a single query atom via the magic-sets rewriting.
-func goalQuery(ctx context.Context, s *unchained.Session, prog *unchained.Program, in *tuple.Instance, querySrc string, optLevel int, col *stats.Collector, tracer trace.Tracer, literalOrder bool, optExplainW io.Writer, emitStats func(*stats.Summary), w io.Writer) error {
+func goalQuery(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, querySrc string, optLevel int, opt *engine.Options, optExplainW io.Writer, emitStats func(*stats.Summary), w io.Writer) error {
 	// Parse "T(a,Y)" by reusing the rule parser on a synthetic rule.
 	r, err := parser.ParseRule(querySrc+" :- .", s.U)
 	if err != nil {
@@ -459,9 +460,9 @@ func goalQuery(ctx context.Context, s *unchained.Session, prog *unchained.Progra
 	if optLevel > 0 {
 		// The query predicate is the only observed output, so it
 		// anchors reachability-based dead-rule elimination.
-		prog = optimizeCLI(s, prog, in, unchained.MinimalModel, optLevel, []string{q.Pred}, optExplainW)
+		prog = optimizeCLI(s, prog, in, unchained.MinimalModel, optLevel, []string{q.Pred}, opt.LiteralOrder, optExplainW)
 	}
-	ans, sum, err := magic.AnswerStats(prog, q, in, s.U, &declarative.Options{Ctx: ctx, Stats: col, Tracer: tracer, LiteralOrder: literalOrder})
+	ans, sum, err := magic.AnswerStats(prog, q, in, s.U, opt)
 	emitStats(sum)
 	if err != nil {
 		return err
@@ -475,7 +476,7 @@ func goalQuery(ctx context.Context, s *unchained.Session, prog *unchained.Progra
 
 // explain runs the inflationary evaluation with provenance tracking
 // and prints the derivation tree of the named fact.
-func explain(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, factSrc string, opt *core.Options, w io.Writer) error {
+func explain(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, factSrc string, opt *engine.Options, w io.Writer) error {
 	facts, err := s.Facts(factSrc + ".")
 	if err != nil {
 		return fmt.Errorf("-why: %w", err)
@@ -500,7 +501,7 @@ func explain(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, 
 }
 
 // runWhile parses and runs a while-language program.
-func runWhile(ctx context.Context, s *unchained.Session, src, factsPath string, attachOrder bool, col *stats.Collector, tracer trace.Tracer, emitStats func(*stats.Summary), w io.Writer) error {
+func runWhile(s *unchained.Session, src, factsPath string, attachOrder bool, opt *engine.Options, emitStats func(*stats.Summary), w io.Writer) error {
 	prog, err := while.Parse(src, s.U)
 	if err != nil {
 		return fmt.Errorf("parse while program: %w", err)
@@ -523,7 +524,7 @@ func runWhile(ctx context.Context, s *unchained.Session, src, factsPath string, 
 	if prog.Fixpoint() {
 		kind = "fixpoint"
 	}
-	res, err := while.Run(prog, in, s.U, &while.Options{Ctx: ctx, Stats: col, Tracer: tracer})
+	res, err := while.Run(prog, in, s.U, opt)
 	if res != nil {
 		emitStats(res.Stats)
 	}
@@ -557,9 +558,10 @@ func normalizeOptArgs(args []string) []string {
 // returns the rewritten program, or the original when nothing changed
 // or when the instance violates an emptiness assumption the optimizer
 // recorded. Under -explain (explainW non-nil) every applied rewrite —
-// or the reason for falling back — is narrated.
-func optimizeCLI(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, sem unchained.Semantics, level int, roots []string, explainW io.Writer) *unchained.Program {
-	res := s.OptimizeFor(prog, sem, &unchained.OptOptions{Level: unchained.OptLevel(level), Roots: roots})
+// or the reason for falling back — is narrated. Under -literal-order
+// the adornment reorder is off: the joins run in the text's order.
+func optimizeCLI(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, sem unchained.Semantics, level int, roots []string, literalOrder bool, explainW io.Writer) *unchained.Program {
+	res := s.OptimizeFor(prog, sem, &unchained.OptOptions{Level: unchained.OptLevel(level), Roots: roots, NoReorder: literalOrder})
 	if res == nil || !res.Changed {
 		return prog
 	}

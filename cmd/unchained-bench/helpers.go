@@ -2,12 +2,10 @@ package main
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"unchained/internal/active"
 	"unchained/internal/ast"
-	"unchained/internal/core"
 	"unchained/internal/declarative"
 	"unchained/internal/fo"
 	"unchained/internal/gen"
@@ -360,84 +358,6 @@ func expP5(quick bool) error {
 			dFull.Round(time.Microsecond), dMagic.Round(time.Microsecond), float64(dFull)/float64(dMagic))
 	}
 	fmt.Println("   shape: the rewriting derives only the demanded facts; speedup grows with the irrelevant part.")
-	return nil
-}
-
-// expP6 measures rule-level parallelism in the inflationary engine on
-// two workloads: a balanced one (many independent closure computations
-// of equal cost) where fan-out helps, and a skewed one (Example 4.3's
-// delayed CT, dominated by one expensive rule) where Amdahl's law caps
-// the gain.
-func expP6(quick bool) error {
-	nCopies := 8
-	n := 48
-	if quick {
-		nCopies, n = 4, 24
-	}
-	// Balanced: nCopies disjoint transitive closures.
-	u := value.New()
-	var src strings.Builder
-	ins := make([]*tuple.Instance, 0, nCopies)
-	for i := 0; i < nCopies; i++ {
-		fmt.Fprintf(&src, "T%d(X,Y) :- G%d(X,Y).\nT%d(X,Y) :- G%d(X,Z), T%d(Z,Y).\n", i, i, i, i, i)
-		gi := tuple.NewInstance()
-		rel := gi.Ensure(fmt.Sprintf("G%d", i), 2)
-		for j := 0; j+1 < n; j++ {
-			rel.Insert(tuple.Tuple{u.Sym(fmt.Sprintf("p%d_%d", i, j)), u.Sym(fmt.Sprintf("p%d_%d", i, j+1))})
-		}
-		ins = append(ins, gi)
-	}
-	in := gen.Merge(ins...)
-	p := parser.MustParse(src.String(), u)
-
-	fmt.Printf("%10s %8s %12s %8s\n", "workload", "workers", "time", "speedup")
-	var base time.Duration
-	var baseFirings uint64
-	col := stats.New()
-	for _, workers := range pick(quick, []int{1, 2, 4}, []int{1, 2, 4, 8}) {
-		var ref *core.Result
-		var err error
-		d := timed(func() {
-			ref, err = core.EvalInflationary(p, in, u, &core.Options{Workers: workers, Stats: col})
-		})
-		if err != nil {
-			return err
-		}
-		if workers == 1 {
-			base = d
-			baseFirings = ref.Stats.Firings
-		}
-		if err := check(relLen(ref.Out, "T0") == n*(n-1)/2, "closure wrong"); err != nil {
-			return err
-		}
-		// Stage semantics make rule-level parallelism exact: the firing
-		// count must match the serial run's, not just the result.
-		if err := check(ref.Stats.Firings == baseFirings,
-			"workers=%d fired %d times, serial fired %d", workers, ref.Stats.Firings, baseFirings); err != nil {
-			return err
-		}
-		fmt.Printf("%10s %8d %12v %7.1fx\n", "balanced", workers, d.Round(time.Millisecond), float64(base)/float64(d))
-	}
-	// Skewed: one dominant rule.
-	u2 := value.New()
-	in2 := gen.Random(u2, "G", 20, 40, 7)
-	p2 := parser.MustParse(queries.DelayedCT, u2)
-	var base2 time.Duration
-	for _, workers := range pick(quick, []int{1, 4}, []int{1, 4}) {
-		var err error
-		d := timed(func() {
-			_, err = core.EvalInflationary(p2, in2, u2, &core.Options{Workers: workers})
-		})
-		if err != nil {
-			return err
-		}
-		if workers == 1 {
-			base2 = d
-		}
-		fmt.Printf("%10s %8d %12v %7.1fx\n", "skewed", workers, d.Round(time.Millisecond), float64(base2)/float64(d))
-	}
-	fmt.Println("   shape: modest gains only — the stage barrier, the serial insert phase and memory")
-	fmt.Println("   bandwidth bound rule-level parallelism; a single dominant rule (skewed) caps it entirely.")
 	return nil
 }
 

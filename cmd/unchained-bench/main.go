@@ -54,7 +54,6 @@ var experiments = []experiment{
 	{"P3", "Stratified vs inflationary complement-of-TC", expP3},
 	{"P4", "WFS alternating fixpoint cost vs inflationary", expP4},
 	{"P5", "Ablation: magic-sets rewriting vs full evaluation", expP5},
-	{"P6", "Ablation: rule-level parallelism in the inflationary engine", expP6},
 	{"P7", "Ablation: incremental maintenance (DRed) vs recompute", expP7},
 	{"P8", "COW fork: Instance.Snapshot vs deep clone (>=100k tuples)", expP8},
 	{"P9", "Ablation: cardinality planner vs literal-order joins", expP9},

@@ -6,12 +6,11 @@
 //
 // Usage:
 //
-//	unchained-serve [-addr :8344] [-workers 8] [-shards 8] [-cache 128]
+//	unchained-serve [-addr :8344] [-shards 8] [-cache 128]
 //	                [-timeout 30s] [-max-timeout 5m]
 //	                [-max-inflight 64] [-queue-depth 128] [-queue-wait 1s]
 //	                [-ops-addr 127.0.0.1:8345] [-log text]
 //	                [-slow-query-ms 1000] [-slow-query-log slow.jsonl]
-//	                [-otlp-file spans.jsonl]
 //	                [-flight-ring 256] [-flight-topk 32] [-max-tenants 32]
 //	                [-data-dir /var/lib/unchained] [-sub-buffer 64] [-max-dbs 64]
 //
@@ -32,9 +31,8 @@
 // structured profile, browsable at GET /debug/flight and
 // /debug/flight/slowest. Requests at/over -slow-query-ms wall time
 // are additionally appended as JSONL to -slow-query-log and warned
-// about through the request logger at a rate-limited cadence.
-// -otlp-file appends one OTLP/JSON span-export document per
-// evaluation for offline trace viewers (see docs/OBSERVABILITY.md).
+// about through the request logger at a rate-limited cadence (see
+// docs/OBSERVABILITY.md).
 //
 // The daemon drains in-flight evaluations on SIGINT/SIGTERM and then
 // syncs and closes its named databases. With
@@ -49,10 +47,7 @@
 // a /v1/status probe, a /metrics scrape, a /debug/flight probe, a
 // standing query, a /v1/analyze shed by a saturated admission gate,
 // and a durable database reopened after a clean shutdown, then exits
-// — the smoke test used by "make serve-smoke". The
-// -metrics-lint flag boots the same loopback server, drives traffic
-// onto every metric family, and lints the /metrics exposition with
-// internal/promlint — the CI gate behind "make metrics-lint".
+// — the smoke test used by "make serve-smoke".
 package main
 
 import (
@@ -73,7 +68,6 @@ import (
 	"syscall"
 	"time"
 
-	"unchained/internal/promlint"
 	"unchained/internal/queries"
 	"unchained/internal/serve"
 )
@@ -86,7 +80,6 @@ func run(args []string, w, ew io.Writer) int {
 	fs := flag.NewFlagSet("unchained-serve", flag.ContinueOnError)
 	fs.SetOutput(ew)
 	addr := fs.String("addr", ":8344", "listen address")
-	workers := fs.Int("workers", 8, "maximum per-request stage-parallel workers")
 	shards := fs.Int("shards", 8, "maximum per-request data-parallel shards")
 	cache := fs.Int("cache", 128, "parsed-program LRU cache capacity")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request evaluation timeout")
@@ -99,7 +92,6 @@ func run(args []string, w, ew io.Writer) int {
 	logMode := fs.String("log", "text", "request logging: text, json, or off")
 	slowQueryMS := fs.Int("slow-query-ms", 1000, "wall-time threshold marking a request a slow query (0 disables slow-query handling)")
 	slowQueryLog := fs.String("slow-query-log", "", "append slow-query flight records as JSONL to this file")
-	otlpFile := fs.String("otlp-file", "", "append one OTLP/JSON span-export document per evaluation to this file")
 	flightRing := fs.Int("flight-ring", 0, "flight-recorder recent-records ring size (0 = default 256)")
 	flightTopK := fs.Int("flight-topk", 0, "flight-recorder slowest-records heap size (0 = default 32)")
 	maxTenants := fs.Int("max-tenants", 0, "distinct program digests tracked in per-tenant metrics before folding into \"other\" (0 = default 32)")
@@ -107,7 +99,6 @@ func run(args []string, w, ew io.Writer) int {
 	subBuffer := fs.Int("sub-buffer", 0, "committed batches one subscription may buffer before being cut off (0 = default 64)")
 	maxDBs := fs.Int("max-dbs", 0, "maximum open named databases (0 = default 64)")
 	selftest := fs.Bool("selftest", false, "boot on a loopback port, run a smoke sequence, exit")
-	metricsLint := fs.Bool("metrics-lint", false, "boot on a loopback port, lint the /metrics exposition, exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -125,7 +116,6 @@ func run(args []string, w, ew io.Writer) int {
 	}
 
 	cfg := serve.Config{
-		MaxWorkers:     *workers,
 		MaxShards:      *shards,
 		CacheSize:      *cache,
 		DefaultTimeout: *timeout,
@@ -151,15 +141,6 @@ func run(args []string, w, ew io.Writer) int {
 		defer f.Close()
 		cfg.SlowQueryLog = f
 	}
-	if *otlpFile != "" {
-		f, err := os.OpenFile(*otlpFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(ew, "unchained-serve: -otlp-file: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		cfg.OTLPSpans = f
-	}
 
 	if *selftest {
 		if err := runSelftest(cfg, w); err != nil {
@@ -167,14 +148,6 @@ func run(args []string, w, ew io.Writer) int {
 			return 1
 		}
 		fmt.Fprintln(w, "selftest: ok")
-		return 0
-	}
-	if *metricsLint {
-		if err := runMetricsLint(cfg, w); err != nil {
-			fmt.Fprintf(ew, "metrics-lint: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(w, "metrics-lint: ok")
 		return 0
 	}
 
@@ -631,50 +604,6 @@ func selftestRestart(cfg serve.Config) error {
 	}
 	if err := boot(0); err != nil { // the fact is already there
 		return fmt.Errorf("second boot: %w", err)
-	}
-	return nil
-}
-
-// runMetricsLint boots the daemon on a loopback port, drives traffic
-// so every metric family carries samples (including the per-tenant
-// and per-semantics labeled ones), then lints the /metrics exposition
-// with internal/promlint.
-func runMetricsLint(cfg serve.Config, w io.Writer) error {
-	base, stop, err := loopback(cfg)
-	if err != nil {
-		return err
-	}
-	defer stop()
-
-	// Evaluations, then store traffic so the unchained_store_* families
-	// carry non-zero samples too.
-	for _, traffic := range []struct {
-		path string
-		req  any
-	}{
-		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: tcProgram, Facts: "G(a,b). G(b,c).", Shards: 2}}},
-		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"}},
-		{"/v1/facts", serve.FactsRequest{DB: "lint", Assert: "G(a,b)."}},
-	} {
-		if _, _, _, err := exchange(base+traffic.path, traffic.req, nil); err != nil {
-			return err
-		}
-	}
-
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	probs, err := promlint.Lint(resp.Body, promlint.Options{})
-	if err != nil {
-		return err
-	}
-	for _, p := range probs {
-		fmt.Fprintf(w, "metrics-lint: %s\n", p)
-	}
-	if len(probs) > 0 {
-		return fmt.Errorf("%d problems in /metrics exposition", len(probs))
 	}
 	return nil
 }

@@ -6,9 +6,7 @@
 // by hand — -V=full for the build cache, -flags for flag discovery,
 // then one invocation per package unit with a JSON .cfg file — so it
 // needs nothing outside the standard library. It runs the analyzers
-// of internal/lint: stageloop (engines run their stages through
-// engine.Options.Loop and never call the stage protocol themselves),
-// tuplemut (no writes through shared tuple payloads outside
+// of internal/lint: tuplemut (no writes through shared tuple payloads outside
 // internal/tuple), and astmut (no in-place writes through shared AST
 // rule/literal slices outside internal/ast — rewrite passes must
 // copy-on-write).
@@ -64,7 +62,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("vet-unchained", flag.ExitOnError)
 	version := fs.String("V", "", "print version and exit (-V=full for the build cache)")
 	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON and exit")
-	allPackages := fs.Bool("stageloop.all", false, "run stageloop on every package, not just the engine packages (used by fixtures and tests)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -75,17 +72,9 @@ func run(args []string) int {
 		return 0
 	}
 	if *printFlags {
-		// cmd/go discovers pass-through flags here; only analyzer
-		// flags belong in the list.
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		out, _ := json.Marshal([]jsonFlag{
-			{Name: "stageloop.all", Bool: true, Usage: "run stageloop on every package"},
-		})
-		fmt.Println(string(out))
+		// cmd/go discovers pass-through analyzer flags here; the
+		// analyzers take none.
+		fmt.Println("[]")
 		return 0
 	}
 	rest := fs.Args()
@@ -93,7 +82,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "vet-unchained: usage: vet-unchained [flags] package.cfg (normally run via go vet -vettool)")
 		return 2
 	}
-	diags, err := checkUnit(rest[0], *allPackages)
+	diags, err := checkUnit(rest[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vet-unchained:", err)
 		return 1
@@ -131,7 +120,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // checkUnit analyzes one package unit and returns rendered
 // diagnostics, sorted by position.
-func checkUnit(cfgPath string, allPackages bool) ([]string, error) {
+func checkUnit(cfgPath string) ([]string, error) {
 	b, err := os.ReadFile(cfgPath)
 	if err != nil {
 		return nil, err
@@ -200,14 +189,7 @@ func checkUnit(cfgPath string, allPackages bool) ([]string, error) {
 		return nil, fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err)
 	}
 
-	pass := &lint.Pass{
-		Fset:        fset,
-		Files:       files,
-		Pkg:         pkg,
-		Info:        info,
-		Path:        cfg.ImportPath,
-		AllPackages: allPackages,
-	}
+	pass := &lint.Pass{Fset: fset, Files: files, Pkg: pkg, Info: info, Path: cfg.ImportPath}
 	type finding struct {
 		pos      token.Position
 		analyzer string
@@ -218,7 +200,6 @@ func checkUnit(cfgPath string, allPackages bool) ([]string, error) {
 		name string
 		run  func(*lint.Pass) []lint.Diag
 	}{
-		{"stageloop", lint.Stageloop},
 		{"tuplemut", lint.TupleMut},
 		{"astmut", lint.ASTMut},
 	} {

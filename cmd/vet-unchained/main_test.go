@@ -46,13 +46,13 @@ func TestVetToolPassesOnRepo(t *testing.T) {
 func TestVetToolFailsOnFixture(t *testing.T) {
 	bin := buildTool(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"-tags", "lintfixture", "-stageloop.all", "./internal/lint/fixture")
+		"-tags", "lintfixture", "./internal/lint/fixture")
 	cmd.Dir = repoRoot(t)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("go vet passed on the broken fixture:\n%s", out)
 	}
-	for _, want := range []string{"BeginStage called outside the stage-loop driver", "shared tuple payload t[0]", "shared tuple payload view[0]", "shared AST slice", "drain loop", "fixture.go"} {
+	for _, want := range []string{"shared tuple payload t[0]", "shared tuple payload view[0]", "shared AST slice", "fixture.go"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Errorf("vet output missing %q:\n%s", want, out)
 		}
@@ -66,7 +66,7 @@ func TestVetToolFailsOnFixture(t *testing.T) {
 
 // TestProtocolVersionAndFlags exercises the two discovery calls cmd/go
 // makes before any unit: -V=full must embed a content hash, -flags
-// must list the pass-through analyzer flags as JSON.
+// must list the pass-through analyzer flags as JSON (there are none).
 func TestProtocolVersionAndFlags(t *testing.T) {
 	bin := buildTool(t)
 	out, err := exec.Command(bin, "-V=full").Output()
@@ -88,7 +88,7 @@ func TestProtocolVersionAndFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(fl), `"Name":"stageloop.all"`) {
+	if strings.TrimSpace(string(fl)) != "[]" {
 		t.Fatalf("-flags output: %q", fl)
 	}
 }

@@ -67,9 +67,9 @@ const (
 )
 
 // Options is the unified engine configuration (see engine.Options):
-// context, stats collector, stage bounds, stage-parallel workers, and
-// the Datalog¬¬ conflict policy. The zero value is the default
-// configuration; a nil *Options is valid.
+// context, stats collector, stage bounds, and the Datalog¬¬ conflict
+// policy. The zero value is the default configuration; a nil *Options
+// is valid.
 type Options = engine.Options
 
 // Result is the outcome of a forward-chaining evaluation.
@@ -149,22 +149,11 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 		return nil, err
 	}
 	adom := eval.ActiveDomain(u, p.Constants(), in)
-	// Index probes build lazily inside the shared relations; with
-	// workers > 1 the indexes are forced each stage before fan-out so
-	// the workers only read (see stageParallel).
-	workers := opt.WorkerCount()
 	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
-		ctx.PlanTrace = workers <= 1
 		st := eval.NewStaging(out)
-		if workers > 1 {
-			for _, f := range stageParallel(rules, ctx, workers, col) {
-				st.Emit(f)
-			}
-		} else {
-			for ri, cr := range rules {
-				cr.Fire(ctx, ri, nil, st.Emit)
-			}
+		for ri, cr := range rules {
+			cr.Fire(ctx, ri, nil, st.Emit)
 		}
 		if n := st.Fold(); n > 0 {
 			return engine.Outcome{Delta: n, State: st.Next}, nil

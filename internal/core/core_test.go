@@ -464,25 +464,3 @@ func TestInflationaryEqualsWellFounded(t *testing.T) {
 		t.Fatalf("WFS CT %v != inflationary delayed CT %v", a, b)
 	}
 }
-
-func TestParallelInflationaryMatchesSequential(t *testing.T) {
-	u := value.New()
-	p := parser.MustParse(delayedCTSrc, u)
-	in := parser.MustParseFacts(`G(a,b). G(b,c). G(c,a). G(c,d). G(d,e).`, u)
-	seq, err := EvalInflationary(p, in, u, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := EvalInflationary(p, in, u, &Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq.Out.Equal(par.Out) {
-			t.Fatalf("workers=%d: parallel result differs", workers)
-		}
-		if par.Stages != seq.Stages {
-			t.Fatalf("workers=%d: stage count differs (%d vs %d)", workers, par.Stages, seq.Stages)
-		}
-	}
-}

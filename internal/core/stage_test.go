@@ -13,7 +13,7 @@ import (
 // sharedRelSrc has several rules reading and writing the same
 // relations, with cross-rule duplicate derivations (A(b) from both P
 // and Q; every C fact from two symmetric rules) — the shapes that
-// stress the parallel stage loop.
+// stress a stage's duplicate handling.
 const sharedRelSrc = `
 	A(X) :- P(X).
 	A(X) :- Q(X).
@@ -23,126 +23,39 @@ const sharedRelSrc = `
 	C(X,Y) :- B(X), A(Y).
 `
 
-// TestSerialParallelAgree pins the serial/parallel stage-loop
-// equivalence: same result instance, same stage count, and the same
-// statistics counters (the serial path filters re-derivations against
-// the previous instance exactly like the parallel workers do).
-func TestSerialParallelAgree(t *testing.T) {
-	for _, src := range []string{tcSrc, closerSrc, sharedRelSrc} {
-		u := value.New()
-		p := parser.MustParse(src, u)
-		in := parser.MustParseFacts(`G(a,b). G(b,c). G(c,a). P(a). P(b). Q(b). Q(c).`, u)
-
-		serialCol, parCol := stats.New(), stats.New()
-		serial, err := EvalInflationary(p, in, u, &Options{Stats: serialCol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := EvalInflationary(p, in, u, &Options{Workers: 4, Stats: parCol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serial.Out.Equal(par.Out) {
-			t.Fatalf("serial and parallel results differ")
-		}
-		if serial.Stages != par.Stages {
-			t.Fatalf("stage counts differ: %d vs %d", serial.Stages, par.Stages)
-		}
-		ss, ps := serial.Stats, par.Stats
-		if ss.Firings != ps.Firings || ss.Derived != ps.Derived || ss.Rederived != ps.Rederived {
-			t.Fatalf("counters differ: serial %d/%d/%d, parallel %d/%d/%d",
-				ss.Firings, ss.Derived, ss.Rederived, ps.Firings, ps.Derived, ps.Rederived)
-		}
-		if ss.Stages != serial.Stages || ps.Stages != par.Stages {
-			t.Fatalf("Stats.Stages %d/%d do not match Result.Stages %d", ss.Stages, ps.Stages, serial.Stages)
-		}
-		if len(ss.PerRule) != len(ps.PerRule) {
-			t.Fatalf("per-rule breakdowns differ in length: %d vs %d", len(ss.PerRule), len(ps.PerRule))
-		}
-		for i := range ss.PerRule {
-			if ss.PerRule[i] != ps.PerRule[i] {
-				t.Fatalf("per-rule stats differ at %d: %+v vs %+v", i, ss.PerRule[i], ps.PerRule[i])
-			}
-		}
-	}
-}
-
-// TestParallelDuplicateAbsorption is the satellite regression for
-// cross-worker duplicates: rules on different workers emit the same
-// head fact, and the insert phase must absorb the duplicates rather
-// than double-count them in the delta.
-func TestParallelDuplicateAbsorption(t *testing.T) {
+// TestStageDuplicateAbsorption: several rules emit the same head fact
+// in one stage, and the stage must absorb the duplicates rather than
+// double-count them in the delta.
+func TestStageDuplicateAbsorption(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(sharedRelSrc, u)
 	in := parser.MustParseFacts(`P(a). P(b). Q(b). Q(c).`, u)
-	serial, err := EvalInflationary(p, in, u, nil)
+	res, err := EvalInflationary(p, in, u, &Options{Stats: stats.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 4, 6, 8} {
-		col := stats.New()
-		par, err := EvalInflationary(p, in, u, &Options{Workers: workers, Stats: col})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !serial.Out.Equal(par.Out) {
-			t.Fatalf("workers=%d: result differs from serial", workers)
-		}
-		if serial.Stages != par.Stages {
-			t.Fatalf("workers=%d: stages %d, serial %d", workers, par.Stages, serial.Stages)
-		}
-		// Per-stage deltas count facts actually inserted, so duplicate
-		// emissions must not inflate them past the instance growth.
-		var deltaSum int64
-		for _, st := range par.Stats.PerStage {
-			deltaSum += st.Delta
-		}
-		if want := int64(par.Out.Facts() - in.Facts()); deltaSum != want {
-			t.Fatalf("workers=%d: stage deltas sum to %d, instance grew by %d", workers, deltaSum, want)
-		}
+	// Per-stage deltas count facts actually inserted, so duplicate
+	// emissions must not inflate them past the instance growth.
+	var deltaSum int64
+	for _, st := range res.Stats.PerStage {
+		deltaSum += st.Delta
+	}
+	if want := int64(res.Out.Facts() - in.Facts()); deltaSum != want {
+		t.Fatalf("stage deltas sum to %d, instance grew by %d", deltaSum, want)
 	}
 }
 
-// TestParallelMoreWorkersThanRules covers the clamp path (workers >
-// rule count) and the empty-rules early return.
-func TestParallelMoreWorkersThanRules(t *testing.T) {
+// TestInflationaryEmptyProgram: no rules means no stages and the input
+// handed back.
+func TestInflationaryEmptyProgram(t *testing.T) {
 	u := value.New()
-	p := parser.MustParse(`T(X,Y) :- G(X,Y).`, u)
 	in := parser.MustParseFacts(`G(a,b). G(b,c).`, u)
-	res, err := EvalInflationary(p, in, u, &Options{Workers: 16})
+	res, err := EvalInflationary(&ast.Program{}, in, u, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedRel(res.Out, u, "T"); len(got) != 2 {
-		t.Fatalf("T = %v", got)
-	}
-
-	empty := &ast.Program{}
-	eres, err := EvalInflationary(empty, in, u, &Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eres.Stages != 0 || !eres.Out.Equal(in) {
-		t.Fatalf("empty program: stages=%d", eres.Stages)
-	}
-}
-
-// TestStageParallelRace exercises ≥4 workers over rules sharing
-// relations; its assertions are light because its real job is running
-// under -race (the Makefile's verify target does).
-func TestStageParallelRace(t *testing.T) {
-	u := value.New()
-	p := parser.MustParse(sharedRelSrc+tcSrc, u)
-	in := parser.MustParseFacts(`P(a). P(b). Q(b). Q(c). G(a,b). G(b,c). G(c,a).`, u)
-	col := stats.New()
-	for i := 0; i < 10; i++ {
-		res, err := EvalInflationary(p, in, u, &Options{Workers: 8, Stats: col})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Out.Relation("C") == nil || res.Out.Relation("T") == nil {
-			t.Fatalf("expected C and T to be derived")
-		}
+	if res.Stages != 0 || !res.Out.Equal(in) {
+		t.Fatalf("empty program: stages=%d", res.Stages)
 	}
 }
 
@@ -164,9 +77,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"MaxStages -1", &Options{MaxStages: -1}, false},
 		{"MaxStages 0", &Options{MaxStages: 0}, true},
 		{"MaxStages 1", &Options{MaxStages: 1}, true},
-		{"Workers -1", &Options{Workers: -1}, false},
-		{"Workers 0", &Options{Workers: 0}, true},
-		{"Workers 1", &Options{Workers: 1}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -187,8 +97,8 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := EvalNonInflationary(pNeg, inNeg, u, &Options{MaxStages: -1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("EvalNonInflationary accepted MaxStages -1: %v", err)
 	}
-	if _, err := EvalInvent(pNew, in, u, &Options{Workers: -2}); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("EvalInvent accepted Workers -2: %v", err)
+	if _, err := EvalInvent(pNew, in, u, &Options{Shards: -2}); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("EvalInvent accepted Shards -2: %v", err)
 	}
 }
 

@@ -5,10 +5,10 @@
 //
 //   - Configuration. Options gathers the cross-engine knobs — a
 //     context.Context for deadline/cancellation, the stats collector,
-//     the stage bound, stage-parallel workers and data-parallel shards,
-//     the Datalog¬¬ conflict policy, and the index-ablation Scan switch
-//     — so the engine packages alias it (type Options = engine.Options).
-//     EvalCtx derives the matcher environment from it.
+//     the stage bound, data-parallel shards, the Datalog¬¬ conflict
+//     policy, and the index-ablation Scan switch — so the engine
+//     packages alias it (type Options = engine.Options). EvalCtx
+//     derives the matcher environment from it.
 //
 //   - The stage loop. The paper's whole family is one procedure — fire
 //     all rules against the current instance, apply the result, repeat
@@ -18,10 +18,10 @@
 //     counts it, shows it to Options.Trace and enforces the stage
 //     bound. An engine supplies the step and assembles its result; it
 //     never calls BeginStage, EndStage or polls the context itself
-//     (internal/lint's stageloop analyzer rejects that). When the
-//     context is done the loop stops with a typed error (ErrCanceled or
-//     ErrDeadline) wrapped with the completed stage count, and the
-//     engine returns its partial progress alongside it. This is what
+//     (`make verify` greps for that). When the context is done the
+//     loop stops with a typed error (ErrCanceled or ErrDeadline)
+//     wrapped with the completed stage count, and the engine returns
+//     its partial progress alongside it. This is what
 //     makes the Turing-complete members of the family (Datalog¬¬,
 //     Datalog¬new, the while language — Fig. 1 of the paper) safe to
 //     evaluate in a long-lived service: a caller can always bound a
@@ -55,7 +55,7 @@ var (
 	// "deadline exceeded after N stages".
 	ErrDeadline = errors.New("engine: deadline exceeded")
 	// ErrInvalidOptions reports an Options field outside its domain
-	// (any negative bound or worker count).
+	// (any negative bound or shard count).
 	ErrInvalidOptions = errors.New("engine: invalid options")
 )
 
@@ -79,9 +79,6 @@ const (
 	Inconsistent
 )
 
-// conflictPolicyNames is the single table String and
-// ConflictPolicyByName derive from, so a policy can never gain a
-// printable name without a parseable one.
 var conflictPolicyNames = [...]string{
 	PreferPositive: "prefer-positive",
 	PreferNegative: "prefer-negative",
@@ -94,16 +91,6 @@ func (c ConflictPolicy) String() string {
 		return conflictPolicyNames[c]
 	}
 	return fmt.Sprintf("ConflictPolicy(%d)", uint8(c))
-}
-
-// ConflictPolicyByName parses a policy name as printed by String.
-func ConflictPolicyByName(name string) (ConflictPolicy, bool) {
-	for c, n := range conflictPolicyNames {
-		if n == name {
-			return ConflictPolicy(c), true
-		}
-	}
-	return PreferPositive, false
 }
 
 // Options is the unified evaluation configuration. The zero value is
@@ -132,13 +119,6 @@ type Options struct {
 	// program, so repeated requests skip re-planning). Safe for
 	// concurrent use; nil gives each compiled rule a private memo.
 	Plans *eval.PlanCache
-
-	// Workers evaluates the rules of each stage across that many
-	// goroutines (inflationary engine only). Stage semantics fire all
-	// rules against the same previous instance, so rule evaluation is
-	// embarrassingly parallel and the result is identical to the
-	// sequential one. 0 or 1 means sequential.
-	Workers int
 
 	// Shards hash-partitions the delta of each semi-naive round across
 	// that many data-parallel workers (declarative engines: minimal
@@ -206,7 +186,6 @@ func (o *Options) Validate() error {
 	}{
 		{"MaxStages", o.MaxStages},
 		{"MaxStates", o.MaxStates},
-		{"Workers", o.Workers},
 		{"Shards", o.Shards},
 	} {
 		if f.v < 0 {
@@ -255,8 +234,8 @@ func IsInterrupt(err error) bool {
 // EvalCtx returns the matcher environment for one enumeration pass
 // over in: the scan switch, the planner switch and the plan cache come
 // from the options, probes are charged to col, no body literal is
-// pinned to a delta, and plan spans are on (a caller that fans the
-// pass out across goroutines turns PlanTrace off).
+// pinned to a delta, and plan spans are on (a caller whose pass is no
+// stage of the run turns PlanTrace off).
 func (o *Options) EvalCtx(col *stats.Collector, in *tuple.Instance, adom []value.Value) *eval.Ctx {
 	ctx := &eval.Ctx{In: in, Adom: adom, DeltaLit: -1, Stats: col, PlanTrace: true}
 	if o != nil {
@@ -298,14 +277,6 @@ func (o *Options) Conflict() ConflictPolicy {
 	return o.Policy
 }
 
-// WorkerCount returns the stage-parallel worker count (>= 1).
-func (o *Options) WorkerCount() int {
-	if o == nil || o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
-}
-
 // ShardCount returns the data-parallel shard count (>= 1).
 func (o *Options) ShardCount() int {
 	if o == nil || o.Shards < 1 {
@@ -314,24 +285,16 @@ func (o *Options) ShardCount() int {
 	return o.Shards
 }
 
-// Parallel is the parallelism configuration, applied atomically by
-// SetParallel (and the facade's WithParallel): the two orthogonal axes,
-// rule-level Workers and data-parallel Shards. The zero value means
-// fully serial.
+// Parallel is the parallelism configuration, applied by SetParallel
+// (and the facade's WithParallel). The zero value means fully serial.
 type Parallel struct {
-	// Workers is the rule-level stage parallelism (Options.Workers).
-	Workers int
 	// Shards is the data-parallel shard count for semi-naive delta
 	// rounds (Options.Shards).
 	Shards int
 }
 
-// SetParallel installs a Parallel configuration, replacing both
-// parallelism fields at once.
-func (o *Options) SetParallel(p Parallel) {
-	o.Workers = p.Workers
-	o.Shards = p.Shards
-}
+// SetParallel installs a Parallel configuration.
+func (o *Options) SetParallel(p Parallel) { o.Shards = p.Shards }
 
 // StageLimit resolves the stage bound against the engine default.
 func (o *Options) StageLimit(def int) int {

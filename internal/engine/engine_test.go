@@ -25,9 +25,6 @@ func TestNilOptionsDefaults(t *testing.T) {
 	if got := o.Conflict(); got != PreferPositive {
 		t.Fatalf("default policy = %v", got)
 	}
-	if o.WorkerCount() != 1 {
-		t.Fatalf("WorkerCount = %d", o.WorkerCount())
-	}
 	if o.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d", o.ShardCount())
 	}
@@ -43,25 +40,19 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", &Options{}, true},
-		{"all positive", &Options{MaxStages: 1, MaxStates: 4, Workers: 5}, true},
+		{"all positive", &Options{MaxStages: 1, MaxStates: 4, Shards: 5}, true},
 		{"MaxStages -1", &Options{MaxStages: -1}, false},
 		{"MaxStates -1", &Options{MaxStates: -1}, false},
-		{"Workers -1", &Options{Workers: -1}, false},
 		{"Shards 8", &Options{Shards: 8}, true},
 		{"Shards -1", &Options{Shards: -1}, false},
-		{"Parallel all positive", func() *Options {
+		{"Parallel positive shards", func() *Options {
 			o := &Options{}
-			o.SetParallel(Parallel{Workers: 2, Shards: 4})
+			o.SetParallel(Parallel{Shards: 4})
 			return o
 		}(), true},
 		{"Parallel negative shards", func() *Options {
 			o := &Options{}
 			o.SetParallel(Parallel{Shards: -2})
-			return o
-		}(), false},
-		{"Parallel negative workers", func() *Options {
-			o := &Options{}
-			o.SetParallel(Parallel{Workers: -1})
 			return o
 		}(), false},
 	} {
@@ -77,12 +68,9 @@ func TestValidate(t *testing.T) {
 
 func TestParallelAccessors(t *testing.T) {
 	o := &Options{}
-	o.SetParallel(Parallel{Workers: 3, Shards: 4})
-	if o.Workers != 3 || o.Shards != 4 {
-		t.Fatalf("SetParallel did not copy fields: %+v", o)
-	}
-	if o.ShardCount() != 4 || o.WorkerCount() != 3 {
-		t.Fatalf("accessors: shards=%d workers=%d", o.ShardCount(), o.WorkerCount())
+	o.SetParallel(Parallel{Shards: 4})
+	if o.Shards != 4 || o.ShardCount() != 4 {
+		t.Fatalf("SetParallel did not install the shard count: %+v", o)
 	}
 	// Zero/one shards mean serial.
 	for _, o3 := range []*Options{nil, {}, {Shards: 1}} {
@@ -131,20 +119,5 @@ func TestInterruptedDeadline(t *testing.T) {
 	}
 	if errors.Is(err, ErrCanceled) {
 		t.Fatal("deadline must not also read as canceled")
-	}
-}
-
-func TestConflictPolicyRoundTrip(t *testing.T) {
-	for _, c := range []ConflictPolicy{PreferPositive, PreferNegative, NoOp, Inconsistent} {
-		got, ok := ConflictPolicyByName(c.String())
-		if !ok || got != c {
-			t.Errorf("round-trip of %v failed: got %v ok=%v", c, got, ok)
-		}
-	}
-	if s := ConflictPolicy(9).String(); s != "ConflictPolicy(9)" {
-		t.Errorf("out-of-range String = %q", s)
-	}
-	if _, ok := ConflictPolicyByName("nope"); ok {
-		t.Error("unknown name must not parse")
 	}
 }

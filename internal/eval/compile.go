@@ -109,9 +109,6 @@ type Rule struct {
 	plan     planState
 }
 
-// NumVars reports how many distinct variables the rule has.
-func (r *Rule) NumVars() int { return len(r.Vars) }
-
 // HeadOnlyVarIDs returns the ids of the invented-value variables.
 func (r *Rule) HeadOnlyVarIDs() []int { return r.headOnly }
 

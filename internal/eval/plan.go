@@ -42,8 +42,7 @@ type planState struct {
 
 // planFor returns the step schedule to enumerate with under ctx, and
 // whether it is a planner choice (as opposed to the baseline
-// schedule). Safe for concurrent use by parallel stage workers; the
-// engine goroutine pre-fills the memo via WarmIndexes.
+// schedule). Safe for concurrent use by the shard workers.
 func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	// Fewer than two joins leave nothing to reorder; past 16 the
 	// signature packing would overflow (and such bodies are rare

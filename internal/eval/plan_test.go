@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"unchained/internal/parser"
@@ -196,57 +195,5 @@ func TestPlanCacheSharing(t *testing.T) {
 	}
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Fatalf("cached plan changed results: %v vs %v", first, second)
-	}
-}
-
-// TestWarmIndexesCoversAllSources is the -race regression test for
-// the warm-path bug: WarmIndexes used to skip NegIn and Aux (and the
-// planner's mask-0 iterator source), so the first parallel stage
-// would lazily build those indexes from racing goroutines. After
-// warming, concurrent Enumerate calls over one shared ctx must be
-// read-only.
-func TestWarmIndexesCoversAllSources(t *testing.T) {
-	u := value.New()
-	srcs := []string{
-		`R(X,Y) :- A(X), B(Y).`,          // cross product: mask-0 iterator source
-		`S(X) :- A(X), E(X,Y), !N(Y).`,   // bound probe + negation
-		`T(X,Y) :- A(X), B(Y), !E(X,Y).`, // negation over a pair
-	}
-	var rules []*Rule
-	for _, src := range srcs {
-		r, err := parser.ParseRule(src, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr, err := Compile(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rules = append(rules, cr)
-	}
-	in := parser.MustParseFacts(`A(a). A(b). A(c). B(x). B(y). E(a,x). E(b,y). E(c,x).`, u)
-	negIn := parser.MustParseFacts(`N(x).`, u)
-	aux := parser.MustParseFacts(`E(c,y). A(d).`, u)
-	ctx := &Ctx{In: in, NegIn: negIn, Aux: aux, Adom: ActiveDomain(u, nil, in), DeltaLit: -1}
-
-	WarmIndexes(rules, ctx)
-
-	var wg sync.WaitGroup
-	counts := make([]int, 8)
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, cr := range rules {
-				counts[w] += countFirings(cr, ctx)
-			}
-		}()
-	}
-	wg.Wait()
-	for w := 1; w < 8; w++ {
-		if counts[w] != counts[0] {
-			t.Fatalf("worker %d saw %d firings, worker 0 saw %d", w, counts[w], counts[0])
-		}
 	}
 }

@@ -52,7 +52,7 @@ type Ctx struct {
 	// PlanTrace allows Enumerate to emit the chosen plan as a trace
 	// span through Stats. Engines set it only on single-goroutine
 	// evaluation paths (the collector's tracing state is not safe for
-	// concurrent emission from stage workers).
+	// concurrent emission from shard workers).
 	PlanTrace bool
 }
 
@@ -101,7 +101,7 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 
 // frame is the state of one Enumerate call. The scratch tuples live
 // here and not in the steps, because a plan is shared by every goroutine
-// that enumerates the rule (PlanCache, the stage and shard workers). The
+// that enumerates the rule (PlanCache, the shard workers). The
 // cursor of a match step is a stack value of that step's run call (an
 // Iterator carries no key scratch to recycle), and emit travels as an
 // argument.
@@ -438,57 +438,6 @@ func Fold(out, from *tuple.Instance) int {
 	return from.Facts()
 }
 
-// WarmIndexes pre-builds every hash index the rules' match steps will
-// probe against the context's instances — In, Delta, the Aux overlay,
-// and the NegIn reduct alike (full scans and fully-bound probes need
-// none). Indexes are otherwise built lazily on first probe, which
-// mutates the shared relation — unsafe when several goroutines
-// evaluate rules of the same stage concurrently. Warming makes
-// subsequent Enumerate calls read-only on the instance. It also
-// resolves each rule's plan for the context on the calling (engine)
-// goroutine, so stage workers reuse the memoized schedule. No-op in
-// Scan mode (ScanIter builds no indexes).
-func WarmIndexes(rules []*Rule, ctx *Ctx) {
-	if ctx.Scan {
-		return
-	}
-	warm := func(in *tuple.Instance, pred string, mask uint32, arity int) {
-		if in == nil {
-			return
-		}
-		rel := in.Relation(pred)
-		if rel == nil || rel.Arity() != arity {
-			return
-		}
-		rel.BuildIndex(mask)
-	}
-	for _, r := range rules {
-		steps, _ := r.planFor(ctx)
-		for i := range steps {
-			st := &steps[i]
-			switch st.kind {
-			case stepMatch:
-				if ctx.Delta != nil && st.litIndex == ctx.DeltaLit {
-					warm(ctx.Delta, st.pred, st.mask, st.arity)
-					continue
-				}
-				warm(ctx.In, st.pred, st.mask, st.arity)
-				warm(ctx.Aux, st.pred, st.mask, st.arity)
-			case stepNegCheck:
-				// Negative literals are fully bound (Contains, no
-				// index today), but warm their source anyway so a
-				// future partial-mask check cannot reintroduce a
-				// lazy build under workers.
-				src := ctx.In
-				if ctx.NegIn != nil {
-					src = ctx.NegIn
-				}
-				warm(src, st.pred, st.mask, st.arity)
-			}
-		}
-	}
-}
-
 // GroundBodyAtom materializes the body literal with index litIndex (an
 // atom, positive or negative) under binding b. ok is false for
 // non-atom literals (equalities, ∀) and out-of-range indexes. The
@@ -559,6 +508,3 @@ func ActiveDomain(u *value.Universe, progConsts []value.Value, in *tuple.Instanc
 	}
 	return out
 }
-
-// ProgramConsts returns adom(P) for a program.
-func ProgramConsts(p *ast.Program) []value.Value { return p.Constants() }

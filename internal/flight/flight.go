@@ -24,8 +24,7 @@
 //   - Recorder: bounded recent-ring + top-K-slowest heap + slow-query
 //     JSONL log with rate-limited slog warnings (recorder.go).
 //   - Tenants: bounded-cardinality per-tenant accounting (tenants.go).
-//   - W3C traceparent helpers and the OTLP-shaped JSON span exporter
-//     (otlp.go).
+//   - W3C traceparent helpers (traceparent.go).
 package flight
 
 import (
@@ -105,9 +104,8 @@ type Record struct {
 	// CLI records).
 	Status int `json:"status,omitempty"`
 
-	// Workers and Shards are the effective parallelism of the run.
-	Workers int `json:"workers,omitempty"`
-	Shards  int `json:"shards,omitempty"`
+	// Shards is the effective data-parallel shard count of the run.
+	Shards int `json:"shards,omitempty"`
 
 	// The wall-time breakdown: QueueNS is the admission-queue wait,
 	// EvalNS the engine run, WallNS the whole request (decode to

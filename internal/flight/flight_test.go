@@ -206,65 +206,3 @@ func TestFromSummary(t *testing.T) {
 		t.Fatalf("nil summary mutated record")
 	}
 }
-
-func TestOTLPExport(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewOTLPWriter(&buf, "unchained-test")
-	tid, root := NewTraceID(), NewSpanID()
-	ev := NewOTLPEval(tid, root)
-	ev.Emit(trace.Event{Ev: trace.EvBegin, Span: trace.SpanEval, Engine: "core_semi_naive"})
-	ev.Emit(trace.Event{Ev: trace.EvBegin, Span: trace.SpanStage, Stage: 1})
-	ev.Emit(trace.Event{Ev: trace.EvSpan, Span: trace.SpanPlan, Rule: "p", Name: "a ⋈ b", DurNS: 10})
-	ev.Emit(trace.Event{Ev: trace.EvEnd, Span: trace.SpanStage, Stage: 1, Firings: 5, Derived: 3, DurNS: 100})
-	ev.Emit(trace.Event{Ev: trace.EvEnd, Span: trace.SpanEval, Engine: "core_semi_naive", Stages: 1, DurNS: 200})
-	rec := &Record{ID: tid, SpanID: root, Endpoint: "/v1/eval", Outcome: "ok", Tenant: "t", StartUnixNS: 1, WallNS: 300}
-	w.Export(rec, ev)
-
-	var doc struct {
-		ResourceSpans []struct {
-			ScopeSpans []struct {
-				Spans []struct {
-					TraceID      string `json:"traceId"`
-					SpanID       string `json:"spanId"`
-					ParentSpanID string `json:"parentSpanId"`
-					Name         string `json:"name"`
-					Kind         int    `json:"kind"`
-				} `json:"spans"`
-			} `json:"scopeSpans"`
-		} `json:"resourceSpans"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not OTLP-shaped JSON: %v", err)
-	}
-	spans := doc.ResourceSpans[0].ScopeSpans[0].Spans
-	if len(spans) != 4 { // root + eval + stage + plan
-		t.Fatalf("exported %d spans, want 4: %+v", len(spans), spans)
-	}
-	if spans[0].SpanID != root || spans[0].Kind != 2 || spans[0].Name != "/v1/eval" {
-		t.Fatalf("root span wrong: %+v", spans[0])
-	}
-	byName := map[string]int{}
-	parents := map[string]string{}
-	for i, s := range spans {
-		if s.TraceID != tid {
-			t.Fatalf("span %d has trace id %q, want %q", i, s.TraceID, tid)
-		}
-		byName[s.Name] = i
-		parents[s.SpanID] = s.ParentSpanID
-	}
-	evalSpan := spans[byName["eval core_semi_naive"]]
-	stageSpan := spans[byName["stage 1"]]
-	planSpan := spans[byName["plan p"]]
-	if evalSpan.ParentSpanID != root {
-		t.Fatalf("eval span not parented to root")
-	}
-	if stageSpan.ParentSpanID != evalSpan.SpanID {
-		t.Fatalf("stage span not parented to eval span")
-	}
-	if planSpan.ParentSpanID != stageSpan.SpanID {
-		t.Fatalf("plan span not parented to stage span")
-	}
-	if err := w.Err(); err != nil {
-		t.Fatalf("writer error: %v", err)
-	}
-}

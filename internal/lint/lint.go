@@ -1,15 +1,8 @@
 // Package lint holds the repo's custom static analyzers, run against
 // every build via `go vet -vettool` (cmd/vet-unchained) and `make
-// vet-custom`. They enforce three engine-layer invariants the type
+// vet-custom`. They enforce two shared-payload invariants the type
 // system cannot express:
 //
-//   - stageloop: engines do not write their own stage loop. The stage
-//     protocol — poll the context, BeginStage, EndStage — lives in one
-//     place, the driver (engine.Options.Loop), which is what guarantees
-//     that a request deadline interrupts every engine (the property
-//     internal/serve relies on). A call to BeginStage, EndStage or
-//     Interrupted from an engine package is a finding: plug a step into
-//     the driver instead.
 //   - tuplemut: tuple.Tuple values share their backing array across
 //     copy-on-write instance snapshots, so writing through an index
 //     (t[i] = v) outside internal/tuple mutates every holder of the
@@ -42,9 +35,9 @@ type Diag struct {
 	Message string
 }
 
-// Pass is the per-package unit of work: parsed files plus (optionally)
-// type information. Stageloop is purely syntactic and runs without
-// types; TupleMut requires Info and reports nothing when it is nil.
+// Pass is the per-package unit of work: parsed files plus type
+// information. The analyzers require Info and report nothing when it
+// is nil.
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -52,12 +45,9 @@ type Pass struct {
 	// callers).
 	Pkg  *types.Package
 	Info *types.Info
-	// Path is the package import path (used for the engine-package
-	// filter; falls back to Pkg.Path() when empty).
+	// Path is the package import path (the analyzers skip the package
+	// that owns the payload; falls back to Pkg.Path() when empty).
 	Path string
-	// AllPackages disables stageloop's engine-package filter, for
-	// fixtures and tests living outside the engine tree.
-	AllPackages bool
 }
 
 func (p *Pass) path() string {
@@ -70,35 +60,6 @@ func (p *Pass) path() string {
 	return ""
 }
 
-// enginePackages are the import-path suffixes of the packages that
-// run their stages through the driver (internal/engine itself, which
-// hosts it, is not among them).
-var enginePackages = []string{
-	"internal/core",
-	"internal/declarative",
-	"internal/while",
-	"internal/nondet",
-	"internal/incr",
-	"internal/magic",
-	"internal/active",
-	// eval hosts the iterator drain loops stageloop also checks.
-	"internal/eval",
-}
-
-func isEnginePackage(path string) bool {
-	for _, s := range enginePackages {
-		if strings.HasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// isTestFile reports whether the node's file is a _test.go file.
-func isTestFile(fset *token.FileSet, n ast.Node) bool {
-	return strings.HasSuffix(fset.Position(n.Pos()).Filename, "_test.go")
-}
-
 // calleeName returns the bare method/function name of a call: the
 // selector for x.F(...) or the identifier for F(...).
 func calleeName(call *ast.CallExpr) string {
@@ -109,111 +70,6 @@ func calleeName(call *ast.CallExpr) string {
 		return fn.Name
 	}
 	return ""
-}
-
-// containsCall reports whether the subtree lexically contains a call
-// to a function or method with the given bare name.
-func containsCall(n ast.Node, name string) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && calleeName(call) == name {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// drainLoopExits reports whether a condition-less for-loop body can
-// leave the loop: a break binding to this loop (not swallowed by a
-// nested loop, switch, or select — labeled breaks are trusted), or a
-// return/goto anywhere in the body.
-func drainLoopExits(body *ast.BlockStmt) bool {
-	exits := false
-	var walk func(root ast.Node, nested bool)
-	walk = func(root ast.Node, nested bool) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			if exits || n == nil {
-				return false
-			}
-			switch st := n.(type) {
-			case *ast.BranchStmt:
-				switch st.Tok {
-				case token.BREAK:
-					if !nested || st.Label != nil {
-						exits = true
-					}
-				case token.GOTO:
-					exits = true
-				}
-			case *ast.ReturnStmt:
-				exits = true
-			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-				if n != root { // breaks inside bind to the inner statement
-					walk(n, true)
-					return false
-				}
-			}
-			return true
-		})
-	}
-	walk(body, false)
-	return exits
-}
-
-// checkDrainLoops flags condition-less for-loops that pull an
-// iterator (a .Next() call) but provide no way out: the streaming
-// executor's drain loops end by checking Next's ok result, so a drain
-// loop with no break/return spins forever once written.
-func checkDrainLoops(f *ast.File) []Diag {
-	var diags []Diag
-	ast.Inspect(f, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok || loop.Cond != nil || loop.Init != nil || loop.Post != nil {
-			return true
-		}
-		if !containsCall(loop.Body, "Next") || drainLoopExits(loop.Body) {
-			return true
-		}
-		diags = append(diags, Diag{
-			Pos:     loop.Pos(),
-			Message: "iterator drain loop has no break or return: Next() is pulled forever once the cursor is exhausted",
-		})
-		return true
-	})
-	return diags
-}
-
-// stageProtocol names the calls only the driver may make.
-var stageProtocol = map[string]bool{"BeginStage": true, "EndStage": true, "Interrupted": true}
-
-// Stageloop flags stage-protocol calls made outside the driver, and
-// iterator drain loops with no exit path.
-func Stageloop(p *Pass) []Diag {
-	if !p.AllPackages && !isEnginePackage(p.path()) {
-		return nil
-	}
-	var diags []Diag
-	for _, f := range p.Files {
-		if isTestFile(p.Fset, f) {
-			continue
-		}
-		diags = append(diags, checkDrainLoops(f)...)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && stageProtocol[calleeName(call)] {
-				diags = append(diags, Diag{
-					Pos:     call.Pos(),
-					Message: calleeName(call) + " called outside the stage-loop driver: plug a step into (engine.Options).Loop, which polls the context and brackets the stage",
-				})
-			}
-			return true
-		})
-	}
-	return diags
 }
 
 // isTupleType reports whether t is (an alias of) the named type Tuple

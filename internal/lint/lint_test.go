@@ -188,202 +188,3 @@ func (p *Program) set(i int, r Rule) { p.Rules[i] = r }
 		t.Fatalf("flagged internal/ast itself: %v", messages(ds))
 	}
 }
-
-// parseOnly builds a syntax-only Pass (what stageloop needs).
-func parseOnly(t *testing.T, path, src string) *Pass {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "a.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Pass{Fset: fset, Files: []*ast.File{f}, Path: path}
-}
-
-// stageLoopBad is a hand-rolled stage loop: it polls and brackets its
-// stages itself instead of plugging a step into the driver.
-const stageLoopBad = `package core
-func eval(col Col, opt Opt) {
-	for i := 0; i < 10; i++ {
-		if err := opt.Interrupted(i); err != nil {
-			return
-		}
-		col.BeginStage()
-		col.EndStage(1)
-	}
-}
-type Col interface{ BeginStage(); EndStage(int) }
-type Opt interface{ Interrupted(int) error }
-`
-
-// stageLoopGood runs its stages through the driver.
-const stageLoopGood = `package core
-func eval(col Col, opt Opt) {
-	opt.Loop(col, 10, nil, func(int) (int, error) { return 1, nil })
-}
-type Col interface{}
-type Opt interface{ Loop(Col, int, func(int) error, func(int) (int, error)) (int, error) }
-`
-
-func TestStageloopFlagsProtocolCalls(t *testing.T) {
-	ds := Stageloop(parseOnly(t, "x/internal/core", stageLoopBad))
-	if len(ds) != 3 {
-		t.Fatalf("got %d diags, want one per protocol call: %v", len(ds), messages(ds))
-	}
-	for i, name := range []string{"Interrupted", "BeginStage", "EndStage"} {
-		if !strings.HasPrefix(ds[i].Message, name+" called outside the stage-loop driver") {
-			t.Errorf("diag %d: %q", i, ds[i].Message)
-		}
-	}
-}
-
-func TestStageloopAcceptsDriverStep(t *testing.T) {
-	if ds := Stageloop(parseOnly(t, "x/internal/core", stageLoopGood)); len(ds) != 0 {
-		t.Fatalf("false positive: %v", messages(ds))
-	}
-}
-
-func TestStageloopFlagsCallOutsideAnyLoop(t *testing.T) {
-	// The parent rule let a BeginStage outside a for-loop through; a
-	// single stage goes through the driver like any other.
-	p := parseOnly(t, "x/internal/declarative", `package declarative
-func one(col Col) { col.BeginStage(); col.EndStage() }
-type Col interface{ BeginStage(); EndStage() }
-`)
-	if ds := Stageloop(p); len(ds) != 2 {
-		t.Fatalf("single-stage protocol calls: %v", messages(ds))
-	}
-}
-
-func TestStageloopSkipsNonEnginePackages(t *testing.T) {
-	if ds := Stageloop(parseOnly(t, "x/internal/stats", stageLoopBad)); len(ds) != 0 {
-		t.Fatalf("flagged non-engine package: %v", messages(ds))
-	}
-	p := parseOnly(t, "x/internal/stats", stageLoopBad)
-	p.AllPackages = true
-	if ds := Stageloop(p); len(ds) != 3 {
-		t.Fatalf("AllPackages filter override broken: %v", messages(ds))
-	}
-}
-
-func TestStageloopSkipsTestFiles(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "core_test.go", stageLoopBad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Pass{Fset: fset, Files: []*ast.File{f}, Path: "x/internal/core"}
-	if ds := Stageloop(p); len(ds) != 0 {
-		t.Fatalf("flagged _test.go: %v", messages(ds))
-	}
-}
-
-// TestEngineSuffixes pins the engine list to the packages that exist.
-func TestEngineSuffixes(t *testing.T) {
-	for _, s := range enginePackages {
-		if !isEnginePackage("unchained/" + s) {
-			t.Errorf("suffix %q does not match itself", s)
-		}
-	}
-	if isEnginePackage("unchained/internal/ast") {
-		t.Error("ast must not be an engine package")
-	}
-}
-
-const drainLoopBad = `package eval
-func drain(it Cursor) int {
-	n := 0
-	for {
-		v, _ := it.Next()
-		n += v
-	}
-}
-type Cursor interface{ Next() (int, bool) }
-`
-
-const drainLoopGood = `package eval
-func drain(it Cursor) int {
-	n := 0
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		n += v
-	}
-	return n
-}
-type Cursor interface{ Next() (int, bool) }
-`
-
-func TestStageloopFlagsExitlessDrainLoop(t *testing.T) {
-	ds := Stageloop(parseOnly(t, "x/internal/eval", drainLoopBad))
-	if len(ds) != 1 || !strings.Contains(ds[0].Message, "drain loop") {
-		t.Fatalf("diags: %v", messages(ds))
-	}
-}
-
-func TestStageloopAcceptsDrainLoopWithBreak(t *testing.T) {
-	if ds := Stageloop(parseOnly(t, "x/internal/eval", drainLoopGood)); len(ds) != 0 {
-		t.Fatalf("false positive: %v", messages(ds))
-	}
-}
-
-func TestStageloopDrainLoopReturnEscapes(t *testing.T) {
-	p := parseOnly(t, "x/internal/eval", `package eval
-func drain(it Cursor) int {
-	for {
-		v, ok := it.Next()
-		if !ok {
-			return v
-		}
-	}
-}
-type Cursor interface{ Next() (int, bool) }
-`)
-	if ds := Stageloop(p); len(ds) != 0 {
-		t.Fatalf("return should count as an exit: %v", messages(ds))
-	}
-}
-
-func TestStageloopDrainLoopNestedBreakDoesNotCount(t *testing.T) {
-	// The only break binds to the inner switch, so the outer for {}
-	// still never terminates.
-	p := parseOnly(t, "x/internal/eval", `package eval
-func drain(it Cursor) int {
-	n := 0
-	for {
-		v, _ := it.Next()
-		switch v {
-		case 0:
-			break
-		default:
-			n += v
-		}
-	}
-}
-type Cursor interface{ Next() (int, bool) }
-`)
-	if ds := Stageloop(p); len(ds) != 1 {
-		t.Fatalf("switch-bound break must not satisfy the drain check: %v", messages(ds))
-	}
-}
-
-func TestStageloopConditionedLoopNotADrainLoop(t *testing.T) {
-	// for-loops with a condition terminate on their own terms; only
-	// bare for {} loops are held to the break/return rule.
-	p := parseOnly(t, "x/internal/eval", `package eval
-func drain(it Cursor) int {
-	n := 0
-	for i := 0; i < 10; i++ {
-		v, _ := it.Next()
-		n += v
-	}
-	return n
-}
-type Cursor interface{ Next() (int, bool) }
-`)
-	if ds := Stageloop(p); len(ds) != 0 {
-		t.Fatalf("conditioned loop flagged: %v", messages(ds))
-	}
-}

@@ -120,13 +120,14 @@ type Options struct {
 	NoAssume bool
 
 	// NoReorder disables the adornment body reorder (the analysis
-	// itself still runs). Set when the caller pinned an explicit
-	// literal order.
+	// itself still runs). Not a knob of its own: the facade and the
+	// CLI derive it from LiteralOrder, which pins the textual join
+	// order the reorder would overwrite.
 	NoReorder bool
-
-	// MaxPasses bounds the rewrite fixpoint iterations (default 4).
-	MaxPasses int
 }
+
+// maxPasses bounds the rewrite fixpoint iterations.
+const maxPasses = 4
 
 // Rewrite records one applied transformation, in application order,
 // for -explain narration.
@@ -189,10 +190,6 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 		return res
 	}
 	cur := p
-	maxPasses := o.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 4
-	}
 	// The rule index every rule-set pass reads. A pass that rewrites
 	// cur drops it, and the next pass that needs one rebuilds it: one
 	// build per iteration once the program is stable.

@@ -1,11 +1,14 @@
 package promlint
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"unchained/internal/queries"
 	"unchained/internal/serve"
 )
 
@@ -89,21 +92,38 @@ func TestLabelCardinalityBound(t *testing.T) {
 	}
 }
 
-// TestLiveExpositionClean is the CI gate: the daemon's own /metrics
-// output, with traffic on every family, must lint clean.
+// TestLiveExpositionClean is the CI gate behind "make metrics-lint":
+// the daemon's own /metrics output, with traffic on every family
+// (a sharded evaluation, a deadline-bounded non-terminating one, and a
+// store batch so the unchained_store_* families carry samples too),
+// must lint clean.
 func TestLiveExpositionClean(t *testing.T) {
 	srv := serve.New(serve.Config{})
+	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	body := strings.NewReader(`{"program": "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).", "facts": "G(a,b). G(b,c).", "shards": 2}`)
-	resp, err := http.Post(ts.URL+"/v1/eval", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("eval: %d", resp.StatusCode)
+	for _, traffic := range []struct {
+		path string
+		req  any
+		want int
+	}{
+		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).", Facts: "G(a,b). G(b,c).", Shards: 2}}, http.StatusOK},
+		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"}, http.StatusRequestTimeout},
+		{"/v1/facts", serve.FactsRequest{DB: "lint", Assert: "G(a,b)."}, http.StatusOK},
+	} {
+		body, err := json.Marshal(traffic.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+traffic.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != traffic.want {
+			t.Fatalf("%s: status %d, want %d", traffic.path, resp.StatusCode, traffic.want)
+		}
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")

@@ -37,11 +37,10 @@ var errShed = errors.New("admission: queue full")
 var errQueueWait = errors.New("admission: queue wait exceeded")
 
 // waiter is one queued request. The admitting goroutine closes ready
-// to hand its slot over; the waiting goroutine sets abandoned (under
-// the gate lock) if it gives up first.
+// to hand its slot over; a waiting goroutine that gives up first takes
+// itself out of the queue (abandon).
 type waiter struct {
-	ready     chan struct{}
-	abandoned bool
+	ready chan struct{}
 }
 
 // tenantQueue is one tenant's FIFO of waiters.
@@ -149,7 +148,7 @@ func (g *gate) acquire(ctx context.Context, tenant string) (time.Duration, error
 		g.admitted.Add(1)
 		return wait, nil
 	case <-timer.C:
-		if g.abandon(w) {
+		if g.abandon(q, w) {
 			g.waitDrop.Add(1)
 			return time.Since(begin), errQueueWait
 		}
@@ -159,7 +158,7 @@ func (g *gate) acquire(ctx context.Context, tenant string) (time.Duration, error
 		g.admitted.Add(1)
 		return wait, nil
 	case <-ctx.Done():
-		if g.abandon(w) {
+		if g.abandon(q, w) {
 			return time.Since(begin), ctx.Err()
 		}
 		g.release()
@@ -167,10 +166,13 @@ func (g *gate) acquire(ctx context.Context, tenant string) (time.Duration, error
 	}
 }
 
-// abandon marks a queued waiter as given up. It returns false when the
-// waiter was already granted a slot — the caller then owns that slot
-// and must either use it or release it.
-func (g *gate) abandon(w *waiter) bool {
+// abandon takes a waiter that gave up out of its tenant's queue, so it
+// stops counting toward the queue depth at once and not at the next
+// release (a burst of queue timeouts must not leave the gate shedding
+// arrivals for an empty queue). It returns false when the waiter was
+// already granted a slot — the caller then owns that slot and must
+// either use it or release it.
+func (g *gate) abandon(q *tenantQueue, w *waiter) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	select {
@@ -178,8 +180,34 @@ func (g *gate) abandon(w *waiter) bool {
 		return false
 	default:
 	}
-	w.abandoned = true
+	// Ungranted, so still queued: grantLocked pops and closes ready
+	// under this same lock.
+	for i, x := range q.waiters {
+		if x == w {
+			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			break
+		}
+	}
+	g.queued--
+	if len(q.waiters) == 0 {
+		for i, x := range g.tenants {
+			if x == q {
+				g.dropTenantLocked(i)
+				break
+			}
+		}
+	}
 	return true
+}
+
+// dropTenantLocked takes the emptied tenant at ring position i out of
+// the ring, leaving next on the tenant it pointed at.
+func (g *gate) dropTenantLocked(i int) {
+	delete(g.byKey, g.tenants[i].key)
+	g.tenants = append(g.tenants[:i], g.tenants[i+1:]...)
+	if i < g.next {
+		g.next--
+	}
 }
 
 // release returns a slot: hand it to the next queued waiter
@@ -213,37 +241,26 @@ func (g *gate) handoffLocked() bool {
 	return g.grantLocked()
 }
 
-// grantLocked pops the next non-abandoned waiter in round-robin tenant
-// order and wakes it. Returns false when every queue is empty.
+// grantLocked pops the next waiter in round-robin tenant order and
+// wakes it. Returns false when nobody is queued. Every tenant in the
+// ring has a waiter: the pop below and abandon drop a tenant the
+// moment its queue empties.
 func (g *gate) grantLocked() bool {
-	for g.queued > 0 {
-		if len(g.tenants) == 0 {
-			return false
-		}
-		if g.next >= len(g.tenants) {
-			g.next = 0
-		}
-		q := g.tenants[g.next]
-		if len(q.waiters) == 0 {
-			// Empty tenant: drop it from the ring.
-			g.tenants = append(g.tenants[:g.next], g.tenants[g.next+1:]...)
-			delete(g.byKey, q.key)
-			continue
-		}
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		g.queued--
-		if len(q.waiters) == 0 {
-			g.tenants = append(g.tenants[:g.next], g.tenants[g.next+1:]...)
-			delete(g.byKey, q.key)
-		} else {
-			g.next++
-		}
-		if w.abandoned {
-			continue
-		}
-		close(w.ready)
-		return true
+	if g.queued == 0 {
+		return false
 	}
-	return false
+	if g.next >= len(g.tenants) {
+		g.next = 0
+	}
+	q := g.tenants[g.next]
+	w := q.waiters[0]
+	q.waiters = q.waiters[1:]
+	g.queued--
+	if len(q.waiters) == 0 {
+		g.dropTenantLocked(g.next)
+	} else {
+		g.next++
+	}
+	close(w.ready)
+	return true
 }

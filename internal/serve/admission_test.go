@@ -130,6 +130,50 @@ func TestGateCtxCancelWhileQueued(t *testing.T) {
 	g.release()
 }
 
+// TestGateTimedOutWaitersLeaveTheQueue: a waiter that gives up takes
+// itself out of the queue. With the one slot held and room for two
+// waiters, two arrivals time out; the queue is then empty, so a third
+// arrival queues (it is not shed for a full queue of nobody) and is
+// handed the slot when it frees.
+func TestGateTimedOutWaitersLeaveTheQueue(t *testing.T) {
+	g := newGate(1, 2, 20*time.Millisecond)
+	if _, err := g.acquire(context.Background(), "hold"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, tenant := range []string{"a", "b"} {
+		wg.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			if _, err := g.acquire(context.Background(), tenant); !errors.Is(err, errQueueWait) {
+				t.Errorf("tenant %s: want errQueueWait, got %v", tenant, err)
+			}
+		}(tenant)
+	}
+	wg.Wait()
+	if got := g.depth(); got != 0 {
+		t.Fatalf("queue depth = %d after both waiters timed out, want 0", got)
+	}
+	g.maxWait = time.Minute // the third arrival waits for its slot
+	admitted := make(chan error, 1)
+	go func() {
+		_, err := g.acquire(context.Background(), "c")
+		admitted <- err
+	}()
+	waitFor(t, func() bool { return g.depth() == 1 || len(admitted) == 1 })
+	if got := g.shed.Load(); got != 0 || g.depth() != 1 {
+		t.Fatalf("third arrival: shed = %d, queue depth = %d, want 0 and 1", got, g.depth())
+	}
+	g.release()
+	if err := <-admitted; err != nil {
+		t.Fatalf("third arrival: %v", err)
+	}
+	if len(g.tenants) != 0 || len(g.byKey) != 0 {
+		t.Fatalf("emptied tenants left in the ring: %d in ring, %d indexed", len(g.tenants), len(g.byKey))
+	}
+	g.release()
+}
+
 // TestGateFairRoundRobin pins per-tenant fairness: with tenant A
 // holding three queued requests and tenant B one, grants alternate
 // across tenants (A, B, A, A) instead of draining A's FIFO first.
@@ -199,18 +243,16 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 // TestInvalidParallelOptionsHTTP pins the converged validation rule:
-// negative workers or shards are a client error (400
-// invalid_options, matching engine.Options.Validate), never silently
-// clamped.
+// negative shards are a client error (400 invalid_options, matching
+// engine.Options.Validate), never silently clamped.
 func TestInvalidParallelOptionsHTTP(t *testing.T) {
 	ts := newTestServer(t)
 	for _, env := range []Envelope{
-		{Program: "P(a).", Workers: -1},
 		{Program: "P(a).", Shards: -2},
 	} {
 		resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: env})
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("workers=%d shards=%d: status %d: %s", env.Workers, env.Shards, resp.StatusCode, body)
+			t.Fatalf("shards=%d: status %d: %s", env.Shards, resp.StatusCode, body)
 		}
 		var out EvalResponse
 		if err := json.Unmarshal(body, &out); err != nil {
@@ -243,7 +285,7 @@ func TestInvalidParallelOptionsHTTP(t *testing.T) {
 // TestStatusEndpoint checks GET /v1/status reports build identity,
 // the semantics list, and the effective limits.
 func TestStatusEndpoint(t *testing.T) {
-	svc := New(Config{MaxShards: 4, DefaultShards: 2, MaxInFlight: 7})
+	svc := New(Config{MaxShards: 4, MaxInFlight: 7})
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	resp, body := get(t, ts.URL+"/v1/status")
@@ -260,7 +302,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if len(out.Semantics) == 0 {
 		t.Fatal("semantics list empty")
 	}
-	if out.Limits.MaxShards != 4 || out.Limits.DefaultShards != 2 || out.Limits.MaxInFlight != 7 {
+	if out.Limits.MaxShards != 4 || out.Limits.DefaultShards != 1 || out.Limits.MaxInFlight != 7 {
 		t.Fatalf("limits: %+v", out.Limits)
 	}
 	if out.Limits.MaxBodyBytes != maxBodyBytes {

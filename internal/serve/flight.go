@@ -29,9 +29,9 @@ func (s *Server) tagError(ri *reqInfo, info *ErrorInfo) *ErrorInfo {
 
 // newCapture builds an admitted call's eval options: the resolved
 // parallelism, a stats collector (always; this is what makes the
-// recorder's numbers exist), a tracer fanning out to the plan sink
-// and, if configured, the OTLP span builder, and the program's shared
-// plan cache. The spare capacity is for what the bodies append.
+// recorder's numbers exist), the plan sink as tracer, and the
+// program's shared plan cache. The spare capacity is for what the
+// bodies append.
 func (s *Server) newCapture(c *call) {
 	c.plans = &flight.PlanSink{}
 	c.opts = append(make([]unchained.Opt, 0, 8),
@@ -42,17 +42,13 @@ func (s *Server) newCapture(c *call) {
 	if c.entry != nil {
 		c.opts = append(c.opts, unchained.WithPlanCache(c.entry.plans))
 	}
-	if s.otlp != nil {
-		c.spans = flight.NewOTLPEval(c.ri.ID, c.ri.SpanID)
-		c.opts = append(c.opts, unchained.WithTracer(c.spans))
-	}
 }
 
 // finish files the flight record of a call that reached the gate:
 // outcome and HTTP status, the queue/eval/wall breakdown, the stats
 // summary's per-stage and per-shard slices, and the captured join
-// plans. It also folds the summary into the service totals, charges
-// the tenant's accounting bucket and exports the OTLP span tree.
+// plans. It also folds the summary into the service totals and charges
+// the tenant's accounting bucket.
 func (s *Server) finish(c *call, status int, fail *ErrorInfo) {
 	rec := &flight.Record{
 		ID:           c.ri.ID,
@@ -64,7 +60,6 @@ func (s *Server) finish(c *call, status int, fail *ErrorInfo) {
 		StartUnixNS:  c.ri.Start.UnixNano(),
 		Outcome:      "ok",
 		Status:       status,
-		Workers:      c.par.Workers,
 		Shards:       c.par.Shards,
 		QueueNS:      c.queueWait.Nanoseconds(),
 		EvalNS:       c.evalDur.Nanoseconds(),
@@ -85,7 +80,6 @@ func (s *Server) finish(c *call, status int, fail *ErrorInfo) {
 		// A client that gave up queued was not shed by the daemon.
 		s.tenants.Observe(c.tenant, rec.EvalNS, rec.Derived)
 	}
-	s.otlp.Export(rec, c.spans)
 }
 
 // flightPage is the JSON body of the /debug/flight endpoints.

@@ -315,7 +315,6 @@ func TestMetricsNameInventory(t *testing.T) {
 		"unchained_parse_cache_evictions_total":    "counter",
 		"unchained_plan_cache_hits_total":          "counter",
 		"unchained_plan_cache_misses_total":        "counter",
-		"unchained_workers_clamped_total":          "counter",
 		"unchained_timeouts_clamped_total":         "counter",
 		"unchained_shards_clamped_total":           "counter",
 		"unchained_admission_admitted_total":       "counter",

@@ -88,7 +88,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter(w, "unchained_parse_cache_evictions_total", "Parse cache LRU evictions.", z.CacheEvictions)
 	writeCounter(w, "unchained_plan_cache_hits_total", "Join-plan cache hits across cached programs (evicted programs included).", z.PlanCacheHits)
 	writeCounter(w, "unchained_plan_cache_misses_total", "Join-plan cache misses (plans computed).", z.PlanCacheMisses)
-	writeCounter(w, "unchained_workers_clamped_total", "Requests whose workers field was clamped to the server maximum.", s.workersClamped.Load())
 	writeCounter(w, "unchained_timeouts_clamped_total", "Requests whose timeout_ms was clamped to the server maximum.", s.timeoutClamped.Load())
 	writeCounter(w, "unchained_shards_clamped_total", "Requests whose shards field was clamped to the server maximum.", s.shardsClamped.Load())
 	writeCounter(w, "unchained_admission_admitted_total", "Requests admitted past the admission gate (immediately or after queuing).", z.Admitted)

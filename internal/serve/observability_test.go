@@ -80,9 +80,9 @@ func parseMetrics(t *testing.T, body string) map[string]uint64 {
 func TestStatszAndMetricsAgree(t *testing.T) {
 	srv, ts := newInstrumentedServer(t)
 	// Generate traffic on every counter class: one success (asking for
-	// more workers and time than the ceilings allow), one parse failure,
+	// more shards and time than the ceilings allow), one parse failure,
 	// one timeout.
-	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: `G(a,b).`, Workers: 99, TimeoutMS: 1 << 40}, Semantics: "minimal-model"})
+	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: `G(a,b).`, Shards: 99, TimeoutMS: 1 << 40}, Semantics: "minimal-model"})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: `not a program (`}})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"})
 
@@ -127,7 +127,6 @@ func TestStatszAndMetricsAgree(t *testing.T) {
 		{"unchained_cow_tuples_copied_total", z.CowTuplesCopied},
 		{"unchained_parse_cache_size", uint64(z.CacheSize)},
 		// /metrics-only: read off the server's atomics, not the snapshot.
-		{"unchained_workers_clamped_total", srv.workersClamped.Load()},
 		{"unchained_timeouts_clamped_total", srv.timeoutClamped.Load()},
 		{"unchained_shards_clamped_total", srv.shardsClamped.Load()},
 	}
@@ -149,15 +148,15 @@ func TestStatszAndMetricsAgree(t *testing.T) {
 	if z.EvalsOK != 1 || z.BadRequests != 1 || z.Timeouts != 1 {
 		t.Errorf("traffic not attributed: ok=%d bad=%d timeout=%d, want 1/1/1", z.EvalsOK, z.BadRequests, z.Timeouts)
 	}
-	if m["unchained_workers_clamped_total"] != 1 || m["unchained_timeouts_clamped_total"] != 1 {
-		t.Errorf("clamps not counted: workers=%d timeouts=%d, want 1/1",
-			m["unchained_workers_clamped_total"], m["unchained_timeouts_clamped_total"])
+	if m["unchained_shards_clamped_total"] != 1 || m["unchained_timeouts_clamped_total"] != 1 {
+		t.Errorf("clamps not counted: shards=%d timeouts=%d, want 1/1",
+			m["unchained_shards_clamped_total"], m["unchained_timeouts_clamped_total"])
 	}
 	var keys map[string]any
 	if _, raw := get(t, ts.URL+"/statsz"); json.Unmarshal(raw, &keys) != nil {
 		t.Fatalf("/statsz is not a JSON object: %s", raw)
 	}
-	for _, gone := range []string{"workers_clamped", "timeouts_clamped", "shards_clamped"} {
+	for _, gone := range []string{"timeouts_clamped", "shards_clamped"} {
 		if _, ok := keys[gone]; ok {
 			t.Errorf("/statsz still carries %q", gone)
 		}

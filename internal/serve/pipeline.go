@@ -63,7 +63,6 @@ type call struct {
 	ctx       context.Context
 	opts      []unchained.Opt
 	plans     *flight.PlanSink
-	spans     *flight.OTLPEval
 
 	// Set by run. stream is non-nil once run has answered 200 and
 	// switched to Server-Sent Events: a failure from then on is the

@@ -111,7 +111,7 @@ func TestPipelineContract(t *testing.T) {
 	for _, ep := range endpoints {
 		ep := ep
 		t.Run(ep.path, func(t *testing.T) {
-			svc := New(Config{MaxInFlight: 1, QueueDepth: 2, QueueWait: 250 * time.Millisecond})
+			svc := New(Config{MaxInFlight: 1, QueueDepth: 1, QueueWait: 250 * time.Millisecond})
 			ts := httptest.NewServer(svc)
 			defer ts.Close()
 			url := ts.URL + ep.path
@@ -167,9 +167,8 @@ func TestPipelineContract(t *testing.T) {
 			waitFor(t, func() bool { return svc.gate.inFlight() == 1 })
 
 			// A client that leaves while queued is recorded as canceled,
-			// not shed. (The gate keeps counting an abandoned waiter until
-			// the next release, so it still occupies one of the two queue
-			// places below.)
+			// not shed, and gives the one queue place back: the next
+			// request below queues in it.
 			goneCtx, leave := context.WithCancel(bg)
 			gone := make(chan error, 1)
 			go func() {
@@ -238,7 +237,7 @@ func TestPipelineAccounting(t *testing.T) {
 		recorded bool // past the gate
 	}{
 		{"eval/semantics", "/v1/eval", EvalRequest{Envelope: prog, Semantics: "nope"}, 400, CodeUnknownSem, false},
-		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Workers: -1}}, 400, CodeInvalidOptions, false},
+		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Shards: -1}}, 400, CodeInvalidOptions, false},
 		{"eval/program", "/v1/eval", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false},
 		{"eval/facts", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}}, 400, CodeParse, true},
 		{"eval/engine", "/v1/eval", EvalRequest{Envelope: Envelope{Program: winProgram}, Semantics: "stratified"}, 422, CodeEval, true},

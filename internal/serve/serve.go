@@ -13,8 +13,8 @@
 //     an immutable (program, session) pair and each request evaluates
 //     against a Fork;
 //   - evaluation options are one struct threaded through the facade's
-//     functional options, so per-request knobs (workers, shards,
-//     max_stages, stats) need no engine-specific plumbing.
+//     functional options, so per-request knobs (shards, max_stages,
+//     stats) need no engine-specific plumbing.
 //
 // The daemon is multi-tenant: a bounded admission gate (see
 // admission.go) caps concurrent evaluations, queues excess requests
@@ -49,11 +49,6 @@ import (
 
 // Config tunes the server; the zero value is a usable default.
 type Config struct {
-	// MaxWorkers clamps the per-request "workers" field (default 8).
-	MaxWorkers int
-	// DefaultWorkers is used when a request does not set "workers"
-	// (default 1, i.e. sequential).
-	DefaultWorkers int
 	// CacheSize is the LRU parse-cache capacity (default 128).
 	CacheSize int
 	// DefaultTimeout bounds requests that set no timeout_ms (default
@@ -61,11 +56,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps the per-request timeout_ms (default 5m).
 	MaxTimeout time.Duration
-	// MaxShards clamps the per-request "shards" field (default 8).
+	// MaxShards clamps the per-request "shards" field (default 8); a
+	// request that does not set it runs serial (defaultShards).
 	MaxShards int
-	// DefaultShards is used when a request does not set "shards"
-	// (default 1, i.e. serial delta rounds).
-	DefaultShards int
 	// MaxInFlight bounds concurrently evaluating requests (default 64;
 	// negative disables admission control). Requests beyond it queue.
 	MaxInFlight int
@@ -86,9 +79,6 @@ type Config struct {
 	SlowQuery time.Duration
 	// SlowQueryLog receives slow requests as JSONL flight records.
 	SlowQueryLog io.Writer
-	// OTLPSpans, if non-nil, receives one OTLP/JSON span-export
-	// document per evaluation (see docs/OBSERVABILITY.md).
-	OTLPSpans io.Writer
 	// FlightRing and FlightTopK bound the flight recorder's memory
 	// (defaults flight.DefaultRingSize / flight.DefaultTopK).
 	FlightRing int
@@ -112,13 +102,11 @@ type Config struct {
 	MaxDBs int
 }
 
+// defaultShards is the shard count of a request that does not set
+// "shards": serial delta rounds.
+const defaultShards = 1
+
 func (c Config) withDefaults() Config {
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = 8
-	}
-	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = 1
-	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 128
 	}
@@ -130,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxShards <= 0 {
 		c.MaxShards = 8
-	}
-	if c.DefaultShards <= 0 {
-		c.DefaultShards = 1
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 64
@@ -177,7 +162,6 @@ type Server struct {
 	badReqs        atomic.Uint64
 	inFlight       atomic.Int64
 	stagesRun      atomic.Uint64
-	workersClamped atomic.Uint64
 	timeoutClamped atomic.Uint64
 	shardsClamped  atomic.Uint64
 	analyzes       atomic.Uint64
@@ -217,11 +201,10 @@ type Server struct {
 	semCounts map[string]*atomic.Uint64
 	log       *slog.Logger
 
-	// Flight-recorder surface: the always-on per-request profile store,
-	// bounded per-tenant accounting, and the optional OTLP exporter.
+	// Flight-recorder surface: the always-on per-request profile store
+	// and bounded per-tenant accounting.
 	flight  *flight.Recorder
 	tenants *flight.Tenants
-	otlp    *flight.OTLPWriter
 }
 
 // New returns a ready-to-serve Server.
@@ -248,9 +231,6 @@ func New(cfg Config) *Server {
 		Logger:        s.cfg.Logger,
 	})
 	s.tenants = flight.NewTenants(s.cfg.MaxTenants)
-	if s.cfg.OTLPSpans != nil {
-		s.otlp = flight.NewOTLPWriter(s.cfg.OTLPSpans, "unchained-serve")
-	}
 	for _, name := range unchained.SemanticsNames() {
 		s.semCounts[name] = &atomic.Uint64{}
 	}
@@ -349,7 +329,7 @@ const (
 	CodeBadRequest     = "bad_request" // malformed body or method
 	CodeParse          = "parse_error" // program/facts/query did not parse
 	CodeUnknownSem     = "unknown_semantics"
-	CodeInvalidOptions = "invalid_options"       // negative workers/shards etc.
+	CodeInvalidOptions = "invalid_options"       // negative shards etc.
 	CodeEval           = "eval_error"            // evaluation failed
 	CodeDeadline       = "deadline"              // timeout_ms or server deadline hit
 	CodeCanceled       = "canceled"              // client went away
@@ -385,13 +365,9 @@ type Envelope struct {
 	Facts string `json:"facts,omitempty"`
 	// TimeoutMS bounds the evaluation; 0 uses the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Workers is the rule-parallel worker count per stage, clamped to
-	// the server maximum; 0 uses the server default; negative is
-	// rejected with code "invalid_options".
-	Workers int `json:"workers,omitempty"`
 	// Shards is the data-parallel shard count per semi-naive round,
-	// clamped to the server maximum; 0 uses the server default;
-	// negative is rejected with code "invalid_options".
+	// clamped to the server maximum; 0 means serial; negative is
+	// rejected with code "invalid_options".
 	Shards int `json:"shards,omitempty"`
 	// Stats requests the evaluation statistics summary.
 	Stats bool `json:"stats,omitempty"`
@@ -462,18 +438,16 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = enc.Encode(body)
 }
 
-// parallelFor resolves the envelope's workers/shards fields into the
-// engine's Parallel options, converging on one validation rule with
+// parallelFor resolves the envelope's shards field into the engine's
+// Parallel options, converging on one validation rule with
 // engine.Options.Validate: negative is an error (the engine rejects it
 // with ErrInvalidOptions, so the daemon must not silently default it),
-// zero selects the server default, and above-maximum clamps (counted,
-// never an error — ceilings are the operator's business, not the
-// client's).
+// zero selects the default, and above-maximum clamps (counted, never
+// an error — ceilings are the operator's business, not the client's).
 func (s *Server) parallelFor(env Envelope) (unchained.Parallel, *ErrorInfo) {
-	if env.Workers < 0 || env.Shards < 0 {
-		info := errInfo(CodeInvalidOptions,
-			fmt.Sprintf("workers (%d) and shards (%d) must be >= 0", env.Workers, env.Shards))
-		info.Details = map[string]any{"workers": env.Workers, "shards": env.Shards}
+	if env.Shards < 0 {
+		info := errInfo(CodeInvalidOptions, fmt.Sprintf("shards (%d) must be >= 0", env.Shards))
+		info.Details = map[string]any{"shards": env.Shards}
 		return unchained.Parallel{}, info
 	}
 	if env.Optimize < 0 || env.Optimize > 2 {
@@ -482,23 +456,15 @@ func (s *Server) parallelFor(env Envelope) (unchained.Parallel, *ErrorInfo) {
 		info.Details = map[string]any{"optimize": env.Optimize}
 		return unchained.Parallel{}, info
 	}
-	return unchained.Parallel{
-		Workers: clampTo(env.Workers, s.cfg.DefaultWorkers, s.cfg.MaxWorkers, &s.workersClamped),
-		Shards:  clampTo(env.Shards, s.cfg.DefaultShards, s.cfg.MaxShards, &s.shardsClamped),
-	}, nil
-}
-
-// clampTo resolves one parallelism knob: zero selects the default and
-// a value over the ceiling is clamped and counted.
-func clampTo(v, def, max int, clamped *atomic.Uint64) int {
-	if v == 0 {
-		v = def
+	shards := env.Shards
+	if shards == 0 {
+		shards = defaultShards
 	}
-	if v > max {
-		clamped.Add(1)
-		v = max
+	if shards > s.cfg.MaxShards {
+		s.shardsClamped.Add(1)
+		shards = s.cfg.MaxShards
 	}
-	return v
+	return unchained.Parallel{Shards: shards}, nil
 }
 
 // countOpt folds one freshly computed optimization variant into the
@@ -722,8 +688,6 @@ func (q *analyzeRequest) run(s *Server, c *call) *ErrorInfo {
 // everything a client needs to know to shape requests (ceilings,
 // defaults, admission capacity).
 type Limits struct {
-	MaxWorkers       int   `json:"max_workers"`
-	DefaultWorkers   int   `json:"default_workers"`
 	MaxShards        int   `json:"max_shards"`
 	DefaultShards    int   `json:"default_shards"`
 	MaxInFlight      int   `json:"max_in_flight"`
@@ -795,10 +759,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		},
 		Tenants: s.tenants.Snapshot(),
 		Limits: Limits{
-			MaxWorkers:       s.cfg.MaxWorkers,
-			DefaultWorkers:   s.cfg.DefaultWorkers,
 			MaxShards:        s.cfg.MaxShards,
-			DefaultShards:    s.cfg.DefaultShards,
+			DefaultShards:    defaultShards,
 			MaxInFlight:      s.cfg.MaxInFlight,
 			QueueDepth:       s.cfg.QueueDepth,
 			QueueWaitMS:      s.cfg.QueueWait.Milliseconds(),

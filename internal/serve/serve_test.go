@@ -104,7 +104,7 @@ func TestConcurrentEvals(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: fmt.Sprintf(`G(a,b). G(b,c). G(c,d%d).`, i), Workers: 2, Stats: true}, Semantics: "minimal-model"})
+			resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: fmt.Sprintf(`G(a,b). G(b,c). G(c,d%d).`, i), Stats: true}, Semantics: "minimal-model"})
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
 				return
@@ -311,5 +311,30 @@ func TestBadSemantics(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "minimal-model") {
 		t.Fatalf("error should list the valid names: %s", body)
+	}
+}
+
+// TestRetiredWorkersFieldIsIgnored: the "workers" request field, its
+// clamp counter and its two /v1/status limits are gone. A client that
+// still sends the field gets the answer it always got (rule-level
+// workers never changed a byte of output), and nothing counts it.
+// TestMetricsNameInventory pins that every other family is still there.
+func TestRetiredWorkersFieldIsIgnored(t *testing.T) {
+	ts := newTestServer(t)
+	req := map[string]any{"program": tcProgram, "facts": "G(a,b). G(b,c).", "semantics": "inflationary"}
+	resp, plain := post(t, ts.URL+"/v1/eval", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("without workers: %d: %s", resp.StatusCode, plain)
+	}
+	req["workers"] = 4
+	resp, body := post(t, ts.URL+"/v1/eval", req)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, plain) {
+		t.Fatalf("with workers: %d: %s\nwithout: %s", resp.StatusCode, body, plain)
+	}
+	if _, metrics := get(t, ts.URL+"/metrics"); bytes.Contains(metrics, []byte("unchained_workers_clamped_total")) {
+		t.Error("/metrics still lists unchained_workers_clamped_total")
+	}
+	if _, status := get(t, ts.URL+"/v1/status"); bytes.Contains(status, []byte("_workers")) {
+		t.Errorf("/v1/status still reports worker limits: %s", status)
 	}
 }

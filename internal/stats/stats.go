@@ -8,8 +8,8 @@
 // turns every method into a cheap nil-check no-op, so engines thread
 // it unconditionally and pay nothing when statistics are disabled
 // (zero allocations on the hot path). Counter methods use atomic
-// operations, so the rule-level parallel stage workers of
-// internal/core may share one collector.
+// operations, so the shard workers of internal/eval may share one
+// collector.
 //
 // The paper's narrative is stage-by-stage (Examples 4.1, 4.3, 5.4;
 // the flip-flop cycle of Section 4.2), so the collector's unit of
@@ -159,8 +159,8 @@ func (s *Summary) JSON() string {
 	return string(b)
 }
 
-// ruleCounters is the per-rule accumulator (atomic: stage workers
-// attribute firings concurrently).
+// ruleCounters is the per-rule accumulator (atomic, so FiredBatch is
+// safe for concurrent use whichever rule it names).
 type ruleCounters struct {
 	firings, derived, rederived atomic.Uint64
 }
@@ -168,8 +168,8 @@ type ruleCounters struct {
 // Collector accumulates evaluation statistics. The zero value is
 // ready to use; a nil *Collector is valid and records nothing.
 //
-// Counter methods (Fired, Retracted, Conflict, Invented, Probe) are
-// safe for concurrent use. Stage bracketing (Reset, BeginStage,
+// Counter methods (Fired, Retracted, Conflict, Invented, ProbeBatch)
+// are safe for concurrent use. Stage bracketing (Reset, BeginStage,
 // EndStage, Summary) must stay on the engine's goroutine.
 type Collector struct {
 	engine    string
@@ -426,8 +426,8 @@ func (c *Collector) EndStage(delta int) {
 
 // BeginRule marks the start of one rule's enumeration within the
 // open stage; only meaningful when tracing with per-rule attribution
-// (Reset with ruleNames). Serial engines only — the parallel stage
-// workers attribute firings via Fired alone.
+// (Reset with ruleNames). Serial engines only — the shard workers
+// attribute firings via FiredBatch alone.
 func (c *Collector) BeginRule(rule int) {
 	if c == nil || c.tracer == nil || rule < 0 || rule >= len(c.rules) {
 		return
@@ -526,10 +526,9 @@ func (c *Collector) Fired(rule, derived, rederived int) {
 
 // FiredBatch records firings rule firings at once (derived/rederived
 // are the batch totals). Hot loops that fire many times per rule —
-// the shard workers, the stage-parallel workers — accumulate locally
-// and flush through here so the shared counters see one contended
-// atomic add per batch instead of three per firing. Safe for
-// concurrent use.
+// the shard workers — accumulate locally and flush through here so
+// the shared counters see one contended atomic add per batch instead
+// of three per firing. Safe for concurrent use.
 func (c *Collector) FiredBatch(rule int, firings, derived, rederived uint64) {
 	if c == nil || (firings == 0 && derived == 0 && rederived == 0) {
 		return
@@ -616,20 +615,6 @@ func (c *Collector) ShardWork(shard int, wallNS int64, facts uint64) {
 	st.Facts += facts
 }
 
-// Probe records one relation match: a full scan when scan is true, a
-// hash-index probe otherwise. Called from the evaluator's hot match
-// loop; a nil receiver costs one branch.
-func (c *Collector) Probe(scan bool) {
-	if c == nil {
-		return
-	}
-	if scan {
-		c.scans.Add(1)
-	} else {
-		c.probes.Add(1)
-	}
-}
-
 // ProbeBatch records probes index probes and scans full scans at
 // once. Enumerate accumulates per-call and flushes through here, so
 // the shared counters cost one atomic add per rule enumeration
@@ -700,14 +685,4 @@ func (c *Collector) Summary() *Summary {
 		}
 	}
 	return s
-}
-
-// SummaryJSON renders Summary() as a single-line JSON object — the
-// one serialization of collector state shared by `-stats`, `/statsz`
-// and `/metrics`. Returns "null" on a nil collector.
-func (c *Collector) SummaryJSON() string {
-	if c == nil {
-		return "null"
-	}
-	return c.Summary().JSON()
 }

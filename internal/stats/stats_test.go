@@ -21,8 +21,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.Retracted(3)
 	c.Conflict()
 	c.Invented(4)
-	c.Probe(true)
-	c.Probe(false)
+	c.ProbeBatch(1, 1)
 	c.EndStage(5)
 	if s := c.Summary(); s != nil {
 		t.Fatalf("nil collector Summary = %v, want nil", s)
@@ -36,7 +35,7 @@ func TestStageSnapshots(t *testing.T) {
 	c.BeginStage()
 	c.Fired(0, 3, 0)
 	c.Fired(1, 1, 2)
-	c.Probe(false)
+	c.ProbeBatch(1, 0)
 	c.EndStage(4)
 
 	c.BeginStage()
@@ -45,7 +44,7 @@ func TestStageSnapshots(t *testing.T) {
 	c.Retracted(2)
 	c.Conflict()
 	c.Invented(5)
-	c.Probe(true)
+	c.ProbeBatch(0, 1)
 	c.EndStage(-1)
 
 	// Confirmation pass: firings land in totals but no stage closes.
@@ -160,29 +159,8 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSummaryJSONMethod covers the single-serialization entry point
-// shared by -stats, /statsz, and /metrics.
-func TestSummaryJSONMethod(t *testing.T) {
-	var nilC *Collector
-	if got := nilC.SummaryJSON(); got != "null" {
-		t.Fatalf("nil collector SummaryJSON() = %q, want \"null\"", got)
-	}
-	c := New()
-	c.Reset("sj", []string{"r"})
-	c.BeginStage()
-	c.Fired(0, 3, 0)
-	c.EndStage(3)
-	var got Summary
-	if err := json.Unmarshal([]byte(c.SummaryJSON()), &got); err != nil {
-		t.Fatalf("SummaryJSON() is not valid JSON: %v", err)
-	}
-	if got.Engine != "sj" || got.Derived != 3 {
-		t.Fatalf("SummaryJSON round-trip mismatch: %+v", got)
-	}
-}
-
 // TestConcurrentCounters hammers the counter methods from several
-// goroutines (the stageParallel sharing pattern); run under -race.
+// goroutines (the shard workers' sharing pattern); run under -race.
 func TestConcurrentCounters(t *testing.T) {
 	c := New()
 	c.Reset("race", []string{"r0", "r1", "r2", "r3"})
@@ -195,7 +173,7 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Fired(w%4, 1, 1)
-				c.Probe(i%2 == 0)
+				c.ProbeBatch(uint64(i%2), uint64(1-i%2))
 				c.Retracted(1)
 			}
 		}(w)

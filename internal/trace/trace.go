@@ -21,9 +21,8 @@
 // with their stage number.
 //
 // Sinks implement the one-method Tracer interface. The package ships
-// two: Recorder, a bounded in-memory ring buffer with JSONL export
-// and per-stage/per-rule latency histograms (per-request capture in
-// the daemon, -explain in the CLI), and JSONL, a streaming
+// two: Recorder, a bounded in-memory ring buffer (per-request capture
+// in the daemon, -explain in the CLI), and JSONL, a streaming
 // line-per-event writer (-trace in the CLI). A nil Tracer everywhere
 // means tracing is off and costs one branch.
 package trace
@@ -159,58 +158,12 @@ func (m multi) Emit(ev Event) {
 	}
 }
 
-// latBounds are the shared latency-histogram bucket upper bounds in
-// nanoseconds: decades from 1µs to 10s.
-var latBounds = [...]int64{
-	1_000, 10_000, 100_000, 1_000_000, 10_000_000,
-	100_000_000, 1_000_000_000, 10_000_000_000,
-}
-
-// histogram is a fixed-bucket latency histogram (not safe for
-// concurrent use; the Recorder locks around it).
-type histogram struct {
-	counts [len(latBounds) + 1]uint64
-	sumNS  int64
-	n      uint64
-}
-
-func (h *histogram) observe(ns int64) {
-	i := 0
-	for i < len(latBounds) && ns > latBounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sumNS += ns
-	h.n++
-}
-
-// HistogramSnapshot is an immutable copy of a latency histogram.
-// Bounds are bucket upper bounds in nanoseconds; Counts has one extra
-// final bucket for observations above the last bound.
-type HistogramSnapshot struct {
-	BoundsNS []int64  `json:"bounds_ns"`
-	Counts   []uint64 `json:"counts"`
-	SumNS    int64    `json:"sum_ns"`
-	Count    uint64   `json:"count"`
-}
-
-func (h *histogram) snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		BoundsNS: append([]int64(nil), latBounds[:]...),
-		Counts:   append([]uint64(nil), h.counts[:]...),
-		SumNS:    h.sumNS,
-		Count:    h.n,
-	}
-}
-
 // DefaultRecorderEvents is the default Recorder capacity.
 const DefaultRecorderEvents = 4096
 
 // Recorder is a bounded in-memory sink: a ring buffer keeping the
 // most recent events (oldest are dropped once the capacity is
-// reached, counted by Dropped) plus stage- and per-rule latency
-// histograms fed by every event regardless of ring occupancy. It is
-// safe for concurrent use.
+// reached, counted by Dropped). It is safe for concurrent use.
 type Recorder struct {
 	mu      sync.Mutex
 	cap     int
@@ -220,8 +173,6 @@ type Recorder struct {
 	seq     uint64
 	start   time.Time
 	dropped uint64
-	stage   histogram
-	rules   map[string]*histogram
 }
 
 // NewRecorder returns a Recorder keeping the last capacity events
@@ -234,28 +185,16 @@ func NewRecorder(capacity int) *Recorder {
 		cap:   capacity,
 		buf:   make([]Event, 0, min(capacity, 1024)),
 		start: time.Now(),
-		rules: map[string]*histogram{},
 	}
 }
 
-// Emit implements Tracer: stamp, histogram, buffer.
+// Emit implements Tracer: stamp, buffer.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
 	ev.Seq = r.seq
 	ev.TNS = time.Since(r.start).Nanoseconds()
-	switch {
-	case ev.Ev == EvEnd && ev.Span == SpanStage:
-		r.stage.observe(ev.DurNS)
-	case ev.Ev == EvSpan && ev.Span == SpanRule:
-		h := r.rules[ev.Rule]
-		if h == nil {
-			h = &histogram{}
-			r.rules[ev.Rule] = h
-		}
-		h.observe(ev.DurNS)
-	}
 	if r.n < r.cap {
 		if len(r.buf) < r.cap && r.n == len(r.buf) {
 			r.buf = append(r.buf, ev)
@@ -287,39 +226,6 @@ func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// StageLatency snapshots the stage-duration histogram.
-func (r *Recorder) StageLatency() HistogramSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stage.snapshot()
-}
-
-// RuleLatency snapshots the per-rule duration histograms, keyed by
-// rule source text.
-func (r *Recorder) RuleLatency() map[string]HistogramSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]HistogramSnapshot, len(r.rules))
-	for name, h := range r.rules {
-		out[name] = h.snapshot()
-	}
-	return out
-}
-
-// WriteJSONL renders the buffered events one JSON object per line.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	for _, ev := range r.Events() {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // JSONL is a streaming sink writing one JSON object per event to w as

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -47,57 +46,6 @@ func TestRecorderRingKeepsNewest(t *testing.T) {
 	}
 	if r.Dropped() != 6 {
 		t.Errorf("dropped %d, want 6", r.Dropped())
-	}
-}
-
-func TestRecorderHistograms(t *testing.T) {
-	r := NewRecorder(8)
-	r.Emit(Event{Ev: EvEnd, Span: SpanStage, Stage: 1, DurNS: 500})           // first bucket (<=1µs)
-	r.Emit(Event{Ev: EvEnd, Span: SpanStage, Stage: 2, DurNS: 2_000_000})     // <=10ms bucket
-	r.Emit(Event{Ev: EvSpan, Span: SpanRule, Rule: "r1", DurNS: 100})         // per-rule
-	r.Emit(Event{Ev: EvSpan, Span: SpanRule, Rule: "r1", DurNS: 200})         // per-rule
-	r.Emit(Event{Ev: EvSpan, Span: SpanRule, Rule: "r2", DurNS: 999_999_999}) // other rule
-	st := r.StageLatency()
-	if st.Count != 2 || st.SumNS != 2_000_500 {
-		t.Errorf("stage histogram count=%d sum=%d, want 2/2000500", st.Count, st.SumNS)
-	}
-	if st.Counts[0] != 1 {
-		t.Errorf("stage histogram first bucket %d, want 1", st.Counts[0])
-	}
-	if len(st.Counts) != len(st.BoundsNS)+1 {
-		t.Errorf("bucket arity mismatch: %d counts, %d bounds", len(st.Counts), len(st.BoundsNS))
-	}
-	rl := r.RuleLatency()
-	if rl["r1"].Count != 2 || rl["r1"].SumNS != 300 {
-		t.Errorf("rule r1 histogram %+v, want count 2 sum 300", rl["r1"])
-	}
-	if rl["r2"].Count != 1 {
-		t.Errorf("rule r2 histogram %+v, want count 1", rl["r2"])
-	}
-}
-
-func TestWriteJSONLRoundTrip(t *testing.T) {
-	r := NewRecorder(8)
-	r.Emit(Event{Ev: EvBegin, Span: SpanEval, Engine: "stratified"})
-	r.Emit(Event{Ev: EvEnd, Span: SpanStage, Stage: 1, Firings: 3, Derived: 2, Rederived: 1, Delta: 2, DurNS: 42})
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back []Event
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		back = append(back, ev)
-	}
-	if len(back) != 2 {
-		t.Fatalf("round-tripped %d events, want 2", len(back))
-	}
-	if back[0].Engine != "stratified" || back[1].Derived != 2 || back[1].Delta != 2 {
-		t.Errorf("round trip lost fields: %+v", back)
 	}
 }
 

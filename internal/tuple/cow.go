@@ -11,8 +11,8 @@
 // Instance from multiple goroutines is safe, and so is reading
 // (ProbeIter/Contains/Each) concurrently with snapshots as long as
 // nobody mutates and every index the readers probe is already built
-// (BuildIndex, eval.WarmIndexes). Mutation (Insert/Delete) requires
-// exclusive access to that Relation.
+// (BuildIndex). Mutation (Insert/Delete) requires exclusive access to
+// that Relation.
 package tuple
 
 import (

@@ -121,8 +121,7 @@ func (r *Relation) ProbeIter(mask uint32, pattern Tuple, it *Iterator) {
 
 // ScanIter is the index-free variant of ProbeIter used by the
 // ablation benchmarks: it walks every row and filters, building no
-// index — so warmed-instance parallel stages stay read-only in scan
-// mode too. pattern must stay unchanged while the cursor is in use.
+// index. pattern must stay unchanged while the cursor is in use.
 func (r *Relation) ScanIter(mask uint32, pattern Tuple, it *Iterator) {
 	d := r.data
 	*it = Iterator{rows: d.rows, dead: d.dead, hi: d.n, mask: mask, pattern: pattern}
@@ -151,9 +150,9 @@ func (r *Relation) index(mask uint32) *table {
 }
 
 // BuildIndex materializes the index for the given column mask so that
-// later probes of it are read-only on the relation (see
-// eval.WarmIndexes). A zero mask walks the rows and a fully-bound mask
-// hits the membership table; neither needs an index.
+// later probes of it are read-only on the relation. A zero mask walks
+// the rows and a fully-bound mask hits the membership table; neither
+// needs an index.
 func (r *Relation) BuildIndex(mask uint32) {
 	if mask != 0 && !r.fullMask(mask) {
 		r.index(mask)

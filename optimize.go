@@ -130,7 +130,7 @@ func (s *Session) optimizeEval(p *Program, in *Instance, sem Semantics, cfg *eva
 	if cfg.optimize <= OptNone || p == nil {
 		return p
 	}
-	o := &OptOptions{Level: cfg.optimize, Roots: cfg.optRoots}
+	o := &OptOptions{Level: cfg.optimize, Roots: cfg.optRoots, NoReorder: cfg.opt.LiteralOrder}
 	if cfg.opt.MaxStages > 0 {
 		o.NoInline = true
 	}

@@ -44,7 +44,6 @@ package unchained
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"unchained/internal/ast"
 	"unchained/internal/core"
@@ -83,19 +82,15 @@ type (
 	StatsCollector = stats.Collector
 	// StatsSummary is the immutable result of a collector.
 	StatsSummary = stats.Summary
-	// ConflictPolicy resolves simultaneous A / ¬A inference in
-	// Datalog¬¬ (pass one via WithConflictPolicy).
-	ConflictPolicy = engine.ConflictPolicy
 	// Parallel is the parallelism configuration (pass one via
-	// WithParallel): rule-level Workers and data-parallel Shards.
+	// WithParallel): the data-parallel shard count.
 	Parallel = engine.Parallel
 	// Tracer is a structured span-stream sink (pass one via
 	// WithTracer); see docs/OBSERVABILITY.md for the event model.
 	Tracer = trace.Tracer
 	// TraceEvent is one record of the span stream.
 	TraceEvent = trace.Event
-	// TraceRecorder is the bounded in-memory Tracer with JSONL export
-	// and latency histograms.
+	// TraceRecorder is the bounded in-memory Tracer.
 	TraceRecorder = trace.Recorder
 	// PlanCache shares planner-chosen join schedules across
 	// evaluations (pass one via WithPlanCache); safe for concurrent
@@ -115,10 +110,6 @@ func NewPlanCache() *PlanCache { return eval.NewPlanCache() }
 // capacity events (<= 0 selects the package default).
 func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
 
-// NarrateTrace renders recorded span-stream events as the
-// stage-by-stage narrative used by `cmd/datalog -explain`.
-func NarrateTrace(events []TraceEvent, w io.Writer) error { return trace.Narrate(events, w) }
-
 // Typed evaluation-interruption errors (match with errors.Is). Every
 // engine polls its context between stages and stops with one of these
 // wrapped with the completed stage count.
@@ -126,16 +117,8 @@ var (
 	ErrCanceled = engine.ErrCanceled
 	ErrDeadline = engine.ErrDeadline
 	// ErrInvalidOptions reports an evaluation option outside its
-	// domain (a negative bound, worker count or shard count).
+	// domain (a negative bound or shard count).
 	ErrInvalidOptions = engine.ErrInvalidOptions
-)
-
-// The Datalog¬¬ conflict policies (Section 4.2).
-const (
-	PreferPositive = engine.PreferPositive
-	PreferNegative = engine.PreferNegative
-	NoOp           = engine.NoOp
-	Inconsistent   = engine.Inconsistent
 )
 
 // NewStatsCollector returns an empty statistics collector.
@@ -294,21 +277,15 @@ func WithStats(c *StatsCollector) Opt { return func(cfg *evalConfig) { cfg.opt.S
 // the engines whose unit differs); 0 means the engine default.
 func WithMaxStages(n int) Opt { return func(cfg *evalConfig) { cfg.opt.MaxStages = n } }
 
-// WithParallel installs the parallelism configuration: Workers
-// evaluates each stage's rules across that many goroutines
-// (inflationary engine), Shards hash-partitions each semi-naive delta
-// round across that many data-parallel workers over copy-on-write
-// forks (declarative engines and everything built on them). The two
-// axes are orthogonal and both preserve byte-identical output; see
-// docs/PARALLEL.md. WithParallel replaces both fields at once — the
-// zero value of an omitted field means serial.
+// WithParallel installs the parallelism configuration: Shards
+// hash-partitions each semi-naive delta round across that many
+// data-parallel workers over copy-on-write forks (declarative engines
+// and everything built on them). Output is byte-identical to serial;
+// see docs/PARALLEL.md. The zero value means serial.
 func WithParallel(p Parallel) Opt { return func(cfg *evalConfig) { cfg.opt.SetParallel(p) } }
 
 // WithSeed fixes the RNG seed of sampled nondeterministic runs.
 func WithSeed(seed int64) Opt { return func(cfg *evalConfig) { cfg.seed = seed } }
-
-// WithConflictPolicy selects the Datalog¬¬ conflict policy.
-func WithConflictPolicy(p ConflictPolicy) Opt { return func(cfg *evalConfig) { cfg.opt.Policy = p } }
 
 // WithScan disables hash-index probes (the index-ablation switch).
 func WithScan() Opt { return func(cfg *evalConfig) { cfg.opt.Scan = true } }
@@ -330,16 +307,6 @@ func WithPlanCache(c *PlanCache) Opt { return func(cfg *evalConfig) { cfg.opt.Pl
 func WithTracer(t Tracer) Opt {
 	return func(cfg *evalConfig) { cfg.opt.Tracer = trace.Multi(cfg.opt.Tracer, t) }
 }
-
-// WithTraceFile streams the span stream to w as JSON Lines, one
-// event per line (the `cmd/datalog -trace` format).
-func WithTraceFile(w io.Writer) Opt {
-	return func(cfg *evalConfig) { cfg.opt.Tracer = trace.Multi(cfg.opt.Tracer, trace.NewJSONL(w)) }
-}
-
-// WithMaxStates bounds exhaustive effect enumeration (distinct
-// instance states; Effects only).
-func WithMaxStates(n int) Opt { return func(cfg *evalConfig) { cfg.opt.MaxStates = n } }
 
 func buildConfig(ctx context.Context, opts []Opt) *evalConfig {
 	cfg := &evalConfig{}

@@ -180,3 +180,21 @@ func TestSessionSemiPositive(t *testing.T) {
 		t.Fatalf("R = %d", res.Out.Relation("R").Len())
 	}
 }
+
+// TestOptimizeKeepsTheTextOrderUnderLiteralOrder: WithLiteralOrder
+// pins the textual join order, so WithOptimize must leave the
+// adornment reorder out.
+func TestOptimizeKeepsTheTextOrderUnderLiteralOrder(t *testing.T) {
+	s := NewSession()
+	prog := s.MustParse("p(X) :- e(X,Y), f(Y,Z), label(Z,red).\n")
+	first := func(opts ...Opt) string {
+		cfg := buildConfig(context.Background(), append(opts, WithOptimize(Opt2)))
+		return s.optimizeEval(prog, nil, Stratified, cfg).Rules[0].Body[0].Atom.Pred
+	}
+	if got := first(); got != "label" {
+		t.Fatalf("Opt2 joins %s first, want the constant-bearing label", got)
+	}
+	if got := first(WithLiteralOrder()); got != "e" {
+		t.Fatalf("WithLiteralOrder + Opt2 joins %s first, want the text's e", got)
+	}
+}
