@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # while still catching a PR that lands a large untested subsystem.
 COVERAGE_BASELINE ?= 78.0
 
-.PHONY: all build vet vet-custom stage-protocol bench-build bench-pair lint-programs test race bench bench-json bench-baseline fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
+.PHONY: all build vet vet-custom stage-protocol bench-build bench-pair lint-programs test race bench fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
 
 all: verify
 
@@ -77,15 +77,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the machine-readable experiment report (quick sizes).
-bench-json:
-	$(GO) run ./cmd/unchained-bench -quick -json BENCH_PR10.json
-
-# Compare a fresh quick run against the checked-in report; exits
-# non-zero when an experiment or benchmark slowed down by >25%.
-bench-baseline:
-	$(GO) run ./cmd/unchained-bench -quick -baseline BENCH_PR10.json -tolerance 0.25
 
 # Run each native fuzz target briefly ("go test -fuzz" accepts one
 # target per invocation). Override FUZZTIME for longer local hunts.

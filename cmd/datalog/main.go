@@ -190,23 +190,18 @@ func run(args []string, w, ew io.Writer) (err error) {
 	if *profileOn {
 		// One-shot flight record on stderr: the CLI twin of the
 		// daemon's slow-query log line, same schema (endpoint "cli",
-		// no HTTP status), so post-mortem tooling reads both.
-		plans := &flight.PlanSink{}
-		tracer = trace.Multi(tracer, plans)
+		// no HTTP status), so post-mortem tooling reads both. The CLI
+		// has no pipeline to mark phases in: the one it knows is the
+		// engine's, the summary's own wall time.
 		start := time.Now()
 		defer func() {
-			rec := &flight.Record{
-				ID:          flight.NewTraceID(),
-				Endpoint:    "cli",
-				Semantics:   *semantics,
-				StartUnixNS: start.UnixNano(),
-				Outcome:     "ok",
-				Shards:      *shards,
-				WallNS:      time.Since(start).Nanoseconds(),
-				Plans:       plans.Plans(),
+			rec := flight.NewRecord(flight.NewTraceID(), "cli", start)
+			rec.Semantics, rec.Shards = *semantics, *shards
+			rec.WallNS = time.Since(start).Nanoseconds()
+			rec.SetSummary(profSum)
+			if profSum != nil {
+				rec.EvalNS, rec.Phases.EvalNS = profSum.WallNS, profSum.WallNS
 			}
-			rec.FromSummary(profSum)
-			rec.EvalNS = rec.StageWallNS
 			if err != nil {
 				rec.Outcome = "error"
 				if errors.Is(err, context.DeadlineExceeded) || engine.IsInterrupt(err) {

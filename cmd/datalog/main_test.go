@@ -12,6 +12,7 @@ import (
 	"unchained/internal/flight"
 	"unchained/internal/queries"
 	"unchained/internal/stats"
+	"unchained/internal/trace"
 )
 
 // write creates a temp file with the given contents.
@@ -331,6 +332,30 @@ func TestCLIQueryMagic(t *testing.T) {
 	if strings.Contains(out, "T(x,y)") {
 		t.Fatalf("irrelevant answer leaked:\n%s", out)
 	}
+	// One run, three views, one engine name: the span stream's eval
+	// begin and end, the -stats summary and the -profile record.
+	_, errOut, err := runCLIStats(t, "-program", prog, "-facts", facts, "-query", "T(a,Y)", "-trace", "-", "-stats", "-profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := 0
+	for _, line := range strings.Split(strings.TrimSpace(errOut), "\n") {
+		var view struct {
+			Span, Engine, Endpoint string
+		}
+		if err := json.Unmarshal([]byte(line), &view); err != nil {
+			t.Fatalf("stderr line %q: %v", line, err)
+		}
+		if view.Span != "" && view.Span != trace.SpanEval {
+			continue // only eval spans name the engine
+		}
+		if named++; view.Engine != "magic" {
+			t.Errorf("engine %q, want magic, in %s", view.Engine, line)
+		}
+	}
+	if named != 4 {
+		t.Errorf("%d views named an engine, want 4 (eval begin, eval end, summary, record):\n%s", named, errOut)
+	}
 	// Errors: negated atom, multi fact, EDB query.
 	if _, err := runCLI(t, "-program", prog, "-facts", facts, "-query", "!T(a,Y)"); err == nil {
 		t.Fatalf("negated query accepted")
@@ -393,6 +418,53 @@ func TestCLIProfile(t *testing.T) {
 	}
 	if len(rec.PerStage) == 0 || len(rec.PerShard) == 0 || len(rec.Plans) == 0 {
 		t.Fatalf("record breakdowns missing: %+v", rec)
+	}
+}
+
+// TestCLIProfileLongWalk: a run of more stages than a summary lists
+// (1 024) or a record keeps (64). -stats and -profile print the same
+// engine wall, and the stage-wall total covers every stage, not the
+// listed ones.
+func TestCLIProfileLongWalk(t *testing.T) {
+	dir := t.TempDir()
+	prog := write(t, dir, "walk.dl", `R(Y) :- R(X), S(X,Y).`)
+	var chain strings.Builder
+	chain.WriteString("R(n0).\n")
+	for i := 0; i < 2048; i++ {
+		fmt.Fprintf(&chain, "S(n%d,n%d).\n", i, i+1)
+	}
+	facts := write(t, dir, "walk.facts", chain.String())
+	_, errOut, err := runCLIStats(t, "-program", prog, "-facts", facts, "-semantics", "inflationary", "-stats", "-profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(errOut), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want a stats line and a record, got %d lines", len(lines))
+	}
+	var sum stats.Summary
+	var rec flight.Record
+	if err := json.Unmarshal([]byte(lines[0]), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Stages != 2048 || !sum.StagesTruncated || rec.Stages != 2048 || !rec.StagesTruncated {
+		t.Fatalf("stages: summary %d (truncated %v), record %d (truncated %v)", sum.Stages, sum.StagesTruncated, rec.Stages, rec.StagesTruncated)
+	}
+	if rec.EvalNS != sum.WallNS || rec.Phases.EvalNS != sum.WallNS {
+		t.Errorf("engine wall: -stats %d, -profile eval_ns %d, phases.eval_ns %d", sum.WallNS, rec.EvalNS, rec.Phases.EvalNS)
+	}
+	var listed int64
+	for _, st := range sum.PerStage {
+		listed += st.WallNS
+	}
+	if sum.StageWallNS <= listed || rec.StageWallNS != sum.StageWallNS {
+		t.Errorf("stage_wall_ns: summary %d, record %d, the %d listed stages alone %d", sum.StageWallNS, rec.StageWallNS, len(sum.PerStage), listed)
+	}
+	if rec.StageWallNS > rec.EvalNS || rec.EvalNS > rec.WallNS {
+		t.Errorf("want stage_wall_ns %d <= eval_ns %d <= wall_ns %d", rec.StageWallNS, rec.EvalNS, rec.WallNS)
 	}
 }
 

@@ -1054,8 +1054,8 @@ func expP9(quick bool) error {
 		fmt.Printf("%8d %12v %12v %7.1fx\n", n,
 			dplan.Round(time.Microsecond), dlit.Round(time.Microsecond), speedup)
 	}
-	// Record both schedules at the largest quick size for the
-	// bench-regression gate.
+	// Both schedules at the largest quick size, amortized over many
+	// iterations.
 	u := value.New()
 	in := joinHeavyInstance(u, 1024, 4, 1024)
 	p := parser.MustParse(prog, u)

@@ -28,11 +28,10 @@ func forkInstance(total int) (*tuple.Instance, *value.Universe) {
 	return in, u
 }
 
-// benchNote records one testing.Benchmark result in the -json report
-// and prints its ns/op next to the experiment's console output.
+// benchNote prints one testing.Benchmark result's ns/op next to the
+// experiment's console output and returns it.
 func benchNote(name string, r testing.BenchmarkResult) int64 {
 	ns := r.NsPerOp()
-	benchmarks = append(benchmarks, benchmarkResult{Name: name, NsPerOp: ns})
 	fmt.Printf("   bench %-28s %12d ns/op  (%d iters)\n", name, ns, r.N)
 	return ns
 }

@@ -22,23 +22,11 @@ import (
 
 // statsNote prints a one-line digest of an engine's evaluation
 // summary under an experiment's table (the per-stage/per-rule detail
-// stays available through the datalog CLI's -stats flag) and records
-// the same digest for the -json report.
+// stays available through the datalog CLI's -stats flag).
 func statsNote(sum *stats.Summary) {
 	if sum == nil {
 		return
 	}
-	digests = append(digests, statsDigest{
-		Engine:      sum.Engine,
-		Stages:      sum.Stages,
-		Firings:     sum.Firings,
-		Derived:     sum.Derived,
-		Rederived:   sum.Rederived,
-		Retractions: sum.Retractions,
-		IndexProbes: sum.IndexProbes,
-		FullScans:   sum.FullScans,
-		WallNS:      sum.WallNS,
-	})
 	trunc := ""
 	if sum.StagesTruncated {
 		trunc = " (per-stage list truncated)"

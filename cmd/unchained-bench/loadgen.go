@@ -46,11 +46,10 @@ func tenantProgram(i, chain int) (prog, facts string) {
 	return p.String(), f.String()
 }
 
-// runLoadgen executes the burst, prints the report, and returns the
-// machine-readable summary for -json. It returns an error when the
-// daemon misbehaves (internal 5xx, no shedding under pressure,
-// counter mismatch), making it usable as a CI smoke job.
-func runLoadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
+// runLoadgen executes the burst and prints the report. It returns an
+// error when the daemon misbehaves (internal 5xx, no shedding under
+// pressure, counter mismatch), making it usable as a CI smoke job.
+func runLoadgen(w io.Writer, cfg loadgenConfig) error {
 	srvCfg := serve.Config{
 		MaxInFlight: cfg.inFlight,
 		QueueDepth:  cfg.queueDepth,
@@ -58,7 +57,7 @@ func runLoadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	httpSrv := &http.Server{Handler: serve.New(srvCfg)}
 	go httpSrv.Serve(ln)
@@ -154,13 +153,13 @@ func runLoadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 	// Cross-check the daemon's own counters against what we observed.
 	resp, err := http.Get(base + "/statsz")
 	if err != nil {
-		return nil, fmt.Errorf("statsz: %w", err)
+		return fmt.Errorf("statsz: %w", err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	var st serve.Statsz
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, fmt.Errorf("statsz: %w", err)
+		return fmt.Errorf("statsz: %w", err)
 	}
 	fmt.Fprintf(w, "loadgen: daemon counters admitted=%d queued=%d shed=%d queue_timeouts=%d\n",
 		st.Admitted, st.Queued, st.Shed, st.QueueTimeouts)
@@ -168,49 +167,32 @@ func runLoadgen(w io.Writer, cfg loadgenConfig) (*loadgenReport, error) {
 	// Acceptance.
 	for _, s := range statuses {
 		if s >= 500 && s != http.StatusServiceUnavailable {
-			return nil, fmt.Errorf("internal server error: %d x%d", s, byStatus[s])
+			return fmt.Errorf("internal server error: %d x%d", s, byStatus[s])
 		}
 	}
 	if byStatus[-1] > 0 {
-		return nil, fmt.Errorf("%d transport errors", byStatus[-1])
+		return fmt.Errorf("%d transport errors", byStatus[-1])
 	}
 	if sheddedWithoutHint > 0 {
-		return nil, fmt.Errorf("%d shed responses missing Retry-After", sheddedWithoutHint)
+		return fmt.Errorf("%d shed responses missing Retry-After", sheddedWithoutHint)
 	}
 	shed := byStatus[http.StatusTooManyRequests]
 	if uint64(shed) != st.Shed {
-		return nil, fmt.Errorf("shed counter mismatch: observed %d 429s, daemon counted %d", shed, st.Shed)
+		return fmt.Errorf("shed counter mismatch: observed %d 429s, daemon counted %d", shed, st.Shed)
 	}
 	if dropped := byStatus[http.StatusServiceUnavailable]; uint64(dropped) != st.QueueTimeouts {
-		return nil, fmt.Errorf("queue-timeout mismatch: observed %d 503s, daemon counted %d", dropped, st.QueueTimeouts)
+		return fmt.Errorf("queue-timeout mismatch: observed %d 503s, daemon counted %d", dropped, st.QueueTimeouts)
 	}
 	// Under a burst of clients >> in-flight slots + queue depth, the
 	// gate must shed; if it never does, admission control is broken.
 	if cfg.clients > cfg.inFlight+cfg.queueDepth && shed == 0 && st.QueueTimeouts == 0 {
-		return nil, fmt.Errorf("no shedding under %d clients vs %d slots + %d queue", cfg.clients, cfg.inFlight, cfg.queueDepth)
+		return fmt.Errorf("no shedding under %d clients vs %d slots + %d queue", cfg.clients, cfg.inFlight, cfg.queueDepth)
 	}
 	// Bounded tail: nothing should wait past the queue budget plus a
 	// generous service allowance.
 	if bound := cfg.queueWait + 20*time.Second; pct(0.99) > bound {
-		return nil, fmt.Errorf("p99 %v above bound %v", pct(0.99), bound)
+		return fmt.Errorf("p99 %v above bound %v", pct(0.99), bound)
 	}
 	fmt.Fprintf(w, "loadgen: ok\n")
-	counts := make(map[string]int, len(byStatus))
-	for st, n := range byStatus {
-		counts[fmt.Sprint(st)] = n
-	}
-	return &loadgenReport{
-		DurationNS:    cfg.duration.Nanoseconds(),
-		Clients:       cfg.clients,
-		Tenants:       cfg.tenants,
-		Requests:      len(samples),
-		QPS:           qps,
-		P50NS:         pct(0.50).Nanoseconds(),
-		P95NS:         pct(0.95).Nanoseconds(),
-		P99NS:         pct(0.99).Nanoseconds(),
-		MaxNS:         pct(1.0).Nanoseconds(),
-		StatusCounts:  counts,
-		Shed:          st.Shed,
-		QueueTimeouts: st.QueueTimeouts,
-	}, nil
+	return nil
 }

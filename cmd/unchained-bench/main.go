@@ -58,7 +58,6 @@ var experiments = []experiment{
 	{"P8", "COW fork: Instance.Snapshot vs deep clone (>=100k tuples)", expP8},
 	{"P9", "Ablation: cardinality planner vs literal-order joins", expP9},
 	{"P10", "Sharded semi-naive evaluation vs serial (large-EDB TC)", expP10},
-	{"P11", "Flight-recorder capture overhead (stats collector + plan sink)", expP11},
 	{"P12", "Ablation: static optimizer (-O2 inline+dead-elim) vs unoptimized", expP12},
 	{"A1", "Sections 6–7: active-database rule cascades", expA1},
 }
@@ -67,10 +66,6 @@ func main() {
 	exp := flag.String("exp", "", "run a single experiment id")
 	quick := flag.Bool("quick", false, "smaller workloads")
 	list := flag.Bool("list", false, "list experiment ids")
-	jsonOut := flag.String("json", "", "also write a machine-readable report to this file")
-	baseline := flag.String("baseline", "", "compare against a previous -json report; exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed slowdown vs -baseline (0.25 = 25%)")
-	minWall := flag.Duration("min-wall", 25*time.Millisecond, "skip -baseline wall-time checks for experiments faster than this")
 	serveMode := flag.Bool("serve", false, "loadgen mode: boot the daemon in-process and fire a concurrent burst (see -serve-* flags)")
 	serveDur := flag.Duration("serve-duration", 15*time.Second, "loadgen burst duration")
 	serveClients := flag.Int("serve-clients", 24, "loadgen concurrent clients")
@@ -87,7 +82,7 @@ func main() {
 	}
 
 	if *serveMode {
-		lg, err := runLoadgen(os.Stdout, loadgenConfig{
+		err := runLoadgen(os.Stdout, loadgenConfig{
 			duration:   *serveDur,
 			clients:    *serveClients,
 			inFlight:   *serveInFlight,
@@ -99,13 +94,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 			os.Exit(1)
 		}
-		if *jsonOut != "" {
-			if err := writeReport(*jsonOut, benchReport{Loadgen: lg}); err != nil {
-				fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (loadgen report)\n", *jsonOut)
-		}
 		return
 	}
 
@@ -115,28 +103,16 @@ func main() {
 		}
 		return
 	}
-	ids := map[string]bool{}
-	if *exp != "" {
-		ids[*exp] = true
-	}
 	ran := 0
-	report := benchReport{Quick: *quick}
 	for _, e := range experiments {
-		if *exp != "" && !ids[e.id] {
+		if *exp != "" && *exp != e.id {
 			continue
 		}
 		fmt.Printf("== %s: %s ==\n", e.id, e.title)
-		digests = nil
-		start := time.Now()
 		if err := e.run(*quick); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
 			os.Exit(1)
 		}
-		report.Experiments = append(report.Experiments, expReport{
-			ID: e.id, Title: e.title,
-			WallNS: time.Since(start).Nanoseconds(),
-			Stats:  digests,
-		})
 		fmt.Println()
 		ran++
 	}
@@ -149,55 +125,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %v)\n", *exp, known)
 		os.Exit(2)
 	}
-	report.Benchmarks = benchmarks
-	if *jsonOut != "" {
-		if err := writeReport(*jsonOut, report); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *jsonOut, len(report.Experiments))
-	}
-	if *baseline != "" {
-		base, err := loadReport(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load baseline %s: %v\n", *baseline, err)
-			os.Exit(1)
-		}
-		// A -exp run covers a subset; only compare what actually ran.
-		if *exp != "" {
-			base.Experiments = filterExperiments(base.Experiments, ids)
-			ran := make(map[string]bool, len(report.Benchmarks))
-			for _, b := range report.Benchmarks {
-				ran[b.Name] = true
-			}
-			kept := base.Benchmarks[:0:0]
-			for _, b := range base.Benchmarks {
-				if ran[b.Name] {
-					kept = append(kept, b)
-				}
-			}
-			base.Benchmarks = kept
-		}
-		regs := compareReports(base, report, *tolerance, minWall.Nanoseconds())
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "PERFORMANCE REGRESSION vs %s (tolerance %.0f%%):\n", *baseline, *tolerance*100)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("no regressions vs %s (tolerance %.0f%%)\n", *baseline, *tolerance*100)
-	}
-}
-
-// filterExperiments keeps only the baseline entries whose id is in
-// ids, so a partial -exp run is not blamed for "missing" experiments.
-func filterExperiments(exps []expReport, ids map[string]bool) []expReport {
-	out := exps[:0:0]
-	for _, e := range exps {
-		if ids[e.ID] {
-			out = append(out, e)
-		}
-	}
-	return out
 }

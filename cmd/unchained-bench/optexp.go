@@ -142,8 +142,7 @@ func expP12(quick bool) error {
 		fmt.Printf("%16s %12v %12v %8.1fx\n", sh.name,
 			bare.Round(time.Microsecond), optimized.Round(time.Microsecond), speedup)
 
-		// ns/op entries for the bench-regression gate; the committed
-		// BENCH_PR10.json carries the measured pair per shape.
+		// The same pair amortized over many iterations.
 		benchNote("opt/"+sh.name+"-O0", testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eval(); err != nil {

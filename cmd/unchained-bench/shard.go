@@ -59,7 +59,7 @@ func expP10(quick bool) error {
 				d.Round(time.Millisecond), speedup, merged)
 		}
 	}
-	// Record serial and 8-shard runs for the bench-regression gate.
+	// Serial and 8-shard runs amortized over many iterations.
 	u := value.New()
 	in := gen.Random(u, "E", 192, 6*192, 192)
 	p := parser.MustParse(prog, u)

@@ -322,7 +322,7 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 					noop++
 				}
 			}
-			col.Fired(best.ri, inserted, noop)
+			col.Fired(best.ri, 1, uint64(inserted), uint64(noop))
 			col.Retracted(deleted)
 			return engine.Outcome{Delta: inserted - deleted}, nil
 		})

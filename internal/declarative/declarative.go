@@ -60,10 +60,17 @@ func idbSet(p *ast.Program) map[string]bool {
 // the input instance using semi-naive evaluation (Section 3.1). The
 // input is not mutated.
 func Eval(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
+	return EvalAs("minimal-model", p, in, u, opt)
+}
+
+// EvalAs is Eval under another engine name, for an engine that is a
+// rewriting evaluated bottom-up (magic sets): the run is named before
+// it starts, so its span stream, summary and flight record agree.
+func EvalAs(engineName string, p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	if err := p.Validate(ast.DialectDatalog); err != nil {
 		return nil, fmt.Errorf("declarative: %w", err)
 	}
-	return evalFixpoint("minimal-model", p, in, u, opt)
+	return evalFixpoint(engineName, p, in, u, opt)
 }
 
 // evalFixpoint runs the whole program to one semi-naive fixpoint under
@@ -171,7 +178,7 @@ func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, r
 			}
 			// Shard workers only tally firings; the parts hold exactly
 			// the facts new to out, so charge derived/rederived here.
-			col.FiredBatch(-1, 0, uint64(n), emitted-uint64(n))
+			col.Fired(-1, 0, uint64(n), emitted-uint64(n))
 			col.ShardRound(int(emitted))
 		} else {
 			// Every head fact out lacks is staged at emission and

@@ -37,7 +37,7 @@ type planState struct {
 	valid   bool
 	sig     uint64
 	steps   []step
-	emitted string // dedup key of the last plan span emitted
+	emitted uint64 // dedup key of the last plan reported (planChanged)
 }
 
 // planFor returns the step schedule to enumerate with under ctx, and
@@ -276,10 +276,10 @@ func (c *PlanCache) Stats() PlanCacheStats {
 
 // planTrace is the per-Enumerate local accumulator: probe/scan
 // counts always (flushed to the collector in one batch, so the hot
-// match loop never touches a shared atomic), and — only when plan
-// tracing is on — the actual number of tuples each step pulled, for
-// the est-vs-act line of -explain. counts stays nil when plan tracing
-// is off.
+// match loop never touches a shared atomic), and — only when this
+// enumeration reports its plan — the actual number of tuples each step
+// pulled, for the est-vs-act line of the summary and -explain. counts
+// stays nil otherwise.
 type planTrace struct {
 	probes, scans uint64
 	counts        []int64
@@ -308,35 +308,52 @@ func (r *Rule) label() string {
 	return "⊥"
 }
 
-// planDesc renders the chosen join order with estimated and (when
-// counts is non-nil) actual cumulative cardinalities. key is the
-// actuals-free prefix used to dedup emission across stages.
-func (r *Rule) planDesc(ctx *Ctx, steps []step, counts []int64) (key, desc string) {
-	var kb, db strings.Builder
+// eachJoin calls f for every match step of the schedule, in join order,
+// with the estimated cumulative cardinality up to and including it.
+func eachJoin(ctx *Ctx, steps []step, f func(i int, st *step, cum int)) {
 	cum := 1
-	first := true
 	for i := range steps {
 		st := &steps[i]
 		if st.kind != stepMatch {
 			continue
 		}
-		if !first {
-			kb.WriteString(" ⋈ ")
-			db.WriteString(" ⋈ ")
-		}
-		first = false
 		est := estCard(ctxSize(ctx, st.litIndex, st.pred), bits.OnesCount32(st.mask))
 		if cum < 1<<40 { // keep the running product from overflowing
 			cum *= est
 		}
-		part := fmt.Sprintf("%s#%d est=%d", st.pred, st.litIndex, cum)
-		kb.WriteString(part)
-		db.WriteString(part)
-		if counts != nil {
-			fmt.Fprintf(&db, " act=%d", counts[i])
-		}
+		f(i, st, cum)
 	}
-	return kb.String(), db.String()
+}
+
+// planChanged reports whether the schedule about to run differs, in
+// join order or in any estimate, from the last one the rule reported,
+// and remembers it as reported: a plan is reported once per estimate
+// change, not once per stage. The key is a hash (FNV-1a over the
+// literal indexes and estimates), so comparing it formats nothing.
+func (r *Rule) planChanged(ctx *Ctx, steps []step) bool {
+	key := uint64(14695981039346656037)
+	eachJoin(ctx, steps, func(_ int, st *step, cum int) {
+		key = (key ^ uint64(st.litIndex)) * 1099511628211
+		key = (key ^ uint64(cum)) * 1099511628211
+	})
+	r.plan.mu.Lock()
+	defer r.plan.mu.Unlock()
+	changed := r.plan.emitted != key
+	r.plan.emitted = key
+	return changed
+}
+
+// planDesc renders the chosen join order with estimated and actual
+// cumulative cardinalities (counts: the tuples each step pulled).
+func (r *Rule) planDesc(ctx *Ctx, steps []step, counts []int64) string {
+	var b strings.Builder
+	eachJoin(ctx, steps, func(i int, st *step, cum int) {
+		if b.Len() > 0 {
+			b.WriteString(" ⋈ ")
+		}
+		fmt.Fprintf(&b, "%s#%d est=%d act=%d", st.pred, st.litIndex, cum, counts[i])
+	})
+	return b.String()
 }
 
 // AdomCache memoizes the sorted, deduplicated active domain

@@ -49,10 +49,10 @@ type Ctx struct {
 	// Plans, if non-nil, shares planner schedules across rule
 	// compilations (see PlanCache); nil uses a per-rule memo.
 	Plans *PlanCache
-	// PlanTrace allows Enumerate to emit the chosen plan as a trace
-	// span through Stats. Engines set it only on single-goroutine
-	// evaluation paths (the collector's tracing state is not safe for
-	// concurrent emission from shard workers).
+	// PlanTrace allows Enumerate to report the chosen plan through
+	// Stats. Engines set it only on single-goroutine evaluation paths
+	// (the collector's tracing state is not safe for concurrent
+	// emission from shard workers).
 	PlanTrace bool
 }
 
@@ -70,7 +70,7 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 	var tr *planTrace
 	if ctx.Stats.Enabled() {
 		tr = &planTrace{}
-		if planned && ctx.PlanTrace && ctx.Stats.Tracing() {
+		if planned && ctx.PlanTrace && ctx.Stats.PlanWanted() && r.planChanged(ctx, steps) {
 			tr.counts = make([]int64, len(steps))
 		}
 	}
@@ -88,14 +88,7 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 	}
 	ctx.Stats.ProbeBatch(tr.probes, tr.scans)
 	if tr.counts != nil {
-		key, desc := r.planDesc(ctx, steps, tr.counts)
-		r.plan.mu.Lock()
-		seen := r.plan.emitted == key
-		r.plan.emitted = key
-		r.plan.mu.Unlock()
-		if !seen {
-			ctx.Stats.PlanSpan(r.label(), desc)
-		}
+		ctx.Stats.PlanSpan(r.label(), r.planDesc(ctx, steps, tr.counts))
 	}
 }
 
@@ -351,9 +344,9 @@ func (r *Rule) appendHeads(out []Fact, vals []value.Value, b Binding) []Fact {
 // under ctx and passes every head fact of every satisfied valuation to
 // emit, which stages the fact wherever the engine collects its stage
 // (see Staging) and reports whether it is new there. Each valuation is
-// recorded in ctx.Stats as one firing of rule ri (-1 for engines
-// without per-rule attribution) with its new/already-present tally,
-// inside the collector's rule bracket.
+// one firing of rule ri (-1 for engines without per-rule attribution);
+// firings and their new/already-present tally are counted in locals
+// and charged to ctx.Stats once, inside the collector's rule bracket.
 //
 // heads materializes a valuation's head facts; an engine passes its
 // own to invent values or to look at the binding. With a nil heads the
@@ -368,6 +361,7 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 	if heads == nil {
 		scratch, vals = make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth)
 	}
+	var firings, derived, rederived uint64
 	r.Enumerate(ctx, func(b Binding) bool {
 		var facts []Fact
 		if heads != nil {
@@ -375,7 +369,7 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 		} else {
 			facts = r.appendHeads(scratch, vals, b)
 		}
-		derived, rederived := 0, 0
+		firings++
 		for _, f := range facts {
 			if emit(f) {
 				derived++
@@ -383,9 +377,9 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 				rederived++
 			}
 		}
-		col.Fired(ri, derived, rederived)
 		return true
 	})
+	col.Fired(ri, firings, derived, rederived)
 	col.EndRule(ri)
 }
 

@@ -131,7 +131,7 @@ func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{})
 		var pred string
 		var have *tuple.Relation
 		var file []*tuple.Relation
-		// Firings tally locally, flushed in one FiredBatch below:
+		// Firings tally locally, flushed in one Fired below:
 		// per-binding atomic adds on the shared collector contend
 		// badly across shard workers.
 		var firings uint64
@@ -162,7 +162,7 @@ func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{})
 			}
 			return true
 		})
-		col.FiredBatch(-1, firings, 0, 0)
+		col.Fired(-1, firings, 0, 0)
 	}
 	if col.Enabled() {
 		col.ShardWork(s, time.Since(begin).Nanoseconds(), emitted)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"unchained/internal/stats"
-	"unchained/internal/trace"
 )
 
 func TestRecorderRingAndTopK(t *testing.T) {
@@ -143,66 +142,96 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanSinkFiltersAndBounds(t *testing.T) {
-	var s PlanSink
-	s.Emit(trace.Event{Ev: trace.EvSpan, Span: trace.SpanPlan, Rule: "p", Name: "a ⋈ b"})
-	s.Emit(trace.Event{Ev: trace.EvSpan, Span: trace.SpanRule, Rule: "q"}) // filtered
-	s.Emit(trace.Event{Ev: trace.EvBegin, Span: trace.SpanStage})          // filtered
-	got := s.Plans()
-	if len(got) != 1 || got[0].Rule != "p" || got[0].Join != "a ⋈ b" {
-		t.Fatalf("plans = %+v", got)
-	}
-	for i := 0; i < 2*maxPlanSpans; i++ {
-		s.Emit(trace.Event{Ev: trace.EvSpan, Span: trace.SpanPlan, Rule: "r", Name: "x"})
-	}
-	if n := len(s.Plans()); n != maxPlanSpans {
-		t.Fatalf("plan sink kept %d spans, want bound %d", n, maxPlanSpans)
-	}
-}
-
-func TestFromSummary(t *testing.T) {
+// TestRecordIsAViewOfTheSummary: a record built through the
+// constructor reads its evaluation from the summary it is handed —
+// the same value, not a copy, while it is inside the record's bounds —
+// and its JSON keeps the record schema's keys, the request's wall_ns
+// shadowing the engine's.
+func TestRecordIsAViewOfTheSummary(t *testing.T) {
 	sum := &stats.Summary{
 		Engine:  "core_semi_naive",
 		Stages:  3,
 		Firings: 100, Derived: 50, Rederived: 10,
+		WallNS:      7000,
 		ShardRounds: 2, ShardFactsMerged: 40,
 		CowSnapshots: 4, CowPromotions: 1,
+		Plans: []stats.PlanStats{{Rule: "T", Join: "E#0 est=4 act=4 ⋈ T#1 est=16 act=9"}},
 		PerStage: []stats.StageStats{
 			{Stage: 1, WallNS: 1000, Derived: 30},
 			{Stage: 2, WallNS: 2000, Derived: 20},
 		},
+		StageWallNS: 3500, // a third stage ran past what is listed
 		PerShard: []stats.ShardStats{
 			{Shard: 0, Rounds: 2, WallNS: 1500, Facts: 25},
 			{Shard: 1, Rounds: 2, WallNS: 1400, Facts: 15},
 		},
 	}
-	var rec Record
-	rec.FromSummary(sum)
-	if rec.Engine != "core_semi_naive" || rec.Stages != 3 || rec.Derived != 50 {
-		t.Fatalf("totals not folded: %+v", rec)
+	start := time.Unix(0, 42)
+	rec := NewRecord("aa", "/v1/eval", start)
+	if rec.ID != "aa" || rec.Endpoint != "/v1/eval" || rec.StartUnixNS != 42 || rec.Outcome != "ok" || rec.Summary != nil {
+		t.Fatalf("fresh record: %+v", rec)
 	}
-	if rec.StageWallNS != 3000 || len(rec.PerStage) != 2 {
-		t.Fatalf("stage breakdown wrong: wall=%d n=%d", rec.StageWallNS, len(rec.PerStage))
+	rec.SetSummary(nil) // nil summary is a no-op
+	if rec.Summary != nil {
+		t.Fatalf("nil summary set something: %+v", rec.Summary)
 	}
-	if len(rec.PerShard) != 2 || rec.PerShard[1].WallNS != 1400 {
-		t.Fatalf("shard breakdown wrong: %+v", rec.PerShard)
+	rec.Phases = Phases{DecodeNS: 1, ResolveNS: 2, QueueNS: 3, FactsNS: 4, OptimizeNS: 5, EvalNS: 6, FormatNS: 7}
+	rec.WallNS = rec.Phases.Total()
+	rec.SetSummary(sum)
+	if rec.Summary != sum {
+		t.Fatal("a summary inside the bounds was copied")
 	}
-	// Truncation: a summary with more stages than the record bound.
-	big := &stats.Summary{}
+	if rec.Engine != "core_semi_naive" || rec.Stages != 3 || rec.Derived != 50 || rec.StageWallNS != 3500 ||
+		len(rec.PerStage) != 2 || rec.PerShard[1].WallNS != 1400 || rec.Plans[0].Rule != "T" {
+		t.Fatalf("record does not read the summary: %+v", rec)
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"id", "endpoint", "outcome", "wall_ns", "phases", "engine", "stages", "firings",
+		"derived", "rederived", "shard_rounds", "shard_facts_merged", "cow_snapshots", "cow_promotions",
+		"plans", "per_stage", "stage_wall_ns", "per_shard"} {
+		if _, ok := wire[key]; !ok {
+			t.Errorf("record JSON lost %q: %s", key, b)
+		}
+	}
+	if wire["wall_ns"] != float64(28) {
+		t.Errorf("wall_ns = %v, want the request's 28 (the phases' sum), not the engine's", wire["wall_ns"])
+	}
+	var back Record
+	if err := json.Unmarshal(b, &back); err != nil || back.WallNS != 28 || back.Engine != sum.Engine || back.Phases != rec.Phases {
+		t.Fatalf("round trip: %v %+v", err, back)
+	}
+
+	// The bounds. More stages than a record keeps: the first
+	// maxRecordStages, in a list of their own (not a window onto the
+	// summary's), with the totals past the cap intact.
+	big := &stats.Summary{Stages: maxRecordStages + 5, StageWallNS: maxRecordStages + 5}
 	for i := 1; i <= maxRecordStages+5; i++ {
 		big.PerStage = append(big.PerStage, stats.StageStats{Stage: i, WallNS: 1})
 	}
-	var r2 Record
-	r2.FromSummary(big)
-	if len(r2.PerStage) != maxRecordStages || !r2.StagesTruncated {
-		t.Fatalf("stage cap not applied: n=%d trunc=%v", len(r2.PerStage), r2.StagesTruncated)
+	r2 := NewRecord("bb", "cli", start)
+	r2.SetSummary(big)
+	if len(r2.PerStage) != maxRecordStages || cap(r2.PerStage) >= len(big.PerStage) || !r2.StagesTruncated {
+		t.Fatalf("stage cap not applied: n=%d cap=%d trunc=%v", len(r2.PerStage), cap(r2.PerStage), r2.StagesTruncated)
 	}
-	if r2.StageWallNS != int64(maxRecordStages+5) {
-		t.Fatalf("StageWallNS should count past the cap: %d", r2.StageWallNS)
+	if r2.StageWallNS != maxRecordStages+5 || r2.Stages != maxRecordStages+5 {
+		t.Fatalf("totals should count past the cap: %d over %d stages", r2.StageWallNS, r2.Stages)
 	}
-	var r3 Record
-	r3.FromSummary(nil) // nil summary is a no-op
-	if r3.Engine != "" {
-		t.Fatalf("nil summary mutated record")
+	if big.StagesTruncated || len(big.PerStage) != maxRecordStages+5 {
+		t.Fatalf("bounding the record changed the summary: %+v", big)
+	}
+	// The per-rule breakdown is as long as the client's program: a
+	// retained record drops it, the summary keeps it.
+	ruled := &stats.Summary{Engine: "inflationary", PerRule: []stats.RuleStats{{Rule: "P(X) :- Q(X).", Firings: 1}}}
+	r3 := NewRecord("cc", "cli", start)
+	r3.SetSummary(ruled)
+	if r3.PerRule != nil || r3.Engine != "inflationary" || len(ruled.PerRule) != 1 {
+		t.Fatalf("per-rule bound: record %+v summary %+v", r3.PerRule, ruled.PerRule)
 	}
 }

@@ -161,6 +161,10 @@ func (r *Recorder) Observe(rec *Record) {
 		}
 	}
 	if warn != nil {
+		stages := 0
+		if rec.Summary != nil { // nil when no engine ran: a slow wait in the queue
+			stages = rec.Stages
+		}
 		warn.Warn("slow query",
 			"trace_id", rec.ID,
 			"tenant", rec.Tenant,
@@ -168,7 +172,7 @@ func (r *Recorder) Observe(rec *Record) {
 			"wall_ms", rec.WallNS/1e6,
 			"queue_ms", rec.QueueNS/1e6,
 			"eval_ms", rec.EvalNS/1e6,
-			"stages", rec.Stages,
+			"stages", stages,
 			"suppressed", held,
 		)
 	}

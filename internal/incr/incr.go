@@ -581,7 +581,7 @@ func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
 							record(f, sign)
 						}
 					}
-					v.Stats.Fired(-1, 0, 0)
+					v.Stats.Fired(-1, 1, 0, 0)
 					return true
 				})
 			}
@@ -651,7 +651,7 @@ func (v *View) dredLayer(l *layer, old *tuple.Instance, d *Delta) error {
 							overdel = append(overdel, eval.Fact{Pred: f.Pred, Tuple: f.Tuple})
 						}
 					}
-					v.Stats.Fired(-1, 0, 0)
+					v.Stats.Fired(-1, 1, 0, 0)
 					return true
 				})
 			}

@@ -162,25 +162,21 @@ func Answer(p *ast.Program, query ast.Atom, in *tuple.Instance, u *value.Univers
 
 // AnswerStats is Answer plus the evaluation summary of the rewritten
 // program's bottom-up run (nil unless opt carries a stats collector),
-// relabeled "magic" so callers can tell it from a direct minimal-model
-// evaluation.
+// which runs under the engine name "magic" so callers can tell it from
+// a direct minimal-model evaluation.
 func AnswerStats(p *ast.Program, query ast.Atom, in *tuple.Instance, u *value.Universe, opt *declarative.Options) (*tuple.Relation, *stats.Summary, error) {
 	rw, ansName, err := Rewrite(p, query)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := declarative.Eval(rw, in, u, opt)
+	res, err := declarative.EvalAs("magic", rw, in, u, opt)
 	if err != nil {
 		// A context interruption still carries the partial-progress
-		// summary; relabel and surface it alongside the error.
-		if res != nil && res.Stats != nil {
-			res.Stats.Engine = "magic"
+		// summary; surface it alongside the error.
+		if res != nil {
 			return nil, res.Stats, err
 		}
 		return nil, nil, err
-	}
-	if res.Stats != nil {
-		res.Stats.Engine = "magic"
 	}
 	out := tuple.NewRelation(query.Arity())
 	rel := res.Out.Relation(ansName)

@@ -286,7 +286,7 @@ func Run(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Universe, s
 			}
 			next, deleted, inserted := cands[rng.Intn(len(cands))].apply(cur, u)
 			cur = next
-			col.Fired(-1, inserted, 0)
+			col.Fired(-1, 1, uint64(inserted), 0)
 			col.Retracted(deleted)
 			if col.Enabled() {
 				col.Invented(int(u.FreshCount() - freshBefore))
@@ -398,7 +398,7 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 			}
 			for _, c := range cands {
 				next, deleted, inserted := c.apply(cur, u)
-				col.Fired(-1, inserted, 0)
+				col.Fired(-1, 1, uint64(inserted), 0)
 				col.Retracted(deleted)
 				if !lookup(next) {
 					remember(next)

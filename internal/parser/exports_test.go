@@ -119,7 +119,7 @@ func TestHeadEqualityRejectedByValidate(t *testing.T) {
 }
 
 func TestTokenKindStrings(t *testing.T) {
-	for k := tokEOF; k <= tokNeq; k++ {
+	for k := TokEOF; k <= TokPlusEq; k++ {
 		if k.String() == "?" {
 			t.Errorf("token kind %d has no String", k)
 		}

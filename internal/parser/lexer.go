@@ -34,78 +34,125 @@ import (
 	"unicode/utf8"
 )
 
-type tokKind uint8
+// TokKind is the kind of a token. The scanner is shared by the
+// languages of the family (this package's Datalog, internal/while's
+// imperative language): whitespace, comments, strings, integers,
+// identifiers and positions are the same in all of them, and each
+// language names the punctuation it has (Punct).
+type TokKind uint8
 
+// The token kinds: the lexical classes every language has, then the
+// punctuation of Datalog, then what the while language adds.
 const (
-	tokEOF tokKind = iota
-	tokIdent
-	tokVar
-	tokInt
-	tokString
-	tokLParen
-	tokRParen
-	tokComma
-	tokDot
-	tokArrow // :-
-	tokBang  // !
-	tokEq    // =
-	tokNeq   // !=
+	TokEOF TokKind = iota
+	TokIdent
+	TokVar
+	TokInt
+	TokString
+	TokLParen
+	TokRParen
+	TokComma
+	TokDot
+	TokArrow // :-
+	TokBang  // !
+	TokEq    // =
+	TokNeq   // !=
+	TokLBrace
+	TokRBrace
+	TokSemi
+	TokAssign // :=
+	TokPlusEq // +=
 )
 
-func (k tokKind) String() string {
+func (k TokKind) String() string {
 	switch k {
-	case tokEOF:
+	case TokEOF:
 		return "end of input"
-	case tokIdent:
+	case TokIdent:
 		return "identifier"
-	case tokVar:
+	case TokVar:
 		return "variable"
-	case tokInt:
+	case TokInt:
 		return "integer"
-	case tokString:
+	case TokString:
 		return "string"
-	case tokLParen:
+	case TokLParen:
 		return "'('"
-	case tokRParen:
+	case TokRParen:
 		return "')'"
-	case tokComma:
+	case TokComma:
 		return "','"
-	case tokDot:
+	case TokDot:
 		return "'.'"
-	case tokArrow:
+	case TokArrow:
 		return "':-'"
-	case tokBang:
+	case TokBang:
 		return "'!'"
-	case tokEq:
+	case TokEq:
 		return "'='"
-	case tokNeq:
+	case TokNeq:
 		return "'!='"
+	case TokLBrace:
+		return "'{'"
+	case TokRBrace:
+		return "'}'"
+	case TokSemi:
+		return "';'"
+	case TokAssign:
+		return "':='"
+	case TokPlusEq:
+		return "'+='"
 	default:
 		return "?"
 	}
 }
 
-type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int
+// Token is one lexeme: its kind, its text (identifiers, variables,
+// integers, and strings with their escapes resolved) and the 1-based
+// line and column it starts at.
+type Token struct {
+	Kind TokKind
+	Text string
+	Line int
+	Col  int
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+// Punct is one punctuation token of a language: its spelling and the
+// kind it scans as. In a language's table a spelling comes before its
+// own prefixes ("!=" before "!"); a character that begins a spelling
+// but none that matches is reported as "expected" the first of them.
+type Punct struct {
+	Text string
+	Kind TokKind
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
+// datalogPunct is the punctuation of the rule syntax. '<-' is accepted
+// as an alternative arrow, matching the paper.
+var datalogPunct = []Punct{
+	{"(", TokLParen}, {")", TokRParen}, {",", TokComma}, {".", TokDot},
+	{":-", TokArrow}, {"<-", TokArrow}, {"!=", TokNeq}, {"!", TokBang}, {"=", TokEq},
+}
 
-func (lx *lexer) errf(line, col int, format string, args ...any) error {
+// Lexer scans a source text into tokens.
+type Lexer struct {
+	src   string
+	punct []Punct
+	pos   int
+	line  int
+	col   int
+}
+
+// NewLexer returns a scanner over src for the language with the given
+// punctuation.
+func NewLexer(src string, punct []Punct) *Lexer {
+	return &Lexer{src: src, punct: punct, line: 1, col: 1}
+}
+
+func (lx *Lexer) errf(line, col int, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) peek() rune {
+func (lx *Lexer) peek() rune {
 	if lx.pos >= len(lx.src) {
 		return 0
 	}
@@ -113,7 +160,7 @@ func (lx *lexer) peek() rune {
 	return r
 }
 
-func (lx *lexer) advance() rune {
+func (lx *Lexer) advance() rune {
 	r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
 	lx.pos += w
 	if r == '\n' {
@@ -125,7 +172,7 @@ func (lx *lexer) advance() rune {
 	return r
 }
 
-func (lx *lexer) skipSpaceAndComments() {
+func (lx *Lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
 		r := lx.peek()
 		switch {
@@ -153,65 +200,61 @@ func isIdentRune(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// next returns the next token.
-func (lx *lexer) next() (token, error) {
+// Next returns the next token.
+func (lx *Lexer) Next() (Token, error) {
 	lx.skipSpaceAndComments()
 	line, col := lx.line, lx.col
 	if lx.pos >= len(lx.src) {
-		return token{kind: tokEOF, line: line, col: col}, nil
+		return Token{Kind: TokEOF, Line: line, Col: col}, nil
 	}
 	r := lx.peek()
-	switch {
-	case r == '(':
-		lx.advance()
-		return token{kind: tokLParen, line: line, col: col}, nil
-	case r == ')':
-		lx.advance()
-		return token{kind: tokRParen, line: line, col: col}, nil
-	case r == ',':
-		lx.advance()
-		return token{kind: tokComma, line: line, col: col}, nil
-	case r == '.':
-		lx.advance()
-		return token{kind: tokDot, line: line, col: col}, nil
-	case r == ':':
-		lx.advance()
-		if lx.peek() != '-' {
-			return token{}, lx.errf(line, col, "expected ':-'")
-		}
-		lx.advance()
-		return token{kind: tokArrow, line: line, col: col}, nil
-	case r == '<': // accept '<-' as an alternative arrow, matching the paper
-		lx.advance()
-		if lx.peek() != '-' {
-			return token{}, lx.errf(line, col, "expected '<-'")
-		}
-		lx.advance()
-		return token{kind: tokArrow, line: line, col: col}, nil
-	case r == '!':
-		lx.advance()
-		if lx.peek() == '=' {
+	// Names first: most tokens are names, and no punctuation begins
+	// like one.
+	if isIdentStart(r) {
+		start := lx.pos
+		for lx.pos < len(lx.src) && isIdentRune(lx.peek()) {
 			lx.advance()
-			return token{kind: tokNeq, line: line, col: col}, nil
 		}
-		return token{kind: tokBang, line: line, col: col}, nil
-	case r == '=':
-		lx.advance()
-		return token{kind: tokEq, line: line, col: col}, nil
+		text := lx.src[start:lx.pos]
+		if r == '_' || unicode.IsUpper(r) {
+			return Token{Kind: TokVar, Text: text, Line: line, Col: col}, nil
+		}
+		return Token{Kind: TokIdent, Text: text, Line: line, Col: col}, nil
+	}
+	// Punctuation is ASCII: a spelling is found by its first byte, and
+	// is as many columns as bytes.
+	expected := ""
+	for i := range lx.punct {
+		p := &lx.punct[i]
+		if p.Text[0] != lx.src[lx.pos] {
+			continue
+		}
+		if len(p.Text) == 1 || strings.HasPrefix(lx.src[lx.pos:], p.Text) {
+			lx.pos += len(p.Text)
+			lx.col += len(p.Text)
+			return Token{Kind: p.Kind, Line: line, Col: col}, nil
+		}
+		if expected == "" {
+			expected = p.Text
+		}
+	}
+	switch {
+	case expected != "":
+		return Token{}, lx.errf(line, col, "expected '%s'", expected)
 	case r == '"':
 		lx.advance()
 		var b strings.Builder
 		for {
 			if lx.pos >= len(lx.src) {
-				return token{}, lx.errf(line, col, "unterminated string")
+				return Token{}, lx.errf(line, col, "unterminated string")
 			}
 			c := lx.advance()
 			if c == '"' {
-				return token{kind: tokString, text: b.String(), line: line, col: col}, nil
+				return Token{Kind: TokString, Text: b.String(), Line: line, Col: col}, nil
 			}
 			if c == '\\' {
 				if lx.pos >= len(lx.src) {
-					return token{}, lx.errf(line, col, "unterminated escape")
+					return Token{}, lx.errf(line, col, "unterminated escape")
 				}
 				e := lx.advance()
 				switch e {
@@ -222,7 +265,7 @@ func (lx *lexer) next() (token, error) {
 				case '"', '\\':
 					b.WriteRune(e)
 				default:
-					return token{}, lx.errf(line, col, "unknown escape \\%c", e)
+					return Token{}, lx.errf(line, col, "unknown escape \\%c", e)
 				}
 				continue
 			}
@@ -233,25 +276,14 @@ func (lx *lexer) next() (token, error) {
 		if r == '-' {
 			lx.advance()
 			if !unicode.IsDigit(lx.peek()) {
-				return token{}, lx.errf(line, col, "expected digit after '-'")
+				return Token{}, lx.errf(line, col, "expected digit after '-'")
 			}
 		}
 		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
 			lx.advance()
 		}
-		return token{kind: tokInt, text: lx.src[start:lx.pos], line: line, col: col}, nil
-	case isIdentStart(r):
-		start := lx.pos
-		for lx.pos < len(lx.src) && isIdentRune(lx.peek()) {
-			lx.advance()
-		}
-		text := lx.src[start:lx.pos]
-		first, _ := utf8.DecodeRuneInString(text)
-		if first == '_' || unicode.IsUpper(first) {
-			return token{kind: tokVar, text: text, line: line, col: col}, nil
-		}
-		return token{kind: tokIdent, text: text, line: line, col: col}, nil
+		return Token{Kind: TokInt, Text: lx.src[start:lx.pos], Line: line, Col: col}, nil
 	default:
-		return token{}, lx.errf(line, col, "unexpected character %q", r)
+		return Token{}, lx.errf(line, col, "unexpected character %q", r)
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 type parser struct {
-	lx   *lexer
-	tok  token
+	lx   *Lexer
+	tok  Token
 	u    *value.Universe
 	anon int // counter for '_' anonymous variables
 }
@@ -20,12 +20,12 @@ type parser struct {
 // constants into u. The result is dialect-agnostic; run
 // ast.Program.Validate to pin a dialect.
 func Parse(src string, u *value.Universe) (*ast.Program, error) {
-	p := &parser{lx: newLexer(src), u: u}
+	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	prog := &ast.Program{}
-	for p.tok.kind != tokEOF {
+	for p.tok.Kind != TokEOF {
 		r, err := p.rule()
 		if err != nil {
 			return nil, err
@@ -60,7 +60,7 @@ func ParseRule(src string, u *value.Universe) (ast.Rule, error) {
 // trailing dot), e.g. "InStock(Item), !Reserved(O, Item)". It is used
 // by embedding formats like the active-database rule syntax.
 func ParseLiterals(src string, u *value.Universe) ([]ast.Literal, error) {
-	p := &parser{lx: newLexer(src), u: u}
+	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func ParseLiterals(src string, u *value.Universe) ([]ast.Literal, error) {
 			return nil, err
 		}
 		out = append(out, l)
-		if p.tok.kind == tokComma {
+		if p.tok.Kind == TokComma {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -79,15 +79,15 @@ func ParseLiterals(src string, u *value.Universe) ([]ast.Literal, error) {
 		}
 		break
 	}
-	if p.tok.kind != tokEOF {
-		return nil, p.errf("unexpected %s after literal list", p.tok.kind)
+	if p.tok.Kind != TokEOF {
+		return nil, p.errf("unexpected %s after literal list", p.tok.Kind)
 	}
 	return out, nil
 }
 
 // ParseAtom parses a single atom, e.g. "Order(O, Item)".
 func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
-	p := &parser{lx: newLexer(src), u: u}
+	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
 	if err := p.advance(); err != nil {
 		return ast.Atom{}, err
 	}
@@ -95,8 +95,8 @@ func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
 	if err != nil {
 		return ast.Atom{}, err
 	}
-	if p.tok.kind != tokEOF {
-		return ast.Atom{}, p.errf("unexpected %s after atom", p.tok.kind)
+	if p.tok.Kind != TokEOF {
+		return ast.Atom{}, p.errf("unexpected %s after atom", p.tok.Kind)
 	}
 	return a, nil
 }
@@ -109,15 +109,15 @@ func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
 // either accepts it as a fact in another spelling ("P :- .") or names
 // what is wrong with it.
 func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
-	p := &parser{lx: newLexer(src), u: u}
+	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	in := tuple.NewInstance()
 	var t tuple.Tuple // one scratch for every fact: Insert copies it
-	for n := 1; p.tok.kind != tokEOF; n++ {
+	for n := 1; p.tok.Kind != TokEOF; n++ {
 		lx, first := *p.lx, p.tok
-		pred, ok := first.text, p.plainFact(&t)
+		pred, ok := first.Text, p.plainFact(&t)
 		if !ok {
 			*p.lx, p.tok = lx, first
 			r, err := p.rule()
@@ -142,12 +142,12 @@ func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
 func (p *parser) plainFact(t *tuple.Tuple) bool {
 	*t = (*t)[:0]
 	name := p.tok
-	if (name.kind != tokIdent && name.kind != tokVar) || name.text == "not" || name.text == "bottom" || p.advance() != nil {
+	if (name.Kind != TokIdent && name.Kind != TokVar) || name.Text == "not" || name.Text == "bottom" || p.advance() != nil {
 		return false
 	}
-	if p.tok.kind == tokLParen {
-		for sep := tokLParen; p.tok.kind == sep; sep = tokComma {
-			if p.advance() != nil || p.tok.kind == tokVar {
+	if p.tok.Kind == TokLParen {
+		for sep := TokLParen; p.tok.Kind == sep; sep = TokComma {
+			if p.advance() != nil || p.tok.Kind == TokVar {
 				return false
 			}
 			c, err := p.term()
@@ -156,11 +156,11 @@ func (p *parser) plainFact(t *tuple.Tuple) bool {
 			}
 			*t = append(*t, c.Const)
 		}
-		if p.tok.kind != tokRParen || p.advance() != nil {
+		if p.tok.Kind != TokRParen || p.advance() != nil {
 			return false
 		}
 	}
-	return p.tok.kind == tokDot && p.advance() == nil
+	return p.tok.Kind == TokDot && p.advance() == nil
 }
 
 // groundFact converts a parsed rule that must be a ground fact,
@@ -192,7 +192,7 @@ func MustParseFacts(src string, u *value.Universe) *tuple.Instance {
 }
 
 func (p *parser) advance() error {
-	t, err := p.lx.next()
+	t, err := p.lx.Next()
 	if err != nil {
 		return err
 	}
@@ -201,15 +201,15 @@ func (p *parser) advance() error {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("%d:%d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%d:%d: %s", p.tok.Line, p.tok.Col, fmt.Sprintf(format, args...))
 }
 
 // posOf converts a token's location to an AST source position.
-func posOf(t token) ast.Pos { return ast.Pos{Line: t.line, Col: t.col} }
+func posOf(t Token) ast.Pos { return ast.Pos{Line: t.Line, Col: t.Col} }
 
-func (p *parser) expect(k tokKind) error {
-	if p.tok.kind != k {
-		return p.errf("expected %s, found %s", k, p.tok.kind)
+func (p *parser) expect(k TokKind) error {
+	if p.tok.Kind != k {
+		return p.errf("expected %s, found %s", k, p.tok.Kind)
 	}
 	return p.advance()
 }
@@ -224,25 +224,25 @@ func (p *parser) rule() (ast.Rule, error) {
 			return r, err
 		}
 		r.Head = append(r.Head, l)
-		if p.tok.kind != tokComma {
+		if p.tok.Kind != TokComma {
 			break
 		}
 		if err := p.advance(); err != nil {
 			return r, err
 		}
 	}
-	if p.tok.kind == tokArrow {
+	if p.tok.Kind == TokArrow {
 		if err := p.advance(); err != nil {
 			return r, err
 		}
 		// An empty body ("Delay :- .") mirrors the paper's "delay ←".
-		for p.tok.kind != tokDot {
+		for p.tok.Kind != TokDot {
 			l, err := p.literal(false)
 			if err != nil {
 				return r, err
 			}
 			r.Body = append(r.Body, l)
-			if p.tok.kind != tokComma {
+			if p.tok.Kind != TokComma {
 				break
 			}
 			if err := p.advance(); err != nil {
@@ -250,7 +250,7 @@ func (p *parser) rule() (ast.Rule, error) {
 			}
 		}
 	}
-	if err := p.expect(tokDot); err != nil {
+	if err := p.expect(TokDot); err != nil {
 		return r, err
 	}
 	return r, nil
@@ -270,8 +270,8 @@ func (p *parser) literal(inHead bool) (ast.Literal, error) {
 
 func (p *parser) literalInner(inHead bool) (ast.Literal, error) {
 	switch {
-	case p.tok.kind == tokBang,
-		p.tok.kind == tokIdent && p.tok.text == "not":
+	case p.tok.Kind == TokBang,
+		p.tok.Kind == TokIdent && p.tok.Text == "not":
 		if err := p.advance(); err != nil {
 			return ast.Literal{}, err
 		}
@@ -280,21 +280,21 @@ func (p *parser) literalInner(inHead bool) (ast.Literal, error) {
 			return ast.Literal{}, err
 		}
 		return ast.Neg(a), nil
-	case p.tok.kind == tokIdent && p.tok.text == "bottom":
+	case p.tok.Kind == TokIdent && p.tok.Text == "bottom":
 		if err := p.advance(); err != nil {
 			return ast.Literal{}, err
 		}
 		return ast.Bottom(), nil
-	case p.tok.kind == tokIdent && p.tok.text == "forall" && !inHead:
+	case p.tok.Kind == TokIdent && p.tok.Text == "forall" && !inHead:
 		return p.forall()
 	}
 	// A term followed by '='/'!=' is an equality literal; otherwise
 	// we are looking at an atom (possibly 0-ary).
-	if p.tok.kind == tokInt || p.tok.kind == tokString {
+	if p.tok.Kind == TokInt || p.tok.Kind == TokString {
 		return p.equality()
 	}
-	if p.tok.kind != tokIdent && p.tok.kind != tokVar {
-		return ast.Literal{}, p.errf("expected a literal, found %s", p.tok.kind)
+	if p.tok.Kind != TokIdent && p.tok.Kind != TokVar {
+		return ast.Literal{}, p.errf("expected a literal, found %s", p.tok.Kind)
 	}
 	// Peek: save state is awkward with a streaming lexer, so decide
 	// from the token after the name.
@@ -302,13 +302,13 @@ func (p *parser) literalInner(inHead bool) (ast.Literal, error) {
 	if err := p.advance(); err != nil {
 		return ast.Literal{}, err
 	}
-	switch p.tok.kind {
-	case tokEq, tokNeq:
+	switch p.tok.Kind {
+	case TokEq, TokNeq:
 		left, err := p.nameToTerm(name)
 		if err != nil {
 			return ast.Literal{}, err
 		}
-		neg := p.tok.kind == tokNeq
+		neg := p.tok.Kind == TokNeq
 		if err := p.advance(); err != nil {
 			return ast.Literal{}, err
 		}
@@ -320,15 +320,15 @@ func (p *parser) literalInner(inHead bool) (ast.Literal, error) {
 			return ast.Neq(left, right), nil
 		}
 		return ast.Eq(left, right), nil
-	case tokLParen:
+	case TokLParen:
 		args, err := p.argList()
 		if err != nil {
 			return ast.Literal{}, err
 		}
-		return ast.PosLit(ast.Atom{Pred: name.text, Args: args, SrcPos: posOf(name)}), nil
+		return ast.PosLit(ast.Atom{Pred: name.Text, Args: args, SrcPos: posOf(name)}), nil
 	default:
 		// 0-ary predicate.
-		return ast.PosLit(ast.Atom{Pred: name.text, SrcPos: posOf(name)}), nil
+		return ast.PosLit(ast.Atom{Pred: name.Text, SrcPos: posOf(name)}), nil
 	}
 }
 
@@ -340,12 +340,12 @@ func (p *parser) equality() (ast.Literal, error) {
 		return ast.Literal{}, err
 	}
 	neg := false
-	switch p.tok.kind {
-	case tokEq:
-	case tokNeq:
+	switch p.tok.Kind {
+	case TokEq:
+	case TokNeq:
 		neg = true
 	default:
-		return ast.Literal{}, p.errf("expected '=' or '!=', found %s", p.tok.kind)
+		return ast.Literal{}, p.errf("expected '=' or '!=', found %s", p.tok.Kind)
 	}
 	if err := p.advance(); err != nil {
 		return ast.Literal{}, err
@@ -367,21 +367,21 @@ func (p *parser) forall() (ast.Literal, error) {
 	}
 	var vars []string
 	for {
-		if p.tok.kind != tokVar {
-			return ast.Literal{}, p.errf("expected quantified variable, found %s", p.tok.kind)
+		if p.tok.Kind != TokVar {
+			return ast.Literal{}, p.errf("expected quantified variable, found %s", p.tok.Kind)
 		}
-		vars = append(vars, p.tok.text)
+		vars = append(vars, p.tok.Text)
 		if err := p.advance(); err != nil {
 			return ast.Literal{}, err
 		}
-		if p.tok.kind != tokComma {
+		if p.tok.Kind != TokComma {
 			break
 		}
 		if err := p.advance(); err != nil {
 			return ast.Literal{}, err
 		}
 	}
-	if err := p.expect(tokLParen); err != nil {
+	if err := p.expect(TokLParen); err != nil {
 		return ast.Literal{}, err
 	}
 	var body []ast.Literal
@@ -391,14 +391,14 @@ func (p *parser) forall() (ast.Literal, error) {
 			return ast.Literal{}, err
 		}
 		body = append(body, l)
-		if p.tok.kind != tokComma {
+		if p.tok.Kind != TokComma {
 			break
 		}
 		if err := p.advance(); err != nil {
 			return ast.Literal{}, err
 		}
 	}
-	if err := p.expect(tokRParen); err != nil {
+	if err := p.expect(TokRParen); err != nil {
 		return ast.Literal{}, err
 	}
 	return ast.Forall(vars, body...), nil
@@ -406,30 +406,30 @@ func (p *parser) forall() (ast.Literal, error) {
 
 // atom := name [ "(" args ")" ]
 func (p *parser) atom() (ast.Atom, error) {
-	if p.tok.kind != tokIdent && p.tok.kind != tokVar {
-		return ast.Atom{}, p.errf("expected predicate name, found %s", p.tok.kind)
+	if p.tok.Kind != TokIdent && p.tok.Kind != TokVar {
+		return ast.Atom{}, p.errf("expected predicate name, found %s", p.tok.Kind)
 	}
 	name := p.tok
 	if err := p.advance(); err != nil {
 		return ast.Atom{}, err
 	}
-	if p.tok.kind != tokLParen {
-		return ast.Atom{Pred: name.text, SrcPos: posOf(name)}, nil
+	if p.tok.Kind != TokLParen {
+		return ast.Atom{Pred: name.Text, SrcPos: posOf(name)}, nil
 	}
 	args, err := p.argList()
 	if err != nil {
 		return ast.Atom{}, err
 	}
-	return ast.Atom{Pred: name.text, Args: args, SrcPos: posOf(name)}, nil
+	return ast.Atom{Pred: name.Text, Args: args, SrcPos: posOf(name)}, nil
 }
 
 // argList parses "(" term {"," term} ")" with the '(' current.
 func (p *parser) argList() ([]ast.Term, error) {
-	if err := p.expect(tokLParen); err != nil {
+	if err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
 	var args []ast.Term
-	if p.tok.kind == tokRParen {
+	if p.tok.Kind == TokRParen {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -441,7 +441,7 @@ func (p *parser) argList() ([]ast.Term, error) {
 			return nil, err
 		}
 		args = append(args, t)
-		if p.tok.kind == tokComma {
+		if p.tok.Kind == TokComma {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -449,7 +449,7 @@ func (p *parser) argList() ([]ast.Term, error) {
 		}
 		break
 	}
-	if err := p.expect(tokRParen); err != nil {
+	if err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
 	return args, nil
@@ -458,20 +458,20 @@ func (p *parser) argList() ([]ast.Term, error) {
 // term parses a variable or constant and advances past it.
 func (p *parser) term() (ast.Term, error) {
 	name := p.tok
-	switch name.kind {
-	case tokVar, tokIdent, tokInt, tokString:
+	switch name.Kind {
+	case TokVar, TokIdent, TokInt, TokString:
 		if err := p.advance(); err != nil {
 			return ast.Term{}, err
 		}
 		return p.nameToTerm(name)
 	default:
-		return ast.Term{}, p.errf("expected a term, found %s", name.kind)
+		return ast.Term{}, p.errf("expected a term, found %s", name.Kind)
 	}
 }
 
 // nameToTerm converts an already-consumed name token to a term,
 // stamped with the token's position.
-func (p *parser) nameToTerm(t token) (ast.Term, error) {
+func (p *parser) nameToTerm(t Token) (ast.Term, error) {
 	tm, err := p.nameToTermInner(t)
 	if err != nil {
 		return tm, err
@@ -480,25 +480,25 @@ func (p *parser) nameToTerm(t token) (ast.Term, error) {
 	return tm, nil
 }
 
-func (p *parser) nameToTermInner(t token) (ast.Term, error) {
-	switch t.kind {
-	case tokVar:
-		if t.text == "_" {
+func (p *parser) nameToTermInner(t Token) (ast.Term, error) {
+	switch t.Kind {
+	case TokVar:
+		if t.Text == "_" {
 			p.anon++
 			return ast.V(fmt.Sprintf("_anon%d", p.anon)), nil
 		}
-		return ast.V(t.text), nil
-	case tokIdent:
-		return ast.C(p.u.Sym(t.text)), nil
-	case tokString:
-		return ast.C(p.u.Sym(t.text)), nil
-	case tokInt:
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		return ast.V(t.Text), nil
+	case TokIdent:
+		return ast.C(p.u.Sym(t.Text)), nil
+	case TokString:
+		return ast.C(p.u.Sym(t.Text)), nil
+	case TokInt:
+		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return ast.Term{}, fmt.Errorf("%d:%d: bad integer %q", t.line, t.col, t.text)
+			return ast.Term{}, fmt.Errorf("%d:%d: bad integer %q", t.Line, t.Col, t.Text)
 		}
 		return ast.C(p.u.Int(n)), nil
 	default:
-		return ast.Term{}, fmt.Errorf("%d:%d: expected a term, found %s", t.line, t.col, t.kind)
+		return ast.Term{}, fmt.Errorf("%d:%d: expected a term, found %s", t.Line, t.Col, t.Kind)
 	}
 }

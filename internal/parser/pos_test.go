@@ -13,26 +13,26 @@ import (
 func TestLexerColumnsCountRunes(t *testing.T) {
 	// "é" is two bytes but one rune/column; byte counting would put
 	// X at column 9 instead of 8.
-	lx := newLexer(`P("é", X)`)
+	lx := NewLexer(`P("é", X)`, datalogPunct)
 	want := []struct {
-		kind tokKind
+		kind TokKind
 		col  int
 	}{
-		{tokVar, 1},    // P (upper-case names lex as variables)
-		{tokLParen, 2}, // (
-		{tokString, 3}, // "é"
-		{tokComma, 6},  // ,
-		{tokVar, 8},    // X
-		{tokRParen, 9}, // )
+		{TokVar, 1},    // P (upper-case names lex as variables)
+		{TokLParen, 2}, // (
+		{TokString, 3}, // "é"
+		{TokComma, 6},  // ,
+		{TokVar, 8},    // X
+		{TokRParen, 9}, // )
 	}
 	for i, w := range want {
-		tok, err := lx.next()
+		tok, err := lx.Next()
 		if err != nil {
 			t.Fatalf("token %d: %v", i, err)
 		}
-		if tok.kind != w.kind || tok.col != w.col {
+		if tok.Kind != w.kind || tok.Col != w.col {
 			t.Errorf("token %d: got %s at col %d, want %s at col %d",
-				i, tok.kind, tok.col, w.kind, w.col)
+				i, tok.Kind, tok.Col, w.kind, w.col)
 		}
 	}
 }
@@ -40,13 +40,13 @@ func TestLexerColumnsCountRunes(t *testing.T) {
 // TestLexerColumnsAfterMultibyteComment checks that multi-byte runes
 // inside comments do not skew positions on following lines.
 func TestLexerColumnsAfterMultibyteComment(t *testing.T) {
-	lx := newLexer("% ∀∃⊥ symbols\nWin(X)")
-	tok, err := lx.next()
+	lx := NewLexer("% ∀∃⊥ symbols\nWin(X)", datalogPunct)
+	tok, err := lx.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tok.kind != tokVar || tok.text != "Win" || tok.line != 2 || tok.col != 1 {
-		t.Fatalf("got %s %q at %d:%d, want Win at 2:1", tok.kind, tok.text, tok.line, tok.col)
+	if tok.Kind != TokVar || tok.Text != "Win" || tok.Line != 2 || tok.Col != 1 {
+		t.Fatalf("got %s %q at %d:%d, want Win at 2:1", tok.Kind, tok.Text, tok.Line, tok.Col)
 	}
 }
 

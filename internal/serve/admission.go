@@ -101,12 +101,10 @@ func (g *gate) inFlight() int {
 // acquire admits the request, queues it, or sheds it. A nil gate (or
 // capacity <= 0) admits everything. On success the caller must call
 // release exactly once. ctx cancellation while queued surfaces as
-// ctx.Err(). The returned duration is the time spent queued (zero on
-// the fast path and on immediate shedding), reported regardless of
-// outcome so flight records can attribute queue wait.
-func (g *gate) acquire(ctx context.Context, tenant string) (time.Duration, error) {
+// ctx.Err().
+func (g *gate) acquire(ctx context.Context, tenant string) error {
 	if g == nil || g.capacity <= 0 {
-		return 0, nil
+		return nil
 	}
 	g.mu.Lock()
 	// Fast path: free slot and an empty queue (no one has priority).
@@ -114,12 +112,12 @@ func (g *gate) acquire(ctx context.Context, tenant string) (time.Duration, error
 		g.running++
 		g.mu.Unlock()
 		g.admitted.Add(1)
-		return 0, nil
+		return nil
 	}
 	if g.queued >= g.maxQueue {
 		g.mu.Unlock()
 		g.shed.Add(1)
-		return 0, errShed
+		return errShed
 	}
 	w := &waiter{ready: make(chan struct{})}
 	q := g.byKey[tenant]
@@ -143,27 +141,21 @@ func (g *gate) acquire(ctx context.Context, tenant string) (time.Duration, error
 	begin := time.Now()
 	select {
 	case <-w.ready:
-		wait := time.Since(begin)
-		g.waitLat.observe(wait)
-		g.admitted.Add(1)
-		return wait, nil
 	case <-timer.C:
 		if g.abandon(q, w) {
 			g.waitDrop.Add(1)
-			return time.Since(begin), errQueueWait
+			return errQueueWait
 		}
 		// Lost the race: the slot was already handed to us.
-		wait := time.Since(begin)
-		g.waitLat.observe(wait)
-		g.admitted.Add(1)
-		return wait, nil
 	case <-ctx.Done():
-		if g.abandon(q, w) {
-			return time.Since(begin), ctx.Err()
+		if !g.abandon(q, w) {
+			g.release()
 		}
-		g.release()
-		return time.Since(begin), ctx.Err()
+		return ctx.Err()
 	}
+	g.waitLat.observe(time.Since(begin))
+	g.admitted.Add(1)
+	return nil
 }
 
 // abandon takes a waiter that gave up out of its tenant's queue, so it

@@ -18,7 +18,7 @@ import (
 func TestGateFastPath(t *testing.T) {
 	g := newGate(3, 8, time.Second)
 	for i := 0; i < 3; i++ {
-		if _, err := g.acquire(context.Background(), "t"); err != nil {
+		if err := g.acquire(context.Background(), "t"); err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
 	}
@@ -38,12 +38,12 @@ func TestGateFastPath(t *testing.T) {
 
 func TestGateNilAndDisabledAdmitEverything(t *testing.T) {
 	var g *gate
-	if _, err := g.acquire(context.Background(), "t"); err != nil {
+	if err := g.acquire(context.Background(), "t"); err != nil {
 		t.Fatalf("nil gate: %v", err)
 	}
 	g.release() // must not panic
 	g = newGate(0, 0, time.Second)
-	if _, err := g.acquire(context.Background(), "t"); err != nil {
+	if err := g.acquire(context.Background(), "t"); err != nil {
 		t.Fatalf("capacity 0 gate must admit: %v", err)
 	}
 	g.release()
@@ -51,18 +51,18 @@ func TestGateNilAndDisabledAdmitEverything(t *testing.T) {
 
 func TestGateShedAtFullQueue(t *testing.T) {
 	g := newGate(1, 1, time.Minute)
-	if _, err := g.acquire(context.Background(), "a"); err != nil {
+	if err := g.acquire(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the single queue slot from another goroutine.
 	admitted := make(chan error, 1)
 	go func() {
-		_, err := g.acquire(context.Background(), "b")
+		err := g.acquire(context.Background(), "b")
 		admitted <- err
 	}()
 	waitFor(t, func() bool { return g.depth() == 1 })
 	// Queue full: the next arrival is shed immediately.
-	if _, err := g.acquire(context.Background(), "c"); !errors.Is(err, errShed) {
+	if err := g.acquire(context.Background(), "c"); !errors.Is(err, errShed) {
 		t.Fatalf("want errShed, got %v", err)
 	}
 	if got := g.shed.Load(); got != 1 {
@@ -78,26 +78,23 @@ func TestGateShedAtFullQueue(t *testing.T) {
 
 func TestGateQueueWaitTimeout(t *testing.T) {
 	g := newGate(1, 4, 20*time.Millisecond)
-	if _, err := g.acquire(context.Background(), "a"); err != nil {
+	if err := g.acquire(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	wait, err := g.acquire(context.Background(), "b")
+	err := g.acquire(context.Background(), "b")
 	if !errors.Is(err, errQueueWait) {
 		t.Fatalf("want errQueueWait, got %v", err)
 	}
-	if wait < 20*time.Millisecond {
-		t.Fatalf("reported queue wait %v, want >= budget", wait)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("wait budget not enforced")
+	if wait := time.Since(start); wait < 20*time.Millisecond || wait > 5*time.Second {
+		t.Fatalf("queued for %v, want the 20ms budget", wait)
 	}
 	if got := g.waitDrop.Load(); got != 1 {
 		t.Fatalf("waitDrop counter = %d, want 1", got)
 	}
 	g.release()
 	// The abandoned waiter must not absorb the freed slot.
-	if _, err := g.acquire(context.Background(), "c"); err != nil {
+	if err := g.acquire(context.Background(), "c"); err != nil {
 		t.Fatalf("slot lost to an abandoned waiter: %v", err)
 	}
 	g.release()
@@ -105,13 +102,13 @@ func TestGateQueueWaitTimeout(t *testing.T) {
 
 func TestGateCtxCancelWhileQueued(t *testing.T) {
 	g := newGate(1, 4, time.Minute)
-	if _, err := g.acquire(context.Background(), "a"); err != nil {
+	if err := g.acquire(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)
 	go func() {
-		_, err := g.acquire(ctx, "b")
+		err := g.acquire(ctx, "b")
 		got <- err
 	}()
 	waitFor(t, func() bool { return g.depth() == 1 })
@@ -121,7 +118,7 @@ func TestGateCtxCancelWhileQueued(t *testing.T) {
 	}
 	g.release()
 	// The canceled waiter must not hold the slot or linger in the queue.
-	if _, err := g.acquire(context.Background(), "c"); err != nil {
+	if err := g.acquire(context.Background(), "c"); err != nil {
 		t.Fatalf("slot unavailable after cancel: %v", err)
 	}
 	if got := g.depth(); got != 0 {
@@ -137,7 +134,7 @@ func TestGateCtxCancelWhileQueued(t *testing.T) {
 // handed the slot when it frees.
 func TestGateTimedOutWaitersLeaveTheQueue(t *testing.T) {
 	g := newGate(1, 2, 20*time.Millisecond)
-	if _, err := g.acquire(context.Background(), "hold"); err != nil {
+	if err := g.acquire(context.Background(), "hold"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -145,7 +142,7 @@ func TestGateTimedOutWaitersLeaveTheQueue(t *testing.T) {
 		wg.Add(1)
 		go func(tenant string) {
 			defer wg.Done()
-			if _, err := g.acquire(context.Background(), tenant); !errors.Is(err, errQueueWait) {
+			if err := g.acquire(context.Background(), tenant); !errors.Is(err, errQueueWait) {
 				t.Errorf("tenant %s: want errQueueWait, got %v", tenant, err)
 			}
 		}(tenant)
@@ -157,7 +154,7 @@ func TestGateTimedOutWaitersLeaveTheQueue(t *testing.T) {
 	g.maxWait = time.Minute // the third arrival waits for its slot
 	admitted := make(chan error, 1)
 	go func() {
-		_, err := g.acquire(context.Background(), "c")
+		err := g.acquire(context.Background(), "c")
 		admitted <- err
 	}()
 	waitFor(t, func() bool { return g.depth() == 1 || len(admitted) == 1 })
@@ -179,7 +176,7 @@ func TestGateTimedOutWaitersLeaveTheQueue(t *testing.T) {
 // across tenants (A, B, A, A) instead of draining A's FIFO first.
 func TestGateFairRoundRobin(t *testing.T) {
 	g := newGate(1, 8, time.Minute)
-	if _, err := g.acquire(context.Background(), "hold"); err != nil {
+	if err := g.acquire(context.Background(), "hold"); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
@@ -190,7 +187,7 @@ func TestGateFairRoundRobin(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := g.acquire(context.Background(), tenant); err != nil {
+			if err := g.acquire(context.Background(), tenant); err != nil {
 				t.Errorf("%s: %v", label, err)
 				return
 			}

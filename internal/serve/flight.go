@@ -1,15 +1,14 @@
 // Flight-recorder integration: the per-request profile capture the
 // pipeline attaches to every admitted call, the /debug/flight
 // endpoints, and the request-id tagging of error envelopes. The
-// capture rides the same stats collector and trace span stream the
-// engines already feed, so flight records agree with -stats, /statsz
-// and /metrics by construction.
+// capture is the stats collector the engines already feed and the
+// record embeds its summary, so flight records agree with -stats,
+// /statsz and /metrics by construction.
 package serve
 
 import (
 	"net/http"
 	"strconv"
-	"time"
 
 	"unchained"
 	"unchained/internal/flight"
@@ -19,66 +18,60 @@ import (
 // so the id the client saw in X-Request-Id is also in the body (the
 // one place that survives copy-paste into a bug report). Returns info
 // for chaining.
-func (s *Server) tagError(ri *reqInfo, info *ErrorInfo) *ErrorInfo {
+func tagError(id string, info *ErrorInfo) *ErrorInfo {
 	if info.Details == nil {
 		info.Details = map[string]any{}
 	}
-	info.Details["request_id"] = ri.ID
+	info.Details["request_id"] = id
 	return info
 }
 
 // newCapture builds an admitted call's eval options: the resolved
 // parallelism, a stats collector (always; this is what makes the
-// recorder's numbers exist), the plan sink as tracer, and the
-// program's shared plan cache. The spare capacity is for what the
-// bodies append.
+// recorder's numbers exist) and the program's shared plan cache. No
+// tracer: a request that does not ask for its trace runs without one.
+// The spare capacity is for what the bodies append.
 func (s *Server) newCapture(c *call) {
-	c.plans = &flight.PlanSink{}
 	c.opts = append(make([]unchained.Opt, 0, 8),
-		unchained.WithParallel(c.par),
+		unchained.WithParallel(unchained.Parallel{Shards: c.rec.Shards}),
 		unchained.WithStats(unchained.NewStatsCollector()),
-		unchained.WithTracer(c.plans),
 	)
 	if c.entry != nil {
 		c.opts = append(c.opts, unchained.WithPlanCache(c.entry.plans))
 	}
 }
 
-// finish files the flight record of a call that reached the gate:
-// outcome and HTTP status, the queue/eval/wall breakdown, the stats
-// summary's per-stage and per-shard slices, and the captured join
-// plans. It also folds the summary into the service totals and charges
-// the tenant's accounting bucket.
+// finish files the flight record of a call that reached the gate: it
+// stamps outcome and HTTP status, closes the phase clock (the record's
+// wall time is the phases' sum, its queue and eval times the phases of
+// that name), folds the record's summary into the service totals and
+// charges the tenant's accounting bucket. It runs before the response
+// is written, so a client holding its response can read its record;
+// the write itself is in unchained_request_duration_seconds only.
 func (s *Server) finish(c *call, status int, fail *ErrorInfo) {
-	rec := &flight.Record{
-		ID:           c.ri.ID,
-		SpanID:       c.ri.SpanID,
-		ParentSpanID: c.ri.ParentSpanID,
-		Tenant:       c.tenant,
-		Endpoint:     c.endpoint,
-		Semantics:    c.semantics,
-		StartUnixNS:  c.ri.Start.UnixNano(),
-		Outcome:      "ok",
-		Status:       status,
-		Shards:       c.par.Shards,
-		QueueNS:      c.queueWait.Nanoseconds(),
-		EvalNS:       c.evalDur.Nanoseconds(),
-		WallNS:       time.Since(c.ri.Start).Nanoseconds(),
-	}
+	rec := c.rec
+	rec.Status = status
 	if fail != nil {
 		rec.Outcome, rec.Error = fail.Code, fail.Message
 	}
-	if c.plans != nil { // nil for a request the gate turned away
-		rec.Plans = c.plans.Plans()
+	c.begin(c.phase)
+	rec.QueueNS, rec.EvalNS, rec.WallNS = rec.Phases.QueueNS, rec.Phases.EvalNS, rec.Phases.Total()
+	var derived uint64
+	if sum := rec.Summary; sum != nil {
+		derived = sum.Derived
+		s.stagesRun.Add(uint64(sum.Stages))
+		s.cowSnapshots.Add(sum.CowSnapshots)
+		s.cowPromotions.Add(sum.CowPromotions)
+		s.cowTuples.Add(sum.CowTuplesCopied)
+		s.shardRounds.Add(sum.ShardRounds)
+		s.shardFacts.Add(sum.ShardFactsMerged)
 	}
-	rec.FromSummary(c.sum)
-	s.countCow(c.sum)
 	s.flight.Observe(rec)
 	if rec.Outcome == CodeOverloaded || rec.Outcome == CodeQueueTimeout {
-		s.tenants.ObserveShed(c.tenant)
+		s.tenants.ObserveShed(rec.Tenant)
 	} else {
 		// A client that gave up queued was not shed by the daemon.
-		s.tenants.Observe(c.tenant, rec.EvalNS, rec.Derived)
+		s.tenants.Observe(rec.Tenant, rec.EvalNS, derived)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"unchained"
 	"unchained/internal/flight"
+	"unchained/internal/gen"
 )
 
 // lockedBuffer serializes writes so the test can hand it to the
@@ -237,6 +240,41 @@ func TestFlightStatusAndTenants(t *testing.T) {
 	}
 	if z.FlightRecords != 1 || z.SlowQueries != 0 {
 		t.Fatalf("statsz flight counters: %+v", z)
+	}
+}
+
+// TestCaptureAllocations pins what the always-on capture costs a
+// request in allocations, on the shape the benchmark's serve-eval
+// workload sends (TC over a random graph of 60 nodes and 120 edges; 17
+// rounds on this one): the evaluation with exactly the options
+// newCapture attaches, against the same evaluation bare. The bare run
+// allocates 632 times; the capture added 140 to that (772) when it was
+// a collector plus a plan-sink tracer, and adds 56 (688) since plans
+// joined the summary. The join-plan descriptions are most of what is
+// left. The pin is on the difference because the race detector, which
+// turns fmt's buffer pool off, moves both sides.
+func TestCaptureAllocations(t *testing.T) {
+	svc := New(Config{})
+	entry, err := svc.cache.get(tcProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := gen.Random(entry.base.U, "G", 60, 120, 7)
+	c := &call{entry: entry, rec: &flight.Record{Shards: defaultShards}}
+	var res *unchained.EvalResult
+	run := func(opts ...unchained.Opt) {
+		res, err = entry.base.EvalContext(context.Background(), entry.prog, in, unchained.MinimalModel, opts...)
+	}
+	bare := testing.AllocsPerRun(10, func() { run() })
+	captured := testing.AllocsPerRun(10, func() {
+		svc.newCapture(c)
+		run(c.opts...)
+	})
+	if err != nil || res.Stages != 17 || len(res.Stats.Plans) == 0 {
+		t.Fatalf("the shape changed: %v, %d stages, summary %+v", err, res.Stages, res.Stats)
+	}
+	if captured-bare > 140 {
+		t.Errorf("the capture adds %.0f allocations to an evaluation's %.0f; it added 140 with a tracer attached", captured-bare, bare)
 	}
 }
 

@@ -5,9 +5,9 @@
 //
 // An endpoint contributes a request type with three methods (resolve,
 // run, reply); the body bound, the admission slot, the deadline, the
-// flight capture and record, the code → (HTTP status, counter) table
-// and the error envelope happen here, once. Datalog¬new is
-// Turing-complete, so "every request passes the same gate, deadline
+// flight capture and record, the phase clock, the code → (HTTP status,
+// counter) table and the error envelope happen here, once. Datalog¬new
+// is Turing-complete, so "every request passes the same gate, deadline
 // and recorder" has to hold by construction.
 package serve
 
@@ -27,49 +27,60 @@ import (
 // wire request (it is what the body decodes into) and carries what
 // resolve found and the response run fills.
 type request interface {
-	// resolve validates the decoded body and names the tenant the
-	// request is admitted and accounted under. It sets c.tenant last:
-	// a call with a tenant has reached the gate.
+	// resolve validates the decoded body and names, on c.rec, the
+	// semantics and the tenant the request is admitted and accounted
+	// under. It sets the tenant last: a call with a tenant has reached
+	// the gate.
 	resolve(s *Server, c *call) *ErrorInfo
 	// run does the endpoint's own work, holding an admission slot:
-	// c.ctx carries the deadline, c.opts attach the flight capture, and
-	// engineStart/engineDone bracket each engine run.
+	// c.ctx carries the deadline, c.opts attach the flight capture,
+	// engineStart/engineDone bracket each engine run, and a run that
+	// produced a stats summary hands it to c.rec.
 	run(s *Server, c *call) *ErrorInfo
 	// reply returns the response body, carrying fail when the request
 	// failed; the progress run recorded stays attached.
 	reply(fail *ErrorInfo) any
 }
 
-// call is one request on its way down the pipeline, and what its
-// flight record is built from.
+// call is one request on its way down the pipeline, carrying the
+// flight record it will file.
 type call struct {
-	w        http.ResponseWriter
-	ri       *reqInfo
-	endpoint string
+	w http.ResponseWriter
+	// rec is filled as the call goes: identity here, tenant, semantics
+	// and shards by resolve, the summary by run, outcome and the closed
+	// phases by finish.
+	rec *flight.Record
 
-	// Set by resolve: the tenant, what the flight record says about the
-	// request, and the parse-cache entry or named database it works on.
-	// Standing requests take no default deadline.
-	tenant    string
+	// The phase clock: phase points at the entry of rec.Phases now
+	// running, since is when it began (see begin).
+	phase *int64
+	since time.Time
+
+	// Set by resolve: the parse-cache entry or named database the
+	// request works on. Standing requests take no default deadline.
 	entry     *cacheEntry
 	db        *dbHandle
-	semantics string
-	par       unchained.Parallel
 	timeoutMS int64
 	standing  bool
 
 	// Set by the pipeline once the request is admitted.
-	queueWait time.Duration
-	ctx       context.Context
-	opts      []unchained.Opt
-	plans     *flight.PlanSink
+	ctx  context.Context
+	opts []unchained.Opt
 
-	// Set by run. stream is non-nil once run has answered 200 and
+	// Set by run: stream is non-nil once run has answered 200 and
 	// switched to Server-Sent Events: a failure from then on is the
 	// stream's last event, not a JSON body.
-	evalDur time.Duration
-	sum     *unchained.StatsSummary
-	stream  http.Flusher
+	stream http.Flusher
+}
+
+// begin puts a boundary here: it closes the running phase and starts
+// phase p. Every nanosecond between the request's arrival and the last
+// boundary is charged to exactly one phase, so the phases sum to the
+// record's wall time by construction.
+func (c *call) begin(p *int64) {
+	now := time.Now()
+	*c.phase += now.Sub(c.since).Nanoseconds()
+	c.phase, c.since = p, now
 }
 
 // post routes path through the pipeline.
@@ -82,7 +93,10 @@ func (s *Server) post(path string, newRequest func() request) {
 // serve takes one request down the pipeline. Whichever phase fails,
 // the failure is counted, recorded and written here and nowhere else.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, req request) {
-	c := &call{w: w, ri: r.Context().Value(reqInfoKey{}).(*reqInfo), endpoint: endpoint}
+	ri := r.Context().Value(reqInfoKey{}).(*reqInfo)
+	c := &call{w: w, rec: flight.NewRecord(ri.ID, endpoint, ri.Start), since: ri.Start}
+	c.rec.SpanID, c.rec.ParentSpanID = ri.SpanID, ri.ParentSpanID
+	c.phase = &c.rec.Phases.DecodeNS
 	fail := s.enter(c, r, req)
 	if fail == nil {
 		// The slot is held until the response is written; a standing
@@ -92,17 +106,17 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, 
 		c.ctx, cancel = s.requestContext(r, c.timeoutMS, c.standing)
 		defer cancel()
 		s.newCapture(c)
-		s.countSemantics(c.semantics)
+		s.countSemantics(c.rec.Semantics)
 		fail = req.run(s, c)
 	}
 	status := http.StatusOK
 	if fail != nil {
-		status = s.settle(c, r, s.tagError(c.ri, fail))
+		status = s.settle(c, r, tagError(c.rec.ID, fail))
 	}
 	if c.stream != nil {
 		status = http.StatusOK // what the client was answered with
 	}
-	if c.tenant != "" {
+	if c.rec.Tenant != "" {
 		s.finish(c, status, fail)
 	}
 	switch {
@@ -132,12 +146,16 @@ func (s *Server) enter(c *call, r *http.Request, req request) *ErrorInfo {
 	if err != nil {
 		return errInfo(CodeBadRequest, err.Error())
 	}
+	c.begin(&c.rec.Phases.ResolveNS)
 	if fail := req.resolve(s, c); fail != nil {
 		return fail
 	}
-	c.queueWait, err = s.gate.acquire(r.Context(), c.tenant)
+	c.begin(&c.rec.Phases.QueueNS)
+	err = s.gate.acquire(r.Context(), c.rec.Tenant)
 	switch {
 	case err == nil:
+		// What an admitted request does first is get its input in place.
+		c.begin(&c.rec.Phases.FactsNS)
 		return nil
 	case errors.Is(err, errShed):
 		return errInfo(CodeOverloaded, "admission queue full; retry later")
@@ -172,18 +190,20 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64, standing bool)
 }
 
 // engineStart and engineDone bracket each engine run inside a body:
-// the in_flight gauge, the eval-latency histogram and the flight
-// record's EvalNS (summed over the request's runs) are taken here.
-func (s *Server) engineStart() time.Time {
+// the in_flight gauge, the eval-latency histogram and the record's
+// eval phase (summed over the request's runs) are taken here, off the
+// same two clock reads. What follows a run is the rendering of its
+// result, so engineDone begins the format phase.
+func (s *Server) engineStart(c *call) {
 	s.inFlight.Add(1)
-	return time.Now()
+	c.begin(&c.rec.Phases.EvalNS)
 }
 
-func (s *Server) engineDone(c *call, start time.Time) {
-	d := time.Since(start)
+func (s *Server) engineDone(c *call) {
+	start := c.since
+	c.begin(&c.rec.Phases.FormatNS)
 	s.inFlight.Add(-1)
-	s.evalLat.observe(d)
-	c.evalDur += d
+	s.evalLat.observe(c.since.Sub(start))
 }
 
 // evalFailure maps an engine error to its stable code.
@@ -220,7 +240,7 @@ func (s *Server) settle(c *call, r *http.Request, fail *ErrorInfo) int {
 		return http.StatusServiceUnavailable
 	case CodeEval, CodeStore, CodeSubOverflow:
 		s.evalErrs.Add(1)
-		if c.tenant == "" { // the daemon could not open the database; the request was fine
+		if c.rec.Tenant == "" { // the daemon could not open the database; the request was fine
 			return http.StatusInternalServerError
 		}
 		return http.StatusUnprocessableEntity

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"unchained/internal/flight"
 	"unchained/internal/queries"
 )
 
@@ -84,21 +85,28 @@ func wantEnvelope(t *testing.T, resp *http.Response, body []byte, status int, co
 	}
 }
 
-// wantRecord waits for the flight record of request id and checks
-// which endpoint filed it and how the request ended.
-func wantRecord(t *testing.T, svc *Server, id, endpoint, outcome string) {
+// wantRecord waits for the flight record of request id, checks which
+// endpoint filed it and how the request ended, and that its phases are
+// its wall time: they sum to wall_ns exactly, and queue_ns and eval_ns
+// are the phases of that name.
+func wantRecord(t *testing.T, svc *Server, id, endpoint, outcome string) (found *flight.Record) {
 	t.Helper()
 	waitFor(t, func() bool {
 		for _, rec := range svc.flight.Recent() {
 			if rec.ID == id {
-				if rec.Endpoint != endpoint || rec.Outcome != outcome {
-					t.Fatalf("record %s: %s %q, want %s %q", id, rec.Endpoint, rec.Outcome, endpoint, outcome)
-				}
-				return true
+				found = rec
 			}
 		}
-		return false
+		return found != nil
 	})
+	if found.Endpoint != endpoint || found.Outcome != outcome {
+		t.Fatalf("record %s: %s %q, want %s %q", id, found.Endpoint, found.Outcome, endpoint, outcome)
+	}
+	if ph := found.Phases; ph.Total() != found.WallNS || ph.QueueNS != found.QueueNS || ph.EvalNS != found.EvalNS ||
+		ph.DecodeNS <= 0 || ph.ResolveNS <= 0 || ph.QueueNS < 0 {
+		t.Errorf("record %s: phases %+v beside wall_ns %d queue_ns %d eval_ns %d", id, ph, found.WallNS, found.QueueNS, found.EvalNS)
+	}
+	return found
 }
 
 // TestPipelineContract runs every /v1 POST endpoint through what the
@@ -219,7 +227,8 @@ func TestPipelineContract(t *testing.T) {
 // TestPipelineAccounting fails one request in each phase of each
 // endpoint. Whatever the phase, exactly one outcome counter moves; and
 // every request that got past admission files exactly one flight
-// record and one tenant observation.
+// record and one tenant observation, and adds to stages_run the stages
+// its record says an engine ran, whichever endpoint ran it.
 func TestPipelineAccounting(t *testing.T) {
 	svc := New(Config{MaxDBs: 1})
 	ts := httptest.NewServer(svc)
@@ -235,28 +244,30 @@ func TestPipelineAccounting(t *testing.T) {
 		status   int
 		code     string
 		recorded bool // past the gate
+		staged   bool // an engine ran stages before the failure
 	}{
-		{"eval/semantics", "/v1/eval", EvalRequest{Envelope: prog, Semantics: "nope"}, 400, CodeUnknownSem, false},
-		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Shards: -1}}, 400, CodeInvalidOptions, false},
-		{"eval/program", "/v1/eval", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false},
-		{"eval/facts", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}}, 400, CodeParse, true},
-		{"eval/engine", "/v1/eval", EvalRequest{Envelope: Envelope{Program: winProgram}, Semantics: "stratified"}, 422, CodeEval, true},
-		{"eval/deadline", "/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 30}, Semantics: "noninflationary"}, 408, CodeDeadline, true},
-		{"query/program", "/v1/query", QueryRequest{Envelope: Envelope{Program: "P(X :-"}, Query: "P(a)"}, 400, CodeParse, false},
-		{"query/facts", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}, Query: "T(a,X)"}, 400, CodeParse, true},
-		{"query/goal", "/v1/query", QueryRequest{Envelope: prog, Query: "T(a,"}, 400, CodeParse, true},
-		{"query/engine", "/v1/query", QueryRequest{Envelope: Envelope{Program: winProgram}, Query: "Win(a)"}, 422, CodeEval, true},
-		{"analyze/program", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false},
-		{"analyze/inadmissible", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "!P(X) :- Q(Y)."}}, 422, CodeAnalyze, true},
-		{"facts/name", "/v1/facts", FactsRequest{DB: "no/slash"}, 400, CodeBadRequest, false},
-		{"facts/open", "/v1/facts", FactsRequest{DB: "one-too-many"}, 500, CodeStore, false},
-		{"facts/parse", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a"}, 400, CodeParse, true},
-		{"facts/apply", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a)."}, 422, CodeStore, true},
-		{"subscribe/name", "/v1/subscribe", SubscribeRequest{DB: "no/slash"}, 400, CodeBadRequest, false},
-		{"subscribe/program", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: "P(X :-"}, 400, CodeParse, true},
-		{"subscribe/unmaintainable", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: unmaintainable}, 422, CodeEval, true},
+		{"eval/semantics", "/v1/eval", EvalRequest{Envelope: prog, Semantics: "nope"}, 400, CodeUnknownSem, false, false},
+		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Shards: -1}}, 400, CodeInvalidOptions, false, false},
+		{"eval/program", "/v1/eval", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false, false},
+		{"eval/facts", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}}, 400, CodeParse, true, false},
+		{"eval/engine", "/v1/eval", EvalRequest{Envelope: Envelope{Program: winProgram}, Semantics: "stratified"}, 422, CodeEval, true, false},
+		{"eval/deadline", "/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 30}, Semantics: "noninflationary"}, 408, CodeDeadline, true, true},
+		{"query/program", "/v1/query", QueryRequest{Envelope: Envelope{Program: "P(X :-"}, Query: "P(a)"}, 400, CodeParse, false, false},
+		{"query/facts", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}, Query: "T(a,X)"}, 400, CodeParse, true, false},
+		{"query/goal", "/v1/query", QueryRequest{Envelope: prog, Query: "T(a,"}, 400, CodeParse, true, false},
+		{"query/engine", "/v1/query", QueryRequest{Envelope: Envelope{Program: winProgram}, Query: "Win(a)"}, 422, CodeEval, true, false},
+		{"query/deadline", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: chainFacts(1500), TimeoutMS: 30}, Query: "T(n0,X)"}, 408, CodeDeadline, true, true},
+		{"analyze/program", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false, false},
+		{"analyze/inadmissible", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "!P(X) :- Q(Y)."}}, 422, CodeAnalyze, true, false},
+		{"facts/name", "/v1/facts", FactsRequest{DB: "no/slash"}, 400, CodeBadRequest, false, false},
+		{"facts/open", "/v1/facts", FactsRequest{DB: "one-too-many"}, 500, CodeStore, false, false},
+		{"facts/parse", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a"}, 400, CodeParse, true, false},
+		{"facts/apply", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a)."}, 422, CodeStore, true, false},
+		{"subscribe/name", "/v1/subscribe", SubscribeRequest{DB: "no/slash"}, 400, CodeBadRequest, false, false},
+		{"subscribe/program", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: "P(X :-"}, 400, CodeParse, true, false},
+		{"subscribe/unmaintainable", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: unmaintainable}, 422, CodeEval, true, false},
 		// Mid-stream: the 200 is out, the failure is the last event.
-		{"subscribe/deadline", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: tcProgram, TimeoutMS: 30}, 200, CodeDeadline, true},
+		{"subscribe/deadline", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: tcProgram, TimeoutMS: 30}, 200, CodeDeadline, true, false},
 	} {
 		before, tenantsBefore := svc.snapshot(), tenantRequests(svc)
 		resp, body := post(t, ts.URL+c.path, c.body)
@@ -267,10 +278,15 @@ func TestPipelineAccounting(t *testing.T) {
 			if d := counted(after) - counted(before); d != 1 {
 				t.Errorf("outcome counters moved by %d, want 1 (before %+v after %+v)", d, before, after)
 			}
-			want := uint64(0)
+			want, stages := uint64(0), uint64(0)
 			if c.recorded {
 				want = 1
-				wantRecord(t, svc, resp.Header.Get("X-Request-Id"), c.path, c.code)
+				if rec := wantRecord(t, svc, resp.Header.Get("X-Request-Id"), c.path, c.code); rec.Summary != nil {
+					stages = uint64(rec.Stages)
+				}
+			}
+			if d := after.StagesRun - before.StagesRun; d != stages || c.staged != (d > 0) {
+				t.Errorf("stages_run moved by %d, the record says %d stages (staged: %v)", d, stages, c.staged)
 			}
 			if d := after.FlightRecords - before.FlightRecords; d != want {
 				t.Errorf("flight_records moved by %d, want %d", d, want)

@@ -173,11 +173,12 @@ type Server struct {
 	optRewrites     atomic.Uint64
 	optRulesRemoved atomic.Uint64
 	// Shard-parallel evaluation traffic, summed from per-request stats
-	// summaries like the COW counters below.
+	// summaries in finish, like stagesRun above and the COW counters
+	// below.
 	shardRounds atomic.Uint64
 	shardFacts  atomic.Uint64
 	// Storage-layer copy-on-write traffic, summed from the per-request
-	// stats summaries (only requests that carry a collector report it).
+	// stats summaries.
 	cowSnapshots  atomic.Uint64
 	cowPromotions atomic.Uint64
 	cowTuples     atomic.Uint64
@@ -487,16 +488,17 @@ func (s *Server) countSemantics(name string) {
 // resolveProgram is the resolve step of the endpoints that evaluate a
 // program: the envelope's parallelism and timeout, and the parse-cache
 // entry whose digest is the tenant.
-func (s *Server) resolveProgram(c *call, env *Envelope, semantics string) (fail *ErrorInfo) {
-	if c.par, fail = s.parallelFor(*env); fail != nil {
+func (s *Server) resolveProgram(c *call, env *Envelope, semantics string) *ErrorInfo {
+	par, fail := s.parallelFor(*env)
+	if fail != nil {
 		return fail
 	}
 	entry, err := s.cache.get(env.Program)
 	if err != nil {
 		return errInfo(CodeParse, err.Error())
 	}
-	c.entry, c.semantics, c.timeoutMS = entry, semantics, env.TimeoutMS
-	c.tenant = entry.key
+	c.entry, c.timeoutMS = entry, env.TimeoutMS
+	c.rec.Semantics, c.rec.Shards, c.rec.Tenant = semantics, par.Shards, entry.key
 	return nil
 }
 
@@ -543,6 +545,7 @@ func (q *evalRequest) run(s *Server, c *call) *ErrorInfo {
 	if err != nil {
 		return errInfo(CodeParse, err.Error())
 	}
+	c.begin(&c.rec.Phases.OptimizeNS)
 	opts := append(c.opts, unchained.WithMaxStages(q.MaxStages))
 	var rec *unchained.TraceRecorder
 	if q.Trace {
@@ -558,21 +561,20 @@ func (q *evalRequest) run(s *Server, c *call) *ErrorInfo {
 		opts = append(opts, unchained.WithOptimize(unchained.OptLevel(q.Optimize)))
 	}
 
-	start := s.engineStart()
+	s.engineStart(c)
 	res, err := sess.EvalContext(c.ctx, prog, in, q.sem, opts...)
-	s.engineDone(c, start)
+	s.engineDone(c)
 
-	q.resp.Semantics = c.semantics
+	q.resp.Semantics = c.rec.Semantics
 	if res != nil {
 		q.resp.Stages = res.Stages
-		c.sum = res.Stats
+		c.rec.SetSummary(res.Stats)
 		// Gate on the request flag: the flight recorder attaches a
 		// collector to every request, so res.Stats is populated even
 		// when the client did not ask for "stats".
 		if q.Stats {
 			q.resp.Stats = res.Stats
 		}
-		s.stagesRun.Add(uint64(res.Stages))
 	}
 	if rec != nil {
 		q.resp.Trace = rec.Events()
@@ -609,15 +611,16 @@ func (q *queryRequest) run(s *Server, c *call) *ErrorInfo {
 	if err != nil {
 		return errInfo(CodeParse, err.Error())
 	}
+	c.begin(&c.rec.Phases.OptimizeNS)
 	// Magic-sets queries run over minimal-model semantics (timing-safe,
 	// no stage bound), so the full memoized variant applies.
 	prog := s.variant(c, q.Optimize, false, in)
 
-	start := s.engineStart()
+	s.engineStart(c)
 	rel, summary, err := sess.QueryContext(c.ctx, prog, goal, in, c.opts...)
-	s.engineDone(c, start)
+	s.engineDone(c)
 
-	c.sum = summary
+	c.rec.SetSummary(summary)
 	if q.Stats { // as on /v1/eval: the collector is always attached
 		q.resp.Stats = summary
 	}
@@ -665,12 +668,14 @@ func (q *analyzeRequest) resolve(s *Server, c *call) *ErrorInfo {
 	if err != nil {
 		return errInfo(CodeParse, err.Error())
 	}
-	c.entry, c.semantics, c.timeoutMS = entry, "analyze", q.TimeoutMS
-	c.tenant = entry.key
+	c.entry, c.timeoutMS = entry, q.TimeoutMS
+	c.rec.Semantics, c.rec.Tenant = "analyze", entry.key
 	return nil
 }
 
 func (q *analyzeRequest) run(s *Server, c *call) *ErrorInfo {
+	// The front end's analysis is filed with its rewrites.
+	c.begin(&c.rec.Phases.OptimizeNS)
 	s.analyzes.Add(1)
 	q.resp.Report = c.entry.report()
 	if q.resp.Report.Diags.HasErrors() {
@@ -921,21 +926,6 @@ func (s *Server) snapshot() Statsz {
 		SubsFacts:        s.subsFacts.Load(),
 		SubsOverflows:    s.subsOverflows.Load(),
 	}
-}
-
-// countCow folds one evaluation's copy-on-write and shard counters
-// into the service totals. Summaries are only present when the request
-// carried a stats collector (stats or trace flags), so the totals are
-// a lower bound on actual traffic.
-func (s *Server) countCow(sum *unchained.StatsSummary) {
-	if sum == nil {
-		return
-	}
-	s.cowSnapshots.Add(sum.CowSnapshots)
-	s.cowPromotions.Add(sum.CowPromotions)
-	s.cowTuples.Add(sum.CowTuplesCopied)
-	s.shardRounds.Add(sum.ShardRounds)
-	s.shardFacts.Add(sum.ShardFactsMerged)
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {

@@ -193,13 +193,14 @@ func (q *factsRequest) reply(fail *ErrorInfo) any { q.resp.Error = fail; return 
 
 func (q *factsRequest) resolve(s *Server, c *call) (fail *ErrorInfo) {
 	if c.db, fail = s.dbs.get(q.DB); fail == nil {
-		c.semantics, c.tenant = "store", "db:"+q.DB
+		c.rec.Semantics, c.rec.Tenant = "store", "db:"+q.DB
 	}
 	return fail
 }
 
 func (q *factsRequest) run(s *Server, c *call) *ErrorInfo {
-	defer s.engineDone(c, s.engineStart())
+	s.engineStart(c)
+	defer s.engineDone(c)
 	h := c.db
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -314,8 +315,8 @@ func (q *subscribeRequest) resolve(s *Server, c *call) (fail *ErrorInfo) {
 		// evaluation. The lifetime runs until disconnect, bounded by
 		// timeout_ms only when given: the server's default evaluation
 		// timeout deliberately does not apply.
-		c.semantics, c.timeoutMS, c.standing = "subscribe", q.TimeoutMS, true
-		c.tenant = sourceKey(q.Program)
+		c.timeoutMS, c.standing = q.TimeoutMS, true
+		c.rec.Semantics, c.rec.Tenant = "subscribe", sourceKey(q.Program)
 	}
 	return fail
 }
@@ -326,7 +327,8 @@ func (q *subscribeRequest) resolve(s *Server, c *call) (fail *ErrorInfo) {
 // stream is gapless from the snapshot's Seq onward.
 func (q *subscribeRequest) open(s *Server, c *call) (snapshot SubscribeEvent, unwatch func(), fail *ErrorInfo) {
 	h := c.db
-	defer s.engineDone(c, s.engineStart())
+	s.engineStart(c)
+	defer s.engineDone(c)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	prog, err := h.sess.Parse(q.Program)
@@ -356,7 +358,8 @@ func (q *subscribeRequest) open(s *Server, c *call) (snapshot SubscribeEvent, un
 // net delta.
 func (q *subscribeRequest) maintain(s *Server, c *call, ap store.Applied) (SubscribeEvent, error) {
 	h := c.db
-	defer s.engineDone(c, s.engineStart())
+	s.engineStart(c)
+	defer s.engineDone(c)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delta, err := q.view.Apply(incrFacts(ap.Asserted), incrFacts(ap.Retracted))

@@ -38,6 +38,10 @@ import (
 // (Summary.StagesTruncated reports it).
 const maxStageEntries = 1024
 
+// maxPlans bounds the join-plan list; programs have few rules, so the
+// bound only keeps a pathological run from growing an unbounded slice.
+const maxPlans = 64
+
 // RuleStats is the per-rule breakdown of a Summary.
 type RuleStats struct {
 	// Rule is the rule's source text (or a symbolic name for engines
@@ -90,8 +94,19 @@ type ShardStats struct {
 	Facts uint64 `json:"facts"`
 }
 
-// Summary is the immutable outcome of a collection run, attached to
-// engine results and rendered as JSON by the --stats CLI flag.
+// PlanStats is one rule's planner-chosen join order, filed once per
+// distinct plan (a rule is filed again when its estimates change).
+type PlanStats struct {
+	// Rule is the head-predicate label of the planned rule.
+	Rule string `json:"rule"`
+	// Join is the chosen join chain with estimated-vs-actual
+	// cardinalities, e.g. "A#0 est=12 act=9 ⋈ B#1 est=36 act=3".
+	Join string `json:"join"`
+}
+
+// Summary is the one record of an evaluation: the immutable outcome of
+// a collection run, attached to engine results, rendered as JSON by the
+// --stats CLI flag and embedded in the flight record of the run.
 type Summary struct {
 	// Engine names the engine that produced the summary.
 	Engine string `json:"engine"`
@@ -137,11 +152,17 @@ type Summary struct {
 	CowPromotions     uint64 `json:"cow_promotions,omitempty"`
 	CowTuplesCopied   uint64 `json:"cow_tuples_copied,omitempty"`
 	CowIndexesCarried uint64 `json:"cow_indexes_carried,omitempty"`
+	// Plans are the planner's chosen join orders, in the order the run
+	// chose them, capped at maxPlans.
+	Plans []PlanStats `json:"plans,omitempty"`
 	// PerShard is the per-shard-worker breakdown of the shard-parallel
 	// rounds, sorted by shard index. Empty for serial evaluation.
 	PerShard []ShardStats `json:"per_shard,omitempty"`
 	// PerStage is the stage breakdown, capped at maxStageEntries.
 	PerStage []StageStats `json:"per_stage,omitempty"`
+	// StageWallNS is the wall time of every completed stage, the ones
+	// past the PerStage cap included.
+	StageWallNS int64 `json:"stage_wall_ns,omitempty"`
 	// StagesTruncated reports that PerStage hit the cap and later
 	// stages are summarized only in the totals.
 	StagesTruncated bool `json:"stages_truncated,omitempty"`
@@ -159,8 +180,8 @@ func (s *Summary) JSON() string {
 	return string(b)
 }
 
-// ruleCounters is the per-rule accumulator (atomic, so FiredBatch is
-// safe for concurrent use whichever rule it names).
+// ruleCounters is the per-rule accumulator (atomic, so Fired is safe
+// for concurrent use whichever rule it names).
 type ruleCounters struct {
 	firings, derived, rederived atomic.Uint64
 }
@@ -187,17 +208,21 @@ type Collector struct {
 	shardRounds atomic.Uint64
 	shardFacts  atomic.Uint64
 
-	// shardWork accumulates per-shard-worker totals. Unlike the atomic
-	// counters above it is mutex-guarded: shard workers report once per
-	// round (not per firing), so contention is negligible.
-	shardMu   sync.Mutex
+	// shardWork accumulates per-shard-worker totals and plans the join
+	// plans filed. Unlike the atomic counters above they are
+	// mutex-guarded: shard workers report once per round and a plan is
+	// filed once per estimate change (not per firing), so contention is
+	// negligible.
+	mu        sync.Mutex
 	shardWork map[int]*ShardStats
+	plans     []PlanStats
 
 	start      time.Time
 	stageStart time.Time
 	mark       counters
 	stages     []StageStats
 	stageCount int
+	stageWall  int64 // over every completed stage, past the cap too
 	truncated  bool
 
 	// Tracing state: the collector doubles as the span-stream
@@ -251,9 +276,6 @@ func (c *Collector) SetTracer(t trace.Tracer) {
 	}
 	c.tracer = t
 }
-
-// Tracing reports whether a sink is attached.
-func (c *Collector) Tracing() bool { return c != nil && c.tracer != nil }
 
 // currentStage is the stage number events emitted right now belong
 // to: the open stage if one is open, else the last completed one.
@@ -325,11 +347,11 @@ func (c *Collector) Reset(engine string, ruleNames []string) {
 	c.scans.Store(0)
 	c.shardRounds.Store(0)
 	c.shardFacts.Store(0)
-	c.shardMu.Lock()
-	c.shardWork = nil
-	c.shardMu.Unlock()
+	c.mu.Lock()
+	c.shardWork, c.plans = nil, nil
+	c.mu.Unlock()
 	c.stages = nil
-	c.stageCount = 0
+	c.stageCount, c.stageWall = 0, 0
 	c.truncated = false
 	c.cow.Reset()
 	c.start = time.Now()
@@ -386,6 +408,8 @@ func (c *Collector) EndStage(delta int) {
 		return
 	}
 	c.stageCount++
+	wall := time.Since(c.stageStart).Nanoseconds()
+	c.stageWall += wall
 	if c.tracer == nil && len(c.stages) >= maxStageEntries {
 		c.truncated = true
 		return
@@ -400,7 +424,7 @@ func (c *Collector) EndStage(delta int) {
 		Conflicts:   cur.conflicts - c.mark.conflicts,
 		Invented:    cur.invented - c.mark.invented,
 		Delta:       int64(delta),
-		WallNS:      time.Since(c.stageStart).Nanoseconds(),
+		WallNS:      wall,
 	}
 	if c.tracer != nil {
 		c.stageOpen = false
@@ -427,7 +451,7 @@ func (c *Collector) EndStage(delta int) {
 // BeginRule marks the start of one rule's enumeration within the
 // open stage; only meaningful when tracing with per-rule attribution
 // (Reset with ruleNames). Serial engines only — the shard workers
-// attribute firings via FiredBatch alone.
+// attribute firings via Fired alone.
 func (c *Collector) BeginRule(rule int) {
 	if c == nil || c.tracer == nil || rule < 0 || rule >= len(c.rules) {
 		return
@@ -464,22 +488,45 @@ func (c *Collector) EndRule(rule int) {
 	})
 }
 
-// PlanSpan emits the query planner's chosen join order for one rule
-// as a pre-closed span (rule: the head predicate label, desc: the
-// join chain with estimated vs. actual cardinalities). Like the rest
-// of the tracing surface it must be called from the engine's
-// goroutine; eval gates emission on Ctx.PlanTrace, which engines set
-// only on serial paths.
+// PlanWanted reports whether a plan filed now would be kept: the list
+// has room, or a tracer is attached (the span stream is not bounded
+// here). eval asks before it counts a plan's actual cardinalities or
+// formats anything.
+func (c *Collector) PlanWanted() bool {
+	if c == nil {
+		return false
+	}
+	if c.tracer != nil {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.plans) < maxPlans
+}
+
+// PlanSpan files the query planner's chosen join order for one rule
+// (rule: the head predicate label, desc: the join chain with estimated
+// vs. actual cardinalities) and mirrors it as a pre-closed span. The
+// list is safe for concurrent use; the mirror, like the rest of the
+// tracing surface, is the engine goroutine's, and eval gates plan
+// reports on Ctx.PlanTrace, which engines set only on serial paths.
 func (c *Collector) PlanSpan(rule, desc string) {
-	if c == nil || c.tracer == nil {
+	if c == nil {
 		return
 	}
-	c.tracer.Emit(trace.Event{
-		Ev: trace.EvSpan, Span: trace.SpanPlan,
-		Stage: c.currentStage(),
-		Rule:  rule,
-		Name:  desc,
-	})
+	c.mu.Lock()
+	if len(c.plans) < maxPlans {
+		c.plans = append(c.plans, PlanStats{Rule: rule, Join: desc})
+	}
+	c.mu.Unlock()
+	if c.tracer != nil {
+		c.tracer.Emit(trace.Event{
+			Ev: trace.EvSpan, Span: trace.SpanPlan,
+			Stage: c.currentStage(),
+			Rule:  rule,
+			Name:  desc,
+		})
+	}
 }
 
 // BeginPhase opens a stratum-level span grouping the stages of one
@@ -505,31 +552,14 @@ func (c *Collector) EndPhase(name string, n int) {
 	})
 }
 
-// Fired records one rule firing that emitted derived new facts and
-// rederived already-present facts. rule indexes into the Reset
-// ruleNames (pass -1 for engines without per-rule attribution). Safe
-// for concurrent use.
-func (c *Collector) Fired(rule, derived, rederived int) {
-	if c == nil {
-		return
-	}
-	c.firings.Add(1)
-	c.derived.Add(uint64(derived))
-	c.rederived.Add(uint64(rederived))
-	if rule >= 0 && rule < len(c.rules) {
-		rc := &c.rules[rule]
-		rc.firings.Add(1)
-		rc.derived.Add(uint64(derived))
-		rc.rederived.Add(uint64(rederived))
-	}
-}
-
-// FiredBatch records firings rule firings at once (derived/rederived
-// are the batch totals). Hot loops that fire many times per rule —
-// the shard workers — accumulate locally and flush through here so
-// the shared counters see one contended atomic add per batch instead
-// of three per firing. Safe for concurrent use.
-func (c *Collector) FiredBatch(rule int, firings, derived, rederived uint64) {
+// Fired records firings rule firings that between them emitted derived
+// new facts and rederived already-present ones. rule indexes into the
+// Reset ruleNames (pass -1 for engines without per-rule attribution).
+// Loops that fire many times per rule — eval.Fire, the shard workers —
+// tally locally and flush through here once per rule enumeration, so
+// the shared counters see a handful of atomic adds per batch and not
+// per firing. Safe for concurrent use.
+func (c *Collector) Fired(rule int, firings, derived, rederived uint64) {
 	if c == nil || (firings == 0 && derived == 0 && rederived == 0) {
 		return
 	}
@@ -600,8 +630,8 @@ func (c *Collector) ShardWork(shard int, wallNS int64, facts uint64) {
 	if c == nil {
 		return
 	}
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.shardWork == nil {
 		c.shardWork = make(map[int]*ShardStats)
 	}
@@ -660,13 +690,15 @@ func (c *Collector) Summary() *Summary {
 		ShardFactsMerged: c.shardFacts.Load(),
 		WallNS:           time.Since(c.start).Nanoseconds(),
 		PerStage:         append([]StageStats(nil), c.stages...),
+		StageWallNS:      c.stageWall,
 		StagesTruncated:  c.truncated,
 	}
-	c.shardMu.Lock()
+	c.mu.Lock()
+	s.Plans = append([]PlanStats(nil), c.plans...)
 	for _, st := range c.shardWork {
 		s.PerShard = append(s.PerShard, *st)
 	}
-	c.shardMu.Unlock()
+	c.mu.Unlock()
 	sort.Slice(s.PerShard, func(i, j int) bool { return s.PerShard[i].Shard < s.PerShard[j].Shard })
 	cw := c.cow.Load()
 	s.CowSnapshots = cw.Snapshots

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
+
+	"unchained/internal/trace"
 )
 
 // TestNilCollectorIsNoOp exercises every method on a nil receiver:
@@ -17,12 +20,16 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.Reset("x", []string{"r"})
 	c.SetEngine("y")
 	c.BeginStage()
-	c.Fired(0, 1, 2)
+	c.Fired(0, 1, 1, 2)
 	c.Retracted(3)
 	c.Conflict()
 	c.Invented(4)
 	c.ProbeBatch(1, 1)
+	c.PlanSpan("r", "a ⋈ b")
 	c.EndStage(5)
+	if c.PlanWanted() {
+		t.Fatalf("nil collector wants plans")
+	}
 	if s := c.Summary(); s != nil {
 		t.Fatalf("nil collector Summary = %v, want nil", s)
 	}
@@ -33,14 +40,14 @@ func TestStageSnapshots(t *testing.T) {
 	c.Reset("test", []string{"r0", "r1"})
 
 	c.BeginStage()
-	c.Fired(0, 3, 0)
-	c.Fired(1, 1, 2)
+	c.Fired(0, 1, 3, 0)
+	c.Fired(1, 1, 1, 2)
 	c.ProbeBatch(1, 0)
 	c.EndStage(4)
 
 	c.BeginStage()
-	c.Fired(0, 0, 3)
-	c.Fired(1, 1, 1)
+	c.Fired(0, 1, 0, 3)
+	c.Fired(1, 1, 1, 1)
 	c.Retracted(2)
 	c.Conflict()
 	c.Invented(5)
@@ -48,7 +55,7 @@ func TestStageSnapshots(t *testing.T) {
 	c.EndStage(-1)
 
 	// Confirmation pass: firings land in totals but no stage closes.
-	c.Fired(0, 0, 4)
+	c.Fired(0, 1, 0, 4)
 
 	s := c.Summary()
 	if s.Engine != "test" || s.Stages != 2 {
@@ -89,8 +96,8 @@ func TestStageSnapshots(t *testing.T) {
 func TestUnattributedRuleIndex(t *testing.T) {
 	c := New()
 	c.Reset("test", []string{"r0"})
-	c.Fired(-1, 1, 0)
-	c.Fired(7, 1, 0)
+	c.Fired(-1, 1, 1, 0)
+	c.Fired(7, 1, 1, 0)
 	s := c.Summary()
 	if s.Firings != 2 || s.Derived != 2 {
 		t.Fatalf("totals = %d/%d, want 2/2", s.Firings, s.Derived)
@@ -105,7 +112,7 @@ func TestStageTruncation(t *testing.T) {
 	c.Reset("test", nil)
 	for i := 0; i < maxStageEntries+10; i++ {
 		c.BeginStage()
-		c.Fired(-1, 1, 0)
+		c.Fired(-1, 1, 1, 0)
 		c.EndStage(1)
 	}
 	s := c.Summary()
@@ -123,11 +130,75 @@ func TestStageTruncation(t *testing.T) {
 	}
 }
 
+// TestStageWallCountsPastTheCap walks 2 048 stages: the summary lists
+// the first 1 024, and its stage-wall total keeps the other half.
+func TestStageWallCountsPastTheCap(t *testing.T) {
+	c := New()
+	c.Reset("test", nil)
+	for i := 0; i < 2*maxStageEntries; i++ {
+		c.BeginStage()
+		for spin := time.Now(); time.Since(spin) < time.Microsecond; {
+		}
+		c.EndStage(1)
+	}
+	s := c.Summary()
+	var listed int64
+	for _, st := range s.PerStage {
+		listed += st.WallNS
+	}
+	if len(s.PerStage) != maxStageEntries || s.StageWallNS <= listed {
+		t.Fatalf("stage_wall_ns %d over %d stages, the %d listed sum to %d: the total stopped at the cap",
+			s.StageWallNS, s.Stages, len(s.PerStage), listed)
+	}
+	if s.StageWallNS > s.WallNS {
+		t.Fatalf("stage_wall_ns %d exceeds the run's wall_ns %d", s.StageWallNS, s.WallNS)
+	}
+}
+
+// TestPlansFiledInOrderAndBounded: the summary carries the plans in
+// the order they were filed, only plans, and at most maxPlans of them;
+// without a tracer the collector stops wanting them at the bound, with
+// one every plan is still mirrored to the stream.
+func TestPlansFiledInOrderAndBounded(t *testing.T) {
+	c := New()
+	c.Reset("test", []string{"r"})
+	c.BeginStage()
+	c.PlanSpan("p", "a ⋈ b")
+	c.Fired(0, 1, 1, 0) // not a plan
+	c.PlanSpan("q", "c ⋈ d")
+	c.EndStage(1)
+	if got := c.Summary().Plans; len(got) != 2 || got[0] != (PlanStats{"p", "a ⋈ b"}) || got[1].Rule != "q" {
+		t.Fatalf("plans = %+v", got)
+	}
+	for i := 0; i < 2*maxPlans; i++ {
+		if want := len(c.Summary().Plans) < maxPlans; c.PlanWanted() != want {
+			t.Fatalf("after %d plans PlanWanted = %v", i+2, !want)
+		}
+		c.PlanSpan("r", "x")
+	}
+	if n := len(c.Summary().Plans); n != maxPlans {
+		t.Fatalf("summary kept %d plans, want bound %d", n, maxPlans)
+	}
+	rec := trace.NewRecorder(0)
+	c.SetTracer(rec)
+	if !c.PlanWanted() {
+		t.Fatal("a traced run stopped reporting plans at the summary's bound")
+	}
+	c.PlanSpan("s", "y")
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Span != trace.SpanPlan || evs[0].Rule != "s" {
+		t.Fatalf("stream = %+v", evs)
+	}
+	c.Reset("again", nil)
+	if s := c.Summary(); len(s.Plans) != 0 {
+		t.Fatalf("Reset kept plans: %+v", s.Plans)
+	}
+}
+
 func TestResetClears(t *testing.T) {
 	c := New()
 	c.Reset("first", []string{"r"})
 	c.BeginStage()
-	c.Fired(0, 1, 0)
+	c.Fired(0, 1, 1, 0)
 	c.EndStage(1)
 	c.Reset("second", nil)
 	s := c.Summary()
@@ -144,7 +215,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	c := New()
 	c.Reset("json", []string{"r"})
 	c.BeginStage()
-	c.Fired(0, 2, 1)
+	c.Fired(0, 1, 2, 1)
 	c.Retracted(1)
 	c.EndStage(1)
 	var got Summary
@@ -172,7 +243,7 @@ func TestConcurrentCounters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Fired(w%4, 1, 1)
+				c.Fired(w%4, 1, 1, 1)
 				c.ProbeBatch(uint64(i%2), uint64(1-i%2))
 				c.Retracted(1)
 			}

@@ -3,11 +3,9 @@ package while
 import (
 	"fmt"
 	"strconv"
-	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"unchained/internal/fo"
+	"unchained/internal/parser"
 	"unchained/internal/value"
 )
 
@@ -28,12 +26,12 @@ import (
 // X != c. Variables are upper-case; constants are lower-case
 // identifiers, quoted strings or integers (interned into u).
 func Parse(src string, u *value.Universe) (*Program, error) {
-	p := &wparser{lx: newWLexer(src), u: u, consts: map[value.Value]bool{}}
+	p := &wparser{lx: parser.NewLexer(src, punct), u: u, consts: map[value.Value]bool{}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	prog := &Program{}
-	for p.tok.kind != wEOF {
+	for p.tok.Kind != parser.TokEOF {
 		st, err := p.stmt()
 		if err != nil {
 			return nil, err
@@ -55,241 +53,25 @@ func MustParse(src string, u *value.Universe) *Program {
 	return p
 }
 
-type wTokKind uint8
-
-const (
-	wEOF wTokKind = iota
-	wIdent
-	wVar
-	wInt
-	wString
-	wLParen
-	wRParen
-	wLBrace
-	wRBrace
-	wComma
-	wSemi
-	wAssign // :=
-	wPlus   // +=
-	wEq     // =
-	wNeq    // !=
-)
-
-func (k wTokKind) String() string {
-	switch k {
-	case wEOF:
-		return "end of input"
-	case wIdent:
-		return "identifier"
-	case wVar:
-		return "variable"
-	case wInt:
-		return "integer"
-	case wString:
-		return "string"
-	case wLParen:
-		return "'('"
-	case wRParen:
-		return "')'"
-	case wLBrace:
-		return "'{'"
-	case wRBrace:
-		return "'}'"
-	case wComma:
-		return "','"
-	case wSemi:
-		return "';'"
-	case wAssign:
-		return "':='"
-	case wPlus:
-		return "'+='"
-	case wEq:
-		return "'='"
-	case wNeq:
-		return "'!='"
-	default:
-		return "?"
-	}
-}
-
-type wToken struct {
-	kind wTokKind
-	text string
-	line int
-	col  int
-}
-
-type wLexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
-
-func newWLexer(src string) *wLexer { return &wLexer{src: src, line: 1, col: 1} }
-
-func (lx *wLexer) peek() rune {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	r, _ := utf8.DecodeRuneInString(lx.src[lx.pos:])
-	return r
-}
-
-func (lx *wLexer) adv() rune {
-	r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
-	lx.pos += w
-	if r == '\n' {
-		lx.line++
-		lx.col = 1
-	} else {
-		lx.col++
-	}
-	return r
-}
-
-func (lx *wLexer) next() (wToken, error) {
-	for lx.pos < len(lx.src) {
-		r := lx.peek()
-		switch {
-		case unicode.IsSpace(r):
-			lx.adv()
-		case r == '%':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.adv()
-			}
-		case r == '/' && strings.HasPrefix(lx.src[lx.pos:], "//"):
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.adv()
-			}
-		default:
-			goto scan
-		}
-	}
-scan:
-	line, col := lx.line, lx.col
-	if lx.pos >= len(lx.src) {
-		return wToken{kind: wEOF, line: line, col: col}, nil
-	}
-	errf := func(format string, args ...any) error {
-		return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
-	}
-	r := lx.peek()
-	switch {
-	case r == '(':
-		lx.adv()
-		return wToken{kind: wLParen, line: line, col: col}, nil
-	case r == ')':
-		lx.adv()
-		return wToken{kind: wRParen, line: line, col: col}, nil
-	case r == '{':
-		lx.adv()
-		return wToken{kind: wLBrace, line: line, col: col}, nil
-	case r == '}':
-		lx.adv()
-		return wToken{kind: wRBrace, line: line, col: col}, nil
-	case r == ',':
-		lx.adv()
-		return wToken{kind: wComma, line: line, col: col}, nil
-	case r == ';':
-		lx.adv()
-		return wToken{kind: wSemi, line: line, col: col}, nil
-	case r == ':':
-		lx.adv()
-		if lx.peek() != '=' {
-			return wToken{}, errf("expected ':='")
-		}
-		lx.adv()
-		return wToken{kind: wAssign, line: line, col: col}, nil
-	case r == '+':
-		lx.adv()
-		if lx.peek() != '=' {
-			return wToken{}, errf("expected '+='")
-		}
-		lx.adv()
-		return wToken{kind: wPlus, line: line, col: col}, nil
-	case r == '=':
-		lx.adv()
-		return wToken{kind: wEq, line: line, col: col}, nil
-	case r == '!':
-		lx.adv()
-		if lx.peek() != '=' {
-			return wToken{}, errf("expected '!='")
-		}
-		lx.adv()
-		return wToken{kind: wNeq, line: line, col: col}, nil
-	case r == '"':
-		lx.adv()
-		var b strings.Builder
-		for {
-			if lx.pos >= len(lx.src) {
-				return wToken{}, errf("unterminated string")
-			}
-			c := lx.adv()
-			if c == '"' {
-				return wToken{kind: wString, text: b.String(), line: line, col: col}, nil
-			}
-			if c == '\\' {
-				if lx.pos >= len(lx.src) {
-					return wToken{}, errf("unterminated escape")
-				}
-				e := lx.adv()
-				switch e {
-				case 'n':
-					b.WriteByte('\n')
-				case 't':
-					b.WriteByte('\t')
-				case '"', '\\':
-					b.WriteRune(e)
-				default:
-					return wToken{}, errf("unknown escape \\%c", e)
-				}
-				continue
-			}
-			b.WriteRune(c)
-		}
-	case r == '-' || unicode.IsDigit(r):
-		start := lx.pos
-		if r == '-' {
-			lx.adv()
-			if !unicode.IsDigit(lx.peek()) {
-				return wToken{}, errf("expected digit after '-'")
-			}
-		}
-		for lx.pos < len(lx.src) && unicode.IsDigit(lx.peek()) {
-			lx.adv()
-		}
-		return wToken{kind: wInt, text: lx.src[start:lx.pos], line: line, col: col}, nil
-	case r == '_' || unicode.IsLetter(r):
-		start := lx.pos
-		for lx.pos < len(lx.src) {
-			c := lx.peek()
-			if c == '_' || unicode.IsLetter(c) || unicode.IsDigit(c) {
-				lx.adv()
-				continue
-			}
-			break
-		}
-		text := lx.src[start:lx.pos]
-		first, _ := utf8.DecodeRuneInString(text)
-		if first == '_' || unicode.IsUpper(first) {
-			return wToken{kind: wVar, text: text, line: line, col: col}, nil
-		}
-		return wToken{kind: wIdent, text: text, line: line, col: col}, nil
-	default:
-		return wToken{}, errf("unexpected character %q", r)
-	}
+// punct is the punctuation of the while language; the scanner is
+// internal/parser's.
+var punct = []parser.Punct{
+	{Text: "(", Kind: parser.TokLParen}, {Text: ")", Kind: parser.TokRParen},
+	{Text: "{", Kind: parser.TokLBrace}, {Text: "}", Kind: parser.TokRBrace},
+	{Text: ",", Kind: parser.TokComma}, {Text: ";", Kind: parser.TokSemi},
+	{Text: ":=", Kind: parser.TokAssign}, {Text: "+=", Kind: parser.TokPlusEq},
+	{Text: "=", Kind: parser.TokEq}, {Text: "!=", Kind: parser.TokNeq},
 }
 
 type wparser struct {
-	lx     *wLexer
-	tok    wToken
+	lx     *parser.Lexer
+	tok    parser.Token
 	u      *value.Universe
 	consts map[value.Value]bool
 }
 
 func (p *wparser) advance() error {
-	t, err := p.lx.next()
+	t, err := p.lx.Next()
 	if err != nil {
 		return err
 	}
@@ -298,18 +80,18 @@ func (p *wparser) advance() error {
 }
 
 func (p *wparser) errf(format string, args ...any) error {
-	return fmt.Errorf("%d:%d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%d:%d: %s", p.tok.Line, p.tok.Col, fmt.Sprintf(format, args...))
 }
 
-func (p *wparser) expect(k wTokKind) error {
-	if p.tok.kind != k {
-		return p.errf("expected %s, found %s", k, p.tok.kind)
+func (p *wparser) expect(k parser.TokKind) error {
+	if p.tok.Kind != k {
+		return p.errf("expected %s, found %s", k, p.tok.Kind)
 	}
 	return p.advance()
 }
 
 func (p *wparser) isKw(kw string) bool {
-	return p.tok.kind == wIdent && p.tok.text == kw
+	return p.tok.Kind == parser.TokIdent && p.tok.Text == kw
 }
 
 // stmt := "while" "change" "do" "{" {stmt} "}" | assign ";"
@@ -330,59 +112,59 @@ func (p *wparser) stmt() (Stmt, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if err := p.expect(wLBrace); err != nil {
+		if err := p.expect(parser.TokLBrace); err != nil {
 			return nil, err
 		}
 		var body []Stmt
-		for p.tok.kind != wRBrace {
+		for p.tok.Kind != parser.TokRBrace {
 			st, err := p.stmt()
 			if err != nil {
 				return nil, err
 			}
 			body = append(body, st)
 		}
-		if err := p.expect(wRBrace); err != nil {
+		if err := p.expect(parser.TokRBrace); err != nil {
 			return nil, err
 		}
 		return Loop{Body: body}, nil
 	}
 
 	// assign := name "(" vars ")" (":="|"+=") formula ";"
-	if p.tok.kind != wIdent && p.tok.kind != wVar {
-		return nil, p.errf("expected a statement, found %s", p.tok.kind)
+	if p.tok.Kind != parser.TokIdent && p.tok.Kind != parser.TokVar {
+		return nil, p.errf("expected a statement, found %s", p.tok.Kind)
 	}
-	rel := p.tok.text
+	rel := p.tok.Text
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	if err := p.expect(wLParen); err != nil {
+	if err := p.expect(parser.TokLParen); err != nil {
 		return nil, err
 	}
 	var vars []string
-	for p.tok.kind != wRParen {
-		if p.tok.kind != wVar {
-			return nil, p.errf("assignment columns must be variables, found %s", p.tok.kind)
+	for p.tok.Kind != parser.TokRParen {
+		if p.tok.Kind != parser.TokVar {
+			return nil, p.errf("assignment columns must be variables, found %s", p.tok.Kind)
 		}
-		vars = append(vars, p.tok.text)
+		vars = append(vars, p.tok.Text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if p.tok.kind == wComma {
+		if p.tok.Kind == parser.TokComma {
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expect(wRParen); err != nil {
+	if err := p.expect(parser.TokRParen); err != nil {
 		return nil, err
 	}
 	var cumulative bool
-	switch p.tok.kind {
-	case wAssign:
-	case wPlus:
+	switch p.tok.Kind {
+	case parser.TokAssign:
+	case parser.TokPlusEq:
 		cumulative = true
 	default:
-		return nil, p.errf("expected ':=' or '+=', found %s", p.tok.kind)
+		return nil, p.errf("expected ':=' or '+=', found %s", p.tok.Kind)
 	}
 	if err := p.advance(); err != nil {
 		return nil, err
@@ -391,7 +173,7 @@ func (p *wparser) stmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(wSemi); err != nil {
+	if err := p.expect(parser.TokSemi); err != nil {
 		return nil, err
 	}
 	return Assign{Rel: rel, Vars: vars, F: f, Cumulative: cumulative}, nil
@@ -477,16 +259,16 @@ func (p *wparser) unary() (fo.Formula, error) {
 			return nil, err
 		}
 		var vars []string
-		for p.tok.kind == wVar {
-			vars = append(vars, p.tok.text)
+		for p.tok.Kind == parser.TokVar {
+			vars = append(vars, p.tok.Text)
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
-			if p.tok.kind == wComma {
+			if p.tok.Kind == parser.TokComma {
 				if err := p.advance(); err != nil {
 					return nil, err
 				}
-				if p.tok.kind != wVar {
+				if p.tok.Kind != parser.TokVar {
 					return nil, p.errf("expected variable after ',' in quantifier")
 				}
 			}
@@ -494,21 +276,21 @@ func (p *wparser) unary() (fo.Formula, error) {
 		if len(vars) == 0 {
 			return nil, p.errf("quantifier without variables")
 		}
-		if err := p.expect(wLParen); err != nil {
+		if err := p.expect(parser.TokLParen); err != nil {
 			return nil, err
 		}
 		body, err := p.formula()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(wRParen); err != nil {
+		if err := p.expect(parser.TokRParen); err != nil {
 			return nil, err
 		}
 		if univ {
 			return fo.ForallF(vars, body), nil
 		}
 		return fo.ExistsF(vars, body), nil
-	case p.tok.kind == wLParen:
+	case p.tok.Kind == parser.TokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -516,7 +298,7 @@ func (p *wparser) unary() (fo.Formula, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(wRParen); err != nil {
+		if err := p.expect(parser.TokRParen); err != nil {
 			return nil, err
 		}
 		return f, nil
@@ -528,58 +310,58 @@ func (p *wparser) unary() (fo.Formula, error) {
 // atomOrEq := name "(" terms ")" | term ("="|"!=") term
 func (p *wparser) atomOrEq() (fo.Formula, error) {
 	// A constant or variable followed by = / != is an equality.
-	if p.tok.kind == wInt || p.tok.kind == wString {
+	if p.tok.Kind == parser.TokInt || p.tok.Kind == parser.TokString {
 		left, err := p.term()
 		if err != nil {
 			return nil, err
 		}
 		return p.eqTail(left)
 	}
-	if p.tok.kind != wIdent && p.tok.kind != wVar {
-		return nil, p.errf("expected a formula, found %s", p.tok.kind)
+	if p.tok.Kind != parser.TokIdent && p.tok.Kind != parser.TokVar {
+		return nil, p.errf("expected a formula, found %s", p.tok.Kind)
 	}
 	name := p.tok
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	switch p.tok.kind {
-	case wLParen:
+	switch p.tok.Kind {
+	case parser.TokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		var args []fo.Term
-		for p.tok.kind != wRParen {
+		for p.tok.Kind != parser.TokRParen {
 			t, err := p.term()
 			if err != nil {
 				return nil, err
 			}
 			args = append(args, t)
-			if p.tok.kind == wComma {
+			if p.tok.Kind == parser.TokComma {
 				if err := p.advance(); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if err := p.expect(wRParen); err != nil {
+		if err := p.expect(parser.TokRParen); err != nil {
 			return nil, err
 		}
-		return fo.AtomF(name.text, args...), nil
-	case wEq, wNeq:
+		return fo.AtomF(name.Text, args...), nil
+	case parser.TokEq, parser.TokNeq:
 		left, err := p.nameToTerm(name)
 		if err != nil {
 			return nil, err
 		}
 		return p.eqTail(left)
 	default:
-		return nil, p.errf("expected '(' or '=' after %q", name.text)
+		return nil, p.errf("expected '(' or '=' after %q", name.Text)
 	}
 }
 
 func (p *wparser) eqTail(left fo.Term) (fo.Formula, error) {
 	neg := false
-	switch p.tok.kind {
-	case wEq:
-	case wNeq:
+	switch p.tok.Kind {
+	case parser.TokEq:
+	case parser.TokNeq:
 		neg = true
 	default:
 		return nil, p.errf("expected '=' or '!='")
@@ -600,39 +382,39 @@ func (p *wparser) eqTail(left fo.Term) (fo.Formula, error) {
 
 func (p *wparser) term() (fo.Term, error) {
 	t := p.tok
-	switch t.kind {
-	case wVar:
+	switch t.Kind {
+	case parser.TokVar:
 		if err := p.advance(); err != nil {
 			return fo.Term{}, err
 		}
-		return fo.V(t.text), nil
-	case wIdent, wString, wInt:
+		return fo.V(t.Text), nil
+	case parser.TokIdent, parser.TokString, parser.TokInt:
 		if err := p.advance(); err != nil {
 			return fo.Term{}, err
 		}
 		return p.nameToTerm(t)
 	default:
-		return fo.Term{}, p.errf("expected a term, found %s", t.kind)
+		return fo.Term{}, p.errf("expected a term, found %s", t.Kind)
 	}
 }
 
-func (p *wparser) nameToTerm(t wToken) (fo.Term, error) {
-	switch t.kind {
-	case wVar:
-		return fo.V(t.text), nil
-	case wIdent, wString:
-		v := p.u.Sym(t.text)
+func (p *wparser) nameToTerm(t parser.Token) (fo.Term, error) {
+	switch t.Kind {
+	case parser.TokVar:
+		return fo.V(t.Text), nil
+	case parser.TokIdent, parser.TokString:
+		v := p.u.Sym(t.Text)
 		p.consts[v] = true
 		return fo.C(v), nil
-	case wInt:
-		n, err := strconv.ParseInt(t.text, 10, 64)
+	case parser.TokInt:
+		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return fo.Term{}, fmt.Errorf("%d:%d: bad integer %q", t.line, t.col, t.text)
+			return fo.Term{}, fmt.Errorf("%d:%d: bad integer %q", t.Line, t.Col, t.Text)
 		}
 		v := p.u.Int(n)
 		p.consts[v] = true
 		return fo.C(v), nil
 	default:
-		return fo.Term{}, fmt.Errorf("%d:%d: expected a term", t.line, t.col)
+		return fo.Term{}, fmt.Errorf("%d:%d: expected a term", t.Line, t.Col)
 	}
 }

@@ -216,10 +216,12 @@ func TestMustParsePanicsOnBadSource(t *testing.T) {
 	MustParse(`T(X := P(X);`, u)
 }
 
+// TestWTokenKindStrings: error messages name a punctuation token by its
+// kind, so every kind in the language's table is named as it is spelled.
 func TestWTokenKindStrings(t *testing.T) {
-	for k := wEOF; k <= wNeq; k++ {
-		if k.String() == "?" {
-			t.Errorf("token kind %d unnamed", k)
+	for _, p := range punct {
+		if want := "'" + p.Text + "'"; p.Kind.String() != want {
+			t.Errorf("token kind of %q is named %s, want %s", p.Text, p.Kind, want)
 		}
 	}
 }

@@ -167,7 +167,7 @@ func (it *interp) assign(a Assign, state *tuple.Instance) error {
 	if a.Cumulative {
 		state.Ensure(a.Rel, rel.Arity()).UnionInPlace(rel)
 		if it.col.Enabled() {
-			it.col.Fired(-1, state.Facts()-before, 0)
+			it.col.Fired(-1, 1, uint64(state.Facts()-before), 0)
 		}
 		return nil
 	}
@@ -186,7 +186,7 @@ func (it *interp) assign(a Assign, state *tuple.Instance) error {
 	cur.UnionInPlace(rel)
 	if it.col.Enabled() {
 		it.col.Retracted(len(drop))
-		it.col.Fired(-1, state.Facts()-before+len(drop), 0)
+		it.col.Fired(-1, 1, uint64(state.Facts()-before+len(drop)), 0)
 	}
 	return nil
 }
