@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # while still catching a PR that lands a large untested subsystem.
 COVERAGE_BASELINE ?= 78.0
 
-.PHONY: all build vet vet-custom stage-protocol bench-build bench-pair lint-programs test race bench fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
+.PHONY: all build vet vet-custom stage-protocol engine-dispatch loc bench-build bench-pair lint-programs test race bench fmt-check fuzz-smoke verify serve-smoke serve-load explain-golden metrics-lint flight-soak wal-soak coverage
 
 all: verify
 
@@ -30,6 +30,19 @@ vet-custom:
 stage-protocol:
 	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.(BeginStage|EndStage)\(' *.go cmd internal examples bench | grep -v '^internal/engine/loop\.go:')"; \
 	if [ -n "$$out" ]; then echo "stage protocol called outside (*engine.Options).Loop:"; echo "$$out"; exit 1; fi
+
+# One way from a program to its answer: the CLI and the daemon reach
+# the deterministic engines through the facade's semantics table
+# (Session.EvalOptions, EvalContext), never by name, so a dispatch or
+# policy bug cannot live on one route only.
+engine-dispatch:
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '(core\.Eval(Inflationary|NonInflationary|Invent)|declarative\.Eval(Stratified|SemiPositive)?)\(' cmd/datalog internal/serve)"; \
+	if [ -n "$$out" ]; then echo "deterministic engine called by name, not through the semantics table:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines per package and in total outside bench/: the number
+# a simplicity PR reports before and after (ROADMAP item 6).
+loc:
+	@scripts/loc.sh
 
 # bench/ is a module of its own, so "go build ./... && go test ./..."
 # never compiles it: vet and test it here, or a signature change in a
@@ -144,6 +157,6 @@ flight-soak:
 	$(GO) run -race ./cmd/unchained-bench -serve -serve-duration 5s
 
 # Tier-1 verification (see ROADMAP.md) plus the custom analyzers, the
-# stage-protocol guard, the benchmark module's build and the
-# program-library lint sweep.
-verify: fmt-check build vet vet-custom stage-protocol test race bench-build lint-programs
+# stage-protocol and engine-dispatch guards, the benchmark module's
+# build and the program-library lint sweep.
+verify: fmt-check build vet vet-custom stage-protocol engine-dispatch test race bench-build lint-programs

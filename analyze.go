@@ -62,21 +62,22 @@ func (s *Session) Analyze(p *Program, opts ...Opt) *AnalysisReport {
 	return analyze.Analyze(p, &analyze.Options{Tracer: cfg.opt.Tracer})
 }
 
-// evalAuto implements SemanticsAuto: analyze, then dispatch to the
-// recommended engine through the semantics table (optimizing for the
-// resolved semantics, so the pass gating sees the real target).
-func (s *Session) evalAuto(p *Program, in *Instance, cfg *evalConfig) (*EvalResult, error) {
-	rep := analyze.Analyze(p, &analyze.Options{Tracer: cfg.opt.Tracer})
+// AutoSemantics resolves SemanticsAuto against a program's analysis
+// report: the engine the analyzer recommends, or an error when the
+// report carries error diagnostics or the program needs a
+// nondeterministic engine. It is the one place a report becomes a
+// Semantics: EvalContext calls it on a fresh report, the daemon on the
+// report its parse cache memoizes.
+func AutoSemantics(rep *AnalysisReport) (Semantics, error) {
 	if err := rep.Diags.Err(); err != nil {
-		return nil, fmt.Errorf("unchained: auto semantics: %w", err)
+		return 0, fmt.Errorf("unchained: auto semantics: %w", err)
 	}
 	if !rep.Deterministic {
-		return nil, fmt.Errorf("unchained: auto semantics: %s requires a nondeterministic engine; use RunNondet/Effects or -semantics %s explicitly", rep.Dialect, rep.Semantics)
+		return 0, fmt.Errorf("unchained: auto semantics: %s requires a nondeterministic engine; use RunNondet/Effects or -semantics %s explicitly", rep.Dialect, rep.Semantics)
 	}
-	for _, e := range semanticsTable {
-		if e.name == rep.Semantics {
-			return e.eval(s, s.optimizeEval(p, in, e.sem, cfg), in, &cfg.opt)
-		}
+	sem, ok := SemanticsByName[rep.Semantics]
+	if !ok {
+		return 0, fmt.Errorf("unchained: auto semantics: no engine named %q", rep.Semantics)
 	}
-	return nil, fmt.Errorf("unchained: auto semantics: no engine named %q", rep.Semantics)
+	return sem, nil
 }

@@ -10,13 +10,18 @@ import (
 	"time"
 
 	"unchained"
+	"unchained/internal/engine"
 	"unchained/internal/queries"
 )
 
 // TestSemanticsRoundTrip checks that the naming table is closed under
 // round-trips: every semantics prints a canonical name that parses
-// back to itself, and every canonical name is listed.
+// back to itself, every canonical name is listed, and every row has an
+// engine that EvalOptions reaches (auto is resolved before the table,
+// it is not a row).
 func TestSemanticsRoundTrip(t *testing.T) {
+	s := unchained.NewSession()
+	prog, in := s.MustParse(`T(X) :- G(X).`), s.MustFacts(`G(a).`)
 	all := []unchained.Semantics{
 		unchained.MinimalModel, unchained.Stratified, unchained.WellFounded,
 		unchained.Inflationary, unchained.NonInflationary, unchained.Invent,
@@ -42,6 +47,17 @@ func TestSemanticsRoundTrip(t *testing.T) {
 		}
 		if !listed[name] {
 			t.Errorf("canonical name %q missing from SemanticsNames", name)
+		}
+		res, err := s.EvalOptions(prog, in, sem, &engine.Options{Stats: unchained.NewStatsCollector()})
+		if sem == unchained.SemanticsAuto {
+			if err == nil {
+				t.Error("EvalOptions ran auto, which is no row of the table")
+			}
+			continue
+		}
+		// The engines name themselves as the table does, hyphen aside.
+		if err != nil || s.Format(res.Out) != "G(a).\nT(a).\n" || res.Stats.Engine != strings.ReplaceAll(name, "well-founded", "wellfounded") {
+			t.Errorf("EvalOptions under %v: %v, %+v", sem, err, res)
 		}
 	}
 	if s := unchained.Semantics(99).String(); s != "Semantics(99)" {

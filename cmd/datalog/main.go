@@ -25,7 +25,7 @@
 //
 // -O1/-O2 run the analysis-driven rewrite pipeline of internal/opt
 // before evaluation (dead-rule elimination, inlining, constant
-// propagation, subsumption, adornment; see docs/OPTIMIZER.md). The
+// propagation, subsumption; see docs/OPTIMIZER.md). The
 // rewritten program is provably equivalent for the chosen semantics;
 // when a rewrite depends on an intensional relation having no input
 // facts and the facts file violates that, the CLI falls back to the
@@ -283,10 +283,9 @@ func run(args []string, w, ew io.Writer) (err error) {
 	// written. The answer is still rendered against the original
 	// program so its IDB list decides which relations print.
 	ansProg := prog
-	if *optLevel > 0 && *why == "" && !*three {
-		if sem, ok := unchained.SemanticsByName[*semantics]; ok {
-			prog = optimizeCLI(s, prog, in, sem, *optLevel, answerPreds, *literalOrder, optExplainW)
-		}
+	sem, deterministic := unchained.SemanticsByName[*semantics]
+	if deterministic && *optLevel > 0 && *why == "" && !*three {
+		prog = optimizeCLI(s, prog, in, sem, *optLevel, answerPreds, optExplainW)
 	}
 	printAnswer := func(out *tuple.Instance) {
 		ans := core.Answer(ansProg, out, answerPreds...)
@@ -295,16 +294,15 @@ func run(args []string, w, ew io.Writer) (err error) {
 
 	switch *semantics {
 	case "wellfounded", "well-founded":
+		if !*three {
+			break // the 2-valued reading is a row of the semantics table
+		}
 		wfs, err := declarative.EvalWellFounded(prog, in, s.U, opt)
 		if wfs != nil {
 			emitStats(wfs.Stats)
 		}
 		if err != nil {
 			return err
-		}
-		if !*three {
-			printAnswer(wfs.True)
-			return nil
 		}
 		for _, pred := range prog.IDB() {
 			if r := wfs.True.Relation(pred); r != nil {
@@ -364,80 +362,26 @@ func run(args []string, w, ew io.Writer) (err error) {
 		return nil
 	}
 
-	sem, ok := unchained.SemanticsByName[*semantics]
-	if !ok {
+	if !deterministic {
 		return fmt.Errorf("unknown semantics %q", *semantics)
 	}
-	var out *tuple.Instance
-	switch sem {
-	case unchained.Inflationary:
-		if *why != "" {
-			return explain(s, prog, in, *why, opt, w)
-		}
-		res, err := core.EvalInflationary(prog, in, s.U, opt)
-		if res != nil {
-			emitStats(res.Stats)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%% fixpoint after %d stages\n", res.Stages)
-		out = res.Out
-	case unchained.NonInflationary:
-		res, err := core.EvalNonInflationary(prog, in, s.U, opt)
-		if res != nil {
-			emitStats(res.Stats)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%% fixpoint after %d stages\n", res.Stages)
-		out = res.Out
-	case unchained.Invent:
-		res, err := core.EvalInvent(prog, in, s.U, opt)
-		if res != nil {
-			emitStats(res.Stats)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%% fixpoint after %d stages (%d values invented)\n", res.Stages, s.U.FreshCount())
-		out = res.Out
-	case unchained.MinimalModel:
-		res, err := declarative.Eval(prog, in, s.U, opt)
-		if res != nil {
-			emitStats(res.Stats)
-		}
-		if err != nil {
-			return err
-		}
-		out = res.Out
-	case unchained.Stratified:
-		res, err := declarative.EvalStratified(prog, in, s.U, opt)
-		if res != nil {
-			emitStats(res.Stats)
-		}
-		if err != nil {
-			return err
-		}
-		out = res.Out
-	case unchained.SemiPositive:
-		res, err := declarative.EvalSemiPositive(prog, in, s.U, opt)
-		if res != nil {
-			emitStats(res.Stats)
-		}
-		if err != nil {
-			return err
-		}
-		out = res.Out
-	default:
-		res, err := s.EvalContext(ctx, prog, in, sem)
-		if err != nil {
-			return err
-		}
-		out = res.Out
+	if sem == unchained.Inflationary && *why != "" {
+		return explain(s, prog, in, *why, opt, w)
 	}
-	printAnswer(out)
+	res, err := s.EvalOptions(prog, in, sem, opt)
+	if res != nil {
+		emitStats(res.Stats)
+	}
+	if err != nil {
+		return err
+	}
+	switch sem {
+	case unchained.Inflationary, unchained.NonInflationary:
+		fmt.Fprintf(w, "%% fixpoint after %d stages\n", res.Stages)
+	case unchained.Invent:
+		fmt.Fprintf(w, "%% fixpoint after %d stages (%d values invented)\n", res.Stages, s.U.FreshCount())
+	}
+	printAnswer(res.Out)
 	return nil
 }
 
@@ -455,7 +399,7 @@ func goalQuery(s *unchained.Session, prog *unchained.Program, in *tuple.Instance
 	if optLevel > 0 {
 		// The query predicate is the only observed output, so it
 		// anchors reachability-based dead-rule elimination.
-		prog = optimizeCLI(s, prog, in, unchained.MinimalModel, optLevel, []string{q.Pred}, opt.LiteralOrder, optExplainW)
+		prog = optimizeCLI(s, prog, in, unchained.MinimalModel, optLevel, []string{q.Pred}, optExplainW)
 	}
 	ans, sum, err := magic.AnswerStats(prog, q, in, s.U, opt)
 	emitStats(sum)
@@ -526,7 +470,7 @@ func runWhile(s *unchained.Session, src, factsPath string, attachOrder bool, opt
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%% %s program: %d loop iterations\n", kind, res.Iters)
+	fmt.Fprintf(w, "%% %s program: %d loop iterations\n", kind, res.Stages)
 	fmt.Fprint(w, s.Format(res.Out))
 	return nil
 }
@@ -553,14 +497,13 @@ func normalizeOptArgs(args []string) []string {
 // returns the rewritten program, or the original when nothing changed
 // or when the instance violates an emptiness assumption the optimizer
 // recorded. Under -explain (explainW non-nil) every applied rewrite —
-// or the reason for falling back — is narrated. Under -literal-order
-// the adornment reorder is off: the joins run in the text's order.
-func optimizeCLI(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, sem unchained.Semantics, level int, roots []string, literalOrder bool, explainW io.Writer) *unchained.Program {
-	res := s.OptimizeFor(prog, sem, &unchained.OptOptions{Level: unchained.OptLevel(level), Roots: roots, NoReorder: literalOrder})
-	if res == nil || !res.Changed {
+// or the reason for falling back — is narrated.
+func optimizeCLI(s *unchained.Session, prog *unchained.Program, in *tuple.Instance, sem unchained.Semantics, level int, roots []string, explainW io.Writer) *unchained.Program {
+	res, holds := s.Optimize(prog, in, sem, unchained.OptLevel(level), roots...)
+	if !res.Changed {
 		return prog
 	}
-	if !unchained.OptAssumptionsHold(res, in) {
+	if !holds {
 		if explainW != nil {
 			fmt.Fprintf(explainW, "%% -O%d disabled: input facts present on assumed-empty relation(s) %s\n",
 				level, strings.Join(res.RequiresEmptyInput, ", "))

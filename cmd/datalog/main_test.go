@@ -356,12 +356,29 @@ func TestCLIQueryMagic(t *testing.T) {
 	if named != 4 {
 		t.Errorf("%d views named an engine, want 4 (eval begin, eval end, summary, record):\n%s", named, errOut)
 	}
-	// Errors: negated atom, multi fact, EDB query.
 	if _, err := runCLI(t, "-program", prog, "-facts", facts, "-query", "!T(a,Y)"); err == nil {
 		t.Fatalf("negated query accepted")
 	}
-	if _, err := runCLI(t, "-program", prog, "-facts", facts, "-query", "G(a,Y)"); err == nil {
-		t.Fatalf("EDB query accepted")
+	// A goal on an input relation, and input facts on an intensional
+	// one, are answered as full evaluation answers them.
+	idbFacts := write(t, dir, "idb.facts", `G(a,b). G(b,c). T(c,d).`)
+	for _, tc := range []struct{ facts, query, want string }{
+		{facts, "G(a,Y)", "% 1 answers (magic-sets evaluation)\nG(a,b).\n"},
+		{idbFacts, "T(a,Y)", "% 3 answers (magic-sets evaluation)\nT(a,b).\nT(a,c).\nT(a,d).\n"},
+	} {
+		if out, err := runCLI(t, "-program", prog, "-facts", tc.facts, "-query", tc.query); err != nil || out != tc.want {
+			t.Fatalf("-query %s: %v\n%s\nwant:\n%s", tc.query, err, out, tc.want)
+		}
+	}
+	// The -O level never turns an answer into an error: here it removes
+	// every rule of the goal's relation (Q is underivable, so P is).
+	dead := write(t, dir, "dead.dl", "P(X) :- Q(X).\nQ(X) :- Q(X), E(X).\nR(X) :- E(X).\n")
+	deadFacts := write(t, dir, "dead.facts", `E(a). E(b).`)
+	for _, level := range []string{"-O0", "-O1", "-O2"} {
+		out, err := runCLI(t, "-program", dead, "-facts", deadFacts, "-query", "P(a)", level)
+		if err != nil || out != "% 0 answers (magic-sets evaluation)\n" {
+			t.Fatalf("%s -query P(a): %v\n%s", level, err, out)
+		}
 	}
 }
 
@@ -487,29 +504,29 @@ func TestCLIProfileDeadline(t *testing.T) {
 	}
 }
 
-// TestCLILiteralOrderPinsTheJoinOrderUnderO2: -literal-order asks for
-// the joins in the text's order, so -O2 must not reorder the body
-// behind its back (no [adorn] rewrite narrated), and the answer is the
-// one the reordered program gives.
+// TestCLILiteralOrderPinsTheJoinOrderUnderO2: the planner alone
+// chooses a join order. -O2 rewrites no rule body, so the plan names
+// the literals by their source index; -literal-order gets the joins in
+// the text's order (no plan is chosen), and the answer is the same.
 func TestCLILiteralOrderPinsTheJoinOrderUnderO2(t *testing.T) {
 	dir := t.TempDir()
 	prog := write(t, dir, "p.dl", "p(X) :- e(X,Y), f(Y,Z), label(Z,red).\n")
 	facts := write(t, dir, "p.facts", `e(a,b). e(d,e). f(b,c). label(c,red).`)
 	base := []string{"-program", prog, "-facts", facts, "-O2"}
 
-	reordered, err := runCLI(t, append(base, "-explain")...)
+	planned, err := runCLI(t, append(base, "-explain")...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(reordered, "[adorn]") {
-		t.Fatalf("-O2 alone no longer narrates the reorder:\n%s", reordered)
+	if !strings.Contains(planned, "plan p: label#2 ") || strings.Contains(planned, "% -O2") {
+		t.Fatalf("-O2: want the planner to join the text's third literal first and no rewrite narrated:\n%s", planned)
 	}
 	pinned, err := runCLI(t, append(base, "-explain", "-literal-order")...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(pinned, "[adorn]") {
-		t.Fatalf("-literal-order -O2 reordered the body:\n%s", pinned)
+	if strings.Contains(pinned, "plan p:") || strings.Contains(pinned, "% -O2") {
+		t.Fatalf("-literal-order -O2 chose a plan or rewrote the body:\n%s", pinned)
 	}
 
 	want, err := runCLI(t, base...)

@@ -315,7 +315,7 @@ func expP5(quick bool) error {
 		}
 		var derived int
 		dMagic := timed(func() {
-			rw, ansName, rerr := magic.Rewrite(p, q)
+			rw, ansName, rerr := magic.Rewrite(p, q, in)
 			if rerr != nil {
 				err = rerr
 				return

@@ -62,8 +62,8 @@ func (a Atom) Arity() int { return len(a.Args) }
 
 // Adornment is the atom's binding pattern given the variables bound so
 // far: 'b' for a constant or a bound variable, 'f' for a free one, one
-// byte per argument. Magic sets and the optimizer's adornment analysis
-// both propagate demand with it.
+// byte per argument. The magic-sets rewriting propagates demand with
+// it.
 func (a Atom) Adornment(bound map[string]bool) string {
 	var ad strings.Builder
 	ad.Grow(len(a.Args))

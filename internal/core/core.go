@@ -72,19 +72,10 @@ const (
 // is valid.
 type Options = engine.Options
 
-// Result is the outcome of a forward-chaining evaluation.
-type Result struct {
-	// Out is Γω_P(I): the input plus everything inferred (for
-	// Datalog¬¬, the final instance state).
-	Out *tuple.Instance
-	// Stages is the number of applications of the immediate
-	// consequence operator until the fixpoint (the "stage" count of
-	// Example 4.1), excluding the final no-change confirmation stage.
-	Stages int
-	// Stats is the evaluation summary when Options carried a
-	// collector; nil otherwise. Stats.Stages always equals Stages.
-	Stats *stats.Summary
-}
+// Result is the outcome of a forward-chaining evaluation: Γω_P(I) (for
+// Datalog¬¬, the final instance state) and the number of stages until
+// the fixpoint, the final no-change confirmation stage excluded.
+type Result = engine.Result
 
 // begin is the prelude the engines of this package share: validate the
 // program against the engine's dialect, compile it, reset the
@@ -109,16 +100,6 @@ func begin(engineName string, d ast.Dialect, p *ast.Program, in *tuple.Instance,
 	}
 	col.Reset(engineName, names)
 	return rules, col, in.SnapshotWith(col.Cow()), nil
-}
-
-// result assembles what the stage loop left behind: the instance and
-// stage count with the summary, alongside a context interruption as
-// partial progress; any other failure yields no result.
-func result(out *tuple.Instance, stages int, col *stats.Collector, err error) (*Result, error) {
-	if err != nil && !engine.IsInterrupt(err) {
-		return nil, err
-	}
-	return &Result{Out: out, Stages: stages, Stats: col.Summary()}, err
 }
 
 func stageLimitErr(stages int) error {
@@ -160,7 +141,7 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 		}
 		return engine.Outcome{Status: engine.Confirm}, nil
 	})
-	return result(out, stages, col, err)
+	return engine.Finish(out, stages, col, err)
 }
 
 // EvalNonInflationary evaluates a Datalog¬¬ program (Section 4.2).
@@ -193,7 +174,7 @@ func EvalNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, 
 		}
 		return out, nil
 	})
-	return result(cur, stages, col, err)
+	return engine.Finish(cur, stages, col, err)
 }
 
 // stageNonInflationary computes one parallel firing of all rules on
@@ -346,7 +327,7 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 		}
 		return engine.Outcome{Status: engine.Confirm}, nil
 	})
-	return result(out, stages, col, err)
+	return engine.Finish(out, stages, col, err)
 }
 
 // ValidateDomainSafe checks the syntactic safety restriction of

@@ -143,7 +143,7 @@ func EvalInflationaryProv(p *ast.Program, in *tuple.Instance, u *value.Universe,
 		}
 		return engine.Outcome{Delta: changed, State: out}, nil
 	})
-	res, err := result(out, stages, col, err)
+	res, err := engine.Finish(out, stages, col, err)
 	if res == nil {
 		return nil, nil, err
 	}

@@ -23,29 +23,10 @@ import (
 // zero value is the default configuration and a nil *Options is valid.
 type Options = engine.Options
 
-// Result is the outcome of a 2-valued evaluation.
-type Result struct {
-	// Out is the final instance over sch(P): the input EDB plus all
-	// derived IDB facts.
-	Out *tuple.Instance
-	// Rounds is the number of evaluation rounds (iterations of the
-	// immediate consequence operator for the naive engine; delta
-	// rounds for the semi-naive ones).
-	Rounds int
-	// Stats is the evaluation summary when Options carried a
-	// collector; nil otherwise. Stats.Stages equals Rounds.
-	Stats *stats.Summary
-}
-
-// result assembles what the rounds left behind: the instance and round
-// count with the summary, alongside a context interruption as partial
-// progress; any other failure yields no result.
-func result(out *tuple.Instance, rounds int, col *stats.Collector, err error) (*Result, error) {
-	if err != nil && !engine.IsInterrupt(err) {
-		return nil, err
-	}
-	return &Result{Out: out, Rounds: rounds, Stats: col.Summary()}, err
-}
+// Result is the outcome of a 2-valued evaluation: the final instance
+// over sch(P) and the number of rounds (iterations of the immediate
+// consequence operator for the naive engine, delta rounds otherwise).
+type Result = engine.Result
 
 // idbSet returns the program's intensional predicates as a set.
 func idbSet(p *ast.Program) map[string]bool {
@@ -84,7 +65,7 @@ func evalFixpoint(engineName string, p *ast.Program, in *tuple.Instance, u *valu
 	col.Reset(engineName, nil)
 	out := in.SnapshotWith(col.Cow())
 	rounds, err := semiNaive(rules, out, nil, idbSet(p), eval.ActiveDomain(u, p.Constants(), in), opt)
-	return result(out, rounds, col, err)
+	return engine.Finish(out, rounds, col, err)
 }
 
 // EvalNaive computes the same minimum model by naive iteration
@@ -114,7 +95,7 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 		}
 		return engine.Outcome{Delta: inserted}, nil
 	})
-	return result(out, rounds, col, err)
+	return engine.Finish(out, rounds, col, err)
 }
 
 // semiNaive runs semi-naive evaluation of rules to fixpoint, mutating
@@ -249,10 +230,10 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 		col.EndPhase("stratum", s+1)
 		totalRounds += rounds
 		if err != nil {
-			return result(out, totalRounds, col, err)
+			return engine.Finish(out, totalRounds, col, err)
 		}
 	}
-	return result(out, totalRounds, col, nil)
+	return engine.Finish(out, totalRounds, col, nil)
 }
 
 // TruthValue is a value of the 3-valued logic of the well-founded
@@ -387,4 +368,15 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 		return nil, err
 	}
 	return &WFSResult{True: under, Possible: over, u: u, Rounds: rounds, Adom: adom, Stats: col.Summary()}, err
+}
+
+// EvalWellFounded2 is the 2-valued reading of the well-founded model:
+// the true facts as the result instance and the Γ applications as its
+// stages, in the shape every other deterministic engine has.
+func EvalWellFounded2(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
+	wfs, err := EvalWellFounded(p, in, u, opt)
+	if wfs == nil {
+		return nil, err
+	}
+	return &Result{Out: wfs.True, Stages: wfs.Rounds, Stats: wfs.Stats}, err
 }

@@ -266,8 +266,8 @@ func TestRoundsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if semi.Rounds < 2 || naive.Rounds < 2 {
-		t.Fatalf("rounds look wrong: semi=%d naive=%d", semi.Rounds, naive.Rounds)
+	if semi.Stages < 2 || naive.Stages < 2 {
+		t.Fatalf("rounds look wrong: semi=%d naive=%d", semi.Stages, naive.Stages)
 	}
 }
 

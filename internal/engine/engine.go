@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 
+	"unchained/internal/ast"
 	"unchained/internal/eval"
 	"unchained/internal/stats"
 	"unchained/internal/trace"
@@ -229,6 +230,37 @@ func (o *Options) interrupted(stages int) error {
 // whether partial progress should accompany the error.
 func IsInterrupt(err error) bool {
 	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadline)
+}
+
+// Result is the outcome of a deterministic evaluation, whichever
+// engine ran it (core, declarative and while alias it, as they do
+// Options).
+type Result struct {
+	// Out is the final instance: the input plus everything derived (the
+	// final state for Datalog¬¬ and while programs, the true facts for
+	// the 2-valued well-founded reading).
+	Out *tuple.Instance
+	// Stages counts what the engine iterates: stages short of the final
+	// no-change confirmation (Example 4.1), semi-naive rounds, Γ
+	// applications, loop-body iterations.
+	Stages int
+	// Stats is the evaluation summary when Options carried a
+	// collector; nil otherwise.
+	Stats *stats.Summary
+}
+
+// Func is the signature every deterministic engine has: the facade's
+// semantics table holds one per row.
+type Func func(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error)
+
+// Finish assembles what a run left behind: the instance and stage
+// count with the summary, beside a context interruption as partial
+// progress; any other failure yields no result.
+func Finish(out *tuple.Instance, stages int, col *stats.Collector, err error) (*Result, error) {
+	if err != nil && !IsInterrupt(err) {
+		return nil, err
+	}
+	return &Result{Out: out, Stages: stages, Stats: col.Summary()}, err
 }
 
 // EvalCtx returns the matcher environment for one enumeration pass

@@ -197,3 +197,40 @@ func TestPlanCacheSharing(t *testing.T) {
 		t.Fatalf("cached plan changed results: %v vs %v", first, second)
 	}
 }
+
+// TestPlannerJoinsTheConstantBearingLiteralFirst: the join order is
+// decided here and nowhere else (no optimizer pass orders a body). With
+// the planner on, the literal a constant binds goes first wherever the
+// text puts it; with it off (the LiteralOrder reference path) the
+// baseline schedule runs.
+func TestPlannerJoinsTheConstantBearingLiteralFirst(t *testing.T) {
+	u := value.New()
+	r, err := parser.ParseRule(`p(X) :- e(X,Y), f(Y,Z), label(Z,red).`, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := Compile(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := parser.MustParseFacts(`e(a,b). e(d,e). e(g,h). f(b,c). f(e,k). f(h,l). label(c,red). label(k,blue). label(l,blue).`, u)
+	firstJoin := func(ctx *Ctx) (string, bool) {
+		steps, planned := cr.planFor(ctx)
+		for _, st := range steps {
+			if st.kind == stepMatch {
+				return st.pred, planned
+			}
+		}
+		t.Fatal("no join in the schedule")
+		return "", false
+	}
+	if pred, planned := firstJoin(&Ctx{In: in, DeltaLit: -1}); pred != "label" || !planned {
+		t.Fatalf("planner joins %s first (planned=%v), want the constant-bearing label", pred, planned)
+	}
+	if _, planned := firstJoin(&Ctx{In: in, DeltaLit: -1, NoPlan: true}); planned {
+		t.Fatal("NoPlan still substituted a planner schedule")
+	}
+	if n := countFirings(cr, &Ctx{In: in, DeltaLit: -1}); n != 1 {
+		t.Fatalf("%d firings, want 1", n)
+	}
+}

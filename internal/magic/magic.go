@@ -47,28 +47,28 @@ func boundArgs(a ast.Atom, ad adornment) []ast.Term {
 // Datalog program for the query atom (whose constant arguments are
 // the bound positions). It returns the rewritten program and the name
 // of the adorned answer relation; evaluating the rewritten program
-// bottom-up and filtering the answer relation with the query's
+// bottom-up over in and filtering the answer relation with the query's
 // constants yields exactly the query's answers.
-func Rewrite(p *ast.Program, query ast.Atom) (*ast.Program, string, error) {
+//
+// This repository allows input facts on intensional predicates, so an
+// adorned predicate whose relation has facts in in (nil: none) also
+// reads them, through a bridge rule guarded like its other rules. A
+// goal on a relation the program has no rules for (an input relation,
+// or one whose rules the optimizer removed) is answered by that rule
+// alone.
+func Rewrite(p *ast.Program, query ast.Atom, in *tuple.Instance) (*ast.Program, string, error) {
 	if err := p.Validate(ast.DialectDatalog); err != nil {
 		return nil, "", fmt.Errorf("magic: %w", err)
-	}
-	idb := map[string]bool{}
-	for _, n := range p.IDB() {
-		idb[n] = true
-	}
-	if !idb[query.Pred] {
-		return nil, "", fmt.Errorf("magic: query relation %s is not intensional", query.Pred)
 	}
 	sch, err := p.Schema()
 	if err != nil {
 		return nil, "", err
 	}
-	if sch[query.Pred] != query.Arity() {
-		return nil, "", fmt.Errorf("magic: query arity %d, relation %s has arity %d", query.Arity(), query.Pred, sch[query.Pred])
+	if n, known := sch[query.Pred]; known && n != query.Arity() {
+		return nil, "", fmt.Errorf("magic: query arity %d, relation %s has arity %d", query.Arity(), query.Pred, n)
 	}
 
-	// Group rules by head predicate.
+	// Group rules by head predicate: the intensional ones have some.
 	rulesFor := map[string][]ast.Rule{}
 	for _, r := range p.Rules {
 		h := r.Head[0].Atom
@@ -93,6 +93,14 @@ func Rewrite(p *ast.Program, query ast.Atom) (*ast.Program, string, error) {
 	for len(work) > 0 {
 		j := work[0]
 		work = work[1:]
+		if in != nil {
+			if rel := in.Relation(j.pred); rel != nil && !rel.Empty() {
+				if rel.Arity() != len(j.ad) {
+					return nil, "", fmt.Errorf("magic: relation %s has arity %d in the program or query, %d in the input", j.pred, len(j.ad), rel.Arity())
+				}
+				out.Rules = append(out.Rules, bridge(j.pred, j.ad))
+			}
+		}
 		for _, r := range rulesFor[j.pred] {
 			head := r.Head[0].Atom
 			// Bound variables: head variables at bound positions.
@@ -110,7 +118,7 @@ func Rewrite(p *ast.Program, query ast.Atom) (*ast.Program, string, error) {
 
 			for _, l := range r.Body {
 				a := l.Atom // positive Datalog: all literals are positive atoms
-				if idb[a.Pred] {
+				if len(rulesFor[a.Pred]) > 0 {
 					ad := adornment(a.Adornment(bound))
 					child := job{a.Pred, ad}
 					if !seen[child] {
@@ -150,6 +158,23 @@ func Rewrite(p *ast.Program, query ast.Atom) (*ast.Program, string, error) {
 	return out, adornedName(query.Pred, queryAd), nil
 }
 
+// bridge is the rule that hands the demanded input facts of pred to its
+// adorned copy: p#ad(X̄) :- magic#p#ad(bound X̄), p(X̄).
+func bridge(pred string, ad adornment) ast.Rule {
+	args := make([]ast.Term, len(ad))
+	for i := range args {
+		args[i] = ast.V(fmt.Sprintf("X%d", i))
+	}
+	all := ast.Atom{Pred: pred, Args: args}
+	return ast.Rule{
+		Head: []ast.Literal{ast.PosLit(ast.Atom{Pred: adornedName(pred, ad), Args: args})},
+		Body: []ast.Literal{
+			ast.PosLit(ast.Atom{Pred: magicName(pred, ad), Args: boundArgs(all, ad)}),
+			ast.PosLit(all),
+		},
+	}
+}
+
 // Answer evaluates the query against the program with the magic-sets
 // rewriting and returns the matching tuples (the instantiations of
 // the query atom's free variables are returned as full query-relation
@@ -165,7 +190,7 @@ func Answer(p *ast.Program, query ast.Atom, in *tuple.Instance, u *value.Univers
 // which runs under the engine name "magic" so callers can tell it from
 // a direct minimal-model evaluation.
 func AnswerStats(p *ast.Program, query ast.Atom, in *tuple.Instance, u *value.Universe, opt *declarative.Options) (*tuple.Relation, *stats.Summary, error) {
-	rw, ansName, err := Rewrite(p, query)
+	rw, ansName, err := Rewrite(p, query, in)
 	if err != nil {
 		return nil, nil, err
 	}

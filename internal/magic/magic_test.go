@@ -3,6 +3,9 @@ package magic
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -47,7 +50,7 @@ func TestMagicAvoidsIrrelevantWork(t *testing.T) {
 	in.Insert("G", tuple.Tuple{x0, x1})
 
 	q := ast.NewAtom("T", ast.C(x0), ast.V("Y"))
-	rw, ansName, err := Rewrite(p, q)
+	rw, ansName, err := Rewrite(p, q, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +158,132 @@ func TestMagicBothBound(t *testing.T) {
 func TestMagicErrors(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(queries.TC, u)
-	if _, _, err := Rewrite(p, ast.NewAtom("G", ast.V("X"), ast.V("Y"))); err == nil {
-		t.Fatalf("EDB query accepted")
-	}
-	if _, _, err := Rewrite(p, ast.NewAtom("T", ast.V("X"))); err == nil {
+	if _, _, err := Rewrite(p, ast.NewAtom("T", ast.V("X")), nil); err == nil {
 		t.Fatalf("arity mismatch accepted")
 	}
+	in := parser.MustParseFacts(`G(a,b). U(a,b).`, u)
+	for _, q := range []ast.Atom{ast.NewAtom("G", ast.V("X")), ast.NewAtom("U", ast.V("X"))} {
+		if _, _, err := Rewrite(p, q, in); err == nil {
+			t.Fatalf("arity mismatch with the program / the input accepted for %s", q.String(u))
+		}
+	}
 	neg := parser.MustParse(`A(X) :- B(X), !C(X).`, u)
-	if _, _, err := Rewrite(neg, ast.NewAtom("A", ast.V("X"))); err == nil {
+	if _, _, err := Rewrite(neg, ast.NewAtom("A", ast.V("X")), nil); err == nil {
 		t.Fatalf("negation accepted (magic sets here are positive-only)")
+	}
+}
+
+// TestMagicGoalWithoutRules: a goal on a relation the program has no
+// rules for (an input relation, one the program never mentions, one
+// whose rules the optimizer removed) is answered from the input facts,
+// as FullAnswer answers it; it is not an error.
+func TestMagicGoalWithoutRules(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(queries.TC, u)
+	in := parser.MustParseFacts(`G(a,b). G(b,c). U(a).`, u)
+	a := ast.C(u.Sym("a"))
+	for _, tc := range []struct {
+		q    ast.Atom
+		want int
+	}{
+		{ast.NewAtom("G", a, ast.V("Y")), 1},
+		{ast.NewAtom("G", ast.V("X"), ast.V("Y")), 2},
+		{ast.NewAtom("U", a), 1},
+		{ast.NewAtom("Nowhere", a), 0},
+	} {
+		got, err := Answer(p, tc.q, in, u, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q.String(u), err)
+		}
+		want, err := FullAnswer(p, tc.q, in, u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.Len() != tc.want {
+			t.Fatalf("%s: magic %d tuples, full %d, want %d", tc.q.String(u), got.Len(), want.Len(), tc.want)
+		}
+	}
+}
+
+// TestMagicReadsInputFactsOnIntensionalPredicates: this repository
+// allows input facts on intensional predicates, and goal-directed
+// evaluation must see them like full evaluation does. Every positive
+// program of the corpus, over generated instances that put facts on
+// every relation of its schema, every adornment of every goal.
+func TestMagicReadsInputFactsOnIntensionalPredicates(t *testing.T) {
+	paths, err := filepath.Glob("../../programs/*.dl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus: %v", err)
+	}
+	positive := 0
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := value.New()
+		p, err := parser.Parse(string(src), u)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if p.Validate(ast.DialectDatalog) != nil {
+			continue
+		}
+		positive++
+		sch, err := p.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds := make([]string, 0, len(sch))
+		for pred := range sch {
+			preds = append(preds, pred)
+		}
+		sort.Strings(preds)
+		consts := make([]value.Value, 5)
+		for i := range consts {
+			consts[i] = u.Sym(fmt.Sprintf("c%d", i))
+		}
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			in := tuple.NewInstance()
+			for _, pred := range preds {
+				for i := 0; i < 4; i++ {
+					tup := make(tuple.Tuple, sch[pred])
+					for k := range tup {
+						tup[k] = consts[rng.Intn(len(consts))]
+					}
+					in.Insert(pred, tup)
+				}
+			}
+			for _, pred := range preds {
+				n := sch[pred]
+				for ad := 0; ad < 1<<n; ad++ {
+					args := make([]ast.Term, n)
+					for k := range args {
+						args[k] = ast.V(fmt.Sprintf("Q%d", k))
+						if ad>>k&1 == 1 {
+							args[k] = ast.C(consts[rng.Intn(len(consts))])
+						}
+					}
+					q := ast.Atom{Pred: pred, Args: args}
+					got, err := Answer(p, q, in, u, nil)
+					if err != nil {
+						t.Fatalf("%s seed %d, %s: %v", path, seed, q.String(u), err)
+					}
+					want, err := FullAnswer(p, q, in, u, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("%s seed %d, %s: magic %d tuples, full %d\ninput:\n%s",
+							path, seed, q.String(u), got.Len(), want.Len(), in.String(u))
+					}
+				}
+			}
+		}
+	}
+	if positive < 2 {
+		t.Fatalf("only %d positive programs in the corpus", positive)
 	}
 }
 
@@ -229,6 +349,11 @@ func TestMagicMatchesFullOnRandomPrograms(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			in.Insert("E0", tuple.Tuple{consts[rng.Intn(4)]})
 			in.Insert("E1", tuple.Tuple{consts[rng.Intn(4)], consts[rng.Intn(4)]})
+		}
+		// Input facts are allowed on intensional predicates too.
+		if seed%2 == 0 {
+			in.Insert("I0", tuple.Tuple{consts[rng.Intn(4)]})
+			in.Insert("I1", tuple.Tuple{consts[rng.Intn(4)], consts[rng.Intn(4)]})
 		}
 		// Random query over a random IDB pred with a random binding
 		// (chosen from the predicates that actually occur in heads).

@@ -28,11 +28,10 @@
 //     semantics whose result is stage-timing independent and only
 //     when no stage bound is in force; callers gate it with
 //     Options.NoInline.
-//   - adorn: binding-pattern (adornment) analysis from the output
-//     roots, plus a sideways-information-passing body reorder that
-//     moves bound literals first. Join order is semantically free in
-//     this repository (the planner oracle pins that), so this is a
-//     pure plan hint.
+//
+// No pass orders a rule body: the join order is the planner's decision
+// (internal/eval), taken at enumeration time against live
+// cardinalities.
 //
 // Every rewrite is recorded as a Rewrite (for -explain narration) and
 // as a positioned, analyze-style diagnostic with a stable O-code.
@@ -76,9 +75,8 @@ const (
 	// folding, unsatisfiable- and underivable-rule elimination, and
 	// subsumption.
 	O1 Level = 1
-	// O2 adds inlining (where timing-safe), reachability-based dead
-	// rule elimination against the output roots, and adornment
-	// analysis with the SIPS body reorder.
+	// O2 adds inlining (where timing-safe) and reachability-based dead
+	// rule elimination against the output roots.
 	O2 Level = 2
 )
 
@@ -92,7 +90,6 @@ const (
 	CodeInlined     = "O002" // predicate inlined into a call site
 	CodeConstProp   = "O003" // constants propagated / literals folded in a rule
 	CodeSubsumed    = "O004" // rule subsumed by another rule
-	CodeAdorned     = "O005" // body reordered by adornment (SIPS) analysis
 	CodeDomainGuard = "O006" // rewrites discarded: active-domain-sensitive program
 )
 
@@ -118,12 +115,6 @@ type Options struct {
 	// Incremental maintenance sets it: future deltas may insert facts
 	// on any predicate, so the assumption is uncheckable up front.
 	NoAssume bool
-
-	// NoReorder disables the adornment body reorder (the analysis
-	// itself still runs). Not a knob of its own: the facade and the
-	// CLI derive it from LiteralOrder, which pins the textual join
-	// order the reorder would overwrite.
-	NoReorder bool
 }
 
 // maxPasses bounds the rewrite fixpoint iterations.
@@ -135,13 +126,6 @@ type Rewrite struct {
 	Pass string  `json:"pass"`
 	Pos  ast.Pos `json:"pos"`
 	Note string  `json:"note"`
-}
-
-// Adornment is one derived binding pattern: Pattern has one 'b'
-// (bound) or 'f' (free) per argument position of Pred.
-type Adornment struct {
-	Pred    string `json:"pred"`
-	Pattern string `json:"pattern"`
 }
 
 // Result is the outcome of a pipeline run.
@@ -161,10 +145,6 @@ type Result struct {
 	// assumed carry no input facts. Callers must verify the actual
 	// instance and fall back to the original program on violation.
 	RequiresEmptyInput []string
-	// Adornments are the binding patterns derived from the roots
-	// (O2), sorted by predicate then pattern — plan metadata for the
-	// sideways-information-passing hints.
-	Adornments []Adornment
 	// Diags carries one positioned info diagnostic per rewrite.
 	Diags ast.Diagnostics
 }
@@ -253,25 +233,13 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 		}
 	}
 
-	// The body reorder moves no atom between rules, so the index of
-	// the program before it serves the adornments and the IDB
-	// comparison below as well.
-	final := index()
-	if o.Level >= O2 {
-		if !o.NoReorder {
-			var ch bool
-			cur, ch = reorder(cur, res)
-			res.Changed = res.Changed || ch
-		}
-		res.Adornments = adornments(cur, final, o.Roots)
-	}
-
 	// Removing a predicate's last deriving rule takes it out of the
 	// IDB, which changes which relations the default answer
 	// restriction prints — unless the caller pinned explicit roots,
 	// in which case unreachable predicates are unobservable by
 	// contract. Guard the difference with an emptiness assumption.
 	if res.Changed {
+		final := index()
 		var reach []bool
 		if len(o.Roots) > 0 {
 			reach = reachableFrom(orig, o.Roots)

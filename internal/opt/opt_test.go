@@ -189,49 +189,6 @@ func TestRootsKeepSupportingRules(t *testing.T) {
 	}
 }
 
-func TestAdornReorderPrefersConstants(t *testing.T) {
-	src := "p(X) :- e(X,Y), f(Y,Z), label(Z,red).\n"
-	res, u := mustOpt(t, src, &Options{Level: O2})
-	got := render(res.Program, u)
-	if !strings.HasPrefix(got, "p(X) :- label(Z,red),") {
-		t.Fatalf("constant-bearing literal not moved first:\n%s", got)
-	}
-	found := false
-	for _, rw := range res.Rewrites {
-		if rw.Pass == "adorn" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("reorder not narrated: %v", res.Rewrites)
-	}
-}
-
-func TestAdornNoReorder(t *testing.T) {
-	src := "p(X) :- e(X,Y), f(Y,Z), label(Z,red).\n"
-	res, u := mustOpt(t, src, &Options{Level: O2, NoReorder: true})
-	got := render(res.Program, u)
-	if !strings.HasPrefix(got, "p(X) :- e(X,Y),") {
-		t.Fatalf("NoReorder ignored:\n%s", got)
-	}
-}
-
-func TestAdornments(t *testing.T) {
-	src := "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).\n"
-	res, _ := mustOpt(t, src, &Options{Level: O2, Roots: []string{"sg"}})
-	pats := map[string]bool{}
-	for _, a := range res.Adornments {
-		pats[a.Pred+"^"+a.Pattern] = true
-	}
-	if !pats["sg^ff"] {
-		t.Fatalf("missing root adornment sg^ff: %v", res.Adornments)
-	}
-	// After up(X,U) binds U, the recursive call is bound-free.
-	if !pats["sg^bf"] {
-		t.Fatalf("missing derived adornment sg^bf: %v", res.Adornments)
-	}
-}
-
 func TestO0IsIdentity(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse("p(X) :- e(X), a = b.\n", u)

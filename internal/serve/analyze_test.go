@@ -100,6 +100,55 @@ func TestAnalyzeReportCached(t *testing.T) {
 	}
 }
 
+// TestAutoEvalAnalyzesOnce: an "auto" request resolves its semantics
+// from the report the parse-cache entry memoizes, then runs like a
+// request that named that semantics (memoized optimizer variant
+// included). No request analyzes the program for itself, so none traces
+// an analyze span; both are answered, recorded and counted as "auto",
+// and a failed resolution keeps its code and status.
+func TestAutoEvalAnalyzesOnce(t *testing.T) {
+	srv, ts := newInstrumentedServer(t)
+	for i := 0; i < 2; i++ {
+		resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{
+			Envelope:  Envelope{Program: winProgram, Facts: `Moves(a,b). Moves(b,c).`, Stats: true, Optimize: 2},
+			Semantics: "auto", Trace: true,
+		})
+		var out EvalResponse
+		if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		if !out.OK || out.Semantics != "auto" || out.Stats.Engine != "wellfounded" || !strings.Contains(out.Output, "Win(b).") {
+			t.Fatalf("request %d: %s", i, body)
+		}
+		if len(out.Trace) == 0 {
+			t.Fatalf("request %d: no trace", i)
+		}
+		for _, ev := range out.Trace {
+			if ev.Span == "analyze" {
+				t.Fatalf("request %d analyzed the cached program for itself: %+v", i, ev)
+			}
+		}
+	}
+	if n := srv.semCounts["auto"].Load(); n != 2 {
+		t.Fatalf("evals_by_semantics{auto} = %d, want 2", n)
+	}
+	if recs := srv.flight.Recent(); len(recs) != 2 || recs[0].Semantics != "auto" {
+		t.Fatalf("flight records: %+v", recs)
+	}
+
+	resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{
+		Envelope: Envelope{Program: `Some, Chosen(X) :- P(X), !Some.`}, Semantics: "auto",
+	})
+	var out EvalResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || out.Error == nil || out.Error.Code != CodeEval ||
+		out.Semantics != "auto" || !strings.Contains(out.Error.Message, "nondeterministic engine") {
+		t.Fatalf("auto on a nondeterministic program: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestAnalyzeMetricsExposition: the analyze counters appear on
 // /metrics under the unchained_analyze_* names.
 func TestAnalyzeMetricsExposition(t *testing.T) {

@@ -33,12 +33,12 @@ type cacheEntry struct {
 	// Optimized variants of the program, computed once on first demand
 	// and shared by every subsequent request at the same level (the
 	// optimizer is deterministic, so the variant is as immutable as the
-	// parse). Three variants cover the request space: O1 (no inlining
-	// by construction), O2, and O2 without inlining for requests whose
-	// semantics or stage bound is timing-sensitive.
-	optO1     optVariant
-	optO2     optVariant
-	optO2Caut optVariant
+	// parse). The daemon declares no output roots, so what level 2 adds
+	// to level 1 is inlining, and two variants cover the request space:
+	// with it, and without (level 1, and level 2 for a request whose
+	// semantics or stage bound is timing-sensitive).
+	optInline   optVariant
+	optNoInline optVariant
 }
 
 // optVariant memoizes one optimization of a cache entry's program.
@@ -55,28 +55,23 @@ type optVariant struct {
 // result's emptiness assumptions against the request's facts via
 // unchained.OptAssumptionsHold before substituting the program.
 func (e *cacheEntry) optimized(level int, noInline bool, onCompute func(*unchained.OptimizeResult)) *unchained.OptimizeResult {
-	var v *optVariant
-	switch {
-	case level <= 0 || level > 2:
+	if level <= 0 || level > 2 {
 		return nil
-	case level == 1:
-		v = &e.optO1
-	case noInline:
-		v = &e.optO2Caut
-	default:
-		v = &e.optO2
+	}
+	noInline = noInline || level == 1
+	v := &e.optInline
+	if noInline {
+		v = &e.optNoInline
 	}
 	v.once.Do(func() {
 		// Stratified is timing-safe, so OptimizeFor applies exactly the
 		// passes the options request; the noInline flag carries the
 		// per-request timing sensitivity instead.
 		res := e.base.OptimizeFor(e.prog, unchained.Stratified,
-			&unchained.OptOptions{Level: unchained.OptLevel(level), NoInline: noInline})
-		if res != nil && res.Changed {
+			&unchained.OptOptions{Level: unchained.Opt2, NoInline: noInline})
+		if res.Changed {
 			v.res = res
-			if onCompute != nil {
-				onCompute(res)
-			}
+			onCompute(res)
 		}
 	})
 	return v.res

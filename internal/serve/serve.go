@@ -552,20 +552,23 @@ func (q *evalRequest) run(s *Server, c *call) *ErrorInfo {
 		rec = unchained.NewTraceRecorder(0)
 		opts = append(opts, unchained.WithTracer(rec))
 	}
-	// "auto" resolves its semantics inside EvalContext, so it optimizes
-	// through the facade option instead of the memoized variant.
-	prog := c.entry.prog
-	if q.sem != unchained.SemanticsAuto {
-		prog = s.variant(c, q.Optimize, q.MaxStages > 0 || !unchained.OptInlineSafe(q.sem), in)
-	} else if q.Optimize > 0 {
-		opts = append(opts, unchained.WithOptimize(unchained.OptLevel(q.Optimize)))
+	// "auto" is the semantics the program's analysis recommends. The
+	// entry memoizes the report, so only the first such request for a
+	// program analyzes it, under its admission slot like /v1/analyze;
+	// the request stays "auto" where it is counted and recorded.
+	q.resp.Semantics = c.rec.Semantics
+	sem := q.sem
+	if sem == unchained.SemanticsAuto {
+		if sem, err = unchained.AutoSemantics(c.entry.report()); err != nil {
+			return evalFailure(err)
+		}
 	}
+	prog := s.variant(c, q.Optimize, q.MaxStages > 0 || !unchained.OptInlineSafe(sem), in)
 
 	s.engineStart(c)
-	res, err := sess.EvalContext(c.ctx, prog, in, q.sem, opts...)
+	res, err := sess.EvalContext(c.ctx, prog, in, sem, opts...)
 	s.engineDone(c)
 
-	q.resp.Semantics = c.rec.Semantics
 	if res != nil {
 		q.resp.Stages = res.Stages
 		c.rec.SetSummary(res.Stats)

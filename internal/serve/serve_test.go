@@ -153,6 +153,22 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryOptimizeNeverTurnsAnAnswerIntoAnError: Q is underivable, so
+// at optimize 1 and 2 the goal's relation has no rule left; the answer
+// stays empty.
+func TestQueryOptimizeNeverTurnsAnAnswerIntoAnError(t *testing.T) {
+	ts := newTestServer(t)
+	for level := 0; level <= 2; level++ {
+		resp, body := post(t, ts.URL+"/v1/query", QueryRequest{
+			Envelope: Envelope{Program: "P(X) :- Q(X).\nQ(X) :- Q(X), E(X).\nR(X) :- E(X).\n", Facts: `E(a). E(b).`, Optimize: level},
+			Query:    `P(a)`,
+		})
+		if want := `{"ok":true,"count":0}` + "\n"; resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Fatalf("optimize %d: status %d: %s", level, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestHealthzAndStatsz(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")

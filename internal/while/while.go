@@ -95,17 +95,10 @@ func (p *Program) Fixpoint() bool {
 // iteration as a stage. A nil *Options is valid.
 type Options = engine.Options
 
-// Result is the outcome of running a program.
-type Result struct {
-	// Out is the final instance (input relations plus program
-	// variables).
-	Out *tuple.Instance
-	// Iters counts loop-body iterations executed.
-	Iters int
-	// Stats is the evaluation summary when Options carried a
-	// collector; nil otherwise. Stats.Stages equals Iters.
-	Stats *stats.Summary
-}
+// Result is the outcome of running a program: the final instance (input
+// relations plus program variables) and the loop-body iterations
+// executed, as Stages.
+type Result = engine.Result
 
 type interp struct {
 	adom  []value.Value
@@ -129,10 +122,7 @@ func Run(p *Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Resu
 		opt:   opt,
 	}
 	err := it.seq(p.Stmts, state)
-	if err != nil && !engine.IsInterrupt(err) {
-		return nil, err
-	}
-	return &Result{Out: state, Iters: it.iters, Stats: col.Summary()}, err
+	return engine.Finish(state, it.iters, col, err)
 }
 
 func (it *interp) seq(ss []Stmt, state *tuple.Instance) error {

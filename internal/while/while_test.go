@@ -157,8 +157,8 @@ func TestSequencingAndNesting(t *testing.T) {
 	if got := render(u, res.Out, "S"); got != "(c)" {
 		t.Fatalf("S = %q", got)
 	}
-	if res.Iters < 2 {
-		t.Fatalf("Iters = %d", res.Iters)
+	if res.Stages < 2 {
+		t.Fatalf("Stages = %d", res.Stages)
 	}
 }
 

@@ -14,16 +14,13 @@ type (
 	// (mirrors the CLI -O flag).
 	OptLevel = opt.Level
 	// OptimizeResult is the pipeline outcome: the rewritten program,
-	// the applied rewrites with positions, the emptiness assumptions,
-	// and the adornment plan metadata.
+	// the applied rewrites with positions and the emptiness assumptions.
 	OptimizeResult = opt.Result
 	// OptRewrite is one applied rewrite (for -explain narration).
 	OptRewrite = opt.Rewrite
 	// OptOptions is the full pipeline configuration (Session.Optimize
 	// covers the common cases; use OptimizeFor for the rest).
 	OptOptions = opt.Options
-	// Adornment is one derived binding pattern (plan metadata).
-	Adornment = opt.Adornment
 )
 
 // The optimization levels.
@@ -33,8 +30,8 @@ const (
 	// Opt1 runs the always-safe rewrites: constant propagation and
 	// folding, dead-rule elimination, subsumption.
 	Opt1 = opt.O1
-	// Opt2 adds inlining (where timing-safe), reachability
-	// elimination against declared roots, and adornment analysis.
+	// Opt2 adds inlining (where timing-safe) and reachability
+	// elimination against declared roots.
 	Opt2 = opt.O2
 )
 
@@ -57,25 +54,22 @@ func WithOptimizeRoots(roots ...string) Opt {
 	return func(cfg *evalConfig) { cfg.optRoots = append([]string(nil), roots...) }
 }
 
-// timingSafe reports whether a semantics' result is independent of
-// the stage at which facts first appear. Inlining makes facts appear
-// earlier; for these semantics the fixpoint is unchanged, while
-// inflationary/noninflationary/invent programs can observe the shift
-// (a negation evaluated at stage n sees different intermediate
-// states).
-func timingSafe(sem Semantics) bool {
+// OptInlineSafe reports whether a semantics' result is independent of
+// the stage at which facts first appear, which is when inlining
+// preserves it. Inlining makes facts appear earlier; for these
+// semantics the fixpoint is unchanged, while inflationary /
+// noninflationary / invent programs can observe the shift (a negation
+// evaluated at stage n sees different intermediate states).
+// OptimizeFor applies the gate itself; it is exported for callers that
+// memoize optimized programs (the daemon's parse cache) and must pick
+// the variant up front.
+func OptInlineSafe(sem Semantics) bool {
 	switch sem {
 	case MinimalModel, Stratified, WellFounded, SemiPositive:
 		return true
 	}
 	return false
 }
-
-// OptInlineSafe reports whether inlining preserves the result under
-// sem — the timing-safety gate OptimizeFor applies internally.
-// Exposed so callers that memoize optimized programs per level (the
-// daemon's parse cache) can pick the right variant up front.
-func OptInlineSafe(sem Semantics) bool { return timingSafe(sem) }
 
 // OptimizeFor runs the rewrite pipeline against a target semantics
 // with explicit options. Timing-gated passes are forced off when the
@@ -91,7 +85,7 @@ func (s *Session) OptimizeFor(p *Program, sem Semantics, o *OptOptions) *Optimiz
 	} else {
 		oo.Level = Opt2
 	}
-	if !timingSafe(sem) {
+	if !OptInlineSafe(sem) {
 		oo.NoInline = true
 	}
 	return opt.Optimize(p, s.U, &oo)
@@ -130,7 +124,7 @@ func (s *Session) optimizeEval(p *Program, in *Instance, sem Semantics, cfg *eva
 	if cfg.optimize <= OptNone || p == nil {
 		return p
 	}
-	o := &OptOptions{Level: cfg.optimize, Roots: cfg.optRoots, NoReorder: cfg.opt.LiteralOrder}
+	o := &OptOptions{Level: cfg.optimize, Roots: cfg.optRoots}
 	if cfg.opt.MaxStages > 0 {
 		o.NoInline = true
 	}

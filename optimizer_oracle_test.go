@@ -105,15 +105,27 @@ func TestOptimizerMatchesSharded(t *testing.T) {
 func TestOptimizerMatchesQuery(t *testing.T) {
 	cases := []struct {
 		prog, facts, query string
+		src                string // the program inline; facts are then inline too
 	}{
-		{"tc.dl", "chain.facts", "T(a,Y)"},
-		{"same_generation.dl", "family.facts", "Sg(ann,Y)"},
+		{prog: "tc.dl", facts: "chain.facts", query: "T(a,Y)"},
+		{prog: "same_generation.dl", facts: "family.facts", query: "Sg(ann,Y)"},
+		// Q is underivable, so -O1 removes every rule of the goal's
+		// relation: the answer stays empty, it does not become an error.
+		{prog: "underivable-goal", src: "P(X) :- Q(X).\nQ(X) :- Q(X), E(X).\nR(X) :- E(X).\n", facts: "E(a). E(b).", query: "P(a)"},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.prog, func(t *testing.T) {
 			run := func(extra ...unchained.Opt) string {
-				s, p, in := loadCase(t, c.prog, c.facts)
+				var s *unchained.Session
+				var p *unchained.Program
+				var in *unchained.Instance
+				if c.src == "" {
+					s, p, in = loadCase(t, c.prog, c.facts)
+				} else {
+					s = unchained.NewSession()
+					p, in = s.MustParse(c.src), s.MustFacts(c.facts)
+				}
 				q, err := s.ParseAtom(c.query)
 				if err != nil {
 					t.Fatal(err)
@@ -129,9 +141,10 @@ func TestOptimizerMatchesQuery(t *testing.T) {
 				return out
 			}
 			base := run()
-			opt := run(unchained.WithOptimize(unchained.Opt2))
-			if opt != base {
-				t.Errorf("goal-directed answers diverge:\n--- -O2 ---\n%s\n--- -O0 ---\n%s", opt, base)
+			for _, level := range optLevels {
+				if opt := run(unchained.WithOptimize(level)); opt != base {
+					t.Errorf("goal-directed answers diverge:\n--- -%v ---\n%s\n--- -O0 ---\n%s", level, opt, base)
+				}
 			}
 		})
 	}

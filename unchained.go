@@ -45,6 +45,7 @@ import (
 	"context"
 	"fmt"
 
+	"unchained/internal/analyze"
 	"unchained/internal/ast"
 	"unchained/internal/core"
 	"unchained/internal/declarative"
@@ -154,67 +155,22 @@ const (
 
 // semanticsTable is the single source of truth tying each Semantics
 // to its canonical name, its accepted aliases, and its engine.
-// Semantics.String, SemanticsByName and EvalContext's dispatch all
-// derive from it, so a semantics can never gain a printable name
-// without a parseable one or an engine without a name.
+// Semantics.String, SemanticsByName and the dispatch of EvalContext and
+// EvalOptions all derive from it, so a semantics can never gain a
+// printable name without a parseable one or an engine without a name.
 var semanticsTable = []struct {
 	sem     Semantics
 	name    string   // canonical spelling, returned by String
 	aliases []string // additional spellings SemanticsByName accepts
-	eval    func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error)
+	eval    engine.Func
 }{
-	{MinimalModel, "minimal-model", []string{"datalog"},
-		func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error) {
-			res, err := declarative.Eval(p, in, s.U, opt)
-			return evalResultOf(res, err)
-		}},
-	{Stratified, "stratified", nil,
-		func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error) {
-			res, err := declarative.EvalStratified(p, in, s.U, opt)
-			return evalResultOf(res, err)
-		}},
-	{WellFounded, "well-founded", []string{"wellfounded"},
-		func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error) {
-			res, err := declarative.EvalWellFounded(p, in, s.U, opt)
-			if res == nil {
-				return nil, err
-			}
-			return &EvalResult{Out: res.True, Stages: res.Rounds, Stats: res.Stats}, err
-		}},
-	{Inflationary, "inflationary", nil,
-		func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error) {
-			res, err := core.EvalInflationary(p, in, s.U, opt)
-			return coreResultOf(res, err)
-		}},
-	{NonInflationary, "noninflationary", []string{"datalog-neg-neg"},
-		func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error) {
-			res, err := core.EvalNonInflationary(p, in, s.U, opt)
-			return coreResultOf(res, err)
-		}},
-	{Invent, "invent", []string{"datalog-new"},
-		func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error) {
-			res, err := core.EvalInvent(p, in, s.U, opt)
-			return coreResultOf(res, err)
-		}},
-	{SemiPositive, "semi-positive", []string{"semipositive"},
-		func(s *Session, p *Program, in *Instance, opt *engine.Options) (*EvalResult, error) {
-			res, err := declarative.EvalSemiPositive(p, in, s.U, opt)
-			return evalResultOf(res, err)
-		}},
-}
-
-func evalResultOf(res *declarative.Result, err error) (*EvalResult, error) {
-	if res == nil {
-		return nil, err
-	}
-	return &EvalResult{Out: res.Out, Stages: res.Rounds, Stats: res.Stats}, err
-}
-
-func coreResultOf(res *core.Result, err error) (*EvalResult, error) {
-	if res == nil {
-		return nil, err
-	}
-	return &EvalResult{Out: res.Out, Stages: res.Stages, Stats: res.Stats}, err
+	{MinimalModel, "minimal-model", []string{"datalog"}, declarative.Eval},
+	{Stratified, "stratified", nil, declarative.EvalStratified},
+	{WellFounded, "well-founded", []string{"wellfounded"}, declarative.EvalWellFounded2},
+	{Inflationary, "inflationary", nil, core.EvalInflationary},
+	{NonInflationary, "noninflationary", []string{"datalog-neg-neg"}, core.EvalNonInflationary},
+	{Invent, "invent", []string{"datalog-new"}, core.EvalInvent},
+	{SemiPositive, "semi-positive", []string{"semipositive"}, declarative.EvalSemiPositive},
 }
 
 func (s Semantics) String() string {
@@ -320,12 +276,9 @@ func buildConfig(ctx context.Context, opts []Opt) *evalConfig {
 // EvalResult is the outcome of EvalContext: the final (or, under a
 // typed interruption error, partial) instance, the number of stages
 // or rounds completed, and the statistics summary when a collector
-// was attached.
-type EvalResult struct {
-	Out    *Instance
-	Stages int
-	Stats  *StatsSummary
-}
+// was attached. It is the one result type of every deterministic
+// engine (engine.Result).
+type EvalResult = engine.Result
 
 // Session ties a universe to parsing and evaluation. A Session is
 // not safe for concurrent use; use Fork to evaluate concurrently.
@@ -380,11 +333,22 @@ func (s *Session) Sym(name string) Value { return s.U.Sym(name) }
 func (s *Session) EvalContext(ctx context.Context, p *Program, in *Instance, sem Semantics, opts ...Opt) (*EvalResult, error) {
 	cfg := buildConfig(ctx, opts)
 	if sem == SemanticsAuto {
-		return s.evalAuto(p, in, cfg)
+		var err error
+		if sem, err = AutoSemantics(analyze.Analyze(p, &analyze.Options{Tracer: cfg.opt.Tracer})); err != nil {
+			return nil, err
+		}
 	}
+	return s.EvalOptions(s.optimizeEval(p, in, sem, cfg), in, sem, &cfg.opt)
+}
+
+// EvalOptions is the table lookup under EvalContext: it runs the
+// engine of sem on p as given (no optimizer, no auto) with engine
+// options the caller built itself, which is what cmd/datalog does from
+// its flags. opt may be nil.
+func (s *Session) EvalOptions(p *Program, in *Instance, sem Semantics, opt *engine.Options) (*EvalResult, error) {
 	for _, e := range semanticsTable {
 		if e.sem == sem {
-			return e.eval(s, s.optimizeEval(p, in, sem, cfg), in, &cfg.opt)
+			return e.eval(p, in, s.U, opt)
 		}
 	}
 	return nil, fmt.Errorf("unchained: unknown semantics %v", sem)
