@@ -134,7 +134,7 @@ func CompileDelta(r ast.Rule, deltaLit int) (*Rule, error) { return compile(r, d
 func compile(r ast.Rule, firstLit int) (*Rule, error) { return compileCost(r, firstLit, nil) }
 
 // sizeFn reports the cardinality of the relation a positive body
-// literal matches against (In ∪ Aux, or Delta for the pinned delta
+// literal matches against (In, or Delta for the pinned delta
 // literal). A nil sizeFn selects the seed's literal-order greedy
 // schedule; a non-nil one turns the scheduler into the cost-based
 // planner (see plan.go).

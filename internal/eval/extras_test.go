@@ -84,30 +84,3 @@ func TestBodySupportsSkipsNegationAndForall(t *testing.T) {
 		t.Fatalf("supports = %+v, want just P(a)", got)
 	}
 }
-
-func TestAuxOverlayMatching(t *testing.T) {
-	u := value.New()
-	r, err := parser.ParseRule(`P(X,Z) :- G(X,Y), G(Y,Z).`, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := Compile(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := parser.MustParseFacts(`G(a,b).`, u)
-	aux := parser.MustParseFacts(`G(b,c).`, u)
-	count := func(scan bool) int {
-		ctx := &Ctx{In: in, Aux: aux, Adom: ActiveDomain(u, nil, in), DeltaLit: -1, Scan: scan}
-		n := 0
-		cr.Enumerate(ctx, func(Binding) bool { n++; return true })
-		return n
-	}
-	// The 2-path a->b->c only exists across the overlay.
-	if n := count(false); n != 1 {
-		t.Fatalf("indexed overlay enumerations = %d, want 1", n)
-	}
-	if n := count(true); n != 1 {
-		t.Fatalf("scan overlay enumerations = %d, want 1", n)
-	}
-}

@@ -89,25 +89,16 @@ func (r *Rule) replan(ctx *Ctx) []step {
 }
 
 // ctxSize is the cardinality a positive body literal joins against:
-// the delta relation for the pinned delta literal, otherwise In plus
-// any Aux overlay.
+// the delta relation for the pinned delta literal, otherwise In.
 func ctxSize(ctx *Ctx, litIndex int, pred string) int {
+	src := ctx.In
 	if ctx.Delta != nil && litIndex == ctx.DeltaLit {
-		if rel := relOf(ctx.Delta, pred); rel != nil {
-			return rel.Len()
-		}
-		return 0
+		src = ctx.Delta
 	}
-	n := 0
-	if rel := relOf(ctx.In, pred); rel != nil {
-		n = rel.Len()
+	if rel := relOf(src, pred); rel != nil {
+		return rel.Len()
 	}
-	if ctx.Aux != nil {
-		if rel := relOf(ctx.Aux, pred); rel != nil {
-			n += rel.Len()
-		}
-	}
-	return n
+	return 0
 }
 
 // estCard estimates a probe's output cardinality: size discounted by

@@ -21,75 +21,6 @@ func countFirings(r *Rule, ctx *Ctx) int {
 	return n
 }
 
-// TestAuxOverlayNoDoubleVisit is the regression test for the overlay
-// double-counting bug: a tuple present in both In and Aux used to be
-// visited twice per match step, inflating firing counts (and, through
-// BodySupports, duplicating provenance). The oracle is a cloned
-// instance holding the union, where each tuple exists exactly once.
-func TestAuxOverlayNoDoubleVisit(t *testing.T) {
-	u := value.New()
-	r, err := parser.ParseRule(`P(X,Z) :- G(X,Y), G(Y,Z).`, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := Compile(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := parser.MustParseFacts(`G(a,b). G(b,c). G(c,d).`, u)
-	// Aux overlaps In on G(b,c) and adds G(d,e): the overlapping tuple
-	// must be matched once, not once per source.
-	aux := parser.MustParseFacts(`G(b,c). G(d,e).`, u)
-
-	union := in.Clone()
-	aux.Relation("G").Each(func(tp tuple.Tuple) bool {
-		union.Insert("G", tp)
-		return true
-	})
-
-	adom := ActiveDomain(u, nil, union)
-	for _, noPlan := range []bool{false, true} {
-		got := countFirings(cr, &Ctx{In: in, Aux: aux, Adom: adom, DeltaLit: -1, NoPlan: noPlan})
-		want := countFirings(cr, &Ctx{In: union, Adom: adom, DeltaLit: -1, NoPlan: noPlan})
-		if got != want {
-			t.Errorf("NoPlan=%v: overlay fired %d times, cloned-union oracle fired %d", noPlan, got, want)
-		}
-	}
-}
-
-// TestAuxOverlayUniqueSupports checks the provenance side of the same
-// bug: BodySupports must yield each distinct support list once.
-func TestAuxOverlayUniqueSupports(t *testing.T) {
-	u := value.New()
-	r, err := parser.ParseRule(`P(X) :- G(X).`, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := Compile(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := parser.MustParseFacts(`G(a). G(b).`, u)
-	aux := parser.MustParseFacts(`G(a).`, u) // full overlap on G(a)
-	seen := map[string]int{}
-	cr.Enumerate(&Ctx{In: in, Aux: aux, Adom: ActiveDomain(u, nil, in), DeltaLit: -1}, func(b Binding) bool {
-		key := ""
-		for _, f := range cr.BodySupports(b) {
-			key += f.Pred + f.Tuple.Key() + ";"
-		}
-		seen[key]++
-		return true
-	})
-	for key, n := range seen {
-		if n != 1 {
-			t.Errorf("support list %q seen %d times, want 1", key, n)
-		}
-	}
-	if len(seen) != 2 {
-		t.Errorf("got %d distinct supports, want 2 (G(a), G(b))", len(seen))
-	}
-}
-
 // TestAdomCacheStableAcrossStages pins the satellite fix: a fixpoint
 // loop that consults the domain every stage but only mutates the
 // instance in some of them must pay one recompute per actual change,

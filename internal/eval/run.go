@@ -23,14 +23,6 @@ type Ctx struct {
 	// to evaluate the Gelfond–Lifschitz-style reduct: positives match
 	// the growing fixpoint while negatives test a fixed estimate.
 	NegIn *tuple.Instance
-	// Aux, if non-nil, overlays In for positive matching: positive
-	// literals match In ∪ Aux. The incremental-maintenance engine
-	// uses it to evaluate against the pre-deletion state (current
-	// state ∪ deleted facts) without cloning. Tuples present in both
-	// are visited exactly once (the overlay skips candidates already
-	// in In), so firing counts and provenance match a materialized
-	// union.
-	Aux *tuple.Instance
 	// Delta, if non-nil, replaces In for the positive body literal
 	// with index DeltaLit (semi-naive evaluation).
 	Delta    *tuple.Instance
@@ -120,18 +112,13 @@ func (f *frame) ground(si int, slots []slot) tuple.Tuple {
 }
 
 // drainMatch pulls it, step si's iterator, dry, binding and recursing
-// per candidate. skip, if non-nil, suppresses candidates it contains — the
-// Aux overlay pass uses the In relation here so tuples present in both
-// sources are visited exactly once. Returns false on early exit.
-func (f *frame) drainMatch(si int, it *tuple.Iterator, skip *tuple.Relation, emit func(Binding) bool) bool {
+// per candidate. Returns false on early exit.
+func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) bool {
 	st, b := &f.steps[si], f.b
 	for {
 		t, more := it.Next()
 		if !more {
 			return true
-		}
-		if skip != nil && skip.Contains(t) {
-			continue
 		}
 		if f.tr != nil && f.tr.counts != nil {
 			f.tr.counts[si]++
@@ -174,16 +161,7 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 			src = ctx.Delta
 		}
 		rel := relOf(src, st.pred)
-		if rel != nil && rel.Arity() != st.arity {
-			rel = nil
-		}
-		var aux *tuple.Relation
-		if ctx.Aux != nil && src != ctx.Delta {
-			if a := relOf(ctx.Aux, st.pred); a != nil && a.Arity() == st.arity {
-				aux = a
-			}
-		}
-		if rel == nil && aux == nil {
+		if rel == nil || rel.Arity() != st.arity {
 			return true // empty relation: no matches, keep going elsewhere
 		}
 		var pattern tuple.Tuple
@@ -191,15 +169,8 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 			pattern = f.ground(si, st.slots)
 		}
 		var it tuple.Iterator
-		done := true
-		if rel != nil {
-			f.probe(rel, st.mask, pattern, &it)
-			done = f.drainMatch(si, &it, nil, emit)
-		}
-		if done && aux != nil {
-			f.probe(aux, st.mask, pattern, &it)
-			done = f.drainMatch(si, &it, rel, emit)
-		}
+		f.probe(rel, st.mask, pattern, &it)
+		done := f.drainMatch(si, &it, emit)
 		for _, ab := range st.binds {
 			b[ab.varID] = value.None
 		}
@@ -320,6 +291,14 @@ func (r *Rule) HeadFacts(b Binding, invent func(varID int) value.Value) []Fact {
 		b = local
 	}
 	return r.appendHeads(make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth), b)
+}
+
+// ScratchHeads returns a heads function for Fire that materializes into
+// scratch the next call overwrites, as Fire does with a nil heads: for a
+// caller whose own heads function looks at the binding first.
+func (r *Rule) ScratchHeads() func(Binding) []Fact {
+	scratch, vals := make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth)
+	return func(b Binding) []Fact { return r.appendHeads(scratch, vals, b) }
 }
 
 // appendHeads appends the rule's head facts under b to out, writing

@@ -74,7 +74,10 @@ type layer struct {
 }
 
 // View is a materialized model of a stratified Datalog¬ program,
-// maintained incrementally under batched EDB updates.
+// maintained incrementally under batched EDB updates. Both dialects
+// Materialize admits give every rule one positive head atom, and
+// checkMaintainable leaves no variable to range over the active
+// domain: the matcher runs with a nil one.
 type View struct {
 	prog  *ast.Program
 	rules []*eval.Rule
@@ -83,11 +86,16 @@ type View struct {
 	// negative literals are compiled from a polarity-flipped copy so a
 	// delta on the negated predicate can drive the join.
 	variants [][]deltaVariant
-	u        *value.Universe
+	// rederive holds per-rule the plan DRed asks "which of these facts
+	// does the rule still derive?" with: the rule with its own head atom
+	// as one more body literal, pinned first. Driven by a set of facts of
+	// the head predicate it enumerates the ones with a firing; head
+	// constants and repeated head variables are checks of the pinned
+	// step like any other atom's. The atom goes last in the body, so the
+	// others keep the indexes plan lines name them by.
+	rederive []*eval.Rule
 	idb      map[string]bool
-	edb      map[string]bool
 	state    *tuple.Instance // EDB ∪ derived IDB
-	adom     []value.Value
 	// layers is the SCC condensation, dependencies first; counts holds
 	// the support counters of the counting layers (pred -> tuple key).
 	layers []*layer
@@ -159,9 +167,7 @@ func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *eng
 	v := &View{
 		prog:  p,
 		rules: rules,
-		u:     u,
 		idb:   map[string]bool{},
-		edb:   map[string]bool{},
 		state: res.Out,
 		opt:   opt,
 		Stats: opt.Collector(),
@@ -177,14 +183,10 @@ func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *eng
 	for _, n := range p.IDB() {
 		v.idb[n] = true
 	}
-	for _, n := range p.EDB() {
-		v.edb[n] = true
-	}
 	if err := v.compileVariants(); err != nil {
 		return nil, err
 	}
 	v.buildLayers()
-	v.refreshAdom()
 	if err := v.initCounts(); err != nil {
 		return nil, err
 	}
@@ -201,7 +203,7 @@ func checkMaintainable(p *ast.Program) error {
 	for ri, r := range p.Rules {
 		bound := map[string]bool{}
 		for _, l := range r.Body {
-			if l.Kind != ast.LitAtom || l.Neg {
+			if l.Neg {
 				continue
 			}
 			for _, a := range l.Atom.Args {
@@ -210,27 +212,11 @@ func checkMaintainable(p *ast.Program) error {
 				}
 			}
 		}
-		check := func(tm ast.Term) error {
-			if tm.IsVar() && !bound[tm.Var] {
-				return fmt.Errorf("incr: rule %d: variable %s ranges over the active domain; not maintainable incrementally", ri+1, tm.Var)
-			}
-			return nil
-		}
 		for _, ls := range [][]ast.Literal{r.Head, r.Body} {
 			for _, l := range ls {
-				switch l.Kind {
-				case ast.LitAtom:
-					for _, a := range l.Atom.Args {
-						if err := check(a); err != nil {
-							return err
-						}
-					}
-				case ast.LitEq:
-					if err := check(l.Left); err != nil {
-						return err
-					}
-					if err := check(l.Right); err != nil {
-						return err
+				for _, a := range l.Atom.Args {
+					if a.IsVar() && !bound[a.Var] {
+						return fmt.Errorf("incr: rule %d: variable %s ranges over the active domain; not maintainable incrementally", ri+1, a.Var)
 					}
 				}
 			}
@@ -239,32 +225,29 @@ func checkMaintainable(p *ast.Program) error {
 	return nil
 }
 
-// compileVariants builds the per-literal delta plans.
+// compileVariants builds the per-literal delta plans and the rederive
+// plan of every rule: all the compilation a view ever does.
 func (v *View) compileVariants() error {
-	for i, cr := range v.rules {
+	for i, src := range v.prog.Rules {
 		var vs []deltaVariant
-		for li, l := range v.prog.Rules[i].Body {
-			if l.Kind != ast.LitAtom {
-				continue
+		for li, l := range src.Body {
+			pinned := src
+			if l.Neg {
+				pinned = flipNeg(src, li)
 			}
-			if !l.Neg {
-				dv, derr := eval.CompileDelta(v.prog.Rules[i], li)
-				if derr != nil {
-					dv = cr // unpinned fallback: DeltaLit targeting still works
-				}
-				vs = append(vs, deltaVariant{rule: dv, lit: li, pred: l.Atom.Pred})
-				continue
+			dv, err := eval.CompileDelta(pinned, li)
+			if err != nil {
+				return fmt.Errorf("incr: rule %d: %w", i+1, err)
 			}
-			flipped := flipNeg(v.prog.Rules[i], li)
-			dv, derr := eval.CompileDelta(flipped, li)
-			if derr != nil {
-				if dv, derr = eval.Compile(flipped); derr != nil {
-					return fmt.Errorf("incr: rule %d: %w", i+1, derr)
-				}
-			}
-			vs = append(vs, deltaVariant{rule: dv, lit: li, pred: l.Atom.Pred, neg: true})
+			vs = append(vs, deltaVariant{rule: dv, lit: li, pred: l.Atom.Pred, neg: l.Neg})
 		}
 		v.variants = append(v.variants, vs)
+		body := append(src.Body[:len(src.Body):len(src.Body)], src.Head[0])
+		re, err := eval.CompileDelta(ast.Rule{Head: src.Head, Body: body, SrcPos: src.SrcPos}, len(src.Body))
+		if err != nil {
+			return fmt.Errorf("incr: rule %d: %w", i+1, err)
+		}
+		v.rederive = append(v.rederive, re)
 	}
 	return nil
 }
@@ -284,8 +267,7 @@ func flipNeg(r ast.Rule, li int) ast.Rule {
 // buildLayers computes the SCC condensation of the dependency graph.
 // stratify returns SCCs dependencies-first, which is exactly the
 // maintenance order. Layers without rules (EDB predicates) are
-// dropped; rules with heads in several layers (multi-head rules)
-// belong to each, applying only the heads of that layer.
+// dropped.
 func (v *View) buildLayers() {
 	g := stratify.BuildGraph(v.prog)
 	selfLoop := map[string]bool{}
@@ -304,11 +286,8 @@ func (v *View) buildLayers() {
 			}
 		}
 		for ri, r := range v.prog.Rules {
-			for _, h := range r.Head {
-				if h.Kind == ast.LitAtom && !h.Neg && l.preds[h.Atom.Pred] {
-					l.rules = append(l.rules, ri)
-					break
-				}
+			if l.preds[r.Head[0].Atom.Pred] {
+				l.rules = append(l.rules, ri)
 			}
 		}
 		if len(l.rules) == 0 {
@@ -319,41 +298,40 @@ func (v *View) buildLayers() {
 	}
 }
 
+// head returns the head predicate of rule ri and its arity.
+func (v *View) head(ri int) (string, int) {
+	a := v.prog.Rules[ri].Head[0].Atom
+	return a.Pred, len(a.Args)
+}
+
 // initCounts enumerates every counting-layer rule against the
 // materialized state once, establishing the exact per-tuple support
 // counts subsequent batches maintain differentially.
 func (v *View) initCounts() error {
 	v.counts = map[string]map[string]supportEntry{}
 	// One polled pass that is not a stage of the maintained run, so it
-	// has no stage to file plan spans under.
+	// has no stage to charge firings or file plan spans under.
 	_, err := v.opt.Loop(nil, 0, nil, func(int) (engine.Outcome, error) {
-		ctx := v.opt.EvalCtx(v.Stats, v.state, v.adom)
-		ctx.PlanTrace = false
+		ctx := v.opt.EvalCtx(nil, v.state, nil)
 		for _, l := range v.layers {
 			if !l.counting {
 				continue
 			}
-			for pred := range l.preds {
-				if v.counts[pred] == nil {
-					v.counts[pred] = map[string]supportEntry{}
-				}
-			}
 			for _, ri := range l.rules {
-				rule := v.rules[ri]
-				rule.Enumerate(ctx, func(b eval.Binding) bool {
-					for _, f := range rule.HeadFacts(b, nil) {
-						if !l.owns(f) {
-							continue
-						}
-						c := v.counts[f.Pred]
-						k := f.Tuple.Key()
-						e := c[k]
-						if e.t == nil {
-							e.t = f.Tuple
-						}
-						e.n++
-						c[k] = e
+				pred, _ := v.head(ri)
+				c := v.counts[pred]
+				if c == nil {
+					c = map[string]supportEntry{}
+					v.counts[pred] = c
+				}
+				v.rules[ri].Fire(ctx, -1, nil, func(f eval.Fact) bool {
+					k := f.Tuple.Key()
+					e := c[k]
+					if e.t == nil {
+						e.t = f.Tuple.Clone()
 					}
+					e.n++
+					c[k] = e
 					return true
 				})
 			}
@@ -363,34 +341,13 @@ func (v *View) initCounts() error {
 	return err
 }
 
-// owns reports whether a head fact is one the layer maintains: a
-// positive fact of one of its predicates. A multi-head rule belongs to
-// every layer one of its heads is in, and each applies only its own.
-func (l *layer) owns(f eval.Fact) bool {
-	return !f.Bottom && !f.Neg && l.preds[f.Pred]
-}
-
-// pinned returns the matcher environment for a delta variant: in is
-// the instance the unpinned literals match, pin the delta driving the
-// variant's pinned literal.
-func (v *View) pinned(dv deltaVariant, in, pin *tuple.Instance) *eval.Ctx {
-	ctx := v.opt.EvalCtx(v.Stats, in, v.adom)
-	ctx.Delta, ctx.DeltaLit = pin, dv.lit
+// pinned returns the matcher environment for a plan pinned at body
+// literal lit: in is the instance the unpinned literals match, pin the
+// delta driving the pinned one.
+func (v *View) pinned(lit int, in, pin *tuple.Instance) *eval.Ctx {
+	ctx := v.opt.EvalCtx(v.Stats, in, nil)
+	ctx.Delta, ctx.DeltaLit = pin, lit
 	return ctx
-}
-
-func (v *View) refreshAdom() {
-	// Safe Datalog¬ cannot invent values: every IDB value comes from
-	// the EDB or the program constants, so the active domain is fully
-	// determined by the (much smaller) EDB part.
-	edbOnly := tuple.NewInstance()
-	for _, name := range v.state.Names() {
-		if v.edb[name] {
-			rel := v.state.Relation(name)
-			edbOnly.Ensure(name, rel.Arity()).UnionInPlace(rel)
-		}
-	}
-	v.adom = eval.ActiveDomain(v.u, v.prog.Constants(), edbOnly)
 }
 
 // Instance returns the maintained instance (EDB plus derived IDB).
@@ -444,7 +401,8 @@ func (v *View) Delete(pred string, t tuple.Tuple) (bool, error) {
 // (each changed firing attributed to its first changed body literal,
 // so multi-delta firings count exactly once). Recursive layers run
 // DRed: over-delete everything reachable from a deleted support, then
-// rederive survivors and propagate genuinely new facts semi-naively.
+// rederive the survivors set-at-a-time and propagate them, together
+// with the genuinely new facts, semi-naively.
 func (v *View) Apply(assert, retract []Fact) (*Delta, error) {
 	for _, f := range assert {
 		if v.idb[f.Pred] {
@@ -462,8 +420,6 @@ func (v *View) Apply(assert, retract []Fact) (*Delta, error) {
 	for _, f := range assert {
 		if v.state.Insert(f.Pred, f.Tuple) {
 			d.add(f.Pred, f.Tuple)
-			v.extendAdom(f.Tuple)
-			v.edb[f.Pred] = true
 		}
 	}
 	for _, f := range retract {
@@ -552,19 +508,20 @@ func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
 		n    int64
 	}
 	changes := map[string]*change{}
-	record := func(f eval.Fact, delta int64) {
-		k := f.Pred + "\x00" + f.Tuple.Key()
-		c := changes[k]
-		if c == nil {
-			c = &change{pred: f.Pred, t: f.Tuple.Clone()}
-			changes[k] = c
-		}
-		c.n += delta
-	}
 	for _, gain := range []bool{false, true} {
 		in, sign := old, int64(-1)
 		if gain {
 			in, sign = v.state, 1
+		}
+		record := func(f eval.Fact) bool {
+			k := f.Pred + "\x00" + f.Tuple.Key()
+			c := changes[k]
+			if c == nil {
+				c = &change{pred: f.Pred, t: f.Tuple.Clone()}
+				changes[k] = c
+			}
+			c.n += sign
+			return true
 		}
 		for _, ri := range l.rules {
 			for _, dv := range v.variants[ri] {
@@ -572,18 +529,13 @@ func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
 				if !hasPred(pin, dv.pred) {
 					continue
 				}
-				dv.rule.Enumerate(v.pinned(dv, in, pin), func(b eval.Binding) bool {
+				heads := dv.rule.ScratchHeads()
+				dv.rule.Fire(v.pinned(dv.lit, in, pin), -1, func(b eval.Binding) []eval.Fact {
 					if !firstChange(dv, b, d, gain) {
-						return true
+						return nil
 					}
-					for _, f := range dv.rule.HeadFacts(b, nil) {
-						if l.owns(f) {
-							record(f, sign)
-						}
-					}
-					v.Stats.Fired(-1, 1, 0, 0)
-					return true
-				})
+					return heads(b)
+				}, record)
 			}
 		}
 	}
@@ -617,44 +569,84 @@ func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
 	return moved
 }
 
-// dredLayer maintains a recursive layer with delete–rederive.
+// dredLayer maintains a recursive layer with delete–rederive: one loop
+// of over-delete waves, then one semi-naive loop that puts back what
+// still has a derivation and adds what is new. The layer's share of the
+// net delta is what the two leave behind: an over-deleted fact that did
+// not come back was removed, an inserted fact that was not over-deleted
+// was added (propagate files it as it inserts it).
 func (v *View) dredLayer(l *layer, old *tuple.Instance, d *Delta) error {
-	// Phase 1: over-delete. The first stage seeds with every firing of
-	// the layer's rules that a lower-layer (or EDB) change may have
-	// invalidated; the following waves delete transitively along the
-	// layer's internal positive edges until a wave deletes nothing.
-	// Matching runs against the pre-batch state: that is where the
-	// invalidated derivations lived.
-	var overdel []eval.Fact
+	over, err := v.overDelete(l, old, d)
+	if err != nil {
+		return err
+	}
+	if err := v.propagate(l, over, d); err != nil {
+		return err
+	}
+	over.EachRel(func(pred string, r *tuple.Relation) {
+		st := v.state.Relation(pred)
+		var removed *tuple.Relation
+		r.Each(func(t tuple.Tuple) bool {
+			if !st.Contains(t) {
+				if removed == nil {
+					removed = d.Removed.Ensure(pred, r.Arity())
+				}
+				removed.Insert(t)
+			}
+			return true
+		})
+	})
+	return nil
+}
+
+// fireVariants runs rule ri's share of round n of a semi-naive loop over layer
+// l: in the first round the variants pinned at the lower-layer (or EDB)
+// changes of the batch — the losses or the gains — and in every later
+// one the variants pinned at the layer's own predicates, driven by
+// round, the facts the round before moved. in is what the unpinned
+// literals match.
+func (v *View) fireVariants(l *layer, ri, n int, d *Delta, gain bool, in, round *tuple.Instance, emit func(eval.Fact) bool) {
+	for _, dv := range v.variants[ri] {
+		own := l.preds[dv.pred]
+		if own == (n == 1) {
+			continue
+		}
+		pin := round
+		if !own {
+			pin = pinFor(dv, d, gain)
+		}
+		if hasPred(pin, dv.pred) {
+			dv.rule.Fire(v.pinned(dv.lit, in, pin), -1, nil, emit)
+		}
+	}
+}
+
+// overDelete is DRed's first phase. The first wave deletes the head of
+// every firing of the layer's rules that a lower-layer (or EDB) change
+// may have invalidated; the following waves delete transitively along
+// the layer's internal positive edges until a wave deletes nothing.
+// Matching runs against the pre-batch state: that is where the
+// invalidated derivations lived. It returns the deleted facts.
+func (v *View) overDelete(l *layer, old *tuple.Instance, d *Delta) (*tuple.Instance, error) {
+	over := tuple.NewInstance()
 	var round *tuple.Instance
 	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
 		next := tuple.NewInstance()
 		for _, ri := range l.rules {
-			for _, dv := range v.variants[ri] {
-				pin := round
-				if n == 1 {
-					if l.preds[dv.pred] {
-						continue // internal edges propagate in the waves
-					}
-					pin = pinFor(dv, d, false)
-				} else if dv.neg || !l.preds[dv.pred] {
-					continue
-				}
-				if !hasPred(pin, dv.pred) {
-					continue
-				}
-				dv.rule.Enumerate(v.pinned(dv, old, pin), func(b eval.Binding) bool {
-					for _, f := range dv.rule.HeadFacts(b, nil) {
-						if l.owns(f) && v.state.Delete(f.Pred, f.Tuple) {
-							d.remove(f.Pred, f.Tuple)
-							next.Insert(f.Pred, f.Tuple)
-							overdel = append(overdel, eval.Fact{Pred: f.Pred, Tuple: f.Tuple})
-						}
-					}
-					v.Stats.Fired(-1, 1, 0, 0)
-					return true
-				})
+			pred, arity := v.head(ri)
+			st := v.state.Relation(pred)
+			if st == nil {
+				continue
 			}
+			nx, ov := next.Ensure(pred, arity), over.Ensure(pred, arity)
+			v.fireVariants(l, ri, n, d, false, old, round, func(f eval.Fact) bool {
+				if !st.Delete(f.Tuple) {
+					return false
+				}
+				nx.Insert(f.Tuple)
+				ov.Insert(f.Tuple)
+				return true
+			})
 		}
 		round = next
 		if round.Facts() == 0 {
@@ -662,203 +654,55 @@ func (v *View) dredLayer(l *layer, old *tuple.Instance, d *Delta) error {
 		}
 		return engine.Outcome{Delta: -round.Facts()}, nil
 	})
-	if err != nil {
-		return err
-	}
-
-	// Phase 2: insert and rederive. Seed the genuinely new firings
-	// enabled by lower-layer changes against the current state, then
-	// alternate semi-naive propagation with rederivation of
-	// over-deleted facts until neither makes progress.
-	if err := v.propagate(l, nil, d); err != nil {
-		return err
-	}
-	for {
-		changed := false
-		remaining := overdel[:0]
-		for _, f := range overdel {
-			if v.state.Has(f.Pred, f.Tuple) {
-				continue // already back via propagation
-			}
-			if v.derivable(f) {
-				v.state.Insert(f.Pred, f.Tuple)
-				d.add(f.Pred, f.Tuple)
-				delta := tuple.NewInstance()
-				delta.Insert(f.Pred, f.Tuple)
-				if err := v.propagate(l, delta, d); err != nil {
-					return err
-				}
-				changed = true
-			} else {
-				remaining = append(remaining, f)
-			}
-		}
-		overdel = remaining
-		if !changed {
-			return nil
-		}
-	}
+	return over, err
 }
 
-// propagate runs semi-naive insertion rounds within a recursive layer
-// until a round adds nothing. A nil delta seeds the rounds from the
-// batch instead: the first round then fires the variants pinned at the
-// lower-layer (or EDB) changes in d. The driver polls the view's
-// context between rounds; on interruption the state holds the
-// partially-propagated model and callers surface the typed error so
-// the view is known to be suspect.
-func (v *View) propagate(l *layer, delta *tuple.Instance, d *Delta) error {
-	_, err := v.opt.Loop(v.Stats, 0, nil, func(int) (engine.Outcome, error) {
+// propagate is DRed's second phase: semi-naive insertion rounds within
+// the layer until a round adds nothing. The first round finds every
+// fact one firing away from the state the over-deletion left: the
+// over-deleted ones by firing each rule's rederive plan once over the
+// whole set, the new ones by firing the variants pinned at the batch's
+// lower-layer (or EDB) gains. That is complete because the surviving
+// state holds only true facts, so the least model above it is the new
+// model and whatever the first round misses needs a fact it found.
+// Negated literals read the current state, final for their (strictly
+// lower) layers. The driver polls the view's context between rounds;
+// on interruption the state holds the partially-propagated model and
+// callers surface the typed error so the view is known to be suspect.
+func (v *View) propagate(l *layer, over *tuple.Instance, d *Delta) error {
+	var round *tuple.Instance
+	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
 		next := tuple.NewInstance()
-		emit := func(f eval.Fact) bool {
-			if !l.owns(f) || !v.state.Insert(f.Pred, f.Tuple) {
-				return false
-			}
-			d.add(f.Pred, f.Tuple)
-			next.Insert(f.Pred, f.Tuple)
-			return true
-		}
 		for _, ri := range l.rules {
-			for _, dv := range v.variants[ri] {
-				pin := delta
-				if delta == nil {
-					if l.preds[dv.pred] {
-						continue
+			pred, arity := v.head(ri)
+			st, ov, nx := v.state.Relation(pred), over.Relation(pred), next.Ensure(pred, arity)
+			var added *tuple.Relation
+			emit := func(f eval.Fact) bool {
+				if st == nil {
+					st = v.state.Ensure(pred, arity)
+				}
+				if !st.Insert(f.Tuple) {
+					return false
+				}
+				nx.Insert(f.Tuple)
+				if ov == nil || !ov.Contains(f.Tuple) {
+					if added == nil {
+						added = d.Added.Ensure(pred, arity)
 					}
-					pin = pinFor(dv, d, true)
-				} else if dv.neg || !l.preds[dv.pred] {
-					continue
+					added.Insert(f.Tuple)
 				}
-				if hasPred(pin, dv.pred) {
-					dv.rule.Fire(v.pinned(dv, v.state, pin), -1, nil, emit)
-				}
+				return true
 			}
+			if n == 1 && ov != nil && ov.Len() > 0 {
+				v.rederive[ri].Fire(v.pinned(len(v.prog.Rules[ri].Body), v.state, over), -1, nil, emit)
+			}
+			v.fireVariants(l, ri, n, d, true, v.state, round, emit)
 		}
-		delta = next
-		if delta.Facts() == 0 {
+		round = next
+		if round.Facts() == 0 {
 			return engine.Outcome{Status: engine.Last}, nil
 		}
-		return engine.Outcome{Delta: delta.Facts()}, nil
+		return engine.Outcome{Delta: round.Facts()}, nil
 	})
 	return err
-}
-
-// extendAdom merges the tuple's values into the sorted active domain.
-// For safe Datalog¬ the matcher only consults the domain for
-// variables not bound by positive atoms — which cannot occur — so the
-// domain only matters as metadata; still, we keep it exact and sorted
-// for cheap (O(log n) search + amortized insert per value).
-func (v *View) extendAdom(t tuple.Tuple) {
-	for _, val := range t {
-		lo, hi := 0, len(v.adom)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if v.u.Compare(v.adom[mid], val) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(v.adom) && v.adom[lo] == val {
-			continue
-		}
-		v.adom = append(v.adom, 0)
-		copy(v.adom[lo+1:], v.adom[lo:])
-		v.adom[lo] = val
-	}
-}
-
-// derivable reports whether some rule instantiation derives the fact
-// from the current state. The fact's constants are substituted into
-// the rule body before matching, so the probe is selective (it starts
-// from the bound head values instead of enumerating every
-// instantiation). Negated body literals are checked against the
-// current state, which is final for their (strictly lower) layers.
-func (v *View) derivable(f eval.Fact) bool {
-	for _, cr := range v.rules {
-		src := cr.Src
-		head := src.Head[0].Atom
-		if head.Pred != f.Pred || len(head.Args) != len(f.Tuple) {
-			continue
-		}
-		// Bind head variables to the fact's values; constants must
-		// match, repeated variables must agree.
-		subst := map[string]value.Value{}
-		ok := true
-		for i, a := range head.Args {
-			if !a.IsVar() {
-				if a.Const != f.Tuple[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			if prev, seen := subst[a.Var]; seen && prev != f.Tuple[i] {
-				ok = false
-				break
-			}
-			subst[a.Var] = f.Tuple[i]
-		}
-		if !ok {
-			continue
-		}
-		probe := ast.Rule{
-			Head: []ast.Literal{ast.PosLit(ast.NewAtom("__probe"))},
-			Body: substituteBody(src.Body, subst),
-		}
-		pc, err := eval.Compile(probe)
-		if err != nil {
-			continue // cannot happen for valid stratified rules
-		}
-		// One-shot substituted probe rules: planning them would cost
-		// more than the single enumeration saves.
-		ctx := v.opt.EvalCtx(v.Stats, v.state, v.adom)
-		ctx.NoPlan = true
-		found := false
-		pc.Enumerate(ctx, func(eval.Binding) bool {
-			found = true
-			return false
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// substituteBody applies a variable substitution to body literals,
-// preserving polarity and equality literals.
-func substituteBody(body []ast.Literal, subst map[string]value.Value) []ast.Literal {
-	substTerm := func(tm ast.Term) ast.Term {
-		if tm.IsVar() {
-			if c, ok := subst[tm.Var]; ok {
-				return ast.C(c)
-			}
-		}
-		return tm
-	}
-	out := make([]ast.Literal, len(body))
-	for i, l := range body {
-		switch l.Kind {
-		case ast.LitAtom:
-			a := l.Atom
-			args := make([]ast.Term, len(a.Args))
-			for j, tm := range a.Args {
-				args[j] = substTerm(tm)
-			}
-			nl := ast.PosLit(ast.Atom{Pred: a.Pred, Args: args})
-			if l.Neg {
-				nl = ast.Neg(ast.Atom{Pred: a.Pred, Args: args})
-			}
-			out[i] = nl
-		case ast.LitEq:
-			nl := l
-			nl.Left = substTerm(l.Left)
-			nl.Right = substTerm(l.Right)
-			out[i] = nl
-		default:
-			out[i] = l
-		}
-	}
-	return out
 }

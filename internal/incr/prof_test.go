@@ -2,8 +2,10 @@ package incr
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"unchained/internal/engine"
 	"unchained/internal/gen"
 	"unchained/internal/parser"
 	"unchained/internal/queries"
@@ -50,4 +52,74 @@ func BenchmarkDeleteTreeLeaf(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// denseGraph is the shape of the repository benchmark's incr-updates
+// workload (bench/incr.go): TC with Unreach above it over a random
+// 60-node/120-edge graph, and sixteen do/undo pairs of batches that
+// retract four edges and assert four new ones. The second batch of a
+// pair undoes the first, so the list can be cycled. The rng calls
+// follow the benchmark's, which makes the batches its batches.
+func denseGraph(tb testing.TB, opt *engine.Options) (*View, [][2][]Fact) {
+	tb.Helper()
+	const nodes, edges, batch, pairs = 60, 120, 4, 16
+	shape := rand.New(rand.NewSource(20210620))
+	u := value.New()
+	node := gen.Nodes(u, nodes)
+	type edge [2]int
+	inBase := map[edge]bool{}
+	var base []edge
+	for len(base) < edges {
+		if e := (edge{shape.Intn(nodes), shape.Intn(nodes)}); !inBase[e] {
+			inBase[e] = true
+			base = append(base, e)
+		}
+	}
+	fact := func(e edge) Fact { return Fact{Pred: "G", Tuple: tuple.Tuple{node[e[0]], node[e[1]]}} }
+	in := tuple.NewInstance()
+	for _, e := range base {
+		in.Insert("G", fact(e).Tuple)
+	}
+	for _, n := range node {
+		in.Insert("N", tuple.Tuple{n})
+	}
+	p := parser.MustParse(queries.TC+"Unreach(X,Y) :- N(X), N(Y), !T(X,Y).\n", u)
+	v, err := Materialize(p, in, u, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ops [][2][]Fact
+	for k := 0; k < pairs; k++ {
+		var assert, retract []Fact
+		fresh := map[edge]bool{}
+		for _, i := range shape.Perm(len(base))[:batch] {
+			add := edge{shape.Intn(nodes), shape.Intn(nodes)}
+			for inBase[add] || fresh[add] {
+				add = edge{shape.Intn(nodes), shape.Intn(nodes)}
+			}
+			fresh[add] = true
+			assert, retract = append(assert, fact(add)), append(retract, fact(base[i]))
+		}
+		ops = append(ops, [2][]Fact{assert, retract}, [2][]Fact{retract, assert})
+	}
+	return v, ops
+}
+
+// BenchmarkApplyDenseGraph is the regime the chain-end and tree-leaf
+// cases leave out: every batch over-deletes most of the closure and
+// nearly all of it comes back.
+func BenchmarkApplyDenseGraph(b *testing.B) {
+	v, ops := denseGraph(b, nil)
+	delta := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := ops[i%len(ops)]
+		d, err := v.Apply(op[0], op[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		delta += d.Added.Facts() + d.Removed.Facts()
+	}
+	b.ReportMetric(float64(delta)/float64(b.N), "delta/op")
 }
