@@ -2,6 +2,7 @@ package unchained
 
 import (
 	"fmt"
+	"testing"
 
 	"unchained/internal/active"
 	"unchained/internal/ast"
@@ -59,4 +60,14 @@ func runActiveBench(n int) error {
 		return fmt.Errorf("reserved = %d, want %d", got, n/2)
 	}
 	return nil
+}
+
+// TestActiveCascadeReservesHalf is experiment A1's claim: the cascade
+// settles with exactly the in-stock half of the orders reserved.
+func TestActiveCascadeReservesHalf(t *testing.T) {
+	for _, n := range []int{8, 32} {
+		if err := runActiveBench(n); err != nil {
+			t.Errorf("orders=%d: %v", n, err)
+		}
+	}
 }

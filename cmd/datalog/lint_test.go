@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"unchained/internal/analyze"
+	"unchained/internal/gen"
 )
 
 // TestLintGoldens runs -lint over every shipped program (.dl and .wl)
@@ -117,6 +119,21 @@ func TestLintExitsNonzeroOnErrors(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "E004") {
 		t.Fatalf("diagnostics not printed:\n%s", sb.String())
+	}
+}
+
+// TestCLILintWideProgram lints a generated 4 000-rule program
+// (gen.Wide). The front end is one walk of the rules, so this takes
+// about 80 ms; the 10 s bound compares no two timings, it catches a
+// pass going quadratic again (17 s at this size before PR 14).
+func TestCLILintWideProgram(t *testing.T) {
+	prog := write(t, t.TempDir(), "wide.dl", gen.Wide(1000, 2999))
+	start := time.Now()
+	if _, err := runCLI(t, "-program", prog, "-lint"); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("-lint of a 4000-rule program took %v, over the 10 s bound", d)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -141,6 +142,37 @@ func TestCloserExample41(t *testing.T) {
 	}
 	if has("b", "a", "a", "b") { // inf < 1 is false
 		t.Errorf("Closer(b,a,a,b) wrongly present")
+	}
+
+	// Every quadruple on a chain of 8, so the relation is sound and
+	// complete: d(ci,cj) = j−i for i < j and infinite (n here, beyond
+	// every finite distance) otherwise.
+	const n = 8
+	u = value.New()
+	nodes := make([]value.Value, n)
+	chain := tuple.NewInstance()
+	for i := range nodes {
+		nodes[i] = u.Sym(fmt.Sprintf("c%d", i))
+		if i > 0 {
+			chain.Insert("G", tuple.Tuple{nodes[i-1], nodes[i]})
+		}
+	}
+	res, err = EvalInflationary(parser.MustParse(closerSrc, u), chain, u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := func(i, j int) int {
+		if j > i {
+			return j - i
+		}
+		return n
+	}
+	for q := 0; q < n*n*n*n; q++ {
+		x, y, xp, yp := q/(n*n*n), q/(n*n)%n, q/n%n, q%n
+		got := res.Out.Has("Closer", tuple.Tuple{nodes[x], nodes[y], nodes[xp], nodes[yp]})
+		if want := dist(x, y) < dist(xp, yp); got != want {
+			t.Fatalf("Closer(c%d,c%d,c%d,c%d) = %v, want %v", x, y, xp, yp, got, want)
+		}
 	}
 }
 

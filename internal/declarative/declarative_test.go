@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unchained/internal/parser"
+	"unchained/internal/stats"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -95,16 +96,21 @@ func TestScanMatchesIndexed(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(tcSrc, u)
 	in := parser.MustParseFacts(`G(a,b). G(b,c). G(c,a). G(c,d).`, u)
-	r1, err := Eval(p, in, u, nil)
+	r1, err := Eval(p, in, u, &Options{Stats: stats.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Eval(p, in, u, &Options{Scan: true})
+	r2, err := Eval(p, in, u, &Options{Scan: true, Stats: stats.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r1.Out.Equal(r2.Out) {
 		t.Fatalf("scan and indexed evaluation disagree")
+	}
+	// The ablation is visible in the summary: the indexed run matches
+	// with probes only, the scan run with scans only.
+	if r1.Stats.FullScans != 0 || r2.Stats.IndexProbes != 0 {
+		t.Fatalf("indexed run scans=%d, scan run probes=%d, want 0 and 0", r1.Stats.FullScans, r2.Stats.IndexProbes)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package gen generates synthetic workloads for the experiment
-// harness: graph families (chains, cycles, complete graphs,
-// Erdős–Rényi random graphs, grids, trees, layered DAGs), game move
-// graphs for the win query (Example 3.2), and unary relations. All
-// generators are deterministic given their parameters (random ones
-// take explicit seeds).
+// Package gen generates synthetic workloads for the tests and
+// benchmarks: graph families (chains, cycles, Erdős–Rényi random
+// graphs, grids, trees, layered DAGs), game move graphs for the win
+// query (Example 3.2), and unary relations. All generators are
+// deterministic given their parameters (random ones take explicit
+// seeds).
 package gen
 
 import (
@@ -51,20 +51,6 @@ func Cycle(u *value.Universe, pred string, n int) *tuple.Instance {
 	edges := make([][2]int, 0, n)
 	for i := 0; i < n; i++ {
 		edges = append(edges, [2]int{i, (i + 1) % n})
-	}
-	return edgeInstance(pred, nodes, edges)
-}
-
-// Complete returns the complete directed graph (no self-loops).
-func Complete(u *value.Universe, pred string, n int) *tuple.Instance {
-	nodes := Nodes(u, n)
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
 	}
 	return edgeInstance(pred, nodes, edges)
 }
@@ -124,6 +110,17 @@ func Tree(u *value.Universe, pred string, k, depth int) *tuple.Instance {
 		}
 	}
 	return edgeInstance(pred, nodes, edges)
+}
+
+// Cascade returns the cascade-delete instance of Figure 1's
+// Datalog¬¬ ≡ while pair (queries.CascadeDelete / CascadeWhile): a
+// complete binary management tree Mgr of the given depth, Emp holding
+// every node, and Fired seeded with the root's left child, so about
+// half of Emp survives.
+func Cascade(u *value.Universe, depth int) *tuple.Instance {
+	in := Merge(Tree(u, "Mgr", 2, depth), Unary(u, "Emp", 1<<(depth+1)-1))
+	in.Insert("Fired", tuple.Tuple{u.Sym("n1")})
+	return in
 }
 
 // LayeredDAG returns a DAG with the given number of layers of the

@@ -32,17 +32,6 @@ func TestCycle(t *testing.T) {
 	}
 }
 
-func TestComplete(t *testing.T) {
-	u := value.New()
-	in := Complete(u, "G", 4)
-	if in.Relation("G").Len() != 12 {
-		t.Fatalf("K4 has %d edges, want 12", in.Relation("G").Len())
-	}
-	if in.Has("G", tuple.Tuple{u.Sym("n1"), u.Sym("n1")}) {
-		t.Fatalf("self loop present")
-	}
-}
-
 func TestRandomDeterministicInSeed(t *testing.T) {
 	u := value.New()
 	a := Random(u, "G", 10, 20, 42)

@@ -45,6 +45,15 @@ func TestOrientationEffects(t *testing.T) {
 	if !got["(a,b)"] || !got["(b,a)"] {
 		t.Fatalf("orientations wrong: %v", got)
 	}
+	// eff(P) is exactly the set of orientations: 2^k states for k
+	// 2-cycles, whatever plain edges sit beside them.
+	in = parser.MustParseFacts(`G(a,b). G(b,a). G(c,d). G(d,c). G(e,f). G(g,h). G(h,g).`, u)
+	if eff, err = Effects(p, ast.DialectNDatalogNegNeg, in, u, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(eff.States) != 8 {
+		t.Fatalf("eff has %d states on three 2-cycles, want 8", len(eff.States))
+	}
 }
 
 func TestOrientationRunValidAndReproducible(t *testing.T) {

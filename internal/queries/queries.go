@@ -99,14 +99,6 @@ const DiffBottom = `
 	Answer(X) :- DoneWithProj, P(X), !Proj(X).
 `
 
-// DiffNaive is the two-rule composition that N-Datalog¬ CANNOT use to
-// compute P − πA(Q) (Example 5.4): some firing orders leave wrong
-// answers.
-const DiffNaive = `
-	T(X) :- Q(X,Y).
-	Answer(X) :- P(X), !T(X).
-`
-
 // Choice nondeterministically selects one element of P into Chosen
 // (the witness/choice idiom of Section 5).
 const Choice = `
@@ -135,12 +127,6 @@ const Hamiltonian = `
 const SameGeneration = `
 	Sg(X,Y) :- Flat(X,Y).
 	Sg(X,Y) :- Up(X,U), Sg(U,V), Down(V,Y).
-`
-
-// Reach computes the nodes reachable from source marker S (Datalog).
-const Reach = `
-	R(X) :- S(X).
-	R(Y) :- R(X), G(X,Y).
 `
 
 // EvenOrdered decides evenness of the unary relation R on an ordered

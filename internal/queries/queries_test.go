@@ -28,10 +28,8 @@ func TestAllCanonicalSourcesParse(t *testing.T) {
 		DiffNegNeg:     ast.DialectNDatalogNegNeg,
 		DiffForall:     ast.DialectNDatalogAll,
 		DiffBottom:     ast.DialectNDatalogBot,
-		DiffNaive:      ast.DialectNDatalogNeg,
 		Choice:         ast.DialectNDatalogNegNeg,
 		SameGeneration: ast.DialectDatalog,
-		Reach:          ast.DialectDatalog,
 		EvenOrdered:    ast.DialectDatalogNeg,
 		Counter(4):     ast.DialectDatalogNegNeg,
 	}
@@ -49,7 +47,8 @@ func TestAllCanonicalSourcesParse(t *testing.T) {
 // TestEvenOrderedAllSemantics reproduces the Theorem 4.7 setup: on
 // ordered databases the evenness query (inexpressible generically,
 // Section 4.4) is computed by the same semi-positive program under
-// stratified, well-founded, and inflationary semantics.
+// the semi-positive engine the theorem names and under stratified,
+// well-founded, and inflationary semantics.
 func TestEvenOrderedAllSemantics(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		for k := 0; k <= n; k++ {
@@ -59,6 +58,10 @@ func TestEvenOrderedAllSemantics(t *testing.T) {
 			p := Must(EvenOrdered, u)
 			wantEven := k%2 == 0
 
+			semi, err := declarative.EvalSemiPositive(p, in, u, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			strat, err := declarative.EvalStratified(p, in, u, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -72,16 +75,16 @@ func TestEvenOrderedAllSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, got := range map[string]bool{
-				"stratified":   strat.Out.Relation("EvenAns") != nil && strat.Out.Relation("EvenAns").Len() > 0,
-				"inflationary": infl.Out.Relation("EvenAns") != nil && infl.Out.Relation("EvenAns").Len() > 0,
-				"well-founded": wfs.True.Relation("EvenAns") != nil && wfs.True.Relation("EvenAns").Len() > 0,
+				"semi-positive": relLen(semi.Out, "EvenAns") > 0,
+				"stratified":    relLen(strat.Out, "EvenAns") > 0,
+				"inflationary":  relLen(infl.Out, "EvenAns") > 0,
+				"well-founded":  relLen(wfs.True, "EvenAns") > 0,
 			} {
 				if got != wantEven {
 					t.Errorf("n=%d k=%d %s: EvenAns=%v want %v", n, k, name, got, wantEven)
 				}
 			}
-			oddGot := strat.Out.Relation("OddAns") != nil && strat.Out.Relation("OddAns").Len() > 0
-			if oddGot == wantEven {
+			if oddGot := relLen(strat.Out, "OddAns") > 0; oddGot == wantEven {
 				t.Errorf("n=%d k=%d: OddAns inconsistent", n, k)
 			}
 		}
@@ -142,7 +145,8 @@ func TestFixpointPairsAgree(t *testing.T) {
 			t.Errorf("graph %d: TC fixpoint != Datalog", gi)
 		}
 
-		// CT: fixpoint-language vs stratified vs inflationary delayed.
+		// CT: fixpoint-language vs stratified vs well-founded vs
+		// inflationary delayed.
 		cres, err := while.Run(CTFixpoint(), in, u, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -153,6 +157,18 @@ func TestFixpointPairsAgree(t *testing.T) {
 		}
 		if !relEq(cres.Out, sres.Out, "CT") {
 			t.Errorf("graph %d: CT fixpoint != stratified", gi)
+		}
+		wfs, err := declarative.EvalWellFounded(Must(CT, u), in, u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relEq(cres.Out, wfs.True, "CT") {
+			t.Errorf("graph %d: CT fixpoint != well-founded", gi)
+		}
+		// F1a: the closure and its complement partition adom².
+		adom := len(order.Domain(in, u, nil))
+		if nT, nCT := relLen(dres.Out, "T"), relLen(sres.Out, "CT"); nT+nCT != adom*adom {
+			t.Errorf("graph %d: |T|+|CT| = %d+%d, want |adom|² = %d", gi, nT, nCT, adom*adom)
 		}
 		if in.Relation("G").Len() > 0 {
 			ires, err := core.EvalInflationary(Must(DelayedCT, u), in, u, nil)
@@ -175,6 +191,34 @@ func TestFixpointPairsAgree(t *testing.T) {
 		}
 		if !relEq(gw.Out, gi2.Out, "Good") {
 			t.Errorf("graph %d: Good fixpoint != inflationary timestamps", gi)
+		}
+	}
+}
+
+// TestCascadeDeleteMatchesWhile is the F1c experiment (Figure 1:
+// Datalog¬¬ ≡ while): the retraction-based cascade delete and its
+// destructive-assignment while counterpart leave the same Emp and
+// Fired on management trees, and Emp loses exactly the fired subtree.
+func TestCascadeDeleteMatchesWhile(t *testing.T) {
+	for _, depth := range []int{3, 5} {
+		u := value.New()
+		in := gen.Cascade(u, depth)
+		dl, err := core.EvalNonInflationary(Must(CascadeDelete, u), in, u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wh, err := while.Run(CascadeWhile(), in, u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pred := range []string{"Emp", "Fired"} {
+			if !relEq(dl.Out, wh.Out, pred) {
+				t.Errorf("depth %d: %s differs between Datalog¬¬ and while", depth, pred)
+			}
+		}
+		// The root's left subtree (2^depth − 1 nodes) is fired.
+		if got, want := relLen(dl.Out, "Emp"), 1<<depth; got != want {
+			t.Errorf("depth %d: |Emp| = %d, want %d", depth, got, want)
 		}
 	}
 }
@@ -274,6 +318,14 @@ func TestDifferencePrograms(t *testing.T) {
 		check("forall", DiffForall, ast.DialectNDatalogAll)
 		check("bottom", DiffBottom, ast.DialectNDatalogBot)
 	}
+}
+
+// relLen is Relation(pred).Len() tolerating an absent relation.
+func relLen(in *tuple.Instance, pred string) int {
+	if r := in.Relation(pred); r != nil {
+		return r.Len()
+	}
+	return 0
 }
 
 func relEq(a, b *tuple.Instance, pred string) bool {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -276,6 +277,84 @@ func TestInvalidParallelOptionsHTTP(t *testing.T) {
 	}
 	if qout.Error == nil || qout.Error.Code != CodeInvalidOptions {
 		t.Fatalf("query envelope = %+v, want code %q", qout.Error, CodeInvalidOptions)
+	}
+}
+
+// TestSaturationAccounting drives the daemon past saturation: 24
+// closed-loop clients over 4 tenant programs against 2 slots and 4
+// queue places for about a second. The gate must shed, every 429 and
+// 503 must carry Retry-After, nothing else may fail (no other 5xx, no
+// transport error), and /statsz must count exactly the 429s (shed) and
+// 503s (queue_timeouts) the clients saw.
+func TestSaturationAccounting(t *testing.T) {
+	const clients, tenants, chain = 24, 4, 48
+	ts := httptest.NewServer(New(Config{MaxInFlight: 2, QueueDepth: 4, QueueWait: 5 * time.Millisecond}))
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+
+	var mu sync.Mutex
+	byStatus, noHint := map[int]int{}, 0
+	deadline := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		// Per-tenant relation names: every tenant is its own program
+		// digest, the admission gate's fair-queuing key.
+		i := c % tenants
+		facts := ""
+		for j := 0; j+1 < chain; j++ {
+			facts += fmt.Sprintf("G%d(n%d,n%d). ", i, j, j+1)
+		}
+		body, err := json.Marshal(EvalRequest{Semantics: "minimal-model", Envelope: Envelope{
+			Program: fmt.Sprintf("T%d(X,Y) :- G%d(X,Y).\nT%d(X,Y) :- G%d(X,Z), T%d(Z,Y).\n", i, i, i, i, i),
+			Facts:   facts, Shards: 2,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				resp, err := client.Post(ts.URL+"/v1/eval", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("transport error: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				shed := resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable
+				mu.Lock()
+				byStatus[resp.StatusCode]++
+				if shed && resp.Header.Get("Retry-After") == "" {
+					noHint++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	_, raw := get(t, ts.URL+"/statsz")
+	var st Statsz
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	for status, n := range byStatus {
+		if status != http.StatusOK && status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
+			t.Errorf("status %d x%d: only 200, 429 and 503 are admissible under saturation", status, n)
+		}
+	}
+	if noHint > 0 {
+		t.Errorf("%d shed responses (429/503) without Retry-After", noHint)
+	}
+	shed, dropped := byStatus[http.StatusTooManyRequests], byStatus[http.StatusServiceUnavailable]
+	if shed+dropped == 0 || byStatus[http.StatusOK] == 0 {
+		t.Errorf("no shedding, or nothing served, under %d clients: %v", clients, byStatus)
+	}
+	t.Logf("statuses %v; statsz admitted=%d queued=%d shed=%d queue_timeouts=%d", byStatus, st.Admitted, st.Queued, st.Shed, st.QueueTimeouts)
+	if uint64(shed) != st.Shed || uint64(dropped) != st.QueueTimeouts {
+		t.Errorf("clients saw %d 429s and %d 503s, the daemon counted shed=%d queue_timeouts=%d", shed, dropped, st.Shed, st.QueueTimeouts)
 	}
 }
 

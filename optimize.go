@@ -46,14 +46,6 @@ const (
 // their computation trees key on concrete rule indices.
 func WithOptimize(l OptLevel) Opt { return func(cfg *evalConfig) { cfg.optimize = l } }
 
-// WithOptimizeRoots declares the output predicates the caller will
-// read, enabling reachability-based dead-rule elimination at Opt2.
-// By passing roots the caller promises not to observe any other
-// predicate of the result.
-func WithOptimizeRoots(roots ...string) Opt {
-	return func(cfg *evalConfig) { cfg.optRoots = append([]string(nil), roots...) }
-}
-
 // OptInlineSafe reports whether a semantics' result is independent of
 // the stage at which facts first appear, which is when inlining
 // preserves it. Inlining makes facts appear earlier; for these

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"unchained"
+	"unchained/internal/gen"
 )
 
 // optLevels are the optimizer configurations the oracle compares
@@ -72,6 +73,79 @@ func TestOptimizerMatchesUnoptimizedOracle(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestOptimizerRootsMatchUnoptimizedOracle is experiment P12's check:
+// with one head predicate declared as the root, -O2 may delete every
+// rule the root does not reach, and the root relation must still be
+// byte-identical to the unoptimized run. The program goes through
+// Session.Optimize and then EvalContext, the path `datalog -O2 -answer
+// <root>` takes. It sweeps the corpus and P12's own two shapes (gen.Wide:
+// a copy chain that inlining folds, dead rules beside it), each head
+// predicate in turn; cases the baseline rejects are skipped, as above.
+func TestOptimizerRootsMatchUnoptimizedOracle(t *testing.T) {
+	type loader func() (*unchained.Session, *unchained.Program, *unchained.Instance)
+	// check reports whether some root relation was non-empty.
+	check := func(t *testing.T, sem unchained.Semantics, maxStages int, load loader) (compared bool) {
+		// run evaluates the case optimized for root ("" for the
+		// program as written) and returns a renderer of single
+		// relations of the result.
+		run := func(root string) (heads []string, rel func(string) string, err error) {
+			s, p, in := load()
+			heads = p.IDB()
+			if root != "" {
+				if res, ok := s.Optimize(p, in, sem, unchained.Opt2, root); ok && res.Changed {
+					p = res.Program
+				}
+			}
+			res, err := s.EvalContext(context.Background(), p, in, sem, unchained.WithMaxStages(maxStages))
+			if err != nil {
+				return nil, nil, err
+			}
+			return heads, func(pred string) string { return s.Format(res.Out.Restrict([]string{pred}, nil)) }, nil
+		}
+		heads, base, err := run("")
+		if err != nil {
+			t.Skipf("baseline rejects the program: %v", err)
+		}
+		for _, root := range heads {
+			compared = compared || base(root) != ""
+			_, opt, err := run(root)
+			if err != nil {
+				t.Errorf("root %s: -O2 fails where -O0 succeeds: %v", root, err)
+			} else if got, want := opt(root), base(root); got != want {
+				t.Errorf("root %s diverges:\n--- -O2 ---\n%s\n--- -O0 ---\n%s", root, got, want)
+			}
+		}
+		return compared
+	}
+	for _, name := range plannerSemantics {
+		sem := unchained.SemanticsByName[name]
+		for _, c := range plannerCases {
+			c := c
+			t.Run(c.prog+"/"+name, func(t *testing.T) {
+				check(t, sem, c.maxStages, func() (*unchained.Session, *unchained.Program, *unchained.Instance) {
+					s, p, in := loadCase(t, c.prog, c.facts)
+					if c.order {
+						in = s.WithOrder(in)
+					}
+					return s, p, in
+				})
+			})
+		}
+		t.Run("wide/"+name, func(t *testing.T) {
+			if !check(t, sem, 0, func() (*unchained.Session, *unchained.Program, *unchained.Instance) {
+				s := unchained.NewSession()
+				in := gen.Random(s.U, "E", 48, 160, 1)
+				for i := 0; i < 48; i += 4 {
+					in.Insert("Sel", unchained.Tuple{s.Sym(fmt.Sprintf("n%d", i))})
+				}
+				return s, s.MustParse(gen.Wide(12, 8)), in
+			}) {
+				t.Errorf("every root relation is empty: the row compares nothing")
+			}
+		})
 	}
 }
 

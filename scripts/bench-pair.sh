@@ -12,7 +12,10 @@
 # sources. Pair i runs both sides with -seed i -trace 0; even pairs run
 # the working tree first. Printed per end-to-end metric: each side's
 # median and quartiles over the pairs, and how many pairs each side won
-# (lower is better for all five; ties count for neither).
+# (lower is better for all five; ties count for neither). The same
+# numbers are appended as one JSON line to BENCH_HISTORY.jsonl at the
+# root (the perf history "make bench-history" reads), unless a run had
+# a failed or incorrect operation.
 set -euo pipefail
 base="${1:?usage: bench-pair.sh BASE WORKLOAD [PAIRS] [SECONDS]}"
 workload="${2:?usage: bench-pair.sh BASE WORKLOAD [PAIRS] [SECONDS]}"
@@ -44,7 +47,12 @@ for i in $(seq 1 "$pairs"); do
 done
 
 echo "bench-pair: $workload, $pairs pairs of ${seconds}s, base ${rev:0:12} against the working tree"
-awk '
+head="$(git -C "$root" rev-parse --short=12 HEAD)"
+[ -z "$(git -C "$root" status --porcelain)" ] || head="$head+dirty"
+host="$(uname -sm) $(getconf _NPROCESSORS_ONLN)cpu $(awk -F': ' '/model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null) $(go env GOVERSION)"
+awk -v hist="$root/BENCH_HISTORY.jsonl" -v head="$head" -v base="${rev:0:12}" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+	-v workload="$workload" -v pairs="$pairs" -v seconds="$seconds" -v host="$host" '
+function stat(a, n, wins) { return sprintf("{\"q1\":%.8g,\"median\":%.8g,\"q3\":%.8g,\"wins\":%d}", quant(a, n, .25), quant(a, n, .5), quant(a, n, .75), wins) }
 function quant(a, n, q,    pos, lo) { pos = (n - 1) * q; lo = int(pos); return a[lo + 1] + (pos - lo) * (a[(lo + 2 > n) ? n : lo + 2] - a[lo + 1]) }
 function sorted(side, m, out,    i, j, n, t) {
 	n = cnt[side]
@@ -71,8 +79,14 @@ END {
 			if (v["head", m, i] < v["base", m, i]) wh++
 			else if (v["head", m, i] > v["base", m, i]) wb++
 		}
-		n = sorted("base", m, b); printf "%-18s %-5s %12.4f %12.4f %12.4f %6d\n", m, "base", quant(b, n, .25), quant(b, n, .5), quant(b, n, .75), wb
-		n = sorted("head", m, h); printf "%-18s %-5s %12.4f %12.4f %12.4f %6d\n", m, "head", quant(h, n, .25), quant(h, n, .5), quant(h, n, .75), wh
+		nb = sorted("base", m, b); printf "%-18s %-5s %12.4f %12.4f %12.4f %6d\n", m, "base", quant(b, nb, .25), quant(b, nb, .5), quant(b, nb, .75), wb
+		nh = sorted("head", m, h); printf "%-18s %-5s %12.4f %12.4f %12.4f %6d\n", m, "head", quant(h, nh, .25), quant(h, nh, .5), quant(h, nh, .75), wh
+		json = json (k > 1 ? "," : "") sprintf("\"%s\":{\"base\":%s,\"head\":%s}", m, stat(b, nb, wb), stat(h, nh, wh))
 	}
-	if (bad["base"] + bad["head"] > 0) printf "runs with failed or incorrect ops: base %d, head %d\n", bad["base"], bad["head"]
+	if (bad["base"] + bad["head"] > 0) {
+		printf "runs with failed or incorrect ops: base %d, head %d (no history line written)\n", bad["base"], bad["head"]
+		exit
+	}
+	printf "{\"rev\":\"%s\",\"base\":\"%s\",\"date\":\"%s\",\"workload\":\"%s\",\"pairs\":%d,\"seconds\":%d,\"host\":\"%s\",\"source\":\"bench-pair\",\"metrics\":{%s}}\n",
+		head, base, date, workload, pairs, seconds, host, json >>hist
 }' "$work/runs.log"

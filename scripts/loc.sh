@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Non-test Go lines per package and in total outside bench/: the number
-# every simplicity PR reports in CHANGES.md (ROADMAP item 6).
+# every simplicity PR reports in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |

@@ -450,7 +450,7 @@ func (s *Session) QueryContext(ctx context.Context, p *Program, query Atom, in *
 	// The caller observes only the query predicate, so it is the
 	// reachability root for the optimizer.
 	if cfg.optimize > OptNone {
-		cfg.optRoots = append(append([]string(nil), cfg.optRoots...), query.Pred)
+		cfg.optRoots = []string{query.Pred}
 		p = s.optimizeEval(p, in, MinimalModel, cfg)
 	}
 	return magic.AnswerStats(p, query, in, s.U, &cfg.opt)
