@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # while still catching a PR that lands a large untested subsystem.
 COVERAGE_BASELINE ?= 78.0
 
-.PHONY: all build vet vet-custom stage-protocol engine-dispatch loc bench-build bench-pair bench-history lint-programs test race bench fmt-check fuzz-smoke verify serve-smoke explain-golden metrics-lint flight-soak wal-soak coverage
+.PHONY: all build vet vet-custom stage-protocol engine-dispatch loc bench-build bench-pair bench-history test race bench fmt-check fuzz-smoke verify coverage
 
 all: verify
 
@@ -66,18 +66,6 @@ bench-pair:
 bench-history:
 	@scripts/bench-history.sh
 
-# Run the static analyzer (-lint) over every shipped program; exits
-# non-zero if any acquires an error-severity diagnostic. (The generated
-# 4 000-rule program that pins the front end's linear cost is
-# TestCLILintWideProgram in cmd/datalog.)
-lint-programs:
-	@$(GO) build -o bin/datalog ./cmd/datalog
-	@for p in programs/*.dl; do \
-		bin/datalog -program $$p -lint >/dev/null || exit 1; done
-	@for p in programs/*.wl; do \
-		bin/datalog -program $$p -language while -lint >/dev/null || exit 1; done
-	@echo "lint-programs: all programs clean"
-
 # Fail if any file needs gofmt; print the offenders.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -103,14 +91,6 @@ fuzz-smoke:
 	$(GO) test ./internal/incr -run='^$$' -fuzz='^FuzzApply$$' -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz='^FuzzOptimize$$' -fuzztime=$(FUZZTIME)
 
-# Durability soak under the race detector: replay the write-ahead log
-# through every injected kill point (≥50, including mid-record torn
-# writes) and through a SIGKILL'd child process; recovered state must
-# match the survived prefix exactly each time. The CI "durability" job
-# runs this on every push.
-wal-soak:
-	$(GO) test -race -count=1 -run 'TestWALKillPointSoak|TestWALSIGKILLSoak' -v ./internal/store/
-
 # Total-coverage gate: fail if statement coverage across ./... drops
 # below COVERAGE_BASELINE percent. Writes coverage.out for the CI
 # artifact upload (go tool cover -html=coverage.out to browse).
@@ -121,37 +101,8 @@ coverage:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
 		{ echo "coverage: $$total% is below the $(COVERAGE_BASELINE)% floor"; exit 1; }
 
-# Render the win-game derivation explanation and diff it against the
-# checked-in golden — catches drift in either the WFS engine or the
-# trace narrative (see docs/OBSERVABILITY.md).
-explain-golden:
-	$(GO) run ./cmd/datalog -program programs/win.dl -facts programs/facts/game_e32.facts \
-		-semantics wellfounded -explain | diff -u cmd/datalog/testdata/golden/win_explain.txt -
-
-# Boot the HTTP daemon on a loopback port and run the smoke sequence:
-# /healthz, one terminating eval, one deadline-bounded eval (must be
-# interrupted with partial stats), /statsz counters, a standing query,
-# /v1/analyze shed with 429 at a saturated admission gate, and a
-# durable database closed by shutdown and reopened with no WAL tail to
-# truncate.
-serve-smoke:
-	$(GO) run ./cmd/unchained-serve -selftest
-
-# Boot an in-process daemon, drive traffic over every metric family,
-# and lint the live /metrics exposition with the hand-rolled checker
-# (internal/promlint): stable HELP/TYPE, no duplicate series, counter
-# naming, histogram completeness, bounded label cardinality.
-metrics-lint:
-	$(GO) test -count=1 -run TestLiveExpositionClean ./internal/promlint/
-
-# Saturate the daemon under the race detector: the flight recorder's
-# ring, top-K heap, and tenant table all take concurrent writes while
-# /debug/flight readers page through them, and the admission gate sheds
-# a burst of 24 clients against 2 slots (see docs/PARALLEL.md).
-flight-soak:
-	$(GO) test -race -count=1 -run 'TestFlight|TestLiveExposition|TestSaturationAccounting' ./internal/serve/ ./internal/promlint/
-
 # Tier-1 verification (see ROADMAP.md) plus the custom analyzers, the
-# stage-protocol and engine-dispatch guards, the benchmark module's
-# build and the program-library lint sweep.
-verify: fmt-check build vet vet-custom stage-protocol engine-dispatch test race bench-build lint-programs
+# stage-protocol and engine-dispatch guards and the benchmark module's
+# build. A check that is a Go test runs here, in "test" and "race", and
+# has no target of its own.
+verify: fmt-check build vet vet-custom stage-protocol engine-dispatch test race bench-build

@@ -307,7 +307,7 @@ func BenchmarkT47_OrderedEven(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				u := value.New()
 				base := gen.UnarySubset(u, "R", "Dom", n, n/2, int64(n))
-				in := order.WithOrder(base, u, nil, nil)
+				in := order.WithOrder(base, u)
 				p := parser.MustParse(queries.EvenOrdered, u)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

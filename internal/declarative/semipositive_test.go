@@ -26,7 +26,7 @@ func TestSemiPositiveEvenness(t *testing.T) {
 		for k := 0; k <= n; k++ {
 			u := value.New()
 			base := gen.UnarySubset(u, "R", "Dom", n, k, int64(10*n+k))
-			in := order.WithOrder(base, u, nil, nil)
+			in := order.WithOrder(base, u)
 			p := parser.MustParse(evenSrc, u)
 			res, err := EvalSemiPositive(p, in, u, nil)
 			if err != nil {

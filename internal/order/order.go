@@ -17,25 +17,15 @@ const (
 	SuccName  = "Succ"  // Succ(x,y): y is the successor of x
 	FirstName = "First" // First(x): x is the minimum element
 	LastName  = "Last"  // Last(x): x is the maximum element
-	LeqName   = "Leq"   // Leq(x,y): x ≤ y (only with AttachLeq)
 )
 
-// Options controls which order relations are attached.
-type Options struct {
-	// AttachLeq additionally materializes the full ≤ relation
-	// (quadratic in the domain size); Succ/First/Last are always
-	// attached.
-	AttachLeq bool
-}
-
 // WithOrder returns a copy of the instance extended with a total
-// order on its active domain (plus any extra values supplied):
-// Succ, First and Last, and optionally Leq. The order is the
-// deterministic value order of the universe. The input is not
-// mutated.
-func WithOrder(in *tuple.Instance, u *value.Universe, extra []value.Value, opt *Options) *tuple.Instance {
+// order on its active domain: Succ, First and Last (≤ is two positive
+// rules over Succ). The order is the deterministic value order of the
+// universe. The input is not mutated.
+func WithOrder(in *tuple.Instance, u *value.Universe) *tuple.Instance {
 	out := in.Clone()
-	adom := eval.ActiveDomain(u, extra, in)
+	adom := Domain(in, u)
 	succ := out.Ensure(SuccName, 2)
 	first := out.Ensure(FirstName, 1)
 	last := out.Ensure(LastName, 1)
@@ -48,18 +38,10 @@ func WithOrder(in *tuple.Instance, u *value.Universe, extra []value.Value, opt *
 		first.Insert(tuple.Tuple{adom[0]})
 		last.Insert(tuple.Tuple{adom[len(adom)-1]})
 	}
-	if opt != nil && opt.AttachLeq {
-		leq := out.Ensure(LeqName, 2)
-		for i := range adom {
-			for j := i; j < len(adom); j++ {
-				leq.Insert(tuple.Tuple{adom[i], adom[j]})
-			}
-		}
-	}
 	return out
 }
 
 // Domain returns the sorted active domain the order was built over.
-func Domain(in *tuple.Instance, u *value.Universe, extra []value.Value) []value.Value {
-	return eval.ActiveDomain(u, extra, in)
+func Domain(in *tuple.Instance, u *value.Universe) []value.Value {
+	return eval.ActiveDomain(u, nil, in)
 }

@@ -11,7 +11,7 @@ import (
 func TestWithOrderShape(t *testing.T) {
 	u := value.New()
 	in := parser.MustParseFacts(`R(b). R(a). P(c).`, u)
-	out := WithOrder(in, u, nil, nil)
+	out := WithOrder(in, u)
 	if in.Relation(SuccName) != nil {
 		t.Fatalf("input mutated")
 	}
@@ -27,28 +27,11 @@ func TestWithOrderShape(t *testing.T) {
 	if !out.Has(FirstName, tuple.Tuple{a}) || !out.Has(LastName, tuple.Tuple{c}) {
 		t.Fatalf("First/Last wrong")
 	}
-	if out.Relation(LeqName) != nil {
-		t.Fatalf("Leq attached without option")
-	}
-}
-
-func TestWithOrderLeq(t *testing.T) {
-	u := value.New()
-	in := parser.MustParseFacts(`R(a). R(b). R(c).`, u)
-	out := WithOrder(in, u, nil, &Options{AttachLeq: true})
-	leq := out.Relation(LeqName)
-	if leq == nil || leq.Len() != 6 { // 3+2+1 reflexive pairs
-		t.Fatalf("Leq = %v", leq)
-	}
-	a, c := u.Sym("a"), u.Sym("c")
-	if !out.Has(LeqName, tuple.Tuple{a, c}) || out.Has(LeqName, tuple.Tuple{c, a}) {
-		t.Fatalf("Leq direction wrong")
-	}
 }
 
 func TestWithOrderEmptyDomain(t *testing.T) {
 	u := value.New()
-	out := WithOrder(tuple.NewInstance(), u, nil, nil)
+	out := WithOrder(tuple.NewInstance(), u)
 	if out.Relation(FirstName).Len() != 0 || out.Relation(SuccName).Len() != 0 {
 		t.Fatalf("empty domain should give empty order relations")
 	}
@@ -57,25 +40,12 @@ func TestWithOrderEmptyDomain(t *testing.T) {
 func TestWithOrderSingleton(t *testing.T) {
 	u := value.New()
 	in := parser.MustParseFacts(`R(a).`, u)
-	out := WithOrder(in, u, nil, nil)
+	out := WithOrder(in, u)
 	a := u.Sym("a")
 	if !out.Has(FirstName, tuple.Tuple{a}) || !out.Has(LastName, tuple.Tuple{a}) {
 		t.Fatalf("singleton: first and last must coincide")
 	}
 	if out.Relation(SuccName).Len() != 0 {
 		t.Fatalf("singleton: Succ should be empty")
-	}
-}
-
-func TestWithOrderExtraValues(t *testing.T) {
-	u := value.New()
-	in := parser.MustParseFacts(`R(b).`, u)
-	extra := []value.Value{u.Sym("a"), u.Sym("z")}
-	out := WithOrder(in, u, extra, nil)
-	if out.Relation(SuccName).Len() != 2 {
-		t.Fatalf("extra values not included in order")
-	}
-	if !out.Has(FirstName, tuple.Tuple{u.Sym("a")}) || !out.Has(LastName, tuple.Tuple{u.Sym("z")}) {
-		t.Fatalf("bounds wrong with extra values")
 	}
 }

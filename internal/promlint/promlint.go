@@ -4,7 +4,7 @@
 // linter cannot be imported, but the invariants it would enforce —
 // stable HELP/TYPE headers, no duplicate series, valid names, bounded
 // label cardinality — are exactly the ones a scrape-driven dashboard
-// breaks on silently. "make metrics-lint" runs it against a live
+// breaks on silently. TestLiveExpositionClean runs it against a live
 // daemon exposition in CI.
 package promlint
 

@@ -92,7 +92,7 @@ func TestLabelCardinalityBound(t *testing.T) {
 	}
 }
 
-// TestLiveExpositionClean is the CI gate behind "make metrics-lint":
+// TestLiveExpositionClean is the CI gate on the exposition:
 // the daemon's own /metrics output, with traffic on every family
 // (a sharded evaluation, a deadline-bounded non-terminating one, and a
 // store batch so the unchained_store_* families carry samples too),

@@ -13,71 +13,41 @@ import (
 	"unchained/internal/parser"
 	"unchained/internal/value"
 	"unchained/internal/while"
+	"unchained/programs"
 )
 
 // TC computes the transitive closure of G in T (Section 3.1).
-const TC = `
-	T(X,Y) :- G(X,Y).
-	T(X,Y) :- G(X,Z), T(Z,Y).
-`
+var TC = programs.Source("tc.dl")
 
 // CT extends TC with the complement of the closure (Section 3.2,
 // stratified).
-const CT = TC + `
-	CT(X,Y) :- !T(X,Y).
-`
+var CT = programs.Source("ct.dl")
 
 // Win is the nonstratifiable win-game program of Example 3.2.
-const Win = `
-	Win(X) :- Moves(X,Y), !Win(Y).
-`
+var Win = programs.Source("win.dl")
 
 // Closer is the program of Example 4.1. Under the inflationary
 // semantics it computes Closer(x,y,x',y') iff d(x,y) < d(x',y')
 // (see EXPERIMENTS.md for the < vs ≤ footnote).
-const Closer = `
-	T(X,Y) :- G(X,Y).
-	T(X,Y) :- T(X,Z), G(Z,Y).
-	Closer(X,Y,Xp,Yp) :- T(X,Y), !T(Xp,Yp).
-`
+var Closer = programs.Source("closer.dl")
 
 // DelayedCT is the program of Example 4.3: the complement of the
 // transitive closure in inflationary Datalog¬, using the
 // delayed-firing technique (G must be nonempty).
-const DelayedCT = `
-	T(X,Y) :- G(X,Y).
-	T(X,Y) :- G(X,Z), T(Z,Y).
-	OldT(X,Y) :- T(X,Y).
-	OldTExceptFinal(X,Y) :- T(X,Y), T(Xp,Zp), T(Zp,Yp), !T(Xp,Yp).
-	CT(X,Y) :- !T(X,Y), OldT(Xp,Yp), !OldTExceptFinal(Xp,Yp).
-`
+var DelayedCT = programs.Source("delayed_ct.dl")
 
 // GoodNodes is the program of Example 4.4: the nodes of G not
 // reachable from a cycle, in inflationary Datalog¬ via the timestamp
 // technique.
-const GoodNodes = `
-	Bad(X) :- G(Y,X), !Good(Y).
-	Delay.
-	Good(X) :- Delay, !Bad(X).
-	BadStamped(X,T) :- G(Y,X), !Good(Y), Good(T).
-	DelayStamped(T) :- Good(T).
-	Good(X) :- DelayStamped(T), !BadStamped(X,T).
-`
+var GoodNodes = programs.Source("good_nodes.dl")
 
 // FlipFlop is the non-terminating Datalog¬¬ program of Section 4.2.
-const FlipFlop = `
-	T(0) :- T(1).
-	!T(1) :- T(1).
-	T(1) :- T(0).
-	!T(0) :- T(0).
-`
+var FlipFlop = programs.Source("flip_flop.dl")
 
 // Orientation removes one edge of every 2-cycle of G: under the
 // deterministic Datalog¬¬ semantics it removes both; under the
 // nondeterministic semantics it computes an orientation (Section 5).
-const Orientation = `
-	!G(X,Y) :- G(X,Y), G(Y,X).
-`
+var Orientation = programs.Source("orientation.dl")
 
 // DiffNegNeg computes Answer = P − πA(Q) in N-Datalog¬¬ (the
 // deletion-based program of Section 5.2 / Example 5.4 discussion).
@@ -87,23 +57,14 @@ const DiffNegNeg = `
 `
 
 // DiffForall computes Answer = P − πA(Q) in N-Datalog¬∀ (Example 5.5).
-const DiffForall = `
-	Answer(X) :- forall Y (P(X), !Q(X,Y)).
-`
+var DiffForall = programs.Source("diff_forall.dl")
 
 // DiffBottom computes Answer = P − πA(Q) in N-Datalog¬⊥ (Example 5.5).
-const DiffBottom = `
-	Proj(X) :- !DoneWithProj, Q(X,Y).
-	DoneWithProj.
-	bottom :- DoneWithProj, Q(X,Y), !Proj(X).
-	Answer(X) :- DoneWithProj, P(X), !Proj(X).
-`
+var DiffBottom = programs.Source("diff_bottom.dl")
 
 // Choice nondeterministically selects one element of P into Chosen
 // (the witness/choice idiom of Section 5).
-const Choice = `
-	Some, Chosen(X) :- P(X), !Some.
-`
+var Choice = programs.Source("choice.dl")
 
 // Hamiltonian is the db-np witness of Section 2 / Theorem 5.11: the
 // deterministic query "all vertices if the graph has a Hamiltonian
@@ -113,21 +74,10 @@ const Choice = `
 // is reachable from the start along chosen edges, and some chosen
 // edge returns to the start — which forces the chosen edges to be a
 // single cycle through all nodes.
-const Hamiltonian = `
-	Start(X), Started :- Node(X), !Started.
-	Chosen(X,Y), Done(X) :- G(X,Y), !Done(X).
-	Reach(X) :- Start(X).
-	Reach(Y) :- Reach(X), Chosen(X,Y).
-	ClosesBack :- Chosen(X,Y), Start(Y).
-	Ham :- ClosesBack, forall Z (Reach(Z)), forall W (Done(W)).
-	Ans(X) :- Ham, Node(X).
-`
+var Hamiltonian = programs.Source("hamiltonian.dl")
 
 // SameGeneration is the classic same-generation query (Datalog).
-const SameGeneration = `
-	Sg(X,Y) :- Flat(X,Y).
-	Sg(X,Y) :- Up(X,U), Sg(U,V), Down(V,Y).
-`
+var SameGeneration = programs.Source("same_generation.dl")
 
 // EvenOrdered decides evenness of the unary relation R on an ordered
 // database (Theorem 4.7): it walks Succ from First to Last keeping
@@ -135,16 +85,7 @@ const SameGeneration = `
 // Negation is applied only to the EDB relation R, so the program is
 // semi-positive; it is also stratified and runs under every engine.
 // The domain must be nonempty.
-const EvenOrdered = `
-	OddUpto(X)  :- First(X), R(X).
-	EvenUpto(X) :- First(X), !R(X).
-	OddUpto(Y)  :- Succ(X,Y), EvenUpto(X), R(Y).
-	OddUpto(Y)  :- Succ(X,Y), OddUpto(X), !R(Y).
-	EvenUpto(Y) :- Succ(X,Y), OddUpto(X), R(Y).
-	EvenUpto(Y) :- Succ(X,Y), EvenUpto(X), !R(Y).
-	EvenAns :- Last(X), EvenUpto(X).
-	OddAns  :- Last(X), OddUpto(X).
-`
+var EvenOrdered = programs.Source("even_ordered.dl")
 
 // Counter returns a Datalog¬¬ program realizing a k-bit binary
 // counter over constants b0..b(k-1): each stage performs one

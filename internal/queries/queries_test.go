@@ -54,7 +54,7 @@ func TestEvenOrderedAllSemantics(t *testing.T) {
 		for k := 0; k <= n; k++ {
 			u := value.New()
 			base := gen.UnarySubset(u, "R", "Dom", n, k, int64(n*100+k))
-			in := order.WithOrder(base, u, nil, nil)
+			in := order.WithOrder(base, u)
 			p := Must(EvenOrdered, u)
 			wantEven := k%2 == 0
 
@@ -166,7 +166,7 @@ func TestFixpointPairsAgree(t *testing.T) {
 			t.Errorf("graph %d: CT fixpoint != well-founded", gi)
 		}
 		// F1a: the closure and its complement partition adom².
-		adom := len(order.Domain(in, u, nil))
+		adom := len(order.Domain(in, u))
 		if nT, nCT := relLen(dres.Out, "T"), relLen(sres.Out, "CT"); nT+nCT != adom*adom {
 			t.Errorf("graph %d: |T|+|CT| = %d+%d, want |adom|² = %d", gi, nT, nCT, adom*adom)
 		}

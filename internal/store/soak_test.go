@@ -16,7 +16,7 @@ package store_test
 //     directory, and checks the recovered state matches the committed
 //     prefix and includes every batch the parent saw acknowledged.
 //
-// `make wal-soak` runs both under -race (the CI durability job).
+// `make race` runs both under -race.
 
 import (
 	"bufio"

@@ -384,7 +384,7 @@ func (s *Session) EffectsContext(ctx context.Context, p *Program, d Dialect, in 
 // and Last over its active domain (the ordered-database setting of
 // Theorem 4.7).
 func (s *Session) WithOrder(in *Instance) *Instance {
-	return order.WithOrder(in, s.U, nil, nil)
+	return order.WithOrder(in, s.U)
 }
 
 // Dialects re-exported for RunNondetContext/EffectsContext and
