@@ -5,7 +5,11 @@
 //   - EvalInflationary — Datalog¬ under inflationary fixpoint
 //     semantics (Section 4.1): all rules fire in parallel with all
 //     applicable instantiations, stages accumulate, and the fixpoint
-//     Γω_P(I) is reached after finitely many stages.
+//     Γω_P(I) is reached after finitely many stages. The stages are
+//     delta-driven, on the kernel the declarative engines run on
+//     (engine.SemiNaive; the function has the soundness argument). The
+//     other two engines fire every rule against the whole instance at
+//     every stage, and say why.
 //   - EvalNonInflationary — Datalog¬¬ (Section 4.2): negations in
 //     heads retract facts; the paper's default conflict resolution
 //     gives priority to positive inferences and three alternative
@@ -106,41 +110,26 @@ func stageLimitErr(stages int) error {
 	return fmt.Errorf("%w (after %d stages)", ErrStageLimit, stages)
 }
 
-// insertNew returns an emit function for eval.Rule.Fire that collects
-// the facts absent from in into pend: re-derivations are filtered at
-// emission, so pend holds only a stage's genuinely new facts instead
-// of growing with the full instance.
-func insertNew(in *tuple.Instance, pend *[]eval.Fact) func(eval.Fact) bool {
-	return func(f eval.Fact) bool {
-		if in.Has(f.Pred, f.Tuple) {
-			return false
-		}
-		*pend = append(*pend, f)
-		return true
-	}
-}
-
 // EvalInflationary evaluates a Datalog¬ program under the
 // inflationary fixpoint semantics of Section 4.1. The input is not
 // mutated. The program may of course be pure Datalog; on positive
 // programs the result coincides with the minimum model (Section 3.1).
+//
+// The stages are delta-driven (engine.SemiNaive with negation reading
+// the live instance): stage 1 fires every rule against the input, every
+// later stage only the instantiations that use a fact new at the stage
+// before. That is Γ_P stage for stage, because facts are only added: a
+// negative literal can only turn false, so an instantiation that is
+// applicable at stage k+1 and was not at stage k has a positive literal
+// on a fact stage k added; every other applicable instantiation fired
+// before and its head facts are already there.
 func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	rules, col, out, err := begin("inflationary", ast.DialectDatalogNeg, p, in, u, opt)
 	if err != nil {
 		return nil, err
 	}
-	adom := eval.ActiveDomain(u, p.Constants(), in)
-	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(int) (engine.Outcome, error) {
-		ctx := opt.EvalCtx(col, out, adom)
-		st := eval.NewStaging(out)
-		for ri, cr := range rules {
-			cr.Fire(ctx, ri, nil, st.Emit)
-		}
-		if n := st.Fold(); n > 0 {
-			return engine.Outcome{Delta: n, State: st.Next}, nil
-		}
-		return engine.Outcome{Status: engine.Confirm}, nil
-	})
+	k := engine.SemiNaive{Rules: rules, Forward: true, Limit: opt.StageLimit(1 << 30), LimitErr: stageLimitErr}
+	stages, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in))
 	return engine.Finish(out, stages, col, err)
 }
 
@@ -152,6 +141,10 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 // transition is deterministic, so the engine runs Brent's cycle
 // detection on instance states and returns ErrNonTerminating when a
 // state repeats without being a fixpoint.
+//
+// Every stage fires every rule against the whole instance: a retraction
+// can make a negative literal true again, so an instantiation can become
+// applicable without any fact being new.
 func EvalNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	rules, col, cur, err := begin("noninflationary", ast.DialectDatalogNegNeg, p, in, u, opt)
 	if err != nil {
@@ -268,6 +261,10 @@ func stageNonInflationary(rules []*eval.Rule, ctx *eval.Ctx, policy ConflictPoli
 // values and the fixpoint is well defined. Because the language is
 // computationally complete (Theorem 4.6), termination is not
 // guaranteed; the default stage limit is 4096.
+//
+// Every stage fires every rule against the whole instance: invented
+// values join the active domain, so a variable enumerated over it gains
+// instantiations that no positive literal reads from a new fact.
 func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	rules, col, out, err := begin("invent", ast.DialectDatalogNew, p, in, u, opt)
 	if err != nil {

@@ -103,6 +103,12 @@ func (p *Provenance) Render(e *Explanation) string {
 // alongside the fixpoint it returns a Provenance answering Why
 // queries for every derived fact. Tracking costs one support-list
 // materialization per firing.
+//
+// It keeps a stage loop of its own, firing every rule against the whole
+// instance at every stage: a fact's recorded derivation is the first in
+// rule order (and, within a rule, in the rule's enumeration order) at
+// the stage the fact enters, and delta variants enumerate in another
+// order, so they would record other supports for the same fixpoint.
 func EvalInflationaryProv(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, *Provenance, error) {
 	rules, col, out, err := begin("inflationary", ast.DialectDatalogNeg, p, in, u, opt)
 	if err != nil {
@@ -112,36 +118,28 @@ func EvalInflationaryProv(p *ast.Program, in *tuple.Instance, u *value.Universe,
 	adom := eval.ActiveDomain(u, p.Constants(), in)
 	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(stage int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
-		var pend []eval.Fact
-		var ders []Derivation
-		emit := insertNew(out, &pend)
+		// The stage's new facts, staged with the derivation that first
+		// produced each: out is not written until the stage is over.
+		st := eval.NewStaging(out)
 		for ri, cr := range rules {
 			// A firing's supports are materialized before its head facts
-			// are emitted, so every fact it adds to pend is paired with
-			// them in ders.
+			// are emitted.
 			var supports []eval.Fact
 			cr.Fire(ctx, ri, func(b eval.Binding) []eval.Fact {
 				supports = cr.BodySupports(b)
 				return cr.HeadFacts(b, nil)
 			}, func(f eval.Fact) bool {
-				if !emit(f) {
+				if !st.Emit(f) {
 					return false
 				}
-				ders = append(ders, Derivation{Rule: ri, Stage: stage, Supports: supports})
+				prov.m[provKey(f.Pred, f.Tuple)] = Derivation{Rule: ri, Stage: stage, Supports: supports}
 				return true
 			})
 		}
-		changed := 0
-		for i, f := range pend {
-			if out.Insert(f.Pred, f.Tuple) {
-				changed++
-				prov.m[provKey(f.Pred, f.Tuple)] = ders[i]
-			}
+		if n := st.Fold(); n > 0 {
+			return engine.Outcome{Delta: n, State: out}, nil
 		}
-		if changed == 0 {
-			return engine.Outcome{Status: engine.Confirm}, nil
-		}
-		return engine.Outcome{Delta: changed, State: out}, nil
+		return engine.Outcome{Status: engine.Confirm}, nil
 	})
 	res, err := engine.Finish(out, stages, col, err)
 	if res == nil {

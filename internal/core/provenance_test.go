@@ -138,7 +138,10 @@ func TestProvenanceWithNegation(t *testing.T) {
 // TestProvenanceStats: the provenance run is an engine run like the
 // others. It resets the collector it is handed (a reused collector
 // does not carry a previous run's counters over) and attaches the
-// summary on success as well as on interruption.
+// summary on success as well as on interruption. It reaches the plain
+// run's fixpoint in the plain run's stages, deriving each fact once; its
+// firings are no fewer, because it fires every rule against the whole
+// instance at every stage where the plain run fires delta variants.
 func TestProvenanceStats(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(tcSrc, u)
@@ -158,7 +161,7 @@ func TestProvenanceStats(t *testing.T) {
 	if res.Stats.Stages != res.Stages || res.Stats.Stages != plain.Stats.Stages {
 		t.Fatalf("Stats.Stages = %d, Stages = %d, plain run = %d", res.Stats.Stages, res.Stages, plain.Stats.Stages)
 	}
-	if res.Stats.Firings != plain.Stats.Firings || res.Stats.Derived != plain.Stats.Derived {
+	if res.Stats.Derived != plain.Stats.Derived || res.Stats.Firings < plain.Stats.Firings || res.Stats.Firings > 20 {
 		t.Fatalf("collector not reset: firings %d derived %d, plain run %d %d",
 			res.Stats.Firings, res.Stats.Derived, plain.Stats.Firings, plain.Stats.Derived)
 	}

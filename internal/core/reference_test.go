@@ -1,0 +1,283 @@
+package core
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"unchained/internal/ast"
+	"unchained/internal/engine"
+	"unchained/internal/eval"
+	"unchained/internal/gen"
+	"unchained/internal/parser"
+	"unchained/internal/tuple"
+	"unchained/internal/value"
+)
+
+// referenceStages is Section 4.1 as the paper writes it, kept as the
+// oracle for the delta-driven engine: at every stage every rule fires
+// against the whole instance with every applicable instantiation, and
+// the facts the instance lacks are added together. It returns the facts
+// each stage added, the confirming pass that adds none excluded.
+func referenceStages(t testing.TB, rules []*eval.Rule, in *tuple.Instance, adom []value.Value) []*tuple.Instance {
+	t.Helper()
+	out := in.Clone()
+	var stages []*tuple.Instance
+	for {
+		ctx := &eval.Ctx{In: out, Adom: adom, DeltaLit: -1}
+		st := eval.NewStaging(out)
+		for _, cr := range rules {
+			cr.Fire(ctx, -1, nil, st.Emit)
+		}
+		if st.Fold() == 0 {
+			return stages
+		}
+		stages = append(stages, st.Next)
+	}
+}
+
+// sameStages compares the reference's stages on (p, in) with what the
+// engine shows Options.Trace, serial and sharded: the same stage count
+// and the same set of new facts at every stage. validate false runs the
+// kernel as EvalInflationary configures it without the dialect check,
+// for a literal Datalog¬ does not admit.
+func sameStages(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u *value.Universe, validate bool) {
+	t.Helper()
+	rules, err := eval.CompileProgram(p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	adom := eval.ActiveDomain(u, p.Constants(), in)
+	want := referenceStages(t, rules, in, adom)
+	for _, shards := range []int{1, 2} {
+		var got []*tuple.Instance
+		opt := &Options{Shards: shards, Trace: func(stage int, delta *tuple.Instance) {
+			if stage != len(got)+1 {
+				t.Fatalf("%s: stage %d shown after %d stages", name, stage, len(got))
+			}
+			got = append(got, delta.Clone())
+		}}
+		var stages int
+		if validate {
+			res, err := EvalInflationary(p, in, u, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			stages = res.Stages
+		} else {
+			k := engine.SemiNaive{Rules: rules, Forward: true}
+			if stages, err = k.Run(opt, in.Clone(), adom); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if stages != len(want) || len(got) != len(want) {
+			t.Fatalf("%s, %d shards: %d stages (%d shown), the reference takes %d", name, shards, stages, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s, %d shards: stage %d adds\n%sthe reference adds\n%s", name, shards, i+1, got[i].String(u), want[i].String(u))
+			}
+		}
+	}
+}
+
+// TestInflationaryStagesMatchReference: every shipped program that is
+// Datalog¬, over five graph shapes per binary input relation, half of
+// the runs with facts asserted on the intensional relations too (the
+// delta of stage 1 is then not all an intensional relation holds).
+func TestInflationaryStagesMatchReference(t *testing.T) {
+	files, err := filepath.Glob("../../programs/*.dl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no programs: %v", err)
+	}
+	ran := 0
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := value.New()
+		p, err := parser.Parse(string(src), u)
+		if err != nil || p.Validate(ast.DialectDatalogNeg) != nil {
+			continue
+		}
+		sch, err := p.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		idb := map[string]bool{}
+		for _, n := range p.IDB() {
+			idb[n] = true
+		}
+		preds := make([]string, 0, len(sch))
+		for n := range sch {
+			preds = append(preds, n)
+		}
+		sort.Strings(preds)
+		shapes := []func(pred string, seed int64) *tuple.Instance{
+			func(pred string, _ int64) *tuple.Instance { return gen.Chain(u, pred, 6) },
+			func(pred string, _ int64) *tuple.Instance { return gen.Cycle(u, pred, 5) },
+			func(pred string, seed int64) *tuple.Instance { return gen.Random(u, pred, 6, 9, seed) },
+			func(pred string, _ int64) *tuple.Instance { return gen.Tree(u, pred, 2, 2) },
+			func(pred string, _ int64) *tuple.Instance { return gen.TwoCycles(u, pred, 3) },
+		}
+		for si, shape := range shapes {
+			for _, asserted := range []bool{false, true} {
+				var parts []*tuple.Instance
+				for pi, n := range preds {
+					switch {
+					case sch[n] == 2 && !idb[n]:
+						parts = append(parts, shape(n, int64(si+pi)))
+					case sch[n] == 2 && asserted:
+						parts = append(parts, gen.Random(u, n, 6, 3, int64(si+pi)))
+					case sch[n] == 1 && (!idb[n] || asserted):
+						parts = append(parts, gen.Unary(u, n, 2))
+					}
+				}
+				name := fmt.Sprintf("%s shape %d asserted=%v", filepath.Base(f), si, asserted)
+				sameStages(t, name, p, gen.Merge(parts...), u, true)
+				ran++
+			}
+		}
+	}
+	if ran < 50 {
+		t.Fatalf("only %d runs: the corpus has lost its Datalog¬ programs", ran)
+	}
+}
+
+// TestInflationaryStagesHandWritten: the cases the soundness argument
+// leans on, one row each.
+func TestInflationaryStagesHandWritten(t *testing.T) {
+	const tc = "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).\n"
+	for _, c := range []struct {
+		name, prog, facts string
+		validate          bool
+	}{
+		{"only negative literals, over a relation that grows: fires at stage 1 and never again",
+			"Q(Y) :- E(X,Y).\nQ(Y) :- Q(X), E(X,Y).\nP(X) :- !Q(X).", "E(a,b). E(b,c). E(c,d). Q(c).", true},
+		{"head variables ranging over the active domain",
+			tc + "Seen(X) :- T(X,Y).\nCT(X,Y) :- !T(X,Y), Seen(Z).", "G(a,b). G(b,c). G(c,a). G(c,d).", true},
+		{"a variable bound by an equality (no Datalog¬ literal: the kernel, below the dialect check)",
+			tc + "P(X,W) :- T(X,Z), W = Z, !B(W).\nB(Y) :- T(X,Y), T(Y,X).", "G(a,b). G(b,c). G(c,b). G(c,d).", false},
+		{"the same growing relation three times in one body (Example 4.3)",
+			tc + "OldT(X,Y) :- T(X,Y).\nOldTExceptFinal(X,Y) :- T(X,Y), T(Xp,Zp), T(Zp,Yp), !T(Xp,Yp).\nCT(X,Y) :- !T(X,Y), OldT(Xp,Yp), !OldTExceptFinal(Xp,Yp).",
+			"G(a,b). G(b,c). G(c,d). G(d,b).", true},
+		{"constant-only heads, one of arity zero",
+			tc + "Cyclic :- T(X,X).\nFlag(a) :- T(X,Y), !T(Y,X), !Cyclic.\nLate(b) :- Cyclic, !Flag(a).", "G(a,b). G(b,c). G(c,a).", true},
+		{"no rule at all", "", "G(a,b).", true},
+	} {
+		u := value.New()
+		p, err := parser.Parse(c.prog, u)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sameStages(t, c.name, p, parser.MustParseFacts(c.facts, u), u, c.validate)
+	}
+}
+
+// FuzzInflationaryDelta decodes bytes into a small Datalog¬ program and
+// an instance and checks the delta-driven stages against the reference.
+//
+// The first byte is the number of rules (1–4). A rule is a head byte
+// (the relation: A/1, B/1, R/2 or S/2), a body-length byte (1–3
+// literals), per literal a byte choosing the relation (those and the
+// extensional E/2) and the sign, then one byte per argument — a variable
+// of X, Y, Z, W or, one time in five, a constant — and last one byte per
+// head argument, choosing among the body's variable occurrences (the
+// constants when it has none), so no rule invents a value. Every byte
+// left opens a fact, as in incr's FuzzApply: the relation, then its
+// arguments among four constants — intensional relations included.
+func FuzzInflationaryDelta(f *testing.F) {
+	// Example 4.3 in miniature, R(c3,c0) asserted:
+	//	R(X,Y) :- E(X,Y).  R(X,Y) :- E(X,Z), R(Z,Y).  S(X,Y) :- R(X,Y).
+	//	A(X) :- R(X,Y), R(Y,Z), !S(X,Z).
+	f.Add([]byte{3, 2, 0, 0, 0, 1, 0, 1, 2, 1, 0, 0, 2, 6, 2, 1, 0, 3, 3, 0, 6, 0, 1, 0, 1,
+		0, 2, 6, 0, 1, 6, 1, 2, 9, 0, 2, 0, 0, 0, 1, 0, 1, 2, 0, 2, 3, 3, 3, 0})
+	// Only a negative literal, over a relation that grows, A(c3) asserted:
+	//	A(X) :- E(X,Y).  A(Y) :- A(X), E(X,Y).  B(X) :- !A(X).
+	f.Add([]byte{2, 0, 0, 0, 0, 1, 0, 0, 1, 2, 0, 0, 0, 1, 2, 1, 0, 3, 0, 0, 0, 0, 1, 0, 1, 2, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rels := []struct {
+			name  string
+			arity int
+		}{{"E", 2}, {"A", 1}, {"B", 1}, {"R", 2}, {"S", 2}}
+		vars := []string{"X", "Y", "Z", "W"}
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		var src strings.Builder
+		nRules, ok := next()
+		for r := 0; ok && r < 1+int(nRules)%4; r++ {
+			hb, ok1 := next()
+			nb, ok2 := next()
+			if !ok1 || !ok2 {
+				break
+			}
+			var body []string
+			var seen []string
+			for l := 0; l < 1+int(nb)%3; l++ {
+				lb, _ := next()
+				rel := rels[int(lb/2)%len(rels)]
+				args := make([]string, rel.arity)
+				for i := range args {
+					ab, _ := next()
+					if ab%5 == 4 {
+						args[i] = fmt.Sprintf("c%d", ab/5%4)
+						continue
+					}
+					args[i] = vars[ab%5]
+					seen = append(seen, args[i])
+				}
+				sign := ""
+				if lb%2 == 1 {
+					sign = "!"
+				}
+				body = append(body, sign+rel.name+"("+strings.Join(args, ",")+")")
+			}
+			head := rels[1+int(hb)%(len(rels)-1)]
+			args := make([]string, head.arity)
+			for i := range args {
+				ab, _ := next()
+				if args[i] = fmt.Sprintf("c%d", ab%4); len(seen) > 0 {
+					args[i] = seen[int(ab)%len(seen)]
+				}
+			}
+			fmt.Fprintf(&src, "%s(%s) :- %s.\n", head.name, strings.Join(args, ","), strings.Join(body, ", "))
+		}
+		u := value.New()
+		p, err := parser.Parse(src.String(), u)
+		if err != nil {
+			t.Fatalf("the decoder wrote a program that does not parse: %v\n%s", err, src.String())
+		}
+		if err := p.Validate(ast.DialectDatalogNeg); err != nil {
+			t.Fatalf("the decoder wrote a program that is not Datalog¬: %v\n%s", err, src.String())
+		}
+		consts := make([]value.Value, 4)
+		for i := range consts {
+			consts[i] = u.Sym(fmt.Sprintf("c%d", i))
+		}
+		in := tuple.NewInstance()
+		for {
+			b, ok := next()
+			if !ok {
+				break
+			}
+			rel := rels[int(b)%len(rels)]
+			tp := make(tuple.Tuple, rel.arity)
+			for i := range tp {
+				ab, _ := next()
+				tp[i] = consts[int(ab)%len(consts)]
+			}
+			in.Insert(rel.name, tp)
+		}
+		sameStages(t, src.String(), p, in, u, true)
+	})
+}

@@ -28,15 +28,6 @@ type Options = engine.Options
 // consequence operator for the naive engine, delta rounds otherwise).
 type Result = engine.Result
 
-// idbSet returns the program's intensional predicates as a set.
-func idbSet(p *ast.Program) map[string]bool {
-	idb := map[string]bool{}
-	for _, n := range p.IDB() {
-		idb[n] = true
-	}
-	return idb
-}
-
 // Eval computes the minimum model of a positive Datalog program on
 // the input instance using semi-naive evaluation (Section 3.1). The
 // input is not mutated.
@@ -64,7 +55,8 @@ func evalFixpoint(engineName string, p *ast.Program, in *tuple.Instance, u *valu
 	col := opt.Collector()
 	col.Reset(engineName, nil)
 	out := in.SnapshotWith(col.Cow())
-	rounds, err := semiNaive(rules, out, nil, idbSet(p), eval.ActiveDomain(u, p.Constants(), in), opt)
+	k := engine.SemiNaive{Rules: rules}
+	rounds, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in))
 	return engine.Finish(out, rounds, col, err)
 }
 
@@ -96,97 +88,6 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 		return engine.Outcome{Delta: inserted}, nil
 	})
 	return engine.Finish(out, rounds, col, err)
-}
-
-// semiNaive runs semi-naive evaluation of rules to fixpoint, mutating
-// out. negIn, when non-nil, is the fixed instance negative literals
-// test against (used by the well-founded reduct); when nil, negatives
-// test against out itself, which is only sound when the rules'
-// negated predicates never grow during this fixpoint (stratified
-// evaluation guarantees that). recursive is the set of predicates
-// that may grow during this fixpoint. opt supplies the scan switch
-// and the collector, which records each delta round as one stage
-// (callers Reset it; inner fixpoints only record), and the context
-// polled between rounds. Returns the number of rounds (the last one,
-// which yields an empty delta, included) and a typed engine error when
-// the context interrupts the fixpoint.
-func semiNaive(rules []*eval.Rule, out *tuple.Instance, negIn *tuple.Instance, recursive map[string]bool, adom []value.Value, opt *Options) (int, error) {
-	col := opt.Collector()
-
-	// Precompute, per rule, the delta variants: one per positive body
-	// literal over a recursive predicate, compiled with that literal
-	// scheduled first so the join starts from the delta.
-	var variants []eval.DeltaVariant
-	for _, cr := range rules {
-		for _, li := range cr.PositiveBodyLits() {
-			pred := cr.Src.Body[li].Atom.Pred
-			if recursive[pred] {
-				dv, err := eval.CompileDelta(cr.Src, li)
-				if err != nil {
-					// Fall back to the original plan; cannot happen
-					// for rules that compiled once already.
-					dv = cr
-				}
-				variants = append(variants, eval.DeltaVariant{Rule: dv, Lit: li})
-			}
-		}
-	}
-
-	shards := opt.ShardCount()
-	var delta *tuple.Instance   // the facts new last round,
-	var parts []*tuple.Instance // or their hash partition (shards > 1)
-	return opt.Loop(col, 0, nil, func(round int) (engine.Outcome, error) {
-		ctx := opt.EvalCtx(col, out, adom)
-		ctx.NegIn = negIn
-		n := 0
-		if round > 1 && shards > 1 {
-			// Shard-parallel round: workers join their hash-slice of
-			// the delta against COW forks of out/negIn, drop the facts
-			// out holds and hand back the rest partitioned as the delta
-			// was, so it is the next delta without another pass; only
-			// the fold into out is serial. Sets make the result
-			// independent of scheduling, so the fixpoint is
-			// byte-identical to the serial path. A done context aborts
-			// the workers mid-round; the driver's poll before the next
-			// round surfaces the error.
-			if round == 2 {
-				parts = delta.Partition(shards)
-			}
-			var emitted uint64
-			parts, emitted = eval.RunSharded(variants, ctx, parts, opt.Context().Done())
-			for _, part := range parts {
-				n += eval.Fold(out, part)
-			}
-			// Shard workers only tally firings; the parts hold exactly
-			// the facts new to out, so charge derived/rederived here.
-			col.Fired(-1, 0, uint64(n), emitted-uint64(n))
-			col.ShardRound(int(emitted))
-		} else {
-			// Every head fact out lacks is staged at emission and
-			// becomes both the next delta and, folded in after the
-			// round, part of out: no fact is queued, and none is copied
-			// more than once per set it joins.
-			st := eval.NewStaging(out)
-			if round == 1 {
-				// A naive pass over every rule seeds the first delta.
-				for _, cr := range rules {
-					cr.Fire(ctx, -1, nil, st.Emit)
-				}
-			} else {
-				ctx.Delta = delta
-				for _, v := range variants {
-					ctx.DeltaLit = v.Lit
-					v.Rule.Fire(ctx, -1, nil, st.Emit)
-				}
-			}
-			delta = st.Next
-			n = st.Fold()
-		}
-		if n > 0 {
-			return engine.Outcome{Delta: n}, nil
-		}
-		return engine.Outcome{Status: engine.Last}, nil
-	})
 }
 
 // EvalStratified evaluates a stratifiable Datalog¬ program under the
@@ -221,12 +122,9 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 		if len(srules) == 0 {
 			continue
 		}
-		recursive := map[string]bool{}
-		for _, pred := range strat.Strata[s] {
-			recursive[pred] = true
-		}
 		col.BeginPhase("stratum", s+1)
-		rounds, err := semiNaive(srules, out, nil, recursive, adom, opt)
+		k := engine.SemiNaive{Rules: srules}
+		rounds, err := k.Run(opt, out, adom)
 		col.EndPhase("stratum", s+1)
 		totalRounds += rounds
 		if err != nil {
@@ -328,17 +226,20 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 	if err != nil {
 		return nil, err
 	}
-	idb := idbSet(p)
 	col := opt.Collector()
 	col.Reset("wellfounded", nil)
 	adom := eval.ActiveDomain(u, p.Constants(), in)
 
+	// One kernel for every Γ application: the delta variants and their
+	// plan memos are the same each time, only the estimate differs.
+	k := engine.SemiNaive{Rules: rules}
 	gammaN := 0
 	gamma := func(s *tuple.Instance) (*tuple.Instance, error) {
 		gammaN++
 		col.BeginPhase("gamma", gammaN)
 		out := in.SnapshotWith(col.Cow())
-		_, err := semiNaive(rules, out, s, idb, adom, opt)
+		k.NegIn = s
+		_, err := k.Run(opt, out, adom)
 		col.EndPhase("gamma", gammaN)
 		return out, err
 	}

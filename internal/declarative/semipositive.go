@@ -25,7 +25,10 @@ func ValidateSemiPositive(p *ast.Program) error {
 	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
 		return fmt.Errorf("declarative: %w", err)
 	}
-	idb := idbSet(p)
+	idb := map[string]bool{}
+	for _, n := range p.IDB() {
+		idb[n] = true
+	}
 	for ri, r := range p.Rules {
 		for _, l := range r.Body {
 			if l.Kind == ast.LitAtom && l.Neg && idb[l.Atom.Pred] {

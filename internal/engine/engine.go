@@ -28,6 +28,12 @@
 //     call with a deadline and get a clean, attributable failure
 //     instead of a hung goroutine.
 //
+//   - The delta kernel. SemiNaive (seminaive.go) is the step of every
+//     engine whose fixpoint only inserts — minimal model, strata, the
+//     well-founded Γ, the inflationary stages: round one fires every
+//     rule, every later round only the delta variants over last round's
+//     new facts, serial or hash-partitioned across Shards workers.
+//
 // A nil *Options is valid everywhere and means "all defaults, no
 // context, no statistics".
 package engine
@@ -122,9 +128,10 @@ type Options struct {
 	Plans *eval.PlanCache
 
 	// Shards hash-partitions the delta of each semi-naive round across
-	// that many data-parallel workers (declarative engines: minimal
-	// model, semi-positive, stratified strata, well-founded Γ
-	// applications, and everything built on them — incr, magic). Each
+	// that many data-parallel workers (every engine on the SemiNaive
+	// kernel: minimal model, semi-positive, stratified strata,
+	// well-founded Γ applications, the inflationary stages, and
+	// everything built on them — incr, magic). Each
 	// shard evaluates every delta-variant rule against a copy-on-write
 	// snapshot of the current instance and its slice of the delta; the
 	// shards' new facts are merged by hash into the next delta's slices.

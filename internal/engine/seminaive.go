@@ -1,0 +1,146 @@
+package engine
+
+import (
+	"unchained/internal/eval"
+	"unchained/internal/tuple"
+	"unchained/internal/value"
+)
+
+// SemiNaive is the delta kernel under every engine whose fixpoint only
+// inserts: the minimal model, a stratum, a Γ application of the
+// well-founded alternation and the inflationary stages of Section 4.1.
+// Round one fires every rule against the whole instance; every later
+// round fires, per rule and positive body literal over a predicate
+// that grows (one some rule here has in a head), the delta variant that
+// reads that literal from the facts new last round.
+//
+// Negative literals read NegIn or, when it is nil, the live instance —
+// sound wherever facts are only added (EvalInflationary has the
+// argument; within a stratum the negated predicates do not grow at all).
+//
+// A SemiNaive may Run more than once (the Γ applications do, changing
+// NegIn in between): the delta variants are scheduled on the first Run
+// and keep their plan memos.
+type SemiNaive struct {
+	Rules []*eval.Rule
+	// NegIn, if non-nil, is the fixed instance negative literals test.
+	NegIn *tuple.Instance
+	// Forward selects the conventions of the forward-chaining engines
+	// over those of the declarative ones: the round that adds nothing
+	// is no stage (Confirm, not Last), the firings of Rules[i] are
+	// charged to rule i of the collector (the engine Reset it with one
+	// name per rule) and Options.Trace is shown each round's new facts.
+	Forward bool
+	// Limit and LimitErr bound the stage count as Loop does.
+	Limit    int
+	LimitErr func(stages int) error
+
+	variants []eval.DeltaVariant // nil until the first Run
+}
+
+// prepare schedules the delta variants.
+func (k *SemiNaive) prepare() {
+	grows := map[string]bool{}
+	for _, cr := range k.Rules {
+		for _, h := range cr.Heads() {
+			grows[h.Pred] = true
+		}
+	}
+	k.variants = make([]eval.DeltaVariant, 0, len(k.Rules))
+	for i, cr := range k.Rules {
+		for _, li := range cr.PositiveBodyLits() {
+			if grows[cr.Src.Body[li].Atom.Pred] {
+				k.variants = append(k.variants, eval.DeltaVariant{Rule: cr.Delta(li), Index: k.index(i)})
+			}
+		}
+	}
+}
+
+func (k *SemiNaive) index(i int) int {
+	if k.Forward {
+		return i
+	}
+	return -1
+}
+
+// Run evaluates the rules to fixpoint, mutating out, and returns the
+// number of stages under the chosen convention, with a typed engine
+// error when the context interrupts the fixpoint or the stage limit is
+// reached. The collector records each round as one stage (callers Reset
+// it; the kernel only records). With Options.Shards > 1 every round
+// after the first hash-partitions its delta across that many workers.
+func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value) (int, error) {
+	if k.variants == nil {
+		k.prepare()
+	}
+	col := opt.Collector()
+	shards := opt.ShardCount()
+	end := Outcome{Status: Last}
+	if k.Forward {
+		end.Status = Confirm
+	}
+	var delta *tuple.Instance   // the facts new last round,
+	var parts []*tuple.Instance // or their hash partition (shards > 1)
+	return opt.Loop(col, k.Limit, k.LimitErr, func(round int) (Outcome, error) {
+		ctx := opt.EvalCtx(col, out, adom)
+		ctx.NegIn = k.NegIn
+		n := 0
+		if round > 1 && shards > 1 {
+			// Shard-parallel round: workers join their hash-slice of
+			// the delta against COW forks of out/NegIn, drop the facts
+			// out holds and hand back the rest partitioned as the delta
+			// was, so it is the next delta without another pass; only
+			// the fold into out is serial. Sets make the result
+			// independent of scheduling, so the fixpoint is
+			// byte-identical to the serial path. A done context aborts
+			// the workers mid-round; the driver's poll before the next
+			// round surfaces the error.
+			if round == 2 {
+				parts = delta.Partition(shards)
+			}
+			var emitted uint64
+			parts, emitted = eval.RunSharded(k.variants, ctx, parts, opt.Context().Done())
+			delta = nil
+			if k.Forward && opt.Trace != nil {
+				delta = tuple.NewInstance() // Trace is shown the delta as one instance
+			}
+			for _, part := range parts {
+				n += eval.Fold(out, part)
+				if delta != nil {
+					eval.Fold(delta, part)
+				}
+			}
+			// Shard workers only tally firings; the parts hold exactly
+			// the facts new to out, so charge derived/rederived here.
+			col.Fired(-1, 0, uint64(n), emitted-uint64(n))
+			col.ShardRound(int(emitted))
+		} else {
+			// Every head fact out lacks is staged at emission and
+			// becomes both the next delta and, folded in after the
+			// round, part of out: no fact is queued, and none is copied
+			// more than once per set it joins.
+			st := eval.NewStaging(out)
+			if round == 1 {
+				// A naive pass over every rule seeds the first delta.
+				for i, cr := range k.Rules {
+					cr.Fire(ctx, k.index(i), nil, st.Emit)
+				}
+			} else {
+				ctx.Delta = delta
+				for _, v := range k.variants {
+					ctx.DeltaLit = v.Rule.DeltaLit()
+					v.Rule.Fire(ctx, v.Index, nil, st.Emit)
+				}
+			}
+			delta = st.Next
+			n = st.Fold()
+		}
+		if n == 0 {
+			return end, nil
+		}
+		if k.Forward {
+			return Outcome{Delta: n, State: delta}, nil
+		}
+		return Outcome{Delta: n}, nil
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"unchained/internal/parser"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
+	"unchained/programs"
 )
 
 // chainClosure returns the n-chain G(i,i+1) with its transitive
@@ -72,4 +73,61 @@ func TestFireIntoStagingAllocatesOnlyGrowth(t *testing.T) {
 	if per := got / float64(firings); per > 0.1 {
 		t.Errorf("Fire allocates %.3f times per firing over %d firings, want <= 0.1", per, firings)
 	}
+}
+
+// A schedule is not a compilation: a replan and a delta variant of
+// Example 4.3's four-literal rule order the steps of the compiled text
+// again — the flags, the steps, the binds, and for a variant its Rule —
+// where compiling the rule anew from the AST took 44 allocations.
+func TestScheduleAllocations(t *testing.T) {
+	u := value.New()
+	r, err := parser.ParseRule("OldTExceptFinal(X,Y) :- T(X,Y), T(Xp,Zp), T(Zp,Yp), !T(Xp,Yp).", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := Compile(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &Ctx{In: parser.MustParseFacts("T(a,b). T(b,c). T(a,c).", u), DeltaLit: -1}
+	if got := testing.AllocsPerRun(10, func() { cr.schedule(-1, ctx) }); got > 6 {
+		t.Errorf("a replan allocates %.0f times, want <= 6", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { cr.Delta(1) }); got > 6 {
+		t.Errorf("a delta variant allocates %.0f times, want <= 6", got)
+	}
+}
+
+// Compiling delayed_ct.dl and scheduling its six delta variants costs
+// no more than compiling the five rules alone did when a compilation
+// interned variables in a map and every atom kept its own slices (156).
+func TestCompileAllocations(t *testing.T) {
+	u := value.New()
+	p, err := parser.Parse(programs.Source("delayed_ct.dl"), u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := 0
+	got := testing.AllocsPerRun(10, func() {
+		rules, err := CompileProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants = 0
+		for _, cr := range rules {
+			for _, li := range cr.PositiveBodyLits() {
+				if pred := cr.Src.Body[li].Atom.Pred; pred == "T" || pred == "OldT" {
+					cr.Delta(li)
+					variants++
+				}
+			}
+		}
+	})
+	if variants != 6 {
+		t.Fatalf("%d delta variants, want 6", variants)
+	}
+	if got > 156 {
+		t.Errorf("compiling delayed_ct.dl with its delta variants allocates %.0f times, want <= 156", got)
+	}
+	t.Logf("compile + variants: %.0f allocations", got)
 }

@@ -1,18 +1,21 @@
 // Package eval contains the rule compiler and matcher shared by every
 // engine in the repository.
 //
-// A rule is compiled once into a plan: a schedule of steps that binds
-// the rule's variables left to right. Positive atom literals become
-// index probes (joins), equality literals become assignments or
-// checks, negative literals become absence checks once their
-// variables are bound, ∀-literals become sub-plans, and any variable
-// not bound by the positive structure is enumerated over the active
-// domain — exactly the paper's convention that valuations map
+// A rule is compiled once (Compile): its variables get ids, its body
+// literals and heads become slots over those ids. Everything an
+// evaluation varies is a schedule of that one compiled form — an order
+// of steps that binds the rule's variables left to right. Positive atom
+// literals become index probes (joins), equality literals become
+// assignments or checks, negative literals become absence checks once
+// their variables are bound, ∀-literals become sub-plans, and any
+// variable not bound by the positive structure is enumerated over the
+// active domain — exactly the paper's convention that valuations map
 // variables into adom(P, K) (Section 4.1).
 package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"unchained/internal/ast"
 	"unchained/internal/tuple"
@@ -86,26 +89,52 @@ type HeadAtom struct {
 	Slots  []slot
 }
 
-// Rule is a compiled rule ready for enumeration. The baseline steps
-// follow the seed's literal-order greedy schedule; the planner
-// (plan.go) may substitute a cardinality-ordered alternative per
-// evaluation context, sharing the same variable ids.
-type Rule struct {
+// lit is a compiled body literal.
+type lit struct {
+	kind        ast.LitKind
+	neg         bool
+	pred        string
+	slots       []slot // LitAtom: the compiled argument list
+	left, right slot   // LitEq
+	// LitForall: the ids of the free (outer) variables in order of
+	// occurrence, of the quantified ones, and the inner checks.
+	outer, forallVars []int
+	forallPlan        []check
+}
+
+// text is what the rule text alone decides: variable ids, the compiled
+// literals and heads, the scratch widths. It is built once by Compile
+// and shared, read-only, by the rule and its delta variants, so every
+// schedule of the rule has the same Binding layout.
+type text struct {
 	Src      ast.Rule
 	Vars     []string // variable names; index is the variable id
-	varIDs   map[string]int
-	steps    []step
+	lits     []lit
 	heads    []HeadAtom
 	headOnly []int // ids of head-only (invented-value) variables
-	nBody    int   // number of body literals (for delta variants)
-	posBody  []int // body indexes of positive atom literals
+	posBody  []int // body indexes of positive atom literals, in baseline join order
 	// width is the widest body atom, ∀-bodies included: the scratch a
 	// step depth needs for its probe pattern or check tuple. headWidth
 	// is the summed arity of the head atoms (see Enumerate, Fire).
 	width, headWidth int
+	// nArgs is the summed arity of the body atoms (what a schedule's
+	// binds and checks are carved from), nEnum the number of variables
+	// that first occur in a negative literal, an equality or free in a
+	// ∀ (no schedule enumerates more over the active domain).
+	nArgs, nEnum int
+	planKey      string // structural body identity for shared plan caching
+}
 
-	deltaLit int    // pinned-first delta literal, or -1
-	planKey  string // structural body identity for shared plan caching
+// Rule is a compiled rule ready for enumeration. The baseline steps
+// follow the seed's literal-order greedy schedule; the planner
+// (plan.go) may substitute a cardinality-ordered alternative per
+// evaluation context. A delta variant (Delta) is the same text under a
+// schedule that starts from one pinned literal, with a plan memo of its
+// own.
+type Rule struct {
+	*text
+	deltaLit int // pinned-first delta literal, or -1
+	steps    []step
 	plan     planState
 }
 
@@ -119,386 +148,431 @@ func (r *Rule) PositiveBodyLits() []int { return r.posBody }
 // Heads returns the compiled head literals.
 func (r *Rule) Heads() []HeadAtom { return r.heads }
 
+// DeltaLit returns the body index of the literal a delta variant pins
+// first (what Ctx.DeltaLit is set to when the variant fires over a
+// delta), or -1 for a rule that is not a variant.
+func (r *Rule) DeltaLit() int { return r.deltaLit }
+
 // Compile compiles a rule. Head-only variables are permitted (they
 // become invented-value slots); engines that forbid invention must
 // validate the dialect before compiling.
-func Compile(r ast.Rule) (*Rule, error) { return compile(r, -1) }
+func Compile(r ast.Rule) (*Rule, error) {
+	t, err := compileText(r)
+	if err != nil {
+		return nil, err
+	}
+	cr := &Rule{text: t, deltaLit: -1}
+	cr.steps = cr.schedule(-1, nil)
+	for i := range cr.steps {
+		if st := &cr.steps[i]; st.kind == stepMatch {
+			t.posBody = append(t.posBody, st.litIndex)
+		}
+	}
+	return cr, nil
+}
 
-// CompileDelta compiles a delta variant of the rule for semi-naive
+// Delta returns the delta variant of the rule for semi-naive
 // evaluation: the positive body literal with the given index is
 // scheduled first, so when the evaluation context targets it with a
 // (small) delta relation, the join starts from the delta instead of
-// scanning another relation — the classic "delta rule" plan.
-func CompileDelta(r ast.Rule, deltaLit int) (*Rule, error) { return compile(r, deltaLit) }
+// scanning another relation — the classic "delta rule" plan. The
+// variant is a schedule of the compiled text, not a compilation.
+func (r *Rule) Delta(lit int) *Rule {
+	return &Rule{text: r.text, deltaLit: lit, steps: r.schedule(lit, nil)}
+}
 
-func compile(r ast.Rule, firstLit int) (*Rule, error) { return compileCost(r, firstLit, nil) }
-
-// sizeFn reports the cardinality of the relation a positive body
-// literal matches against (In, or Delta for the pinned delta
-// literal). A nil sizeFn selects the seed's literal-order greedy
-// schedule; a non-nil one turns the scheduler into the cost-based
-// planner (see plan.go).
-type sizeFn func(litIndex int, pred string) int
-
-func compileCost(r ast.Rule, firstLit int, size sizeFn) (*Rule, error) {
-	cr := &Rule{Src: r, varIDs: map[string]int{}, nBody: len(r.Body), deltaLit: firstLit}
-	id := func(name string) int {
-		if i, ok := cr.varIDs[name]; ok {
-			return i
-		}
-		i := len(cr.Vars)
-		cr.varIDs[name] = i
-		cr.Vars = append(cr.Vars, name)
-		return i
+// CompileDelta is Compile then Delta, for a caller that builds the
+// pinned rule text itself (incr).
+func CompileDelta(r ast.Rule, deltaLit int) (*Rule, error) {
+	cr, err := Compile(r)
+	if err != nil {
+		return nil, err
 	}
-	mkSlot := func(t ast.Term) slot {
-		if t.IsVar() {
-			return slot{isVar: true, varID: id(t.Var)}
-		}
-		return slot{val: t.Const}
+	return cr.Delta(deltaLit), nil
+}
+
+// compiler interns a rule's variables and compiles its terms. Every
+// slot list is carved from one backing array.
+type compiler struct {
+	t     *text
+	slots []slot
+}
+
+func (c *compiler) slot(tm ast.Term) slot {
+	if !tm.IsVar() {
+		return slot{val: tm.Const}
 	}
-	for _, l := range r.Body {
-		cr.width = max(cr.width, len(l.Atom.Args))
-		for _, inner := range l.ForallBody {
-			cr.width = max(cr.width, len(inner.Atom.Args))
+	for i, v := range c.t.Vars {
+		if v == tm.Var {
+			return slot{isVar: true, varID: i}
 		}
 	}
+	c.t.Vars = append(c.t.Vars, tm.Var)
+	return slot{isVar: true, varID: len(c.t.Vars) - 1}
+}
 
-	// Pre-intern body variables so ids follow first occurrence order.
-	// Quantified ∀-variables are interned here too (not at schedule
-	// time): ids then depend only on the rule text, never on the
-	// schedule, so a replanned step sequence shares the baseline's
-	// Binding layout.
-	type pending struct {
-		lit   ast.Literal
-		index int
+func (c *compiler) slotList(args []ast.Term) []slot {
+	from := len(c.slots)
+	for _, tm := range args {
+		c.slots = append(c.slots, c.slot(tm))
 	}
-	var todo []pending
-	for i, l := range r.Body {
-		todo = append(todo, pending{l, i})
-		for _, v := range bodyLitVars(l) {
-			id(v)
-		}
-		if l.Kind == ast.LitForall {
-			for _, v := range l.ForallVars {
-				id(v)
-			}
-		}
-	}
+	return c.slots[from:len(c.slots):len(c.slots)]
+}
 
-	bound := make([]bool, 0, 16)
-	ensure := func(i int) {
-		for len(bound) <= i {
-			bound = append(bound, false)
+// compileText interns the rule's variables — the body's first, in
+// order of first occurrence, so ids depend only on the text — and
+// compiles the literals and heads over them.
+func compileText(r ast.Rule) (*text, error) {
+	nTerms, nPos := 0, 0
+	for i := range r.Body {
+		l := &r.Body[i]
+		nTerms += len(l.Atom.Args) + 2 + len(l.ForallVars)
+		for j := range l.ForallBody {
+			nTerms += len(l.ForallBody[j].Atom.Args) + 2
+		}
+		if l.Kind == ast.LitAtom && !l.Neg {
+			nPos++
 		}
 	}
-	isBound := func(s slot) bool {
-		if !s.isVar {
-			return true
-		}
-		ensure(s.varID)
-		return bound[s.varID]
+	for i := range r.Head {
+		nTerms += len(r.Head[i].Atom.Args)
 	}
-	bind := func(i int) {
-		ensure(i)
-		bound[i] = true
-	}
-
-	var arityErr error
-	compileAtomStep := func(kind stepKind, a ast.Atom, litIndex int) step {
-		if len(a.Args) > 32 && arityErr == nil {
-			arityErr = fmt.Errorf("eval: relation %s has arity %d > 32", a.Pred, len(a.Args))
-		}
-		st := step{kind: kind, pred: a.Pred, arity: len(a.Args), litIndex: litIndex}
-		seenNew := map[int]int{} // varID -> first new position
-		for pos, t := range a.Args {
-			s := mkSlot(t)
-			st.slots = append(st.slots, s)
-			if !s.isVar {
-				st.mask |= 1 << uint(pos)
-				continue
+	t := &text{Src: r, Vars: make([]string, 0, nTerms), lits: make([]lit, len(r.Body)), posBody: make([]int, 0, nPos)}
+	c := compiler{t: t, slots: make([]slot, 0, nTerms)}
+	for i := range r.Body {
+		l, cl := &r.Body[i], &t.lits[i]
+		cl.kind, cl.neg = l.Kind, l.Neg
+		before := len(t.Vars)
+		switch l.Kind {
+		case ast.LitAtom:
+			if len(l.Atom.Args) > 32 {
+				return nil, fmt.Errorf("eval: relation %s has arity %d > 32", l.Atom.Pred, len(l.Atom.Args))
 			}
-			if isBound(s) {
-				st.mask |= 1 << uint(pos)
-				continue
+			cl.pred, cl.slots = l.Atom.Pred, c.slotList(l.Atom.Args)
+			t.width = max(t.width, len(cl.slots))
+			t.nArgs += len(cl.slots)
+			if l.Neg {
+				t.nEnum += len(t.Vars) - before
 			}
-			if _, dup := seenNew[s.varID]; dup {
-				st.checks = append(st.checks, argBind{pos: pos, varID: s.varID})
-				continue
-			}
-			seenNew[s.varID] = pos
-			st.binds = append(st.binds, argBind{pos: pos, varID: s.varID})
-		}
-		for v := range seenNew {
-			bind(v)
-		}
-		return st
-	}
-
-	compileForall := func(l ast.Literal) (step, error) {
-		st := step{kind: stepForall}
-		// Quantified variables get ids too; they are bound only
-		// within the sub-plan.
-		for _, v := range l.ForallVars {
-			st.forallVars = append(st.forallVars, id(v))
-		}
-		quant := map[int]bool{}
-		for _, v := range st.forallVars {
-			quant[v] = true
-		}
-		for _, b := range l.ForallBody {
-			switch b.Kind {
-			case ast.LitAtom:
-				c := check{kind: stepMatch, pred: b.Atom.Pred}
-				if b.Neg {
-					c.kind = stepNegCheck
-				}
-				for _, t := range b.Atom.Args {
-					s := mkSlot(t)
-					if s.isVar && !quant[s.varID] && !isBound(s) {
-						return st, fmt.Errorf("eval: forall literal uses unbound outer variable %s", t.Var)
-					}
-					c.slots = append(c.slots, s)
-				}
-				st.forallPlan = append(st.forallPlan, c)
-			case ast.LitEq:
-				c := check{kind: stepEqTest, negEq: b.Neg, left: mkSlot(b.Left), right: mkSlot(b.Right)}
-				for _, s := range []slot{c.left, c.right} {
-					if s.isVar && !quant[s.varID] && !isBound(s) {
-						return st, fmt.Errorf("eval: forall literal uses unbound outer variable %s", cr.Vars[s.varID])
-					}
-				}
-				st.forallPlan = append(st.forallPlan, c)
-			default:
-				return st, fmt.Errorf("eval: unsupported literal kind inside forall")
-			}
-		}
-		return st, nil
-	}
-
-	// tryEq schedules one equality with at least one side bound,
-	// reporting whether it progressed.
-	tryEq := func() bool {
-		for i, p := range todo {
-			if p.lit.Kind != ast.LitEq {
-				continue
-			}
-			l, rr := mkSlot(p.lit.Left), mkSlot(p.lit.Right)
-			lb, rb := isBound(l), isBound(rr)
-			switch {
-			case lb && rb:
-				cr.steps = append(cr.steps, step{kind: stepEqTest, left: l, right: rr, negEq: p.lit.Neg})
-			case !p.lit.Neg && lb != rb:
-				// Positive equality binds the free side.
-				st := step{kind: stepEqAssign, left: l, right: rr}
-				if lb {
-					st.left, st.right = rr, l // normalize: left is the unbound side
-				}
-				bind(st.left.varID)
-				cr.steps = append(cr.steps, st)
-			default:
-				continue
-			}
-			todo = append(todo[:i], todo[i+1:]...)
-			return true
-		}
-		return false
-	}
-
-	// tryNeg schedules one negative atom with all variables bound.
-	tryNeg := func() bool {
-		for i, p := range todo {
-			if p.lit.Kind != ast.LitAtom || !p.lit.Neg {
-				continue
-			}
-			ready := true
-			for _, t := range p.lit.Atom.Args {
-				if t.IsVar() && !isBound(mkSlot(t)) {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			st := compileAtomStep(stepNegCheck, p.lit.Atom, p.index)
-			cr.steps = append(cr.steps, st)
-			todo = append(todo[:i], todo[i+1:]...)
-			return true
-		}
-		return false
-	}
-
-	// boundCount counts the argument positions of an atom that are
-	// bound (constants or already-bound variables) right now.
-	boundCount := func(a ast.Atom) int {
-		n := 0
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				n++
-			} else if j, ok := cr.varIDs[t.Var]; ok {
-				ensure(j)
-				if bound[j] {
-					n++
-				}
-			}
-		}
-		return n
-	}
-
-	// Greedy scheduling loop.
-	for len(todo) > 0 {
-		progressed := false
-
-		// 0. A designated delta literal is scheduled first so the
-		// enumeration starts from the (small) delta relation.
-		if firstLit >= 0 {
-			for i, p := range todo {
-				if p.index == firstLit && p.lit.Kind == ast.LitAtom && !p.lit.Neg {
-					st := compileAtomStep(stepMatch, p.lit.Atom, p.index)
-					cr.steps = append(cr.steps, st)
-					cr.posBody = append(cr.posBody, p.index)
-					todo = append(todo[:i], todo[i+1:]...)
-					break
-				}
-			}
-			firstLit = -1
-			continue
-		}
-
-		// 0b. Predicate pushdown (planner only): drain every equality
-		// and negative check the current bindings already satisfy
-		// before paying for the next join, so failing valuations are
-		// pruned at the cheapest possible point. The seed schedule
-		// runs these only after all joins (kept as the baseline the
-		// oracle tests compare against).
-		if size != nil && (tryEq() || tryNeg()) {
-			continue
-		}
-
-		// 1. Positive atoms are always schedulable. The seed picks the
-		// one with the most bound argument positions (ties: first); the
-		// planner picks the smallest estimated probe output
-		// |R| / 10^bound (ties: more bound positions, then first).
-		bestIdx, bestScore := -1, -1
-		var bestEst, bestBound = 0, -1
-		for i, p := range todo {
-			if p.lit.Kind != ast.LitAtom || p.lit.Neg {
-				continue
-			}
-			bc := boundCount(p.lit.Atom)
-			if size == nil {
-				if bc > bestScore {
-					bestScore, bestIdx = bc, i
-				}
-				continue
-			}
-			est := estCard(size(p.index, p.lit.Atom.Pred), bc)
-			if bestIdx < 0 || est < bestEst || (est == bestEst && bc > bestBound) {
-				bestIdx, bestEst, bestBound = i, est, bc
-			}
-		}
-		if bestIdx >= 0 {
-			p := todo[bestIdx]
-			st := compileAtomStep(stepMatch, p.lit.Atom, p.index)
-			cr.steps = append(cr.steps, st)
-			cr.posBody = append(cr.posBody, p.index)
-			todo = append(todo[:bestIdx], todo[bestIdx+1:]...)
-			continue
-		}
-
-		// 2. Equalities with at least one side bound.
-		if tryEq() {
-			continue
-		}
-
-		// 3. Negative atoms with all variables bound.
-		if tryNeg() {
-			continue
-		}
-
-		// 4. Forall literals with all outer variables bound.
-		for i, p := range todo {
-			if p.lit.Kind != ast.LitForall {
-				continue
-			}
-			ready := true
-			for _, v := range bodyLitVars(p.lit) {
-				if j, ok := cr.varIDs[v]; !ok || func() bool { ensure(j); return !bound[j] }() {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			st, err := compileForall(p.lit)
-			if err != nil {
+		case ast.LitEq:
+			cl.left, cl.right = c.slot(l.Left), c.slot(l.Right)
+			t.nEnum += len(t.Vars) - before
+		case ast.LitForall:
+			if err := c.forall(l, cl); err != nil {
 				return nil, err
 			}
-			// Quantified variables are scoped to the ∀-literal; mark
-			// them bound so they are not misread as invented-value
-			// variables below.
-			for _, v := range st.forallVars {
-				bind(v)
-			}
-			cr.steps = append(cr.steps, st)
-			todo = append(todo[:i], todo[i+1:]...)
-			progressed = true
-			break
+		default:
+			return nil, fmt.Errorf("eval: cannot schedule literal %d of rule", i)
 		}
-		if progressed {
-			continue
-		}
-
-		// 5. Nothing ready: enumerate the first unbound variable of
-		// the first remaining literal over the active domain.
-		var enumID = -1
-		for _, v := range bodyLitVars(todo[0].lit) {
-			j := id(v)
-			ensure(j)
-			if !bound[j] {
-				enumID = j
-				break
-			}
-		}
-		if enumID < 0 {
-			return nil, fmt.Errorf("eval: cannot schedule literal %d of rule", todo[0].index)
-		}
-		bind(enumID)
-		cr.steps = append(cr.steps, step{kind: stepEnum, enumVar: enumID})
 	}
+	nBodyVars := len(t.Vars)
 
-	// Compile heads. Unbound head variables are invented-value slots.
+	// Compile heads. Head variables the body lacks are invented-value
+	// slots.
+	t.heads = make([]HeadAtom, 0, len(r.Head))
 	for _, h := range r.Head {
 		switch h.Kind {
 		case ast.LitBottom:
-			cr.heads = append(cr.heads, HeadAtom{Bottom: true})
+			t.heads = append(t.heads, HeadAtom{Bottom: true})
 		case ast.LitAtom:
-			ha := HeadAtom{Neg: h.Neg, Pred: h.Atom.Pred}
-			for _, t := range h.Atom.Args {
-				s := mkSlot(t)
-				ha.Slots = append(ha.Slots, s)
-			}
-			cr.heads = append(cr.heads, ha)
-			cr.headWidth += len(ha.Slots)
+			ha := HeadAtom{Neg: h.Neg, Pred: h.Atom.Pred, Slots: c.slotList(h.Atom.Args)}
+			t.heads = append(t.heads, ha)
+			t.headWidth += len(ha.Slots)
 		default:
 			return nil, fmt.Errorf("eval: illegal head literal kind")
 		}
 	}
-	if arityErr != nil {
-		return nil, arityErr
+	for id := nBodyVars; id < len(t.Vars); id++ {
+		t.headOnly = append(t.headOnly, id)
 	}
-	seenHO := map[int]bool{}
-	for i := range cr.Vars {
-		ensure(i)
-		if !bound[i] && !seenHO[i] {
-			seenHO[i] = true
-			cr.headOnly = append(cr.headOnly, i)
+	t.planKey = bodyKey(r)
+	return t, nil
+}
+
+// forall compiles a ∀-literal: the outer variables first (they
+// are what the literal waits for), then the quantified ones, then the
+// inner literals as fully bound checks.
+func (c *compiler) forall(l *ast.Literal, cl *lit) error {
+	before := len(c.t.Vars)
+	outer := func(tm ast.Term) {
+		if tm.IsVar() && !slices.Contains(l.ForallVars, tm.Var) {
+			cl.outer = append(cl.outer, c.slot(tm).varID)
 		}
 	}
-	cr.planKey = bodyKey(r, cr.deltaLit)
-	return cr, nil
+	for i := range l.ForallBody {
+		switch b := &l.ForallBody[i]; b.Kind {
+		case ast.LitAtom:
+			for _, tm := range b.Atom.Args {
+				outer(tm)
+			}
+		case ast.LitEq:
+			outer(b.Left)
+			outer(b.Right)
+		default:
+			return fmt.Errorf("eval: unsupported literal kind inside forall")
+		}
+	}
+	c.t.nEnum += len(c.t.Vars) - before
+	for _, v := range l.ForallVars {
+		cl.forallVars = append(cl.forallVars, c.slot(ast.V(v)).varID)
+	}
+	for i := range l.ForallBody {
+		b := &l.ForallBody[i]
+		if b.Kind == ast.LitEq {
+			cl.forallPlan = append(cl.forallPlan, check{kind: stepEqTest, negEq: b.Neg, left: c.slot(b.Left), right: c.slot(b.Right)})
+			continue
+		}
+		ck := check{kind: stepMatch, pred: b.Atom.Pred, slots: c.slotList(b.Atom.Args)}
+		if b.Neg {
+			ck.kind = stepNegCheck
+		}
+		c.t.width = max(c.t.width, len(ck.slots))
+		cl.forallPlan = append(cl.forallPlan, ck)
+	}
+	return nil
+}
+
+// scheduler is the state of one schedule call: which variables are
+// bound, which literals are placed, the steps so far. It lives on the
+// stack; the flags, the steps and the binds are its three allocations.
+type scheduler struct {
+	t     *text
+	ctx   *Ctx   // the cardinalities to plan for, or nil (see schedule)
+	bound []bool // by variable id
+	done  []bool // by body literal
+	left  int    // literals not yet placed
+	steps []step
+	binds []argBind // what the steps' binds and checks are carved from
+}
+
+// schedule orders the rule's literals into steps and fills in what the
+// order decides: each atom's mask, binds and checks. firstLit, when it
+// names a positive atom, is placed first so the enumeration starts from
+// the (small) delta relation. A nil ctx selects the seed's
+// literal-order greedy schedule; a non-nil one turns the scheduler into
+// the cost-based planner, reading the live cardinalities from ctx (see
+// plan.go). It cannot fail: compileText has rejected every literal a
+// schedule could not place.
+func (r *Rule) schedule(firstLit int, ctx *Ctx) []step {
+	t := r.text
+	nv, nl := len(t.Vars), len(t.lits)
+	flags := make([]bool, nv+nl)
+	s := scheduler{
+		t: t, ctx: ctx, bound: flags[:nv], done: flags[nv:], left: nl,
+		steps: make([]step, 0, nl+t.nEnum), binds: make([]argBind, 0, t.nArgs),
+	}
+	if firstLit >= 0 && firstLit < nl && t.lits[firstLit].kind == ast.LitAtom && !t.lits[firstLit].neg {
+		s.atom(stepMatch, firstLit)
+	}
+	for s.left > 0 {
+		// Predicate pushdown (planner only): drain every equality and
+		// negative check the current bindings already satisfy before
+		// paying for the next join, so failing valuations are pruned at
+		// the cheapest possible point. The seed schedule runs these only
+		// after all joins (kept as the baseline the oracle tests compare
+		// against).
+		if ctx != nil && (s.tryEq() || s.tryNeg()) {
+			continue
+		}
+		// Positive atoms are always schedulable; then equalities with a
+		// side bound, negative atoms and ∀-literals with every (outer)
+		// variable bound. When nothing is ready, the first unbound
+		// variable of the first remaining literal is enumerated over the
+		// active domain.
+		if s.tryJoin() || s.tryEq() || s.tryNeg() || s.tryForall() {
+			continue
+		}
+		s.enumerate()
+	}
+	return s.steps
+}
+
+func (s *scheduler) isBound(sl slot) bool { return !sl.isVar || s.bound[sl.varID] }
+
+func (s *scheduler) place(li int, st step) {
+	s.steps = append(s.steps, st)
+	s.done[li] = true
+	s.left--
+}
+
+// atom places atom literal li as a match or an absence check: bound
+// positions go into the mask, the first occurrence of each new variable
+// binds it, a repeat within the atom is checked against it.
+func (s *scheduler) atom(kind stepKind, li int) {
+	l := &s.t.lits[li]
+	st := step{kind: kind, pred: l.pred, arity: len(l.slots), litIndex: li, slots: l.slots}
+	from := len(s.binds)
+	for pos, sl := range l.slots {
+		if s.isBound(sl) {
+			st.mask |= 1 << uint(pos)
+		} else if bindsVar(s.binds[from:], sl.varID) < 0 {
+			s.binds = append(s.binds, argBind{pos: pos, varID: sl.varID})
+		}
+	}
+	mid := len(s.binds)
+	for pos, sl := range l.slots {
+		if s.isBound(sl) {
+			continue
+		}
+		if first := s.binds[from+bindsVar(s.binds[from:mid], sl.varID)]; first.pos != pos {
+			s.binds = append(s.binds, argBind{pos: pos, varID: sl.varID})
+		}
+	}
+	if mid > from {
+		st.binds = s.binds[from:mid:mid]
+	}
+	if end := len(s.binds); end > mid {
+		st.checks = s.binds[mid:end:end]
+	}
+	for _, ab := range st.binds {
+		s.bound[ab.varID] = true
+	}
+	s.place(li, st)
+}
+
+// bindsVar returns the index of the bind of varID in binds, or -1.
+func bindsVar(binds []argBind, varID int) int {
+	for i, ab := range binds {
+		if ab.varID == varID {
+			return i
+		}
+	}
+	return -1
+}
+
+// tryJoin places one positive atom. The seed picks the one with the
+// most bound argument positions (ties: first); the planner picks the
+// smallest estimated probe output |R| / 10^bound (ties: more bound
+// positions, then first).
+func (s *scheduler) tryJoin() bool {
+	best, bestEst, bestBound := -1, 0, -1
+	for li := range s.t.lits {
+		l := &s.t.lits[li]
+		if s.done[li] || l.kind != ast.LitAtom || l.neg {
+			continue
+		}
+		bc := 0
+		for _, sl := range l.slots {
+			if s.isBound(sl) {
+				bc++
+			}
+		}
+		if s.ctx == nil {
+			if bc > bestBound {
+				best, bestBound = li, bc
+			}
+			continue
+		}
+		est := estCard(ctxSize(s.ctx, li, l.pred), bc)
+		if best < 0 || est < bestEst || (est == bestEst && bc > bestBound) {
+			best, bestEst, bestBound = li, est, bc
+		}
+	}
+	if best >= 0 {
+		s.atom(stepMatch, best)
+	}
+	return best >= 0
+}
+
+// tryEq places one equality with at least one side bound: a test when
+// both are, an assignment when a positive equality has one side free.
+func (s *scheduler) tryEq() bool {
+	for li := range s.t.lits {
+		l := &s.t.lits[li]
+		if s.done[li] || l.kind != ast.LitEq {
+			continue
+		}
+		lb, rb := s.isBound(l.left), s.isBound(l.right)
+		switch {
+		case lb && rb:
+			s.place(li, step{kind: stepEqTest, left: l.left, right: l.right, negEq: l.neg})
+		case !l.neg && lb:
+			s.bound[l.right.varID] = true
+			s.place(li, step{kind: stepEqAssign, left: l.right, right: l.left}) // left is the unbound side
+		case !l.neg && rb:
+			s.bound[l.left.varID] = true
+			s.place(li, step{kind: stepEqAssign, left: l.left, right: l.right})
+		default:
+			continue
+		}
+		return true
+	}
+	return false
+}
+
+// tryNeg places one negative atom with all variables bound.
+func (s *scheduler) tryNeg() bool {
+	for li := range s.t.lits {
+		l := &s.t.lits[li]
+		if s.done[li] || l.kind != ast.LitAtom || !l.neg || s.firstUnbound(l) >= 0 {
+			continue
+		}
+		s.atom(stepNegCheck, li)
+		return true
+	}
+	return false
+}
+
+// tryForall places one ∀-literal with all outer variables bound. The
+// quantified variables are scoped to the literal; they are marked bound
+// so no later step enumerates them.
+func (s *scheduler) tryForall() bool {
+	for li := range s.t.lits {
+		l := &s.t.lits[li]
+		if s.done[li] || l.kind != ast.LitForall || s.firstUnbound(l) >= 0 {
+			continue
+		}
+		for _, v := range l.forallVars {
+			s.bound[v] = true
+		}
+		s.place(li, step{kind: stepForall, forallVars: l.forallVars, forallPlan: l.forallPlan})
+		return true
+	}
+	return false
+}
+
+// enumerate binds the first unbound variable of the first remaining
+// literal by enumeration over the active domain.
+func (s *scheduler) enumerate() {
+	for li := range s.t.lits {
+		if s.done[li] {
+			continue
+		}
+		id := s.firstUnbound(&s.t.lits[li])
+		if id < 0 {
+			panic("eval: a body literal with every variable bound was not placed")
+		}
+		s.bound[id] = true
+		s.steps = append(s.steps, step{kind: stepEnum, enumVar: id})
+		return
+	}
+}
+
+// firstUnbound returns the id of the literal's first free variable not
+// yet bound (for a ∀-literal, of its outer variables), or -1.
+func (s *scheduler) firstUnbound(l *lit) int {
+	switch l.kind {
+	case ast.LitAtom:
+		for _, sl := range l.slots {
+			if !s.isBound(sl) {
+				return sl.varID
+			}
+		}
+	case ast.LitEq:
+		if !s.isBound(l.left) {
+			return l.left.varID
+		}
+		if !s.isBound(l.right) {
+			return l.right.varID
+		}
+	case ast.LitForall:
+		for _, v := range l.outer {
+			if !s.bound[v] {
+				return v
+			}
+		}
+	}
+	return -1
 }
 
 // CompileProgram compiles every rule of a program.
@@ -512,46 +586,6 @@ func CompileProgram(p *ast.Program) ([]*Rule, error) {
 		out[i] = cr
 	}
 	return out, nil
-}
-
-// bodyLitVars returns the free variables of a body literal (for
-// forall literals, the outer variables only).
-func bodyLitVars(l ast.Literal) []string {
-	switch l.Kind {
-	case ast.LitAtom:
-		var out []string
-		for _, t := range l.Atom.Args {
-			if t.IsVar() {
-				out = append(out, t.Var)
-			}
-		}
-		return out
-	case ast.LitEq:
-		var out []string
-		if l.Left.IsVar() {
-			out = append(out, l.Left.Var)
-		}
-		if l.Right.IsVar() {
-			out = append(out, l.Right.Var)
-		}
-		return out
-	case ast.LitForall:
-		quant := map[string]bool{}
-		for _, v := range l.ForallVars {
-			quant[v] = true
-		}
-		var out []string
-		for _, b := range l.ForallBody {
-			for _, v := range bodyLitVars(b) {
-				if !quant[v] {
-					out = append(out, v)
-				}
-			}
-		}
-		return out
-	default:
-		return nil
-	}
 }
 
 // relOf returns the relation for pred in in, or nil.

@@ -5,9 +5,10 @@
 // 10^bound, with |R| the live cardinality of the relation the literal
 // matches against), equalities and negative checks are pushed down to
 // the earliest point their variables are bound, and delta literals
-// stay pinned first. Both schedules share one Binding layout —
-// variable ids depend only on the rule text (see compileCost) — so
-// switching plans between stages is free.
+// stay pinned first. Every schedule orders the literals of the one
+// compiled rule text (see compileText), so all share its Binding layout,
+// switching plans between stages is free, and choosing one costs the
+// three allocations of a schedule, not a compilation.
 //
 // Plans are memoized on the rule keyed by a cardinality signature:
 // the size decade (digit count) of every joined relation, 4 bits per
@@ -52,11 +53,12 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	}
 	sig := r.planSig(ctx)
 	if ctx.Plans != nil {
-		if st, ok := ctx.Plans.lookup(r.planKey, sig); ok {
+		key := planCacheKey{r.planKey, r.deltaLit, sig}
+		if st, ok := ctx.Plans.lookup(key); ok {
 			return st, true
 		}
-		st := r.replan(ctx)
-		ctx.Plans.store(r.planKey, sig, st)
+		st := r.schedule(r.deltaLit, ctx)
+		ctx.Plans.store(key, st)
 		return st, true
 	}
 	r.plan.mu.Lock()
@@ -64,28 +66,9 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	if r.plan.valid && r.plan.sig == sig {
 		return r.plan.steps, true
 	}
-	st := r.replan(ctx)
+	st := r.schedule(r.deltaLit, ctx)
 	r.plan.sig, r.plan.steps, r.plan.valid = sig, st, true
 	return st, true
-}
-
-// replan re-runs the scheduler with the context's live cardinalities.
-// On any surprise (a scheduling error, a variable-layout mismatch) it
-// falls back to the baseline schedule: plans are an optimization and
-// must never change what a rule computes.
-func (r *Rule) replan(ctx *Ctx) []step {
-	alt, err := compileCost(r.Src, r.deltaLit, func(litIndex int, pred string) int {
-		return ctxSize(ctx, litIndex, pred)
-	})
-	if err != nil || len(alt.Vars) != len(r.Vars) {
-		return r.steps
-	}
-	for i, v := range alt.Vars {
-		if r.Vars[i] != v {
-			return r.steps
-		}
-	}
-	return alt.steps
 }
 
 // ctxSize is the cardinality a positive body literal joins against:
@@ -141,18 +124,17 @@ func decade(n int) uint64 {
 func (r *Rule) planSig(ctx *Ctx) uint64 {
 	var sig uint64
 	for _, li := range r.posBody {
-		sig = sig<<4 | decade(ctxSize(ctx, li, r.Src.Body[li].Atom.Pred))
+		sig = sig<<4 | decade(ctxSize(ctx, li, r.lits[li].pred))
 	}
 	return sig
 }
 
-// bodyKey renders a rule body (plus the delta pin) into a structural
-// identity string for shared plan caching. Two rules with equal keys
-// compile to identical step structures, so a cached plan is safe to
-// reuse across compilations.
-func bodyKey(r ast.Rule, deltaLit int) string {
+// bodyKey renders a rule body into a structural identity string for
+// shared plan caching. Two rules with equal keys compile to identical
+// literals, so a plan cached for one (under the same delta pin) is safe
+// to reuse for the other.
+func bodyKey(r ast.Rule) string {
 	var b strings.Builder
-	b.WriteString(strconv.Itoa(deltaLit))
 	for _, l := range r.Body {
 		writeLitKey(&b, l)
 	}
@@ -203,10 +185,11 @@ func writeTermKey(b *strings.Builder, t ast.Term) {
 	b.WriteByte(',')
 }
 
-// planCacheKey pairs a rule body identity with a cardinality-decade
-// signature.
+// planCacheKey is a rule body identity, the delta pin of the schedule
+// (-1: none) and a cardinality-decade signature.
 type planCacheKey struct {
 	rule string
+	lit  int
 	sig  uint64
 }
 
@@ -228,9 +211,9 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{m: make(map[planCacheKey][]step)}
 }
 
-func (c *PlanCache) lookup(rule string, sig uint64) ([]step, bool) {
+func (c *PlanCache) lookup(key planCacheKey) ([]step, bool) {
 	c.mu.Lock()
-	st, ok := c.m[planCacheKey{rule, sig}]
+	st, ok := c.m[key]
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -240,9 +223,9 @@ func (c *PlanCache) lookup(rule string, sig uint64) ([]step, bool) {
 	return st, ok
 }
 
-func (c *PlanCache) store(rule string, sig uint64, st []step) {
+func (c *PlanCache) store(key planCacheKey, st []step) {
 	c.mu.Lock()
-	c.m[planCacheKey{rule, sig}] = st
+	c.m[key] = st
 	c.mu.Unlock()
 }
 

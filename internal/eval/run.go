@@ -382,8 +382,9 @@ func NewStaging(out *tuple.Instance) *Staging {
 }
 
 // Emit is the emit function for Fire: it stages f unless Out holds it,
-// and reports whether Out lacks it — the derived-versus-rederived split
-// of the firing tally.
+// and reports whether the fact is new to Out and to the round — the
+// derived-versus-rederived split of the firing tally, so a round's
+// derived count is the number of facts it adds.
 func (s *Staging) Emit(f Fact) bool {
 	if f.Pred != s.pred {
 		s.pred, s.out, s.to = f.Pred, s.Out.Relation(f.Pred), s.Next.Relation(f.Pred)
@@ -396,8 +397,7 @@ func (s *Staging) Emit(f Fact) bool {
 		// appear in Next, where the next round would probe it.
 		s.to = s.Next.Ensure(f.Pred, len(f.Tuple))
 	}
-	s.to.Insert(f.Tuple)
-	return true
+	return s.to.Insert(f.Tuple)
 }
 
 // Fold inserts the staged facts into Out and returns their number.
@@ -417,22 +417,20 @@ func Fold(out, from *tuple.Instance) int {
 // incremental maintainer uses it to attribute a changed rule firing to
 // its first changed body position.
 func (r *Rule) GroundBodyAtom(b Binding, litIndex int) (Fact, bool) {
-	if litIndex < 0 || litIndex >= len(r.Src.Body) {
+	if litIndex < 0 || litIndex >= len(r.lits) || r.lits[litIndex].kind != ast.LitAtom {
 		return Fact{}, false
 	}
-	l := r.Src.Body[litIndex]
-	if l.Kind != ast.LitAtom {
-		return Fact{}, false
+	l := &r.lits[litIndex]
+	return Fact{Neg: l.neg, Pred: l.pred, Tuple: groundAtom(l, b)}, true
+}
+
+// groundAtom materializes an atom literal under b into fresh storage.
+func groundAtom(l *lit, b Binding) tuple.Tuple {
+	t := make(tuple.Tuple, len(l.slots))
+	for i, s := range l.slots {
+		t[i] = slotVal(s, b)
 	}
-	t := make(tuple.Tuple, len(l.Atom.Args))
-	for i, a := range l.Atom.Args {
-		if a.IsVar() {
-			t[i] = b[r.varIDs[a.Var]]
-		} else {
-			t[i] = a.Const
-		}
-	}
-	return Fact{Neg: l.Neg, Pred: l.Atom.Pred, Tuple: t}, true
+	return t
 }
 
 // BodySupports materializes the positive body atoms of the rule under
@@ -440,23 +438,10 @@ func (r *Rule) GroundBodyAtom(b Binding, litIndex int) (Fact, bool) {
 // tracking. The returned facts are positive and in body order.
 func (r *Rule) BodySupports(b Binding) []Fact {
 	var out []Fact
-	var walk func(l ast.Literal)
-	walk = func(l ast.Literal) {
-		if l.Kind != ast.LitAtom || l.Neg {
-			return
+	for i := range r.lits {
+		if l := &r.lits[i]; l.kind == ast.LitAtom && !l.neg {
+			out = append(out, Fact{Pred: l.pred, Tuple: groundAtom(l, b)})
 		}
-		t := make(tuple.Tuple, len(l.Atom.Args))
-		for i, a := range l.Atom.Args {
-			if a.IsVar() {
-				t[i] = b[r.varIDs[a.Var]]
-			} else {
-				t[i] = a.Const
-			}
-		}
-		out = append(out, Fact{Pred: l.Atom.Pred, Tuple: t})
-	}
-	for _, l := range r.Src.Body {
-		walk(l)
 	}
 	return out
 }

@@ -22,11 +22,12 @@ import (
 	"unchained/internal/value"
 )
 
-// DeltaVariant pairs a delta-compiled rule (CompileDelta) with the
-// positive body literal it pins to the delta relation.
+// DeltaVariant is a delta variant of a rule (Rule.Delta) with the index
+// its firings are charged to in the collector (-1: no per-rule
+// attribution).
 type DeltaVariant struct {
-	Rule *Rule
-	Lit  int
+	Rule  *Rule
+	Index int
 }
 
 // cancelPollMask throttles the workers' cancellation poll to one
@@ -121,8 +122,8 @@ func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{})
 		if aborted {
 			break
 		}
-		ctx.DeltaLit = v.Lit
 		rule := v.Rule
+		ctx.DeltaLit = rule.deltaLit
 		facts, vals := make([]Fact, 0, len(rule.heads)), make([]value.Value, rule.headWidth)
 		// The relations of the last head predicate — in the snapshot,
 		// and in every destination set once a fact of it is new (in all
@@ -162,7 +163,7 @@ func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{})
 			}
 			return true
 		})
-		col.Fired(-1, firings, 0, 0)
+		col.Fired(v.Index, firings, 0, 0)
 	}
 	if col.Enabled() {
 		col.ShardWork(s, time.Since(begin).Nanoseconds(), emitted)

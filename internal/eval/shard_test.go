@@ -36,7 +36,7 @@ func shardFixture(t *testing.T, n int) (*value.Universe, []DeltaVariant, *Ctx, *
 		t.Fatal(err)
 	}
 	base := &Ctx{In: in, Adom: ActiveDomain(u, nil, in)}
-	return u, []DeltaVariant{{Rule: dv, Lit: 1}}, base, delta
+	return u, []DeltaVariant{{Rule: dv, Index: -1}}, base, delta
 }
 
 // collectSharded runs one RunSharded round over a fresh partition of
@@ -73,7 +73,7 @@ func serialRound(u *value.Universe, variants []DeltaVariant, base *Ctx, delta *t
 	emitted := uint64(0)
 	for _, v := range variants {
 		ctx := *base
-		ctx.Delta, ctx.DeltaLit = delta, v.Lit
+		ctx.Delta, ctx.DeltaLit = delta, v.Rule.DeltaLit()
 		v.Rule.Fire(&ctx, -1, nil, func(f Fact) bool {
 			emitted++
 			return st.Emit(f)
@@ -172,7 +172,7 @@ func TestRunShardedNegInSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []DeltaVariant{{Rule: dv, Lit: 0}}
+	variants := []DeltaVariant{{Rule: dv, Index: -1}}
 	base := &Ctx{In: in, NegIn: negIn, Adom: ActiveDomain(u, nil, in)}
 	got, _ := collectSharded(t, u, variants, base, delta, 4, nil)
 	if len(got) != 16 {
