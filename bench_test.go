@@ -466,7 +466,11 @@ func BenchmarkP2_IndexAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkP4_WFSCost — experiment P4.
+// BenchmarkP4_WFSCost — experiment P4. stratified and well-founded
+// evaluate the complement of TC, a stratifiable program, so they should
+// cost the same; win is the cyclic alternation the well-founded engine
+// still runs, at the benchmark's win-wfs size (500 states, 1 000 moves)
+// on a game that takes 32 Γ rounds (win-wfs's own graph takes 22).
 func BenchmarkP4_WFSCost(b *testing.B) {
 	const n = 24
 	b.Run("stratified", func(b *testing.B) {
@@ -486,6 +490,20 @@ func BenchmarkP4_WFSCost(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := declarative.EvalWellFounded(p, in, u, nil); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("win", func(b *testing.B) {
+		u := value.New()
+		in := gen.Game(u, "Moves", 500, 1000, 7)
+		p := parser.MustParse(queries.Win, u)
+		for i := 0; i < b.N; i++ {
+			w, err := declarative.EvalWellFounded(p, in, u, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if w.Rounds != 32 {
+				b.Fatalf("%d Γ rounds, want 32", w.Rounds)
 			}
 		}
 	})

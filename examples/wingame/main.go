@@ -55,5 +55,8 @@ func main() {
 	unknownN := len(wfs2.UnknownFacts("Win"))
 	fmt.Printf("random game (32 states, 64 moves): %d winning, %d drawn, %d losing\n",
 		trueN, unknownN, 32-trueN-unknownN)
+	// Rounds counts kernel runs over groups of the dependency graph; the
+	// win program is one component recursing through negation, so every
+	// run is a Γ application of its alternation.
 	fmt.Printf("alternating fixpoint converged in %d Γ rounds\n", wfs2.Rounds)
 }

@@ -187,8 +187,11 @@ func (p *Program) Validate(d Dialect) error {
 //     occurrence must be in a positive body atom (Definition 5.1);
 //   - relation arities are consistent program-wide (every conflicting
 //     use is reported, each pointing back at the first use).
-func (p *Program) ValidateDiags(d Dialect) Diagnostics {
-	ix := NewIndex(p)
+func (p *Program) ValidateDiags(d Dialect) Diagnostics { return NewIndex(p).ValidateDiags(d) }
+
+// ValidateDiags is Program.ValidateDiags on an index the caller keeps
+// (an engine builds its dependency graph on the same one).
+func (ix *Index) ValidateDiags(d Dialect) Diagnostics {
 	ds := append(ix.DialectDiags(d), ix.ArityDiags()...)
 	ds.Sort()
 	return ds

@@ -1,8 +1,9 @@
 // Package declarative implements the model-theoretic side of the
 // paper (Section 3): the minimum-model semantics of positive Datalog
 // (with naive and semi-naive bottom-up evaluation), the stratified
-// semantics of Datalog¬, and the well-founded semantics computed as
-// an alternating fixpoint.
+// semantics of Datalog¬, and the well-founded semantics computed group
+// by group over the dependency graph, as an alternating fixpoint only
+// where negation is recursive.
 package declarative
 
 import (
@@ -96,10 +97,11 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 // semi-naive evaluation; negation within a stratum refers only to
 // already-completed relations.
 func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
-		return nil, fmt.Errorf("declarative: %w", err)
+	g, err := depGraph(p)
+	if err != nil {
+		return nil, err
 	}
-	strat, err := stratify.Stratify(p)
+	strata, err := g.Strata()
 	if err != nil {
 		return nil, err
 	}
@@ -107,18 +109,12 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 	if err != nil {
 		return nil, err
 	}
-	// Group compiled rules by stratum.
-	byStratum := make([][]*eval.Rule, len(strat.Strata))
-	for i, cr := range rules {
-		s := strat.RuleStratum(p.Rules[i])
-		byStratum[s] = append(byStratum[s], cr)
-	}
 	col := opt.Collector()
 	col.Reset("stratified", nil)
 	out := in.SnapshotWith(col.Cow())
 	adom := eval.ActiveDomain(u, p.Constants(), in)
 	totalRounds := 0
-	for s, srules := range byStratum {
+	for s, srules := range byGroup(rules, strata) {
 		if len(srules) == 0 {
 			continue
 		}
@@ -132,6 +128,31 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 		}
 	}
 	return engine.Finish(out, totalRounds, col, nil)
+}
+
+// depGraph validates p as Datalog¬ and returns its dependency graph,
+// built on the index the validation walked.
+func depGraph(p *ast.Program) (*stratify.Graph, error) {
+	ix := ast.NewIndex(p)
+	if err := ix.ValidateDiags(ast.DialectDatalogNeg).Err(); err != nil {
+		return nil, fmt.Errorf("declarative: %w", err)
+	}
+	return stratify.NewGraph(ix), nil
+}
+
+// byGroup returns the compiled rules of each group, on one backing
+// array.
+func byGroup(rules []*eval.Rule, groups []stratify.Group) [][]*eval.Rule {
+	out := make([][]*eval.Rule, len(groups))
+	flat := make([]*eval.Rule, 0, len(rules))
+	for gi, g := range groups {
+		lo := len(flat)
+		for _, ri := range g.Rules {
+			flat = append(flat, rules[ri])
+		}
+		out[gi] = flat[lo:len(flat):len(flat)]
+	}
+	return out
 }
 
 // TruthValue is a value of the 3-valued logic of the well-founded
@@ -165,14 +186,17 @@ type WFSResult struct {
 	Possible *tuple.Instance
 	// u renders and orders tuples deterministically.
 	u *value.Universe
-	// Rounds is the number of Γ applications performed by the
-	// alternating fixpoint.
+	// Rounds is the number of kernel runs over groups: one per group
+	// whose facts are all true or false, two per group that reads an
+	// unknown fact, two per round of a group's alternation. So the win
+	// program of Example 3.2 takes four on its instance K and the
+	// stratified complement of TC two, one per stratum.
 	Rounds int
 	// Adom is the active domain used (for enumerating false facts).
 	Adom []value.Value
 	// Stats is the evaluation summary when Options carried a
 	// collector; nil otherwise. Stats.Stages counts the semi-naive
-	// rounds across all Γ applications (not the Γ count in Rounds).
+	// rounds across all kernel runs (not the run count in Rounds).
 	Stats *stats.Summary
 }
 
@@ -210,69 +234,162 @@ func (w *WFSResult) Total() bool {
 }
 
 // EvalWellFounded computes the well-founded model of a Datalog¬
-// program by the alternating fixpoint of Van Gelder (Section 3.3):
+// program (Section 3.3) group by group over the dependency graph's
+// components, bottom-up (stratify's Groups), each group one or more runs
+// of the delta kernel over its own rules. A group that does not recurse
+// through negation and reads only facts that are true or false is one
+// fixpoint, serving as both its true and its possible facts: on a
+// stratifiable program that is stratified evaluation, run for run. One
+// that does not recurse through negation but reads an unknown fact runs
+// twice: its true facts with negation read against the possible ones,
+// its possible facts with negation read against the true ones. A
+// component that recurses through negation runs the alternating
+// fixpoint of Van Gelder restricted to its rules:
 //
-//	under₀ = input; overᵢ = Γ(underᵢ₋₁); underᵢ = Γ(overᵢ)
+//	overᵢ = Γ(underᵢ₋₁); underᵢ = Γ(overᵢ)
 //
-// where Γ(S) is the minimum model of the program with every negative
-// literal ¬A evaluated as A ∉ S. The under-sequence increases to the
-// set of true facts and the over-sequence decreases to the set of
-// true-or-unknown facts.
+// where Γ(S) is the least fixpoint of the group's rules with every
+// negative literal ¬A read as A ∉ S. The over-estimates decrease, so
+// each restarts from the possible facts below the group; the
+// under-estimates increase to the true facts, so underᵢ continues from
+// underᵢ₋₁ ⊆ underᵢ, and the alternation has converged when the true
+// side stops growing (equal counts of a growing set are equal sets).
+//
+// True and Possible are one instance until the first group with two
+// sides; after it, a group whose facts are all true or false runs on
+// True and its relations are shared into Possible copy-on-write.
 func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*WFSResult, error) {
-	if err := p.Validate(ast.DialectDatalogNeg); err != nil {
-		return nil, fmt.Errorf("declarative: %w", err)
+	g, err := depGraph(p)
+	if err != nil {
+		return nil, err
 	}
 	rules, err := eval.CompileProgram(p)
 	if err != nil {
 		return nil, err
 	}
+	groups := g.Groups()
 	col := opt.Collector()
 	col.Reset("wellfounded", nil)
-	adom := eval.ActiveDomain(u, p.Constants(), in)
-
-	// One kernel for every Γ application: the delta variants and their
-	// plan memos are the same each time, only the estimate differs.
-	k := engine.SemiNaive{Rules: rules}
-	gammaN := 0
-	gamma := func(s *tuple.Instance) (*tuple.Instance, error) {
-		gammaN++
-		col.BeginPhase("gamma", gammaN)
-		out := in.SnapshotWith(col.Cow())
-		k.NegIn = s
-		_, err := k.Run(opt, out, adom)
-		col.EndPhase("gamma", gammaN)
-		return out, err
-	}
-
-	// The alternation itself is not a stage loop: its stages are the
-	// semi-naive rounds inside each Γ application, and every application
-	// starts with the driver's context poll, so a deadline interrupts
-	// even slowly-converging models between applications.
-	under := in.SnapshotWith(col.Cow())
-	rounds := 0
-	var over *tuple.Instance
-	for {
-		var newUnder *tuple.Instance
-		if over, err = gamma(under); err == nil {
-			newUnder, err = gamma(over)
+	w := &WFSResult{u: u, Adom: eval.ActiveDomain(u, p.Constants(), in)}
+	w.True = in.SnapshotWith(col.Cow())
+	w.Possible = w.True
+	r := &wfsRun{w: w, opt: opt, col: col}
+	twoValued := make([]bool, len(groups))
+	for gi, grules := range byGroup(rules, groups) {
+		gr := &groups[gi]
+		two := !gr.Cyclic
+		for _, d := range gr.Reads {
+			two = two && twoValued[d]
 		}
-		if err != nil {
-			break
+		if len(grules) > 0 {
+			k := &engine.SemiNaive{Rules: grules}
+			switch {
+			case two:
+				err = r.run(k, w.True, "stratum", gi+1)
+				if w.Possible != w.True {
+					w.Possible.Share(w.True, gr.Preds)
+				}
+			case w.Possible == w.True: // the first group with two sides forks them
+				w.Possible = w.True.Snapshot()
+				fallthrough
+			default:
+				if gr.Cyclic {
+					two, err = r.alternate(k, gr.Preds)
+				} else {
+					two, err = r.twoSided(k, gr.Preds)
+				}
+			}
+			if err != nil {
+				break
+			}
 		}
-		rounds += 2
-		if newUnder.Equal(under) {
-			break
-		}
-		under = newUnder
+		twoValued[gi] = two
 	}
 	if err != nil && !engine.IsInterrupt(err) {
 		return nil, err
 	}
-	return &WFSResult{True: under, Possible: over, u: u, Rounds: rounds, Adom: adom, Stats: col.Summary()}, err
+	w.Stats = col.Summary()
+	return w, err
+}
+
+// wfsRun is a well-founded evaluation in progress. Every kernel run
+// starts with the driver's context poll, so a deadline interrupts even a
+// slowly converging alternation between runs; a group's possible side
+// runs before its true side, so an interrupted evaluation still leaves
+// True inside Possible.
+type wfsRun struct {
+	w      *WFSResult
+	opt    *Options
+	col    *stats.Collector
+	gammas int // the two-sided runs so far, which number their phases
+}
+
+// run is one kernel run growing out, bracketed as a phase.
+func (r *wfsRun) run(k *engine.SemiNaive, out *tuple.Instance, phase string, n int) error {
+	r.col.BeginPhase(phase, n)
+	_, err := k.Run(r.opt, out, r.w.Adom)
+	r.col.EndPhase(phase, n)
+	if err == nil {
+		r.w.Rounds++
+	}
+	return err
+}
+
+// gamma is one side of a group with two: out grows with every negative
+// literal read against negIn.
+func (r *wfsRun) gamma(k *engine.SemiNaive, out, negIn *tuple.Instance) error {
+	r.gammas++
+	k.NegIn = negIn
+	return r.run(k, out, "gamma", r.gammas)
+}
+
+// twoSided evaluates a group that reads an unknown fact but does not
+// recurse through negation, and reports whether its facts came out all
+// true or false anyway.
+func (r *wfsRun) twoSided(k *engine.SemiNaive, preds []string) (bool, error) {
+	if err := r.gamma(k, r.w.Possible, r.w.True); err != nil {
+		return false, err
+	}
+	if err := r.gamma(k, r.w.True, r.w.Possible); err != nil {
+		return false, err
+	}
+	return count(r.w.True, preds) == count(r.w.Possible, preds), nil
+}
+
+// alternate runs the alternating fixpoint of a group that recurses
+// through negation, and reports whether it converged 2-valued.
+func (r *wfsRun) alternate(k *engine.SemiNaive, preds []string) (bool, error) {
+	below, under := r.w.Possible, count(r.w.True, preds)
+	for {
+		over := below.Snapshot()
+		if err := r.gamma(k, over, r.w.True); err != nil {
+			return false, err
+		}
+		r.w.Possible = over
+		if err := r.gamma(k, r.w.True, over); err != nil {
+			return false, err
+		}
+		n := count(r.w.True, preds)
+		if n == under {
+			return n == count(over, preds), nil
+		}
+		under = n
+	}
+}
+
+// count is the number of facts in's relations named preds hold.
+func count(in *tuple.Instance, preds []string) int {
+	n := 0
+	for _, p := range preds {
+		if r := in.Relation(p); r != nil {
+			n += r.Len()
+		}
+	}
+	return n
 }
 
 // EvalWellFounded2 is the 2-valued reading of the well-founded model:
-// the true facts as the result instance and the Γ applications as its
+// the true facts as the result instance and the kernel runs as its
 // stages, in the shape every other deterministic engine has.
 func EvalWellFounded2(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	wfs, err := EvalWellFounded(p, in, u, opt)

@@ -1,0 +1,265 @@
+package declarative
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"unchained/internal/ast"
+	"unchained/internal/engine"
+	"unchained/internal/eval"
+	"unchained/internal/gen"
+	"unchained/internal/parser"
+	"unchained/internal/stats"
+	"unchained/internal/trace"
+	"unchained/internal/tuple"
+	"unchained/internal/value"
+)
+
+// referenceWFS is the alternating fixpoint of Van Gelder over the whole
+// program, as EvalWellFounded computed it before it went by groups, kept
+// as the oracle for the per-group evaluation:
+//
+//	under₀ = input; overᵢ = Γ(underᵢ₋₁); underᵢ = Γ(overᵢ)
+//
+// where Γ(S) is the minimum model of the program with every negative
+// literal ¬A evaluated as A ∉ S, each Γ starting from the input. It
+// stops when an under-estimate equals the one before.
+func referenceWFS(t testing.TB, p *ast.Program, in *tuple.Instance, u *value.Universe) (under, over *tuple.Instance) {
+	t.Helper()
+	rules, err := eval.CompileProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adom := eval.ActiveDomain(u, p.Constants(), in)
+	k := engine.SemiNaive{Rules: rules}
+	gamma := func(s *tuple.Instance) *tuple.Instance {
+		out := in.Clone()
+		k.NegIn = s
+		if _, err := k.Run(nil, out, adom); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	under = in.Clone()
+	for {
+		over = gamma(under)
+		next := gamma(over)
+		if next.Equal(under) {
+			return under, over
+		}
+		under = next
+	}
+}
+
+// sameModel compares EvalWellFounded with the reference on (p, in):
+// byte-identical True and Possible renderings.
+func sameModel(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u *value.Universe) *WFSResult {
+	t.Helper()
+	w, err := EvalWellFounded(p, in, u, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	under, over := referenceWFS(t, p, in, u)
+	if got, want := w.True.String(u), under.String(u); got != want {
+		t.Fatalf("%s: true facts\n%sthe reference's\n%s", name, got, want)
+	}
+	if got, want := w.Possible.String(u), over.String(u); got != want {
+		t.Fatalf("%s: possible facts\n%sthe reference's\n%s", name, got, want)
+	}
+	return w
+}
+
+// corpusInputs calls fn with every shipped program that is Datalog¬
+// and, per program, each of five graph shapes on its binary input
+// relations (unary ones get a few constants).
+func corpusInputs(t *testing.T, fn func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe)) {
+	t.Helper()
+	files, err := filepath.Glob("../../programs/*.dl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no programs: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := value.New()
+		p, err := parser.Parse(string(src), u)
+		if err != nil || p.Validate(ast.DialectDatalogNeg) != nil {
+			continue
+		}
+		sch, err := p.Schema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		idb := map[string]bool{}
+		for _, n := range p.IDB() {
+			idb[n] = true
+		}
+		var preds []string
+		for n := range sch {
+			if !idb[n] {
+				preds = append(preds, n)
+			}
+		}
+		sort.Strings(preds)
+		shapes := []func(pred string, seed int64) *tuple.Instance{
+			func(pred string, _ int64) *tuple.Instance { return gen.Chain(u, pred, 6) },
+			func(pred string, _ int64) *tuple.Instance { return gen.Cycle(u, pred, 5) },
+			func(pred string, seed int64) *tuple.Instance { return gen.Random(u, pred, 6, 9, seed) },
+			func(pred string, _ int64) *tuple.Instance { return gen.Tree(u, pred, 2, 2) },
+			func(pred string, seed int64) *tuple.Instance { return gen.Game(u, pred, 7, 10, seed) },
+		}
+		for si, shape := range shapes {
+			var parts []*tuple.Instance
+			for pi, n := range preds {
+				switch sch[n] {
+				case 2:
+					parts = append(parts, shape(n, int64(si+pi)))
+				case 1:
+					parts = append(parts, gen.Unary(u, n, 3))
+				}
+			}
+			fn(fmt.Sprintf("%s shape %d", filepath.Base(f), si), p, gen.Merge(parts...), u)
+		}
+	}
+}
+
+// TestWellFoundedMatchesReferenceOnCorpus: every shipped Datalog¬
+// program × five input shapes.
+func TestWellFoundedMatchesReferenceOnCorpus(t *testing.T) {
+	ran := 0
+	corpusInputs(t, func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe) {
+		sameModel(t, name, p, in, u)
+		ran++
+	})
+	if ran < 40 {
+		t.Fatalf("only %d runs: the corpus has lost its Datalog¬ programs", ran)
+	}
+}
+
+// TestWellFoundedIsStratifiedOnStratifiable: on a stratifiable program
+// the well-founded model is the stratified one (§3.3), and computing it
+// is the same work: the same kernel runs over the same strata, so the
+// same stages, firings, derived and rederived facts.
+func TestWellFoundedIsStratifiedOnStratifiable(t *testing.T) {
+	ran := 0
+	corpusInputs(t, func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe) {
+		strat, err := EvalStratified(p, in, u, &Options{Stats: stats.New()})
+		if err != nil {
+			return // not stratifiable
+		}
+		w, err := EvalWellFounded(p, in, u, &Options{Stats: stats.New()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !w.Total() || !w.True.Equal(strat.Out) {
+			t.Fatalf("%s: the well-founded model is not the stratified one", name)
+		}
+		got, want := w.Stats, strat.Stats
+		if got.Stages != want.Stages || got.Firings != want.Firings || got.Derived != want.Derived || got.Rederived != want.Rederived {
+			t.Fatalf("%s: well-founded took %d stages, %d firings, %d derived, %d rederived; stratified %d, %d, %d, %d",
+				name, got.Stages, got.Firings, got.Derived, got.Rederived, want.Stages, want.Firings, want.Derived, want.Rederived)
+		}
+		ran++
+	})
+	if ran < 30 {
+		t.Fatalf("only %d runs: the corpus has lost its stratifiable programs", ran)
+	}
+}
+
+// TestWellFoundedMatchesReferenceOnRandomPrograms: the random programs
+// of threevalued_test.go, recursion through negation included.
+func TestWellFoundedMatchesReferenceOnRandomPrograms(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		u := value.New()
+		p, in := randomNegProgram(rand.New(rand.NewSource(seed)), u)
+		sameModel(t, fmt.Sprintf("seed %d:\n%s", seed, p.String(u)), p, in, u)
+	}
+}
+
+// handWrittenGroups has every kind of group: the closure is 2-valued
+// and runs once; Win recurses through negation and alternates; Lose and
+// Reach read Win's unknown facts and run twice; Iso reads only the
+// closure and comes after the fork, so its relation is shared into the
+// possible facts, not recomputed.
+const handWrittenGroups = `
+	T(X,Y) :- G(X,Y).
+	T(X,Y) :- G(X,Z), T(Z,Y).
+	Win(X) :- T(X,Y), !Win(Y).
+	Lose(X) :- N(X), !Win(X).
+	Reach(X) :- Lose(X).
+	Reach(Y) :- Reach(X), T(X,Y).
+	Iso(X) :- N(X), !T(X,X).
+`
+
+func TestWellFoundedMatchesReferenceHandWritten(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(handWrittenGroups, u)
+	for _, facts := range []string{
+		// A cycle a-b-c with a tail to d, an isolated e: Win is unknown
+		// on the cycle, so Lose and Reach are too.
+		"G(a,b). G(b,c). G(c,a). G(c,d). G(d,f). N(a). N(b). N(c). N(d). N(e). N(f).",
+		// A chain: every group is 2-valued in the end.
+		"G(a,b). G(b,c). G(c,d). N(a). N(b). N(c). N(d).",
+		// Facts asserted on intensional relations of every group kind.
+		"G(a,b). G(b,a). G(b,c). N(a). N(c). Win(c). Lose(a). Reach(b). Iso(b). T(c,a).",
+	} {
+		sameModel(t, facts, p, parser.MustParseFacts(facts, u), u)
+	}
+	w := sameModel(t, "gen.Game", p, gen.Merge(gen.Game(u, "G", 20, 30, 7), gen.Unary(u, "N", 20)), u)
+	if w.Total() {
+		t.Fatalf("the random game should leave some Win facts unknown")
+	}
+}
+
+// cancelAfter cancels its context when the n-th stage ends.
+type cancelAfter struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Emit(e trace.Event) {
+	if e.Ev == trace.EvEnd && e.Span == trace.SpanStage {
+		if c.n--; c.n == 0 {
+			c.cancel()
+		}
+	}
+}
+
+// TestWellFoundedInterrupted: a context cancelled before any stage or
+// after any one of them interrupts the run and still leaves True inside
+// Possible, whichever kind of group the run stops in.
+func TestWellFoundedInterrupted(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(handWrittenGroups, u)
+	in := gen.Merge(gen.Game(u, "G", 20, 30, 7), gen.Unary(u, "N", 20))
+	full, err := EvalWellFounded(p, in, u, &Options{Stats: stats.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stop := 0; stop < full.Stats.Stages; stop++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		if stop == 0 {
+			cancel()
+		}
+		w, err := EvalWellFounded(p, in, u, &Options{Ctx: ctx, Tracer: &cancelAfter{stop, cancel}})
+		cancel()
+		if !engine.IsInterrupt(err) {
+			t.Fatalf("cancelled after %d stages: err = %v, want an interrupt", stop, err)
+		}
+		w.True.EachRel(func(name string, r *tuple.Relation) {
+			r.Each(func(tp tuple.Tuple) bool {
+				if !w.Possible.Has(name, tp) {
+					t.Fatalf("cancelled after %d stages: %s%s is true but not possible", stop, name, tp.String(u))
+				}
+				return true
+			})
+		})
+	}
+}

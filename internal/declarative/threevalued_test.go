@@ -102,51 +102,8 @@ func TestWFSIsThreeValuedModelOfWin(t *testing.T) {
 
 func TestWFSIsThreeValuedModelOnRandomPrograms(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
 		u := value.New()
-		// Random Datalog¬ programs, including recursion through
-		// negation (the interesting case for 3-valuedness).
-		vars := []string{"X", "Y"}
-		preds := []struct {
-			name  string
-			arity int
-		}{{"E", 2}, {"P", 1}, {"Q", 1}}
-		atom := func() ast.Atom {
-			p := preds[rng.Intn(len(preds))]
-			args := make([]ast.Term, p.arity)
-			for i := range args {
-				args[i] = ast.V(vars[rng.Intn(len(vars))])
-			}
-			return ast.Atom{Pred: p.name, Args: args}
-		}
-		prog := &ast.Program{}
-		for i := 0; i < 2+rng.Intn(3); i++ {
-			// Body: one positive E atom (safety anchor) plus 0-2
-			// literals of either polarity over P/Q.
-			body := []ast.Literal{ast.PosLit(ast.Atom{Pred: "E", Args: []ast.Term{ast.V("X"), ast.V("Y")}})}
-			for j := 0; j < rng.Intn(3); j++ {
-				a := atom()
-				if rng.Intn(2) == 0 {
-					body = append(body, ast.Neg(a))
-				} else {
-					body = append(body, ast.PosLit(a))
-				}
-			}
-			headPred := []string{"P", "Q"}[rng.Intn(2)]
-			prog.Rules = append(prog.Rules, ast.Rule{
-				Head: []ast.Literal{ast.PosLit(ast.Atom{Pred: headPred, Args: []ast.Term{ast.V(vars[rng.Intn(2)])}})},
-				Body: body,
-			})
-		}
-		consts := make([]value.Value, 3)
-		for i := range consts {
-			consts[i] = u.Sym(fmt.Sprintf("c%d", i))
-		}
-		in := tuple.NewInstance()
-		in.Ensure("E", 2)
-		for i := 0; i < 4; i++ {
-			in.Insert("E", tuple.Tuple{consts[rng.Intn(3)], consts[rng.Intn(3)]})
-		}
+		prog, in := randomNegProgram(rand.New(rand.NewSource(seed)), u)
 		w, err := EvalWellFounded(prog, in, u, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -156,4 +113,52 @@ func TestWFSIsThreeValuedModelOnRandomPrograms(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomNegProgram returns a random Datalog¬ program over E/2, P/1 and
+// Q/1, recursion through negation included (the interesting case for
+// 3-valuedness), and a random E over three constants.
+func randomNegProgram(rng *rand.Rand, u *value.Universe) (*ast.Program, *tuple.Instance) {
+	vars := []string{"X", "Y"}
+	preds := []struct {
+		name  string
+		arity int
+	}{{"E", 2}, {"P", 1}, {"Q", 1}}
+	atom := func() ast.Atom {
+		p := preds[rng.Intn(len(preds))]
+		args := make([]ast.Term, p.arity)
+		for i := range args {
+			args[i] = ast.V(vars[rng.Intn(len(vars))])
+		}
+		return ast.Atom{Pred: p.name, Args: args}
+	}
+	prog := &ast.Program{}
+	for i := 0; i < 2+rng.Intn(3); i++ {
+		// Body: one positive E atom (safety anchor) plus 0-2
+		// literals of either polarity over P/Q.
+		body := []ast.Literal{ast.PosLit(ast.Atom{Pred: "E", Args: []ast.Term{ast.V("X"), ast.V("Y")}})}
+		for j := 0; j < rng.Intn(3); j++ {
+			a := atom()
+			if rng.Intn(2) == 0 {
+				body = append(body, ast.Neg(a))
+			} else {
+				body = append(body, ast.PosLit(a))
+			}
+		}
+		headPred := []string{"P", "Q"}[rng.Intn(2)]
+		prog.Rules = append(prog.Rules, ast.Rule{
+			Head: []ast.Literal{ast.PosLit(ast.Atom{Pred: headPred, Args: []ast.Term{ast.V(vars[rng.Intn(2)])}})},
+			Body: body,
+		})
+	}
+	consts := make([]value.Value, 3)
+	for i := range consts {
+		consts[i] = u.Sym(fmt.Sprintf("c%d", i))
+	}
+	in := tuple.NewInstance()
+	in.Ensure("E", 2)
+	for i := 0; i < 4; i++ {
+		in.Insert("E", tuple.Tuple{consts[rng.Intn(3)], consts[rng.Intn(3)]})
+	}
+	return prog, in
 }

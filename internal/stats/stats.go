@@ -530,8 +530,8 @@ func (c *Collector) PlanSpan(rule, desc string) {
 }
 
 // BeginPhase opens a stratum-level span grouping the stages of one
-// stratum ("stratum") or one Γ application of the well-founded
-// alternating fixpoint ("gamma"). n is 1-based.
+// stratum ("stratum") or one side of a well-founded group with unknown
+// facts ("gamma"). n is 1-based.
 func (c *Collector) BeginPhase(name string, n int) {
 	if c == nil || c.tracer == nil {
 		return

@@ -1,12 +1,17 @@
 // Package stratify computes the predicate dependency graph of a
-// Datalog¬ program and a stratification when one exists (Section
-// 3.2). A program is stratifiable iff no cycle of the dependency
-// graph contains a negative edge ("no recursion through negation").
+// Datalog¬ program and the groups its rules are evaluated in, bottom-up
+// (Section 3.2). A program is stratifiable iff no cycle of the
+// dependency graph contains a negative edge ("no recursion through
+// negation"); then the groups are its strata. Otherwise each component
+// that recurses through negation is a group of its own, the unit the
+// well-founded engine alternates over (Section 3.3).
 package stratify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"unchained/internal/ast"
 )
@@ -48,15 +53,18 @@ func BuildGraph(p *ast.Program) *Graph { return NewGraph(ast.NewIndex(p)) }
 func NewGraph(ix *ast.Index) *Graph {
 	n := len(ix.Preds)
 	m := 2 * len(ix.Rules) // about two body atoms a rule
-	g := &Graph{ix: ix, adjAt: make([]int32, n+1), Edges: make([]Edge, 0, m), ends: make([][2]int32, 0, m)}
-	in := make([]bool, n)
+	// One slab: adjAt, the occurs-in-a-rule flags, the adj cursors, and
+	// room for nodes.
+	slab := make([]int32, 4*n+1)
+	in, next := slab[n+1:2*n+1:2*n+1], slab[2*n+1:3*n+1:3*n+1]
+	g := &Graph{ix: ix, adjAt: slab[: n+1 : n+1], nodes: slab[3*n+1 : 3*n+1], Edges: make([]Edge, 0, m), ends: make([][2]int32, 0, m)}
 	seen := make(map[uint64]struct{}, m)
 	for ri := range ix.Rules {
 		body := ix.Body(ri)
 		for _, h := range ix.Heads(ri) {
-			in[h.Pred] = true
+			in[h.Pred] = 1
 			for _, b := range body {
-				in[b.Pred] = true
+				in[b.Pred] = 1
 				k := uint64(h.Pred)<<33 | uint64(b.Pred)<<1
 				if b.Lit.Neg {
 					k |= 1
@@ -76,17 +84,17 @@ func NewGraph(ix *ast.Index) *Graph {
 	}
 	for v := 0; v < n; v++ {
 		g.adjAt[v+1] += g.adjAt[v]
-		if in[v] {
+		if in[v] == 1 {
 			g.nodes = append(g.nodes, int32(v))
 		}
 	}
 	g.adj = make([]int32, len(g.Edges))
-	next := append([]int32(nil), g.adjAt[:n]...)
+	copy(next, g.adjAt[:n])
 	for ei, e := range g.ends {
 		g.adj[next[e[0]]] = int32(ei)
 		next[e[0]]++
 	}
-	sort.Slice(g.nodes, func(i, j int) bool { return ix.Preds[g.nodes[i]].Name < ix.Preds[g.nodes[j]].Name })
+	slices.SortFunc(g.nodes, func(a, b int32) int { return strings.Compare(ix.Preds[a].Name, ix.Preds[b].Name) })
 	g.Preds = make([]string, len(g.nodes))
 	for i, v := range g.nodes {
 		g.Preds[i] = ix.Preds[v].Name
@@ -109,11 +117,11 @@ func (g *Graph) components() (comp, members, cuts []int32) {
 		return g.comp, g.members, g.cuts
 	}
 	n := len(g.ix.Preds)
-	index, low := make([]int32, n), make([]int32, n)
-	comp = make([]int32, n)
-	onStack := make([]bool, n)
-	var stack []int32
-	cuts = []int32{0}
+	// One slab: index, low, comp, the on-stack flags, and room for the
+	// stack, members and cuts, none of which outgrows n (+1) entries.
+	slab := make([]int32, 7*n+1)
+	index, low, comp, onStack := slab[:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n], slab[3*n:4*n:4*n]
+	stack, members, cuts := slab[4*n:4*n:5*n], slab[5*n:5*n:6*n], slab[6*n:6*n+1:7*n+1]
 	counter := int32(0)
 
 	var strongconnect func(v int32)
@@ -121,7 +129,7 @@ func (g *Graph) components() (comp, members, cuts []int32) {
 		counter++
 		index[v], low[v] = counter, counter
 		stack = append(stack, v)
-		onStack[v] = true
+		onStack[v] = 1
 		for _, ei := range g.out(v) {
 			w := g.ends[ei][1]
 			if index[w] == 0 {
@@ -129,7 +137,7 @@ func (g *Graph) components() (comp, members, cuts []int32) {
 				if low[w] < low[v] {
 					low[v] = low[w]
 				}
-			} else if onStack[w] && index[w] < low[v] {
+			} else if onStack[w] == 1 && index[w] < low[v] {
 				low[v] = index[w]
 			}
 		}
@@ -137,7 +145,7 @@ func (g *Graph) components() (comp, members, cuts []int32) {
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[w] = false
+				onStack[w] = 0
 				comp[w] = int32(len(cuts) - 1)
 				members = append(members, w)
 				if w == v {
@@ -237,70 +245,174 @@ func (g *Graph) NegativeCycle() []Edge {
 	return nil
 }
 
-// Stratification assigns each predicate a stratum number. Strata are
-// numbered from 0; every rule's head lives in a stratum ≥ the strata
-// of its positive body predicates and > the strata of its negative
-// body predicates.
-type Stratification struct {
-	// Level maps each predicate to its stratum.
-	Level map[string]int
-	// Strata lists the predicates of each stratum, sorted.
-	Strata [][]string
+// Group is one step of bottom-up evaluation: predicates whose rules run
+// together once every group they read is complete. On a stratifiable
+// program the groups are the strata.
+type Group struct {
+	// Preds lists the group's predicates, sorted.
+	Preds []string
+	// Rules lists, ascending, the indexes into Program.Rules of the
+	// rules whose head predicate is in Preds.
+	Rules []int
+	// Reads lists, ascending, the earlier groups some rule of this one
+	// has a body literal over.
+	Reads []int
+	// Cyclic marks a single component with a negative edge inside it: a
+	// recursion through negation, which no stratification admits.
+	Cyclic bool
 }
 
-// Stratify computes a stratification of the program, or an error
-// naming a negative cycle when the program is not stratifiable
-// (e.g. the win program of Example 3.2).
-func Stratify(p *ast.Program) (*Stratification, error) {
-	g := BuildGraph(p)
+// Groups returns the evaluation groups in order. A component is placed
+// by longest-path layering over the component DAG: at or above what it
+// reads positively, strictly above what it reads negatively. A
+// component with a negative cycle is a group of its own, strictly above
+// everything it reads and strictly below everything that reads it; a
+// level's cyclic groups come first (in Tarjan order), then one group
+// of the rest of the level. Without cyclic components the levels are
+// exactly the strata of Section 3.2.
+func (g *Graph) Groups() []Group {
 	comp, members, cuts := g.components()
-	// Reject negative intra-component edges.
-	for i, e := range g.Edges {
-		if e.Negative && comp[g.ends[i][0]] == comp[g.ends[i][1]] {
-			return nil, fmt.Errorf("stratify: recursion through negation involving %s and %s", e.From, e.To)
+	nc := len(cuts) - 1
+	// One slab: per component its level, group and cyclic flag; per
+	// level (at most nc) two counters; per group (at most nc) a bucket
+	// boundary.
+	slab := make([]int32, 6*nc+3)
+	level, group, cyclic := slab[:nc:nc], slab[nc:2*nc:2*nc], slab[2*nc:3*nc:3*nc]
+	for i, e := range g.ends {
+		if g.Edges[i].Negative && comp[e[0]] == comp[e[1]] {
+			cyclic[comp[e[0]]] = 1
 		}
 	}
-	// Longest-path layering over the component DAG. SCCs come out of
-	// Tarjan in reverse topological order (dependencies first), so a
-	// single left-to-right pass suffices.
-	level := make([]int, len(cuts)-1)
-	maxLevel := 0
-	for ci := range level {
-		for _, v := range members[cuts[ci]:cuts[ci+1]] {
+	// SCCs come out of Tarjan in reverse topological order (dependencies
+	// first), so a single left-to-right pass suffices.
+	top := int32(0)
+	for c := range level {
+		for _, v := range members[cuts[c]:cuts[c+1]] {
 			for _, ei := range g.out(v) {
-				dep := comp[g.ends[ei][1]]
-				if int(dep) == ci {
+				d := comp[g.ends[ei][1]]
+				if int(d) == c {
 					continue
 				}
-				need := level[dep]
-				if g.Edges[ei].Negative {
+				need := level[d]
+				if cyclic[c] == 1 || cyclic[d] == 1 || g.Edges[ei].Negative {
 					need++
 				}
-				if need > level[ci] {
-					level[ci] = need
+				level[c] = max(level[c], need)
+			}
+		}
+		top = max(top, level[c])
+	}
+	// Per level: the next cyclic group, and the index of the level's
+	// first group (its cyclic groups, then one group of the rest).
+	cyc, first := slab[3*nc:3*nc+int(top)+1], slab[4*nc:4*nc+int(top)+2]
+	for c, l := range level {
+		if cyclic[c] == 1 {
+			cyc[l]++
+		} else {
+			first[l+1] = 1 // the level has non-cyclic components
+		}
+	}
+	for l := range cyc {
+		first[l+1] += first[l] + cyc[l]
+		cyc[l] = first[l]
+	}
+	for c, l := range level {
+		if cyclic[c] == 1 {
+			group[c] = cyc[l]
+			cyc[l]++
+		} else {
+			group[c] = first[l+1] - 1
+		}
+	}
+
+	ng := int(first[top+1])
+	groups := make([]Group, ng)
+	at := slab[5*nc+1 : 5*nc+ng+2] // bucket boundaries, later a per-group stamp
+	for c := range group {
+		groups[group[c]].Cyclic = cyclic[c] == 1
+	}
+	// Bucket the predicates (already in name order) and the rules (in
+	// program order) by group.
+	for _, v := range g.nodes {
+		at[group[comp[v]]+1]++
+	}
+	for i := 1; i <= ng; i++ {
+		at[i] += at[i-1]
+	}
+	preds := make([]string, len(g.nodes))
+	for i, v := range g.nodes {
+		gi := group[comp[v]]
+		preds[at[gi]] = g.Preds[i]
+		at[gi]++
+	}
+	lo := 0
+	for gi := range groups {
+		groups[gi].Preds = preds[lo:at[gi]:at[gi]]
+		lo = int(at[gi])
+	}
+	head := func(ri int) int32 {
+		if hs := g.ix.Heads(ri); len(hs) > 0 {
+			return group[comp[hs[0].Pred]]
+		}
+		return -1 // no atom head: nothing to derive
+	}
+	clear(at)
+	nr := 0
+	for ri := range g.ix.Rules {
+		if gi := head(ri); gi >= 0 {
+			at[gi+1]++
+			nr++
+		}
+	}
+	for i := 1; i <= ng; i++ {
+		at[i] += at[i-1]
+	}
+	ints := make([]int, nr+len(g.Edges)) // the rules, then the reads
+	rules := ints[:nr:nr]
+	for ri := range g.ix.Rules {
+		if gi := head(ri); gi >= 0 {
+			rules[at[gi]] = ri
+			at[gi]++
+		}
+	}
+	lo = 0
+	for gi := range groups {
+		groups[gi].Rules = rules[lo:at[gi]:at[gi]]
+		lo = int(at[gi])
+	}
+	// Reads, each group once: at[d] == gi+1 once group gi has listed d.
+	clear(at)
+	reads := ints[nr:nr]
+	for gi := range groups {
+		lo := len(reads)
+		for _, ri := range groups[gi].Rules {
+			for _, b := range g.ix.Body(ri) {
+				if d := group[comp[b.Pred]]; int(d) != gi && at[d] != int32(gi)+1 {
+					at[d] = int32(gi) + 1
+					reads = append(reads, int(d))
 				}
 			}
 		}
-		if level[ci] > maxLevel {
-			maxLevel = level[ci]
-		}
+		groups[gi].Reads = reads[lo:len(reads):len(reads)]
+		sort.Ints(groups[gi].Reads)
 	}
-	s := &Stratification{Level: make(map[string]int, len(g.Preds)), Strata: make([][]string, maxLevel+1)}
-	for i, v := range g.nodes { // in name order, so each stratum comes out sorted
-		l := level[comp[v]]
-		s.Level[g.Preds[i]] = l
-		s.Strata[l] = append(s.Strata[l], g.Preds[i])
-	}
-	return s, nil
+	return groups
 }
 
-// RuleStratum returns the stratum a rule belongs to: the stratum of
-// its (single) head predicate.
-func (s *Stratification) RuleStratum(r ast.Rule) int {
-	for _, h := range r.Head {
-		if h.Kind == ast.LitAtom {
-			return s.Level[h.Atom.Pred]
+// Stratify returns the strata of the program, or an error naming a
+// negative edge inside a component when the program is not
+// stratifiable (e.g. the win program of Example 3.2).
+func Stratify(p *ast.Program) ([]Group, error) { return BuildGraph(p).Strata() }
+
+// Strata is Groups refusing a cyclic group: the strata, or the error
+// Stratify returns.
+func (g *Graph) Strata() ([]Group, error) {
+	groups := g.Groups()
+	for _, gr := range groups {
+		if gr.Cyclic {
+			e := g.NegativeCycle()[0]
+			return nil, fmt.Errorf("stratify: recursion through negation involving %s and %s", e.From, e.To)
 		}
 	}
-	return 0
+	return groups, nil
 }

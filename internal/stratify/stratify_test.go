@@ -1,6 +1,8 @@
 package stratify
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"unchained/internal/parser"
@@ -18,15 +20,27 @@ func TestStratifyTCAndComplement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Level["T"] >= s.Level["CT"] {
-		t.Fatalf("CT must live strictly above T: %v", s.Level)
+	if stratum(s, "T") >= stratum(s, "CT") {
+		t.Fatalf("CT must live strictly above T: %+v", s)
 	}
-	if s.Level["G"] != 0 {
+	if stratum(s, "G") != 0 {
 		t.Fatalf("EDB should be at stratum 0")
 	}
-	if got := s.RuleStratum(p.Rules[2]); got != s.Level["CT"] {
-		t.Fatalf("RuleStratum = %d", got)
+	if got := s[stratum(s, "CT")].Rules; len(got) != 1 || got[0] != 2 {
+		t.Fatalf("CT's stratum has rules %v, want [2]", got)
 	}
+}
+
+// stratum returns the index of the group holding pred, or -1.
+func stratum(groups []Group, pred string) int {
+	for i, g := range groups {
+		for _, p := range g.Preds {
+			if p == pred {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 func TestStratifyRejectsWin(t *testing.T) {
@@ -48,7 +62,7 @@ func TestStratifyMutualRecursionPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Level["Even"] != s.Level["Odd"] {
+	if stratum(s, "Even") != stratum(s, "Odd") {
 		t.Fatalf("mutually recursive preds must share a stratum")
 	}
 }
@@ -76,11 +90,11 @@ func TestStratifyChainOfNegations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(s.Level["A"] < s.Level["B"] && s.Level["B"] < s.Level["C"] && s.Level["C"] < s.Level["D"]) {
-		t.Fatalf("levels not strictly increasing: %v", s.Level)
+	if !(stratum(s, "A") < stratum(s, "B") && stratum(s, "B") < stratum(s, "C") && stratum(s, "C") < stratum(s, "D")) {
+		t.Fatalf("levels not strictly increasing: %+v", s)
 	}
-	if len(s.Strata) != s.Level["D"]+1 {
-		t.Fatalf("strata count %d vs max level %d", len(s.Strata), s.Level["D"])
+	if len(s) != stratum(s, "D")+1 {
+		t.Fatalf("strata count %d vs max level %d", len(s), stratum(s, "D"))
 	}
 }
 
@@ -89,6 +103,51 @@ func TestStratifyNegationUnderForall(t *testing.T) {
 	p := parser.MustParse(`A(X) :- forall Y (P(X), !A(Y)).`, u)
 	if _, err := Stratify(p); err == nil {
 		t.Fatalf("negative self-dependency under forall stratified")
+	}
+}
+
+// TestGroupsSplitOffNegativeCycles: the win component is a group of its
+// own, strictly above the closure it reads and strictly below what reads
+// it; a level's cyclic groups come before the rest of the level, so Iso
+// (level 1, beside Win) comes after Win and P/Q before the closure.
+func TestGroupsSplitOffNegativeCycles(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(`
+		T(X,Y) :- G(X,Y).
+		T(X,Y) :- G(X,Z), T(Z,Y).
+		Win(X) :- T(X,Y), !Win(Y).
+		Lose(X) :- N(X), !Win(X).
+		Reach(X) :- Lose(X).
+		Reach(Y) :- Reach(X), T(X,Y).
+		Iso(X) :- N(X), !T(X,X).
+		P :- !Q.
+		Q :- !P.
+	`, u)
+	type want struct {
+		preds  string
+		rules  []int
+		reads  []int
+		cyclic bool
+	}
+	wants := []want{
+		{"P Q", []int{7, 8}, nil, true},
+		{"G N T", []int{0, 1}, nil, false},
+		{"Win", []int{2}, []int{1}, true},
+		{"Iso", []int{6}, []int{1}, false},
+		{"Lose Reach", []int{3, 4, 5}, []int{1, 2}, false},
+	}
+	groups := BuildGraph(p).Groups()
+	if len(groups) != len(wants) {
+		t.Fatalf("%d groups, want %d: %+v", len(groups), len(wants), groups)
+	}
+	for i, w := range wants {
+		g := groups[i]
+		if strings.Join(g.Preds, " ") != w.preds || !slices.Equal(g.Rules, w.rules) || !slices.Equal(g.Reads, w.reads) || g.Cyclic != w.cyclic {
+			t.Errorf("group %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if _, err := Stratify(p); err == nil || !strings.Contains(err.Error(), "Win and Win") {
+		t.Fatalf("Stratify: %v, want the Win self-negation named", err)
 	}
 }
 

@@ -7,8 +7,8 @@
 //
 //	eval        one engine run (begin on Collector.Reset, end on the
 //	            first Summary call)
-//	stratum     one stratum of the stratified engine, or one Γ
-//	            application of the well-founded alternating fixpoint
+//	stratum     one stratum of the stratified engine, or one kernel
+//	            run over a group of the well-founded engine
 //	stage       one application of the immediate consequence operator
 //	            (one semi-naive round, one while iteration, ...)
 //	rule        one rule's enumeration within a stage (core engines)
@@ -90,10 +90,11 @@ type Event struct {
 	Kind string `json:"kind,omitempty"`
 	// Engine names the engine (eval spans).
 	Engine string `json:"engine,omitempty"`
-	// Name labels a stratum span: "stratum" for the stratified
-	// engine, "gamma" for a WFS Γ application.
+	// Name labels a stratum span: "stratum" for a stratum (and a
+	// well-founded group whose facts are all true or false), "gamma"
+	// for one side of a well-founded group with unknown facts.
 	Name string `json:"name,omitempty"`
-	// Stratum is the 1-based stratum / Γ-application number.
+	// Stratum is the 1-based stratum number / running gamma count.
 	Stratum int `json:"stratum,omitempty"`
 	// Stage is the 1-based stage number (monotonic per eval).
 	Stage int `json:"stage,omitempty"`

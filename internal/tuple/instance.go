@@ -128,6 +128,19 @@ func (in *Instance) Snapshot() *Instance {
 	return c
 }
 
+// Share replaces in's relations named names with copy-on-write
+// snapshots of src's (removing those src lacks): Snapshot, for a few
+// relations of an instance that already exists.
+func (in *Instance) Share(src *Instance, names []string) {
+	for _, n := range names {
+		if r := src.rels[n]; r != nil {
+			in.rels[n] = r.Snapshot()
+		} else {
+			delete(in.rels, n)
+		}
+	}
+}
+
 // Clone returns a copy of the instance with value semantics. Since
 // the COW rewrite it is an alias for Snapshot; use DeepClone for an
 // eager deep copy.
