@@ -60,9 +60,9 @@ bench-pair:
 	scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" $(PAIRS) $(SECONDS)
 
 # Every bench-pair run appends one line to BENCH_HISTORY.jsonl; this
-# prints, per workload and end-to-end metric, the best median ever
-# recorded against the latest, so slow drift shows against the best
-# number and not against the last commit.
+# prints each timing as a chained index of paired head/base ratios, one
+# row per PR along HEAD's lineage, and the latest allocation counts.
+# Milliseconds from different sessions are never compared.
 bench-history:
 	@scripts/bench-history.sh
 
@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/incr -run='^$$' -fuzz='^FuzzApply$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzInflationaryDelta$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/tuple -run='^$$' -fuzz='^FuzzSortedTuples$$' -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz='^FuzzOptimize$$' -fuzztime=$(FUZZTIME)
 
 # Total-coverage gate: fail if statement coverage across ./... drops

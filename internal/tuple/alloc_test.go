@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"runtime"
 	"testing"
 
 	"unchained/internal/value"
@@ -51,14 +52,28 @@ func TestInsertAllocatesOnlyGrowth(t *testing.T) {
 	}
 }
 
+// TestFormatAllocatesPerRelationNotPerFact: rendering 4 096 facts (56 234
+// bytes of output) took 56 mallocs and 656 032 bytes under the
+// comparison sort into a []Tuple and a doubling buffer. The counting
+// sort over row ids and the presized buffer must do with no more
+// mallocs and at most half the bytes.
 func TestFormatAllocatesPerRelationNotPerFact(t *testing.T) {
 	u := value.New()
 	in := NewInstance()
 	for i := 0; i < 4096; i++ {
 		in.Insert("Edge", Tuple{u.Sym(string(rune('a' + i%26))), u.Int(int64(i))})
 	}
-	got := testing.AllocsPerRun(10, func() { in.String(u) })
-	if per := got / float64(in.Facts()); per > 0.05 {
-		t.Errorf("Instance.String allocates %.3f times per fact, want <= 0.05", per)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		in.String(u)
+	}
+	runtime.ReadMemStats(&after)
+	mallocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("Instance.String: %.0f bytes in %.0f mallocs", bytes, mallocs)
+	if mallocs > 56 || bytes > 656_032/2 {
+		t.Errorf("Instance.String allocates %.0f bytes in %.0f mallocs, want <= %d bytes in <= 56", bytes, mallocs, 656_032/2)
 	}
 }

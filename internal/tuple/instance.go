@@ -278,22 +278,27 @@ func (in *Instance) Restrict(names []string, sch Schema) *Instance {
 
 // String renders the instance deterministically: relations sorted by
 // name, tuples sorted by value.Compare. The values of the whole
-// instance are ranked once and each relation is sorted by rank and
-// written straight into the output.
+// instance are ranked once, each relation's rows are sorted by rank,
+// and the rows are written straight from their ids into a buffer grown
+// once to the exact size of the output.
 func (in *Instance) String(u *value.Universe) string {
 	names := in.Names()
 	rels := make([]*Relation, len(names))
+	size := 0
 	for i, n := range names {
-		rels[i] = in.rels[n]
+		r := in.rels[n]
+		rels[i] = r
+		// Every row adds its name, "(", ")", ".\n" and its commas to
+		// the width of its values.
+		size += r.Len() * (len(n) + 4 + max(r.arity-1, 0))
 	}
 	rank := valueRanks(u, rels...)
 	var b strings.Builder
-	var ts []Tuple
+	b.Grow(size + rank.width)
 	var line []byte
 	for i, r := range rels {
-		ts = r.appendSorted(ts[:0], rank)
-		for _, t := range ts {
-			line = append(t.appendTo(append(line[:0], names[i]...), u), ".\n"...)
+		for _, row := range rank.sorted(r) {
+			line = append(r.data.at(int(row)).appendTo(append(line[:0], names[i]...), u), ".\n"...)
 			b.Write(line)
 		}
 	}

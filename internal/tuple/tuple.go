@@ -19,8 +19,8 @@
 package tuple
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -204,9 +204,8 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 // Tuples returns all tuples in unspecified order. The returned slice
 // is fresh but the tuples alias the relation's rows; callers must not
 // mutate them.
-func (r *Relation) Tuples() []Tuple { return r.appendTuples(make([]Tuple, 0, r.Len())) }
-
-func (r *Relation) appendTuples(dst []Tuple) []Tuple {
+func (r *Relation) Tuples() []Tuple {
+	dst := make([]Tuple, 0, r.Len())
 	r.Each(func(t Tuple) bool {
 		dst = append(dst, t)
 		return true
@@ -217,10 +216,18 @@ func (r *Relation) appendTuples(dst []Tuple) []Tuple {
 // ranks maps the values of some relations to their positions among the
 // distinct ones under Universe.Compare: a table indexed by value where
 // the ids run dense, a map where a few values sit in a large universe
-// (a table to the largest id would cost more than the sort it serves).
+// (zeroing a table to the largest id would cost more than the sort it
+// serves, which is linear in the cells). It also carries the scratch
+// that sorted reuses across those relations.
 type ranks struct {
 	dense  []uint32
 	sparse map[value.Value]uint32
+	n      int // distinct values ranked
+	width  int // rendered width of every live cell, summed
+	// ids and tmp hold a relation's row ids, and a counting pass
+	// scatters one into the other; count holds the pass's buckets.
+	ids, tmp []uint32
+	count    []uint32
 }
 
 func (k *ranks) of(v value.Value) uint32 {
@@ -238,9 +245,10 @@ func (k *ranks) set(v value.Value, rank uint32) {
 	}
 }
 
-// valueRanks ranks the distinct values of rels. Ordering tuples by rank
-// is ordering them by u.Compare column by column, at one Compare per
-// pair of distinct values instead of one per pair of tuples and column.
+// valueRanks ranks the distinct values of rels' live rows and totals
+// their rendered width. Ordering tuples by rank is ordering them by
+// u.Compare column by column, at one Compare per pair of distinct
+// values and none per pair of tuples.
 func valueRanks(u *value.Universe, rels ...*Relation) *ranks {
 	var top value.Value
 	cells := 0
@@ -256,44 +264,97 @@ func valueRanks(u *value.Universe, rels ...*Relation) *ranks {
 	} else {
 		k.sparse = make(map[value.Value]uint32)
 	}
+	// Until it is ranked, a value maps to the number of live cells
+	// holding it, so one name per distinct value gives the width.
 	var distinct []value.Value
 	for _, r := range rels {
 		r.Each(func(t Tuple) bool {
 			for _, v := range t {
-				if k.of(v) == 0 { // unseen: mark it until it is ranked
-					k.set(v, 1)
+				n := k.of(v)
+				if n == 0 {
 					distinct = append(distinct, v)
 				}
+				k.set(v, n+1)
 			}
 			return true
 		})
+	}
+	var name []byte
+	for _, v := range distinct {
+		name = u.AppendName(name[:0], v)
+		k.width += int(k.of(v)) * len(name)
 	}
 	slices.SortFunc(distinct, u.Compare)
 	for i, v := range distinct {
 		k.set(v, uint32(i))
 	}
+	k.n = len(distinct)
 	return k
 }
 
-// appendSorted appends r's tuples to dst in rank order.
-func (r *Relation) appendSorted(dst []Tuple, rank *ranks) []Tuple {
-	from := len(dst)
-	dst = r.appendTuples(dst)
-	slices.SortFunc(dst[from:], func(a, b Tuple) int {
-		for k, v := range a {
-			if c := cmp.Compare(rank.of(v), rank.of(b[k])); c != 0 {
-				return c
-			}
+// sorted returns the ids of r's live rows in rank order, column by
+// column: a radix sort over the ranks, last column first, one stable
+// counting pass per column. Where the ranks span far more buckets than
+// r has rows (a small relation of a large instance), a column takes a
+// few passes over digits of its ranks instead, so that no pass counts
+// into more than 256 buckets or four per row: a relation costs in
+// proportion to its own rows, not to the instance's distinct values.
+// The result aliases k's scratch and holds until the next call.
+func (k *ranks) sorted(r *Relation) []uint32 {
+	d, n := r.data, r.Len()
+	if cap(k.ids) < n {
+		k.ids, k.tmp = make([]uint32, n), make([]uint32, n)
+	}
+	ids, tmp := k.ids[:0], k.tmp[:n]
+	for row := 0; row < d.n; row++ {
+		if !d.isDead(row) {
+			ids = append(ids, uint32(row))
 		}
-		return 0
-	})
-	return dst
+	}
+	width := bits.Len(uint(max(k.n, 1) - 1))
+	passes := 1
+	if most := max(8, bits.Len(uint(n))+1); width > most {
+		passes = (width + most - 1) / most
+	}
+	digit := (width + passes - 1) / passes
+	buckets := 1 << digit
+	if passes == 1 {
+		buckets = k.n
+	}
+	if cap(k.count) < buckets {
+		k.count = make([]uint32, buckets)
+	}
+	count, mask := k.count[:buckets], uint32(1)<<digit-1
+	for c := d.arity - 1; c >= 0; c-- {
+		for shift := 0; shift < width; shift += digit {
+			clear(count)
+			for _, id := range ids {
+				count[k.of(d.vals[int(id)*d.arity+c])>>shift&mask]++
+			}
+			var sum uint32
+			for b, m := range count {
+				count[b], sum = sum, sum+m
+			}
+			for _, id := range ids {
+				b := k.of(d.vals[int(id)*d.arity+c]) >> shift & mask
+				tmp[count[b]] = id
+				count[b]++
+			}
+			ids, tmp = tmp, ids
+		}
+	}
+	return ids
 }
 
 // SortedTuples returns all tuples ordered by u.Compare column by
 // column, for deterministic output.
 func (r *Relation) SortedTuples(u *value.Universe) []Tuple {
-	return r.appendSorted(make([]Tuple, 0, r.Len()), valueRanks(u, r))
+	k := valueRanks(u, r)
+	out := make([]Tuple, 0, r.Len())
+	for _, row := range k.sorted(r) {
+		out = append(out, r.data.at(int(row)))
+	}
+	return out
 }
 
 // Clone returns a copy of the relation with value semantics. Since
