@@ -620,7 +620,7 @@ func BenchmarkInflationary(b *testing.B) {
 	}
 }
 
-// BenchmarkP7_Incremental measures DRed maintenance vs recompute —
+// BenchmarkP7_Incremental measures incremental maintenance vs recompute —
 // experiment P7.
 func BenchmarkP7_Incremental(b *testing.B) {
 	const n = 256

@@ -1,0 +1,426 @@
+package engine
+
+import (
+	"sync"
+
+	"unchained/internal/eval"
+	"unchained/internal/tuple"
+	"unchained/internal/value"
+)
+
+// BackwardForward is the deletion step of incremental maintenance for
+// one recursive layer of a materialized model: the Backward/Forward
+// algorithm of Motik, Nenov, Piro and Horrocks (AAAI 2015). Told which
+// facts of the layer a change below it may have invalidated, it deletes
+// from the state exactly the facts that lost their last proof. What the
+// change makes newly derivable is the caller's to insert afterwards.
+//
+// Nothing is deleted before it is checked backward. The head-pinned
+// plan enumerates the firings that derive the fact over the current
+// state, and the fact is proved when some firing's positive body facts
+// over the layer's own predicates are proved in turn. Those are checked
+// recursively, each fact at most once per Run. Lower layers are final,
+// so their facts and every negative literal read the state as it is.
+//
+// A fact whose check is still open is not proved, so no fact proves
+// itself around a cycle. "Unproved" is then not final while a check is
+// open: a fact proved later may complete a firing of a fact whose check
+// closed waiting on it. So a proof saturates: it is chained forward,
+// through the plans pinned at the proved fact, to every checked fact it
+// completes a proved firing for. Once a top-level check returns, each
+// firing of a checked fact left unproved has an unproved body fact:
+// they form an unfounded set, and none of them holds.
+//
+// A wave is one stage. It checks its candidates, deletes what stayed
+// unproved and gathers the next wave's candidates: the heads of firings
+// through a deleted fact, matched while the deleted facts are still in
+// the state. A wave's derived count is the number of facts it deletes,
+// and its delta is minus that.
+//
+// Every rule has one positive head atom. Run is called once per
+// maintained batch, one Run at a time.
+type BackwardForward struct {
+	// preds are the layer's predicates, the heads of the rules; plans and
+	// facts name them by index.
+	preds  []string
+	arity  []int
+	checks []bfPlan // the head-pinned plans, those with no literal over the layer first
+	// forward are the delta variants of the rules pinned at a positive
+	// literal over the layer.
+	forward []bfPlan
+	// runs holds the state of finished Runs, *bfRun, for the next to
+	// reuse the storage of: a pool, so that between batches the
+	// collector may still take it.
+	runs sync.Pool
+}
+
+// bfPlan is a plan with the positive body literals over the layer that
+// it does not pin.
+type bfPlan struct {
+	rule *eval.Rule
+	// pred is a check's head predicate and a forward plan's pinned one,
+	// head a forward plan's head predicate.
+	pred, head int
+	own        []int // body indexes
+	ownPred    []int
+	heads      func(eval.Binding) []eval.Fact // forward plans only
+}
+
+// NewBackwardForward returns the deletion step of the layer whose rules
+// are rules. heads[i] is rules[i] with its head atom appended to the
+// body and scheduled first: fired over one fact of the head predicate,
+// it enumerates the firings that derive it. The forward plans are
+// scheduled here, once.
+func NewBackwardForward(rules, heads []*eval.Rule) *BackwardForward {
+	bf := &BackwardForward{}
+	for _, r := range rules {
+		if h := r.Heads()[0]; bf.pred(h.Pred) < 0 {
+			bf.preds, bf.arity = append(bf.preds, h.Pred), append(bf.arity, len(h.Slots))
+		}
+	}
+	plan := func(r *eval.Rule, pred int) bfPlan {
+		p := bfPlan{rule: r, pred: pred, head: bf.pred(r.Heads()[0].Pred)}
+		for _, li := range r.PositiveBodyLits() {
+			if own := bf.pred(r.Src.Body[li].Atom.Pred); li != r.DeltaLit() && own >= 0 {
+				p.own, p.ownPred = append(p.own, li), append(p.ownPred, own)
+			}
+		}
+		return p
+	}
+	var recursive []bfPlan
+	for i, r := range rules {
+		if c := plan(heads[i], bf.pred(r.Heads()[0].Pred)); len(c.own) == 0 {
+			bf.checks = append(bf.checks, c)
+		} else {
+			recursive = append(recursive, c)
+		}
+		for _, li := range r.PositiveBodyLits() {
+			if pred := bf.pred(r.Src.Body[li].Atom.Pred); pred >= 0 {
+				f := plan(r.Delta(li), pred)
+				f.heads = f.rule.ScratchHeads()
+				bf.forward = append(bf.forward, f)
+			}
+		}
+	}
+	bf.checks = append(bf.checks, recursive...)
+	bf.runs.New = func() any {
+		r := &bfRun{BackwardForward: bf, rels: make([]bfRels, len(bf.preds))}
+		r.onCheck, r.onForward, r.onNext = r.checkFiring, r.forwardFiring, r.nextFiring
+		return r
+	}
+	return bf
+}
+
+// pred returns the index of a layer predicate, -1 for any other.
+func (bf *BackwardForward) pred(name string) int {
+	for i, p := range bf.preds {
+		if p == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Run deletes from state the layer's facts that lost their last proof
+// and returns them. seed enumerates the first wave's candidates through
+// emit, which passes over a fact the state lacks and reports false: a
+// candidate is no fact the stage adds. On a context interruption
+// between waves the facts deleted so far are returned with the typed
+// error.
+func (bf *BackwardForward) Run(opt *Options, state *tuple.Instance, seed func(emit func(eval.Fact) bool)) (*tuple.Instance, error) {
+	col := opt.Collector()
+	r := bf.runs.Get().(*bfRun)
+	defer bf.runs.Put(r)
+	r.open, r.waiting, r.firings = 0, 0, 0
+	for _, l := range []*factList{&r.pending, &r.queue, &r.cand, &r.wave} {
+		l.truncate(0)
+	}
+	r.from, r.need = r.from[:0], r.need[:0]
+	// A plan pinned at one fact keeps its literal-order schedule: the
+	// fact goes first and each join after it is the one with the most
+	// columns bound. Planning it afresh on every call would cost about as
+	// much as a check.
+	r.ctx = opt.EvalCtx(col, state, nil)
+	r.ctx.Buf, r.ctx.NoPlan = &r.buf, true
+	checked, proved := tuple.NewInstance(), tuple.NewInstance()
+	for i, name := range bf.preds {
+		r.rels[i] = bfRels{
+			state:   state.Ensure(name, bf.arity[i]),
+			checked: checked.Ensure(name, bf.arity[i]),
+			proved:  proved.Ensure(name, bf.arity[i]),
+		}
+	}
+	deleted := tuple.NewInstance()
+	_, err := opt.Loop(col, 0, nil, func(n int) (Outcome, error) {
+		if n == 1 {
+			seed(func(f eval.Fact) bool {
+				if p := bf.pred(f.Pred); p >= 0 && r.rels[p].state.Contains(f.Tuple) {
+					r.cand.push(p, f.Tuple)
+				}
+				return false
+			})
+		}
+		for i := range r.cand.at {
+			r.check(r.cand.fact(i))
+			r.open, r.waiting = 0, 0 // what the check left unproved is final
+		}
+		gone := tuple.NewInstance()
+		for i := range r.wave.at {
+			if p, t := r.wave.fact(i); !r.rels[p].proved.Contains(t) {
+				gone.Ensure(bf.preds[p], len(t)).Insert(t)
+			}
+		}
+		r.cand.truncate(0)
+		r.wave.truncate(0)
+		r.ctx.Delta = gone
+		for i := range r.forward {
+			if f := &r.forward[i]; gone.Relation(bf.preds[f.pred]) != nil {
+				r.fire(f, nil, r.onNext)
+			}
+		}
+		gone.EachRel(func(pred string, rel *tuple.Relation) {
+			st := state.Relation(pred)
+			rel.Each(func(t tuple.Tuple) bool {
+				st.Delete(t)
+				return true
+			})
+			deleted.Ensure(pred, rel.Arity()).UnionInPlace(rel)
+		})
+		k := gone.Facts()
+		col.Fired(-1, r.firings, uint64(k), 0)
+		r.firings = 0
+		if len(r.cand.at) == 0 {
+			return Outcome{Status: Last, Delta: -k}, nil
+		}
+		return Outcome{Delta: -k}, nil
+	})
+	r.ctx = nil
+	clear(r.rels) // the memo is the batch's
+	return deleted, err
+}
+
+// bfRun is the state of a Run. The memo (rels) is cleared when the Run
+// returns; the lists and buffers keep their storage for the next one
+// that takes it from the pool.
+type bfRun struct {
+	*BackwardForward
+	ctx  *eval.Ctx
+	rels []bfRels // per layer predicate
+	// open counts the facts the current top-level check has checked and
+	// not (yet) proved: while it is 0 no proof has anyone to saturate.
+	open int
+	// waiting counts the facts whose check closed unproved meanwhile.
+	waiting int
+	// cur is the plan being enumerated, found whether a check's firing
+	// proved it, firings the wave's tally.
+	cur     *bfPlan
+	found   bool
+	firings uint64
+	// pending holds the body facts the open checks recurse into, queue
+	// the proved facts saturation chains forward from, cand the wave's
+	// candidates and wave the facts it checked.
+	pending, queue, cand, wave factList
+	// from holds the index in need of each pending fact's firing; need
+	// holds per firing of an open check its body facts not proved.
+	from, need []int
+	// buf is the enumerations' buffer (eval.Ctx.Buf), scratch the body
+	// fact a saturation step tests.
+	buf, scratch []value.Value
+	// The enumeration callbacks, bound once per Run.
+	onCheck, onForward, onNext func(eval.Binding) bool
+}
+
+// bfRels are one layer predicate's relations in the state and in the
+// batch's memo: the facts checked and those proved.
+type bfRels struct {
+	state, checked, proved *tuple.Relation
+}
+
+// fire enumerates plan p pinned at fact t, or at ctx.Delta when t is
+// nil.
+func (r *bfRun) fire(p *bfPlan, t tuple.Tuple, emit func(eval.Binding) bool) {
+	r.cur = p
+	r.ctx.DeltaFact, r.ctx.DeltaLit = t, p.rule.DeltaLit()
+	p.rule.Enumerate(r.ctx, emit)
+}
+
+// check reports whether fact t of layer predicate p is proved, checking
+// it first if no check has. The firings found hold body facts no check
+// has seen yet; the check recurses into them until one of its firings
+// has all its body facts proved, or a proof below saturates up to it.
+func (r *bfRun) check(p int, t tuple.Tuple) bool {
+	rels := &r.rels[p]
+	if !rels.checked.Insert(t) {
+		return rels.proved.Contains(t)
+	}
+	r.wave.push(p, t)
+	r.open++
+	mark, fmark := len(r.pending.at), len(r.need)
+	r.found = false
+	for i := range r.checks {
+		if c := &r.checks[i]; c.pred == p && !r.found {
+			r.fire(c, t, r.onCheck)
+		}
+	}
+	// Only saturation proves t behind the loop's back, and it runs only
+	// while some fact waits.
+	proved := r.found
+	for i := mark; !proved && i < len(r.pending.at) && !(r.waiting > 0 && rels.proved.Contains(t)); i++ {
+		if r.check(r.pending.fact(i)) {
+			fi := r.from[i]
+			r.need[fi]--
+			proved = r.need[fi] == 0
+		}
+	}
+	r.pending.truncate(mark)
+	r.from, r.need = r.from[:mark], r.need[:fmark]
+	switch {
+	case rels.proved.Contains(t): // the last body fact's proof saturated up to t
+		return true
+	case proved:
+		r.prove(p, t)
+	default:
+		r.waiting++
+	}
+	return proved
+}
+
+// checkFiring is a check's enumeration callback. A firing whose body
+// facts over the layer are all proved proves the fact and ends the
+// enumeration. Otherwise the body facts no check has seen are queued
+// for the check to recurse into, and need counts the firing's unproved
+// body facts: the check re-tests it as they are proved. One already
+// checked and unproved is never taken off: only saturation completes
+// such a firing.
+func (r *bfRun) checkFiring(b eval.Binding) bool {
+	r.firings++
+	c, l := r.cur, &r.pending
+	fi, n := len(r.need), len(l.at)
+	need := 0
+	for i, li := range c.own {
+		lo := len(l.vals)
+		l.vals = c.rule.AppendBodyAtom(l.vals, b, li)
+		g, rels := tuple.Tuple(l.vals[lo:]), &r.rels[c.ownPred[i]]
+		switch {
+		case !rels.checked.Contains(g):
+			l.at = append(l.at, factAt{c.ownPred[i], lo, len(l.vals)})
+			r.from = append(r.from, fi)
+			need++
+		case rels.proved.Contains(g):
+			l.vals = l.vals[:lo]
+		default:
+			l.vals = l.vals[:lo]
+			need++
+		}
+	}
+	if need == 0 {
+		l.truncate(n)
+		r.from = r.from[:n]
+		r.found = true
+		return false
+	}
+	r.need = append(r.need, need)
+	return true
+}
+
+// prove records fact t of layer predicate p as proved. While a check of
+// the current top-level check is waiting, having closed unproved, the
+// proof saturates: every checked fact it completes a proved firing for
+// is proved in turn, for as long as some check is unresolved. Until
+// then a proof reaches the open checks above it through their need
+// counts.
+func (r *bfRun) prove(p int, t tuple.Tuple) {
+	r.rels[p].proved.Insert(t)
+	r.open--
+	if r.waiting == 0 {
+		return
+	}
+	r.queue.truncate(0)
+	r.queue.push(p, t)
+	for len(r.queue.at) > 0 && r.open > 0 {
+		gp, g := r.queue.pop()
+		for i := range r.forward {
+			if f := &r.forward[i]; f.pred == gp {
+				r.fire(f, g, r.onForward)
+			}
+		}
+	}
+}
+
+// forwardFiring is saturation's enumeration callback: a firing whose
+// body facts over the layer are all proved proves its head, when that
+// is a checked fact.
+func (r *bfRun) forwardFiring(b eval.Binding) bool {
+	r.firings++
+	f := r.cur
+	h, rels := f.heads(b)[0].Tuple, &r.rels[f.head]
+	if !rels.checked.Contains(h) || rels.proved.Contains(h) {
+		return true
+	}
+	for i, li := range f.own {
+		r.scratch = f.rule.AppendBodyAtom(r.scratch[:0], b, li)
+		if !r.rels[f.ownPred[i]].proved.Contains(r.scratch) {
+			return true
+		}
+	}
+	rels.proved.Insert(h)
+	r.open--
+	r.queue.push(f.head, h)
+	return r.open > 0
+}
+
+// nextFiring gathers the next wave's candidates: the heads of firings
+// through a deleted fact that are in the state and not checked.
+func (r *bfRun) nextFiring(b eval.Binding) bool {
+	r.firings++
+	f := r.cur
+	h, rels := f.heads(b)[0].Tuple, &r.rels[f.head]
+	if rels.state.Contains(h) && !rels.checked.Contains(h) {
+		r.cand.push(f.head, h)
+	}
+	return true
+}
+
+// factList is a list of facts of layer predicates whose values share
+// one buffer, so a fact costs no allocation of its own.
+type factList struct {
+	at   []factAt
+	vals []value.Value
+}
+
+// factAt is one fact of a factList: its predicate and value range.
+type factAt struct {
+	pred   int
+	lo, hi int
+}
+
+func (l *factList) push(pred int, t tuple.Tuple) {
+	lo := len(l.vals)
+	l.vals = append(l.vals, t...)
+	l.at = append(l.at, factAt{pred, lo, len(l.vals)})
+}
+
+// fact returns fact i. Its tuple aliases the buffer: it stays valid
+// while the list keeps fact i, even across pushes.
+func (l *factList) fact(i int) (int, tuple.Tuple) {
+	a := l.at[i]
+	return a.pred, l.vals[a.lo:a.hi:a.hi]
+}
+
+// pop removes the last fact and returns it. Its values stay in the
+// buffer until the next truncate.
+func (l *factList) pop() (int, tuple.Tuple) {
+	pred, t := l.fact(len(l.at) - 1)
+	l.at = l.at[:len(l.at)-1]
+	return pred, t
+}
+
+// truncate keeps the first n facts.
+func (l *factList) truncate(n int) {
+	if n < len(l.at) {
+		l.vals = l.vals[:l.at[n].lo]
+	} else if n == 0 {
+		l.vals = l.vals[:0]
+	}
+	l.at = l.at[:n]
+}

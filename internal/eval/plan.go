@@ -72,8 +72,12 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 }
 
 // ctxSize is the cardinality a positive body literal joins against:
-// the delta relation for the pinned delta literal, otherwise In.
+// the delta (one fact or a relation) for the pinned delta literal,
+// otherwise In.
 func ctxSize(ctx *Ctx, litIndex int, pred string) int {
+	if ctx.DeltaFact != nil && litIndex == ctx.DeltaLit {
+		return 1
+	}
 	src := ctx.In
 	if ctx.Delta != nil && litIndex == ctx.DeltaLit {
 		src = ctx.Delta

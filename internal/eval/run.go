@@ -27,20 +27,32 @@ type Ctx struct {
 	// with index DeltaLit (semi-naive evaluation).
 	Delta    *tuple.Instance
 	DeltaLit int
-	// Scan disables hash-index probes (full-scan matching), for the
-	// index-ablation benchmark.
-	Scan bool
+	// DeltaFact, if non-nil, is the one fact the literal with index
+	// DeltaLit matches, in place of Delta: a delta of a single fact,
+	// which needs no relation to hold it.
+	DeltaFact tuple.Tuple
+	// Buf, if non-nil, holds the binding and probe patterns of every
+	// Enumerate under this context, grown as needed, instead of a
+	// buffer allocated per call: for a caller that enumerates many
+	// times, one enumeration at a time.
+	Buf *[]value.Value
 	// Stats, if non-nil, receives an index-probe/full-scan count for
 	// every relation match. A nil collector costs one branch.
 	Stats *stats.Collector
+	// Plans, if non-nil, shares planner schedules across rule
+	// compilations (see PlanCache); nil uses a per-rule memo.
+	Plans *PlanCache
 
+	// The flags go last, side by side: engines allocate a Ctx per
+	// stage, and padding after each would take it up a size class.
+
+	// Scan disables hash-index probes (full-scan matching), for the
+	// index-ablation benchmark.
+	Scan bool
 	// NoPlan disables the cardinality planner: rules enumerate with
 	// their baseline literal-order schedule (the seed behavior, kept
 	// for oracle comparisons and ablation).
 	NoPlan bool
-	// Plans, if non-nil, shares planner schedules across rule
-	// compilations (see PlanCache); nil uses a per-rule memo.
-	Plans *PlanCache
 	// PlanTrace allows Enumerate to report the chosen plan through
 	// Stats. Engines set it only on single-goroutine evaluation paths
 	// (the collector's tracing state is not safe for concurrent
@@ -67,9 +79,19 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 		}
 	}
 	// The binding and every step's probe pattern or check tuple share
-	// one buffer: the whole enumeration allocates it and nothing else,
-	// however many valuations it visits.
-	buf := make([]value.Value, len(r.Vars)+len(steps)*r.width)
+	// one buffer: the whole enumeration allocates it (or reuses Buf)
+	// and nothing else, however many valuations it visits.
+	n := len(r.Vars) + len(steps)*r.width
+	var buf []value.Value
+	if ctx.Buf == nil {
+		buf = make([]value.Value, n)
+	} else {
+		if cap(*ctx.Buf) < n {
+			*ctx.Buf = make([]value.Value, n)
+		}
+		buf = (*ctx.Buf)[:n]
+		clear(buf[:len(r.Vars)])
+	}
 	f := frame{
 		ctx: ctx, steps: steps, tr: tr,
 		b: buf[:len(r.Vars):len(r.Vars)], scratch: buf[len(r.Vars):], width: r.width,
@@ -139,6 +161,41 @@ func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) 
 	}
 }
 
+// matchFact is step si's match against the one fact ctx.DeltaFact:
+// drainMatch over a relation holding just that fact.
+func (f *frame) matchFact(si int, emit func(Binding) bool) bool {
+	st, b, t := &f.steps[si], f.b, f.ctx.DeltaFact
+	if len(t) != st.arity {
+		return true
+	}
+	if st.mask != 0 {
+		pattern := f.ground(si, st.slots)
+		for pos, v := range t {
+			if st.mask&(1<<uint(pos)) != 0 && v != pattern[pos] {
+				return true
+			}
+		}
+	}
+	if f.tr != nil && f.tr.counts != nil {
+		f.tr.counts[si]++
+	}
+	for _, ab := range st.binds {
+		b[ab.varID] = t[ab.pos]
+	}
+	ok := true
+	for _, ac := range st.checks {
+		if t[ac.pos] != b[ac.varID] {
+			ok = false
+			break
+		}
+	}
+	done := !ok || f.run(si+1, emit)
+	for _, ab := range st.binds {
+		b[ab.varID] = value.None
+	}
+	return done
+}
+
 // probe positions it on rel.
 func (f *frame) probe(rel *tuple.Relation, mask uint32, pattern tuple.Tuple, it *tuple.Iterator) {
 	f.tr.probe(f.ctx.Scan)
@@ -156,6 +213,9 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 	ctx, b, st := f.ctx, f.b, &f.steps[si]
 	switch st.kind {
 	case stepMatch:
+		if ctx.DeltaFact != nil && st.litIndex == ctx.DeltaLit {
+			return f.matchFact(si, emit)
+		}
 		src := ctx.In
 		if ctx.Delta != nil && st.litIndex == ctx.DeltaLit {
 			src = ctx.Delta
@@ -422,6 +482,16 @@ func (r *Rule) GroundBodyAtom(b Binding, litIndex int) (Fact, bool) {
 	}
 	l := &r.lits[litIndex]
 	return Fact{Neg: l.neg, Pred: l.pred, Tuple: groundAtom(l, b)}, true
+}
+
+// AppendBodyAtom appends the arguments of the atom literal with index
+// litIndex under binding b to dst: GroundBodyAtom into storage the
+// caller reuses.
+func (r *Rule) AppendBodyAtom(dst []value.Value, b Binding, litIndex int) []value.Value {
+	for _, s := range r.lits[litIndex].slots {
+		dst = append(dst, slotVal(s, b))
+	}
+	return dst
 }
 
 // groundAtom materializes an atom literal under b into fresh storage.

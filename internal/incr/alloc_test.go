@@ -10,15 +10,15 @@ import (
 
 // Allocation pins of the maintainer, beside tuple's and eval's: a
 // batch allocates for the relations it grows and the support changes it
-// records, not per firing and not per over-deleted fact.
+// records, not per firing and not per checked fact.
 
-// TestApplyAllocations holds a batch on the benchmark's shape — 1 956
-// of T's 2 134 facts over-deleted, all but some fifty rederived — under
-// a ceiling with headroom. Rederiving fact by fact through a freshly
-// compiled probe rule took 57 673 allocations a batch; set-at-a-time
-// takes under 3 000.
+// TestApplyAllocations holds a batch on the benchmark's shape — some 135
+// of T's 2 134 facts deleted, 129 of them for good — under a ceiling 10 %
+// above the 2 268 it takes. Rederiving fact by fact through a freshly
+// compiled probe rule took 57 673 allocations a batch; delete–rederive,
+// set-at-a-time, some 2 700.
 func TestApplyAllocations(t *testing.T) {
-	v, ops := denseGraph(t, nil)
+	v, ops, _ := denseGraph(t, nil)
 	i := 0
 	perPair := testing.AllocsPerRun(len(ops)/2, func() {
 		for range 2 {
@@ -29,8 +29,8 @@ func TestApplyAllocations(t *testing.T) {
 			i++
 		}
 	})
-	if perBatch := perPair / 2; perBatch > 6000 {
-		t.Errorf("Apply allocates %.0f times per batch on the dense graph, want <= 6000", perBatch)
+	if perBatch := perPair / 2; perBatch > 2500 {
+		t.Errorf("Apply allocates %.0f times per batch on the dense graph, want <= 2500", perBatch)
 	}
 }
 

@@ -27,6 +27,13 @@ func FuzzApply(f *testing.F) {
 	// E(c0,c1), E(c1,c2), E(c0,c3), E(c3,c2) and F(c3,c3), then retract
 	// E(c1,c2) and F(c3,c3) — P(c0,c2) must come back through c3.
 	f.Add([]byte{8, 0, 0, 1, 0, 1, 2, 0, 0, 3, 0, 3, 2, 4, 3, 3, 3, 2, 1, 2, 6, 3, 3, 3})
+	// A cyclic and an acyclic proof: assert G(c0,c1), G(c1,c0) and
+	// G(c2,c0), then retract G(c0,c1) — T(c2,c0) stays, T(c2,c1) goes.
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 0, 2, 0, 3, 2, 0, 1, 3})
+	// Asserts restoring what the retract disproved: assert G(c0,c1) and
+	// G(c1,c2), then retract G(c1,c2) and assert G(c0,c3) and G(c3,c2)
+	// in one batch — T(c0,c2) is in neither half of the delta.
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 3, 2, 1, 2, 0, 0, 3, 0, 3, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

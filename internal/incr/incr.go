@@ -1,10 +1,21 @@
 // Package incr maintains materialized Datalog views under EDB
 // updates: batched asserts and retracts flow through the program's
 // SCC condensation layer by layer, with exact per-tuple support
-// counting on non-recursive layers and delete–rederive (DRed) on
+// counting on non-recursive layers and Backward/Forward deletion on
 // recursive ones. Stratified negation is supported: negated
 // predicates always live in strictly lower layers, so by the time a
 // layer is maintained its negative dependencies are final.
+//
+// Support counting is the counting semiring, exact only without
+// recursion: around a cycle a fact can count itself. A recursive layer
+// asks the Boolean question instead, before it deletes anything: is
+// there still a proof? Each fact a loss may have invalidated is checked
+// backward through the firings that derive it, a fact whose check is
+// still open counts as unproved (so a cycle cannot prove itself), and
+// every proof is chained forward to the checked facts waiting on it
+// (Motik's saturate step). Only the facts left unproved are deleted,
+// and their consequences are the next facts checked. The step is
+// engine.BackwardForward; insertion stays semi-naive.
 //
 // The paper's forward-chaining languages handle updates inside the
 // language (Datalog¬¬, Section 4.2); this package is the systems-side
@@ -69,8 +80,10 @@ type layer struct {
 	preds map[string]bool
 	rules []int // indexes into View.rules / View.variants
 	// counting layers (non-recursive) maintain exact per-tuple
-	// support counts; recursive layers run DRed.
+	// support counts; recursive layers delete with bf, their
+	// Backward/Forward step.
 	counting bool
+	bf       *engine.BackwardForward
 }
 
 // View is a materialized model of a stratified Datalog¬ program,
@@ -86,13 +99,13 @@ type View struct {
 	// negative literals are compiled from a polarity-flipped copy so a
 	// delta on the negated predicate can drive the join.
 	variants [][]deltaVariant
-	// rederive holds per-rule the plan DRed asks "which of these facts
-	// does the rule still derive?" with: the rule with its own head atom
-	// as one more body literal, pinned first. Driven by a set of facts of
-	// the head predicate it enumerates the ones with a firing; head
-	// constants and repeated head variables are checks of the pinned
-	// step like any other atom's. The atom goes last in the body, so the
-	// others keep the indexes plan lines name them by.
+	// rederive holds per-rule the plan a recursive layer's deletion step
+	// asks "does the rule still derive this fact?" with: the rule with
+	// its own head atom as one more body literal, pinned first. Driven by
+	// a fact of the head predicate it enumerates that fact's firings;
+	// head constants and repeated head variables are checks of the
+	// pinned step like any other atom's. The atom goes last in the body,
+	// so the others keep the indexes plan lines name them by.
 	rederive []*eval.Rule
 	idb      map[string]bool
 	state    *tuple.Instance // EDB ∪ derived IDB
@@ -294,6 +307,13 @@ func (v *View) buildLayers() {
 			continue
 		}
 		l.counting = !recursive
+		if recursive {
+			var rules, heads []*eval.Rule
+			for _, ri := range l.rules {
+				rules, heads = append(rules, v.rules[ri]), append(heads, v.rederive[ri])
+			}
+			l.bf = engine.NewBackwardForward(rules, heads)
+		}
 		v.layers = append(v.layers, l)
 	}
 }
@@ -399,11 +419,16 @@ func (v *View) Delete(pred string, t tuple.Tuple) (bool, error) {
 // Layers are maintained in dependency order. Non-recursive layers
 // adjust exact support counts from the lost and gained rule firings
 // (each changed firing attributed to its first changed body literal,
-// so multi-delta firings count exactly once). Recursive layers run
-// DRed: over-delete everything reachable from a deleted support, then
-// rederive the survivors set-at-a-time and propagate them, together
-// with the genuinely new facts, semi-naively.
+// so multi-delta firings count exactly once). Recursive layers delete
+// only the facts that lost their last proof (bfLayer), then insert
+// what the gains derive semi-naively.
 func (v *View) Apply(assert, retract []Fact) (*Delta, error) {
+	return v.apply(assert, retract, (*View).bfLayer)
+}
+
+// apply is Apply with the maintenance of a recursive layer passed in,
+// so the tests can hold it to the delete–rederive it replaced.
+func (v *View) apply(assert, retract []Fact, recursive func(v *View, l *layer, old *tuple.Instance, d *Delta) error) (*Delta, error) {
 	for _, f := range assert {
 		if v.idb[f.Pred] {
 			return nil, fmt.Errorf("incr: %s is intensional; only EDB updates are supported", f.Pred)
@@ -437,7 +462,7 @@ func (v *View) Apply(assert, retract []Fact) (*Delta, error) {
 		if l.counting {
 			err = v.countLayer(l, old, d)
 		} else {
-			err = v.dredLayer(l, old, d)
+			err = recursive(v, l, old, d)
 		}
 		if err != nil {
 			return d, err
@@ -569,34 +594,26 @@ func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
 	return moved
 }
 
-// dredLayer maintains a recursive layer with delete–rederive: one loop
-// of over-delete waves, then one semi-naive loop that puts back what
-// still has a derivation and adds what is new. The layer's share of the
-// net delta is what the two leave behind: an over-deleted fact that did
-// not come back was removed, an inserted fact that was not over-deleted
-// was added (propagate files it as it inserts it).
-func (v *View) dredLayer(l *layer, old *tuple.Instance, d *Delta) error {
-	over, err := v.overDelete(l, old, d)
+// bfLayer maintains a recursive layer: the layer's Backward/Forward
+// step deletes the facts a lower-layer (or EDB) loss took the last
+// proof of, then one semi-naive loop adds what the gains derive. The
+// candidates are the heads of the firings the losses may have
+// invalidated, matched against the pre-batch state, where those
+// firings lived. A deleted fact the gains derive again is put back by
+// the loop, and Delta.add cancels it against its removal.
+func (v *View) bfLayer(l *layer, old *tuple.Instance, d *Delta) error {
+	gone, err := l.bf.Run(v.opt, v.state, func(emit func(eval.Fact) bool) {
+		for _, ri := range l.rules {
+			v.fireVariants(l, ri, 1, d, false, old, nil, emit)
+		}
+	})
+	gone.EachRel(func(pred string, r *tuple.Relation) {
+		d.Removed.Ensure(pred, r.Arity()).UnionInPlace(r)
+	})
 	if err != nil {
 		return err
 	}
-	if err := v.propagate(l, over, d); err != nil {
-		return err
-	}
-	over.EachRel(func(pred string, r *tuple.Relation) {
-		st := v.state.Relation(pred)
-		var removed *tuple.Relation
-		r.Each(func(t tuple.Tuple) bool {
-			if !st.Contains(t) {
-				if removed == nil {
-					removed = d.Removed.Ensure(pred, r.Arity())
-				}
-				removed.Insert(t)
-			}
-			return true
-		})
-	})
-	return nil
+	return v.propagate(l, d)
 }
 
 // fireVariants runs rule ri's share of round n of a semi-naive loop over layer
@@ -621,63 +638,24 @@ func (v *View) fireVariants(l *layer, ri, n int, d *Delta, gain bool, in, round 
 	}
 }
 
-// overDelete is DRed's first phase. The first wave deletes the head of
-// every firing of the layer's rules that a lower-layer (or EDB) change
-// may have invalidated; the following waves delete transitively along
-// the layer's internal positive edges until a wave deletes nothing.
-// Matching runs against the pre-batch state: that is where the
-// invalidated derivations lived. It returns the deleted facts.
-func (v *View) overDelete(l *layer, old *tuple.Instance, d *Delta) (*tuple.Instance, error) {
-	over := tuple.NewInstance()
-	var round *tuple.Instance
-	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
-		next := tuple.NewInstance()
-		for _, ri := range l.rules {
-			pred, arity := v.head(ri)
-			st := v.state.Relation(pred)
-			if st == nil {
-				continue
-			}
-			nx, ov := next.Ensure(pred, arity), over.Ensure(pred, arity)
-			v.fireVariants(l, ri, n, d, false, old, round, func(f eval.Fact) bool {
-				if !st.Delete(f.Tuple) {
-					return false
-				}
-				nx.Insert(f.Tuple)
-				ov.Insert(f.Tuple)
-				return true
-			})
-		}
-		round = next
-		if round.Facts() == 0 {
-			return engine.Outcome{Status: engine.Last}, nil
-		}
-		return engine.Outcome{Delta: -round.Facts()}, nil
-	})
-	return over, err
-}
-
-// propagate is DRed's second phase: semi-naive insertion rounds within
-// the layer until a round adds nothing. The first round finds every
-// fact one firing away from the state the over-deletion left: the
-// over-deleted ones by firing each rule's rederive plan once over the
-// whole set, the new ones by firing the variants pinned at the batch's
-// lower-layer (or EDB) gains. That is complete because the surviving
-// state holds only true facts, so the least model above it is the new
-// model and whatever the first round misses needs a fact it found.
+// propagate is a recursive layer's insertion loop: semi-naive rounds
+// within the layer until a round adds nothing. The first round fires
+// the variants pinned at the batch's lower-layer (or EDB) gains. That
+// is complete because the deletion step left exactly the facts with a
+// proof that needs no gain, and a firing that needs none has a head
+// among them; whatever the first round misses needs a fact it found.
 // Negated literals read the current state, final for their (strictly
 // lower) layers. The driver polls the view's context between rounds;
 // on interruption the state holds the partially-propagated model and
 // callers surface the typed error so the view is known to be suspect.
-func (v *View) propagate(l *layer, over *tuple.Instance, d *Delta) error {
+func (v *View) propagate(l *layer, d *Delta) error {
 	var round *tuple.Instance
 	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
 		next := tuple.NewInstance()
 		for _, ri := range l.rules {
 			pred, arity := v.head(ri)
-			st, ov, nx := v.state.Relation(pred), over.Relation(pred), next.Ensure(pred, arity)
-			var added *tuple.Relation
-			emit := func(f eval.Fact) bool {
+			st, nx := v.state.Relation(pred), next.Ensure(pred, arity)
+			v.fireVariants(l, ri, n, d, true, v.state, round, func(f eval.Fact) bool {
 				if st == nil {
 					st = v.state.Ensure(pred, arity)
 				}
@@ -685,18 +663,9 @@ func (v *View) propagate(l *layer, over *tuple.Instance, d *Delta) error {
 					return false
 				}
 				nx.Insert(f.Tuple)
-				if ov == nil || !ov.Contains(f.Tuple) {
-					if added == nil {
-						added = d.Added.Ensure(pred, arity)
-					}
-					added.Insert(f.Tuple)
-				}
+				d.add(pred, f.Tuple)
 				return true
-			}
-			if n == 1 && ov != nil && ov.Len() > 0 {
-				v.rederive[ri].Fire(v.pinned(len(v.prog.Rules[ri].Body), v.state, over), -1, nil, emit)
-			}
-			v.fireVariants(l, ri, n, d, true, v.state, round, emit)
+			})
 		}
 		round = next
 		if round.Facts() == 0 {

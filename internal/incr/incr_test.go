@@ -89,9 +89,9 @@ func TestDeleteRederivesAlternatePaths(t *testing.T) {
 }
 
 func TestDeleteOnCycleRejectsSelfSupport(t *testing.T) {
-	// The classic DRed trap: on a cycle a->b->a, deleting a->b must
-	// also delete T(a,a) and T(b,b) even though they "support each
-	// other" — rederivation must not accept self-supporting loops.
+	// The classic trap: on a cycle a->b->a, deleting a->b must also
+	// delete T(a,a) and T(b,b) even though they "support each other" —
+	// a proof check must not accept self-supporting loops.
 	u := value.New()
 	p := parser.MustParse(queries.TC, u)
 	in := parser.MustParseFacts(`G(a,b). G(b,a).`, u)
@@ -136,7 +136,7 @@ func TestUpdateRejectsIDB(t *testing.T) {
 // TestRandomUpdateSequencesMatchRecompute is the decisive property
 // test: after arbitrary insert/delete sequences on random programs,
 // the incrementally maintained state equals a from-scratch
-// evaluation.
+// evaluation, and state and delta equal referenceDRed's.
 func TestRandomUpdateSequencesMatchRecompute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -166,16 +166,13 @@ func TestRandomUpdateSequencesMatchRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := referenceView(t, u, v)
 		for step := 0; step < 10; step++ {
-			tup := tuple.Tuple{consts[rng.Intn(5)], consts[rng.Intn(5)]}
+			f := []Fact{{Pred: "E", Tuple: tuple.Tuple{consts[rng.Intn(5)], consts[rng.Intn(5)]}}}
 			if rng.Intn(2) == 0 {
-				if _, err := v.Insert("E", tup); err != nil {
-					t.Fatal(err)
-				}
+				applyBoth(t, u, v, ref, f, nil)
 			} else {
-				if _, err := v.Delete("E", tup); err != nil {
-					t.Fatal(err)
-				}
+				applyBoth(t, u, v, ref, nil, f)
 			}
 			if !v.Instance().Equal(oracleRecompute(t, u, v)) {
 				t.Logf("seed %d step %d: state diverged\nstate:\n%s", seed, step, v.Instance().String(u))
@@ -222,11 +219,95 @@ func TestRederiveReadsFinalLowerLayer(t *testing.T) {
 	}
 }
 
-// TestDRedStagesFollowDepthNotFacts: a recursive layer runs one loop of
-// over-delete waves and one semi-naive loop per batch, so a batch costs
+// TestDeleteKeepsAcyclicProof: facts with one proof around a cycle and
+// one off it. Retracting G(a,b) from G(a,b). G(b,a). G(c,a). breaks the
+// cycle: T(c,a) keeps its proof by G(c,a), and T(c,b), whose one proof
+// went through T(a,b), goes with it.
+//
+// In the second graph T(a,d) has proofs through b, c and e, and T(b,d)
+// has one, through T(a,d). Retracting G(e,d) deletes T(e,d) and makes
+// T(a,d) a candidate. When its check reaches T(b,d) before T(c,d),
+// T(b,d) closes unproved, its one firing waiting on T(a,d), whose check
+// is still open; T(c,d) is then proved by G(c,d), and the saturate step
+// must carry that proof forward to T(a,d) and from there to T(b,d). The
+// graph is built in both orders, so that whichever way the firings are
+// enumerated one of them takes that path.
+func TestDeleteKeepsAcyclicProof(t *testing.T) {
+	for _, c := range []struct{ edges, retract string }{
+		{`G(a,b). G(b,a). G(c,a).`, `G(a,b)`},
+		{`G(a,b). G(a,c). G(b,a). G(c,d). G(a,e). G(e,d).`, `G(e,d)`},
+		{`G(a,c). G(a,b). G(b,a). G(c,d). G(a,e). G(e,d).`, `G(e,d)`},
+	} {
+		u := value.New()
+		p := parser.MustParse(queries.TC, u)
+		v, err := Materialize(p, parser.MustParseFacts(c.edges, u), u, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := referenceView(t, u, v)
+		r := parser.MustParseFacts(c.retract+".", u).Relation("G").Tuples()[0]
+		applyBoth(t, u, v, ref, nil, []Fact{{Pred: "G", Tuple: r}})
+		if got, want := v.Instance().String(u), oracleRecompute(t, u, v).String(u); got != want {
+			t.Fatalf("%s retract %s: view differs from recompute\ngot:\n%swant:\n%s", c.edges, c.retract, got, want)
+		}
+	}
+}
+
+// TestBatchRestoresDisprovedFact: in one batch the retract of G(b,c)
+// takes T(a,c)'s only proof and the asserts of G(a,x) and G(x,c) give it
+// a new one, through T(x,c), a fact only the insertion loop derives. The
+// deletion step deletes T(a,c) and the insertion loop puts it back: it
+// is in neither half of the net delta.
+func TestBatchRestoresDisprovedFact(t *testing.T) {
+	u := value.New()
+	v, err := Materialize(parser.MustParse(queries.TC, u), parser.MustParseFacts(`G(a,b). G(b,c).`, u), u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceView(t, u, v)
+	g := func(x, y string) Fact { return Fact{Pred: "G", Tuple: tuple.Tuple{u.Sym(x), u.Sym(y)}} }
+	d := applyBoth(t, u, v, ref, []Fact{g("a", "x"), g("x", "c")}, []Fact{g("b", "c")})
+	ac := tuple.Tuple{u.Sym("a"), u.Sym("c")}
+	if !v.Has("T", ac) || d.Added.Has("T", ac) || d.Removed.Has("T", ac) {
+		t.Fatalf("T(a,c) should hold and be in neither half of the delta\nadded:\n%sremoved:\n%s", d.Added.String(u), d.Removed.String(u))
+	}
+	if !v.Instance().Equal(oracleRecompute(t, u, v)) {
+		t.Fatal("incremental state differs from recompute")
+	}
+}
+
+// TestDeleteReadsClosedGuard is TestRederiveReadsFinalLowerLayer with
+// the guard closing: one batch takes away P(a,d)'s support through b
+// and closes the guard on its way through c. The check runs after the
+// lower layer is maintained, so it must see Closed(c) and find no proof.
+func TestDeleteReadsClosedGuard(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(`
+		Closed(X) :- F(X,X).
+		P(X,Y)    :- E(X,Y).
+		P(X,Y)    :- P(X,Z), E(Z,Y), !Closed(Z).
+	`, u)
+	// P(a,d) holds through b and through c.
+	v, err := Materialize(p, parser.MustParseFacts(`E(a,b). E(b,d). E(a,c). E(c,d).`, u), u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceView(t, u, v)
+	fact := func(pred, x, y string) Fact { return Fact{Pred: pred, Tuple: tuple.Tuple{u.Sym(x), u.Sym(y)}} }
+	d := applyBoth(t, u, v, ref, []Fact{fact("F", "c", "c")}, []Fact{fact("E", "b", "d")})
+	if v.Has("P", fact("P", "a", "d").Tuple) || !d.Removed.Has("P", fact("P", "a", "d").Tuple) {
+		t.Fatalf("P(a,d) survived: the check read the guard as it was before the batch\nremoved:\n%s", d.Removed.String(u))
+	}
+	if !v.Instance().Equal(oracleRecompute(t, u, v)) {
+		t.Fatal("incremental state differs from recompute")
+	}
+}
+
+// TestDeletionStagesFollowDepthNotFacts: a recursive layer runs one loop
+// of deletion waves and one semi-naive loop per batch, so a batch costs
 // a number of stages set by how far its changes propagate, however many
-// facts are rederived on the way.
-func TestDRedStagesFollowDepthNotFacts(t *testing.T) {
+// facts are checked on the way.
+func TestDeletionStagesFollowDepthNotFacts(t *testing.T) {
 	stagesOf := func(v *View, assert, retract []Fact) int {
 		t.Helper()
 		before := v.Stats.Summary().Stages
@@ -237,10 +318,13 @@ func TestDRedStagesFollowDepthNotFacts(t *testing.T) {
 	}
 
 	// The self-supporting cycle, its support retracted and asserted
-	// again. Retracting G(a,b): waves {T(a,b), T(a,a)}, {T(b,b), T(b,a)}
-	// and an empty one; then T(b,a) rederived, and a round that adds
-	// nothing to it. Asserting it again: a wave with nothing to delete;
-	// then {T(a,b), T(a,a)}, {T(b,b)} and an empty round.
+	// again. Retracting G(a,b): a wave checks T(a,b) and T(a,a), the heads
+	// of the firings through G(a,b), finds no firing of either and
+	// deletes both; a wave checks T(b,b) and T(b,a), the heads of the
+	// firings through those, proves T(b,a) by G(b,a) and deletes T(b,b),
+	// through which nothing fires; then a round with no gain to fire.
+	// Asserting it again: a wave with nothing to check; then rounds adding
+	// {T(a,b), T(a,a)}, {T(b,b)} and nothing.
 	u := value.New()
 	v, err := Materialize(parser.MustParse(queries.TC, u), parser.MustParseFacts(`G(a,b). G(b,a).`, u), u,
 		&engine.Options{Stats: stats.New()})
@@ -248,8 +332,8 @@ func TestDRedStagesFollowDepthNotFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ab := []Fact{{Pred: "G", Tuple: tuple.Tuple{u.Sym("a"), u.Sym("b")}}}
-	if n := stagesOf(v, nil, ab); n != 3+2 {
-		t.Errorf("retracting the cycle's support took %d stages, want 3 waves + 2 rounds", n)
+	if n := stagesOf(v, nil, ab); n != 2+1 {
+		t.Errorf("retracting the cycle's support took %d stages, want 2 waves + 1 round", n)
 	}
 	if n := stagesOf(v, ab, nil); n != 1+3 {
 		t.Errorf("asserting it again took %d stages, want 1 wave + 3 rounds", n)
@@ -258,13 +342,37 @@ func TestDRedStagesFollowDepthNotFacts(t *testing.T) {
 		t.Fatal("incremental state differs from recompute")
 	}
 
-	// The dense graph: some 1 900 facts rederived per batch. Waves and
-	// rounds each end one past the longest chain of firings, which no
-	// shortest path over 60 nodes exceeds; Unreach above is one stage.
-	dense, ops := denseGraph(t, &engine.Options{Stats: stats.New()})
+	// The dense graph. Waves and rounds each end one past the longest
+	// chain of firings, which no shortest path over 60 nodes exceeds;
+	// Unreach above is one stage.
+	dense, ops, _ := denseGraph(t, &engine.Options{Stats: stats.New()})
 	for i, op := range ops {
 		if n := stagesOf(dense, op[0], op[1]); n > 2*(60+1)+1 {
 			t.Errorf("batch %d took %d stages", i, n)
 		}
+	}
+}
+
+// TestDeletesWhatLeaves: on the dense graph a batch deletes from T about
+// what leaves the model, and the view moves in step with referenceDRed.
+// Delete–rederive deleted 1 956 of T's 2 134 facts a batch there, to
+// remove 129.
+func TestDeletesWhatLeaves(t *testing.T) {
+	col := stats.New()
+	v, ops, u := denseGraph(t, &engine.Options{Stats: col})
+	ref := referenceView(t, u, v)
+	deletions(col)
+	deleted, removed := 0, 0
+	for _, op := range ops {
+		d := applyBoth(t, u, v, ref, op[0], op[1])
+		deleted += deletions(col)
+		if r := d.Removed.Relation("T"); r != nil {
+			removed += r.Len()
+		}
+	}
+	n := float64(len(ops))
+	t.Logf("per batch: %.1f facts deleted from T, %.1f removed", float64(deleted)/n, float64(removed)/n)
+	if deleted > 2*removed {
+		t.Errorf("deleted %d facts from T over %d batches to remove %d, want at most twice that", deleted, len(ops), removed)
 	}
 }

@@ -18,9 +18,11 @@ import (
 // The corpus oracle: for every program below, any interleaving of
 // assert/retract batches must leave the maintained view byte-identical
 // (Instance().String) to a from-scratch stratified evaluation of the
-// post-batch EDB. The corpus deliberately spans both maintenance
-// regimes — exact support counting on the non-recursive layers and
-// DRed on the recursive ones — and their interaction across strata.
+// post-batch EDB, and its state and delta byte-identical to those of a
+// view maintained by referenceDRed. The corpus deliberately spans both
+// maintenance regimes — exact support counting on the non-recursive
+// layers and Backward/Forward deletion on the recursive ones — and their
+// interaction across strata.
 
 type oracleProgram struct {
 	name string
@@ -31,7 +33,7 @@ type oracleProgram struct {
 
 var oracleCorpus = []oracleProgram{
 	{
-		// Pure recursion: one DRed layer.
+		// Pure recursion: one recursive layer.
 		name: "tc",
 		text: queries.TC,
 		edb:  map[string]int{"G": 2},
@@ -62,9 +64,9 @@ var oracleCorpus = []oracleProgram{
 	},
 	{
 		// Negation over a recursive stratum: the safe complement of
-		// transitive closure (CT restricted to known nodes). DRed
+		// transitive closure (CT restricted to known nodes). B/F
 		// maintains T; counting maintains Node and NT on top, driven
-		// by the deltas DRed emits.
+		// by the deltas T's layer emits.
 		name: "neg-over-recursion",
 		text: `
 			Node(X)  :- E(X,Y).
@@ -77,7 +79,7 @@ var oracleCorpus = []oracleProgram{
 	},
 	{
 		// Negation feeding recursion: a counting layer's deltas seed
-		// over-deletion and insertion inside a DRed layer.
+		// deletion and insertion inside a recursive layer.
 		name: "neg-into-recursion",
 		text: `
 			Bad(X) :- F(X,X).
@@ -100,7 +102,7 @@ var oracleCorpus = []oracleProgram{
 	},
 	{
 		// Constants in the heads of a recursive layer: the rederive
-		// plan, pinned at the head atom, must pass over the over-deleted
+		// plan, pinned at the head atom, must pass over the checked
 		// facts the constant does not match. (c0 is in the batches'
 		// constant pool.)
 		name: "head-constant",
@@ -125,8 +127,8 @@ var oracleCorpus = []oracleProgram{
 	{
 		// A negated lower-layer guard inside the recursive rule: a
 		// batch can flip a guard and move a positive support at once,
-		// and rederivation must read the lower layer as the batch left
-		// it.
+		// and a deletion check must read the lower layer as the batch
+		// left it.
 		name: "neg-guard-in-recursion",
 		text: `
 			Closed(X) :- F(X,X).
@@ -172,6 +174,47 @@ func oracleRecompute(t testing.TB, u *value.Universe, v *View) *tuple.Instance {
 		t.Fatal(err)
 	}
 	return res.Out
+}
+
+// referenceView materializes v's program over v's current EDB: a
+// second view, for applyBoth to maintain with referenceDRed.
+func referenceView(t testing.TB, u *value.Universe, v *View) *View {
+	t.Helper()
+	edb := tuple.NewInstance()
+	v.Instance().EachRel(func(name string, r *tuple.Relation) {
+		if !v.idb[name] {
+			edb.Ensure(name, r.Arity()).UnionInPlace(r)
+		}
+	})
+	ref, err := Materialize(v.prog, edb, u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// applyBoth applies one batch to v and, with referenceDRed maintaining
+// its recursive layers, to ref, and fails unless the two states and the
+// two deltas format identically. It returns v's delta.
+func applyBoth(t testing.TB, u *value.Universe, v, ref *View, assert, retract []Fact) *Delta {
+	t.Helper()
+	d, err := v.Apply(assert, retract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.apply(assert, retract, referenceDRed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what      string
+		got, want *tuple.Instance
+	}{{"state", v.Instance(), ref.Instance()}, {"added", d.Added, want.Added}, {"removed", d.Removed, want.Removed}} {
+		if got, want := c.got.String(u), c.want.String(u); got != want {
+			t.Fatalf("%s differs from referenceDRed's\nassert: %v\nretract: %v\ngot:\n%swant:\n%s", c.what, assert, retract, got, want)
+		}
+	}
+	return d
 }
 
 // randomBatch draws a batch of 0–3 asserts and 0–3 retracts over the
@@ -227,13 +270,11 @@ func TestBatchOracleCorpus(t *testing.T) {
 				if got, want := v.Instance().String(u), oracleRecompute(t, u, v).String(u); got != want {
 					t.Fatalf("seed %d: materialization differs from recompute:\ngot:\n%swant:\n%s", seed, got, want)
 				}
+				ref := referenceView(t, u, v)
 				for step := 0; step < steps; step++ {
 					before := v.Snapshot()
 					assert, retract := randomBatch(rng, prog, consts)
-					d, err := v.Apply(assert, retract)
-					if err != nil {
-						t.Fatalf("seed %d step %d: %v", seed, step, err)
-					}
+					d := applyBoth(t, u, v, ref, assert, retract)
 					got := v.Instance().String(u)
 					want := oracleRecompute(t, u, v).String(u)
 					if got != want {

@@ -9,11 +9,13 @@ import (
 	"unchained/internal/gen"
 	"unchained/internal/parser"
 	"unchained/internal/queries"
+	"unchained/internal/stats"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
 
-// BenchmarkDeleteChainEnd profiles the DRed delete path.
+// BenchmarkDeleteChainEnd cuts the last edge of a chain: every candidate
+// is unprovable, so each is checked once and deleted.
 func BenchmarkDeleteChainEnd(b *testing.B) {
 	const n = 512
 	for i := 0; i < b.N; i++ {
@@ -32,7 +34,8 @@ func BenchmarkDeleteChainEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkDeleteTreeLeaf profiles the favorable DRed case.
+// BenchmarkDeleteTreeLeaf cuts a leaf off a binary tree: the few facts
+// that reach the leaf are all there is to check.
 func BenchmarkDeleteTreeLeaf(b *testing.B) {
 	const depth = 12
 	for i := 0; i < b.N; i++ {
@@ -60,7 +63,7 @@ func BenchmarkDeleteTreeLeaf(b *testing.B) {
 // retract four edges and assert four new ones. The second batch of a
 // pair undoes the first, so the list can be cycled. The rng calls
 // follow the benchmark's, which makes the batches its batches.
-func denseGraph(tb testing.TB, opt *engine.Options) (*View, [][2][]Fact) {
+func denseGraph(tb testing.TB, opt *engine.Options) (*View, [][2][]Fact, *value.Universe) {
 	tb.Helper()
 	const nodes, edges, batch, pairs = 60, 120, 4, 16
 	shape := rand.New(rand.NewSource(20210620))
@@ -102,14 +105,31 @@ func denseGraph(tb testing.TB, opt *engine.Options) (*View, [][2][]Fact) {
 		}
 		ops = append(ops, [2][]Fact{assert, retract}, [2][]Fact{retract, assert})
 	}
-	return v, ops
+	return v, ops, u
+}
+
+// deletions returns how many facts the deletion waves recorded in col
+// since its last reset deleted — the derived count of every stage whose
+// delta is negative — and resets it.
+func deletions(col *stats.Collector) int {
+	n := 0
+	for _, st := range col.Summary().PerStage {
+		if st.Delta < 0 {
+			n += int(st.Derived)
+		}
+	}
+	col.Reset("incr", nil)
+	return n
 }
 
 // BenchmarkApplyDenseGraph is the regime the chain-end and tree-leaf
-// cases leave out: every batch over-deletes most of the closure and
-// nearly all of it comes back.
+// cases leave out: most of the closure is reachable from every batch's
+// retracts, and little of it loses its last proof. delta/op is the net
+// change; deleted/op the facts the deletion waves delete, read off the
+// stage summaries of a second view that runs the op cycle once with a
+// collector (which the timed view goes without, as the daemon's do).
 func BenchmarkApplyDenseGraph(b *testing.B) {
-	v, ops := denseGraph(b, nil)
+	v, ops, _ := denseGraph(b, nil)
 	delta := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -121,5 +141,17 @@ func BenchmarkApplyDenseGraph(b *testing.B) {
 		}
 		delta += d.Added.Facts() + d.Removed.Facts()
 	}
+	b.StopTimer()
+	col := stats.New()
+	counted, ops, _ := denseGraph(b, &engine.Options{Stats: col})
+	deletions(col)
+	deleted := 0
+	for _, op := range ops {
+		if _, err := counted.Apply(op[0], op[1]); err != nil {
+			b.Fatal(err)
+		}
+		deleted += deletions(col)
+	}
 	b.ReportMetric(float64(delta)/float64(b.N), "delta/op")
+	b.ReportMetric(float64(deleted)/float64(len(ops)), "deleted/op")
 }

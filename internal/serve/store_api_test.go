@@ -144,7 +144,7 @@ func TestSubscribeLifecycle(t *testing.T) {
 	}
 
 	// Retract it again: the compensating delta removes exactly what the
-	// assert added (DRed over-deletes T(a,c) and finds no rederivation).
+	// assert added (T(a,c) is checked and has no proof left).
 	postFacts(t, ts.URL, FactsRequest{DB: "life", Retract: "G(b,c)."})
 	event, ev, _ = sub.next(t)
 	if event != "delta" || ev.Seq != 3 {

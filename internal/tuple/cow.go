@@ -165,32 +165,43 @@ func (r *Relation) Snapshot() *Relation {
 // called before any in-place mutation while r is shared. Rows,
 // tombstones and tables are copied slice by slice (row ids, and with
 // them every slot and block, stay what they were) and every warm index
-// is carried across.
-func (r *Relation) promote() {
+// is carried across. When more than an eighth of the rows are deleted
+// the copy is a repack instead, and promote reports that the row ids
+// changed: a relation forked before every batch of a few deletes (a
+// maintained view) would otherwise carry its tombstones until they
+// outnumber the live rows.
+func (r *Relation) promote() (repacked bool) {
 	if !r.shared.Load() {
-		return
+		return false
 	}
 	d := r.data
-	nd := &relData{
-		gen: d.gen + 1, rows: rows{cloneRoom(d.vals, r.arity), r.arity}, n: d.n,
-		dead: slices.Clone(d.dead), ndead: d.ndead, member: d.member.clone(),
-	}
-	for _, ixs := range [][]*table{d.indexes, r.own} {
-		for _, ix := range ixs {
-			c := ix.clone()
-			nd.indexes = append(nd.indexes, &c)
+	if repacked = d.ndead >= 32 && d.ndead > d.n/8; repacked {
+		r.repack()
+		r.data.gen = d.gen + 1
+	} else {
+		nd := &relData{
+			gen: d.gen + 1, rows: rows{cloneRoom(d.vals, r.arity), r.arity}, n: d.n,
+			dead: slices.Clone(d.dead), ndead: d.ndead, member: d.member.clone(),
 		}
+		for _, ixs := range [][]*table{d.indexes, r.own} {
+			for _, ix := range ixs {
+				c := ix.clone()
+				nd.indexes = append(nd.indexes, &c)
+			}
+		}
+		r.data, r.own = nd, nil
 	}
-	r.data, r.own = nd, nil
 	r.shared.Store(false)
-	r.cow.addPromotion(r.Len(), len(nd.indexes))
+	r.cow.addPromotion(r.Len(), len(r.data.indexes))
+	return repacked
 }
 
 // repack moves the live rows into fresh storage with the same indexes
-// rebuilt over them, dropping the deleted rows. Delete calls it once
-// they outnumber the live ones, which keeps storage, tables and blocks
-// proportional to the live set at amortized constant cost per delete.
-// The old arrays are left as they are for whoever still reads them.
+// (the shared payload's and the private overlay's) rebuilt over them,
+// dropping the deleted rows. Delete calls it once they outnumber the
+// live ones, which keeps storage, tables and blocks proportional to the
+// live set at amortized constant cost per delete. The old arrays are
+// left as they are for whoever still reads them.
 func (r *Relation) repack() {
 	d := r.data
 	nd := &relData{gen: d.gen, rows: rows{make([]value.Value, 0, r.Len()*r.arity), r.arity}}
@@ -203,10 +214,12 @@ func (r *Relation) repack() {
 			nd.n++
 		}
 	}
-	for _, ix := range d.indexes {
-		nd.indexes = append(nd.indexes, newIndex(ix.mask, nd.rows, nd.n))
+	for _, ixs := range [][]*table{d.indexes, r.own} {
+		for _, ix := range ixs {
+			nd.indexes = append(nd.indexes, newIndex(ix.mask, nd.rows, nd.n))
+		}
 	}
-	r.data = nd
+	r.data, r.own = nd, nil
 }
 
 // DeepClone returns an eager deep copy of the relation: fresh rows and

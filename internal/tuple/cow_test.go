@@ -152,6 +152,73 @@ func TestPromoteCarriesIndexesSafely(t *testing.T) {
 	}
 }
 
+// TestPromoteRepacksTombstones: a relation forked with more than an
+// eighth of its rows deleted is re-packed by the write that promotes
+// it. The row the write looked up before the promote has moved, so an
+// insert and a delete must find theirs again, and every index (the
+// shared payload's and the private overlay's) must answer over the new
+// rows while the parent keeps its own.
+func TestPromoteRepacksTombstones(t *testing.T) {
+	u := value.New()
+	r := NewRelation(2)
+	for i := 0; i < 200; i++ {
+		r.Insert(tup(u.Int(int64(i%4)), u.Int(int64(i))))
+	}
+	_ = probe(r, 1, tup(u.Int(0), value.None)) // warm, in the payload
+	for i := 0; i < 40; i++ {
+		r.Delete(tup(u.Int(int64(i%4)), u.Int(int64(i))))
+	}
+	for _, write := range []struct {
+		name   string
+		insert bool
+		t      Tuple
+	}{
+		{"insert revives", true, tup(u.Int(0), u.Int(0))},
+		{"insert new", true, tup(u.Int(0), u.Int(999))},
+		{"delete", false, tup(u.Int(0), u.Int(100))},
+	} {
+		s := r.Snapshot()
+		_ = probe(s, 2, tup(value.None, u.Int(150))) // warm, in the overlay
+		if write.insert && !s.Insert(write.t) || !write.insert && !s.Delete(write.t) {
+			t.Fatalf("%s: the write after the promote missed its tuple", write.name)
+		}
+		// Re-packed: the 160 live rows, then the write's row or tombstone.
+		if s.data.n > 161 || s.data.ndead > 1 {
+			t.Fatalf("%s: %d rows, %d dead: want a re-pack", write.name, s.data.n, s.data.ndead)
+		}
+		if indexOn(s.data.indexes, 1) == nil || indexOn(s.data.indexes, 2) == nil || s.own != nil {
+			t.Fatalf("%s: the re-pack dropped an index", write.name)
+		}
+		want, zeros := NewRelation(2), 0
+		for i := 40; i < 200; i++ {
+			want.Insert(tup(u.Int(int64(i%4)), u.Int(int64(i))))
+		}
+		if write.insert {
+			want.Insert(write.t)
+		} else {
+			want.Delete(write.t)
+		}
+		want.Each(func(t Tuple) bool {
+			if t[0] == u.Int(0) {
+				zeros++
+			}
+			return true
+		})
+		if !s.Equal(want) {
+			t.Fatalf("%s: the fork does not hold the parent's facts with the write applied", write.name)
+		}
+		if got := len(probe(s, 1, tup(u.Int(0), value.None))); got != zeros {
+			t.Fatalf("%s: re-packed probe on column 0: %d, want %d", write.name, got, zeros)
+		}
+		if got := len(probe(s, 2, tup(value.None, u.Int(150)))); got != 1 {
+			t.Fatalf("%s: re-packed probe on column 1: %d, want 1", write.name, got)
+		}
+		if r.Len() != 160 || len(probe(r, 1, tup(u.Int(0), value.None))) != 40 {
+			t.Fatalf("%s: the parent moved: %d live", write.name, r.Len())
+		}
+	}
+}
+
 func TestEqualFastPathSharedData(t *testing.T) {
 	in, _ := buildInstance(t, 3, 100)
 	snap := in.Snapshot()

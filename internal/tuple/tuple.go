@@ -136,7 +136,9 @@ func (r *Relation) Insert(t Tuple) bool {
 	if row >= 0 && !r.data.isDead(row) {
 		return false
 	}
-	r.promote()
+	if r.promote() {
+		row = r.data.find(t, h)
+	}
 	d := r.data
 	r.fp ^= h
 	if row >= 0 { // deleted earlier: the row is still stored and indexed
@@ -167,7 +169,9 @@ func (r *Relation) Delete(t Tuple) bool {
 	if row < 0 || r.data.isDead(row) {
 		return false
 	}
-	r.promote()
+	if r.promote() {
+		row = r.data.find(t, h)
+	}
 	d := r.data
 	if d.dead == nil {
 		d.dead = make([]uint64, (d.n+63)/64)

@@ -416,8 +416,8 @@ func (s *Session) EvalProvenanceContext(ctx context.Context, p *Program, in *Ins
 
 // MaterializeContext evaluates a program (positive Datalog or
 // stratified Datalog¬) and returns an incrementally maintained view:
-// exact support counting on non-recursive layers, delete–rederive
-// (DRed) on recursive ones, with stratified negation supported across
+// exact support counting on non-recursive layers, Backward/Forward
+// deletion on recursive ones, with stratified negation supported across
 // both. View.Apply takes one assert/retract batch and returns the
 // exact net delta of the whole view. Maintenance operations inherit
 // the context bound. Programs whose negation ranges over the active
