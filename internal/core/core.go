@@ -129,7 +129,7 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 		return nil, err
 	}
 	k := engine.SemiNaive{Rules: rules, Forward: true, Limit: opt.StageLimit(1 << 30), LimitErr: stageLimitErr}
-	stages, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in))
+	stages, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in), nil, nil)
 	return engine.Finish(out, stages, col, err)
 }
 

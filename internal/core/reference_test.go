@@ -69,7 +69,7 @@ func sameStages(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u
 			stages = res.Stages
 		} else {
 			k := engine.SemiNaive{Rules: rules, Forward: true}
-			if stages, err = k.Run(opt, in.Clone(), adom); err != nil {
+			if stages, err = k.Run(opt, in.Clone(), adom, nil, nil); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

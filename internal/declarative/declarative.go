@@ -8,6 +8,7 @@ package declarative
 
 import (
 	"fmt"
+	"slices"
 
 	"unchained/internal/ast"
 	"unchained/internal/engine"
@@ -57,7 +58,7 @@ func evalFixpoint(engineName string, p *ast.Program, in *tuple.Instance, u *valu
 	col.Reset(engineName, nil)
 	out := in.SnapshotWith(col.Cow())
 	k := engine.SemiNaive{Rules: rules}
-	rounds, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in))
+	rounds, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in), nil, nil)
 	return engine.Finish(out, rounds, col, err)
 }
 
@@ -120,7 +121,7 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 		}
 		col.BeginPhase("stratum", s+1)
 		k := engine.SemiNaive{Rules: srules}
-		rounds, err := k.Run(opt, out, adom)
+		rounds, err := k.Run(opt, out, adom, nil, nil)
 		col.EndPhase("stratum", s+1)
 		totalRounds += rounds
 		if err != nil {
@@ -186,11 +187,12 @@ type WFSResult struct {
 	Possible *tuple.Instance
 	// u renders and orders tuples deterministically.
 	u *value.Universe
-	// Rounds is the number of kernel runs over groups: one per group
-	// whose facts are all true or false, two per group that reads an
-	// unknown fact, two per round of a group's alternation. So the win
-	// program of Example 3.2 takes four on its instance K and the
-	// stratified complement of TC two, one per stratum.
+	// Rounds is the number of runs over groups: one per group whose
+	// facts are all true or false, two per group that reads an unknown
+	// fact, two per round of a group's alternation (after the first
+	// round, a deletion run and a seeded kernel run). So the win program
+	// of Example 3.2 takes four on its instance K and the stratified
+	// complement of TC two, one per stratum.
 	Rounds int
 	// Adom is the active domain used (for enumerating false facts).
 	Adom []value.Value
@@ -249,11 +251,15 @@ func (w *WFSResult) Total() bool {
 //	overᵢ = Γ(underᵢ₋₁); underᵢ = Γ(overᵢ)
 //
 // where Γ(S) is the least fixpoint of the group's rules with every
-// negative literal ¬A read as A ∉ S. The over-estimates decrease, so
-// each restarts from the possible facts below the group; the
-// under-estimates increase to the true facts, so underᵢ continues from
-// underᵢ₋₁ ⊆ underᵢ, and the alternation has converged when the true
-// side stops growing (equal counts of a growing set are equal sets).
+// negative literal ¬A read as A ∉ S. The first round runs both from
+// scratch; after it each side is maintained from the other's change.
+// The over-estimates decrease: overᵢ₊₁ is overᵢ less the facts that
+// lost their last proof when underᵢ grew, which engine.BackwardForward
+// deletes in place. The under-estimates increase to the true facts:
+// underᵢ₊₁ grows from underᵢ by a seeded run, whose first round fires
+// only the firings a fact leaving the over-estimate unblocked. So a
+// group costs in proportion to what changes, not to its rounds times its
+// size. The alternation has converged when the true side stops growing.
 //
 // True and Possible are one instance until the first group with two
 // sides; after it, a group whose facts are all true or false runs on
@@ -285,7 +291,7 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 			k := &engine.SemiNaive{Rules: grules}
 			switch {
 			case two:
-				err = r.run(k, w.True, "stratum", gi+1)
+				err = r.run(k, w.True, "stratum", gi+1, nil, nil)
 				if w.Possible != w.True {
 					w.Possible.Share(w.True, gr.Preds)
 				}
@@ -324,10 +330,11 @@ type wfsRun struct {
 	gammas int // the two-sided runs so far, which number their phases
 }
 
-// run is one kernel run growing out, bracketed as a phase.
-func (r *wfsRun) run(k *engine.SemiNaive, out *tuple.Instance, phase string, n int) error {
+// run is one kernel run growing out, bracketed as a phase; seed and
+// added are engine.SemiNaive.Run's.
+func (r *wfsRun) run(k *engine.SemiNaive, out *tuple.Instance, phase string, n int, seed func(emit func(eval.Fact) bool), added *tuple.Instance) error {
 	r.col.BeginPhase(phase, n)
-	_, err := k.Run(r.opt, out, r.w.Adom)
+	_, err := k.Run(r.opt, out, r.w.Adom, seed, added)
 	r.col.EndPhase(phase, n)
 	if err == nil {
 		r.w.Rounds++
@@ -337,43 +344,172 @@ func (r *wfsRun) run(k *engine.SemiNaive, out *tuple.Instance, phase string, n i
 
 // gamma is one side of a group with two: out grows with every negative
 // literal read against negIn.
-func (r *wfsRun) gamma(k *engine.SemiNaive, out, negIn *tuple.Instance) error {
+func (r *wfsRun) gamma(k *engine.SemiNaive, out, negIn *tuple.Instance, seed func(emit func(eval.Fact) bool), added *tuple.Instance) error {
 	r.gammas++
 	k.NegIn = negIn
-	return r.run(k, out, "gamma", r.gammas)
+	return r.run(k, out, "gamma", r.gammas, seed, added)
 }
 
 // twoSided evaluates a group that reads an unknown fact but does not
 // recurse through negation, and reports whether its facts came out all
 // true or false anyway.
 func (r *wfsRun) twoSided(k *engine.SemiNaive, preds []string) (bool, error) {
-	if err := r.gamma(k, r.w.Possible, r.w.True); err != nil {
+	if err := r.gamma(k, r.w.Possible, r.w.True, nil, nil); err != nil {
 		return false, err
 	}
-	if err := r.gamma(k, r.w.True, r.w.Possible); err != nil {
+	if err := r.gamma(k, r.w.True, r.w.Possible, nil, nil); err != nil {
 		return false, err
 	}
 	return count(r.w.True, preds) == count(r.w.Possible, preds), nil
 }
 
 // alternate runs the alternating fixpoint of a group that recurses
-// through negation, and reports whether it converged 2-valued.
+// through negation, and reports whether it converged 2-valued. Its first
+// round is two whole-group runs; each later one maintains one estimate
+// from what the other's last step changed.
 func (r *wfsRun) alternate(k *engine.SemiNaive, preds []string) (bool, error) {
-	below, under := r.w.Possible, count(r.w.True, preds)
+	over := r.w.Possible // grown to over₁, then shrunk in place
+	if err := r.gamma(k, over, r.w.True, nil, nil); err != nil {
+		return false, err
+	}
+	lag := twoOwnNegs(k.Rules, preds)
+	var m *groupMaintenance // built by the first round with anything to maintain
+	defer func() {
+		if m != nil {
+			m.unindex(r.w.True, over)
+		}
+	}()
+	added := tuple.NewInstance()
 	for {
-		over := below.Snapshot()
-		if err := r.gamma(k, over, r.w.True); err != nil {
+		before := r.w.True // underᵢ₋₁ where the over side's seed needs it
+		if lag {
+			before = before.Snapshot()
+		}
+		var grow func(emit func(eval.Fact) bool) // the under side's seed after the first round
+		if m != nil {
+			added.EachRel(func(_ string, rel *tuple.Relation) { rel.Clear() })
+			grow = m.seed
+		}
+		if err := r.gamma(k, r.w.True, over, grow, added); err != nil {
 			return false, err
 		}
-		r.w.Possible = over
-		if err := r.gamma(k, r.w.True, over); err != nil {
+		if added.Facts() == 0 {
+			return count(r.w.True, preds) == count(over, preds), nil
+		}
+		if m == nil {
+			m = r.maintenance(k, preds)
+		}
+		// Γ(underᵢ) ⊆ Γ(underᵢ₋₁): the firings that lost a negative literal
+		// to an added fact are the candidates. Their other negative
+		// literals read underᵢ₋₁, where those firings held: read against
+		// underᵢ, a firing that lost two would be missed.
+		r.gammas++
+		r.col.BeginPhase("gamma", r.gammas)
+		m.pin(over, before, added)
+		deleted, err := m.bf.Run(r.opt, over, r.w.True, r.w.Adom, m.seed)
+		r.col.EndPhase("gamma", r.gammas)
+		if err != nil {
 			return false, err
 		}
-		n := count(r.w.True, preds)
-		if n == under {
-			return n == count(over, preds), nil
+		r.w.Rounds++
+		// Γ(overᵢ₊₁) grows from underᵢ by the firings a deleted fact
+		// unblocked, then semi-naively.
+		m.pin(r.w.True, over, deleted)
+	}
+}
+
+// twoOwnNegs reports whether a rule has two negative literals over the
+// group's predicates: the over side's seed then reads a snapshot of the
+// under-estimate before it grew.
+func twoOwnNegs(rules []*eval.Rule, preds []string) bool {
+	for _, cr := range rules {
+		own := 0
+		for _, l := range cr.Src.Body {
+			if l.Kind == ast.LitAtom && l.Neg && slices.Contains(preds, l.Atom.Pred) {
+				own++
+			}
 		}
-		under = n
+		if own > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// groupMaintenance is what a cyclic group's rounds after the first
+// maintain its estimates with.
+type groupMaintenance struct {
+	// bf is the deletion step of the over-estimate.
+	bf *engine.BackwardForward
+	// rules and preds are the group's.
+	rules []*eval.Rule
+	preds []string
+	// pins are the group's rules pinned at each negative literal over
+	// its own predicates.
+	pins []*eval.Rule
+	// ctx is the pins' matcher environment, set by pin; seed is fire,
+	// bound once.
+	ctx  eval.Ctx
+	buf  []value.Value
+	seed func(emit func(eval.Fact) bool)
+}
+
+// maintenance schedules a cyclic group's groupMaintenance. The deletion
+// step's forward plans are the variants k's rounds after the first fire,
+// scheduled already.
+func (r *wfsRun) maintenance(k *engine.SemiNaive, preds []string) *groupMaintenance {
+	m := &groupMaintenance{rules: k.Rules, preds: preds, ctx: *r.opt.EvalCtx(r.col, nil, r.w.Adom)}
+	m.ctx.Buf, m.seed = &m.buf, m.fire
+	for _, cr := range k.Rules {
+		for li, l := range cr.Src.Body {
+			if l.Kind == ast.LitAtom && l.Neg && slices.Contains(preds, l.Atom.Pred) {
+				m.pins = append(m.pins, cr.Delta(li))
+			}
+		}
+	}
+	heads := make([]*eval.Rule, len(k.Rules))
+	for i, cr := range k.Rules {
+		heads[i] = cr.Delta(len(cr.Src.Body))
+	}
+	m.bf = engine.NewBackwardForward(k.Rules, heads, k.Variants())
+	return m
+}
+
+// unindex drops the indexes of the relations from below the group that
+// its rules read positively, in tr and pos: the result keeps those
+// relations, and the indexes only served the maintenance, whose pinned
+// plans probe them by other columns than a whole-group run does.
+func (m *groupMaintenance) unindex(tr, pos *tuple.Instance) {
+	for _, cr := range m.rules {
+		for _, li := range cr.PositiveBodyLits() {
+			if p := cr.Src.Body[li].Atom.Pred; !slices.Contains(m.preds, p) {
+				for _, in := range [2]*tuple.Instance{tr, pos} {
+					if rel := in.Relation(p); rel != nil {
+						rel.DropIndexes()
+					}
+				}
+			}
+		}
+	}
+}
+
+// pin points the seed at the firings of the pins over a fact of delta
+// (nil: none) at the pinned literal, positive literals reading in and
+// the other negative ones negIn.
+func (m *groupMaintenance) pin(in, negIn, delta *tuple.Instance) {
+	m.ctx.In, m.ctx.NegIn, m.ctx.Delta = in, negIn, delta
+}
+
+// fire is the seed: it emits the heads of the firings pin points at.
+func (m *groupMaintenance) fire(emit func(eval.Fact) bool) {
+	if m.ctx.Delta == nil {
+		return
+	}
+	for _, p := range m.pins {
+		m.ctx.DeltaLit = p.DeltaLit()
+		if rel := m.ctx.Delta.Relation(p.Src.Body[m.ctx.DeltaLit].Atom.Pred); rel != nil && !rel.Empty() {
+			p.Fire(&m.ctx, -1, nil, emit)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -40,7 +41,7 @@ func referenceWFS(t testing.TB, p *ast.Program, in *tuple.Instance, u *value.Uni
 	gamma := func(s *tuple.Instance) *tuple.Instance {
 		out := in.Clone()
 		k.NegIn = s
-		if _, err := k.Run(nil, out, adom); err != nil {
+		if _, err := k.Run(nil, out, adom, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -183,11 +184,23 @@ func TestWellFoundedMatchesReferenceOnRandomPrograms(t *testing.T) {
 	}
 }
 
+// FuzzWellFounded: the random programs past the 200 seeds above.
+func FuzzWellFounded(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		u := value.New()
+		p, in := randomNegProgram(rand.New(rand.NewSource(seed)), u)
+		sameModel(t, fmt.Sprintf("seed %d:\n%s", seed, p.String(u)), p, in, u)
+	})
+}
+
 // handWrittenGroups has every kind of group: the closure is 2-valued
-// and runs once; Win recurses through negation and alternates; Lose and
-// Reach read Win's unknown facts and run twice; Iso reads only the
-// closure and comes after the fork, so its relation is shared into the
-// possible facts, not recomputed.
+// and runs once; Win recurses through negation and alternates, reading
+// the closure below it; Lose and Reach read Win's unknown facts and run
+// twice; Iso reads only the closure and comes after the fork, so its
+// relation is shared into the possible facts, not recomputed.
 const handWrittenGroups = `
 	T(X,Y) :- G(X,Y).
 	T(X,Y) :- G(X,Z), T(Z,Y).
@@ -218,6 +231,77 @@ func TestWellFoundedMatchesReferenceHandWritten(t *testing.T) {
 	}
 }
 
+// maintainedGame plays Win over the moves themselves rather than their
+// closure: on a random game it takes several maintained rounds, most of
+// them deleting from the over-estimate, where Win over the closure
+// converges in its first round. Lose reads Win's unknown facts.
+const maintainedGame = `
+	Win(X) :- G(X,Y), !Win(Y).
+	Lose(X) :- N(X), !Win(X).
+`
+
+// maintainedGroups are cyclic groups whose rounds after the first reach
+// the corners of maintaining both estimates. Each row names the change
+// to the maintenance that it fails on.
+var maintainedGroups = []struct {
+	name, program string
+	facts         []string
+}{
+	{
+		// P(a) loses !Q(a) and !R(a) in the same round. Fails when the
+		// over side's seed reads the other negative literal against the
+		// grown under-estimate: then neither pinning emits P(a).
+		"two literals lost at once", `
+			P(X) :- N(X), !Q(X), !R(X).
+			Q(X) :- M(X), !W(X).
+			R(X) :- M(X), !W(X).
+			W(X) :- K(X), !P(X).`,
+		[]string{"N(a). M(a).", "N(a). M(a). N(b). K(b). M(c). K(c)."},
+	},
+	{
+		// Y is bound by the negative literal only, so the checks range it
+		// over the active domain. Fails when the deletion step is given
+		// no domain: every P fact it checks is then deleted.
+		"variable bound by a negative literal", `
+			P(X) :- N(X), !Q(X,Y).
+			Q(X,Y) :- E(X,Y), !P(Y).`,
+		// P(a) is possible but not true in the first round, and checked in
+		// the second, when Q(a,b) is true: Q(a,a) proves it.
+		[]string{"E(a,a). E(a,b). N(a).", "E(a,a). E(a,b). E(a,c). E(b,c). E(c,a). N(a). N(b)."},
+	},
+	{
+		// R also recurses positively: a deletion takes several waves, and
+		// a proof found late saturates forward, its firings' negative
+		// literals read against the under-estimate. Fails when those
+		// plans read the over-estimate instead.
+		"positive recursion inside", `
+			R(X) :- E(X,Y), R(Y), !S(X).
+			S(X) :- E(X,Y), !R(Y).`,
+		[]string{
+			"E(d,e). E(f,d). E(f,g). E(h,f). E(i,h). E(i,j). E(j,i). E(j,d). R(e).",
+			"E(d,e). E(f,d). E(f,g). E(h,f). E(i,h). E(h,i). E(i,j). E(j,k). E(k,j). E(k,d). R(e).",
+		},
+	},
+}
+
+func TestWellFoundedMatchesReferenceMaintained(t *testing.T) {
+	u := value.New()
+	w := sameModel(t, "gen.Game", parser.MustParse(maintainedGame, u), gameInput(u), u)
+	if w.Rounds < 6 {
+		t.Errorf("the game: %d rounds, want several maintained ones", w.Rounds)
+	}
+	for _, g := range maintainedGroups {
+		u := value.New()
+		p := parser.MustParse(g.program, u)
+		for _, facts := range g.facts {
+			w := sameModel(t, g.name+": "+facts, p, parser.MustParseFacts(facts, u), u)
+			if w.Rounds < 4 {
+				t.Errorf("%s: %s: %d rounds, want a maintained round after the first two", g.name, facts, w.Rounds)
+			}
+		}
+	}
+}
+
 // cancelAfter cancels its context when the n-th stage ends.
 type cancelAfter struct {
 	n      int
@@ -232,34 +316,83 @@ func (c *cancelAfter) Emit(e trace.Event) {
 	}
 }
 
+// gammaOf records the gamma phase each stage runs in (0: none).
+type gammaOf struct {
+	cur    int
+	stages []int
+}
+
+func (g *gammaOf) Emit(e trace.Event) {
+	switch {
+	case e.Span == trace.SpanStratum && e.Ev == trace.EvBegin && e.Name == "gamma":
+		g.cur = e.Stratum
+	case e.Span == trace.SpanStratum && e.Ev == trace.EvEnd:
+		g.cur = 0
+	case e.Span == trace.SpanStage && e.Ev == trace.EvEnd:
+		g.stages = append(g.stages, g.cur)
+	}
+}
+
+// gameInput is the random game the interrupted runs play: moves G and
+// the positions N.
+func gameInput(u *value.Universe) *tuple.Instance {
+	return gen.Merge(gen.Game(u, "G", 20, 30, 7), gen.Unary(u, "N", 20))
+}
+
 // TestWellFoundedInterrupted: a context cancelled before any stage or
 // after any one of them interrupts the run and still leaves True inside
-// Possible, whichever kind of group the run stops in.
+// Possible, whichever kind of group the run stops in. On the maintained
+// game the stops include the stages of Win's maintained rounds: the
+// deletion waves of its over-estimate and the seeded runs of its
+// under-estimate.
 func TestWellFoundedInterrupted(t *testing.T) {
-	u := value.New()
-	p := parser.MustParse(handWrittenGroups, u)
-	in := gen.Merge(gen.Game(u, "G", 20, 30, 7), gen.Unary(u, "N", 20))
-	full, err := EvalWellFounded(p, in, u, &Options{Stats: stats.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for stop := 0; stop < full.Stats.Stages; stop++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		if stop == 0 {
-			cancel()
+	for _, c := range []struct {
+		name, program string
+		after         int  // the gamma phases of the groups after Win
+		maintained    bool // whether Win has rounds after its first
+	}{
+		{"hand-written groups", handWrittenGroups, 4, false}, // Lose and Reach
+		{"maintained game", maintainedGame, 2, true},         // Lose
+	} {
+		u := value.New()
+		p, in := parser.MustParse(c.program, u), gameInput(u)
+		phases := &gammaOf{}
+		full, err := EvalWellFounded(p, in, u, &Options{Stats: stats.New(), Tracer: phases})
+		if err != nil {
+			t.Fatal(err)
 		}
-		w, err := EvalWellFounded(p, in, u, &Options{Ctx: ctx, Tracer: &cancelAfter{stop, cancel}})
-		cancel()
-		if !engine.IsInterrupt(err) {
-			t.Fatalf("cancelled after %d stages: err = %v, want an interrupt", stop, err)
-		}
-		w.True.EachRel(func(name string, r *tuple.Relation) {
-			r.Each(func(tp tuple.Tuple) bool {
-				if !w.Possible.Has(name, tp) {
-					t.Fatalf("cancelled after %d stages: %s%s is true but not possible", stop, name, tp.String(u))
+		// Win's gammas come first, its first round's two whole-group runs
+		// before the maintained ones.
+		last, maintained, deleting := slices.Max(phases.stages)-c.after, 0, 0
+		for i, g := range phases.stages {
+			if g >= 3 && g <= last {
+				maintained++
+				if full.Stats.PerStage[i].Delta < 0 {
+					deleting++
 				}
-				return true
+			}
+		}
+		if (maintained > 0) != c.maintained || (c.maintained && deleting == 0) {
+			t.Fatalf("%s: %d stages, %d of them in Win's maintained rounds, %d deleting", c.name, full.Stats.Stages, maintained, deleting)
+		}
+		for stop := 0; stop < full.Stats.Stages; stop++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			if stop == 0 {
+				cancel()
+			}
+			w, err := EvalWellFounded(p, in, u, &Options{Ctx: ctx, Tracer: &cancelAfter{stop, cancel}})
+			cancel()
+			if !engine.IsInterrupt(err) {
+				t.Fatalf("%s: cancelled after %d stages: err = %v, want an interrupt", c.name, stop, err)
+			}
+			w.True.EachRel(func(name string, r *tuple.Relation) {
+				r.Each(func(tp tuple.Tuple) bool {
+					if !w.Possible.Has(name, tp) {
+						t.Fatalf("%s: cancelled after %d stages: %s%s is true but not possible", c.name, stop, name, tp.String(u))
+					}
+					return true
+				})
 			})
-		})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"unchained/internal/eval"
@@ -15,12 +16,20 @@ import (
 // from the state exactly the facts that lost their last proof. What the
 // change makes newly derivable is the caller's to insert afterwards.
 //
+// It has two callers. incr.View maintains a recursive layer of a view
+// after a batch took facts away below it. The well-founded alternation
+// shrinks a group's over-estimate Γ(underᵢ₋₁) to Γ(underᵢ): the
+// under-estimate grew, so some negative literals stopped holding. There
+// negative literals read Run's negIn, the new under-estimate, whose facts
+// every over-estimate holds, so they are proved outright.
+//
 // Nothing is deleted before it is checked backward. The head-pinned
 // plan enumerates the firings that derive the fact over the current
 // state, and the fact is proved when some firing's positive body facts
 // over the layer's own predicates are proved in turn. Those are checked
 // recursively, each fact at most once per Run. Lower layers are final,
-// so their facts and every negative literal read the state as it is.
+// so their facts read the state as it is, and every negative literal
+// reads negIn, or the state when that is nil.
 //
 // A fact whose check is still open is not proved, so no fact proves
 // itself around a cycle. "Unproved" is then not final while a check is
@@ -48,11 +57,18 @@ type BackwardForward struct {
 	// forward are the delta variants of the rules pinned at a positive
 	// literal over the layer.
 	forward []bfPlan
-	// runs holds the state of finished Runs, *bfRun, for the next to
-	// reuse the storage of: a pool, so that between batches the
-	// collector may still take it.
-	runs sync.Pool
 }
+
+// bfRuns holds the state of finished Runs, *bfRun, for the next Run of
+// any BackwardForward to reuse the storage of: a pool, so that between
+// batches the garbage collector may still take it. A view's batches find
+// their layer's own state again; a well-founded evaluation, whose groups
+// each build a BackwardForward, finds the last group's.
+var bfRuns = sync.Pool{New: func() any {
+	r := &bfRun{}
+	r.onSeed = r.seedFact
+	return r
+}}
 
 // bfPlan is a plan with the positive body literals over the layer that
 // it does not pin.
@@ -67,12 +83,14 @@ type bfPlan struct {
 }
 
 // NewBackwardForward returns the deletion step of the layer whose rules
-// are rules. heads[i] is rules[i] with its head atom appended to the
-// body and scheduled first: fired over one fact of the head predicate,
-// it enumerates the firings that derive it. The forward plans are
-// scheduled here, once.
-func NewBackwardForward(rules, heads []*eval.Rule) *BackwardForward {
-	bf := &BackwardForward{}
+// are rules. heads[i] is rules[i]'s delta variant pinned at its head
+// atom: fired over one fact of the head predicate, it enumerates the
+// firings that derive it. forward holds the rules' delta variants pinned
+// at each positive body literal over the layer's predicates: the
+// variants a semi-naive run over the layer fires after its first round.
+// The caller has scheduled both; nothing is scheduled here.
+func NewBackwardForward(rules, heads []*eval.Rule, forward []eval.DeltaVariant) *BackwardForward {
+	bf := &BackwardForward{forward: make([]bfPlan, 0, len(forward))}
 	for _, r := range rules {
 		if h := r.Heads()[0]; bf.pred(h.Pred) < 0 {
 			bf.preds, bf.arity = append(bf.preds, h.Pred), append(bf.arity, len(h.Slots))
@@ -87,26 +105,15 @@ func NewBackwardForward(rules, heads []*eval.Rule) *BackwardForward {
 		}
 		return p
 	}
-	var recursive []bfPlan
-	for i, r := range rules {
-		if c := plan(heads[i], bf.pred(r.Heads()[0].Pred)); len(c.own) == 0 {
-			bf.checks = append(bf.checks, c)
-		} else {
-			recursive = append(recursive, c)
-		}
-		for _, li := range r.PositiveBodyLits() {
-			if pred := bf.pred(r.Src.Body[li].Atom.Pred); pred >= 0 {
-				f := plan(r.Delta(li), pred)
-				f.heads = f.rule.ScratchHeads()
-				bf.forward = append(bf.forward, f)
-			}
-		}
+	bf.checks = make([]bfPlan, 0, len(rules))
+	for _, h := range heads {
+		bf.checks = append(bf.checks, plan(h, bf.pred(h.Heads()[0].Pred)))
 	}
-	bf.checks = append(bf.checks, recursive...)
-	bf.runs.New = func() any {
-		r := &bfRun{BackwardForward: bf, rels: make([]bfRels, len(bf.preds))}
-		r.onCheck, r.onForward, r.onNext = r.checkFiring, r.forwardFiring, r.nextFiring
-		return r
+	slices.SortStableFunc(bf.checks, func(a, b bfPlan) int { return min(len(a.own), 1) - min(len(b.own), 1) })
+	for _, v := range forward {
+		f := plan(v.Rule, bf.pred(v.Rule.Src.Body[v.Rule.DeltaLit()].Atom.Pred))
+		f.heads = f.rule.ScratchHeads()
+		bf.forward = append(bf.forward, f)
 	}
 	return bf
 }
@@ -122,15 +129,18 @@ func (bf *BackwardForward) pred(name string) int {
 }
 
 // Run deletes from state the layer's facts that lost their last proof
-// and returns them. seed enumerates the first wave's candidates through
-// emit, which passes over a fact the state lacks and reports false: a
-// candidate is no fact the stage adds. On a context interruption
-// between waves the facts deleted so far are returned with the typed
-// error.
-func (bf *BackwardForward) Run(opt *Options, state *tuple.Instance, seed func(emit func(eval.Fact) bool)) (*tuple.Instance, error) {
+// and returns them, nil when there are none. seed enumerates the first
+// wave's candidates through emit, which passes over a fact the state
+// lacks and reports false: a candidate is no fact the stage adds. negIn and adom are what the
+// enumerations' negative literals and unbound variables read (nil: the
+// state, and no domain). A layer fact negIn holds is proved outright. On
+// a context interruption between waves the facts deleted so far are
+// returned with the typed error.
+func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom []value.Value, seed func(emit func(eval.Fact) bool)) (*tuple.Instance, error) {
 	col := opt.Collector()
-	r := bf.runs.Get().(*bfRun)
-	defer bf.runs.Put(r)
+	r := bfRuns.Get().(*bfRun)
+	defer bfRuns.Put(r)
+	r.bind(bf)
 	r.open, r.waiting, r.firings = 0, 0, 0
 	for _, l := range []*factList{&r.pending, &r.queue, &r.cand, &r.wave} {
 		l.truncate(0)
@@ -140,53 +150,51 @@ func (bf *BackwardForward) Run(opt *Options, state *tuple.Instance, seed func(em
 	// fact goes first and each join after it is the one with the most
 	// columns bound. Planning it afresh on every call would cost about as
 	// much as a check.
-	r.ctx = opt.EvalCtx(col, state, nil)
-	r.ctx.Buf, r.ctx.NoPlan = &r.buf, true
-	checked, proved := tuple.NewInstance(), tuple.NewInstance()
+	r.ctx = *opt.EvalCtx(col, state, adom)
+	r.ctx.NegIn, r.ctx.Buf, r.ctx.NoPlan = negIn, &r.buf, true
 	for i, name := range bf.preds {
-		r.rels[i] = bfRels{
-			state:   state.Ensure(name, bf.arity[i]),
-			checked: checked.Ensure(name, bf.arity[i]),
-			proved:  proved.Ensure(name, bf.arity[i]),
+		rels := &r.rels[i]
+		rels.state = state.Ensure(name, bf.arity[i])
+		rels.checked.Clear()
+		rels.proved.Clear()
+		if negIn != nil {
+			rels.base = negIn.Relation(name)
 		}
 	}
-	deleted := tuple.NewInstance()
+	var deleted *tuple.Instance
 	_, err := opt.Loop(col, 0, nil, func(n int) (Outcome, error) {
 		if n == 1 {
-			seed(func(f eval.Fact) bool {
-				if p := bf.pred(f.Pred); p >= 0 && r.rels[p].state.Contains(f.Tuple) {
-					r.cand.push(p, f.Tuple)
-				}
-				return false
-			})
+			seed(r.onSeed)
 		}
 		for i := range r.cand.at {
 			r.check(r.cand.fact(i))
 			r.open, r.waiting = 0, 0 // what the check left unproved is final
 		}
-		gone := tuple.NewInstance()
-		for i := range r.wave.at {
-			if p, t := r.wave.fact(i); !r.rels[p].proved.Contains(t) {
-				gone.Ensure(bf.preds[p], len(t)).Insert(t)
-			}
-		}
+		k := r.collect()
 		r.cand.truncate(0)
 		r.wave.truncate(0)
-		r.ctx.Delta = gone
-		for i := range r.forward {
-			if f := &r.forward[i]; gone.Relation(bf.preds[f.pred]) != nil {
-				r.fire(f, nil, r.onNext)
+		if k > 0 {
+			r.ctx.Delta = r.gone
+			for i := range r.forward {
+				if f := &r.forward[i]; !r.gone.Ensure(bf.preds[f.pred], bf.arity[f.pred]).Empty() {
+					r.fire(f, nil, r.nextFiring)
+				}
 			}
-		}
-		gone.EachRel(func(pred string, rel *tuple.Relation) {
-			st := state.Relation(pred)
-			rel.Each(func(t tuple.Tuple) bool {
-				st.Delete(t)
-				return true
+			if deleted == nil {
+				deleted = tuple.NewInstance()
+			}
+			r.gone.EachRel(func(pred string, rel *tuple.Relation) {
+				if rel.Empty() {
+					return
+				}
+				st := state.Relation(pred)
+				rel.Each(func(t tuple.Tuple) bool {
+					st.Delete(t)
+					return true
+				})
+				deleted.Ensure(pred, rel.Arity()).UnionInPlace(rel)
 			})
-			deleted.Ensure(pred, rel.Arity()).UnionInPlace(rel)
-		})
-		k := gone.Facts()
+		}
 		col.Fired(-1, r.firings, uint64(k), 0)
 		r.firings = 0
 		if len(r.cand.at) == 0 {
@@ -194,17 +202,19 @@ func (bf *BackwardForward) Run(opt *Options, state *tuple.Instance, seed func(em
 		}
 		return Outcome{Delta: -k}, nil
 	})
-	r.ctx = nil
-	clear(r.rels) // the memo is the batch's
+	r.ctx = eval.Ctx{}
+	for i := range r.rels {
+		r.rels[i].state, r.rels[i].base = nil, nil
+	}
 	return deleted, err
 }
 
-// bfRun is the state of a Run. The memo (rels) is cleared when the Run
-// returns; the lists and buffers keep their storage for the next one
-// that takes it from the pool.
+// bfRun is the state of a Run. The memo (rels), the lists and the
+// buffers keep their storage for the next Run that takes it from the
+// pool, which clears them and binds it to its BackwardForward.
 type bfRun struct {
 	*BackwardForward
-	ctx  *eval.Ctx
+	ctx  eval.Ctx
 	rels []bfRels // per layer predicate
 	// open counts the facts the current top-level check has checked and
 	// not (yet) proved: while it is 0 no proof has anyone to saturate.
@@ -226,14 +236,43 @@ type bfRun struct {
 	// buf is the enumerations' buffer (eval.Ctx.Buf), scratch the body
 	// fact a saturation step tests.
 	buf, scratch []value.Value
-	// The enumeration callbacks, bound once per Run.
-	onCheck, onForward, onNext func(eval.Binding) bool
+	// gone holds the facts the current wave deletes, from the first wave
+	// that deletes one.
+	gone *tuple.Instance
+	// onSeed is seedFact, bound once per bfRun: a seed keeps its emit
+	// where an enumeration does not.
+	onSeed func(eval.Fact) bool
 }
 
 // bfRels are one layer predicate's relations in the state and in the
-// batch's memo: the facts checked and those proved.
+// batch's memo (the facts checked and those proved), and in negIn (base:
+// the facts proved outright), if any.
 type bfRels struct {
-	state, checked, proved *tuple.Relation
+	state, checked, proved, base *tuple.Relation
+}
+
+// bind makes r the state of bf's Run. A state another BackwardForward
+// left keeps its memo relations where the arities match.
+func (r *bfRun) bind(bf *BackwardForward) {
+	if r.BackwardForward == bf {
+		return
+	}
+	r.BackwardForward, r.gone = bf, nil
+	r.rels = slices.Grow(r.rels[:0], len(bf.preds))[:len(bf.preds)]
+	for i, a := range bf.arity {
+		if rels := &r.rels[i]; rels.checked == nil || rels.checked.Arity() != a {
+			rels.checked, rels.proved = tuple.NewRelation(a), tuple.NewRelation(a)
+		}
+	}
+}
+
+// seedFact is the emit of Run's seed: a candidate the state holds joins
+// the first wave.
+func (r *bfRun) seedFact(f eval.Fact) bool {
+	if p := r.pred(f.Pred); p >= 0 && r.rels[p].state.Contains(f.Tuple) {
+		r.cand.push(p, f.Tuple)
+	}
+	return false
 }
 
 // fire enumerates plan p pinned at fact t, or at ctx.Delta when t is
@@ -241,7 +280,26 @@ type bfRels struct {
 func (r *bfRun) fire(p *bfPlan, t tuple.Tuple, emit func(eval.Binding) bool) {
 	r.cur = p
 	r.ctx.DeltaFact, r.ctx.DeltaLit = t, p.rule.DeltaLit()
-	p.rule.Enumerate(r.ctx, emit)
+	p.rule.Enumerate(&r.ctx, emit)
+}
+
+// collect puts the facts the wave checked and left unproved into gone,
+// emptied first, and returns their number.
+func (r *bfRun) collect() int {
+	if r.gone != nil {
+		r.gone.EachRel(func(_ string, rel *tuple.Relation) { rel.Clear() })
+	}
+	k := 0
+	for i := range r.wave.at {
+		if p, t := r.wave.fact(i); !r.rels[p].proved.Contains(t) {
+			if r.gone == nil {
+				r.gone = tuple.NewInstance()
+			}
+			r.gone.Ensure(r.preds[p], len(t)).Insert(t)
+			k++
+		}
+	}
+	return k
 }
 
 // check reports whether fact t of layer predicate p is proved, checking
@@ -253,13 +311,19 @@ func (r *bfRun) check(p int, t tuple.Tuple) bool {
 	if !rels.checked.Insert(t) {
 		return rels.proved.Contains(t)
 	}
+	if rels.base != nil && rels.base.Contains(t) {
+		// No check waiting can need t: a check closes only once every body
+		// fact of its firings is checked, and t was not.
+		rels.proved.Insert(t)
+		return true
+	}
 	r.wave.push(p, t)
 	r.open++
 	mark, fmark := len(r.pending.at), len(r.need)
 	r.found = false
 	for i := range r.checks {
 		if c := &r.checks[i]; c.pred == p && !r.found {
-			r.fire(c, t, r.onCheck)
+			r.fire(c, t, r.checkFiring)
 		}
 	}
 	// Only saturation proves t behind the loop's back, and it runs only
@@ -341,7 +405,7 @@ func (r *bfRun) prove(p int, t tuple.Tuple) {
 		gp, g := r.queue.pop()
 		for i := range r.forward {
 			if f := &r.forward[i]; f.pred == gp {
-				r.fire(f, g, r.onForward)
+				r.fire(f, g, r.forwardFiring)
 			}
 		}
 	}

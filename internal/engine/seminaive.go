@@ -14,6 +14,14 @@ import (
 // that grows (one some rule here has in a head), the delta variant that
 // reads that literal from the facts new last round.
 //
+// A seeded run continues a fixpoint whose input changed: round one
+// fires only what the seed enumerates, the firings the change gives —
+// the well-founded alternation's under-estimate, which grows from the
+// last one by the variants pinned at the over-facts just deleted. That
+// is complete when out is already closed under the rules over the old
+// input: a firing over the new input that the old one lacked passes
+// through the change, and every later one needs a fact the run added.
+//
 // Negative literals read NegIn or, when it is nil, the live instance —
 // sound wherever facts are only added (EvalInflationary has the
 // argument; within a stratum the negated predicates do not grow at all).
@@ -36,6 +44,26 @@ type SemiNaive struct {
 	LimitErr func(stages int) error
 
 	variants []eval.DeltaVariant // nil until the first Run
+	rc       *runCtx             // nil until the first Run
+}
+
+// runCtx is the matcher environment every round of a Run shares, with
+// the enumeration buffer it grows: a round sets what it pins, and its
+// enumerations run one at a time. The next Run reuses both.
+type runCtx struct {
+	eval.Ctx
+	buf []value.Value
+}
+
+// Variants returns the delta variants every round after the first
+// fires, scheduling them if no Run has: per rule and positive body
+// literal over a predicate some rule here has in a head, the rule pinned
+// there.
+func (k *SemiNaive) Variants() []eval.DeltaVariant {
+	if k.variants == nil {
+		k.prepare()
+	}
+	return k.variants
 }
 
 // prepare schedules the delta variants.
@@ -69,10 +97,13 @@ func (k *SemiNaive) index(i int) int {
 // reached. The collector records each round as one stage (callers Reset
 // it; the kernel only records). With Options.Shards > 1 every round
 // after the first hash-partitions its delta across that many workers.
-func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value) (int, error) {
-	if k.variants == nil {
-		k.prepare()
-	}
+//
+// seed, if non-nil, replaces round one's naive pass: it enumerates the
+// round's head facts through emit, which stages them as the rules'
+// firings are staged (BackwardForward.Run's seed has the same shape).
+// added, if non-nil, receives every fact the run adds to out.
+func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, seed func(emit func(eval.Fact) bool), added *tuple.Instance) (int, error) {
+	variants := k.Variants()
 	col := opt.Collector()
 	shards := opt.ShardCount()
 	end := Outcome{Status: Last}
@@ -81,9 +112,15 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value) (
 	}
 	var delta *tuple.Instance   // the facts new last round,
 	var parts []*tuple.Instance // or their hash partition (shards > 1)
+	if k.rc == nil {
+		k.rc = &runCtx{}
+	}
+	rc := k.rc
+	rc.Ctx = *opt.EvalCtx(col, out, adom)
+	ctx := &rc.Ctx
+	ctx.NegIn, ctx.Buf = k.NegIn, &rc.buf
+	defer func() { rc.Ctx = eval.Ctx{} }() // the instances are the caller's
 	return opt.Loop(col, k.Limit, k.LimitErr, func(round int) (Outcome, error) {
-		ctx := opt.EvalCtx(col, out, adom)
-		ctx.NegIn = k.NegIn
 		n := 0
 		if round > 1 && shards > 1 {
 			// Shard-parallel round: workers join their hash-slice of
@@ -99,7 +136,7 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value) (
 				parts = delta.Partition(shards)
 			}
 			var emitted uint64
-			parts, emitted = eval.RunSharded(k.variants, ctx, parts, opt.Context().Done())
+			parts, emitted = eval.RunSharded(variants, ctx, parts, opt.Context().Done())
 			delta = nil
 			if k.Forward && opt.Trace != nil {
 				delta = tuple.NewInstance() // Trace is shown the delta as one instance
@@ -108,6 +145,9 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value) (
 				n += eval.Fold(out, part)
 				if delta != nil {
 					eval.Fold(delta, part)
+				}
+				if added != nil {
+					eval.Fold(added, part)
 				}
 			}
 			// Shard workers only tally firings; the parts hold exactly
@@ -119,21 +159,29 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value) (
 			// becomes both the next delta and, folded in after the
 			// round, part of out: no fact is queued, and none is copied
 			// more than once per set it joins.
-			st := eval.NewStaging(out)
-			if round == 1 {
+			var st *eval.Staging
+			switch {
+			case round == 1 && seed != nil:
+				st = seeded(out, seed)
+			case round == 1:
 				// A naive pass over every rule seeds the first delta.
+				st = eval.NewStaging(out)
 				for i, cr := range k.Rules {
 					cr.Fire(ctx, k.index(i), nil, st.Emit)
 				}
-			} else {
+			default:
+				st = eval.NewStaging(out)
 				ctx.Delta = delta
-				for _, v := range k.variants {
+				for _, v := range variants {
 					ctx.DeltaLit = v.Rule.DeltaLit()
 					v.Rule.Fire(ctx, v.Index, nil, st.Emit)
 				}
 			}
 			delta = st.Next
 			n = st.Fold()
+			if added != nil {
+				eval.Fold(added, delta)
+			}
 		}
 		if n == 0 {
 			return end, nil
@@ -143,4 +191,12 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value) (
 		}
 		return Outcome{Delta: n}, nil
 	})
+}
+
+// seeded stages what seed emits over out. Its own function, so that
+// only this staging escapes through the seed and not every round's.
+func seeded(out *tuple.Instance, seed func(emit func(eval.Fact) bool)) *eval.Staging {
+	st := eval.NewStaging(out)
+	seed(st.Emit)
+	return st
 }

@@ -16,6 +16,7 @@ package eval
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"unchained/internal/ast"
 	"unchained/internal/tuple"
@@ -122,7 +123,20 @@ type text struct {
 	// that first occur in a negative literal, an equality or free in a
 	// ∀ (no schedule enumerates more over the active domain).
 	nArgs, nEnum int
-	planKey      string // structural body identity for shared plan caching
+	// planKey is the body's structural identity for shared plan caching
+	// (bodyKey), rendered by the first lookup in a PlanCache.
+	planKey atomic.Pointer[string]
+}
+
+// cacheKey returns the rule body's planKey. Two goroutines that render
+// it at once store equal strings.
+func (t *text) cacheKey() string {
+	if k := t.planKey.Load(); k != nil {
+		return *k
+	}
+	k := bodyKey(t.Src)
+	t.planKey.Store(&k)
+	return k
 }
 
 // Rule is a compiled rule ready for enumeration. The baseline steps
@@ -172,23 +186,24 @@ func Compile(r ast.Rule) (*Rule, error) {
 }
 
 // Delta returns the delta variant of the rule for semi-naive
-// evaluation: the positive body literal with the given index is
-// scheduled first, so when the evaluation context targets it with a
-// (small) delta relation, the join starts from the delta instead of
-// scanning another relation — the classic "delta rule" plan. The
-// variant is a schedule of the compiled text, not a compilation.
+// evaluation: the body atom literal with the given index is scheduled
+// first, so when the evaluation context targets it with a (small) delta
+// relation, the join starts from the delta instead of scanning another
+// relation — the classic "delta rule" plan. A negative literal pinned
+// this way is matched, not checked: the variant enumerates the firings
+// the delta's facts block, each with its other literals as in the rule —
+// the firings a fact entering the negated relation takes away, or one
+// leaving it gives.
+//
+// lit one past the last body literal pins the head atom of a rule with
+// one: the variant asks "does the rule still derive this fact?". Driven
+// by a fact of the head predicate it enumerates the firings that derive
+// that fact; head constants and repeated head variables are checks of
+// the pinned step like any other atom's.
+//
+// The variant is a schedule of the compiled text, not a compilation.
 func (r *Rule) Delta(lit int) *Rule {
 	return &Rule{text: r.text, deltaLit: lit, steps: r.schedule(lit, nil)}
-}
-
-// CompileDelta is Compile then Delta, for a caller that builds the
-// pinned rule text itself (incr).
-func CompileDelta(r ast.Rule, deltaLit int) (*Rule, error) {
-	cr, err := Compile(r)
-	if err != nil {
-		return nil, err
-	}
-	return cr.Delta(deltaLit), nil
 }
 
 // compiler interns a rule's variables and compiles its terms. Every
@@ -278,6 +293,7 @@ func compileText(r ast.Rule) (*text, error) {
 			ha := HeadAtom{Neg: h.Neg, Pred: h.Atom.Pred, Slots: c.slotList(h.Atom.Args)}
 			t.heads = append(t.heads, ha)
 			t.headWidth += len(ha.Slots)
+			t.width = max(t.width, len(ha.Slots)) // a head-pinned step's scratch
 		default:
 			return nil, fmt.Errorf("eval: illegal head literal kind")
 		}
@@ -285,7 +301,6 @@ func compileText(r ast.Rule) (*text, error) {
 	for id := nBodyVars; id < len(t.Vars); id++ {
 		t.headOnly = append(t.headOnly, id)
 	}
-	t.planKey = bodyKey(r)
 	return t, nil
 }
 
@@ -347,8 +362,9 @@ type scheduler struct {
 
 // schedule orders the rule's literals into steps and fills in what the
 // order decides: each atom's mask, binds and checks. firstLit, when it
-// names a positive atom, is placed first so the enumeration starts from
-// the (small) delta relation. A nil ctx selects the seed's
+// names an atom (or, one past the body, the head atom), is placed first
+// as a match, so the enumeration starts from the (small) delta
+// relation. A nil ctx selects the seed's
 // literal-order greedy schedule; a non-nil one turns the scheduler into
 // the cost-based planner, reading the live cardinalities from ctx (see
 // plan.go). It cannot fail: compileText has rejected every literal a
@@ -357,11 +373,20 @@ func (r *Rule) schedule(firstLit int, ctx *Ctx) []step {
 	t := r.text
 	nv, nl := len(t.Vars), len(t.lits)
 	flags := make([]bool, nv+nl)
+	var head *HeadAtom // pinned first
+	nSteps, nBinds := nl+t.nEnum, t.nArgs
+	if firstLit == nl && len(t.heads) == 1 && !t.heads[0].Bottom {
+		head = &t.heads[0]
+		nSteps, nBinds = nSteps+1, nBinds+len(head.Slots)
+	}
 	s := scheduler{
 		t: t, ctx: ctx, bound: flags[:nv], done: flags[nv:], left: nl,
-		steps: make([]step, 0, nl+t.nEnum), binds: make([]argBind, 0, t.nArgs),
+		steps: make([]step, 0, nSteps), binds: make([]argBind, 0, nBinds),
 	}
-	if firstLit >= 0 && firstLit < nl && t.lits[firstLit].kind == ast.LitAtom && !t.lits[firstLit].neg {
+	switch {
+	case head != nil:
+		s.steps = append(s.steps, s.match(stepMatch, firstLit, &lit{kind: ast.LitAtom, pred: head.Pred, slots: head.Slots}))
+	case firstLit >= 0 && firstLit < nl && t.lits[firstLit].kind == ast.LitAtom:
 		s.atom(stepMatch, firstLit)
 	}
 	for s.left > 0 {
@@ -395,11 +420,15 @@ func (s *scheduler) place(li int, st step) {
 	s.left--
 }
 
-// atom places atom literal li as a match or an absence check: bound
-// positions go into the mask, the first occurrence of each new variable
-// binds it, a repeat within the atom is checked against it.
+// atom places atom literal li as a match or an absence check.
 func (s *scheduler) atom(kind stepKind, li int) {
-	l := &s.t.lits[li]
+	s.place(li, s.match(kind, li, &s.t.lits[li]))
+}
+
+// match returns the step of atom l, with index li: bound positions go
+// into the mask, the first occurrence of each new variable binds it, a
+// repeat within the atom is checked against it.
+func (s *scheduler) match(kind stepKind, li int, l *lit) step {
 	st := step{kind: kind, pred: l.pred, arity: len(l.slots), litIndex: li, slots: l.slots}
 	from := len(s.binds)
 	for pos, sl := range l.slots {
@@ -427,7 +456,7 @@ func (s *scheduler) atom(kind stepKind, li int) {
 	for _, ab := range st.binds {
 		s.bound[ab.varID] = true
 	}
-	s.place(li, st)
+	return st
 }
 
 // bindsVar returns the index of the bind of varID in binds, or -1.

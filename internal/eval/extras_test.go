@@ -34,16 +34,13 @@ func TestCompileDeltaSchedulesDeltaFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Delta plan for the T literal (body index 1).
-	dv, err := CompileDelta(r, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Semantics must be unchanged: same results as the normal plan.
 	cr, err := Compile(r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Delta plan for the T literal (body index 1). Semantics must be
+	// unchanged: same results as the normal plan.
+	dv := cr.Delta(1)
 	in := parser.MustParseFacts(`G(a,b). G(b,c). T(b,c). T(c,d).`, u)
 	count := func(rule *Rule, delta *tuple.Instance, lit int) int {
 		ctx := &Ctx{In: in, Adom: ActiveDomain(u, nil, in), Delta: delta, DeltaLit: lit, Scan: false}

@@ -47,13 +47,15 @@ type planState struct {
 func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	// Fewer than two joins leave nothing to reorder; past 16 the
 	// signature packing would overflow (and such bodies are rare
-	// enough that the baseline schedule is fine).
-	if ctx.NoPlan || len(r.posBody) < 2 || len(r.posBody) > 16 {
+	// enough that the baseline schedule is fine). A head-pinned variant
+	// keeps its baseline too: the cache keys on the body alone, and two
+	// rules with one body and different heads must not share its plan.
+	if ctx.NoPlan || r.deltaLit == len(r.lits) || len(r.posBody) < 2 || len(r.posBody) > 16 {
 		return r.steps, false
 	}
 	sig := r.planSig(ctx)
 	if ctx.Plans != nil {
-		key := planCacheKey{r.planKey, r.deltaLit, sig}
+		key := planCacheKey{r.cacheKey(), r.deltaLit, sig}
 		if st, ok := ctx.Plans.lookup(key); ok {
 			return st, true
 		}

@@ -129,6 +129,47 @@ func TestPlanCacheSharing(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeepsHeadPinnedVariantsApart: the cache keys on the rule
+// body, so two rules with one body and different heads must not share a
+// head-pinned variant's plan, whose first step matches the head.
+func TestPlanCacheKeepsHeadPinnedVariantsApart(t *testing.T) {
+	u := value.New()
+	in := parser.MustParseFacts(`E(a,b). F(b,c). E(c,d). F(d,e).`, u)
+	cache := NewPlanCache()
+	derives := func(rule, fact string) []string {
+		r, err := parser.ParseRule(rule, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := Compile(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := cr.Delta(len(r.Body))
+		f := parser.MustParseFacts(fact, u)
+		var out []string
+		f.EachRel(func(_ string, rel *tuple.Relation) {
+			rel.Each(func(tp tuple.Tuple) bool {
+				ctx := &Ctx{In: in, Adom: ActiveDomain(u, nil, in), DeltaLit: v.DeltaLit(), DeltaFact: tp, Plans: cache}
+				v.Enumerate(ctx, func(b Binding) bool {
+					for _, h := range v.HeadFacts(b, nil) {
+						out = append(out, h.Pred+h.Tuple.String(u))
+					}
+					return true
+				})
+				return true
+			})
+		})
+		return out
+	}
+	if got := derives(`A(X) :- E(X,Y), F(Y,Z).`, `A(a).`); fmt.Sprint(got) != "[A(a)]" {
+		t.Fatalf("A(a) is derived by %v", got)
+	}
+	if got := derives(`B(Z) :- E(X,Y), F(Y,Z).`, `B(c).`); fmt.Sprint(got) != "[B(c)]" {
+		t.Fatalf("B(c) is derived by %v: the variant ran A's plan", got)
+	}
+}
+
 // TestPlannerJoinsTheConstantBearingLiteralFirst: the join order is
 // decided here and nowhere else (no optimizer pass orders a body). With
 // the planner on, the literal a constant binds goes first wherever the

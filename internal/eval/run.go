@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"sort"
+	"slices"
 
 	"unchained/internal/ast"
 	"unchained/internal/stats"
@@ -397,7 +397,12 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 	col.BeginRule(ri)
 	var scratch []Fact
 	var vals []value.Value
-	if heads == nil {
+	switch {
+	case heads != nil:
+	case len(r.heads) == 1 && r.headWidth <= len(fireScratch{}.vals):
+		fs := &fireScratch{}
+		scratch, vals = fs.fact[:0], fs.vals[:r.headWidth]
+	default:
 		scratch, vals = make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth)
 	}
 	var firings, derived, rederived uint64
@@ -422,6 +427,13 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 	col.EndRule(ri)
 }
 
+// fireScratch is the head scratch of a rule with one head atom of arity
+// up to four, in one allocation.
+type fireScratch struct {
+	fact [1]Fact
+	vals [4]value.Value
+}
+
 // Staging is the set a round of a fixpoint engine collects its head
 // facts in: Out is the instance the round reads, Next holds the facts
 // the round derived that Out lacks. Out is not written until Fold, so
@@ -438,7 +450,15 @@ type Staging struct {
 
 // NewStaging returns an empty staging set over out.
 func NewStaging(out *tuple.Instance) *Staging {
-	return &Staging{Out: out, Next: tuple.NewInstance()}
+	s := &stagingAlloc{}
+	s.Out, s.Next = out, &s.next
+	return &s.Staging
+}
+
+// stagingAlloc is a new staging set and its Next, in one allocation.
+type stagingAlloc struct {
+	Staging
+	next tuple.Instance
 }
 
 // Emit is the emit function for Fire: it stages f unless Out holds it,
@@ -525,7 +545,7 @@ func ActiveDomain(u *value.Universe, progConsts []value.Value, in *tuple.Instanc
 	if in != nil {
 		all = in.ActiveDomain(all)
 	}
-	sort.Slice(all, func(i, j int) bool { return u.Compare(all[i], all[j]) < 0 })
+	slices.SortFunc(all, u.Compare)
 	out := all[:0]
 	var prev value.Value
 	for i, v := range all {

@@ -31,10 +31,11 @@ func shardFixture(t *testing.T, n int) (*value.Universe, []DeltaVariant, *Ctx, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := CompileDelta(r, 1)
+	cr, err := Compile(r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dv := cr.Delta(1)
 	base := &Ctx{In: in, Adom: ActiveDomain(u, nil, in)}
 	return u, []DeltaVariant{{Rule: dv, Index: -1}}, base, delta
 }
@@ -168,10 +169,11 @@ func TestRunShardedNegInSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := CompileDelta(r, 0)
+	cr, err := Compile(r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dv := cr.Delta(0)
 	variants := []DeltaVariant{{Rule: dv, Index: -1}}
 	base := &Ctx{In: in, NegIn: negIn, Adom: ActiveDomain(u, nil, in)}
 	got, _ := collectSharded(t, u, variants, base, delta, 4, nil)

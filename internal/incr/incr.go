@@ -94,18 +94,13 @@ type layer struct {
 type View struct {
 	prog  *ast.Program
 	rules []*eval.Rule
-	// variants holds per-rule delta plans: one per body atom literal.
-	// Positive literals are compiled with the literal scheduled first;
-	// negative literals are compiled from a polarity-flipped copy so a
-	// delta on the negated predicate can drive the join.
+	// variants holds per-rule delta plans: one per body atom literal,
+	// scheduled first (Rule.Delta; a negative one is matched, so a delta
+	// on the negated predicate drives the join).
 	variants [][]deltaVariant
 	// rederive holds per-rule the plan a recursive layer's deletion step
-	// asks "does the rule still derive this fact?" with: the rule with
-	// its own head atom as one more body literal, pinned first. Driven by
-	// a fact of the head predicate it enumerates that fact's firings;
-	// head constants and repeated head variables are checks of the
-	// pinned step like any other atom's. The atom goes last in the body,
-	// so the others keep the indexes plan lines name them by.
+	// asks "does the rule still derive this fact?" with: the delta
+	// variant pinned at the head atom (Rule.Delta one past the body).
 	rederive []*eval.Rule
 	idb      map[string]bool
 	state    *tuple.Instance // EDB ∪ derived IDB
@@ -196,9 +191,7 @@ func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *eng
 	for _, n := range p.IDB() {
 		v.idb[n] = true
 	}
-	if err := v.compileVariants(); err != nil {
-		return nil, err
-	}
+	v.compileVariants()
 	v.buildLayers()
 	if err := v.initCounts(); err != nil {
 		return nil, err
@@ -238,43 +231,18 @@ func checkMaintainable(p *ast.Program) error {
 	return nil
 }
 
-// compileVariants builds the per-literal delta plans and the rederive
-// plan of every rule: all the compilation a view ever does.
-func (v *View) compileVariants() error {
+// compileVariants schedules the per-literal delta plans and the
+// rederive plan of every compiled rule: all the planning a view does
+// outside the planner's own replans.
+func (v *View) compileVariants() {
 	for i, src := range v.prog.Rules {
 		var vs []deltaVariant
 		for li, l := range src.Body {
-			pinned := src
-			if l.Neg {
-				pinned = flipNeg(src, li)
-			}
-			dv, err := eval.CompileDelta(pinned, li)
-			if err != nil {
-				return fmt.Errorf("incr: rule %d: %w", i+1, err)
-			}
-			vs = append(vs, deltaVariant{rule: dv, lit: li, pred: l.Atom.Pred, neg: l.Neg})
+			vs = append(vs, deltaVariant{rule: v.rules[i].Delta(li), lit: li, pred: l.Atom.Pred, neg: l.Neg})
 		}
 		v.variants = append(v.variants, vs)
-		body := append(src.Body[:len(src.Body):len(src.Body)], src.Head[0])
-		re, err := eval.CompileDelta(ast.Rule{Head: src.Head, Body: body, SrcPos: src.SrcPos}, len(src.Body))
-		if err != nil {
-			return fmt.Errorf("incr: rule %d: %w", i+1, err)
-		}
-		v.rederive = append(v.rederive, re)
+		v.rederive = append(v.rederive, v.rules[i].Delta(len(src.Body)))
 	}
-	return nil
-}
-
-// flipNeg returns a copy of the rule with body literal li made
-// positive, so the literal can be scheduled first and driven by a
-// delta on its predicate.
-func flipNeg(r ast.Rule, li int) ast.Rule {
-	body := make([]ast.Literal, len(r.Body))
-	copy(body, r.Body)
-	l := body[li]
-	l.Neg = false
-	body[li] = l
-	return ast.Rule{Head: r.Head, Body: body, SrcPos: r.SrcPos}
 }
 
 // buildLayers computes the SCC condensation of the dependency graph.
@@ -309,10 +277,16 @@ func (v *View) buildLayers() {
 		l.counting = !recursive
 		if recursive {
 			var rules, heads []*eval.Rule
+			var forward []eval.DeltaVariant
 			for _, ri := range l.rules {
 				rules, heads = append(rules, v.rules[ri]), append(heads, v.rederive[ri])
+				for _, li := range v.rules[ri].PositiveBodyLits() {
+					if dv := v.variants[ri][li]; l.preds[dv.pred] {
+						forward = append(forward, eval.DeltaVariant{Rule: dv.rule, Index: -1})
+					}
+				}
 			}
-			l.bf = engine.NewBackwardForward(rules, heads)
+			l.bf = engine.NewBackwardForward(rules, heads, forward)
 		}
 		v.layers = append(v.layers, l)
 	}
@@ -602,14 +576,16 @@ func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
 // firings lived. A deleted fact the gains derive again is put back by
 // the loop, and Delta.add cancels it against its removal.
 func (v *View) bfLayer(l *layer, old *tuple.Instance, d *Delta) error {
-	gone, err := l.bf.Run(v.opt, v.state, func(emit func(eval.Fact) bool) {
+	gone, err := l.bf.Run(v.opt, v.state, nil, nil, func(emit func(eval.Fact) bool) {
 		for _, ri := range l.rules {
 			v.fireVariants(l, ri, 1, d, false, old, nil, emit)
 		}
 	})
-	gone.EachRel(func(pred string, r *tuple.Relation) {
-		d.Removed.Ensure(pred, r.Arity()).UnionInPlace(r)
-	})
+	if gone != nil {
+		gone.EachRel(func(pred string, r *tuple.Relation) {
+			d.Removed.Ensure(pred, r.Arity()).UnionInPlace(r)
+		})
+	}
 	if err != nil {
 		return err
 	}

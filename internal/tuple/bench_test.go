@@ -150,7 +150,7 @@ func BenchmarkForkSnapshot(b *testing.B) {
 func BenchmarkInstanceFingerprint(b *testing.B) {
 	r, _, _ := benchRelation(4096)
 	in := NewInstance()
-	in.rels["R"] = r
+	in.put("R", r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

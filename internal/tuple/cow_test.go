@@ -124,6 +124,46 @@ func TestSnapshotReusesWarmIndexes(t *testing.T) {
 	}
 }
 
+// TestClearAndDropIndexes: a cleared relation is empty and takes new
+// tuples into its old storage, a shared one without touching its
+// snapshot's; dropping indexes leaves probes answering the same, and
+// keeps the indexes a snapshot shares.
+func TestClearAndDropIndexes(t *testing.T) {
+	u := value.New()
+	r := NewRelation(2)
+	for i := 0; i < 50; i++ {
+		r.Insert(tup(u.Int(int64(i%7)), u.Int(int64(i))))
+	}
+	want := len(probe(r, 1, tup(u.Int(3), value.None)))
+	r.DropIndexes()
+	if r.data.indexes != nil || len(probe(r, 1, tup(u.Int(3), value.None))) != want {
+		t.Fatalf("after DropIndexes: indexes %v, probe differs", r.data.indexes)
+	}
+	snap := r.Snapshot()
+	r.DropIndexes()
+	if indexOn(snap.data.indexes, 1) == nil || len(probe(snap, 1, tup(u.Int(3), value.None))) != want {
+		t.Fatalf("DropIndexes on a shared relation took its snapshot's index")
+	}
+	r.Clear()
+	if r.Len() != 0 || r.Contains(tup(u.Int(3), u.Int(3))) || snap.Len() != 50 {
+		t.Fatalf("after Clear: %d tuples, snapshot %d", r.Len(), snap.Len())
+	}
+	for i := 0; i < 3; i++ {
+		r.Insert(tup(u.Int(9), u.Int(int64(i))))
+	}
+	vals := cap(r.data.vals)
+	r.Clear()
+	r.Insert(tup(u.Int(8), u.Int(8)))
+	if r.Len() != 1 || !r.Contains(tup(u.Int(8), u.Int(8))) || r.Contains(tup(u.Int(9), u.Int(0))) || cap(r.data.vals) != vals {
+		t.Fatalf("Clear of an owned relation: %d tuples, storage %d → %d", r.Len(), vals, cap(r.data.vals))
+	}
+	o := NewRelation(2)
+	o.Insert(tup(u.Int(8), u.Int(8)))
+	if r.Fingerprint() != o.Fingerprint() || !r.Equal(o) {
+		t.Fatalf("fingerprint not reset by Clear")
+	}
+}
+
 func TestPromoteCarriesIndexesSafely(t *testing.T) {
 	u := value.New()
 	r := NewRelation(2)

@@ -40,9 +40,19 @@ type Instance struct {
 	cow *Counters
 }
 
-// NewInstance returns an empty instance.
+// NewInstance returns an empty instance. Its map is made by the first
+// relation put into it, so an instance that stays empty (the last
+// round's delta of every fixpoint) costs one allocation.
 func NewInstance() *Instance {
-	return &Instance{rels: make(map[string]*Relation)}
+	return &Instance{}
+}
+
+// put names r name in the instance.
+func (in *Instance) put(name string, r *Relation) {
+	if in.rels == nil {
+		in.rels = make(map[string]*Relation)
+	}
+	in.rels[name] = r
 }
 
 // SetCow attaches a copy-on-write counter sink to the instance and
@@ -67,7 +77,7 @@ func (in *Instance) Ensure(name string, arity int) *Relation {
 	}
 	r := NewRelation(arity)
 	r.cow = in.cow
-	in.rels[name] = r
+	in.put(name, r)
 	return r
 }
 
@@ -134,7 +144,7 @@ func (in *Instance) Snapshot() *Instance {
 func (in *Instance) Share(src *Instance, names []string) {
 	for _, n := range names {
 		if r := src.rels[n]; r != nil {
-			in.rels[n] = r.Snapshot()
+			in.put(n, r.Snapshot())
 		} else {
 			delete(in.rels, n)
 		}
@@ -266,10 +276,10 @@ func (in *Instance) Restrict(names []string, sch Schema) *Instance {
 	out.cow = in.cow
 	for _, n := range names {
 		if r := in.rels[n]; r != nil {
-			out.rels[n] = r.Snapshot()
+			out.put(n, r.Snapshot())
 		} else if sch != nil {
 			if a, ok := sch[n]; ok {
-				out.rels[n] = NewRelation(a)
+				out.put(n, NewRelation(a))
 			}
 		}
 	}

@@ -142,6 +142,9 @@ func (r *Relation) index(mask uint32) *table {
 	}
 	ix := newIndex(mask, d.rows, d.n)
 	if r.shared.Load() {
+		if r.own == nil {
+			r.own = make([]*table, 0, 2) // a join probes a shared relation by a column or two
+		}
 		r.own = append(r.own, ix)
 	} else {
 		d.indexes = append(d.indexes, ix)

@@ -194,7 +194,7 @@ func (m *model) checkFingerprint(f *fork) {
 
 func (m *model) checkPartition(f *fork) {
 	in := NewInstance()
-	in.rels["R"] = f.rel.Snapshot()
+	in.put("R", f.rel.Snapshot())
 	n := 1 + m.rng.Intn(4)
 	total := 0
 	for i, part := range in.Partition(n) {

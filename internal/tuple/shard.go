@@ -53,7 +53,7 @@ func (in *Instance) Partition(n int) []*Instance {
 		rels := make([]*Relation, n)
 		for i := range rels {
 			rels[i] = NewRelation(r.arity)
-			parts[i].rels[name] = rels[i]
+			parts[i].put(name, rels[i])
 		}
 		r.Each(func(t Tuple) bool {
 			rels[t.Shard(n)].Insert(t)

@@ -9,6 +9,7 @@ package tuple
 
 import (
 	"math/bits"
+	"slices"
 
 	"unchained/internal/value"
 )
@@ -60,8 +61,9 @@ func avalanche(h uint64) uint64 {
 // stays addressed (tombstoned in relData.dead) until the relation
 // re-packs into fresh storage.
 type table struct {
-	cols  []int    // key columns; nil keys on the whole row (the membership table)
-	mask  uint32   // cols as a column bitmask, the name a secondary index goes by
+	// mask is the key columns as a bitmask, the name a secondary index
+	// goes by; 0 keys on the whole row (the membership table).
+	mask  uint32
 	slots []uint64 // tag<<32 | payload+1, placed by the tag's top bits; 0 is free
 	keys  int      // occupied slots
 	// blocks holds the row ids of a secondary index (the payload of the
@@ -79,13 +81,18 @@ type table struct {
 
 const maxBlock = 1 << 10
 
+// smallIndex is the most rows a relation may have for a new index on
+// it to be sized up front for one key per row, its slots and its blocks
+// one allocation each instead of a doubling sequence. Past it a key
+// count far below the row count would leave most of that room unused.
+const smallIndex = 64
+
 // newIndex builds the secondary index on the masked columns of rs.
 func newIndex(mask uint32, rs rows, n int) *table {
-	tb := &table{mask: mask, cols: make([]int, 0, bits.OnesCount32(mask))}
-	for c := 0; c < rs.arity && c < 32; c++ {
-		if mask&(1<<uint(c)) != 0 {
-			tb.cols = append(tb.cols, c)
-		}
+	tb := &table{mask: mask}
+	if n <= smallIndex {
+		tb.reserve(n)
+		tb.blocks = make([]uint32, 0, 4*n)
 	}
 	for row := 0; row < n; row++ {
 		tb.link(rs, row)
@@ -95,22 +102,22 @@ func newIndex(mask uint32, rs rows, n int) *table {
 
 // hash is the hash of t's key columns.
 func (tb *table) hash(t Tuple) uint64 {
-	if tb.cols == nil {
+	if tb.mask == 0 {
 		return t.Hash()
 	}
 	h := uint64(hashSeed)
-	for _, c := range tb.cols {
-		h = mix(h, t[c])
+	for m := tb.mask; m != 0; m &= m - 1 {
+		h = mix(h, t[bits.TrailingZeros32(m)])
 	}
 	return avalanche(h)
 }
 
 func (tb *table) sameKey(a, b Tuple) bool {
-	if tb.cols == nil {
+	if tb.mask == 0 {
 		return a.Equal(b)
 	}
-	for _, c := range tb.cols {
-		if a[c] != b[c] {
+	for m := tb.mask; m != 0; m &= m - 1 {
+		if c := bits.TrailingZeros32(m); a[c] != b[c] {
 			return false
 		}
 	}
@@ -137,7 +144,7 @@ func (tb *table) find(rs rows, key Tuple, h uint64) (pos, payload int) {
 		}
 		if s>>32 == tag {
 			payload, row := int(uint32(s))-1, int(uint32(s))-1
-			if tb.cols != nil {
+			if tb.mask != 0 {
 				row = int(tb.blocks[payload+2])
 			}
 			if tb.sameKey(rs.at(row), key) {
@@ -205,12 +212,16 @@ func (tb *table) link(rs rows, row int) {
 // newBlock appends a block of capacity c holding row, linked to older.
 func (tb *table) newBlock(older, c uint32, row int) int {
 	o := len(tb.blocks)
-	tb.blocks = append(append(tb.blocks, older, c<<16|1, uint32(row)), make([]uint32, c-1)...)
+	// Grown in place and cleared, not appended from a make: under the race
+	// detector that make is an allocation per key.
+	tb.blocks = slices.Grow(tb.blocks, 2+int(c))[:o+2+int(c)]
+	tb.blocks[o], tb.blocks[o+1], tb.blocks[o+2] = older, c<<16|1, uint32(row)
+	clear(tb.blocks[o+3:])
 	return o
 }
 
 // clone copies the table for a promoted relation, with room for the
-// writes that follow. cols is immutable and stays shared.
+// writes that follow.
 func (tb *table) clone() table {
 	c := *tb
 	c.slots = append([]uint64(nil), tb.slots...)

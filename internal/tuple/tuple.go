@@ -185,6 +185,32 @@ func (r *Relation) Delete(t Tuple) bool {
 	return true
 }
 
+// Clear empties r and keeps its storage for the inserts that follow.
+// They overwrite the old rows, so a tuple read from r before is no
+// longer valid: Clear is for a scratch set that hands out no tuples, such
+// as a memo reused from one pass to the next.
+func (r *Relation) Clear() {
+	if r.shared.Load() {
+		r.data = &relData{rows: rows{arity: r.arity}}
+		r.shared.Store(false)
+	} else {
+		d := r.data
+		clear(d.member.slots)
+		*d = relData{gen: d.gen, rows: rows{d.vals[:0], r.arity}, member: table{slots: d.member.slots}}
+	}
+	r.own, r.fp = nil, 0
+}
+
+// DropIndexes returns the memory of r's secondary indexes; the next
+// probe that needs one builds it again. Indexes r shares with a
+// snapshot stay where they are, for the snapshot's sake.
+func (r *Relation) DropIndexes() {
+	r.own = nil
+	if !r.shared.Load() {
+		r.data.indexes = nil
+	}
+}
+
 // Contains reports whether t is in the relation.
 func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
