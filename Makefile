@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/incr -run='^$$' -fuzz='^FuzzApply$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzInflationaryDelta$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzNonInflationary$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/declarative -run='^$$' -fuzz='^FuzzWellFounded$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tuple -run='^$$' -fuzz='^FuzzSortedTuples$$' -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz='^FuzzOptimize$$' -fuzztime=$(FUZZTIME)

@@ -28,7 +28,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"unchained/internal/ast"
 	"unchained/internal/engine"
@@ -144,24 +144,25 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 //
 // Every stage fires every rule against the whole instance: a retraction
 // can make a negative literal true again, so an instantiation can become
-// applicable without any fact being new.
+// applicable without any fact being new. The stage is then applied in
+// place to the engine's fork of the input, so Options.Trace is shown
+// the live instance (see Options.Trace).
 func EvalNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	rules, col, cur, err := begin("noninflationary", ast.DialectDatalogNegNeg, p, in, u, opt)
 	if err != nil {
 		return nil, err
 	}
-	adom := eval.ActiveDomain(u, p.Constants(), in)
+	s := newNonInflationary(rules, opt.EvalCtx(col, cur, eval.ActiveDomain(u, p.Constants(), in)), opt.Conflict(), u)
 	cycle := engine.NewCycle(cur)
 	stages, err := opt.Loop(col, opt.StageLimit(1<<20), stageLimitErr, func(int) (engine.Outcome, error) {
-		next, applied, err := stageNonInflationary(rules, opt.EvalCtx(col, cur, adom), opt.Conflict(), u)
-		if err != nil {
+		applied, err := s.stage()
+		switch {
+		case err != nil:
 			return engine.Outcome{}, err
-		}
-		if next.Equal(cur) {
+		case applied == 0:
 			return engine.Outcome{Status: engine.Confirm}, nil
 		}
-		cur = next
-		out := engine.Outcome{Delta: applied, State: next}
+		out := engine.Outcome{Delta: applied, State: cur}
 		if n := cycle.Visit(cur); n > 0 {
 			out.Err = fmt.Errorf("%w (cycle of length %d)", ErrNonTerminating, n)
 		}
@@ -170,64 +171,105 @@ func EvalNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, 
 	return engine.Finish(cur, stages, col, err)
 }
 
-// stageNonInflationary computes one parallel firing of all rules on
-// the instance of ctx and returns the successor instance along with
-// the number of changes (retractions + insertions) actually applied to
-// it. It returns ErrInconsistent (wrapped, naming the fact) when the
-// policy is Inconsistent and a conflict arises.
-func stageNonInflationary(rules []*eval.Rule, ctx *eval.Ctx, policy ConflictPolicy, u *value.Universe) (*tuple.Instance, int, error) {
-	cur, col := ctx.In, ctx.Stats
-	pos := tuple.NewInstance()
-	neg := tuple.NewInstance()
-	stage := func(f eval.Fact) bool {
-		if f.Neg {
-			return neg.Insert(f.Pred, f.Tuple)
+// nonInflationary is the state of a Datalog¬¬ run: one matcher context
+// with its scratch for every firing of every stage, and the sets a stage
+// collects its head facts in, pos and neg, emptied for the next stage
+// instead of made anew. Both hold one relation per head predicate of
+// the program's sign, listed by name in sorted order, so a stage
+// visits them in the same order every time and allocates nothing.
+type nonInflationary struct {
+	rules              []*eval.Rule
+	ctx                *eval.Ctx
+	buf                eval.Scratch
+	policy             ConflictPolicy
+	u                  *value.Universe
+	pos, neg           *tuple.Instance
+	posNames, negNames []string
+	emit               func(eval.Fact) bool
+}
+
+func newNonInflationary(rules []*eval.Rule, ctx *eval.Ctx, policy ConflictPolicy, u *value.Universe) *nonInflationary {
+	s := &nonInflationary{rules: rules, ctx: ctx, policy: policy, u: u, pos: tuple.NewInstance(), neg: tuple.NewInstance()}
+	ctx.Buf = &s.buf
+	for _, cr := range rules {
+		for _, h := range cr.Heads() {
+			if h.Neg {
+				s.neg.Ensure(h.Pred, len(h.Slots))
+			} else {
+				s.pos.Ensure(h.Pred, len(h.Slots))
+			}
 		}
-		return pos.Insert(f.Pred, f.Tuple)
 	}
-	for ri, cr := range rules {
-		cr.Fire(ctx, ri, nil, stage)
+	s.posNames, s.negNames = s.pos.Names(), s.neg.Names()
+	s.emit = func(f eval.Fact) bool {
+		if f.Neg {
+			return s.neg.Insert(f.Pred, f.Tuple)
+		}
+		return s.pos.Insert(f.Pred, f.Tuple)
 	}
-	next := cur.Clone()
+	return s
+}
+
+// stage computes one parallel firing of all rules on the instance of
+// the context and applies it there, returning the number of changes
+// (retractions + insertions) applied: 0 when the instance is a
+// fixpoint. It returns
+// ErrInconsistent (wrapped, naming the fact) when the policy is
+// Inconsistent and a conflict arises; the instance is then left
+// partly applied.
+func (s *nonInflationary) stage() (int, error) {
+	pos, neg, cur, col := s.pos, s.neg, s.ctx.In, s.ctx.Stats
+	for _, name := range s.posNames {
+		pos.Relation(name).Clear()
+	}
+	for _, name := range s.negNames {
+		neg.Relation(name).Clear()
+	}
+	for ri, cr := range s.rules {
+		cr.Fire(s.ctx, ri, nil, s.emit)
+	}
 	applied := 0
 	var conflictErr error
 	// Deletions first, then insertions, applying the policy to the
-	// overlap.
-	for _, name := range neg.Names() {
-		rel := neg.Relation(name)
-		rel.Each(func(t tuple.Tuple) bool {
+	// overlap. No policy deletes a fact and inserts it again:
+	// PreferNegative keeps a conflicting fact from the insertions, the
+	// others do not delete it. So a stage that applied nothing changed
+	// nothing, and under NoOp cur still holds a conflicting fact iff it
+	// did before the stage.
+	for _, name := range s.negNames {
+		neg.Relation(name).Each(func(t tuple.Tuple) bool {
 			inPos := pos.Has(name, t)
 			if inPos {
 				col.Conflict()
 			}
-			switch policy {
+			switch s.policy {
 			case PreferPositive:
-				if !inPos && next.Delete(name, t) {
+				if !inPos && cur.Delete(name, t) {
 					applied++
 					col.Retracted(1)
 				}
 			case PreferNegative:
-				if next.Delete(name, t) {
+				if cur.Delete(name, t) {
 					applied++
 					col.Retracted(1)
 				}
 			case NoOp:
-				if !inPos && next.Delete(name, t) {
+				if !inPos && cur.Delete(name, t) {
 					applied++
 					col.Retracted(1)
 				}
 				// Conflicting fact: leave as in cur (no-op), so
 				// suppress the later insertion by removing it from
-				// pos unless it was already in cur.
+				// pos unless cur holds it.
 				if inPos && !cur.Has(name, t) {
 					pos.Delete(name, t)
 				}
 			case Inconsistent:
 				if inPos {
-					conflictErr = fmt.Errorf("%w: %s%s", ErrInconsistent, name, t.String(u))
+					conflictErr = fmt.Errorf("%w: %s%s", ErrInconsistent, name, t.String(s.u))
 					return false
 				}
-				if next.Delete(name, t) {
+				if cur.Delete(name, t) {
 					applied++
 					col.Retracted(1)
 				}
@@ -235,22 +277,21 @@ func stageNonInflationary(rules []*eval.Rule, ctx *eval.Ctx, policy ConflictPoli
 			return true
 		})
 		if conflictErr != nil {
-			return nil, 0, conflictErr
+			return 0, conflictErr
 		}
 	}
-	for _, name := range pos.Names() {
-		rel := pos.Relation(name)
-		rel.Each(func(t tuple.Tuple) bool {
-			if policy == PreferNegative && neg.Has(name, t) {
+	for _, name := range s.posNames {
+		pos.Relation(name).Each(func(t tuple.Tuple) bool {
+			if s.policy == PreferNegative && neg.Has(name, t) {
 				return true
 			}
-			if next.Insert(name, t) {
+			if cur.Insert(name, t) {
 				applied++
 			}
 			return true
 		})
 	}
-	return next, applied, nil
+	return applied, nil
 }
 
 // EvalInvent evaluates a Datalog¬new program (Section 4.3):
@@ -272,52 +313,62 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 	}
 
 	// Skolem memo: (rule, body binding) -> invented values, one per
-	// head-only variable.
+	// head-only variable. The key is built in one reused buffer; only a
+	// new instantiation pays for its string.
 	memo := make(map[string][]value.Value)
-	skolem := func(ri int, b eval.Binding, ho []int) func(int) value.Value {
-		var key strings.Builder
-		fmt.Fprintf(&key, "%d|", ri)
+	var key []byte
+	skolem := func(ri int, b eval.Binding, n int) []value.Value {
+		key = strconv.AppendInt(key[:0], int64(ri), 10)
+		key = append(key, '|')
 		for _, v := range b {
-			key.WriteByte(byte(v))
-			key.WriteByte(byte(v >> 8))
-			key.WriteByte(byte(v >> 16))
-			key.WriteByte(byte(v >> 24))
+			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 		}
-		k := key.String()
-		vs, ok := memo[k]
+		vs, ok := memo[string(key)]
 		if !ok {
-			vs = make([]value.Value, len(ho))
+			vs = make([]value.Value, n)
 			for i := range vs {
 				vs[i] = u.Fresh()
 			}
 			col.Invented(len(vs))
-			memo[k] = vs
+			memo[string(key)] = vs
 		}
-		return func(id int) value.Value {
-			for i, h := range ho {
-				if h == id {
-					return vs[i]
-				}
+		return vs
+	}
+	// A rule with head-only variables materializes its heads from a
+	// copy of the binding with the invented values filled in: both the
+	// copy and the heads are scratch the rule reuses at every firing,
+	// since the staging copies every fact it keeps.
+	heads := make([]func(eval.Binding) []eval.Fact, len(rules))
+	for ri, cr := range rules {
+		ho := cr.HeadOnlyVarIDs()
+		if len(ho) == 0 {
+			continue
+		}
+		var local eval.Binding
+		scratch := cr.ScratchHeads()
+		heads[ri] = func(b eval.Binding) []eval.Fact {
+			local = append(local[:0], b...)
+			for i, v := range skolem(ri, b, len(ho)) {
+				local[ho[i]] = v
 			}
-			return value.None
+			return scratch(local)
 		}
 	}
 
 	// The active domain grows as values are invented; the cache
 	// recomputes adom(P, K) only on stages that actually changed the
-	// instance (this engine only ever inserts).
+	// instance (this engine only ever inserts). One matcher context
+	// serves the whole run.
 	adomc := eval.NewAdomCache(u, p.Constants(), true)
+	ctx := opt.EvalCtx(col, out, nil)
+	ctx.Buf = new(eval.Scratch)
 	stages, err := opt.Loop(col, opt.StageLimit(4096), stageLimitErr, func(int) (engine.Outcome, error) {
-		ctx := opt.EvalCtx(col, out, adomc.Domain(out))
+		ctx.Adom = adomc.Domain(out)
 		// Skolemization re-uses an instantiation's invented values, so a
 		// re-fired instantiation emits facts that are already present.
 		st := eval.NewStaging(out)
 		for ri, cr := range rules {
-			var heads func(eval.Binding) []eval.Fact
-			if ho := cr.HeadOnlyVarIDs(); len(ho) > 0 {
-				heads = func(b eval.Binding) []eval.Fact { return cr.HeadFacts(b, skolem(ri, b, ho)) }
-			}
-			cr.Fire(ctx, ri, heads, st.Emit)
+			cr.Fire(ctx, ri, heads[ri], st.Emit)
 		}
 		if n := st.Fold(); n > 0 {
 			return engine.Outcome{Delta: n, State: out}, nil

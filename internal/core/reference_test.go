@@ -13,6 +13,7 @@ import (
 	"unchained/internal/eval"
 	"unchained/internal/gen"
 	"unchained/internal/parser"
+	"unchained/internal/queries"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -178,11 +179,203 @@ func TestInflationaryStagesHandWritten(t *testing.T) {
 	}
 }
 
-// FuzzInflationaryDelta decodes bytes into a small Datalog¬ program and
-// an instance and checks the delta-driven stages against the reference.
+// stageNonInflationary is the Datalog¬¬ stage as the engine applied it
+// before it worked in place, kept verbatim as the oracle: one parallel
+// firing of all rules on the instance of ctx, applied to a clone of it.
+// It returns the successor instance along with the number of changes
+// (retractions + insertions) actually applied to it, or ErrInconsistent
+// (wrapped, naming the fact) when the policy is Inconsistent and a
+// conflict arises.
+func stageNonInflationary(rules []*eval.Rule, ctx *eval.Ctx, policy ConflictPolicy, u *value.Universe) (*tuple.Instance, int, error) {
+	cur, col := ctx.In, ctx.Stats
+	pos := tuple.NewInstance()
+	neg := tuple.NewInstance()
+	stage := func(f eval.Fact) bool {
+		if f.Neg {
+			return neg.Insert(f.Pred, f.Tuple)
+		}
+		return pos.Insert(f.Pred, f.Tuple)
+	}
+	for ri, cr := range rules {
+		cr.Fire(ctx, ri, nil, stage)
+	}
+	next := cur.Clone()
+	applied := 0
+	var conflictErr error
+	// Deletions first, then insertions, applying the policy to the
+	// overlap.
+	for _, name := range neg.Names() {
+		rel := neg.Relation(name)
+		rel.Each(func(t tuple.Tuple) bool {
+			inPos := pos.Has(name, t)
+			if inPos {
+				col.Conflict()
+			}
+			switch policy {
+			case PreferPositive:
+				if !inPos && next.Delete(name, t) {
+					applied++
+					col.Retracted(1)
+				}
+			case PreferNegative:
+				if next.Delete(name, t) {
+					applied++
+					col.Retracted(1)
+				}
+			case NoOp:
+				if !inPos && next.Delete(name, t) {
+					applied++
+					col.Retracted(1)
+				}
+				// Conflicting fact: leave as in cur (no-op), so
+				// suppress the later insertion by removing it from
+				// pos unless it was already in cur.
+				if inPos && !cur.Has(name, t) {
+					pos.Delete(name, t)
+				}
+			case Inconsistent:
+				if inPos {
+					conflictErr = fmt.Errorf("%w: %s%s", ErrInconsistent, name, t.String(u))
+					return false
+				}
+				if next.Delete(name, t) {
+					applied++
+					col.Retracted(1)
+				}
+			}
+			return true
+		})
+		if conflictErr != nil {
+			return nil, 0, conflictErr
+		}
+	}
+	for _, name := range pos.Names() {
+		rel := pos.Relation(name)
+		rel.Each(func(t tuple.Tuple) bool {
+			if policy == PreferNegative && neg.Has(name, t) {
+				return true
+			}
+			if next.Insert(name, t) {
+				applied++
+			}
+			return true
+		})
+	}
+	return next, applied, nil
+}
+
+// referenceNonInflationary is EvalNonInflationary as it ran on
+// stageNonInflationary: a fresh matcher context and a fresh successor
+// instance per stage, "unchanged" decided by comparing the two.
+func referenceNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
+	rules, col, cur, err := begin("noninflationary", ast.DialectDatalogNegNeg, p, in, u, opt)
+	if err != nil {
+		return nil, err
+	}
+	adom := eval.ActiveDomain(u, p.Constants(), in)
+	cycle := engine.NewCycle(cur)
+	stages, err := opt.Loop(col, opt.StageLimit(1<<20), stageLimitErr, func(int) (engine.Outcome, error) {
+		next, applied, err := stageNonInflationary(rules, opt.EvalCtx(col, cur, adom), opt.Conflict(), u)
+		if err != nil {
+			return engine.Outcome{}, err
+		}
+		if next.Equal(cur) {
+			return engine.Outcome{Status: engine.Confirm}, nil
+		}
+		cur = next
+		out := engine.Outcome{Delta: applied, State: next}
+		if n := cycle.Visit(cur); n > 0 {
+			out.Err = fmt.Errorf("%w (cycle of length %d)", ErrNonTerminating, n)
+		}
+		return out, nil
+	})
+	return engine.Finish(cur, stages, col, err)
+}
+
+// nonInflationaryRun is what a Datalog¬¬ run shows: every stage's state
+// (snapshotted from Options.Trace), the result and the error.
+type nonInflationaryRun struct {
+	states []*tuple.Instance
+	res    *Result
+	err    error
+}
+
+func runNonInflationary(f engine.Func, p *ast.Program, in *tuple.Instance, u *value.Universe, policy ConflictPolicy, limit int) nonInflationaryRun {
+	var run nonInflationaryRun
+	opt := &Options{Policy: policy, MaxStages: limit, Trace: func(_ int, state *tuple.Instance) {
+		run.states = append(run.states, state.Snapshot())
+	}}
+	run.res, run.err = f(p, in, u, opt)
+	return run
+}
+
+// sameNonInflationary runs (p, in) under every conflict policy through
+// the engine and referenceNonInflationary and compares what they show:
+// every stage's state, the final instance and stage count, and the error
+// (its message names the cycle length or the conflicting fact). limit
+// bounds the stages of both (0: the engine default).
+func sameNonInflationary(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u *value.Universe, limit int) {
+	t.Helper()
+	for _, policy := range []ConflictPolicy{PreferPositive, PreferNegative, NoOp, Inconsistent} {
+		want := runNonInflationary(referenceNonInflationary, p, in, u, policy, limit)
+		got := runNonInflationary(EvalNonInflationary, p, in, u, policy, limit)
+		if (got.err == nil) != (want.err == nil) || got.err != nil && got.err.Error() != want.err.Error() {
+			t.Fatalf("%s, %v: error %v, the reference's %v", name, policy, got.err, want.err)
+		}
+		if len(got.states) != len(want.states) {
+			t.Fatalf("%s, %v: %d stages shown, the reference shows %d", name, policy, len(got.states), len(want.states))
+		}
+		for i := range want.states {
+			if !got.states[i].Equal(want.states[i]) {
+				t.Fatalf("%s, %v: stage %d leaves\n%sthe reference leaves\n%s", name, policy, i+1, got.states[i].String(u), want.states[i].String(u))
+			}
+		}
+		if (got.res == nil) != (want.res == nil) {
+			t.Fatalf("%s, %v: result %v, the reference's %v", name, policy, got.res, want.res)
+		}
+		if want.res != nil && (got.res.Stages != want.res.Stages || !got.res.Out.Equal(want.res.Out)) {
+			t.Fatalf("%s, %v: %d stages to\n%sthe reference takes %d to\n%s", name, policy, got.res.Stages, got.res.Out.String(u), want.res.Stages, want.res.Out.String(u))
+		}
+	}
+}
+
+// TestNonInflationaryMatchesReference: the in-place stages against the
+// clone-per-stage ones, over the shipped Datalog¬¬ programs, the
+// cascade delete of Figure 1 and two programs whose every stage has a
+// conflict.
+func TestNonInflationaryMatchesReference(t *testing.T) {
+	shipped := func(file string) string {
+		src, err := os.ReadFile("../../programs/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(src)
+	}
+	u := value.New()
+	for _, c := range []struct {
+		name, prog string
+		in         *tuple.Instance
+	}{
+		{"counter4.dl", shipped("counter4.dl"), tuple.NewInstance()},
+		{"flip_flop.dl from T(0)", shipped("flip_flop.dl"), parser.MustParseFacts("T(0).", u)},
+		{"flip_flop.dl from T(0), T(1)", shipped("flip_flop.dl"), parser.MustParseFacts("T(0). T(1).", u)},
+		{"orientation.dl", shipped("orientation.dl"), parser.MustParseFacts("G(a,b). G(b,a). G(c,d). G(e,e). G(d,c). G(d,e).", u)},
+		{"the cascade delete", queries.CascadeDelete, gen.Cascade(u, 4)},
+		{"a fact inferred both ways", "P(X) :- Q(X).\n!P(X) :- Q(X).", parser.MustParseFacts("Q(a). Q(b). P(b).", u)},
+		{"two relations inferred both ways, the later one first",
+			"R(X) :- Q(X).\n!R(X) :- Q(X).\n!P(X) :- Q(X), R(X).\nP(X) :- Q(X), R(X).\n!Q(X) :- P(X).",
+			parser.MustParseFacts("Q(a). Q(b). R(b). P(a).", u)},
+	} {
+		sameNonInflationary(t, c.name, parser.MustParse(c.prog, u), c.in, u, 0)
+	}
+}
+
+// decodeProgram decodes bytes into a small program and an instance, for
+// the fuzz targets of this package.
 //
 // The first byte is the number of rules (1–4). A rule is a head byte
-// (the relation: A/1, B/1, R/2 or S/2), a body-length byte (1–3
+// (the relation: A/1, B/1, R/2 or S/2, by its value mod 4; with
+// headSigns, bit 2 negates the head), a body-length byte (1–3
 // literals), per literal a byte choosing the relation (those and the
 // extensional E/2) and the sign, then one byte per argument — a variable
 // of X, Y, Z, W or, one time in five, a constant — and last one byte per
@@ -190,6 +383,93 @@ func TestInflationaryStagesHandWritten(t *testing.T) {
 // constants when it has none), so no rule invents a value. Every byte
 // left opens a fact, as in incr's FuzzApply: the relation, then its
 // arguments among four constants — intensional relations included.
+func decodeProgram(t *testing.T, data []byte, headSigns bool) (string, *ast.Program, *tuple.Instance, *value.Universe) {
+	t.Helper()
+	rels := []struct {
+		name  string
+		arity int
+	}{{"E", 2}, {"A", 1}, {"B", 1}, {"R", 2}, {"S", 2}}
+	vars := []string{"X", "Y", "Z", "W"}
+	next := func() (byte, bool) {
+		if len(data) == 0 {
+			return 0, false
+		}
+		b := data[0]
+		data = data[1:]
+		return b, true
+	}
+	var src strings.Builder
+	nRules, ok := next()
+	for r := 0; ok && r < 1+int(nRules)%4; r++ {
+		hb, ok1 := next()
+		nb, ok2 := next()
+		if !ok1 || !ok2 {
+			break
+		}
+		var body []string
+		var seen []string
+		for l := 0; l < 1+int(nb)%3; l++ {
+			lb, _ := next()
+			rel := rels[int(lb/2)%len(rels)]
+			args := make([]string, rel.arity)
+			for i := range args {
+				ab, _ := next()
+				if ab%5 == 4 {
+					args[i] = fmt.Sprintf("c%d", ab/5%4)
+					continue
+				}
+				args[i] = vars[ab%5]
+				seen = append(seen, args[i])
+			}
+			sign := ""
+			if lb%2 == 1 {
+				sign = "!"
+			}
+			body = append(body, sign+rel.name+"("+strings.Join(args, ",")+")")
+		}
+		head := rels[1+int(hb)%(len(rels)-1)]
+		args := make([]string, head.arity)
+		for i := range args {
+			ab, _ := next()
+			if args[i] = fmt.Sprintf("c%d", ab%4); len(seen) > 0 {
+				args[i] = seen[int(ab)%len(seen)]
+			}
+		}
+		sign := ""
+		if headSigns && hb/4%2 == 1 {
+			sign = "!"
+		}
+		fmt.Fprintf(&src, "%s%s(%s) :- %s.\n", sign, head.name, strings.Join(args, ","), strings.Join(body, ", "))
+	}
+	u := value.New()
+	p, err := parser.Parse(src.String(), u)
+	if err != nil {
+		t.Fatalf("the decoder wrote a program that does not parse: %v\n%s", err, src.String())
+	}
+	consts := make([]value.Value, 4)
+	for i := range consts {
+		consts[i] = u.Sym(fmt.Sprintf("c%d", i))
+	}
+	in := tuple.NewInstance()
+	for {
+		b, ok := next()
+		if !ok {
+			break
+		}
+		rel := rels[int(b)%len(rels)]
+		tp := make(tuple.Tuple, rel.arity)
+		for i := range tp {
+			ab, _ := next()
+			tp[i] = consts[int(ab)%len(consts)]
+		}
+		in.Insert(rel.name, tp)
+	}
+	return src.String(), p, in, u
+}
+
+// FuzzInflationaryDelta decodes bytes into a small Datalog¬ program and
+// an instance (decodeProgram, heads positive) and checks the
+// delta-driven stages against the reference.
 func FuzzInflationaryDelta(f *testing.F) {
 	// Example 4.3 in miniature, R(c3,c0) asserted:
 	//	R(X,Y) :- E(X,Y).  R(X,Y) :- E(X,Z), R(Z,Y).  S(X,Y) :- R(X,Y).
@@ -200,84 +480,29 @@ func FuzzInflationaryDelta(f *testing.F) {
 	//	A(X) :- E(X,Y).  A(Y) :- A(X), E(X,Y).  B(X) :- !A(X).
 	f.Add([]byte{2, 0, 0, 0, 0, 1, 0, 0, 1, 2, 0, 0, 0, 1, 2, 1, 0, 3, 0, 0, 0, 0, 1, 0, 1, 2, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rels := []struct {
-			name  string
-			arity int
-		}{{"E", 2}, {"A", 1}, {"B", 1}, {"R", 2}, {"S", 2}}
-		vars := []string{"X", "Y", "Z", "W"}
-		next := func() (byte, bool) {
-			if len(data) == 0 {
-				return 0, false
-			}
-			b := data[0]
-			data = data[1:]
-			return b, true
-		}
-		var src strings.Builder
-		nRules, ok := next()
-		for r := 0; ok && r < 1+int(nRules)%4; r++ {
-			hb, ok1 := next()
-			nb, ok2 := next()
-			if !ok1 || !ok2 {
-				break
-			}
-			var body []string
-			var seen []string
-			for l := 0; l < 1+int(nb)%3; l++ {
-				lb, _ := next()
-				rel := rels[int(lb/2)%len(rels)]
-				args := make([]string, rel.arity)
-				for i := range args {
-					ab, _ := next()
-					if ab%5 == 4 {
-						args[i] = fmt.Sprintf("c%d", ab/5%4)
-						continue
-					}
-					args[i] = vars[ab%5]
-					seen = append(seen, args[i])
-				}
-				sign := ""
-				if lb%2 == 1 {
-					sign = "!"
-				}
-				body = append(body, sign+rel.name+"("+strings.Join(args, ",")+")")
-			}
-			head := rels[1+int(hb)%(len(rels)-1)]
-			args := make([]string, head.arity)
-			for i := range args {
-				ab, _ := next()
-				if args[i] = fmt.Sprintf("c%d", ab%4); len(seen) > 0 {
-					args[i] = seen[int(ab)%len(seen)]
-				}
-			}
-			fmt.Fprintf(&src, "%s(%s) :- %s.\n", head.name, strings.Join(args, ","), strings.Join(body, ", "))
-		}
-		u := value.New()
-		p, err := parser.Parse(src.String(), u)
-		if err != nil {
-			t.Fatalf("the decoder wrote a program that does not parse: %v\n%s", err, src.String())
-		}
+		src, p, in, u := decodeProgram(t, data, false)
 		if err := p.Validate(ast.DialectDatalogNeg); err != nil {
-			t.Fatalf("the decoder wrote a program that is not Datalog¬: %v\n%s", err, src.String())
+			t.Fatalf("the decoder wrote a program that is not Datalog¬: %v\n%s", err, src)
 		}
-		consts := make([]value.Value, 4)
-		for i := range consts {
-			consts[i] = u.Sym(fmt.Sprintf("c%d", i))
+		sameStages(t, src, p, in, u, true)
+	})
+}
+
+// FuzzNonInflationary decodes bytes into a small Datalog¬¬ program and
+// an instance (decodeProgram, heads of either sign) and checks the
+// in-place engine against referenceNonInflationary under every policy.
+func FuzzNonInflationary(f *testing.F) {
+	// A fact inferred and retracted at once, E(c0,c1) given:
+	//	A(X) :- E(X,Y).  !A(X) :- A(X).
+	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 4, 0, 2, 0, 0, 0, 0, 1})
+	// The flip-flop of Section 4.2 over A and B, A(c0) given:
+	//	A(X) :- B(X).  !B(X) :- B(X).  B(X) :- A(X).  !A(X) :- A(X).
+	f.Add([]byte{3, 0, 0, 4, 0, 0, 5, 0, 4, 0, 0, 1, 0, 2, 0, 0, 4, 0, 2, 0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, p, in, u := decodeProgram(t, data, true)
+		if err := p.Validate(ast.DialectDatalogNegNeg); err != nil {
+			t.Fatalf("the decoder wrote a program that is not Datalog¬¬: %v\n%s", err, src)
 		}
-		in := tuple.NewInstance()
-		for {
-			b, ok := next()
-			if !ok {
-				break
-			}
-			rel := rels[int(b)%len(rels)]
-			tp := make(tuple.Tuple, rel.arity)
-			for i := range tp {
-				ab, _ := next()
-				tp[i] = consts[int(ab)%len(consts)]
-			}
-			in.Insert(rel.name, tp)
-		}
-		sameStages(t, src.String(), p, in, u, true)
+		sameNonInflationary(t, src, p, in, u, 256)
 	})
 }

@@ -450,7 +450,7 @@ type groupMaintenance struct {
 	// ctx is the pins' matcher environment, set by pin; seed is fire,
 	// bound once.
 	ctx  eval.Ctx
-	buf  []value.Value
+	buf  eval.Scratch
 	seed func(emit func(eval.Fact) bool)
 }
 

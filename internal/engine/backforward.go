@@ -235,7 +235,8 @@ type bfRun struct {
 	from, need []int
 	// buf is the enumerations' buffer (eval.Ctx.Buf), scratch the body
 	// fact a saturation step tests.
-	buf, scratch []value.Value
+	buf     eval.Scratch
+	scratch []value.Value
 	// gone holds the facts the current wave deletes, from the first wave
 	// that deletes one.
 	gone *tuple.Instance

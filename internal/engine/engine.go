@@ -161,7 +161,10 @@ type Options struct {
 	// (noninflationary, invent). It is called from exactly one place,
 	// the stage-loop driver (Loop), and is what `datalog -stages`
 	// prints instance sizes from — the span stream (Tracer) carries
-	// counters, not tuples.
+	// counters, not tuples. The instance handed over is the engine's
+	// live one (the noninflationary and invent engines write each
+	// stage into it in place), valid only during the call: a Trace
+	// that keeps it must keep a Snapshot of it.
 	Trace func(stage int, state *tuple.Instance)
 
 	// Stats, if non-nil, collects per-stage and per-rule evaluation

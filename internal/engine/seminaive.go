@@ -52,7 +52,7 @@ type SemiNaive struct {
 // enumerations run one at a time. The next Run reuses both.
 type runCtx struct {
 	eval.Ctx
-	buf []value.Value
+	buf eval.Scratch
 }
 
 // Variants returns the delta variants every round after the first

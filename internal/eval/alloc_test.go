@@ -75,6 +75,42 @@ func TestFireIntoStagingAllocatesOnlyGrowth(t *testing.T) {
 	}
 }
 
+// Firing under a context with a Buf allocates nothing, whatever the
+// rule's heads: the binding, the probe patterns, the relation table and
+// the head scratch all come from the Buf, and the plan from the rule's
+// memo.
+func TestFireWithBufAllocatesNothing(t *testing.T) {
+	cr, ctx := chainClosure(t, 64)
+	u := value.New()
+	r, err := parser.ParseRule("T(X,Y), U(Y,X,Z,Z,Y) :- G(X,Z), T(Z,Y).", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := Compile(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.Buf = &Scratch{}
+	for _, c := range []struct {
+		name string
+		rule *Rule
+	}{{"one head of arity 2", cr}, {"two heads, one of arity 5", wide}} {
+		facts := 0
+		emit := func(Fact) bool { facts++; return true }
+		c.rule.Fire(ctx, -1, nil, emit) // grows the Buf
+		got := testing.AllocsPerRun(10, func() {
+			facts = 0
+			c.rule.Fire(ctx, -1, nil, emit)
+		})
+		if facts == 0 {
+			t.Fatalf("%s: no firing", c.name)
+		}
+		if got != 0 {
+			t.Errorf("%s: Fire allocates %.0f times per call with a Buf, want 0", c.name, got)
+		}
+	}
+}
+
 // A schedule is not a compilation: a replan and a delta variant of
 // Example 4.3's four-literal rule order the steps of the compiled text
 // again — the flags, the steps, the binds, and for a variant its Rule —
@@ -90,7 +126,9 @@ func TestScheduleAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &Ctx{In: parser.MustParseFacts("T(a,b). T(b,c). T(a,c).", u), DeltaLit: -1}
-	if got := testing.AllocsPerRun(10, func() { cr.schedule(-1, ctx) }); got > 6 {
+	rels := make([]*tuple.Relation, cr.sources())
+	cr.resolve(ctx, rels)
+	if got := testing.AllocsPerRun(10, func() { cr.schedule(-1, ctx, rels) }); got > 6 {
 		t.Errorf("a replan allocates %.0f times, want <= 6", got)
 	}
 	if got := testing.AllocsPerRun(10, func() { cr.Delta(1) }); got > 6 {

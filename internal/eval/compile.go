@@ -96,6 +96,7 @@ type lit struct {
 	neg         bool
 	pred        string
 	slots       []slot // LitAtom: the compiled argument list
+	prev        int    // LitAtom: the last atom before it of its sign over pred, or -1
 	left, right slot   // LitEq
 	// LitForall: the ids of the free (outer) variables in order of
 	// occurrence, of the quantified ones, and the inner checks.
@@ -176,7 +177,7 @@ func Compile(r ast.Rule) (*Rule, error) {
 		return nil, err
 	}
 	cr := &Rule{text: t, deltaLit: -1}
-	cr.steps = cr.schedule(-1, nil)
+	cr.steps = cr.schedule(-1, nil, nil)
 	for i := range cr.steps {
 		if st := &cr.steps[i]; st.kind == stepMatch {
 			t.posBody = append(t.posBody, st.litIndex)
@@ -203,7 +204,7 @@ func Compile(r ast.Rule) (*Rule, error) {
 //
 // The variant is a schedule of the compiled text, not a compilation.
 func (r *Rule) Delta(lit int) *Rule {
-	return &Rule{text: r.text, deltaLit: lit, steps: r.schedule(lit, nil)}
+	return &Rule{text: r.text, deltaLit: lit, steps: r.schedule(lit, nil, nil)}
 }
 
 // compiler interns a rule's variables and compiles its terms. Every
@@ -256,7 +257,7 @@ func compileText(r ast.Rule) (*text, error) {
 	c := compiler{t: t, slots: make([]slot, 0, nTerms)}
 	for i := range r.Body {
 		l, cl := &r.Body[i], &t.lits[i]
-		cl.kind, cl.neg = l.Kind, l.Neg
+		cl.kind, cl.neg, cl.prev = l.Kind, l.Neg, -1
 		before := len(t.Vars)
 		switch l.Kind {
 		case ast.LitAtom:
@@ -264,6 +265,11 @@ func compileText(r ast.Rule) (*text, error) {
 				return nil, fmt.Errorf("eval: relation %s has arity %d > 32", l.Atom.Pred, len(l.Atom.Args))
 			}
 			cl.pred, cl.slots = l.Atom.Pred, c.slotList(l.Atom.Args)
+			for j := i - 1; j >= 0 && cl.prev < 0; j-- {
+				if pl := &t.lits[j]; pl.kind == ast.LitAtom && pl.neg == cl.neg && pl.pred == cl.pred {
+					cl.prev = j
+				}
+			}
 			t.width = max(t.width, len(cl.slots))
 			t.nArgs += len(cl.slots)
 			if l.Neg {
@@ -366,10 +372,10 @@ type scheduler struct {
 // as a match, so the enumeration starts from the (small) delta
 // relation. A nil ctx selects the seed's
 // literal-order greedy schedule; a non-nil one turns the scheduler into
-// the cost-based planner, reading the live cardinalities from ctx (see
-// plan.go). It cannot fail: compileText has rejected every literal a
-// schedule could not place.
-func (r *Rule) schedule(firstLit int, ctx *Ctx) []step {
+// the cost-based planner, reading the live cardinalities of rels, the
+// relations resolved under ctx (see plan.go). It cannot fail:
+// compileText has rejected every literal a schedule could not place.
+func (r *Rule) schedule(firstLit int, ctx *Ctx, rels []*tuple.Relation) []step {
 	t := r.text
 	nv, nl := len(t.Vars), len(t.lits)
 	flags := make([]bool, nv+nl)
@@ -404,7 +410,7 @@ func (r *Rule) schedule(firstLit int, ctx *Ctx) []step {
 		// variable bound. When nothing is ready, the first unbound
 		// variable of the first remaining literal is enumerated over the
 		// active domain.
-		if s.tryJoin() || s.tryEq() || s.tryNeg() || s.tryForall() {
+		if s.tryJoin(rels) || s.tryEq() || s.tryNeg() || s.tryForall() {
 			continue
 		}
 		s.enumerate()
@@ -472,8 +478,9 @@ func bindsVar(binds []argBind, varID int) int {
 // tryJoin places one positive atom. The seed picks the one with the
 // most bound argument positions (ties: first); the planner picks the
 // smallest estimated probe output |R| / 10^bound (ties: more bound
-// positions, then first).
-func (s *scheduler) tryJoin() bool {
+// positions, then first), |R| read from rels. rels is an argument, not a
+// field, so that the scheduler's escaping state does not take it along.
+func (s *scheduler) tryJoin(rels []*tuple.Relation) bool {
 	best, bestEst, bestBound := -1, 0, -1
 	for li := range s.t.lits {
 		l := &s.t.lits[li]
@@ -492,7 +499,7 @@ func (s *scheduler) tryJoin() bool {
 			}
 			continue
 		}
-		est := estCard(ctxSize(s.ctx, li, l.pred), bc)
+		est := estCard(ctxSize(s.ctx, rels, li), bc)
 		if best < 0 || est < bestEst || (est == bestEst && bc > bestBound) {
 			best, bestEst, bestBound = li, est, bc
 		}

@@ -20,7 +20,6 @@
 package eval
 
 import (
-	"fmt"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -41,10 +40,11 @@ type planState struct {
 	emitted uint64 // dedup key of the last plan reported (planChanged)
 }
 
-// planFor returns the step schedule to enumerate with under ctx, and
-// whether it is a planner choice (as opposed to the baseline
-// schedule). Safe for concurrent use by the shard workers.
-func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
+// planFor returns the step schedule to enumerate with under ctx, whose
+// relations are rels (Rule.resolve), and whether it is a planner choice
+// (as opposed to the baseline schedule). Safe for concurrent use by the
+// shard workers.
+func (r *Rule) planFor(ctx *Ctx, rels []*tuple.Relation) ([]step, bool) {
 	// Fewer than two joins leave nothing to reorder; past 16 the
 	// signature packing would overflow (and such bodies are rare
 	// enough that the baseline schedule is fine). A head-pinned variant
@@ -53,13 +53,13 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	if ctx.NoPlan || r.deltaLit == len(r.lits) || len(r.posBody) < 2 || len(r.posBody) > 16 {
 		return r.steps, false
 	}
-	sig := r.planSig(ctx)
+	sig := r.planSig(ctx, rels)
 	if ctx.Plans != nil {
 		key := planCacheKey{r.cacheKey(), r.deltaLit, sig}
 		if st, ok := ctx.Plans.lookup(key); ok {
 			return st, true
 		}
-		st := r.schedule(r.deltaLit, ctx)
+		st := r.schedule(r.deltaLit, ctx, rels)
 		ctx.Plans.store(key, st)
 		return st, true
 	}
@@ -68,23 +68,19 @@ func (r *Rule) planFor(ctx *Ctx) ([]step, bool) {
 	if r.plan.valid && r.plan.sig == sig {
 		return r.plan.steps, true
 	}
-	st := r.schedule(r.deltaLit, ctx)
+	st := r.schedule(r.deltaLit, ctx, rels)
 	r.plan.sig, r.plan.steps, r.plan.valid = sig, st, true
 	return st, true
 }
 
-// ctxSize is the cardinality a positive body literal joins against:
-// the delta (one fact or a relation) for the pinned delta literal,
-// otherwise In.
-func ctxSize(ctx *Ctx, litIndex int, pred string) int {
+// ctxSize is the cardinality the literal with index litIndex joins
+// against: the delta (one fact or a relation) for the pinned delta
+// literal, otherwise In — the relation resolve put in rels.
+func ctxSize(ctx *Ctx, rels []*tuple.Relation, litIndex int) int {
 	if ctx.DeltaFact != nil && litIndex == ctx.DeltaLit {
 		return 1
 	}
-	src := ctx.In
-	if ctx.Delta != nil && litIndex == ctx.DeltaLit {
-		src = ctx.Delta
-	}
-	if rel := relOf(src, pred); rel != nil {
+	if rel := rels[litIndex]; rel != nil {
 		return rel.Len()
 	}
 	return 0
@@ -127,10 +123,10 @@ func decade(n int) uint64 {
 // planSig packs the size decade of every joined relation, in body
 // order, 4 bits each. Equal signatures mean every cardinality is in
 // the same decade as when the memoized plan was chosen.
-func (r *Rule) planSig(ctx *Ctx) uint64 {
+func (r *Rule) planSig(ctx *Ctx, rels []*tuple.Relation) uint64 {
 	var sig uint64
 	for _, li := range r.posBody {
-		sig = sig<<4 | decade(ctxSize(ctx, li, r.lits[li].pred))
+		sig = sig<<4 | decade(ctxSize(ctx, rels, li))
 	}
 	return sig
 }
@@ -290,14 +286,14 @@ func (r *Rule) label() string {
 
 // eachJoin calls f for every match step of the schedule, in join order,
 // with the estimated cumulative cardinality up to and including it.
-func eachJoin(ctx *Ctx, steps []step, f func(i int, st *step, cum int)) {
+func eachJoin(ctx *Ctx, rels []*tuple.Relation, steps []step, f func(i int, st *step, cum int)) {
 	cum := 1
 	for i := range steps {
 		st := &steps[i]
 		if st.kind != stepMatch {
 			continue
 		}
-		est := estCard(ctxSize(ctx, st.litIndex, st.pred), bits.OnesCount32(st.mask))
+		est := estCard(ctxSize(ctx, rels, st.litIndex), bits.OnesCount32(st.mask))
 		if cum < 1<<40 { // keep the running product from overflowing
 			cum *= est
 		}
@@ -310,9 +306,9 @@ func eachJoin(ctx *Ctx, steps []step, f func(i int, st *step, cum int)) {
 // and remembers it as reported: a plan is reported once per estimate
 // change, not once per stage. The key is a hash (FNV-1a over the
 // literal indexes and estimates), so comparing it formats nothing.
-func (r *Rule) planChanged(ctx *Ctx, steps []step) bool {
+func (r *Rule) planChanged(ctx *Ctx, rels []*tuple.Relation, steps []step) bool {
 	key := uint64(14695981039346656037)
-	eachJoin(ctx, steps, func(_ int, st *step, cum int) {
+	eachJoin(ctx, rels, steps, func(_ int, st *step, cum int) {
 		key = (key ^ uint64(st.litIndex)) * 1099511628211
 		key = (key ^ uint64(cum)) * 1099511628211
 	})
@@ -324,16 +320,26 @@ func (r *Rule) planChanged(ctx *Ctx, steps []step) bool {
 }
 
 // planDesc renders the chosen join order with estimated and actual
-// cumulative cardinalities (counts: the tuples each step pulled).
-func (r *Rule) planDesc(ctx *Ctx, steps []step, counts []int64) string {
-	var b strings.Builder
-	eachJoin(ctx, steps, func(i int, st *step, cum int) {
-		if b.Len() > 0 {
-			b.WriteString(" ⋈ ")
+// cumulative cardinalities (counts: the tuples each step pulled), as
+// "pred#lit est=N act=N" per join, joined by " ⋈ ". It is written into a
+// stack buffer and copied out once, so the string is allocated at its
+// length: a flight record keeps it.
+func (r *Rule) planDesc(ctx *Ctx, rels []*tuple.Relation, steps []step, counts []int64) string {
+	var buf [256]byte
+	b := buf[:0]
+	eachJoin(ctx, rels, steps, func(i int, st *step, cum int) {
+		if len(b) > 0 {
+			b = append(b, " ⋈ "...)
 		}
-		fmt.Fprintf(&b, "%s#%d est=%d act=%d", st.pred, st.litIndex, cum, counts[i])
+		b = append(b, st.pred...)
+		b = append(b, '#')
+		b = strconv.AppendInt(b, int64(st.litIndex), 10)
+		b = append(b, " est="...)
+		b = strconv.AppendInt(b, int64(cum), 10)
+		b = append(b, " act="...)
+		b = strconv.AppendInt(b, counts[i], 10)
 	})
-	return b.String()
+	return string(b)
 }
 
 // AdomCache memoizes the sorted, deduplicated active domain

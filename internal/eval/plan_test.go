@@ -187,7 +187,9 @@ func TestPlannerJoinsTheConstantBearingLiteralFirst(t *testing.T) {
 	}
 	in := parser.MustParseFacts(`e(a,b). e(d,e). e(g,h). f(b,c). f(e,k). f(h,l). label(c,red). label(k,blue). label(l,blue).`, u)
 	firstJoin := func(ctx *Ctx) (string, bool) {
-		steps, planned := cr.planFor(ctx)
+		rels := make([]*tuple.Relation, cr.sources())
+		cr.resolve(ctx, rels)
+		steps, planned := cr.planFor(ctx, rels)
 		for _, st := range steps {
 			if st.kind == stepMatch {
 				return st.pred, planned

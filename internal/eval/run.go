@@ -31,11 +31,11 @@ type Ctx struct {
 	// DeltaLit matches, in place of Delta: a delta of a single fact,
 	// which needs no relation to hold it.
 	DeltaFact tuple.Tuple
-	// Buf, if non-nil, holds the binding and probe patterns of every
-	// Enumerate under this context, grown as needed, instead of a
-	// buffer allocated per call: for a caller that enumerates many
-	// times, one enumeration at a time.
-	Buf *[]value.Value
+	// Buf, if non-nil, is the storage of every Enumerate and Fire under
+	// this context (see Scratch), grown as needed, instead of storage
+	// allocated per call: for a caller that enumerates many times, one
+	// enumeration at a time.
+	Buf *Scratch
 	// Stats, if non-nil, receives an index-probe/full-scan count for
 	// every relation match. A nil collector costs one branch.
 	Stats *stats.Collector
@@ -64,17 +64,54 @@ type Ctx struct {
 // variable id; value.None means unbound.
 type Binding []value.Value
 
+// Scratch is what an enumeration works in: the binding and every step's
+// probe pattern or check tuple (vals), the relation each body literal
+// reads (rels, see Rule.resolve) and Fire's head facts (fire for a rule
+// with one small head, facts and heads for the others). The zero Scratch
+// is ready; Ctx.Buf hands one to every enumeration under a context,
+// which keeps the storage from one call to the next.
+type Scratch struct {
+	vals  []value.Value
+	rels  []*tuple.Relation
+	fire  fireScratch
+	facts []Fact
+	heads []value.Value
+}
+
+// grow returns s's slice resized to n, reallocated only when it is too
+// short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Enumerate calls emit for every valuation of the rule's body that is
 // satisfied in ctx. The binding passed to emit is reused across
 // calls; emit must copy it if it needs to retain it. emit returning
 // false stops the enumeration early. Head-only (invented) variables
 // are left as value.None in the binding.
 func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
-	steps, planned := r.planFor(ctx)
+	// The body relations are resolved once per call. Without a Buf the
+	// table lives on the stack: the rules that outgrow it are rare.
+	var local [16]*tuple.Relation
+	var rels []*tuple.Relation
+	switch nr := r.sources(); {
+	case ctx.Buf != nil:
+		ctx.Buf.rels = grow(ctx.Buf.rels, nr)
+		rels = ctx.Buf.rels
+	case nr <= len(local):
+		rels = local[:nr]
+	default:
+		rels = make([]*tuple.Relation, nr)
+	}
+	r.resolve(ctx, rels)
+	steps, planned := r.planFor(ctx, rels)
 	var tr *planTrace
 	if ctx.Stats.Enabled() {
 		tr = &planTrace{}
-		if planned && ctx.PlanTrace && ctx.Stats.PlanWanted() && r.planChanged(ctx, steps) {
+		if planned && ctx.PlanTrace && ctx.Stats.PlanWanted() && r.planChanged(ctx, rels, steps) {
 			tr.counts = make([]int64, len(steps))
 		}
 	}
@@ -86,32 +123,94 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 	if ctx.Buf == nil {
 		buf = make([]value.Value, n)
 	} else {
-		if cap(*ctx.Buf) < n {
-			*ctx.Buf = make([]value.Value, n)
-		}
-		buf = (*ctx.Buf)[:n]
+		ctx.Buf.vals = grow(ctx.Buf.vals, n)
+		buf = ctx.Buf.vals
 		clear(buf[:len(r.Vars)])
 	}
 	f := frame{
 		ctx: ctx, steps: steps, tr: tr,
 		b: buf[:len(r.Vars):len(r.Vars)], scratch: buf[len(r.Vars):], width: r.width,
 	}
-	f.run(0, emit)
-	if tr == nil {
-		return
+	f.run(0, rels, emit)
+	if tr != nil {
+		ctx.Stats.ProbeBatch(tr.probes, tr.scans)
+		if tr.counts != nil {
+			ctx.Stats.PlanSpan(r.label(), r.planDesc(ctx, rels, steps, tr.counts))
+		}
 	}
-	ctx.Stats.ProbeBatch(tr.probes, tr.scans)
-	if tr.counts != nil {
-		ctx.Stats.PlanSpan(r.label(), r.planDesc(ctx, steps, tr.counts))
+	clear(rels) // a Buf must not keep the caller's instances alive
+}
+
+// sources is the length of the rule's relation table: one entry per
+// body literal, and one for the head atom a head-pinned variant matches
+// first.
+func (r *Rule) sources() int {
+	if r.deltaLit == len(r.lits) {
+		return len(r.lits) + 1
 	}
+	return len(r.lits)
+}
+
+// resolve fills rels, by literal index, with the relation each atom
+// literal reads under ctx (see source), and the other literals' entries
+// with nil. An atom with an earlier one of its sign over its predicate
+// takes that one's entry when neither is pinned, instead of looking the
+// relation up by name again: bodies repeat predicates (a k-bit
+// counter's rules read One up to k times).
+func (r *Rule) resolve(ctx *Ctx, rels []*tuple.Relation) {
+	for li := range rels {
+		if li < len(r.lits) {
+			l := &r.lits[li]
+			if l.kind != ast.LitAtom {
+				rels[li] = nil
+				continue
+			}
+			if j := l.prev; j >= 0 && !r.pinned(ctx, j) && !r.pinned(ctx, li) {
+				rels[li] = rels[j]
+				continue
+			}
+		}
+		rels[li] = relOf(r.source(ctx, li))
+	}
+}
+
+// pinned reports whether the rule or ctx pins the literal with index li.
+func (r *Rule) pinned(ctx *Ctx, li int) bool { return li == r.deltaLit || li == ctx.DeltaLit }
+
+// source returns the instance the atom literal with index li (one past
+// the body: the head atom a head-pinned variant matches) reads under
+// ctx, as a step of any schedule of the rule reads it, with its
+// predicate: NegIn (or In) for a negative literal the rule does not
+// pin, the delta for the literal ctx pins (nil when it pins one fact,
+// which matchFact matches), and In otherwise.
+func (r *Rule) source(ctx *Ctx, li int) (*tuple.Instance, string) {
+	pred, check := "", false
+	if li == len(r.lits) {
+		pred = r.heads[0].Pred
+	} else {
+		l := &r.lits[li]
+		pred, check = l.pred, l.neg && li != r.deltaLit
+	}
+	switch {
+	case check && ctx.NegIn != nil:
+		return ctx.NegIn, pred
+	case check || li != ctx.DeltaLit:
+		return ctx.In, pred
+	case ctx.DeltaFact != nil:
+		return nil, pred
+	case ctx.Delta != nil:
+		return ctx.Delta, pred
+	}
+	return ctx.In, pred
 }
 
 // frame is the state of one Enumerate call. The scratch tuples live
 // here and not in the steps, because a plan is shared by every goroutine
 // that enumerates the rule (PlanCache, the shard workers). The
 // cursor of a match step is a stack value of that step's run call (an
-// Iterator carries no key scratch to recycle), and emit travels as an
-// argument.
+// Iterator carries no key scratch to recycle), and emit and the relation
+// table travel as arguments: what a frame points to escapes with the
+// binding emit is handed, and the table may be Enumerate's stack array.
 type frame struct {
 	ctx     *Ctx
 	steps   []step
@@ -135,7 +234,7 @@ func (f *frame) ground(si int, slots []slot) tuple.Tuple {
 
 // drainMatch pulls it, step si's iterator, dry, binding and recursing
 // per candidate. Returns false on early exit.
-func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) bool {
+func (f *frame) drainMatch(si int, it *tuple.Iterator, rels []*tuple.Relation, emit func(Binding) bool) bool {
 	st, b := &f.steps[si], f.b
 	for {
 		t, more := it.Next()
@@ -155,7 +254,7 @@ func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) 
 				break
 			}
 		}
-		if ok && !f.run(si+1, emit) {
+		if ok && !f.run(si+1, rels, emit) {
 			return false
 		}
 	}
@@ -163,7 +262,7 @@ func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) 
 
 // matchFact is step si's match against the one fact ctx.DeltaFact:
 // drainMatch over a relation holding just that fact.
-func (f *frame) matchFact(si int, emit func(Binding) bool) bool {
+func (f *frame) matchFact(si int, rels []*tuple.Relation, emit func(Binding) bool) bool {
 	st, b, t := &f.steps[si], f.b, f.ctx.DeltaFact
 	if len(t) != st.arity {
 		return true
@@ -189,7 +288,7 @@ func (f *frame) matchFact(si int, emit func(Binding) bool) bool {
 			break
 		}
 	}
-	done := !ok || f.run(si+1, emit)
+	done := !ok || f.run(si+1, rels, emit)
 	for _, ab := range st.binds {
 		b[ab.varID] = value.None
 	}
@@ -206,7 +305,7 @@ func (f *frame) probe(rel *tuple.Relation, mask uint32, pattern tuple.Tuple, it 
 	}
 }
 
-func (f *frame) run(si int, emit func(Binding) bool) bool {
+func (f *frame) run(si int, rels []*tuple.Relation, emit func(Binding) bool) bool {
 	if si == len(f.steps) {
 		return emit(f.b)
 	}
@@ -214,13 +313,9 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 	switch st.kind {
 	case stepMatch:
 		if ctx.DeltaFact != nil && st.litIndex == ctx.DeltaLit {
-			return f.matchFact(si, emit)
+			return f.matchFact(si, rels, emit)
 		}
-		src := ctx.In
-		if ctx.Delta != nil && st.litIndex == ctx.DeltaLit {
-			src = ctx.Delta
-		}
-		rel := relOf(src, st.pred)
+		rel := rels[st.litIndex]
 		if rel == nil || rel.Arity() != st.arity {
 			return true // empty relation: no matches, keep going elsewhere
 		}
@@ -230,27 +325,23 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 		}
 		var it tuple.Iterator
 		f.probe(rel, st.mask, pattern, &it)
-		done := f.drainMatch(si, &it, emit)
+		done := f.drainMatch(si, &it, rels, emit)
 		for _, ab := range st.binds {
 			b[ab.varID] = value.None
 		}
 		return done
 
 	case stepNegCheck:
-		negSrc := ctx.In
-		if ctx.NegIn != nil {
-			negSrc = ctx.NegIn
-		}
-		rel := relOf(negSrc, st.pred)
+		rel := rels[st.litIndex]
 		if rel != nil && rel.Contains(f.ground(si, st.slots)) {
 			return true // literal false under this valuation
 		}
-		return f.run(si+1, emit)
+		return f.run(si+1, rels, emit)
 
 	case stepEqAssign:
 		// left is the unbound variable side by construction.
 		b[st.left.varID] = slotVal(st.right, b)
-		ok := f.run(si+1, emit)
+		ok := f.run(si+1, rels, emit)
 		b[st.left.varID] = value.None
 		return ok
 
@@ -259,12 +350,12 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 		if (l == rr) == st.negEq {
 			return true
 		}
-		return f.run(si+1, emit)
+		return f.run(si+1, rels, emit)
 
 	case stepEnum:
 		for _, v := range ctx.Adom {
 			b[st.enumVar] = v
-			if !f.run(si+1, emit) {
+			if !f.run(si+1, rels, emit) {
 				b[st.enumVar] = value.None
 				return false
 			}
@@ -274,7 +365,7 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 
 	case stepForall:
 		if f.forallHolds(si, 0) {
-			return f.run(si+1, emit)
+			return f.run(si+1, rels, emit)
 		}
 		return true
 	}
@@ -397,9 +488,18 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 	col.BeginRule(ri)
 	var scratch []Fact
 	var vals []value.Value
-	switch {
+	small := len(r.heads) == 1 && r.headWidth <= len(fireScratch{}.vals)
+	switch b := ctx.Buf; {
 	case heads != nil:
-	case len(r.heads) == 1 && r.headWidth <= len(fireScratch{}.vals):
+	case b != nil && small:
+		scratch, vals = b.fire.fact[:0], b.fire.vals[:r.headWidth]
+	case b != nil:
+		if cap(b.facts) < len(r.heads) {
+			b.facts = make([]Fact, 0, len(r.heads))
+		}
+		b.heads = grow(b.heads, r.headWidth)
+		scratch, vals = b.facts[:0], b.heads
+	case small:
 		fs := &fireScratch{}
 		scratch, vals = fs.fact[:0], fs.vals[:r.headWidth]
 	default:
