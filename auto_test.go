@@ -2,126 +2,42 @@ package unchained_test
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"unchained"
+	"unchained/programs"
 )
-
-func loadCase(t *testing.T, prog, facts string) (*unchained.Session, *unchained.Program, *unchained.Instance) {
-	t.Helper()
-	s := unchained.NewSession()
-	src, err := os.ReadFile(filepath.Join("programs", prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.Parse(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := s.MustFacts(``)
-	if facts != "" {
-		fsrc, err := os.ReadFile(filepath.Join("programs", "facts", facts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, err = s.Facts(string(fsrc))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s, p, in
-}
-
-// TestAutoMatchesExplicit pins the SemanticsAuto contract: for every
-// deterministic program in the suite, evaluating with SemanticsAuto is
-// byte-identical (formatted output, stage count, error string) to
-// evaluating with the semantics the analyzer itself recommends.
-func TestAutoMatchesExplicit(t *testing.T) {
-	cases := []struct {
-		prog      string
-		facts     string
-		order     bool // augment with the ordered-database relations
-		maxStages int  // 0 = unbounded; bounds non-terminating programs
-	}{
-		{"tc.dl", "chain.facts", false, 0},
-		{"same_generation.dl", "family.facts", false, 0},
-		{"ct.dl", "chain.facts", false, 0},
-		{"closer.dl", "chain.facts", false, 0},
-		{"delayed_ct.dl", "chain.facts", false, 0},
-		{"even_ordered.dl", "rset.facts", true, 0},
-		{"win.dl", "game_e32.facts", false, 0},
-		{"good_nodes.dl", "cycle_tail.facts", false, 0},
-		{"orientation.dl", "twocycles.facts", false, 0},
-		{"counter4.dl", "", false, 0},
-		{"counter.dl", "", false, 64},   // 2^30 stages without a bound
-		{"flip_flop.dl", "", false, 16}, // never reaches a fixpoint
-	}
-	for _, tc := range cases {
-		t.Run(tc.prog, func(t *testing.T) {
-			s, p, in := loadCase(t, tc.prog, tc.facts)
-			if tc.order {
-				in = s.WithOrder(in)
-			}
-			rep := s.Analyze(p)
-			sem, ok := unchained.SemanticsByName[rep.Semantics]
-			if !ok {
-				t.Fatalf("analyzer recommended unknown semantics %q", rep.Semantics)
-			}
-			var opts []unchained.Opt
-			if tc.maxStages > 0 {
-				opts = append(opts, unchained.WithMaxStages(tc.maxStages))
-			}
-			ctx := context.Background()
-			autoRes, autoErr := s.Fork().EvalContext(ctx, p, in, unchained.SemanticsAuto, opts...)
-			expRes, expErr := s.Fork().EvalContext(ctx, p, in, sem, opts...)
-			if (autoErr == nil) != (expErr == nil) {
-				t.Fatalf("error mismatch: auto=%v explicit=%v", autoErr, expErr)
-			}
-			if autoErr != nil {
-				if autoErr.Error() != expErr.Error() {
-					t.Fatalf("error strings differ:\nauto:     %v\nexplicit: %v", autoErr, expErr)
-				}
-				return
-			}
-			if autoRes.Stages != expRes.Stages {
-				t.Errorf("stages: auto=%d explicit=%d", autoRes.Stages, expRes.Stages)
-			}
-			got, want := s.Format(autoRes.Out), s.Format(expRes.Out)
-			if got != want {
-				t.Errorf("output differs under %s:\nauto:\n%s\nexplicit:\n%s", rep.Semantics, got, want)
-			}
-		})
-	}
-}
 
 // TestAutoRejectsNondeterministic: programs whose inferred dialect
 // needs a nondeterministic engine must fail fast with guidance naming
 // the engine, not silently pick a deterministic approximation.
 func TestAutoRejectsNondeterministic(t *testing.T) {
-	cases := []struct {
-		prog   string
-		engine string
-	}{
-		{"choice.dl", "ndatalog"},
-		{"diff_bottom.dl", "ndatalog-bottom"},
-		{"diff_forall.dl", "ndatalog-forall"},
-		{"hamiltonian.dl", "ndatalog-forall"},
-		{"tag.dl", "ndatalog-new"},
+	engines := map[unchained.Dialect]string{
+		unchained.DialectNDatalogNeg: "ndatalog",
+		unchained.DialectNDatalogBot: "ndatalog-bottom",
+		unchained.DialectNDatalogAll: "ndatalog-forall",
+		unchained.DialectNDatalogNew: "ndatalog-new",
 	}
-	for _, tc := range cases {
-		t.Run(tc.prog, func(t *testing.T) {
-			s, p, in := loadCase(t, tc.prog, "")
+	ran := 0
+	for _, c := range programs.Cases {
+		if c.Deterministic() {
+			continue
+		}
+		ran++
+		t.Run(c.Program, func(t *testing.T) {
+			s, p, in := load(t, c)
 			_, err := s.EvalContext(context.Background(), p, in, unchained.SemanticsAuto)
 			if err == nil {
 				t.Fatal("want error for nondeterministic program")
 			}
-			if !strings.Contains(err.Error(), "nondeterministic engine") || !strings.Contains(err.Error(), tc.engine) {
+			if !strings.Contains(err.Error(), "nondeterministic engine") || !strings.Contains(err.Error(), engines[c.Nondet]) {
 				t.Fatalf("error lacks guidance: %v", err)
 			}
 		})
+	}
+	if ran < 5 {
+		t.Fatalf("only %d nondeterministic programs", ran)
 	}
 }
 

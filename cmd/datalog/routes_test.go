@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -17,29 +16,8 @@ import (
 	"unchained"
 	"unchained/internal/core"
 	"unchained/internal/serve"
+	"unchained/programs"
 )
-
-// routeFacts pairs each corpus program with the facts file it ships
-// with (order: attach Succ/First/Last first); the rest run on no facts.
-var routeFacts = map[string]struct {
-	facts string
-	order bool
-}{
-	"tc.dl":              {"chain.facts", false},
-	"same_generation.dl": {"family.facts", false},
-	"ct.dl":              {"chain.facts", false},
-	"closer.dl":          {"chain.facts", false},
-	"delayed_ct.dl":      {"chain.facts", false},
-	"even_ordered.dl":    {"rset.facts", true},
-	"win.dl":             {"game_e32.facts", false},
-	"good_nodes.dl":      {"cycle_tail.facts", false},
-	"orientation.dl":     {"twocycles.facts", false},
-	"choice.dl":          {"pset.facts", false},
-	"tag.dl":             {"pset.facts", false},
-	"diff_bottom.dl":     {"pq.facts", false},
-	"diff_forall.dl":     {"pq.facts", false},
-	"hamiltonian.dl":     {"ham_c4.facts", false},
-}
 
 var stagesHeader = regexp.MustCompile(`(?m)^% fixpoint after (\d+) stages`)
 
@@ -51,33 +29,19 @@ var stagesHeader = regexp.MustCompile(`(?m)^% fixpoint after (\d+) stages`)
 // resolves alike), the same stage count where the route reports one —
 // or, where the semantics does not admit the program, the same error.
 func TestRoutesAgree(t *testing.T) {
-	progs, err := filepath.Glob("../../programs/*.dl")
-	if err != nil || len(progs) == 0 {
-		t.Fatalf("no corpus: %v", err)
-	}
 	ts := httptest.NewServer(serve.New(serve.Config{}))
 	defer ts.Close()
 	dir := t.TempDir()
 
-	for _, path := range progs {
-		name := filepath.Base(path)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range programs.Cases {
+		name, path := c.Program, filepath.Join("../../programs", c.Program)
+		src := programs.Source(name)
 		// One facts text for all three routes, the order relations
 		// rendered into it (the daemon has no -order).
-		facts := ""
-		if rf, ok := routeFacts[name]; ok {
-			b, err := os.ReadFile(filepath.Join("../../programs/facts", rf.facts))
-			if err != nil {
-				t.Fatal(err)
-			}
-			facts = string(b)
-			if rf.order {
-				s := unchained.NewSession()
-				facts = s.Format(s.WithOrder(s.MustFacts(facts)))
-			}
+		facts := programs.Facts(c.Facts)
+		if c.Order {
+			s := unchained.NewSession()
+			facts = s.Format(s.WithOrder(s.MustFacts(facts)))
 		}
 		factsPath := write(t, dir, name+".facts", facts)
 
@@ -89,7 +53,7 @@ func TestRoutesAgree(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/O%d", name, semName, level), func(t *testing.T) {
 					// (b) the facade.
 					s := unchained.NewSession()
-					p, err := s.Parse(string(src))
+					p, err := s.Parse(src)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -99,7 +63,7 @@ func TestRoutesAgree(t *testing.T) {
 
 					// (c) the daemon.
 					body, _ := json.Marshal(serve.EvalRequest{
-						Envelope:  serve.Envelope{Program: string(src), Facts: facts, Optimize: level, Stats: true},
+						Envelope:  serve.Envelope{Program: src, Facts: facts, Optimize: level, Stats: true},
 						Semantics: semName,
 					})
 					hres, err := http.Post(ts.URL+"/v1/eval", "application/json", bytes.NewReader(body))

@@ -1,8 +1,6 @@
 package analyze
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,15 +8,12 @@ import (
 	"unchained/internal/parser"
 	"unchained/internal/trace"
 	"unchained/internal/value"
+	"unchained/programs"
 )
 
 func mustAnalyzeFile(t *testing.T, name string) *Report {
 	t.Helper()
-	src, err := os.ReadFile(filepath.Join("..", "..", "programs", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := parser.Parse(string(src), value.New())
+	p, err := parser.Parse(programs.Source(name), value.New())
 	if err != nil {
 		t.Fatal(err)
 	}

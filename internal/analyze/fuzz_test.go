@@ -1,29 +1,20 @@
 package analyze
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"unchained/internal/ast"
 	"unchained/internal/parser"
 	"unchained/internal/value"
+	"unchained/programs"
 )
 
 // FuzzAnalyze checks that the analyzer never panics on any parseable
 // program and that every diagnostic carries a valid (or explicitly
 // unknown) position.
 func FuzzAnalyze(f *testing.F) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "programs", "*.dl"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(b))
+	for _, c := range programs.Cases {
+		f.Add(programs.Source(c.Program))
 	}
 	f.Add("!P(X) :- Q(Y).")           // no admitting dialect
 	f.Add("P(X) :- G(X).\nP(X,Y).\n") // arity conflict

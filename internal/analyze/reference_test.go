@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"unchained/internal/ast"
 	"unchained/internal/parser"
 	"unchained/internal/value"
+	"unchained/programs"
 )
 
 // referenceInference is dialect inference the long way round, kept as
@@ -141,16 +140,8 @@ func TestInferenceMatchesNineValidations(t *testing.T) {
 		"A(X), !B(X) :- C(X), X != Y, D(Y).\nbottom :- A(X), !C(X).\n",
 		"X = Y :- P(X).\nP(X) :- forall Y (Q(X,Y), forall Z (R(Z))), bottom.\n",
 	}
-	paths, err := filepath.Glob(filepath.Join("..", "..", "programs", "*.dl"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no programs: %v", err)
-	}
-	for _, path := range paths {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, string(b))
+	for _, c := range programs.Cases {
+		seeds = append(seeds, programs.Source(c.Program))
 	}
 	check := func(name string, p *ast.Program) {
 		if got, want := dialectPart(Analyze(p, nil)), dialectPart(referenceInference(p)); got != want {

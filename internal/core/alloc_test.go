@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"testing"
 
 	"unchained/internal/gen"
@@ -21,17 +20,13 @@ import (
 func TestInflationaryAllocations(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(programs.Source("delayed_ct.dl"), u)
-	shipped, err := os.ReadFile("../../programs/facts/chain.facts")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		name string
 		in   *tuple.Instance
 		max  float64
 	}{
 		{"a 12-node chain (the benchmark's dct-infl)", gen.Chain(u, "G", 12), 915},
-		{"programs/facts/chain.facts", parser.MustParseFacts(string(shipped), u), 534},
+		{"programs/facts/chain.facts", parser.MustParseFacts(programs.Facts("chain.facts"), u), 534},
 	} {
 		got := testing.AllocsPerRun(10, func() {
 			if _, err := EvalInflationary(p, c.in, u, nil); err != nil {

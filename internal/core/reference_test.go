@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -16,6 +13,7 @@ import (
 	"unchained/internal/queries"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
+	"unchained/programs"
 )
 
 // referenceStages is Section 4.1 as the paper writes it, kept as the
@@ -86,65 +84,21 @@ func sameStages(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u
 }
 
 // TestInflationaryStagesMatchReference: every shipped program that is
-// Datalog¬, over five graph shapes per binary input relation, half of
-// the runs with facts asserted on the intensional relations too (the
-// delta of stage 1 is then not all an intensional relation holds).
+// Datalog¬, over the input shapes of gen.Inputs.
 func TestInflationaryStagesMatchReference(t *testing.T) {
-	files, err := filepath.Glob("../../programs/*.dl")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no programs: %v", err)
-	}
 	ran := 0
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range programs.Cases {
 		u := value.New()
-		p, err := parser.Parse(string(src), u)
+		p, err := parser.Parse(programs.Source(c.Program), u)
 		if err != nil || p.Validate(ast.DialectDatalogNeg) != nil {
 			continue
 		}
-		sch, err := p.Schema()
-		if err != nil {
-			t.Fatal(err)
-		}
-		idb := map[string]bool{}
-		for _, n := range p.IDB() {
-			idb[n] = true
-		}
-		preds := make([]string, 0, len(sch))
-		for n := range sch {
-			preds = append(preds, n)
-		}
-		sort.Strings(preds)
-		shapes := []func(pred string, seed int64) *tuple.Instance{
-			func(pred string, _ int64) *tuple.Instance { return gen.Chain(u, pred, 6) },
-			func(pred string, _ int64) *tuple.Instance { return gen.Cycle(u, pred, 5) },
-			func(pred string, seed int64) *tuple.Instance { return gen.Random(u, pred, 6, 9, seed) },
-			func(pred string, _ int64) *tuple.Instance { return gen.Tree(u, pred, 2, 2) },
-			func(pred string, _ int64) *tuple.Instance { return gen.TwoCycles(u, pred, 3) },
-		}
-		for si, shape := range shapes {
-			for _, asserted := range []bool{false, true} {
-				var parts []*tuple.Instance
-				for pi, n := range preds {
-					switch {
-					case sch[n] == 2 && !idb[n]:
-						parts = append(parts, shape(n, int64(si+pi)))
-					case sch[n] == 2 && asserted:
-						parts = append(parts, gen.Random(u, n, 6, 3, int64(si+pi)))
-					case sch[n] == 1 && (!idb[n] || asserted):
-						parts = append(parts, gen.Unary(u, n, 2))
-					}
-				}
-				name := fmt.Sprintf("%s shape %d asserted=%v", filepath.Base(f), si, asserted)
-				sameStages(t, name, p, gen.Merge(parts...), u, true)
-				ran++
-			}
-		}
+		gen.Inputs(u, p, func(shape string, in *tuple.Instance) {
+			sameStages(t, c.Program+" "+shape, p, in, u, true)
+			ran++
+		})
 	}
-	if ran < 50 {
+	if ran < 80 {
 		t.Fatalf("only %d runs: the corpus has lost its Datalog¬ programs", ran)
 	}
 }
@@ -344,22 +298,15 @@ func sameNonInflationary(t testing.TB, name string, p *ast.Program, in *tuple.In
 // cascade delete of Figure 1 and two programs whose every stage has a
 // conflict.
 func TestNonInflationaryMatchesReference(t *testing.T) {
-	shipped := func(file string) string {
-		src, err := os.ReadFile("../../programs/" + file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(src)
-	}
 	u := value.New()
 	for _, c := range []struct {
 		name, prog string
 		in         *tuple.Instance
 	}{
-		{"counter4.dl", shipped("counter4.dl"), tuple.NewInstance()},
-		{"flip_flop.dl from T(0)", shipped("flip_flop.dl"), parser.MustParseFacts("T(0).", u)},
-		{"flip_flop.dl from T(0), T(1)", shipped("flip_flop.dl"), parser.MustParseFacts("T(0). T(1).", u)},
-		{"orientation.dl", shipped("orientation.dl"), parser.MustParseFacts("G(a,b). G(b,a). G(c,d). G(e,e). G(d,c). G(d,e).", u)},
+		{"counter4.dl", programs.Source("counter4.dl"), tuple.NewInstance()},
+		{"flip_flop.dl from T(0)", programs.Source("flip_flop.dl"), parser.MustParseFacts("T(0).", u)},
+		{"flip_flop.dl from T(0), T(1)", programs.Source("flip_flop.dl"), parser.MustParseFacts("T(0). T(1).", u)},
+		{"orientation.dl", programs.Source("orientation.dl"), parser.MustParseFacts("G(a,b). G(b,a). G(c,d). G(e,e). G(d,c). G(d,e).", u)},
 		{"the cascade delete", queries.CascadeDelete, gen.Cascade(u, 4)},
 		{"a fact inferred both ways", "P(X) :- Q(X).\n!P(X) :- Q(X).", parser.MustParseFacts("Q(a). Q(b). P(b).", u)},
 		{"two relations inferred both ways, the later one first",

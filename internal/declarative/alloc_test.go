@@ -1,7 +1,6 @@
 package declarative
 
 import (
-	"os"
 	"testing"
 
 	"unchained/internal/gen"
@@ -42,11 +41,7 @@ func TestWellFoundedAllocations(t *testing.T) {
 		p := parser.MustParse(programs.Source(c.program), u)
 		in := gen.Game(u, "Moves", 500, 1000, 7)
 		if c.facts != "" {
-			src, err := os.ReadFile("../../programs/facts/" + c.facts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in = parser.MustParseFacts(string(src), u)
+			in = parser.MustParseFacts(programs.Facts(c.facts), u)
 		}
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := EvalWellFounded(p, in, u, nil); err != nil {

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"unchained/internal/ast"
@@ -19,6 +16,7 @@ import (
 	"unchained/internal/trace"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
+	"unchained/programs"
 )
 
 // referenceWFS is the alternating fixpoint of Van Gelder over the whole
@@ -76,66 +74,23 @@ func sameModel(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u 
 }
 
 // corpusInputs calls fn with every shipped program that is Datalog¬
-// and, per program, each of five graph shapes on its binary input
-// relations (unary ones get a few constants).
-func corpusInputs(t *testing.T, fn func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe)) {
-	t.Helper()
-	files, err := filepath.Glob("../../programs/*.dl")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no programs: %v", err)
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+// over each input shape of gen.Inputs.
+func corpusInputs(fn func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe)) {
+	for _, c := range programs.Cases {
 		u := value.New()
-		p, err := parser.Parse(string(src), u)
+		p, err := parser.Parse(programs.Source(c.Program), u)
 		if err != nil || p.Validate(ast.DialectDatalogNeg) != nil {
 			continue
 		}
-		sch, err := p.Schema()
-		if err != nil {
-			t.Fatal(err)
-		}
-		idb := map[string]bool{}
-		for _, n := range p.IDB() {
-			idb[n] = true
-		}
-		var preds []string
-		for n := range sch {
-			if !idb[n] {
-				preds = append(preds, n)
-			}
-		}
-		sort.Strings(preds)
-		shapes := []func(pred string, seed int64) *tuple.Instance{
-			func(pred string, _ int64) *tuple.Instance { return gen.Chain(u, pred, 6) },
-			func(pred string, _ int64) *tuple.Instance { return gen.Cycle(u, pred, 5) },
-			func(pred string, seed int64) *tuple.Instance { return gen.Random(u, pred, 6, 9, seed) },
-			func(pred string, _ int64) *tuple.Instance { return gen.Tree(u, pred, 2, 2) },
-			func(pred string, seed int64) *tuple.Instance { return gen.Game(u, pred, 7, 10, seed) },
-		}
-		for si, shape := range shapes {
-			var parts []*tuple.Instance
-			for pi, n := range preds {
-				switch sch[n] {
-				case 2:
-					parts = append(parts, shape(n, int64(si+pi)))
-				case 1:
-					parts = append(parts, gen.Unary(u, n, 3))
-				}
-			}
-			fn(fmt.Sprintf("%s shape %d", filepath.Base(f), si), p, gen.Merge(parts...), u)
-		}
+		gen.Inputs(u, p, func(shape string, in *tuple.Instance) { fn(c.Program+" "+shape, p, in, u) })
 	}
 }
 
 // TestWellFoundedMatchesReferenceOnCorpus: every shipped Datalog¬
-// program × five input shapes.
+// program × the input shapes of gen.Inputs.
 func TestWellFoundedMatchesReferenceOnCorpus(t *testing.T) {
 	ran := 0
-	corpusInputs(t, func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe) {
+	corpusInputs(func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe) {
 		sameModel(t, name, p, in, u)
 		ran++
 	})
@@ -150,7 +105,7 @@ func TestWellFoundedMatchesReferenceOnCorpus(t *testing.T) {
 // same stages, firings, derived and rederived facts.
 func TestWellFoundedIsStratifiedOnStratifiable(t *testing.T) {
 	ran := 0
-	corpusInputs(t, func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe) {
+	corpusInputs(func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe) {
 		strat, err := EvalStratified(p, in, u, &Options{Stats: stats.New()})
 		if err != nil {
 			return // not stratifiable

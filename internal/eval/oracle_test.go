@@ -258,6 +258,55 @@ func forallVarsClash(r ast.Rule) bool {
 	return false
 }
 
+// matchesOracle compares the matcher's bindings of r over in, indexed
+// and scanning, with the brute-force enumeration. consts join the
+// active domain.
+func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in *tuple.Instance, consts []value.Value) bool {
+	cr, err := Compile(r)
+	if err != nil {
+		t.Fatalf("%s: compile: %v\nrule: %s", name, err, r.String(u))
+	}
+	adom := ActiveDomain(u, append([]value.Value(nil), consts...), in)
+	free := map[string]bool{}
+	for _, v := range r.Vars() {
+		free[v] = true
+	}
+	for _, v := range r.HeadOnlyVars() {
+		delete(free, v)
+	}
+	var freeVars []string
+	for _, v := range r.Vars() {
+		if free[v] {
+			freeVars = append(freeVars, v)
+		}
+	}
+	want := oracleEnumerate(r, in, adom)
+	ws := renderBindings(freeVars, want)
+	for _, scan := range []bool{false, true} {
+		var got []map[string]value.Value
+		cr.Enumerate(&Ctx{In: in, Adom: adom, DeltaLit: -1, Scan: scan}, func(b Binding) bool {
+			m := map[string]value.Value{}
+			for i, name := range cr.Vars {
+				if free[name] {
+					m[name] = b[i]
+				}
+			}
+			got = append(got, m)
+			return true
+		})
+		if gs := renderBindings(freeVars, got); gs != ws {
+			t.Logf("%s, scan=%v, rule: %s", name, scan, r.String(u))
+			t.Logf("instance:\n%s", in.String(u))
+			t.Logf("matcher (%d):\n%s", len(got), gs)
+			t.Logf("oracle  (%d):\n%s", len(want), ws)
+			return false
+		}
+	}
+	return true
+}
+
+// TestMatcherAgainstOracle checks the matcher, indexed and scanning,
+// on 300 random rules.
 func TestMatcherAgainstOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -287,57 +336,15 @@ func TestMatcherAgainstOracle(t *testing.T) {
 		if forallVarsClash(r) {
 			return true // outside the compiler's scoping contract
 		}
-		cr, err := Compile(r)
-		if err != nil {
-			t.Fatalf("seed %d: compile: %v\nrule: %s", seed, err, r.String(u))
-		}
-		adom := ActiveDomain(u, append([]value.Value(nil), consts...), in)
-		ctx := &Ctx{In: in, Adom: adom, DeltaLit: -1}
-
-		// Matcher bindings.
-		free := map[string]bool{}
-		for _, v := range r.Vars() {
-			free[v] = true
-		}
-		for _, v := range r.HeadOnlyVars() {
-			delete(free, v)
-		}
-		var freeVars []string
-		for _, v := range r.Vars() {
-			if free[v] {
-				freeVars = append(freeVars, v)
-			}
-		}
-		var got []map[string]value.Value
-		cr.Enumerate(ctx, func(b Binding) bool {
-			m := map[string]value.Value{}
-			for i, name := range cr.Vars {
-				if free[name] {
-					m[name] = b[i]
-				}
-			}
-			got = append(got, m)
-			return true
-		})
-		want := oracleEnumerate(r, in, adom)
-
-		gs, ws := renderBindings(freeVars, got), renderBindings(freeVars, want)
-		if gs != ws {
-			t.Logf("seed %d rule: %s", seed, r.String(u))
-			t.Logf("instance:\n%s", in.String(u))
-			t.Logf("matcher (%d):\n%s", len(got), gs)
-			t.Logf("oracle  (%d):\n%s", len(want), ws)
-			return false
-		}
-		return true
+		return matchesOracle(t, fmt.Sprintf("seed %d", seed), u, r, in, consts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Also run both modes (indexed and scan) against the oracle once with
-// a fixed tricky rule.
+// TestMatcherScanModeAgainstOracle checks both scan modes on a fixed
+// tricky rule.
 func TestMatcherScanModeAgainstOracle(t *testing.T) {
 	u := value.New()
 	a, b := u.Sym("a"), u.Sym("b")
@@ -345,7 +352,7 @@ func TestMatcherScanModeAgainstOracle(t *testing.T) {
 	in.Insert("Q", tuple.Tuple{a, b})
 	in.Insert("Q", tuple.Tuple{b, b})
 	in.Insert("P", tuple.Tuple{a})
-	r := ast.Rule{
+	fixed := ast.Rule{
 		Head: []ast.Literal{ast.PosLit(ast.NewAtom("H", ast.V("X")))},
 		Body: []ast.Literal{
 			ast.PosLit(ast.NewAtom("Q", ast.V("X"), ast.V("Y"))),
@@ -353,18 +360,7 @@ func TestMatcherScanModeAgainstOracle(t *testing.T) {
 			ast.Neq(ast.V("X"), ast.V("Y")),
 		},
 	}
-	cr, err := Compile(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adom := ActiveDomain(u, nil, in)
-	for _, scan := range []bool{false, true} {
-		ctx := &Ctx{In: in, Adom: adom, DeltaLit: -1, Scan: scan}
-		n := 0
-		cr.Enumerate(ctx, func(Binding) bool { n++; return true })
-		want := len(oracleEnumerate(r, in, adom))
-		if n != want {
-			t.Fatalf("scan=%v: matcher %d, oracle %d", scan, n, want)
-		}
+	if !matchesOracle(t, "fixed rule", u, fixed, in, nil) {
+		t.Fatal("the fixed rule diverges")
 	}
 }

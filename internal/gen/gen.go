@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"unchained/internal/ast"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -198,6 +199,47 @@ func Merge(ins ...*tuple.Instance) *tuple.Instance {
 		}
 	}
 	return out
+}
+
+// Inputs calls fn with the input shapes of the reference tests for p.
+// Each binary relation that no rule of p derives gets one of six graph
+// shapes (chain, cycle, random, tree, two-cycles, game), each unary one
+// a few constants. Every shape comes twice, the second time with facts
+// asserted on the derived relations too, so that the first stage's
+// delta is not all that such a relation holds.
+func Inputs(u *value.Universe, p *ast.Program, fn func(name string, in *tuple.Instance)) {
+	sch, err := p.Schema()
+	if err != nil {
+		panic(err) // callers pass programs that validate
+	}
+	idb := map[string]bool{}
+	for _, n := range p.IDB() {
+		idb[n] = true
+	}
+	shapes := []func(pred string, seed int64) *tuple.Instance{
+		func(pred string, _ int64) *tuple.Instance { return Chain(u, pred, 6) },
+		func(pred string, _ int64) *tuple.Instance { return Cycle(u, pred, 5) },
+		func(pred string, seed int64) *tuple.Instance { return Random(u, pred, 6, 9, seed) },
+		func(pred string, _ int64) *tuple.Instance { return Tree(u, pred, 2, 2) },
+		func(pred string, _ int64) *tuple.Instance { return TwoCycles(u, pred, 3) },
+		func(pred string, seed int64) *tuple.Instance { return Game(u, pred, 7, 10, seed) },
+	}
+	for si, shape := range shapes {
+		for _, asserted := range []bool{false, true} {
+			var parts []*tuple.Instance
+			for pi, n := range p.Preds() {
+				switch seed := int64(si + pi); {
+				case sch[n] == 2 && !idb[n]:
+					parts = append(parts, shape(n, seed))
+				case sch[n] == 2 && asserted:
+					parts = append(parts, Random(u, n, 6, 3, seed))
+				case sch[n] == 1 && (!idb[n] || asserted):
+					parts = append(parts, Unary(u, n, 3))
+				}
+			}
+			fn(fmt.Sprintf("shape %d asserted=%v", si, asserted), Merge(parts...))
+		}
+	}
 }
 
 // Wide returns the text of the front-end stress program, the two

@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"unchained/internal/parser"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -119,5 +120,26 @@ func TestMerge(t *testing.T) {
 	m := Merge(a, b)
 	if m.Relation("G").Len() != 2 || m.Relation("P").Len() != 2 {
 		t.Fatalf("merge wrong")
+	}
+}
+
+// TestInputs: twelve inputs, the input relations filled in each and the
+// derived ones only in the asserted half.
+func TestInputs(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse("T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).\nS(X) :- N(X), !T(X,X).", u)
+	n := 0
+	Inputs(u, p, func(name string, in *tuple.Instance) {
+		asserted := n%2 == 1
+		n++
+		if in.Relation("G").Len() == 0 || in.Relation("N").Len() != 3 {
+			t.Errorf("%s: input relations G, N not filled:\n%s", name, in.String(u))
+		}
+		if got := in.Relation("T") != nil && in.Relation("S") != nil; got != asserted {
+			t.Errorf("%s: derived relations present = %v, want %v", name, got, asserted)
+		}
+	})
+	if n != 12 {
+		t.Fatalf("%d inputs, want 12", n)
 	}
 }

@@ -3,8 +3,6 @@ package opt
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +11,7 @@ import (
 	"unchained/internal/parser"
 	"unchained/internal/stratify"
 	"unchained/internal/value"
+	"unchained/programs"
 )
 
 // subsumedBoth returns the positions of the rules the analyzer's
@@ -60,16 +59,8 @@ func TestSubsumptionHasOneRelation(t *testing.T) {
 			t.Errorf("%s: nothing subsumed\n%s", name, src)
 		}
 	}
-	paths, _ := filepath.Glob(filepath.Join("..", "..", "programs", "*.dl"))
-	if len(paths) == 0 {
-		t.Fatal("no programs")
-	}
-	for _, path := range paths {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(filepath.Base(path), string(b), false)
+	for _, c := range programs.Cases {
+		check(c.Program, programs.Source(c.Program), false)
 	}
 	check("variants", "p(X,Y) :- e(X,Y).\np(A,B) :- e(A,B).\np(U,V) :- e(U,V).\n", true)
 	check("specialised first", "p(X,a) :- e(X,a), f(X).\np(X,Y) :- e(X,Y).\np(A,B) :- e(A,B).\n", true)

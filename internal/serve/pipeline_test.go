@@ -177,6 +177,9 @@ func TestPipelineContract(t *testing.T) {
 			// A client that leaves while queued is recorded as canceled,
 			// not shed, and gives the one queue place back: the next
 			// request below queues in it.
+			// The count starts from what came before: a subscription
+			// already ended canceled above.
+			before := svc.snapshot()
 			goneCtx, leave := context.WithCancel(bg)
 			gone := make(chan error, 1)
 			go func() {
@@ -188,7 +191,10 @@ func TestPipelineContract(t *testing.T) {
 			if err := <-gone; err == nil {
 				t.Fatal("canceled request got an answer")
 			}
-			waitFor(t, func() bool { return svc.snapshot().Canceled == 1 })
+			waitFor(t, func() bool {
+				z := svc.snapshot()
+				return z.Canceled == before.Canceled+1 && z.FlightRecords == before.FlightRecords+1
+			})
 			if rec := svc.flight.Recent()[0]; rec.Endpoint != ep.path || rec.Outcome != CodeCanceled {
 				t.Fatalf("newest record %s %q, want %s canceled", rec.Endpoint, rec.Outcome, ep.path)
 			}

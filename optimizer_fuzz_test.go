@@ -3,13 +3,12 @@ package unchained_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"unchained"
+	"unchained/programs"
 )
 
 // FuzzOptimize is the differential fuzz target for the static
@@ -20,16 +19,8 @@ import (
 // Programs the baseline engine rejects are skipped (optimization may
 // widen the accepted dialect; see docs/OPTIMIZER.md).
 func FuzzOptimize(f *testing.F) {
-	paths, err := filepath.Glob(filepath.Join("programs", "*.dl"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(b))
+	for _, c := range programs.Cases {
+		f.Add(programs.Source(c.Program))
 	}
 	f.Add("P(X) :- E(X), X = a.\nDead(X) :- Never(X).\nQ(X) :- P(X).")
 	f.Add("T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).")

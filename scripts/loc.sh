@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Non-test Go lines per package and in total outside bench/: the number
-# every simplicity PR reports in CHANGES.md.
+# Non-test Go lines per package and in total outside bench/, then the
+# total of test Go lines outside bench/: the numbers every simplicity
+# PR reports in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
@@ -12,3 +13,6 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_bu
 			close("sort -k2")
 			printf "%7d total (non-test Go lines outside bench/)\n", total
 		}'
+find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
+	xargs -0 cat | wc -l |
+	awk '{ printf "%7d total (test Go lines outside bench/)\n", $1 }'

@@ -9,60 +9,8 @@ import (
 	"time"
 
 	"unchained"
+	"unchained/programs"
 )
-
-// renderSharded evaluates one corpus case at the given shard count and
-// renders the outcome (stage count, sorted facts, error) to a
-// comparable string — the same shape the planner oracle uses.
-func renderSharded(t *testing.T, c struct {
-	prog      string
-	facts     string
-	order     bool
-	maxStages int
-}, sem unchained.Semantics, shards int) string {
-	t.Helper()
-	s, p, in := loadCase(t, c.prog, c.facts)
-	if c.order {
-		in = s.WithOrder(in)
-	}
-	res, err := s.EvalContext(context.Background(), p, in, sem,
-		unchained.WithMaxStages(c.maxStages),
-		unchained.WithParallel(unchained.Parallel{Shards: shards}))
-	out := ""
-	if res != nil && res.Out != nil {
-		out = fmt.Sprintf("stages=%d\n%s", res.Stages, s.Format(res.Out))
-	}
-	if err != nil {
-		out += "\nerror: " + err.Error()
-	}
-	return out
-}
-
-// TestShardedMatchesSerialOracle is the tentpole's semantic acceptance
-// check: for every program in the corpus under every deterministic
-// engine, shard-parallel semi-naive evaluation (2 and 8 shards) must
-// produce byte-identical output — same facts, same stage counts, same
-// errors — as the serial run. Partitioning the delta is an
-// implementation freedom; the model computed is not.
-func TestShardedMatchesSerialOracle(t *testing.T) {
-	for _, c := range plannerCases {
-		for _, name := range plannerSemantics {
-			sem, ok := unchained.SemanticsByName[name]
-			if !ok {
-				t.Fatalf("unknown semantics %q", name)
-			}
-			c, sem := c, sem
-			t.Run(c.prog+"/"+name, func(t *testing.T) {
-				serial := renderSharded(t, c, sem, 1)
-				for _, shards := range []int{2, 8} {
-					if got := renderSharded(t, c, sem, shards); got != serial {
-						t.Errorf("shards=%d diverges from serial:\n--- sharded ---\n%s\n--- serial ---\n%s", shards, got, serial)
-					}
-				}
-			})
-		}
-	}
-}
 
 // TestShardedStatsMatchSerial pins the observability contract: a
 // sharded run must report the same derivation totals (firings,
@@ -71,7 +19,7 @@ func TestShardedMatchesSerialOracle(t *testing.T) {
 // serial merge does. Only the shard_* counters may differ.
 func TestShardedStatsMatchSerial(t *testing.T) {
 	run := func(shards int) *unchained.StatsSummary {
-		s, p, in := loadCase(t, "tc.dl", "chain.facts")
+		s, p, in := load(t, programs.Case{Program: "tc.dl", Facts: "chain.facts"})
 		col := unchained.NewStatsCollector()
 		if _, err := s.EvalContext(context.Background(), p, in,
 			unchained.SemanticsByName["minimal-model"],
@@ -141,40 +89,6 @@ func TestShardedCancellationNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestShardedWithSharedPlanCache runs the daemon configuration —
-// shard workers reading plans from one shared PlanCache — across the
-// corpus for one engine and checks outputs still match serial.
-func TestShardedWithSharedPlanCache(t *testing.T) {
-	cache := unchained.NewPlanCache()
-	for _, c := range plannerCases {
-		c := c
-		t.Run(c.prog, func(t *testing.T) {
-			render := func(extra ...unchained.Opt) string {
-				s, p, in := loadCase(t, c.prog, c.facts)
-				if c.order {
-					in = s.WithOrder(in)
-				}
-				opts := append([]unchained.Opt{unchained.WithMaxStages(c.maxStages)}, extra...)
-				res, err := s.EvalContext(context.Background(), p, in,
-					unchained.SemanticsByName["minimal-model"], opts...)
-				out := ""
-				if res != nil && res.Out != nil {
-					out = fmt.Sprintf("stages=%d\n%s", res.Stages, s.Format(res.Out))
-				}
-				if err != nil {
-					out += "\nerror: " + err.Error()
-				}
-				return out
-			}
-			sharded := render(unchained.WithPlanCache(cache),
-				unchained.WithParallel(unchained.Parallel{Shards: 4}))
-			if serial := render(); sharded != serial {
-				t.Errorf("shared-cache sharded output diverges:\n--- sharded ---\n%s\n--- serial ---\n%s", sharded, serial)
-			}
-		})
-	}
-}
-
 // TestDerivedCountsFacts pins what "derived" means for the engines that
 // run one insert-only fixpoint: a fact counts once, at the stage it
 // enters, however many firings of that stage emit it. Over the corpus
@@ -190,11 +104,10 @@ func TestDerivedCountsFacts(t *testing.T) {
 		return s, s.MustParse("T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y)."),
 			s.MustFacts("G(a,b). G(a,c). G(b,d). G(c,d). G(d,e). G(e,f).")
 	}}}
-	for _, c := range plannerCases {
-		c := c
-		inputs = append(inputs, input{c.prog, func() (*unchained.Session, *unchained.Program, *unchained.Instance) {
-			return loadCase(t, c.prog, c.facts)
-		}})
+	for _, c := range programs.Cases {
+		if c.Deterministic() {
+			inputs = append(inputs, input{c.Program, func() (*unchained.Session, *unchained.Program, *unchained.Instance) { return load(t, c) }})
+		}
 	}
 	ran := 0
 	for _, c := range inputs {
