@@ -10,14 +10,14 @@ import (
 )
 
 // BackwardForward is the deletion step of incremental maintenance for
-// one recursive layer of a materialized model: the Backward/Forward
-// algorithm of Motik, Nenov, Piro and Horrocks (AAAI 2015). Told which
+// one layer of a materialized model: the Backward/Forward algorithm of
+// Motik, Nenov, Piro and Horrocks (AAAI 2015). Told which
 // facts of the layer a change below it may have invalidated, it deletes
 // from the state exactly the facts that lost their last proof. What the
 // change makes newly derivable is the caller's to insert afterwards.
 //
-// It has two callers. incr.View maintains a recursive layer of a view
-// after a batch took facts away below it. The well-founded alternation
+// It has two callers. incr.View maintains each layer of a view after a
+// batch took facts away below it. The well-founded alternation
 // shrinks a group's over-estimate Γ(underᵢ₋₁) to Γ(underᵢ): the
 // under-estimate grew, so some negative literals stopped holding. There
 // negative literals read Run's negIn, the new under-estimate, whose facts

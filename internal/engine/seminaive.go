@@ -17,7 +17,9 @@ import (
 // A seeded run continues a fixpoint whose input changed: round one
 // fires only what the seed enumerates, the firings the change gives —
 // the well-founded alternation's under-estimate, which grows from the
-// last one by the variants pinned at the over-facts just deleted. That
+// last one by the variants pinned at the over-facts just deleted, and a
+// layer of an incr.View, which grows by the variants pinned at a
+// batch's gains below it. That
 // is complete when out is already closed under the rules over the old
 // input: a firing over the new input that the old one lacked passes
 // through the change, and every later one needs a fact the run added.

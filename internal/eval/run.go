@@ -591,22 +591,9 @@ func Fold(out, from *tuple.Instance) int {
 	return from.Facts()
 }
 
-// GroundBodyAtom materializes the body literal with index litIndex (an
-// atom, positive or negative) under binding b. ok is false for
-// non-atom literals (equalities, ∀) and out-of-range indexes. The
-// incremental maintainer uses it to attribute a changed rule firing to
-// its first changed body position.
-func (r *Rule) GroundBodyAtom(b Binding, litIndex int) (Fact, bool) {
-	if litIndex < 0 || litIndex >= len(r.lits) || r.lits[litIndex].kind != ast.LitAtom {
-		return Fact{}, false
-	}
-	l := &r.lits[litIndex]
-	return Fact{Neg: l.neg, Pred: l.pred, Tuple: groundAtom(l, b)}, true
-}
-
-// AppendBodyAtom appends the arguments of the atom literal with index
-// litIndex under binding b to dst: GroundBodyAtom into storage the
-// caller reuses.
+// AppendBodyAtom appends the arguments of the atom literal (positive or
+// negative) with index litIndex under binding b to dst, storage the
+// caller reuses: the body fact a firing reads there.
 func (r *Rule) AppendBodyAtom(dst []value.Value, b Binding, litIndex int) []value.Value {
 	for _, s := range r.lits[litIndex].slots {
 		dst = append(dst, slotVal(s, b))

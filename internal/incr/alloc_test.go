@@ -9,14 +9,20 @@ import (
 )
 
 // Allocation pins of the maintainer, beside tuple's and eval's: a
-// batch allocates for the relations it grows and the support changes it
-// records, not per firing and not per checked fact.
+// batch allocates for the relations it grows, not per firing and not
+// per checked fact.
 
 // TestApplyAllocations holds a batch on the benchmark's shape — some 135
 // of T's 2 134 facts deleted, 129 of them for good — under a ceiling 10 %
-// above the 2 268 it takes. Rederiving fact by fact through a freshly
+// above the 286 it takes. Rederiving fact by fact through a freshly
 // compiled probe rule took 57 673 allocations a batch; delete–rederive,
-// set-at-a-time, some 2 700.
+// set-at-a-time, some 2 700; support counting on the Unreach layer, with
+// a string key and a clone per changed firing, 2 086.
+//
+// Each layer's deletion step reuses a pooled state. The race detector's
+// pool drops a quarter of them, and a batch that misses one allocates
+// some 130 times more to build it: under the race detector 331–369 were
+// measured, and the ceiling is half as high again.
 func TestApplyAllocations(t *testing.T) {
 	v, ops, _ := denseGraph(t, nil)
 	i := 0
@@ -29,8 +35,12 @@ func TestApplyAllocations(t *testing.T) {
 			i++
 		}
 	})
-	if perBatch := perPair / 2; perBatch > 2500 {
-		t.Errorf("Apply allocates %.0f times per batch on the dense graph, want <= 2500", perBatch)
+	limit := 315.0
+	if raceEnabled {
+		limit = 470
+	}
+	if perBatch := perPair / 2; perBatch > limit {
+		t.Errorf("Apply allocates %.0f times per batch on the dense graph, want <= %.0f", perBatch, limit)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 
 // FuzzApply drives a view of one corpus program through a sequence of
 // batches decoded from the fuzz bytes and holds it, after every batch,
-// to the two properties TestBatchOracleCorpus checks on fixed seeds: the
-// view equals recomputation from its EDB, and the returned delta is
-// exactly the difference between the states before and after.
+// to the properties TestBatchOracleCorpus checks on fixed seeds: the
+// view equals recomputation from its EDB, its state and delta equal
+// those of a view maintained by referenceDRed, and the delta is exactly
+// the difference between the states before and after.
 //
 // The first byte picks the program. Every later byte b opens a step:
 // b%4 == 3 applies the batch gathered so far; otherwise the step is a
@@ -55,6 +56,7 @@ func FuzzApply(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := referenceView(t, u, v)
 		var assert, retract []Fact
 		for len(data) > 0 {
 			b := data[0]
@@ -76,10 +78,7 @@ func FuzzApply(f *testing.F) {
 				continue
 			}
 			before := v.Snapshot()
-			d, err := v.Apply(assert, retract)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := applyBoth(t, u, v, ref, assert, retract)
 			if got, want := v.Instance().String(u), oracleRecompute(t, u, v).String(u); got != want {
 				t.Fatalf("%s: view diverged from recompute\nassert: %v\nretract: %v\ngot:\n%swant:\n%s",
 					prog.name, assert, retract, got, want)

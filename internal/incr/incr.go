@@ -1,21 +1,19 @@
 // Package incr maintains materialized Datalog views under EDB
 // updates: batched asserts and retracts flow through the program's
-// SCC condensation layer by layer, with exact per-tuple support
-// counting on non-recursive layers and Backward/Forward deletion on
-// recursive ones. Stratified negation is supported: negated
-// predicates always live in strictly lower layers, so by the time a
-// layer is maintained its negative dependencies are final.
+// SCC condensation layer by layer, and every layer, recursive or not,
+// is maintained by one algorithm. Stratified negation is supported:
+// negated predicates always live in strictly lower layers, so by the
+// time a layer is maintained its negative dependencies are final.
 //
-// Support counting is the counting semiring, exact only without
-// recursion: around a cycle a fact can count itself. A recursive layer
-// asks the Boolean question instead, before it deletes anything: is
-// there still a proof? Each fact a loss may have invalidated is checked
+// A layer first asks, before it deletes anything, whether each fact a
+// loss may have invalidated still has a proof. The fact is checked
 // backward through the firings that derive it, a fact whose check is
 // still open counts as unproved (so a cycle cannot prove itself), and
 // every proof is chained forward to the checked facts waiting on it
 // (Motik's saturate step). Only the facts left unproved are deleted,
 // and their consequences are the next facts checked. The step is
-// engine.BackwardForward; insertion stays semi-naive.
+// engine.BackwardForward. Then the layer's engine.SemiNaive kernel,
+// seeded by the firings the gains give, inserts what is new.
 //
 // The paper's forward-chaining languages handle updates inside the
 // language (Datalog¬¬, Section 4.2); this package is the systems-side
@@ -75,15 +73,15 @@ func (d *Delta) remove(pred string, t tuple.Tuple) {
 
 // layer is one SCC of the predicate dependency graph, in condensation
 // order: every predicate a layer's rules read (positively or under
-// negation) is either in the layer itself or in an earlier one.
+// negation) is either in the layer itself or in an earlier one. Its
+// maintenance pairs a deletion step with an insertion kernel, as the
+// well-founded alternation's does: bf deletes what a batch took the
+// last proof of, k adds what it makes derivable.
 type layer struct {
 	preds map[string]bool
 	rules []int // indexes into View.rules / View.variants
-	// counting layers (non-recursive) maintain exact per-tuple
-	// support counts; recursive layers delete with bf, their
-	// Backward/Forward step.
-	counting bool
-	bf       *engine.BackwardForward
+	k     *engine.SemiNaive
+	bf    *engine.BackwardForward
 }
 
 // View is a materialized model of a stratified Datalog¬ program,
@@ -98,34 +96,27 @@ type View struct {
 	// scheduled first (Rule.Delta; a negative one is matched, so a delta
 	// on the negated predicate drives the join).
 	variants [][]deltaVariant
-	// rederive holds per-rule the plan a recursive layer's deletion step
-	// asks "does the rule still derive this fact?" with: the delta
-	// variant pinned at the head atom (Rule.Delta one past the body).
-	rederive []*eval.Rule
 	idb      map[string]bool
 	state    *tuple.Instance // EDB ∪ derived IDB
-	// layers is the SCC condensation, dependencies first; counts holds
-	// the support counters of the counting layers (pred -> tuple key).
+	// layers is the SCC condensation, dependencies first.
 	layers []*layer
-	counts map[string]map[string]supportEntry
-	// opt is the Materialize options (nil when none). Every propagation
-	// round joins with the same scan and planner configuration as the
+	// ctx is the matcher environment of the seeds, which fire the
+	// variants one at a time, with buf its enumeration buffer; added
+	// receives the facts a layer's insertion adds.
+	ctx   eval.Ctx
+	buf   eval.Scratch
+	added *tuple.Instance
+	// opt is the Materialize options (nil when none). Every maintenance
+	// step joins with the same scan and planner configuration as the
 	// initial materialization, and its context bounds every subsequent
 	// maintenance call, which returns the typed engine error when it is
 	// done.
 	opt *engine.Options
 	// Stats is the collector carried by the Materialize options (nil
 	// when none): it accumulates across the initial materialization
-	// and every subsequent Apply propagation, each delta round
-	// counting as one stage. Read it with Stats.Summary().
+	// and every subsequent Apply, each deletion wave and insertion
+	// round counting as one stage. Read it with Stats.Summary().
 	Stats *stats.Collector
-}
-
-// supportEntry is one counted tuple: the tuple itself (the map key is
-// its packed form) and how many rule firings currently derive it.
-type supportEntry struct {
-	t tuple.Tuple
-	n int64
 }
 
 // deltaVariant is a rule compiled to start matching at one body atom
@@ -177,9 +168,12 @@ func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *eng
 		rules: rules,
 		idb:   map[string]bool{},
 		state: res.Out,
+		added: tuple.NewInstance(),
 		opt:   opt,
 		Stats: opt.Collector(),
 	}
+	v.ctx = *opt.EvalCtx(v.Stats, nil, nil)
+	v.ctx.Buf = &v.buf
 	// The one-shot evaluation labeled the collector after its engine;
 	// from here on it accumulates maintenance work, so relabel without
 	// clearing the materialization counters.
@@ -193,9 +187,6 @@ func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *eng
 	}
 	v.compileVariants()
 	v.buildLayers()
-	if err := v.initCounts(); err != nil {
-		return nil, err
-	}
 	return v, nil
 }
 
@@ -231,9 +222,8 @@ func checkMaintainable(p *ast.Program) error {
 	return nil
 }
 
-// compileVariants schedules the per-literal delta plans and the
-// rederive plan of every compiled rule: all the planning a view does
-// outside the planner's own replans.
+// compileVariants schedules the per-literal delta plans of every
+// compiled rule.
 func (v *View) compileVariants() {
 	for i, src := range v.prog.Rules {
 		var vs []deltaVariant
@@ -241,107 +231,36 @@ func (v *View) compileVariants() {
 			vs = append(vs, deltaVariant{rule: v.rules[i].Delta(li), lit: li, pred: l.Atom.Pred, neg: l.Neg})
 		}
 		v.variants = append(v.variants, vs)
-		v.rederive = append(v.rederive, v.rules[i].Delta(len(src.Body)))
 	}
 }
 
 // buildLayers computes the SCC condensation of the dependency graph.
 // stratify returns SCCs dependencies-first, which is exactly the
 // maintenance order. Layers without rules (EDB predicates) are
-// dropped.
+// dropped. Every layer's deletion step checks a fact through its rules'
+// rederive plans, the delta variants pinned at the head atom (Rule.Delta
+// one past the body), and chains proofs forward through the variants
+// its insertion kernel fires after the first round.
 func (v *View) buildLayers() {
-	g := stratify.BuildGraph(v.prog)
-	selfLoop := map[string]bool{}
-	for _, e := range g.Edges {
-		if e.From == e.To {
-			selfLoop[e.From] = true
-		}
-	}
-	for _, scc := range g.SCCs() {
+	for _, scc := range stratify.BuildGraph(v.prog).SCCs() {
 		l := &layer{preds: map[string]bool{}}
-		recursive := len(scc) > 1
 		for _, pred := range scc {
 			l.preds[pred] = true
-			if selfLoop[pred] {
-				recursive = true
-			}
 		}
+		var rules, heads []*eval.Rule
 		for ri, r := range v.prog.Rules {
 			if l.preds[r.Head[0].Atom.Pred] {
 				l.rules = append(l.rules, ri)
+				rules, heads = append(rules, v.rules[ri]), append(heads, v.rules[ri].Delta(len(r.Body)))
 			}
 		}
 		if len(l.rules) == 0 {
 			continue
 		}
-		l.counting = !recursive
-		if recursive {
-			var rules, heads []*eval.Rule
-			var forward []eval.DeltaVariant
-			for _, ri := range l.rules {
-				rules, heads = append(rules, v.rules[ri]), append(heads, v.rederive[ri])
-				for _, li := range v.rules[ri].PositiveBodyLits() {
-					if dv := v.variants[ri][li]; l.preds[dv.pred] {
-						forward = append(forward, eval.DeltaVariant{Rule: dv.rule, Index: -1})
-					}
-				}
-			}
-			l.bf = engine.NewBackwardForward(rules, heads, forward)
-		}
+		l.k = &engine.SemiNaive{Rules: rules}
+		l.bf = engine.NewBackwardForward(rules, heads, l.k.Variants())
 		v.layers = append(v.layers, l)
 	}
-}
-
-// head returns the head predicate of rule ri and its arity.
-func (v *View) head(ri int) (string, int) {
-	a := v.prog.Rules[ri].Head[0].Atom
-	return a.Pred, len(a.Args)
-}
-
-// initCounts enumerates every counting-layer rule against the
-// materialized state once, establishing the exact per-tuple support
-// counts subsequent batches maintain differentially.
-func (v *View) initCounts() error {
-	v.counts = map[string]map[string]supportEntry{}
-	// One polled pass that is not a stage of the maintained run, so it
-	// has no stage to charge firings or file plan spans under.
-	_, err := v.opt.Loop(nil, 0, nil, func(int) (engine.Outcome, error) {
-		ctx := v.opt.EvalCtx(nil, v.state, nil)
-		for _, l := range v.layers {
-			if !l.counting {
-				continue
-			}
-			for _, ri := range l.rules {
-				pred, _ := v.head(ri)
-				c := v.counts[pred]
-				if c == nil {
-					c = map[string]supportEntry{}
-					v.counts[pred] = c
-				}
-				v.rules[ri].Fire(ctx, -1, nil, func(f eval.Fact) bool {
-					k := f.Tuple.Key()
-					e := c[k]
-					if e.t == nil {
-						e.t = f.Tuple.Clone()
-					}
-					e.n++
-					c[k] = e
-					return true
-				})
-			}
-		}
-		return engine.Outcome{Status: engine.Last}, nil
-	})
-	return err
-}
-
-// pinned returns the matcher environment for a plan pinned at body
-// literal lit: in is the instance the unpinned literals match, pin the
-// delta driving the pinned one.
-func (v *View) pinned(lit int, in, pin *tuple.Instance) *eval.Ctx {
-	ctx := v.opt.EvalCtx(v.Stats, in, nil)
-	ctx.Delta, ctx.DeltaLit = pin, lit
-	return ctx
 }
 
 // Instance returns the maintained instance (EDB plus derived IDB).
@@ -390,19 +309,16 @@ func (v *View) Delete(pred string, t tuple.Tuple) (bool, error) {
 // typed engine error is returned and the view must be considered
 // suspect.
 //
-// Layers are maintained in dependency order. Non-recursive layers
-// adjust exact support counts from the lost and gained rule firings
-// (each changed firing attributed to its first changed body literal,
-// so multi-delta firings count exactly once). Recursive layers delete
-// only the facts that lost their last proof (bfLayer), then insert
-// what the gains derive semi-naively.
+// Layers are maintained in dependency order, each the same way
+// (maintain): delete only the facts that lost their last proof, then
+// insert what the gains derive semi-naively.
 func (v *View) Apply(assert, retract []Fact) (*Delta, error) {
-	return v.apply(assert, retract, (*View).bfLayer)
+	return v.apply(assert, retract, (*View).maintain)
 }
 
-// apply is Apply with the maintenance of a recursive layer passed in,
-// so the tests can hold it to the delete–rederive it replaced.
-func (v *View) apply(assert, retract []Fact, recursive func(v *View, l *layer, old *tuple.Instance, d *Delta) error) (*Delta, error) {
+// apply is Apply with the maintenance of a layer passed in, so the
+// tests can hold it to the delete–rederive it replaced.
+func (v *View) apply(assert, retract []Fact, maintain func(v *View, l *layer, old *tuple.Instance, d *Delta) error) (*Delta, error) {
 	for _, f := range assert {
 		if v.idb[f.Pred] {
 			return nil, fmt.Errorf("incr: %s is intensional; only EDB updates are supported", f.Pred)
@@ -432,13 +348,7 @@ func (v *View) apply(assert, retract []Fact, recursive func(v *View, l *layer, o
 		return d, nil
 	}
 	for _, l := range v.layers {
-		var err error
-		if l.counting {
-			err = v.countLayer(l, old, d)
-		} else {
-			err = recursive(v, l, old, d)
-		}
-		if err != nil {
+		if err := maintain(v, l, old, d); err != nil {
 			return d, err
 		}
 	}
@@ -462,125 +372,20 @@ func hasPred(in *tuple.Instance, pred string) bool {
 	return r != nil && r.Len() > 0
 }
 
-// firstChange reports whether the pinned literal is the FIRST body
-// literal of the firing whose truth changed in the given direction.
-// Summing pinned enumerations over all literals with this filter
-// yields each changed firing exactly once — the attribution that
-// makes support counting exact under self-joins and multi-fact
-// batches.
-func firstChange(dv deltaVariant, b eval.Binding, d *Delta, gain bool) bool {
-	for i := 0; i < dv.lit; i++ {
-		f, ok := dv.rule.GroundBodyAtom(b, i)
-		if !ok {
-			continue
-		}
-		var changed bool
-		if f.Neg == gain {
-			changed = d.Removed.Has(f.Pred, f.Tuple)
-		} else {
-			changed = d.Added.Has(f.Pred, f.Tuple)
-		}
-		if changed {
-			return false
-		}
-	}
-	return true
-}
-
-// countLayer maintains a non-recursive layer by exact support
-// counting, as one stage. Lost firings are enumerated against the
-// pre-batch state, gained firings against the current state (all lower
-// layers final); net counts crossing zero update the model.
-func (v *View) countLayer(l *layer, old *tuple.Instance, d *Delta) error {
-	_, err := v.opt.Loop(v.Stats, 0, nil, func(int) (engine.Outcome, error) {
-		return engine.Outcome{Status: engine.Last, Delta: v.recount(l, old, d)}, nil
-	})
-	return err
-}
-
-// recount is countLayer's stage; it returns the number of facts that
-// entered or left the model.
-func (v *View) recount(l *layer, old *tuple.Instance, d *Delta) int {
-	type change struct {
-		pred string
-		t    tuple.Tuple
-		n    int64
-	}
-	changes := map[string]*change{}
-	for _, gain := range []bool{false, true} {
-		in, sign := old, int64(-1)
-		if gain {
-			in, sign = v.state, 1
-		}
-		record := func(f eval.Fact) bool {
-			k := f.Pred + "\x00" + f.Tuple.Key()
-			c := changes[k]
-			if c == nil {
-				c = &change{pred: f.Pred, t: f.Tuple.Clone()}
-				changes[k] = c
-			}
-			c.n += sign
-			return true
-		}
-		for _, ri := range l.rules {
-			for _, dv := range v.variants[ri] {
-				pin := pinFor(dv, d, gain)
-				if !hasPred(pin, dv.pred) {
-					continue
-				}
-				heads := dv.rule.ScratchHeads()
-				dv.rule.Fire(v.pinned(dv.lit, in, pin), -1, func(b eval.Binding) []eval.Fact {
-					if !firstChange(dv, b, d, gain) {
-						return nil
-					}
-					return heads(b)
-				}, record)
-			}
-		}
-	}
-	moved := 0
-	for _, c := range changes {
-		if c.n == 0 {
-			continue
-		}
-		counts := v.counts[c.pred]
-		k := c.t.Key()
-		e := counts[k]
-		if e.t == nil {
-			e.t = c.t
-		}
-		was := e.n
-		e.n += c.n
-		if e.n <= 0 {
-			delete(counts, k)
-			if was > 0 && v.state.Delete(c.pred, c.t) {
-				d.remove(c.pred, c.t)
-				moved++
-			}
-			continue
-		}
-		counts[k] = e
-		if was <= 0 && v.state.Insert(c.pred, c.t) {
-			d.add(c.pred, c.t)
-			moved++
-		}
-	}
-	return moved
-}
-
-// bfLayer maintains a recursive layer: the layer's Backward/Forward
-// step deletes the facts a lower-layer (or EDB) loss took the last
-// proof of, then one semi-naive loop adds what the gains derive. The
+// maintain maintains layer l. Its Backward/Forward step deletes the
+// facts a lower-layer (or EDB) loss took the last proof of: the
 // candidates are the heads of the firings the losses may have
 // invalidated, matched against the pre-batch state, where those
-// firings lived. A deleted fact the gains derive again is put back by
-// the loop, and Delta.add cancels it against its removal.
-func (v *View) bfLayer(l *layer, old *tuple.Instance, d *Delta) error {
-	gone, err := l.bf.Run(v.opt, v.state, nil, nil, func(emit func(eval.Fact) bool) {
-		for _, ri := range l.rules {
-			v.fireVariants(l, ri, 1, d, false, old, nil, emit)
-		}
-	})
+// firings lived. Its semi-naive kernel then adds what the gains derive,
+// round one firing the variants pinned at the gains. That is complete
+// because the deletion left exactly the facts with a proof that needs
+// no gain, and a firing that needs none has a head among them; whatever
+// round one misses needs a fact the kernel added. Negated literals read
+// the current state, final for their (strictly lower) layers. A deleted
+// fact the gains derive again is put back, and Delta.add cancels it
+// against its removal.
+func (v *View) maintain(l *layer, old *tuple.Instance, d *Delta) error {
+	gone, err := l.bf.Run(v.opt, v.state, nil, nil, v.seed(l, d, false, old))
 	if gone != nil {
 		gone.EachRel(func(pred string, r *tuple.Relation) {
 			d.Removed.Ensure(pred, r.Arity()).UnionInPlace(r)
@@ -589,65 +394,33 @@ func (v *View) bfLayer(l *layer, old *tuple.Instance, d *Delta) error {
 	if err != nil {
 		return err
 	}
-	return v.propagate(l, d)
-}
-
-// fireVariants runs rule ri's share of round n of a semi-naive loop over layer
-// l: in the first round the variants pinned at the lower-layer (or EDB)
-// changes of the batch — the losses or the gains — and in every later
-// one the variants pinned at the layer's own predicates, driven by
-// round, the facts the round before moved. in is what the unpinned
-// literals match.
-func (v *View) fireVariants(l *layer, ri, n int, d *Delta, gain bool, in, round *tuple.Instance, emit func(eval.Fact) bool) {
-	for _, dv := range v.variants[ri] {
-		own := l.preds[dv.pred]
-		if own == (n == 1) {
-			continue
-		}
-		pin := round
-		if !own {
-			pin = pinFor(dv, d, gain)
-		}
-		if hasPred(pin, dv.pred) {
-			dv.rule.Fire(v.pinned(dv.lit, in, pin), -1, nil, emit)
-		}
-	}
-}
-
-// propagate is a recursive layer's insertion loop: semi-naive rounds
-// within the layer until a round adds nothing. The first round fires
-// the variants pinned at the batch's lower-layer (or EDB) gains. That
-// is complete because the deletion step left exactly the facts with a
-// proof that needs no gain, and a firing that needs none has a head
-// among them; whatever the first round misses needs a fact it found.
-// Negated literals read the current state, final for their (strictly
-// lower) layers. The driver polls the view's context between rounds;
-// on interruption the state holds the partially-propagated model and
-// callers surface the typed error so the view is known to be suspect.
-func (v *View) propagate(l *layer, d *Delta) error {
-	var round *tuple.Instance
-	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
-		next := tuple.NewInstance()
-		for _, ri := range l.rules {
-			pred, arity := v.head(ri)
-			st, nx := v.state.Relation(pred), next.Ensure(pred, arity)
-			v.fireVariants(l, ri, n, d, true, v.state, round, func(f eval.Fact) bool {
-				if st == nil {
-					st = v.state.Ensure(pred, arity)
-				}
-				if !st.Insert(f.Tuple) {
-					return false
-				}
-				nx.Insert(f.Tuple)
-				d.add(pred, f.Tuple)
-				return true
-			})
-		}
-		round = next
-		if round.Facts() == 0 {
-			return engine.Outcome{Status: engine.Last}, nil
-		}
-		return engine.Outcome{Delta: round.Facts()}, nil
+	_, err = l.k.Run(v.opt, v.state, nil, v.seed(l, d, true, v.state), v.added)
+	v.added.EachRel(func(pred string, r *tuple.Relation) {
+		r.Each(func(t tuple.Tuple) bool {
+			d.add(pred, t)
+			return true
+		})
+		r.Clear()
 	})
 	return err
+}
+
+// seed returns the first round of layer l's maintenance: it emits the
+// heads of the firings of the variants pinned at the batch's
+// lower-layer (or EDB) changes, the losses or the gains, the unpinned
+// literals matching in.
+func (v *View) seed(l *layer, d *Delta, gain bool, in *tuple.Instance) func(emit func(eval.Fact) bool) {
+	return func(emit func(eval.Fact) bool) {
+		ctx := &v.ctx
+		ctx.In = in
+		for _, ri := range l.rules {
+			for _, dv := range v.variants[ri] {
+				if pin := pinFor(dv, d, gain); !l.preds[dv.pred] && hasPred(pin, dv.pred) {
+					ctx.Delta, ctx.DeltaLit = pin, dv.lit
+					dv.rule.Fire(ctx, -1, nil, emit)
+				}
+			}
+		}
+		ctx.In, ctx.Delta = nil, nil // the instances are the batch's
+	}
 }

@@ -19,10 +19,11 @@ import (
 // assert/retract batches must leave the maintained view byte-identical
 // (Instance().String) to a from-scratch stratified evaluation of the
 // post-batch EDB, and its state and delta byte-identical to those of a
-// view maintained by referenceDRed. The corpus deliberately spans both
-// maintenance regimes — exact support counting on the non-recursive
-// layers and Backward/Forward deletion on the recursive ones — and their
-// interaction across strata.
+// view maintained by referenceDRed. Every layer is maintained the same
+// way, so the corpus spans the shapes a layer can take — recursive or
+// not, with several supports per fact, self-joins, constants and
+// repeated variables in heads, negation below and inside recursion —
+// and the deltas one layer hands the next across strata.
 
 type oracleProgram struct {
 	name string
@@ -39,9 +40,9 @@ var oracleCorpus = []oracleProgram{
 		edb:  map[string]int{"G": 2},
 	},
 	{
-		// Non-recursive with multiple supports per fact and a join:
-		// all counting layers. P(x,y) can be supported by E and F at
-		// once, so deletes must decrement, not erase.
+		// Non-recursive with multiple supports per fact and a join.
+		// P(x,y) can be supported by E and F at once, so losing one
+		// support must keep it.
 		name: "multi-support",
 		text: `
 			P(X,Y) :- E(X,Y).
@@ -52,8 +53,8 @@ var oracleCorpus = []oracleProgram{
 		edb: map[string]int{"E": 2, "F": 2},
 	},
 	{
-		// Stratified negation, non-recursive: counting layers where
-		// asserts can retract derived facts and vice versa.
+		// Stratified negation, non-recursive: asserts can retract
+		// derived facts and vice versa.
 		name: "neg-nonrecursive",
 		text: `
 			B(X)   :- F(X,Y).
@@ -64,9 +65,8 @@ var oracleCorpus = []oracleProgram{
 	},
 	{
 		// Negation over a recursive stratum: the safe complement of
-		// transitive closure (CT restricted to known nodes). B/F
-		// maintains T; counting maintains Node and NT on top, driven
-		// by the deltas T's layer emits.
+		// transitive closure (CT restricted to known nodes). Node and
+		// NT on top are driven by the deltas T's layer emits.
 		name: "neg-over-recursion",
 		text: `
 			Node(X)  :- E(X,Y).
@@ -78,8 +78,8 @@ var oracleCorpus = []oracleProgram{
 		edb: map[string]int{"E": 2},
 	},
 	{
-		// Negation feeding recursion: a counting layer's deltas seed
-		// deletion and insertion inside a recursive layer.
+		// Negation feeding recursion: a non-recursive layer's deltas
+		// seed deletion and insertion inside a recursive layer.
 		name: "neg-into-recursion",
 		text: `
 			Bad(X) :- F(X,X).
@@ -136,6 +136,18 @@ var oracleCorpus = []oracleProgram{
 			P(X,Y)    :- P(X,Z), E(Z,Y), !Closed(Z).
 		`,
 		edb: map[string]int{"E": 2, "F": 2},
+	},
+	{
+		// A non-recursive self-join: one batch can change both of a
+		// firing's body facts, and a fact with two firings through the
+		// changed facts must be checked once and kept while one holds.
+		// (Appended: FuzzApply's first byte indexes the corpus.)
+		name: "self-join",
+		text: `
+			P(X,Z) :- E(X,Y), E(Y,Z).
+			Q(X)   :- P(X,X), !E(X,X).
+		`,
+		edb: map[string]int{"E": 2},
 	},
 }
 
@@ -194,11 +206,17 @@ func referenceView(t testing.TB, u *value.Universe, v *View) *View {
 }
 
 // applyBoth applies one batch to v and, with referenceDRed maintaining
-// its recursive layers, to ref, and fails unless the two states and the
-// two deltas format identically. It returns v's delta.
+// its layers, to ref, and fails unless the two states and the two
+// deltas format identically. It returns v's delta.
 func applyBoth(t testing.TB, u *value.Universe, v, ref *View, assert, retract []Fact) *Delta {
 	t.Helper()
-	d, err := v.Apply(assert, retract)
+	return applyBothBy(t, u, v, (*View).maintain, ref, assert, retract)
+}
+
+// applyBothBy is applyBoth with v's layers maintained by maintain.
+func applyBothBy(t testing.TB, u *value.Universe, v *View, maintain func(*View, *layer, *tuple.Instance, *Delta) error, ref *View, assert, retract []Fact) *Delta {
+	t.Helper()
+	d, err := v.apply(assert, retract, maintain)
 	if err != nil {
 		t.Fatal(err)
 	}

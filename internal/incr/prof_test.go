@@ -108,24 +108,30 @@ func denseGraph(tb testing.TB, opt *engine.Options) (*View, [][2][]Fact, *value.
 	return v, ops, u
 }
 
-// deletions returns how many facts the deletion waves recorded in col
-// since its last reset deleted — the derived count of every stage whose
-// delta is negative — and resets it.
-func deletions(col *stats.Collector) int {
-	n := 0
-	for _, st := range col.Summary().PerStage {
-		if st.Delta < 0 {
-			n += int(st.Derived)
+// countDeletions is the view's maintenance with a tally: to *n it adds
+// how many facts the deletion waves of pred's layer delete — the derived
+// count of each of that layer's stages whose delta is negative, read off
+// col, the view's collector, which it resets.
+func countDeletions(pred string, col *stats.Collector, n *int) func(*View, *layer, *tuple.Instance, *Delta) error {
+	return func(v *View, l *layer, old *tuple.Instance, d *Delta) error {
+		if !l.preds[pred] {
+			return v.maintain(l, old, d)
 		}
+		col.Reset("incr", nil)
+		err := v.maintain(l, old, d)
+		for _, st := range col.Summary().PerStage {
+			if st.Delta < 0 {
+				*n += int(st.Derived)
+			}
+		}
+		return err
 	}
-	col.Reset("incr", nil)
-	return n
 }
 
 // BenchmarkApplyDenseGraph is the regime the chain-end and tree-leaf
 // cases leave out: most of the closure is reachable from every batch's
 // retracts, and little of it loses its last proof. delta/op is the net
-// change; deleted/op the facts the deletion waves delete, read off the
+// change; deleted/op the facts T's deletion waves delete, read off the
 // stage summaries of a second view that runs the op cycle once with a
 // collector (which the timed view goes without, as the daemon's do).
 func BenchmarkApplyDenseGraph(b *testing.B) {
@@ -144,13 +150,11 @@ func BenchmarkApplyDenseGraph(b *testing.B) {
 	b.StopTimer()
 	col := stats.New()
 	counted, ops, _ := denseGraph(b, &engine.Options{Stats: col})
-	deletions(col)
 	deleted := 0
 	for _, op := range ops {
-		if _, err := counted.Apply(op[0], op[1]); err != nil {
+		if _, err := counted.apply(op[0], op[1], countDeletions("T", col, &deleted)); err != nil {
 			b.Fatal(err)
 		}
-		deleted += deletions(col)
 	}
 	b.ReportMetric(float64(delta)/float64(b.N), "delta/op")
 	b.ReportMetric(float64(deleted)/float64(len(ops)), "deleted/op")

@@ -8,12 +8,12 @@ import (
 
 // referenceDRed is delete–rederive, the way the view maintained a
 // recursive layer before Backward/Forward deletion, kept as the oracle
-// for it: over-delete everything reachable from a lost support, then
-// put back what still has a derivation and add what is new, in one
-// semi-naive loop. The layer's share of the net delta is what the two
-// leave behind: an over-deleted fact that did not come back was
-// removed, an inserted fact that was not over-deleted was added.
-// View.apply takes it in place of bfLayer.
+// for every layer: over-delete everything reachable from a lost
+// support, then put back what still has a derivation and add what is
+// new, in one semi-naive loop. The layer's share of the net delta is
+// what the two leave behind: an over-deleted fact that did not come
+// back was removed, an inserted fact that was not over-deleted was
+// added. View.apply takes it in place of maintain.
 func referenceDRed(v *View, l *layer, old *tuple.Instance, d *Delta) error {
 	over, err := referenceOverDelete(v, l, old, d)
 	if err != nil {
@@ -46,13 +46,13 @@ func referenceOverDelete(v *View, l *layer, old *tuple.Instance, d *Delta) (*tup
 	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
 		next := tuple.NewInstance()
 		for _, ri := range l.rules {
-			pred, arity := v.head(ri)
+			pred, arity := head(v, ri)
 			st := v.state.Relation(pred)
 			if st == nil {
 				continue
 			}
 			nx, ov := next.Ensure(pred, arity), over.Ensure(pred, arity)
-			v.fireVariants(l, ri, n, d, false, old, round, func(f eval.Fact) bool {
+			fireVariants(v, l, ri, n, d, false, old, round, func(f eval.Fact) bool {
 				if !st.Delete(f.Tuple) {
 					return false
 				}
@@ -81,7 +81,7 @@ func referenceRederive(v *View, l *layer, over *tuple.Instance, d *Delta) error 
 	_, err := v.opt.Loop(v.Stats, 0, nil, func(n int) (engine.Outcome, error) {
 		next := tuple.NewInstance()
 		for _, ri := range l.rules {
-			pred, arity := v.head(ri)
+			pred, arity := head(v, ri)
 			st, ov, nx := v.state.Relation(pred), over.Relation(pred), next.Ensure(pred, arity)
 			emit := func(f eval.Fact) bool {
 				if st == nil {
@@ -97,9 +97,10 @@ func referenceRederive(v *View, l *layer, over *tuple.Instance, d *Delta) error 
 				return true
 			}
 			if n == 1 && ov != nil && ov.Len() > 0 {
-				v.rederive[ri].Fire(v.pinned(len(v.prog.Rules[ri].Body), v.state, over), -1, nil, emit)
+				body := len(v.prog.Rules[ri].Body)
+				v.rules[ri].Delta(body).Fire(pinned(v, body, v.state, over), -1, nil, emit)
 			}
-			v.fireVariants(l, ri, n, d, true, v.state, round, emit)
+			fireVariants(v, l, ri, n, d, true, v.state, round, emit)
 		}
 		round = next
 		if round.Facts() == 0 {
@@ -108,4 +109,41 @@ func referenceRederive(v *View, l *layer, over *tuple.Instance, d *Delta) error 
 		return engine.Outcome{Delta: round.Facts()}, nil
 	})
 	return err
+}
+
+// fireVariants runs rule ri's share of round n of a semi-naive loop over
+// layer l: in the first round the variants pinned at the lower-layer (or
+// EDB) changes of the batch — the losses or the gains — and in every
+// later one the variants pinned at the layer's own predicates, driven by
+// round, the facts the round before moved. in is what the unpinned
+// literals match.
+func fireVariants(v *View, l *layer, ri, n int, d *Delta, gain bool, in, round *tuple.Instance, emit func(eval.Fact) bool) {
+	for _, dv := range v.variants[ri] {
+		own := l.preds[dv.pred]
+		if own == (n == 1) {
+			continue
+		}
+		pin := round
+		if !own {
+			pin = pinFor(dv, d, gain)
+		}
+		if hasPred(pin, dv.pred) {
+			dv.rule.Fire(pinned(v, dv.lit, in, pin), -1, nil, emit)
+		}
+	}
+}
+
+// pinned returns the matcher environment for a plan pinned at body
+// literal lit: in is the instance the unpinned literals match, pin the
+// delta driving the pinned one.
+func pinned(v *View, lit int, in, pin *tuple.Instance) *eval.Ctx {
+	ctx := v.opt.EvalCtx(v.Stats, in, nil)
+	ctx.Delta, ctx.DeltaLit = pin, lit
+	return ctx
+}
+
+// head returns the head predicate of rule ri and its arity.
+func head(v *View, ri int) (string, int) {
+	a := v.prog.Rules[ri].Head[0].Atom
+	return a.Pred, len(a.Args)
 }

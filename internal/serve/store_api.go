@@ -7,8 +7,8 @@
 // logged store under <DataDir>/<name> that survives daemon restarts.
 // POST /v1/subscribe evaluates a program against the database once
 // and then streams the net delta of every committed batch as
-// Server-Sent Events, maintained incrementally (support counting +
-// Backward/Forward deletion) rather than recomputed.
+// Server-Sent Events, maintained incrementally (Backward/Forward
+// deletion, then semi-naive insertion) rather than recomputed.
 //
 // Concurrency: a store's value universe is shared by every
 // subscription on that database, and interning is not concurrent-safe,

@@ -416,9 +416,9 @@ func (s *Session) EvalProvenanceContext(ctx context.Context, p *Program, in *Ins
 
 // MaterializeContext evaluates a program (positive Datalog or
 // stratified Datalog¬) and returns an incrementally maintained view:
-// exact support counting on non-recursive layers, Backward/Forward
-// deletion on recursive ones, with stratified negation supported across
-// both. View.Apply takes one assert/retract batch and returns the
+// every layer deletes by Backward/Forward, only the facts that lost
+// their last proof, and inserts semi-naively, with stratified negation
+// supported across layers. View.Apply takes one assert/retract batch and returns the
 // exact net delta of the whole view. Maintenance operations inherit
 // the context bound. Programs whose negation ranges over the active
 // domain rather than a relation are rejected — they cannot be
