@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/analyze -run='^$$' -fuzz='^FuzzAnalyze$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/incr -run='^$$' -fuzz='^FuzzApply$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/eval -run='^$$' -fuzz='^FuzzMatcher$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzInflationaryDelta$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzNonInflationary$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/declarative -run='^$$' -fuzz='^FuzzWellFounded$$' -fuzztime=$(FUZZTIME)

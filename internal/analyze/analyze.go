@@ -63,21 +63,6 @@ const (
 	CodeOrderedCounter = "I004"
 )
 
-// lattice linearizes Figure 1 (deterministic column first, then the
-// nondeterministic one): dialect inference returns the first entry
-// that admits the program, so earlier entries are "stricter".
-var lattice = []ast.Dialect{
-	ast.DialectDatalog,
-	ast.DialectDatalogNeg,
-	ast.DialectDatalogNegNeg,
-	ast.DialectDatalogNew,
-	ast.DialectNDatalogNeg,
-	ast.DialectNDatalogNegNeg,
-	ast.DialectNDatalogBot,
-	ast.DialectNDatalogAll,
-	ast.DialectNDatalogNew,
-}
-
 // Rejection records why one stricter dialect does not admit the
 // program: the first violation, with its rule and position.
 type Rejection struct {
@@ -178,14 +163,14 @@ func Analyze(p *ast.Program, opt *Options) *Report {
 	return r
 }
 
-// inferDialect picks the first lattice dialect that admits every rule
-// — a test of the index's feature mask, no diagnostics involved —
-// records a Rejection per stricter dialect from that dialect's first
-// violation alone, and reports E004 plus the least-bad dialect's
-// violations when nothing admits the program. Arity conflicts are
-// dialect-independent and stay out of it.
+// inferDialect picks the first dialect of ast.Dialects that admits
+// every rule — a test of the index's feature mask, no diagnostics
+// involved — records a Rejection per stricter dialect from that
+// dialect's first violation alone, and reports E004 plus the least-bad
+// dialect's violations when nothing admits the program. Arity
+// conflicts are dialect-independent and stay out of it.
 func inferDialect(ix *ast.Index, r *Report) {
-	for _, d := range lattice {
+	for _, d := range ast.Dialects {
 		if ix.Admits(d) {
 			r.Dialect = d
 			break
@@ -195,8 +180,8 @@ func inferDialect(ix *ast.Index, r *Report) {
 		// Show the violations of the least-bad candidate so the E004
 		// is actionable.
 		var best ast.Diagnostics
-		closest := lattice[0]
-		for i, d := range lattice {
+		closest := ast.Dialects[0]
+		for i, d := range ast.Dialects {
 			if ds := ix.DialectDiags(d); i == 0 || len(ds) < len(best) {
 				closest, best = d, ds
 			}
@@ -209,7 +194,7 @@ func inferDialect(ix *ast.Index, r *Report) {
 		})
 		return
 	}
-	for _, d := range lattice {
+	for _, d := range ast.Dialects {
 		if d == r.Dialect {
 			break
 		}

@@ -15,7 +15,7 @@ import (
 
 // referenceInference is dialect inference the long way round, kept as
 // the oracle for the mask-based one: validate the program against
-// every dialect of the lattice with Program.ValidateDiags, keep all
+// every dialect of ast.Dialects with Program.ValidateDiags, keep all
 // nine sorted lists, and read the dialect, the rejections and the
 // violations to show off them. It returns what Analyze derives from
 // the index instead: the report fields and diagnostics that depend on
@@ -23,7 +23,7 @@ import (
 func referenceInference(p *ast.Program) *Report {
 	r := &Report{Dialect: ast.DialectUnknown}
 	perDialect := map[ast.Dialect]ast.Diagnostics{}
-	for i, d := range lattice {
+	for i, d := range ast.Dialects {
 		for _, dg := range p.ValidateDiags(d) {
 			switch {
 			case dg.Code != ast.CodeArity:
@@ -33,15 +33,15 @@ func referenceInference(p *ast.Program) *Report {
 			}
 		}
 	}
-	for _, d := range lattice {
+	for _, d := range ast.Dialects {
 		if !perDialect[d].HasErrors() {
 			r.Dialect = d
 			break
 		}
 	}
 	if r.Dialect == ast.DialectUnknown {
-		best, bestN := lattice[0], -1
-		for _, d := range lattice {
+		best, bestN := ast.Dialects[0], -1
+		for _, d := range ast.Dialects {
 			if n := perDialect[d].Count(ast.SevError); bestN < 0 || n < bestN {
 				best, bestN = d, n
 			}
@@ -54,7 +54,7 @@ func referenceInference(p *ast.Program) *Report {
 		})
 		return r
 	}
-	for _, d := range lattice {
+	for _, d := range ast.Dialects {
 		if d == r.Dialect {
 			break
 		}

@@ -22,6 +22,15 @@ const (
 	DialectNDatalogNew                   // N-Datalog¬new: invention (Theorem 5.7)
 )
 
+// Dialects lists the family in the order above, the deterministic
+// column of Figure 1 first: the first entry that admits a program is
+// the strictest dialect that does.
+var Dialects = []Dialect{
+	DialectDatalog, DialectDatalogNeg, DialectDatalogNegNeg,
+	DialectDatalogNew, DialectNDatalogNeg, DialectNDatalogNegNeg,
+	DialectNDatalogBot, DialectNDatalogAll, DialectNDatalogNew,
+}
+
 // DialectUnknown is the sentinel reported by analysis when no dialect
 // of the family admits a program (e.g. head negation combined with
 // value invention).
@@ -62,12 +71,7 @@ func (d Dialect) MarshalText() ([]byte, error) { return []byte(d.String()), nil 
 // reports round-trip.
 func (d *Dialect) UnmarshalText(b []byte) error {
 	name := string(b)
-	for _, c := range [...]Dialect{
-		DialectDatalog, DialectDatalogNeg, DialectDatalogNegNeg,
-		DialectDatalogNew, DialectNDatalogNeg, DialectNDatalogNegNeg,
-		DialectNDatalogBot, DialectNDatalogAll, DialectNDatalogNew,
-		DialectUnknown,
-	} {
+	for _, c := range append(Dialects[:len(Dialects):len(Dialects)], DialectUnknown) {
 		if c.String() == name {
 			*d = c
 			return nil
@@ -142,8 +146,8 @@ const (
 	CodeArity = "E003"
 )
 
-// forbids returns the features whose use a dialect rejects.
-func (d Dialect) forbids() Feature {
+// Forbids returns the features whose use a dialect rejects.
+func (d Dialect) Forbids() Feature {
 	f := d.features()
 	m := FeatMalformed
 	for _, c := range [...]struct {
@@ -199,12 +203,12 @@ func (ix *Index) ValidateDiags(d Dialect) Diagnostics {
 
 // Admits reports whether dialect d admits every rule (arity conflicts
 // aside): no rule uses a feature d forbids.
-func (ix *Index) Admits(d Dialect) bool { return ix.Mask&d.forbids() == 0 }
+func (ix *Index) Admits(d Dialect) bool { return ix.Mask&d.Forbids() == 0 }
 
 // violations runs the per-rule check of dialect d over the rules d
 // rejects, handing each finding to emit unrendered.
 func (ix *Index) violations(d Dialect, emit func(violation)) {
-	c := ruleCheck{name: d.String(), forbid: d.forbids(), emit: emit}
+	c := ruleCheck{name: d.String(), forbid: d.Forbids(), emit: emit}
 	for ri := range ix.Rules {
 		if ix.Rules[ri].Mask&c.forbid != 0 {
 			c.rule = ri

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"unchained/internal/ast"
@@ -317,139 +316,46 @@ func TestNonInflationaryMatchesReference(t *testing.T) {
 	}
 }
 
-// decodeProgram decodes bytes into a small program and an instance, for
-// the fuzz targets of this package.
-//
-// The first byte is the number of rules (1–4). A rule is a head byte
-// (the relation: A/1, B/1, R/2 or S/2, by its value mod 4; with
-// headSigns, bit 2 negates the head), a body-length byte (1–3
-// literals), per literal a byte choosing the relation (those and the
-// extensional E/2) and the sign, then one byte per argument — a variable
-// of X, Y, Z, W or, one time in five, a constant — and last one byte per
-// head argument, choosing among the body's variable occurrences (the
-// constants when it has none), so no rule invents a value. Every byte
-// left opens a fact, as in incr's FuzzApply: the relation, then its
-// arguments among four constants — intensional relations included.
-func decodeProgram(t *testing.T, data []byte, headSigns bool) (string, *ast.Program, *tuple.Instance, *value.Universe) {
-	t.Helper()
-	rels := []struct {
-		name  string
-		arity int
-	}{{"E", 2}, {"A", 1}, {"B", 1}, {"R", 2}, {"S", 2}}
-	vars := []string{"X", "Y", "Z", "W"}
-	next := func() (byte, bool) {
-		if len(data) == 0 {
-			return 0, false
-		}
-		b := data[0]
-		data = data[1:]
-		return b, true
-	}
-	var src strings.Builder
-	nRules, ok := next()
-	for r := 0; ok && r < 1+int(nRules)%4; r++ {
-		hb, ok1 := next()
-		nb, ok2 := next()
-		if !ok1 || !ok2 {
-			break
-		}
-		var body []string
-		var seen []string
-		for l := 0; l < 1+int(nb)%3; l++ {
-			lb, _ := next()
-			rel := rels[int(lb/2)%len(rels)]
-			args := make([]string, rel.arity)
-			for i := range args {
-				ab, _ := next()
-				if ab%5 == 4 {
-					args[i] = fmt.Sprintf("c%d", ab/5%4)
-					continue
-				}
-				args[i] = vars[ab%5]
-				seen = append(seen, args[i])
-			}
-			sign := ""
-			if lb%2 == 1 {
-				sign = "!"
-			}
-			body = append(body, sign+rel.name+"("+strings.Join(args, ",")+")")
-		}
-		head := rels[1+int(hb)%(len(rels)-1)]
-		args := make([]string, head.arity)
-		for i := range args {
-			ab, _ := next()
-			if args[i] = fmt.Sprintf("c%d", ab%4); len(seen) > 0 {
-				args[i] = seen[int(ab)%len(seen)]
-			}
-		}
-		sign := ""
-		if headSigns && hb/4%2 == 1 {
-			sign = "!"
-		}
-		fmt.Fprintf(&src, "%s%s(%s) :- %s.\n", sign, head.name, strings.Join(args, ","), strings.Join(body, ", "))
-	}
-	u := value.New()
-	p, err := parser.Parse(src.String(), u)
-	if err != nil {
-		t.Fatalf("the decoder wrote a program that does not parse: %v\n%s", err, src.String())
-	}
-	consts := make([]value.Value, 4)
-	for i := range consts {
-		consts[i] = u.Sym(fmt.Sprintf("c%d", i))
-	}
-	in := tuple.NewInstance()
-	for {
-		b, ok := next()
-		if !ok {
-			break
-		}
-		rel := rels[int(b)%len(rels)]
-		tp := make(tuple.Tuple, rel.arity)
-		for i := range tp {
-			ab, _ := next()
-			tp[i] = consts[int(ab)%len(consts)]
-		}
-		in.Insert(rel.name, tp)
-	}
-	return src.String(), p, in, u
+// generated returns the program of dialect d and the facts that
+// gen.Program and gen.Facts decode from data, and the program's text.
+func generated(data []byte, d ast.Dialect) (string, *ast.Program, *tuple.Instance, *value.Universe) {
+	c, u := gen.Bytes(data), value.New()
+	p := gen.Program(c, u, d)
+	return p.String(u), p, gen.Facts(c, u, p), u
 }
 
 // FuzzInflationaryDelta decodes bytes into a small Datalog¬ program and
-// an instance (decodeProgram, heads positive) and checks the
-// delta-driven stages against the reference.
+// an instance and checks the delta-driven stages against the reference.
 func FuzzInflationaryDelta(f *testing.F) {
-	// Example 4.3 in miniature, R(c3,c0) asserted:
+	// Example 4.3 in miniature, E(n0,n1) E(n1,n2) E(n2,n3) R(n3,n0):
 	//	R(X,Y) :- E(X,Y).  R(X,Y) :- E(X,Z), R(Z,Y).  S(X,Y) :- R(X,Y).
 	//	A(X) :- R(X,Y), R(Y,Z), !S(X,Z).
-	f.Add([]byte{3, 2, 0, 0, 0, 1, 0, 1, 2, 1, 0, 0, 2, 6, 2, 1, 0, 3, 3, 0, 6, 0, 1, 0, 1,
-		0, 2, 6, 0, 1, 6, 1, 2, 9, 0, 2, 0, 0, 0, 1, 0, 1, 2, 0, 2, 3, 3, 3, 0})
-	// Only a negative literal, over a relation that grows, A(c3) asserted:
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 2, 0, 4, 0, 2, 0, 1, 2, 0, 0, 0, 2,
+		0, 0, 4, 0, 0, 0, 1, 3, 0, 0, 0, 1, 2, 0, 4, 0, 0, 0, 1, 0, 4, 0, 1, 0, 2, 2, 5, 0, 0, 0, 2, 0, 0, 0,
+		0, 1, 0, 1, 1, 1, 2, 1, 2, 3, 0, 3, 0})
+	// Only a negative literal, over a relation that grows, A(n3)
+	// E(n0,n1) E(n1,n2):
 	//	A(X) :- E(X,Y).  A(Y) :- A(X), E(X,Y).  B(X) :- !A(X).
-	f.Add([]byte{2, 0, 0, 0, 0, 1, 0, 0, 1, 2, 0, 0, 0, 1, 2, 1, 0, 3, 0, 0, 0, 0, 1, 0, 1, 2, 1, 3})
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1,
+		0, 2, 2, 0, 0, 1, 0, 0, 0, 0, 3, 1, 0, 1, 1, 1, 2, 1, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, p, in, u := decodeProgram(t, data, false)
-		if err := p.Validate(ast.DialectDatalogNeg); err != nil {
-			t.Fatalf("the decoder wrote a program that is not Datalog¬: %v\n%s", err, src)
-		}
+		src, p, in, u := generated(data, ast.DialectDatalogNeg)
 		sameStages(t, src, p, in, u, true)
 	})
 }
 
 // FuzzNonInflationary decodes bytes into a small Datalog¬¬ program and
-// an instance (decodeProgram, heads of either sign) and checks the
-// in-place engine against referenceNonInflationary under every policy.
+// an instance and checks the in-place engine against
+// referenceNonInflationary under every policy.
 func FuzzNonInflationary(f *testing.F) {
-	// A fact inferred and retracted at once, E(c0,c1) given:
+	// A fact inferred and retracted at once, E(n0,n1) given:
 	//	A(X) :- E(X,Y).  !A(X) :- A(X).
-	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 4, 0, 2, 0, 0, 0, 0, 1})
-	// The flip-flop of Section 4.2 over A and B, A(c0) given:
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1})
+	// The flip-flop of Section 4.2 over A and B, A(n0) given:
 	//	A(X) :- B(X).  !B(X) :- B(X).  B(X) :- A(X).  !A(X) :- A(X).
-	f.Add([]byte{3, 0, 0, 4, 0, 0, 5, 0, 4, 0, 0, 1, 0, 2, 0, 0, 4, 0, 2, 0, 0, 1, 0})
+	f.Add([]byte{3, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, p, in, u := decodeProgram(t, data, true)
-		if err := p.Validate(ast.DialectDatalogNegNeg); err != nil {
-			t.Fatalf("the decoder wrote a program that is not Datalog¬¬: %v\n%s", err, src)
-		}
+		src, p, in, u := generated(data, ast.DialectDatalogNegNeg)
 		sameNonInflationary(t, src, p, in, u, 256)
 	})
 }

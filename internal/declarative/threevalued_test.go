@@ -9,10 +9,8 @@ package declarative
 // fixpoint that computed the model.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"unchained/internal/ast"
 	"unchained/internal/parser"
@@ -100,65 +98,17 @@ func TestWFSIsThreeValuedModelOfWin(t *testing.T) {
 	}
 }
 
+// TestWFSIsThreeValuedModelOnRandomPrograms: the generated Datalog¬
+// programs of 60 seeds.
 func TestWFSIsThreeValuedModelOnRandomPrograms(t *testing.T) {
-	f := func(seed int64) bool {
-		u := value.New()
-		prog, in := randomNegProgram(rand.New(rand.NewSource(seed)), u)
-		w, err := EvalWellFounded(prog, in, u, nil)
+	for seed := int64(0); seed < 60; seed++ {
+		p, in, u := generated(rand.New(rand.NewSource(seed)))
+		w, err := EvalWellFounded(p, in, u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return isThreeValuedModel(t, w, prog)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// randomNegProgram returns a random Datalog¬ program over E/2, P/1 and
-// Q/1, recursion through negation included (the interesting case for
-// 3-valuedness), and a random E over three constants.
-func randomNegProgram(rng *rand.Rand, u *value.Universe) (*ast.Program, *tuple.Instance) {
-	vars := []string{"X", "Y"}
-	preds := []struct {
-		name  string
-		arity int
-	}{{"E", 2}, {"P", 1}, {"Q", 1}}
-	atom := func() ast.Atom {
-		p := preds[rng.Intn(len(preds))]
-		args := make([]ast.Term, p.arity)
-		for i := range args {
-			args[i] = ast.V(vars[rng.Intn(len(vars))])
+		if !isThreeValuedModel(t, w, p) {
+			t.Fatalf("seed %d: the well-founded model is not a 3-valued model of\n%s", seed, p.String(u))
 		}
-		return ast.Atom{Pred: p.name, Args: args}
 	}
-	prog := &ast.Program{}
-	for i := 0; i < 2+rng.Intn(3); i++ {
-		// Body: one positive E atom (safety anchor) plus 0-2
-		// literals of either polarity over P/Q.
-		body := []ast.Literal{ast.PosLit(ast.Atom{Pred: "E", Args: []ast.Term{ast.V("X"), ast.V("Y")}})}
-		for j := 0; j < rng.Intn(3); j++ {
-			a := atom()
-			if rng.Intn(2) == 0 {
-				body = append(body, ast.Neg(a))
-			} else {
-				body = append(body, ast.PosLit(a))
-			}
-		}
-		headPred := []string{"P", "Q"}[rng.Intn(2)]
-		prog.Rules = append(prog.Rules, ast.Rule{
-			Head: []ast.Literal{ast.PosLit(ast.Atom{Pred: headPred, Args: []ast.Term{ast.V(vars[rng.Intn(2)])}})},
-			Body: body,
-		})
-	}
-	consts := make([]value.Value, 3)
-	for i := range consts {
-		consts[i] = u.Sym(fmt.Sprintf("c%d", i))
-	}
-	in := tuple.NewInstance()
-	in.Ensure("E", 2)
-	for i := 0; i < 4; i++ {
-		in.Insert("E", tuple.Tuple{consts[rng.Intn(3)], consts[rng.Intn(3)]})
-	}
-	return prog, in
 }

@@ -208,18 +208,27 @@ func (r *Rule) Delta(lit int) *Rule {
 }
 
 // compiler interns a rule's variables and compiles its terms. Every
-// slot list is carved from one backing array.
+// slot list is carved from one backing array. A ∀-quantified variable
+// gets an id of its own, which its name resolves to inside its literal
+// and nowhere else: quantified holds those ids, scope the ones of the ∀
+// being compiled.
 type compiler struct {
-	t     *text
-	slots []slot
+	t                 *text
+	slots             []slot
+	quantified, scope []int
 }
 
 func (c *compiler) slot(tm ast.Term) slot {
 	if !tm.IsVar() {
 		return slot{val: tm.Const}
 	}
+	for _, id := range c.scope {
+		if c.t.Vars[id] == tm.Var {
+			return slot{isVar: true, varID: id}
+		}
+	}
 	for i, v := range c.t.Vars {
-		if v == tm.Var {
+		if v == tm.Var && !slices.Contains(c.quantified, i) {
 			return slot{isVar: true, varID: i}
 		}
 	}
@@ -335,8 +344,10 @@ func (c *compiler) forall(l *ast.Literal, cl *lit) error {
 	}
 	c.t.nEnum += len(c.t.Vars) - before
 	for _, v := range l.ForallVars {
-		cl.forallVars = append(cl.forallVars, c.slot(ast.V(v)).varID)
+		cl.forallVars = append(cl.forallVars, len(c.t.Vars))
+		c.t.Vars = append(c.t.Vars, v)
 	}
+	c.quantified, c.scope = append(c.quantified, cl.forallVars...), cl.forallVars
 	for i := range l.ForallBody {
 		b := &l.ForallBody[i]
 		if b.Kind == ast.LitEq {
@@ -350,6 +361,7 @@ func (c *compiler) forall(l *ast.Literal, cl *lit) error {
 		c.t.width = max(c.t.width, len(ck.slots))
 		cl.forallPlan = append(cl.forallPlan, ck)
 	}
+	c.scope = nil
 	return nil
 }
 

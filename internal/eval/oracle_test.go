@@ -4,8 +4,9 @@ package eval
 // brute-force reference that enumerates every valuation of the rule's
 // variables over the active domain and checks literals one by one —
 // the literal reading of the paper's "instantiation" definition
-// (Section 4.1). Random rules exercise joins, constants, repeated
-// variables, negation, (in)equalities and ∀-literals.
+// (Section 4.1). The rules are those gen.Program draws for every
+// dialect: joins, constants, repeated variables, negation,
+// (in)equalities, ∀-literals, several heads, ⊥ and invention.
 
 import (
 	"fmt"
@@ -13,9 +14,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"unchained/internal/ast"
+	"unchained/internal/gen"
+	"unchained/internal/parser"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -140,124 +142,6 @@ func renderBindings(vars []string, bs []map[string]value.Value) string {
 	return strings.Join(out, "\n")
 }
 
-// randomRule generates a random rule over a fixed schema.
-func randomRule(rng *rand.Rand, u *value.Universe, consts []value.Value) ast.Rule {
-	preds := []struct {
-		name  string
-		arity int
-	}{{"P", 1}, {"Q", 2}, {"R", 2}, {"S", 3}}
-	vars := []string{"X", "Y", "Z", "W"}
-	term := func() ast.Term {
-		if rng.Intn(4) == 0 {
-			return ast.C(consts[rng.Intn(len(consts))])
-		}
-		return ast.V(vars[rng.Intn(len(vars))])
-	}
-	atom := func() ast.Atom {
-		p := preds[rng.Intn(len(preds))]
-		args := make([]ast.Term, p.arity)
-		for i := range args {
-			args[i] = term()
-		}
-		return ast.Atom{Pred: p.name, Args: args}
-	}
-	n := 1 + rng.Intn(3)
-	var body []ast.Literal
-	for i := 0; i < n; i++ {
-		switch rng.Intn(5) {
-		case 0:
-			body = append(body, ast.Neg(atom()))
-		case 1:
-			l := ast.Eq(term(), term())
-			if rng.Intn(2) == 0 {
-				l = ast.Neq(l.Left, l.Right)
-			}
-			body = append(body, l)
-		case 2:
-			// ∀-literal: quantify one variable over 1–2 inner literals.
-			qv := vars[rng.Intn(len(vars))]
-			inner := []ast.Literal{}
-			for j := 0; j < 1+rng.Intn(2); j++ {
-				a := atom()
-				if rng.Intn(2) == 0 {
-					inner = append(inner, ast.Neg(a))
-				} else {
-					inner = append(inner, ast.PosLit(a))
-				}
-			}
-			body = append(body, ast.Forall([]string{qv}, inner...))
-		default:
-			body = append(body, ast.PosLit(atom()))
-		}
-	}
-	// Head: H over the body's variables (or adom-ranged ones — the
-	// oracle covers both).
-	return ast.Rule{
-		Head: []ast.Literal{ast.PosLit(ast.Atom{Pred: "H", Args: []ast.Term{ast.V(vars[rng.Intn(len(vars))])}})},
-		Body: body,
-	}
-}
-
-// forallVarsClash reports whether a rule reuses a ∀-quantified
-// variable outside its literal, which the compiler's scoping does not
-// support (the quantified variable would capture the outer one).
-func forallVarsClash(r ast.Rule) bool {
-	for i, l := range r.Body {
-		if l.Kind != ast.LitForall {
-			continue
-		}
-		quant := map[string]bool{}
-		for _, v := range l.ForallVars {
-			quant[v] = true
-		}
-		for j, other := range r.Body {
-			if i == j {
-				continue
-			}
-			var all []string
-			switch other.Kind {
-			case ast.LitAtom:
-				for _, t := range other.Atom.Args {
-					if t.IsVar() {
-						all = append(all, t.Var)
-					}
-				}
-			case ast.LitEq:
-				if other.Left.IsVar() {
-					all = append(all, other.Left.Var)
-				}
-				if other.Right.IsVar() {
-					all = append(all, other.Right.Var)
-				}
-			case ast.LitForall:
-				all = append(all, other.ForallVars...)
-				for _, b := range other.ForallBody {
-					for _, t := range b.Atom.Args {
-						if t.IsVar() {
-							all = append(all, t.Var)
-						}
-					}
-				}
-			}
-			for _, v := range all {
-				if quant[v] {
-					return true
-				}
-			}
-		}
-		for _, h := range r.Head {
-			if h.Kind == ast.LitAtom {
-				for _, t := range h.Atom.Args {
-					if t.IsVar() && quant[t.Var] {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
 // matchesOracle compares the matcher's bindings of r over in, indexed
 // and scanning, with the brute-force enumeration. consts join the
 // active domain.
@@ -282,12 +166,18 @@ func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in 
 	}
 	want := oracleEnumerate(r, in, adom)
 	ws := renderBindings(freeVars, want)
+	quantified := map[int]bool{} // a ∀'s own ids, which may share a free variable's name
+	for _, l := range cr.lits {
+		for _, id := range l.forallVars {
+			quantified[id] = true
+		}
+	}
 	for _, scan := range []bool{false, true} {
 		var got []map[string]value.Value
 		cr.Enumerate(&Ctx{In: in, Adom: adom, DeltaLit: -1, Scan: scan}, func(b Binding) bool {
 			m := map[string]value.Value{}
 			for i, name := range cr.Vars {
-				if free[name] {
+				if free[name] && !quantified[i] {
 					m[name] = b[i]
 				}
 			}
@@ -305,62 +195,57 @@ func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in 
 	return true
 }
 
-// TestMatcherAgainstOracle checks the matcher, indexed and scanning,
-// on 300 random rules.
-func TestMatcherAgainstOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		u := value.New()
-		consts := make([]value.Value, 3)
-		for i := range consts {
-			consts[i] = u.Sym(fmt.Sprintf("c%d", i))
+// matchesProgram checks every rule of a generated program of one of
+// the nine dialects (the first choice of c picks which) against the
+// oracle, over facts drawn from c.
+func matchesProgram(t *testing.T, name string, c gen.Chooser) {
+	u := value.New()
+	d := ast.Dialects[c.Intn(len(ast.Dialects))]
+	p := gen.Program(c, u, d)
+	in := gen.Facts(c, u, p)
+	for i, r := range p.Rules {
+		if !matchesOracle(t, fmt.Sprintf("%s, %v rule %d", name, d, i+1), u, r, in, p.Constants()) {
+			t.Fatalf("%s: the matcher and the oracle disagree", name)
 		}
-		// Random instance over the schema.
-		in := tuple.NewInstance()
-		for _, p := range []struct {
-			name  string
-			arity int
-		}{{"P", 1}, {"Q", 2}, {"R", 2}, {"S", 3}} {
-			in.Ensure(p.name, p.arity)
-			nf := rng.Intn(6)
-			for i := 0; i < nf; i++ {
-				tp := make(tuple.Tuple, p.arity)
-				for j := range tp {
-					tp[j] = consts[rng.Intn(len(consts))]
-				}
-				in.Insert(p.name, tp)
-			}
-		}
-
-		r := randomRule(rng, u, consts)
-		if forallVarsClash(r) {
-			return true // outside the compiler's scoping contract
-		}
-		return matchesOracle(t, fmt.Sprintf("seed %d", seed), u, r, in, consts)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestMatcherScanModeAgainstOracle checks both scan modes on a fixed
-// tricky rule.
-func TestMatcherScanModeAgainstOracle(t *testing.T) {
-	u := value.New()
-	a, b := u.Sym("a"), u.Sym("b")
-	in := tuple.NewInstance()
-	in.Insert("Q", tuple.Tuple{a, b})
-	in.Insert("Q", tuple.Tuple{b, b})
-	in.Insert("P", tuple.Tuple{a})
-	fixed := ast.Rule{
-		Head: []ast.Literal{ast.PosLit(ast.NewAtom("H", ast.V("X")))},
-		Body: []ast.Literal{
-			ast.PosLit(ast.NewAtom("Q", ast.V("X"), ast.V("Y"))),
-			ast.Neg(ast.NewAtom("P", ast.V("Y"))),
-			ast.Neq(ast.V("X"), ast.V("Y")),
-		},
+// TestMatcherAgainstOracle checks the matcher, indexed and scanning,
+// on the programs of 300 seeds.
+func TestMatcherAgainstOracle(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		matchesProgram(t, fmt.Sprintf("seed %d", seed), rand.New(rand.NewSource(seed)))
 	}
-	if !matchesOracle(t, "fixed rule", u, fixed, in, nil) {
-		t.Fatal("the fixed rule diverges")
+}
+
+// FuzzMatcher is TestMatcherAgainstOracle over gen.Bytes.
+func FuzzMatcher(f *testing.F) {
+	// N-Datalog¬∀, the shadowing ∀ of TestMatcherScanModeAgainstOracle
+	// in the generator's schema, P(n0) B(n0) B(n1) R(n0,n0) R(n0,n1):
+	//	A(X) :- P(X), forall Y (B(Y)), !R(X,Y).
+	f.Add([]byte{7, 0, 2, 0, 1, 0, 0, 4, 1, 0, 0, 0, 3, 0, 1, 2, 4, 0, 0, 0, 1, 0, 0, 0, 0,
+		1, 1, 0, 2, 0, 2, 1, 3, 0, 0, 3, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		matchesProgram(t, fmt.Sprintf("%v", data), gen.Bytes(data))
+	})
+}
+
+// TestMatcherScanModeAgainstOracle checks both scan modes on hand-written
+// rules: a negation and an inequality over a join, and a ∀ whose
+// variable shadows an outer one (for X = a the outer Y ranges over a
+// and b, and R(a,·) holds for both).
+func TestMatcherScanModeAgainstOracle(t *testing.T) {
+	for _, c := range []struct{ rule, facts string }{
+		{"H(X) :- Q(X,Y), !P(Y), X != Y.", "Q(a,b). Q(b,b). P(a)."},
+		{"H(X) :- P(X), forall Y (Q(Y)), !R(X,Y).", "P(a). Q(a). Q(b). R(a,a). R(a,b)."},
+	} {
+		u := value.New()
+		r, err := parser.ParseRule(c.rule, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesOracle(t, c.rule, u, r, parser.MustParseFacts(c.facts, u), nil) {
+			t.Fatalf("%s diverges", c.rule)
+		}
 	}
 }

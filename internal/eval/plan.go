@@ -54,6 +54,9 @@ func (r *Rule) planFor(ctx *Ctx, rels []*tuple.Relation) ([]step, bool) {
 		return r.steps, false
 	}
 	sig := r.planSig(ctx, rels)
+	// planFor runs only while a stage enumerates a rule, so a lookup in
+	// a shared plan cache means a stage has begun; internal/serve's
+	// accounting test sets off its deadline on that.
 	if ctx.Plans != nil {
 		key := planCacheKey{r.cacheKey(), r.deltaLit, sig}
 		if st, ok := ctx.Plans.lookup(key); ok {

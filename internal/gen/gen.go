@@ -1,9 +1,10 @@
 // Package gen generates synthetic workloads for the tests and
 // benchmarks: graph families (chains, cycles, Erdős–Rényi random
 // graphs, grids, trees, layered DAGs), game move graphs for the win
-// query (Example 3.2), and unary relations. All generators are
+// query (Example 3.2), unary relations, and random programs of every
+// dialect with facts for them (program.go). All generators are
 // deterministic given their parameters (random ones take explicit
-// seeds).
+// seeds or choosers).
 package gen
 
 import (

@@ -1,8 +1,10 @@
 package gen
 
 import (
+	"math/rand"
 	"testing"
 
+	"unchained/internal/ast"
 	"unchained/internal/parser"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
@@ -141,5 +143,82 @@ func TestInputs(t *testing.T) {
 	})
 	if n != 12 {
 		t.Fatalf("%d inputs, want 12", n)
+	}
+}
+
+// TestProgramCoversEveryDialect: over fixed seeds, every program of
+// every dialect (and of the semi-positive restriction) passes
+// Validate and comes back unchanged from String and Parse, and the
+// programs of a dialect use every feature it admits between them.
+func TestProgramCoversEveryDialect(t *testing.T) {
+	const every = ast.FeatMalformed - 1
+	semiPositive := ast.Dialect(len(ast.Dialects)) // a row after the nine
+	for _, d := range append(ast.Dialects[:len(ast.Dialects):len(ast.Dialects)], semiPositive) {
+		dialect, name := d, d.String()
+		if d == semiPositive {
+			dialect, name = ast.DialectDatalogNeg, "semi-positive"
+		}
+		want := every &^ dialect.Forbids()
+		// Two admitted features no valid program can use: a body of
+		// positive atoms binds every variable, and a head-only variable
+		// is not bound either.
+		if want&ast.FeatBodyNeg == 0 {
+			want &^= ast.FeatUnboundVar
+		}
+		if want&ast.FeatUnboundVar == 0 {
+			want &^= ast.FeatHeadOnlyVar
+		}
+		var mask ast.Feature
+		for seed := int64(0); seed < 200; seed++ {
+			u := value.New()
+			var p *ast.Program
+			if c := rand.New(rand.NewSource(seed)); d == semiPositive {
+				p = SemiPositive(c, u)
+			} else {
+				p = Program(c, u, dialect)
+			}
+			src := p.String(u)
+			if err := p.Validate(dialect); err != nil {
+				t.Fatalf("%s, seed %d: %v\n%s", name, seed, err, src)
+			}
+			q, err := parser.Parse(src, u)
+			if err != nil {
+				t.Fatalf("%s, seed %d: %v\n%s", name, seed, err, src)
+			}
+			if back := q.String(u); back != src {
+				t.Fatalf("%s, seed %d: the program parses back as\n%sfrom\n%s", name, seed, back, src)
+			}
+			ix := ast.NewIndex(p)
+			for _, pi := range ix.Preds {
+				for _, o := range pi.Readers {
+					if d == semiPositive && pi.IDB() && ix.Occ(o).Lit.Neg {
+						t.Fatalf("seed %d: a semi-positive program negates %s, which it derives\n%s", seed, pi.Name, src)
+					}
+				}
+			}
+			mask |= ix.Mask
+		}
+		if mask != want {
+			t.Errorf("%s: the programs use features %b, want %b", name, mask, want)
+		}
+	}
+}
+
+// TestBytesDrivesProgram: a Bytes chooser decodes any input, the empty
+// one included, into a program and facts, one byte per choice.
+func TestBytesDrivesProgram(t *testing.T) {
+	u := value.New()
+	for _, data := range [][]byte{nil, {0}, {1, 2, 3, 4, 5, 6, 7, 8, 9}, {255, 254, 253, 252, 251, 250}} {
+		c := Bytes(data)
+		p := Program(c, u, ast.DialectNDatalogAll)
+		if err := p.Validate(ast.DialectNDatalogAll); err != nil {
+			t.Fatalf("%v: %v", data, err)
+		}
+		if in := Facts(c, u, p); in.Facts() == 0 {
+			t.Fatalf("%v: no facts", data)
+		}
+	}
+	if got := Program(Bytes(nil), u, ast.DialectDatalog).String(u); got != "A(X) :- E(X,X).\n" {
+		t.Fatalf("the all-zero choices give %q", got)
 	}
 }

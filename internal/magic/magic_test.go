@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"unchained/internal/ast"
 	"unchained/internal/declarative"
@@ -288,87 +287,29 @@ func TestMagicReadsInputFactsOnIntensionalPredicates(t *testing.T) {
 }
 
 // TestMagicMatchesFullOnRandomPrograms: the decisive property test —
-// on random positive programs and random queries, the magic-rewritten
-// evaluation returns exactly the filtered full evaluation.
+// on the positive programs of gen.Program and a goal over one of their
+// derived predicates, each argument a constant or a variable, the
+// magic-rewritten evaluation returns exactly the filtered full
+// evaluation.
 func TestMagicMatchesFullOnRandomPrograms(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		u := value.New()
-		// Small random program over E0/E1 (EDB) and I0/I1 (IDB).
-		arity := map[string]int{"E0": 1, "E1": 2, "I0": 1, "I1": 2}
-		vars := []string{"X", "Y", "Z"}
-		atom := func(pred string) ast.Atom {
-			args := make([]ast.Term, arity[pred])
-			for i := range args {
-				args[i] = ast.V(vars[rng.Intn(len(vars))])
-			}
-			return ast.Atom{Pred: pred, Args: args}
+	for seed := int64(0); seed < 120; seed++ {
+		rng, u := rand.New(rand.NewSource(seed)), value.New()
+		p := gen.Program(rng, u, ast.DialectDatalog)
+		in := gen.Facts(rng, u, p)
+		sch, err := p.Schema()
+		if err != nil {
+			t.Fatal(err)
 		}
-		p := &ast.Program{}
-		idbs := []string{"I0", "I1"}
-		all := []string{"E0", "E1", "I0", "I1"}
-		for i := 0; i < 3+rng.Intn(3); i++ {
-			nBody := 1 + rng.Intn(2)
-			var body []ast.Literal
-			bodyVars := map[string]bool{}
-			for j := 0; j < nBody; j++ {
-				a := atom(all[rng.Intn(len(all))])
-				body = append(body, ast.PosLit(a))
-				for _, tt := range a.Args {
-					bodyVars[tt.Var] = true
-				}
-			}
-			// Always include one EDB atom so rules can fire from input.
-			ea := atom("E1")
-			body = append(body, ast.PosLit(ea))
-			for _, tt := range ea.Args {
-				bodyVars[tt.Var] = true
-			}
-			var pool []string
-			for v := range bodyVars {
-				pool = append(pool, v)
-			}
-			hp := idbs[rng.Intn(len(idbs))]
-			hargs := make([]ast.Term, arity[hp])
-			for k := range hargs {
-				hargs[k] = ast.V(pool[rng.Intn(len(pool))])
-			}
-			p.Rules = append(p.Rules, ast.Rule{
-				Head: []ast.Literal{ast.PosLit(ast.Atom{Pred: hp, Args: hargs})},
-				Body: body,
-			})
-		}
-		// Random instance.
-		consts := make([]value.Value, 4)
-		for i := range consts {
-			consts[i] = u.Sym(fmt.Sprintf("c%d", i))
-		}
-		in := tuple.NewInstance()
-		in.Ensure("E0", 1)
-		in.Ensure("E1", 2)
-		for i := 0; i < 5; i++ {
-			in.Insert("E0", tuple.Tuple{consts[rng.Intn(4)]})
-			in.Insert("E1", tuple.Tuple{consts[rng.Intn(4)], consts[rng.Intn(4)]})
-		}
-		// Input facts are allowed on intensional predicates too.
-		if seed%2 == 0 {
-			in.Insert("I0", tuple.Tuple{consts[rng.Intn(4)]})
-			in.Insert("I1", tuple.Tuple{consts[rng.Intn(4)], consts[rng.Intn(4)]})
-		}
-		// Random query over a random IDB pred with a random binding
-		// (chosen from the predicates that actually occur in heads).
-		actualIDB := p.IDB()
-		qp := actualIDB[rng.Intn(len(actualIDB))]
-		qargs := make([]ast.Term, arity[qp])
-		for i := range qargs {
+		idb := p.IDB()
+		qp := idb[rng.Intn(len(idb))]
+		args, consts := make([]ast.Term, sch[qp]), gen.Nodes(u, 4)
+		for i := range args {
+			args[i] = ast.V(fmt.Sprintf("Q%d", i))
 			if rng.Intn(2) == 0 {
-				qargs[i] = ast.C(consts[rng.Intn(4)])
-			} else {
-				qargs[i] = ast.V(fmt.Sprintf("Q%d", i))
+				args[i] = ast.C(consts[rng.Intn(len(consts))])
 			}
 		}
-		q := ast.Atom{Pred: qp, Args: qargs}
-
+		q := ast.Atom{Pred: qp, Args: args}
 		got, err := Answer(p, q, in, u, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v\nprogram:\n%s", seed, err, p.String(u))
@@ -378,13 +319,8 @@ func TestMagicMatchesFullOnRandomPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Logf("seed %d program:\n%s\nquery: %s", seed, p.String(u), q.String(u))
-			t.Logf("magic: %d tuples, full: %d tuples", got.Len(), want.Len())
-			return false
+			t.Fatalf("seed %d, %s: magic %d tuples, full %d\nprogram:\n%sinput:\n%s",
+				seed, q.String(u), got.Len(), want.Len(), p.String(u), in.String(u))
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,45 +238,56 @@ func TestPipelineContract(t *testing.T) {
 // its record says an engine ran, whichever endpoint ran it.
 func TestPipelineAccounting(t *testing.T) {
 	svc := New(Config{MaxDBs: 1})
-	ts := httptest.NewServer(svc)
+	// The expireAfterPlan rows run under a deadline that their own first
+	// stage sets off (afterPlanning), not the clock: however slow the
+	// work before it, the deadline cannot expire before a stage has run.
+	var expireAfterPlan atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if expireAfterPlan.Swap(false) {
+			r = r.WithContext(afterPlanning(r.Context(), svc))
+		}
+		svc.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	postFacts(t, ts.URL, FactsRequest{DB: "acct", Assert: "G(a,b)."})
 
 	const unmaintainable = "CT(X,Y) :- !T(X,Y).\nT(X,Y) :- G(X,Y)."
 	prog := Envelope{Program: tcProgram}
 	for _, c := range []struct {
-		name     string
-		path     string
-		body     any
-		status   int
-		code     string
-		recorded bool // past the gate
-		staged   bool // an engine ran stages before the failure
+		name            string
+		path            string
+		body            any
+		status          int
+		code            string
+		recorded        bool // past the gate
+		staged          bool // an engine ran stages before the failure
+		expireAfterPlan bool // its deadline expires at its first plan-cache lookup (afterPlanning)
 	}{
-		{"eval/semantics", "/v1/eval", EvalRequest{Envelope: prog, Semantics: "nope"}, 400, CodeUnknownSem, false, false},
-		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Shards: -1}}, 400, CodeInvalidOptions, false, false},
-		{"eval/program", "/v1/eval", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false, false},
-		{"eval/facts", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}}, 400, CodeParse, true, false},
-		{"eval/engine", "/v1/eval", EvalRequest{Envelope: Envelope{Program: winProgram}, Semantics: "stratified"}, 422, CodeEval, true, false},
-		{"eval/deadline", "/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 30}, Semantics: "noninflationary"}, 408, CodeDeadline, true, true},
-		{"query/program", "/v1/query", QueryRequest{Envelope: Envelope{Program: "P(X :-"}, Query: "P(a)"}, 400, CodeParse, false, false},
-		{"query/facts", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}, Query: "T(a,X)"}, 400, CodeParse, true, false},
-		{"query/goal", "/v1/query", QueryRequest{Envelope: prog, Query: "T(a,"}, 400, CodeParse, true, false},
-		{"query/engine", "/v1/query", QueryRequest{Envelope: Envelope{Program: winProgram}, Query: "Win(a)"}, 422, CodeEval, true, false},
-		{"query/deadline", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: chainFacts(1500), TimeoutMS: 30}, Query: "T(n0,X)"}, 408, CodeDeadline, true, true},
-		{"analyze/program", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false, false},
-		{"analyze/inadmissible", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "!P(X) :- Q(Y)."}}, 422, CodeAnalyze, true, false},
-		{"facts/name", "/v1/facts", FactsRequest{DB: "no/slash"}, 400, CodeBadRequest, false, false},
-		{"facts/open", "/v1/facts", FactsRequest{DB: "one-too-many"}, 500, CodeStore, false, false},
-		{"facts/parse", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a"}, 400, CodeParse, true, false},
-		{"facts/apply", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a)."}, 422, CodeStore, true, false},
-		{"subscribe/name", "/v1/subscribe", SubscribeRequest{DB: "no/slash"}, 400, CodeBadRequest, false, false},
-		{"subscribe/program", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: "P(X :-"}, 400, CodeParse, true, false},
-		{"subscribe/unmaintainable", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: unmaintainable}, 422, CodeEval, true, false},
+		{"eval/semantics", "/v1/eval", EvalRequest{Envelope: prog, Semantics: "nope"}, 400, CodeUnknownSem, false, false, false},
+		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Shards: -1}}, 400, CodeInvalidOptions, false, false, false},
+		{"eval/program", "/v1/eval", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false, false, false},
+		{"eval/facts", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}}, 400, CodeParse, true, false, false},
+		{"eval/engine", "/v1/eval", EvalRequest{Envelope: Envelope{Program: winProgram}, Semantics: "stratified"}, 422, CodeEval, true, false, false},
+		{"eval/deadline", "/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30)}, Semantics: "noninflationary"}, 408, CodeDeadline, true, true, true},
+		{"query/program", "/v1/query", QueryRequest{Envelope: Envelope{Program: "P(X :-"}, Query: "P(a)"}, 400, CodeParse, false, false, false},
+		{"query/facts", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}, Query: "T(a,X)"}, 400, CodeParse, true, false, false},
+		{"query/goal", "/v1/query", QueryRequest{Envelope: prog, Query: "T(a,"}, 400, CodeParse, true, false, false},
+		{"query/engine", "/v1/query", QueryRequest{Envelope: Envelope{Program: winProgram}, Query: "Win(a)"}, 422, CodeEval, true, false, false},
+		{"query/deadline", "/v1/query", QueryRequest{Envelope: Envelope{Program: tcProgram, Facts: chainFacts(1500)}, Query: "T(n0,X)"}, 408, CodeDeadline, true, true, true},
+		{"analyze/program", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false, false, false},
+		{"analyze/inadmissible", "/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: "!P(X) :- Q(Y)."}}, 422, CodeAnalyze, true, false, false},
+		{"facts/name", "/v1/facts", FactsRequest{DB: "no/slash"}, 400, CodeBadRequest, false, false, false},
+		{"facts/open", "/v1/facts", FactsRequest{DB: "one-too-many"}, 500, CodeStore, false, false, false},
+		{"facts/parse", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a"}, 400, CodeParse, true, false, false},
+		{"facts/apply", "/v1/facts", FactsRequest{DB: "acct", Assert: "G(a)."}, 422, CodeStore, true, false, false},
+		{"subscribe/name", "/v1/subscribe", SubscribeRequest{DB: "no/slash"}, 400, CodeBadRequest, false, false, false},
+		{"subscribe/program", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: "P(X :-"}, 400, CodeParse, true, false, false},
+		{"subscribe/unmaintainable", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: unmaintainable}, 422, CodeEval, true, false, false},
 		// Mid-stream: the 200 is out, the failure is the last event.
-		{"subscribe/deadline", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: tcProgram, TimeoutMS: 30}, 200, CodeDeadline, true, false},
+		{"subscribe/deadline", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: tcProgram, TimeoutMS: 30}, 200, CodeDeadline, true, false, false},
 	} {
 		before, tenantsBefore := svc.snapshot(), tenantRequests(svc)
+		expireAfterPlan.Store(c.expireAfterPlan)
 		resp, body := post(t, ts.URL+c.path, c.body)
 		t.Run(c.name, func(t *testing.T) {
 			wantEnvelope(t, resp, body, c.status, c.code)
@@ -304,6 +316,44 @@ func TestPipelineAccounting(t *testing.T) {
 	}
 	if z := svc.snapshot(); z.EvalsOK != 0 || z.InFlight != 0 {
 		t.Errorf("after failures only: evals_ok=%d in_flight=%d", z.EvalsOK, z.InFlight)
+	}
+}
+
+// afterPlanning returns a context that expires, as a deadline does,
+// once svc's plan caches have been consulted. The planner consults them
+// only inside a stage (see Rule.planFor), so an evaluation under this
+// context has begun its first stage by then; the engine notices at the
+// next stage boundary. The watch ends with the request (parent done).
+func afterPlanning(parent context.Context, svc *Server) context.Context {
+	ctx := &plannedDeadline{Context: parent, done: make(chan struct{})}
+	lookups := func() uint64 { hits, misses, _ := svc.cache.planStats(); return hits + misses }
+	before := lookups()
+	go func() {
+		for lookups() == before {
+			select {
+			case <-parent.Done():
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		close(ctx.done)
+	}()
+	return ctx
+}
+
+type plannedDeadline struct {
+	context.Context
+	done chan struct{}
+}
+
+func (d *plannedDeadline) Done() <-chan struct{} { return d.done }
+
+func (d *plannedDeadline) Err() error {
+	select {
+	case <-d.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
 	}
 }
 
