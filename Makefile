@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # while still catching a PR that lands a large untested subsystem.
 COVERAGE_BASELINE ?= 78.0
 
-.PHONY: all build vet vet-custom stage-protocol engine-dispatch loc bench-build bench-pair bench-history test race bench fmt-check fuzz-smoke verify coverage
+.PHONY: all build vet loc bench-build bench-pair bench-history test race bench fmt-check fuzz-smoke verify coverage
 
 all: verify
 
@@ -16,28 +16,6 @@ build:
 
 vet:
 	$(GO) vet ./...
-
-# Custom analyzers (internal/lint via cmd/vet-unchained): tuple
-# payloads and AST slices must not be mutated in place. See
-# docs/ANALYSIS.md.
-vet-custom:
-	$(GO) build -o bin/vet-unchained ./cmd/vet-unchained
-	$(GO) vet -vettool=$(CURDIR)/bin/vet-unchained ./...
-
-# Engines run their stages through the one driver, which is what makes
-# a request deadline interrupt every one of them: no non-test
-# BeginStage/EndStage call outside internal/engine/loop.go.
-stage-protocol:
-	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.(BeginStage|EndStage)\(' *.go cmd internal examples bench | grep -v '^internal/engine/loop\.go:')"; \
-	if [ -n "$$out" ]; then echo "stage protocol called outside (*engine.Options).Loop:"; echo "$$out"; exit 1; fi
-
-# One way from a program to its answer: the CLI and the daemon reach
-# the deterministic engines through the facade's semantics table
-# (Session.EvalOptions, EvalContext), never by name, so a dispatch or
-# policy bug cannot live on one route only.
-engine-dispatch:
-	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '(core\.Eval(Inflationary|NonInflationary|Invent)|declarative\.Eval(Stratified|SemiPositive)?)\(' cmd/datalog internal/serve)"; \
-	if [ -n "$$out" ]; then echo "deterministic engine called by name, not through the semantics table:"; echo "$$out"; exit 1; fi
 
 # Non-test Go lines per package and in total outside bench/: the number
 # a simplicity PR reports before and after.
@@ -106,8 +84,9 @@ coverage:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
 		{ echo "coverage: $$total% is below the $(COVERAGE_BASELINE)% floor"; exit 1; }
 
-# Tier-1 verification (see ROADMAP.md) plus the custom analyzers, the
-# stage-protocol and engine-dispatch guards and the benchmark module's
-# build. A check that is a Go test runs here, in "test" and "race", and
-# has no target of its own.
-verify: fmt-check build vet vet-custom stage-protocol engine-dispatch test race bench-build
+# Tier-1 verification (see ROADMAP.md) plus the benchmark module's
+# build. Every repository check is a Go test and has no target of its
+# own: the custom analyzers (internal/lint), the stage-protocol and
+# engine-dispatch guards and the fuzz-target lists (checks_test.go) run
+# in "test" and "race".
+verify: fmt-check build vet test race bench-build

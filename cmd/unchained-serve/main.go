@@ -6,13 +6,10 @@
 //
 // Usage:
 //
-//	unchained-serve [-addr :8344] [-shards 8] [-cache 128]
-//	                [-timeout 30s] [-max-timeout 5m]
-//	                [-max-inflight 64] [-queue-depth 128] [-queue-wait 1s]
-//	                [-ops-addr 127.0.0.1:8345] [-log text]
-//	                [-slow-query-ms 1000] [-slow-query-log slow.jsonl]
-//	                [-flight-ring 256] [-flight-topk 32] [-max-tenants 32]
-//	                [-data-dir /var/lib/unchained] [-sub-buffer 64] [-max-dbs 64]
+//	unchained-serve [flags]
+//
+// `unchained-serve -h` lists the flags with their defaults, which are
+// serve.DefaultConfig's and the flight recorder's.
 //
 // -max-inflight bounds concurrently evaluating requests; excess
 // requests queue (fairly across programs, -queue-depth total, each
@@ -57,6 +54,7 @@ import (
 	"syscall"
 	"time"
 
+	"unchained/internal/flight"
 	"unchained/internal/serve"
 )
 
@@ -67,25 +65,26 @@ func main() {
 func run(args []string, w, ew io.Writer) int {
 	fs := flag.NewFlagSet("unchained-serve", flag.ContinueOnError)
 	fs.SetOutput(ew)
+	def := serve.DefaultConfig()
 	addr := fs.String("addr", ":8344", "listen address")
-	shards := fs.Int("shards", 8, "maximum per-request data-parallel shards")
-	cache := fs.Int("cache", 128, "parsed-program LRU cache capacity")
-	timeout := fs.Duration("timeout", 30*time.Second, "default per-request evaluation timeout")
-	maxTimeout := fs.Duration("max-timeout", 5*time.Minute, "upper clamp for per-request timeout_ms")
-	maxInFlight := fs.Int("max-inflight", 64, "concurrently evaluating requests before queuing (negative disables admission control)")
-	queueDepth := fs.Int("queue-depth", 128, "admission queue capacity; arrivals beyond it are shed with 429")
-	queueWait := fs.Duration("queue-wait", time.Second, "per-request admission queue wait budget (503 on expiry)")
+	shards := fs.Int("shards", def.MaxShards, "maximum per-request data-parallel shards")
+	cache := fs.Int("cache", def.CacheSize, "parsed-program LRU cache capacity")
+	timeout := fs.Duration("timeout", def.DefaultTimeout, "default per-request evaluation timeout")
+	maxTimeout := fs.Duration("max-timeout", def.MaxTimeout, "upper clamp for per-request timeout_ms")
+	maxInFlight := fs.Int("max-inflight", def.MaxInFlight, "concurrently evaluating requests before queuing (negative disables admission control)")
+	queueDepth := fs.Int("queue-depth", def.QueueDepth, "admission queue capacity; arrivals beyond it are shed with 429")
+	queueWait := fs.Duration("queue-wait", def.QueueWait, "per-request admission queue wait budget (503 on expiry)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 	opsAddr := fs.String("ops-addr", "", "optional ops listener for /metrics and /debug/pprof/ (e.g. 127.0.0.1:8345)")
 	logMode := fs.String("log", "text", "request logging: text, json, or off")
 	slowQueryMS := fs.Int("slow-query-ms", 1000, "wall-time threshold marking a request a slow query (0 disables slow-query handling)")
 	slowQueryLog := fs.String("slow-query-log", "", "append slow-query flight records as JSONL to this file")
-	flightRing := fs.Int("flight-ring", 0, "flight-recorder recent-records ring size (0 = default 256)")
-	flightTopK := fs.Int("flight-topk", 0, "flight-recorder slowest-records heap size (0 = default 32)")
-	maxTenants := fs.Int("max-tenants", 0, "distinct program digests tracked in per-tenant metrics before folding into \"other\" (0 = default 32)")
+	flightRing := fs.Int("flight-ring", flight.DefaultRingSize, "flight-recorder recent-records ring size")
+	flightTopK := fs.Int("flight-topk", flight.DefaultTopK, "flight-recorder slowest-records heap size")
+	maxTenants := fs.Int("max-tenants", flight.DefaultMaxTenants, "distinct program digests tracked in per-tenant metrics before folding into \"other\"")
 	dataDir := fs.String("data-dir", "", "directory for durable named databases (empty = in-memory)")
-	subBuffer := fs.Int("sub-buffer", 0, "committed batches one subscription may buffer before being cut off (0 = default 64)")
-	maxDBs := fs.Int("max-dbs", 0, "maximum open named databases (0 = default 64)")
+	subBuffer := fs.Int("sub-buffer", def.SubBuffer, "committed batches one subscription may buffer before being cut off")
+	maxDBs := fs.Int("max-dbs", def.MaxDBs, "maximum open named databases")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

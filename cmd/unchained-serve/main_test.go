@@ -157,10 +157,10 @@ func TestShutdownClosesStores(t *testing.T) {
 		if !fr.OK || fr.Seq != 1 || fr.Asserted != wantAsserted {
 			t.Fatalf("boot %d: facts %+v, want seq 1 asserted %d", n+1, fr, wantAsserted)
 		}
-		var st serve.Statsz
+		var st map[string]int64
 		exchange(t, d.base+"/statsz", nil, &st)
-		if st.StoreDBs != 1 || st.WALTruncations != 0 {
-			t.Fatalf("boot %d: store_dbs=%d store_wal_truncations=%d", n+1, st.StoreDBs, st.WALTruncations)
+		if st["store_dbs"] != 1 || st["store_wal_truncations"] != 0 {
+			t.Fatalf("boot %d: store_dbs=%d store_wal_truncations=%d", n+1, st["store_dbs"], st["store_wal_truncations"])
 		}
 		d.stop(t)
 		fds, err := os.ReadDir("/proc/self/fd")

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// Defaults for the recorder's bounds; cmd/unchained-serve exposes the
-// slow-query threshold as a flag, the memory bounds are fixed.
+// Defaults for the recorder's bounds, which cmd/unchained-serve's
+// -flight-ring and -flight-topk flags default to.
 const (
 	// DefaultRingSize is how many recent records the ring keeps.
 	DefaultRingSize = 256

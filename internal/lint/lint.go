@@ -1,7 +1,8 @@
-// Package lint holds the repo's custom static analyzers, run against
-// every build via `go vet -vettool` (cmd/vet-unchained) and `make
-// vet-custom`. They enforce two shared-payload invariants the type
-// system cannot express:
+// Package lint holds the repo's custom static analyzers.
+// TestAnalyzersPassOnModule runs them over every package of the
+// module, test files included, as part of `go test ./...`. They
+// enforce two shared-payload invariants the type system cannot
+// express:
 //
 //   - tuplemut: tuple.Tuple values share their backing array across
 //     copy-on-write instance snapshots, so writing through an index
@@ -17,8 +18,9 @@
 //     (copy-on-write), so only writes into freshly-allocated slices
 //     are allowed.
 //
-// The analyzers are dependency-free (go/ast + go/types only) so the
-// vet tool builds without golang.org/x/tools.
+// The analyzers use go/ast and go/types only, so nothing outside the
+// standard library runs them: the test type-checks each package against
+// the export data `go list -export` reports for its imports.
 package lint
 
 import (

@@ -1,14 +1,142 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// analyzers are the checks every module package must pass.
+var analyzers = []struct {
+	name string
+	run  func(*Pass) []Diag
+}{
+	{"tuplemut", TupleMut},
+	{"astmut", ASTMut},
+}
+
+// unit is one package of `go list -deps -test -export -json`: a package,
+// its in-package test variant "p [p.test]", or its external test
+// package "p_test [p.test]".
+type unit struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	ImportMap               map[string]string
+	Standard, DepOnly       bool
+}
+
+// lintModule type-checks every unit `go list` reports for the
+// patterns, run at the module root, against its dependencies' export
+// data, and returns the analyzers' findings as "file:line:col:
+// analyzer: message", sorted, each once (a package and its test
+// variant share the package's files). Standard-library units,
+// dependencies recompiled for another package's test and generated
+// test mains are skipped.
+func lintModule(t *testing.T, patterns ...string) []string {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-test", "-export", "-json"}, patterns...)...)
+	cmd.Dir = filepath.Join("..", "..")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var units []unit
+	export := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var u unit
+		if err := dec.Decode(&u); err != nil {
+			t.Fatal(err)
+		}
+		export[u.ImportPath] = u.Export
+		if !u.Standard && !u.DepOnly && !strings.HasSuffix(u.ImportPath, ".test") {
+			units = append(units, u)
+		}
+	}
+	var findings []string
+	for _, u := range units {
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, name := range u.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(u.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		// The gc importer reads each direct import's export data, under
+		// the variant of it this unit was built against.
+		gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(export[path])
+		})
+		imp := importerFunc(func(path string) (*types.Package, error) {
+			if mapped, ok := u.ImportMap[path]; ok {
+				path = mapped
+			}
+			return gc.Import(path)
+		})
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(u.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("typecheck %s: %v", u.ImportPath, err)
+		}
+		// Without the " [p.test]" suffix, so that a test variant of
+		// internal/tuple or internal/ast keeps its own-package exemption.
+		path, _, _ := strings.Cut(u.ImportPath, " ")
+		pass := &Pass{Fset: fset, Files: files, Pkg: pkg, Info: info, Path: path}
+		for _, a := range analyzers {
+			for _, d := range a.run(pass) {
+				findings = append(findings, fmt.Sprintf("%s: %s: %s", fset.Position(d.Pos), a.name, d.Message))
+			}
+		}
+	}
+	slices.Sort(findings)
+	return slices.Compact(findings)
+}
+
+// TestAnalyzersPassOnModule: no package of the module, test files
+// included, writes through a shared tuple payload or AST slice.
+func TestAnalyzersPassOnModule(t *testing.T) {
+	for _, f := range lintModule(t, "./...") {
+		t.Error(f)
+	}
+}
+
+// TestAnalyzersFlagFixture: the deliberately broken fixture trips every
+// analyzer exactly where it should, and the reused-scratch shape of the
+// matcher and the firing kernel is not flagged.
+func TestAnalyzersFlagFixture(t *testing.T) {
+	got := lintModule(t, "./internal/lint/testdata/fixture")
+	want := []string{
+		"fixture.go:15:2: tuplemut: write through shared tuple payload t[0]",
+		"fixture.go:32:2: tuplemut: write through shared tuple payload view[0]",
+		"fixture.go:39:2: astmut: in-place write to shared AST slice p.Rules[0]",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d findings, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i, w := range want {
+		if !strings.Contains(got[i], w) {
+			t.Errorf("finding %s\nwant %s", got[i], w)
+		}
+	}
+}
 
 // typecheck parses and type-checks one file as package path, with
 // deps (path -> source) available for import.

@@ -48,6 +48,20 @@ func TestGateNilAndDisabledAdmitEverything(t *testing.T) {
 		t.Fatalf("capacity 0 gate must admit: %v", err)
 	}
 	g.release()
+
+	// A server without a gate admits, and reports nothing admitted,
+	// queued or shed.
+	ts := httptest.NewServer(New(Config{MaxInFlight: -1}))
+	defer ts.Close()
+	if resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a,b)."}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("eval without a gate: %d: %s", resp.StatusCode, body)
+	}
+	if z := statsz(t, ts.URL); z["evals_ok"] != 1 || z["admitted"]+z["queued"]+z["shed"]+z["queue_timeouts"]+z["queue_depth"] != 0 {
+		t.Fatalf("statsz without a gate: %v", z)
+	}
+	if _, metrics := get(t, ts.URL+"/metrics"); !bytes.Contains(metrics, []byte("unchained_admission_admitted_total 0\n")) {
+		t.Fatalf("/metrics without a gate:\n%s", metrics)
+	}
 }
 
 func TestGateShedAtFullQueue(t *testing.T) {
@@ -226,6 +240,16 @@ func waitFor(t *testing.T, cond func() bool) {
 // (shedding, queue timeouts and cancellation while queued are rows of
 // TestPipelineContract, on every endpoint)
 
+// statsz GETs the server's /statsz object.
+func statsz(t *testing.T, base string) map[string]int64 {
+	t.Helper()
+	var z map[string]int64
+	if resp, raw := get(t, base+"/statsz"); resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &z) != nil {
+		t.Fatalf("/statsz: %d %s", resp.StatusCode, raw)
+	}
+	return z
+}
+
 func get(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -335,11 +359,7 @@ func TestSaturationAccounting(t *testing.T) {
 	}
 	wg.Wait()
 
-	_, raw := get(t, ts.URL+"/statsz")
-	var st Statsz
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
+	st := statsz(t, ts.URL)
 	for status, n := range byStatus {
 		if status != http.StatusOK && status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 			t.Errorf("status %d x%d: only 200, 429 and 503 are admissible under saturation", status, n)
@@ -352,9 +372,9 @@ func TestSaturationAccounting(t *testing.T) {
 	if shed+dropped == 0 || byStatus[http.StatusOK] == 0 {
 		t.Errorf("no shedding, or nothing served, under %d clients: %v", clients, byStatus)
 	}
-	t.Logf("statuses %v; statsz admitted=%d queued=%d shed=%d queue_timeouts=%d", byStatus, st.Admitted, st.Queued, st.Shed, st.QueueTimeouts)
-	if uint64(shed) != st.Shed || uint64(dropped) != st.QueueTimeouts {
-		t.Errorf("clients saw %d 429s and %d 503s, the daemon counted shed=%d queue_timeouts=%d", shed, dropped, st.Shed, st.QueueTimeouts)
+	t.Logf("statuses %v; statsz admitted=%d queued=%d shed=%d queue_timeouts=%d", byStatus, st["admitted"], st["queued"], st["shed"], st["queue_timeouts"])
+	if int64(shed) != st["shed"] || int64(dropped) != st["queue_timeouts"] {
+		t.Errorf("clients saw %d 429s and %d 503s, the daemon counted shed=%d queue_timeouts=%d", shed, dropped, st["shed"], st["queue_timeouts"])
 	}
 }
 
@@ -428,15 +448,8 @@ func TestShardedEvalHTTP(t *testing.T) {
 	if sharded.Stats == nil || sharded.Stats.ShardRounds == 0 {
 		t.Fatalf("sharded stats missing shard rounds: %+v", sharded.Stats)
 	}
-	sresp, sbody := get(t, ts.URL+"/statsz")
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz: %d", sresp.StatusCode)
-	}
-	var stz Statsz
-	if err := json.Unmarshal(sbody, &stz); err != nil {
-		t.Fatal(err)
-	}
-	if stz.ShardRounds == 0 || stz.ShardFactsMerged == 0 {
+	stz := statsz(t, ts.URL)
+	if stz["shard_rounds"] == 0 || stz["shard_facts_merged"] == 0 {
 		t.Fatalf("statsz shard counters empty: %+v", stz)
 	}
 }

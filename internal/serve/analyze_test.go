@@ -63,8 +63,8 @@ func TestAnalyzeEndpointErrors(t *testing.T) {
 	if !strings.Contains(out.Error.Message, "no dialect of the family admits") {
 		t.Fatalf("error message: %q", out.Error.Message)
 	}
-	z := srv.snapshot()
-	if z.Analyzes != 1 || z.AnalyzeErrors != 1 {
+	z := srv.statsz()
+	if z["analyzes"] != 1 || z["analyze_errors"] != 1 {
 		t.Fatalf("counters: %+v", z)
 	}
 
@@ -73,7 +73,7 @@ func TestAnalyzeEndpointErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d for parse failure", resp.StatusCode)
 	}
-	if z := srv.snapshot(); z.Analyzes != 1 {
+	if z := srv.statsz(); z["analyzes"] != 1 {
 		t.Fatalf("parse failure counted as analysis: %+v", z)
 	}
 }
@@ -84,9 +84,8 @@ func TestAnalyzeReportCached(t *testing.T) {
 	srv, ts := newInstrumentedServer(t)
 	post(t, ts.URL+"/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: winProgram}})
 	post(t, ts.URL+"/v1/analyze", AnalyzeRequest{Envelope: Envelope{Program: winProgram}})
-	hits, misses, _, _ := srv.cache.stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 1/1", hits, misses)
+	if c := srv.cache.stats(); c.hits != 1 || c.misses != 1 {
+		t.Fatalf("cache hits=%d misses=%d, want 1/1", c.hits, c.misses)
 	}
 	entry, err := srv.cache.get(winProgram)
 	if err != nil {
@@ -95,7 +94,7 @@ func TestAnalyzeReportCached(t *testing.T) {
 	if entry.report() != entry.report() {
 		t.Fatal("report not memoized")
 	}
-	if z := srv.snapshot(); z.Analyzes != 2 || z.AnalyzeErrors != 0 {
+	if z := srv.statsz(); z["analyzes"] != 2 || z["analyze_errors"] != 0 {
 		t.Fatalf("counters: %+v", z)
 	}
 }
@@ -212,10 +211,10 @@ func TestAnalyzeLargeProgramBounded(t *testing.T) {
 			t.Fatalf("request %d: %d diagnostics, want %d", i+1, got, want)
 		}
 	}
-	if hits, misses, _, _ := srv.cache.stats(); hits != 1 || misses != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 1/1: the second request re-parsed", hits, misses)
+	if c := srv.cache.stats(); c.hits != 1 || c.misses != 1 {
+		t.Fatalf("cache hits=%d misses=%d, want 1/1: the second request re-parsed", c.hits, c.misses)
 	}
-	if z := srv.snapshot(); z.Analyzes != 2 || z.AnalyzeErrors != 0 {
+	if z := srv.statsz(); z["analyzes"] != 2 || z["analyze_errors"] != 0 {
 		t.Fatalf("counters: %+v", z)
 	}
 }

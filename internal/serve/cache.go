@@ -157,25 +157,27 @@ func (c *progCache) get(src string) (*cacheEntry, error) {
 	return entry, nil
 }
 
-// stats returns hit/miss/eviction/size counters for /statsz.
-func (c *progCache) stats() (hits, misses, evictions uint64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.order.Len()
+// cacheStats is the parse cache's traffic and its programs' plan
+// caches' traffic. The plan counters sum the resident entries plus the
+// accumulated counters of evicted ones, so the totals are monotonic the
+// way Prometheus counters must be.
+type cacheStats struct {
+	hits, misses, evictions uint64
+	size                    int
+	planHits, planMisses    uint64
+	planSize                int
 }
 
-// planStats sums the plan-cache counters across resident entries plus
-// the accumulated counters of evicted ones, so the totals are
-// monotonic the way Prometheus counters must be.
-func (c *progCache) planStats() (hits, misses uint64, entries int) {
+func (c *progCache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hits, misses = c.evictedPlanHits, c.evictedPlanMisses
+	st := cacheStats{hits: c.hits, misses: c.misses, evictions: c.evictions, size: c.order.Len(),
+		planHits: c.evictedPlanHits, planMisses: c.evictedPlanMisses}
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		ps := el.Value.(*cacheEntry).plans.Stats()
-		hits += ps.Hits
-		misses += ps.Misses
-		entries += ps.Entries
+		st.planHits += ps.Hits
+		st.planMisses += ps.Misses
+		st.planSize += ps.Entries
 	}
-	return hits, misses, entries
+	return st
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -230,15 +231,7 @@ func TestFlightStatusAndTenants(t *testing.T) {
 		t.Fatalf("endpoint list missing /debug/flight routes: %v", st.Endpoints)
 	}
 
-	zresp, zbody := get(t, ts.URL+"/statsz")
-	if zresp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz: %d", zresp.StatusCode)
-	}
-	var z Statsz
-	if err := json.Unmarshal(zbody, &z); err != nil {
-		t.Fatal(err)
-	}
-	if z.FlightRecords != 1 || z.SlowQueries != 0 {
+	if z := statsz(t, ts.URL); z["flight_records"] != 1 || z["slow_queries"] != 0 {
 		t.Fatalf("statsz flight counters: %+v", z)
 	}
 }
@@ -313,6 +306,32 @@ func TestFlightShedChargedToTenant(t *testing.T) {
 	snap := svc.tenants.Snapshot()
 	if len(snap) != 1 || snap[0].Shed != 1 || snap[0].Requests != 1 {
 		t.Fatalf("tenant shed accounting: %+v", snap)
+	}
+}
+
+// TestStatszKeyInventory pins the /statsz key set, as
+// TestMetricsNameInventory pins the /metrics families: bench/serve.go
+// and dashboards decode these keys by name.
+func TestStatszKeyInventory(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	want := strings.Fields(`uptime_ms requests evals_ok eval_errors timeouts canceled bad_requests
+		in_flight stages_run analyzes analyze_errors opt_passes opt_rewrites opt_rules_removed
+		admitted queued shed queue_timeouts queue_depth shard_rounds shard_facts_merged
+		cow_snapshots cow_promotions cow_tuples_copied cache_hits cache_misses cache_evictions
+		cache_size plan_cache_hits plan_cache_misses plan_cache_size flight_records slow_queries
+		store_batches store_facts_asserted store_facts_retracted store_dbs store_wal_records
+		store_wal_bytes store_wal_truncations store_wal_compactions subscriptions_started
+		subscriptions_active subscription_deltas subscription_facts subscription_overflows`)
+	var got []string
+	for k := range statsz(t, ts.URL) {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("/statsz keys drifted:\n got: %v\nwant: %v", got, want)
 	}
 }
 

@@ -1,7 +1,8 @@
-// Prometheus text-format exposition (version 0.0.4), hand-rolled so
-// the daemon stays dependency-free. GET /metrics renders the same
-// Statsz snapshot as /statsz plus two latency histograms and the
-// per-semantics eval counters.
+// The service's counters and gauges, declared once in one table, and
+// their two renderings: GET /statsz (a flat JSON object) and GET
+// /metrics (Prometheus text-format exposition, version 0.0.4,
+// hand-rolled so the daemon stays dependency-free). /metrics adds the
+// labeled families and the latency histograms.
 package serve
 
 import (
@@ -14,6 +15,95 @@ import (
 
 	"unchained/internal/flight"
 )
+
+// series is one service counter or gauge. /statsz serves it under key
+// and /metrics as family; a row without a key is /metrics-only, one
+// without a family /statsz-only.
+type series struct {
+	key    string
+	family string
+	help   string
+	kind   string // the Prometheus type: "counter" or "gauge"
+	read   func() int64
+}
+
+// newSeries declares every service counter and gauge: adding one is a
+// row here plus the atomic it reads. Rows render in this order on
+// /metrics.
+func (s *Server) newSeries() []series {
+	u := func(a *atomic.Uint64) func() int64 { return func() int64 { return int64(a.Load()) } }
+	g := s.gate
+	if g == nil { // admission control is off: nothing queues or is shed
+		g = &gate{}
+	}
+	return []series{
+		{"uptime_ms", "", "", "gauge", func() int64 { return time.Since(s.start).Milliseconds() }},
+		{"requests", "unchained_requests_total", "HTTP requests received.", "counter", u(&s.requests)},
+		{"evals_ok", "unchained_evals_ok_total", "Evaluations completed successfully.", "counter", u(&s.evalsOK)},
+		{"eval_errors", "unchained_eval_errors_total", "Evaluations failed with an evaluation error.", "counter", u(&s.evalErrs)},
+		{"timeouts", "unchained_timeouts_total", "Evaluations interrupted by deadline.", "counter", u(&s.timeouts)},
+		{"canceled", "unchained_canceled_total", "Evaluations interrupted by client cancellation.", "counter", u(&s.cancels)},
+		{"bad_requests", "unchained_bad_requests_total", "Requests rejected before evaluation.", "counter", u(&s.badReqs)},
+		{"stages_run", "unchained_stages_run_total", "Evaluation stages executed across all requests.", "counter", u(&s.stagesRun)},
+		{"analyzes", "unchained_analyze_total", "Static-analysis requests served (cached reports included).", "counter", u(&s.analyzes)},
+		{"analyze_errors", "unchained_analyze_errors_total", "Analyzed programs carrying error-severity diagnostics.", "counter", u(&s.analyzeErrs)},
+		{"opt_passes", "unchained_opt_passes_total", "Optimizer passes run while computing memoized program variants.", "counter", u(&s.optPasses)},
+		{"opt_rewrites", "unchained_opt_rewrites_total", "Optimizer rewrites applied while computing memoized program variants.", "counter", u(&s.optRewrites)},
+		{"opt_rules_removed", "unchained_opt_rules_removed_total", "Rules removed by the optimizer while computing memoized program variants.", "counter", u(&s.optRulesRemoved)},
+		{"cache_hits", "unchained_parse_cache_hits_total", "Parse cache hits.", "counter", func() int64 { return int64(s.cache.stats().hits) }},
+		{"cache_misses", "unchained_parse_cache_misses_total", "Parse cache misses.", "counter", func() int64 { return int64(s.cache.stats().misses) }},
+		{"cache_evictions", "unchained_parse_cache_evictions_total", "Parse cache LRU evictions.", "counter", func() int64 { return int64(s.cache.stats().evictions) }},
+		{"plan_cache_hits", "unchained_plan_cache_hits_total", "Join-plan cache hits across cached programs (evicted programs included).", "counter", func() int64 { return int64(s.cache.stats().planHits) }},
+		{"plan_cache_misses", "unchained_plan_cache_misses_total", "Join-plan cache misses (plans computed).", "counter", func() int64 { return int64(s.cache.stats().planMisses) }},
+		{"", "unchained_timeouts_clamped_total", "Requests whose timeout_ms was clamped to the server maximum.", "counter", u(&s.timeoutClamped)},
+		{"", "unchained_shards_clamped_total", "Requests whose shards field was clamped to the server maximum.", "counter", u(&s.shardsClamped)},
+		{"admitted", "unchained_admission_admitted_total", "Requests admitted past the admission gate (immediately or after queuing).", "counter", u(&g.admitted)},
+		{"queued", "unchained_admission_queued_total", "Requests that waited in the admission queue.", "counter", u(&g.queuedTot)},
+		{"shed", "unchained_admission_shed_total", "Requests shed at a full admission queue (HTTP 429).", "counter", u(&g.shed)},
+		{"queue_timeouts", "unchained_admission_queue_timeouts_total", "Requests that timed out waiting in the admission queue (HTTP 503).", "counter", u(&g.waitDrop)},
+		{"shard_rounds", "unchained_shard_rounds_total", "Semi-naive delta rounds evaluated shard-parallel by instrumented evaluations.", "counter", u(&s.shardRounds)},
+		{"shard_facts_merged", "unchained_shard_facts_total", "Facts merged through shard barriers by instrumented evaluations.", "counter", u(&s.shardFacts)},
+		{"cow_snapshots", "unchained_cow_snapshots_total", "Copy-on-write instance snapshots taken by instrumented evaluations.", "counter", u(&s.cowSnapshots)},
+		{"cow_promotions", "unchained_cow_promotions_total", "Relations promoted to private copies by a post-snapshot write.", "counter", u(&s.cowPromotions)},
+		{"cow_tuples_copied", "unchained_cow_tuples_copied_total", "Tuples physically copied by copy-on-write promotions.", "counter", u(&s.cowTuples)},
+		{"flight_records", "unchained_flight_records_total", "Flight records filed (one per evaluation or admission rejection).", "counter",
+			func() int64 { n, _ := s.flight.Totals(); return int64(n) }},
+		{"slow_queries", "unchained_flight_slow_queries_total", "Flight records at or over the slow-query threshold.", "counter",
+			func() int64 { _, n := s.flight.Totals(); return int64(n) }},
+		{"store_batches", "unchained_store_batches_total", "Committed /v1/facts batches across named databases.", "counter", u(&s.storeBatches)},
+		{"store_facts_asserted", "unchained_store_facts_asserted_total", "Facts asserted with net effect across named databases.", "counter", u(&s.storeAsserted)},
+		{"store_facts_retracted", "unchained_store_facts_retracted_total", "Facts retracted with net effect across named databases.", "counter", u(&s.storeRetracted)},
+		{"store_wal_truncations", "unchained_store_wal_truncations_total", "Torn WAL tails truncated during recovery across open databases.", "counter", func() int64 { return int64(s.dbs.totals().WALTruncations) }},
+		{"store_wal_compactions", "unchained_store_wal_compactions_total", "WAL snapshot compactions across open databases.", "counter", func() int64 { return int64(s.dbs.totals().WALCompactions) }},
+		{"subscriptions_started", "unchained_subscriptions_started_total", "Standing-query subscriptions accepted on /v1/subscribe.", "counter", u(&s.subsStarted)},
+		{"subscription_deltas", "unchained_subscription_deltas_total", "Delta events streamed to subscribers.", "counter", u(&s.subsDeltas)},
+		{"subscription_facts", "unchained_subscription_facts_total", "Facts streamed in subscription delta events (added plus removed).", "counter", u(&s.subsFacts)},
+		{"subscription_overflows", "unchained_subscription_overflows_total", "Subscriptions dropped for falling behind the delta buffer.", "counter", u(&s.subsOverflows)},
+		{"in_flight", "unchained_in_flight", "Evaluations currently running.", "gauge", s.inFlight.Load},
+		{"queue_depth", "unchained_admission_queue_depth", "Requests currently waiting in the admission queue.", "gauge", func() int64 { return int64(g.depth()) }},
+		{"cache_size", "unchained_parse_cache_size", "Programs currently cached.", "gauge", func() int64 { return int64(s.cache.stats().size) }},
+		{"plan_cache_size", "unchained_plan_cache_size", "Join plans resident across cached programs.", "gauge", func() int64 { return int64(s.cache.stats().planSize) }},
+		{"store_dbs", "unchained_store_dbs", "Named databases currently open.", "gauge", func() int64 { return int64(s.dbs.totals().DBs) }},
+		{"store_wal_records", "unchained_store_wal_records", "Live WAL records since the last snapshot across open databases.", "gauge", func() int64 { return int64(s.dbs.totals().WALRecords) }},
+		{"store_wal_bytes", "unchained_store_wal_bytes", "Live WAL log bytes across open databases.", "gauge", func() int64 { return s.dbs.totals().WALBytes }},
+		{"subscriptions_active", "unchained_subscriptions_active", "Subscriptions currently streaming.", "gauge", s.subsActive.Load},
+	}
+}
+
+// statsz reads every row that has a /statsz key.
+func (s *Server) statsz() map[string]int64 {
+	z := make(map[string]int64, len(s.series))
+	for _, r := range s.series {
+		if r.key != "" {
+			z[r.key] = r.read()
+		}
+	}
+	return z
+}
+
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.statsz())
+}
 
 // secBounds are the cumulative histogram bucket upper bounds, in
 // seconds: 1ms to 10s, roughly log-spaced. Requests slower than the
@@ -55,70 +145,13 @@ func writeHist(w http.ResponseWriter, name, help string, h *latHist) {
 	fmt.Fprintf(w, "%s_count %d\n", name, h.n.Load())
 }
 
-func writeCounter(w http.ResponseWriter, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s counter\n", name)
-	fmt.Fprintf(w, "%s %d\n", name, v)
-}
-
-func writeGauge(w http.ResponseWriter, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s gauge\n", name)
-	fmt.Fprintf(w, "%s %d\n", name, v)
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	z := s.snapshot()
-
-	writeCounter(w, "unchained_requests_total", "HTTP requests received.", z.Requests)
-	writeCounter(w, "unchained_evals_ok_total", "Evaluations completed successfully.", z.EvalsOK)
-	writeCounter(w, "unchained_eval_errors_total", "Evaluations failed with an evaluation error.", z.EvalErrors)
-	writeCounter(w, "unchained_timeouts_total", "Evaluations interrupted by deadline.", z.Timeouts)
-	writeCounter(w, "unchained_canceled_total", "Evaluations interrupted by client cancellation.", z.Canceled)
-	writeCounter(w, "unchained_bad_requests_total", "Requests rejected before evaluation.", z.BadRequests)
-	writeCounter(w, "unchained_stages_run_total", "Evaluation stages executed across all requests.", z.StagesRun)
-	writeCounter(w, "unchained_analyze_total", "Static-analysis requests served (cached reports included).", z.Analyzes)
-	writeCounter(w, "unchained_analyze_errors_total", "Analyzed programs carrying error-severity diagnostics.", z.AnalyzeErrors)
-	writeCounter(w, "unchained_opt_passes_total", "Optimizer passes run while computing memoized program variants.", z.OptPasses)
-	writeCounter(w, "unchained_opt_rewrites_total", "Optimizer rewrites applied while computing memoized program variants.", z.OptRewrites)
-	writeCounter(w, "unchained_opt_rules_removed_total", "Rules removed by the optimizer while computing memoized program variants.", z.OptRulesRemoved)
-	writeCounter(w, "unchained_parse_cache_hits_total", "Parse cache hits.", z.CacheHits)
-	writeCounter(w, "unchained_parse_cache_misses_total", "Parse cache misses.", z.CacheMisses)
-	writeCounter(w, "unchained_parse_cache_evictions_total", "Parse cache LRU evictions.", z.CacheEvictions)
-	writeCounter(w, "unchained_plan_cache_hits_total", "Join-plan cache hits across cached programs (evicted programs included).", z.PlanCacheHits)
-	writeCounter(w, "unchained_plan_cache_misses_total", "Join-plan cache misses (plans computed).", z.PlanCacheMisses)
-	writeCounter(w, "unchained_timeouts_clamped_total", "Requests whose timeout_ms was clamped to the server maximum.", s.timeoutClamped.Load())
-	writeCounter(w, "unchained_shards_clamped_total", "Requests whose shards field was clamped to the server maximum.", s.shardsClamped.Load())
-	writeCounter(w, "unchained_admission_admitted_total", "Requests admitted past the admission gate (immediately or after queuing).", z.Admitted)
-	writeCounter(w, "unchained_admission_queued_total", "Requests that waited in the admission queue.", z.Queued)
-	writeCounter(w, "unchained_admission_shed_total", "Requests shed at a full admission queue (HTTP 429).", z.Shed)
-	writeCounter(w, "unchained_admission_queue_timeouts_total", "Requests that timed out waiting in the admission queue (HTTP 503).", z.QueueTimeouts)
-	writeCounter(w, "unchained_shard_rounds_total", "Semi-naive delta rounds evaluated shard-parallel by instrumented evaluations.", z.ShardRounds)
-	writeCounter(w, "unchained_shard_facts_total", "Facts merged through shard barriers by instrumented evaluations.", z.ShardFactsMerged)
-	writeCounter(w, "unchained_cow_snapshots_total", "Copy-on-write instance snapshots taken by instrumented evaluations.", z.CowSnapshots)
-	writeCounter(w, "unchained_cow_promotions_total", "Relations promoted to private copies by a post-snapshot write.", z.CowPromotions)
-	writeCounter(w, "unchained_cow_tuples_copied_total", "Tuples physically copied by copy-on-write promotions.", z.CowTuplesCopied)
-	writeCounter(w, "unchained_flight_records_total", "Flight records filed (one per evaluation or admission rejection).", z.FlightRecords)
-	writeCounter(w, "unchained_flight_slow_queries_total", "Flight records at or over the slow-query threshold.", z.SlowQueries)
-	writeCounter(w, "unchained_store_batches_total", "Committed /v1/facts batches across named databases.", z.StoreBatches)
-	writeCounter(w, "unchained_store_facts_asserted_total", "Facts asserted with net effect across named databases.", z.StoreAsserted)
-	writeCounter(w, "unchained_store_facts_retracted_total", "Facts retracted with net effect across named databases.", z.StoreRetracted)
-	writeCounter(w, "unchained_store_wal_truncations_total", "Torn WAL tails truncated during recovery across open databases.", z.WALTruncations)
-	writeCounter(w, "unchained_store_wal_compactions_total", "WAL snapshot compactions across open databases.", z.WALCompactions)
-	writeCounter(w, "unchained_subscriptions_started_total", "Standing-query subscriptions accepted on /v1/subscribe.", z.SubsStarted)
-	writeCounter(w, "unchained_subscription_deltas_total", "Delta events streamed to subscribers.", z.SubsDeltas)
-	writeCounter(w, "unchained_subscription_facts_total", "Facts streamed in subscription delta events (added plus removed).", z.SubsFacts)
-	writeCounter(w, "unchained_subscription_overflows_total", "Subscriptions dropped for falling behind the delta buffer.", z.SubsOverflows)
-
-	writeGauge(w, "unchained_in_flight", "Evaluations currently running.", z.InFlight)
-	writeGauge(w, "unchained_admission_queue_depth", "Requests currently waiting in the admission queue.", int64(z.QueueDepth))
-	writeGauge(w, "unchained_parse_cache_size", "Programs currently cached.", int64(z.CacheSize))
-	writeGauge(w, "unchained_plan_cache_size", "Join plans resident across cached programs.", int64(z.PlanCacheSize))
-	writeGauge(w, "unchained_store_dbs", "Named databases currently open.", int64(z.StoreDBs))
-	writeGauge(w, "unchained_store_wal_records", "Live WAL records since the last snapshot across open databases.", int64(z.WALRecords))
-	writeGauge(w, "unchained_store_wal_bytes", "Live WAL log bytes across open databases.", z.WALBytes)
-	writeGauge(w, "unchained_subscriptions_active", "Subscriptions currently streaming.", z.SubsActive)
+	for _, r := range s.series {
+		if r.family != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", r.family, r.help, r.family, r.kind, r.family, r.read())
+		}
+	}
 
 	fmt.Fprintf(w, "# HELP unchained_evals_by_semantics_total Evaluation attempts by semantics (\"query\" = magic-sets).\n")
 	fmt.Fprintf(w, "# TYPE unchained_evals_by_semantics_total counter\n")

@@ -37,15 +37,15 @@ func TestTimeoutIncrementsFailureCounterOnce(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestTimeout {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	z := srv.snapshot()
-	if z.Timeouts != 1 {
-		t.Errorf("timeouts = %d, want exactly 1", z.Timeouts)
+	z := srv.statsz()
+	if z["timeouts"] != 1 {
+		t.Errorf("timeouts = %d, want exactly 1", z["timeouts"])
 	}
-	if z.EvalErrors != 0 {
-		t.Errorf("eval_errors = %d, want 0 (timeout must not double-count)", z.EvalErrors)
+	if z["eval_errors"] != 0 {
+		t.Errorf("eval_errors = %d, want 0 (timeout must not double-count)", z["eval_errors"])
 	}
-	if z.Canceled != 0 {
-		t.Errorf("canceled = %d, want 0", z.Canceled)
+	if z["canceled"] != 0 {
+		t.Errorf("canceled = %d, want 0", z["canceled"])
 	}
 }
 
@@ -73,10 +73,11 @@ func parseMetrics(t *testing.T, body string) map[string]uint64 {
 	return out
 }
 
-// TestStatszAndMetricsAgree is the satellite round-trip: every
-// counter must be reported identically by /statsz and /metrics. The
-// requests counter is the one principled exception — the /metrics GET
-// itself increments it, so it reads exactly one higher.
+// TestStatszAndMetricsAgree: every row of the series table that has
+// both a /statsz key and a /metrics family reads the same on both. The
+// requests counter is the one principled exception: the /metrics GET
+// itself increments it, so it reads exactly one higher. The rows
+// without a key (the two clamp counters) are on /metrics only.
 func TestStatszAndMetricsAgree(t *testing.T) {
 	srv, ts := newInstrumentedServer(t)
 	// Generate traffic on every counter class: one success (asking for
@@ -86,80 +87,37 @@ func TestStatszAndMetricsAgree(t *testing.T) {
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: `not a program (`}})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"})
 
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var z Statsz
-	if err := json.NewDecoder(resp.Body).Decode(&z); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	z := statsz(t, ts.URL)
+	_, body := get(t, ts.URL+"/metrics")
+	m := parseMetrics(t, string(body))
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	sc := bufio.NewScanner(mresp.Body)
-	for sc.Scan() {
-		sb.WriteString(sc.Text())
-		sb.WriteString("\n")
-	}
-	mresp.Body.Close()
-	m := parseMetrics(t, sb.String())
-
-	pairs := []struct {
-		metric string
-		statsz uint64
-	}{
-		{"unchained_evals_ok_total", z.EvalsOK},
-		{"unchained_eval_errors_total", z.EvalErrors},
-		{"unchained_timeouts_total", z.Timeouts},
-		{"unchained_canceled_total", z.Canceled},
-		{"unchained_bad_requests_total", z.BadRequests},
-		{"unchained_stages_run_total", z.StagesRun},
-		{"unchained_parse_cache_hits_total", z.CacheHits},
-		{"unchained_parse_cache_misses_total", z.CacheMisses},
-		{"unchained_parse_cache_evictions_total", z.CacheEvictions},
-		{"unchained_cow_snapshots_total", z.CowSnapshots},
-		{"unchained_cow_promotions_total", z.CowPromotions},
-		{"unchained_cow_tuples_copied_total", z.CowTuplesCopied},
-		{"unchained_parse_cache_size", uint64(z.CacheSize)},
-		// /metrics-only: read off the server's atomics, not the snapshot.
-		{"unchained_timeouts_clamped_total", srv.timeoutClamped.Load()},
-		{"unchained_shards_clamped_total", srv.shardsClamped.Load()},
-	}
-	for _, p := range pairs {
-		got, ok := m[p.metric]
-		if !ok {
-			t.Errorf("metric %s missing from /metrics", p.metric)
-			continue
-		}
-		if got != p.statsz {
-			t.Errorf("%s = %d in /metrics, %d in /statsz", p.metric, got, p.statsz)
+	both := 0
+	for _, r := range srv.series {
+		got, ok := m[r.family]
+		switch {
+		case r.family == "":
+		case !ok:
+			t.Errorf("metric %s missing from /metrics", r.family)
+		case r.key != "":
+			both++
+			want := z[r.key]
+			if r.key == "requests" {
+				want++ // the /metrics GET itself
+			}
+			if got != uint64(want) {
+				t.Errorf("%s = %d in /metrics, %s = %d in /statsz", r.family, got, r.key, z[r.key])
+			}
 		}
 	}
-	// The /metrics GET ran after the /statsz snapshot: exactly one
-	// request apart, never more.
-	if got := m["unchained_requests_total"]; got != z.Requests+1 {
-		t.Errorf("requests_total = %d, want statsz %d + 1 (the /metrics GET itself)", got, z.Requests)
+	if both != 45 {
+		t.Errorf("%d rows are on both surfaces, want 45", both)
 	}
-	if z.EvalsOK != 1 || z.BadRequests != 1 || z.Timeouts != 1 {
-		t.Errorf("traffic not attributed: ok=%d bad=%d timeout=%d, want 1/1/1", z.EvalsOK, z.BadRequests, z.Timeouts)
+	if z["evals_ok"] != 1 || z["bad_requests"] != 1 || z["timeouts"] != 1 {
+		t.Errorf("traffic not attributed: ok=%d bad=%d timeout=%d, want 1/1/1", z["evals_ok"], z["bad_requests"], z["timeouts"])
 	}
 	if m["unchained_shards_clamped_total"] != 1 || m["unchained_timeouts_clamped_total"] != 1 {
 		t.Errorf("clamps not counted: shards=%d timeouts=%d, want 1/1",
 			m["unchained_shards_clamped_total"], m["unchained_timeouts_clamped_total"])
-	}
-	var keys map[string]any
-	if _, raw := get(t, ts.URL+"/statsz"); json.Unmarshal(raw, &keys) != nil {
-		t.Fatalf("/statsz is not a JSON object: %s", raw)
-	}
-	for _, gone := range []string{"timeouts_clamped", "shards_clamped"} {
-		if _, ok := keys[gone]; ok {
-			t.Errorf("/statsz still carries %q", gone)
-		}
 	}
 }
 

@@ -85,7 +85,7 @@ func (c *call) begin(p *int64) {
 
 // post routes path through the pipeline.
 func (s *Server) post(path string, newRequest func() request) {
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+	s.handle(path, func(w http.ResponseWriter, r *http.Request) {
 		s.serve(w, r, path, newRequest())
 	})
 }

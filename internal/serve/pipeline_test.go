@@ -141,8 +141,8 @@ func TestPipelineContract(t *testing.T) {
 			huge := append([]byte(`{"program":"`), bytes.Repeat([]byte("a"), maxBodyBytes)...)
 			resp, body, _ = send(bg, http.MethodPost, url, append(huge, `"}`...))
 			wantEnvelope(t, resp, body, http.StatusBadRequest, CodeBadRequest)
-			if z := svc.snapshot(); z.BadRequests != 3 || z.FlightRecords != 0 {
-				t.Fatalf("after three rejected bodies: bad_requests=%d flight_records=%d", z.BadRequests, z.FlightRecords)
+			if z := svc.statsz(); z["bad_requests"] != 3 || z["flight_records"] != 0 {
+				t.Fatalf("after three rejected bodies: bad_requests=%d flight_records=%d", z["bad_requests"], z["flight_records"])
 			}
 
 			// A request that is served leaves a record under its id.
@@ -180,7 +180,7 @@ func TestPipelineContract(t *testing.T) {
 			// request below queues in it.
 			// The count starts from what came before: a subscription
 			// already ended canceled above.
-			before := svc.snapshot()
+			before := svc.statsz()
 			goneCtx, leave := context.WithCancel(bg)
 			gone := make(chan error, 1)
 			go func() {
@@ -193,8 +193,8 @@ func TestPipelineContract(t *testing.T) {
 				t.Fatal("canceled request got an answer")
 			}
 			waitFor(t, func() bool {
-				z := svc.snapshot()
-				return z.Canceled == before.Canceled+1 && z.FlightRecords == before.FlightRecords+1
+				z := svc.statsz()
+				return z["canceled"] == before["canceled"]+1 && z["flight_records"] == before["flight_records"]+1
 			})
 			if rec := svc.flight.Recent()[0]; rec.Endpoint != ep.path || rec.Outcome != CodeCanceled {
 				t.Fatalf("newest record %s %q, want %s canceled", rec.Endpoint, rec.Outcome, ep.path)
@@ -222,10 +222,10 @@ func TestPipelineContract(t *testing.T) {
 			release()
 			<-held
 			waitFor(t, func() bool { return svc.gate.inFlight() == 0 })
-			z := svc.snapshot()
-			if z.Shed != 1 || z.QueueTimeouts != 1 || z.Queued != 2 || z.QueueDepth != 0 {
+			z := svc.statsz()
+			if z["shed"] != 1 || z["queue_timeouts"] != 1 || z["queued"] != 2 || z["queue_depth"] != 0 {
 				t.Fatalf("admission counters: shed=%d queue_timeouts=%d queued=%d depth=%d",
-					z.Shed, z.QueueTimeouts, z.Queued, z.QueueDepth)
+					z["shed"], z["queue_timeouts"], z["queued"], z["queue_depth"])
 			}
 		})
 	}
@@ -286,27 +286,29 @@ func TestPipelineAccounting(t *testing.T) {
 		// Mid-stream: the 200 is out, the failure is the last event.
 		{"subscribe/deadline", "/v1/subscribe", SubscribeRequest{DB: "acct", Program: tcProgram, TimeoutMS: 30}, 200, CodeDeadline, true, false, false},
 	} {
-		before, tenantsBefore := svc.snapshot(), tenantRequests(svc)
+		before, tenantsBefore := svc.statsz(), tenantRequests(svc)
 		expireAfterPlan.Store(c.expireAfterPlan)
 		resp, body := post(t, ts.URL+c.path, c.body)
 		t.Run(c.name, func(t *testing.T) {
 			wantEnvelope(t, resp, body, c.status, c.code)
-			after := svc.snapshot()
-			counted := func(z Statsz) uint64 { return z.BadRequests + z.EvalErrors + z.Timeouts + z.Canceled }
+			after := svc.statsz()
+			counted := func(z map[string]int64) int64 {
+				return z["bad_requests"] + z["eval_errors"] + z["timeouts"] + z["canceled"]
+			}
 			if d := counted(after) - counted(before); d != 1 {
 				t.Errorf("outcome counters moved by %d, want 1 (before %+v after %+v)", d, before, after)
 			}
-			want, stages := uint64(0), uint64(0)
+			want, stages := uint64(0), int64(0)
 			if c.recorded {
 				want = 1
 				if rec := wantRecord(t, svc, resp.Header.Get("X-Request-Id"), c.path, c.code); rec.Summary != nil {
-					stages = uint64(rec.Stages)
+					stages = int64(rec.Stages)
 				}
 			}
-			if d := after.StagesRun - before.StagesRun; d != stages || c.staged != (d > 0) {
+			if d := after["stages_run"] - before["stages_run"]; d != stages || c.staged != (d > 0) {
 				t.Errorf("stages_run moved by %d, the record says %d stages (staged: %v)", d, stages, c.staged)
 			}
-			if d := after.FlightRecords - before.FlightRecords; d != want {
+			if d := after["flight_records"] - before["flight_records"]; d != int64(want) {
 				t.Errorf("flight_records moved by %d, want %d", d, want)
 			}
 			if d := tenantRequests(svc) - tenantsBefore; d != want {
@@ -314,8 +316,8 @@ func TestPipelineAccounting(t *testing.T) {
 			}
 		})
 	}
-	if z := svc.snapshot(); z.EvalsOK != 0 || z.InFlight != 0 {
-		t.Errorf("after failures only: evals_ok=%d in_flight=%d", z.EvalsOK, z.InFlight)
+	if z := svc.statsz(); z["evals_ok"] != 0 || z["in_flight"] != 0 {
+		t.Errorf("after failures only: evals_ok=%d in_flight=%d", z["evals_ok"], z["in_flight"])
 	}
 }
 
@@ -326,7 +328,7 @@ func TestPipelineAccounting(t *testing.T) {
 // next stage boundary. The watch ends with the request (parent done).
 func afterPlanning(parent context.Context, svc *Server) context.Context {
 	ctx := &plannedDeadline{Context: parent, done: make(chan struct{})}
-	lookups := func() uint64 { hits, misses, _ := svc.cache.planStats(); return hits + misses }
+	lookups := func() uint64 { c := svc.cache.stats(); return c.planHits + c.planMisses }
 	before := lookups()
 	go func() {
 		for lookups() == before {

@@ -106,6 +106,10 @@ type Config struct {
 // "shards": serial delta rounds.
 const defaultShards = 1
 
+// DefaultConfig is the configuration New runs with when every field of
+// its Config is left zero.
+func DefaultConfig() Config { return Config{}.withDefaults() }
+
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 128
@@ -153,7 +157,13 @@ type Server struct {
 	// cfg.DataDir (see store_api.go).
 	dbs *dbRegistry
 
-	// Monotonic service counters, reported by /statsz and /metrics.
+	// series is the table of counters and gauges /statsz and /metrics
+	// render (see newSeries); routes are the paths the mux serves, for
+	// /v1/status.
+	series []series
+	routes []string
+
+	// Monotonic service counters, read by series.
 	requests       atomic.Uint64
 	evalsOK        atomic.Uint64
 	evalErrs       atomic.Uint64
@@ -236,18 +246,25 @@ func New(cfg Config) *Server {
 		s.semCounts[name] = &atomic.Uint64{}
 	}
 	s.semCounts["query"] = &atomic.Uint64{}
+	s.series = s.newSeries()
 	s.post("/v1/eval", func() request { return new(evalRequest) })
 	s.post("/v1/query", func() request { return new(queryRequest) })
 	s.post("/v1/analyze", func() request { return new(analyzeRequest) })
 	s.post("/v1/facts", func() request { return new(factsRequest) })
 	s.post("/v1/subscribe", func() request { return new(subscribeRequest) })
-	s.mux.HandleFunc("/v1/status", s.handleStatus)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/statsz", s.handleStatsz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/flight", s.handleFlightRecent)
-	s.mux.HandleFunc("/debug/flight/slowest", s.handleFlightSlowest)
+	s.handle("/v1/status", s.handleStatus)
+	s.handle("/healthz", s.handleHealthz)
+	s.handle("/statsz", s.handleStatsz)
+	s.handle("/metrics", s.handleMetrics)
+	s.handle("/debug/flight", s.handleFlightRecent)
+	s.handle("/debug/flight/slowest", s.handleFlightSlowest)
 	return s
+}
+
+// handle serves path on the mux and lists it in /v1/status.
+func (s *Server) handle(path string, h http.HandlerFunc) {
+	s.routes = append(s.routes, path)
+	s.mux.HandleFunc(path, h)
 }
 
 // MetricsHandler exposes just the Prometheus endpoint, for serving on
@@ -756,7 +773,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Revision:  rev,
 		UptimeMS:  time.Since(s.start).Milliseconds(),
 		Semantics: unchained.SemanticsNames(),
-		Endpoints: []string{"/v1/eval", "/v1/query", "/v1/analyze", "/v1/facts", "/v1/subscribe", "/v1/status", "/healthz", "/statsz", "/metrics", "/debug/flight", "/debug/flight/slowest"},
+		Endpoints: s.routes,
 		Flight: FlightLimits{
 			RingSize:    ringSize,
 			TopK:        topK,
@@ -793,144 +810,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeMS: time.Since(s.start).Milliseconds(),
 		InFlight: s.inFlight.Load(),
 	})
-}
-
-// Statsz is the body of GET /statsz. It is also the single snapshot
-// /metrics renders from, so the two surfaces can never disagree on a
-// counter value taken at the same instant.
-type Statsz struct {
-	UptimeMS      int64  `json:"uptime_ms"`
-	Requests      uint64 `json:"requests"`
-	EvalsOK       uint64 `json:"evals_ok"`
-	EvalErrors    uint64 `json:"eval_errors"`
-	Timeouts      uint64 `json:"timeouts"`
-	Canceled      uint64 `json:"canceled"`
-	BadRequests   uint64 `json:"bad_requests"`
-	InFlight      int64  `json:"in_flight"`
-	StagesRun     uint64 `json:"stages_run"`
-	Analyzes      uint64 `json:"analyzes"`
-	AnalyzeErrors uint64 `json:"analyze_errors"`
-	// Static-optimizer traffic: passes run, rewrites applied, and rules
-	// removed across memoized variant computations (see docs/OPTIMIZER.md).
-	OptPasses       uint64 `json:"opt_passes"`
-	OptRewrites     uint64 `json:"opt_rewrites"`
-	OptRulesRemoved uint64 `json:"opt_rules_removed"`
-	// Admission-control traffic: requests admitted (immediately or
-	// after queuing), requests that queued, requests shed at a full
-	// queue (429), requests that timed out queued (503), and the
-	// current queue depth.
-	Admitted      uint64 `json:"admitted"`
-	Queued        uint64 `json:"queued"`
-	Shed          uint64 `json:"shed"`
-	QueueTimeouts uint64 `json:"queue_timeouts"`
-	QueueDepth    int    `json:"queue_depth"`
-	// Shard-parallel evaluation traffic, summed from per-request stats
-	// summaries (requests that carry a collector).
-	ShardRounds      uint64 `json:"shard_rounds"`
-	ShardFactsMerged uint64 `json:"shard_facts_merged"`
-	CowSnapshots     uint64 `json:"cow_snapshots"`
-	CowPromotions    uint64 `json:"cow_promotions"`
-	CowTuplesCopied  uint64 `json:"cow_tuples_copied"`
-	CacheHits        uint64 `json:"cache_hits"`
-	CacheMisses      uint64 `json:"cache_misses"`
-	CacheEvictions   uint64 `json:"cache_evictions"`
-	CacheSize        int    `json:"cache_size"`
-	PlanCacheHits    uint64 `json:"plan_cache_hits"`
-	PlanCacheMisses  uint64 `json:"plan_cache_misses"`
-	PlanCacheSize    int    `json:"plan_cache_size"`
-	// Flight-recorder traffic: records filed (one per evaluation or
-	// admission rejection) and records at/over the slow-query
-	// threshold.
-	FlightRecords uint64 `json:"flight_records"`
-	SlowQueries   uint64 `json:"slow_queries"`
-	// Named-database traffic (/v1/facts): committed batches and the net
-	// facts they asserted/retracted, plus point-in-time store state
-	// (open databases, live WAL records/bytes since the last snapshot)
-	// and cumulative WAL maintenance counters.
-	StoreBatches   uint64 `json:"store_batches"`
-	StoreAsserted  uint64 `json:"store_facts_asserted"`
-	StoreRetracted uint64 `json:"store_facts_retracted"`
-	StoreDBs       int    `json:"store_dbs"`
-	WALRecords     uint64 `json:"store_wal_records"`
-	WALBytes       int64  `json:"store_wal_bytes"`
-	WALTruncations uint64 `json:"store_wal_truncations"`
-	WALCompactions uint64 `json:"store_wal_compactions"`
-	// Subscription traffic (/v1/subscribe): streams started, currently
-	// active, delta events and facts streamed, and subscribers dropped
-	// for falling behind.
-	SubsStarted   uint64 `json:"subscriptions_started"`
-	SubsActive    int64  `json:"subscriptions_active"`
-	SubsDeltas    uint64 `json:"subscription_deltas"`
-	SubsFacts     uint64 `json:"subscription_facts"`
-	SubsOverflows uint64 `json:"subscription_overflows"`
-}
-
-// snapshot reads every service counter once; both /statsz and
-// /metrics serialize this one struct.
-func (s *Server) snapshot() Statsz {
-	hits, misses, evictions, size := s.cache.stats()
-	planHits, planMisses, planSize := s.cache.planStats()
-	var admitted, queuedTot, shed, waitDrop uint64
-	var depth int
-	if s.gate != nil {
-		admitted = s.gate.admitted.Load()
-		queuedTot = s.gate.queuedTot.Load()
-		shed = s.gate.shed.Load()
-		waitDrop = s.gate.waitDrop.Load()
-		depth = s.gate.depth()
-	}
-	flightTotal, slowTotal := s.flight.Totals()
-	st := s.dbs.totals()
-	return Statsz{
-		UptimeMS:         time.Since(s.start).Milliseconds(),
-		Requests:         s.requests.Load(),
-		EvalsOK:          s.evalsOK.Load(),
-		EvalErrors:       s.evalErrs.Load(),
-		Timeouts:         s.timeouts.Load(),
-		Canceled:         s.cancels.Load(),
-		BadRequests:      s.badReqs.Load(),
-		InFlight:         s.inFlight.Load(),
-		StagesRun:        s.stagesRun.Load(),
-		Analyzes:         s.analyzes.Load(),
-		AnalyzeErrors:    s.analyzeErrs.Load(),
-		OptPasses:        s.optPasses.Load(),
-		OptRewrites:      s.optRewrites.Load(),
-		OptRulesRemoved:  s.optRulesRemoved.Load(),
-		Admitted:         admitted,
-		Queued:           queuedTot,
-		Shed:             shed,
-		QueueTimeouts:    waitDrop,
-		QueueDepth:       depth,
-		ShardRounds:      s.shardRounds.Load(),
-		ShardFactsMerged: s.shardFacts.Load(),
-		CowSnapshots:     s.cowSnapshots.Load(),
-		CowPromotions:    s.cowPromotions.Load(),
-		CowTuplesCopied:  s.cowTuples.Load(),
-		CacheHits:        hits,
-		CacheMisses:      misses,
-		CacheEvictions:   evictions,
-		CacheSize:        size,
-		PlanCacheHits:    planHits,
-		PlanCacheMisses:  planMisses,
-		PlanCacheSize:    planSize,
-		FlightRecords:    flightTotal,
-		SlowQueries:      slowTotal,
-		StoreBatches:     s.storeBatches.Load(),
-		StoreAsserted:    s.storeAsserted.Load(),
-		StoreRetracted:   s.storeRetracted.Load(),
-		StoreDBs:         st.DBs,
-		WALRecords:       st.WALRecords,
-		WALBytes:         st.WALBytes,
-		WALTruncations:   st.WALTruncations,
-		WALCompactions:   st.WALCompactions,
-		SubsStarted:      s.subsStarted.Load(),
-		SubsActive:       s.subsActive.Load(),
-		SubsDeltas:       s.subsDeltas.Load(),
-		SubsFacts:        s.subsFacts.Load(),
-		SubsOverflows:    s.subsOverflows.Load(),
-	}
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshot())
 }

@@ -188,16 +188,8 @@ func TestHealthzAndStatsz(t *testing.T) {
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: `G(a,b).`}})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: `syntax error here`}})
 
-	resp, err = http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Statsz
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.EvalsOK < 1 || st.BadRequests < 1 || st.Requests < 3 {
+	st := statsz(t, ts.URL)
+	if st["evals_ok"] < 1 || st["bad_requests"] < 1 || st["requests"] < 3 {
 		t.Fatalf("statsz = %+v", st)
 	}
 }
@@ -225,15 +217,15 @@ func TestParseCache(t *testing.T) {
 	if e4, _ := c.get(p1); e4 == e1 {
 		t.Fatal("evicted entry must be re-parsed")
 	}
-	hits, misses, evictions, size := c.stats()
-	if size != 2 {
-		t.Fatalf("size = %d, want capacity 2", size)
+	st := c.stats()
+	if st.size != 2 {
+		t.Fatalf("size = %d, want capacity 2", st.size)
 	}
-	if hits != 1 || misses != 4 {
-		t.Fatalf("hits=%d misses=%d", hits, misses)
+	if st.hits != 1 || st.misses != 4 {
+		t.Fatalf("hits=%d misses=%d", st.hits, st.misses)
 	}
-	if evictions != 2 {
-		t.Fatalf("evictions = %d, want 2 (p1 then p2 aged out)", evictions)
+	if st.evictions != 2 {
+		t.Fatalf("evictions = %d, want 2 (p1 then p2 aged out)", st.evictions)
 	}
 	if _, err := c.get(`not a program (`); err == nil {
 		t.Fatal("parse error must surface")
@@ -275,19 +267,11 @@ func TestEvalOptimize(t *testing.T) {
 	}
 	// A second optimized request must reuse the memoized variant.
 	eval(2, facts)
-	var st Statsz
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.OptPasses == 0 || st.OptRewrites == 0 || st.OptRulesRemoved == 0 {
+	st := statsz(t, ts.URL)
+	if st["opt_passes"] == 0 || st["opt_rewrites"] == 0 || st["opt_rules_removed"] == 0 {
 		t.Fatalf("optimizer counters did not move: %+v", st)
 	}
-	firstRemoved := st.OptRulesRemoved
+	firstRemoved := st["opt_rules_removed"]
 
 	// Facts on the assumed-empty Ghost relation force the fallback —
 	// and the fallback's output must still match the unoptimized run.
@@ -295,16 +279,9 @@ func TestEvalOptimize(t *testing.T) {
 	if got, want := eval(2, violating).Output, eval(0, violating).Output; got != want {
 		t.Fatalf("fallback output differs:\n-O2: %q\n-O0: %q", got, want)
 	}
-	resp, err = http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.OptRulesRemoved != firstRemoved {
-		t.Fatalf("memoized variant recomputed: %d -> %d", firstRemoved, st.OptRulesRemoved)
+	st = statsz(t, ts.URL)
+	if st["opt_rules_removed"] != firstRemoved {
+		t.Fatalf("memoized variant recomputed: %d -> %d", firstRemoved, st["opt_rules_removed"])
 	}
 }
 
