@@ -37,8 +37,10 @@ func TestFrontendAllocsScaleLinearly(t *testing.T) {
 		perRule float64
 		front   func(s *Session, p *Program)
 	}{
-		{"Analyze", 60, func(s *Session, p *Program) { s.Analyze(p) }},
-		{"Optimize", 70, func(s *Session, p *Program) { s.Optimize(p, nil, Stratified, Opt2, "Out") }},
+		// Measured at most 2.3 (Analyze; 3.2 under -race) and 6.6
+		// (Optimize) allocations per rule; the bounds leave about 25 %.
+		{"Analyze", 4, func(s *Session, p *Program) { s.Analyze(p) }},
+		{"Optimize", 8, func(s *Session, p *Program) { s.Optimize(p, nil, Stratified, Opt2, "Out") }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			small, n := frontendAllocs(t, gen.Wide(64, 200), c.front)
@@ -53,6 +55,7 @@ func TestFrontendAllocsScaleLinearly(t *testing.T) {
 				t.Errorf("%.1f allocs per rule at %d rules, want <= %.0f", large/float64(m), m, c.perRule)
 			}
 			chain, k := frontendAllocs(t, reversed.String(), c.front)
+			t.Logf("reversed %d-deep chain: %.0f allocs (%.1f per rule)", k, chain, chain/float64(k))
 			if chain > c.perRule*float64(k) {
 				t.Errorf("reversed %d-deep chain: %.1f allocs per rule, want <= %.0f", k, chain/float64(k), c.perRule)
 			}

@@ -342,14 +342,18 @@ func (r Rule) HeadOnlyVars() []string {
 
 // Vars returns all distinct variables of the rule.
 func (r Rule) Vars() []string {
-	var all []string
+	var buf [16]string
+	all := buf[:0]
 	for _, l := range r.Head {
 		all = l.vars(all)
 	}
 	for _, l := range r.Body {
 		all = l.vars(all)
 	}
-	return dedupe(all)
+	if all = dedupe(all); len(all) == 0 {
+		return nil
+	}
+	return append([]string(nil), all...)
 }
 
 // dedupe drops repeats in place, keeping first occurrences in order.

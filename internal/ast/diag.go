@@ -7,9 +7,11 @@
 package ast
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -29,7 +31,7 @@ func (p Pos) String() string {
 	if !p.IsValid() {
 		return "-"
 	}
-	return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	return strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Col)
 }
 
 // Before reports source order (unknown positions sort last).
@@ -137,21 +139,47 @@ func (d Diagnostic) String() string {
 type Diagnostics []Diagnostic
 
 // Sort orders diagnostics deterministically: by position, then
-// severity (most severe first), then code, then message.
+// severity (most severe first), then code, then message; diagnostics
+// equal on all four keep their order.
 func (ds Diagnostics) Sort() {
-	sort.SliceStable(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.Pos != b.Pos {
-			return a.Pos.Before(b.Pos)
+	// A diagnostic is ten words: sort their indexes, then move each
+	// diagnostic once, following the permutation's cycles.
+	order := make([]int32, len(ds))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(i, j int32) int { return ds[i].compare(&ds[j]) })
+	for k := range order {
+		if order[k] < 0 {
+			continue
 		}
-		if a.Severity != b.Severity {
-			return a.Severity > b.Severity
+		d, j := ds[k], k
+		for {
+			next := int(order[j])
+			order[j] = -1
+			if next == k {
+				ds[j] = d
+				break
+			}
+			ds[j], j = ds[next], next
 		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
+	}
+}
+
+func (d *Diagnostic) compare(o *Diagnostic) int {
+	if d.Pos != o.Pos {
+		if d.Pos.Before(o.Pos) {
+			return -1
 		}
-		return a.Message < b.Message
-	})
+		return 1
+	}
+	if c := cmp.Compare(o.Severity, d.Severity); c != 0 {
+		return c
+	}
+	if c := strings.Compare(d.Code, o.Code); c != 0 {
+		return c
+	}
+	return strings.Compare(d.Message, o.Message)
 }
 
 // HasErrors reports whether any diagnostic is SevError.

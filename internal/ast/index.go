@@ -6,11 +6,14 @@
 // with walks of their own. An Index describes the program it was built
 // from and is never stored on it: programs are bare rule lists that
 // passes replace wholesale, so callers build an index where they need
-// one and drop it with the call.
+// one and drop it with the call. A pass that drops or replaces rules
+// derives the next program's index with Update, which walks only the
+// rules it has not seen.
 package ast
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -67,7 +70,9 @@ type Index struct {
 	Preds []PredInfo // in first-occurrence order
 	Mask  Feature    // union of the rule masks
 
-	ids       map[string]int32
+	ids       map[string]int32 // by name: the predicate's id
+	names     []string         // by id: the predicate's name
+	borrowed  bool             // ids and names belong to the index Update derived this one from
 	occs      []Occ
 	conflicts []int32 // occurrences whose arity differs from their predicate's first
 }
@@ -77,31 +82,104 @@ func NewIndex(p *Program) *Index {
 	n := len(p.Rules) // most programs have about a predicate, and a few atoms, per rule
 	ix := &Index{
 		Prog: p, Rules: make([]RuleInfo, n),
-		Preds: make([]PredInfo, 0, n), ids: make(map[string]int32, n), occs: make([]Occ, 0, 3*n),
+		ids: make(map[string]int32, n), names: make([]string, 0, n), occs: make([]Occ, 0, 3*n),
 	}
 	for ri := range p.Rules {
-		r, info := &p.Rules[ri], &ix.Rules[ri]
-		info.Mask = r.Features()
-		ix.Mask |= info.Mask
-		info.start = int32(len(ix.occs))
-		for i := range r.Head {
-			if r.Head[i].Kind == LitAtom {
-				ix.add(int32(ri), &r.Head[i], true, false)
-			}
-		}
-		info.mid = int32(len(ix.occs))
-		for i := range r.Body {
-			ix.addBody(int32(ri), &r.Body[i], false)
-		}
-		info.stop = int32(len(ix.occs))
+		ix.walk(int32(ri))
 	}
+	ix.link()
 	return ix
+}
+
+// Update returns the index of p, a program made from ix.Prog by
+// dropping, keeping and replacing rules: rule ri of p is rule from[ri]
+// of ix.Prog, sharing its literal arrays, or a new rule where from[ri]
+// is negative. Only the new rules are walked; a kept rule keeps its
+// mask and its occurrences. The result reads as NewIndex(p) does,
+// except that the predicates keep ix's order (a predicate only the new
+// rules mention comes last). ix is left as it was.
+func (ix *Index) Update(p *Program, from []int32) *Index {
+	n := 0
+	for ri, old := range from {
+		if old < 0 {
+			n += p.Rules[ri].atoms()
+		} else {
+			n += int(ix.Rules[old].stop - ix.Rules[old].start)
+		}
+	}
+	nx := &Index{
+		Prog: p, Rules: make([]RuleInfo, len(p.Rules)),
+		ids: ix.ids, names: ix.names[:len(ix.names):len(ix.names)], borrowed: true, occs: make([]Occ, 0, n),
+	}
+	for ri, old := range from {
+		if old < 0 {
+			nx.walk(int32(ri))
+			continue
+		}
+		o, info := &ix.Rules[old], &nx.Rules[ri]
+		info.Mask = o.Mask
+		nx.Mask |= o.Mask
+		info.start = int32(len(nx.occs))
+		for _, occ := range ix.occs[o.start:o.stop] {
+			occ.Rule = int32(ri)
+			nx.occs = append(nx.occs, occ)
+		}
+		info.mid, info.stop = info.start+o.mid-o.start, int32(len(nx.occs))
+	}
+	nx.link()
+	return nx
+}
+
+// walk appends the occurrences of rule ri.
+func (ix *Index) walk(ri int32) {
+	r, info := &ix.Prog.Rules[ri], &ix.Rules[ri]
+	info.Mask = r.Features()
+	ix.Mask |= info.Mask
+	info.start = int32(len(ix.occs))
+	for i := range r.Head {
+		if r.Head[i].Kind == LitAtom {
+			ix.add(ri, &r.Head[i], false)
+		}
+	}
+	info.mid = int32(len(ix.occs))
+	for i := range r.Body {
+		ix.addBody(ri, &r.Body[i], false)
+	}
+	info.stop = int32(len(ix.occs))
+}
+
+// atoms counts the occurrences walk adds for r.
+func (r *Rule) atoms() int {
+	n := 0
+	for i := range r.Head {
+		if r.Head[i].Kind == LitAtom {
+			n++
+		}
+	}
+	for i := range r.Body {
+		n += r.Body[i].atoms()
+	}
+	return n
+}
+
+func (l *Literal) atoms() int {
+	switch l.Kind {
+	case LitAtom:
+		return 1
+	case LitForall:
+		n := 0
+		for i := range l.ForallBody {
+			n += l.ForallBody[i].atoms()
+		}
+		return n
+	}
+	return 0
 }
 
 func (ix *Index) addBody(ri int32, l *Literal, nested bool) {
 	switch l.Kind {
 	case LitAtom:
-		ix.add(ri, l, false, nested)
+		ix.add(ri, l, nested)
 	case LitForall:
 		for i := range l.ForallBody {
 			ix.addBody(ri, &l.ForallBody[i], true)
@@ -109,30 +187,101 @@ func (ix *Index) addBody(ri int32, l *Literal, nested bool) {
 	}
 }
 
-func (ix *Index) add(ri int32, l *Literal, head, nested bool) {
+func (ix *Index) add(ri int32, l *Literal, nested bool) {
 	id, ok := ix.ids[l.Atom.Pred]
 	if !ok {
-		id = int32(len(ix.Preds))
+		if ix.borrowed { // names, full to capacity, copies on append
+			ix.ids, ix.borrowed = maps.Clone(ix.ids), false
+		}
+		id = int32(len(ix.names))
 		ix.ids[l.Atom.Pred] = id
-		ix.Preds = append(ix.Preds, PredInfo{Name: l.Atom.Pred, Arity: l.Atom.Arity(), Pos: l.Atom.SrcPos})
+		ix.names = append(ix.names, l.Atom.Pred)
 	}
-	pi, o := &ix.Preds[id], int32(len(ix.occs))
 	ix.occs = append(ix.occs, Occ{Pred: id, Rule: ri, Nested: nested, Lit: l})
-	if pi.Arity != l.Atom.Arity() {
-		ix.conflicts = append(ix.conflicts, o)
+}
+
+// link makes Preds from the occurrences, in their order: it drops the
+// predicates no occurrence mentions (only Update leaves such), and
+// records each predicate's arity and positions at its first
+// occurrence, the arity conflicts, and the Derive, Retract and Readers
+// lists. Every occurrence lands in exactly one list, so the lists are
+// cut from one array, each to its exact capacity, after their counts.
+func (ix *Index) link() {
+	list := func(o int) int32 { // 3*Pred + 0 (Derive), 1 (Retract) or 2 (Readers)
+		occ := &ix.occs[o]
+		switch {
+		case int32(o) >= ix.Rules[occ.Rule].mid:
+			return 3*occ.Pred + 2
+		case occ.Lit.Neg:
+			return 3*occ.Pred + 1
+		}
+		return 3 * occ.Pred
 	}
-	switch {
-	case !head:
-		pi.Readers = append(pi.Readers, o)
-		return
-	case !pi.IDB():
-		pi.HeadPos = l.SrcPos
+	// One array: the counts, then the lists they size.
+	buf := make([]int32, 3*len(ix.names)+len(ix.occs))
+	counts, arena := buf[:3*len(ix.names)], buf[3*len(ix.names):]
+	for o := range ix.occs {
+		counts[list(o)]++
 	}
-	if l.Neg {
-		pi.Retract = append(pi.Retract, ri)
-	} else {
-		pi.Derive = append(pi.Derive, ri)
+	live := 0
+	for id := range ix.names {
+		if counts[3*id]+counts[3*id+1]+counts[3*id+2] > 0 {
+			live++
+		}
 	}
+	if live < len(ix.names) {
+		ix.compact(counts, live)
+	}
+
+	ix.Preds = make([]PredInfo, live)
+	for id := range ix.Preds {
+		pi, c := &ix.Preds[id], counts[3*id:3*id+3]
+		pi.Name = ix.names[id]
+		for i, l := range [3]*[]int32{&pi.Derive, &pi.Retract, &pi.Readers} {
+			*l, arena = arena[:0:c[i]], arena[c[i]:]
+		}
+	}
+	for o := range ix.occs {
+		occ := &ix.occs[o]
+		pi, k := &ix.Preds[occ.Pred], list(o)
+		switch {
+		case len(pi.Derive)+len(pi.Retract)+len(pi.Readers) == 0:
+			pi.Arity, pi.Pos = occ.Lit.Atom.Arity(), occ.Lit.Atom.SrcPos
+		case pi.Arity != occ.Lit.Atom.Arity():
+			ix.conflicts = append(ix.conflicts, int32(o))
+		}
+		if k%3 < 2 && !pi.IDB() {
+			pi.HeadPos = occ.Lit.SrcPos
+		}
+		switch k % 3 {
+		case 0:
+			pi.Derive = append(pi.Derive, occ.Rule)
+		case 1:
+			pi.Retract = append(pi.Retract, occ.Rule)
+		default:
+			pi.Readers = append(pi.Readers, int32(o))
+		}
+	}
+}
+
+// compact drops the predicates no occurrence mentions and renumbers
+// the rest, in order, with their counts.
+func (ix *Index) compact(counts []int32, live int) {
+	renum, names, ids := make([]int32, len(ix.names)), make([]string, 0, live), make(map[string]int32, live)
+	for id, name := range ix.names {
+		c := counts[3*id : 3*id+3]
+		if c[0]+c[1]+c[2] == 0 {
+			continue
+		}
+		renum[id] = int32(len(names))
+		copy(counts[3*len(names):], c)
+		ids[name] = renum[id]
+		names = append(names, name)
+	}
+	for o := range ix.occs {
+		ix.occs[o].Pred = renum[ix.occs[o].Pred]
+	}
+	ix.ids, ix.names, ix.borrowed = ids, names, false
 }
 
 // ID resolves a predicate name.
@@ -151,9 +300,9 @@ func (ix *Index) Heads(ri int) []Occ { return ix.occs[ix.Rules[ri].start:ix.Rule
 // ∀-literals flattened.
 func (ix *Index) Body(ri int) []Occ { return ix.occs[ix.Rules[ri].mid:ix.Rules[ri].stop] }
 
-// names returns the sorted names of the predicates with the given
-// IDB status.
-func (ix *Index) names(idb bool) []string {
+// sortedNames returns the sorted names of the predicates with the
+// given IDB status.
+func (ix *Index) sortedNames(idb bool) []string {
 	var out []string
 	for i := range ix.Preds {
 		if ix.Preds[i].IDB() == idb {
@@ -166,11 +315,11 @@ func (ix *Index) names(idb bool) []string {
 
 // IDB returns the sorted names of the intensional relations: those
 // occurring in some head atom.
-func (ix *Index) IDB() []string { return ix.names(true) }
+func (ix *Index) IDB() []string { return ix.sortedNames(true) }
 
 // EDB returns the sorted names of the extensional relations: those
 // occurring in bodies only.
-func (ix *Index) EDB() []string { return ix.names(false) }
+func (ix *Index) EDB() []string { return ix.sortedNames(false) }
 
 // ArityDiags reports every arity conflict, each use pointing back at
 // the occurrence that fixed the relation's arity.

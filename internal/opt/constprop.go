@@ -6,7 +6,9 @@
 package opt
 
 import (
-	"fmt"
+	"hash/maphash"
+	"slices"
+	"strconv"
 	"strings"
 
 	"unchained/internal/ast"
@@ -18,24 +20,18 @@ import (
 // drop duplicate body literals. Ground-false literals are *kept* (the
 // dead pass removes the whole rule; keeping the witness makes both
 // passes idempotent and the diagnostics precise).
-func constprop(p *ast.Program, u *value.Universe, res *Result) (*ast.Program, bool) {
-	var out []ast.Rule
-	for ri := range p.Rules {
-		if nr, ch := simplifyRule(&p.Rules[ri], u, res); ch {
-			if out == nil {
-				out = append(out, p.Rules...)
-			}
-			out[ri] = nr
-		}
-	}
-	if out == nil {
-		return p, false
-	}
-	return &ast.Program{Rules: out}, true
+func constprop(ix *ast.Index, u *value.Universe, res *Result) *ast.Index {
+	return rewriteRules(ix, func(ri int) (ast.Rule, bool) { return simplifyRule(&ix.Prog.Rules[ri], u, res) })
 }
 
 // simplifyRule rewrites one rule; the input rule is never mutated.
 func simplifyRule(r *ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) {
+	// Only an equality can be substituted through or folded; without
+	// one, a repeated literal is the only change there can be.
+	if !slices.ContainsFunc(r.Body, func(l ast.Literal) bool { return l.Kind == ast.LitEq }) && !hasRepeat(r.Body) {
+		return ast.Rule{}, false
+	}
+
 	// Variables quantified by a ∀ anywhere in the rule are scoped to
 	// that literal; substituting through them (in either direction)
 	// could capture, so they are excluded from substitutions wholesale.
@@ -76,7 +72,7 @@ func simplifyRule(r *ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) 
 
 	// Rebuild the body: substitute, fold, deduplicate.
 	var body []ast.Literal
-	seen := map[string]bool{}
+	seen := newLitSet(len(r.Body))
 	folded, deduped := 0, 0
 	for _, l := range r.Body {
 		nl := substLiteral(l, subst)
@@ -89,12 +85,10 @@ func simplifyRule(r *ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) 
 				// Trivially false: keep as the dead-rule witness.
 			}
 		}
-		k := litKey(nl)
-		if seen[k] {
+		if seen.seen(body, &nl) {
 			deduped++
 			continue
 		}
-		seen[k] = true
 		body = append(body, nl)
 	}
 
@@ -114,17 +108,113 @@ func simplifyRule(r *ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) 
 	nr := ast.Rule{Head: head, Body: body, SrcPos: r.SrcPos}
 	var parts []string
 	if substituted > 0 {
-		parts = append(parts, fmt.Sprintf("substituted %d variable(s) bound by equalities", substituted))
+		parts = append(parts, "substituted "+strconv.Itoa(substituted)+" variable(s) bound by equalities")
 	}
 	if folded > 0 {
-		parts = append(parts, fmt.Sprintf("folded %d trivially true literal(s)", folded))
+		parts = append(parts, "folded "+strconv.Itoa(folded)+" trivially true literal(s)")
 	}
 	if deduped > 0 {
-		parts = append(parts, fmt.Sprintf("dropped %d duplicate literal(s)", deduped))
+		parts = append(parts, "dropped "+strconv.Itoa(deduped)+" duplicate literal(s)")
 	}
-	res.note("constprop", CodeConstProp, r.SrcPos, "rule for %s simplified: %s", headPred(r), strings.Join(parts, "; "))
+	res.note("constprop", r.SrcPos, "rule for "+headPred(r)+" simplified: "+strings.Join(parts, "; "))
 	return nr, true
 }
+
+// hasRepeat reports whether some literal of body repeats an earlier one.
+func hasRepeat(body []ast.Literal) bool {
+	seen := newLitSet(len(body))
+	for i := range body {
+		if seen.seen(body[:i], &body[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// A litSet finds repeated literals. Bodies have a handful of literals,
+// which a scan compares without allocating; only an outsized body
+// pays for a set, of literal hashes, that a new literal usually
+// misses.
+type litSet map[uint64]bool
+
+func newLitSet(n int) litSet {
+	if n > 16 {
+		return make(litSet, n)
+	}
+	return nil
+}
+
+// seen reports whether l equals one of kept, the literals seen so far.
+func (s litSet) seen(kept []ast.Literal, l *ast.Literal) bool {
+	if s != nil {
+		if h := litHash(l); !s[h] {
+			s[h] = true
+			return false
+		}
+	}
+	for i := range kept {
+		if sameLit(&kept[i], l) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameLit reports whether two literals are the same: equalities in
+// either orientation, ∀-literals by their variables and bodies.
+func sameLit(a, b *ast.Literal) bool {
+	if a.Kind != b.Kind || a.Neg != b.Neg {
+		return false
+	}
+	switch a.Kind {
+	case ast.LitAtom:
+		return a.Atom.Pred == b.Atom.Pred && slices.EqualFunc(a.Atom.Args, b.Atom.Args, sameTerm)
+	case ast.LitEq:
+		return sameTerm(a.Left, b.Left) && sameTerm(a.Right, b.Right) ||
+			sameTerm(a.Left, b.Right) && sameTerm(a.Right, b.Left)
+	case ast.LitForall:
+		return slices.Equal(a.ForallVars, b.ForallVars) &&
+			slices.EqualFunc(a.ForallBody, b.ForallBody, func(x, y ast.Literal) bool { return sameLit(&x, &y) })
+	}
+	return true
+}
+
+var litSeed = maphash.MakeSeed()
+
+// litHash hashes what sameLit compares: equal literals hash equal.
+func litHash(l *ast.Literal) uint64 {
+	h := uint64(l.Kind) << 1
+	if l.Neg {
+		h |= 1
+	}
+	switch l.Kind {
+	case ast.LitAtom:
+		h = mix(h, maphash.String(litSeed, l.Atom.Pred))
+		for _, t := range l.Atom.Args {
+			h = mix(h, termHash(t))
+		}
+	case ast.LitEq:
+		a, b := termHash(l.Left), termHash(l.Right)
+		h = mix(mix(h, min(a, b)), max(a, b))
+	case ast.LitForall:
+		for _, v := range l.ForallVars {
+			h = mix(h, maphash.String(litSeed, v))
+		}
+		for i := range l.ForallBody {
+			h = mix(h, litHash(&l.ForallBody[i]))
+		}
+	}
+	return h
+}
+
+func termHash(t ast.Term) uint64 {
+	if t.IsVar() {
+		return maphash.String(litSeed, t.Var)
+	}
+	return uint64(t.Const)
+}
+
+func mix(h, x uint64) uint64 { return (h ^ x) * 0x100000001b3 }
 
 // resolveTerm chases t through the substitution to its representative.
 // Insert-time resolution keeps the map acyclic, so the chase
@@ -244,67 +334,4 @@ func groundFalseLiteral(r *ast.Rule) (ast.Literal, bool) {
 		}
 	}
 	return ast.Literal{}, false
-}
-
-// litKey renders a literal to a canonical string for duplicate
-// detection and subsumption matching. Equality literals are
-// orientation-normalized.
-func litKey(l ast.Literal) string {
-	var b strings.Builder
-	writeLitKey(&b, l)
-	return b.String()
-}
-
-func writeLitKey(b *strings.Builder, l ast.Literal) {
-	if l.Neg {
-		b.WriteByte('!')
-	}
-	switch l.Kind {
-	case ast.LitAtom:
-		b.WriteString(l.Atom.Pred)
-		b.WriteByte('(')
-		for i, t := range l.Atom.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeTermKey(b, t)
-		}
-		b.WriteByte(')')
-	case ast.LitEq:
-		lk, rk := termKey(l.Left), termKey(l.Right)
-		if rk < lk {
-			lk, rk = rk, lk
-		}
-		b.WriteString(lk)
-		b.WriteByte('=')
-		b.WriteString(rk)
-	case ast.LitBottom:
-		b.WriteString("bottom")
-	case ast.LitForall:
-		b.WriteString("forall ")
-		b.WriteString(strings.Join(l.ForallVars, ","))
-		b.WriteByte('(')
-		for i, inner := range l.ForallBody {
-			if i > 0 {
-				b.WriteByte(';')
-			}
-			writeLitKey(b, inner)
-		}
-		b.WriteByte(')')
-	}
-}
-
-func termKey(t ast.Term) string {
-	var b strings.Builder
-	writeTermKey(&b, t)
-	return b.String()
-}
-
-func writeTermKey(b *strings.Builder, t ast.Term) {
-	if t.IsVar() {
-		b.WriteString("v:")
-		b.WriteString(t.Var)
-	} else {
-		fmt.Fprintf(b, "c:%d", uint32(t.Const))
-	}
 }

@@ -23,35 +23,36 @@ import (
 	"unchained/internal/value"
 )
 
-// dropRules returns p without the rules drop marks (p itself when it
-// marks none).
-func dropRules(p *ast.Program, drop []bool, n int) (*ast.Program, bool) {
+// dropRules returns the index of ix.Prog without the n rules drop
+// marks (ix itself when n is 0), derived from ix.
+func dropRules(ix *ast.Index, drop []bool, n int) *ast.Index {
 	if n == 0 {
-		return p, false
+		return ix
 	}
-	out := make([]ast.Rule, 0, len(p.Rules)-n)
+	p := ix.Prog
+	out, from := make([]ast.Rule, 0, len(p.Rules)-n), make([]int32, 0, len(p.Rules)-n)
 	for ri := range p.Rules {
 		if !drop[ri] {
-			out = append(out, p.Rules[ri])
+			out, from = append(out, p.Rules[ri]), append(from, int32(ri))
 		}
 	}
-	return &ast.Program{Rules: out}, true
+	return ix.Update(&ast.Program{Rules: out}, from)
 }
 
 // deadUnsat removes rules whose body contains a ground-false literal
 // (left behind as a witness by constprop, or written by the user).
-func deadUnsat(p *ast.Program, u *value.Universe, res *Result) (*ast.Program, bool) {
+func deadUnsat(ix *ast.Index, u *value.Universe, res *Result) *ast.Index {
+	p := ix.Prog
 	drop, n := make([]bool, len(p.Rules)), 0
 	for ri := range p.Rules {
 		r := &p.Rules[ri]
 		if lit, ok := groundFalseLiteral(r); ok {
 			drop[ri], n = true, n+1
-			res.note("dead", CodeDeadRule, r.SrcPos,
-				"rule for %s removed: body literal %s can never hold", headPred(r), lit.String(u))
+			res.note("dead", r.SrcPos, "rule for "+headPred(r)+" removed: body literal "+lit.String(u)+" can never hold")
 		}
 	}
 	res.RulesRemoved += n
-	return dropRules(p, drop, n)
+	return dropRules(ix, drop, n)
 }
 
 // deadUnderivable removes rules with a positive body atom on an
@@ -64,16 +65,15 @@ func deadUnsat(p *ast.Program, u *value.Universe, res *Result) (*ast.Program, bo
 //
 // Removals assume the underivable predicates carry no input facts;
 // the assumption set is recorded for the caller's instance check.
-func deadUnderivable(ix *ast.Index, res *Result, assumed map[string]bool) (*ast.Program, bool) {
+func deadUnderivable(ix *ast.Index, res *Result, assumed map[string]bool) *ast.Index {
 	p, under := ix.Prog, ix.Underivable(false)
 	drop, n := make([]bool, len(p.Rules)), 0
 	for ri := range p.Rules {
 		for _, o := range ix.Body(ri) {
 			if !o.Nested && !o.Lit.Neg && under[o.Pred] {
 				drop[ri], n = true, n+1
-				res.note("dead", CodeDeadRule, p.Rules[ri].SrcPos,
-					"rule for %s removed: body reads underivable predicate %s (assuming it has no input facts)",
-					headPred(&p.Rules[ri]), ix.Preds[o.Pred].Name)
+				res.note("dead", p.Rules[ri].SrcPos, "rule for "+headPred(&p.Rules[ri])+
+					" removed: body reads underivable predicate "+ix.Preds[o.Pred].Name+" (assuming it has no input facts)")
 				break
 			}
 		}
@@ -88,13 +88,13 @@ func deadUnderivable(ix *ast.Index, res *Result, assumed map[string]bool) (*ast.
 		}
 	}
 	res.RulesRemoved += n
-	return dropRules(p, drop, n)
+	return dropRules(ix, drop, n)
 }
 
 // deadUnreachable removes rules none of whose head predicates can
 // reach a root. Rules with ⊥ heads are kept (and keep their body
 // predicates reachable): inconsistency is a global observation.
-func deadUnreachable(ix *ast.Index, roots []string, res *Result) (*ast.Program, bool) {
+func deadUnreachable(ix *ast.Index, roots []string, res *Result) *ast.Index {
 	p, reach := ix.Prog, reachableFrom(ix, roots)
 	drop, n := make([]bool, len(p.Rules)), 0
 	for ri := range p.Rules {
@@ -105,10 +105,9 @@ func deadUnreachable(ix *ast.Index, roots []string, res *Result) (*ast.Program, 
 		}
 		if !keep {
 			drop[ri], n = true, n+1
-			res.note("dead", CodeDeadRule, p.Rules[ri].SrcPos,
-				"rule for %s removed: unreachable from output root(s)", headPred(&p.Rules[ri]))
+			res.note("dead", p.Rules[ri].SrcPos, "rule for "+headPred(&p.Rules[ri])+" removed: unreachable from output root(s)")
 		}
 	}
 	res.RulesRemoved += n
-	return dropRules(p, drop, n)
+	return dropRules(ix, drop, n)
 }

@@ -17,11 +17,11 @@
 package opt
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"unchained/internal/ast"
 	"unchained/internal/stratify"
-	"unchained/internal/value"
 )
 
 // Inlining guards: candidates past these sizes are left alone so the
@@ -35,8 +35,13 @@ const (
 // inlineCand is one inlinable predicate.
 type inlineCand struct {
 	pred      string
+	id        int32 // the predicate's index id
 	rule      *ast.Rule
 	callSites int
+
+	// Set by inline for the candidates it expands.
+	vars  []string // rule.Vars()
+	nargs int      // arguments of rule's body atoms
 }
 
 // inlineCandidates finds predicates defined by exactly one
@@ -66,152 +71,195 @@ func inlineCandidates(ix *ast.Index, g *stratify.Graph) []inlineCand {
 				sites++
 			}
 		}
-		cands = append(cands, inlineCand{pred: q.Name, rule: r, callSites: sites})
+		cands = append(cands, inlineCand{pred: q.Name, id: int32(id), rule: r, callSites: sites})
 	}
 	return cands
 }
 
 // inline expands every eligible call site; chains of candidates
 // resolve over successive pipeline iterations.
-func inline(ix *ast.Index, u *value.Universe, res *Result, assumed map[string]bool) (*ast.Program, bool) {
-	cmap := map[string]inlineCand{}
-	for _, c := range inlineCandidates(ix, stratify.NewGraph(ix)) {
+func inline(ix *ast.Index, res *Result, assumed map[string]bool) *ast.Index {
+	cands := inlineCandidates(ix, stratify.NewGraph(ix))
+	var in inliner
+	for i := range cands {
+		c := &cands[i]
 		if c.callSites == 0 || c.callSites > inlineMaxCallSites {
 			continue
 		}
-		cmap[c.pred] = c
-	}
-	p := ix.Prog
-	if len(cmap) == 0 {
-		return p, false
-	}
-
-	var out []ast.Rule
-	for ri := range p.Rules {
-		r := &p.Rules[ri]
-		body, inlined := inlineRule(r, cmap, u, res)
-		if len(inlined) == 0 {
-			continue
+		if in.byPred == nil {
+			in.byPred = make([]*inlineCand, len(ix.Preds))
 		}
-		if out == nil {
-			out = append(out, p.Rules...)
+		c.vars = c.rule.Vars()
+		for _, l := range c.rule.Body {
+			c.nargs += len(l.Atom.Args)
 		}
-		for _, q := range inlined {
-			assumed[q] = true
-		}
-		out[ri].Body = body
+		in.byPred[c.id] = c
 	}
-	if out == nil {
-		return p, false
+	if in.byPred == nil {
+		return ix
 	}
-	return &ast.Program{Rules: out}, true
+	return rewriteRules(ix, func(ri int) (ast.Rule, bool) {
+		body, ok := in.rule(ix, ri, res, assumed)
+		r := ix.Prog.Rules[ri]
+		r.Body = body
+		return r, ok
+	})
 }
 
-// inlineRule expands the candidate call sites of one rule, returning
-// the rewritten body and the predicates inlined (empty when nothing
-// fired or a guard tripped).
-func inlineRule(r *ast.Rule, cmap map[string]inlineCand, u *value.Universe, res *Result) ([]ast.Literal, []string) {
+// An inliner expands call sites, with scratch reused across them.
+type inliner struct {
+	byPred  []*inlineCand // by predicate id: the candidate, nil for the rest
+	calls   []*inlineCand // per body literal of the rule at hand: the candidate it calls
+	body    []ast.Literal // the rule's new body, being built
+	counter int           // the rule's last fresh-name counter value
+	vars    []binding     // per variable of the candidate at hand
+	name    []byte        // a fresh name being tried
+}
+
+// A binding is what an instance puts for a candidate variable.
+type binding struct {
+	fresh int      // the counter value of its fresh name
+	term  ast.Term // the fresh variable or, when bound, a call argument
+	bound bool
+}
+
+// callee returns the candidate a body occurrence calls, if any.
+func (in *inliner) callee(o *ast.Occ) *inlineCand {
+	if c := in.byPred[o.Pred]; c != nil && !o.Nested && !o.Lit.Neg && o.Lit.Atom.Arity() == c.rule.Head[0].Atom.Arity() {
+		return c
+	}
+	return nil
+}
+
+// rule expands the candidate call sites of rule ri, noting each
+// expansion and the predicates it assumes empty, and returns the new
+// body; ok is false when nothing fired or the result would be too
+// long.
+func (in *inliner) rule(ix *ast.Index, ri int, res *Result, assumed map[string]bool) ([]ast.Literal, bool) {
 	// The defining rule never calls its own predicate (candidates are
 	// non-recursive), so it can be processed like any other rule.
-	callee := func(l *ast.Literal) (inlineCand, bool) {
-		if l.Kind != ast.LitAtom || l.Neg {
-			return inlineCand{}, false
-		}
-		c, ok := cmap[l.Atom.Pred]
-		return c, ok && len(l.Atom.Args) == c.rule.Head[0].Atom.Arity()
+	occs := ix.Body(ri)
+	if !slices.ContainsFunc(occs, func(o ast.Occ) bool { return in.callee(&o) != nil }) {
+		return nil, false
 	}
-	hit := false
+	r := &ix.Prog.Rules[ri]
+	in.calls, in.body = in.calls[:0], in.body[:0]
+	used := r.Vars()
+	in.counter = 0
 	for i := range r.Body {
-		if _, ok := callee(&r.Body[i]); ok {
-			hit = true
-			break
+		var c *inlineCand
+		if r.Body[i].Kind == ast.LitAtom {
+			// The top-level atoms are the occurrences not under a ∀.
+			for occs[0].Nested {
+				occs = occs[1:]
+			}
+			c, occs = in.callee(&occs[0]), occs[1:]
+		}
+		in.calls = append(in.calls, c)
+		if c != nil {
+			in.body = in.instantiate(c, &r.Body[i], used, in.body)
+		} else {
+			in.body = append(in.body, r.Body[i])
 		}
 	}
-	if !hit {
-		return nil, nil
+	if len(in.body) > inlineMaxResult {
+		return nil, false
 	}
-
-	used := map[string]bool{}
-	for _, v := range r.Vars() {
-		used[v] = true
-	}
-	counter := 0
-	var body []ast.Literal
-	var inlined []string
-	var sites []ast.Pos
-	for i := range r.Body {
-		l := &r.Body[i]
-		c, ok := callee(l)
-		if !ok {
-			body = append(body, *l)
-			continue
+	for i, c := range in.calls {
+		if c != nil {
+			assumed[c.pred] = true
+			res.note("inline", r.Body[i].SrcPos,
+				"inlined "+c.pred+" into the rule for "+headPred(r)+" (assuming "+c.pred+" has no input facts)")
 		}
-		body = append(body, instantiate(c.rule, l, used, &counter)...)
-		inlined = append(inlined, c.pred)
-		sites = append(sites, l.SrcPos)
 	}
-	if len(body) > inlineMaxResult {
-		return nil, nil
-	}
-	for i, q := range inlined {
-		res.note("inline", CodeInlined, sites[i],
-			"inlined %s into the rule for %s (assuming %s has no input facts)", q, headPred(r), q)
-	}
-	return body, inlined
+	return slices.Clone(in.body), true
 }
 
-// instantiate returns the callee's body with variables freshly
-// renamed and its head unified against the call arguments. Repeated
-// or constant head arguments surface as equality literals; an
-// impossible constant match surfaces as a ground-false equality that
-// the next constprop/dead round turns into rule removal.
-func instantiate(def *ast.Rule, call *ast.Literal, used map[string]bool, counter *int) []ast.Literal {
-	ren := map[string]ast.Term{}
-	renamed := map[string]bool{}
-	for _, v := range def.Vars() {
-		name := ""
+// instantiate appends to out the callee's body with variables freshly
+// renamed and its head unified against the call arguments. A fresh
+// name is the variable's name, "_i" and the rule's next counter value
+// that does not make a name the caller already uses. Repeated or
+// constant head arguments surface as equality literals; an impossible
+// constant match surfaces as a ground-false equality that the next
+// constprop/dead round turns into rule removal.
+func (in *inliner) instantiate(c *inlineCand, call *ast.Literal, used []string, out []ast.Literal) []ast.Literal {
+	in.vars = in.vars[:0]
+	for _, v := range c.vars {
 		for {
-			*counter++
-			name = fmt.Sprintf("%s_i%d", v, *counter)
-			if !used[name] {
+			in.counter++
+			if !in.taken(used, v, in.counter) {
 				break
 			}
 		}
-		used[name] = true
-		renamed[name] = true
-		ren[v] = ast.V(name)
+		in.vars = append(in.vars, binding{fresh: in.counter})
 	}
 
-	sigma := map[string]ast.Term{}
-	var eqs []ast.Literal
-	head := def.Head[0].Atom
-	for k, h := range head.Args {
+	for k, h := range c.rule.Head[0].Atom.Args {
 		t := call.Atom.Args[k]
-		hr := resolveTerm(substTerm(h, ren), sigma)
-		switch {
-		case hr.IsVar() && renamed[hr.Var]:
-			// An unbound callee variable: bind it to the call term.
-			sigma[hr.Var] = t
-		case sameTerm(hr, t):
-			// Already consistent: no constraint.
-		default:
+		if h.IsVar() {
+			b := &in.vars[slices.Index(c.vars, h.Var)]
+			if !b.bound {
+				// An unbound callee variable: bind it to the call term.
+				b.term, b.bound = t, true
+				continue
+			}
+			h = b.term
+		}
+		if !sameTerm(h, t) {
 			// A repeated head variable (now resolved to a caller
 			// term), a constant head argument against a caller
 			// variable (constprop specializes it next round), or a
 			// constant mismatch (a ground-false equality that kills
 			// the caller next round).
-			eqs = append(eqs, eqAt(hr, t, call.SrcPos))
+			out = append(out, eqAt(h, t, call.SrcPos))
+		}
+	}
+	// Only the variables the head left unbound need their names.
+	for k, v := range c.vars {
+		if b := &in.vars[k]; !b.bound {
+			in.taken(nil, v, b.fresh)
+			b.term = ast.V(string(in.name))
 		}
 	}
 
-	out := make([]ast.Literal, 0, len(eqs)+len(def.Body))
-	out = append(out, eqs...)
-	for _, l := range def.Body {
-		nl := substLiteral(substLiteral(l, ren), sigma)
-		nl.SrcPos = call.SrcPos
-		out = append(out, nl)
+	args := make([]ast.Term, 0, c.nargs)
+	for _, l := range c.rule.Body {
+		l.SrcPos = call.SrcPos
+		switch l.Kind {
+		case ast.LitAtom:
+			n := len(args)
+			for _, t := range l.Atom.Args {
+				args = append(args, in.term(c, t))
+			}
+			l.Atom.Args = args[n:len(args):len(args)]
+		case ast.LitEq:
+			l.Left, l.Right = in.term(c, l.Left), in.term(c, l.Right)
+		}
+		out = append(out, l)
 	}
 	return out
+}
+
+// taken spells v's fresh name for counter value n into in.name and
+// reports whether used holds it.
+func (in *inliner) taken(used []string, v string, n int) bool {
+	in.name = strconv.AppendInt(append(append(in.name[:0], v...), "_i"...), int64(n), 10)
+	for _, w := range used {
+		if w == string(in.name) {
+			return true
+		}
+	}
+	return false
+}
+
+// term is a callee term in the instance, at the callee term's position.
+func (in *inliner) term(c *inlineCand, t ast.Term) ast.Term {
+	if !t.IsVar() {
+		return t
+	}
+	r := in.vars[slices.Index(c.vars, t.Var)].term
+	r.SrcPos = t.SrcPos
+	return r
 }
 
 func eqAt(l, r ast.Term, pos ast.Pos) ast.Literal {

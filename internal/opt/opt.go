@@ -34,7 +34,8 @@
 // cardinalities.
 //
 // Every rewrite is recorded as a Rewrite (for -explain narration) and
-// as a positioned, analyze-style diagnostic with a stable O-code.
+// as a positioned, analyze-style diagnostic with a stable O-code: each
+// pass has one code, so the diagnostics are made from the rewrites.
 //
 // # Assumptions and fallback
 //
@@ -149,13 +150,22 @@ type Result struct {
 	Diags ast.Diagnostics
 }
 
-// note records a rewrite and its twin diagnostic.
-func (res *Result) note(pass, code string, pos ast.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
+// note records a rewrite; Optimize derives its twin diagnostic.
+func (res *Result) note(pass string, pos ast.Pos, msg string) {
 	res.Rewrites = append(res.Rewrites, Rewrite{Pass: pass, Pos: pos, Note: msg})
-	res.Diags = append(res.Diags, ast.Diagnostic{
-		Pos: pos, Severity: ast.SevInfo, Code: code, Message: msg,
-	})
+}
+
+// passCode is the diagnostic code of a rewrite pass.
+func passCode(pass string) string {
+	switch pass {
+	case "constprop":
+		return CodeConstProp
+	case "dead":
+		return CodeDeadRule
+	case "subsume":
+		return CodeSubsumed
+	}
+	return CodeInlined
 }
 
 // Optimize runs the rewrite pipeline on p and returns the result. The
@@ -169,41 +179,34 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 	if p == nil || len(p.Rules) == 0 || o.Level <= O0 {
 		return res
 	}
-	cur := p
-	// The rule index every rule-set pass reads. A pass that rewrites
-	// cur drops it, and the next pass that needs one rebuilds it: one
-	// build per iteration once the program is stable.
+	// The rule index every pass reads, of the current program. A pass
+	// that rewrites the program hands back the next one's index,
+	// derived from this one (ast.Index.Update); orig stays the input's.
 	orig := ast.NewIndex(p)
 	ix := orig
-	index := func() *ast.Index {
-		if ix == nil {
-			ix = ast.NewIndex(cur)
-		}
-		return ix
-	}
 	assumed := map[string]bool{} // preds assumed to have no input facts
 
 	changed := false
-	step := func(next *ast.Program, ch bool) {
-		if ch {
-			cur, ix, changed = next, nil, true
+	step := func(next *ast.Index) {
+		if next != ix {
+			ix, changed = next, true
 		}
 	}
 	for i := 0; i < maxPasses; i++ {
 		res.Passes++
 		changed = false
-		step(constprop(cur, u, res))
-		step(deadUnsat(cur, u, res))
+		step(constprop(ix, u, res))
+		step(deadUnsat(ix, u, res))
 		if !o.NoAssume {
-			step(deadUnderivable(index(), res, assumed))
+			step(deadUnderivable(ix, res, assumed))
 		}
-		step(subsume(index(), res))
+		step(subsume(ix, res))
 		if o.Level >= O2 {
 			if !o.NoInline && !o.NoAssume {
-				step(inline(index(), u, res, assumed))
+				step(inline(ix, res, assumed))
 			}
 			if len(o.Roots) > 0 {
-				step(deadUnreachable(index(), o.Roots, res))
+				step(deadUnreachable(ix, o.Roots, res))
 			}
 		}
 		if !changed {
@@ -219,8 +222,8 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 	// semantically observable, so any rewrite sequence that changed it
 	// is discarded wholesale: the original program is returned with a
 	// single diagnostic recording why.
-	if res.Changed && !sameConstSet(p, cur) && domainSensitive(p) {
-		cur, ix = p, orig
+	if res.Changed && !sameConstSet(p, ix.Prog) && domainSensitive(p) {
+		ix = orig
 		res.Changed = false
 		res.Rewrites = nil
 		res.RulesRemoved = 0
@@ -239,7 +242,6 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 	// in which case unreachable predicates are unobservable by
 	// contract. Guard the difference with an emptiness assumption.
 	if res.Changed {
-		final := index()
 		var reach []bool
 		if len(o.Roots) > 0 {
 			reach = reachableFrom(orig, o.Roots)
@@ -249,7 +251,7 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 			if !q.IDB() {
 				continue
 			}
-			if fid, ok := final.ID(q.Name); ok && final.Preds[fid].IDB() {
+			if fid, ok := ix.ID(q.Name); ok && ix.Preds[fid].IDB() {
 				continue
 			}
 			if reach != nil && !reach[id] {
@@ -259,10 +261,42 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 		}
 	}
 
-	res.Program = cur
+	if len(res.Rewrites) > 0 {
+		res.Diags = make(ast.Diagnostics, len(res.Rewrites))
+		for i, rw := range res.Rewrites {
+			res.Diags[i] = ast.Diagnostic{Pos: rw.Pos, Severity: ast.SevInfo, Code: passCode(rw.Pass), Message: rw.Note}
+		}
+	}
+
+	res.Program = ix.Prog
 	res.RequiresEmptyInput = sortedPreds(assumed)
 	res.Diags.Sort()
 	return res
+}
+
+// rewriteRules returns the index of ix.Prog with every rule that
+// rewrite changes replaced, copy-on-write, derived from ix; ix itself
+// when no rule changes.
+func rewriteRules(ix *ast.Index, rewrite func(ri int) (ast.Rule, bool)) *ast.Index {
+	var out []ast.Rule
+	var from []int32 // as ast.Index.Update takes it: -1 marks a replaced rule
+	for ri := range ix.Prog.Rules {
+		r, ok := rewrite(ri)
+		if !ok {
+			continue
+		}
+		if out == nil {
+			out, from = append(out, ix.Prog.Rules...), make([]int32, len(ix.Prog.Rules))
+			for i := range from {
+				from[i] = int32(i)
+			}
+		}
+		out[ri], from[ri] = r, -1
+	}
+	if out == nil {
+		return ix
+	}
+	return ix.Update(&ast.Program{Rules: out}, from)
 }
 
 // reachableFrom marks, by predicate id, the predicates reachable from

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -35,10 +36,28 @@ func TestConstpropSubstitutesAndFolds(t *testing.T) {
 }
 
 func TestConstpropDropsDuplicates(t *testing.T) {
-	res, u := mustOpt(t, "p(X) :- e(X,Y), e(X,Y).\n", &Options{Level: O1})
-	got := render(res.Program, u)
-	if got != "p(X) :- e(X,Y).\n" {
-		t.Fatalf("got %q", got)
+	var long, longDup strings.Builder // past the size at which dedupe hashes
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&long, ", e(X,Y%d)", i)
+	}
+	longDup.WriteString(long.String() + ", e(X,Y7)")
+	for _, c := range []struct{ src, want string }{
+		{"p(X) :- e(X,Y), e(X,Y).", "p(X) :- e(X,Y)."},
+		{"p(X) :- e(X,Y), X != Y, Y != X.", "p(X) :- e(X,Y), X != Y."},
+		{"p(X) :- e(X), forall Y (!f(X,Y)), forall Y (!f(X,Y)).", "p(X) :- e(X), forall Y (!f(X,Y))."},
+		{"p(X) :- e(X), forall Y (!f(X,Y)), forall Z (!f(X,Z)).", ""},
+		{"p(X) :- e(X,Y), !e(X,Y).", ""},
+		{"p(X) :- q(X)" + longDup.String() + ".", "p(X) :- q(X)" + long.String() + "."},
+		{"p(X) :- q(X)" + long.String() + ".", ""},
+	} {
+		res, u := mustOpt(t, c.src+"\n", &Options{Level: O1})
+		want := c.want
+		if want == "" {
+			want = c.src // nothing repeats
+		}
+		if got := render(res.Program, u); got != want+"\n" {
+			t.Errorf("%s: got %q, want %q", c.src, got, want)
+		}
 	}
 }
 
@@ -124,6 +143,15 @@ func TestInlineSingleRulePredicate(t *testing.T) {
 	}
 	if strings.Join(res.RequiresEmptyInput, ",") != "mid" {
 		t.Fatalf("RequiresEmptyInput = %v, want [mid]", res.RequiresEmptyInput)
+	}
+}
+
+func TestInlineFreshNamesAvoidCallerVariables(t *testing.T) {
+	// X's first fresh name, X_i1, is the caller's: X takes X_i2, and Y
+	// the next counter value.
+	res, u := mustOpt(t, "mid(X) :- e(X,Y).\np(X_i1) :- mid(X_i1), f(X_i1).\n", &Options{Level: O2})
+	if got := render(res.Program, u); !strings.Contains(got, "p(X_i1) :- e(X_i1,Y_i3), f(X_i1).") {
+		t.Fatalf("got:\n%s", got)
 	}
 }
 

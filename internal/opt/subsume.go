@@ -42,7 +42,7 @@ func subsumables(ix *ast.Index) []bool {
 // subsume removes every rule subsumed by an earlier-surviving rule.
 // When two rules subsume each other (variants), the one appearing
 // first in the program wins.
-func subsume(ix *ast.Index, res *Result) (*ast.Program, bool) {
+func subsume(ix *ast.Index, res *Result) *ast.Index {
 	p, ok := ix.Prog, subsumables(ix)
 	by := make([]int32, len(p.Rules)) // 1 + the index of the rule that subsumes this one
 	var m matcher
@@ -70,12 +70,12 @@ func subsume(ix *ast.Index, res *Result) (*ast.Program, bool) {
 	for i := range p.Rules {
 		if by[i] != 0 {
 			drop[i] = true
-			res.note("subsume", CodeSubsumed, p.Rules[i].SrcPos,
-				"rule for %s removed: subsumed by the rule at %s", headPred(&p.Rules[i]), p.Rules[by[i]-1].SrcPos)
+			res.note("subsume", p.Rules[i].SrcPos,
+				"rule for "+headPred(&p.Rules[i])+" removed: subsumed by the rule at "+p.Rules[by[i]-1].SrcPos.String())
 		}
 	}
 	res.RulesRemoved += n
-	return dropRules(p, drop, n)
+	return dropRules(ix, drop, n)
 }
 
 // matcher decides θ-subsumption. θ maps r1's variables to r2's terms

@@ -111,18 +111,25 @@ func TestFlightDeadlineExceededSharded(t *testing.T) {
 	if rec.Shards != 4 || rec.Error == "" || rec.Tenant == "" || rec.Engine == "" {
 		t.Fatalf("record incomplete: %+v", rec)
 	}
-	// Wall-time breakdown consistency: queue wait and engine time are
-	// disjoint slices of the request wall, stage wall is measured
-	// inside the engine run, and together queue+eval dominate the wall
-	// (the remainder is parse/fork/serialization).
-	if rec.EvalNS <= 0 || rec.WallNS < rec.EvalNS {
-		t.Fatalf("eval %dns not within wall %dns", rec.EvalNS, rec.WallNS)
+	// Wall-time breakdown consistency: the phases partition the wall
+	// exactly, queue wait and engine time are the phases of that name,
+	// and the engine ran. What is left (decode, resolve, facts,
+	// optimize, format) is bounded by being the other phases; how large
+	// it is next to queue+eval depends on the box, not on the code.
+	ph := rec.Phases
+	if ph.Total() != rec.WallNS {
+		t.Fatalf("phases %+v sum to %dns, want wall %dns", ph, ph.Total(), rec.WallNS)
 	}
-	if rec.QueueNS+rec.EvalNS > rec.WallNS {
-		t.Fatalf("queue %d + eval %d exceeds wall %d", rec.QueueNS, rec.EvalNS, rec.WallNS)
+	if ph.QueueNS != rec.QueueNS || ph.EvalNS != rec.EvalNS {
+		t.Fatalf("queue %d / eval %d, want the phases' %d / %d", rec.QueueNS, rec.EvalNS, ph.QueueNS, ph.EvalNS)
 	}
-	if rec.QueueNS+rec.EvalNS < rec.WallNS/2 {
-		t.Fatalf("queue %d + eval %d unaccountably small vs wall %d", rec.QueueNS, rec.EvalNS, rec.WallNS)
+	for _, ns := range []int64{ph.DecodeNS, ph.ResolveNS, ph.QueueNS, ph.FactsNS, ph.OptimizeNS, ph.EvalNS, ph.FormatNS} {
+		if ns < 0 {
+			t.Fatalf("negative phase in %+v", ph)
+		}
+	}
+	if rec.EvalNS <= 0 {
+		t.Fatalf("eval %dns: the engine did not run", rec.EvalNS)
 	}
 	if rec.StageWallNS <= 0 || rec.StageWallNS > rec.WallNS {
 		t.Fatalf("stage wall %dns not within wall %dns", rec.StageWallNS, rec.WallNS)
