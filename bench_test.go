@@ -751,7 +751,7 @@ func BenchmarkP10_Shards(b *testing.B) {
 }
 
 // BenchmarkP12_Optimizer — experiment P12: the two rewrites that move
-// wall time, unoptimized, at -O1 and at -O2 with Out declared the root
+// wall time, unoptimized and at -O2 with Out declared the root
 // (the rewrite runs once, the evaluation is timed). chain-inline: inlining
 // folds a 12-deep chain of copy predicates over a large edge relation
 // and reachability removes the copies. dead-heavy: reachability deletes
@@ -764,7 +764,7 @@ func BenchmarkP12_Optimizer(b *testing.B) {
 		{"chain-inline", gen.Wide(12, 0), 10_000, 40_000},
 		{"dead-heavy", tcOverE + "Out(X) :- E(X,Y), Sel(Y).\n", 150, 750},
 	} {
-		for _, level := range []OptLevel{OptNone, Opt1, Opt2} {
+		for _, level := range []OptLevel{OptNone, Opt2} {
 			b.Run(fmt.Sprintf("%s/O%d", sh.name, level), func(b *testing.B) {
 				s := NewSession()
 				p := s.MustParse(sh.prog)

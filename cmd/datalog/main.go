@@ -23,9 +23,10 @@
 // diagnostics (see docs/ANALYSIS.md for the code table); -json emits
 // the full report for machine consumers. Error diagnostics exit 1.
 //
-// -O1/-O2 run the analysis-driven rewrite pipeline of internal/opt
-// before evaluation (dead-rule elimination, inlining, constant
-// propagation, subsumption; see docs/OPTIMIZER.md). The
+// -O2 runs the analysis-driven rewrite pipeline of internal/opt
+// before evaluation (dead-rule elimination, inlining where the
+// semantics is stage-independent, constant propagation, subsumption;
+// see docs/OPTIMIZER.md). The
 // rewritten program is provably equivalent for the chosen semantics;
 // when a rewrite depends on an intensional relation having no input
 // facts and the facts file violates that, the CLI falls back to the
@@ -107,15 +108,15 @@ func run(args []string, w, ew io.Writer) (err error) {
 	literalOrder := fs.Bool("literal-order", false, "disable the cardinality planner: join rule bodies in textual literal order")
 	jsonOut := fs.Bool("json", false, "with -lint: emit the full analysis report as JSON")
 	profileOn := fs.Bool("profile", false, "print a one-shot flight-record JSON profile to stderr after evaluation (same schema as the daemon's slow-query log)")
-	optLevel := fs.Int("O", 0, "optimization level 0-2 (-O1/-O2 shorthand accepted): rewrite the program before evaluation; see docs/OPTIMIZER.md")
+	optLevel := fs.Int("O", 0, "optimization level 0 or 2 (-O0/-O2 shorthand accepted): rewrite the program before evaluation; see docs/OPTIMIZER.md")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *programPath == "" {
 		return fmt.Errorf("missing -program")
 	}
-	if *optLevel < 0 || *optLevel > 2 {
-		return fmt.Errorf("-O: level must be 0, 1, or 2")
+	if *optLevel != 0 && *optLevel != 2 {
+		return fmt.Errorf("-O: level must be 0 or 2")
 	}
 
 	ctx := context.Background()
@@ -475,18 +476,18 @@ func runWhile(s *unchained.Session, src, factsPath string, attachOrder bool, opt
 	return nil
 }
 
-// normalizeOptArgs rewrites the conventional -O0/-O1/-O2 spellings to
-// the -O=N form the flag package parses.
+// normalizeOptArgs rewrites the conventional -O<n> spelling (-O2,
+// --O2) to the -O=<n> form the flag package parses, so that every
+// level, valid or not, reaches the -O range check.
 func normalizeOptArgs(args []string) []string {
 	out := make([]string, len(args))
 	for i, a := range args {
-		switch a {
-		case "-O0", "--O0":
-			a = "-O=0"
-		case "-O1", "--O1":
-			a = "-O=1"
-		case "-O2", "--O2":
-			a = "-O=2"
+		n, ok := strings.CutPrefix(a, "-O")
+		if !ok {
+			n, ok = strings.CutPrefix(a, "--O")
+		}
+		if ok && n != "" && n[0] >= '0' && n[0] <= '9' {
+			a = "-O=" + n
 		}
 		out[i] = a
 	}

@@ -374,10 +374,23 @@ func TestCLIQueryMagic(t *testing.T) {
 	// every rule of the goal's relation (Q is underivable, so P is).
 	dead := write(t, dir, "dead.dl", "P(X) :- Q(X).\nQ(X) :- Q(X), E(X).\nR(X) :- E(X).\n")
 	deadFacts := write(t, dir, "dead.facts", `E(a). E(b).`)
-	for _, level := range []string{"-O0", "-O1", "-O2"} {
+	for _, level := range []string{"-O0", "-O2"} {
 		out, err := runCLI(t, "-program", dead, "-facts", deadFacts, "-query", "P(a)", level)
 		if err != nil || out != "% 0 answers (magic-sets evaluation)\n" {
 			t.Fatalf("%s -query P(a): %v\n%s", level, err, out)
+		}
+	}
+}
+
+// TestCLIRejectsOptLevel: -O is 0 or 2; any other level, in either
+// spelling, exits 1 naming the valid ones.
+func TestCLIRejectsOptLevel(t *testing.T) {
+	dir := t.TempDir()
+	prog := write(t, dir, "tc.dl", "T(X,Y) :- G(X,Y).\n")
+	for _, level := range [][]string{{"-O1"}, {"-O=1"}, {"-O", "3"}} {
+		_, err := runCLI(t, append([]string{"-program", prog}, level...)...)
+		if err == nil || err.Error() != "-O: level must be 0 or 2" || exitCode(err) != 1 {
+			t.Errorf("%v: got %v, want exit 1 with \"-O: level must be 0 or 2\"", level, err)
 		}
 	}
 }

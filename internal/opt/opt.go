@@ -1,9 +1,8 @@
 // Package opt implements the static program optimizer: a multi-pass,
 // analysis-driven source-to-source rewrite pipeline over ast.Program.
-// It is the static front half of ROADMAP item 2 (partial evaluation
-// and rule compilation): where internal/analyze only *reports* facts
-// about a program, opt *acts* on them, rewriting rules before any
-// engine runs so that every engine benefits at once.
+// Where internal/analyze only *reports* facts about a program, opt
+// *acts* on them, rewriting rules before any engine runs so that every
+// engine benefits at once.
 //
 // The passes, in pipeline order (see docs/OPTIMIZER.md for the full
 // catalog with preservation proofs):
@@ -65,23 +64,17 @@ import (
 	"unchained/internal/value"
 )
 
-// Level selects how aggressive the pipeline is.
+// Level turns the pipeline off or on.
 type Level int
 
 // The optimization levels, mirroring the CLI's -O flag.
 const (
 	// O0 disables the optimizer entirely.
 	O0 Level = 0
-	// O1 runs the always-safe rewrites: constant propagation and
-	// folding, unsatisfiable- and underivable-rule elimination, and
-	// subsumption.
-	O1 Level = 1
-	// O2 adds inlining (where timing-safe) and reachability-based dead
-	// rule elimination against the output roots.
+	// O2 runs every pass the Options admit: inlining unless NoInline
+	// or NoAssume, reachability elimination when Roots are declared.
 	O2 Level = 2
 )
-
-func (l Level) String() string { return fmt.Sprintf("O%d", int(l)) }
 
 // Diagnostic codes emitted by the passes. They extend the analyzer's
 // code space (E/W/I) with an O-prefixed family so machine consumers
@@ -96,13 +89,13 @@ const (
 
 // Options configures a pipeline run.
 type Options struct {
-	// Level selects the pass set; O0 returns the program unchanged.
+	// Level O0 returns the program unchanged; O2 runs the pipeline.
 	Level Level
 
 	// Roots are the output predicates the caller will read (query
 	// predicate, -answer list). When non-empty, rules that cannot
-	// reach any root are eliminated at O2; the caller thereby
-	// promises not to observe any other predicate.
+	// reach any root are eliminated; the caller thereby promises not
+	// to observe any other predicate.
 	Roots []string
 
 	// NoInline disables the inlining pass. Callers must set it for
@@ -201,13 +194,11 @@ func Optimize(p *ast.Program, u *value.Universe, o *Options) *Result {
 			step(deadUnderivable(ix, res, assumed))
 		}
 		step(subsume(ix, res))
-		if o.Level >= O2 {
-			if !o.NoInline && !o.NoAssume {
-				step(inline(ix, res, assumed))
-			}
-			if len(o.Roots) > 0 {
-				step(deadUnreachable(ix, o.Roots, res))
-			}
+		if !o.NoInline && !o.NoAssume {
+			step(inline(ix, res, assumed))
+		}
+		if len(o.Roots) > 0 {
+			step(deadUnreachable(ix, o.Roots, res))
 		}
 		if !changed {
 			break

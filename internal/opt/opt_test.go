@@ -21,7 +21,7 @@ func mustOpt(t *testing.T, src string, o *Options) (*Result, *value.Universe) {
 func render(p *ast.Program, u *value.Universe) string { return p.String(u) }
 
 func TestConstpropSubstitutesAndFolds(t *testing.T) {
-	res, u := mustOpt(t, "p(X) :- e(X,Y), Y = a.\n", &Options{Level: O1})
+	res, u := mustOpt(t, "p(X) :- e(X,Y), Y = a.\n", &Options{Level: O2, NoInline: true})
 	if !res.Changed {
 		t.Fatalf("expected a rewrite")
 	}
@@ -50,7 +50,7 @@ func TestConstpropDropsDuplicates(t *testing.T) {
 		{"p(X) :- q(X)" + longDup.String() + ".", "p(X) :- q(X)" + long.String() + "."},
 		{"p(X) :- q(X)" + long.String() + ".", ""},
 	} {
-		res, u := mustOpt(t, c.src+"\n", &Options{Level: O1})
+		res, u := mustOpt(t, c.src+"\n", &Options{Level: O2, NoInline: true})
 		want := c.want
 		if want == "" {
 			want = c.src // nothing repeats
@@ -62,7 +62,7 @@ func TestConstpropDropsDuplicates(t *testing.T) {
 }
 
 func TestConstpropVarVar(t *testing.T) {
-	res, u := mustOpt(t, "p(X,Y) :- e(X), f(Y), X = Y.\n", &Options{Level: O1})
+	res, u := mustOpt(t, "p(X,Y) :- e(X), f(Y), X = Y.\n", &Options{Level: O2, NoInline: true})
 	got := render(res.Program, u)
 	// X substituted for Y (or vice versa); both occurrences collapse.
 	if strings.Contains(got, "=") || strings.Count(got, "X")+strings.Count(got, "Y") == 0 {
@@ -71,7 +71,7 @@ func TestConstpropVarVar(t *testing.T) {
 }
 
 func TestDeadUnsatRemoved(t *testing.T) {
-	res, u := mustOpt(t, "p(X) :- e(X), a = b.\nq(X) :- e(X).\n", &Options{Level: O1})
+	res, u := mustOpt(t, "p(X) :- e(X), a = b.\nq(X) :- e(X).\n", &Options{Level: O2, NoInline: true})
 	got := render(res.Program, u)
 	if got != "q(X) :- e(X).\n" {
 		t.Fatalf("got %q", got)
@@ -88,7 +88,7 @@ func TestDeadUnsatRemoved(t *testing.T) {
 
 func TestDeadUnderivable(t *testing.T) {
 	src := "p(X) :- ghost(X), e(X).\nghost(X) :- phantom(X), ghost2(X).\nghost2(X) :- ghost(X).\nphantom(X) :- phantom(X).\nq(X) :- e(X).\n"
-	res, u := mustOpt(t, src, &Options{Level: O1})
+	res, u := mustOpt(t, src, &Options{Level: O2, NoInline: true})
 	got := render(res.Program, u)
 	if got != "q(X) :- e(X).\n" {
 		t.Fatalf("got %q", got)
@@ -101,7 +101,7 @@ func TestDeadUnderivable(t *testing.T) {
 
 func TestDeadUnderivableNoAssume(t *testing.T) {
 	src := "p(X) :- ghost(X).\nghost(X) :- ghost(X).\n"
-	res, _ := mustOpt(t, src, &Options{Level: O1, NoAssume: true})
+	res, _ := mustOpt(t, src, &Options{Level: O2, NoAssume: true})
 	if res.Changed {
 		t.Fatalf("NoAssume must disable underivable elimination: %v", res.Rewrites)
 	}
@@ -111,7 +111,7 @@ func TestSubsumeDuplicateAndInstance(t *testing.T) {
 	// Rule 2 is an exact variant of rule 1; rule 3 is an instance
 	// (strictly less general). Both are subsumed by rule 1.
 	src := "p(X,Y) :- e(X,Y).\np(A,B) :- e(A,B).\np(X,a) :- e(X,a), f(X).\nq(X) :- e(X,X).\n"
-	res, u := mustOpt(t, src, &Options{Level: O1})
+	res, u := mustOpt(t, src, &Options{Level: O2, NoInline: true})
 	got := render(res.Program, u)
 	want := "p(X,Y) :- e(X,Y).\nq(X) :- e(X,X).\n"
 	if got != want {
@@ -124,7 +124,7 @@ func TestSubsumeDuplicateAndInstance(t *testing.T) {
 
 func TestSubsumeRespectsNegation(t *testing.T) {
 	src := "p(X) :- e(X), !f(X).\np(X) :- e(X), f(X).\n"
-	res, _ := mustOpt(t, src, &Options{Level: O1})
+	res, _ := mustOpt(t, src, &Options{Level: O2, NoInline: true})
 	if res.Changed {
 		t.Fatalf("opposite polarities must not subsume: %v", res.Rewrites)
 	}
@@ -241,7 +241,7 @@ func TestInventRuleNotSubstituted(t *testing.T) {
 	// N is head-only (invented): the body valuation layout keys fresh
 	// value allocation, so the X = a binding must stay untouched.
 	src := "succ(X,N) :- num(X), X = a.\n"
-	res, u := mustOpt(t, src, &Options{Level: O1})
+	res, u := mustOpt(t, src, &Options{Level: O2, NoInline: true})
 	got := render(res.Program, u)
 	if !strings.Contains(got, "=") {
 		t.Fatalf("invent rule was substituted:\n%s", got)
@@ -269,7 +269,7 @@ func TestOpportunities(t *testing.T) {
 }
 
 func TestDiagnosticsSortedAndCoded(t *testing.T) {
-	res, _ := mustOpt(t, "dead(X) :- e(X), a = b.\np(X) :- e(X), X = c.\n", &Options{Level: O1})
+	res, _ := mustOpt(t, "dead(X) :- e(X), a = b.\np(X) :- e(X), X = c.\n", &Options{Level: O2, NoInline: true})
 	if len(res.Diags) == 0 {
 		t.Fatalf("no diagnostics emitted")
 	}
@@ -290,7 +290,7 @@ func TestDomainGuardSuppressesConstantDroppingRewrites(t *testing.T) {
 	src := "p(X) :- e(X).\n" +
 		"p(X) :- e(X), e(c).\n" + // subsumed by rule 1; removal would drop constant c
 		"d(X) :- !q(X).\n" // X enumerates adom — constant set is observable
-	res, u := mustOpt(t, src, &Options{Level: O1})
+	res, u := mustOpt(t, src, &Options{Level: O2, NoInline: true})
 	if res.Changed {
 		t.Fatalf("rewrites not discarded; got %q", render(res.Program, u))
 	}
@@ -314,7 +314,7 @@ func TestDomainGuardSuppressesConstantDroppingRewrites(t *testing.T) {
 func TestDomainGuardAllowsConstantPreservingRewrites(t *testing.T) {
 	src := "p(X) :- e(X), e(X).\n" + // duplicate literal, no constants involved
 		"d(X) :- !q(X).\n"
-	res, u := mustOpt(t, src, &Options{Level: O1})
+	res, u := mustOpt(t, src, &Options{Level: O2, NoInline: true})
 	if !res.Changed {
 		t.Fatalf("constant-preserving rewrite suppressed: %q", render(res.Program, u))
 	}

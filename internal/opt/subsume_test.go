@@ -16,7 +16,7 @@ import (
 
 // subsumedBoth returns the positions of the rules the analyzer's
 // Opportunities flags as subsumed (I006) and of the rules the
-// optimizer's subsume pass removes at -O1 without assumptions.
+// optimizer's subsume pass removes without assumptions.
 func subsumedBoth(t *testing.T, src string) (flagged, removed []string) {
 	t.Helper()
 	u := value.New()
@@ -30,7 +30,7 @@ func subsumedBoth(t *testing.T, src string) (flagged, removed []string) {
 			flagged = append(flagged, d.Pos.String())
 		}
 	}
-	for _, rw := range Optimize(p, u, &Options{Level: O1, NoAssume: true}).Rewrites {
+	for _, rw := range Optimize(p, u, &Options{Level: O2, NoAssume: true}).Rewrites {
 		if rw.Pass == "subsume" {
 			removed = append(removed, rw.Pos.String())
 		}

@@ -31,12 +31,12 @@ type cacheEntry struct {
 	rep     *unchained.AnalysisReport
 
 	// Optimized variants of the program, computed once on first demand
-	// and shared by every subsequent request at the same level (the
+	// and shared by every subsequent request that optimizes (the
 	// optimizer is deterministic, so the variant is as immutable as the
-	// parse). The daemon declares no output roots, so what level 2 adds
-	// to level 1 is inlining, and two variants cover the request space:
-	// with it, and without (level 1, and level 2 for a request whose
-	// semantics or stage bound is timing-sensitive).
+	// parse). The daemon declares no output roots, so two variants
+	// cover the request space: with inlining, and without it (for a
+	// request whose semantics or stage bound is timing-sensitive, see
+	// unchained.OptInlineSafe).
 	optInline   optVariant
 	optNoInline optVariant
 }
@@ -48,17 +48,13 @@ type optVariant struct {
 	res  *unchained.OptimizeResult
 }
 
-// optimized returns the memoized rewrite of the entry's program at
-// the given level, or nil when the optimizer has nothing to offer.
+// optimized returns the memoized rewrite of the entry's program, with
+// or without inlining, or nil when the optimizer has nothing to offer.
 // onCompute fires exactly once per variant, when it is first computed
 // (for the server's rewrite counters). Callers must still verify the
 // result's emptiness assumptions against the request's facts via
 // unchained.OptAssumptionsHold before substituting the program.
-func (e *cacheEntry) optimized(level int, noInline bool, onCompute func(*unchained.OptimizeResult)) *unchained.OptimizeResult {
-	if level <= 0 || level > 2 {
-		return nil
-	}
-	noInline = noInline || level == 1
+func (e *cacheEntry) optimized(noInline bool, onCompute func(*unchained.OptimizeResult)) *unchained.OptimizeResult {
 	v := &e.optInline
 	if noInline {
 		v = &e.optNoInline

@@ -389,13 +389,13 @@ type Envelope struct {
 	Shards int `json:"shards,omitempty"`
 	// Stats requests the evaluation statistics summary.
 	Stats bool `json:"stats,omitempty"`
-	// Optimize selects the static-rewrite level (0-2, the CLI's -O; see
-	// docs/OPTIMIZER.md). The rewritten program is memoized on the
-	// program's parse-cache entry, so repeated requests pay nothing.
-	// When a rewrite assumed an intensional relation carries no input
-	// facts and the request's facts violate that, the daemon falls back
-	// to the program as written. Out of range is rejected with code
-	// "invalid_options".
+	// Optimize turns the static rewrites on (2, the CLI's -O2; see
+	// docs/OPTIMIZER.md) or off (0). The rewritten program is memoized
+	// on the program's parse-cache entry, so repeated requests pay
+	// nothing. When a rewrite assumed an intensional relation carries
+	// no input facts and the request's facts violate that, the daemon
+	// falls back to the program as written. Any other value is rejected
+	// with code "invalid_options".
 	Optimize int `json:"optimize,omitempty"`
 }
 
@@ -468,12 +468,6 @@ func (s *Server) parallelFor(env Envelope) (unchained.Parallel, *ErrorInfo) {
 		info.Details = map[string]any{"shards": env.Shards}
 		return unchained.Parallel{}, info
 	}
-	if env.Optimize < 0 || env.Optimize > 2 {
-		info := errInfo(CodeInvalidOptions,
-			fmt.Sprintf("optimize (%d) must be between 0 and 2", env.Optimize))
-		info.Details = map[string]any{"optimize": env.Optimize}
-		return unchained.Parallel{}, info
-	}
 	shards := env.Shards
 	if shards == 0 {
 		shards = defaultShards
@@ -503,11 +497,16 @@ func (s *Server) countSemantics(name string) {
 }
 
 // resolveProgram is the resolve step of the endpoints that evaluate a
-// program: the envelope's parallelism and timeout, and the parse-cache
-// entry whose digest is the tenant.
+// program: the envelope's parallelism, optimizer switch and timeout,
+// and the parse-cache entry whose digest is the tenant.
 func (s *Server) resolveProgram(c *call, env *Envelope, semantics string) *ErrorInfo {
 	par, fail := s.parallelFor(*env)
 	if fail != nil {
+		return fail
+	}
+	if env.Optimize != 0 && env.Optimize != 2 {
+		fail = errInfo(CodeInvalidOptions, fmt.Sprintf("optimize (%d) must be 0 or 2", env.Optimize))
+		fail.Details = map[string]any{"optimize": env.Optimize}
 		return fail
 	}
 	entry, err := s.cache.get(env.Program)
@@ -523,7 +522,10 @@ func (s *Server) resolveProgram(c *call, env *Envelope, semantics string) *Error
 // its emptiness assumptions hold against this request's facts, and
 // falls back to the program as written otherwise (or at level 0).
 func (s *Server) variant(c *call, level int, noInline bool, in *unchained.Instance) *unchained.Program {
-	if ores := c.entry.optimized(level, noInline, s.countOpt); ores != nil && unchained.OptAssumptionsHold(ores, in) {
+	if level == 0 {
+		return c.entry.prog
+	}
+	if ores := c.entry.optimized(noInline, s.countOpt); ores != nil && unchained.OptAssumptionsHold(ores, in) {
 		return ores.Program
 	}
 	return c.entry.prog
@@ -580,7 +582,7 @@ func (q *evalRequest) run(s *Server, c *call) *ErrorInfo {
 			return evalFailure(err)
 		}
 	}
-	prog := s.variant(c, q.Optimize, q.MaxStages > 0 || !unchained.OptInlineSafe(sem), in)
+	prog := s.variant(c, q.Optimize, !unchained.OptInlineSafe(sem, q.MaxStages), in)
 
 	s.engineStart(c)
 	res, err := sess.EvalContext(c.ctx, prog, in, sem, opts...)

@@ -154,11 +154,11 @@ func TestQueryEndpoint(t *testing.T) {
 }
 
 // TestQueryOptimizeNeverTurnsAnAnswerIntoAnError: Q is underivable, so
-// at optimize 1 and 2 the goal's relation has no rule left; the answer
-// stays empty.
+// at optimize 2 the goal's relation has no rule left; the answer stays
+// empty.
 func TestQueryOptimizeNeverTurnsAnAnswerIntoAnError(t *testing.T) {
 	ts := newTestServer(t)
-	for level := 0; level <= 2; level++ {
+	for _, level := range []int{0, 2} {
 		resp, body := post(t, ts.URL+"/v1/query", QueryRequest{
 			Envelope: Envelope{Program: "P(X) :- Q(X).\nQ(X) :- Q(X), E(X).\nR(X) :- E(X).\n", Facts: `E(a). E(b).`, Optimize: level},
 			Query:    `P(a)`,
@@ -285,14 +285,22 @@ func TestEvalOptimize(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsBadLevel: optimize is 0 or 2; anything else is
+// invalid_options, on /v1/eval and /v1/query alike.
 func TestOptimizeRejectsBadLevel(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Optimize: 3}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), CodeInvalidOptions) {
-		t.Fatalf("want %s: %s", CodeInvalidOptions, body)
+	for _, level := range []int{-1, 1, 3} {
+		env := Envelope{Program: tcProgram, Optimize: level}
+		for path, req := range map[string]any{
+			"/v1/eval":  EvalRequest{Envelope: env},
+			"/v1/query": QueryRequest{Envelope: env, Query: "T(a,Y)"},
+		} {
+			resp, body := post(t, ts.URL+path, req)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), CodeInvalidOptions) ||
+				!strings.Contains(string(body), "must be 0 or 2") {
+				t.Errorf("%s optimize %d: status %d: %s", path, level, resp.StatusCode, body)
+			}
+		}
 	}
 }
 

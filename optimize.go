@@ -27,11 +27,10 @@ type (
 const (
 	// OptNone disables the optimizer.
 	OptNone = opt.O0
-	// Opt1 runs the always-safe rewrites: constant propagation and
-	// folding, dead-rule elimination, subsumption.
-	Opt1 = opt.O1
-	// Opt2 adds inlining (where timing-safe) and reachability
-	// elimination against declared roots.
+	// Opt2 runs every rewrite the semantics, the stage bound and the
+	// roots admit: constant propagation and folding, dead-rule
+	// elimination, subsumption, inlining where OptInlineSafe, and
+	// reachability elimination against declared roots.
 	Opt2 = opt.O2
 )
 
@@ -46,16 +45,21 @@ const (
 // their computation trees key on concrete rule indices.
 func WithOptimize(l OptLevel) Opt { return func(cfg *evalConfig) { cfg.optimize = l } }
 
-// OptInlineSafe reports whether a semantics' result is independent of
-// the stage at which facts first appear, which is when inlining
-// preserves it. Inlining makes facts appear earlier; for these
-// semantics the fixpoint is unchanged, while inflationary /
-// noninflationary / invent programs can observe the shift (a negation
-// evaluated at stage n sees different intermediate states).
-// OptimizeFor applies the gate itself; it is exported for callers that
-// memoize optimized programs (the daemon's parse cache) and must pick
-// the variant up front.
-func OptInlineSafe(sem Semantics) bool {
+// OptInlineSafe reports whether inlining preserves the result of an
+// evaluation under sem with the stage bound maxStages (0 for none).
+// Inlining makes facts appear at earlier stages. The result of a
+// stage-independent semantics (minimal model, stratified,
+// well-founded, semi-positive) does not depend on that, unless a stage
+// bound cuts the run short; inflationary / noninflationary / invent
+// programs can observe the shift (a negation evaluated at stage n sees
+// different intermediate states). OptimizeFor and WithOptimize apply
+// this gate themselves; it is exported for callers that memoize
+// optimized programs (the daemon's parse cache) and must pick the
+// variant up front.
+func OptInlineSafe(sem Semantics, maxStages int) bool {
+	if maxStages > 0 {
+		return false
+	}
 	switch sem {
 	case MinimalModel, Stratified, WellFounded, SemiPositive:
 		return true
@@ -68,8 +72,8 @@ func OptInlineSafe(sem Semantics) bool {
 // semantics requires it, whatever o says; o may be nil for defaults
 // (level Opt2). The caller remains responsible for checking
 // Result.RequiresEmptyInput against the instance it will evaluate —
-// OptAssumptionsHold does that — and for disabling inlining when it
-// will evaluate under a stage bound.
+// OptAssumptionsHold does that — and for setting NoInline when it
+// will evaluate under a stage bound (!OptInlineSafe(sem, maxStages)).
 func (s *Session) OptimizeFor(p *Program, sem Semantics, o *OptOptions) *OptimizeResult {
 	var oo OptOptions
 	if o != nil {
@@ -77,7 +81,7 @@ func (s *Session) OptimizeFor(p *Program, sem Semantics, o *OptOptions) *Optimiz
 	} else {
 		oo.Level = Opt2
 	}
-	if !OptInlineSafe(sem) {
+	if !OptInlineSafe(sem, 0) {
 		oo.NoInline = true
 	}
 	return opt.Optimize(p, s.U, &oo)
@@ -116,10 +120,7 @@ func (s *Session) optimizeEval(p *Program, in *Instance, sem Semantics, cfg *eva
 	if cfg.optimize <= OptNone || p == nil {
 		return p
 	}
-	o := &OptOptions{Level: cfg.optimize, Roots: cfg.optRoots}
-	if cfg.opt.MaxStages > 0 {
-		o.NoInline = true
-	}
+	o := &OptOptions{Level: cfg.optimize, Roots: cfg.optRoots, NoInline: !OptInlineSafe(sem, cfg.opt.MaxStages)}
 	res := s.OptimizeFor(p, sem, o)
 	if !res.Changed || !OptAssumptionsHold(res, in) {
 		return p

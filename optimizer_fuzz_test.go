@@ -13,9 +13,10 @@ import (
 
 // FuzzOptimize is the differential fuzz target for the static
 // optimizer: for any parseable program, Optimize must not panic, must
-// not mutate the input program, and evaluating the -O2 rewrite under
-// a timing-safe engine must produce the same facts as the original —
-// over a small synthetic instance covering the program's EDB schema.
+// not mutate the input program, and evaluating either -O2 rewrite the
+// daemon memoizes (with inlining and without) under a timing-safe
+// engine must produce the same facts as the original — over a small
+// synthetic instance covering the program's EDB schema.
 // Programs the baseline engine rejects are skipped (optimization may
 // widen the accepted dialect; see docs/OPTIMIZER.md).
 func FuzzOptimize(f *testing.F) {
@@ -72,12 +73,16 @@ func FuzzOptimize(f *testing.F) {
 			t.Fatalf("generated facts failed to parse: %v\n%s", err, facts.String())
 		}
 
-		res := s.OptimizeFor(p, unchained.Stratified, &unchained.OptOptions{Level: unchained.Opt2})
-		if res == nil {
-			t.Fatal("OptimizeFor returned nil result")
-		}
-		if after := p.String(s.U); after != before {
-			t.Fatalf("Optimize mutated the input program:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+		variants := map[string]*unchained.OptimizeResult{}
+		for _, noInline := range []bool{false, true} {
+			res := s.OptimizeFor(p, unchained.Stratified, &unchained.OptOptions{Level: unchained.Opt2, NoInline: noInline})
+			if res == nil {
+				t.Fatal("OptimizeFor returned nil result")
+			}
+			if after := p.String(s.U); after != before {
+				t.Fatalf("Optimize mutated the input program:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+			}
+			variants[fmt.Sprintf("-O2 NoInline=%v", noInline)] = res
 		}
 
 		eval := func(prog *unchained.Program, budget time.Duration) (string, bool) {
@@ -96,13 +101,15 @@ func FuzzOptimize(f *testing.F) {
 		if failed {
 			return
 		}
-		optimized := p
-		if res.Changed && unchained.OptAssumptionsHold(res, in) {
-			optimized = res.Program
-		}
-		if got, _ := eval(optimized, 10*time.Second); got != base {
-			t.Fatalf("optimized output diverges from baseline:\nprogram:\n%s\nfacts:\n%s\n--- -O2 ---\n%s\n--- -O0 ---\n%s",
-				src, facts.String(), got, base)
+		for name, res := range variants {
+			optimized := p
+			if res.Changed && unchained.OptAssumptionsHold(res, in) {
+				optimized = res.Program
+			}
+			if got, _ := eval(optimized, 10*time.Second); got != base {
+				t.Fatalf("optimized output diverges from baseline:\nprogram:\n%s\nfacts:\n%s\n--- %s ---\n%s\n--- -O0 ---\n%s",
+					src, facts.String(), name, got, base)
+			}
 		}
 	})
 }

@@ -26,10 +26,12 @@ const digestOver = 4096
 
 // TestOptimizeResultGolden pins the whole opt.Optimize result — the
 // rewritten program, every Rewrite, the sorted diagnostics, the
-// emptiness assumptions, the pass count and the rules removed — at O1
-// and O2, with no root and with each head predicate as the root, over
-// the shipped corpus, the two gen.Wide shapes and fixed-seed gen.Program
-// programs of every dialect. A rooted result longer than digestOver is
+// emptiness assumptions, the pass count and the rules removed — in the
+// configurations callers run: O2 with and without inlining, each with
+// no root and with each head predicate as the root, and O2 without
+// assumptions and roots (a maintained view), over the shipped corpus,
+// the two gen.Wide shapes and fixed-seed gen.Program programs of every
+// dialect. A rooted result longer than digestOver is
 // recorded as its summary line and a hash of the rest. The optimizer's
 // rewrites are specified by these bytes: a change to how it computes
 // them must leave them alone. Run with -update to rewrite
@@ -66,13 +68,25 @@ func TestOptimizeResultGolden(t *testing.T) {
 			for i, p := range src.progs(s) {
 				seen := map[string]string{} // rendered result → the first header that rendered it
 				fmt.Fprintf(&b, "#### program %d\n%s", i, p.String(s.U))
-				for _, level := range []opt.Level{opt.O1, opt.O2} {
-					for _, root := range append([]string{""}, p.IDB()...) {
-						o := &opt.Options{Level: level}
-						head := fmt.Sprintf("== %s no root", level)
+				for _, cfg := range []struct {
+					name               string
+					noInline, noAssume bool
+					rooted             bool
+				}{
+					{"O2", false, false, true},
+					{"O2 noinline", true, false, true},
+					{"O2 noassume", false, true, false},
+				} {
+					roots := []string{""}
+					if cfg.rooted {
+						roots = append(roots, p.IDB()...)
+					}
+					for _, root := range roots {
+						o := &opt.Options{Level: opt.O2, NoInline: cfg.noInline, NoAssume: cfg.noAssume}
+						head := "== " + cfg.name + " no root"
 						if root != "" {
 							o.Roots = []string{root}
-							head = fmt.Sprintf("== %s root %s", level, root)
+							head = "== " + cfg.name + " root " + root
 						}
 						body := renderOptimizeResult(s, opt.Optimize(p, s.U, o))
 						if root != "" && len(body) > digestOver {

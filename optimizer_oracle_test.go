@@ -87,9 +87,10 @@ func TestOptimizerRootsMatchUnoptimizedOracle(t *testing.T) {
 // so any rewrite legitimately changes which computation a fixed seed
 // selects. What optimization must preserve is the exhaustive
 // semantics eff(P): the set of terminal states (and hence the
-// possible/certain facts). Only the always-safe Opt1 rewrites are
-// applied — subsumption removal preserves terminal-state sets because
-// any firing of a removed rule is replicable by its subsumer.
+// possible/certain facts). The rewrites are gated as for
+// Inflationary, so nothing is inlined — subsumption removal preserves
+// terminal-state sets because any firing of a removed rule is
+// replicable by its subsumer.
 func TestOptimizerMatchesEffects(t *testing.T) {
 	ran := 0
 	for _, c := range programs.Cases {
