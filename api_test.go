@@ -3,6 +3,7 @@ package unchained_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -119,6 +120,55 @@ func TestEvalContextDeadline(t *testing.T) {
 	}
 	if res == nil || res.Stages == 0 || res.Stats == nil || res.Stats.Stages == 0 {
 		t.Fatalf("partial progress missing: %+v", res)
+	}
+}
+
+// TestEvalContextDeadlineInsideAStage bounds evaluations whose first
+// stage, or first round after it, is a single join of 110^5 valuations
+// (hours of work) by a 200 ms deadline: the matcher's poll stops the
+// stage within 256 firings of the deadline, under every engine on the
+// semi-naive kernel and Datalog¬¬, serial and sharded. The stopped stage
+// is not counted, and its facts are not applied.
+func TestEvalContextDeadlineInsideAStage(t *testing.T) {
+	var facts strings.Builder
+	for i := 0; i < 110; i++ {
+		fmt.Fprintf(&facts, "N(c%d). ", i)
+	}
+	facts.WriteString("S(c0).")
+	for _, c := range []struct {
+		program string
+		sem     unchained.Semantics
+		shards  int
+		stages  int // stages completed before the deadline
+	}{
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.MinimalModel, 1, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.Stratified, 1, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.WellFounded, 1, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.Inflationary, 1, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.NonInflationary, 1, 0},
+		// Round two, the delta of T, is the heavy one, and it is sharded.
+		{"T(X) :- S(X).\nP(A) :- T(A), N(B), N(C), N(D), N(E).", unchained.MinimalModel, 2, 1},
+	} {
+		s := unchained.NewSession()
+		p, in := s.MustParse(c.program), s.MustFacts(facts.String())
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		start := time.Now()
+		res, err := s.EvalContext(ctx, p, in, c.sem, unchained.WithParallel(unchained.Parallel{Shards: c.shards}))
+		elapsed := time.Since(start)
+		cancel()
+		name := fmt.Sprintf("%v, %d shards", c.sem, c.shards)
+		if !errors.Is(err, unchained.ErrDeadline) {
+			t.Fatalf("%s: want ErrDeadline, got %v", name, err)
+		}
+		if elapsed > 20*time.Second {
+			t.Fatalf("%s: the deadline stopped the stage after %v", name, elapsed)
+		}
+		if want := fmt.Sprintf("after %d stages", c.stages); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q, want %q", name, err, want)
+		}
+		if res == nil || res.Out.Relation("P") != nil && res.Out.Relation("P").Len() > 0 {
+			t.Fatalf("%s: the stopped stage was applied: %+v", name, res)
+		}
 	}
 }
 

@@ -129,7 +129,7 @@ func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt
 		return nil, err
 	}
 	k := engine.SemiNaive{Rules: rules, Forward: true, Limit: opt.StageLimit(1 << 30), LimitErr: stageLimitErr}
-	stages, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in), nil, nil)
+	stages, err := k.Run(opt, out, eval.DomainFor(rules, p, u, in), nil, nil)
 	return engine.Finish(out, stages, col, err)
 }
 
@@ -152,10 +152,16 @@ func EvalNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, 
 	if err != nil {
 		return nil, err
 	}
-	s := newNonInflationary(rules, opt.EvalCtx(col, cur, eval.ActiveDomain(u, p.Constants(), in)), opt.Conflict(), u)
+	s := newNonInflationary(rules, opt.EvalCtx(col, cur, eval.DomainFor(rules, p, u, in)), opt.Conflict(), u)
+	s.ctx.Done = opt.Context().Done()
 	cycle := engine.NewCycle(cur)
-	stages, err := opt.Loop(col, opt.StageLimit(1<<20), stageLimitErr, func(int) (engine.Outcome, error) {
-		applied, err := s.stage()
+	stages, err := opt.Loop(col, opt.StageLimit(1<<20), stageLimitErr, func(n int) (engine.Outcome, error) {
+		s.ctx.NewStage()
+		s.fire()
+		if err := opt.Cut(s.ctx, n); err != nil {
+			return engine.Outcome{}, err // a stage the context stopped is not applied
+		}
+		applied, err := s.apply()
 		switch {
 		case err != nil:
 			return engine.Outcome{}, err
@@ -201,33 +207,46 @@ func newNonInflationary(rules []*eval.Rule, ctx *eval.Ctx, policy ConflictPolicy
 		}
 	}
 	s.posNames, s.negNames = s.pos.Names(), s.neg.Names()
+	// The relations of the last fact's predicate on each side: a rule
+	// emits runs of facts for one head, and a stage only clears them.
+	var posPred, negPred string
+	var posRel, negRel *tuple.Relation
 	s.emit = func(f eval.Fact) bool {
 		if f.Neg {
-			return s.neg.Insert(f.Pred, f.Tuple)
+			if f.Pred != negPred {
+				negPred, negRel = f.Pred, s.neg.Relation(f.Pred)
+			}
+			return negRel.Insert(f.Tuple)
 		}
-		return s.pos.Insert(f.Pred, f.Tuple)
+		if f.Pred != posPred {
+			posPred, posRel = f.Pred, s.pos.Relation(f.Pred)
+		}
+		return posRel.Insert(f.Tuple)
 	}
 	return s
 }
 
-// stage computes one parallel firing of all rules on the instance of
-// the context and applies it there, returning the number of changes
-// (retractions + insertions) applied: 0 when the instance is a
-// fixpoint. It returns
-// ErrInconsistent (wrapped, naming the fact) when the policy is
-// Inconsistent and a conflict arises; the instance is then left
-// partly applied.
-func (s *nonInflationary) stage() (int, error) {
-	pos, neg, cur, col := s.pos, s.neg, s.ctx.In, s.ctx.Stats
+// fire computes one parallel firing of all rules on the instance of
+// the context into pos and neg.
+func (s *nonInflationary) fire() {
 	for _, name := range s.posNames {
-		pos.Relation(name).Clear()
+		s.pos.Relation(name).Clear()
 	}
 	for _, name := range s.negNames {
-		neg.Relation(name).Clear()
+		s.neg.Relation(name).Clear()
 	}
 	for ri, cr := range s.rules {
 		cr.Fire(s.ctx, ri, nil, s.emit)
 	}
+}
+
+// apply applies the firing to the instance of the context, returning
+// the number of changes (retractions + insertions) applied: 0 when the
+// instance is a fixpoint. It returns ErrInconsistent (wrapped, naming
+// the fact) when the policy is Inconsistent and a conflict arises; the
+// instance is then left partly applied.
+func (s *nonInflationary) apply() (int, error) {
+	pos, neg, cur, col := s.pos, s.neg, s.ctx.In, s.ctx.Stats
 	applied := 0
 	var conflictErr error
 	// Deletions first, then insertions, applying the policy to the
@@ -361,14 +380,18 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 	// serves the whole run.
 	adomc := eval.NewAdomCache(u, p.Constants(), true)
 	ctx := opt.EvalCtx(col, out, nil)
-	ctx.Buf = new(eval.Scratch)
-	stages, err := opt.Loop(col, opt.StageLimit(4096), stageLimitErr, func(int) (engine.Outcome, error) {
+	ctx.Buf, ctx.Done = new(eval.Scratch), opt.Context().Done()
+	stages, err := opt.Loop(col, opt.StageLimit(4096), stageLimitErr, func(stage int) (engine.Outcome, error) {
 		ctx.Adom = adomc.Domain(out)
+		ctx.NewStage()
 		// Skolemization re-uses an instantiation's invented values, so a
 		// re-fired instantiation emits facts that are already present.
 		st := eval.NewStaging(out)
 		for ri, cr := range rules {
 			cr.Fire(ctx, ri, heads[ri], st.Emit)
+		}
+		if err := opt.Cut(ctx, stage); err != nil {
+			return engine.Outcome{}, err
 		}
 		if n := st.Fold(); n > 0 {
 			return engine.Outcome{Delta: n, State: out}, nil

@@ -115,7 +115,7 @@ func EvalInflationaryProv(p *ast.Program, in *tuple.Instance, u *value.Universe,
 		return nil, nil, err
 	}
 	prov := &Provenance{prog: p, u: u, input: in.Clone(), m: map[string]Derivation{}}
-	adom := eval.ActiveDomain(u, p.Constants(), in)
+	adom := eval.DomainFor(rules, p, u, in)
 	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(stage int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
 		// The stage's new facts, staged with the derivation that first

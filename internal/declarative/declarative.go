@@ -58,7 +58,7 @@ func evalFixpoint(engineName string, p *ast.Program, in *tuple.Instance, u *valu
 	col.Reset(engineName, nil)
 	out := in.SnapshotWith(col.Cow())
 	k := engine.SemiNaive{Rules: rules}
-	rounds, err := k.Run(opt, out, eval.ActiveDomain(u, p.Constants(), in), nil, nil)
+	rounds, err := k.Run(opt, out, eval.DomainFor(rules, p, u, in), nil, nil)
 	return engine.Finish(out, rounds, col, err)
 }
 
@@ -76,12 +76,16 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 	col := opt.Collector()
 	col.Reset("naive", nil)
 	out := in.SnapshotWith(col.Cow())
-	adom := eval.ActiveDomain(u, p.Constants(), in)
-	rounds, err := opt.Loop(col, 0, nil, func(int) (engine.Outcome, error) {
+	adom := eval.DomainFor(rules, p, u, in)
+	rounds, err := opt.Loop(col, 0, nil, func(round int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
+		ctx.Done = opt.Context().Done()
 		st := eval.NewStaging(out)
 		for _, cr := range rules {
 			cr.Fire(ctx, -1, nil, st.Emit)
+		}
+		if err := opt.Cut(ctx, round); err != nil {
+			return engine.Outcome{}, err
 		}
 		inserted := st.Fold()
 		if inserted == 0 {
@@ -113,14 +117,15 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 	col := opt.Collector()
 	col.Reset("stratified", nil)
 	out := in.SnapshotWith(col.Cow())
-	adom := eval.ActiveDomain(u, p.Constants(), in)
+	adom := eval.DomainFor(rules, p, u, in)
 	totalRounds := 0
+	buf := new(eval.Scratch) // the strata run one at a time
 	for s, srules := range byGroup(rules, strata) {
 		if len(srules) == 0 {
 			continue
 		}
 		col.BeginPhase("stratum", s+1)
-		k := engine.SemiNaive{Rules: srules}
+		k := engine.SemiNaive{Rules: srules, Buf: buf}
 		rounds, err := k.Run(opt, out, adom, nil, nil)
 		col.EndPhase("stratum", s+1)
 		totalRounds += rounds
@@ -187,6 +192,9 @@ type WFSResult struct {
 	Possible *tuple.Instance
 	// u renders and orders tuples deterministically.
 	u *value.Universe
+	// consts are the program's constants, adom the active domain: what
+	// the rules read (nil when none reads it), or what Domain computed.
+	consts, adom []value.Value
 	// Rounds is the number of runs over groups: one per group whose
 	// facts are all true or false, two per group that reads an unknown
 	// fact, two per round of a group's alternation (after the first
@@ -194,12 +202,23 @@ type WFSResult struct {
 	// of Example 3.2 takes four on its instance K and the stratified
 	// complement of TC two, one per stratum.
 	Rounds int
-	// Adom is the active domain used (for enumerating false facts).
-	Adom []value.Value
 	// Stats is the evaluation summary when Options carried a
 	// collector; nil otherwise. Stats.Stages counts the semi-naive
 	// rounds across all kernel runs (not the run count in Rounds).
 	Stats *stats.Summary
+}
+
+// Domain returns the active domain adom(P, I) of the evaluation (for
+// enumerating false facts), computed on first call when no rule read
+// it: the program's constants and the values of True, which holds the
+// input, and whose every other value came from the program or the input.
+// It must not be called concurrently with itself or with a change to
+// True.
+func (w *WFSResult) Domain() []value.Value {
+	if w.adom == nil {
+		w.adom = eval.ActiveDomain(w.u, w.consts, w.True)
+	}
+	return w.adom
 }
 
 // Truth reports the truth value of a fact in the well-founded model.
@@ -276,11 +295,16 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 	groups := g.Groups()
 	col := opt.Collector()
 	col.Reset("wellfounded", nil)
-	w := &WFSResult{u: u, Adom: eval.ActiveDomain(u, p.Constants(), in)}
+	consts := p.Constants()
+	w := &WFSResult{u: u, consts: consts}
+	if eval.ReadsDomain(rules) {
+		w.adom = eval.ActiveDomain(u, consts, in)
+	}
 	w.True = in.SnapshotWith(col.Cow())
 	w.Possible = w.True
 	r := &wfsRun{w: w, opt: opt, col: col}
 	twoValued := make([]bool, len(groups))
+	buf := new(eval.Scratch) // the groups' kernels run one at a time
 	for gi, grules := range byGroup(rules, groups) {
 		gr := &groups[gi]
 		two := !gr.Cyclic
@@ -288,7 +312,7 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 			two = two && twoValued[d]
 		}
 		if len(grules) > 0 {
-			k := &engine.SemiNaive{Rules: grules}
+			k := &engine.SemiNaive{Rules: grules, Buf: buf}
 			switch {
 			case two:
 				err = r.run(k, w.True, "stratum", gi+1, nil, nil)
@@ -334,7 +358,7 @@ type wfsRun struct {
 // added are engine.SemiNaive.Run's.
 func (r *wfsRun) run(k *engine.SemiNaive, out *tuple.Instance, phase string, n int, seed func(emit func(eval.Fact) bool), added *tuple.Instance) error {
 	r.col.BeginPhase(phase, n)
-	_, err := k.Run(r.opt, out, r.w.Adom, seed, added)
+	_, err := k.Run(r.opt, out, r.w.adom, seed, added)
 	r.col.EndPhase(phase, n)
 	if err == nil {
 		r.w.Rounds++
@@ -406,7 +430,7 @@ func (r *wfsRun) alternate(k *engine.SemiNaive, preds []string) (bool, error) {
 		r.gammas++
 		r.col.BeginPhase("gamma", r.gammas)
 		m.pin(over, before, added)
-		deleted, err := m.bf.Run(r.opt, over, r.w.True, r.w.Adom, m.seed)
+		deleted, err := m.bf.Run(r.opt, over, r.w.True, r.w.adom, m.seed)
 		r.col.EndPhase("gamma", r.gammas)
 		if err != nil {
 			return false, err
@@ -458,7 +482,7 @@ type groupMaintenance struct {
 // step's forward plans are the variants k's rounds after the first fire,
 // scheduled already.
 func (r *wfsRun) maintenance(k *engine.SemiNaive, preds []string) *groupMaintenance {
-	m := &groupMaintenance{rules: k.Rules, preds: preds, ctx: *r.opt.EvalCtx(r.col, nil, r.w.Adom)}
+	m := &groupMaintenance{rules: k.Rules, preds: preds, ctx: *r.opt.EvalCtx(r.col, nil, r.w.adom)}
 	m.ctx.Buf, m.seed = &m.buf, m.fire
 	for _, cr := range k.Rules {
 		for li, l := range cr.Src.Body {
@@ -498,6 +522,7 @@ func (m *groupMaintenance) unindex(tr, pos *tuple.Instance) {
 // the other negative ones negIn.
 func (m *groupMaintenance) pin(in, negIn, delta *tuple.Instance) {
 	m.ctx.In, m.ctx.NegIn, m.ctx.Delta = in, negIn, delta
+	m.ctx.NewStage()
 }
 
 // fire is the seed: it emits the heads of the firings pin points at.

@@ -45,6 +45,10 @@ func truthOf(w *WFSResult, l ast.Literal, assign map[string]value.Value) TruthVa
 // isThreeValuedModel brute-force checks the Kleene model condition.
 func isThreeValuedModel(t *testing.T, w *WFSResult, p *ast.Program) bool {
 	t.Helper()
+	dom := w.Domain()
+	if len(dom) == 0 {
+		t.Fatal("empty active domain: the model check would range over nothing")
+	}
 	for _, r := range p.Rules {
 		vars := r.Vars()
 		assign := map[string]value.Value{}
@@ -69,7 +73,7 @@ func isThreeValuedModel(t *testing.T, w *WFSResult, p *ast.Program) bool {
 				}
 				return
 			}
-			for _, v := range w.Adom {
+			for _, v := range dom {
 				assign[vars[i]] = v
 				rec(i + 1)
 			}

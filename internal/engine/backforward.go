@@ -203,6 +203,7 @@ func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom 
 		return Outcome{Delta: -k}, nil
 	})
 	r.ctx = eval.Ctx{}
+	r.buf.Release()
 	for i := range r.rels {
 		r.rels[i].state, r.rels[i].base = nil, nil
 	}

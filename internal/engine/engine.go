@@ -21,7 +21,13 @@
 //     (`make verify` greps for that). When the context is done the
 //     loop stops with a typed error (ErrCanceled or ErrDeadline)
 //     wrapped with the completed stage count, and the engine returns
-//     its partial progress alongside it. This is what
+//     its partial progress alongside it. Inside a stage the matcher
+//     polls: an engine on the delta kernel, and Datalog¬¬'s and
+//     Datalog¬new's, hands its matcher context the context's Done
+//     channel (eval.Ctx.Done), whose enumerations stop within 256
+//     firings of its closing, and the step returns Cut's error without
+//     applying the stage, so one long join does not outlive the
+//     deadline either. This is what
 //     makes the Turing-complete members of the family (Datalog¬¬,
 //     Datalog¬new, the while language — Fig. 1 of the paper) safe to
 //     evaluate in a long-lived service: a caller can always bound a
@@ -54,12 +60,12 @@ import (
 // Sentinel errors.
 var (
 	// ErrCanceled reports that the evaluation's context was canceled
-	// between stages. Use errors.Is; the wrapped message carries the
-	// number of completed stages.
+	// before or during a stage. Use errors.Is; the wrapped message
+	// carries the number of completed stages.
 	ErrCanceled = errors.New("engine: evaluation canceled")
 	// ErrDeadline reports that the evaluation's context deadline
-	// expired between stages. Use errors.Is; the wrapped message reads
-	// "deadline exceeded after N stages".
+	// expired before or during a stage. Use errors.Is; the wrapped
+	// message reads "deadline exceeded after N stages".
 	ErrDeadline = errors.New("engine: deadline exceeded")
 	// ErrInvalidOptions reports an Options field outside its domain
 	// (any negative bound or shard count).
@@ -104,9 +110,10 @@ func (c ConflictPolicy) String() string {
 // the default configuration of every engine; fields irrelevant to an
 // engine are ignored by it.
 type Options struct {
-	// Ctx, if non-nil, bounds the evaluation: engines poll it between
-	// stages and stop with ErrCanceled/ErrDeadline (wrapped with the
-	// completed stage count) when it is done. A nil Ctx means no
+	// Ctx, if non-nil, bounds the evaluation: engines poll it before
+	// every stage (and their matchers during one, see Cut) and stop with
+	// ErrCanceled/ErrDeadline (wrapped with the completed stage count)
+	// when it is done. A nil Ctx means no
 	// deadline and no cancellation, exactly as before the field
 	// existed.
 	Ctx context.Context
@@ -218,7 +225,7 @@ func (o *Options) Context() context.Context {
 // context is live (or absent) and a typed, stage-stamped error —
 // "engine: deadline exceeded after N stages" or "engine: evaluation
 // canceled after N stages" — once it is done. Loop calls it before
-// every stage, so an in-flight stage always completes.
+// every stage; a stage the matcher stopped reports itself through Cut.
 func (o *Options) interrupted(stages int) error {
 	if o == nil || o.Ctx == nil {
 		return nil
@@ -233,6 +240,18 @@ func (o *Options) interrupted(stages int) error {
 	default:
 		return nil
 	}
+}
+
+// Cut reports that the evaluation's context stopped an enumeration of
+// stage n under ctx (eval.Ctx.Done): the stage is incomplete, so the
+// engine must not apply it, and Cut returns Loop's typed interruption
+// stamped with the n-1 stages before it, for the step to return. Nil
+// when every enumeration under ctx ran to its end.
+func (o *Options) Cut(ctx *eval.Ctx, n int) error {
+	if !ctx.Stopped() {
+		return nil
+	}
+	return o.interrupted(n - 1)
 }
 
 // IsInterrupt reports whether err is a context interruption produced

@@ -44,17 +44,15 @@ type SemiNaive struct {
 	// Limit and LimitErr bound the stage count as Loop does.
 	Limit    int
 	LimitErr func(stages int) error
+	// Buf, if non-nil, is the enumeration buffer (eval.Ctx.Buf) of the
+	// runs, for an engine whose kernels run one at a time to share one:
+	// its slot table then serves them all. Nil: the kernel's own, which
+	// a run releases when it ends.
+	Buf *eval.Scratch
 
 	variants []eval.DeltaVariant // nil until the first Run
-	rc       *runCtx             // nil until the first Run
-}
-
-// runCtx is the matcher environment every round of a Run shares, with
-// the enumeration buffer it grows: a round sets what it pins, and its
-// enumerations run one at a time. The next Run reuses both.
-type runCtx struct {
-	eval.Ctx
-	buf eval.Scratch
+	ctx      *eval.Ctx           // nil until the first Run
+	own      *eval.Scratch       // the buffer when Buf is nil
 }
 
 // Variants returns the delta variants every round after the first
@@ -114,16 +112,31 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 	}
 	var delta *tuple.Instance   // the facts new last round,
 	var parts []*tuple.Instance // or their hash partition (shards > 1)
-	if k.rc == nil {
-		k.rc = &runCtx{}
+	// Every round of a run shares one matcher environment and buffer: a
+	// round sets what it pins, and its enumerations run one at a time.
+	// The next run reuses both.
+	buf := k.Buf
+	if buf == nil {
+		if k.own == nil {
+			k.own = new(eval.Scratch)
+		}
+		buf = k.own
 	}
-	rc := k.rc
-	rc.Ctx = *opt.EvalCtx(col, out, adom)
-	ctx := &rc.Ctx
-	ctx.NegIn, ctx.Buf = k.NegIn, &rc.buf
-	defer func() { rc.Ctx = eval.Ctx{} }() // the instances are the caller's
+	if k.ctx == nil {
+		k.ctx = new(eval.Ctx)
+	}
+	ctx := k.ctx
+	*ctx = *opt.EvalCtx(col, out, adom)
+	ctx.NegIn, ctx.Buf, ctx.Done = k.NegIn, buf, opt.Context().Done()
+	defer func() { // the instances are the caller's
+		*ctx = eval.Ctx{}
+		if buf == k.own {
+			buf.Release()
+		}
+	}()
 	return opt.Loop(col, k.Limit, k.LimitErr, func(round int) (Outcome, error) {
 		n := 0
+		ctx.NewStage()
 		if round > 1 && shards > 1 {
 			// Shard-parallel round: workers join their hash-slice of
 			// the delta against COW forks of out/NegIn, drop the facts
@@ -131,14 +144,16 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 			// was, so it is the next delta without another pass; only
 			// the fold into out is serial. Sets make the result
 			// independent of scheduling, so the fixpoint is
-			// byte-identical to the serial path. A done context aborts
-			// the workers mid-round; the driver's poll before the next
-			// round surfaces the error.
+			// byte-identical to the serial path. A done context stops
+			// the workers mid-round, and the round is not applied.
 			if round == 2 {
 				parts = delta.Partition(shards)
 			}
 			var emitted uint64
-			parts, emitted = eval.RunSharded(variants, ctx, parts, opt.Context().Done())
+			parts, emitted = eval.RunSharded(variants, ctx, parts)
+			if err := opt.Cut(ctx, round); err != nil {
+				return Outcome{}, err
+			}
 			delta = nil
 			if k.Forward && opt.Trace != nil {
 				delta = tuple.NewInstance() // Trace is shown the delta as one instance
@@ -178,6 +193,9 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 					ctx.DeltaLit = v.Rule.DeltaLit()
 					v.Rule.Fire(ctx, v.Index, nil, st.Emit)
 				}
+			}
+			if err := opt.Cut(ctx, round); err != nil {
+				return Outcome{}, err // a round the context stopped is not applied
 			}
 			delta = st.Next
 			n = st.Fold()

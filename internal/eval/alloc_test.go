@@ -126,9 +126,9 @@ func TestScheduleAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &Ctx{In: parser.MustParseFacts("T(a,b). T(b,c). T(a,c).", u), DeltaLit: -1}
-	rels := make([]*tuple.Relation, cr.sources())
-	cr.resolve(ctx, rels)
-	if got := testing.AllocsPerRun(10, func() { cr.schedule(-1, ctx, rels) }); got > 6 {
+	tab := ctx.table()
+	tab.sync(ctx, cr.prog)
+	if got := testing.AllocsPerRun(10, func() { cr.schedule(-1, ctx, tab) }); got > 6 {
 		t.Errorf("a replan allocates %.0f times, want <= 6", got)
 	}
 	if got := testing.AllocsPerRun(10, func() { cr.Delta(1) }); got > 6 {

@@ -16,18 +16,16 @@ package eval
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"unchained/internal/ast"
-	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
 
 // slot is a compiled term: either a constant or a variable id.
 type slot struct {
-	isVar bool
-	varID int
 	val   value.Value
+	varID int32
+	isVar bool
 }
 
 type stepKind uint8
@@ -45,38 +43,47 @@ const (
 // pos must equal the value already bound (or bound earlier in the
 // same tuple) for variable varID.
 type argBind struct {
-	pos   int
-	varID int
+	pos   int32
+	varID int32
 }
 
 type step struct {
-	kind stepKind
+	kind  stepKind
+	full  bool // stepMatch: mask binds every position, so the match is a membership test
+	negEq bool // stepEqTest
 
 	// stepMatch / stepNegCheck
-	pred     string
+	pred     int // predicate id (see program)
 	arity    int
 	litIndex int    // index of the literal in the rule body (for delta targeting)
 	mask     uint32 // positions bound before the step runs (consts + bound vars)
+	cursor   int32  // stepMatch: the index of its cursor (frame.its)
 	slots    []slot // the compiled argument list
 	binds    []argBind
 	checks   []argBind // repeated new variables within the same atom
 
 	// stepEqAssign / stepEqTest
 	left, right slot
-	negEq       bool
 
 	// stepEnum
 	enumVar int
 
 	// stepForall
-	forallVars []int   // ids of the quantified variables
-	forallPlan []check // fully-bound checks evaluated under each extension
+	forall *forall
+}
+
+// forall is a compiled ∀-literal: the ids of its free (outer) variables
+// in order of occurrence, and of the quantified ones, and the fully
+// bound checks evaluated under each extension of a binding over them.
+type forall struct {
+	outer, vars []int
+	plan        []check
 }
 
 // check is a fully-bound literal test used inside ∀-literals.
 type check struct {
 	kind        stepKind // stepMatch (containment), stepNegCheck, stepEqTest
-	pred        string
+	pred        int      // predicate id
 	slots       []slot
 	left, right slot
 	negEq       bool
@@ -86,6 +93,7 @@ type check struct {
 type HeadAtom struct {
 	Neg    bool
 	Bottom bool
+	id     int32 // Pred's id
 	Pred   string
 	Slots  []slot
 }
@@ -95,13 +103,10 @@ type lit struct {
 	kind        ast.LitKind
 	neg         bool
 	pred        string
-	slots       []slot // LitAtom: the compiled argument list
-	prev        int    // LitAtom: the last atom before it of its sign over pred, or -1
-	left, right slot   // LitEq
-	// LitForall: the ids of the free (outer) variables in order of
-	// occurrence, of the quantified ones, and the inner checks.
-	outer, forallVars []int
-	forallPlan        []check
+	id          int     // LitAtom: pred's id
+	slots       []slot  // LitAtom: the compiled argument list
+	left, right slot    // LitEq
+	forall      *forall // LitForall
 }
 
 // text is what the rule text alone decides: variable ids, the compiled
@@ -110,6 +115,7 @@ type lit struct {
 // schedule of the rule has the same Binding layout.
 type text struct {
 	Src      ast.Rule
+	prog     *program // numbers the predicates of the literals and heads
 	Vars     []string // variable names; index is the variable id
 	lits     []lit
 	heads    []HeadAtom
@@ -123,22 +129,20 @@ type text struct {
 	// binds and checks are carved from), nEnum the number of variables
 	// that first occur in a negative literal, an equality or free in a
 	// ∀ (no schedule enumerates more over the active domain).
-	nArgs, nEnum int
-	// planKey is the body's structural identity for shared plan caching
-	// (bodyKey), rendered by the first lookup in a PlanCache.
-	planKey atomic.Pointer[string]
+	nArgs, nEnum int32
+	// forall reports a ∀-literal, whose quantified variables range over
+	// the active domain.
+	forall bool
 }
 
-// cacheKey returns the rule body's planKey. Two goroutines that render
-// it at once store equal strings.
-func (t *text) cacheKey() string {
-	if k := t.planKey.Load(); k != nil {
-		return *k
-	}
-	k := bodyKey(t.Src)
-	t.planKey.Store(&k)
-	return k
-}
+// readsDomain reports whether a schedule of the rule may enumerate the
+// active domain: a variable that first occurs outside a positive atom
+// may be left unbound by every join (the bound of nEnum), and a ∀-literal
+// ranges over the domain. A rule for which it is false has no stepEnum
+// and no stepForall in any schedule: every variable first occurs in a
+// positive atom, and every schedule places all positive atoms before it
+// would enumerate anything.
+func (t *text) readsDomain() bool { return t.nEnum > 0 || t.forall }
 
 // Rule is a compiled rule ready for enumeration. The baseline steps
 // follow the seed's literal-order greedy schedule; the planner
@@ -148,9 +152,31 @@ func (t *text) cacheKey() string {
 // own.
 type Rule struct {
 	*text
-	deltaLit int // pinned-first delta literal, or -1
-	steps    []step
-	plan     planState
+	deltaLit int32 // pinned-first delta literal, or -1
+	// id numbers the rule among its program's planned rules and
+	// variants (-1: not planned): the index of its plan pick in a slot
+	// table (see slotTable.plan).
+	id    int32
+	steps []step
+	plan  planState
+}
+
+// planned reports whether the planner may reorder the rule's schedule
+// (see planFor).
+func (r *Rule) planned() bool { return r.id >= 0 }
+
+// planID returns the plan pick id of a schedule of the rule pinned at
+// lit (-1: none), or -1 when the planner leaves it alone. Fewer than two
+// joins leave nothing to reorder, and past 16 the signature packing
+// would overflow (such bodies are rare enough that the baseline schedule
+// is fine). A head-pinned variant keeps its baseline too: the plan cache
+// keys on the body alone, and two rules with one body and different
+// heads must not share its plan.
+func (t *text) planID(lit int) int32 {
+	if n := len(t.posBody); n < 2 || n > 16 || lit == len(t.lits) {
+		return -1
+	}
+	return int32(t.prog.planned.Add(1) - 1)
 }
 
 // HeadOnlyVarIDs returns the ids of the invented-value variables.
@@ -166,24 +192,125 @@ func (r *Rule) Heads() []HeadAtom { return r.heads }
 // DeltaLit returns the body index of the literal a delta variant pins
 // first (what Ctx.DeltaLit is set to when the variant fires over a
 // delta), or -1 for a rule that is not a variant.
-func (r *Rule) DeltaLit() int { return r.deltaLit }
+func (r *Rule) DeltaLit() int { return int(r.deltaLit) }
 
 // Compile compiles a rule. Head-only variables are permitted (they
 // become invented-value slots); engines that forbid invention must
 // validate the dialect before compiling.
 func Compile(r ast.Rule) (*Rule, error) {
-	t, err := compileText(r)
+	rules, _, err := compileRules([]ast.Rule{r})
 	if err != nil {
 		return nil, err
 	}
-	cr := &Rule{text: t, deltaLit: -1}
-	cr.steps = cr.schedule(-1, nil, nil)
-	for i := range cr.steps {
-		if st := &cr.steps[i]; st.kind == stepMatch {
-			t.posBody = append(t.posBody, st.litIndex)
+	return &rules[0].Rule, nil
+}
+
+// compiled is a compiled rule with its text, which compileRules
+// allocates together.
+type compiled struct {
+	Rule
+	t text
+}
+
+// compileRules compiles rules over one predicate numbering. The rules
+// with their texts, and the texts' names, literals, slots, heads and
+// positive-literal lists are carved from one array each. On failure it
+// returns the index of the rule that failed.
+func compileRules(src []ast.Rule) ([]compiled, int, error) {
+	var total sizes
+	for i := range src {
+		total.add(sizeOf(&src[i]))
+	}
+	// The predicate names get room for a few; a program that names more
+	// names them over fewer atoms than it has, and the list grows.
+	preds := min(total.atoms, linearNames)
+	strs := make([]string, preds+total.vars)
+	a := arena{
+		strs: strs[preds:], lits: make([]lit, total.lits), slots: make([]slot, total.slots),
+		heads: make([]HeadAtom, total.heads), ints: make([]int, total.pos),
+	}
+	nm := newNamer(strs[:0:preds], total.atoms)
+	rules := make([]compiled, len(src))
+	for i := range src {
+		cr, t := &rules[i].Rule, &rules[i].t
+		if err := compileText(t, src[i], &nm, &a); err != nil {
+			return nil, i, err
+		}
+		cr.text, cr.deltaLit = t, -1
+		cr.steps = cr.schedule(-1, nil, nil)
+		for i := range cr.steps {
+			if st := &cr.steps[i]; st.kind == stepMatch {
+				t.posBody = append(t.posBody, st.litIndex)
+			}
+		}
+		cr.id = t.planID(-1)
+		// A schedule matches every positive atom, and the literal it pins.
+		nm.p.cursors = max(nm.p.cursors, len(t.posBody)+1)
+	}
+	return rules, 0, nil
+}
+
+// sizes bounds what compiling a rule (or rules) stores: atoms (in the
+// body, the ∀-literals and the head; a bound on the predicates named),
+// variable occurrences (a bound on the variables), slots, body literals,
+// heads and positive atoms.
+type sizes struct{ atoms, vars, slots, lits, heads, pos int }
+
+func sizeOf(r *ast.Rule) sizes {
+	n := sizes{atoms: len(r.Head), lits: len(r.Body), heads: len(r.Head)}
+	lit := func(l *ast.Literal) {
+		n.slots += len(l.Atom.Args)
+		for _, tm := range l.Atom.Args {
+			n.vars += vars(tm)
+		}
+		n.vars += vars(l.Left) + vars(l.Right) + len(l.ForallVars)
+	}
+	for i := range r.Body {
+		l := &r.Body[i]
+		n.atoms += 1 + len(l.ForallBody)
+		lit(l)
+		for j := range l.ForallBody {
+			lit(&l.ForallBody[j])
+		}
+		if l.Kind == ast.LitAtom && !l.Neg {
+			n.pos++
 		}
 	}
-	return cr, nil
+	for i := range r.Head {
+		lit(&r.Head[i])
+	}
+	return n
+}
+
+// vars is 1 for a variable and 0 for a constant.
+func vars(tm ast.Term) int {
+	if tm.IsVar() {
+		return 1
+	}
+	return 0
+}
+
+func (n *sizes) add(m sizes) {
+	n.atoms, n.vars, n.slots = n.atoms+m.atoms, n.vars+m.vars, n.slots+m.slots
+	n.lits, n.heads, n.pos = n.lits+m.lits, n.heads+m.heads, n.pos+m.pos
+}
+
+// arena is the storage compileRules carves the texts from. A text's
+// names and slots take what they fill, the next text's follow.
+type arena struct {
+	strs  []string
+	lits  []lit
+	slots []slot
+	heads []HeadAtom
+	ints  []int
+}
+
+// carve cuts the first n elements off *s and returns them as an empty
+// slice of capacity n.
+func carve[T any](s *[]T, n int) []T {
+	out := (*s)[:0:n]
+	*s = (*s)[n:]
+	return out
 }
 
 // Delta returns the delta variant of the rule for semi-naive
@@ -204,7 +331,7 @@ func Compile(r ast.Rule) (*Rule, error) {
 //
 // The variant is a schedule of the compiled text, not a compilation.
 func (r *Rule) Delta(lit int) *Rule {
-	return &Rule{text: r.text, deltaLit: lit, steps: r.schedule(lit, nil, nil)}
+	return &Rule{text: r.text, deltaLit: int32(lit), id: r.planID(lit), steps: r.schedule(lit, nil, nil)}
 }
 
 // compiler interns a rule's variables and compiles its terms. Every
@@ -214,6 +341,7 @@ func (r *Rule) Delta(lit int) *Rule {
 // being compiled.
 type compiler struct {
 	t                 *text
+	nm                *namer
 	slots             []slot
 	quantified, scope []int
 }
@@ -224,16 +352,16 @@ func (c *compiler) slot(tm ast.Term) slot {
 	}
 	for _, id := range c.scope {
 		if c.t.Vars[id] == tm.Var {
-			return slot{isVar: true, varID: id}
+			return slot{isVar: true, varID: int32(id)}
 		}
 	}
 	for i, v := range c.t.Vars {
 		if v == tm.Var && !slices.Contains(c.quantified, i) {
-			return slot{isVar: true, varID: i}
+			return slot{isVar: true, varID: int32(i)}
 		}
 	}
 	c.t.Vars = append(c.t.Vars, tm.Var)
-	return slot{isVar: true, varID: len(c.t.Vars) - 1}
+	return slot{isVar: true, varID: int32(len(c.t.Vars) - 1)}
 }
 
 func (c *compiler) slotList(args []ast.Term) []slot {
@@ -247,86 +375,76 @@ func (c *compiler) slotList(args []ast.Term) []slot {
 // compileText interns the rule's variables — the body's first, in
 // order of first occurrence, so ids depend only on the text — and
 // compiles the literals and heads over them.
-func compileText(r ast.Rule) (*text, error) {
-	nTerms, nPos := 0, 0
-	for i := range r.Body {
-		l := &r.Body[i]
-		nTerms += len(l.Atom.Args) + 2 + len(l.ForallVars)
-		for j := range l.ForallBody {
-			nTerms += len(l.ForallBody[j].Atom.Args) + 2
-		}
-		if l.Kind == ast.LitAtom && !l.Neg {
-			nPos++
-		}
-	}
-	for i := range r.Head {
-		nTerms += len(r.Head[i].Atom.Args)
-	}
-	t := &text{Src: r, Vars: make([]string, 0, nTerms), lits: make([]lit, len(r.Body)), posBody: make([]int, 0, nPos)}
-	c := compiler{t: t, slots: make([]slot, 0, nTerms)}
+func compileText(t *text, r ast.Rule, nm *namer, a *arena) error {
+	n := sizeOf(&r)
+	t.Src, t.prog = r, nm.p
+	// The names and slots are appended where the last text's end, and
+	// cut to size when the text is done.
+	t.Vars, t.lits, t.posBody = a.strs[:0], carve(&a.lits, n.lits)[:n.lits], carve(&a.ints, n.pos)
+	c := compiler{t: t, nm: nm, slots: a.slots[:0]}
 	for i := range r.Body {
 		l, cl := &r.Body[i], &t.lits[i]
-		cl.kind, cl.neg, cl.prev = l.Kind, l.Neg, -1
+		cl.kind, cl.neg = l.Kind, l.Neg
 		before := len(t.Vars)
 		switch l.Kind {
 		case ast.LitAtom:
 			if len(l.Atom.Args) > 32 {
-				return nil, fmt.Errorf("eval: relation %s has arity %d > 32", l.Atom.Pred, len(l.Atom.Args))
+				return fmt.Errorf("eval: relation %s has arity %d > 32", l.Atom.Pred, len(l.Atom.Args))
 			}
-			cl.pred, cl.slots = l.Atom.Pred, c.slotList(l.Atom.Args)
-			for j := i - 1; j >= 0 && cl.prev < 0; j-- {
-				if pl := &t.lits[j]; pl.kind == ast.LitAtom && pl.neg == cl.neg && pl.pred == cl.pred {
-					cl.prev = j
-				}
-			}
+			cl.pred, cl.id, cl.slots = l.Atom.Pred, nm.id(l.Atom.Pred), c.slotList(l.Atom.Args)
 			t.width = max(t.width, len(cl.slots))
-			t.nArgs += len(cl.slots)
+			t.nArgs += int32(len(cl.slots))
 			if l.Neg {
-				t.nEnum += len(t.Vars) - before
+				t.nEnum += int32(len(t.Vars) - before)
 			}
 		case ast.LitEq:
 			cl.left, cl.right = c.slot(l.Left), c.slot(l.Right)
-			t.nEnum += len(t.Vars) - before
+			t.nEnum += int32(len(t.Vars) - before)
 		case ast.LitForall:
 			if err := c.forall(l, cl); err != nil {
-				return nil, err
+				return err
 			}
+			t.forall = true
 		default:
-			return nil, fmt.Errorf("eval: cannot schedule literal %d of rule", i)
+			return fmt.Errorf("eval: cannot schedule literal %d of rule", i)
 		}
 	}
 	nBodyVars := len(t.Vars)
 
 	// Compile heads. Head variables the body lacks are invented-value
 	// slots.
-	t.heads = make([]HeadAtom, 0, len(r.Head))
+	t.heads = carve(&a.heads, n.heads)
 	for _, h := range r.Head {
 		switch h.Kind {
 		case ast.LitBottom:
 			t.heads = append(t.heads, HeadAtom{Bottom: true})
 		case ast.LitAtom:
-			ha := HeadAtom{Neg: h.Neg, Pred: h.Atom.Pred, Slots: c.slotList(h.Atom.Args)}
+			ha := HeadAtom{Neg: h.Neg, Pred: h.Atom.Pred, Slots: c.slotList(h.Atom.Args), id: int32(nm.id(h.Atom.Pred))}
 			t.heads = append(t.heads, ha)
 			t.headWidth += len(ha.Slots)
 			t.width = max(t.width, len(ha.Slots)) // a head-pinned step's scratch
 		default:
-			return nil, fmt.Errorf("eval: illegal head literal kind")
+			return fmt.Errorf("eval: illegal head literal kind")
 		}
 	}
 	for id := nBodyVars; id < len(t.Vars); id++ {
 		t.headOnly = append(t.headOnly, id)
 	}
-	return t, nil
+	t.Vars = slices.Clip(t.Vars)
+	a.strs, a.slots = a.strs[len(t.Vars):], a.slots[len(c.slots):]
+	return nil
 }
 
 // forall compiles a ∀-literal: the outer variables first (they
 // are what the literal waits for), then the quantified ones, then the
 // inner literals as fully bound checks.
 func (c *compiler) forall(l *ast.Literal, cl *lit) error {
+	fa := &forall{}
+	cl.forall = fa
 	before := len(c.t.Vars)
 	outer := func(tm ast.Term) {
 		if tm.IsVar() && !slices.Contains(l.ForallVars, tm.Var) {
-			cl.outer = append(cl.outer, c.slot(tm).varID)
+			fa.outer = append(fa.outer, int(c.slot(tm).varID))
 		}
 	}
 	for i := range l.ForallBody {
@@ -342,24 +460,24 @@ func (c *compiler) forall(l *ast.Literal, cl *lit) error {
 			return fmt.Errorf("eval: unsupported literal kind inside forall")
 		}
 	}
-	c.t.nEnum += len(c.t.Vars) - before
+	c.t.nEnum += int32(len(c.t.Vars) - before)
 	for _, v := range l.ForallVars {
-		cl.forallVars = append(cl.forallVars, len(c.t.Vars))
+		fa.vars = append(fa.vars, len(c.t.Vars))
 		c.t.Vars = append(c.t.Vars, v)
 	}
-	c.quantified, c.scope = append(c.quantified, cl.forallVars...), cl.forallVars
+	c.quantified, c.scope = append(c.quantified, fa.vars...), fa.vars
 	for i := range l.ForallBody {
 		b := &l.ForallBody[i]
 		if b.Kind == ast.LitEq {
-			cl.forallPlan = append(cl.forallPlan, check{kind: stepEqTest, negEq: b.Neg, left: c.slot(b.Left), right: c.slot(b.Right)})
+			fa.plan = append(fa.plan, check{kind: stepEqTest, negEq: b.Neg, left: c.slot(b.Left), right: c.slot(b.Right)})
 			continue
 		}
-		ck := check{kind: stepMatch, pred: b.Atom.Pred, slots: c.slotList(b.Atom.Args)}
+		ck := check{kind: stepMatch, pred: c.nm.id(b.Atom.Pred), slots: c.slotList(b.Atom.Args)}
 		if b.Neg {
 			ck.kind = stepNegCheck
 		}
 		c.t.width = max(c.t.width, len(ck.slots))
-		cl.forallPlan = append(cl.forallPlan, ck)
+		fa.plan = append(fa.plan, ck)
 	}
 	c.scope = nil
 	return nil
@@ -374,8 +492,11 @@ type scheduler struct {
 	bound []bool // by variable id
 	done  []bool // by body literal
 	left  int    // literals not yet placed
-	steps []step
-	binds []argBind // what the steps' binds and checks are carved from
+	// cursors counts the match steps so far, each of which has a cursor
+	// of its own during an enumeration.
+	cursors int
+	steps   []step
+	binds   []argBind // what the steps' binds and checks are carved from
 }
 
 // schedule orders the rule's literals into steps and fills in what the
@@ -384,15 +505,15 @@ type scheduler struct {
 // as a match, so the enumeration starts from the (small) delta
 // relation. A nil ctx selects the seed's
 // literal-order greedy schedule; a non-nil one turns the scheduler into
-// the cost-based planner, reading the live cardinalities of rels, the
-// relations resolved under ctx (see plan.go). It cannot fail:
+// the cost-based planner, reading the live cardinalities of the
+// relations tab resolved under ctx (see plan.go). It cannot fail:
 // compileText has rejected every literal a schedule could not place.
-func (r *Rule) schedule(firstLit int, ctx *Ctx, rels []*tuple.Relation) []step {
+func (r *Rule) schedule(firstLit int, ctx *Ctx, tab *slotTable) []step {
 	t := r.text
 	nv, nl := len(t.Vars), len(t.lits)
 	flags := make([]bool, nv+nl)
 	var head *HeadAtom // pinned first
-	nSteps, nBinds := nl+t.nEnum, t.nArgs
+	nSteps, nBinds := nl+int(t.nEnum), int(t.nArgs)
 	if firstLit == nl && len(t.heads) == 1 && !t.heads[0].Bottom {
 		head = &t.heads[0]
 		nSteps, nBinds = nSteps+1, nBinds+len(head.Slots)
@@ -403,7 +524,7 @@ func (r *Rule) schedule(firstLit int, ctx *Ctx, rels []*tuple.Relation) []step {
 	}
 	switch {
 	case head != nil:
-		s.steps = append(s.steps, s.match(stepMatch, firstLit, &lit{kind: ast.LitAtom, pred: head.Pred, slots: head.Slots}))
+		s.steps = append(s.steps, s.match(stepMatch, firstLit, &lit{kind: ast.LitAtom, pred: head.Pred, id: int(head.id), slots: head.Slots}))
 	case firstLit >= 0 && firstLit < nl && t.lits[firstLit].kind == ast.LitAtom:
 		s.atom(stepMatch, firstLit)
 	}
@@ -422,7 +543,7 @@ func (r *Rule) schedule(firstLit int, ctx *Ctx, rels []*tuple.Relation) []step {
 		// variable bound. When nothing is ready, the first unbound
 		// variable of the first remaining literal is enumerated over the
 		// active domain.
-		if s.tryJoin(rels) || s.tryEq() || s.tryNeg() || s.tryForall() {
+		if s.tryJoin(tab) || s.tryEq() || s.tryNeg() || s.tryForall() {
 			continue
 		}
 		s.enumerate()
@@ -447,13 +568,16 @@ func (s *scheduler) atom(kind stepKind, li int) {
 // into the mask, the first occurrence of each new variable binds it, a
 // repeat within the atom is checked against it.
 func (s *scheduler) match(kind stepKind, li int, l *lit) step {
-	st := step{kind: kind, pred: l.pred, arity: len(l.slots), litIndex: li, slots: l.slots}
+	st := step{kind: kind, pred: l.id, arity: len(l.slots), litIndex: li, slots: l.slots}
+	if kind == stepMatch {
+		st.cursor, s.cursors = int32(s.cursors), s.cursors+1
+	}
 	from := len(s.binds)
 	for pos, sl := range l.slots {
 		if s.isBound(sl) {
 			st.mask |= 1 << uint(pos)
 		} else if bindsVar(s.binds[from:], sl.varID) < 0 {
-			s.binds = append(s.binds, argBind{pos: pos, varID: sl.varID})
+			s.binds = append(s.binds, argBind{pos: int32(pos), varID: sl.varID})
 		}
 	}
 	mid := len(s.binds)
@@ -461,8 +585,8 @@ func (s *scheduler) match(kind stepKind, li int, l *lit) step {
 		if s.isBound(sl) {
 			continue
 		}
-		if first := s.binds[from+bindsVar(s.binds[from:mid], sl.varID)]; first.pos != pos {
-			s.binds = append(s.binds, argBind{pos: pos, varID: sl.varID})
+		if first := s.binds[from+bindsVar(s.binds[from:mid], sl.varID)]; int(first.pos) != pos {
+			s.binds = append(s.binds, argBind{pos: int32(pos), varID: sl.varID})
 		}
 	}
 	if mid > from {
@@ -474,11 +598,12 @@ func (s *scheduler) match(kind stepKind, li int, l *lit) step {
 	for _, ab := range st.binds {
 		s.bound[ab.varID] = true
 	}
+	st.full = kind == stepMatch && st.arity > 0 && st.mask == 1<<uint(st.arity)-1
 	return st
 }
 
 // bindsVar returns the index of the bind of varID in binds, or -1.
-func bindsVar(binds []argBind, varID int) int {
+func bindsVar(binds []argBind, varID int32) int {
 	for i, ab := range binds {
 		if ab.varID == varID {
 			return i
@@ -490,9 +615,9 @@ func bindsVar(binds []argBind, varID int) int {
 // tryJoin places one positive atom. The seed picks the one with the
 // most bound argument positions (ties: first); the planner picks the
 // smallest estimated probe output |R| / 10^bound (ties: more bound
-// positions, then first), |R| read from rels. rels is an argument, not a
+// positions, then first), |R| read from tab. tab is an argument, not a
 // field, so that the scheduler's escaping state does not take it along.
-func (s *scheduler) tryJoin(rels []*tuple.Relation) bool {
+func (s *scheduler) tryJoin(tab *slotTable) bool {
 	best, bestEst, bestBound := -1, 0, -1
 	for li := range s.t.lits {
 		l := &s.t.lits[li]
@@ -511,7 +636,7 @@ func (s *scheduler) tryJoin(rels []*tuple.Relation) bool {
 			}
 			continue
 		}
-		est := estCard(ctxSize(s.ctx, rels, li), bc)
+		est := estCard(tab.size(s.ctx, li, l.id), bc)
 		if best < 0 || est < bestEst || (est == bestEst && bc > bestBound) {
 			best, bestEst, bestBound = li, est, bc
 		}
@@ -570,10 +695,10 @@ func (s *scheduler) tryForall() bool {
 		if s.done[li] || l.kind != ast.LitForall || s.firstUnbound(l) >= 0 {
 			continue
 		}
-		for _, v := range l.forallVars {
+		for _, v := range l.forall.vars {
 			s.bound[v] = true
 		}
-		s.place(li, step{kind: stepForall, forallVars: l.forallVars, forallPlan: l.forallPlan})
+		s.place(li, step{kind: stepForall, forall: l.forall})
 		return true
 	}
 	return false
@@ -603,18 +728,18 @@ func (s *scheduler) firstUnbound(l *lit) int {
 	case ast.LitAtom:
 		for _, sl := range l.slots {
 			if !s.isBound(sl) {
-				return sl.varID
+				return int(sl.varID)
 			}
 		}
 	case ast.LitEq:
 		if !s.isBound(l.left) {
-			return l.left.varID
+			return int(l.left.varID)
 		}
 		if !s.isBound(l.right) {
-			return l.right.varID
+			return int(l.right.varID)
 		}
 	case ast.LitForall:
-		for _, v := range l.outer {
+		for _, v := range l.forall.outer {
 			if !s.bound[v] {
 				return v
 			}
@@ -623,23 +748,17 @@ func (s *scheduler) firstUnbound(l *lit) int {
 	return -1
 }
 
-// CompileProgram compiles every rule of a program.
+// CompileProgram compiles every rule of a program, numbering the
+// predicates of all of them once: an evaluation context resolves each
+// number to a relation once per stage (see slotTable).
 func CompileProgram(p *ast.Program) ([]*Rule, error) {
-	out := make([]*Rule, len(p.Rules))
-	for i, r := range p.Rules {
-		cr, err := Compile(r)
-		if err != nil {
-			return nil, fmt.Errorf("rule %d: %w", i+1, err)
-		}
-		out[i] = cr
+	rules, bad, err := compileRules(p.Rules)
+	if err != nil {
+		return nil, fmt.Errorf("rule %d: %w", bad+1, err)
+	}
+	out := make([]*Rule, len(rules))
+	for i := range rules {
+		out[i] = &rules[i].Rule
 	}
 	return out, nil
-}
-
-// relOf returns the relation for pred in in, or nil.
-func relOf(in *tuple.Instance, pred string) *tuple.Relation {
-	if in == nil {
-		return nil
-	}
-	return in.Relation(pred)
 }

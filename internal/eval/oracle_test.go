@@ -168,8 +168,10 @@ func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in 
 	ws := renderBindings(freeVars, want)
 	quantified := map[int]bool{} // a ∀'s own ids, which may share a free variable's name
 	for _, l := range cr.lits {
-		for _, id := range l.forallVars {
-			quantified[id] = true
+		if l.forall != nil {
+			for _, id := range l.forall.vars {
+				quantified[id] = true
+			}
 		}
 	}
 	for _, scan := range []bool{false, true} {

@@ -10,83 +10,69 @@
 // switching plans between stages is free, and choosing one costs the
 // three allocations of a schedule, not a compilation.
 //
-// Plans are memoized on the rule keyed by a cardinality signature:
-// the size decade (digit count) of every joined relation, 4 bits per
-// positive literal. Re-planning therefore happens only when some
-// relation's cardinality crosses a decade — cheap enough to leave on
-// for every engine, while still adapting as a fixpoint's IDB grows.
-// A daemon serving many requests over the same program shares plans
-// across compilations through a PlanCache (see internal/serve).
+// A rule's schedule is chosen by its first enumeration of a stage that
+// began with a relation's size decade changed (see slotTable.plan), and
+// memoized on the rule keyed by a cardinality signature: the size decade
+// (digit count) of every joined relation, 4 bits per positive literal. Re-planning therefore happens
+// only when some relation's cardinality crosses a decade — cheap enough
+// to leave on for every engine, while still adapting as a fixpoint's
+// IDB grows. A daemon serving many requests over the same program
+// shares plans across compilations through a PlanCache (see
+// internal/serve).
 package eval
 
 import (
+	"hash/maphash"
 	"math/bits"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"unchained/internal/ast"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
 
-// planState is the per-rule plan memo.
+// planState is the per-rule plan memo: the schedule last chosen (nil:
+// none yet) and the signature it was chosen for, the plan last reported,
+// and the key the rule's plans are filed under in a PlanCache.
 type planState struct {
 	mu      sync.Mutex
-	valid   bool
 	sig     uint64
 	steps   []step
 	emitted uint64 // dedup key of the last plan reported (planChanged)
+	body    uint64 // the body's hash (cacheKey), 0 until a PlanCache asks
 }
 
-// planFor returns the step schedule to enumerate with under ctx, whose
-// relations are rels (Rule.resolve), and whether it is a planner choice
-// (as opposed to the baseline schedule). Safe for concurrent use by the
-// shard workers.
-func (r *Rule) planFor(ctx *Ctx, rels []*tuple.Relation) ([]step, bool) {
-	// Fewer than two joins leave nothing to reorder; past 16 the
-	// signature packing would overflow (and such bodies are rare
-	// enough that the baseline schedule is fine). A head-pinned variant
-	// keeps its baseline too: the cache keys on the body alone, and two
-	// rules with one body and different heads must not share its plan.
-	if ctx.NoPlan || r.deltaLit == len(r.lits) || len(r.posBody) < 2 || len(r.posBody) > 16 {
-		return r.steps, false
-	}
-	sig := r.planSig(ctx, rels)
+// planFor returns the planner's schedule of a planned rule (Rule.planned)
+// for the cardinalities of the relations tab resolved under ctx. It runs
+// only when a stage began with a size decade changed (slotTable.plan);
+// safe for concurrent use by the shard workers.
+func (r *Rule) planFor(ctx *Ctx, tab *slotTable) []step {
+	sig := r.planSig(ctx, tab)
 	// planFor runs only while a stage enumerates a rule, so a lookup in
 	// a shared plan cache means a stage has begun; internal/serve's
 	// accounting test sets off its deadline on that.
-	if ctx.Plans != nil {
-		key := planCacheKey{r.cacheKey(), r.deltaLit, sig}
-		if st, ok := ctx.Plans.lookup(key); ok {
-			return st, true
-		}
-		st := r.schedule(r.deltaLit, ctx, rels)
-		ctx.Plans.store(key, st)
-		return st, true
-	}
 	r.plan.mu.Lock()
 	defer r.plan.mu.Unlock()
-	if r.plan.valid && r.plan.sig == sig {
-		return r.plan.steps, true
+	if ctx.Plans != nil {
+		if r.plan.body == 0 {
+			r.plan.body = r.cacheKey()
+		}
+		key := planCacheKey{r.plan.body, int(r.deltaLit), sig}
+		if st, ok := ctx.Plans.lookup(key, r.lits); ok {
+			return st
+		}
+		st := r.schedule(int(r.deltaLit), ctx, tab)
+		ctx.Plans.store(key, r.lits, st)
+		return st
 	}
-	st := r.schedule(r.deltaLit, ctx, rels)
-	r.plan.sig, r.plan.steps, r.plan.valid = sig, st, true
-	return st, true
-}
-
-// ctxSize is the cardinality the literal with index litIndex joins
-// against: the delta (one fact or a relation) for the pinned delta
-// literal, otherwise In — the relation resolve put in rels.
-func ctxSize(ctx *Ctx, rels []*tuple.Relation, litIndex int) int {
-	if ctx.DeltaFact != nil && litIndex == ctx.DeltaLit {
-		return 1
+	if r.plan.steps != nil && r.plan.sig == sig {
+		return r.plan.steps
 	}
-	if rel := rels[litIndex]; rel != nil {
-		return rel.Len()
-	}
-	return 0
+	st := r.schedule(int(r.deltaLit), ctx, tab)
+	r.plan.sig, r.plan.steps = sig, st
+	return st
 }
 
 // estCard estimates a probe's output cardinality: size discounted by
@@ -126,76 +112,99 @@ func decade(n int) uint64 {
 // planSig packs the size decade of every joined relation, in body
 // order, 4 bits each. Equal signatures mean every cardinality is in
 // the same decade as when the memoized plan was chosen.
-func (r *Rule) planSig(ctx *Ctx, rels []*tuple.Relation) uint64 {
+func (r *Rule) planSig(ctx *Ctx, tab *slotTable) uint64 {
 	var sig uint64
 	for _, li := range r.posBody {
-		sig = sig<<4 | decade(ctxSize(ctx, rels, li))
+		sig = sig<<4 | tab.decade(ctx, li, r.lits[li].id)
 	}
 	return sig
 }
 
-// bodyKey renders a rule body into a structural identity string for
-// shared plan caching. Two rules with equal keys compile to identical
-// literals, so a plan cached for one (under the same delta pin) is safe
-// to reuse for the other.
-func bodyKey(r ast.Rule) string {
-	var b strings.Builder
-	for _, l := range r.Body {
-		writeLitKey(&b, l)
+// cacheKey returns the hash of the compiled body a PlanCache files the
+// rule's plans under (never 0): the literals with their predicate ids and
+// slots, which are all a schedule reads of the text.
+func (t *text) cacheKey() uint64 {
+	var h maphash.Hash
+	h.SetSeed(nameSeed)
+	word := func(v uint64) {
+		var b [8]byte
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		h.Write(b[:])
 	}
-	return b.String()
+	slots := func(ss ...slot) {
+		for _, s := range ss {
+			if s.isVar {
+				word(uint64(s.varID)<<1 | 1)
+			} else {
+				word(uint64(s.val) << 1)
+			}
+		}
+		word(uint64(len(ss)))
+	}
+	for i := range t.lits {
+		l := &t.lits[i]
+		word(uint64(l.kind)<<1 | b2u(l.neg))
+		h.WriteString(l.pred)
+		word(uint64(l.id))
+		slots(l.slots...)
+		slots(l.left, l.right)
+		if l.forall == nil {
+			continue
+		}
+		for _, v := range l.forall.vars {
+			word(uint64(v))
+		}
+		for _, c := range l.forall.plan {
+			word(uint64(c.kind)<<1 | b2u(c.negEq))
+			word(uint64(c.pred))
+			slots(c.slots...)
+			slots(c.left, c.right)
+		}
+	}
+	return h.Sum64() | 1
 }
 
-func writeLitKey(b *strings.Builder, l ast.Literal) {
-	if l.Neg {
-		b.WriteByte('!')
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	switch l.Kind {
-	case ast.LitAtom:
-		b.WriteString(l.Atom.Pred)
-		b.WriteByte('(')
-		for _, t := range l.Atom.Args {
-			writeTermKey(b, t)
-		}
-		b.WriteByte(')')
-	case ast.LitEq:
-		b.WriteByte('=')
-		writeTermKey(b, l.Left)
-		writeTermKey(b, l.Right)
-	case ast.LitForall:
-		b.WriteString("A[")
-		for _, v := range l.ForallVars {
-			b.WriteString(v)
-			b.WriteByte(',')
-		}
-		b.WriteByte(':')
-		for _, inner := range l.ForallBody {
-			writeLitKey(b, inner)
-		}
-		b.WriteByte(']')
-	default:
-		b.WriteByte('?')
-	}
-	b.WriteByte(';')
+	return 0
 }
 
-func writeTermKey(b *strings.Builder, t ast.Term) {
-	if t.IsVar() {
-		b.WriteByte('v')
-		b.WriteString(t.Var)
-	} else {
-		b.WriteByte('c')
-		b.WriteString(strconv.FormatUint(uint64(t.Const), 10))
-	}
-	b.WriteByte(',')
+// sameBody reports whether a and b are the same compiled literals, so
+// that a schedule of one is a schedule of the other: what cacheKey
+// hashes, compared.
+func sameBody(a, b []lit) bool {
+	return slices.EqualFunc(a, b, func(x, y lit) bool {
+		return x.kind == y.kind && x.neg == y.neg && x.pred == y.pred && x.id == y.id &&
+			slices.Equal(x.slots, y.slots) && x.left == y.left && x.right == y.right &&
+			(x.forall == nil) == (y.forall == nil) &&
+			(x.forall == nil || slices.Equal(x.forall.vars, y.forall.vars) &&
+				slices.EqualFunc(x.forall.plan, y.forall.plan, func(c, d check) bool {
+					return c.kind == d.kind && c.pred == d.pred && c.negEq == d.negEq &&
+						slices.Equal(c.slots, d.slots) && c.left == d.left && c.right == d.right
+				}))
+	})
 }
 
-// planCacheKey is a rule body identity, the delta pin of the schedule
-// (-1: none) and a cardinality-decade signature.
+// planCacheKey is a compiled body's hash (text.cacheKey), the delta pin
+// of the schedule (-1: none) and a cardinality-decade signature.
 type planCacheKey struct {
-	rule string
+	body uint64
 	lit  int
 	sig  uint64
+}
+
+// planCacheEntry is a cached schedule with the body it was made for,
+// which a lookup compares with its own (sameBody): equal hashes of
+// different bodies miss instead of sharing a schedule. The entry keeps
+// the literals, not their text, so that a cache shared by a daemon's
+// requests keeps no request's compiled program alive.
+type planCacheEntry struct {
+	lits  []lit
+	steps []step
 }
 
 // PlanCache shares planner-chosen schedules across rule compilations
@@ -207,30 +216,31 @@ type planCacheKey struct {
 // for concurrent use.
 type PlanCache struct {
 	mu           sync.Mutex
-	m            map[planCacheKey][]step
+	m            map[planCacheKey]planCacheEntry
 	hits, misses atomic.Uint64
 }
 
 // NewPlanCache returns an empty plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{m: make(map[planCacheKey][]step)}
+	return &PlanCache{m: make(map[planCacheKey]planCacheEntry)}
 }
 
-func (c *PlanCache) lookup(key planCacheKey) ([]step, bool) {
+func (c *PlanCache) lookup(key planCacheKey, lits []lit) ([]step, bool) {
 	c.mu.Lock()
-	st, ok := c.m[key]
+	e, ok := c.m[key]
 	c.mu.Unlock()
+	ok = ok && sameBody(e.lits, lits)
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return st, ok
+	return e.steps, ok
 }
 
-func (c *PlanCache) store(key planCacheKey, st []step) {
+func (c *PlanCache) store(key planCacheKey, lits []lit, st []step) {
 	c.mu.Lock()
-	c.m[key] = st
+	c.m[key] = planCacheEntry{lits, st}
 	c.mu.Unlock()
 }
 
@@ -289,14 +299,14 @@ func (r *Rule) label() string {
 
 // eachJoin calls f for every match step of the schedule, in join order,
 // with the estimated cumulative cardinality up to and including it.
-func eachJoin(ctx *Ctx, rels []*tuple.Relation, steps []step, f func(i int, st *step, cum int)) {
+func eachJoin(ctx *Ctx, tab *slotTable, steps []step, f func(i int, st *step, cum int)) {
 	cum := 1
 	for i := range steps {
 		st := &steps[i]
 		if st.kind != stepMatch {
 			continue
 		}
-		est := estCard(ctxSize(ctx, rels, st.litIndex), bits.OnesCount32(st.mask))
+		est := estCard(tab.size(ctx, st.litIndex, st.pred), bits.OnesCount32(st.mask))
 		if cum < 1<<40 { // keep the running product from overflowing
 			cum *= est
 		}
@@ -309,9 +319,9 @@ func eachJoin(ctx *Ctx, rels []*tuple.Relation, steps []step, f func(i int, st *
 // and remembers it as reported: a plan is reported once per estimate
 // change, not once per stage. The key is a hash (FNV-1a over the
 // literal indexes and estimates), so comparing it formats nothing.
-func (r *Rule) planChanged(ctx *Ctx, rels []*tuple.Relation, steps []step) bool {
+func (r *Rule) planChanged(ctx *Ctx, tab *slotTable, steps []step) bool {
 	key := uint64(14695981039346656037)
-	eachJoin(ctx, rels, steps, func(_ int, st *step, cum int) {
+	eachJoin(ctx, tab, steps, func(_ int, st *step, cum int) {
 		key = (key ^ uint64(st.litIndex)) * 1099511628211
 		key = (key ^ uint64(cum)) * 1099511628211
 	})
@@ -327,14 +337,14 @@ func (r *Rule) planChanged(ctx *Ctx, rels []*tuple.Relation, steps []step) bool 
 // "pred#lit est=N act=N" per join, joined by " ⋈ ". It is written into a
 // stack buffer and copied out once, so the string is allocated at its
 // length: a flight record keeps it.
-func (r *Rule) planDesc(ctx *Ctx, rels []*tuple.Relation, steps []step, counts []int64) string {
+func (r *Rule) planDesc(ctx *Ctx, tab *slotTable, steps []step, counts []int64) string {
 	var buf [256]byte
 	b := buf[:0]
-	eachJoin(ctx, rels, steps, func(i int, st *step, cum int) {
+	eachJoin(ctx, tab, steps, func(i int, st *step, cum int) {
 		if len(b) > 0 {
 			b = append(b, " ⋈ "...)
 		}
-		b = append(b, st.pred...)
+		b = append(b, r.prog.preds[st.pred]...)
 		b = append(b, '#')
 		b = strconv.AppendInt(b, int64(st.litIndex), 10)
 		b = append(b, " est="...)

@@ -186,22 +186,21 @@ func TestPlannerJoinsTheConstantBearingLiteralFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := parser.MustParseFacts(`e(a,b). e(d,e). e(g,h). f(b,c). f(e,k). f(h,l). label(c,red). label(k,blue). label(l,blue).`, u)
-	firstJoin := func(ctx *Ctx) (string, bool) {
-		rels := make([]*tuple.Relation, cr.sources())
-		cr.resolve(ctx, rels)
-		steps, planned := cr.planFor(ctx, rels)
+	firstJoin := func(ctx *Ctx) string {
+		steps, _ := cr.stepsFor(ctx, ctx.table())
 		for _, st := range steps {
 			if st.kind == stepMatch {
-				return st.pred, planned
+				return cr.prog.preds[st.pred]
 			}
 		}
 		t.Fatal("no join in the schedule")
-		return "", false
+		return ""
 	}
-	if pred, planned := firstJoin(&Ctx{In: in, DeltaLit: -1}); pred != "label" || !planned {
-		t.Fatalf("planner joins %s first (planned=%v), want the constant-bearing label", pred, planned)
+	if pred := firstJoin(&Ctx{In: in, DeltaLit: -1}); pred != "label" {
+		t.Fatalf("planner joins %s first, want the constant-bearing label", pred)
 	}
-	if _, planned := firstJoin(&Ctx{In: in, DeltaLit: -1, NoPlan: true}); planned {
+	noPlan := &Ctx{In: in, DeltaLit: -1, NoPlan: true}
+	if steps, _ := cr.stepsFor(noPlan, noPlan.table()); &steps[0] != &cr.steps[0] {
 		t.Fatal("NoPlan still substituted a planner schedule")
 	}
 	if n := countFirings(cr, &Ctx{In: in, DeltaLit: -1}); n != 1 {

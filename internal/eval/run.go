@@ -16,7 +16,8 @@ type Ctx struct {
 	In *tuple.Instance
 	// Adom is the active domain adom(P, K), sorted for determinism.
 	// Variables not bound by the positive body structure are
-	// enumerated over it.
+	// enumerated over it. An engine leaves it nil when no rule it
+	// enumerates reads it (DomainFor).
 	Adom []value.Value
 	// NegIn, if non-nil, is the instance negative literals are
 	// checked against instead of In. The well-founded engine uses it
@@ -42,9 +43,22 @@ type Ctx struct {
 	// Plans, if non-nil, shares planner schedules across rule
 	// compilations (see PlanCache); nil uses a per-rule memo.
 	Plans *PlanCache
+	// Done, if non-nil, stops the enumerations under the context within
+	// 256 firings of its closing (one non-blocking check per 256): the
+	// enumeration returns early, and so does every later one, and
+	// Stopped reports it. An engine that sets it must not apply a stage
+	// its enumerations did not finish.
+	Done <-chan struct{}
 
-	// The flags go last, side by side: engines allocate a Ctx per
-	// stage, and padding after each would take it up a size class.
+	// tab is the slot table of a context without a Buf (see table).
+	tab *slotTable
+
+	// The poll counter and the flags go last, side by side: engines
+	// allocate a Ctx per stage, and padding after each would take its
+	// 128 bytes up a size class.
+
+	// polls counts the firings since Done was last checked.
+	polls uint32
 
 	// Scan disables hash-index probes (full-scan matching), for the
 	// index-ablation benchmark.
@@ -58,6 +72,26 @@ type Ctx struct {
 	// (the collector's tracing state is not safe for concurrent
 	// emission from shard workers).
 	PlanTrace bool
+	// stopped: Done closed during an enumeration.
+	stopped bool
+}
+
+// Stopped reports whether Done stopped an enumeration under ctx.
+func (ctx *Ctx) Stopped() bool { return ctx.stopped }
+
+// poll counts a firing and, every 256th, checks Done without blocking.
+// It reports whether the enumeration must stop.
+func (ctx *Ctx) poll() bool {
+	if ctx.polls++; ctx.polls&255 != 0 {
+		return false
+	}
+	select {
+	case <-ctx.Done:
+		ctx.stopped = true
+		return true
+	default:
+		return false
+	}
 }
 
 // Binding is a valuation of a compiled rule's variables, indexed by
@@ -65,17 +99,20 @@ type Ctx struct {
 type Binding []value.Value
 
 // Scratch is what an enumeration works in: the binding and every step's
-// probe pattern or check tuple (vals), the relation each body literal
-// reads (rels, see Rule.resolve) and Fire's head facts (fire for a rule
-// with one small head, facts and heads for the others). The zero Scratch
-// is ready; Ctx.Buf hands one to every enumeration under a context,
-// which keeps the storage from one call to the next.
+// probe pattern or check tuple (vals), every match step's cursor (its:
+// cursors, for the programs whose rules match at most four atoms), the
+// context's slot table (tab) and Fire's head facts (fire for a rule with
+// one small head, facts and heads for the others). The zero Scratch is
+// ready; Ctx.Buf hands one to every enumeration under a context, which
+// keeps the storage from one call to the next. A Scratch is not copied.
 type Scratch struct {
-	vals  []value.Value
-	rels  []*tuple.Relation
-	fire  fireScratch
-	facts []Fact
-	heads []value.Value
+	vals    []value.Value
+	its     []tuple.Iterator
+	cursors [4]tuple.Iterator
+	tab     slotTable
+	fire    fireScratch
+	facts   []Fact
+	heads   []value.Value
 }
 
 // grow returns s's slice resized to n, reallocated only when it is too
@@ -93,131 +130,84 @@ func grow[T any](s []T, n int) []T {
 // false stops the enumeration early. Head-only (invented) variables
 // are left as value.None in the binding.
 func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
-	// The body relations are resolved once per call. Without a Buf the
-	// table lives on the stack: the rules that outgrow it are rare.
-	var local [16]*tuple.Relation
-	var rels []*tuple.Relation
-	switch nr := r.sources(); {
-	case ctx.Buf != nil:
-		ctx.Buf.rels = grow(ctx.Buf.rels, nr)
-		rels = ctx.Buf.rels
-	case nr <= len(local):
-		rels = local[:nr]
-	default:
-		rels = make([]*tuple.Relation, nr)
+	if ctx.stopped {
+		return
 	}
-	r.resolve(ctx, rels)
-	steps, planned := r.planFor(ctx, rels)
+	tab := ctx.table()
+	steps, report := r.stepsFor(ctx, tab)
 	var tr *planTrace
 	if ctx.Stats.Enabled() {
 		tr = &planTrace{}
-		if planned && ctx.PlanTrace && ctx.Stats.PlanWanted() && r.planChanged(ctx, rels, steps) {
+		if report {
 			tr.counts = make([]int64, len(steps))
 		}
 	}
 	// The binding and every step's probe pattern or check tuple share
-	// one buffer: the whole enumeration allocates it (or reuses Buf)
-	// and nothing else, however many valuations it visits.
-	n := len(r.Vars) + len(steps)*r.width
+	// one buffer, and every match step has a cursor: the whole
+	// enumeration allocates those two (or reuses Buf) and nothing else,
+	// however many valuations it visits.
+	n, nc := len(r.Vars)+len(steps)*r.width, len(r.posBody)+1
 	var buf []value.Value
+	var its []tuple.Iterator
 	if ctx.Buf == nil {
-		buf = make([]value.Value, n)
+		buf, its = make([]value.Value, n), make([]tuple.Iterator, nc)
 	} else {
+		switch b := ctx.Buf; {
+		case len(b.its) >= nc:
+		case nc <= len(b.cursors):
+			b.its = b.cursors[:]
+		default:
+			b.its = make([]tuple.Iterator, max(nc, r.prog.cursors)) // room for every rule of the program
+		}
 		ctx.Buf.vals = grow(ctx.Buf.vals, n)
-		buf = ctx.Buf.vals
+		buf, its = ctx.Buf.vals, ctx.Buf.its
 		clear(buf[:len(r.Vars)])
 	}
-	f := frame{
-		ctx: ctx, steps: steps, tr: tr,
-		b: buf[:len(r.Vars):len(r.Vars)], scratch: buf[len(r.Vars):], width: r.width,
-	}
-	f.run(0, rels, emit)
+	// Assigned field by field: a composite literal would be built aside
+	// and copied.
+	var f frame
+	f.ctx, f.steps, f.tr, f.its, f.width = ctx, steps, tr, its, r.width
+	f.b, f.scratch = buf[:len(r.Vars):len(r.Vars)], buf[len(r.Vars):]
+	np := len(r.prog.preds)
+	f.rels, f.neg, f.delta = tab.rels, negSection(ctx)*np, secDelta*np
+	f.run(0, emit)
 	if tr != nil {
 		ctx.Stats.ProbeBatch(tr.probes, tr.scans)
 		if tr.counts != nil {
-			ctx.Stats.PlanSpan(r.label(), r.planDesc(ctx, rels, steps, tr.counts))
+			ctx.Stats.PlanSpan(r.label(), r.planDesc(ctx, tab, steps, tr.counts))
 		}
 	}
-	clear(rels) // a Buf must not keep the caller's instances alive
 }
 
-// sources is the length of the rule's relation table: one entry per
-// body literal, and one for the head atom a head-pinned variant matches
-// first.
-func (r *Rule) sources() int {
-	if r.deltaLit == len(r.lits) {
-		return len(r.lits) + 1
+// stepsFor brings tab up to date with ctx — it resolves the body
+// relations once per stage, not per call — and returns the schedule r
+// enumerates with under ctx and whether this enumeration reports it
+// (slotTable.plan).
+func (r *Rule) stepsFor(ctx *Ctx, tab *slotTable) ([]step, bool) {
+	tab.sync(ctx, r.prog)
+	if !r.planned() || ctx.NoPlan {
+		return r.steps, false
 	}
-	return len(r.lits)
+	return tab.plan(ctx, r)
 }
 
-// resolve fills rels, by literal index, with the relation each atom
-// literal reads under ctx (see source), and the other literals' entries
-// with nil. An atom with an earlier one of its sign over its predicate
-// takes that one's entry when neither is pinned, instead of looking the
-// relation up by name again: bodies repeat predicates (a k-bit
-// counter's rules read One up to k times).
-func (r *Rule) resolve(ctx *Ctx, rels []*tuple.Relation) {
-	for li := range rels {
-		if li < len(r.lits) {
-			l := &r.lits[li]
-			if l.kind != ast.LitAtom {
-				rels[li] = nil
-				continue
-			}
-			if j := l.prev; j >= 0 && !r.pinned(ctx, j) && !r.pinned(ctx, li) {
-				rels[li] = rels[j]
-				continue
-			}
-		}
-		rels[li] = relOf(r.source(ctx, li))
-	}
-}
-
-// pinned reports whether the rule or ctx pins the literal with index li.
-func (r *Rule) pinned(ctx *Ctx, li int) bool { return li == r.deltaLit || li == ctx.DeltaLit }
-
-// source returns the instance the atom literal with index li (one past
-// the body: the head atom a head-pinned variant matches) reads under
-// ctx, as a step of any schedule of the rule reads it, with its
-// predicate: NegIn (or In) for a negative literal the rule does not
-// pin, the delta for the literal ctx pins (nil when it pins one fact,
-// which matchFact matches), and In otherwise.
-func (r *Rule) source(ctx *Ctx, li int) (*tuple.Instance, string) {
-	pred, check := "", false
-	if li == len(r.lits) {
-		pred = r.heads[0].Pred
-	} else {
-		l := &r.lits[li]
-		pred, check = l.pred, l.neg && li != r.deltaLit
-	}
-	switch {
-	case check && ctx.NegIn != nil:
-		return ctx.NegIn, pred
-	case check || li != ctx.DeltaLit:
-		return ctx.In, pred
-	case ctx.DeltaFact != nil:
-		return nil, pred
-	case ctx.Delta != nil:
-		return ctx.Delta, pred
-	}
-	return ctx.In, pred
-}
-
-// frame is the state of one Enumerate call. The scratch tuples live
-// here and not in the steps, because a plan is shared by every goroutine
-// that enumerates the rule (PlanCache, the shard workers). The
-// cursor of a match step is a stack value of that step's run call (an
-// Iterator carries no key scratch to recycle), and emit and the relation
-// table travel as arguments: what a frame points to escapes with the
-// binding emit is handed, and the table may be Enumerate's stack array.
+// frame is the state of one Enumerate call. The scratch tuples and the
+// cursors live here and not in the steps, because a plan is shared by
+// every goroutine that enumerates the rule (PlanCache, the shard
+// workers); a step reuses its depth's cursor from one probe to the next.
+// rels is the slot table's: a match step reads its In section (the
+// Delta section, at offset delta, for the literal ctx pins to a delta
+// relation), an absence check the section at offset neg.
 type frame struct {
-	ctx     *Ctx
-	steps   []step
-	tr      *planTrace
-	b       Binding
-	scratch []value.Value // width values per step depth (Rule.width)
-	width   int
+	ctx        *Ctx
+	steps      []step
+	tr         *planTrace
+	b          Binding
+	scratch    []value.Value // width values per step depth (Rule.width)
+	width      int
+	its        []tuple.Iterator // one per match step (step.cursor)
+	rels       []*tuple.Relation
+	neg, delta int
 }
 
 // ground writes slots under the current binding into step si's scratch
@@ -234,7 +224,7 @@ func (f *frame) ground(si int, slots []slot) tuple.Tuple {
 
 // drainMatch pulls it, step si's iterator, dry, binding and recursing
 // per candidate. Returns false on early exit.
-func (f *frame) drainMatch(si int, it *tuple.Iterator, rels []*tuple.Relation, emit func(Binding) bool) bool {
+func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) bool {
 	st, b := &f.steps[si], f.b
 	for {
 		t, more := it.Next()
@@ -254,7 +244,7 @@ func (f *frame) drainMatch(si int, it *tuple.Iterator, rels []*tuple.Relation, e
 				break
 			}
 		}
-		if ok && !f.run(si+1, rels, emit) {
+		if ok && !f.run(si+1, emit) {
 			return false
 		}
 	}
@@ -262,7 +252,7 @@ func (f *frame) drainMatch(si int, it *tuple.Iterator, rels []*tuple.Relation, e
 
 // matchFact is step si's match against the one fact ctx.DeltaFact:
 // drainMatch over a relation holding just that fact.
-func (f *frame) matchFact(si int, rels []*tuple.Relation, emit func(Binding) bool) bool {
+func (f *frame) matchFact(si int, emit func(Binding) bool) bool {
 	st, b, t := &f.steps[si], f.b, f.ctx.DeltaFact
 	if len(t) != st.arity {
 		return true
@@ -288,7 +278,7 @@ func (f *frame) matchFact(si int, rels []*tuple.Relation, emit func(Binding) boo
 			break
 		}
 	}
-	done := !ok || f.run(si+1, rels, emit)
+	done := !ok || f.run(si+1, emit)
 	for _, ab := range st.binds {
 		b[ab.varID] = value.None
 	}
@@ -305,43 +295,63 @@ func (f *frame) probe(rel *tuple.Relation, mask uint32, pattern tuple.Tuple, it 
 	}
 }
 
-func (f *frame) run(si int, rels []*tuple.Relation, emit func(Binding) bool) bool {
+func (f *frame) run(si int, emit func(Binding) bool) bool {
 	if si == len(f.steps) {
+		if f.ctx.Done != nil && f.ctx.poll() {
+			return false
+		}
 		return emit(f.b)
 	}
 	ctx, b, st := f.ctx, f.b, &f.steps[si]
 	switch st.kind {
 	case stepMatch:
-		if ctx.DeltaFact != nil && st.litIndex == ctx.DeltaLit {
-			return f.matchFact(si, rels, emit)
+		rel := f.rels[st.pred]
+		if st.litIndex == ctx.DeltaLit {
+			if ctx.DeltaFact != nil {
+				return f.matchFact(si, emit)
+			}
+			if ctx.Delta != nil {
+				rel = f.rels[f.delta+st.pred]
+			}
 		}
-		rel := rels[st.litIndex]
 		if rel == nil || rel.Arity() != st.arity {
 			return true // empty relation: no matches, keep going elsewhere
+		}
+		if st.full && !ctx.Scan {
+			// Every position bound: a membership test, which binds
+			// nothing.
+			f.tr.probe(false)
+			if !rel.Contains(f.ground(si, st.slots)) {
+				return true
+			}
+			if f.tr != nil && f.tr.counts != nil {
+				f.tr.counts[si]++
+			}
+			return f.run(si+1, emit)
 		}
 		var pattern tuple.Tuple
 		if st.mask != 0 {
 			pattern = f.ground(si, st.slots)
 		}
-		var it tuple.Iterator
-		f.probe(rel, st.mask, pattern, &it)
-		done := f.drainMatch(si, &it, rels, emit)
+		it := &f.its[st.cursor]
+		f.probe(rel, st.mask, pattern, it)
+		done := f.drainMatch(si, it, emit)
 		for _, ab := range st.binds {
 			b[ab.varID] = value.None
 		}
 		return done
 
 	case stepNegCheck:
-		rel := rels[st.litIndex]
+		rel := f.rels[f.neg+st.pred]
 		if rel != nil && rel.Contains(f.ground(si, st.slots)) {
 			return true // literal false under this valuation
 		}
-		return f.run(si+1, rels, emit)
+		return f.run(si+1, emit)
 
 	case stepEqAssign:
 		// left is the unbound variable side by construction.
 		b[st.left.varID] = slotVal(st.right, b)
-		ok := f.run(si+1, rels, emit)
+		ok := f.run(si+1, emit)
 		b[st.left.varID] = value.None
 		return ok
 
@@ -350,12 +360,12 @@ func (f *frame) run(si int, rels []*tuple.Relation, emit func(Binding) bool) boo
 		if (l == rr) == st.negEq {
 			return true
 		}
-		return f.run(si+1, rels, emit)
+		return f.run(si+1, emit)
 
 	case stepEnum:
 		for _, v := range ctx.Adom {
 			b[st.enumVar] = v
-			if !f.run(si+1, rels, emit) {
+			if !f.run(si+1, emit) {
 				b[st.enumVar] = value.None
 				return false
 			}
@@ -365,7 +375,7 @@ func (f *frame) run(si int, rels []*tuple.Relation, emit func(Binding) bool) boo
 
 	case stepForall:
 		if f.forallHolds(si, 0) {
-			return f.run(si+1, rels, emit)
+			return f.run(si+1, emit)
 		}
 		return true
 	}
@@ -377,15 +387,14 @@ func (f *frame) run(si int, rels []*tuple.Relation, emit func(Binding) bool) boo
 // active domain) must satisfy all inner checks.
 func (f *frame) forallHolds(si, qi int) bool {
 	ctx, b, st := f.ctx, f.b, &f.steps[si]
-	if qi == len(st.forallVars) {
-		for _, c := range st.forallPlan {
+	if qi == len(st.forall.vars) {
+		for _, c := range st.forall.plan {
 			switch c.kind {
 			case stepMatch, stepNegCheck:
-				src := ctx.In
-				if c.kind == stepNegCheck && ctx.NegIn != nil {
-					src = ctx.NegIn
+				rel := f.rels[c.pred]
+				if c.kind == stepNegCheck {
+					rel = f.rels[f.neg+c.pred]
 				}
-				rel := relOf(src, c.pred)
 				has := rel != nil && rel.Contains(f.ground(si, c.slots))
 				if has == (c.kind == stepNegCheck) {
 					return false
@@ -399,7 +408,7 @@ func (f *frame) forallHolds(si, qi int) bool {
 		}
 		return true
 	}
-	id := st.forallVars[qi]
+	id := st.forall.vars[qi]
 	saved := b[id]
 	for _, v := range ctx.Adom {
 		b[id] = v
@@ -625,21 +634,38 @@ func (r *Rule) BodySupports(b Binding) []Fact {
 
 // ActiveDomain computes adom(P, I): the program's constants plus
 // every value occurring in the instance, sorted by u.Compare and
-// deduplicated.
+// deduplicated. The values are deduplicated first, by id in place, so
+// the comparison sort, which reads names, sees each value once.
 func ActiveDomain(u *value.Universe, progConsts []value.Value, in *tuple.Instance) []value.Value {
 	var all []value.Value
 	all = append(all, progConsts...)
 	if in != nil {
 		all = in.ActiveDomain(all)
 	}
+	slices.Sort(all)
+	all = slices.Compact(all)
 	slices.SortFunc(all, u.Compare)
-	out := all[:0]
-	var prev value.Value
-	for i, v := range all {
-		if i == 0 || v != prev {
-			out = append(out, v)
-			prev = v
+	return all
+}
+
+// ReadsDomain reports whether a schedule of one of rules may enumerate
+// a variable over the active domain: whether an engine that evaluates
+// them needs adom(P, K) at all (see text.readsDomain).
+func ReadsDomain(rules []*Rule) bool {
+	for _, r := range rules {
+		if r.readsDomain() {
+			return true
 		}
 	}
-	return out
+	return false
+}
+
+// DomainFor returns adom(p, in) when one of rules, p's compiled rules,
+// reads it (ReadsDomain), and nil when none does: the paper's engines
+// need the domain only for the variables no positive literal binds.
+func DomainFor(rules []*Rule, p *ast.Program, u *value.Universe, in *tuple.Instance) []value.Value {
+	if !ReadsDomain(rules) {
+		return nil
+	}
+	return ActiveDomain(u, p.Constants(), in)
 }

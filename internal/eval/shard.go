@@ -30,10 +30,6 @@ type DeltaVariant struct {
 	Index int
 }
 
-// cancelPollMask throttles the workers' cancellation poll to one
-// non-blocking channel check per 256 firings.
-const cancelPollMask = 255
-
 // eachShard runs work(0..n-1) on n goroutines and joins them.
 func eachShard(n int, work func(s int)) {
 	var wg sync.WaitGroup
@@ -53,12 +49,12 @@ func eachShard(n int, work func(s int)) {
 // partitioned the same way (every part with every relation that has a
 // new fact in any, as Partition makes them), and the number of head
 // facts emitted, those base.In holds included. base supplies the shared read-only
-// environment (In, NegIn, Adom, Scan, Stats, NoPlan, Plans); every
-// worker receives private snapshots of In and NegIn. done, when
-// non-nil, aborts the round early: workers notice within
-// cancelPollMask firings and stop, and what they had filed is still
-// returned — RunSharded joins every worker before returning, so no
-// goroutine outlives the call. Workers tally their firings locally and
+// environment (In, NegIn, Adom, Scan, Stats, NoPlan, Plans, Done); every
+// worker receives private snapshots of In and NegIn. A closing Done
+// stops the workers as it stops any enumeration (Ctx.Done), and base
+// reports it (Ctx.Stopped); what they had filed is still returned —
+// RunSharded joins every worker before returning, so no goroutine
+// outlives the call. Workers tally their firings locally and
 // charge base.Stats (concurrency-safe counters) once per variant; the
 // derived-versus-rederived split is the caller's, from the sizes of the
 // returned parts. Each worker also attributes its wall time and
@@ -68,7 +64,7 @@ func eachShard(n int, work func(s int)) {
 //
 // The caller must not mutate parts or the instance behind base.In
 // during the call.
-func RunSharded(variants []DeltaVariant, base *Ctx, parts []*tuple.Instance, done <-chan struct{}) ([]*tuple.Instance, uint64) {
+func RunSharded(variants []DeltaVariant, base *Ctx, parts []*tuple.Instance) ([]*tuple.Instance, uint64) {
 	n := len(parts)
 	// Snapshot the shared instances once per shard on this goroutine:
 	// Snapshot folds private index overlays into the shared payload,
@@ -83,14 +79,19 @@ func RunSharded(variants []DeltaVariant, base *Ctx, parts []*tuple.Instance, don
 	}
 	filed := make([][]*tuple.Instance, n) // filed[s][t]: by worker s, for shard t
 	emitted := make([]uint64, n)
+	ctxs, bufs := make([]Ctx, n), make([]Scratch, n)
 	eachShard(n, func(s int) {
-		ctx := &Ctx{
+		ctx := &ctxs[s]
+		*ctx = Ctx{
 			In: ins[s], NegIn: negs[s], Adom: base.Adom,
-			Delta: parts[s], Scan: base.Scan, Stats: base.Stats,
-			NoPlan: base.NoPlan, Plans: base.Plans,
+			Delta: parts[s], Buf: &bufs[s], Scan: base.Scan, Stats: base.Stats,
+			NoPlan: base.NoPlan, Plans: base.Plans, Done: base.Done,
 		}
-		filed[s], emitted[s] = runShard(variants, ctx, s, n, done)
+		filed[s], emitted[s] = runShard(variants, ctx, s, n)
 	})
+	for s := range ctxs {
+		base.stopped = base.stopped || ctxs[s].stopped
+	}
 	next := make([]*tuple.Instance, n)
 	eachShard(n, func(t int) {
 		next[t] = filed[0][t]
@@ -107,7 +108,7 @@ func RunSharded(variants []DeltaVariant, base *Ctx, parts []*tuple.Instance, don
 
 // runShard is worker s of RunSharded: it fires every variant over
 // ctx.Delta and files the head facts ctx.In lacks by destination shard.
-func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{}) ([]*tuple.Instance, uint64) {
+func runShard(variants []DeltaVariant, ctx *Ctx, s, n int) ([]*tuple.Instance, uint64) {
 	col := ctx.Stats
 	var begin time.Time
 	if col.Enabled() {
@@ -117,13 +118,10 @@ func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{})
 	for t := range to {
 		to[t] = tuple.NewInstance()
 	}
-	emitted, aborted := uint64(0), false
+	emitted := uint64(0)
 	for _, v := range variants {
-		if aborted {
-			break
-		}
 		rule := v.Rule
-		ctx.DeltaLit = rule.deltaLit
+		ctx.DeltaLit = rule.DeltaLit()
 		facts, vals := make([]Fact, 0, len(rule.heads)), make([]value.Value, rule.headWidth)
 		// The relations of the last head predicate — in the snapshot,
 		// and in every destination set once a fact of it is new (in all
@@ -153,14 +151,6 @@ func runShard(variants []DeltaVariant, ctx *Ctx, s, n int, done <-chan struct{})
 				file[f.Tuple.Shard(n)].Insert(f.Tuple)
 			}
 			firings++
-			if done != nil && firings&cancelPollMask == 0 {
-				select {
-				case <-done:
-					aborted = true
-					return false
-				default:
-				}
-			}
 			return true
 		})
 		col.Fired(v.Index, firings, 0, 0)

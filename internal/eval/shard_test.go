@@ -45,9 +45,9 @@ func shardFixture(t *testing.T, n int) (*value.Universe, []DeltaVariant, *Ctx, *
 // the emitted-fact count. Every fact must sit in the part its hash
 // names and the parts must share one schema: the result is the next
 // round's partitioned delta.
-func collectSharded(t *testing.T, u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards int, done <-chan struct{}) ([]string, uint64) {
+func collectSharded(t *testing.T, u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance, shards int) ([]string, uint64) {
 	t.Helper()
-	parts, emitted := RunSharded(variants, base, delta.Partition(shards), done)
+	parts, emitted := RunSharded(variants, base, delta.Partition(shards))
 	var got []string
 	for s, part := range parts {
 		if a, b := fmt.Sprint(part.Names()), fmt.Sprint(parts[0].Names()); a != b {
@@ -105,7 +105,7 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 		t.Fatalf("fixture staged %d facts of %d emitted, want 63 of 64", len(ref), refEmitted)
 	}
 	for _, shards := range []int{1, 2, 8} {
-		got, emitted := collectSharded(t, u, variants, base, delta, shards, nil)
+		got, emitted := collectSharded(t, u, variants, base, delta, shards)
 		if emitted != refEmitted {
 			t.Errorf("shards=%d emitted %d facts, serial %d — shards overlap or drop work", shards, emitted, refEmitted)
 		}
@@ -120,17 +120,22 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunShardedCancelled closes done before the round starts: workers
+// TestRunShardedCancelled closes Done before the round starts: workers
 // must notice at their first poll (every 256 firings; each of the 8 has
-// about 512 to do) and the call must join them and return. Partial
-// output is acceptable; a hang or a full round is not.
+// about 512 to do), the call must join them and return, and the base
+// context must report the stop. Partial output is acceptable; a hang or
+// a full round is not.
 func TestRunShardedCancelled(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 4096)
 	done := make(chan struct{})
 	close(done)
-	_, emitted := collectSharded(t, u, variants, base, delta, 8, done)
+	base.Done = done
+	_, emitted := collectSharded(t, u, variants, base, delta, 8)
 	if emitted >= 4096 {
 		t.Fatalf("cancelled round emitted %d facts, the full round 4096", emitted)
+	}
+	if !base.Stopped() {
+		t.Fatal("the base context does not report the stopped round")
 	}
 }
 
@@ -140,11 +145,11 @@ func TestRunShardedCancelled(t *testing.T) {
 func TestRunShardedDegenerateParts(t *testing.T) {
 	u, variants, base, delta := shardFixture(t, 16)
 	ref, _ := serialRound(u, variants, base, delta)
-	got, _ := collectSharded(t, u, variants, base, delta, 0, nil)
+	got, _ := collectSharded(t, u, variants, base, delta, 0)
 	if len(got) != len(ref) {
 		t.Fatalf("one-part run handed back %d facts, serial %d", len(got), len(ref))
 	}
-	if parts, emitted := RunSharded(variants, base, nil, nil); len(parts) != 0 || emitted != 0 {
+	if parts, emitted := RunSharded(variants, base, nil); len(parts) != 0 || emitted != 0 {
 		t.Fatalf("empty partition: %d parts, %d emitted", len(parts), emitted)
 	}
 }
@@ -176,7 +181,7 @@ func TestRunShardedNegInSnapshot(t *testing.T) {
 	dv := cr.Delta(0)
 	variants := []DeltaVariant{{Rule: dv, Index: -1}}
 	base := &Ctx{In: in, NegIn: negIn, Adom: ActiveDomain(u, nil, in)}
-	got, _ := collectSharded(t, u, variants, base, delta, 4, nil)
+	got, _ := collectSharded(t, u, variants, base, delta, 4)
 	if len(got) != 16 {
 		t.Fatalf("want 16 facts (odd-indexed P's), got %d: %v", len(got), got)
 	}

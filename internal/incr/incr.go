@@ -413,6 +413,7 @@ func (v *View) seed(l *layer, d *Delta, gain bool, in *tuple.Instance) func(emit
 	return func(emit func(eval.Fact) bool) {
 		ctx := &v.ctx
 		ctx.In = in
+		ctx.NewStage()
 		for _, ri := range l.rules {
 			for _, dv := range v.variants[ri] {
 				if pin := pinFor(dv, d, gain); !l.preds[dv.pred] && hasPred(pin, dv.pred) {
@@ -422,5 +423,6 @@ func (v *View) seed(l *layer, d *Delta, gain bool, in *tuple.Instance) func(emit
 			}
 		}
 		ctx.In, ctx.Delta = nil, nil // the instances are the batch's
+		v.buf.Release()
 	}
 }

@@ -252,7 +252,11 @@ func TestWinWhileMatchesWFS(t *testing.T) {
 		}
 		// while-Lose == WFS-false(Win) over the domain.
 		loseRel := wres.Out.Relation("Lose")
-		for _, v := range wfs.Adom {
+		dom := wfs.Domain()
+		if len(dom) == 0 {
+			t.Fatalf("seed %d: empty active domain: the check would range over nothing", seed)
+		}
+		for _, v := range dom {
 			isLose := loseRel != nil && loseRel.Contains(tuple.Tuple{v})
 			truth := wfs.Truth("Win", tuple.Tuple{v})
 			if isLose != (truth == declarative.False) {

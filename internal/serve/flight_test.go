@@ -193,6 +193,38 @@ func TestFlightDeadlineExceededSharded(t *testing.T) {
 	}
 }
 
+// TestDeadlineInsideAStage sends a request whose first stage is one
+// join of 110^5 valuations, hours of work, with a 200 ms timeout: the
+// matcher's poll stops the stage, the answer is 408 deadline well before
+// the join could finish, and the admission slot is given back — no
+// evaluation in flight and none holding the gate.
+func TestDeadlineInsideAStage(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	var facts strings.Builder
+	for i := 0; i < 110; i++ {
+		fmt.Fprintf(&facts, "N(c%d). ", i)
+	}
+	req := EvalRequest{Envelope: Envelope{
+		Program:   "P(A) :- N(A), N(B), N(C), N(D), N(E).",
+		Facts:     facts.String(),
+		TimeoutMS: 200,
+	}}
+	start := time.Now()
+	resp, body := post(t, ts.URL+"/v1/eval", req)
+	if elapsed := time.Since(start); elapsed > 20*time.Second {
+		t.Fatalf("the deadline stopped the stage after %v", elapsed)
+	}
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("status = %d, want 408 deadline: %s", resp.StatusCode, body)
+	}
+	waitFor(t, func() bool { return srv.gate.inFlight() == 0 })
+	if z := statsz(t, ts.URL); z["in_flight"] != 0 || z["admitted"] != 1 {
+		t.Fatalf("/statsz in_flight %d admitted %d, want 0 and 1", z["in_flight"], z["admitted"])
+	}
+}
+
 // TestFlightStatusAndTenants: /v1/status advertises the recorder's
 // bounds and the per-tenant table; /statsz carries the flight totals;
 // a shed request is charged to its tenant.

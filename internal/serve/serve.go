@@ -4,8 +4,9 @@
 //
 // The design leans on three properties built into the engine layer:
 //
-//   - every engine polls its context between stages, so a per-request
-//     deadline (timeout_ms) or a dropped client connection interrupts
+//   - every engine polls its context between stages, and the matcher
+//     inside one, so a per-request deadline (timeout_ms) or a dropped
+//     client connection interrupts
 //     even the Turing-complete members of the family (Datalog¬¬,
 //     Datalog¬new, while) with a typed error and partial statistics;
 //   - Universe handles are dense indices, so a program parsed once is

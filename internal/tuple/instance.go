@@ -38,6 +38,9 @@ type Instance struct {
 	// cow, when set, tallies snapshot/promote traffic for this
 	// instance and everything forked from it (see Counters).
 	cow *Counters
+	// names counts the times a name was bound to a relation or unbound
+	// (see Names).
+	names uint64
 }
 
 // NewInstance returns an empty instance. Its map is made by the first
@@ -53,6 +56,20 @@ func (in *Instance) put(name string, r *Relation) {
 		in.rels = make(map[string]*Relation)
 	}
 	in.rels[name] = r
+	in.names++
+}
+
+// NameGen is a stamp of which relation each name denotes: it changes
+// whenever a name is bound to a relation or unbound, and at nothing
+// else (inserts and deletes change relations, not names). So Relation
+// returns what it returned last time for every name while NameGen is
+// unchanged: a caller that resolved names to relations keeps them until
+// then. A nil instance reads 0.
+func (in *Instance) NameGen() uint64 {
+	if in == nil {
+		return 0
+	}
+	return in.names
 }
 
 // SetCow attaches a copy-on-write counter sink to the instance and
@@ -145,8 +162,9 @@ func (in *Instance) Share(src *Instance, names []string) {
 	for _, n := range names {
 		if r := src.rels[n]; r != nil {
 			in.put(n, r.Snapshot())
-		} else {
+		} else if _, ok := in.rels[n]; ok {
 			delete(in.rels, n)
+			in.names++
 		}
 	}
 }

@@ -102,7 +102,7 @@ func (r *Relation) fullMask(mask uint32) bool {
 // of them allocates once the index exists.
 func (r *Relation) ProbeIter(mask uint32, pattern Tuple, it *Iterator) {
 	d := r.data
-	*it = Iterator{rows: d.rows, dead: d.dead}
+	it.reset(d, 0, nil)
 	switch {
 	case mask == 0:
 		it.hi = d.n
@@ -124,7 +124,17 @@ func (r *Relation) ProbeIter(mask uint32, pattern Tuple, it *Iterator) {
 // index. pattern must stay unchanged while the cursor is in use.
 func (r *Relation) ScanIter(mask uint32, pattern Tuple, it *Iterator) {
 	d := r.data
-	*it = Iterator{rows: d.rows, dead: d.dead, hi: d.n, mask: mask, pattern: pattern}
+	it.reset(d, mask, pattern)
+	it.hi = d.n
+}
+
+// reset points it at d's rows with an empty run, field by field: the
+// cursor of a join step is reset once per probe, and assigning it a
+// fresh Iterator would zero and copy the whole struct each time.
+func (it *Iterator) reset(d *relData, mask uint32, pattern Tuple) {
+	it.rows, it.dead = d.rows, d.dead
+	it.i, it.hi, it.blocks, it.older = 0, 0, nil, 0
+	it.fast, it.mask, it.pattern = false, mask, pattern
 }
 
 // index returns (building if needed) the secondary index on the given

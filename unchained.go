@@ -112,7 +112,8 @@ func NewPlanCache() *PlanCache { return eval.NewPlanCache() }
 func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
 
 // Typed evaluation-interruption errors (match with errors.Is). Every
-// engine polls its context between stages and stops with one of these
+// engine polls its context before every stage, and the matcher of every
+// deterministic semantics within one, and stops with one of these
 // wrapped with the completed stage count.
 var (
 	ErrCanceled = engine.ErrCanceled
@@ -326,8 +327,9 @@ func (s *Session) Sym(name string) Value { return s.U.Sym(name) }
 
 // EvalContext evaluates a deterministic program under the chosen
 // semantics, bounded by the context: a deadline or cancellation
-// interrupts the engine between stages with ErrDeadline/ErrCanceled
-// (wrapped with the completed stage count) and the partial result.
+// interrupts the engine with ErrDeadline/ErrCanceled (wrapped with the
+// completed stage count) and the partial result, between stages or
+// inside one (whose facts are then not applied).
 // For WellFounded the result instance holds the true facts; use
 // EvalWellFounded3Context for the 3-valued model.
 func (s *Session) EvalContext(ctx context.Context, p *Program, in *Instance, sem Semantics, opts ...Opt) (*EvalResult, error) {
