@@ -430,7 +430,8 @@ func (r *wfsRun) alternate(k *engine.SemiNaive, preds []string) (bool, error) {
 		r.gammas++
 		r.col.BeginPhase("gamma", r.gammas)
 		m.pin(over, before, added)
-		deleted, err := m.bf.Run(r.opt, over, r.w.True, r.w.adom, m.seed)
+		m.deleted.EachRel(func(_ string, rel *tuple.Relation) { rel.Clear() })
+		err := m.bf.Run(r.opt, over, r.w.True, r.w.adom, m.seed, m.deleted)
 		r.col.EndPhase("gamma", r.gammas)
 		if err != nil {
 			return false, err
@@ -438,7 +439,7 @@ func (r *wfsRun) alternate(k *engine.SemiNaive, preds []string) (bool, error) {
 		r.w.Rounds++
 		// Γ(overᵢ₊₁) grows from underᵢ by the firings a deleted fact
 		// unblocked, then semi-naively.
-		m.pin(r.w.True, over, deleted)
+		m.pin(r.w.True, over, m.deleted)
 	}
 }
 
@@ -463,8 +464,10 @@ func twoOwnNegs(rules []*eval.Rule, preds []string) bool {
 // groupMaintenance is what a cyclic group's rounds after the first
 // maintain its estimates with.
 type groupMaintenance struct {
-	// bf is the deletion step of the over-estimate.
-	bf *engine.BackwardForward
+	// bf is the deletion step of the over-estimate, deleted what its last
+	// run deleted.
+	bf      *engine.BackwardForward
+	deleted *tuple.Instance
 	// rules and preds are the group's.
 	rules []*eval.Rule
 	preds []string
@@ -482,7 +485,7 @@ type groupMaintenance struct {
 // step's forward plans are the variants k's rounds after the first fire,
 // scheduled already.
 func (r *wfsRun) maintenance(k *engine.SemiNaive, preds []string) *groupMaintenance {
-	m := &groupMaintenance{rules: k.Rules, preds: preds, ctx: *r.opt.EvalCtx(r.col, nil, r.w.adom)}
+	m := &groupMaintenance{rules: k.Rules, preds: preds, deleted: tuple.NewInstance(), ctx: *r.opt.EvalCtx(r.col, nil, r.w.adom)}
 	m.ctx.Buf, m.seed = &m.buf, m.fire
 	for _, cr := range k.Rules {
 		for li, l := range cr.Src.Body {
@@ -518,7 +521,7 @@ func (m *groupMaintenance) unindex(tr, pos *tuple.Instance) {
 }
 
 // pin points the seed at the firings of the pins over a fact of delta
-// (nil: none) at the pinned literal, positive literals reading in and
+// at the pinned literal, positive literals reading in and
 // the other negative ones negIn.
 func (m *groupMaintenance) pin(in, negIn, delta *tuple.Instance) {
 	m.ctx.In, m.ctx.NegIn, m.ctx.Delta = in, negIn, delta
@@ -527,9 +530,6 @@ func (m *groupMaintenance) pin(in, negIn, delta *tuple.Instance) {
 
 // fire is the seed: it emits the heads of the firings pin points at.
 func (m *groupMaintenance) fire(emit func(eval.Fact) bool) {
-	if m.ctx.Delta == nil {
-		return
-	}
 	for _, p := range m.pins {
 		m.ctx.DeltaLit = p.DeltaLit()
 		if rel := m.ctx.Delta.Relation(p.Src.Body[m.ctx.DeltaLit].Atom.Pred); rel != nil && !rel.Empty() {

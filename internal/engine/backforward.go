@@ -129,14 +129,15 @@ func (bf *BackwardForward) pred(name string) int {
 }
 
 // Run deletes from state the layer's facts that lost their last proof
-// and returns them, nil when there are none. seed enumerates the first
+// and adds them to deleted, which the caller owns: Run only inserts into
+// it. seed enumerates the first
 // wave's candidates through emit, which passes over a fact the state
 // lacks and reports false: a candidate is no fact the stage adds. negIn and adom are what the
 // enumerations' negative literals and unbound variables read (nil: the
 // state, and no domain). A layer fact negIn holds is proved outright. On
-// a context interruption between waves the facts deleted so far are
-// returned with the typed error.
-func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom []value.Value, seed func(emit func(eval.Fact) bool)) (*tuple.Instance, error) {
+// a context interruption between waves deleted holds the facts deleted
+// so far, and the typed error is returned.
+func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom []value.Value, seed func(emit func(eval.Fact) bool), deleted *tuple.Instance) error {
 	col := opt.Collector()
 	r := bfRuns.Get().(*bfRun)
 	defer bfRuns.Put(r)
@@ -161,7 +162,6 @@ func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom 
 			rels.base = negIn.Relation(name)
 		}
 	}
-	var deleted *tuple.Instance
 	_, err := opt.Loop(col, 0, nil, func(n int) (Outcome, error) {
 		if n == 1 {
 			seed(r.onSeed)
@@ -179,9 +179,6 @@ func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom 
 				if f := &r.forward[i]; !r.gone.Ensure(bf.preds[f.pred], bf.arity[f.pred]).Empty() {
 					r.fire(f, nil, r.nextFiring)
 				}
-			}
-			if deleted == nil {
-				deleted = tuple.NewInstance()
 			}
 			r.gone.EachRel(func(pred string, rel *tuple.Relation) {
 				if rel.Empty() {
@@ -207,7 +204,7 @@ func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom 
 	for i := range r.rels {
 		r.rels[i].state, r.rels[i].base = nil, nil
 	}
-	return deleted, err
+	return err
 }
 
 // bfRun is the state of a Run. The memo (rels), the lists and the

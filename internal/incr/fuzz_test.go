@@ -77,7 +77,7 @@ func FuzzApply(f *testing.F) {
 				}
 				continue
 			}
-			before := v.Snapshot()
+			before := ref.Snapshot() // not v's: v's batches must write in place
 			d := applyBoth(t, u, v, ref, assert, retract)
 			if got, want := v.Instance().String(u), oracleRecompute(t, u, v).String(u); got != want {
 				t.Fatalf("%s: view diverged from recompute\nassert: %v\nretract: %v\ngot:\n%swant:\n%s",

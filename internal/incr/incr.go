@@ -15,6 +15,13 @@
 // engine.BackwardForward. Then the layer's engine.SemiNaive kernel,
 // seeded by the firings the gains give, inserts what is new.
 //
+// The view keeps one state and writes it in place. The first facts a
+// layer checks are the heads of the firings through a lost fact as they
+// stood before the batch: while it enumerates them, the layer undoes the
+// batch's net delta on the few lower predicates those firings read, and
+// redoes it after. A batch thus costs what it changes, not a copy of the
+// view.
+//
 // The paper's forward-chaining languages handle updates inside the
 // language (Datalog¬¬, Section 4.2); this package is the systems-side
 // complement — keeping the (stratified) model materialized while the
@@ -25,6 +32,7 @@ package incr
 
 import (
 	"fmt"
+	"slices"
 
 	"unchained/internal/ast"
 	"unchained/internal/declarative"
@@ -102,10 +110,12 @@ type View struct {
 	layers []*layer
 	// ctx is the matcher environment of the seeds, which fire the
 	// variants one at a time, with buf its enumeration buffer; added
-	// receives the facts a layer's insertion adds.
-	ctx   eval.Ctx
-	buf   eval.Scratch
-	added *tuple.Instance
+	// receives the facts a layer's insertion adds, and rewound lists the
+	// predicates a loss seed rewinds.
+	ctx     eval.Ctx
+	buf     eval.Scratch
+	added   *tuple.Instance
+	rewound []string
 	// opt is the Materialize options (nil when none). Every maintenance
 	// step joins with the same scan and planner configuration as the
 	// initial materialization, and its context bounds every subsequent
@@ -122,12 +132,16 @@ type View struct {
 // deltaVariant is a rule compiled to start matching at one body atom
 // literal. neg marks variants pinned at a (flipped) negative literal:
 // their delta direction is inverted — facts *added* to the negated
-// predicate invalidate firings, facts *removed* enable them.
+// predicate invalidate firings, facts *removed* enable them. reads are
+// the lower-layer (or EDB) predicates it matches at its other literals,
+// when it is pinned at one itself: a loss seed reads them as the batch
+// found them.
 type deltaVariant struct {
-	rule *eval.Rule
-	lit  int
-	pred string
-	neg  bool
+	rule  *eval.Rule
+	lit   int
+	pred  string
+	neg   bool
+	reads []string
 }
 
 // Materialize evaluates the program once and returns a maintainable
@@ -249,9 +263,18 @@ func (v *View) buildLayers() {
 		}
 		var rules, heads []*eval.Rule
 		for ri, r := range v.prog.Rules {
-			if l.preds[r.Head[0].Atom.Pred] {
-				l.rules = append(l.rules, ri)
-				rules, heads = append(rules, v.rules[ri]), append(heads, v.rules[ri].Delta(len(r.Body)))
+			if !l.preds[r.Head[0].Atom.Pred] {
+				continue
+			}
+			l.rules = append(l.rules, ri)
+			rules, heads = append(rules, v.rules[ri]), append(heads, v.rules[ri].Delta(len(r.Body)))
+			for i := range v.variants[ri] {
+				dv := &v.variants[ri][i]
+				for li, lit := range r.Body {
+					if p := lit.Atom.Pred; li != dv.lit && !l.preds[dv.pred] && !l.preds[p] && !slices.Contains(dv.reads, p) {
+						dv.reads = append(dv.reads, p)
+					}
+				}
 			}
 		}
 		if len(l.rules) == 0 {
@@ -269,8 +292,10 @@ func (v *View) Instance() *tuple.Instance { return v.state }
 
 // Snapshot returns a copy-on-write snapshot of the maintained
 // instance: an O(#relations) fork that stays fixed while the view
-// keeps absorbing update batches. The view pays a per-relation
-// promotion only for relations it actually touches afterwards.
+// keeps absorbing update batches. Maintenance itself takes none: the
+// view writes its relations in place, and only while a snapshot is
+// held does the first batch to touch a relation pay one promotion
+// (a copy) of it.
 func (v *View) Snapshot() *tuple.Instance { return v.state.Snapshot() }
 
 // Has reports whether the fact holds in the maintained model.
@@ -318,7 +343,7 @@ func (v *View) Apply(assert, retract []Fact) (*Delta, error) {
 
 // apply is Apply with the maintenance of a layer passed in, so the
 // tests can hold it to the delete–rederive it replaced.
-func (v *View) apply(assert, retract []Fact, maintain func(v *View, l *layer, old *tuple.Instance, d *Delta) error) (*Delta, error) {
+func (v *View) apply(assert, retract []Fact, maintain func(v *View, l *layer, d *Delta) error) (*Delta, error) {
 	for _, f := range assert {
 		if v.idb[f.Pred] {
 			return nil, fmt.Errorf("incr: %s is intensional; only EDB updates are supported", f.Pred)
@@ -330,7 +355,6 @@ func (v *View) apply(assert, retract []Fact, maintain func(v *View, l *layer, ol
 		}
 	}
 	d := &Delta{Added: tuple.NewInstance(), Removed: tuple.NewInstance()}
-	old := v.state.Snapshot()
 	retracted := 0
 	for _, f := range assert {
 		if v.state.Insert(f.Pred, f.Tuple) {
@@ -348,7 +372,7 @@ func (v *View) apply(assert, retract []Fact, maintain func(v *View, l *layer, ol
 		return d, nil
 	}
 	for _, l := range v.layers {
-		if err := maintain(v, l, old, d); err != nil {
+		if err := maintain(v, l, d); err != nil {
 			return d, err
 		}
 	}
@@ -376,25 +400,19 @@ func hasPred(in *tuple.Instance, pred string) bool {
 // facts a lower-layer (or EDB) loss took the last proof of: the
 // candidates are the heads of the firings the losses may have
 // invalidated, matched against the pre-batch state, where those
-// firings lived. Its semi-naive kernel then adds what the gains derive,
-// round one firing the variants pinned at the gains. That is complete
-// because the deletion left exactly the facts with a proof that needs
-// no gain, and a firing that needs none has a head among them; whatever
-// round one misses needs a fact the kernel added. Negated literals read
-// the current state, final for their (strictly lower) layers. A deleted
-// fact the gains derive again is put back, and Delta.add cancels it
-// against its removal.
-func (v *View) maintain(l *layer, old *tuple.Instance, d *Delta) error {
-	gone, err := l.bf.Run(v.opt, v.state, nil, nil, v.seed(l, d, false, old))
-	if gone != nil {
-		gone.EachRel(func(pred string, r *tuple.Relation) {
-			d.Removed.Ensure(pred, r.Arity()).UnionInPlace(r)
-		})
-	}
-	if err != nil {
+// firings lived (see seed). Its semi-naive kernel then adds what the
+// gains derive, round one firing the variants pinned at the gains. That
+// is complete because the deletion left exactly the facts with a proof
+// that needs no gain, and a firing that needs none has a head among
+// them; whatever round one misses needs a fact the kernel added.
+// Negated literals read the current state, final for their (strictly
+// lower) layers. A deleted fact the gains derive again is put back, and
+// Delta.add cancels it against its removal.
+func (v *View) maintain(l *layer, d *Delta) error {
+	if err := l.bf.Run(v.opt, v.state, nil, nil, v.seed(l, d, false), d.Removed); err != nil {
 		return err
 	}
-	_, err = l.k.Run(v.opt, v.state, nil, v.seed(l, d, true, v.state), v.added)
+	_, err := l.k.Run(v.opt, v.state, nil, v.seed(l, d, true), v.added)
 	v.added.EachRel(func(pred string, r *tuple.Relation) {
 		r.Each(func(t tuple.Tuple) bool {
 			d.add(pred, t)
@@ -408,21 +426,73 @@ func (v *View) maintain(l *layer, old *tuple.Instance, d *Delta) error {
 // seed returns the first round of layer l's maintenance: it emits the
 // heads of the firings of the variants pinned at the batch's
 // lower-layer (or EDB) changes, the losses or the gains, the unpinned
-// literals matching in.
-func (v *View) seed(l *layer, d *Delta, gain bool, in *tuple.Instance) func(emit func(eval.Fact) bool) {
+// literals matching the state. A gain's firings hold after the batch,
+// so they match the state as it is. A loss's held before it: while
+// they are enumerated, the reads of the variants that fire are rewound
+// to where the batch found them. Nothing else a loss variant reads has
+// moved yet: the layer's own predicates change only when it is
+// maintained, and those of later layers it does not read.
+func (v *View) seed(l *layer, d *Delta, gain bool) func(emit func(eval.Fact) bool) {
 	return func(emit func(eval.Fact) bool) {
+		if !gain {
+			v.rewound = v.rewound[:0]
+			v.eachPinned(l, d, false, func(dv *deltaVariant, _ *tuple.Instance) {
+				for _, p := range dv.reads {
+					if !slices.Contains(v.rewound, p) {
+						v.rewound = append(v.rewound, p)
+					}
+				}
+			})
+			v.rewind(d.Added, d.Removed)
+			defer v.rewind(d.Removed, d.Added)
+		}
 		ctx := &v.ctx
-		ctx.In = in
+		ctx.In = v.state
 		ctx.NewStage()
-		for _, ri := range l.rules {
-			for _, dv := range v.variants[ri] {
-				if pin := pinFor(dv, d, gain); !l.preds[dv.pred] && hasPred(pin, dv.pred) {
-					ctx.Delta, ctx.DeltaLit = pin, dv.lit
-					dv.rule.Fire(ctx, -1, nil, emit)
+		v.eachPinned(l, d, gain, func(dv *deltaVariant, pin *tuple.Instance) {
+			ctx.Delta, ctx.DeltaLit = pin, dv.lit
+			dv.rule.Fire(ctx, -1, nil, emit)
+		})
+		ctx.In, ctx.Delta = nil, nil // the instances are the batch's
+		v.buf.Release()
+	}
+}
+
+// eachPinned calls fn with each variant of layer l's rules that is pinned
+// at a lower-layer (or EDB) literal the batch's losses or gains touch,
+// and with the delta that drives it.
+func (v *View) eachPinned(l *layer, d *Delta, gain bool, fn func(dv *deltaVariant, pin *tuple.Instance)) {
+	for _, ri := range l.rules {
+		for i := range v.variants[ri] {
+			if dv := &v.variants[ri][i]; !l.preds[dv.pred] {
+				if pin := pinFor(*dv, d, gain); hasPred(pin, dv.pred) {
+					fn(dv, pin)
 				}
 			}
 		}
-		ctx.In, ctx.Delta = nil, nil // the instances are the batch's
-		v.buf.Release()
+	}
+}
+
+// rewind moves the predicates in v.rewound across the batch in place:
+// it deletes the facts of drop and puts back those of restore. Rewound
+// with (Added, Removed), they are as the batch found them, and with
+// (Removed, Added) as it left them. A net delta holds no fact on both
+// sides, so the order of the two does not matter.
+func (v *View) rewind(drop, restore *tuple.Instance) {
+	for _, pred := range v.rewound {
+		if r := drop.Relation(pred); r != nil && !r.Empty() {
+			st := v.state.Relation(pred)
+			r.Each(func(t tuple.Tuple) bool {
+				st.Delete(t)
+				return true
+			})
+		}
+		if r := restore.Relation(pred); r != nil && !r.Empty() {
+			st := v.state.Ensure(pred, r.Arity())
+			r.Each(func(t tuple.Tuple) bool {
+				st.Insert(t)
+				return true
+			})
+		}
 	}
 }

@@ -426,3 +426,98 @@ func TestDeletesWhatLeaves(t *testing.T) {
 		t.Errorf("deleted %d facts from T over %d batches to remove %d, want at most twice that", deleted, len(ops), removed)
 	}
 }
+
+// TestLossSeedReadsPreBatchState: a batch takes away a firing through
+// two of its body facts at once. The loss seed matches the firing with
+// one changed fact pinned and the other read where the batch found it;
+// read as the batch left it, neither pin completes the firing, and P(a)
+// would outlive its last proof.
+func TestLossSeedReadsPreBatchState(t *testing.T) {
+	for _, c := range []struct {
+		name, program, facts string
+		assert, retract      string
+	}{
+		{"both-retracted", `P(X) :- A(X), B(X).`, `A(a). B(a).`, ``, `A(a). B(a).`},
+		{"support-retracted-guard-asserted", `P(X) :- A(X), !B(X).`, `A(a).`, `B(a).`, `A(a).`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			u := value.New()
+			v, err := Materialize(parser.MustParse(c.program, u), parser.MustParseFacts(c.facts, u), u, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			facts := func(src string) []Fact {
+				var fs []Fact
+				parser.MustParseFacts(src, u).EachRel(func(pred string, r *tuple.Relation) {
+					for _, tup := range r.SortedTuples(u) {
+						fs = append(fs, Fact{Pred: pred, Tuple: tup})
+					}
+				})
+				return fs
+			}
+			d := applyBoth(t, u, v, referenceView(t, u, v), facts(c.assert), facts(c.retract))
+			if pa := (tuple.Tuple{u.Sym("a")}); v.Has("P", pa) || !d.Removed.Has("P", pa) {
+				t.Errorf("P(a) survived or is missing from the delta\nremoved:\n%s", d.Removed.String(u))
+			}
+			if !v.Instance().Equal(oracleRecompute(t, u, v)) {
+				t.Error("incremental state differs from recompute")
+			}
+		})
+	}
+}
+
+// TestBatchesWriteInPlace: a view copies none of its relations to
+// maintain them. Once the batches have written each relation the view
+// shares with the caller's input, they promote nothing more; with a
+// snapshot held across ten batches, each relation they write is
+// promoted once, and the snapshot stays as it was taken.
+func TestBatchesWriteInPlace(t *testing.T) {
+	col := stats.New()
+	v, ops, u := denseGraph(t, &engine.Options{Stats: col})
+	promotions := func() uint64 { return col.Cow().Load().Promotions }
+	for _, op := range ops { // the first write to a relation shared with the input copies it
+		if _, err := v.Apply(op[0], op[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := promotions()
+	for _, op := range ops {
+		if _, err := v.Apply(op[0], op[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := promotions() - base; n != 0 {
+		t.Fatalf("%d batches with no snapshot held promoted %d relations, want 0", len(ops), n)
+	}
+
+	snap := v.Snapshot()
+	want := snap.String(u)
+	base = promotions()
+	written := map[string]bool{}
+	for _, op := range ops[:10] {
+		d, err := v.Apply(op[0], op[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []*tuple.Instance{d.Added, d.Removed} {
+			in.EachRel(func(pred string, r *tuple.Relation) { written[pred] = written[pred] || !r.Empty() })
+		}
+	}
+	if got := snap.String(u); got != want {
+		t.Fatalf("the held snapshot changed under ten batches\ngot:\n%swant:\n%s", got, want)
+	}
+	moved := 0
+	for _, pred := range v.Instance().Names() {
+		switch g := v.Instance().Relation(pred).Generation() - snap.Relation(pred).Generation(); {
+		case g > 1:
+			t.Errorf("%s promoted %d times under one snapshot, want once", pred, g)
+		case g == 1:
+			moved++
+		case written[pred]:
+			t.Errorf("%s changed but was not promoted", pred)
+		}
+	}
+	if n := promotions() - base; n != uint64(moved) || moved == 0 {
+		t.Errorf("ten batches promoted %d times, %d relations moved: want one promotion for each", n, moved)
+	}
+}

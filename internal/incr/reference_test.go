@@ -14,8 +14,8 @@ import (
 // what the two leave behind: an over-deleted fact that did not come
 // back was removed, an inserted fact that was not over-deleted was
 // added. View.apply takes it in place of maintain.
-func referenceDRed(v *View, l *layer, old *tuple.Instance, d *Delta) error {
-	over, err := referenceOverDelete(v, l, old, d)
+func referenceDRed(v *View, l *layer, d *Delta) error {
+	over, err := referenceOverDelete(v, l, preBatch(v, d), d)
 	if err != nil {
 		return err
 	}
@@ -32,6 +32,27 @@ func referenceDRed(v *View, l *layer, old *tuple.Instance, d *Delta) error {
 		})
 	})
 	return nil
+}
+
+// preBatch returns the state the batch found, for a layer's maintenance
+// to match the losses against: a copy of v's state with d, the net delta
+// of the layers below, reverted. It costs a copy of the view, which the
+// oracle pays to stay independent of View.seed's in-place rewind.
+func preBatch(v *View, d *Delta) *tuple.Instance {
+	old := v.state.Clone()
+	d.Added.EachRel(func(pred string, r *tuple.Relation) {
+		r.Each(func(t tuple.Tuple) bool {
+			old.Delete(pred, t)
+			return true
+		})
+	})
+	d.Removed.EachRel(func(pred string, r *tuple.Relation) {
+		r.Each(func(t tuple.Tuple) bool {
+			old.Insert(pred, t)
+			return true
+		})
+	})
+	return old
 }
 
 // referenceOverDelete is DRed's first phase. The first wave deletes the

@@ -46,6 +46,20 @@ type relData struct {
 
 func (d *relData) isDead(row int) bool { return deadBit(d.dead, row) }
 
+// overDead is the one tombstone bound: it reports whether more than a
+// third of the rows, and at least 32, are deleted. Delete re-packs a
+// relation that it takes past the bound, so no relation is past it
+// after any operation, and a promote copies at most that many dead rows.
+// A maintained view, whose batches delete and revive rows in place, is
+// held to it too. The higher the bound, the rarer the re-packs; the
+// lower, the fewer dead rows kept. Measured on the benchmark's
+// incr-updates workload (KB allocated per batch, live heap, medians of
+// three runs): a half 80 KB, 0.257 MB, one run 0.276; a third 93 KB,
+// 0.237 MB; a quarter 108 KB, 0.226 MB; a view that forked its state
+// for every batch took 275 KB, 0.252 MB. A third is the highest bound
+// whose live heap stays under the fork's.
+func (d *relData) overDead() bool { return d.ndead >= 32 && 3*d.ndead > d.n }
+
 // deadBit reports whether row is marked in the tombstone bitset.
 func deadBit(dead []uint64, row int) bool {
 	return dead != nil && dead[row>>6]&(1<<uint(row&63)) != 0
@@ -163,45 +177,37 @@ func (r *Relation) Snapshot() *Relation {
 
 // promote gives r a private copy of its shared storage; it must be
 // called before any in-place mutation while r is shared. Rows,
-// tombstones and tables are copied slice by slice (row ids, and with
-// them every slot and block, stay what they were) and every warm index
-// is carried across. When more than an eighth of the rows are deleted
-// the copy is a repack instead, and promote reports that the row ids
-// changed: a relation forked before every batch of a few deletes (a
-// maintained view) would otherwise carry its tombstones until they
-// outnumber the live rows.
-func (r *Relation) promote() (repacked bool) {
+// tombstones and tables are copied slice by slice, so row ids, and with
+// them every slot and block, stay what they were, and every warm index
+// is carried across. The tombstones come along as they are: the one
+// tombstone bound (overDead), which Delete keeps, holds them to a third
+// of the rows on either side of a fork.
+func (r *Relation) promote() {
 	if !r.shared.Load() {
-		return false
+		return
 	}
 	d := r.data
-	if repacked = d.ndead >= 32 && d.ndead > d.n/8; repacked {
-		r.repack()
-		r.data.gen = d.gen + 1
-	} else {
-		nd := &relData{
-			gen: d.gen + 1, rows: rows{cloneRoom(d.vals, r.arity), r.arity}, n: d.n,
-			dead: slices.Clone(d.dead), ndead: d.ndead, member: d.member.clone(),
-		}
-		for _, ixs := range [][]*table{d.indexes, r.own} {
-			for _, ix := range ixs {
-				c := ix.clone()
-				nd.indexes = append(nd.indexes, &c)
-			}
-		}
-		r.data, r.own = nd, nil
+	nd := &relData{
+		gen: d.gen + 1, rows: rows{cloneRoom(d.vals, r.arity), r.arity}, n: d.n,
+		dead: slices.Clone(d.dead), ndead: d.ndead, member: d.member.clone(),
 	}
+	for _, ixs := range [][]*table{d.indexes, r.own} {
+		for _, ix := range ixs {
+			c := ix.clone()
+			nd.indexes = append(nd.indexes, &c)
+		}
+	}
+	r.data, r.own = nd, nil
 	r.shared.Store(false)
 	r.cow.addPromotion(r.Len(), len(r.data.indexes))
-	return repacked
 }
 
 // repack moves the live rows into fresh storage with the same indexes
 // (the shared payload's and the private overlay's) rebuilt over them,
-// dropping the deleted rows. Delete calls it once they outnumber the
-// live ones, which keeps storage, tables and blocks proportional to the
-// live set at amortized constant cost per delete. The old arrays are
-// left as they are for whoever still reads them.
+// dropping the deleted rows. Delete calls it once they pass the
+// tombstone bound, which keeps storage, tables and blocks proportional
+// to the live set at amortized constant cost per delete. The old arrays
+// are left as they are for whoever still reads them.
 func (r *Relation) repack() {
 	d := r.data
 	nd := &relData{gen: d.gen, rows: rows{make([]value.Value, 0, r.Len()*r.arity), r.arity}}

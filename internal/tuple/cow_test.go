@@ -192,13 +192,14 @@ func TestPromoteCarriesIndexesSafely(t *testing.T) {
 	}
 }
 
-// TestPromoteRepacksTombstones: a relation forked with more than an
-// eighth of its rows deleted is re-packed by the write that promotes
-// it. The row the write looked up before the promote has moved, so an
-// insert and a delete must find theirs again, and every index (the
-// shared payload's and the private overlay's) must answer over the new
-// rows while the parent keeps its own.
-func TestPromoteRepacksTombstones(t *testing.T) {
+// TestPromoteCarriesTombstones: a relation forked with deleted rows is
+// copied, tombstones and all, by the write that promotes it. Row ids
+// stay what they were, so an insert that revives a row, an insert of a
+// new one and a delete each land on the row they looked up, and every
+// index (the shared payload's and the private overlay's) answers over
+// the copy while the parent keeps its own. Deletes on the fork that take
+// it past the tombstone bound re-pack the fork alone.
+func TestPromoteCarriesTombstones(t *testing.T) {
 	u := value.New()
 	r := NewRelation(2)
 	for i := 0; i < 200; i++ {
@@ -208,26 +209,32 @@ func TestPromoteRepacksTombstones(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r.Delete(tup(u.Int(int64(i%4)), u.Int(int64(i))))
 	}
+	parentSame := func(what string) {
+		t.Helper()
+		if r.Len() != 160 || r.data.ndead != 40 || len(probe(r, 1, tup(u.Int(0), value.None))) != 40 {
+			t.Fatalf("%s: the parent moved: %d live, %d dead", what, r.Len(), r.data.ndead)
+		}
+	}
 	for _, write := range []struct {
-		name   string
-		insert bool
-		t      Tuple
+		name       string
+		insert     bool
+		t          Tuple
+		rows, dead int
 	}{
-		{"insert revives", true, tup(u.Int(0), u.Int(0))},
-		{"insert new", true, tup(u.Int(0), u.Int(999))},
-		{"delete", false, tup(u.Int(0), u.Int(100))},
+		{"insert revives", true, tup(u.Int(0), u.Int(0)), 200, 39},
+		{"insert new", true, tup(u.Int(0), u.Int(999)), 201, 40},
+		{"delete", false, tup(u.Int(0), u.Int(100)), 200, 41},
 	} {
 		s := r.Snapshot()
 		_ = probe(s, 2, tup(value.None, u.Int(150))) // warm, in the overlay
 		if write.insert && !s.Insert(write.t) || !write.insert && !s.Delete(write.t) {
 			t.Fatalf("%s: the write after the promote missed its tuple", write.name)
 		}
-		// Re-packed: the 160 live rows, then the write's row or tombstone.
-		if s.data.n > 161 || s.data.ndead > 1 {
-			t.Fatalf("%s: %d rows, %d dead: want a re-pack", write.name, s.data.n, s.data.ndead)
+		if s.data.n != write.rows || s.data.ndead != write.dead {
+			t.Fatalf("%s: %d rows, %d dead: want %d and %d, the parent's with the write", write.name, s.data.n, s.data.ndead, write.rows, write.dead)
 		}
 		if indexOn(s.data.indexes, 1) == nil || indexOn(s.data.indexes, 2) == nil || s.own != nil {
-			t.Fatalf("%s: the re-pack dropped an index", write.name)
+			t.Fatalf("%s: the promote dropped an index", write.name)
 		}
 		want, zeros := NewRelation(2), 0
 		for i := 40; i < 200; i++ {
@@ -248,15 +255,25 @@ func TestPromoteRepacksTombstones(t *testing.T) {
 			t.Fatalf("%s: the fork does not hold the parent's facts with the write applied", write.name)
 		}
 		if got := len(probe(s, 1, tup(u.Int(0), value.None))); got != zeros {
-			t.Fatalf("%s: re-packed probe on column 0: %d, want %d", write.name, got, zeros)
+			t.Fatalf("%s: probe on column 0: %d, want %d", write.name, got, zeros)
 		}
 		if got := len(probe(s, 2, tup(value.None, u.Int(150)))); got != 1 {
-			t.Fatalf("%s: re-packed probe on column 1: %d, want 1", write.name, got)
+			t.Fatalf("%s: probe on column 1: %d, want 1", write.name, got)
 		}
-		if r.Len() != 160 || len(probe(r, 1, tup(u.Int(0), value.None))) != 40 {
-			t.Fatalf("%s: the parent moved: %d live", write.name, r.Len())
-		}
+		parentSame(write.name)
 	}
+	// 200 rows, 40 dead: the 27th delete on the fork passes a third.
+	s := r.Snapshot()
+	for i := 40; i < 67; i++ {
+		if s.data.n != 200 {
+			t.Fatalf("re-packed after %d deletes, at %d dead of %d rows", i-40, s.data.ndead, s.data.n)
+		}
+		s.Delete(tup(u.Int(int64(i%4)), u.Int(int64(i))))
+	}
+	if s.data.n != 133 || s.data.ndead != 0 || s.Len() != 133 || len(probe(s, 1, tup(u.Int(0), value.None))) != 33 {
+		t.Fatalf("past the bound: %d rows, %d dead, %d live: want a re-pack to 133", s.data.n, s.data.ndead, s.Len())
+	}
+	parentSame("re-pack")
 }
 
 func TestEqualFastPathSharedData(t *testing.T) {

@@ -310,3 +310,68 @@ func TestReadBesideSnapshot(t *testing.T) {
 		t.Fatalf("the shared relation changed: %d tuples", r.Len())
 	}
 }
+
+// TestTombstoneBound runs delete and revive sequences across the one
+// tombstone bound (overDead), on a relation of its own and on one whose
+// snapshot is held throughout, so that its first write promotes it and
+// the re-packs happen on its private copy. After every operation the
+// relation holds what the map model holds and its deleted rows are
+// within the bound; the held snapshot keeps what it held when taken.
+func TestTombstoneBound(t *testing.T) {
+	for _, held := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(1))
+		r, model := NewRelation(2), ref{}
+		var all []Tuple
+		for i := 0; i < 300; i++ {
+			tp := Tuple{value.Value(1 + i/20), value.Value(1 + i%20)}
+			r.Insert(tp)
+			model[tp.Key()], all = tp, append(all, tp)
+		}
+		r.BuildIndex(1)
+		var snap *Relation
+		if held {
+			snap = r.Snapshot()
+		}
+		repacks := 0
+		for phase := 0; phase < 40; phase++ {
+			del := phase%2 == 0
+			for k := 1 + rng.Intn(150); k > 0; k-- {
+				tp := all[rng.Intn(len(all))]
+				_, had := model[tp.Key()]
+				n := r.data.n
+				if del {
+					if r.Delete(tp) != had {
+						t.Fatalf("held %v: Delete(%v) = %v", held, tp, !had)
+					}
+					delete(model, tp.Key())
+				} else {
+					if r.Insert(tp) == had {
+						t.Fatalf("held %v: Insert(%v) = %v", held, tp, had)
+					}
+					model[tp.Key()] = tp
+				}
+				if r.data.n < n {
+					repacks++
+				}
+				if r.Len() != len(model) || r.data.overDead() {
+					t.Fatalf("held %v: %d live of %d rows, %d dead, want %d live within the bound", held, r.Len(), r.data.n, r.data.ndead, len(model))
+				}
+			}
+			if got := keysOf(r.Tuples()); fmt.Sprint(got) != fmt.Sprint(model.matching(0, nil)) {
+				t.Fatalf("held %v, phase %d: the relation does not hold the model's tuples", held, phase)
+			}
+			for c := 1; c <= 15; c++ {
+				pattern := Tuple{value.Value(c), 0}
+				if got := probe(r, 1, pattern); fmt.Sprint(keysOf(got)) != fmt.Sprint(model.matching(1, pattern)) {
+					t.Fatalf("held %v, phase %d: probe on %d: %d tuples", held, phase, c, len(got))
+				}
+			}
+			if held && (snap.Len() != 300 || snap.data.ndead != 0 || !snap.Contains(all[0]) || len(probe(snap, 1, Tuple{1, 0})) != 20) {
+				t.Fatalf("phase %d: the held snapshot moved: %d live, %d dead", phase, snap.Len(), snap.data.ndead)
+			}
+		}
+		if repacks == 0 {
+			t.Errorf("held %v: no sequence crossed the bound", held)
+		}
+	}
+}

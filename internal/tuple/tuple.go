@@ -136,9 +136,7 @@ func (r *Relation) Insert(t Tuple) bool {
 	if row >= 0 && !r.data.isDead(row) {
 		return false
 	}
-	if r.promote() {
-		row = r.data.find(t, h)
-	}
+	r.promote()
 	d := r.data
 	r.fp ^= h
 	if row >= 0 { // deleted earlier: the row is still stored and indexed
@@ -159,7 +157,9 @@ func (r *Relation) Insert(t Tuple) bool {
 }
 
 // Delete removes t, reporting whether it was present. The row is only
-// marked: tuples and iterators handed out earlier keep reading it.
+// marked: tuples and iterators handed out earlier keep reading it. A
+// delete that takes the deleted rows past the tombstone bound (overDead)
+// re-packs the relation.
 func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
@@ -169,9 +169,7 @@ func (r *Relation) Delete(t Tuple) bool {
 	if row < 0 || r.data.isDead(row) {
 		return false
 	}
-	if r.promote() {
-		row = r.data.find(t, h)
-	}
+	r.promote()
 	d := r.data
 	if d.dead == nil {
 		d.dead = make([]uint64, (d.n+63)/64)
@@ -179,7 +177,7 @@ func (r *Relation) Delete(t Tuple) bool {
 	d.dead[row>>6] |= 1 << uint(row&63)
 	d.ndead++
 	r.fp ^= h
-	if d.ndead > d.n/2 && d.ndead >= 32 {
+	if d.overDead() {
 		r.repack()
 	}
 	return true
