@@ -381,12 +381,12 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 	adomc := eval.NewAdomCache(u, p.Constants(), true)
 	ctx := opt.EvalCtx(col, out, nil)
 	ctx.Buf, ctx.Done = new(eval.Scratch), opt.Context().Done()
+	st := eval.NewStaging(out)
 	stages, err := opt.Loop(col, opt.StageLimit(4096), stageLimitErr, func(stage int) (engine.Outcome, error) {
 		ctx.Adom = adomc.Domain(out)
 		ctx.NewStage()
 		// Skolemization re-uses an instantiation's invented values, so a
 		// re-fired instantiation emits facts that are already present.
-		st := eval.NewStaging(out)
 		for ri, cr := range rules {
 			cr.Fire(ctx, ri, heads[ri], st.Emit)
 		}

@@ -111,6 +111,44 @@ func TestInflationaryStagesAreDistances(t *testing.T) {
 	}
 }
 
+// TestTraceSnapshotsOutliveRecycling holds the Options.Trace contract
+// against the recycled staging sets: the instance a stage is shown is
+// the kernel's delta, whose storage a later stage writes into, and a
+// Trace that keeps a Snapshot of it keeps that stage's facts. On a
+// 12-node chain T(x,y) enters at stage d(x,y), so after the run the
+// snapshot of stage k must hold exactly the 12-k facts at distance k.
+func TestTraceSnapshotsOutliveRecycling(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(tcSrc, u)
+	const n = 12
+	var facts strings.Builder
+	for i := 0; i+1 < n; i++ {
+		fmt.Fprintf(&facts, "G(n%d,n%d). ", i, i+1)
+	}
+	in := parser.MustParseFacts(facts.String(), u)
+	var kept []*tuple.Instance
+	opt := &Options{Trace: func(stage int, delta *tuple.Instance) {
+		kept = append(kept, delta.Snapshot())
+	}}
+	res, err := EvalInflationary(p, in, u, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != n-1 || res.Stages != n-1 {
+		t.Fatalf("%d stages shown of %d, want %d", len(kept), res.Stages, n-1)
+	}
+	for k, snap := range kept {
+		stage := k + 1
+		want := tuple.NewInstance()
+		for i := 0; i+stage < n; i++ {
+			want.Insert("T", tuple.Tuple{u.Sym(fmt.Sprintf("n%d", i)), u.Sym(fmt.Sprintf("n%d", i+stage))})
+		}
+		if got := snap.Relation("T"); got == nil || !got.Equal(want.Relation("T")) {
+			t.Errorf("stage %d: the kept snapshot holds T\n%swant\n%s", stage, snap.Restrict([]string{"T"}, nil).String(u), want.String(u))
+		}
+	}
+}
+
 func TestCloserExample41(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(closerSrc, u)

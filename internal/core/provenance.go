@@ -116,11 +116,11 @@ func EvalInflationaryProv(p *ast.Program, in *tuple.Instance, u *value.Universe,
 	}
 	prov := &Provenance{prog: p, u: u, input: in.Clone(), m: map[string]Derivation{}}
 	adom := eval.DomainFor(rules, p, u, in)
+	// The stage's new facts, staged with the derivation that first
+	// produced each: out is not written until the stage is over.
+	st := eval.NewStaging(out)
 	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(stage int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
-		// The stage's new facts, staged with the derivation that first
-		// produced each: out is not written until the stage is over.
-		st := eval.NewStaging(out)
 		for ri, cr := range rules {
 			// A firing's supports are materialized before its head facts
 			// are emitted.

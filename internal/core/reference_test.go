@@ -33,7 +33,7 @@ func referenceStages(t testing.TB, rules []*eval.Rule, in *tuple.Instance, adom 
 		if st.Fold() == 0 {
 			return stages
 		}
-		stages = append(stages, st.Next)
+		stages = append(stages, st.Delta)
 	}
 }
 

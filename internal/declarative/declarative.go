@@ -77,10 +77,10 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 	col.Reset("naive", nil)
 	out := in.SnapshotWith(col.Cow())
 	adom := eval.DomainFor(rules, p, u, in)
+	st := eval.NewStaging(out)
 	rounds, err := opt.Loop(col, 0, nil, func(round int) (engine.Outcome, error) {
 		ctx := opt.EvalCtx(col, out, adom)
 		ctx.Done = opt.Context().Done()
-		st := eval.NewStaging(out)
 		for _, cr := range rules {
 			cr.Fire(ctx, -1, nil, st.Emit)
 		}

@@ -110,8 +110,12 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 	if k.Forward {
 		end.Status = Confirm
 	}
-	var delta *tuple.Instance   // the facts new last round,
-	var parts []*tuple.Instance // or their hash partition (shards > 1)
+	// The facts new last round are st.Delta, or their hash partition
+	// once the rounds are sharded (shards > 1); delta is them as one
+	// instance where a round makes one (a sharded round only for Trace).
+	st := eval.NewStaging(out)
+	var delta *tuple.Instance
+	var parts []*tuple.Instance
 	// Every round of a run shares one matcher environment and buffer: a
 	// round sets what it pins, and its enumerations run one at a time.
 	// The next run reuses both.
@@ -147,7 +151,7 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 			// byte-identical to the serial path. A done context stops
 			// the workers mid-round, and the round is not applied.
 			if round == 2 {
-				parts = delta.Partition(shards)
+				parts = st.Delta.Partition(shards)
 			}
 			var emitted uint64
 			parts, emitted = eval.RunSharded(variants, ctx, parts)
@@ -173,22 +177,19 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 			col.ShardRound(int(emitted))
 		} else {
 			// Every head fact out lacks is staged at emission and
-			// becomes both the next delta and, folded in after the
-			// round, part of out: no fact is queued, and none is copied
-			// more than once per set it joins.
-			var st *eval.Staging
+			// becomes both the next delta and, appended after the round,
+			// part of out: no fact is queued, and none is copied more
+			// than once per set it joins.
 			switch {
 			case round == 1 && seed != nil:
-				st = seeded(out, seed)
+				seed(st.Emit)
 			case round == 1:
 				// A naive pass over every rule seeds the first delta.
-				st = eval.NewStaging(out)
 				for i, cr := range k.Rules {
 					cr.Fire(ctx, k.index(i), nil, st.Emit)
 				}
 			default:
-				st = eval.NewStaging(out)
-				ctx.Delta = delta
+				ctx.Delta = st.Delta
 				for _, v := range variants {
 					ctx.DeltaLit = v.Rule.DeltaLit()
 					v.Rule.Fire(ctx, v.Index, nil, st.Emit)
@@ -197,8 +198,8 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 			if err := opt.Cut(ctx, round); err != nil {
 				return Outcome{}, err // a round the context stopped is not applied
 			}
-			delta = st.Next
 			n = st.Fold()
+			delta = st.Delta
 			if added != nil {
 				eval.Fold(added, delta)
 			}
@@ -211,12 +212,4 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 		}
 		return Outcome{Delta: n}, nil
 	})
-}
-
-// seeded stages what seed emits over out. Its own function, so that
-// only this staging escapes through the seed and not every round's.
-func seeded(out *tuple.Instance, seed func(emit func(eval.Fact) bool)) *eval.Staging {
-	st := eval.NewStaging(out)
-	seed(st.Emit)
-	return st
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unchained/internal/parser"
+	"unchained/internal/stats"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -370,9 +371,8 @@ func TestForallWithEquality(t *testing.T) {
 }
 
 // TestStagingSkipsRederivedPredicates: a predicate whose facts the round
-// only rederives gets no relation in Next — as the next round's delta an
-// empty relation would still be probed, and counted, by every variant
-// that reads it.
+// only rederives gets no relation in Next, so the next round's delta
+// does not name it, and Fold adds only what Next holds.
 func TestStagingSkipsRederivedPredicates(t *testing.T) {
 	u := value.New()
 	a, b := u.Sym("a"), u.Sym("b")
@@ -390,5 +390,29 @@ func TestStagingSkipsRederivedPredicates(t *testing.T) {
 	}
 	if n := st.Fold(); n != 1 || !out.Has("S", tuple.Tuple{a}) {
 		t.Fatalf("Fold = %d, S(a) in out = %v", n, out.Has("S", tuple.Tuple{a}))
+	}
+}
+
+// TestEmptiedDeltaRelationIsNotProbed: a recycled delta (Staging) still
+// names the relations it held, emptied. The literal a delta variant pins
+// to one matches nothing and probes nothing, as when the delta lacks the
+// relation, so a round's probe count does not depend on which of the two
+// sets it reads.
+func TestEmptiedDeltaRelationIsNotProbed(t *testing.T) {
+	cr, base := chainClosure(t, 8)
+	v := cr.Delta(1) // pinned at T(Z,Y)
+	emptied := tuple.NewInstance()
+	emptied.Insert("T", tuple.Tuple{base.Adom[0], base.Adom[1]})
+	emptied.Relation("T").Clear()
+	for name, delta := range map[string]*tuple.Instance{"lacking T": tuple.NewInstance(), "with T emptied": emptied} {
+		col := stats.New()
+		col.Reset("test", nil)
+		ctx := *base
+		ctx.Stats, ctx.Delta, ctx.DeltaLit = col, delta, v.DeltaLit()
+		n := 0
+		v.Enumerate(&ctx, func(Binding) bool { n++; return true })
+		if s := col.Summary(); n != 0 || s.IndexProbes+s.FullScans != 0 {
+			t.Errorf("delta %s: %d bindings, %d probes and %d scans, want none", name, n, s.IndexProbes, s.FullScans)
+		}
 	}
 }

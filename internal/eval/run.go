@@ -312,6 +312,9 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 			}
 			if ctx.Delta != nil {
 				rel = f.rels[f.delta+st.pred]
+				if rel != nil && rel.Empty() {
+					return true // a recycled delta's emptied relation: nothing to probe
+				}
 			}
 		}
 		if rel == nil || rel.Arity() != st.arity {
@@ -543,31 +546,33 @@ type fireScratch struct {
 	vals [4]value.Value
 }
 
-// Staging is the set a round of a fixpoint engine collects its head
-// facts in: Out is the instance the round reads, Next holds the facts
-// the round derived that Out lacks. Out is not written until Fold, so
-// every fact of the round is classified against Out as it stood when
-// the round began, and Fold knows every staged fact to be new.
+// Staging is where a fixpoint engine collects the head facts of its
+// rounds, for a whole run. Out is the instance the rounds read, Next
+// holds the facts the current round derived that Out lacks, and Delta
+// the facts the last Fold added to Out (empty before the first). Out is
+// not written until Fold, so every fact of a round is classified against
+// Out as it stood when the round began, and Fold knows every staged fact
+// to be new: it appends them to Out's rows without hashing or looking
+// one up (Relation.Absorb). Fold then hands Next over as Delta and
+// empties the previous Delta to be the next round's Next, so a run
+// allocates its two sets once and round k+1 writes into the storage of
+// round k-1's delta, indexes included. A Delta is valid until the next
+// Fold; whoever keeps one longer keeps a Snapshot of it.
 type Staging struct {
-	Out, Next *tuple.Instance
+	Out, Next, Delta *tuple.Instance
 	// The relations of the last fact's predicate on both sides: a rule
 	// emits runs of facts for one head, so they are resolved once per
 	// run and not once per fact.
 	pred    string
 	out, to *tuple.Relation
+	sets    [2]tuple.Instance // Next and Delta
 }
 
 // NewStaging returns an empty staging set over out.
 func NewStaging(out *tuple.Instance) *Staging {
-	s := &stagingAlloc{}
-	s.Out, s.Next = out, &s.next
-	return &s.Staging
-}
-
-// stagingAlloc is a new staging set and its Next, in one allocation.
-type stagingAlloc struct {
-	Staging
-	next tuple.Instance
+	s := &Staging{Out: out}
+	s.Next, s.Delta = &s.sets[0], &s.sets[1]
+	return s
 }
 
 // Emit is the emit function for Fire: it stages f unless Out holds it,
@@ -582,15 +587,30 @@ func (s *Staging) Emit(f Fact) bool {
 		return false
 	}
 	if s.to == nil {
-		// Only now: a predicate the round merely rederives must not
-		// appear in Next, where the next round would probe it.
+		// Only now: a predicate the round merely rederives gets no
+		// relation in Next, where the next round would probe it (a
+		// recycled Next keeps the ones it had, emptied).
 		s.to = s.Next.Ensure(f.Pred, len(f.Tuple))
 	}
 	return s.to.Insert(f.Tuple)
 }
 
-// Fold inserts the staged facts into Out and returns their number.
-func (s *Staging) Fold() int { return Fold(s.Out, s.Next) }
+// Fold appends the round's staged facts to Out (Relation.Absorb; an
+// emptied relation of a recycled Next is skipped), makes them the Delta
+// and empties the previous Delta to be the next Next, and returns their
+// number.
+func (s *Staging) Fold() int {
+	n := 0
+	s.Next.EachRel(func(name string, r *tuple.Relation) {
+		if !r.Empty() {
+			n += s.Out.Ensure(name, r.Arity()).Absorb(r)
+		}
+	})
+	s.Delta.EachRel(func(_ string, r *tuple.Relation) { r.Clear() })
+	s.Next, s.Delta = s.Delta, s.Next
+	s.pred, s.out, s.to = "", nil, nil
+	return n
+}
 
 // Fold inserts every fact of from into out and returns from's size.
 func Fold(out, from *tuple.Instance) int {

@@ -46,6 +46,40 @@ func BenchmarkRelationInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationAbsorb folds a staged set of 1 024 tuples into a
+// relation that lacks them, as a fixpoint round folds its new facts:
+// Absorb (one append of the rows, the membership slots re-placed by
+// their tags) against the UnionInPlace it replaced (a hash, a lookup
+// and an insert per tuple). "fresh" folds into a new relation, whose
+// storage grows to size; "cleared" into one emptied by Clear, whose
+// storage is already there.
+func BenchmarkRelationAbsorb(b *testing.B) {
+	u := value.New()
+	o := NewRelation(2)
+	for i := 0; i < 1024; i++ {
+		o.Insert(Tuple{u.Int(int64(i % 32)), u.Int(int64(i))})
+	}
+	for _, fold := range []struct {
+		name string
+		fn   func(r, o *Relation) int
+	}{{"absorb", (*Relation).Absorb}, {"union", (*Relation).UnionInPlace}} {
+		b.Run(fold.name+"/fresh", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fold.fn(NewRelation(2), o)
+			}
+		})
+		b.Run(fold.name+"/cleared", func(b *testing.B) {
+			r := NewRelation(2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Clear()
+				fold.fn(r, o)
+			}
+		})
+	}
+}
+
 func BenchmarkRelationContains(b *testing.B) {
 	r, tuples, _ := benchRelation(4096)
 	b.ReportAllocs()

@@ -125,9 +125,10 @@ func TestSnapshotReusesWarmIndexes(t *testing.T) {
 }
 
 // TestClearAndDropIndexes: a cleared relation is empty and takes new
-// tuples into its old storage, a shared one without touching its
-// snapshot's; dropping indexes leaves probes answering the same, and
-// keeps the indexes a snapshot shares.
+// tuples into its old storage, indexes included (a shared one into
+// fresh storage, without touching its snapshot's); dropping indexes
+// leaves probes answering the same, and keeps the indexes a snapshot
+// shares.
 func TestClearAndDropIndexes(t *testing.T) {
 	u := value.New()
 	r := NewRelation(2)
@@ -151,11 +152,20 @@ func TestClearAndDropIndexes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.Insert(tup(u.Int(9), u.Int(int64(i))))
 	}
-	vals := cap(r.data.vals)
+	_ = probe(r, 1, tup(u.Int(9), value.None)) // warm
+	vals, ix := cap(r.data.vals), indexOn(r.data.indexes, 1)
+	slots, blocks := len(ix.slots), cap(ix.blocks)
 	r.Clear()
 	r.Insert(tup(u.Int(8), u.Int(8)))
 	if r.Len() != 1 || !r.Contains(tup(u.Int(8), u.Int(8))) || r.Contains(tup(u.Int(9), u.Int(0))) || cap(r.data.vals) != vals {
 		t.Fatalf("Clear of an owned relation: %d tuples, storage %d → %d", r.Len(), vals, cap(r.data.vals))
+	}
+	// The index stays, emptied in place, and takes the rows inserted since.
+	if indexOn(r.data.indexes, 1) != ix || len(ix.slots) != slots || cap(ix.blocks) != blocks || ix.keys != 1 {
+		t.Fatalf("Clear of an owned relation rebuilt its index: %d slots, %d keys", len(ix.slots), ix.keys)
+	}
+	if len(probe(r, 1, tup(u.Int(9), value.None))) != 0 || len(probe(r, 1, tup(u.Int(8), value.None))) != 1 {
+		t.Fatal("the index kept by Clear answers for the rows cleared")
 	}
 	o := NewRelation(2)
 	o.Insert(tup(u.Int(8), u.Int(8)))

@@ -44,8 +44,9 @@ type Instance struct {
 }
 
 // NewInstance returns an empty instance. Its map is made by the first
-// relation put into it, so an instance that stays empty (the last
-// round's delta of every fixpoint) costs one allocation.
+// relation put into it, so an instance that stays empty costs one
+// allocation, and a zero Instance (as eval.Staging embeds its two sets)
+// none.
 func NewInstance() *Instance {
 	return &Instance{}
 }

@@ -375,3 +375,122 @@ func TestTombstoneBound(t *testing.T) {
 		}
 	}
 }
+
+// TestAbsorbMatchesInserts holds Absorb to the Insert loop it stands in
+// for. A target grows round by round as a fixpoint's instance does: each
+// round it absorbs a set of tuples it lacks, which is then cleared and
+// refilled as a staging set is (and probed, as a delta is, so that
+// Clear keeps an index to refill). After every round the target must
+// answer Len, Contains, Fingerprint, Equal and every index probe as a
+// relation built by inserts does, and store no row twice. It runs with
+// the target's indexes cold and warm, and with a snapshot of the target
+// held across every round, so that each Absorb promotes first and the
+// snapshot keeps what it held; and, as TestStorageModel does, with
+// every table hash cut to three bits.
+func TestAbsorbMatchesInserts(t *testing.T) {
+	for _, hash := range []struct {
+		name string
+		bits uint64
+	}{{"hash64", ^uint64(0)}, {"hash3", 7 << 61}} {
+		t.Run(hash.name, func(t *testing.T) {
+			defer func(old uint64) { hashBits = old }(hashBits)
+			hashBits = hash.bits
+			for arity, domain := range map[int]int{0: 1, 1: 200, 2: 14, 3: 6} {
+				for _, mode := range []string{"cold", "warm", "held"} {
+					for seed := int64(1); seed <= 3; seed++ {
+						absorbRounds(t, arity, domain, mode, seed)
+					}
+				}
+			}
+		})
+	}
+}
+
+func absorbRounds(t *testing.T, arity, domain int, mode string, seed int64) {
+	m := &model{t: t, rng: rand.New(rand.NewSource(seed)), arity: arity, domain: domain}
+	target, staged := &fork{NewRelation(arity), ref{}}, &fork{NewRelation(arity), ref{}}
+	want := NewRelation(arity)
+	for round := 0; round < 12; round++ {
+		staged.rel.Clear()
+		staged.ref = ref{}
+		for k := m.rng.Intn(40); k > 0; k-- {
+			if tp := m.randTuple(); target.ref[tp.Key()] == nil {
+				staged.rel.Insert(tp)
+				staged.ref[tp.Key()] = tp
+			}
+		}
+		m.checkProbes(staged)
+		if mode == "warm" {
+			for mask := uint32(1); mask < 1<<uint(arity); mask++ {
+				target.rel.BuildIndex(mask)
+			}
+		}
+		var snap *Relation
+		before := target.ref.clone()
+		if mode == "held" {
+			snap = target.rel.Snapshot()
+		}
+		gen := target.rel.Generation()
+		if n := target.rel.Absorb(staged.rel); n != len(staged.ref) {
+			t.Fatalf("%s arity %d seed %d round %d: Absorb = %d, want %d", mode, arity, seed, round, n, len(staged.ref))
+		}
+		for k, tp := range staged.ref {
+			want.Insert(tp)
+			target.ref[k] = tp
+		}
+		r := target.rel
+		if r.Len() != want.Len() || r.data.n != want.Len() || r.Fingerprint() != want.Fingerprint() || !r.Equal(want) || !want.Equal(r) {
+			t.Fatalf("%s arity %d seed %d round %d: %d live of %d rows, fingerprint %x; inserts give %d, %x", mode, arity, seed, round, r.Len(), r.data.n, r.Fingerprint(), want.Len(), want.Fingerprint())
+		}
+		m.checkProbes(target)
+		if snap != nil {
+			if snap.Len() != len(before) || len(staged.ref) > 0 && r.Generation() == gen {
+				t.Fatalf("%s arity %d seed %d round %d: the held snapshot has %d tuples, want %d; promoted %v", mode, arity, seed, round, snap.Len(), len(before), r.Generation() != gen)
+			}
+			m.checkProbes(&fork{snap, before})
+		}
+	}
+}
+
+// TestAbsorbRevivesTombstones: a target that still holds a tuple's
+// deleted row revives that row when it absorbs the tuple, and does not
+// append a second one, which its membership table would never find
+// (it finds the dead row first) and a fixpoint would derive again every
+// round. A source with deleted rows gives up only its live ones.
+func TestAbsorbRevivesTombstones(t *testing.T) {
+	u := value.New()
+	a, b, c, d := tup(u.Int(1), u.Int(2)), tup(u.Int(2), u.Int(3)), tup(u.Int(3), u.Int(4)), tup(u.Int(4), u.Int(5))
+	r := NewRelation(2)
+	r.Insert(a)
+	r.Insert(b)
+	r.BuildIndex(1)
+	r.Delete(b)
+	o := NewRelation(2)
+	o.Insert(b)
+	o.Insert(c)
+	if n := r.Absorb(o); n != 2 {
+		t.Fatalf("Absorb = %d, want 2", n)
+	}
+	want := NewRelation(2)
+	for _, tp := range []Tuple{a, b, c} {
+		want.Insert(tp)
+	}
+	if r.data.n != 3 || r.data.ndead != 0 || !r.Contains(b) || !r.Equal(want) || r.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("%d rows, %d dead, contains the revived tuple %v: want 3 rows, none dead", r.data.n, r.data.ndead, r.Contains(b))
+	}
+	if got := probe(r, 1, b); len(got) != 1 || !got[0].Equal(b) {
+		t.Fatalf("probe on the revived tuple's column: %v", got)
+	}
+	if !r.Delete(b) || r.Contains(b) {
+		t.Fatal("the revived tuple has a second live row")
+	}
+	r = NewRelation(2)
+	r.Insert(a)
+	o.Clear()
+	o.Insert(d)
+	o.Insert(b)
+	o.Delete(d)
+	if n := r.Absorb(o); n != 1 || r.Contains(d) || !r.Contains(b) || r.Len() != 2 {
+		t.Fatalf("absorbing a set with a deleted row: %d added, %d live", n, r.Len())
+	}
+}

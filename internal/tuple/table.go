@@ -220,6 +220,12 @@ func (tb *table) newBlock(older, c uint32, row int) int {
 	return o
 }
 
+// reset empties the table and keeps its slot and block storage.
+func (tb *table) reset() {
+	clear(tb.slots)
+	tb.keys, tb.blocks = 0, tb.blocks[:0]
+}
+
 // clone copies the table for a promoted relation, with room for the
 // writes that follow.
 func (tb *table) clone() table {

@@ -183,18 +183,26 @@ func (r *Relation) Delete(t Tuple) bool {
 	return true
 }
 
-// Clear empties r and keeps its storage for the inserts that follow.
-// They overwrite the old rows, so a tuple read from r before is no
-// longer valid: Clear is for a scratch set that hands out no tuples, such
-// as a memo reused from one pass to the next.
+// Clear empties r and keeps its storage for the inserts that follow:
+// the rows, the membership table and every secondary index, emptied in
+// place, so a set probed again after it is refilled links its rows into
+// the index it had instead of building one from nothing. The inserts
+// overwrite the old rows and index blocks, so a tuple or cursor read
+// from r before is no longer valid: Clear is for a scratch set that
+// hands out no tuples, such as a memo reused from one pass to the next
+// or a fixpoint's recycled delta. A relation shared with a snapshot
+// gets fresh storage instead, and the snapshot keeps the old.
 func (r *Relation) Clear() {
 	if r.shared.Load() {
 		r.data = &relData{rows: rows{arity: r.arity}}
 		r.shared.Store(false)
 	} else {
 		d := r.data
-		clear(d.member.slots)
-		*d = relData{gen: d.gen, rows: rows{d.vals[:0], r.arity}, member: table{slots: d.member.slots}}
+		d.vals, d.n, d.dead, d.ndead = d.vals[:0], 0, d.dead[:0], 0
+		d.member.reset()
+		for _, ix := range d.indexes {
+			ix.reset()
+		}
 	}
 	r.own, r.fp = nil, 0
 }
@@ -424,6 +432,50 @@ func (r *Relation) UnionInPlace(o *Relation) int {
 		return true
 	})
 	return added
+}
+
+// Absorb adds every tuple of o to r, which must hold none of them, and
+// returns how many it added: UnionInPlace for sets known disjoint, such
+// as the facts a fixpoint round staged because its instance lacked them.
+// It copies o's rows in one append and re-places o's membership slots
+// by the tags they store, so no tuple is hashed or looked up; r's
+// fingerprint takes o's by XOR, and only the new rows are linked into
+// r's indexes. Where either side holds tombstones it is UnionInPlace:
+// o's live rows are then not one run, and a tuple r deleted must be
+// revived in its row, not stored a second time.
+func (r *Relation) Absorb(o *Relation) int {
+	if o.arity != r.arity {
+		panic(fmt.Sprintf("tuple: absorb arity %d into relation of arity %d", o.arity, r.arity))
+	}
+	od := o.data
+	switch {
+	case od.n == 0:
+		return 0
+	case od.ndead > 0 || r.data.ndead > 0:
+		return r.UnionInPlace(o)
+	}
+	r.promote()
+	d := r.data
+	base := d.n
+	d.vals = append(d.vals, od.vals...)
+	d.member.reserve(od.n)
+	for _, s := range od.member.slots {
+		if s != 0 {
+			d.member.place(s + uint64(base)) // the payload is the row id + 1
+		}
+	}
+	d.member.keys += od.n
+	d.n += od.n
+	for _, ix := range d.indexes {
+		for row := base; row < d.n; row++ {
+			ix.link(d.rows, row)
+		}
+	}
+	for d.dead != nil && d.n > 64*len(d.dead) {
+		d.dead = append(d.dead, 0)
+	}
+	r.fp ^= o.fp
+	return od.n
 }
 
 // Fingerprint returns an order-independent 64-bit hash of the tuple
