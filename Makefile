@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzNonInflationary$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/declarative -run='^$$' -fuzz='^FuzzWellFounded$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tuple -run='^$$' -fuzz='^FuzzSortedTuples$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/tuple -run='^$$' -fuzz='^FuzzStorageModel$$' -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz='^FuzzOptimize$$' -fuzztime=$(FUZZTIME)
 
 # Total-coverage gate: fail if statement coverage across ./... drops

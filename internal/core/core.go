@@ -391,6 +391,7 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 			cr.Fire(ctx, ri, heads[ri], st.Emit)
 		}
 		if err := opt.Cut(ctx, stage); err != nil {
+			st.Discard()
 			return engine.Outcome{}, err
 		}
 		if n := st.Fold(); n > 0 {

@@ -85,6 +85,7 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 			cr.Fire(ctx, -1, nil, st.Emit)
 		}
 		if err := opt.Cut(ctx, round); err != nil {
+			st.Discard()
 			return engine.Outcome{}, err
 		}
 		inserted := st.Fold()

@@ -176,10 +176,10 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 			col.Fired(-1, 0, uint64(n), emitted-uint64(n))
 			col.ShardRound(int(emitted))
 		} else {
-			// Every head fact out lacks is staged at emission and
-			// becomes both the next delta and, appended after the round,
-			// part of out: no fact is queued, and none is copied more
-			// than once per set it joins.
+			// Every head fact out lacks is staged at emission into out's
+			// own rows, where Fold publishes it after the round and the
+			// next delta views it: a new fact is hashed, looked up and
+			// copied once.
 			switch {
 			case round == 1 && seed != nil:
 				seed(st.Emit)
@@ -196,7 +196,8 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 				}
 			}
 			if err := opt.Cut(ctx, round); err != nil {
-				return Outcome{}, err // a round the context stopped is not applied
+				st.Discard() // a round the context stopped is not applied
+				return Outcome{}, err
 			}
 			n = st.Fold()
 			delta = st.Delta

@@ -60,14 +60,13 @@ func TestEnumerateAllocatesPerCallNotPerBinding(t *testing.T) {
 // scratch, and the set copies them into rows that grow by doubling.
 func TestFireIntoStagingAllocatesOnlyGrowth(t *testing.T) {
 	cr, ctx := chainClosure(t, 256)
-	empty := tuple.NewInstance() // no T to find: every firing stages its fact
 	firings := 0
 	got := testing.AllocsPerRun(5, func() {
-		st := NewStaging(empty)
+		st := NewStaging(tuple.NewInstance()) // no T to find: every firing stages its fact
 		firings = 0
 		cr.Fire(ctx, -1, nil, func(f Fact) bool { firings++; return st.Emit(f) })
-		if st.Next.Facts() != 255*254/2 {
-			t.Fatalf("staged %d facts", st.Next.Facts())
+		if n := st.Fold(); n != 255*254/2 || st.Delta.Facts() != n {
+			t.Fatalf("staged %d facts, %d in the delta", n, st.Delta.Facts())
 		}
 	})
 	if per := got / float64(firings); per > 0.1 {

@@ -371,8 +371,8 @@ func TestForallWithEquality(t *testing.T) {
 }
 
 // TestStagingSkipsRederivedPredicates: a predicate whose facts the round
-// only rederives gets no relation in Next, so the next round's delta
-// does not name it, and Fold adds only what Next holds.
+// only rederives gets no view in the delta, so the next round does not
+// probe it, and Fold adds only the facts the round staged.
 func TestStagingSkipsRederivedPredicates(t *testing.T) {
 	u := value.New()
 	a, b := u.Sym("a"), u.Sym("b")
@@ -385,19 +385,23 @@ func TestStagingSkipsRederivedPredicates(t *testing.T) {
 	if !st.Emit(Fact{Pred: "S", Tuple: tuple.Tuple{a}}) || st.Emit(Fact{Pred: "T", Tuple: tuple.Tuple{a, b}}) {
 		t.Fatal("wrong absent/known report after a predicate switch")
 	}
-	if st.Next.Relation("T") != nil || st.Next.Relation("S").Len() != 1 {
-		t.Fatalf("Next = %q, want only S(a)", st.Next.String(u))
+	if out.Has("S", tuple.Tuple{a}) {
+		t.Fatal("a staged fact is visible before Fold")
 	}
 	if n := st.Fold(); n != 1 || !out.Has("S", tuple.Tuple{a}) {
 		t.Fatalf("Fold = %d, S(a) in out = %v", n, out.Has("S", tuple.Tuple{a}))
 	}
+	if st.Delta.Relation("T") != nil || st.Delta.Relation("S").Len() != 1 {
+		t.Fatalf("Delta = %q, want only S(a)", st.Delta.String(u))
+	}
 }
 
-// TestEmptiedDeltaRelationIsNotProbed: a recycled delta (Staging) still
-// names the relations it held, emptied. The literal a delta variant pins
-// to one matches nothing and probes nothing, as when the delta lacks the
-// relation, so a round's probe count does not depend on which of the two
-// sets it reads.
+// TestEmptiedDeltaRelationIsNotProbed: a delta (Staging) names every
+// relation the run has staged into, with an empty view where a relation
+// added nothing last round. The literal a delta variant pins to one
+// matches nothing and probes nothing, as when the delta lacks the
+// relation, so a round's probe count does not depend on which relations
+// added facts in earlier rounds.
 func TestEmptiedDeltaRelationIsNotProbed(t *testing.T) {
 	cr, base := chainClosure(t, 8)
 	v := cr.Delta(1) // pinned at T(Z,Y)

@@ -313,7 +313,7 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 			if ctx.Delta != nil {
 				rel = f.rels[f.delta+st.pred]
 				if rel != nil && rel.Empty() {
-					return true // a recycled delta's emptied relation: nothing to probe
+					return true // a delta view its relation added nothing to: nothing to probe
 				}
 			}
 		}
@@ -547,69 +547,103 @@ type fireScratch struct {
 }
 
 // Staging is where a fixpoint engine collects the head facts of its
-// rounds, for a whole run. Out is the instance the rounds read, Next
-// holds the facts the current round derived that Out lacks, and Delta
-// the facts the last Fold added to Out (empty before the first). Out is
-// not written until Fold, so every fact of a round is classified against
-// Out as it stood when the round began, and Fold knows every staged fact
-// to be new: it appends them to Out's rows without hashing or looking
-// one up (Relation.Absorb). Fold then hands Next over as Delta and
-// empties the previous Delta to be the next round's Next, so a run
-// allocates its two sets once and round k+1 writes into the storage of
-// round k-1's delta, indexes included. A Delta is valid until the next
-// Fold; whoever keeps one longer keeps a Snapshot of it.
+// rounds, for a whole run. Out is the instance the rounds read and the
+// one their facts join: Emit stages each fact Out lacks into Out's own
+// relation (tuple.Relation.Stage: one hash, one lookup, one copy), where
+// no reader sees it until Fold publishes it, so every fact of a round is
+// classified against Out as it stood when the round began. Delta holds
+// the facts the last Fold added (empty before the first): one read-only
+// view per relation, aliasing the rows Fold published in Out. A Delta
+// is valid until the next Fold; whoever keeps one longer keeps a
+// Snapshot of it. A round the engine stops is undone by Discard.
 type Staging struct {
-	Out, Next, Delta *tuple.Instance
-	// The relations of the last fact's predicate on both sides: a rule
-	// emits runs of facts for one head, so they are resolved once per
-	// run and not once per fact.
-	pred    string
-	out, to *tuple.Relation
-	sets    [2]tuple.Instance // Next and Delta
+	Out, Delta *tuple.Instance
+	// The relation of the last fact's predicate in Out, and its view in
+	// Delta (nil until the run first stages into it): a rule emits runs
+	// of facts for one head, so they are resolved once per run and not
+	// once per fact.
+	pred      string
+	out, view *tuple.Relation
+	rels      []stagedRel
+	delta     tuple.Instance
+}
+
+// stagedRel is a relation of Out a run has staged into, beside its view
+// in Delta. made marks one the current round added to Out.
+type stagedRel struct {
+	name      string
+	out, view *tuple.Relation
+	made      bool
 }
 
 // NewStaging returns an empty staging set over out.
 func NewStaging(out *tuple.Instance) *Staging {
 	s := &Staging{Out: out}
-	s.Next, s.Delta = &s.sets[0], &s.sets[1]
+	s.Delta = &s.delta
 	return s
 }
 
-// Emit is the emit function for Fire: it stages f unless Out holds it,
-// and reports whether the fact is new to Out and to the round — the
+// Emit is the emit function for Fire: it stages f unless Out holds it
+// or the round staged it already, and reports whether it did — the
 // derived-versus-rederived split of the firing tally, so a round's
 // derived count is the number of facts it adds.
 func (s *Staging) Emit(f Fact) bool {
 	if f.Pred != s.pred {
-		s.pred, s.out, s.to = f.Pred, s.Out.Relation(f.Pred), s.Next.Relation(f.Pred)
+		s.pred, s.out, s.view = f.Pred, s.Out.Relation(f.Pred), s.Delta.Relation(f.Pred)
 	}
-	if s.out != nil && s.out.Contains(f.Tuple) {
-		return false
+	if s.view == nil {
+		return s.first(f)
 	}
-	if s.to == nil {
-		// Only now: a predicate the round merely rederives gets no
-		// relation in Next, where the next round would probe it (a
-		// recycled Next keeps the ones it had, emptied).
-		s.to = s.Next.Ensure(f.Pred, len(f.Tuple))
-	}
-	return s.to.Insert(f.Tuple)
+	return s.out.Stage(f.Tuple)
 }
 
-// Fold appends the round's staged facts to Out (Relation.Absorb; an
-// emptied relation of a recycled Next is skipped), makes them the Delta
-// and empties the previous Delta to be the next Next, and returns their
-// number.
+// first is Emit for a predicate the run has not staged into: only a new
+// fact gives it a view in Delta (a predicate the round merely rederives
+// gets none, where the next round would probe it), and a relation in
+// Out if it has none.
+func (s *Staging) first(f Fact) bool {
+	made := s.out == nil
+	if made {
+		s.out = s.Out.Ensure(f.Pred, len(f.Tuple))
+	}
+	if !s.out.Stage(f.Tuple) {
+		return false
+	}
+	s.view = s.Delta.Ensure(f.Pred, len(f.Tuple))
+	s.rels = append(s.rels, stagedRel{f.Pred, s.out, s.view, made})
+	return true
+}
+
+// Fold publishes the round's staged facts in Out, points each view of
+// Delta at the facts its relation added (none for a relation that added
+// none), and returns their number.
 func (s *Staging) Fold() int {
 	n := 0
-	s.Next.EachRel(func(name string, r *tuple.Relation) {
-		if !r.Empty() {
-			n += s.Out.Ensure(name, r.Arity()).Absorb(r)
-		}
-	})
-	s.Delta.EachRel(func(_ string, r *tuple.Relation) { r.Clear() })
-	s.Next, s.Delta = s.Delta, s.Next
-	s.pred, s.out, s.to = "", nil, nil
+	for i := range s.rels {
+		e := &s.rels[i]
+		n += e.out.Publish(e.view)
+		e.made = false
+	}
+	s.pred, s.out, s.view = "", nil, nil
 	return n
+}
+
+// Discard undoes the round: it drops the staged facts, and the
+// relations the round added, from Out, which is then exactly as the
+// round found it; Delta keeps the last Fold's facts.
+func (s *Staging) Discard() {
+	kept := s.rels[:0]
+	for _, e := range s.rels {
+		e.out.Unstage()
+		if e.made {
+			s.Out.Remove(e.name)
+			s.Delta.Remove(e.name)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	s.rels = kept
+	s.pred, s.out, s.view = "", nil, nil
 }
 
 // Fold inserts every fact of from into out and returns from's size.

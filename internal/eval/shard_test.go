@@ -68,9 +68,10 @@ func collectSharded(t *testing.T, u *value.Universe, variants []DeltaVariant, ba
 }
 
 // serialRound is the reference: the variants fired on one goroutine
-// over the whole delta into a Staging, as the serial engine does.
+// over the whole delta into a Staging, as the serial engine does; the
+// facts it stages go into a snapshot of In, which In does not see.
 func serialRound(u *value.Universe, variants []DeltaVariant, base *Ctx, delta *tuple.Instance) ([]string, uint64) {
-	st := NewStaging(base.In)
+	st := NewStaging(base.In.Snapshot())
 	emitted := uint64(0)
 	for _, v := range variants {
 		ctx := *base
@@ -80,8 +81,9 @@ func serialRound(u *value.Universe, variants []DeltaVariant, base *Ctx, delta *t
 			return st.Emit(f)
 		})
 	}
+	st.Fold()
 	var got []string
-	st.Next.EachRel(func(name string, r *tuple.Relation) {
+	st.Delta.EachRel(func(name string, r *tuple.Relation) {
 		for _, tp := range r.Tuples() {
 			got = append(got, name+tp.String(u))
 		}

@@ -15,17 +15,20 @@ import (
 
 // TestApplyAllocations holds a batch on the benchmark's shape — some 135
 // of T's 2 134 facts deleted, 129 of them for good — under a ceiling 10 %
-// above the 148 it takes. Rederiving fact by fact through a freshly
+// above the 130 it takes. Rederiving fact by fact through a freshly
 // compiled probe rule took 57 673 allocations a batch; delete–rederive,
 // set-at-a-time, some 2 700; support counting on the Unreach layer, with
 // a string key and a clone per changed firing, 2 086; forking the view's
 // state for every batch, to match the losses against, 286; staging every
-// round of a layer's insertion run into a fresh set, 221.
+// round of a layer's insertion run into a fresh set, 221; into two
+// sets kept for the run and appended (or, past a tombstone, inserted)
+// into the state, 148.
 //
 // Each layer's deletion step reuses a pooled state. The race detector's
 // pool drops a quarter of them, and a batch that misses one allocates
-// some 130 times more to build it: under the race detector 189–240 were
-// measured, and the ceiling is a quarter above the highest.
+// some 130 times more to build it: under the race detector 182–209 were
+// measured over eleven runs, and the ceiling is a quarter above the
+// highest.
 func TestApplyAllocations(t *testing.T) {
 	v, ops, _ := denseGraph(t, nil)
 	i := 0
@@ -38,9 +41,9 @@ func TestApplyAllocations(t *testing.T) {
 			i++
 		}
 	})
-	limit := 163.0
+	limit := 143.0
 	if raceEnabled {
-		limit = 300
+		limit = 261
 	}
 	if perBatch := perPair / 2; perBatch > limit {
 		t.Errorf("Apply allocates %.0f times per batch on the dense graph, want <= %.0f", perBatch, limit)

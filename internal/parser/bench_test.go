@@ -1,0 +1,55 @@
+package parser
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"unchained/internal/value"
+)
+
+// factsSource is n edge facts over 256 constants, written as the
+// benchmark's generated inputs are: "pred(name,name).", one a line.
+func factsSource(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "Edge(v%d,v%d).\n", (i*37)%256, (i*101+7)%256)
+	}
+	return b.String()
+}
+
+// programSource is n rules with negation, equality and a comment each:
+// every kind of token the rule grammar reads.
+func programSource(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%% rule %d\nP%d(X,Y) :- Q%d(X,Z), !R%d(Z,Y), X != Y, S(Y, c%d, 42).\n", i, i, i, i%16, i)
+	}
+	return b.String()
+}
+
+// BenchmarkParseFacts lexes and reads 4 700 facts into an instance, the
+// size of the benchmark's largest facts file; ns/fact is its ns/op over
+// 4 700.
+func BenchmarkParseFacts(b *testing.B) {
+	src := factsSource(4700)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseFacts(src, value.New()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseProgram parses a 256-rule program.
+func BenchmarkParseProgram(b *testing.B) {
+	src := programSource(256)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(src, value.New()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -152,16 +152,28 @@ func (lx *Lexer) errf(line, col int, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
+// peek returns the rune at the cursor, 0 at the end. A byte below
+// utf8.RuneSelf is its own rune, and most source is such bytes.
 func (lx *Lexer) peek() rune {
 	if lx.pos >= len(lx.src) {
 		return 0
+	}
+	if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+		return rune(c)
 	}
 	r, _ := utf8.DecodeRuneInString(lx.src[lx.pos:])
 	return r
 }
 
+// advance moves the cursor past one rune and returns it; a rune is one
+// column, whatever its width in bytes.
 func (lx *Lexer) advance() rune {
-	r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	r, w := rune(0), 1
+	if lx.pos < len(lx.src) && lx.src[lx.pos] < utf8.RuneSelf {
+		r = rune(lx.src[lx.pos])
+	} else {
+		r, w = utf8.DecodeRuneInString(lx.src[lx.pos:])
+	}
 	lx.pos += w
 	if r == '\n' {
 		lx.line++
@@ -174,6 +186,17 @@ func (lx *Lexer) advance() rune {
 
 func (lx *Lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
+		switch lx.src[lx.pos] {
+		case ' ', '\t', '\r', '\v', '\f':
+			lx.pos++
+			lx.col++
+			continue
+		case '\n':
+			lx.pos++
+			lx.line++
+			lx.col = 1
+			continue
+		}
 		r := lx.peek()
 		switch {
 		case unicode.IsSpace(r):
@@ -192,12 +215,37 @@ func (lx *Lexer) skipSpaceAndComments() {
 	}
 }
 
+// asciiIdent marks the bytes below utf8.RuneSelf that continue a name.
+var asciiIdent = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+	}
+	return t
+}()
+
 func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+	if r < utf8.RuneSelf {
+		return asciiIdent[r] && (r < '0' || r > '9')
+	}
+	return unicode.IsLetter(r)
 }
 
-func isIdentRune(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+// scanName moves the cursor past the runes that continue a name:
+// letters, digits and '_'.
+func (lx *Lexer) scanName() {
+	for lx.pos < len(lx.src) {
+		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+			if !asciiIdent[c] {
+				return
+			}
+			lx.pos++
+		} else if r, w := utf8.DecodeRuneInString(lx.src[lx.pos:]); unicode.IsLetter(r) || unicode.IsDigit(r) {
+			lx.pos += w
+		} else {
+			return
+		}
+		lx.col++
+	}
 }
 
 // Next returns the next token.
@@ -212,9 +260,7 @@ func (lx *Lexer) Next() (Token, error) {
 	// like one.
 	if isIdentStart(r) {
 		start := lx.pos
-		for lx.pos < len(lx.src) && isIdentRune(lx.peek()) {
-			lx.advance()
-		}
+		lx.scanName()
 		text := lx.src[start:lx.pos]
 		if r == '_' || unicode.IsUpper(r) {
 			return Token{Kind: TokVar, Text: text, Line: line, Col: col}, nil

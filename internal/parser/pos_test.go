@@ -50,6 +50,22 @@ func TestLexerColumnsAfterMultibyteComment(t *testing.T) {
 	}
 }
 
+// TestLexerColumnsAfterMultibyteName: a name may hold letters beyond
+// ASCII, which the lexer decodes where it reads other names byte by
+// byte; each is one column.
+func TestLexerColumnsAfterMultibyteName(t *testing.T) {
+	lx := NewLexer("Größe(ñu1, X)", datalogPunct)
+	for i, w := range []struct {
+		text string
+		col  int
+	}{{"Größe", 1}, {"", 6}, {"ñu1", 7}, {"", 10}, {"X", 12}} {
+		tok, err := lx.Next()
+		if err != nil || tok.Text != w.text || tok.Col != w.col {
+			t.Fatalf("token %d: %q at col %d (%v), want %q at col %d", i, tok.Text, tok.Col, err, w.text, w.col)
+		}
+	}
+}
+
 // TestParsePositions checks that positions survive the trip from the
 // lexer through the parser into the AST.
 func TestParsePositions(t *testing.T) {

@@ -42,6 +42,13 @@ type relData struct {
 	ndead   int
 	member  table    // keyed on the whole row
 	indexes []*table // secondary indexes, by mask
+	// staged counts the rows stored past n by Stage, which hold facts
+	// that no reader sees until Publish (stage.go); rev holds the
+	// deleted rows staged for revival, and sfp the XOR of both kinds'
+	// hashes. A relData with any of them is never shared.
+	staged int
+	rev    *revivals
+	sfp    uint64
 }
 
 func (d *relData) isDead(row int) bool { return deadBit(d.dead, row) }
@@ -65,12 +72,17 @@ func deadBit(dead []uint64, row int) bool {
 	return dead != nil && dead[row>>6]&(1<<uint(row&63)) != 0
 }
 
-// find returns the row holding t (of hash h) whether live or deleted,
-// or -1.
+// find returns the published row holding t (of hash h) whether live or
+// deleted, or -1: a staged row is not there yet.
 func (d *relData) find(t Tuple, h uint64) int {
-	_, row := d.member.find(d.rows, t, h)
-	return row
+	if _, row := d.lookup(t, h); row < d.n {
+		return row
+	}
+	return -1
 }
+
+// live is the values of the published rows, deleted ones included.
+func (d *relData) live() []value.Value { return d.vals[:d.n*d.arity] }
 
 // indexOn returns the index on mask among ixs, or nil.
 func indexOn(ixs []*table, mask uint32) *table {
@@ -161,6 +173,7 @@ func (r *Relation) Shared() bool { return r.shared.Load() }
 // shared are folded into the common storage first, so the snapshot
 // starts with every index r has warm.
 func (r *Relation) Snapshot() *Relation {
+	r.settled("Snapshot")
 	if len(r.own) > 0 {
 		// Fold the private overlay indexes into a fresh frozen relData
 		// (same generation: the tuple set is unchanged). The old
@@ -232,6 +245,7 @@ func (r *Relation) repack() {
 // membership table, no indexes, no sharing. It reproduces the pre-COW
 // Clone and exists for the fork benchmarks that quantify the COW win.
 func (r *Relation) DeepClone() *Relation {
+	r.settled("DeepClone")
 	d := r.data
 	return &Relation{arity: r.arity, fp: r.fp, cow: r.cow, data: &relData{
 		rows: rows{slices.Clone(d.vals), r.arity}, n: d.n,

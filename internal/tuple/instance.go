@@ -45,7 +45,7 @@ type Instance struct {
 
 // NewInstance returns an empty instance. Its map is made by the first
 // relation put into it, so an instance that stays empty costs one
-// allocation, and a zero Instance (as eval.Staging embeds its two sets)
+// allocation, and a zero Instance (as eval.Staging embeds its delta)
 // none.
 func NewInstance() *Instance {
 	return &Instance{}
@@ -97,6 +97,14 @@ func (in *Instance) Ensure(name string, arity int) *Relation {
 	r.cow = in.cow
 	in.put(name, r)
 	return r
+}
+
+// Remove unbinds name, dropping its relation if there is one.
+func (in *Instance) Remove(name string) {
+	if _, ok := in.rels[name]; ok {
+		delete(in.rels, name)
+		in.names++
+	}
 }
 
 // Relation returns the relation named name, or nil if absent.
@@ -163,9 +171,8 @@ func (in *Instance) Share(src *Instance, names []string) {
 	for _, n := range names {
 		if r := src.rels[n]; r != nil {
 			in.put(n, r.Snapshot())
-		} else if _, ok := in.rels[n]; ok {
-			delete(in.rels, n)
-			in.names++
+		} else {
+			in.Remove(n)
 		}
 	}
 }
@@ -276,7 +283,7 @@ func (in *Instance) EachRel(fn func(name string, r *Relation)) {
 func (in *Instance) ActiveDomain(dst []value.Value) []value.Value {
 	for _, r := range in.rels {
 		if r.data.ndead == 0 {
-			dst = append(dst, r.data.vals...)
+			dst = append(dst, r.data.live()...)
 			continue
 		}
 		r.Each(func(t Tuple) bool {

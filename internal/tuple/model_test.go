@@ -12,9 +12,13 @@ import (
 
 // The storage model test: random operation sequences on relations
 // forked from one another, each checked step by step against a naive
-// reference set (a map keyed by Tuple.Key). It runs once as built and
-// once with every table hash cut to three bits, so that every lookup
-// walks a collision run and column comparison alone tells rows apart.
+// reference set (a map keyed by Tuple.Key). Besides inserts, deletes
+// and forks, a relation runs fixpoint rounds: it stages facts, which
+// its readers must not see, and then publishes them into a view or
+// drops them as a stopped round does. It runs once as built and once
+// with every table hash cut to three bits, so that every lookup walks a
+// collision run and column comparison alone tells rows apart;
+// FuzzStorageModel draws the operations from the fuzzer's bytes.
 
 // ref is the reference implementation of a relation.
 type ref map[string]Tuple
@@ -47,10 +51,19 @@ func keysOf(ts []Tuple) []string {
 	return out
 }
 
-// fork is a relation under test beside its reference.
+// fork is a relation under test beside its reference. While a round
+// is open, staged holds what it staged, in staging order (and inRound
+// the same by key), and fp the fingerprint the round found; view is
+// where the fork's rounds publish, and held a snapshot of it taken
+// after some round, with what it held then.
 type fork struct {
-	rel *Relation
-	ref ref
+	rel     *Relation
+	ref     ref
+	staged  []Tuple
+	inRound ref
+	fp      uint64
+	view    *Relation
+	held    *fork
 }
 
 type model struct {
@@ -211,22 +224,127 @@ func (m *model) checkPartition(f *fork) {
 	}
 }
 
+// stage stages one fact into f, opening a round if none is open: a
+// member, a fact the round staged already, or a random tuple, which may
+// be one whose deleted row f still holds.
+func (m *model) stage(f *fork) {
+	if f.inRound == nil {
+		f.inRound, f.fp = ref{}, f.rel.Fingerprint()
+	}
+	t := m.randTuple()
+	switch m.rng.Intn(4) {
+	case 0:
+		t = m.member(f)
+	case 1:
+		if len(f.staged) > 0 {
+			t = f.staged[m.rng.Intn(len(f.staged))]
+		}
+	}
+	k := t.Key()
+	want := f.ref[k] == nil && f.inRound[k] == nil
+	if got := f.rel.Stage(t); got != want {
+		m.t.Fatalf("Stage(%v) = %v, want %v", t, got, want)
+	}
+	if want {
+		f.staged, f.inRound[k] = append(f.staged, t), t
+	}
+	if f.rel.Contains(t) != (f.ref[k] != nil) || f.rel.Fingerprint() != f.fp {
+		m.t.Fatalf("a staged fact shows before its round is published")
+	}
+}
+
+// publish ends f's round: the staged facts join f and are the view's,
+// in staging order. A snapshot held of the view keeps what it held.
+func (m *model) publish(f *fork) {
+	if f.view == nil {
+		f.view = NewRelation(m.arity)
+	}
+	before := f.rel.data.n
+	if n := f.rel.Publish(f.view); n != len(f.staged) {
+		m.t.Fatalf("Publish = %d, want %d", n, len(f.staged))
+	}
+	if got, want := f.view.Tuples(), f.staged; fmt.Sprint(got) != fmt.Sprint(want) {
+		m.t.Fatalf("the view holds %v, want %v in staging order", got, want)
+	}
+	for k, t := range f.inRound {
+		f.ref[k] = t
+	}
+	appended := 0
+	for _, t := range f.staged {
+		if f.rel.data.find(t, t.Hash()) >= before {
+			appended++
+		}
+	}
+	if f.rel.data.n != before+appended {
+		m.t.Fatalf("%d rows after publishing %d appended facts onto %d", f.rel.data.n, appended, before)
+	}
+	m.checkProbes(&fork{rel: f.view, ref: f.inRound})
+	if h := f.held; h != nil {
+		m.checkProbes(h)
+	}
+	if m.rng.Intn(3) == 0 {
+		f.held = &fork{rel: f.view.Snapshot(), ref: f.inRound}
+	}
+	f.staged, f.inRound = nil, nil
+	m.checkProbes(f)
+}
+
+// stop drops f's round as a stopped round does: f is as the round found
+// it, fingerprint included, and a fact the round staged is new again.
+func (m *model) stop(f *fork) {
+	f.rel.Unstage()
+	if f.rel.Fingerprint() != f.fp || f.rel.data.pending() {
+		m.t.Fatalf("a stopped round left its mark: fingerprint %x, want %x", f.rel.Fingerprint(), f.fp)
+	}
+	again := f.staged
+	f.staged, f.inRound = nil, nil
+	m.checkProbes(f)
+	if len(again) > 0 {
+		t := again[m.rng.Intn(len(again))]
+		if !f.rel.Stage(t) {
+			m.t.Fatalf("Stage(%v) after the round that staged it was stopped = false", t)
+		}
+		f.rel.Unstage()
+	}
+}
+
 func runModel(t *testing.T, arity, domain int, seed int64) {
 	m := &model{t: t, rng: rand.New(rand.NewSource(seed)), arity: arity, domain: domain}
-	m.forks = []*fork{{NewRelation(arity), ref{}}}
+	m.run(1500)
+}
+
+// run applies steps random operations and then checks every fork.
+func (m *model) run(steps int) {
+	arity := m.arity
+	m.forks = []*fork{{rel: NewRelation(arity), ref: ref{}}}
 	grow := true
-	for step := 0; step < 1500; step++ {
+	for step := 0; step < steps; step++ {
 		if step%150 == 0 {
 			grow = m.rng.Intn(3) > 0
 		}
 		f := m.forks[m.rng.Intn(len(m.forks))]
+		if f.inRound != nil { // a round is open: only reads and staging
+			switch op := m.rng.Intn(100); {
+			case op < 60:
+				m.stage(f)
+			case op < 75:
+				m.checkProbes(f)
+			case op < 92:
+				m.publish(f)
+			default:
+				m.stop(f)
+			}
+			continue
+		}
 		switch op := m.rng.Intn(100); {
-		case op < 60:
+		case op < 50:
 			m.mutate(f, grow)
-		case op < 80:
+		case op < 60:
+			m.stage(f)
+		case op < 75:
 			m.checkProbes(f)
-		case op < 85: // fork; a write to either side then promotes it
-			c := &fork{f.rel.Snapshot(), f.ref.clone()}
+		case op < 80: // fork; a write to either side then promotes it
+			c := &fork{rel: f.rel.Snapshot(), ref: f.ref.clone()}
 			if m.rng.Intn(2) == 0 {
 				c.rel = f.rel.DeepClone()
 			}
@@ -235,7 +353,7 @@ func runModel(t *testing.T, arity, domain int, seed int64) {
 			} else {
 				m.forks[m.rng.Intn(len(m.forks))] = c
 			}
-		case op < 90:
+		case op < 88:
 			m.checkHeldIterator(f)
 		case op < 95:
 			m.checkFingerprint(f)
@@ -244,15 +362,21 @@ func runModel(t *testing.T, arity, domain int, seed int64) {
 		}
 	}
 	for _, f := range m.forks {
+		if f.inRound != nil {
+			m.publish(f)
+		}
 		m.checkProbes(f)
 	}
 }
 
+// hashes are the two hash widths the model runs under.
+var hashes = []struct {
+	name string
+	bits uint64
+}{{"hash64", ^uint64(0)}, {"hash3", 7 << 61}}
+
 func TestStorageModel(t *testing.T) {
-	for _, hash := range []struct {
-		name string
-		bits uint64
-	}{{"hash64", ^uint64(0)}, {"hash3", 7 << 61}} {
+	for _, hash := range hashes {
 		t.Run(hash.name, func(t *testing.T) {
 			defer func(old uint64) { hashBits = old }(hashBits)
 			hashBits = hash.bits
@@ -267,6 +391,46 @@ func TestStorageModel(t *testing.T) {
 		})
 	}
 }
+
+// FuzzStorageModel is the storage model with its choices read from the
+// fuzzer's bytes: every operation the model makes, rounds included, at
+// an arity, domain and hash width the input picks, one step per four
+// bytes.
+func FuzzStorageModel(f *testing.F) {
+	f.Add([]byte("\x02\x0a\x00staged rows stay invisible until published"))
+	f.Add([]byte("\x03\x05\x01\x00\x00\x00\x01\x02\x03\x04\x05\x06\x07\x08"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		defer func(old uint64) { hashBits = old }(hashBits)
+		hashBits = hashes[int(data[2])%2].bits
+		src := &byteSource{data: data[3:]}
+		m := &model{t: t, rng: rand.New(src), arity: int(data[0]) % 4, domain: 1 + int(data[1])%16}
+		m.run(min(len(src.data)/4, 1000))
+	})
+}
+
+// byteSource is a rand.Source that reads its numbers off data, and zeros
+// once data runs out.
+type byteSource struct {
+	data []byte
+	i    int
+}
+
+func (s *byteSource) Int63() int64 {
+	var v uint64
+	for k := 0; k < 8; k++ {
+		v <<= 8
+		if s.i < len(s.data) {
+			v |= uint64(s.data[s.i])
+			s.i++
+		}
+	}
+	return int64(v >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
 
 // TestReadBesideSnapshot has two goroutines snapshot and probe one
 // warmed relation, which the storage contract allows without locks;
@@ -376,29 +540,29 @@ func TestTombstoneBound(t *testing.T) {
 	}
 }
 
-// TestAbsorbMatchesInserts holds Absorb to the Insert loop it stands in
-// for. A target grows round by round as a fixpoint's instance does: each
-// round it absorbs a set of tuples it lacks, which is then cleared and
-// refilled as a staging set is (and probed, as a delta is, so that
-// Clear keeps an index to refill). After every round the target must
-// answer Len, Contains, Fingerprint, Equal and every index probe as a
-// relation built by inserts does, and store no row twice. It runs with
-// the target's indexes cold and warm, and with a snapshot of the target
-// held across every round, so that each Absorb promotes first and the
-// snapshot keeps what it held; and, as TestStorageModel does, with
-// every table hash cut to three bits.
-func TestAbsorbMatchesInserts(t *testing.T) {
-	for _, hash := range []struct {
-		name string
-		bits uint64
-	}{{"hash64", ^uint64(0)}, {"hash3", 7 << 61}} {
+// TestStageMatchesInserts holds fixpoint rounds of Stage and Publish to
+// the Insert loop they stand in for. A target grows round by round as a
+// fixpoint's instance does: each round stages random tuples, some it
+// holds, some staged twice and some whose deleted row it keeps, and
+// publishes them into a view that the round's probes read, as a delta
+// is read. While the round is open the target answers as it did before
+// it; after, it must answer Len, Contains, Fingerprint, Equal and every
+// index probe as a relation built by inserts does, and store no row
+// twice, and the view must hold exactly the round's new facts. It runs
+// with the target's indexes cold and warm, with a snapshot of the
+// target held across every round, so that each round promotes first
+// and the snapshot keeps what it held, and with deletes between rounds;
+// and, as TestStorageModel does, with every table hash cut to three
+// bits.
+func TestStageMatchesInserts(t *testing.T) {
+	for _, hash := range hashes {
 		t.Run(hash.name, func(t *testing.T) {
 			defer func(old uint64) { hashBits = old }(hashBits)
 			hashBits = hash.bits
 			for arity, domain := range map[int]int{0: 1, 1: 200, 2: 14, 3: 6} {
-				for _, mode := range []string{"cold", "warm", "held"} {
+				for _, mode := range []string{"cold", "warm", "held", "deletes"} {
 					for seed := int64(1); seed <= 3; seed++ {
-						absorbRounds(t, arity, domain, mode, seed)
+						stageRounds(t, arity, domain, mode, seed)
 					}
 				}
 			}
@@ -406,20 +570,17 @@ func TestAbsorbMatchesInserts(t *testing.T) {
 	}
 }
 
-func absorbRounds(t *testing.T, arity, domain int, mode string, seed int64) {
+func stageRounds(t *testing.T, arity, domain int, mode string, seed int64) {
 	m := &model{t: t, rng: rand.New(rand.NewSource(seed)), arity: arity, domain: domain}
-	target, staged := &fork{NewRelation(arity), ref{}}, &fork{NewRelation(arity), ref{}}
-	want := NewRelation(arity)
+	target, view := &fork{rel: NewRelation(arity), ref: ref{}}, NewRelation(arity)
 	for round := 0; round < 12; round++ {
-		staged.rel.Clear()
-		staged.ref = ref{}
-		for k := m.rng.Intn(40); k > 0; k-- {
-			if tp := m.randTuple(); target.ref[tp.Key()] == nil {
-				staged.rel.Insert(tp)
-				staged.ref[tp.Key()] = tp
+		if mode == "deletes" && len(target.ref) > 0 {
+			for k := m.rng.Intn(1 + len(target.ref)/2); k > 0; k-- {
+				tp := m.member(target)
+				target.rel.Delete(tp)
+				delete(target.ref, tp.Key())
 			}
 		}
-		m.checkProbes(staged)
 		if mode == "warm" {
 			for mask := uint32(1); mask < 1<<uint(arity); mask++ {
 				target.rel.BuildIndex(mask)
@@ -430,67 +591,87 @@ func absorbRounds(t *testing.T, arity, domain int, mode string, seed int64) {
 		if mode == "held" {
 			snap = target.rel.Snapshot()
 		}
-		gen := target.rel.Generation()
-		if n := target.rel.Absorb(staged.rel); n != len(staged.ref) {
-			t.Fatalf("%s arity %d seed %d round %d: Absorb = %d, want %d", mode, arity, seed, round, n, len(staged.ref))
+		gen, fp, rows := target.rel.Generation(), target.rel.Fingerprint(), target.rel.data.n
+		for k := m.rng.Intn(40); k > 0; k-- {
+			m.stage(target)
 		}
-		for k, tp := range staged.ref {
-			want.Insert(tp)
+		m.checkProbes(target)
+		if target.rel.Fingerprint() != fp {
+			t.Fatalf("%s arity %d seed %d round %d: the fingerprint moved before Publish", mode, arity, seed, round)
+		}
+		staged, revived := target.inRound, 0
+		for _, tp := range target.staged {
+			if target.rel.data.find(tp, tp.Hash()) >= 0 {
+				revived++
+			}
+		}
+		if target.inRound == nil {
+			staged = ref{}
+		}
+		if n := target.rel.Publish(view); n != len(staged) {
+			t.Fatalf("%s arity %d seed %d round %d: Publish = %d, want %d", mode, arity, seed, round, n, len(staged))
+		}
+		for k, tp := range staged {
 			target.ref[k] = tp
 		}
+		target.staged, target.inRound = nil, nil
+		want := NewRelation(arity)
+		for _, tp := range target.ref {
+			want.Insert(tp)
+		}
 		r := target.rel
-		if r.Len() != want.Len() || r.data.n != want.Len() || r.Fingerprint() != want.Fingerprint() || !r.Equal(want) || !want.Equal(r) {
+		if r.Len() != want.Len() || r.data.n != rows+len(staged)-revived || r.Fingerprint() != want.Fingerprint() || !r.Equal(want) || !want.Equal(r) {
 			t.Fatalf("%s arity %d seed %d round %d: %d live of %d rows, fingerprint %x; inserts give %d, %x", mode, arity, seed, round, r.Len(), r.data.n, r.Fingerprint(), want.Len(), want.Fingerprint())
 		}
 		m.checkProbes(target)
+		m.checkProbes(&fork{rel: view, ref: staged})
 		if snap != nil {
-			if snap.Len() != len(before) || len(staged.ref) > 0 && r.Generation() == gen {
+			if snap.Len() != len(before) || len(staged) > 0 && r.Generation() == gen {
 				t.Fatalf("%s arity %d seed %d round %d: the held snapshot has %d tuples, want %d; promoted %v", mode, arity, seed, round, snap.Len(), len(before), r.Generation() != gen)
 			}
-			m.checkProbes(&fork{snap, before})
+			m.checkProbes(&fork{rel: snap, ref: before})
 		}
 	}
 }
 
-// TestAbsorbRevivesTombstones: a target that still holds a tuple's
-// deleted row revives that row when it absorbs the tuple, and does not
-// append a second one, which its membership table would never find
-// (it finds the dead row first) and a fixpoint would derive again every
-// round. A source with deleted rows gives up only its live ones.
-func TestAbsorbRevivesTombstones(t *testing.T) {
+// TestStagedFactRevivesItsRow: a relation that still holds a fact's
+// deleted row revives that row when the fact is staged over it, and
+// adds no second row, which its membership table would never find (it
+// finds the dead row first) and a fixpoint would derive again every
+// round. The revived fact is in the view, where it was staged among the
+// appended ones; the round's readers see none of them.
+func TestStagedFactRevivesItsRow(t *testing.T) {
 	u := value.New()
-	a, b, c, d := tup(u.Int(1), u.Int(2)), tup(u.Int(2), u.Int(3)), tup(u.Int(3), u.Int(4)), tup(u.Int(4), u.Int(5))
+	a, b, c := tup(u.Int(1), u.Int(2)), tup(u.Int(2), u.Int(3)), tup(u.Int(3), u.Int(4))
 	r := NewRelation(2)
 	r.Insert(a)
 	r.Insert(b)
 	r.BuildIndex(1)
 	r.Delete(b)
-	o := NewRelation(2)
-	o.Insert(b)
-	o.Insert(c)
-	if n := r.Absorb(o); n != 2 {
-		t.Fatalf("Absorb = %d, want 2", n)
+	if !r.Stage(c) || !r.Stage(b) || r.Stage(b) || r.Stage(a) {
+		t.Fatal("Stage reports a staged or held fact as new, or a new one as held")
+	}
+	if r.Contains(b) || r.Contains(c) || r.Len() != 1 || len(probe(r, 1, b)) != 0 {
+		t.Fatal("a staged fact is visible before Publish")
+	}
+	view := NewRelation(2)
+	if n := r.Publish(view); n != 2 {
+		t.Fatalf("Publish = %d, want 2", n)
 	}
 	want := NewRelation(2)
 	for _, tp := range []Tuple{a, b, c} {
 		want.Insert(tp)
 	}
 	if r.data.n != 3 || r.data.ndead != 0 || !r.Contains(b) || !r.Equal(want) || r.Fingerprint() != want.Fingerprint() {
-		t.Fatalf("%d rows, %d dead, contains the revived tuple %v: want 3 rows, none dead", r.data.n, r.data.ndead, r.Contains(b))
+		t.Fatalf("%d rows, %d dead, contains the revived fact %v: want 3 rows, none dead", r.data.n, r.data.ndead, r.Contains(b))
 	}
 	if got := probe(r, 1, b); len(got) != 1 || !got[0].Equal(b) {
-		t.Fatalf("probe on the revived tuple's column: %v", got)
+		t.Fatalf("probe on the revived fact's column: %v", got)
+	}
+	if got := view.Tuples(); len(got) != 2 || !got[0].Equal(c) || !got[1].Equal(b) || !view.Contains(b) || view.Contains(a) {
+		t.Fatalf("the view holds %v, want [%v %v]", got, c, b)
 	}
 	if !r.Delete(b) || r.Contains(b) {
-		t.Fatal("the revived tuple has a second live row")
-	}
-	r = NewRelation(2)
-	r.Insert(a)
-	o.Clear()
-	o.Insert(d)
-	o.Insert(b)
-	o.Delete(d)
-	if n := r.Absorb(o); n != 1 || r.Contains(d) || !r.Contains(b) || r.Len() != 2 {
-		t.Fatalf("absorbing a set with a deleted row: %d added, %d live", n, r.Len())
+		t.Fatal("the revived fact has a second live row")
 	}
 }

@@ -130,8 +130,10 @@ func (tb *table) home(tag uint64) int {
 }
 
 // find returns the slot position and payload of key's key columns (h
-// is their hash), or -1, -1. The key of a slot is read off a row it
-// addresses: the row itself, or the first of the newest block.
+// is their hash), or, when the table lacks the key, the free slot the
+// probe stopped at (-1 in an empty table) and payload -1. The key of a
+// slot is read off a row it addresses: the row itself, or the first of
+// the newest block.
 func (tb *table) find(rs rows, key Tuple, h uint64) (pos, payload int) {
 	if tb.keys == 0 {
 		return -1, -1
@@ -140,7 +142,7 @@ func (tb *table) find(rs rows, key Tuple, h uint64) (pos, payload int) {
 	for pos, m := tb.home(tag), len(tb.slots)-1; ; pos = (pos + 1) & m {
 		s := tb.slots[pos]
 		if s == 0 {
-			return -1, -1
+			return pos, -1
 		}
 		if s>>32 == tag {
 			payload, row := int(uint32(s))-1, int(uint32(s))-1
@@ -189,6 +191,17 @@ func (tb *table) put(h uint64, payload int) {
 	tb.keys++
 }
 
+// putAt is put at pos, the free slot find stopped at for the key, so
+// the probe is not walked again, unless the table has to grow first.
+func (tb *table) putAt(pos int, h uint64, payload int) {
+	if pos < 0 || (tb.keys+1)*4 > len(tb.slots)*3 {
+		tb.put(h, payload)
+		return
+	}
+	tb.slots[pos] = (h&hashBits)>>32<<32 | uint64(payload+1)
+	tb.keys++
+}
+
 // link enters the freshly appended row of rs into a secondary index:
 // into its key's newest block, a new block once that is full, or as a
 // new key.
@@ -196,8 +209,8 @@ func (tb *table) link(rs rows, row int) {
 	t := rs.at(row)
 	h := tb.hash(t)
 	pos, o := tb.find(rs, t, h)
-	if pos < 0 {
-		tb.put(h, tb.newBlock(0, 2, row))
+	if o < 0 {
+		tb.putAt(pos, h, tb.newBlock(0, 2, row))
 		return
 	}
 	n, c := tb.blocks[o+1]&0xffff, tb.blocks[o+1]>>16

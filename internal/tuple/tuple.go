@@ -132,11 +132,12 @@ func (r *Relation) Insert(t Tuple) bool {
 		panic(fmt.Sprintf("tuple: insert arity %d into relation of arity %d", len(t), r.arity))
 	}
 	h := t.Hash()
-	row := r.data.find(t, h)
-	if row >= 0 && !r.data.isDead(row) {
+	pos, row := r.data.lookup(t, h)
+	if row >= 0 && row < r.data.n && !r.data.isDead(row) {
 		return false
 	}
-	r.promote()
+	r.settled("Insert")
+	r.promote() // a copy keeps every slot where it was
 	d := r.data
 	r.fp ^= h
 	if row >= 0 { // deleted earlier: the row is still stored and indexed
@@ -145,7 +146,7 @@ func (r *Relation) Insert(t Tuple) bool {
 		return true
 	}
 	d.vals = append(d.vals, t...)
-	d.member.put(h, d.n)
+	d.member.putAt(pos, h, d.n)
 	for _, ix := range d.indexes {
 		ix.link(d.rows, d.n)
 	}
@@ -169,6 +170,7 @@ func (r *Relation) Delete(t Tuple) bool {
 	if row < 0 || r.data.isDead(row) {
 		return false
 	}
+	r.settled("Delete")
 	r.promote()
 	d := r.data
 	if d.dead == nil {
@@ -190,9 +192,11 @@ func (r *Relation) Delete(t Tuple) bool {
 // overwrite the old rows and index blocks, so a tuple or cursor read
 // from r before is no longer valid: Clear is for a scratch set that
 // hands out no tuples, such as a memo reused from one pass to the next
-// or a fixpoint's recycled delta. A relation shared with a snapshot
+// or a deletion run's scratch sets, and not for a delta view (Publish),
+// whose rows are another relation's. A relation shared with a snapshot
 // gets fresh storage instead, and the snapshot keeps the old.
 func (r *Relation) Clear() {
+	r.settled("Clear")
 	if r.shared.Load() {
 		r.data = &relData{rows: rows{arity: r.arity}}
 		r.shared.Store(false)
@@ -289,8 +293,8 @@ func valueRanks(u *value.Universe, rels ...*Relation) *ranks {
 	var top value.Value
 	cells := 0
 	for _, r := range rels {
-		cells += len(r.data.vals)
-		for _, v := range r.data.vals {
+		cells += len(r.data.live())
+		for _, v := range r.data.live() {
 			top = max(top, v)
 		}
 	}
@@ -432,50 +436,6 @@ func (r *Relation) UnionInPlace(o *Relation) int {
 		return true
 	})
 	return added
-}
-
-// Absorb adds every tuple of o to r, which must hold none of them, and
-// returns how many it added: UnionInPlace for sets known disjoint, such
-// as the facts a fixpoint round staged because its instance lacked them.
-// It copies o's rows in one append and re-places o's membership slots
-// by the tags they store, so no tuple is hashed or looked up; r's
-// fingerprint takes o's by XOR, and only the new rows are linked into
-// r's indexes. Where either side holds tombstones it is UnionInPlace:
-// o's live rows are then not one run, and a tuple r deleted must be
-// revived in its row, not stored a second time.
-func (r *Relation) Absorb(o *Relation) int {
-	if o.arity != r.arity {
-		panic(fmt.Sprintf("tuple: absorb arity %d into relation of arity %d", o.arity, r.arity))
-	}
-	od := o.data
-	switch {
-	case od.n == 0:
-		return 0
-	case od.ndead > 0 || r.data.ndead > 0:
-		return r.UnionInPlace(o)
-	}
-	r.promote()
-	d := r.data
-	base := d.n
-	d.vals = append(d.vals, od.vals...)
-	d.member.reserve(od.n)
-	for _, s := range od.member.slots {
-		if s != 0 {
-			d.member.place(s + uint64(base)) // the payload is the row id + 1
-		}
-	}
-	d.member.keys += od.n
-	d.n += od.n
-	for _, ix := range d.indexes {
-		for row := base; row < d.n; row++ {
-			ix.link(d.rows, row)
-		}
-	}
-	for d.dead != nil && d.n > 64*len(d.dead) {
-		d.dead = append(d.dead, 0)
-	}
-	r.fp ^= o.fp
-	return od.n
 }
 
 // Fingerprint returns an order-independent 64-bit hash of the tuple

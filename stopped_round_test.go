@@ -1,0 +1,80 @@
+package unchained_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"unchained/internal/ast"
+	"unchained/internal/core"
+	"unchained/internal/declarative"
+	"unchained/internal/engine"
+	"unchained/internal/parser"
+	"unchained/internal/tuple"
+	"unchained/internal/value"
+)
+
+// TestStoppedRoundLeavesNoStagedRow: a round stages its new facts into
+// the instance's own rows, so a round the deadline stops must take them
+// out again. Under every engine that stages, the instance a stopped
+// run returns is the one the stopped round began from: the same facts,
+// fingerprint, rendering and relation names, no staged fact visible,
+// and each of them new to a later Insert exactly once. The first
+// program stops in round one, in a relation the round made; the second
+// in round two, in a relation the input already has.
+func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
+	u := value.New()
+	var facts strings.Builder
+	for i := 0; i < 110; i++ {
+		fmt.Fprintf(&facts, "N(c%d). ", i)
+	}
+	facts.WriteString("S(c0). Q(z).")
+	in := parser.MustParseFacts(facts.String(), u)
+	heavy := "N(A), N(B), N(C), N(D), N(E)"
+	first := parser.MustParse("P(A) :- "+heavy+".", u)
+	second := parser.MustParse("T(X) :- S(X).\nQ(A) :- T(A), "+heavy+".", u)
+	afterOne := in.Clone()
+	afterOne.Insert("T", tuple.Tuple{u.Sym("c0")})
+	for _, e := range []struct {
+		name string
+		eval func(*ast.Program, *tuple.Instance, *value.Universe, *engine.Options) (*engine.Result, error)
+	}{
+		{"minimal model", declarative.Eval},
+		{"naive", declarative.EvalNaive},
+		{"inflationary", core.EvalInflationary},
+		{"invent", core.EvalInvent},
+	} {
+		for _, c := range []struct {
+			p      *ast.Program
+			pred   string
+			stages int
+			want   *tuple.Instance
+		}{{first, "P", 0, in}, {second, "Q", 1, afterOne}} {
+			name := fmt.Sprintf("%s, stopped after %d stages", e.name, c.stages)
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			res, err := e.eval(c.p, in, u, &engine.Options{Ctx: ctx})
+			cancel()
+			if !errors.Is(err, engine.ErrDeadline) || !strings.Contains(err.Error(), fmt.Sprintf("after %d stages", c.stages)) {
+				t.Fatalf("%s: err = %v", name, err)
+			}
+			out := res.Out
+			if out.Facts() != c.want.Facts() || out.Fingerprint() != c.want.Fingerprint() ||
+				out.String(u) != c.want.String(u) || !slices.Equal(out.Names(), c.want.Names()) {
+				t.Fatalf("%s: %d facts over %v, want the %d over %v the round began from", name, out.Facts(), out.Names(), c.want.Facts(), c.want.Names())
+			}
+			for i := 0; i < 110; i++ {
+				tp := tuple.Tuple{u.Sym(fmt.Sprintf("c%d", i))}
+				if out.Has(c.pred, tp) {
+					t.Fatalf("%s: the stopped round's %s%v is visible", name, c.pred, tp)
+				}
+				if !out.Insert(c.pred, tp) || out.Insert(c.pred, tp) {
+					t.Fatalf("%s: %s%v is not new to an Insert exactly once", name, c.pred, tp)
+				}
+			}
+		}
+	}
+}
