@@ -810,3 +810,53 @@ func benchFrontendScaling(b *testing.B, front func(s *Session, p *Program)) {
 		})
 	}
 }
+
+// BenchmarkCapture measures what the stats collector the daemon
+// attaches to every request costs: each shape runs without a collector
+// (nostats) and with a fresh one per op (stats). serve-eval is the
+// daemon's request shape, TC over a random 60-node, 120-edge graph under
+// the minimal model, in a fresh fork of the session per op, compiling
+// its rules anew each time, with a plan cache the ops share; counter10
+// is Counter(10) under Datalog¬¬, 2^10 stages. Run it with -benchmem:
+// the stats row's allocs/op over the nostats row's is the collector's
+// cost.
+func BenchmarkCapture(b *testing.B) {
+	base := NewSession()
+	tc := base.MustParse("T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).\n")
+	graph := gen.Random(base.U, "G", 60, 120, 1)
+	plans := NewPlanCache()
+	counter := base.MustParse(queries.Counter(10))
+	one := tuple.NewInstance()
+	one.Ensure("One", 1)
+	shapes := []struct {
+		name string
+		run  func(opts ...Opt) (*EvalResult, error)
+	}{
+		{"serve-eval", func(opts ...Opt) (*EvalResult, error) {
+			return base.Fork().EvalContext(context.Background(), tc, graph, MinimalModel, append(opts, WithPlanCache(plans))...)
+		}},
+		{"counter10", func(opts ...Opt) (*EvalResult, error) {
+			return base.EvalContext(context.Background(), counter, one, NonInflationary, opts...)
+		}},
+	}
+	for _, sh := range shapes {
+		for _, withStats := range []bool{false, true} {
+			name := sh.name + "/nostats"
+			if withStats {
+				name = sh.name + "/stats"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var opts []Opt
+					if withStats {
+						opts = append(opts, WithStats(NewStatsCollector()))
+					}
+					if _, err := sh.run(opts...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -187,14 +187,12 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 	eo := opt.shared()
 	col := eo.Collector()
 	if col.Enabled() {
-		names := make([]string, len(s.rules))
-		for i, r := range s.rules {
-			names[i] = r.src.Name
-			if names[i] == "" {
-				names[i] = fmt.Sprintf("rule %d", i)
+		col.Reset("active", len(s.rules), func(i int) string {
+			if name := s.rules[i].src.Name; name != "" {
+				return name
 			}
-		}
-		col.Reset("active", names)
+			return fmt.Sprintf("rule %d", i)
+		})
 	}
 	wm := in.SnapshotWith(col.Cow())
 	var agenda []Event

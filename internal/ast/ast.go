@@ -46,6 +46,13 @@ func (t Term) String(u *value.Universe) string {
 	return u.Name(t.Const)
 }
 
+func (t Term) appendTo(b []byte, u *value.Universe) []byte {
+	if t.IsVar() {
+		return append(b, t.Var...)
+	}
+	return append(b, u.Name(t.Const)...)
+}
+
 // Atom is a predicate applied to terms. SrcPos, when set by the
 // parser, is the position of the predicate name.
 type Atom struct {
@@ -82,11 +89,23 @@ func (a Atom) String(u *value.Universe) string {
 	if len(a.Args) == 0 {
 		return a.Pred
 	}
-	parts := make([]string, len(a.Args))
-	for i, t := range a.Args {
-		parts[i] = t.String(u)
+	var buf [64]byte
+	return string(a.appendTo(buf[:0], u))
+}
+
+func (a Atom) appendTo(b []byte, u *value.Universe) []byte {
+	b = append(b, a.Pred...)
+	if len(a.Args) == 0 {
+		return b
 	}
-	return a.Pred + "(" + strings.Join(parts, ",") + ")"
+	b = append(b, '(')
+	for i, t := range a.Args {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = t.appendTo(b, u)
+	}
+	return append(b, ')')
 }
 
 // LitKind discriminates the literal forms.
@@ -142,29 +161,52 @@ func Forall(vars []string, body ...Literal) Literal {
 
 // String renders the literal.
 func (l Literal) String(u *value.Universe) string {
+	var buf [64]byte
+	return string(l.appendTo(buf[:0], u))
+}
+
+func (l Literal) appendTo(b []byte, u *value.Universe) []byte {
 	switch l.Kind {
 	case LitAtom:
 		if l.Neg {
-			return "!" + l.Atom.String(u)
+			b = append(b, '!')
 		}
-		return l.Atom.String(u)
+		return l.Atom.appendTo(b, u)
 	case LitEq:
-		op := "="
+		b = l.Left.appendTo(b, u)
 		if l.Neg {
-			op = "!="
+			b = append(b, " != "...)
+		} else {
+			b = append(b, " = "...)
 		}
-		return l.Left.String(u) + " " + op + " " + l.Right.String(u)
+		return l.Right.appendTo(b, u)
 	case LitBottom:
-		return "bottom"
+		return append(b, "bottom"...)
 	case LitForall:
-		parts := make([]string, len(l.ForallBody))
-		for i, b := range l.ForallBody {
-			parts[i] = b.String(u)
+		b = append(b, "forall "...)
+		for i, v := range l.ForallVars {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, v...)
 		}
-		return "forall " + strings.Join(l.ForallVars, ",") + " (" + strings.Join(parts, ", ") + ")"
+		b = append(b, " ("...)
+		b = appendLiterals(b, l.ForallBody, u)
+		return append(b, ')')
 	default:
-		return "?"
+		return append(b, '?')
 	}
+}
+
+// appendLiterals appends ls rendered and separated by ", ".
+func appendLiterals(b []byte, ls []Literal, u *value.Universe) []byte {
+	for i, l := range ls {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = l.appendTo(b, u)
+	}
+	return b
 }
 
 // vars appends the variables of the literal to dst (with duplicates).
@@ -251,20 +293,20 @@ func MultiR(head []Literal, body ...Literal) Rule {
 	return Rule{Head: head, Body: body}
 }
 
-// String renders the rule in the repository's concrete syntax.
+// String renders the rule in the repository's concrete syntax, in one
+// allocation for a rule of up to 128 bytes.
 func (r Rule) String(u *value.Universe) string {
-	hs := make([]string, len(r.Head))
-	for i, h := range r.Head {
-		hs[i] = h.String(u)
+	var buf [128]byte
+	return string(r.appendTo(buf[:0], u))
+}
+
+func (r Rule) appendTo(b []byte, u *value.Universe) []byte {
+	b = appendLiterals(b, r.Head, u)
+	if len(r.Body) > 0 {
+		b = append(b, " :- "...)
+		b = appendLiterals(b, r.Body, u)
 	}
-	if len(r.Body) == 0 {
-		return strings.Join(hs, ", ") + "."
-	}
-	bs := make([]string, len(r.Body))
-	for i, b := range r.Body {
-		bs[i] = b.String(u)
-	}
-	return strings.Join(hs, ", ") + " :- " + strings.Join(bs, ", ") + "."
+	return append(b, '.')
 }
 
 // BodyVars returns the distinct variables occurring (free) in the

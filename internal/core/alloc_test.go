@@ -6,6 +6,7 @@ import (
 	"unchained/internal/gen"
 	"unchained/internal/parser"
 	"unchained/internal/queries"
+	"unchained/internal/stats"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 	"unchained/programs"
@@ -50,21 +51,38 @@ func TestInflationaryAllocations(t *testing.T) {
 // doubling, and the rows its relations grow by. The 10-bit counter runs
 // 768 stages more than the 8-bit one; when every stage cloned the
 // instance and allocated its context and sets, they cost 49 562 more.
+//
+// A stats collector adds its stage list, its plans and the rule texts
+// its summary lists, and nothing per enumeration: with one, the 10-bit
+// counter reads 528 allocations against 443 without. When every
+// enumeration allocated its probe tally, and the run formatted every
+// rule's text up front, it read 22 511.
 func TestNonInflationaryAllocations(t *testing.T) {
-	run := func(bits int) float64 {
+	run := func(bits int, withStats bool) float64 {
 		u := value.New()
 		p := parser.MustParse(queries.Counter(bits), u)
 		in := tuple.NewInstance()
 		in.Ensure("One", 1)
 		return testing.AllocsPerRun(5, func() {
-			res, err := EvalNonInflationary(p, in, u, nil)
+			var opt *Options
+			if withStats {
+				opt = &Options{Stats: stats.New()}
+			}
+			res, err := EvalNonInflationary(p, in, u, opt)
 			if err != nil || res.Stages != 1<<bits {
 				t.Fatalf("%d-bit counter: %v after %v stages", bits, err, res)
 			}
 		})
 	}
-	small, large := run(8), run(10)
-	if large-small > 256 {
-		t.Errorf("the 10-bit counter allocates %.0f times, the 8-bit one %.0f: %.0f more for 768 more stages, want <= 256", large, small, large-small)
+	for _, withStats := range []bool{false, true} {
+		small, large := run(8, withStats), run(10, withStats)
+		if large-small > 256 {
+			t.Errorf("collector %v: the 10-bit counter allocates %.0f times, the 8-bit one %.0f: %.0f more for 768 more stages, want <= 256", withStats, large, small, large-small)
+		}
+	}
+	without, with := run(10, false), run(10, true)
+	t.Logf("10-bit counter: %.0f allocations without a collector, %.0f with one", without, with)
+	if with > 2*without {
+		t.Errorf("the 10-bit counter allocates %.0f times with a collector, %.0f without, want at most twice as many", with, without)
 	}
 }

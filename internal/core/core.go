@@ -84,8 +84,8 @@ type Result = engine.Result
 // begin is the prelude the engines of this package share: validate the
 // program against the engine's dialect, compile it, reset the
 // collector under the engine's name and fork the input into the
-// working instance. The per-rule names are rendered only when the
-// collector is enabled.
+// working instance. The collector formats a rule's text only when a
+// trace span or the summary's per-rule breakdown reads it.
 func begin(engineName string, d ast.Dialect, p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) ([]*eval.Rule, *stats.Collector, *tuple.Instance, error) {
 	if err := p.Validate(d); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: %w", err)
@@ -95,14 +95,9 @@ func begin(engineName string, d ast.Dialect, p *ast.Program, in *tuple.Instance,
 		return nil, nil, nil, err
 	}
 	col := opt.Collector()
-	var names []string
 	if col.Enabled() {
-		names = make([]string, len(p.Rules))
-		for i := range p.Rules {
-			names[i] = p.Rules[i].String(u)
-		}
+		col.Reset(engineName, len(p.Rules), func(i int) string { return p.Rules[i].String(u) })
 	}
-	col.Reset(engineName, names)
 	return rules, col, in.SnapshotWith(col.Cow()), nil
 }
 

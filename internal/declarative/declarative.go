@@ -55,7 +55,7 @@ func evalFixpoint(engineName string, p *ast.Program, in *tuple.Instance, u *valu
 		return nil, err
 	}
 	col := opt.Collector()
-	col.Reset(engineName, nil)
+	col.Reset(engineName, 0, nil)
 	out := in.SnapshotWith(col.Cow())
 	k := engine.SemiNaive{Rules: rules}
 	rounds, err := k.Run(opt, out, eval.DomainFor(rules, p, u, in), nil, nil)
@@ -74,7 +74,7 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 		return nil, err
 	}
 	col := opt.Collector()
-	col.Reset("naive", nil)
+	col.Reset("naive", 0, nil)
 	out := in.SnapshotWith(col.Cow())
 	adom := eval.DomainFor(rules, p, u, in)
 	st := eval.NewStaging(out)
@@ -116,7 +116,7 @@ func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *
 		return nil, err
 	}
 	col := opt.Collector()
-	col.Reset("stratified", nil)
+	col.Reset("stratified", 0, nil)
 	out := in.SnapshotWith(col.Cow())
 	adom := eval.DomainFor(rules, p, u, in)
 	totalRounds := 0
@@ -295,7 +295,7 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 	}
 	groups := g.Groups()
 	col := opt.Collector()
-	col.Reset("wellfounded", nil)
+	col.Reset("wellfounded", 0, nil)
 	consts := p.Constants()
 	w := &WFSResult{u: u, consts: consts}
 	if eval.ReadsDomain(rules) {

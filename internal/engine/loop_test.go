@@ -36,7 +36,7 @@ func stageEvents(t *testing.T, o *Options, limit int, step Step) (int, error, []
 	rec := trace.NewRecorder(0)
 	col := stats.New()
 	col.SetTracer(rec)
-	col.Reset("test", nil)
+	col.Reset("test", 0, nil)
 	stages, err := o.Loop(col, limit, limitErr, step)
 	if sum := col.Summary(); sum.Stages != stages {
 		t.Errorf("collector counted %d stages, loop returned %d", sum.Stages, stages)
@@ -230,7 +230,7 @@ func TestChooseLoop(t *testing.T) {
 	rec := trace.NewRecorder(0)
 	col := stats.New()
 	col.SetTracer(rec)
-	col.Reset("test", nil)
+	col.Reset("test", 0, nil)
 	var order []string
 	left := 2
 	stages, err := (*Options)(nil).ChooseLoop(col, 0, nil,

@@ -410,7 +410,7 @@ func TestEmptiedDeltaRelationIsNotProbed(t *testing.T) {
 	emptied.Relation("T").Clear()
 	for name, delta := range map[string]*tuple.Instance{"lacking T": tuple.NewInstance(), "with T emptied": emptied} {
 		col := stats.New()
-		col.Reset("test", nil)
+		col.Reset("test", 0, nil)
 		ctx := *base
 		ctx.Stats, ctx.Delta, ctx.DeltaLit = col, delta, v.DeltaLit()
 		n := 0

@@ -263,30 +263,6 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	return PlanCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }
 
-// planTrace is the per-Enumerate local accumulator: probe/scan
-// counts always (flushed to the collector in one batch, so the hot
-// match loop never touches a shared atomic), and — only when this
-// enumeration reports its plan — the actual number of tuples each step
-// pulled, for the est-vs-act line of the summary and -explain. counts
-// stays nil otherwise.
-type planTrace struct {
-	probes, scans uint64
-	counts        []int64
-}
-
-// probe tallies one relation match locally; a nil receiver (stats
-// disabled) costs one branch, matching Collector.Probe's contract.
-func (tr *planTrace) probe(scan bool) {
-	if tr == nil {
-		return
-	}
-	if scan {
-		tr.scans++
-	} else {
-		tr.probes++
-	}
-}
-
 // label names the rule for trace events: its first non-⊥ head.
 func (r *Rule) label() string {
 	for _, h := range r.heads {
@@ -332,18 +308,18 @@ func (r *Rule) planChanged(ctx *Ctx, tab *slotTable, steps []step) bool {
 	return changed
 }
 
-// planDesc renders the chosen join order with estimated and actual
-// cumulative cardinalities (counts: the tuples each step pulled), as
-// "pred#lit est=N act=N" per join, joined by " ⋈ ". It is written into a
-// stack buffer and copied out once, so the string is allocated at its
-// length: a flight record keeps it.
-func (r *Rule) planDesc(ctx *Ctx, tab *slotTable, steps []step, counts []int64) string {
-	var buf [256]byte
-	b := buf[:0]
+// appendPlan appends to b the chosen join order with estimated and
+// actual cumulative cardinalities (counts: the tuples each step
+// pulled), as "pred#lit est=N act=N" per join, joined by " ⋈ ". b is the
+// collector's plan buffer (stats.Collector.PlanText), so the plans of a
+// run allocate only that buffer's growth.
+func (r *Rule) appendPlan(b []byte, ctx *Ctx, tab *slotTable, steps []step, counts []int64) []byte {
+	first := true
 	eachJoin(ctx, tab, steps, func(i int, st *step, cum int) {
-		if len(b) > 0 {
+		if !first {
 			b = append(b, " ⋈ "...)
 		}
+		first = false
 		b = append(b, r.prog.preds[st.pred]...)
 		b = append(b, '#')
 		b = strconv.AppendInt(b, int64(st.litIndex), 10)
@@ -352,7 +328,7 @@ func (r *Rule) planDesc(ctx *Ctx, tab *slotTable, steps []step, counts []int64) 
 		b = append(b, " act="...)
 		b = strconv.AppendInt(b, counts[i], 10)
 	})
-	return string(b)
+	return b
 }
 
 // AdomCache memoizes the sorted, deduplicated active domain

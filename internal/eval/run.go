@@ -37,8 +37,10 @@ type Ctx struct {
 	// allocated per call: for a caller that enumerates many times, one
 	// enumeration at a time.
 	Buf *Scratch
-	// Stats, if non-nil, receives an index-probe/full-scan count for
-	// every relation match. A nil collector costs one branch.
+	// Stats, if non-nil, receives the index probes and full scans of
+	// every enumeration, tallied in the enumeration's frame and flushed
+	// in one ProbeBatch at its end, and, under PlanTrace, the plans it
+	// reports. An enumeration allocates nothing for it.
 	Stats *stats.Collector
 	// Plans, if non-nil, shares planner schedules across rule
 	// compilations (see PlanCache); nil uses a per-rule memo.
@@ -135,13 +137,6 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 	}
 	tab := ctx.table()
 	steps, report := r.stepsFor(ctx, tab)
-	var tr *planTrace
-	if ctx.Stats.Enabled() {
-		tr = &planTrace{}
-		if report {
-			tr.counts = make([]int64, len(steps))
-		}
-	}
 	// The binding and every step's probe pattern or check tuple share
 	// one buffer, and every match step has a cursor: the whole
 	// enumeration allocates those two (or reuses Buf) and nothing else,
@@ -166,16 +161,19 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 	// Assigned field by field: a composite literal would be built aside
 	// and copied.
 	var f frame
-	f.ctx, f.steps, f.tr, f.its, f.width = ctx, steps, tr, its, r.width
+	f.ctx, f.steps, f.its, f.width = ctx, steps, its, r.width
 	f.b, f.scratch = buf[:len(r.Vars):len(r.Vars)], buf[len(r.Vars):]
 	np := len(r.prog.preds)
 	f.rels, f.neg, f.delta = tab.rels, negSection(ctx)*np, secDelta*np
+	if report {
+		tab.counts = grow(tab.counts, len(steps))
+		clear(tab.counts)
+		f.counts = tab.counts
+	}
 	f.run(0, emit)
-	if tr != nil {
-		ctx.Stats.ProbeBatch(tr.probes, tr.scans)
-		if tr.counts != nil {
-			ctx.Stats.PlanSpan(r.label(), r.planDesc(ctx, tab, steps, tr.counts))
-		}
+	ctx.Stats.ProbeBatch(f.probes, f.scans)
+	if report {
+		ctx.Stats.PlanSpan(r.label(), r.appendPlan(ctx.Stats.PlanText(), ctx, tab, steps, f.counts))
 	}
 }
 
@@ -191,23 +189,28 @@ func (r *Rule) stepsFor(ctx *Ctx, tab *slotTable) ([]step, bool) {
 	return tab.plan(ctx, r)
 }
 
-// frame is the state of one Enumerate call. The scratch tuples and the
-// cursors live here and not in the steps, because a plan is shared by
-// every goroutine that enumerates the rule (PlanCache, the shard
-// workers); a step reuses its depth's cursor from one probe to the next.
-// rels is the slot table's: a match step reads its In section (the
+// frame is the state of one Enumerate call, on its stack. The scratch
+// tuples and the cursors live here and not in the steps, because a plan
+// is shared by every goroutine that enumerates the rule (PlanCache, the
+// shard workers); a step reuses its depth's cursor from one probe to the
+// next. rels is the slot table's: a match step reads its In section (the
 // Delta section, at offset delta, for the literal ctx pins to a delta
-// relation), an absence check the section at offset neg.
+// relation), an absence check the section at offset neg. probes and
+// scans tally the relation matches for ctx.Stats, so the match loop
+// never touches a shared atomic; counts, only when the enumeration
+// reports its plan, is the number of tuples each step pulled (the act=
+// of the plan's text), in the slot table's reused storage.
 type frame struct {
-	ctx        *Ctx
-	steps      []step
-	tr         *planTrace
-	b          Binding
-	scratch    []value.Value // width values per step depth (Rule.width)
-	width      int
-	its        []tuple.Iterator // one per match step (step.cursor)
-	rels       []*tuple.Relation
-	neg, delta int
+	ctx           *Ctx
+	steps         []step
+	probes, scans uint64
+	counts        []int64
+	b             Binding
+	scratch       []value.Value // width values per step depth (Rule.width)
+	width         int
+	its           []tuple.Iterator // one per match step (step.cursor)
+	rels          []*tuple.Relation
+	neg, delta    int
 }
 
 // ground writes slots under the current binding into step si's scratch
@@ -231,8 +234,8 @@ func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) 
 		if !more {
 			return true
 		}
-		if f.tr != nil && f.tr.counts != nil {
-			f.tr.counts[si]++
+		if f.counts != nil {
+			f.counts[si]++
 		}
 		ok := true
 		for _, ab := range st.binds {
@@ -265,8 +268,8 @@ func (f *frame) matchFact(si int, emit func(Binding) bool) bool {
 			}
 		}
 	}
-	if f.tr != nil && f.tr.counts != nil {
-		f.tr.counts[si]++
+	if f.counts != nil {
+		f.counts[si]++
 	}
 	for _, ab := range st.binds {
 		b[ab.varID] = t[ab.pos]
@@ -287,10 +290,11 @@ func (f *frame) matchFact(si int, emit func(Binding) bool) bool {
 
 // probe positions it on rel.
 func (f *frame) probe(rel *tuple.Relation, mask uint32, pattern tuple.Tuple, it *tuple.Iterator) {
-	f.tr.probe(f.ctx.Scan)
 	if f.ctx.Scan {
+		f.scans++
 		rel.ScanIter(mask, pattern, it)
 	} else {
+		f.probes++
 		rel.ProbeIter(mask, pattern, it)
 	}
 }
@@ -323,12 +327,12 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 		if st.full && !ctx.Scan {
 			// Every position bound: a membership test, which binds
 			// nothing.
-			f.tr.probe(false)
+			f.probes++
 			if !rel.Contains(f.ground(si, st.slots)) {
 				return true
 			}
-			if f.tr != nil && f.tr.counts != nil {
-				f.tr.counts[si]++
+			if f.counts != nil {
+				f.counts[si]++
 			}
 			return f.run(si+1, emit)
 		}

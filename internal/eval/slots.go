@@ -104,6 +104,9 @@ type slotTable struct {
 	dirty        bool   // a stage began that sync has not counted
 	stale        bool   // decs was not read in this stage
 	picks        []pick // by rule id
+	// counts is the per-step tally of the enumeration that reports its
+	// plan (frame.counts), kept from one report to the next.
+	counts []int64
 }
 
 // pick is the schedule a rule enumerates with, for one delta pin of the

@@ -153,7 +153,7 @@ func countDeletions(pred string, col *stats.Collector, n *int) func(*View, *laye
 		if !l.preds[pred] {
 			return v.maintain(l, d)
 		}
-		col.Reset("incr", nil)
+		col.Reset("incr", 0, nil)
 		err := v.maintain(l, d)
 		for _, st := range col.Summary().PerStage {
 			if st.Delta < 0 {

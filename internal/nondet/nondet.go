@@ -258,7 +258,7 @@ func Run(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Universe, s
 		return nil, err
 	}
 	col := opt.Collector()
-	col.Reset("ndatalog", nil)
+	col.Reset("ndatalog", 0, nil)
 	rng := rand.New(rand.NewSource(seed))
 	cur := in.SnapshotWith(col.Cow())
 	// One domain computation per state instead of one per Enumerate
@@ -343,7 +343,7 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 		}
 	}
 	col := opt.Collector()
-	col.Reset("effects", nil)
+	col.Reset("effects", 0, nil)
 	limit := opt.StateLimit(1 << 16)
 
 	type bucket []*tuple.Instance

@@ -22,8 +22,9 @@
 package stats
 
 import (
+	"encoding/binary"
 	"encoding/json"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +42,11 @@ const maxStageEntries = 1024
 // maxPlans bounds the join-plan list; programs have few rules, so the
 // bound only keeps a pathological run from growing an unbounded slice.
 const maxPlans = 64
+
+// firstRoom is the room a run's stage and plan lists start with (and
+// its plan text, at 64 bytes a plan), so that a short run's lists grow
+// once or twice and not at every doubling from one entry.
+const firstRoom = 8
 
 // RuleStats is the per-rule breakdown of a Summary.
 type RuleStats struct {
@@ -191,11 +197,22 @@ type ruleCounters struct {
 //
 // Counter methods (Fired, Retracted, Conflict, Invented, ProbeBatch)
 // are safe for concurrent use. Stage bracketing (Reset, BeginStage,
-// EndStage, Summary) must stay on the engine's goroutine.
+// EndStage, Summary) and plan filing (PlanWanted, PlanText, PlanSpan)
+// must stay on the engine's goroutine.
+//
+// A run costs the collector what it records, and no more: a stage and
+// a filed plan are an append each, a rule's text is formatted only when
+// a trace span or Summary.PerRule reads it, and Summary shares the
+// stage and plan lists instead of copying them. The collector only
+// appends to those lists and Reset drops them, so a Summary stays as it
+// was when the collector runs on.
 type Collector struct {
-	engine    string
-	ruleNames []string
-	rules     []ruleCounters
+	engine string
+	// ruleName formats rule i's text for the per-rule breakdown; names
+	// memoizes it (made on first use, "": not formatted yet).
+	ruleName func(i int) string
+	names    []string
+	rules    []ruleCounters
 
 	firings     atomic.Uint64
 	derived     atomic.Uint64
@@ -208,14 +225,21 @@ type Collector struct {
 	shardRounds atomic.Uint64
 	shardFacts  atomic.Uint64
 
-	// shardWork accumulates per-shard-worker totals and plans the join
-	// plans filed. Unlike the atomic counters above they are
-	// mutex-guarded: shard workers report once per round and a plan is
-	// filed once per estimate change (not per firing), so contention is
-	// negligible.
+	// shardWork accumulates per-shard-worker totals. Unlike the atomic
+	// counters above it is mutex-guarded: shard workers report once per
+	// round, so contention is negligible.
 	mu        sync.Mutex
 	shardWork map[int]*ShardStats
-	plans     []PlanStats
+
+	// plans are the join plans filed. planText holds their texts in
+	// filing order, each behind its length (4 bytes, little-endian); a
+	// plan's Join stays empty until Summary slices it out of one string
+	// of them. The first joined plans have their Join, and their texts
+	// end at planText[joinedAt].
+	plans    []PlanStats
+	planText []byte
+	joined   int
+	joinedAt int
 
 	start      time.Time
 	stageStart time.Time
@@ -325,18 +349,21 @@ func (c *Collector) closeEval(confirm bool) {
 	c.evalOpen = false
 }
 
-// Reset clears all counters and names the engine about to run.
-// ruleNames, when non-nil, enables the per-rule breakdown (Fired's
-// rule index refers into it). Called by top-level engine entry
-// points, never by shared inner fixpoints.
-func (c *Collector) Reset(engine string, ruleNames []string) {
+// Reset clears all counters and names the engine about to run. rules
+// > 0 enables the per-rule breakdown over that many rules (Fired's rule
+// index refers to them), and name formats rule i's text the first time
+// a trace span or Summary.PerRule reads it, once per rule and run.
+// Reset drops the lists the last run's Summary shares, so the next run
+// starts new ones. Called by top-level engine entry points, never by
+// shared inner fixpoints.
+func (c *Collector) Reset(engine string, rules int, name func(i int) string) {
 	if c == nil {
 		return
 	}
 	c.closeEval(false) // previous run abandoned without Summary
 	c.engine = engine
-	c.ruleNames = ruleNames
-	c.rules = make([]ruleCounters, len(ruleNames))
+	c.ruleName, c.names = name, nil
+	c.rules = make([]ruleCounters, rules)
 	c.firings.Store(0)
 	c.derived.Store(0)
 	c.rederived.Store(0)
@@ -348,8 +375,9 @@ func (c *Collector) Reset(engine string, ruleNames []string) {
 	c.shardRounds.Store(0)
 	c.shardFacts.Store(0)
 	c.mu.Lock()
-	c.shardWork, c.plans = nil, nil
+	c.shardWork = nil
 	c.mu.Unlock()
+	c.plans, c.planText, c.joined, c.joinedAt = nil, nil, 0, 0
 	c.stages = nil
 	c.stageCount, c.stageWall = 0, 0
 	c.truncated = false
@@ -445,12 +473,27 @@ func (c *Collector) EndStage(delta int) {
 		c.truncated = true
 		return
 	}
+	if c.stages == nil {
+		c.stages = make([]StageStats, 0, firstRoom)
+	}
 	c.stages = append(c.stages, st)
+}
+
+// name returns rule i's text, formatting it on first use.
+func (c *Collector) name(i int) string {
+	if c.names == nil {
+		c.names = make([]string, len(c.rules))
+	}
+	if c.names[i] == "" {
+		c.names[i] = c.ruleName(i)
+	}
+	return c.names[i]
 }
 
 // BeginRule marks the start of one rule's enumeration within the
 // open stage; only meaningful when tracing with per-rule attribution
-// (Reset with ruleNames). Serial engines only — the shard workers
+// (Reset with rules). Without a tracer it returns before reading the
+// clock, as EndRule does. Serial engines only — the shard workers
 // attribute firings via Fired alone.
 func (c *Collector) BeginRule(rule int) {
 	if c == nil || c.tracer == nil || rule < 0 || rule >= len(c.rules) {
@@ -480,7 +523,7 @@ func (c *Collector) EndRule(rule int) {
 	c.tracer.Emit(trace.Event{
 		Ev: trace.EvSpan, Span: trace.SpanRule,
 		Stage:     c.currentStage(),
-		Rule:      c.ruleNames[rule],
+		Rule:      c.name(rule),
 		Firings:   f,
 		Derived:   rc.derived.Load() - c.ruleMark.derived,
 		Rederived: rc.rederived.Load() - c.ruleMark.rederived,
@@ -493,38 +536,50 @@ func (c *Collector) EndRule(rule int) {
 // here). eval asks before it counts a plan's actual cardinalities or
 // formats anything.
 func (c *Collector) PlanWanted() bool {
+	return c != nil && (c.tracer != nil || len(c.plans) < maxPlans)
+}
+
+// PlanText returns the collector's plan buffer for the text of the
+// next plan to be appended to; PlanSpan files what was appended. eval
+// writes a plan's text there, so the texts of a run share one buffer
+// and Summary makes one string of them.
+func (c *Collector) PlanText() []byte {
 	if c == nil {
-		return false
+		return nil
 	}
-	if c.tracer != nil {
-		return true
+	if c.planText == nil {
+		c.planText = make([]byte, 0, firstRoom*64)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.plans) < maxPlans
+	return append(c.planText, 0, 0, 0, 0) // room for the text's length
 }
 
 // PlanSpan files the query planner's chosen join order for one rule
-// (rule: the head predicate label, desc: the join chain with estimated
-// vs. actual cardinalities) and mirrors it as a pre-closed span. The
-// list is safe for concurrent use; the mirror, like the rest of the
-// tracing surface, is the engine goroutine's, and eval gates plan
-// reports on Ctx.PlanTrace, which engines set only on serial paths.
-func (c *Collector) PlanSpan(rule, desc string) {
+// (rule: the head predicate label; text: PlanText's buffer with the
+// join chain, with estimated vs. actual cardinalities, appended) and
+// mirrors it as a pre-closed span, the one place a plan's text is a
+// string of its own. Like the rest of the tracing surface it is the
+// engine goroutine's: eval gates plan reports on Ctx.PlanTrace, which
+// engines set only on serial paths.
+func (c *Collector) PlanSpan(rule string, text []byte) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
+	at := len(c.planText) + 4
+	join := text[at:]
 	if len(c.plans) < maxPlans {
-		c.plans = append(c.plans, PlanStats{Rule: rule, Join: desc})
+		binary.LittleEndian.PutUint32(text[at-4:], uint32(len(join)))
+		if c.plans == nil {
+			c.plans = make([]PlanStats, 0, firstRoom)
+		}
+		c.plans = append(c.plans, PlanStats{Rule: rule})
+		c.planText = text
 	}
-	c.mu.Unlock()
 	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{
 			Ev: trace.EvSpan, Span: trace.SpanPlan,
 			Stage: c.currentStage(),
 			Rule:  rule,
-			Name:  desc,
+			Name:  string(join),
 		})
 	}
 }
@@ -646,7 +701,7 @@ func (c *Collector) ShardWork(shard int, wallNS int64, facts uint64) {
 }
 
 // ProbeBatch records probes index probes and scans full scans at
-// once. Enumerate accumulates per-call and flushes through here, so
+// once. Enumerate tallies them in its frame and flushes through here, so
 // the shared counters cost one atomic add per rule enumeration
 // instead of one per relation match (which contends badly across
 // shard workers). Safe for concurrent use.
@@ -664,7 +719,9 @@ func (c *Collector) ProbeBatch(probes, scans uint64) {
 
 // Summary freezes the current counters into an immutable Summary.
 // Returns nil on a nil collector, so engines can assign it to their
-// Result unconditionally.
+// Result unconditionally. PerStage and Plans share the collector's
+// lists (see Collector), and the plans' Join texts are slices of one
+// string.
 func (c *Collector) Summary() *Summary {
 	if c == nil {
 		return nil
@@ -689,17 +746,17 @@ func (c *Collector) Summary() *Summary {
 		ShardRounds:      c.shardRounds.Load(),
 		ShardFactsMerged: c.shardFacts.Load(),
 		WallNS:           time.Since(c.start).Nanoseconds(),
-		PerStage:         append([]StageStats(nil), c.stages...),
+		PerStage:         c.stages[:len(c.stages):len(c.stages)],
 		StageWallNS:      c.stageWall,
 		StagesTruncated:  c.truncated,
+		Plans:            c.joinPlans(),
 	}
 	c.mu.Lock()
-	s.Plans = append([]PlanStats(nil), c.plans...)
 	for _, st := range c.shardWork {
 		s.PerShard = append(s.PerShard, *st)
 	}
 	c.mu.Unlock()
-	sort.Slice(s.PerShard, func(i, j int) bool { return s.PerShard[i].Shard < s.PerShard[j].Shard })
+	slices.SortFunc(s.PerShard, func(a, b ShardStats) int { return a.Shard - b.Shard })
 	cw := c.cow.Load()
 	s.CowSnapshots = cw.Snapshots
 	s.CowPromotions = cw.Promotions
@@ -709,7 +766,7 @@ func (c *Collector) Summary() *Summary {
 		rc := &c.rules[i]
 		if f := rc.firings.Load(); f > 0 {
 			s.PerRule = append(s.PerRule, RuleStats{
-				Rule:      c.ruleNames[i],
+				Rule:      c.name(i),
 				Firings:   f,
 				Derived:   rc.derived.Load(),
 				Rederived: rc.rederived.Load(),
@@ -717,4 +774,20 @@ func (c *Collector) Summary() *Summary {
 		}
 	}
 	return s
+}
+
+// joinPlans sets the Join of every plan filed since the last Summary,
+// slicing each out of one string of their texts, and returns the plan
+// list.
+func (c *Collector) joinPlans() []PlanStats {
+	if c.joined < len(c.plans) {
+		buf := c.planText[c.joinedAt:]
+		text, at := string(buf), 0
+		for i := c.joined; i < len(c.plans); i++ {
+			n := int(binary.LittleEndian.Uint32(buf[at:]))
+			c.plans[i].Join, at = text[at+4:at+4+n], at+4+n
+		}
+		c.joined, c.joinedAt = len(c.plans), len(c.planText)
+	}
+	return c.plans[:len(c.plans):len(c.plans)]
 }

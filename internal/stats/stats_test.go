@@ -17,7 +17,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	if c.Enabled() {
 		t.Fatalf("nil collector reports Enabled")
 	}
-	c.Reset("x", []string{"r"})
+	reset(c, "x", "r")
 	c.SetEngine("y")
 	c.BeginStage()
 	c.Fired(0, 1, 1, 2)
@@ -25,7 +25,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.Conflict()
 	c.Invented(4)
 	c.ProbeBatch(1, 1)
-	c.PlanSpan("r", "a ⋈ b")
+	filePlan(c, "r", "a ⋈ b")
 	c.EndStage(5)
 	if c.PlanWanted() {
 		t.Fatalf("nil collector wants plans")
@@ -37,7 +37,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 
 func TestStageSnapshots(t *testing.T) {
 	c := New()
-	c.Reset("test", []string{"r0", "r1"})
+	reset(c, "test", "r0", "r1")
 
 	c.BeginStage()
 	c.Fired(0, 1, 3, 0)
@@ -95,7 +95,7 @@ func TestStageSnapshots(t *testing.T) {
 // out-of-range index) only feeds the totals.
 func TestUnattributedRuleIndex(t *testing.T) {
 	c := New()
-	c.Reset("test", []string{"r0"})
+	reset(c, "test", "r0")
 	c.Fired(-1, 1, 1, 0)
 	c.Fired(7, 1, 1, 0)
 	s := c.Summary()
@@ -109,7 +109,7 @@ func TestUnattributedRuleIndex(t *testing.T) {
 
 func TestStageTruncation(t *testing.T) {
 	c := New()
-	c.Reset("test", nil)
+	c.Reset("test", 0, nil)
 	for i := 0; i < maxStageEntries+10; i++ {
 		c.BeginStage()
 		c.Fired(-1, 1, 1, 0)
@@ -134,7 +134,7 @@ func TestStageTruncation(t *testing.T) {
 // the first 1 024, and its stage-wall total keeps the other half.
 func TestStageWallCountsPastTheCap(t *testing.T) {
 	c := New()
-	c.Reset("test", nil)
+	c.Reset("test", 0, nil)
 	for i := 0; i < 2*maxStageEntries; i++ {
 		c.BeginStage()
 		for spin := time.Now(); time.Since(spin) < time.Microsecond; {
@@ -161,11 +161,11 @@ func TestStageWallCountsPastTheCap(t *testing.T) {
 // one every plan is still mirrored to the stream.
 func TestPlansFiledInOrderAndBounded(t *testing.T) {
 	c := New()
-	c.Reset("test", []string{"r"})
+	reset(c, "test", "r")
 	c.BeginStage()
-	c.PlanSpan("p", "a ⋈ b")
+	filePlan(c, "p", "a ⋈ b")
 	c.Fired(0, 1, 1, 0) // not a plan
-	c.PlanSpan("q", "c ⋈ d")
+	filePlan(c, "q", "c ⋈ d")
 	c.EndStage(1)
 	if got := c.Summary().Plans; len(got) != 2 || got[0] != (PlanStats{"p", "a ⋈ b"}) || got[1].Rule != "q" {
 		t.Fatalf("plans = %+v", got)
@@ -174,7 +174,7 @@ func TestPlansFiledInOrderAndBounded(t *testing.T) {
 		if want := len(c.Summary().Plans) < maxPlans; c.PlanWanted() != want {
 			t.Fatalf("after %d plans PlanWanted = %v", i+2, !want)
 		}
-		c.PlanSpan("r", "x")
+		filePlan(c, "r", "x")
 	}
 	if n := len(c.Summary().Plans); n != maxPlans {
 		t.Fatalf("summary kept %d plans, want bound %d", n, maxPlans)
@@ -184,11 +184,11 @@ func TestPlansFiledInOrderAndBounded(t *testing.T) {
 	if !c.PlanWanted() {
 		t.Fatal("a traced run stopped reporting plans at the summary's bound")
 	}
-	c.PlanSpan("s", "y")
+	filePlan(c, "s", "y")
 	if evs := rec.Events(); len(evs) != 1 || evs[0].Span != trace.SpanPlan || evs[0].Rule != "s" {
 		t.Fatalf("stream = %+v", evs)
 	}
-	c.Reset("again", nil)
+	c.Reset("again", 0, nil)
 	if s := c.Summary(); len(s.Plans) != 0 {
 		t.Fatalf("Reset kept plans: %+v", s.Plans)
 	}
@@ -196,11 +196,11 @@ func TestPlansFiledInOrderAndBounded(t *testing.T) {
 
 func TestResetClears(t *testing.T) {
 	c := New()
-	c.Reset("first", []string{"r"})
+	reset(c, "first", "r")
 	c.BeginStage()
 	c.Fired(0, 1, 1, 0)
 	c.EndStage(1)
-	c.Reset("second", nil)
+	c.Reset("second", 0, nil)
 	s := c.Summary()
 	if s.Engine != "second" || s.Stages != 0 || s.Firings != 0 || len(s.PerRule) != 0 {
 		t.Fatalf("Reset did not clear: %+v", s)
@@ -213,7 +213,7 @@ func TestResetClears(t *testing.T) {
 
 func TestSummaryJSONRoundTrip(t *testing.T) {
 	c := New()
-	c.Reset("json", []string{"r"})
+	reset(c, "json", "r")
 	c.BeginStage()
 	c.Fired(0, 1, 2, 1)
 	c.Retracted(1)
@@ -234,7 +234,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 // goroutines (the shard workers' sharing pattern); run under -race.
 func TestConcurrentCounters(t *testing.T) {
 	c := New()
-	c.Reset("race", []string{"r0", "r1", "r2", "r3"})
+	reset(c, "race", "r0", "r1", "r2", "r3")
 	c.BeginStage()
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
@@ -265,5 +265,46 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 	if ruleTotal != total {
 		t.Fatalf("per-rule firings = %d, want %d", ruleTotal, total)
+	}
+}
+
+// reset resets c for a run of rules with the given texts.
+func reset(c *Collector, engine string, names ...string) {
+	c.Reset(engine, len(names), func(i int) string { return names[i] })
+}
+
+// filePlan files the plan join of rule through the collector's plan
+// buffer, as eval does.
+func filePlan(c *Collector, rule, join string) {
+	c.PlanSpan(rule, append(c.PlanText(), join...))
+}
+
+// A summary shares the collector's stage and plan lists, and what the
+// collector records after it does not show in it; a rule's text is
+// formatted once, and only for a rule the summary lists.
+func TestSummarySharesAndNamesLazily(t *testing.T) {
+	c := New()
+	calls := make([]int, 3)
+	c.Reset("lazy", 3, func(i int) string { calls[i]++; return []string{"r0", "r1", "r2"}[i] })
+	c.BeginStage()
+	c.Fired(1, 2, 2, 0)
+	filePlan(c, "p", "a#0 est=1 act=1")
+	c.EndStage(2)
+	first := c.Summary()
+	if len(first.PerRule) != 1 || first.PerRule[0].Rule != "r1" || calls[0] != 0 || calls[1] != 1 || calls[2] != 0 {
+		t.Fatalf("per-rule %+v after namer calls %v", first.PerRule, calls)
+	}
+	c.BeginStage()
+	filePlan(c, "q", "b#1 est=2 act=0 ⋈ c#0 est=4 act=0")
+	c.EndStage(0)
+	second := c.Summary()
+	if len(first.PerStage) != 1 || len(first.Plans) != 1 || first.Plans[0] != (PlanStats{"p", "a#0 est=1 act=1"}) {
+		t.Fatalf("the first summary changed: %+v, %+v", first.PerStage, first.Plans)
+	}
+	if len(second.PerStage) != 2 || len(second.Plans) != 2 || second.Plans[1] != (PlanStats{"q", "b#1 est=2 act=0 ⋈ c#0 est=4 act=0"}) {
+		t.Fatalf("the second summary: %+v, %+v", second.PerStage, second.Plans)
+	}
+	if calls[1] != 1 {
+		t.Fatalf("r1 formatted %d times, want once", calls[1])
 	}
 }

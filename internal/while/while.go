@@ -113,7 +113,7 @@ type interp struct {
 // the typed engine error together with the partially-computed state.
 func Run(p *Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	col := opt.Collector()
-	col.Reset("while", nil)
+	col.Reset("while", 0, nil)
 	state := in.SnapshotWith(col.Cow())
 	it := &interp{
 		adom:  eval.ActiveDomain(u, p.Consts, in),
