@@ -7,7 +7,7 @@ FUZZTIME ?= 30s
 # while still catching a PR that lands a large untested subsystem.
 COVERAGE_BASELINE ?= 78.0
 
-.PHONY: all build vet loc bench-build bench-pair bench-history test race bench fmt-check fuzz-smoke verify coverage
+.PHONY: all build vet loc bench-build bench-pair bench-history bench-smoke test race bench fmt-check fuzz-smoke verify coverage
 
 all: verify
 
@@ -57,6 +57,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Every benchmark of the root module once, so a benchmark body the docs
+# quote figures from (BenchmarkParseProgram, BenchmarkOptimizeScaling,
+# BenchmarkCapture, ...) cannot break unseen: no test runs them.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Run each native fuzz target briefly ("go test -fuzz" accepts one
 # target per invocation). Override FUZZTIME for longer local hunts.

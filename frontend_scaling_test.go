@@ -14,13 +14,13 @@ import (
 	"unchained/internal/gen"
 )
 
-// frontendAllocs returns the allocations of one run of front(p) on a
-// freshly parsed src, and the program's rule count.
-func frontendAllocs(t *testing.T, src string, front func(s *Session, p *Program)) (allocs float64, rules int) {
+// frontendAllocs returns the allocations of one run of front on src
+// and on p, src freshly parsed, and the program's rule count.
+func frontendAllocs(t *testing.T, src string, front func(s *Session, src string, p *Program)) (allocs float64, rules int) {
 	t.Helper()
 	s := NewSession()
 	p := s.MustParse(src)
-	return testing.AllocsPerRun(5, func() { front(s, p) }), len(p.Rules)
+	return testing.AllocsPerRun(5, func() { front(s, src, p) }), len(p.Rules)
 }
 
 func TestFrontendAllocsScaleLinearly(t *testing.T) {
@@ -35,12 +35,14 @@ func TestFrontendAllocsScaleLinearly(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		perRule float64
-		front   func(s *Session, p *Program)
+		front   func(s *Session, src string, p *Program)
 	}{
-		// Measured at most 2.3 (Analyze; 3.2 under -race) and 6.6
-		// (Optimize) allocations per rule; the bounds leave about 25 %.
-		{"Analyze", 4, func(s *Session, p *Program) { s.Analyze(p) }},
-		{"Optimize", 8, func(s *Session, p *Program) { s.Optimize(p, nil, Stratified, Opt2, "Out") }},
+		// Measured at most 2.0 (Parse: a rule's literals and its
+		// arguments are one array each), 2.3 (Analyze; 3.2 under -race)
+		// and 5.6 (Optimize) allocations per rule.
+		{"Parse", 2.5, func(s *Session, src string, _ *Program) { s.MustParse(src) }},
+		{"Analyze", 4, func(s *Session, _ string, p *Program) { s.Analyze(p) }},
+		{"Optimize", 7, func(s *Session, _ string, p *Program) { s.Optimize(p, nil, Stratified, Opt2, "Out") }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			small, n := frontendAllocs(t, gen.Wide(64, 200), c.front)
@@ -52,12 +54,12 @@ func TestFrontendAllocsScaleLinearly(t *testing.T) {
 					m, large, large/small, small, n)
 			}
 			if large > c.perRule*float64(m) {
-				t.Errorf("%.1f allocs per rule at %d rules, want <= %.0f", large/float64(m), m, c.perRule)
+				t.Errorf("%.1f allocs per rule at %d rules, want <= %g", large/float64(m), m, c.perRule)
 			}
 			chain, k := frontendAllocs(t, reversed.String(), c.front)
 			t.Logf("reversed %d-deep chain: %.0f allocs (%.1f per rule)", k, chain, chain/float64(k))
 			if chain > c.perRule*float64(k) {
-				t.Errorf("reversed %d-deep chain: %.1f allocs per rule, want <= %.0f", k, chain/float64(k), c.perRule)
+				t.Errorf("reversed %d-deep chain: %.1f allocs per rule, want <= %g", k, chain/float64(k), c.perRule)
 			}
 		})
 	}
@@ -65,16 +67,25 @@ func TestFrontendAllocsScaleLinearly(t *testing.T) {
 
 func TestParseFactsAllocsPerFact(t *testing.T) {
 	const facts, consts = 4096, 256
-	var b strings.Builder
-	for i := 0; i < facts; i++ {
-		fmt.Fprintf(&b, "G(n%d,n%d).\n", i%consts, (i*7+i/consts)%consts)
-	}
-	src := b.String()
-	s := NewSession()
-	s.MustFacts(src) // intern the constants once: a fact, not a constant, is what is priced
-	allocs := testing.AllocsPerRun(5, func() { s.MustFacts(src) })
-	t.Logf("%d facts: %.0f allocs (%.3f per fact)", facts, allocs, allocs/facts)
-	if allocs > 0.25*facts {
-		t.Errorf("%.3f allocs per fact, want <= 0.25", allocs/facts)
+	for _, c := range []struct{ name, spelling string }{
+		{"plain", "G(n%d,n%d).\n"},
+		// Not the plain shape: the rule grammar reads each one, and the
+		// fact is taken off its stacks without settling a rule.
+		{"rule", "G(n%d,n%d) :- .\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var b strings.Builder
+			for i := 0; i < facts; i++ {
+				fmt.Fprintf(&b, c.spelling, i%consts, (i*7+i/consts)%consts)
+			}
+			src := b.String()
+			s := NewSession()
+			s.MustFacts(src) // intern the constants once: a fact, not a constant, is what is priced
+			allocs := testing.AllocsPerRun(5, func() { s.MustFacts(src) })
+			t.Logf("%d facts: %.0f allocs (%.3f per fact)", facts, allocs, allocs/facts)
+			if allocs > 0.25*facts {
+				t.Errorf("%.3f allocs per fact, want <= 0.25", allocs/facts)
+			}
+		})
 	}
 }

@@ -382,20 +382,18 @@ func (r Rule) HeadOnlyVars() []string {
 	return out
 }
 
-// Vars returns all distinct variables of the rule.
-func (r Rule) Vars() []string {
-	var buf [16]string
-	all := buf[:0]
+// AppendVars appends the distinct variables of the rule to dst, in
+// first-occurrence order, and returns the extended slice. What dst
+// already holds is left as it is and not consulted.
+func (r Rule) AppendVars(dst []string) []string {
+	n := len(dst)
 	for _, l := range r.Head {
-		all = l.vars(all)
+		dst = l.vars(dst)
 	}
 	for _, l := range r.Body {
-		all = l.vars(all)
+		dst = l.vars(dst)
 	}
-	if all = dedupe(all); len(all) == 0 {
-		return nil
-	}
-	return append([]string(nil), all...)
+	return dst[:n+len(dedupe(dst[n:]))]
 }
 
 // dedupe drops repeats in place, keeping first occurrences in order.

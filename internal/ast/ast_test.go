@@ -64,7 +64,7 @@ func TestHeadOnlyVars(t *testing.T) {
 
 func TestVarsOrder(t *testing.T) {
 	r := R(PosLit(NewAtom("P", V("A"))), PosLit(NewAtom("Q", V("B"), V("A"))), PosLit(NewAtom("S", V("C"))))
-	got := r.Vars()
+	got := r.AppendVars(nil)
 	want := []string{"A", "B", "C"}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("Vars = %v, want %v", got, want)

@@ -50,7 +50,7 @@ func isThreeValuedModel(t *testing.T, w *WFSResult, p *ast.Program) bool {
 		t.Fatal("empty active domain: the model check would range over nothing")
 	}
 	for _, r := range p.Rules {
-		vars := r.Vars()
+		vars := r.AppendVars(nil)
 		assign := map[string]value.Value{}
 		ok := true
 		var rec func(i int)

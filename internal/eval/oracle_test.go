@@ -24,7 +24,7 @@ import (
 
 // oracleEnumerate enumerates satisfying valuations by brute force.
 func oracleEnumerate(r ast.Rule, in *tuple.Instance, adom []value.Value) []map[string]value.Value {
-	vars := r.Vars()
+	vars := r.AppendVars(nil)
 	// Exclude head-only vars (invention) — the matcher leaves them
 	// unbound too.
 	ho := map[string]bool{}
@@ -152,14 +152,14 @@ func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in 
 	}
 	adom := ActiveDomain(u, append([]value.Value(nil), consts...), in)
 	free := map[string]bool{}
-	for _, v := range r.Vars() {
+	for _, v := range r.AppendVars(nil) {
 		free[v] = true
 	}
 	for _, v := range r.HeadOnlyVars() {
 		delete(free, v)
 	}
 	var freeVars []string
-	for _, v := range r.Vars() {
+	for _, v := range r.AppendVars(nil) {
 		if free[v] {
 			freeVars = append(freeVars, v)
 		}

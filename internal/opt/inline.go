@@ -40,7 +40,7 @@ type inlineCand struct {
 	callSites int
 
 	// Set by inline for the candidates it expands.
-	vars  []string // rule.Vars()
+	vars  []string // rule's variables, a view of the pass's inliner.cvars
 	nargs int      // arguments of rule's body atoms
 }
 
@@ -89,7 +89,9 @@ func inline(ix *ast.Index, res *Result, assumed map[string]bool) *ast.Index {
 		if in.byPred == nil {
 			in.byPred = make([]*inlineCand, len(ix.Preds))
 		}
-		c.vars = c.rule.Vars()
+		n := len(in.cvars)
+		in.cvars = c.rule.AppendVars(in.cvars)
+		c.vars = in.cvars[n:len(in.cvars):len(in.cvars)]
 		for _, l := range c.rule.Body {
 			c.nargs += len(l.Atom.Args)
 		}
@@ -109,6 +111,8 @@ func inline(ix *ast.Index, res *Result, assumed map[string]bool) *ast.Index {
 // An inliner expands call sites, with scratch reused across them.
 type inliner struct {
 	byPred  []*inlineCand // by predicate id: the candidate, nil for the rest
+	cvars   []string      // every candidate's variables, one after another
+	used    []string      // the variables of the rule at hand
 	calls   []*inlineCand // per body literal of the rule at hand: the candidate it calls
 	body    []ast.Literal // the rule's new body, being built
 	counter int           // the rule's last fresh-name counter value
@@ -144,7 +148,7 @@ func (in *inliner) rule(ix *ast.Index, ri int, res *Result, assumed map[string]b
 	}
 	r := &ix.Prog.Rules[ri]
 	in.calls, in.body = in.calls[:0], in.body[:0]
-	used := r.Vars()
+	in.used = r.AppendVars(in.used[:0])
 	in.counter = 0
 	for i := range r.Body {
 		var c *inlineCand
@@ -157,7 +161,7 @@ func (in *inliner) rule(ix *ast.Index, ri int, res *Result, assumed map[string]b
 		}
 		in.calls = append(in.calls, c)
 		if c != nil {
-			in.body = in.instantiate(c, &r.Body[i], used, in.body)
+			in.body = in.instantiate(c, &r.Body[i], in.used, in.body)
 		} else {
 			in.body = append(in.body, r.Body[i])
 		}

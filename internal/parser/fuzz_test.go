@@ -28,17 +28,24 @@ func seedFrom(f *testing.F, glob string) {
 }
 
 // FuzzParse checks that the rule parser never panics: arbitrary input
-// must either parse or return an error.
+// must either parse or return an error. What parses must keep the list
+// contract (checkSettled), its text parsing back to itself whenever
+// its constants render as they parse.
 func FuzzParse(f *testing.F) {
 	seedFrom(f, filepath.Join("..", "..", "programs", "*.dl"))
 	f.Add("T(X,Y) :- G(X,Y).")
 	f.Add("P(X) :- ¬Q(X), X = a.")
 	f.Add("p :- .")
+	f.Add("Answer(X) :- P(X), forall Y (Q(X,Y), !R(Y)). S(X) :- Answer(X).")
+	f.Add("P(X) :- Q(X, _), R(_, X), X != _.")
 	f.Fuzz(func(t *testing.T, src string) {
 		u := value.New()
 		prog, err := Parse(src, u)
 		if err == nil && prog == nil {
 			t.Fatal("nil program with nil error")
+		}
+		if err == nil {
+			checkSettled(t, src)
 		}
 	})
 }

@@ -3,24 +3,56 @@ package parser
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"unchained/internal/ast"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
 
+// A parser reads a rule's literals and terms onto stacks that outlive
+// the rule: an atom's Args and a ∀-literal's ForallBody are views of
+// them until settle copies the rule into exact arrays.
 type parser struct {
-	lx   *Lexer
+	lx   Lexer
 	tok  Token
 	u    *value.Universe
 	anon int // counter for '_' anonymous variables
+
+	lits   []ast.Literal // the rule's head and body literals so far; a ∀-body while it is read
+	terms  []ast.Term    // every atom argument of the rule so far, in source order
+	parked []ast.Literal // the bodies of the rule's ∀-literals
+}
+
+// parsers recycles the rule grammar's parsers, and with them their
+// stacks: a short program reuses stacks an earlier parse grew instead
+// of growing its own, which would cost more than its settled rules.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// newParser returns a recycled parser over src. Hand it back with free.
+func newParser(src string, u *value.Universe) *parser {
+	p := parsers.Get().(*parser)
+	p.lx, p.u = *NewLexer(src, datalogPunct), u
+	return p
+}
+
+// free empties the parser, letting go of everything it read, and
+// recycles it with its stacks.
+func (p *parser) free() {
+	clear(p.lits[:cap(p.lits)])
+	clear(p.terms[:cap(p.terms)])
+	clear(p.parked[:cap(p.parked)])
+	*p = parser{lits: p.lits[:0], terms: p.terms[:0], parked: p.parked[:0]}
+	parsers.Put(p)
 }
 
 // Parse parses a program in the family's concrete syntax, interning
 // constants into u. The result is dialect-agnostic; run
-// ast.Program.Validate to pin a dialect.
+// ast.Program.Validate to pin a dialect. Each rule is settled: its
+// literals are one exact array and its atoms' arguments another.
 func Parse(src string, u *value.Universe) (*ast.Program, error) {
-	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
+	p := newParser(src, u)
+	defer p.free()
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -29,6 +61,11 @@ func Parse(src string, u *value.Universe) (*ast.Program, error) {
 		r, err := p.rule()
 		if err != nil {
 			return nil, err
+		}
+		lits, nh := p.settle(), len(r.Head)
+		r.Head, r.Body = lits[:nh:nh], nil
+		if len(lits) > nh { // a rule without a body keeps a nil Body
+			r.Body = lits[nh:]
 		}
 		prog.Rules = append(prog.Rules, r)
 	}
@@ -60,34 +97,24 @@ func ParseRule(src string, u *value.Universe) (ast.Rule, error) {
 // trailing dot), e.g. "InStock(Item), !Reserved(O, Item)". It is used
 // by embedding formats like the active-database rule syntax.
 func ParseLiterals(src string, u *value.Universe) ([]ast.Literal, error) {
-	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
+	p := newParser(src, u)
+	defer p.free()
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	var out []ast.Literal
-	for {
-		l, err := p.literal(false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, l)
-		if p.tok.Kind == TokComma {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
+	if err := p.literals(false); err != nil {
+		return nil, err
 	}
 	if p.tok.Kind != TokEOF {
 		return nil, p.errf("unexpected %s after literal list", p.tok.Kind)
 	}
-	return out, nil
+	return p.settle(), nil
 }
 
 // ParseAtom parses a single atom, e.g. "Order(O, Item)".
 func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
-	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
+	p := newParser(src, u)
+	defer p.free()
 	if err := p.advance(); err != nil {
 		return ast.Atom{}, err
 	}
@@ -98,6 +125,8 @@ func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
 	if p.tok.Kind != TokEOF {
 		return ast.Atom{}, p.errf("unexpected %s after atom", p.tok.Kind)
 	}
+	s := settler{terms: make([]ast.Term, 0, len(a.Args))}
+	a.Args = s.args(a.Args)
 	return a, nil
 }
 
@@ -107,19 +136,20 @@ func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
 // atom or term is built for it. Only a statement that is not of the
 // plain shape "pred(const, ...)." is handed to the rule grammar, which
 // either accepts it as a fact in another spelling ("P :- .") or names
-// what is wrong with it.
+// what is wrong with it. Such a rule is read off the stacks and
+// dropped, never settled.
 func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
-	p := &parser{lx: NewLexer(src, datalogPunct), u: u}
+	p := &parser{lx: *NewLexer(src, datalogPunct), u: u}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	in := tuple.NewInstance()
 	var t tuple.Tuple // one scratch for every fact: Insert copies it
 	for n := 1; p.tok.Kind != TokEOF; n++ {
-		lx, first := *p.lx, p.tok
+		lx, first := p.lx, p.tok
 		pred, ok := first.Text, p.plainFact(&t)
 		if !ok {
-			*p.lx, p.tok = lx, first
+			p.lx, p.tok = lx, first
 			r, err := p.rule()
 			if err != nil {
 				return nil, err
@@ -127,6 +157,7 @@ func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
 			if pred, t, err = groundFact(&r, n, t[:0]); err != nil {
 				return nil, err
 			}
+			p.drop()
 		}
 		if r := in.Relation(pred); r != nil && r.Arity() != len(t) {
 			return nil, fmt.Errorf("fact %d: %s has arity %d here but %d earlier", n, pred, len(t), r.Arity())
@@ -215,22 +246,16 @@ func (p *parser) expect(k TokKind) error {
 }
 
 // rule := literal {"," literal} [ ":-" literal {"," literal} ] "."
+//
+// The rule it returns is a draft: its lists are views of the stacks,
+// good until the caller settles or drops them.
 func (p *parser) rule() (ast.Rule, error) {
 	var r ast.Rule
 	r.SrcPos = posOf(p.tok)
-	for {
-		l, err := p.literal(true)
-		if err != nil {
-			return r, err
-		}
-		r.Head = append(r.Head, l)
-		if p.tok.Kind != TokComma {
-			break
-		}
-		if err := p.advance(); err != nil {
-			return r, err
-		}
+	if err := p.literals(true); err != nil {
+		return r, err
 	}
+	nh := len(p.lits)
 	if p.tok.Kind == TokArrow {
 		if err := p.advance(); err != nil {
 			return r, err
@@ -241,7 +266,7 @@ func (p *parser) rule() (ast.Rule, error) {
 			if err != nil {
 				return r, err
 			}
-			r.Body = append(r.Body, l)
+			p.lits = append(p.lits, l)
 			if p.tok.Kind != TokComma {
 				break
 			}
@@ -253,7 +278,83 @@ func (p *parser) rule() (ast.Rule, error) {
 	if err := p.expect(TokDot); err != nil {
 		return r, err
 	}
+	r.Head, r.Body = p.lits[:nh], p.lits[nh:]
 	return r, nil
+}
+
+// literals pushes "literal {"," literal}" onto the literal stack.
+func (p *parser) literals(inHead bool) error {
+	for {
+		l, err := p.literal(inHead)
+		if err != nil {
+			return err
+		}
+		p.lits = append(p.lits, l)
+		if p.tok.Kind != TokComma {
+			return nil
+		}
+		if err := p.advance(); err != nil {
+			return err
+		}
+	}
+}
+
+// settle copies what the stacks hold (the top-level literals, the
+// ∀-bodies they point into and every atom's arguments) into one
+// exact-size literal array and one exact-size term array, and empties
+// the stacks. It returns the top-level literals: the ∀-bodies follow
+// them in the same array.
+func (p *parser) settle() []ast.Literal {
+	n := len(p.lits)
+	s := settler{lits: make([]ast.Literal, n+len(p.parked)), next: n}
+	if len(p.terms) > 0 {
+		s.terms = make([]ast.Term, 0, len(p.terms))
+	}
+	s.list(s.lits[:n], p.lits)
+	p.drop()
+	return s.lits[:n:n]
+}
+
+// drop empties the stacks.
+func (p *parser) drop() {
+	p.lits, p.terms, p.parked = p.lits[:0], p.terms[:0], p.parked[:0]
+}
+
+// A settler fills the exact arrays of one settle call.
+type settler struct {
+	lits  []ast.Literal // the top-level literals, then the ∀-bodies
+	next  int           // the first lits slot no ∀-body has taken
+	terms []ast.Term    // appended to in source order, never past its capacity
+}
+
+// list copies src into dst, pointing each atom's arguments and each
+// ∀-literal's body at the settler's arrays.
+func (s *settler) list(dst, src []ast.Literal) {
+	for i := range src {
+		l := &dst[i]
+		*l = src[i]
+		switch l.Kind {
+		case ast.LitAtom:
+			l.Atom.Args = s.args(l.Atom.Args)
+		case ast.LitForall:
+			lo := s.next
+			s.next += len(l.ForallBody)
+			body := s.lits[lo:s.next:s.next]
+			s.list(body, l.ForallBody)
+			l.ForallBody = body
+		}
+	}
+}
+
+// args appends a to the term array and returns the copy, capacity and
+// all; no arguments stay nil.
+func (s *settler) args(a []ast.Term) []ast.Term {
+	if len(a) == 0 {
+		return nil
+	}
+	n := len(s.terms)
+	s.terms = append(s.terms, a...)
+	return s.terms[n:len(s.terms):len(s.terms)]
 }
 
 // literal parses one head or body literal, stamping it with the
@@ -384,24 +485,19 @@ func (p *parser) forall() (ast.Literal, error) {
 	if err := p.expect(TokLParen); err != nil {
 		return ast.Literal{}, err
 	}
-	var body []ast.Literal
-	for {
-		l, err := p.literal(false)
-		if err != nil {
-			return ast.Literal{}, err
-		}
-		body = append(body, l)
-		if p.tok.Kind != TokComma {
-			break
-		}
-		if err := p.advance(); err != nil {
-			return ast.Literal{}, err
-		}
+	// The body goes onto the literal stack like any list, then moves to
+	// the parked stack, so the list this literal is in stays contiguous.
+	lo := len(p.lits)
+	if err := p.literals(false); err != nil {
+		return ast.Literal{}, err
 	}
 	if err := p.expect(TokRParen); err != nil {
 		return ast.Literal{}, err
 	}
-	return ast.Forall(vars, body...), nil
+	n := len(p.parked)
+	p.parked = append(p.parked, p.lits[lo:]...)
+	p.lits = p.lits[:lo]
+	return ast.Forall(vars, p.parked[n:]...), nil
 }
 
 // atom := name [ "(" args ")" ]
@@ -423,24 +519,22 @@ func (p *parser) atom() (ast.Atom, error) {
 	return ast.Atom{Pred: name.Text, Args: args, SrcPos: posOf(name)}, nil
 }
 
-// argList parses "(" term {"," term} ")" with the '(' current.
+// argList parses "(" term {"," term} ")" with the '(' current, pushing
+// the terms onto the term stack and returning the view of them.
 func (p *parser) argList() ([]ast.Term, error) {
 	if err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	var args []ast.Term
 	if p.tok.Kind == TokRParen {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return args, nil
+		return nil, p.advance()
 	}
+	n := len(p.terms)
 	for {
 		t, err := p.term()
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, t)
+		p.terms = append(p.terms, t)
 		if p.tok.Kind == TokComma {
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -452,7 +546,7 @@ func (p *parser) argList() ([]ast.Term, error) {
 	if err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
-	return args, nil
+	return p.terms[n:], nil
 }
 
 // term parses a variable or constant and advances past it.
@@ -485,7 +579,7 @@ func (p *parser) nameToTermInner(t Token) (ast.Term, error) {
 	case TokVar:
 		if t.Text == "_" {
 			p.anon++
-			return ast.V(fmt.Sprintf("_anon%d", p.anon)), nil
+			return ast.V("_anon" + strconv.Itoa(p.anon)), nil
 		}
 		return ast.V(t.Text), nil
 	case TokIdent:
