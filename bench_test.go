@@ -629,6 +629,31 @@ func BenchmarkInflationary(b *testing.B) {
 	}
 }
 
+// BenchmarkWhyChain prices `datalog -why`: tc.dl on a 250-node chain,
+// the inflationary run without provenance (plain) and with it (why),
+// which records a derivation for each of the 31 125 facts the run adds.
+func BenchmarkWhyChain(b *testing.B) {
+	u := value.New()
+	in := gen.Chain(u, "G", 250)
+	p := parser.MustParse(queries.TC, u)
+	b.Run("plain", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.EvalInflationary(p, in, u, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("why", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.EvalInflationaryProv(p, in, u, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkP7_Incremental measures incremental maintenance vs recompute —
 // experiment P7.
 func BenchmarkP7_Incremental(b *testing.B) {

@@ -33,6 +33,7 @@ var goldenCases = []struct {
 	{"tc_while", []string{"-program", "P/tc.wl", "-facts", "P/facts/chain.facts", "-language", "while"}},
 	{"tc_query_magic", []string{"-program", "P/tc.dl", "-facts", "P/facts/chain.facts", "-query", "T(a,Y)"}},
 	{"tc_why", []string{"-program", "P/tc.dl", "-facts", "P/facts/chain.facts", "-semantics", "inflationary", "-why", "T(a,d)"}},
+	{"tc_why_stages", []string{"-program", "P/tc.dl", "-facts", "P/facts/chain.facts", "-semantics", "inflationary", "-stages", "-why", "T(a,d)"}},
 	{"good_while", []string{"-program", "P/good.wl", "-facts", "P/facts/cycle_tail.facts", "-language", "while"}},
 	{"same_generation", []string{"-program", "P/same_generation.dl", "-facts", "P/facts/family.facts", "-answer", "Sg"}},
 	{"choice_effects", []string{"-program", "P/choice.dl", "-facts", "P/facts/pset.facts", "-semantics", "effects", "-answer", "Chosen"}},

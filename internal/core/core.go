@@ -119,11 +119,16 @@ func stageLimitErr(stages int) error {
 // on a fact stage k added; every other applicable instantiation fired
 // before and its head facts are already there.
 func EvalInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
+	return inflationary(p, in, u, opt, nil)
+}
+
+// inflationary is EvalInflationary with the kernel's Derived hook.
+func inflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options, derived func(round, rule int, cr *eval.Rule, b eval.Binding, f eval.Fact)) (*Result, error) {
 	rules, col, out, err := begin("inflationary", ast.DialectDatalogNeg, p, in, u, opt)
 	if err != nil {
 		return nil, err
 	}
-	k := engine.SemiNaive{Rules: rules, Forward: true, Limit: opt.StageLimit(1 << 30), LimitErr: stageLimitErr}
+	k := engine.SemiNaive{Rules: rules, Forward: true, Limit: opt.StageLimit(1 << 30), LimitErr: stageLimitErr, Derived: derived}
 	stages, err := k.Run(opt, out, eval.DomainFor(rules, p, u, in), nil, nil)
 	return engine.Finish(out, stages, col, err)
 }

@@ -2,33 +2,31 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"unchained/internal/ast"
-	"unchained/internal/engine"
 	"unchained/internal/eval"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
 
-// Derivation records how a fact was first inferred during an
-// inflationary evaluation: which rule fired, at which stage, and the
-// positive body facts the firing used. Because stage s consequences
-// are computed against the stage s−1 instance, support chains always
-// point strictly backwards and explanations are finite trees.
-type Derivation struct {
-	Rule     int // index into the program's rules
-	Stage    int // 1-based stage at which the fact was inferred
-	Supports []eval.Fact
+// derivation records a fact's first firing: rule, stage, and the rule
+// or delta variant with a copy of its binding, from which Why builds the
+// supports. A stage reads the stage before, so explanations are finite.
+type derivation struct {
+	rule, stage int
+	cr          *eval.Rule
+	b           eval.Binding
 }
 
 // Provenance maps derived facts to their first derivation. Build one
 // by running EvalInflationaryProv.
 type Provenance struct {
-	prog  *ast.Program
-	u     *value.Universe
-	input *tuple.Instance
-	m     map[string]Derivation
+	prog *ast.Program
+	u    *value.Universe
+	out  *tuple.Instance // a snapshot of the result
+	m    map[string]derivation
 }
 
 func provKey(pred string, t tuple.Tuple) string { return pred + "|" + t.Key() }
@@ -45,25 +43,27 @@ type Explanation struct {
 }
 
 // Why returns the derivation tree of the fact, or ok=false when the
-// fact was neither derived nor part of the input.
+// fact is not in the result. A fact of the result that no rule derived
+// is an input fact.
 func (p *Provenance) Why(pred string, t tuple.Tuple) (*Explanation, bool) {
-	if d, ok := p.m[provKey(pred, t)]; ok {
-		node := &Explanation{Pred: pred, Tuple: t.Clone(), Rule: d.Rule, Stage: d.Stage}
-		for _, s := range d.Supports {
-			child, ok := p.Why(s.Pred, s.Tuple)
-			if !ok {
-				// A support must be derivable or input; losing it
-				// would be an engine bug, surface it loudly.
-				child = &Explanation{Pred: s.Pred, Tuple: s.Tuple.Clone()}
-			}
-			node.Children = append(node.Children, child)
-		}
-		return node, true
+	if !p.out.Has(pred, t) {
+		return nil, false
 	}
-	if p.input.Has(pred, t) {
+	d, ok := p.m[provKey(pred, t)]
+	if !ok {
 		return &Explanation{Pred: pred, Tuple: t.Clone(), Input: true}, true
 	}
-	return nil, false
+	node := &Explanation{Pred: pred, Tuple: t.Clone(), Rule: d.rule, Stage: d.stage}
+	for _, s := range d.cr.BodySupports(d.b) {
+		child, ok := p.Why(s.Pred, s.Tuple)
+		if !ok {
+			// A support must be in the result; losing it would be an
+			// engine bug, surface it loudly.
+			child = &Explanation{Pred: s.Pred, Tuple: s.Tuple.Clone()}
+		}
+		node.Children = append(node.Children, child)
+	}
+	return node, true
 }
 
 // Render pretty-prints a derivation tree:
@@ -101,49 +101,19 @@ func (p *Provenance) Render(e *Explanation) string {
 
 // EvalInflationaryProv is EvalInflationary with provenance tracking:
 // alongside the fixpoint it returns a Provenance answering Why
-// queries for every derived fact. Tracking costs one support-list
-// materialization per firing.
-//
-// It keeps a stage loop of its own, firing every rule against the whole
-// instance at every stage: a fact's recorded derivation is the first in
-// rule order (and, within a rule, in the rule's enumeration order) at
-// the stage the fact enters, and delta variants enumerate in another
-// order, so they would record other supports for the same fixpoint.
+// queries for every derived fact. It runs the same delta-driven stages
+// on the same kernel, which shows it every fact a stage adds with the
+// firing that first staged it; tracking costs one key and one binding
+// copy per derived fact. Why answers for the facts of the result only:
+// a run the context stops explains none of the stage it stopped.
 func EvalInflationaryProv(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, *Provenance, error) {
-	rules, col, out, err := begin("inflationary", ast.DialectDatalogNeg, p, in, u, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	prov := &Provenance{prog: p, u: u, input: in.Clone(), m: map[string]Derivation{}}
-	adom := eval.DomainFor(rules, p, u, in)
-	// The stage's new facts, staged with the derivation that first
-	// produced each: out is not written until the stage is over.
-	st := eval.NewStaging(out)
-	stages, err := opt.Loop(col, opt.StageLimit(1<<30), stageLimitErr, func(stage int) (engine.Outcome, error) {
-		ctx := opt.EvalCtx(col, out, adom)
-		for ri, cr := range rules {
-			// A firing's supports are materialized before its head facts
-			// are emitted.
-			var supports []eval.Fact
-			cr.Fire(ctx, ri, func(b eval.Binding) []eval.Fact {
-				supports = cr.BodySupports(b)
-				return cr.HeadFacts(b, nil)
-			}, func(f eval.Fact) bool {
-				if !st.Emit(f) {
-					return false
-				}
-				prov.m[provKey(f.Pred, f.Tuple)] = Derivation{Rule: ri, Stage: stage, Supports: supports}
-				return true
-			})
-		}
-		if n := st.Fold(); n > 0 {
-			return engine.Outcome{Delta: n, State: out}, nil
-		}
-		return engine.Outcome{Status: engine.Confirm}, nil
+	prov := &Provenance{prog: p, u: u, m: map[string]derivation{}}
+	res, err := inflationary(p, in, u, opt, func(round, ri int, cr *eval.Rule, b eval.Binding, f eval.Fact) {
+		prov.m[provKey(f.Pred, f.Tuple)] = derivation{ri, round, cr, slices.Clone(b)}
 	})
-	res, err := engine.Finish(out, stages, col, err)
 	if res == nil {
 		return nil, nil, err
 	}
+	prov.out = res.Out.Snapshot()
 	return res, prov, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"unchained/internal/ast"
@@ -41,7 +42,9 @@ func referenceStages(t testing.TB, rules []*eval.Rule, in *tuple.Instance, adom 
 // engine shows Options.Trace, serial and sharded: the same stage count
 // and the same set of new facts at every stage. validate false runs the
 // kernel as EvalInflationary configures it without the dialect check,
-// for a literal Datalog¬ does not admit.
+// for a literal Datalog¬ does not admit; validate true also runs the
+// provenance run, holds its stages to the reference's too and checks
+// every derivation it records (checkDerivations).
 func sameStages(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u *value.Universe, validate bool) {
 	t.Helper()
 	rules, err := eval.CompileProgram(p)
@@ -50,36 +53,164 @@ func sameStages(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u
 	}
 	adom := eval.ActiveDomain(u, p.Constants(), in)
 	want := referenceStages(t, rules, in, adom)
+	runs := []string{"engine"}
+	if validate {
+		runs = append(runs, "provenance")
+	}
 	for _, shards := range []int{1, 2} {
-		var got []*tuple.Instance
-		opt := &Options{Shards: shards, Trace: func(stage int, delta *tuple.Instance) {
-			if stage != len(got)+1 {
-				t.Fatalf("%s: stage %d shown after %d stages", name, stage, len(got))
+		for _, run := range runs {
+			var got []*tuple.Instance
+			opt := &Options{Shards: shards, Trace: func(stage int, delta *tuple.Instance) {
+				if stage != len(got)+1 {
+					t.Fatalf("%s: stage %d shown after %d stages", name, stage, len(got))
+				}
+				got = append(got, delta.Clone())
+			}}
+			var stages int
+			var res *Result
+			var prov *Provenance
+			switch {
+			case !validate:
+				k := engine.SemiNaive{Rules: rules, Forward: true}
+				stages, err = k.Run(opt, in.Clone(), adom, nil, nil)
+			case run == "engine":
+				res, err = EvalInflationary(p, in, u, opt)
+			default:
+				res, prov, err = EvalInflationaryProv(p, in, u, opt)
 			}
-			got = append(got, delta.Clone())
-		}}
-		var stages int
-		if validate {
-			res, err := EvalInflationary(p, in, u, opt)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s, %s: %v", name, run, err)
 			}
-			stages = res.Stages
-		} else {
-			k := engine.SemiNaive{Rules: rules, Forward: true}
-			if stages, err = k.Run(opt, in.Clone(), adom, nil, nil); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			if res != nil {
+				stages = res.Stages
 			}
-		}
-		if stages != len(want) || len(got) != len(want) {
-			t.Fatalf("%s, %d shards: %d stages (%d shown), the reference takes %d", name, shards, stages, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("%s, %d shards: stage %d adds\n%sthe reference adds\n%s", name, shards, i+1, got[i].String(u), want[i].String(u))
+			if stages != len(want) || len(got) != len(want) {
+				t.Fatalf("%s, %s, %d shards: %d stages (%d shown), the reference takes %d", name, run, shards, stages, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("%s, %s, %d shards: stage %d adds\n%sthe reference adds\n%s", name, run, shards, i+1, got[i].String(u), want[i].String(u))
+				}
+			}
+			if prov != nil {
+				checkDerivations(t, fmt.Sprintf("%s, %d shards", name, shards), p, in, u, prov, want, adom)
 			}
 		}
 	}
+}
+
+// checkDerivations holds every fact the reference stages want add to
+// the derivation prov explains it by: its stage is the one that adds
+// the fact, each support is input (and marked so) or was added at an
+// earlier stage, and the rule, its positive body atoms matched to the
+// supports in body order, yields the fact with every negated atom
+// absent from the instance the stage read (derives).
+func checkDerivations(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u *value.Universe, prov *Provenance, want []*tuple.Instance, adom []value.Value) {
+	t.Helper()
+	before := in.Clone() // the instance stage i+1 reads
+	for i, delta := range want {
+		delta.EachRel(func(pred string, r *tuple.Relation) {
+			r.Each(func(f tuple.Tuple) bool {
+				fact := pred + f.String(u)
+				e, ok := prov.Why(pred, f)
+				if !ok || e.Input || e.Stage != i+1 {
+					t.Fatalf("%s: %s, which stage %d adds, is explained as %+v", name, fact, i+1, e)
+				}
+				for _, c := range e.Children {
+					if c.Input != in.Has(c.Pred, c.Tuple) || !before.Has(c.Pred, c.Tuple) {
+						t.Fatalf("%s: %s at stage %d has the support %s%s (input %v), which no earlier stage holds",
+							name, fact, i+1, c.Pred, c.Tuple.String(u), c.Input)
+					}
+				}
+				if e.Rule < 0 || e.Rule >= len(p.Rules) || !derives(p.Rules[e.Rule], e, before, adom) {
+					t.Fatalf("%s: rule %d does not yield %s at stage %d from its supports", name, e.Rule+1, fact, i+1)
+				}
+				return true
+			})
+		})
+		eval.Fold(before, delta)
+	}
+}
+
+// derives reports whether the Datalog¬ rule r yields e's fact from e's
+// supports: its positive body atoms match the supports in body order
+// and a head atom matches the fact under one valuation, which some
+// values of adom for the variables only negated atoms name extend to
+// one under which every negated atom is absent from before.
+func derives(r ast.Rule, e *Explanation, before *tuple.Instance, adom []value.Value) bool {
+	b := map[string]value.Value{}
+	match := func(a ast.Atom, pred string, tp tuple.Tuple) bool {
+		if a.Pred != pred || len(a.Args) != len(tp) {
+			return false
+		}
+		for j, arg := range a.Args {
+			v, bound := b[arg.Var]
+			switch {
+			case !arg.IsVar():
+				v = arg.Const
+			case !bound:
+				b[arg.Var] = tp[j]
+				continue
+			}
+			if v != tp[j] {
+				return false
+			}
+		}
+		return true
+	}
+	var neg []ast.Atom
+	k := 0
+	for _, l := range r.Body {
+		switch {
+		case l.Kind != ast.LitAtom:
+			return false
+		case l.Neg:
+			neg = append(neg, l.Atom)
+		case k == len(e.Children) || !match(l.Atom, e.Children[k].Pred, e.Children[k].Tuple):
+			return false
+		default:
+			k++
+		}
+	}
+	if k != len(e.Children) {
+		return false
+	}
+	body := maps.Clone(b)
+	for _, h := range r.Head {
+		b = maps.Clone(body)
+		if h.Kind == ast.LitAtom && !h.Neg && match(h.Atom, e.Pred, e.Tuple) && absent(neg, b, before, adom) {
+			return true
+		}
+	}
+	return false
+}
+
+// absent reports whether b extends, over adom, to a valuation under
+// which no atom of neg is in before; it leaves b so extended.
+func absent(neg []ast.Atom, b map[string]value.Value, before *tuple.Instance, adom []value.Value) bool {
+	for _, a := range neg {
+		tp := make(tuple.Tuple, len(a.Args))
+		for j, arg := range a.Args {
+			v, bound := b[arg.Var]
+			switch {
+			case !arg.IsVar():
+				v = arg.Const
+			case !bound:
+				for _, x := range adom {
+					if b[arg.Var] = x; absent(neg, b, before, adom) {
+						return true
+					}
+				}
+				delete(b, arg.Var)
+				return false
+			}
+			tp[j] = v
+		}
+		if before.Has(a.Pred, tp) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestInflationaryStagesMatchReference: every shipped program that is

@@ -49,6 +49,11 @@ type SemiNaive struct {
 	// its slot table then serves them all. Nil: the kernel's own, which
 	// a run releases when it ends.
 	Buf *eval.Scratch
+	// Derived, if non-nil, is shown each fact a firing stages as new, with
+	// the round, the rule index, the rule or delta variant and its binding
+	// (valid, like the tuple, during the call only). Seed facts are not
+	// shown; a run with Derived set fires every round serially.
+	Derived func(round, rule int, cr *eval.Rule, b eval.Binding, f eval.Fact)
 
 	variants []eval.DeltaVariant // nil until the first Run
 	ctx      *eval.Ctx           // nil until the first Run
@@ -141,7 +146,7 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 	return opt.Loop(col, k.Limit, k.LimitErr, func(round int) (Outcome, error) {
 		n := 0
 		ctx.NewStage()
-		if round > 1 && shards > 1 {
+		if round > 1 && shards > 1 && k.Derived == nil {
 			// Shard-parallel round: workers join their hash-slice of
 			// the delta against COW forks of out/NegIn, drop the facts
 			// out holds and hand back the rest partitioned as the delta
@@ -186,13 +191,13 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 			case round == 1:
 				// A naive pass over every rule seeds the first delta.
 				for i, cr := range k.Rules {
-					cr.Fire(ctx, k.index(i), nil, st.Emit)
+					k.fire(ctx, st, round, k.index(i), cr)
 				}
 			default:
 				ctx.Delta = st.Delta
 				for _, v := range variants {
 					ctx.DeltaLit = v.Rule.DeltaLit()
-					v.Rule.Fire(ctx, v.Index, nil, st.Emit)
+					k.fire(ctx, st, round, v.Index, v.Rule)
 				}
 			}
 			if err := opt.Cut(ctx, round); err != nil {
@@ -212,5 +217,23 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 			return Outcome{Delta: n, State: delta}, nil
 		}
 		return Outcome{Delta: n}, nil
+	})
+}
+
+// fire fires cr as rule ri of the round, staging its head facts in st,
+// and shows k.Derived each fact it stages as new.
+func (k *SemiNaive) fire(ctx *eval.Ctx, st *eval.Staging, round, ri int, cr *eval.Rule) {
+	if k.Derived == nil {
+		cr.Fire(ctx, ri, nil, st.Emit)
+		return
+	}
+	var b eval.Binding
+	heads := cr.ScratchHeads()
+	cr.Fire(ctx, ri, func(cur eval.Binding) []eval.Fact { b = cur; return heads(cur) }, func(f eval.Fact) bool {
+		ok := st.Emit(f)
+		if ok {
+			k.Derived(round, ri, cr, b, f)
+		}
+		return ok
 	})
 }

@@ -25,7 +25,9 @@ import (
 // fingerprint, rendering and relation names, no staged fact visible,
 // and each of them new to a later Insert exactly once. The first
 // program stops in round one, in a relation the round made; the second
-// in round two, in a relation the input already has.
+// in round two, in a relation the input already has. The provenance
+// run, which records a derivation as a round stages a fact, explains no
+// fact of the stopped round either.
 func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 	u := value.New()
 	var facts strings.Builder
@@ -39,6 +41,11 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 	second := parser.MustParse("T(X) :- S(X).\nQ(A) :- T(A), "+heavy+".", u)
 	afterOne := in.Clone()
 	afterOne.Insert("T", tuple.Tuple{u.Sym("c0")})
+	var prov *core.Provenance // the last provenance run's
+	provenance := func(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *engine.Options) (res *engine.Result, err error) {
+		res, prov, err = core.EvalInflationaryProv(p, in, u, opt)
+		return res, err
+	}
 	for _, e := range []struct {
 		name string
 		eval func(*ast.Program, *tuple.Instance, *value.Universe, *engine.Options) (*engine.Result, error)
@@ -47,6 +54,7 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 		{"naive", declarative.EvalNaive},
 		{"inflationary", core.EvalInflationary},
 		{"invent", core.EvalInvent},
+		{"provenance", provenance},
 	} {
 		for _, c := range []struct {
 			p      *ast.Program
@@ -55,6 +63,7 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 			want   *tuple.Instance
 		}{{first, "P", 0, in}, {second, "Q", 1, afterOne}} {
 			name := fmt.Sprintf("%s, stopped after %d stages", e.name, c.stages)
+			prov = nil
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			res, err := e.eval(c.p, in, u, &engine.Options{Ctx: ctx})
 			cancel()
@@ -62,6 +71,11 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 				t.Fatalf("%s: err = %v", name, err)
 			}
 			out := res.Out
+			if prov != nil && c.stages == 1 {
+				if x, ok := prov.Why("T", tuple.Tuple{u.Sym("c0")}); !ok || x.Stage != 1 {
+					t.Fatalf("%s: T(c0), which stage 1 added, is not explained as such: %+v", name, x)
+				}
+			}
 			if out.Facts() != c.want.Facts() || out.Fingerprint() != c.want.Fingerprint() ||
 				out.String(u) != c.want.String(u) || !slices.Equal(out.Names(), c.want.Names()) {
 				t.Fatalf("%s: %d facts over %v, want the %d over %v the round began from", name, out.Facts(), out.Names(), c.want.Facts(), c.want.Names())
@@ -70,6 +84,11 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 				tp := tuple.Tuple{u.Sym(fmt.Sprintf("c%d", i))}
 				if out.Has(c.pred, tp) {
 					t.Fatalf("%s: the stopped round's %s%v is visible", name, c.pred, tp)
+				}
+				if prov != nil {
+					if _, ok := prov.Why(c.pred, tp); ok {
+						t.Fatalf("%s: the stopped round's %s%v is explained", name, c.pred, tp)
+					}
 				}
 				if !out.Insert(c.pred, tp) || out.Insert(c.pred, tp) {
 					t.Fatalf("%s: %s%v is not new to an Insert exactly once", name, c.pred, tp)
