@@ -127,8 +127,8 @@ func TestEvalContextDeadline(t *testing.T) {
 // stage, or first round after it, is a single join of 110^5 valuations
 // (hours of work) by a 200 ms deadline: the matcher's poll stops the
 // stage within 256 firings of the deadline, under every engine on the
-// semi-naive kernel and Datalog¬¬, serial and sharded. The stopped stage
-// is not counted, and its facts are not applied.
+// semi-naive kernel and Datalog¬¬, in round one and in a delta round.
+// The stopped stage is not counted, and its facts are not applied.
 func TestEvalContextDeadlineInsideAStage(t *testing.T) {
 	var facts strings.Builder
 	for i := 0; i < 110; i++ {
@@ -138,25 +138,24 @@ func TestEvalContextDeadlineInsideAStage(t *testing.T) {
 	for _, c := range []struct {
 		program string
 		sem     unchained.Semantics
-		shards  int
 		stages  int // stages completed before the deadline
 	}{
-		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.MinimalModel, 1, 0},
-		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.Stratified, 1, 0},
-		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.WellFounded, 1, 0},
-		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.Inflationary, 1, 0},
-		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.NonInflationary, 1, 0},
-		// Round two, the delta of T, is the heavy one, and it is sharded.
-		{"T(X) :- S(X).\nP(A) :- T(A), N(B), N(C), N(D), N(E).", unchained.MinimalModel, 2, 1},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.MinimalModel, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.Stratified, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.WellFounded, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.Inflationary, 0},
+		{"P(A) :- N(A), N(B), N(C), N(D), N(E).", unchained.NonInflationary, 0},
+		// Round two, the delta of T, is the heavy one.
+		{"T(X) :- S(X).\nP(A) :- T(A), N(B), N(C), N(D), N(E).", unchained.MinimalModel, 1},
 	} {
 		s := unchained.NewSession()
 		p, in := s.MustParse(c.program), s.MustFacts(facts.String())
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 		start := time.Now()
-		res, err := s.EvalContext(ctx, p, in, c.sem, unchained.WithParallel(unchained.Parallel{Shards: c.shards}))
+		res, err := s.EvalContext(ctx, p, in, c.sem)
 		elapsed := time.Since(start)
 		cancel()
-		name := fmt.Sprintf("%v, %d shards", c.sem, c.shards)
+		name := fmt.Sprintf("%v, %d stages", c.sem, c.stages)
 		if !errors.Is(err, unchained.ErrDeadline) {
 			t.Fatalf("%s: want ErrDeadline, got %v", name, err)
 		}

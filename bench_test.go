@@ -749,31 +749,8 @@ func BenchmarkP9_PlannerAblation(b *testing.B) {
 }
 
 // tcOverE is transitive closure over the edge relation E, the
-// recursive shape of experiments P10 and P12.
+// recursive shape of experiment P12.
 const tcOverE = "T(X,Y) :- E(X,Y).\nT(X,Z) :- E(X,Y), T(Y,Z).\n"
-
-// BenchmarkP10_Shards — experiment P10: shard-parallel semi-naive
-// evaluation against serial. Transitive closure over a dense random
-// graph is the showcase shape: every delta round joins the fresh
-// T-delta against the full edge relation, so the work the shards split
-// grows with the frontier.
-func BenchmarkP10_Shards(b *testing.B) {
-	const n = 192
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			u := value.New()
-			in := gen.Random(u, "E", n, 6*n, n)
-			p := parser.MustParse(tcOverE, u)
-			opt := &declarative.Options{Shards: shards}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := declarative.Eval(p, in, u, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkP12_Optimizer — experiment P12: the two rewrites that move
 // wall time, unoptimized and at -O2 with Out declared the root

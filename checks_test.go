@@ -132,3 +132,49 @@ func TestEnginesDispatchedByTable(t *testing.T) {
 		t.Errorf("deterministic engine called by name, not through the semantics table: %s", m)
 	}
 }
+
+// TestDocLinksResolve: the documents point at files that exist. Every
+// relative Markdown link in README.md, DESIGN.md, EXPERIMENTS.md and
+// docs/*.md resolves from the linking file, and every docs/<name>.md
+// those documents or a non-test Go file outside bench/ names is there.
+func TestDocLinksResolve(t *testing.T) {
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md")
+	link := regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	named := regexp.MustCompile(`docs/[\w.-]+\.md`)
+	exists := func(path string) bool { _, err := os.Stat(path); return err == nil }
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range link.FindAllSubmatch(src, -1) {
+			target, _, _ := strings.Cut(string(m[1]), "#")
+			if target == "" || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+				continue
+			}
+			if !exists(filepath.Join(filepath.Dir(doc), target)) {
+				t.Errorf("%s links to %s, which does not exist", doc, m[1])
+			}
+		}
+		for _, m := range named.FindAll(src, -1) {
+			if !exists(string(m)) {
+				t.Errorf("%s names %s, which does not exist", doc, m)
+			}
+		}
+	}
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range nonTestLines(t, named, append(roots, "cmd", "internal", "examples", "programs")...) {
+		for _, m := range named.FindAllString(line, -1) {
+			if !exists(m) {
+				t.Errorf("%s: names %s, which does not exist", line, m)
+			}
+		}
+	}
+}

@@ -98,7 +98,6 @@ func run(args []string, w, ew io.Writer) (err error) {
 	three := fs.Bool("three", false, "with wellfounded: print the 3-valued model")
 	stages := fs.Bool("stages", false, "trace stages (deterministic forward-chaining semantics)")
 	statsOn := fs.Bool("stats", false, "print a JSON evaluation-statistics summary to stderr")
-	shards := fs.Int("shards", 0, "data-parallel shards per semi-naive delta round (0 = serial; see docs/PARALLEL.md)")
 	timeout := fs.Duration("timeout", 0, "bound evaluation wall time (e.g. 500ms); expiry exits with code 2")
 	tracePath := fs.String("trace", "", "stream a JSONL span-stream trace of the evaluation to this file ('-' for stderr)")
 	explainOn := fs.Bool("explain", false, "render the evaluation as a stage-by-stage narrative (suppresses normal output)")
@@ -197,7 +196,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 		start := time.Now()
 		defer func() {
 			rec := flight.NewRecord(flight.NewTraceID(), "cli", start)
-			rec.Semantics, rec.Shards = *semantics, *shards
+			rec.Semantics = *semantics
 			rec.WallNS = time.Since(start).Nanoseconds()
 			rec.SetSummary(profSum)
 			if profSum != nil {
@@ -219,7 +218,7 @@ func run(args []string, w, ew io.Writer) (err error) {
 	// Every engine's options type is an alias of engine.Options and
 	// ignores the fields it has no use for; Trace reaches only the core
 	// engines, the ones that hand Loop a stage state.
-	opt := &engine.Options{Ctx: ctx, Shards: *shards, Stats: col, Tracer: tracer, LiteralOrder: *literalOrder}
+	opt := &engine.Options{Ctx: ctx, Stats: col, Tracer: tracer, LiteralOrder: *literalOrder}
 	if *stages {
 		opt.Trace = func(stage int, state *tuple.Instance) {
 			fmt.Fprintf(w, "%% stage %d: %d facts\n", stage, state.Facts())

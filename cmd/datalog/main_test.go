@@ -421,7 +421,7 @@ func TestCLIWhyExplanation(t *testing.T) {
 
 // TestCLIProfile: -profile emits one flight-record JSON line on
 // stderr — the CLI twin of the daemon's slow-query log schema — with
-// the stage breakdown, shard attribution, and join plans filled in.
+// the stage breakdown and join plans filled in.
 func TestCLIProfile(t *testing.T) {
 	dir := t.TempDir()
 	prog := write(t, dir, "tc.dl", `
@@ -429,7 +429,7 @@ func TestCLIProfile(t *testing.T) {
 		T(X,Y) :- G(X,Z), T(Z,Y).
 	`)
 	facts := write(t, dir, "g.facts", `G(a,b). G(b,c). G(c,d).`)
-	out, errOut, err := runCLIStats(t, "-program", prog, "-facts", facts, "-semantics", "datalog", "-shards", "2", "-profile")
+	out, errOut, err := runCLIStats(t, "-program", prog, "-facts", facts, "-semantics", "datalog", "-profile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestCLIProfile(t *testing.T) {
 	if rec.Engine == "" || rec.Stages == 0 || rec.WallNS <= 0 || rec.StageWallNS <= 0 {
 		t.Fatalf("record totals missing: %+v", rec)
 	}
-	if len(rec.PerStage) == 0 || len(rec.PerShard) == 0 || len(rec.Plans) == 0 {
+	if len(rec.PerStage) == 0 || len(rec.Plans) == 0 {
 		t.Fatalf("record breakdowns missing: %+v", rec)
 	}
 }

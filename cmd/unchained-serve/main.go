@@ -14,7 +14,7 @@
 // -max-inflight bounds concurrently evaluating requests; excess
 // requests queue (fairly across programs, -queue-depth total, each
 // waiting at most -queue-wait) and are shed with 429/503 +
-// Retry-After beyond that (see docs/PARALLEL.md).
+// Retry-After beyond that (see docs/API.md, "Admission control").
 //
 // POST /v1/facts applies fact batches to named databases and POST
 // /v1/subscribe streams incrementally maintained standing-query
@@ -67,7 +67,6 @@ func run(args []string, w, ew io.Writer) int {
 	fs.SetOutput(ew)
 	def := serve.DefaultConfig()
 	addr := fs.String("addr", ":8344", "listen address")
-	shards := fs.Int("shards", def.MaxShards, "maximum per-request data-parallel shards")
 	cache := fs.Int("cache", def.CacheSize, "parsed-program LRU cache capacity")
 	timeout := fs.Duration("timeout", def.DefaultTimeout, "default per-request evaluation timeout")
 	maxTimeout := fs.Duration("max-timeout", def.MaxTimeout, "upper clamp for per-request timeout_ms")
@@ -102,7 +101,6 @@ func run(args []string, w, ew io.Writer) int {
 	}
 
 	cfg := serve.Config{
-		MaxShards:      *shards,
 		CacheSize:      *cache,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,

@@ -31,8 +31,10 @@ type Provenance struct {
 
 func provKey(pred string, t tuple.Tuple) string { return pred + "|" + t.Key() }
 
-// Explanation is a derivation tree: the fact, and — unless it is an
-// input fact — the rule, stage, and the explanations of its supports.
+// Explanation is a node of a derivation: the fact, and — unless it is
+// an input fact — the rule, stage, and the explanations of its
+// supports. Within one Why result a fact has one node, so a support
+// that occurs twice shares it: the result is a DAG, not a tree.
 type Explanation struct {
 	Pred     string
 	Tuple    tuple.Tuple
@@ -42,20 +44,34 @@ type Explanation struct {
 	Children []*Explanation
 }
 
-// Why returns the derivation tree of the fact, or ok=false when the
-// fact is not in the result. A fact of the result that no rule derived
-// is an input fact.
+// Why returns the derivation of the fact, or ok=false when the fact is
+// not in the result. A fact of the result that no rule derived is an
+// input fact.
 func (p *Provenance) Why(pred string, t tuple.Tuple) (*Explanation, bool) {
+	return p.why(pred, t, map[string]*Explanation{})
+}
+
+// why is Why over seen, the nodes the call has built so far, by fact.
+// Supports come from earlier stages, so a node is complete before any
+// support can reach it again.
+func (p *Provenance) why(pred string, t tuple.Tuple, seen map[string]*Explanation) (*Explanation, bool) {
 	if !p.out.Has(pred, t) {
 		return nil, false
 	}
-	d, ok := p.m[provKey(pred, t)]
-	if !ok {
-		return &Explanation{Pred: pred, Tuple: t.Clone(), Input: true}, true
+	key := provKey(pred, t)
+	if node := seen[key]; node != nil {
+		return node, true
 	}
-	node := &Explanation{Pred: pred, Tuple: t.Clone(), Rule: d.rule, Stage: d.stage}
+	node := &Explanation{Pred: pred, Tuple: t.Clone()}
+	seen[key] = node
+	d, ok := p.m[key]
+	if !ok {
+		node.Input = true
+		return node, true
+	}
+	node.Rule, node.Stage = d.rule, d.stage
 	for _, s := range d.cr.BodySupports(d.b) {
-		child, ok := p.Why(s.Pred, s.Tuple)
+		child, ok := p.why(s.Pred, s.Tuple, seen)
 		if !ok {
 			// A support must be in the result; losing it would be an
 			// engine bug, surface it loudly.
@@ -66,7 +82,8 @@ func (p *Provenance) Why(pred string, t tuple.Tuple) (*Explanation, bool) {
 	return node, true
 }
 
-// Render pretty-prints a derivation tree:
+// Render pretty-prints a derivation as a tree that expands each derived
+// fact once: where it occurs again it is one line marked [shown above].
 //
 //	T(a,c)  [stage 2, rule 2: T(X,Y) :- G(X,Z), T(Z,Y).]
 //	├─ G(a,b)  [input]
@@ -74,6 +91,7 @@ func (p *Provenance) Why(pred string, t tuple.Tuple) (*Explanation, bool) {
 //	   ├─ G(b,c)  [input]
 func (p *Provenance) Render(e *Explanation) string {
 	var sb strings.Builder
+	shown := map[*Explanation]bool{}
 	var rec func(n *Explanation, prefix string, last bool, root bool)
 	rec = func(n *Explanation, prefix string, last bool, root bool) {
 		branch, cont := "", ""
@@ -85,11 +103,16 @@ func (p *Provenance) Render(e *Explanation) string {
 			}
 		}
 		sb.WriteString(prefix + branch + n.Pred + n.Tuple.String(p.u))
-		if n.Input {
+		switch {
+		case n.Input:
 			sb.WriteString("  [input]")
-		} else if n.Rule >= 0 && n.Rule < len(p.prog.Rules) {
+		case shown[n]:
+			sb.WriteString("  [shown above]\n")
+			return
+		case n.Rule >= 0 && n.Rule < len(p.prog.Rules):
 			fmt.Fprintf(&sb, "  [stage %d, rule %d: %s]", n.Stage, n.Rule+1, p.prog.Rules[n.Rule].String(p.u))
 		}
+		shown[n] = true
 		sb.WriteByte('\n')
 		for i, c := range n.Children {
 			rec(c, prefix+cont, i == len(n.Children)-1, false)

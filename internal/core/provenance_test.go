@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,6 +93,38 @@ func TestProvenanceRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestProvenanceSharedSupportOnce: a support that occurs twice in a
+// body is explained once. Over a chain of n edges, Q(nk) is supported
+// by Q(nk-1) twice and by an edge, so expanding the tree in full
+// quadruples the output every two edges; shown once, Q(nn) takes 3n+1
+// lines: three per derived fact (itself, the second Q support, the
+// edge), and one for the input Q(n0), which Q(n1) reads twice.
+func TestProvenanceSharedSupportOnce(t *testing.T) {
+	const n = 14
+	u := value.New()
+	p := parser.MustParse(`Q(Y) :- Q(X), Q(X), E(X,Y).`, u)
+	var facts strings.Builder
+	facts.WriteString("Q(n0).")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&facts, " E(n%d,n%d).", i, i+1)
+	}
+	_, prov, err := EvalInflationaryProv(p, parser.MustParseFacts(facts.String(), u), u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := prov.Why("Q", tuple.Tuple{u.Sym(fmt.Sprintf("n%d", n))})
+	if !ok || e.Stage != n || len(e.Children) != 3 || e.Children[0] != e.Children[1] {
+		t.Fatalf("Q(n%d) is not one node per fact: %+v", n, e)
+	}
+	out := prov.Render(e)
+	if lines := strings.Count(out, "\n"); lines != 3*n+1 {
+		t.Fatalf("render takes %d lines, want %d:\n%s", lines, 3*n+1, out)
+	}
+	if got := strings.Count(out, "[shown above]"); got != n-1 {
+		t.Fatalf("%d facts marked shown above, want %d:\n%s", got, n-1, out)
 	}
 }
 

@@ -39,7 +39,7 @@ func referenceStages(t testing.TB, rules []*eval.Rule, in *tuple.Instance, adom 
 }
 
 // sameStages compares the reference's stages on (p, in) with what the
-// engine shows Options.Trace, serial and sharded: the same stage count
+// engine shows Options.Trace: the same stage count
 // and the same set of new facts at every stage. validate false runs the
 // kernel as EvalInflationary configures it without the dialect check,
 // for a literal Datalog¬ does not admit; validate true also runs the
@@ -57,44 +57,42 @@ func sameStages(t testing.TB, name string, p *ast.Program, in *tuple.Instance, u
 	if validate {
 		runs = append(runs, "provenance")
 	}
-	for _, shards := range []int{1, 2} {
-		for _, run := range runs {
-			var got []*tuple.Instance
-			opt := &Options{Shards: shards, Trace: func(stage int, delta *tuple.Instance) {
-				if stage != len(got)+1 {
-					t.Fatalf("%s: stage %d shown after %d stages", name, stage, len(got))
-				}
-				got = append(got, delta.Clone())
-			}}
-			var stages int
-			var res *Result
-			var prov *Provenance
-			switch {
-			case !validate:
-				k := engine.SemiNaive{Rules: rules, Forward: true}
-				stages, err = k.Run(opt, in.Clone(), adom, nil, nil)
-			case run == "engine":
-				res, err = EvalInflationary(p, in, u, opt)
-			default:
-				res, prov, err = EvalInflationaryProv(p, in, u, opt)
+	for _, run := range runs {
+		var got []*tuple.Instance
+		opt := &Options{Trace: func(stage int, delta *tuple.Instance) {
+			if stage != len(got)+1 {
+				t.Fatalf("%s: stage %d shown after %d stages", name, stage, len(got))
 			}
-			if err != nil {
-				t.Fatalf("%s, %s: %v", name, run, err)
+			got = append(got, delta.Clone())
+		}}
+		var stages int
+		var res *Result
+		var prov *Provenance
+		switch {
+		case !validate:
+			k := engine.SemiNaive{Rules: rules, Forward: true}
+			stages, err = k.Run(opt, in.Clone(), adom, nil, nil)
+		case run == "engine":
+			res, err = EvalInflationary(p, in, u, opt)
+		default:
+			res, prov, err = EvalInflationaryProv(p, in, u, opt)
+		}
+		if err != nil {
+			t.Fatalf("%s, %s: %v", name, run, err)
+		}
+		if res != nil {
+			stages = res.Stages
+		}
+		if stages != len(want) || len(got) != len(want) {
+			t.Fatalf("%s, %s: %d stages (%d shown), the reference takes %d", name, run, stages, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s, %s: stage %d adds\n%sthe reference adds\n%s", name, run, i+1, got[i].String(u), want[i].String(u))
 			}
-			if res != nil {
-				stages = res.Stages
-			}
-			if stages != len(want) || len(got) != len(want) {
-				t.Fatalf("%s, %s, %d shards: %d stages (%d shown), the reference takes %d", name, run, shards, stages, len(got), len(want))
-			}
-			for i := range want {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("%s, %s, %d shards: stage %d adds\n%sthe reference adds\n%s", name, run, shards, i+1, got[i].String(u), want[i].String(u))
-				}
-			}
-			if prov != nil {
-				checkDerivations(t, fmt.Sprintf("%s, %d shards", name, shards), p, in, u, prov, want, adom)
-			}
+		}
+		if prov != nil {
+			checkDerivations(t, name, p, in, u, prov, want, adom)
 		}
 	}
 }

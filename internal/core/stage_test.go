@@ -97,8 +97,8 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := EvalNonInflationary(pNeg, inNeg, u, &Options{MaxStages: -1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("EvalNonInflationary accepted MaxStages -1: %v", err)
 	}
-	if _, err := EvalInvent(pNew, in, u, &Options{Shards: -2}); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("EvalInvent accepted Shards -2: %v", err)
+	if _, err := EvalInvent(pNew, in, u, &Options{MaxStates: -2}); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("EvalInvent accepted MaxStates -2: %v", err)
 	}
 }
 

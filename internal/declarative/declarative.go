@@ -21,7 +21,7 @@ import (
 
 // Options is the unified engine configuration (see engine.Options).
 // The declarative engines honor Ctx (deadline/cancellation between
-// semi-naive rounds), Scan, LiteralOrder, Plans, Shards and Stats; the
+// semi-naive rounds), Scan, LiteralOrder, Plans and Stats; the
 // zero value is the default configuration and a nil *Options is valid.
 type Options = engine.Options
 

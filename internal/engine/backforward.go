@@ -89,7 +89,7 @@ type bfPlan struct {
 // at each positive body literal over the layer's predicates: the
 // variants a semi-naive run over the layer fires after its first round.
 // The caller has scheduled both; nothing is scheduled here.
-func NewBackwardForward(rules, heads []*eval.Rule, forward []eval.DeltaVariant) *BackwardForward {
+func NewBackwardForward(rules, heads []*eval.Rule, forward []DeltaVariant) *BackwardForward {
 	bf := &BackwardForward{forward: make([]bfPlan, 0, len(forward))}
 	for _, r := range rules {
 		if h := r.Heads()[0]; bf.pred(h.Pred) < 0 {

@@ -5,10 +5,10 @@
 //
 //   - Configuration. Options gathers the cross-engine knobs — a
 //     context.Context for deadline/cancellation, the stats collector,
-//     the stage bound, data-parallel shards, the Datalog¬¬ conflict
-//     policy, and the index-ablation Scan switch — so the engine
-//     packages alias it (type Options = engine.Options). EvalCtx
-//     derives the matcher environment from it.
+//     the stage bound, the Datalog¬¬ conflict policy, and the
+//     index-ablation Scan switch — so the engine packages alias it
+//     (type Options = engine.Options). EvalCtx derives the matcher
+//     environment from it.
 //
 //   - The stage loop. The paper's whole family is one procedure — fire
 //     all rules against the current instance, apply the result, repeat
@@ -38,7 +38,7 @@
 //     engine whose fixpoint only inserts — minimal model, strata, the
 //     well-founded Γ, the inflationary stages: round one fires every
 //     rule, every later round only the delta variants over last round's
-//     new facts, serial or hash-partitioned across Shards workers.
+//     new facts.
 //
 // A nil *Options is valid everywhere and means "all defaults, no
 // context, no statistics".
@@ -68,7 +68,7 @@ var (
 	// message reads "deadline exceeded after N stages".
 	ErrDeadline = errors.New("engine: deadline exceeded")
 	// ErrInvalidOptions reports an Options field outside its domain
-	// (any negative bound or shard count).
+	// (any negative bound).
 	ErrInvalidOptions = errors.New("engine: invalid options")
 )
 
@@ -134,18 +134,6 @@ type Options struct {
 	// concurrent use; nil gives each compiled rule a private memo.
 	Plans *eval.PlanCache
 
-	// Shards hash-partitions the delta of each semi-naive round across
-	// that many data-parallel workers (every engine on the SemiNaive
-	// kernel: minimal model, semi-positive, stratified strata,
-	// well-founded Γ applications, the inflationary stages, and
-	// everything built on them — incr, magic). Each
-	// shard evaluates every delta-variant rule against a copy-on-write
-	// snapshot of the current instance and its slice of the delta; the
-	// shards' new facts are merged by hash into the next delta's slices.
-	// Relations are sets and rendering sorts, so the result is
-	// byte-identical to serial evaluation. 0 or 1 means serial.
-	Shards int
-
 	// Policy is the Datalog¬¬ conflict policy (default
 	// PreferPositive).
 	Policy ConflictPolicy
@@ -204,7 +192,6 @@ func (o *Options) Validate() error {
 	}{
 		{"MaxStages", o.MaxStages},
 		{"MaxStates", o.MaxStates},
-		{"Shards", o.Shards},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s must be >= 0, got %d", ErrInvalidOptions, f.name, f.v)
@@ -337,25 +324,6 @@ func (o *Options) Conflict() ConflictPolicy {
 	}
 	return o.Policy
 }
-
-// ShardCount returns the data-parallel shard count (>= 1).
-func (o *Options) ShardCount() int {
-	if o == nil || o.Shards < 1 {
-		return 1
-	}
-	return o.Shards
-}
-
-// Parallel is the parallelism configuration, applied by SetParallel
-// (and the facade's WithParallel). The zero value means fully serial.
-type Parallel struct {
-	// Shards is the data-parallel shard count for semi-naive delta
-	// rounds (Options.Shards).
-	Shards int
-}
-
-// SetParallel installs a Parallel configuration.
-func (o *Options) SetParallel(p Parallel) { o.Shards = p.Shards }
 
 // StageLimit resolves the stage bound against the engine default.
 func (o *Options) StageLimit(def int) int {

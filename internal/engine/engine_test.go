@@ -25,9 +25,6 @@ func TestNilOptionsDefaults(t *testing.T) {
 	if got := o.Conflict(); got != PreferPositive {
 		t.Fatalf("default policy = %v", got)
 	}
-	if o.ShardCount() != 1 {
-		t.Fatalf("ShardCount = %d", o.ShardCount())
-	}
 	if o.StageLimit(7) != 7 || o.StateLimit(10) != 10 {
 		t.Fatal("nil options must yield engine defaults")
 	}
@@ -40,21 +37,9 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", &Options{}, true},
-		{"all positive", &Options{MaxStages: 1, MaxStates: 4, Shards: 5}, true},
+		{"all positive", &Options{MaxStages: 1, MaxStates: 4}, true},
 		{"MaxStages -1", &Options{MaxStages: -1}, false},
 		{"MaxStates -1", &Options{MaxStates: -1}, false},
-		{"Shards 8", &Options{Shards: 8}, true},
-		{"Shards -1", &Options{Shards: -1}, false},
-		{"Parallel positive shards", func() *Options {
-			o := &Options{}
-			o.SetParallel(Parallel{Shards: 4})
-			return o
-		}(), true},
-		{"Parallel negative shards", func() *Options {
-			o := &Options{}
-			o.SetParallel(Parallel{Shards: -2})
-			return o
-		}(), false},
 	} {
 		err := c.opt.Validate()
 		if c.ok && err != nil {
@@ -62,20 +47,6 @@ func TestValidate(t *testing.T) {
 		}
 		if !c.ok && !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("%s: want ErrInvalidOptions, got %v", c.name, err)
-		}
-	}
-}
-
-func TestParallelAccessors(t *testing.T) {
-	o := &Options{}
-	o.SetParallel(Parallel{Shards: 4})
-	if o.Shards != 4 || o.ShardCount() != 4 {
-		t.Fatalf("SetParallel did not install the shard count: %+v", o)
-	}
-	// Zero/one shards mean serial.
-	for _, o3 := range []*Options{nil, {}, {Shards: 1}} {
-		if o3.ShardCount() != 1 {
-			t.Fatalf("ShardCount(%+v) = %d, want 1", o3, o3.ShardCount())
 		}
 	}
 }

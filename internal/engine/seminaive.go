@@ -52,19 +52,27 @@ type SemiNaive struct {
 	// Derived, if non-nil, is shown each fact a firing stages as new, with
 	// the round, the rule index, the rule or delta variant and its binding
 	// (valid, like the tuple, during the call only). Seed facts are not
-	// shown; a run with Derived set fires every round serially.
+	// shown.
 	Derived func(round, rule int, cr *eval.Rule, b eval.Binding, f eval.Fact)
 
-	variants []eval.DeltaVariant // nil until the first Run
-	ctx      *eval.Ctx           // nil until the first Run
-	own      *eval.Scratch       // the buffer when Buf is nil
+	variants []DeltaVariant // nil until the first Run
+	ctx      *eval.Ctx      // nil until the first Run
+	own      *eval.Scratch  // the buffer when Buf is nil
+}
+
+// DeltaVariant is a delta variant of a rule (eval.Rule.Delta) with the
+// index its firings are charged to in the collector (-1: no per-rule
+// attribution).
+type DeltaVariant struct {
+	Rule  *eval.Rule
+	Index int
 }
 
 // Variants returns the delta variants every round after the first
 // fires, scheduling them if no Run has: per rule and positive body
 // literal over a predicate some rule here has in a head, the rule pinned
 // there.
-func (k *SemiNaive) Variants() []eval.DeltaVariant {
+func (k *SemiNaive) Variants() []DeltaVariant {
 	if k.variants == nil {
 		k.prepare()
 	}
@@ -79,11 +87,11 @@ func (k *SemiNaive) prepare() {
 			grows[h.Pred] = true
 		}
 	}
-	k.variants = make([]eval.DeltaVariant, 0, len(k.Rules))
+	k.variants = make([]DeltaVariant, 0, len(k.Rules))
 	for i, cr := range k.Rules {
 		for _, li := range cr.PositiveBodyLits() {
 			if grows[cr.Src.Body[li].Atom.Pred] {
-				k.variants = append(k.variants, eval.DeltaVariant{Rule: cr.Delta(li), Index: k.index(i)})
+				k.variants = append(k.variants, DeltaVariant{Rule: cr.Delta(li), Index: k.index(i)})
 			}
 		}
 	}
@@ -100,8 +108,7 @@ func (k *SemiNaive) index(i int) int {
 // number of stages under the chosen convention, with a typed engine
 // error when the context interrupts the fixpoint or the stage limit is
 // reached. The collector records each round as one stage (callers Reset
-// it; the kernel only records). With Options.Shards > 1 every round
-// after the first hash-partitions its delta across that many workers.
+// it; the kernel only records).
 //
 // seed, if non-nil, replaces round one's naive pass: it enumerates the
 // round's head facts through emit, which stages them as the rules'
@@ -110,17 +117,12 @@ func (k *SemiNaive) index(i int) int {
 func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, seed func(emit func(eval.Fact) bool), added *tuple.Instance) (int, error) {
 	variants := k.Variants()
 	col := opt.Collector()
-	shards := opt.ShardCount()
 	end := Outcome{Status: Last}
 	if k.Forward {
 		end.Status = Confirm
 	}
-	// The facts new last round are st.Delta, or their hash partition
-	// once the rounds are sharded (shards > 1); delta is them as one
-	// instance where a round makes one (a sharded round only for Trace).
+	// The facts new last round are st.Delta.
 	st := eval.NewStaging(out)
-	var delta *tuple.Instance
-	var parts []*tuple.Instance
 	// Every round of a run shares one matcher environment and buffer: a
 	// round sets what it pins, and its enumerations run one at a time.
 	// The next run reuses both.
@@ -144,77 +146,38 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 		}
 	}()
 	return opt.Loop(col, k.Limit, k.LimitErr, func(round int) (Outcome, error) {
-		n := 0
 		ctx.NewStage()
-		if round > 1 && shards > 1 && k.Derived == nil {
-			// Shard-parallel round: workers join their hash-slice of
-			// the delta against COW forks of out/NegIn, drop the facts
-			// out holds and hand back the rest partitioned as the delta
-			// was, so it is the next delta without another pass; only
-			// the fold into out is serial. Sets make the result
-			// independent of scheduling, so the fixpoint is
-			// byte-identical to the serial path. A done context stops
-			// the workers mid-round, and the round is not applied.
-			if round == 2 {
-				parts = st.Delta.Partition(shards)
+		// Every head fact out lacks is staged at emission into out's own
+		// rows, where Fold publishes it after the round and the next
+		// delta views it: a new fact is hashed, looked up and copied once.
+		switch {
+		case round == 1 && seed != nil:
+			seed(st.Emit)
+		case round == 1:
+			// A naive pass over every rule seeds the first delta.
+			for i, cr := range k.Rules {
+				k.fire(ctx, st, round, k.index(i), cr)
 			}
-			var emitted uint64
-			parts, emitted = eval.RunSharded(variants, ctx, parts)
-			if err := opt.Cut(ctx, round); err != nil {
-				return Outcome{}, err
+		default:
+			ctx.Delta = st.Delta
+			for _, v := range variants {
+				ctx.DeltaLit = v.Rule.DeltaLit()
+				k.fire(ctx, st, round, v.Index, v.Rule)
 			}
-			delta = nil
-			if k.Forward && opt.Trace != nil {
-				delta = tuple.NewInstance() // Trace is shown the delta as one instance
-			}
-			for _, part := range parts {
-				n += eval.Fold(out, part)
-				if delta != nil {
-					eval.Fold(delta, part)
-				}
-				if added != nil {
-					eval.Fold(added, part)
-				}
-			}
-			// Shard workers only tally firings; the parts hold exactly
-			// the facts new to out, so charge derived/rederived here.
-			col.Fired(-1, 0, uint64(n), emitted-uint64(n))
-			col.ShardRound(int(emitted))
-		} else {
-			// Every head fact out lacks is staged at emission into out's
-			// own rows, where Fold publishes it after the round and the
-			// next delta views it: a new fact is hashed, looked up and
-			// copied once.
-			switch {
-			case round == 1 && seed != nil:
-				seed(st.Emit)
-			case round == 1:
-				// A naive pass over every rule seeds the first delta.
-				for i, cr := range k.Rules {
-					k.fire(ctx, st, round, k.index(i), cr)
-				}
-			default:
-				ctx.Delta = st.Delta
-				for _, v := range variants {
-					ctx.DeltaLit = v.Rule.DeltaLit()
-					k.fire(ctx, st, round, v.Index, v.Rule)
-				}
-			}
-			if err := opt.Cut(ctx, round); err != nil {
-				st.Discard() // a round the context stopped is not applied
-				return Outcome{}, err
-			}
-			n = st.Fold()
-			delta = st.Delta
-			if added != nil {
-				eval.Fold(added, delta)
-			}
+		}
+		if err := opt.Cut(ctx, round); err != nil {
+			st.Discard() // a round the context stopped is not applied
+			return Outcome{}, err
+		}
+		n := st.Fold()
+		if added != nil {
+			eval.Fold(added, st.Delta)
 		}
 		if n == 0 {
 			return end, nil
 		}
 		if k.Forward {
-			return Outcome{Delta: n, State: delta}, nil
+			return Outcome{Delta: n, State: st.Delta}, nil
 		}
 		return Outcome{Delta: n}, nil
 	})

@@ -46,8 +46,9 @@ type planState struct {
 
 // planFor returns the planner's schedule of a planned rule (Rule.planned)
 // for the cardinalities of the relations tab resolved under ctx. It runs
-// only when a stage began with a size decade changed (slotTable.plan);
-// safe for concurrent use by the shard workers.
+// only when a stage began with a size decade changed (slotTable.plan).
+// It locks the rule's memo, though no caller is known to enumerate one
+// compiled rule from two goroutines at once.
 func (r *Rule) planFor(ctx *Ctx, tab *slotTable) []step {
 	sig := r.planSig(ctx, tab)
 	// planFor runs only while a stage enumerates a rule, so a lookup in

@@ -70,9 +70,8 @@ type Ctx struct {
 	// for oracle comparisons and ablation).
 	NoPlan bool
 	// PlanTrace allows Enumerate to report the chosen plan through
-	// Stats. Engines set it only on single-goroutine evaluation paths
-	// (the collector's tracing state is not safe for concurrent
-	// emission from shard workers).
+	// Stats. engine.Options.EvalCtx sets it for a pass that is a stage
+	// of the run; a context made without it files no plan.
 	PlanTrace bool
 	// stopped: Done closed during an enumeration.
 	stopped bool
@@ -191,9 +190,9 @@ func (r *Rule) stepsFor(ctx *Ctx, tab *slotTable) ([]step, bool) {
 
 // frame is the state of one Enumerate call, on its stack. The scratch
 // tuples and the cursors live here and not in the steps, because a plan
-// is shared by every goroutine that enumerates the rule (PlanCache, the
-// shard workers); a step reuses its depth's cursor from one probe to the
-// next. rels is the slot table's: a match step reads its In section (the
+// is shared by every evaluation that enumerates the rule (a PlanCache
+// hands one plan to the concurrent requests of a program); a step
+// reuses its depth's cursor from one probe to the next. rels is the slot table's: a match step reads its In section (the
 // Delta section, at offset delta, for the literal ctx pins to a delta
 // relation), an absence check the section at offset neg. probes and
 // scans tally the relation matches for ctx.Stats, so the match loop

@@ -5,7 +5,7 @@
 // Aggregate surfaces (/metrics, /statsz) say how much work the daemon
 // did; the flight recorder says which request was slow, which tenant
 // caused it, and where inside the evaluation the time went — queue
-// wait vs join plans vs shard skew vs copy-on-write promotion. The
+// wait vs join plans vs copy-on-write promotion. The
 // paper's framing makes one profile schema feasible across all eight
 // engines: every member of the family is a stage-based fixpoint loop,
 // so "per-stage wall time" and "per-rule join plan" mean the same
@@ -67,9 +67,6 @@ type Record struct {
 	// CLI records).
 	Status int `json:"status,omitempty"`
 
-	// Shards is the effective data-parallel shard count of the run.
-	Shards int `json:"shards,omitempty"`
-
 	// The wall-time breakdown. Phases partitions the request from
 	// arrival to the moment the record is filed; WallNS is its sum, and
 	// QueueNS (the admission-queue wait) and EvalNS (the engine runs)
@@ -81,8 +78,8 @@ type Record struct {
 	Phases  Phases `json:"phases"`
 
 	// Summary is the evaluation itself — engine, stage/firing/derived
-	// totals, shard and copy-on-write traffic, join plans, the
-	// per-stage and per-shard breakdowns, stage_wall_ns — inlined in
+	// totals, copy-on-write traffic, join plans, the per-stage
+	// breakdown, stage_wall_ns — inlined in
 	// the record's JSON (the record's own wall_ns shadows the
 	// summary's). Nil for a request that never reached an engine; set
 	// it with SetSummary, which applies the record's memory bound.

@@ -152,8 +152,7 @@ func TestRecordIsAViewOfTheSummary(t *testing.T) {
 		Engine:  "core_semi_naive",
 		Stages:  3,
 		Firings: 100, Derived: 50, Rederived: 10,
-		WallNS:      7000,
-		ShardRounds: 2, ShardFactsMerged: 40,
+		WallNS:       7000,
 		CowSnapshots: 4, CowPromotions: 1,
 		Plans: []stats.PlanStats{{Rule: "T", Join: "E#0 est=4 act=4 ⋈ T#1 est=16 act=9"}},
 		PerStage: []stats.StageStats{
@@ -161,10 +160,6 @@ func TestRecordIsAViewOfTheSummary(t *testing.T) {
 			{Stage: 2, WallNS: 2000, Derived: 20},
 		},
 		StageWallNS: 3500, // a third stage ran past what is listed
-		PerShard: []stats.ShardStats{
-			{Shard: 0, Rounds: 2, WallNS: 1500, Facts: 25},
-			{Shard: 1, Rounds: 2, WallNS: 1400, Facts: 15},
-		},
 	}
 	start := time.Unix(0, 42)
 	rec := NewRecord("aa", "/v1/eval", start)
@@ -182,7 +177,7 @@ func TestRecordIsAViewOfTheSummary(t *testing.T) {
 		t.Fatal("a summary inside the bounds was copied")
 	}
 	if rec.Engine != "core_semi_naive" || rec.Stages != 3 || rec.Derived != 50 || rec.StageWallNS != 3500 ||
-		len(rec.PerStage) != 2 || rec.PerShard[1].WallNS != 1400 || rec.Plans[0].Rule != "T" {
+		len(rec.PerStage) != 2 || rec.PerStage[1].WallNS != 2000 || rec.Plans[0].Rule != "T" {
 		t.Fatalf("record does not read the summary: %+v", rec)
 	}
 	b, err := json.Marshal(rec)
@@ -194,8 +189,8 @@ func TestRecordIsAViewOfTheSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"id", "endpoint", "outcome", "wall_ns", "phases", "engine", "stages", "firings",
-		"derived", "rederived", "shard_rounds", "shard_facts_merged", "cow_snapshots", "cow_promotions",
-		"plans", "per_stage", "stage_wall_ns", "per_shard"} {
+		"derived", "rederived", "cow_snapshots", "cow_promotions",
+		"plans", "per_stage", "stage_wall_ns"} {
 		if _, ok := wire[key]; !ok {
 			t.Errorf("record JSON lost %q: %s", key, b)
 		}

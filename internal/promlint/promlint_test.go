@@ -94,7 +94,7 @@ func TestLabelCardinalityBound(t *testing.T) {
 
 // TestLiveExpositionClean is the CI gate on the exposition:
 // the daemon's own /metrics output, with traffic on every family
-// (a sharded evaluation, a deadline-bounded non-terminating one, and a
+// (an evaluation, a deadline-bounded non-terminating one, and a
 // store batch so the unchained_store_* families carry samples too),
 // must lint clean.
 func TestLiveExpositionClean(t *testing.T) {
@@ -108,7 +108,7 @@ func TestLiveExpositionClean(t *testing.T) {
 		req  any
 		want int
 	}{
-		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).", Facts: "G(a,b). G(b,c).", Shards: 2}}, http.StatusOK},
+		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: "T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y).", Facts: "G(a,b). G(b,c)."}}, http.StatusOK},
 		{"/v1/eval", serve.EvalRequest{Envelope: serve.Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"}, http.StatusRequestTimeout},
 		{"/v1/facts", serve.FactsRequest{DB: "lint", Assert: "G(a,b)."}, http.StatusOK},
 	} {

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -264,43 +266,29 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestInvalidParallelOptionsHTTP pins the converged validation rule:
-// negative shards are a client error (400 invalid_options, matching
-// engine.Options.Validate), never silently clamped.
+// TestInvalidParallelOptionsHTTP: every delta round is serial, so a
+// request that still names "shards", with any value, zero included, is
+// a client error (400 invalid_options) on every endpoint that takes the
+// envelope, never silently ignored.
 func TestInvalidParallelOptionsHTTP(t *testing.T) {
 	ts := newTestServer(t)
-	for _, env := range []Envelope{
-		{Program: "P(a).", Shards: -2},
-	} {
-		resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: env})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("shards=%d: status %d: %s", env.Shards, resp.StatusCode, body)
+	for _, path := range []string{"/v1/eval", "/v1/query", "/v1/analyze"} {
+		for _, shards := range []string{"-2", "0", "4"} {
+			body := `{"program":` + strconv.Quote(tcProgram) + `,"facts":"G(a,b).","query":"T(a,X)","shards":` + shards + `}`
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out struct{ Error *ErrorInfo }
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || out.Error == nil || out.Error.Code != CodeInvalidOptions {
+				t.Fatalf("%s, shards %s: status %d, error %+v; want 400 %q", path, shards, resp.StatusCode, out.Error, CodeInvalidOptions)
+			}
 		}
-		var out EvalResponse
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Error == nil || out.Error.Code != CodeInvalidOptions {
-			t.Fatalf("envelope = %+v, want code %q", out.Error, CodeInvalidOptions)
-		}
-		if out.Error.Details == nil {
-			t.Fatalf("invalid_options must carry details: %+v", out.Error)
-		}
-	}
-	// The same rule guards /v1/query.
-	resp, body := post(t, ts.URL+"/v1/query", QueryRequest{
-		Envelope: Envelope{Program: tcProgram, Facts: "G(a,b).", Shards: -1},
-		Query:    "T(a,X)?",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("query status = %d: %s", resp.StatusCode, body)
-	}
-	var qout QueryResponse
-	if err := json.Unmarshal(body, &qout); err != nil {
-		t.Fatal(err)
-	}
-	if qout.Error == nil || qout.Error.Code != CodeInvalidOptions {
-		t.Fatalf("query envelope = %+v, want code %q", qout.Error, CodeInvalidOptions)
 	}
 }
 
@@ -331,7 +319,7 @@ func TestSaturationAccounting(t *testing.T) {
 		}
 		body, err := json.Marshal(EvalRequest{Semantics: "minimal-model", Envelope: Envelope{
 			Program: fmt.Sprintf("T%d(X,Y) :- G%d(X,Y).\nT%d(X,Y) :- G%d(X,Z), T%d(Z,Y).\n", i, i, i, i, i),
-			Facts:   facts, Shards: 2,
+			Facts:   facts,
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -381,7 +369,7 @@ func TestSaturationAccounting(t *testing.T) {
 // TestStatusEndpoint checks GET /v1/status reports build identity,
 // the semantics list, and the effective limits.
 func TestStatusEndpoint(t *testing.T) {
-	svc := New(Config{MaxShards: 4, MaxInFlight: 7})
+	svc := New(Config{MaxInFlight: 7})
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 	resp, body := get(t, ts.URL+"/v1/status")
@@ -398,7 +386,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if len(out.Semantics) == 0 {
 		t.Fatal("semantics list empty")
 	}
-	if out.Limits.MaxShards != 4 || out.Limits.DefaultShards != 1 || out.Limits.MaxInFlight != 7 {
+	if out.Limits.MaxInFlight != 7 {
 		t.Fatalf("limits: %+v", out.Limits)
 	}
 	if out.Limits.MaxBodyBytes != maxBodyBytes {
@@ -415,17 +403,24 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardedEvalHTTP round-trips the shards envelope field: a
-// sharded evaluation returns the same facts as serial and reports
-// shard rounds in its stats, and /statsz accumulates the totals.
+// TestShardedEvalHTTP round-trips the removed shards envelope field: a
+// request that names it is refused before evaluation, so it runs no
+// stage and counts as no evaluation, the same request without it
+// evaluates, and /statsz carries no shard counters.
 func TestShardedEvalHTTP(t *testing.T) {
-	svc := New(Config{})
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
+	ts := newTestServer(t)
 	req := EvalRequest{
-		Envelope: Envelope{Program: tcProgram, Facts: "G(a,b). G(b,c). G(c,d).", Stats: true},
+		Envelope: Envelope{Program: tcProgram, Facts: "G(a,b). G(b,c). G(c,d).", Stats: true, Shards: json.RawMessage("4")},
 	}
 	resp, body := post(t, ts.URL+"/v1/eval", req)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sharded: %d: %s", resp.StatusCode, body)
+	}
+	if stz := statsz(t, ts.URL); stz["evals_ok"] != 0 || stz["stages_run"] != 0 || stz["bad_requests"] != 1 {
+		t.Fatalf("a refused request was evaluated: %+v", stz)
+	}
+	req.Shards = nil
+	resp, body = post(t, ts.URL+"/v1/eval", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("serial: %d: %s", resp.StatusCode, body)
 	}
@@ -433,23 +428,16 @@ func TestShardedEvalHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &serial); err != nil {
 		t.Fatal(err)
 	}
-	req.Shards = 4
-	resp, body = post(t, ts.URL+"/v1/eval", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded: %d: %s", resp.StatusCode, body)
-	}
-	var sharded EvalResponse
-	if err := json.Unmarshal(body, &sharded); err != nil {
-		t.Fatal(err)
-	}
-	if sharded.Output != serial.Output {
-		t.Fatalf("sharded output diverges:\n%s\nvs\n%s", sharded.Output, serial.Output)
-	}
-	if sharded.Stats == nil || sharded.Stats.ShardRounds == 0 {
-		t.Fatalf("sharded stats missing shard rounds: %+v", sharded.Stats)
+	if !strings.Contains(serial.Output, "T(a,d)") || serial.Stats == nil || serial.Stats.Derived != 6 {
+		t.Fatalf("serial answer: %s", body)
 	}
 	stz := statsz(t, ts.URL)
-	if stz["shard_rounds"] == 0 || stz["shard_facts_merged"] == 0 {
-		t.Fatalf("statsz shard counters empty: %+v", stz)
+	if stz["evals_ok"] != 1 {
+		t.Fatalf("statsz evals_ok = %d, want 1", stz["evals_ok"])
+	}
+	for k := range stz {
+		if strings.Contains(k, "shard") {
+			t.Fatalf("statsz still carries %s", k)
+		}
 	}
 }

@@ -26,16 +26,13 @@ func tagError(id string, info *ErrorInfo) *ErrorInfo {
 	return info
 }
 
-// newCapture builds an admitted call's eval options: the resolved
-// parallelism, a stats collector (always; this is what makes the
-// recorder's numbers exist) and the program's shared plan cache. No
-// tracer: a request that does not ask for its trace runs without one.
-// The spare capacity is for what the bodies append.
+// newCapture builds an admitted call's eval options: a stats collector
+// (always; this is what makes the recorder's numbers exist) and the
+// program's shared plan cache. No tracer: a request that does not ask
+// for its trace runs without one. The spare capacity is for what the
+// bodies append.
 func (s *Server) newCapture(c *call) {
-	c.opts = append(make([]unchained.Opt, 0, 8),
-		unchained.WithParallel(unchained.Parallel{Shards: c.rec.Shards}),
-		unchained.WithStats(unchained.NewStatsCollector()),
-	)
+	c.opts = append(make([]unchained.Opt, 0, 8), unchained.WithStats(unchained.NewStatsCollector()))
 	if c.entry != nil {
 		c.opts = append(c.opts, unchained.WithPlanCache(c.entry.plans))
 	}
@@ -63,8 +60,6 @@ func (s *Server) finish(c *call, status int, fail *ErrorInfo) {
 		s.cowSnapshots.Add(sum.CowSnapshots)
 		s.cowPromotions.Add(sum.CowPromotions)
 		s.cowTuples.Add(sum.CowTuplesCopied)
-		s.shardRounds.Add(sum.ShardRounds)
-		s.shardFacts.Add(sum.ShardFactsMerged)
 	}
 	s.flight.Observe(rec)
 	if rec.Outcome == CodeOverloaded || rec.Outcome == CodeQueueTimeout {

@@ -48,14 +48,13 @@ func chainFacts(n int) string {
 	return b.String()
 }
 
-// TestFlightDeadlineExceededSharded is the PR's acceptance scenario: a
-// sharded evaluation that exceeds its deadline must produce a flight
-// record that (a) carries the same id as X-Request-Id and the error
-// envelope's details.request_id, (b) appears in /debug/flight/slowest
-// and the slow-query log, and (c) breaks the request wall time down
-// into queue wait, per-stage, and per-shard components that are
-// mutually consistent.
-func TestFlightDeadlineExceededSharded(t *testing.T) {
+// TestFlightDeadlineExceeded: an evaluation that exceeds its deadline
+// must produce a flight record that (a) carries the same id as
+// X-Request-Id and the error envelope's details.request_id, (b) appears
+// in /debug/flight/slowest and the slow-query log, and (c) breaks the
+// request wall time down into queue wait and per-stage components that
+// are mutually consistent.
+func TestFlightDeadlineExceeded(t *testing.T) {
 	slowLog := &lockedBuffer{}
 	srv := New(Config{SlowQuery: time.Millisecond, SlowQueryLog: slowLog})
 	ts := httptest.NewServer(srv)
@@ -65,7 +64,6 @@ func TestFlightDeadlineExceededSharded(t *testing.T) {
 		Program:   tcProgram,
 		Facts:     chainFacts(1500),
 		TimeoutMS: 50,
-		Shards:    4,
 	}}
 	resp, body := post(t, ts.URL+"/v1/eval", req)
 	if resp.StatusCode != http.StatusRequestTimeout {
@@ -108,7 +106,7 @@ func TestFlightDeadlineExceededSharded(t *testing.T) {
 	if rec.Outcome != CodeDeadline || rec.Status != http.StatusRequestTimeout {
 		t.Fatalf("outcome %q status %d, want deadline/408", rec.Outcome, rec.Status)
 	}
-	if rec.Shards != 4 || rec.Error == "" || rec.Tenant == "" || rec.Engine == "" {
+	if rec.Error == "" || rec.Tenant == "" || rec.Engine == "" {
 		t.Fatalf("record incomplete: %+v", rec)
 	}
 	// Wall-time breakdown consistency: the phases partition the wall
@@ -136,20 +134,6 @@ func TestFlightDeadlineExceededSharded(t *testing.T) {
 	}
 	if len(rec.PerStage) == 0 {
 		t.Fatal("record has no per-stage breakdown")
-	}
-	// Per-shard skew view: the interrupted sharded rounds must have
-	// attributed work to at least one shard worker, each within the
-	// engine window.
-	if len(rec.PerShard) == 0 || len(rec.PerShard) > 4 {
-		t.Fatalf("per-shard breakdown has %d workers, want 1..4: %+v", len(rec.PerShard), rec.PerShard)
-	}
-	for _, sh := range rec.PerShard {
-		if sh.Rounds == 0 || sh.WallNS < 0 || sh.WallNS > rec.EvalNS {
-			t.Fatalf("shard breakdown inconsistent: %+v (eval %dns)", sh, rec.EvalNS)
-		}
-	}
-	if rec.ShardRounds == 0 {
-		t.Fatalf("no shard rounds recorded: %+v", rec)
 	}
 	// The planner's chosen join orders ride along, est-vs-act included.
 	if len(rec.Plans) == 0 {
@@ -296,7 +280,7 @@ func TestCaptureAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := gen.Random(entry.base.U, "G", 60, 120, 7)
-	c := &call{entry: entry, rec: &flight.Record{Shards: defaultShards}}
+	c := &call{entry: entry, rec: &flight.Record{}}
 	var res *unchained.EvalResult
 	run := func(opts ...unchained.Opt) {
 		res, err = entry.base.EvalContext(context.Background(), entry.prog, in, unchained.MinimalModel, opts...)
@@ -357,7 +341,7 @@ func TestStatszKeyInventory(t *testing.T) {
 	defer ts.Close()
 	want := strings.Fields(`uptime_ms requests evals_ok eval_errors timeouts canceled bad_requests
 		in_flight stages_run analyzes analyze_errors opt_passes opt_rewrites opt_rules_removed
-		admitted queued shed queue_timeouts queue_depth shard_rounds shard_facts_merged
+		admitted queued shed queue_timeouts queue_depth
 		cow_snapshots cow_promotions cow_tuples_copied cache_hits cache_misses cache_evictions
 		cache_size plan_cache_hits plan_cache_misses plan_cache_size flight_records slow_queries
 		store_batches store_facts_asserted store_facts_retracted store_dbs store_wal_records
@@ -384,10 +368,10 @@ func TestMetricsNameInventory(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Drive one sharded eval so optional label keys (semantics, tenant)
+	// Drive one eval so optional label keys (semantics, tenant)
 	// appear in samples.
 	if resp, body := post(t, ts.URL+"/v1/eval", EvalRequest{
-		Envelope: Envelope{Program: tcProgram, Facts: "G(a,b). G(b,c).", Shards: 2},
+		Envelope: Envelope{Program: tcProgram, Facts: "G(a,b). G(b,c)."},
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("eval: %d: %s", resp.StatusCode, body)
 	}
@@ -416,13 +400,10 @@ func TestMetricsNameInventory(t *testing.T) {
 		"unchained_plan_cache_hits_total":          "counter",
 		"unchained_plan_cache_misses_total":        "counter",
 		"unchained_timeouts_clamped_total":         "counter",
-		"unchained_shards_clamped_total":           "counter",
 		"unchained_admission_admitted_total":       "counter",
 		"unchained_admission_queued_total":         "counter",
 		"unchained_admission_shed_total":           "counter",
 		"unchained_admission_queue_timeouts_total": "counter",
-		"unchained_shard_rounds_total":             "counter",
-		"unchained_shard_facts_total":              "counter",
 		"unchained_cow_snapshots_total":            "counter",
 		"unchained_cow_promotions_total":           "counter",
 		"unchained_cow_tuples_copied_total":        "counter",

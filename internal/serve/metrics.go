@@ -56,13 +56,10 @@ func (s *Server) newSeries() []series {
 		{"plan_cache_hits", "unchained_plan_cache_hits_total", "Join-plan cache hits across cached programs (evicted programs included).", "counter", func() int64 { return int64(s.cache.stats().planHits) }},
 		{"plan_cache_misses", "unchained_plan_cache_misses_total", "Join-plan cache misses (plans computed).", "counter", func() int64 { return int64(s.cache.stats().planMisses) }},
 		{"", "unchained_timeouts_clamped_total", "Requests whose timeout_ms was clamped to the server maximum.", "counter", u(&s.timeoutClamped)},
-		{"", "unchained_shards_clamped_total", "Requests whose shards field was clamped to the server maximum.", "counter", u(&s.shardsClamped)},
 		{"admitted", "unchained_admission_admitted_total", "Requests admitted past the admission gate (immediately or after queuing).", "counter", u(&g.admitted)},
 		{"queued", "unchained_admission_queued_total", "Requests that waited in the admission queue.", "counter", u(&g.queuedTot)},
 		{"shed", "unchained_admission_shed_total", "Requests shed at a full admission queue (HTTP 429).", "counter", u(&g.shed)},
 		{"queue_timeouts", "unchained_admission_queue_timeouts_total", "Requests that timed out waiting in the admission queue (HTTP 503).", "counter", u(&g.waitDrop)},
-		{"shard_rounds", "unchained_shard_rounds_total", "Semi-naive delta rounds evaluated shard-parallel by instrumented evaluations.", "counter", u(&s.shardRounds)},
-		{"shard_facts_merged", "unchained_shard_facts_total", "Facts merged through shard barriers by instrumented evaluations.", "counter", u(&s.shardFacts)},
 		{"cow_snapshots", "unchained_cow_snapshots_total", "Copy-on-write instance snapshots taken by instrumented evaluations.", "counter", u(&s.cowSnapshots)},
 		{"cow_promotions", "unchained_cow_promotions_total", "Relations promoted to private copies by a post-snapshot write.", "counter", u(&s.cowPromotions)},
 		{"cow_tuples_copied", "unchained_cow_tuples_copied_total", "Tuples physically copied by copy-on-write promotions.", "counter", u(&s.cowTuples)},

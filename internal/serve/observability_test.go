@@ -77,13 +77,13 @@ func parseMetrics(t *testing.T, body string) map[string]uint64 {
 // both a /statsz key and a /metrics family reads the same on both. The
 // requests counter is the one principled exception: the /metrics GET
 // itself increments it, so it reads exactly one higher. The rows
-// without a key (the two clamp counters) are on /metrics only.
+// without a key (the timeout clamp counter) are on /metrics only.
 func TestStatszAndMetricsAgree(t *testing.T) {
 	srv, ts := newInstrumentedServer(t)
 	// Generate traffic on every counter class: one success (asking for
-	// more shards and time than the ceilings allow), one parse failure,
-	// one timeout.
-	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: `G(a,b).`, Shards: 99, TimeoutMS: 1 << 40}, Semantics: "minimal-model"})
+	// more time than the ceiling allows), one parse failure, one
+	// timeout.
+	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: `G(a,b).`, TimeoutMS: 1 << 40}, Semantics: "minimal-model"})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: `not a program (`}})
 	post(t, ts.URL+"/v1/eval", EvalRequest{Envelope: Envelope{Program: queries.Counter(30), TimeoutMS: 50}, Semantics: "noninflationary"})
 
@@ -109,15 +109,14 @@ func TestStatszAndMetricsAgree(t *testing.T) {
 			}
 		}
 	}
-	if both != 45 {
-		t.Errorf("%d rows are on both surfaces, want 45", both)
+	if both != 43 {
+		t.Errorf("%d rows are on both surfaces, want 43", both)
 	}
 	if z["evals_ok"] != 1 || z["bad_requests"] != 1 || z["timeouts"] != 1 {
 		t.Errorf("traffic not attributed: ok=%d bad=%d timeout=%d, want 1/1/1", z["evals_ok"], z["bad_requests"], z["timeouts"])
 	}
-	if m["unchained_shards_clamped_total"] != 1 || m["unchained_timeouts_clamped_total"] != 1 {
-		t.Errorf("clamps not counted: shards=%d timeouts=%d, want 1/1",
-			m["unchained_shards_clamped_total"], m["unchained_timeouts_clamped_total"])
+	if m["unchained_timeouts_clamped_total"] != 1 {
+		t.Errorf("timeout clamp not counted: %d, want 1", m["unchained_timeouts_clamped_total"])
 	}
 }
 

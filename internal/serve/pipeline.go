@@ -46,8 +46,8 @@ type request interface {
 // flight record it will file.
 type call struct {
 	w http.ResponseWriter
-	// rec is filled as the call goes: identity here, tenant, semantics
-	// and shards by resolve, the summary by run, outcome and the closed
+	// rec is filled as the call goes: identity here, tenant and
+	// semantics by resolve, the summary by run, outcome and the closed
 	// phases by finish.
 	rec *flight.Record
 

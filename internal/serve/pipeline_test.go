@@ -264,7 +264,7 @@ func TestPipelineAccounting(t *testing.T) {
 		expireAfterPlan bool // its deadline expires at its first plan-cache lookup (afterPlanning)
 	}{
 		{"eval/semantics", "/v1/eval", EvalRequest{Envelope: prog, Semantics: "nope"}, 400, CodeUnknownSem, false, false, false},
-		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Shards: -1}}, 400, CodeInvalidOptions, false, false, false},
+		{"eval/options", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Shards: json.RawMessage("0")}}, 400, CodeInvalidOptions, false, false, false},
 		{"eval/program", "/v1/eval", EvalRequest{Envelope: Envelope{Program: "P(X :-"}}, 400, CodeParse, false, false, false},
 		{"eval/facts", "/v1/eval", EvalRequest{Envelope: Envelope{Program: tcProgram, Facts: "G(a"}}, 400, CodeParse, true, false, false},
 		{"eval/engine", "/v1/eval", EvalRequest{Envelope: Envelope{Program: winProgram}, Semantics: "stratified"}, 422, CodeEval, true, false, false},

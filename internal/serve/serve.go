@@ -14,7 +14,7 @@
 //     an immutable (program, session) pair and each request evaluates
 //     against a Fork;
 //   - evaluation options are one struct threaded through the facade's
-//     functional options, so per-request knobs (shards, max_stages,
+//     functional options, so per-request knobs (max_stages, optimize,
 //     stats) need no engine-specific plumbing.
 //
 // The daemon is multi-tenant: a bounded admission gate (see
@@ -57,9 +57,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps the per-request timeout_ms (default 5m).
 	MaxTimeout time.Duration
-	// MaxShards clamps the per-request "shards" field (default 8); a
-	// request that does not set it runs serial (defaultShards).
-	MaxShards int
 	// MaxInFlight bounds concurrently evaluating requests (default 64;
 	// negative disables admission control). Requests beyond it queue.
 	MaxInFlight int
@@ -103,10 +100,6 @@ type Config struct {
 	MaxDBs int
 }
 
-// defaultShards is the shard count of a request that does not set
-// "shards": serial delta rounds.
-const defaultShards = 1
-
 // DefaultConfig is the configuration New runs with when every field of
 // its Config is left zero.
 func DefaultConfig() Config { return Config{}.withDefaults() }
@@ -120,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 8
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 64
@@ -174,7 +164,6 @@ type Server struct {
 	inFlight       atomic.Int64
 	stagesRun      atomic.Uint64
 	timeoutClamped atomic.Uint64
-	shardsClamped  atomic.Uint64
 	analyzes       atomic.Uint64
 	analyzeErrs    atomic.Uint64
 	// Static-optimizer traffic: counted once per memoized variant
@@ -183,11 +172,6 @@ type Server struct {
 	optPasses       atomic.Uint64
 	optRewrites     atomic.Uint64
 	optRulesRemoved atomic.Uint64
-	// Shard-parallel evaluation traffic, summed from per-request stats
-	// summaries in finish, like stagesRun above and the COW counters
-	// below.
-	shardRounds atomic.Uint64
-	shardFacts  atomic.Uint64
 	// Storage-layer copy-on-write traffic, summed from the per-request
 	// stats summaries.
 	cowSnapshots  atomic.Uint64
@@ -348,7 +332,7 @@ const (
 	CodeBadRequest     = "bad_request" // malformed body or method
 	CodeParse          = "parse_error" // program/facts/query did not parse
 	CodeUnknownSem     = "unknown_semantics"
-	CodeInvalidOptions = "invalid_options"       // negative shards etc.
+	CodeInvalidOptions = "invalid_options"       // optimize not 0 or 2, "shards" named, ...
 	CodeEval           = "eval_error"            // evaluation failed
 	CodeDeadline       = "deadline"              // timeout_ms or server deadline hit
 	CodeCanceled       = "canceled"              // client went away
@@ -384,10 +368,10 @@ type Envelope struct {
 	Facts string `json:"facts,omitempty"`
 	// TimeoutMS bounds the evaluation; 0 uses the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards is the data-parallel shard count per semi-naive round,
-	// clamped to the server maximum; 0 means serial; negative is
-	// rejected with code "invalid_options".
-	Shards int `json:"shards,omitempty"`
+	// Shards is the removed data-parallel shard count. Every delta round
+	// is serial: a request that names it, with any value, is rejected
+	// with code "invalid_options".
+	Shards json.RawMessage `json:"shards,omitempty"`
 	// Stats requests the evaluation statistics summary.
 	Stats bool `json:"stats,omitempty"`
 	// Optimize turns the static rewrites on (2, the CLI's -O2; see
@@ -457,27 +441,13 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = enc.Encode(body)
 }
 
-// parallelFor resolves the envelope's shards field into the engine's
-// Parallel options, converging on one validation rule with
-// engine.Options.Validate: negative is an error (the engine rejects it
-// with ErrInvalidOptions, so the daemon must not silently default it),
-// zero selects the default, and above-maximum clamps (counted, never
-// an error — ceilings are the operator's business, not the client's).
-func (s *Server) parallelFor(env Envelope) (unchained.Parallel, *ErrorInfo) {
-	if env.Shards < 0 {
-		info := errInfo(CodeInvalidOptions, fmt.Sprintf("shards (%d) must be >= 0", env.Shards))
-		info.Details = map[string]any{"shards": env.Shards}
-		return unchained.Parallel{}, info
+// noShards rejects an envelope that names the removed "shards" field,
+// so that a client relying on it learns that it is gone.
+func (env *Envelope) noShards() *ErrorInfo {
+	if env.Shards == nil {
+		return nil
 	}
-	shards := env.Shards
-	if shards == 0 {
-		shards = defaultShards
-	}
-	if shards > s.cfg.MaxShards {
-		s.shardsClamped.Add(1)
-		shards = s.cfg.MaxShards
-	}
-	return unchained.Parallel{Shards: shards}, nil
+	return errInfo(CodeInvalidOptions, "shards is not supported: every delta round is serial")
 }
 
 // countOpt folds one freshly computed optimization variant into the
@@ -498,15 +468,14 @@ func (s *Server) countSemantics(name string) {
 }
 
 // resolveProgram is the resolve step of the endpoints that evaluate a
-// program: the envelope's parallelism, optimizer switch and timeout,
-// and the parse-cache entry whose digest is the tenant.
+// program: the envelope's optimizer switch and timeout, and the
+// parse-cache entry whose digest is the tenant.
 func (s *Server) resolveProgram(c *call, env *Envelope, semantics string) *ErrorInfo {
-	par, fail := s.parallelFor(*env)
-	if fail != nil {
+	if fail := env.noShards(); fail != nil {
 		return fail
 	}
 	if env.Optimize != 0 && env.Optimize != 2 {
-		fail = errInfo(CodeInvalidOptions, fmt.Sprintf("optimize (%d) must be 0 or 2", env.Optimize))
+		fail := errInfo(CodeInvalidOptions, fmt.Sprintf("optimize (%d) must be 0 or 2", env.Optimize))
 		fail.Details = map[string]any{"optimize": env.Optimize}
 		return fail
 	}
@@ -515,7 +484,7 @@ func (s *Server) resolveProgram(c *call, env *Envelope, semantics string) *Error
 		return errInfo(CodeParse, err.Error())
 	}
 	c.entry, c.timeoutMS = entry, env.TimeoutMS
-	c.rec.Semantics, c.rec.Shards, c.rec.Tenant = semantics, par.Shards, entry.key
+	c.rec.Semantics, c.rec.Tenant = semantics, entry.key
 	return nil
 }
 
@@ -686,7 +655,11 @@ func (q *analyzeRequest) reply(fail *ErrorInfo) any { q.resp.Error = fail; retur
 
 func (q *analyzeRequest) resolve(s *Server, c *call) *ErrorInfo {
 	// Only the program and the timeout are consulted; the evaluation
-	// knobs are ignored, so they are not validated either.
+	// knobs are ignored, so they are not validated either. The removed
+	// "shards" is rejected here as on every endpoint.
+	if fail := q.noShards(); fail != nil {
+		return fail
+	}
 	entry, err := s.cache.get(q.Program)
 	if err != nil {
 		return errInfo(CodeParse, err.Error())
@@ -716,8 +689,6 @@ func (q *analyzeRequest) run(s *Server, c *call) *ErrorInfo {
 // everything a client needs to know to shape requests (ceilings,
 // defaults, admission capacity).
 type Limits struct {
-	MaxShards        int   `json:"max_shards"`
-	DefaultShards    int   `json:"default_shards"`
 	MaxInFlight      int   `json:"max_in_flight"`
 	QueueDepth       int   `json:"queue_depth"`
 	QueueWaitMS      int64 `json:"queue_wait_ms"`
@@ -787,8 +758,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		},
 		Tenants: s.tenants.Snapshot(),
 		Limits: Limits{
-			MaxShards:        s.cfg.MaxShards,
-			DefaultShards:    defaultShards,
 			MaxInFlight:      s.cfg.MaxInFlight,
 			QueueDepth:       s.cfg.QueueDepth,
 			QueueWaitMS:      s.cfg.QueueWait.Milliseconds(),

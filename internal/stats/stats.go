@@ -8,8 +8,9 @@
 // turns every method into a cheap nil-check no-op, so engines thread
 // it unconditionally and pay nothing when statistics are disabled
 // (zero allocations on the hot path). Counter methods use atomic
-// operations, so the shard workers of internal/eval may share one
-// collector.
+// operations, because Collector (the facade's StatsCollector) is
+// documented as safe for concurrent counting; no engine of the
+// repository counts into one collector from two goroutines.
 //
 // The paper's narrative is stage-by-stage (Examples 4.1, 4.3, 5.4;
 // the flip-flop cycle of Section 4.2), so the collector's unit of
@@ -24,8 +25,6 @@ package stats
 import (
 	"encoding/binary"
 	"encoding/json"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -84,22 +83,6 @@ type StageStats struct {
 	WallNS int64 `json:"wall_ns"`
 }
 
-// ShardStats is one shard worker's totals across all shard-parallel
-// delta rounds of a run: how many rounds the shard participated in,
-// its cumulative wall time inside round enumeration, and the facts it
-// emitted (before any dedupe). Comparing WallNS across shards is
-// the skew diagnostic for parallel runs that fail to speed up.
-type ShardStats struct {
-	// Shard is the 0-based shard index.
-	Shard int `json:"shard"`
-	// Rounds counts sharded delta rounds this shard worked.
-	Rounds uint64 `json:"rounds"`
-	// WallNS is the shard's cumulative enumeration wall time.
-	WallNS int64 `json:"wall_ns"`
-	// Facts counts facts the shard emitted (pre-dedup).
-	Facts uint64 `json:"facts"`
-}
-
 // PlanStats is one rule's planner-chosen join order, filed once per
 // distinct plan (a rule is filed again when its estimates change).
 type PlanStats struct {
@@ -142,12 +125,6 @@ type Summary struct {
 	FullScans   uint64 `json:"full_scans"`
 	// WallNS is the total monotonic wall-clock time in nanoseconds.
 	WallNS int64 `json:"wall_ns"`
-	// ShardRounds counts semi-naive delta rounds evaluated
-	// shard-parallel (Options.Shards > 1); ShardFactsMerged counts the
-	// facts the workers of those rounds emitted (before
-	// deduplication). Zero for serial evaluation.
-	ShardRounds      uint64 `json:"shard_rounds,omitempty"`
-	ShardFactsMerged uint64 `json:"shard_facts_merged,omitempty"`
 	// CowSnapshots, CowPromotions, CowTuplesCopied and
 	// CowIndexesCarried expose the storage layer's copy-on-write
 	// traffic for the run: instance snapshots taken, relations
@@ -161,9 +138,6 @@ type Summary struct {
 	// Plans are the planner's chosen join orders, in the order the run
 	// chose them, capped at maxPlans.
 	Plans []PlanStats `json:"plans,omitempty"`
-	// PerShard is the per-shard-worker breakdown of the shard-parallel
-	// rounds, sorted by shard index. Empty for serial evaluation.
-	PerShard []ShardStats `json:"per_shard,omitempty"`
 	// PerStage is the stage breakdown, capped at maxStageEntries.
 	PerStage []StageStats `json:"per_stage,omitempty"`
 	// StageWallNS is the wall time of every completed stage, the ones
@@ -222,14 +196,6 @@ type Collector struct {
 	invented    atomic.Uint64
 	probes      atomic.Uint64
 	scans       atomic.Uint64
-	shardRounds atomic.Uint64
-	shardFacts  atomic.Uint64
-
-	// shardWork accumulates per-shard-worker totals. Unlike the atomic
-	// counters above it is mutex-guarded: shard workers report once per
-	// round, so contention is negligible.
-	mu        sync.Mutex
-	shardWork map[int]*ShardStats
 
 	// plans are the join plans filed. planText holds their texts in
 	// filing order, each behind its length (4 bytes, little-endian); a
@@ -372,11 +338,6 @@ func (c *Collector) Reset(engine string, rules int, name func(i int) string) {
 	c.invented.Store(0)
 	c.probes.Store(0)
 	c.scans.Store(0)
-	c.shardRounds.Store(0)
-	c.shardFacts.Store(0)
-	c.mu.Lock()
-	c.shardWork = nil
-	c.mu.Unlock()
 	c.plans, c.planText, c.joined, c.joinedAt = nil, nil, 0, 0
 	c.stages = nil
 	c.stageCount, c.stageWall = 0, 0
@@ -493,8 +454,8 @@ func (c *Collector) name(i int) string {
 // BeginRule marks the start of one rule's enumeration within the
 // open stage; only meaningful when tracing with per-rule attribution
 // (Reset with rules). Without a tracer it returns before reading the
-// clock, as EndRule does. Serial engines only — the shard workers
-// attribute firings via Fired alone.
+// clock, as EndRule does. Engine goroutine only: the rule mark is one
+// field, so two rules cannot be open at once.
 func (c *Collector) BeginRule(rule int) {
 	if c == nil || c.tracer == nil || rule < 0 || rule >= len(c.rules) {
 		return
@@ -559,7 +520,7 @@ func (c *Collector) PlanText() []byte {
 // mirrors it as a pre-closed span, the one place a plan's text is a
 // string of its own. Like the rest of the tracing surface it is the
 // engine goroutine's: eval gates plan reports on Ctx.PlanTrace, which
-// engines set only on serial paths.
+// engine.Options.EvalCtx sets for the passes that are stages.
 func (c *Collector) PlanSpan(rule string, text []byte) {
 	if c == nil {
 		return
@@ -610,10 +571,10 @@ func (c *Collector) EndPhase(name string, n int) {
 // Fired records firings rule firings that between them emitted derived
 // new facts and rederived already-present ones. rule indexes into the
 // Reset ruleNames (pass -1 for engines without per-rule attribution).
-// Loops that fire many times per rule — eval.Fire, the shard workers —
-// tally locally and flush through here once per rule enumeration, so
-// the shared counters see a handful of atomic adds per batch and not
-// per firing. Safe for concurrent use.
+// Loops that fire many times per rule (eval.Fire) tally locally and
+// flush through here once per rule enumeration, so the counters see a
+// handful of atomic adds per batch and not per firing. Safe for
+// concurrent use.
 func (c *Collector) Fired(rule int, firings, derived, rederived uint64) {
 	if c == nil || (firings == 0 && derived == 0 && rederived == 0) {
 		return
@@ -665,46 +626,10 @@ func (c *Collector) Invented(n int) {
 	}
 }
 
-// ShardRound records one shard-parallel delta round and the number of
-// facts its workers emitted (merged, pre-dedup). Called from the
-// engine's goroutine after the workers have joined.
-func (c *Collector) ShardRound(merged int) {
-	if c == nil {
-		return
-	}
-	c.shardRounds.Add(1)
-	c.shardFacts.Add(uint64(merged))
-}
-
-// ShardWork attributes one shard worker's round to its shard: the
-// worker's enumeration wall time and the facts it emitted
-// (pre-dedup). Safe for concurrent use — each worker
-// calls it once per round just before exiting, so the mutex is far
-// off the per-firing hot path.
-func (c *Collector) ShardWork(shard int, wallNS int64, facts uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.shardWork == nil {
-		c.shardWork = make(map[int]*ShardStats)
-	}
-	st := c.shardWork[shard]
-	if st == nil {
-		st = &ShardStats{Shard: shard}
-		c.shardWork[shard] = st
-	}
-	st.Rounds++
-	st.WallNS += wallNS
-	st.Facts += facts
-}
-
 // ProbeBatch records probes index probes and scans full scans at
 // once. Enumerate tallies them in its frame and flushes through here, so
-// the shared counters cost one atomic add per rule enumeration
-// instead of one per relation match (which contends badly across
-// shard workers). Safe for concurrent use.
+// the counters cost one atomic add per rule enumeration instead of one
+// per relation match. Safe for concurrent use.
 func (c *Collector) ProbeBatch(probes, scans uint64) {
 	if c == nil {
 		return
@@ -733,30 +658,22 @@ func (c *Collector) Summary() *Summary {
 	c.closeEval(true)
 	cur := c.snapshot()
 	s := &Summary{
-		Engine:           c.engine,
-		Stages:           c.stageCount,
-		Firings:          cur.firings,
-		Derived:          cur.derived,
-		Rederived:        cur.rederived,
-		Retractions:      cur.retractions,
-		Conflicts:        cur.conflicts,
-		Invented:         cur.invented,
-		IndexProbes:      c.probes.Load(),
-		FullScans:        c.scans.Load(),
-		ShardRounds:      c.shardRounds.Load(),
-		ShardFactsMerged: c.shardFacts.Load(),
-		WallNS:           time.Since(c.start).Nanoseconds(),
-		PerStage:         c.stages[:len(c.stages):len(c.stages)],
-		StageWallNS:      c.stageWall,
-		StagesTruncated:  c.truncated,
-		Plans:            c.joinPlans(),
+		Engine:          c.engine,
+		Stages:          c.stageCount,
+		Firings:         cur.firings,
+		Derived:         cur.derived,
+		Rederived:       cur.rederived,
+		Retractions:     cur.retractions,
+		Conflicts:       cur.conflicts,
+		Invented:        cur.invented,
+		IndexProbes:     c.probes.Load(),
+		FullScans:       c.scans.Load(),
+		WallNS:          time.Since(c.start).Nanoseconds(),
+		PerStage:        c.stages[:len(c.stages):len(c.stages)],
+		StageWallNS:     c.stageWall,
+		StagesTruncated: c.truncated,
+		Plans:           c.joinPlans(),
 	}
-	c.mu.Lock()
-	for _, st := range c.shardWork {
-		s.PerShard = append(s.PerShard, *st)
-	}
-	c.mu.Unlock()
-	slices.SortFunc(s.PerShard, func(a, b ShardStats) int { return a.Shard - b.Shard })
 	cw := c.cow.Load()
 	s.CowSnapshots = cw.Snapshots
 	s.CowPromotions = cw.Promotions

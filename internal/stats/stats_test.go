@@ -231,7 +231,9 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentCounters hammers the counter methods from several
-// goroutines (the shard workers' sharing pattern); run under -race.
+// goroutines, holding the documented promise that they are safe for
+// concurrent use (no engine of the repository relies on it); run under
+// -race.
 func TestConcurrentCounters(t *testing.T) {
 	c := New()
 	reset(c, "race", "r0", "r1", "r2", "r3")

@@ -205,25 +205,6 @@ func (m *model) checkFingerprint(f *fork) {
 	}
 }
 
-func (m *model) checkPartition(f *fork) {
-	in := NewInstance()
-	in.put("R", f.rel.Snapshot())
-	n := 1 + m.rng.Intn(4)
-	total := 0
-	for i, part := range in.Partition(n) {
-		part.Relation("R").Each(func(t Tuple) bool {
-			if f.ref[t.Key()] == nil || (n > 1 && t.Shard(n) != i) {
-				m.t.Fatalf("Partition(%d): %v in part %d", n, t, i)
-			}
-			total++
-			return true
-		})
-	}
-	if total != len(f.ref) {
-		m.t.Fatalf("Partition(%d) holds %d facts, want %d", n, total, len(f.ref))
-	}
-}
-
 // stage stages one fact into f, opening a round if none is open: a
 // member, a fact the round staged already, or a random tuple, which may
 // be one whose deleted row f still holds.
@@ -355,10 +336,8 @@ func (m *model) run(steps int) {
 			}
 		case op < 88:
 			m.checkHeldIterator(f)
-		case op < 95:
-			m.checkFingerprint(f)
 		default:
-			m.checkPartition(f)
+			m.checkFingerprint(f)
 		}
 	}
 	for _, f := range m.forks {

@@ -43,8 +43,8 @@ func mix(h uint64, v value.Value) uint64 {
 }
 
 // avalanche is the murmur3 finalizer: every input bit reaches every
-// output bit, which the tables (top bits), Shard (modulo a small n) and
-// the XOR-combined fingerprints all rely on.
+// output bit, which the tables (top bits) and the XOR-combined
+// fingerprints rely on.
 func avalanche(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

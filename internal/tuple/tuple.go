@@ -48,6 +48,21 @@ func (t Tuple) Key() string {
 	return b.String()
 }
 
+// Hash returns a deterministic 64-bit hash of the tuple's values: a
+// multiply-xorshift step per value, finished with an avalanche mixer.
+// It is the one hash of the package: the membership table places rows
+// by it, and a relation's fingerprint is the XOR of it over the live
+// tuples. The mixer matters: symbol ids are dense and structured, and
+// the tables use the top bits. Equal tuples hash equally across
+// processes and runs.
+func (t Tuple) Hash() uint64 {
+	h := uint64(hashSeed)
+	for _, v := range t {
+		h = mix(h, v)
+	}
+	return avalanche(h)
+}
+
 // Clone returns a copy of t.
 func (t Tuple) Clone() Tuple {
 	c := make(Tuple, len(t))

@@ -12,6 +12,22 @@ import (
 
 func tup(vs ...value.Value) Tuple { return Tuple(vs) }
 
+func TestTupleHashDeterministicAndKeyConsistent(t *testing.T) {
+	u := value.New()
+	a, b := u.Sym("a"), u.Sym("b")
+	t1 := Tuple{a, b}
+	t2 := Tuple{a, b}
+	if t1.Hash() != t2.Hash() {
+		t.Fatal("equal tuples must hash equally")
+	}
+	if (Tuple{b, a}).Hash() == t1.Hash() {
+		t.Fatal("hash should depend on position (swapped tuple collided; FNV over packed layout broken)")
+	}
+	if (Tuple{}).Hash() != (Tuple{}).Hash() {
+		t.Fatal("empty tuple hash not stable")
+	}
+}
+
 // probe and scan drain ProbeIter and ScanIter into slices.
 func probe(r *Relation, mask uint32, pattern Tuple) []Tuple {
 	var it Iterator

@@ -1,8 +1,8 @@
 package unchained_test
 
 // The execution-axes matrix. The paper defines each semantics without
-// reference to join order, index versus scan, sharding, the optimizer
-// level or a plan cache: these are implementation freedoms, and none of
+// reference to join order, index versus scan, the optimizer level or a
+// plan cache: these are implementation freedoms, and none of
 // them may change the model. The matrix evaluates every deterministic
 // shipped program (programs.Cases) under every deterministic semantics
 // once with default options, and compares each axis row with that run.
@@ -70,9 +70,9 @@ type axis struct {
 // count a terminating case reaches.
 const unreached = 1 << 20
 
-func shards(n int) unchained.Opt { return unchained.WithParallel(unchained.Parallel{Shards: n}) }
-
-// axes is the table.
+// axes is the table. The shards rows hold the deprecated WithParallel
+// shim (parallel_shim_test.go) to changing nothing, alone and next to a
+// plan cache and -O2; they go with the shim.
 var axes = map[string]axis{
 	"literal-order":       {opts: []unchained.Opt{unchained.WithLiteralOrder()}, floor: 84},
 	"scan":                {opts: []unchained.Opt{unchained.WithScan()}, floor: 84},
@@ -547,4 +547,49 @@ func effects(t *testing.T, c programs.Case, optimize bool, opts ...unchained.Opt
 		states[i] = s.Format(st)
 	}
 	return eff.Explored, states
+}
+
+// TestDerivedCountsFacts pins what "derived" means for the engines that
+// run one insert-only fixpoint: a fact counts once, at the stage it
+// enters, however many firings of that stage emit it. Over the corpus
+// (and a diamond, where two firings of one round emit the same fact):
+// Σ derived = Σ stage deltas = |out| − |in|.
+func TestDerivedCountsFacts(t *testing.T) {
+	type input struct {
+		name string
+		load func() (*unchained.Session, *unchained.Program, *unchained.Instance)
+	}
+	inputs := []input{{"diamond", func() (*unchained.Session, *unchained.Program, *unchained.Instance) {
+		s := unchained.NewSession()
+		return s, s.MustParse("T(X,Y) :- G(X,Y).\nT(X,Y) :- G(X,Z), T(Z,Y)."),
+			s.MustFacts("G(a,b). G(a,c). G(b,d). G(c,d). G(d,e). G(e,f).")
+	}}}
+	for _, c := range programs.Cases {
+		if c.Deterministic() {
+			inputs = append(inputs, input{c.Program, func() (*unchained.Session, *unchained.Program, *unchained.Instance) { return load(t, c) }})
+		}
+	}
+	ran := 0
+	for _, c := range inputs {
+		for _, name := range []string{"minimal-model", "stratified", "inflationary"} {
+			s, p, in := c.load()
+			col := unchained.NewStatsCollector()
+			res, err := s.EvalContext(context.Background(), p, in, unchained.SemanticsByName[name], unchained.WithStats(col))
+			if err != nil {
+				continue // the engine's dialect rejects the program
+			}
+			ran++
+			sum, deltas := col.Summary(), int64(0)
+			for _, st := range sum.PerStage {
+				deltas += st.Delta
+			}
+			if added := res.Out.Facts() - in.Facts(); int(sum.Derived) != added || int(deltas) != added {
+				t.Errorf("%s/%s: derived=%d rederived=%d, stage deltas sum to %d, the run added %d facts",
+					c.name, name, sum.Derived, sum.Rederived, deltas, added)
+			}
+		}
+	}
+	if ran < 10 {
+		t.Fatalf("only %d runs were accepted", ran)
+	}
 }

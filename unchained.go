@@ -83,9 +83,6 @@ type (
 	StatsCollector = stats.Collector
 	// StatsSummary is the immutable result of a collector.
 	StatsSummary = stats.Summary
-	// Parallel is the parallelism configuration (pass one via
-	// WithParallel): the data-parallel shard count.
-	Parallel = engine.Parallel
 	// Tracer is a structured span-stream sink (pass one via
 	// WithTracer); see docs/OBSERVABILITY.md for the event model.
 	Tracer = trace.Tracer
@@ -119,7 +116,7 @@ var (
 	ErrCanceled = engine.ErrCanceled
 	ErrDeadline = engine.ErrDeadline
 	// ErrInvalidOptions reports an evaluation option outside its
-	// domain (a negative bound or shard count).
+	// domain (a negative bound).
 	ErrInvalidOptions = engine.ErrInvalidOptions
 )
 
@@ -234,12 +231,15 @@ func WithStats(c *StatsCollector) Opt { return func(cfg *evalConfig) { cfg.opt.S
 // the engines whose unit differs); 0 means the engine default.
 func WithMaxStages(n int) Opt { return func(cfg *evalConfig) { cfg.opt.MaxStages = n } }
 
-// WithParallel installs the parallelism configuration: Shards
-// hash-partitions each semi-naive delta round across that many
-// data-parallel workers over copy-on-write forks (declarative engines
-// and everything built on them). Output is byte-identical to serial;
-// see docs/PARALLEL.md. The zero value means serial.
-func WithParallel(p Parallel) Opt { return func(cfg *evalConfig) { cfg.opt.SetParallel(p) } }
+// Parallel was the shard-parallel configuration of WithParallel.
+//
+// Deprecated: every delta round is serial; Shards is ignored.
+type Parallel struct{ Shards int }
+
+// WithParallel does nothing: evaluation has no shard-parallel rounds.
+//
+// Deprecated: every delta round is serial; drop the option.
+func WithParallel(Parallel) Opt { return func(*evalConfig) {} }
 
 // WithSeed fixes the RNG seed of sampled nondeterministic runs.
 func WithSeed(seed int64) Opt { return func(cfg *evalConfig) { cfg.seed = seed } }
