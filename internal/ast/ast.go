@@ -119,22 +119,29 @@ const (
 	LitForall                // ∀ x̄ (L1,...,Ln)     (N-Datalog¬∀ bodies)
 )
 
-// Literal is a possibly negated atom, an (in)equality, the
-// inconsistency symbol, or a universally quantified conjunction.
+// Literal is one literal of a rule. Its Kind says which fields it
+// uses; the others stay zero:
+//
+//   - LitAtom: Atom, negated when Neg.
+//   - LitEq: Atom.Args holds the two terms, read by Left and Right, and
+//     Atom.Pred is empty; Neg makes it an inequality.
+//   - LitBottom: none.
+//   - LitForall: Quant, read by ForallVars and ForallBody.
+//
+// SrcPos, set by the parser, is the position of the literal's first
+// token (the '!' of a negated atom).
 type Literal struct {
-	Kind LitKind
-	Neg  bool // negation; meaningful for LitAtom and LitEq
-
-	Atom Atom // LitAtom
-
-	Left, Right Term // LitEq
-
-	ForallVars []string  // LitForall: the quantified variables
-	ForallBody []Literal // LitForall: the quantified conjunction
-
-	// SrcPos is the literal's source position when parsed (the '!' of
-	// a negated atom, the predicate name otherwise).
+	Kind   LitKind
+	Neg    bool
+	Atom   Atom
+	Quant  *Quant
 	SrcPos Pos
+}
+
+// Quant is what a ∀-literal quantifies: ∀ Vars (Body).
+type Quant struct {
+	Vars []string
+	Body []Literal
 }
 
 // PosLit returns a positive atom literal. (Named PosLit rather than
@@ -145,10 +152,10 @@ func PosLit(a Atom) Literal { return Literal{Kind: LitAtom, Atom: a, SrcPos: a.S
 func Neg(a Atom) Literal { return Literal{Kind: LitAtom, Neg: true, Atom: a, SrcPos: a.SrcPos} }
 
 // Eq returns an equality literal l = r.
-func Eq(l, r Term) Literal { return Literal{Kind: LitEq, Left: l, Right: r} }
+func Eq(l, r Term) Literal { return Literal{Kind: LitEq, Atom: Atom{Args: []Term{l, r}}} }
 
 // Neq returns an inequality literal l ≠ r.
-func Neq(l, r Term) Literal { return Literal{Kind: LitEq, Neg: true, Left: l, Right: r} }
+func Neq(l, r Term) Literal { return Literal{Kind: LitEq, Neg: true, Atom: Atom{Args: []Term{l, r}}} }
 
 // Bottom returns the inconsistency-symbol head literal ⊥.
 func Bottom() Literal { return Literal{Kind: LitBottom} }
@@ -156,7 +163,31 @@ func Bottom() Literal { return Literal{Kind: LitBottom} }
 // Forall returns a universally quantified body literal
 // ∀vars (body...).
 func Forall(vars []string, body ...Literal) Literal {
-	return Literal{Kind: LitForall, ForallVars: vars, ForallBody: body}
+	return Literal{Kind: LitForall, Quant: &Quant{Vars: vars, Body: body}}
+}
+
+// Left is an equality's left term.
+func (l Literal) Left() Term { return l.Atom.Args[0] }
+
+// Right is an equality's right term.
+func (l Literal) Right() Term { return l.Atom.Args[1] }
+
+// ForallVars is a ∀-literal's quantified variables, nil for any other
+// literal.
+func (l Literal) ForallVars() []string {
+	if l.Quant == nil {
+		return nil
+	}
+	return l.Quant.Vars
+}
+
+// ForallBody is a ∀-literal's quantified conjunction, nil for any
+// other literal.
+func (l Literal) ForallBody() []Literal {
+	if l.Quant == nil {
+		return nil
+	}
+	return l.Quant.Body
 }
 
 // String renders the literal.
@@ -173,25 +204,25 @@ func (l Literal) appendTo(b []byte, u *value.Universe) []byte {
 		}
 		return l.Atom.appendTo(b, u)
 	case LitEq:
-		b = l.Left.appendTo(b, u)
+		b = l.Left().appendTo(b, u)
 		if l.Neg {
 			b = append(b, " != "...)
 		} else {
 			b = append(b, " = "...)
 		}
-		return l.Right.appendTo(b, u)
+		return l.Right().appendTo(b, u)
 	case LitBottom:
 		return append(b, "bottom"...)
 	case LitForall:
 		b = append(b, "forall "...)
-		for i, v := range l.ForallVars {
+		for i, v := range l.ForallVars() {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = append(b, v...)
 		}
 		b = append(b, " ("...)
-		b = appendLiterals(b, l.ForallBody, u)
+		b = appendLiterals(b, l.ForallBody(), u)
 		return append(b, ')')
 	default:
 		return append(b, '?')
@@ -212,26 +243,19 @@ func appendLiterals(b []byte, ls []Literal, u *value.Universe) []byte {
 // vars appends the variables of the literal to dst (with duplicates).
 func (l Literal) vars(dst []string) []string {
 	switch l.Kind {
-	case LitAtom:
+	case LitAtom, LitEq:
 		for _, t := range l.Atom.Args {
 			if t.IsVar() {
 				dst = append(dst, t.Var)
 			}
 		}
-	case LitEq:
-		if l.Left.IsVar() {
-			dst = append(dst, l.Left.Var)
-		}
-		if l.Right.IsVar() {
-			dst = append(dst, l.Right.Var)
-		}
 	case LitForall:
 		inner := []string{}
-		for _, b := range l.ForallBody {
+		for _, b := range l.ForallBody() {
 			inner = b.vars(inner)
 		}
-		quant := make(map[string]bool, len(l.ForallVars))
-		for _, v := range l.ForallVars {
+		quant := make(map[string]bool, len(l.ForallVars()))
+		for _, v := range l.ForallVars() {
 			quant[v] = true
 		}
 		for _, v := range inner {
@@ -246,21 +270,14 @@ func (l Literal) vars(dst []string) []string {
 // constants appends the constants of the literal to dst.
 func (l Literal) constants(dst []value.Value) []value.Value {
 	switch l.Kind {
-	case LitAtom:
+	case LitAtom, LitEq:
 		for _, t := range l.Atom.Args {
 			if !t.IsVar() {
 				dst = append(dst, t.Const)
 			}
 		}
-	case LitEq:
-		if !l.Left.IsVar() {
-			dst = append(dst, l.Left.Const)
-		}
-		if !l.Right.IsVar() {
-			dst = append(dst, l.Right.Const)
-		}
 	case LitForall:
-		for _, b := range l.ForallBody {
+		for _, b := range l.ForallBody() {
 			dst = b.constants(dst)
 		}
 	}
@@ -334,12 +351,12 @@ func (r Rule) PositiveBodyVars() []string {
 				all = l.vars(all)
 			}
 		case LitForall:
-			quant := make(map[string]bool, len(l.ForallVars))
-			for _, v := range l.ForallVars {
+			quant := make(map[string]bool, len(l.ForallVars()))
+			for _, v := range l.ForallVars() {
 				quant[v] = true
 			}
 			var inner []string
-			for _, b := range l.ForallBody {
+			for _, b := range l.ForallBody() {
 				if b.Kind == LitAtom && !b.Neg {
 					inner = b.vars(inner)
 				}
@@ -479,7 +496,7 @@ func (p *Program) Schema() (map[string]int, error) {
 		case LitAtom:
 			return add(l.Atom)
 		case LitForall:
-			for _, b := range l.ForallBody {
+			for _, b := range l.ForallBody() {
 				if err := walk(b); err != nil {
 					return err
 				}

@@ -3,6 +3,7 @@ package ast
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"unchained/internal/value"
 )
@@ -198,5 +199,14 @@ func TestRuleString(t *testing.T) {
 	fact := R(PosLit(NewAtom("Delay")))
 	if fact.String(u) != "Delay." {
 		t.Fatalf("fact String = %q", fact.String(u))
+	}
+}
+
+// TestLiteralLayout pins the literal to an atom, one pointer for a
+// ∀-literal's parts and a position: a parsed rule keeps one array of
+// literals, and a field every kind carries is paid by every literal.
+func TestLiteralLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Literal{}); n > 88 {
+		t.Errorf("a Literal is %d bytes, want <= 88", n)
 	}
 }

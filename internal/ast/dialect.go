@@ -360,11 +360,12 @@ func (c *ruleCheck) body(l *Literal, inForall bool) {
 		if inForall {
 			c.see(FeatMalformed, l.SrcPos, CodeDialect, "nested universal quantification is not supported", "")
 		}
-		if len(l.ForallVars) == 0 {
+		if len(l.ForallVars()) == 0 {
 			c.see(FeatMalformed, l.SrcPos, CodeDialect, "forall with no quantified variables", "")
 		}
-		for i := range l.ForallBody {
-			c.body(&l.ForallBody[i], true)
+		body := l.ForallBody()
+		for i := range body {
+			c.body(&body[i], true)
 		}
 	case LitBottom:
 		c.see(FeatMalformed, l.SrcPos, CodeDialect, "⊥ cannot occur in a body", "")
@@ -387,15 +388,16 @@ func (l *Literal) mentions(v string, positive bool) bool {
 			}
 		}
 	case LitEq:
-		return !positive && (l.Left.Var == v || l.Right.Var == v)
+		return !positive && (l.Left().Var == v || l.Right().Var == v)
 	case LitForall:
-		for _, q := range l.ForallVars {
+		for _, q := range l.ForallVars() {
 			if q == v {
 				return false
 			}
 		}
-		for i := range l.ForallBody {
-			if b := &l.ForallBody[i]; (!positive || b.Kind == LitAtom) && b.mentions(v, positive) {
+		body := l.ForallBody()
+		for i := range body {
+			if b := &body[i]; (!positive || b.Kind == LitAtom) && b.mentions(v, positive) {
 				return true
 			}
 		}
@@ -407,6 +409,9 @@ func (l *Literal) mentions(v string, positive bool) bool {
 // rule's head (the unsafe-variable witness).
 func (r *Rule) headVarPos(v string) Pos {
 	for _, h := range r.Head {
+		if h.Kind != LitAtom {
+			continue
+		}
 		for _, t := range h.Atom.Args {
 			if t.Var == v {
 				if t.SrcPos.IsValid() {

@@ -168,8 +168,9 @@ func (l *Literal) atoms() int {
 		return 1
 	case LitForall:
 		n := 0
-		for i := range l.ForallBody {
-			n += l.ForallBody[i].atoms()
+		body := l.ForallBody()
+		for i := range body {
+			n += body[i].atoms()
 		}
 		return n
 	}
@@ -181,8 +182,9 @@ func (ix *Index) addBody(ri int32, l *Literal, nested bool) {
 	case LitAtom:
 		ix.add(ri, l, nested)
 	case LitForall:
-		for i := range l.ForallBody {
-			ix.addBody(ri, &l.ForallBody[i], true)
+		body := l.ForallBody()
+		for i := range body {
+			ix.addBody(ri, &body[i], true)
 		}
 	}
 }

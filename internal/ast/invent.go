@@ -49,7 +49,7 @@ func (p *Program) InventTaint() map[string][]bool {
 						}
 					}
 				case LitForall:
-					for _, b := range l.ForallBody {
+					for _, b := range l.ForallBody() {
 						walk(b)
 					}
 				}

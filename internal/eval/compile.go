@@ -259,18 +259,21 @@ type sizes struct{ atoms, vars, slots, lits, heads, pos int }
 func sizeOf(r *ast.Rule) sizes {
 	n := sizes{atoms: len(r.Head), lits: len(r.Body), heads: len(r.Head)}
 	lit := func(l *ast.Literal) {
-		n.slots += len(l.Atom.Args)
-		for _, tm := range l.Atom.Args {
+		for _, tm := range l.Atom.Args { // an atom's arguments, an equality's terms
 			n.vars += vars(tm)
 		}
-		n.vars += vars(l.Left) + vars(l.Right) + len(l.ForallVars)
+		if l.Kind == ast.LitAtom {
+			n.slots += len(l.Atom.Args)
+		}
+		n.vars += len(l.ForallVars())
 	}
 	for i := range r.Body {
 		l := &r.Body[i]
-		n.atoms += 1 + len(l.ForallBody)
+		body := l.ForallBody()
+		n.atoms += 1 + len(body)
 		lit(l)
-		for j := range l.ForallBody {
-			lit(&l.ForallBody[j])
+		for j := range body {
+			lit(&body[j])
 		}
 		if l.Kind == ast.LitAtom && !l.Neg {
 			n.pos++
@@ -398,7 +401,7 @@ func compileText(t *text, r ast.Rule, nm *namer, a *arena) error {
 				t.nEnum += int32(len(t.Vars) - before)
 			}
 		case ast.LitEq:
-			cl.left, cl.right = c.slot(l.Left), c.slot(l.Right)
+			cl.left, cl.right = c.slot(l.Left()), c.slot(l.Right())
 			t.nEnum += int32(len(t.Vars) - before)
 		case ast.LitForall:
 			if err := c.forall(l, cl); err != nil {
@@ -442,34 +445,29 @@ func (c *compiler) forall(l *ast.Literal, cl *lit) error {
 	fa := &forall{}
 	cl.forall = fa
 	before := len(c.t.Vars)
-	outer := func(tm ast.Term) {
-		if tm.IsVar() && !slices.Contains(l.ForallVars, tm.Var) {
-			fa.outer = append(fa.outer, int(c.slot(tm).varID))
-		}
-	}
-	for i := range l.ForallBody {
-		switch b := &l.ForallBody[i]; b.Kind {
-		case ast.LitAtom:
+	quant, body := l.ForallVars(), l.ForallBody()
+	for i := range body {
+		switch b := &body[i]; b.Kind {
+		case ast.LitAtom, ast.LitEq:
 			for _, tm := range b.Atom.Args {
-				outer(tm)
+				if tm.IsVar() && !slices.Contains(quant, tm.Var) {
+					fa.outer = append(fa.outer, int(c.slot(tm).varID))
+				}
 			}
-		case ast.LitEq:
-			outer(b.Left)
-			outer(b.Right)
 		default:
 			return fmt.Errorf("eval: unsupported literal kind inside forall")
 		}
 	}
 	c.t.nEnum += int32(len(c.t.Vars) - before)
-	for _, v := range l.ForallVars {
+	for _, v := range quant {
 		fa.vars = append(fa.vars, len(c.t.Vars))
 		c.t.Vars = append(c.t.Vars, v)
 	}
 	c.quantified, c.scope = append(c.quantified, fa.vars...), fa.vars
-	for i := range l.ForallBody {
-		b := &l.ForallBody[i]
+	for i := range body {
+		b := &body[i]
 		if b.Kind == ast.LitEq {
-			fa.plan = append(fa.plan, check{kind: stepEqTest, negEq: b.Neg, left: c.slot(b.Left), right: c.slot(b.Right)})
+			fa.plan = append(fa.plan, check{kind: stepEqTest, negEq: b.Neg, left: c.slot(b.Left()), right: c.slot(b.Right())})
 			continue
 		}
 		ck := check{kind: stepMatch, pred: c.nm.id(b.Atom.Pred), slots: c.slotList(b.Atom.Args)}

@@ -54,18 +54,19 @@ func oracleEnumerate(r ast.Rule, in *tuple.Instance, adom []value.Value) []map[s
 			has := in.Has(l.Atom.Pred, t)
 			return has != l.Neg
 		case ast.LitEq:
-			lv, rv := l.Left.Const, l.Right.Const
-			if l.Left.IsVar() {
-				lv = assign[l.Left.Var]
+			left, right := l.Left(), l.Right()
+			lv, rv := left.Const, right.Const
+			if left.IsVar() {
+				lv = assign[left.Var]
 			}
-			if l.Right.IsVar() {
-				rv = assign[l.Right.Var]
+			if right.IsVar() {
+				rv = assign[right.Var]
 			}
 			return (lv == rv) != l.Neg
 		case ast.LitForall:
 			// Save, enumerate extensions, restore.
 			saved := map[string]value.Value{}
-			for _, v := range l.ForallVars {
+			for _, v := range l.ForallVars() {
 				saved[v] = assign[v]
 			}
 			defer func() {
@@ -75,8 +76,8 @@ func oracleEnumerate(r ast.Rule, in *tuple.Instance, adom []value.Value) []map[s
 			}()
 			var rec func(i int) bool
 			rec = func(i int) bool {
-				if i == len(l.ForallVars) {
-					for _, b := range l.ForallBody {
+				if i == len(l.ForallVars()) {
+					for _, b := range l.ForallBody() {
 						if !holds(b) {
 							return false
 						}
@@ -84,7 +85,7 @@ func oracleEnumerate(r ast.Rule, in *tuple.Instance, adom []value.Value) []map[s
 					return true
 				}
 				for _, val := range adom {
-					assign[l.ForallVars[i]] = val
+					assign[l.ForallVars()[i]] = val
 					if !rec(i + 1) {
 						return false
 					}

@@ -39,10 +39,10 @@ func simplifyRule(r *ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) 
 	var collectShadow func(l ast.Literal)
 	collectShadow = func(l ast.Literal) {
 		if l.Kind == ast.LitForall {
-			for _, v := range l.ForallVars {
+			for _, v := range l.ForallVars() {
 				shadowed[v] = true
 			}
-			for _, b := range l.ForallBody {
+			for _, b := range l.ForallBody() {
 				collectShadow(b)
 			}
 		}
@@ -61,7 +61,7 @@ func simplifyRule(r *ast.Rule, u *value.Universe, res *Result) (ast.Rule, bool) 
 			if l.Kind != ast.LitEq || l.Neg {
 				continue
 			}
-			left, right := resolveTerm(l.Left, subst), resolveTerm(l.Right, subst)
+			left, right := resolveTerm(l.Left(), subst), resolveTerm(l.Right(), subst)
 			if left.IsVar() && !shadowed[left.Var] && !sameTerm(left, right) && !(right.IsVar() && shadowed[right.Var]) {
 				subst[left.Var] = right
 			} else if right.IsVar() && !shadowed[right.Var] && !sameTerm(left, right) && !left.IsVar() {
@@ -170,11 +170,11 @@ func sameLit(a, b *ast.Literal) bool {
 	case ast.LitAtom:
 		return a.Atom.Pred == b.Atom.Pred && slices.EqualFunc(a.Atom.Args, b.Atom.Args, sameTerm)
 	case ast.LitEq:
-		return sameTerm(a.Left, b.Left) && sameTerm(a.Right, b.Right) ||
-			sameTerm(a.Left, b.Right) && sameTerm(a.Right, b.Left)
+		return sameTerm(a.Left(), b.Left()) && sameTerm(a.Right(), b.Right()) ||
+			sameTerm(a.Left(), b.Right()) && sameTerm(a.Right(), b.Left())
 	case ast.LitForall:
-		return slices.Equal(a.ForallVars, b.ForallVars) &&
-			slices.EqualFunc(a.ForallBody, b.ForallBody, func(x, y ast.Literal) bool { return sameLit(&x, &y) })
+		return slices.Equal(a.ForallVars(), b.ForallVars()) &&
+			slices.EqualFunc(a.ForallBody(), b.ForallBody(), func(x, y ast.Literal) bool { return sameLit(&x, &y) })
 	}
 	return true
 }
@@ -194,14 +194,15 @@ func litHash(l *ast.Literal) uint64 {
 			h = mix(h, termHash(t))
 		}
 	case ast.LitEq:
-		a, b := termHash(l.Left), termHash(l.Right)
+		a, b := termHash(l.Left()), termHash(l.Right())
 		h = mix(mix(h, min(a, b)), max(a, b))
 	case ast.LitForall:
-		for _, v := range l.ForallVars {
+		for _, v := range l.ForallVars() {
 			h = mix(h, maphash.String(litSeed, v))
 		}
-		for i := range l.ForallBody {
-			h = mix(h, litHash(&l.ForallBody[i]))
+		body := l.ForallBody()
+		for i := range body {
+			h = mix(h, litHash(&body[i]))
 		}
 	}
 	return h
@@ -247,45 +248,51 @@ func substLiteral(l ast.Literal, subst map[string]ast.Term) ast.Literal {
 		return l
 	}
 	switch l.Kind {
-	case ast.LitAtom:
-		nl := l
-		nl.Atom = substAtom(l.Atom, subst)
-		return nl
-	case ast.LitEq:
-		nl := l
-		nl.Left = substTerm(l.Left, subst)
-		nl.Right = substTerm(l.Right, subst)
-		return nl
+	case ast.LitAtom, ast.LitEq:
+		l.Atom.Args = substArgs(l.Atom.Args, subst)
+		return l
 	case ast.LitForall:
 		inner := subst
-		for _, v := range l.ForallVars {
+		vars, body := l.ForallVars(), l.ForallBody()
+		for _, v := range vars {
 			if _, ok := inner[v]; ok {
 				// Quantified variables are distinct binders: strip
 				// them from the substitution for the quantified body.
-				inner = cloneSubstWithout(inner, l.ForallVars)
+				inner = cloneSubstWithout(inner, vars)
 				break
 			}
 		}
-		nl := l
-		nb := make([]ast.Literal, len(l.ForallBody))
-		for i, b := range l.ForallBody {
+		nb := make([]ast.Literal, len(body))
+		for i, b := range body {
 			nb[i] = substLiteral(b, inner)
 		}
-		nl.ForallBody = nb
-		return nl
+		l.Quant = &ast.Quant{Vars: vars, Body: nb}
+		return l
 	default:
 		return l
 	}
 }
 
-func substAtom(a ast.Atom, subst map[string]ast.Term) ast.Atom {
-	na := a
-	args := make([]ast.Term, len(a.Args))
-	for i, t := range a.Args {
-		args[i] = substTerm(t, subst)
+// substArgs applies the substitution to an atom's arguments or an
+// equality's terms. It copies them only when a term changes: the input
+// rule's lists are never written to.
+func substArgs(args []ast.Term, subst map[string]ast.Term) []ast.Term {
+	var out []ast.Term
+	for i, t := range args {
+		s := substTerm(t, subst)
+		if out == nil {
+			if sameTerm(s, t) {
+				continue
+			}
+			out = make([]ast.Term, len(args))
+			copy(out, args)
+		}
+		out[i] = s
 	}
-	na.Args = args
-	return na
+	if out == nil {
+		return args
+	}
+	return out
 }
 
 func substTerm(t ast.Term, subst map[string]ast.Term) ast.Term {
@@ -316,10 +323,11 @@ func eqTruth(l ast.Literal) (truth, known bool) {
 	if l.Kind != ast.LitEq {
 		return false, false
 	}
+	left, right := l.Left(), l.Right()
 	switch {
-	case !l.Left.IsVar() && !l.Right.IsVar():
-		return (l.Left.Const == l.Right.Const) != l.Neg, true
-	case l.Left.IsVar() && l.Right.IsVar() && l.Left.Var == l.Right.Var:
+	case !left.IsVar() && !right.IsVar():
+		return (left.Const == right.Const) != l.Neg, true
+	case left.IsVar() && right.IsVar() && left.Var == right.Var:
 		return !l.Neg, true
 	}
 	return false, false

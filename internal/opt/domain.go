@@ -51,8 +51,8 @@ func ruleDomainSensitive(r *ast.Rule) bool {
 					changed = true
 				}
 			}
-			bind(l.Left, l.Right)
-			bind(l.Right, l.Left)
+			bind(l.Left(), l.Right())
+			bind(l.Right(), l.Left())
 		}
 	}
 	for _, v := range r.BodyVars() {

@@ -117,6 +117,7 @@ type inliner struct {
 	body    []ast.Literal // the rule's new body, being built
 	counter int           // the rule's last fresh-name counter value
 	vars    []binding     // per variable of the candidate at hand
+	eqs     []ast.Term    // the call's head equalities, two terms each
 	name    []byte        // a fresh name being tried
 }
 
@@ -187,7 +188,7 @@ func (in *inliner) rule(ix *ast.Index, ri int, res *Result, assumed map[string]b
 // constant match surfaces as a ground-false equality that the next
 // constprop/dead round turns into rule removal.
 func (in *inliner) instantiate(c *inlineCand, call *ast.Literal, used []string, out []ast.Literal) []ast.Literal {
-	in.vars = in.vars[:0]
+	in.vars, in.eqs = in.vars[:0], in.eqs[:0]
 	for _, v := range c.vars {
 		for {
 			in.counter++
@@ -215,7 +216,7 @@ func (in *inliner) instantiate(c *inlineCand, call *ast.Literal, used []string, 
 			// variable (constprop specializes it next round), or a
 			// constant mismatch (a ground-false equality that kills
 			// the caller next round).
-			out = append(out, eqAt(h, t, call.SrcPos))
+			in.eqs = append(in.eqs, h, t)
 		}
 	}
 	// Only the variables the head left unbound need their names.
@@ -226,18 +227,22 @@ func (in *inliner) instantiate(c *inlineCand, call *ast.Literal, used []string, 
 		}
 	}
 
-	args := make([]ast.Term, 0, c.nargs)
+	// The head equalities' terms and the body's share one array.
+	args := make([]ast.Term, 0, len(in.eqs)+c.nargs)
+	for k := 0; k < len(in.eqs); k += 2 {
+		args = append(args, in.eqs[k], in.eqs[k+1])
+		eq := ast.Literal{Kind: ast.LitEq, Atom: ast.Atom{Args: args[len(args)-2 : len(args) : len(args)]}, SrcPos: call.SrcPos}
+		out = append(out, eq)
+	}
 	for _, l := range c.rule.Body {
 		l.SrcPos = call.SrcPos
 		switch l.Kind {
-		case ast.LitAtom:
+		case ast.LitAtom, ast.LitEq:
 			n := len(args)
 			for _, t := range l.Atom.Args {
 				args = append(args, in.term(c, t))
 			}
 			l.Atom.Args = args[n:len(args):len(args)]
-		case ast.LitEq:
-			l.Left, l.Right = in.term(c, l.Left), in.term(c, l.Right)
 		}
 		out = append(out, l)
 	}
@@ -264,10 +269,4 @@ func (in *inliner) term(c *inlineCand, t ast.Term) ast.Term {
 	r := in.vars[slices.Index(c.vars, t.Var)].term
 	r.SrcPos = t.SrcPos
 	return r
-}
-
-func eqAt(l, r ast.Term, pos ast.Pos) ast.Literal {
-	lit := ast.Eq(l, r)
-	lit.SrcPos = pos
-	return lit
 }

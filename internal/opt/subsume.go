@@ -129,11 +129,11 @@ func (m *matcher) literal(l1, l2 *ast.Literal) bool {
 		return m.atom(&l1.Atom, &l2.Atom)
 	case ast.LitEq:
 		mark := len(m.trail)
-		if m.term(l1.Left, l2.Left) && m.term(l1.Right, l2.Right) {
+		if m.term(l1.Left(), l2.Left()) && m.term(l1.Right(), l2.Right()) {
 			return true
 		}
 		m.undo(mark)
-		return m.term(l1.Left, l2.Right) && m.term(l1.Right, l2.Left)
+		return m.term(l1.Left(), l2.Right()) && m.term(l1.Right(), l2.Left())
 	}
 	return false
 }

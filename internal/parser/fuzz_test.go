@@ -38,6 +38,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("p :- .")
 	f.Add("Answer(X) :- P(X), forall Y (Q(X,Y), !R(Y)). S(X) :- Answer(X).")
 	f.Add("P(X) :- Q(X, _), R(_, X), X != _.")
+	f.Add("bottom :- P(X), !Q(X).")
+	f.Add("A(X) :- P(X), forall Y (Q(X,Y), Y != X).")
 	f.Fuzz(func(t *testing.T, src string) {
 		u := value.New()
 		prog, err := Parse(src, u)

@@ -11,8 +11,9 @@ import (
 )
 
 // A parser reads a rule's literals and terms onto stacks that outlive
-// the rule: an atom's Args and a ∀-literal's ForallBody are views of
-// them until settle copies the rule into exact arrays.
+// the rule: an atom's or equality's Args are views of them, and so are
+// a ∀-literal's variables and body, until settle copies the rule into
+// exact arrays.
 type parser struct {
 	lx   Lexer
 	tok  Token
@@ -20,8 +21,13 @@ type parser struct {
 	anon int // counter for '_' anonymous variables
 
 	lits   []ast.Literal // the rule's head and body literals so far; a ∀-body while it is read
-	terms  []ast.Term    // every atom argument of the rule so far, in source order
+	terms  []ast.Term    // every atom and equality term of the rule so far, in source order
 	parked []ast.Literal // the bodies of the rule's ∀-literals
+	qvars  []string      // the variables of the rule's ∀-literals
+	// quants holds the parts of the rule's ∀-literals in source order,
+	// which is the order settle meets them in. A ∀-literal on the stack
+	// has no Quant: settle gives it one.
+	quants []ast.Quant
 }
 
 // parsers recycles the rule grammar's parsers, and with them their
@@ -42,14 +48,18 @@ func (p *parser) free() {
 	clear(p.lits[:cap(p.lits)])
 	clear(p.terms[:cap(p.terms)])
 	clear(p.parked[:cap(p.parked)])
-	*p = parser{lits: p.lits[:0], terms: p.terms[:0], parked: p.parked[:0]}
+	clear(p.qvars[:cap(p.qvars)])
+	clear(p.quants[:cap(p.quants)])
+	*p = parser{lits: p.lits[:0], terms: p.terms[:0], parked: p.parked[:0], qvars: p.qvars[:0], quants: p.quants[:0]}
 	parsers.Put(p)
 }
 
 // Parse parses a program in the family's concrete syntax, interning
 // constants into u. The result is dialect-agnostic; run
 // ast.Program.Validate to pin a dialect. Each rule is settled: its
-// literals are one exact array and its atoms' arguments another.
+// literals are one exact array and its atoms' and equalities' terms
+// another; a rule with ∀-literals has one more for their parts and one
+// for their variables.
 func Parse(src string, u *value.Universe) (*ast.Program, error) {
 	p := newParser(src, u)
 	defer p.free()
@@ -118,8 +128,8 @@ func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
 	if err := p.advance(); err != nil {
 		return ast.Atom{}, err
 	}
-	a, err := p.atom()
-	if err != nil {
+	var a ast.Atom
+	if err := p.atom(&a); err != nil {
 		return ast.Atom{}, err
 	}
 	if p.tok.Kind != TokEOF {
@@ -262,11 +272,9 @@ func (p *parser) rule() (ast.Rule, error) {
 		}
 		// An empty body ("Delay :- .") mirrors the paper's "delay ←".
 		for p.tok.Kind != TokDot {
-			l, err := p.literal(false)
-			if err != nil {
+			if err := p.literal(false); err != nil {
 				return r, err
 			}
-			p.lits = append(p.lits, l)
 			if p.tok.Kind != TokComma {
 				break
 			}
@@ -285,11 +293,9 @@ func (p *parser) rule() (ast.Rule, error) {
 // literals pushes "literal {"," literal}" onto the literal stack.
 func (p *parser) literals(inHead bool) error {
 	for {
-		l, err := p.literal(inHead)
-		if err != nil {
+		if err := p.literal(inHead); err != nil {
 			return err
 		}
-		p.lits = append(p.lits, l)
 		if p.tok.Kind != TokComma {
 			return nil
 		}
@@ -300,15 +306,19 @@ func (p *parser) literals(inHead bool) error {
 }
 
 // settle copies what the stacks hold (the top-level literals, the
-// ∀-bodies they point into and every atom's arguments) into one
-// exact-size literal array and one exact-size term array, and empties
+// ∀-bodies they point into, every atom's and equality's terms and the
+// ∀-literals' parts and variables) into exact-size arrays, and empties
 // the stacks. It returns the top-level literals: the ∀-bodies follow
 // them in the same array.
 func (p *parser) settle() []ast.Literal {
 	n := len(p.lits)
-	s := settler{lits: make([]ast.Literal, n+len(p.parked)), next: n}
+	s := settler{lits: make([]ast.Literal, n+len(p.parked)), next: n, parts: p.quants}
 	if len(p.terms) > 0 {
 		s.terms = make([]ast.Term, 0, len(p.terms))
+	}
+	if len(p.quants) > 0 {
+		s.quants = make([]ast.Quant, 0, len(p.quants))
+		s.vars = make([]string, 0, len(p.qvars))
 	}
 	s.list(s.lits[:n], p.lits)
 	p.drop()
@@ -318,30 +328,38 @@ func (p *parser) settle() []ast.Literal {
 // drop empties the stacks.
 func (p *parser) drop() {
 	p.lits, p.terms, p.parked = p.lits[:0], p.terms[:0], p.parked[:0]
+	p.qvars, p.quants = p.qvars[:0], p.quants[:0]
 }
 
 // A settler fills the exact arrays of one settle call.
 type settler struct {
-	lits  []ast.Literal // the top-level literals, then the ∀-bodies
-	next  int           // the first lits slot no ∀-body has taken
-	terms []ast.Term    // appended to in source order, never past its capacity
+	lits   []ast.Literal // the top-level literals, then the ∀-bodies
+	next   int           // the first lits slot no ∀-body has taken
+	terms  []ast.Term    // appended to in source order, never past its capacity
+	parts  []ast.Quant   // the stacked ∀-parts, in source order
+	quants []ast.Quant   // their copies, appended to in the same order
+	vars   []string      // the quantified variables, likewise
 }
 
-// list copies src into dst, pointing each atom's arguments and each
-// ∀-literal's body at the settler's arrays.
+// list copies src into dst, pointing each atom's and equality's terms
+// and each ∀-literal's parts at the settler's arrays.
 func (s *settler) list(dst, src []ast.Literal) {
 	for i := range src {
 		l := &dst[i]
 		*l = src[i]
 		switch l.Kind {
-		case ast.LitAtom:
+		case ast.LitAtom, ast.LitEq:
 			l.Atom.Args = s.args(l.Atom.Args)
 		case ast.LitForall:
+			q := &s.parts[len(s.quants)]
 			lo := s.next
-			s.next += len(l.ForallBody)
+			s.next += len(q.Body)
 			body := s.lits[lo:s.next:s.next]
-			s.list(body, l.ForallBody)
-			l.ForallBody = body
+			nv := len(s.vars)
+			s.vars = append(s.vars, q.Vars...)
+			s.quants = append(s.quants, ast.Quant{Vars: s.vars[nv:len(s.vars):len(s.vars)], Body: body})
+			l.Quant = &s.quants[len(s.quants)-1]
+			s.list(body, q.Body)
 		}
 	}
 }
@@ -357,166 +375,142 @@ func (s *settler) args(a []ast.Term) []ast.Term {
 	return s.terms[n:len(s.terms):len(s.terms)]
 }
 
-// literal parses one head or body literal, stamping it with the
-// position of its first token ('!' for negated literals).
-func (p *parser) literal(inHead bool) (ast.Literal, error) {
-	start := p.tok
-	l, err := p.literalInner(inHead)
-	if err != nil {
-		return l, err
+// literal pushes one head or body literal onto the literal stack,
+// filling it in its slot, and stamps it with the position of its first
+// token ('!' for a negated atom). A ∀-literal is pushed once its body
+// has been read and parked.
+func (p *parser) literal(inHead bool) error {
+	start := posOf(p.tok)
+	if p.tok.Kind == TokIdent && p.tok.Text == "forall" && !inHead {
+		return p.forall(start)
 	}
-	l.SrcPos = posOf(start)
-	return l, nil
-}
-
-func (p *parser) literalInner(inHead bool) (ast.Literal, error) {
+	p.lits = append(p.lits, ast.Literal{SrcPos: start})
+	l := &p.lits[len(p.lits)-1] // only the term stack grows while l is filled
 	switch {
 	case p.tok.Kind == TokBang,
 		p.tok.Kind == TokIdent && p.tok.Text == "not":
+		l.Neg = true
 		if err := p.advance(); err != nil {
-			return ast.Literal{}, err
+			return err
 		}
-		a, err := p.atom()
-		if err != nil {
-			return ast.Literal{}, err
-		}
-		return ast.Neg(a), nil
+		return p.atom(&l.Atom)
 	case p.tok.Kind == TokIdent && p.tok.Text == "bottom":
-		if err := p.advance(); err != nil {
-			return ast.Literal{}, err
+		l.Kind = ast.LitBottom
+		return p.advance()
+	case p.tok.Kind == TokInt || p.tok.Kind == TokString:
+		// A constant that is not a name can only start an equality.
+		left, err := p.term()
+		if err != nil {
+			return err
 		}
-		return ast.Bottom(), nil
-	case p.tok.Kind == TokIdent && p.tok.Text == "forall" && !inHead:
-		return p.forall()
+		return p.equality(l, left)
+	case p.tok.Kind != TokIdent && p.tok.Kind != TokVar:
+		return p.errf("expected a literal, found %s", p.tok.Kind)
 	}
-	// A term followed by '='/'!=' is an equality literal; otherwise
-	// we are looking at an atom (possibly 0-ary).
-	if p.tok.Kind == TokInt || p.tok.Kind == TokString {
-		return p.equality()
-	}
-	if p.tok.Kind != TokIdent && p.tok.Kind != TokVar {
-		return ast.Literal{}, p.errf("expected a literal, found %s", p.tok.Kind)
-	}
-	// Peek: save state is awkward with a streaming lexer, so decide
-	// from the token after the name.
+	// A name followed by '='/'!=' is an equality's left term; otherwise
+	// it names an atom (possibly 0-ary).
 	name := p.tok
 	if err := p.advance(); err != nil {
-		return ast.Literal{}, err
+		return err
 	}
-	switch p.tok.Kind {
-	case TokEq, TokNeq:
+	if p.tok.Kind == TokEq || p.tok.Kind == TokNeq {
 		left, err := p.nameToTerm(name)
 		if err != nil {
-			return ast.Literal{}, err
+			return err
 		}
-		neg := p.tok.Kind == TokNeq
-		if err := p.advance(); err != nil {
-			return ast.Literal{}, err
-		}
-		right, err := p.term()
-		if err != nil {
-			return ast.Literal{}, err
-		}
-		if neg {
-			return ast.Neq(left, right), nil
-		}
-		return ast.Eq(left, right), nil
-	case TokLParen:
-		args, err := p.argList()
-		if err != nil {
-			return ast.Literal{}, err
-		}
-		return ast.PosLit(ast.Atom{Pred: name.Text, Args: args, SrcPos: posOf(name)}), nil
-	default:
-		// 0-ary predicate.
-		return ast.PosLit(ast.Atom{Pred: name.Text, SrcPos: posOf(name)}), nil
+		return p.equality(l, left)
 	}
+	return p.args(&l.Atom, name)
 }
 
-// equality parses "const (=|!=) term" where the left constant token
-// has already been identified as INT or STRING.
-func (p *parser) equality() (ast.Literal, error) {
-	left, err := p.term()
-	if err != nil {
-		return ast.Literal{}, err
-	}
-	neg := false
+// equality reads "(=|!=) term" after the left term into l, pushing
+// both terms onto the term stack.
+func (p *parser) equality(l *ast.Literal, left ast.Term) error {
 	switch p.tok.Kind {
 	case TokEq:
 	case TokNeq:
-		neg = true
+		l.Neg = true
 	default:
-		return ast.Literal{}, p.errf("expected '=' or '!=', found %s", p.tok.Kind)
+		return p.errf("expected '=' or '!=', found %s", p.tok.Kind)
 	}
 	if err := p.advance(); err != nil {
-		return ast.Literal{}, err
+		return err
 	}
 	right, err := p.term()
 	if err != nil {
-		return ast.Literal{}, err
+		return err
 	}
-	if neg {
-		return ast.Neq(left, right), nil
-	}
-	return ast.Eq(left, right), nil
+	n := len(p.terms)
+	p.terms = append(p.terms, left, right)
+	l.Kind, l.Atom.Args = ast.LitEq, p.terms[n:]
+	return nil
 }
 
 // forall := "forall" VAR {"," VAR} "(" literal {"," literal} ")"
-func (p *parser) forall() (ast.Literal, error) {
+func (p *parser) forall(start ast.Pos) error {
 	if err := p.advance(); err != nil { // consume 'forall'
-		return ast.Literal{}, err
+		return err
 	}
-	var vars []string
+	// The parts are reserved now, before any ∀ in the body takes its own.
+	k, nv := len(p.quants), len(p.qvars)
+	p.quants = append(p.quants, ast.Quant{})
 	for {
 		if p.tok.Kind != TokVar {
-			return ast.Literal{}, p.errf("expected quantified variable, found %s", p.tok.Kind)
+			return p.errf("expected quantified variable, found %s", p.tok.Kind)
 		}
-		vars = append(vars, p.tok.Text)
+		p.qvars = append(p.qvars, p.tok.Text)
 		if err := p.advance(); err != nil {
-			return ast.Literal{}, err
+			return err
 		}
 		if p.tok.Kind != TokComma {
 			break
 		}
 		if err := p.advance(); err != nil {
-			return ast.Literal{}, err
+			return err
 		}
 	}
+	vars := p.qvars[nv:]
 	if err := p.expect(TokLParen); err != nil {
-		return ast.Literal{}, err
+		return err
 	}
 	// The body goes onto the literal stack like any list, then moves to
 	// the parked stack, so the list this literal is in stays contiguous.
 	lo := len(p.lits)
 	if err := p.literals(false); err != nil {
-		return ast.Literal{}, err
+		return err
 	}
 	if err := p.expect(TokRParen); err != nil {
-		return ast.Literal{}, err
+		return err
 	}
 	n := len(p.parked)
 	p.parked = append(p.parked, p.lits[lo:]...)
-	p.lits = p.lits[:lo]
-	return ast.Forall(vars, p.parked[n:]...), nil
+	p.quants[k] = ast.Quant{Vars: vars, Body: p.parked[n:]}
+	p.lits = append(p.lits[:lo], ast.Literal{Kind: ast.LitForall, SrcPos: start})
+	return nil
 }
 
-// atom := name [ "(" args ")" ]
-func (p *parser) atom() (ast.Atom, error) {
+// atom := name [ "(" args ")" ], read into a.
+func (p *parser) atom(a *ast.Atom) error {
 	if p.tok.Kind != TokIdent && p.tok.Kind != TokVar {
-		return ast.Atom{}, p.errf("expected predicate name, found %s", p.tok.Kind)
+		return p.errf("expected predicate name, found %s", p.tok.Kind)
 	}
 	name := p.tok
 	if err := p.advance(); err != nil {
-		return ast.Atom{}, err
+		return err
 	}
+	return p.args(a, name)
+}
+
+// args reads the optional argument list of the atom name, which is
+// already consumed, into a.
+func (p *parser) args(a *ast.Atom, name Token) error {
+	a.Pred, a.SrcPos = name.Text, posOf(name)
 	if p.tok.Kind != TokLParen {
-		return ast.Atom{Pred: name.Text, SrcPos: posOf(name)}, nil
+		return nil
 	}
 	args, err := p.argList()
-	if err != nil {
-		return ast.Atom{}, err
-	}
-	return ast.Atom{Pred: name.Text, Args: args, SrcPos: posOf(name)}, nil
+	a.Args = args
+	return err
 }
 
 // argList parses "(" term {"," term} ")" with the '(' current, pushing

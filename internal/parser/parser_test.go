@@ -100,7 +100,7 @@ func TestParseEquality(t *testing.T) {
 	if b2[1].Kind != ast.LitEq || b2[1].Neg {
 		t.Fatalf("equality not parsed: %+v", b2[1])
 	}
-	if b2[1].Right.IsVar() || u.Name(b2[1].Right.Const) != "a" {
+	if b2[1].Right().IsVar() || u.Name(b2[1].Right().Const) != "a" {
 		t.Fatalf("constant side wrong")
 	}
 	if err := prog.Validate(ast.DialectNDatalogNeg); err != nil {
@@ -121,11 +121,11 @@ func TestParseForallAndBottom(t *testing.T) {
 		t.Fatal(err)
 	}
 	fa := prog.Rules[0].Body[0]
-	if fa.Kind != ast.LitForall || len(fa.ForallVars) != 1 || fa.ForallVars[0] != "Y" {
+	if fa.Kind != ast.LitForall || len(fa.ForallVars()) != 1 || fa.ForallVars()[0] != "Y" {
 		t.Fatalf("forall not parsed: %+v", fa)
 	}
-	if len(fa.ForallBody) != 2 {
-		t.Fatalf("forall body size %d", len(fa.ForallBody))
+	if len(fa.ForallBody()) != 2 {
+		t.Fatalf("forall body size %d", len(fa.ForallBody()))
 	}
 	if prog.Rules[1].Head[0].Kind != ast.LitBottom {
 		t.Fatalf("bottom head not parsed")

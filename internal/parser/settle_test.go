@@ -19,7 +19,10 @@ func checkExact(t *testing.T, where string, ls []ast.Literal) {
 		if cap(l.Atom.Args) != len(l.Atom.Args) {
 			t.Errorf("%s[%d] %s: %d arguments with capacity %d", where, i, l.Atom.Pred, len(l.Atom.Args), cap(l.Atom.Args))
 		}
-		checkExact(t, where+" ∀-body", l.ForallBody)
+		if vars := l.ForallVars(); cap(vars) != len(vars) {
+			t.Errorf("%s[%d]: %d quantified variables with capacity %d", where, i, len(vars), cap(vars))
+		}
+		checkExact(t, where+" ∀-body", l.ForallBody())
 	}
 }
 
@@ -36,14 +39,21 @@ func scribble(ls []ast.Literal) []ast.Literal {
 			a.Var = "Zz"
 		}
 		l.Atom.Args = append(l.Atom.Args, ast.V("Zz"))
-		l.ForallBody = scribble(l.ForallBody)
+		if q := l.Quant; q != nil {
+			for k := range q.Vars {
+				v := &q.Vars[k]
+				*v = "Zz"
+			}
+			q.Vars = append(q.Vars, "Zz")
+			q.Body = scribble(q.Body)
+		}
 		l.Atom.Pred, l.Neg = "Zz", !l.Neg
 	}
 	return append(ls, ast.Bottom())
 }
 
 // checkSettled holds the program src, which must parse, to the
-// parser's list contract: every Head, Body, Args and ForallBody has
+// parser's list contract: every Head, Body, Args, ForallVars and ForallBody has
 // cap == len; scribbling over one rule's lists leaves every other rule
 // as it was; and, when its constants render as they parse, the
 // program's text parses back to the same text.
