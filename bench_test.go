@@ -206,6 +206,31 @@ func benchCTPair(b *testing.B) {
 	})
 }
 
+// BenchmarkDelayedCT runs Example 4.3 on chains of 12, 24 and 48 nodes,
+// with the firings of one run (a collector's) as firings/op: its two
+// guards are existential blocks, which the matcher cuts at their first
+// witness (docs/PLANNER.md, "Existential blocks").
+func BenchmarkDelayedCT(b *testing.B) {
+	for _, n := range []int{12, 24, 48} {
+		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
+			u := value.New()
+			in := gen.Chain(u, "G", n)
+			p := parser.MustParse(queries.DelayedCT, u)
+			for i := 0; i < b.N; i++ {
+				if _, err := core.EvalInflationary(p, in, u, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			col := stats.New()
+			if _, err := core.EvalInflationary(p, in, u, &core.Options{Stats: col}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(col.Summary().Firings), "firings/op")
+		})
+	}
+}
+
 // BenchmarkE44_GoodNodes measures the timestamp technique against the
 // fixpoint baseline — experiment E44.
 func BenchmarkE44_GoodNodes(b *testing.B) {

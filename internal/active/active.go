@@ -84,6 +84,8 @@ type compiledRule struct {
 type System struct {
 	rules []compiledRule
 	u     *value.Universe
+	// readsDomain: a rule reads the active domain (eval.ReadsDomain).
+	readsDomain bool
 }
 
 // Options tunes Run; the zero value is the default configuration.
@@ -166,6 +168,7 @@ func NewSystem(u *value.Universe, rules []Rule) (*System, error) {
 			return nil, fmt.Errorf("active: rule %d (%s): %w", i, r.Name, err)
 		}
 		s.rules = append(s.rules, compiledRule{src: r, cr: cr})
+		s.readsDomain = s.readsDomain || eval.ReadsDomain([]*eval.Rule{cr})
 	}
 	return s, nil
 }
@@ -243,7 +246,7 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 	// Refraction (OPS5): an instantiation (rule, event, bound
 	// actions) fires at most once.
 	fired := map[string]bool{}
-	adomc := eval.NewAdomCache(s.u, nil, false)
+	adomc := eval.NewAdomCache(s.u, nil, false, s.readsDomain)
 	var best *firing
 	// Conflict resolution: among unfired instantiations whose
 	// condition currently holds, pick by priority, then event

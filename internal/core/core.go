@@ -378,7 +378,7 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 	// recomputes adom(P, K) only on stages that actually changed the
 	// instance (this engine only ever inserts). One matcher context
 	// serves the whole run.
-	adomc := eval.NewAdomCache(u, p.Constants(), true)
+	adomc := eval.NewAdomCache(u, p.Constants(), true, eval.ReadsDomain(rules))
 	ctx := opt.EvalCtx(col, out, nil)
 	ctx.Buf, ctx.Done = new(eval.Scratch), opt.Context().Done()
 	st := eval.NewStaging(out)

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"unchained/internal/declarative"
+	"unchained/internal/gen"
 	"unchained/internal/parser"
+	"unchained/internal/stats"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -240,6 +242,43 @@ func TestDelayedCTExample43(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("graph %q: delayed CT %v != stratified CT %v", g, got, want)
 		}
+	}
+}
+
+// TestDelayedCTGuardsAreCut pins the existential cut on Example 4.3's
+// guards: on a 12-node chain OldTExceptFinal derives 65 facts, and the
+// matcher stops at the first witness of T(Xp,Zp), T(Zp,Yp), !T(Xp,Yp)
+// instead of visiting all of them (12 274 firings without the cut).
+// CT's output is checked against the stratified complement.
+func TestDelayedCTGuardsAreCut(t *testing.T) {
+	u := value.New()
+	p := parser.MustParse(delayedCTSrc, u)
+	in := gen.Chain(u, "G", 12)
+	col := stats.New()
+	res, err := EvalInflationary(p, in, u, &Options{Stats: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const guard = "OldTExceptFinal(X,Y) :- T(X,Y), T(Xp,Zp), T(Zp,Yp), !T(Xp,Yp)."
+	found := false
+	for _, r := range res.Stats.PerRule {
+		if r.Rule != guard {
+			continue
+		}
+		found = true
+		if r.Derived != 65 || r.Firings > 1000 {
+			t.Fatalf("%s: %d firings derive %d facts, want at most 1 000 firings deriving 65", guard, r.Firings, r.Derived)
+		}
+	}
+	if !found {
+		t.Fatalf("no per-rule entry for %s: %+v", guard, res.Stats.PerRule)
+	}
+	ref, err := declarative.EvalStratified(parser.MustParse(tcSrc+`CT(X,Y) :- !T(X,Y).`, u), in, u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sortedRel(res.Out, u, "CT"), sortedRel(ref.Out, u, "CT"); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("delayed CT %v != stratified CT %v", got, want)
 	}
 }
 

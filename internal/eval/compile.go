@@ -51,6 +51,9 @@ type step struct {
 	kind  stepKind
 	full  bool // stepMatch: mask binds every position, so the match is a membership test
 	negEq bool // stepEqTest
+	// cut, on the last step of an existential block, is the block's
+	// outermost loop step plus one (0: none). See cutBlocks.
+	cut int32
 
 	// stepMatch / stepNegCheck
 	pred     int // predicate id (see program)
@@ -170,8 +173,9 @@ func (r *Rule) planned() bool { return r.id >= 0 }
 // joins leave nothing to reorder, and past 16 the signature packing
 // would overflow (such bodies are rare enough that the baseline schedule
 // is fine). A head-pinned variant keeps its baseline too: the plan cache
-// keys on the body alone, and two rules with one body and different
-// heads must not share its plan.
+// keys on the body and the variables the heads read, not on the head
+// atoms, and two rules with one body and different heads must not share
+// a plan that matches a head first.
 func (t *text) planID(lit int) int32 {
 	if n := len(t.posBody); n < 2 || n > 16 || lit == len(t.lits) {
 		return -1
@@ -484,6 +488,7 @@ func (c *compiler) forall(l *ast.Literal, cl *lit) error {
 // scheduler is the state of one schedule call: which variables are
 // bound, which literals are placed, the steps so far. It lives on the
 // stack; the flags, the steps and the binds are its three allocations.
+// Once every literal is placed, cutBlocks reuses the bound flags.
 type scheduler struct {
 	t     *text
 	ctx   *Ctx   // the cardinalities to plan for, or nil (see schedule)
@@ -546,7 +551,87 @@ func (r *Rule) schedule(firstLit int, ctx *Ctx, tab *slotTable) []step {
 		}
 		s.enumerate()
 	}
+	t.cutBlocks(s.steps, s.bound)
 	return s.steps
+}
+
+// cutBlocks marks the existential blocks of steps: a run of steps whose
+// variables no later step and no head reads. Once the steps after such
+// a block return, every other witness of the block would only replay
+// them, so its outermost loop step (a match that is not a membership
+// test, or an enumeration) can stop: a block's last step k gets that
+// loop's index plus one in cut, and Fire cuts (frame.ended). Each step
+// takes the longest block that ends at it. A rule that invents values
+// gets no cut: its values are keyed on the whole binding. live is
+// scratch, one flag per variable, which is cleared and then set as the
+// steps are walked from the last: the variables the heads and the steps
+// after k read.
+func (t *text) cutBlocks(steps []step, live []bool) {
+	if len(t.headOnly) > 0 {
+		return
+	}
+	clear(live)
+	for _, h := range t.heads {
+		for _, sl := range h.Slots {
+			if sl.isVar {
+				live[sl.varID] = true
+			}
+		}
+	}
+	for k := len(steps) - 1; k >= 0; k-- {
+		for i := k; i >= 0 && !bindsLive(&steps[i], live); i-- {
+			if st := &steps[i]; st.kind == stepEnum || st.kind == stepMatch && !st.full {
+				steps[k].cut = int32(i) + 1
+			}
+		}
+		markReads(&steps[k], live)
+	}
+}
+
+// bindsLive reports whether st binds a variable live flags.
+func bindsLive(st *step, live []bool) bool {
+	switch st.kind {
+	case stepMatch:
+		for _, ab := range st.binds {
+			if live[ab.varID] {
+				return true
+			}
+		}
+	case stepEqAssign:
+		return live[st.left.varID]
+	case stepEnum:
+		return live[st.enumVar]
+	}
+	return false
+}
+
+// markReads flags live every variable st reads: one bound before it
+// runs. A ∀-literal reads its outer variables; its quantified ones are
+// its own.
+func markReads(st *step, live []bool) {
+	switch st.kind {
+	case stepMatch, stepNegCheck:
+		for pos, sl := range st.slots {
+			if sl.isVar && (st.kind == stepNegCheck || st.mask&(1<<uint(pos)) != 0) {
+				live[sl.varID] = true
+			}
+		}
+	case stepEqTest:
+		markSlot(st.left, live)
+		markSlot(st.right, live)
+	case stepEqAssign:
+		markSlot(st.right, live) // left is the variable it binds
+	case stepForall:
+		for _, v := range st.forall.outer {
+			live[v] = true
+		}
+	}
+}
+
+func markSlot(sl slot, live []bool) {
+	if sl.isVar {
+		live[sl.varID] = true
+	}
 }
 
 func (s *scheduler) isBound(sl slot) bool { return !sl.isVar || s.bound[sl.varID] }

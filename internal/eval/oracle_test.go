@@ -11,6 +11,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -143,9 +144,98 @@ func renderBindings(vars []string, bs []map[string]value.Value) string {
 	return strings.Join(out, "\n")
 }
 
+// oracleHeads renders the head facts of r under the oracle's bindings,
+// a head-only variable as value.None (what Fire writes for it).
+func oracleHeads(r ast.Rule, bs []map[string]value.Value) string {
+	var facts []Fact
+	for _, b := range bs {
+		for _, h := range r.Head {
+			if h.Kind == ast.LitBottom {
+				facts = append(facts, Fact{Bottom: true})
+				continue
+			}
+			tp := make(tuple.Tuple, len(h.Atom.Args))
+			for i, a := range h.Atom.Args {
+				tp[i] = a.Const
+				if a.IsVar() {
+					tp[i] = b[a.Var]
+				}
+			}
+			facts = append(facts, Fact{Neg: h.Neg, Pred: h.Atom.Pred, Tuple: tp})
+		}
+	}
+	return renderFacts(facts)
+}
+
+// renderFacts canonicalizes a head fact set for comparison.
+func renderFacts(facts []Fact) string {
+	lines := make([]string, 0, len(facts))
+	for _, f := range facts {
+		lines = append(lines, fmt.Sprintf("%v %v %s%v", f.Neg, f.Bottom, f.Pred, f.Tuple))
+	}
+	sort.Strings(lines)
+	return strings.Join(slices.Compact(lines), "\n")
+}
+
+// fireFacts fires r under ctx and appends the head facts it emits to
+// facts.
+func fireFacts(r *Rule, ctx *Ctx, facts []Fact) []Fact {
+	r.Fire(ctx, -1, nil, func(f Fact) bool {
+		f.Tuple = slices.Clone(f.Tuple)
+		facts = append(facts, f)
+		return true
+	})
+	return facts
+}
+
+// firesOracle checks that Fire emits the head facts of the oracle's
+// bindings, unpinned and under every pin of a positive literal: to a
+// delta (the whole instance), and to each of its facts in turn, which
+// together fire what the whole delta does.
+func firesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, cr *Rule, in *tuple.Instance, adom []value.Value, scan, noPlan bool, want string) bool {
+	agrees := func(pin string, facts []Fact) bool {
+		if got := renderFacts(facts); got != want {
+			t.Logf("%s, scan=%v, noPlan=%v, %s, rule: %s", name, scan, noPlan, pin, r.String(u))
+			t.Logf("instance:\n%s", in.String(u))
+			t.Logf("Fire:\n%s", got)
+			t.Logf("oracle heads:\n%s", want)
+			return false
+		}
+		return true
+	}
+	ctx := func(li int) *Ctx { return &Ctx{In: in, Adom: adom, Scan: scan, NoPlan: noPlan, DeltaLit: li} }
+	if !agrees("no pin", fireFacts(cr, ctx(-1), nil)) {
+		return false
+	}
+	for _, li := range cr.PositiveBodyLits() {
+		dv, pinned := cr.Delta(li), ctx(li)
+		pinned.Delta = in
+		if !agrees(fmt.Sprintf("delta at literal %d", li), fireFacts(dv, pinned, nil)) {
+			return false
+		}
+		// The rule itself meets the pinned fact wherever its schedule
+		// places the literal, the variant first.
+		for _, pr := range []*Rule{cr, dv} {
+			var facts []Fact
+			if rel := in.Relation(r.Body[li].Atom.Pred); rel != nil {
+				for _, tp := range rel.SortedTuples(u) {
+					one := ctx(li)
+					one.DeltaFact = tp
+					facts = fireFacts(pr, one, facts)
+				}
+			}
+			if !agrees(fmt.Sprintf("one-fact pins at literal %d, variant %v", li, pr == dv), facts) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // matchesOracle compares the matcher's bindings of r over in, indexed
-// and scanning, with the brute-force enumeration. consts join the
-// active domain.
+// and scanning, with the planner on and off, with the brute-force
+// enumeration, and Fire's head facts with the heads of its bindings
+// (firesOracle). consts join the active domain.
 func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in *tuple.Instance, consts []value.Value) bool {
 	cr, err := Compile(r)
 	if err != nil {
@@ -166,7 +256,7 @@ func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in 
 		}
 	}
 	want := oracleEnumerate(r, in, adom)
-	ws := renderBindings(freeVars, want)
+	ws, wantHeads := renderBindings(freeVars, want), oracleHeads(r, want)
 	quantified := map[int]bool{} // a ∀'s own ids, which may share a free variable's name
 	for _, l := range cr.lits {
 		if l.forall != nil {
@@ -175,9 +265,10 @@ func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in 
 			}
 		}
 	}
-	for _, scan := range []bool{false, true} {
+	for i := 0; i < 4; i++ {
+		scan, noPlan := i&1 != 0, i&2 != 0
 		var got []map[string]value.Value
-		cr.Enumerate(&Ctx{In: in, Adom: adom, DeltaLit: -1, Scan: scan}, func(b Binding) bool {
+		cr.Enumerate(&Ctx{In: in, Adom: adom, DeltaLit: -1, Scan: scan, NoPlan: noPlan}, func(b Binding) bool {
 			m := map[string]value.Value{}
 			for i, name := range cr.Vars {
 				if free[name] && !quantified[i] {
@@ -188,10 +279,13 @@ func matchesOracle(t *testing.T, name string, u *value.Universe, r ast.Rule, in 
 			return true
 		})
 		if gs := renderBindings(freeVars, got); gs != ws {
-			t.Logf("%s, scan=%v, rule: %s", name, scan, r.String(u))
+			t.Logf("%s, scan=%v, noPlan=%v, rule: %s", name, scan, noPlan, r.String(u))
 			t.Logf("instance:\n%s", in.String(u))
 			t.Logf("matcher (%d):\n%s", len(got), gs)
 			t.Logf("oracle  (%d):\n%s", len(want), ws)
+			return false
+		}
+		if !firesOracle(t, name, u, r, cr, in, adom, scan, noPlan, wantHeads) {
 			return false
 		}
 	}
@@ -249,6 +343,48 @@ func TestMatcherScanModeAgainstOracle(t *testing.T) {
 		}
 		if !matchesOracle(t, c.rule, u, r, parser.MustParseFacts(c.facts, u), nil) {
 			t.Fatalf("%s diverges", c.rule)
+		}
+	}
+}
+
+// TestExistentialCutAgainstOracle checks hand-written rules with an
+// existential block against the oracle, and that Fire visits fewer
+// valuations than Enumerate on each (one firing per head fact), except
+// on the inventing rule, which it must not cut: Example 4.3's two
+// guards, a ∀ inside a block, a dead suffix after an assignment, a block
+// whose loop enumerates the active domain, and invention.
+func TestExistentialCutAgainstOracle(t *testing.T) {
+	for _, c := range []struct {
+		rule, facts string
+		cut         bool
+	}{
+		{"OldTExceptFinal(X,Y) :- T(X,Y), T(Xp,Zp), T(Zp,Yp), !T(Xp,Yp).", "T(a,b). T(b,c). T(c,d). T(a,c).", true},
+		{"CT(X,Y) :- !T(X,Y), OldT(Xp,Yp), !OldTExceptFinal(Xp,Yp).", "T(a,b). OldT(a,b). OldT(b,c). OldT(c,d). OldTExceptFinal(a,b).", true},
+		{"H(X) :- P(X), Q(Y), forall Z (!R(Y,Z)).", "P(a). P(b). Q(b). Q(c). Q(d). R(b,b).", true},
+		{"H(X) :- P(X), Y = X, Q(Y,Z).", "P(a). P(b). Q(a,c). Q(a,d). Q(b,e). Q(b,f).", true},
+		{"H(X) :- P(X), !Q(Y).", "P(a). P(b). Q(a). R(c). R(d).", true},
+		{"H(X,N) :- P(X), Q(Y).", "P(a). P(b). Q(c). Q(d).", false},
+	} {
+		u := value.New()
+		r, err := parser.ParseRule(c.rule, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := parser.MustParseFacts(c.facts, u)
+		if !matchesOracle(t, c.rule, u, r, in, nil) {
+			t.Fatalf("%s diverges", c.rule)
+		}
+		cr, err := Compile(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adom := ActiveDomain(u, nil, in)
+		for _, scan := range []bool{false, true} {
+			valuations := countFirings(cr, &Ctx{In: in, Adom: adom, DeltaLit: -1, Scan: scan})
+			fired := len(fireFacts(cr, &Ctx{In: in, Adom: adom, DeltaLit: -1, Scan: scan}, nil))
+			if cut := fired < valuations; cut != c.cut || fired == 0 {
+				t.Errorf("%s, scan=%v: Fire visits %d valuations of Enumerate's %d, want cut=%v", c.rule, scan, fired, valuations, c.cut)
+			}
 		}
 	}
 }

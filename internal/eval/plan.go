@@ -61,11 +61,11 @@ func (r *Rule) planFor(ctx *Ctx, tab *slotTable) []step {
 			r.plan.body = r.cacheKey()
 		}
 		key := planCacheKey{r.plan.body, int(r.deltaLit), sig}
-		if st, ok := ctx.Plans.lookup(key, r.lits); ok {
+		if st, ok := ctx.Plans.lookup(key, r.text); ok {
 			return st
 		}
 		st := r.schedule(int(r.deltaLit), ctx, tab)
-		ctx.Plans.store(key, r.lits, st)
+		ctx.Plans.store(key, r.text, st)
 		return st
 	}
 	if r.plan.steps != nil && r.plan.sig == sig {
@@ -121,9 +121,10 @@ func (r *Rule) planSig(ctx *Ctx, tab *slotTable) uint64 {
 	return sig
 }
 
-// cacheKey returns the hash of the compiled body a PlanCache files the
-// rule's plans under (never 0): the literals with their predicate ids and
-// slots, which are all a schedule reads of the text.
+// cacheKey returns the hash a PlanCache files the rule's plans under
+// (never 0): the body's literals with their predicate ids and slots, and
+// the variables the heads read (whose existential blocks a schedule cuts;
+// see cutBlocks), which are all a schedule reads of the text.
 func (t *text) cacheKey() uint64 {
 	var h maphash.Hash
 	h.SetSeed(nameSeed)
@@ -164,6 +165,12 @@ func (t *text) cacheKey() uint64 {
 			slots(c.left, c.right)
 		}
 	}
+	word(uint64(len(t.lits)))
+	for id := range t.Vars {
+		if headsRead(t.heads, int32(id)) {
+			word(uint64(id))
+		}
+	}
 	return h.Sum64() | 1
 }
 
@@ -174,9 +181,37 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// sameBody reports whether a and b are the same compiled literals, so
-// that a schedule of one is a schedule of the other: what cacheKey
-// hashes, compared.
+// sameRule reports whether a schedule of compiled literals a under heads
+// ah is one of b under bh: what cacheKey hashes, compared.
+func sameRule(a, b []lit, ah, bh []HeadAtom) bool {
+	return sameBody(a, b) && headVarsIn(ah, bh) && headVarsIn(bh, ah)
+}
+
+// headVarsIn reports whether heads b read every variable heads a read.
+func headVarsIn(a, b []HeadAtom) bool {
+	for _, h := range a {
+		for _, sl := range h.Slots {
+			if sl.isVar && !headsRead(b, sl.varID) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// headsRead reports whether one of heads reads variable id.
+func headsRead(heads []HeadAtom, id int32) bool {
+	for _, h := range heads {
+		for _, sl := range h.Slots {
+			if sl.isVar && sl.varID == id {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameBody reports whether a and b are the same compiled literals.
 func sameBody(a, b []lit) bool {
 	return slices.EqualFunc(a, b, func(x, y lit) bool {
 		return x.kind == y.kind && x.neg == y.neg && x.pred == y.pred && x.id == y.id &&
@@ -190,7 +225,7 @@ func sameBody(a, b []lit) bool {
 	})
 }
 
-// planCacheKey is a compiled body's hash (text.cacheKey), the delta pin
+// planCacheKey is a compiled rule's hash (text.cacheKey), the delta pin
 // of the schedule (-1: none) and a cardinality-decade signature.
 type planCacheKey struct {
 	body uint64
@@ -198,13 +233,15 @@ type planCacheKey struct {
 	sig  uint64
 }
 
-// planCacheEntry is a cached schedule with the body it was made for,
-// which a lookup compares with its own (sameBody): equal hashes of
-// different bodies miss instead of sharing a schedule. The entry keeps
-// the literals, not their text, so that a cache shared by a daemon's
-// requests keeps no request's compiled program alive.
+// planCacheEntry is a cached schedule with the body and heads it was
+// made for, which a lookup compares with its own (sameRule): equal
+// hashes of different rules miss instead of sharing a schedule. The
+// entry keeps the literals and heads, not their text, so that a cache
+// shared by a daemon's requests keeps no request's compiled program
+// alive.
 type planCacheEntry struct {
 	lits  []lit
+	heads []HeadAtom
 	steps []step
 }
 
@@ -226,11 +263,11 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{m: make(map[planCacheKey]planCacheEntry)}
 }
 
-func (c *PlanCache) lookup(key planCacheKey, lits []lit) ([]step, bool) {
+func (c *PlanCache) lookup(key planCacheKey, t *text) ([]step, bool) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	c.mu.Unlock()
-	ok = ok && sameBody(e.lits, lits)
+	ok = ok && sameRule(e.lits, t.lits, e.heads, t.heads)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -239,9 +276,9 @@ func (c *PlanCache) lookup(key planCacheKey, lits []lit) ([]step, bool) {
 	return e.steps, ok
 }
 
-func (c *PlanCache) store(key planCacheKey, lits []lit, st []step) {
+func (c *PlanCache) store(key planCacheKey, t *text, st []step) {
 	c.mu.Lock()
-	c.m[key] = planCacheEntry{lits, st}
+	c.m[key] = planCacheEntry{t.lits, t.heads, st}
 	c.mu.Unlock()
 }
 
@@ -338,7 +375,8 @@ func (r *Rule) appendPlan(b []byte, ctx *Ctx, tab *slotTable, steps []step, coun
 // state (nondet) consult the cache instead: when every relation's
 // storage stamp is unchanged since the last computation the cached
 // slice is returned as-is, so the O(n log n) sort-and-dedup is paid
-// only when the instance actually changed.
+// only when the instance actually changed. A cache for rules none of
+// which reads the domain (ReadsDomain) builds nothing.
 //
 // A stamp is (generation, cardinality) — and, unless the engine
 // declares itself insert-only, the relation fingerprint, which
@@ -349,6 +387,7 @@ type AdomCache struct {
 	u          *value.Universe
 	consts     []value.Value
 	insertOnly bool
+	reads      bool
 	stamps     map[string]adomStamp
 	cached     []value.Value
 	valid      bool
@@ -363,15 +402,19 @@ type adomStamp struct {
 
 // NewAdomCache returns a cache over the given program constants.
 // insertOnly engines (facts are only ever added) skip the fingerprint
-// half of the stamp check.
-func NewAdomCache(u *value.Universe, progConsts []value.Value, insertOnly bool) *AdomCache {
-	return &AdomCache{u: u, consts: progConsts, insertOnly: insertOnly, stamps: map[string]adomStamp{}}
+// half of the stamp check. reads is whether a rule the engine enumerates
+// reads the domain (ReadsDomain); without one, Domain returns nil.
+func NewAdomCache(u *value.Universe, progConsts []value.Value, insertOnly, reads bool) *AdomCache {
+	return &AdomCache{u: u, consts: progConsts, insertOnly: insertOnly, reads: reads, stamps: map[string]adomStamp{}}
 }
 
 // Domain returns adom(P, in), recomputing only when in changed since
-// the previous call. The returned slice is shared with the cache;
-// callers must not mutate it.
+// the previous call, or nil when the cache's rules read no domain. The
+// returned slice is shared with the cache; callers must not mutate it.
 func (c *AdomCache) Domain(in *tuple.Instance) []value.Value {
+	if !c.reads {
+		return nil
+	}
 	if c.valid && c.unchanged(in) {
 		return c.cached
 	}

@@ -28,7 +28,7 @@ func countFirings(r *Rule, ctx *Ctx) int {
 func TestAdomCacheStableAcrossStages(t *testing.T) {
 	u := value.New()
 	in := parser.MustParseFacts(`G(a,b). G(b,c).`, u)
-	c := NewAdomCache(u, nil, false)
+	c := NewAdomCache(u, nil, false, true)
 
 	base := c.Domain(in)
 	want := ActiveDomain(u, nil, in)
@@ -67,7 +67,7 @@ func TestAdomCacheStableAcrossStages(t *testing.T) {
 func TestAdomCacheSeesDeleteReinsert(t *testing.T) {
 	u := value.New()
 	in := parser.MustParseFacts(`P(a). P(b).`, u)
-	c := NewAdomCache(u, nil, false)
+	c := NewAdomCache(u, nil, false, true)
 	c.Domain(in)
 
 	b := tuple.Tuple{u.Sym("b")}
@@ -80,6 +80,32 @@ func TestAdomCacheSeesDeleteReinsert(t *testing.T) {
 	d2 := c.Domain(in)
 	if fmt.Sprint(d2) != fmt.Sprint(ActiveDomain(u, nil, in)) {
 		t.Fatalf("stale domain after reinsert: %v", d2)
+	}
+}
+
+// TestAdomCacheBuildsNothingUnread: a cache for rules that read no
+// domain returns nil and never sorts one.
+func TestAdomCacheBuildsNothingUnread(t *testing.T) {
+	u := value.New()
+	in := parser.MustParseFacts(`G(a,b). G(b,c).`, u)
+	var rules []*Rule
+	for _, src := range []string{`T(X,Y) :- G(X,Z), G(Z,Y), !G(X,Y).`, `H(X) :- G(X,Y), !G(Y,X).`} {
+		r, err := parser.ParseRule(src, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := Compile(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules = append(rules, cr)
+	}
+	if ReadsDomain(rules) {
+		t.Fatal("rules whose variables all occur in positive atoms read the domain")
+	}
+	c := NewAdomCache(u, nil, false, ReadsDomain(rules))
+	if d := c.Domain(in); d != nil || c.Recomputes() != 0 {
+		t.Fatalf("domain %v after %d recomputes, want nil after none", d, c.Recomputes())
 	}
 }
 

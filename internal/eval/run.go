@@ -131,6 +131,13 @@ func grow[T any](s []T, n int) []T {
 // false stops the enumeration early. Head-only (invented) variables
 // are left as value.None in the binding.
 func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
+	r.enumerate(ctx, false, emit)
+}
+
+// enumerate is Enumerate, which with cut visits only the first witness
+// of each existential block (see cutBlocks): every head fact is still
+// emitted at least once, and first where Enumerate emits it first.
+func (r *Rule) enumerate(ctx *Ctx, cut bool, emit func(Binding) bool) {
 	if ctx.stopped {
 		return
 	}
@@ -160,7 +167,7 @@ func (r *Rule) Enumerate(ctx *Ctx, emit func(Binding) bool) {
 	// Assigned field by field: a composite literal would be built aside
 	// and copied.
 	var f frame
-	f.ctx, f.steps, f.its, f.width = ctx, steps, its, r.width
+	f.ctx, f.steps, f.its, f.width, f.cuts = ctx, steps, its, r.width, cut
 	f.b, f.scratch = buf[:len(r.Vars):len(r.Vars)], buf[len(r.Vars):]
 	np := len(r.prog.preds)
 	f.rels, f.neg, f.delta = tab.rels, negSection(ctx)*np, secDelta*np
@@ -198,7 +205,9 @@ func (r *Rule) stepsFor(ctx *Ctx, tab *slotTable) ([]step, bool) {
 // scans tally the relation matches for ctx.Stats, so the match loop
 // never touches a shared atomic; counts, only when the enumeration
 // reports its plan, is the number of tuples each step pulled (the act=
-// of the plan's text), in the slot table's reused storage.
+// of the plan's text), in the slot table's reused storage. cuts turns
+// the existential cut on (Fire), and stop is the pending cut: the loop
+// step plus one that the steps unwind to (0: none; see ended).
 type frame struct {
 	ctx           *Ctx
 	steps         []step
@@ -210,6 +219,26 @@ type frame struct {
 	its           []tuple.Iterator // one per match step (step.cursor)
 	rels          []*tuple.Relation
 	neg, delta    int
+	stop          int32
+	cuts          bool
+}
+
+// ended is called where step si's recursive call returns true: the
+// steps after si are done with the current binding. At the end of an
+// existential block it sets the cut to the block's loop step. It
+// reports whether step si's loop stops here: si is inside the block
+// being cut, and the loop the cut names takes it back.
+func (f *frame) ended(si int, st *step) bool {
+	if st.cut != 0 && f.cuts {
+		f.stop = st.cut
+	}
+	if f.stop == 0 {
+		return false
+	}
+	if f.stop == int32(si)+1 {
+		f.stop = 0
+	}
+	return true
 }
 
 // ground writes slots under the current binding into step si's scratch
@@ -246,8 +275,13 @@ func (f *frame) drainMatch(si int, it *tuple.Iterator, emit func(Binding) bool) 
 				break
 			}
 		}
-		if ok && !f.run(si+1, emit) {
-			return false
+		if ok {
+			if !f.run(si+1, emit) {
+				return false
+			}
+			if f.ended(si, st) {
+				return true
+			}
 		}
 	}
 }
@@ -281,6 +315,9 @@ func (f *frame) matchFact(si int, emit func(Binding) bool) bool {
 		}
 	}
 	done := !ok || f.run(si+1, emit)
+	if ok && done {
+		f.ended(si, st)
+	}
 	for _, ab := range st.binds {
 		b[ab.varID] = value.None
 	}
@@ -333,7 +370,7 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 			if f.counts != nil {
 				f.counts[si]++
 			}
-			return f.run(si+1, emit)
+			break
 		}
 		var pattern tuple.Tuple
 		if st.mask != 0 {
@@ -352,13 +389,15 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 		if rel != nil && rel.Contains(f.ground(si, st.slots)) {
 			return true // literal false under this valuation
 		}
-		return f.run(si+1, emit)
 
 	case stepEqAssign:
 		// left is the unbound variable side by construction.
 		b[st.left.varID] = slotVal(st.right, b)
 		ok := f.run(si+1, emit)
 		b[st.left.varID] = value.None
+		if ok {
+			f.ended(si, st)
+		}
 		return ok
 
 	case stepEqTest:
@@ -366,7 +405,6 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 		if (l == rr) == st.negEq {
 			return true
 		}
-		return f.run(si+1, emit)
 
 	case stepEnum:
 		for _, v := range ctx.Adom {
@@ -375,16 +413,24 @@ func (f *frame) run(si int, emit func(Binding) bool) bool {
 				b[st.enumVar] = value.None
 				return false
 			}
+			if f.ended(si, st) {
+				break
+			}
 		}
 		b[st.enumVar] = value.None
 		return true
 
 	case stepForall:
-		if f.forallHolds(si, 0) {
-			return f.run(si+1, emit)
+		if !f.forallHolds(si, 0) {
+			return true
 		}
-		return true
 	}
+	// A test passed (a membership, an absence, an (in)equality, a ∀):
+	// on to the next step.
+	if !f.run(si+1, emit) {
+		return false
+	}
+	f.ended(si, st)
 	return true
 }
 
@@ -486,12 +532,16 @@ func (r *Rule) appendHeads(out []Fact, vals []value.Value, b Binding) []Fact {
 }
 
 // Fire is the firing kernel the engines share: it enumerates the rule
-// under ctx and passes every head fact of every satisfied valuation to
+// under ctx and passes the head facts of the satisfied valuations to
 // emit, which stages the fact wherever the engine collects its stage
-// (see Staging) and reports whether it is new there. Each valuation is
-// one firing of rule ri (-1 for engines without per-rule attribution);
-// firings and their new/already-present tally are counted in locals
-// and charged to ctx.Stats once, inside the collector's rule bracket.
+// (see Staging) and reports whether it is new there. Every head fact is
+// passed at least once, but a valuation that differs from an earlier
+// one only in the variables of an existential block is not visited
+// (see cutBlocks): set semantics needs one derivation per fact. Each
+// valuation visited is one firing of rule ri (-1 for engines without
+// per-rule attribution); firings and their new/already-present tally
+// are counted in locals and charged to ctx.Stats once, inside the
+// collector's rule bracket.
 //
 // heads materializes a valuation's head facts; an engine passes its
 // own to invent values or to look at the binding. With a nil heads the
@@ -521,7 +571,7 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 		scratch, vals = make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth)
 	}
 	var firings, derived, rederived uint64
-	r.Enumerate(ctx, func(b Binding) bool {
+	r.enumerate(ctx, true, func(b Binding) bool {
 		var facts []Fact
 		if heads != nil {
 			facts = heads(b)

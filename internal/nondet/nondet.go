@@ -34,7 +34,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 
 	"unchained/internal/ast"
 	"unchained/internal/engine"
@@ -101,6 +101,12 @@ func compile(p *ast.Program, d ast.Dialect) (*program, error) {
 		}
 	}
 	return prog, nil
+}
+
+// readsDomain reports whether one of the program's rules reads the
+// active domain (eval.ReadsDomain).
+func (p *program) readsDomain() bool {
+	return eval.ReadsDomain(p.rules) || eval.ReadsDomain(p.bottoms)
 }
 
 // candidate is one applicable, state-changing instantiation. For
@@ -187,11 +193,12 @@ func (p *program) bottomApplicable(cur *tuple.Instance, adom []value.Value, opt 
 func (p *program) successors(cur *tuple.Instance, adom []value.Value, u *value.Universe, opt *Options) []candidate {
 	ctx := opt.EvalCtx(nil, cur, adom)
 	var all []candidate
+	var key []byte // every key is built here, then copied into its string
 	for ri, cr := range p.rules {
 		inventing := len(cr.HeadOnlyVarIDs()) > 0
 		cr.Enumerate(ctx, func(b eval.Binding) bool {
-			var key strings.Builder
-			fmt.Fprintf(&key, "%d|", ri)
+			key = strconv.AppendInt(key[:0], int64(ri), 10)
+			key = append(key, '|')
 			if inventing {
 				// Invention always changes the state (the fresh
 				// values are new) and is consistent unless the head
@@ -200,15 +207,10 @@ func (p *program) successors(cur *tuple.Instance, adom []value.Value, u *value.U
 				// with distinct fresh values; key on the binding so
 				// the choice is reproducible without consuming fresh
 				// values for unused candidates.
-				for _, v := range b {
-					key.WriteByte(byte(v))
-					key.WriteByte(byte(v >> 8))
-					key.WriteByte(byte(v >> 16))
-					key.WriteByte(byte(v >> 24))
-				}
+				key = tuple.Tuple(b).AppendKey(key)
 				bc := make(eval.Binding, len(b))
 				copy(bc, b)
-				all = append(all, candidate{rule: cr, b: bc, key: key.String()})
+				all = append(all, candidate{rule: cr, b: bc, key: string(key)})
 				return true
 			}
 			facts := cr.HeadFacts(b, nil)
@@ -218,14 +220,14 @@ func (p *program) successors(cur *tuple.Instance, adom []value.Value, u *value.U
 			}
 			for _, f := range facts {
 				if f.Neg {
-					key.WriteByte('!')
+					key = append(key, '!')
 				}
-				key.WriteString(f.Pred)
-				key.WriteByte('(')
-				key.WriteString(f.Tuple.Key())
-				key.WriteByte(')')
+				key = append(key, f.Pred...)
+				key = append(key, '(')
+				key = f.Tuple.AppendKey(key)
+				key = append(key, ')')
 			}
-			all = append(all, candidate{facts: facts, key: key.String()})
+			all = append(all, candidate{facts: facts, key: string(key)})
 			return true
 		})
 	}
@@ -266,7 +268,7 @@ func Run(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Universe, s
 	// the second Domain call is a cache hit, and a step that only
 	// rearranges known values (delete + reinsert) skips the re-sort
 	// entirely.
-	adomc := eval.NewAdomCache(u, prog.consts, false)
+	adomc := eval.NewAdomCache(u, prog.consts, false, prog.readsDomain())
 	var cands []candidate
 	aborted := false
 	steps, err := opt.ChooseLoop(col, opt.StageLimit(1<<20),
@@ -362,7 +364,7 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 	}
 
 	start := in.SnapshotWith(col.Cow())
-	adomc := eval.NewAdomCache(u, prog.consts, false)
+	adomc := eval.NewAdomCache(u, prog.consts, false, prog.readsDomain())
 	queue := []*tuple.Instance{start}
 	remember(start)
 	eff := &EffectSet{}

@@ -178,20 +178,24 @@ func TestFlightDeadlineExceeded(t *testing.T) {
 }
 
 // TestDeadlineInsideAStage sends a request whose first stage is one
-// join of 110^5 valuations, hours of work, with a 200 ms timeout: the
-// matcher's poll stops the stage, the answer is 408 deadline well before
-// the join could finish, and the admission slot is given back — no
-// evaluation in flight and none holding the gate.
+// join of 40^6 valuations over a complete K, minutes of work, with a
+// 200 ms timeout (every variable of the join reaches the head or a later
+// literal, so no existential cut shortens it): the matcher's poll stops
+// the stage, the answer is 408 deadline well before the join could
+// finish, and the admission slot is given back — no evaluation in flight
+// and none holding the gate.
 func TestDeadlineInsideAStage(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var facts strings.Builder
-	for i := 0; i < 110; i++ {
-		fmt.Fprintf(&facts, "N(c%d). ", i)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			fmt.Fprintf(&facts, "K(c%d,c%d). ", i, j)
+		}
 	}
 	req := EvalRequest{Envelope: Envelope{
-		Program:   "P(A) :- N(A), N(B), N(C), N(D), N(E).",
+		Program:   "P(A,F) :- K(A,B), K(B,C), K(C,D), K(D,E), K(E,F).",
 		Facts:     facts.String(),
 		TimeoutMS: 200,
 	}}

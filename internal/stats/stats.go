@@ -52,7 +52,10 @@ type RuleStats struct {
 	// Rule is the rule's source text (or a symbolic name for engines
 	// without a textual rule form, e.g. active-database rules).
 	Rule string `json:"rule"`
-	// Firings counts body instantiations that emitted head facts.
+	// Firings counts body instantiations that emitted head facts. An
+	// instantiation that differs from an earlier one only in the
+	// variables of an existential block (docs/PLANNER.md) is not
+	// visited, so it counts no firing and no rederived fact.
 	Firings uint64 `json:"firings"`
 	// Derived counts emitted facts that were new at emission time.
 	Derived uint64 `json:"derived"`
@@ -105,7 +108,10 @@ type Summary struct {
 	// pass is not a stage).
 	Stages int `json:"stages"`
 	// Firings counts rule firings (body instantiations that emitted
-	// head facts), including any final confirmation pass.
+	// head facts), including any final confirmation pass. The matcher
+	// does not visit an instantiation that differs from an earlier one
+	// only in the variables of an existential block (docs/PLANNER.md),
+	// so such a one counts no firing and no rederived fact.
 	Firings uint64 `json:"firings"`
 	// Derived counts emitted facts that were new when emitted.
 	Derived uint64 `json:"derived"`

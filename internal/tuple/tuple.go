@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"unchained/internal/value"
@@ -37,15 +36,17 @@ type Tuple []value.Value
 // of the same arity have equal keys iff they are equal. Relations do
 // not use it; it serves callers that key their own maps by fact.
 func (t Tuple) Key() string {
-	var b strings.Builder
-	b.Grow(4 * len(t))
+	var b [64]byte // room for 16 values: the one allocation is the string's
+	return string(t.AppendKey(b[:0]))
+}
+
+// AppendKey appends the bytes of t's Key to b: each value's four low
+// bytes, low first.
+func (t Tuple) AppendKey(b []byte) []byte {
 	for _, v := range t {
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
+		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	return b.String()
+	return b
 }
 
 // Hash returns a deterministic 64-bit hash of the tuple's values: a

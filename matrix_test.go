@@ -110,6 +110,30 @@ func TestOptimizerMatchesUnoptimizedOracle(t *testing.T) {
 }
 func TestOptimizerMatchesSharded(t *testing.T) { matrix(t, "O2+shards=4") }
 
+// TestSharedPlanCacheKeysOnHeadVariables: two rules with one body and
+// different head variables must not share a cached schedule. For A,
+// Q(Y,Z) is an existential block (Z reaches no head), which its schedule
+// cuts at the first Q fact; B reads Z, and with A's schedule it would
+// lose B(a,e). Three evaluations share the cache, so the later ones hit.
+func TestSharedPlanCacheKeysOnHeadVariables(t *testing.T) {
+	s := unchained.NewSession()
+	p := s.MustParse("A(X) :- P(X,Y), Q(Y,Z).\nB(X,Z) :- P(X,Y), Q(Y,Z).")
+	in := s.MustFacts("P(a,b). P(a,c). Q(b,d). Q(b,e). Q(c,f).")
+	cache := unchained.NewPlanCache()
+	for i := 0; i < 3; i++ {
+		res, err := s.Fork().EvalContext(context.Background(), p, in, unchained.MinimalModel, unchained.WithPlanCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := res.Out.Relation("A").Len(), res.Out.Relation("B").Len(); a != 1 || b != 3 {
+			t.Fatalf("evaluation %d: A holds %d facts and B %d, want 1 and 3", i+1, a, b)
+		}
+	}
+	if st := cache.Stats(); st.Hits == 0 {
+		t.Fatalf("the shared cache was never hit: %+v", st)
+	}
+}
+
 // load parses a shipped case into a fresh session, with the ordered
 // database relations attached where the case asks for them.
 func load(t testing.TB, c programs.Case) (*unchained.Session, *unchained.Program, *unchained.Instance) {

@@ -31,14 +31,18 @@ import (
 func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 	u := value.New()
 	var facts strings.Builder
-	for i := 0; i < 110; i++ {
-		fmt.Fprintf(&facts, "N(c%d). ", i)
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			fmt.Fprintf(&facts, "K(c%d,c%d). ", i, j)
+		}
 	}
-	facts.WriteString("S(c0). Q(z).")
+	facts.WriteString("S(c0). Q(z,z).")
 	in := parser.MustParseFacts(facts.String(), u)
-	heavy := "N(A), N(B), N(C), N(D), N(E)"
-	first := parser.MustParse("P(A) :- "+heavy+".", u)
-	second := parser.MustParse("T(X) :- S(X).\nQ(A) :- T(A), "+heavy+".", u)
+	// A join of 40^6 valuations whose every variable reaches the head or
+	// a later literal, which no existential cut shortens.
+	heavy := "K(A,B), K(B,C), K(C,D), K(D,E), K(E,F)"
+	first := parser.MustParse("P(A,F) :- "+heavy+".", u)
+	second := parser.MustParse("T(X) :- S(X).\nQ(A,F) :- T(A), "+heavy+".", u)
 	afterOne := in.Clone()
 	afterOne.Insert("T", tuple.Tuple{u.Sym("c0")})
 	var prov *core.Provenance // the last provenance run's
@@ -80,8 +84,8 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 				out.String(u) != c.want.String(u) || !slices.Equal(out.Names(), c.want.Names()) {
 				t.Fatalf("%s: %d facts over %v, want the %d over %v the round began from", name, out.Facts(), out.Names(), c.want.Facts(), c.want.Names())
 			}
-			for i := 0; i < 110; i++ {
-				tp := tuple.Tuple{u.Sym(fmt.Sprintf("c%d", i))}
+			for i := 0; i < 40*40; i++ {
+				tp := tuple.Tuple{u.Sym(fmt.Sprintf("c%d", i/40)), u.Sym(fmt.Sprintf("c%d", i%40))}
 				if out.Has(c.pred, tp) {
 					t.Fatalf("%s: the stopped round's %s%v is visible", name, c.pred, tp)
 				}
