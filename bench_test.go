@@ -175,14 +175,9 @@ func BenchmarkE41_Closer(b *testing.B) {
 	}
 }
 
-// BenchmarkE43_DelayedCT and BenchmarkP3_CTStratVsInfl measure the
-// delayed-firing complement against the stratified baseline —
-// experiments E43/P3.
-func BenchmarkE43_DelayedCT(b *testing.B) { benchCTPair(b) }
-
-func BenchmarkP3_CTStratVsInfl(b *testing.B) { benchCTPair(b) }
-
-func benchCTPair(b *testing.B) {
+// BenchmarkE43_DelayedCT measures the delayed-firing complement against
+// the stratified baseline — experiments E43 and P3.
+func BenchmarkE43_DelayedCT(b *testing.B) {
 	const n = 12
 	b.Run("stratified", func(b *testing.B) {
 		u := value.New()

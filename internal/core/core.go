@@ -161,14 +161,14 @@ func EvalNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Universe, 
 		if err := opt.Cut(s.ctx, n); err != nil {
 			return engine.Outcome{}, err // a stage the context stopped is not applied
 		}
-		applied, err := s.apply()
+		inserted, retracted, err := s.apply()
 		switch {
 		case err != nil:
 			return engine.Outcome{}, err
-		case applied == 0:
+		case inserted+retracted == 0:
 			return engine.Outcome{Status: engine.Confirm}, nil
 		}
-		out := engine.Outcome{Delta: applied, State: cur}
+		out := engine.Outcome{Delta: inserted - retracted, State: cur}
 		if n := cycle.Visit(cur); n > 0 {
 			out.Err = fmt.Errorf("%w (cycle of length %d)", ErrNonTerminating, n)
 		}
@@ -241,13 +241,12 @@ func (s *nonInflationary) fire() {
 }
 
 // apply applies the firing to the instance of the context, returning
-// the number of changes (retractions + insertions) applied: 0 when the
+// the number of facts it inserted and retracted: both 0 when the
 // instance is a fixpoint. It returns ErrInconsistent (wrapped, naming
 // the fact) when the policy is Inconsistent and a conflict arises; the
 // instance is then left partly applied.
-func (s *nonInflationary) apply() (int, error) {
+func (s *nonInflationary) apply() (inserted, retracted int, err error) {
 	pos, neg, cur, col := s.pos, s.neg, s.ctx.In, s.ctx.Stats
-	applied := 0
 	var conflictErr error
 	// Deletions first, then insertions, applying the policy to the
 	// overlap. No policy deletes a fact and inserts it again:
@@ -264,17 +263,17 @@ func (s *nonInflationary) apply() (int, error) {
 			switch s.policy {
 			case PreferPositive:
 				if !inPos && cur.Delete(name, t) {
-					applied++
+					retracted++
 					col.Retracted(1)
 				}
 			case PreferNegative:
 				if cur.Delete(name, t) {
-					applied++
+					retracted++
 					col.Retracted(1)
 				}
 			case NoOp:
 				if !inPos && cur.Delete(name, t) {
-					applied++
+					retracted++
 					col.Retracted(1)
 				}
 				// Conflicting fact: leave as in cur (no-op), so
@@ -289,14 +288,14 @@ func (s *nonInflationary) apply() (int, error) {
 					return false
 				}
 				if cur.Delete(name, t) {
-					applied++
+					retracted++
 					col.Retracted(1)
 				}
 			}
 			return true
 		})
 		if conflictErr != nil {
-			return 0, conflictErr
+			return 0, 0, conflictErr
 		}
 	}
 	for _, name := range s.posNames {
@@ -305,12 +304,12 @@ func (s *nonInflationary) apply() (int, error) {
 				return true
 			}
 			if cur.Insert(name, t) {
-				applied++
+				inserted++
 			}
 			return true
 		})
 	}
-	return applied, nil
+	return inserted, retracted, nil
 }
 
 // EvalInvent evaluates a Datalog¬new program (Section 4.3):

@@ -98,53 +98,14 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 }
 
 // EvalStratified evaluates a stratifiable Datalog¬ program under the
-// stratified semantics (Section 3.2): strata are computed from the
-// dependency graph and evaluated bottom-up, each to fixpoint with
-// semi-naive evaluation; negation within a stratum refers only to
-// already-completed relations.
+// stratified semantics (Section 3.2). It is EvalWellFounded's walk
+// refusing a cyclic group: the groups are then the strata, every one
+// two-valued, so each is one semi-naive fixpoint whose negation reads
+// only completed strata. Its stages are the rounds of those fixpoints.
 func EvalStratified(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
-	g, err := depGraph(p)
-	if err != nil {
-		return nil, err
-	}
-	strata, err := g.Strata()
-	if err != nil {
-		return nil, err
-	}
-	rules, err := eval.CompileProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	col := opt.Collector()
-	col.Reset("stratified", 0, nil)
-	out := in.SnapshotWith(col.Cow())
-	adom := eval.DomainFor(rules, p, u, in)
-	totalRounds := 0
-	buf := new(eval.Scratch) // the strata run one at a time
-	for s, srules := range byGroup(rules, strata) {
-		if len(srules) == 0 {
-			continue
-		}
-		col.BeginPhase("stratum", s+1)
-		k := engine.SemiNaive{Rules: srules, Buf: buf}
-		rounds, err := k.Run(opt, out, adom, nil, nil)
-		col.EndPhase("stratum", s+1)
-		totalRounds += rounds
-		if err != nil {
-			return engine.Finish(out, totalRounds, col, err)
-		}
-	}
-	return engine.Finish(out, totalRounds, col, nil)
-}
-
-// depGraph validates p as Datalog¬ and returns its dependency graph,
-// built on the index the validation walked.
-func depGraph(p *ast.Program) (*stratify.Graph, error) {
-	ix := ast.NewIndex(p)
-	if err := ix.ValidateDiags(ast.DialectDatalogNeg).Err(); err != nil {
-		return nil, fmt.Errorf("declarative: %w", err)
-	}
-	return stratify.NewGraph(ix), nil
+	r := wfsRun{w: WFSResult{u: u, p: p}}
+	err := r.walk(true, in, opt)
+	return engine.Finish(r.w.True, r.rounds, opt.Collector(), err)
 }
 
 // byGroup returns the compiled rules of each group, on one backing
@@ -191,11 +152,13 @@ func (tv TruthValue) String() string {
 type WFSResult struct {
 	True     *tuple.Instance
 	Possible *tuple.Instance
-	// u renders and orders tuples deterministically.
+	// u renders and orders tuples deterministically, and p is the
+	// program.
 	u *value.Universe
-	// consts are the program's constants, adom the active domain: what
-	// the rules read (nil when none reads it), or what Domain computed.
-	consts, adom []value.Value
+	p *ast.Program
+	// adom is the active domain: what the rules read (nil when none
+	// reads it), or what Domain computed.
+	adom []value.Value
 	// Rounds is the number of runs over groups: one per group whose
 	// facts are all true or false, two per group that reads an unknown
 	// fact, two per round of a group's alternation (after the first
@@ -217,7 +180,7 @@ type WFSResult struct {
 // True.
 func (w *WFSResult) Domain() []value.Value {
 	if w.adom == nil {
-		w.adom = eval.ActiveDomain(w.u, w.consts, w.True)
+		w.adom = eval.ActiveDomain(w.u, w.p.Constants(), w.True)
 	}
 	return w.adom
 }
@@ -261,7 +224,7 @@ func (w *WFSResult) Total() bool {
 // of the delta kernel over its own rules. A group that does not recurse
 // through negation and reads only facts that are true or false is one
 // fixpoint, serving as both its true and its possible facts: on a
-// stratifiable program that is stratified evaluation, run for run. One
+// stratifiable program the walk is EvalStratified's, run for run. One
 // that does not recurse through negation but reads an unknown fact runs
 // twice: its true facts with negation read against the possible ones,
 // its possible facts with negation read against the true ones. A
@@ -285,32 +248,52 @@ func (w *WFSResult) Total() bool {
 // sides; after it, a group whose facts are all true or false runs on
 // True and its relations are shared into Possible copy-on-write.
 func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*WFSResult, error) {
-	g, err := depGraph(p)
-	if err != nil {
+	r := &wfsRun{w: WFSResult{u: u, p: p}}
+	err := r.walk(false, in, opt)
+	if err != nil && !engine.IsInterrupt(err) {
 		return nil, err
 	}
-	rules, err := eval.CompileProgram(p)
+	r.w.Stats = opt.Collector().Summary()
+	return &r.w, err
+}
+
+// walk evaluates r.w's program on in group by group into r.w. strict is
+// the stratified engine: it refuses a cyclic group, with Strata's error.
+func (r *wfsRun) walk(strict bool, in *tuple.Instance, opt *Options) error {
+	w := &r.w
+	ix := ast.NewIndex(w.p)
+	if err := ix.ValidateDiags(ast.DialectDatalogNeg).Err(); err != nil {
+		return fmt.Errorf("declarative: %w", err)
+	}
+	g := stratify.NewGraph(ix)
+	var groups []stratify.Group
+	var err error
+	engineName := "wellfounded"
+	if strict {
+		engineName = "stratified"
+		groups, err = g.Strata()
+	} else {
+		groups = g.Groups()
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	groups := g.Groups()
-	col := opt.Collector()
-	col.Reset("wellfounded", 0, nil)
-	consts := p.Constants()
-	w := &WFSResult{u: u, consts: consts}
-	if eval.ReadsDomain(rules) {
-		w.adom = eval.ActiveDomain(u, consts, in)
+	rules, err := eval.CompileProgram(w.p)
+	if err != nil {
+		return err
 	}
-	w.True = in.SnapshotWith(col.Cow())
+	r.opt, r.col = opt, opt.Collector()
+	r.col.Reset(engineName, 0, nil)
+	w.adom = eval.DomainFor(rules, w.p, w.u, in)
+	w.True = in.SnapshotWith(r.col.Cow())
 	w.Possible = w.True
-	r := &wfsRun{w: w, opt: opt, col: col}
-	twoValued := make([]bool, len(groups))
+	var unknown []bool       // per group, whether it has unknown facts; nil while none has
 	buf := new(eval.Scratch) // the groups' kernels run one at a time
 	for gi, grules := range byGroup(rules, groups) {
 		gr := &groups[gi]
 		two := !gr.Cyclic
 		for _, d := range gr.Reads {
-			two = two && twoValued[d]
+			two = two && (unknown == nil || !unknown[d])
 		}
 		if len(grules) > 0 {
 			k := &engine.SemiNaive{Rules: grules, Buf: buf}
@@ -334,33 +317,37 @@ func EvalWellFounded(p *ast.Program, in *tuple.Instance, u *value.Universe, opt 
 				break
 			}
 		}
-		twoValued[gi] = two
+		if !two {
+			if unknown == nil {
+				unknown = make([]bool, len(groups))
+			}
+			unknown[gi] = true
+		}
 	}
-	if err != nil && !engine.IsInterrupt(err) {
-		return nil, err
-	}
-	w.Stats = col.Summary()
-	return w, err
+	return err
 }
 
-// wfsRun is a well-founded evaluation in progress. Every kernel run
+// wfsRun is a walk over the groups in progress, well-founded or
+// stratified, with the model it grows in w. Every kernel run
 // starts with the driver's context poll, so a deadline interrupts even a
 // slowly converging alternation between runs; a group's possible side
 // runs before its true side, so an interrupted evaluation still leaves
 // True inside Possible.
 type wfsRun struct {
-	w      *WFSResult
+	w      WFSResult
 	opt    *Options
 	col    *stats.Collector
 	gammas int // the two-sided runs so far, which number their phases
+	rounds int // the semi-naive rounds of the kernel runs so far: stratified's stages
 }
 
 // run is one kernel run growing out, bracketed as a phase; seed and
 // added are engine.SemiNaive.Run's.
 func (r *wfsRun) run(k *engine.SemiNaive, out *tuple.Instance, phase string, n int, seed func(emit func(eval.Fact) bool), added *tuple.Instance) error {
 	r.col.BeginPhase(phase, n)
-	_, err := k.Run(r.opt, out, r.w.adom, seed, added)
+	rounds, err := k.Run(r.opt, out, r.w.adom, seed, added)
 	r.col.EndPhase(phase, n)
+	r.rounds += rounds
 	if err == nil {
 		r.w.Rounds++
 	}

@@ -102,13 +102,19 @@ func TestWellFoundedMatchesReferenceOnCorpus(t *testing.T) {
 // TestWellFoundedIsStratifiedOnStratifiable: on a stratifiable program
 // the well-founded model is the stratified one (§3.3), and computing it
 // is the same work: the same kernel runs over the same strata, so the
-// same stages, firings, derived and rederived facts.
+// same stages, firings, derived and rederived facts. The two engines are
+// one walk, so the stratified model is also held to the whole-program
+// alternation of referenceWFS, which shares no group code with it.
 func TestWellFoundedIsStratifiedOnStratifiable(t *testing.T) {
 	ran := 0
 	corpusInputs(func(name string, p *ast.Program, in *tuple.Instance, u *value.Universe) {
 		strat, err := EvalStratified(p, in, u, &Options{Stats: stats.New()})
 		if err != nil {
 			return // not stratifiable
+		}
+		under, over := referenceWFS(t, p, in, u)
+		if got, want := strat.Out.String(u), under.String(u); got != want || !under.Equal(over) {
+			t.Fatalf("%s: stratified model\n%sthe reference's true facts\n%sand it is total: %v", name, got, want, under.Equal(over))
 		}
 		w, err := EvalWellFounded(p, in, u, &Options{Stats: stats.New()})
 		if err != nil {

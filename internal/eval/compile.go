@@ -130,8 +130,9 @@ type text struct {
 	width, headWidth int
 	// nArgs is the summed arity of the body atoms (what a schedule's
 	// binds and checks are carved from), nEnum the number of variables
-	// that first occur in a negative literal, an equality or free in a
-	// ∀ (no schedule enumerates more over the active domain).
+	// that first occur in a negative literal or an equality and in no
+	// positive atom, or free in a ∀ (no schedule enumerates more over
+	// the active domain).
 	nArgs, nEnum int32
 	// forall reports a ∀-literal, whose quantified variables range over
 	// the active domain.
@@ -139,12 +140,12 @@ type text struct {
 }
 
 // readsDomain reports whether a schedule of the rule may enumerate the
-// active domain: a variable that first occurs outside a positive atom
-// may be left unbound by every join (the bound of nEnum), and a ∀-literal
-// ranges over the domain. A rule for which it is false has no stepEnum
-// and no stepForall in any schedule: every variable first occurs in a
-// positive atom, and every schedule places all positive atoms before it
-// would enumerate anything.
+// active domain: a variable that occurs in no positive atom may be left
+// unbound by every join (the bound of nEnum), and a ∀-literal ranges
+// over the domain. A rule for which it is false has no stepEnum and no
+// stepForall in any schedule: every variable occurs in a positive atom,
+// and every schedule places all positive atoms before it would
+// enumerate anything. The literal order does not matter.
 func (t *text) readsDomain() bool { return t.nEnum > 0 || t.forall }
 
 // Rule is a compiled rule ready for enumeration. The baseline steps
@@ -402,11 +403,11 @@ func compileText(t *text, r ast.Rule, nm *namer, a *arena) error {
 			t.width = max(t.width, len(cl.slots))
 			t.nArgs += int32(len(cl.slots))
 			if l.Neg {
-				t.nEnum += int32(len(t.Vars) - before)
+				t.nEnum += unbound(t.Vars[before:], r.Body[i+1:])
 			}
 		case ast.LitEq:
 			cl.left, cl.right = c.slot(l.Left()), c.slot(l.Right())
-			t.nEnum += int32(len(t.Vars) - before)
+			t.nEnum += unbound(t.Vars[before:], r.Body[i+1:])
 		case ast.LitForall:
 			if err := c.forall(l, cl); err != nil {
 				return err
@@ -440,6 +441,20 @@ func compileText(t *text, r ast.Rule, nm *namer, a *arena) error {
 	t.Vars = slices.Clip(t.Vars)
 	a.strs, a.slots = a.strs[len(t.Vars):], a.slots[len(c.slots):]
 	return nil
+}
+
+// unbound counts the vars no positive atom of rest holds: a schedule
+// places every positive atom before it enumerates anything, so only
+// these may be enumerated, whatever the literal order.
+func unbound(vars []string, rest []ast.Literal) (n int32) {
+	for _, v := range vars {
+		if !slices.ContainsFunc(rest, func(l ast.Literal) bool {
+			return l.Kind == ast.LitAtom && !l.Neg && slices.ContainsFunc(l.Atom.Args, func(tm ast.Term) bool { return tm.IsVar() && tm.Var == v })
+		}) {
+			n++
+		}
+	}
+	return n
 }
 
 // forall compiles a ∀-literal: the outer variables first (they

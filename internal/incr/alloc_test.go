@@ -74,11 +74,18 @@ func TestLeafCutAgainAllocates(t *testing.T) {
 // TestCompilesOnlyAtViewBuild: every plan a view fires is compiled
 // while Materialize runs. (The planner reschedules a compiled rule when
 // a relation crosses a size decade; that is eval's own memoized replan,
-// not a compilation incr asks for.)
+// not a compilation incr asks for.) And a view is built from its own
+// layers: incr.go does not import the declarative engines, whose
+// evaluation would compile the program a second time.
 func TestCompilesOnlyAtViewBuild(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "incr.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"unchained/internal/declarative"` {
+			t.Errorf("incr.go imports internal/declarative: a view materializes through its own layers")
+		}
 	}
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)

@@ -1,7 +1,7 @@
 // Package incr maintains materialized Datalog views under EDB
 // updates: batched asserts and retracts flow through the program's
-// SCC condensation layer by layer, and every layer, recursive or not,
-// is maintained by one algorithm. Stratified negation is supported:
+// strata layer by layer, and every layer, recursive or not, is
+// maintained by one algorithm. Stratified negation is supported:
 // negated predicates always live in strictly lower layers, so by the
 // time a layer is maintained its negative dependencies are final.
 //
@@ -35,7 +35,6 @@ import (
 	"slices"
 
 	"unchained/internal/ast"
-	"unchained/internal/declarative"
 	"unchained/internal/engine"
 	"unchained/internal/eval"
 	"unchained/internal/stats"
@@ -79,12 +78,12 @@ func (d *Delta) remove(pred string, t tuple.Tuple) {
 	d.Removed.Insert(pred, t)
 }
 
-// layer is one SCC of the predicate dependency graph, in condensation
-// order: every predicate a layer's rules read (positively or under
-// negation) is either in the layer itself or in an earlier one. Its
-// maintenance pairs a deletion step with an insertion kernel, as the
-// well-founded alternation's does: bf deletes what a batch took the
-// last proof of, k adds what it makes derivable.
+// layer is the rules of one stratum, in stratification order: every
+// predicate a layer's rules read positively is either in the layer
+// itself or in an earlier one, and every one they read under negation
+// is in an earlier one. Its maintenance pairs a deletion step with an
+// insertion kernel, as the well-founded alternation's does: bf deletes
+// what a batch took the last proof of, k adds what it makes derivable.
 type layer struct {
 	preds map[string]bool
 	rules []int // indexes into View.rules / View.variants
@@ -94,9 +93,9 @@ type layer struct {
 
 // View is a materialized model of a stratified Datalog¬ program,
 // maintained incrementally under batched EDB updates. Both dialects
-// Materialize admits give every rule one positive head atom, and
-// checkMaintainable leaves no variable to range over the active
-// domain: the matcher runs with a nil one.
+// Materialize admits give every rule one positive head atom, and it
+// admits no rule with a variable that ranges over the active domain:
+// the matcher runs with a nil one.
 type View struct {
 	prog  *ast.Program
 	rules []*eval.Rule
@@ -106,7 +105,7 @@ type View struct {
 	variants [][]deltaVariant
 	idb      map[string]bool
 	state    *tuple.Instance // EDB ∪ derived IDB
-	// layers is the SCC condensation, dependencies first.
+	// layers are the strata with rules, dependencies first.
 	layers []*layer
 	// ctx is the matcher environment of the seeds, which fire the
 	// variants one at a time, with buf its enumeration buffer; added
@@ -145,95 +144,60 @@ type deltaVariant struct {
 }
 
 // Materialize evaluates the program once and returns a maintainable
-// view. Positive programs evaluate to the minimum model; programs
-// with (stratifiable) negation evaluate under the stratified
-// semantics. The input instance is copied.
+// view: positive Datalog to its minimum model, a stratifiable Datalog¬
+// program under the stratified semantics. It compiles the program once
+// and builds the view's layers, one per stratum with rules, running each
+// layer's kernel once, bottom-up. The input instance is copied.
+//
+// A rule with a variable that ranges over the active domain (one no
+// positive body atom binds) is refused. Such a rule is legal one-shot,
+// but not differentially maintainable: retracting the last fact
+// mentioning a value shrinks the domain, which is not a delta on any
+// relation the variant plans can pin.
 func Materialize(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *engine.Options) (*View, error) {
-	positive := p.Validate(ast.DialectDatalog) == nil
-	if !positive {
-		if err := p.Validate(ast.DialectDatalogNeg); err != nil {
-			return nil, fmt.Errorf("incr: %w", err)
-		}
-		if _, err := stratify.Stratify(p); err != nil {
-			return nil, fmt.Errorf("incr: %w", err)
-		}
-		if err := checkMaintainable(p); err != nil {
-			return nil, err
-		}
+	ix := ast.NewIndex(p)
+	if err := ix.ValidateDiags(ast.DialectDatalogNeg).Err(); err != nil {
+		return nil, fmt.Errorf("incr: %w", err)
+	}
+	strata, err := stratify.NewGraph(ix).Strata()
+	if err != nil {
+		return nil, fmt.Errorf("incr: %w", err)
 	}
 	rules, err := eval.CompileProgram(p)
 	if err != nil {
 		return nil, err
 	}
-	var res *declarative.Result
-	if positive {
-		res, err = declarative.Eval(p, in, u, opt)
-	} else {
-		res, err = declarative.EvalStratified(p, in, u, opt)
-	}
-	if err != nil {
-		return nil, err
+	for ri := range rules {
+		if eval.ReadsDomain(rules[ri : ri+1]) {
+			return nil, fmt.Errorf("incr: rule %d: a variable ranges over the active domain; not maintainable incrementally", ri+1)
+		}
 	}
 	// Collector() rather than the bare Stats field: when only a Tracer
 	// is configured, maintenance operations keep emitting into the same
 	// auto-created collector the materialization run traced through.
+	col := opt.Collector()
+	col.Reset("incr", 0, nil)
 	v := &View{
 		prog:  p,
 		rules: rules,
 		idb:   map[string]bool{},
-		state: res.Out,
+		state: in.SnapshotWith(col.Cow()),
 		added: tuple.NewInstance(),
 		opt:   opt,
-		Stats: opt.Collector(),
+		Stats: col,
 	}
-	v.ctx = *opt.EvalCtx(v.Stats, nil, nil)
+	v.ctx = *opt.EvalCtx(col, nil, nil)
 	v.ctx.Buf = &v.buf
-	// The one-shot evaluation labeled the collector after its engine;
-	// from here on it accumulates maintenance work, so relabel without
-	// clearing the materialization counters.
-	v.Stats.SetEngine("incr")
-	// Bind the maintained state's copy-on-write counters to the same
-	// collector: Snapshot() forks and the promotes that maintenance
-	// writes trigger afterwards show up in the summary.
-	v.state.SetCow(v.Stats.Cow())
 	for _, n := range p.IDB() {
 		v.idb[n] = true
 	}
 	v.compileVariants()
-	v.buildLayers()
-	return v, nil
-}
-
-// checkMaintainable rejects Datalog¬ rules with variables that range
-// over the active domain (occurring in no positive body atom). Such
-// rules are legal one-shot — the matcher ranges the variable over the
-// domain — but not differentially maintainable: retracting the last
-// fact mentioning a value shrinks the domain, which is not a delta on
-// any relation the variant plans can pin.
-func checkMaintainable(p *ast.Program) error {
-	for ri, r := range p.Rules {
-		bound := map[string]bool{}
-		for _, l := range r.Body {
-			if l.Neg {
-				continue
-			}
-			for _, a := range l.Atom.Args {
-				if a.IsVar() {
-					bound[a.Var] = true
-				}
-			}
-		}
-		for _, ls := range [][]ast.Literal{r.Head, r.Body} {
-			for _, l := range ls {
-				for _, a := range l.Atom.Args {
-					if a.IsVar() && !bound[a.Var] {
-						return fmt.Errorf("incr: rule %d: variable %s ranges over the active domain; not maintainable incrementally", ri+1, a.Var)
-					}
-				}
-			}
-		}
+	err = v.materialize(strata)
+	col.Summary() // closes the materialization's span; maintenance continues the stream
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return v, nil
 }
 
 // compileVariants schedules the per-literal delta plans of every
@@ -248,28 +212,29 @@ func (v *View) compileVariants() {
 	}
 }
 
-// buildLayers computes the SCC condensation of the dependency graph.
-// stratify returns SCCs dependencies-first, which is exactly the
-// maintenance order. Layers without rules (EDB predicates) are
-// dropped. Every layer's deletion step checks a fact through its rules'
-// rederive plans, the delta variants pinned at the head atom (Rule.Delta
-// one past the body), and chains proofs forward through the variants
-// its insertion kernel fires after the first round.
-func (v *View) buildLayers() {
-	for _, scc := range stratify.BuildGraph(v.prog).SCCs() {
-		l := &layer{preds: map[string]bool{}}
-		for _, pred := range scc {
-			l.preds[pred] = true
+// materialize builds the layers, one per stratum with rules, and runs
+// each layer's kernel once, dependencies first, which is exactly the
+// maintenance order. A layer's predicates are the heads of its rules:
+// the EDB predicates a stratum also groups stay below it. Every layer's
+// deletion step checks a fact through its rules' rederive plans, the
+// delta variants pinned at the head atom (Rule.Delta one past the body),
+// and chains proofs forward through the variants its insertion kernel
+// fires after the first round.
+func (v *View) materialize(strata []stratify.Group) error {
+	for si, s := range strata {
+		if len(s.Rules) == 0 {
+			continue
 		}
-		var rules, heads []*eval.Rule
-		for ri, r := range v.prog.Rules {
-			if !l.preds[r.Head[0].Atom.Pred] {
-				continue
-			}
-			l.rules = append(l.rules, ri)
-			rules, heads = append(rules, v.rules[ri]), append(heads, v.rules[ri].Delta(len(r.Body)))
-			for i := range v.variants[ri] {
-				dv := &v.variants[ri][i]
+		l := &layer{preds: map[string]bool{}, rules: s.Rules}
+		for _, ri := range s.Rules {
+			l.preds[v.prog.Rules[ri].Head[0].Atom.Pred] = true
+		}
+		rules, heads := make([]*eval.Rule, len(s.Rules)), make([]*eval.Rule, len(s.Rules))
+		for i, ri := range s.Rules {
+			r := &v.prog.Rules[ri]
+			rules[i], heads[i] = v.rules[ri], v.rules[ri].Delta(len(r.Body))
+			for j := range v.variants[ri] {
+				dv := &v.variants[ri][j]
 				for li, lit := range r.Body {
 					if p := lit.Atom.Pred; li != dv.lit && !l.preds[dv.pred] && !l.preds[p] && !slices.Contains(dv.reads, p) {
 						dv.reads = append(dv.reads, p)
@@ -277,13 +242,17 @@ func (v *View) buildLayers() {
 				}
 			}
 		}
-		if len(l.rules) == 0 {
-			continue
-		}
 		l.k = &engine.SemiNaive{Rules: rules}
 		l.bf = engine.NewBackwardForward(rules, heads, l.k.Variants())
 		v.layers = append(v.layers, l)
+		v.Stats.BeginPhase("stratum", si+1)
+		_, err := l.k.Run(v.opt, v.state, nil, nil, nil)
+		v.Stats.EndPhase("stratum", si+1)
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // Instance returns the maintained instance (EDB plus derived IDB).

@@ -149,6 +149,36 @@ var oracleCorpus = []oracleProgram{
 		`,
 		edb: map[string]int{"E": 2},
 	},
+	{
+		// One stratum of three components, maintained as one layer: two
+		// independent recursions and a rule that joins them, so a batch
+		// moves facts across components inside the layer, with a
+		// negation of the join in the stratum above. (Appended, as
+		// above.)
+		name: "two-recursions-one-stratum",
+		text: `
+			A(X,Y) :- E(X,Y).
+			A(X,Y) :- A(X,Z), E(Z,Y).
+			B(X,Y) :- F(X,Y).
+			B(X,Y) :- B(X,Z), F(Z,Y).
+			J(X,Y) :- A(X,Y), B(Y,X).
+			N(X,Y) :- E(X,Y), !J(X,Y).
+		`,
+		edb: map[string]int{"E": 2, "F": 2},
+	},
+	{
+		// A negation written before the atoms that bind its variables:
+		// they range over no domain, wherever the atoms sit, so unlike
+		// TestAdomRangedNegationRejected's rules the program is
+		// maintained. (Appended, as above.)
+		name: "negation-before-binding",
+		text: `
+			T(X,Y)  :- E(X,Y).
+			T(X,Y)  :- T(X,Z), E(Z,Y).
+			NT(X,Y) :- !T(X,Y), N(X), N(Y).
+		`,
+		edb: map[string]int{"E": 2, "N": 1},
+	},
 }
 
 // preds returns the program's updatable predicates, sorted: the

@@ -233,7 +233,7 @@ type Collector struct {
 	ruleMark   counters
 
 	// cow receives the storage layer's copy-on-write counters; engines
-	// attach it to their working instance via Instance.SetCow(c.Cow()).
+	// attach it to their working instance via Instance.SnapshotWith(c.Cow()).
 	cow tuple.Counters
 }
 
@@ -357,16 +357,6 @@ func (c *Collector) Reset(engine string, rules int, name func(i int) string) {
 		c.stageOpen = false
 		c.tracer.Emit(trace.Event{Ev: trace.EvBegin, Span: trace.SpanEval, Engine: engine})
 	}
-}
-
-// SetEngine renames the engine without clearing counters; wrappers
-// that delegate to an inner engine (incr materialization, magic
-// rewriting) use it to relabel the accumulated run.
-func (c *Collector) SetEngine(name string) {
-	if c == nil {
-		return
-	}
-	c.engine = name
 }
 
 func (c *Collector) snapshot() counters {

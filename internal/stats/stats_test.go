@@ -18,7 +18,6 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 		t.Fatalf("nil collector reports Enabled")
 	}
 	reset(c, "x", "r")
-	c.SetEngine("y")
 	c.BeginStage()
 	c.Fired(0, 1, 1, 2)
 	c.Retracted(3)
@@ -204,10 +203,6 @@ func TestResetClears(t *testing.T) {
 	s := c.Summary()
 	if s.Engine != "second" || s.Stages != 0 || s.Firings != 0 || len(s.PerRule) != 0 {
 		t.Fatalf("Reset did not clear: %+v", s)
-	}
-	c.SetEngine("relabeled")
-	if c.Summary().Engine != "relabeled" {
-		t.Fatalf("SetEngine did not relabel")
 	}
 }
 

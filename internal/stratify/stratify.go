@@ -164,23 +164,6 @@ func (g *Graph) components() (comp, members, cuts []int32) {
 	return comp, members, cuts
 }
 
-// SCCs returns the strongly connected components of the graph in a
-// reverse-topological order (callees before callers), each component
-// sorted by name.
-func (g *Graph) SCCs() [][]string {
-	_, members, cuts := g.components()
-	names := make([]string, len(members))
-	for i, v := range members {
-		names[i] = g.ix.Preds[v].Name
-	}
-	out := make([][]string, len(cuts)-1)
-	for c := range out {
-		out[c] = names[cuts[c]:cuts[c+1]:cuts[c+1]]
-		sort.Strings(out[c])
-	}
-	return out
-}
-
 // Recursive marks, by predicate id, the predicates that depend on
 // themselves: through a cycle of several predicates or a self-loop.
 func (g *Graph) Recursive() []bool {

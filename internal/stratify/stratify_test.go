@@ -151,27 +151,6 @@ func TestGroupsSplitOffNegativeCycles(t *testing.T) {
 	}
 }
 
-func TestSCCsReverseTopological(t *testing.T) {
-	u := value.New()
-	p := parser.MustParse(`
-		B(X) :- A(X).
-		C(X) :- B(X).
-		A(X) :- Base(X).
-	`, u)
-	g := BuildGraph(p)
-	sccs := g.SCCs()
-	pos := map[string]int{}
-	for i, c := range sccs {
-		for _, v := range c {
-			pos[v] = i
-		}
-	}
-	// Dependencies (Base, A, B) must come before their dependents.
-	if !(pos["Base"] < pos["A"] && pos["A"] < pos["B"] && pos["B"] < pos["C"]) {
-		t.Fatalf("SCC order wrong: %v", sccs)
-	}
-}
-
 func TestGraphEdgesPolarity(t *testing.T) {
 	u := value.New()
 	p := parser.MustParse(`A(X) :- B(X), !C(X).`, u)

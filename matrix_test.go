@@ -617,3 +617,35 @@ func TestDerivedCountsFacts(t *testing.T) {
 		t.Fatalf("only %d runs were accepted", ran)
 	}
 }
+
+// TestStageDeltasSumToNetChange: under noninflationary, where a stage
+// retracts as well as inserts, a stage's delta is its net change in the
+// fact count, so a run's deltas sum to |out| − |in| however many facts it
+// retracted on the way.
+func TestStageDeltasSumToNetChange(t *testing.T) {
+	ran, retracted := 0, uint64(0)
+	for _, c := range programs.Cases {
+		if !c.Deterministic() {
+			continue
+		}
+		s, p, in := load(t, c)
+		col := unchained.NewStatsCollector()
+		res, err := s.EvalContext(context.Background(), p, in, unchained.SemanticsByName["noninflationary"],
+			unchained.WithMaxStages(c.MaxStages), unchained.WithStats(col))
+		if err != nil {
+			continue // the dialect rejects the program, or it reaches no fixpoint
+		}
+		ran++
+		sum, deltas := col.Summary(), int64(0)
+		for _, st := range sum.PerStage {
+			deltas += st.Delta
+		}
+		retracted += sum.Retractions
+		if net := res.Out.Facts() - in.Facts(); int(deltas) != net {
+			t.Errorf("%s: stage deltas sum to %d, the run changed the fact count by %d (%d retracted)", c.Program, deltas, net, sum.Retractions)
+		}
+	}
+	if ran < 5 || retracted == 0 {
+		t.Fatalf("%d runs retracting %d facts: the corpus has lost its Datalog¬¬ programs", ran, retracted)
+	}
+}

@@ -27,7 +27,9 @@ import (
 // program stops in round one, in a relation the round made; the second
 // in round two, in a relation the input already has. The provenance
 // run, which records a derivation as a round stages a fact, explains no
-// fact of the stopped round either.
+// fact of the stopped round either. Result.Stages counts the rounds
+// completed; the well-founded walk counts its kernel runs, and stops in
+// its first.
 func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 	u := value.New()
 	var facts strings.Builder
@@ -53,12 +55,15 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		eval func(*ast.Program, *tuple.Instance, *value.Universe, *engine.Options) (*engine.Result, error)
+		runs bool // Result.Stages counts kernel runs, not rounds
 	}{
-		{"minimal model", declarative.Eval},
-		{"naive", declarative.EvalNaive},
-		{"inflationary", core.EvalInflationary},
-		{"invent", core.EvalInvent},
-		{"provenance", provenance},
+		{"minimal model", declarative.Eval, false},
+		{"naive", declarative.EvalNaive, false},
+		{"inflationary", core.EvalInflationary, false},
+		{"invent", core.EvalInvent, false},
+		{"provenance", provenance, false},
+		{"stratified", declarative.EvalStratified, false},
+		{"well-founded", declarative.EvalWellFounded2, true},
 	} {
 		for _, c := range []struct {
 			p      *ast.Program
@@ -73,6 +78,13 @@ func TestStoppedRoundLeavesNoStagedRow(t *testing.T) {
 			cancel()
 			if !errors.Is(err, engine.ErrDeadline) || !strings.Contains(err.Error(), fmt.Sprintf("after %d stages", c.stages)) {
 				t.Fatalf("%s: err = %v", name, err)
+			}
+			want := c.stages
+			if e.runs {
+				want = 0
+			}
+			if res.Stages != want {
+				t.Fatalf("%s: Result.Stages = %d, want %d", name, res.Stages, want)
 			}
 			out := res.Out
 			if prov != nil && c.stages == 1 {
