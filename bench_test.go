@@ -139,6 +139,26 @@ func BenchmarkFig1_Invent(b *testing.B) {
 	})
 }
 
+// BenchmarkTMParity times Theorem 4.6 as the tape grows: the parity
+// machine over n cells, compiled to Datalog¬new and run to its verdict
+// (2n+3 stages). Each doubling of n should cost about ×2 to ×4, not ×8.
+func BenchmarkTMParity(b *testing.B) {
+	m := tm.ParityMachine()
+	for _, n := range []int{100, 200, 400} {
+		tape := make([]string, n)
+		for i := range tape {
+			tape[i] = "a"
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := tm.Accepts(m, tape, value.New(), 1<<14); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE32_WinGame measures the well-founded win query —
 // experiment E32.
 func BenchmarkE32_WinGame(b *testing.B) {

@@ -37,6 +37,7 @@ var goldenCases = []struct {
 	{"good_while", []string{"-program", "P/good.wl", "-facts", "P/facts/cycle_tail.facts", "-language", "while"}},
 	{"same_generation", []string{"-program", "P/same_generation.dl", "-facts", "P/facts/family.facts", "-answer", "Sg"}},
 	{"choice_effects", []string{"-program", "P/choice.dl", "-facts", "P/facts/pset.facts", "-semantics", "effects", "-answer", "Chosen"}},
+	{"invent_pairs_stages", []string{"-program", "testdata/invent_pairs.dl", "-facts", "P/facts/chain.facts", "-semantics", "invent", "-stages"}},
 	{"tag_ndatalog_new", []string{"-program", "P/tag.dl", "-facts", "P/facts/pset.facts", "-semantics", "ndatalog-new", "-seed", "4", "-answer", "Tag,Tagged"}},
 }
 

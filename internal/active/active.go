@@ -246,7 +246,7 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 	// Refraction (OPS5): an instantiation (rule, event, bound
 	// actions) fires at most once.
 	fired := map[string]bool{}
-	adomc := eval.NewAdomCache(s.u, nil, false, s.readsDomain)
+	adomc := eval.NewAdomCache(s.u, nil, s.readsDomain)
 	var best *firing
 	// Conflict resolution: among unfired instantiations whose
 	// condition currently holds, pick by priority, then event

@@ -7,9 +7,9 @@
 //     applicable instantiations, stages accumulate, and the fixpoint
 //     Γω_P(I) is reached after finitely many stages. The stages are
 //     delta-driven, on the kernel the declarative engines run on
-//     (engine.SemiNaive; the function has the soundness argument). The
-//     other two engines fire every rule against the whole instance at
-//     every stage, and say why.
+//     (engine.SemiNaive; the function has the soundness argument).
+//     EvalInvent runs on it too; only EvalNonInflationary fires every
+//     rule against the whole instance at every stage, and says why.
 //   - EvalNonInflationary — Datalog¬¬ (Section 4.2): negations in
 //     heads retract facts; the paper's default conflict resolution
 //     gives priority to positive inferences and three alternative
@@ -321,41 +321,32 @@ func (s *nonInflationary) apply() (inserted, retracted int, err error) {
 // computationally complete (Theorem 4.6), termination is not
 // guaranteed; the default stage limit is 4096.
 //
-// Every stage fires every rule against the whole instance: invented
-// values join the active domain, so a variable enumerated over it gains
-// instantiations that no positive literal reads from a new fact.
+// The stages are EvalInflationary's with Skolem heads: a re-fired
+// instantiation emits facts already present, so firing each one once,
+// at the stage it becomes applicable, derives what firing every rule
+// against the whole instance derives, stage for stage. Invented values
+// join the domain without being new facts, so the kernel reads it anew
+// every stage and fires a rule that reads it (eval.ReadsDomain) whole.
 func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options) (*Result, error) {
 	rules, col, out, err := begin("invent", ast.DialectDatalogNew, p, in, u, opt)
 	if err != nil {
 		return nil, err
 	}
+	k := engine.SemiNaive{Rules: rules, Forward: true, Limit: opt.StageLimit(4096), LimitErr: stageLimitErr,
+		Heads: skolemHeads(rules, u, col), Adom: eval.NewAdomCache(u, p.Constants(), eval.ReadsDomain(rules))}
+	stages, err := k.Run(opt, out, nil, nil, nil)
+	return engine.Finish(out, stages, col, err)
+}
 
-	// Skolem memo: (rule, body binding) -> invented values, one per
-	// head-only variable. The key is built in one reused buffer; only a
-	// new instantiation pays for its string.
+// skolemHeads returns per rule the heads function that values its
+// head-only variables, nil for a rule without any. A memo maps (rule,
+// body binding), keyed in one reused buffer, to the values invented for
+// it, which col counts. The binding copy with the values filled in and
+// the heads are scratch a rule reuses at every firing, since the staging
+// copies every fact it keeps.
+func skolemHeads(rules []*eval.Rule, u *value.Universe, col *stats.Collector) []func(eval.Binding) []eval.Fact {
 	memo := make(map[string][]value.Value)
 	var key []byte
-	skolem := func(ri int, b eval.Binding, n int) []value.Value {
-		key = strconv.AppendInt(key[:0], int64(ri), 10)
-		key = append(key, '|')
-		for _, v := range b {
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		vs, ok := memo[string(key)]
-		if !ok {
-			vs = make([]value.Value, n)
-			for i := range vs {
-				vs[i] = u.Fresh()
-			}
-			col.Invented(len(vs))
-			memo[string(key)] = vs
-		}
-		return vs
-	}
-	// A rule with head-only variables materializes its heads from a
-	// copy of the binding with the invented values filled in: both the
-	// copy and the heads are scratch the rule reuses at every firing,
-	// since the staging copies every fact it keeps.
 	heads := make([]func(eval.Binding) []eval.Fact, len(rules))
 	for ri, cr := range rules {
 		ho := cr.HeadOnlyVarIDs()
@@ -365,40 +356,28 @@ func EvalInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Opti
 		var local eval.Binding
 		scratch := cr.ScratchHeads()
 		heads[ri] = func(b eval.Binding) []eval.Fact {
+			key = strconv.AppendInt(key[:0], int64(ri), 10)
+			key = append(key, '|')
+			for _, v := range b {
+				key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+			}
+			vs, ok := memo[string(key)]
+			if !ok {
+				vs = make([]value.Value, len(ho))
+				for i := range vs {
+					vs[i] = u.Fresh()
+				}
+				col.Invented(len(vs))
+				memo[string(key)] = vs
+			}
 			local = append(local[:0], b...)
-			for i, v := range skolem(ri, b, len(ho)) {
+			for i, v := range vs {
 				local[ho[i]] = v
 			}
 			return scratch(local)
 		}
 	}
-
-	// The active domain grows as values are invented; the cache
-	// recomputes adom(P, K) only on stages that actually changed the
-	// instance (this engine only ever inserts). One matcher context
-	// serves the whole run.
-	adomc := eval.NewAdomCache(u, p.Constants(), true, eval.ReadsDomain(rules))
-	ctx := opt.EvalCtx(col, out, nil)
-	ctx.Buf, ctx.Done = new(eval.Scratch), opt.Context().Done()
-	st := eval.NewStaging(out)
-	stages, err := opt.Loop(col, opt.StageLimit(4096), stageLimitErr, func(stage int) (engine.Outcome, error) {
-		ctx.Adom = adomc.Domain(out)
-		ctx.NewStage()
-		// Skolemization re-uses an instantiation's invented values, so a
-		// re-fired instantiation emits facts that are already present.
-		for ri, cr := range rules {
-			cr.Fire(ctx, ri, heads[ri], st.Emit)
-		}
-		if err := opt.Cut(ctx, stage); err != nil {
-			st.Discard()
-			return engine.Outcome{}, err
-		}
-		if n := st.Fold(); n > 0 {
-			return engine.Outcome{Delta: n, State: out}, nil
-		}
-		return engine.Outcome{Status: engine.Confirm}, nil
-	})
-	return engine.Finish(out, stages, col, err)
+	return heads
 }
 
 // ValidateDomainSafe checks the syntactic safety restriction of

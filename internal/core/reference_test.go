@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"testing"
@@ -373,6 +374,62 @@ func referenceNonInflationary(p *ast.Program, in *tuple.Instance, u *value.Unive
 	})
 	return engine.Finish(cur, stages, col, err)
 }
+
+// errOverBudget stops a referenceInvent run that stages more facts than
+// its budget.
+var errOverBudget = errors.New("core: the reference staged more facts than its budget")
+
+// referenceInvent is EvalInvent as it ran before it was delta-driven,
+// kept as its oracle: every stage fires every rule, with the Skolem
+// heads, against the whole instance, over the active domain as the
+// stage found it. A run that stages more than budget facts stops inside
+// the stage with errOverBudget, through the matcher's Done, so the run
+// reads no context of opt.
+func referenceInvent(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Options, budget int) (*Result, error) {
+	rules, col, out, err := begin("invent", ast.DialectDatalogNew, p, in, u, opt)
+	if err != nil {
+		return nil, err
+	}
+	heads := skolemHeads(rules, u, col)
+	adomc := eval.NewAdomCache(u, p.Constants(), eval.ReadsDomain(rules))
+	stop := make(chan struct{})
+	ctx := opt.EvalCtx(col, out, nil)
+	ctx.Buf, ctx.Done = new(eval.Scratch), stop
+	st := eval.NewStaging(out)
+	staged := 0
+	emit := func(f eval.Fact) bool {
+		ok := st.Emit(f)
+		if ok {
+			if staged++; staged == budget+1 {
+				close(stop)
+			}
+		}
+		return ok
+	}
+	stages, err := opt.Loop(col, opt.StageLimit(4096), stageLimitErr, func(int) (engine.Outcome, error) {
+		ctx.Adom = adomc.Domain(out)
+		ctx.NewStage()
+		for ri, cr := range rules {
+			cr.Fire(ctx, ri, heads[ri], emit)
+		}
+		if staged > budget {
+			st.Discard()
+			return engine.Outcome{}, errOverBudget
+		}
+		if n := st.Fold(); n > 0 {
+			return engine.Outcome{Delta: n, State: out}, nil
+		}
+		return engine.Outcome{Status: engine.Confirm}, nil
+	})
+	return engine.Finish(out, stages, col, err)
+}
+
+// ReferenceInvent and ErrOverBudget let the package's external tests,
+// which may import internal/tm, run the reference.
+var (
+	ReferenceInvent = referenceInvent
+	ErrOverBudget   = errOverBudget
+)
 
 // nonInflationaryRun is what a Datalog¬¬ run shows: every stage's state
 // (snapshotted from Options.Trace), the result and the error.

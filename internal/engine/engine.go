@@ -152,14 +152,14 @@ type Options struct {
 
 	// Trace, if non-nil, is shown every counted stage of the
 	// forward-chaining engines: the stage number (1-based) and the
-	// facts newly inferred (inflationary) or the full instance state
-	// (noninflationary, invent). It is called from exactly one place,
+	// facts newly inferred (inflationary, invent) or the full instance
+	// state (noninflationary). It is called from exactly one place,
 	// the stage-loop driver (Loop), and is what `datalog -stages`
 	// prints instance sizes from — the span stream (Tracer) carries
 	// counters, not tuples. The instance handed over is the engine's
-	// live one (the noninflationary and invent engines write each
-	// stage into it in place), valid only during the call: a Trace
-	// that keeps it must keep a Snapshot of it.
+	// live one (the noninflationary engine writes each stage into it in
+	// place; the new facts are a view of the kernel's rows), valid only
+	// during the call: a Trace that keeps it must keep a Snapshot of it.
 	Trace func(stage int, state *tuple.Instance)
 
 	// Stats, if non-nil, collects per-stage and per-rule evaluation

@@ -27,6 +27,8 @@ import (
 // Negative literals read NegIn or, when it is nil, the live instance —
 // sound wherever facts are only added (EvalInflationary has the
 // argument; within a stratum the negated predicates do not grow at all).
+// A variant whose pinned predicate gained no facts last round does not
+// fire: it has nothing to enumerate.
 //
 // A SemiNaive may Run more than once (the Γ applications do, changing
 // NegIn in between): the delta variants are scheduled on the first Run
@@ -54,6 +56,14 @@ type SemiNaive struct {
 	// (valid, like the tuple, during the call only). Seed facts are not
 	// shown.
 	Derived func(round, rule int, cr *eval.Rule, b eval.Binding, f eval.Fact)
+	// Heads, if non-nil, holds per rule the heads function (eval.Rule.Fire)
+	// of it and its variants, nil for its own: EvalInvent's Skolem heads.
+	Heads []func(eval.Binding) []eval.Fact
+	// Adom, if non-nil, is a domain that grows: every round reads it anew
+	// (Run's adom is unused), and a rule that reads it (eval.ReadsDomain)
+	// fires whole every round, since a value new to the domain is no new
+	// fact of a positive literal. Set it before the first Run.
+	Adom *eval.AdomCache
 
 	variants []DeltaVariant // nil until the first Run
 	ctx      *eval.Ctx      // nil until the first Run
@@ -61,8 +71,7 @@ type SemiNaive struct {
 }
 
 // DeltaVariant is a delta variant of a rule (eval.Rule.Delta) with the
-// index its firings are charged to in the collector (-1: no per-rule
-// attribution).
+// index in SemiNaive.Rules of that rule.
 type DeltaVariant struct {
 	Rule  *eval.Rule
 	Index int
@@ -71,7 +80,8 @@ type DeltaVariant struct {
 // Variants returns the delta variants every round after the first
 // fires, scheduling them if no Run has: per rule and positive body
 // literal over a predicate some rule here has in a head, the rule pinned
-// there.
+// there. Under a growing domain (Adom) a rule that reads it is listed
+// once, whole (its DeltaLit is -1).
 func (k *SemiNaive) Variants() []DeltaVariant {
 	if k.variants == nil {
 		k.prepare()
@@ -89,19 +99,16 @@ func (k *SemiNaive) prepare() {
 	}
 	k.variants = make([]DeltaVariant, 0, len(k.Rules))
 	for i, cr := range k.Rules {
+		if k.Adom != nil && eval.ReadsDomain(k.Rules[i:i+1]) {
+			k.variants = append(k.variants, DeltaVariant{Rule: cr, Index: i})
+			continue
+		}
 		for _, li := range cr.PositiveBodyLits() {
 			if grows[cr.Src.Body[li].Atom.Pred] {
-				k.variants = append(k.variants, DeltaVariant{Rule: cr.Delta(li), Index: k.index(i)})
+				k.variants = append(k.variants, DeltaVariant{Rule: cr.Delta(li), Index: i})
 			}
 		}
 	}
-}
-
-func (k *SemiNaive) index(i int) int {
-	if k.Forward {
-		return i
-	}
-	return -1
 }
 
 // Run evaluates the rules to fixpoint, mutating out, and returns the
@@ -146,6 +153,9 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 		}
 	}()
 	return opt.Loop(col, k.Limit, k.LimitErr, func(round int) (Outcome, error) {
+		if k.Adom != nil {
+			ctx.Adom = k.Adom.Domain(out)
+		}
 		ctx.NewStage()
 		// Every head fact out lacks is staged at emission into out's own
 		// rows, where Fold publishes it after the round and the next
@@ -156,12 +166,18 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 		case round == 1:
 			// A naive pass over every rule seeds the first delta.
 			for i, cr := range k.Rules {
-				k.fire(ctx, st, round, k.index(i), cr)
+				k.fire(ctx, st, round, i, cr)
 			}
 		default:
 			ctx.Delta = st.Delta
 			for _, v := range variants {
-				ctx.DeltaLit = v.Rule.DeltaLit()
+				li := v.Rule.DeltaLit()
+				if li >= 0 {
+					if d := st.Delta.Relation(v.Rule.Src.Body[li].Atom.Pred); d == nil || d.Empty() {
+						continue
+					}
+				}
+				ctx.DeltaLit = li
 				k.fire(ctx, st, round, v.Index, v.Rule)
 			}
 		}
@@ -183,15 +199,26 @@ func (k *SemiNaive) Run(opt *Options, out *tuple.Instance, adom []value.Value, s
 	})
 }
 
-// fire fires cr as rule ri of the round, staging its head facts in st,
-// and shows k.Derived each fact it stages as new.
-func (k *SemiNaive) fire(ctx *eval.Ctx, st *eval.Staging, round, ri int, cr *eval.Rule) {
+// fire fires cr, rule i or a variant of it, charged as rule i of the
+// round, staging the head facts of rule i's heads function in st, and
+// shows k.Derived each fact it stages as new.
+func (k *SemiNaive) fire(ctx *eval.Ctx, st *eval.Staging, round, i int, cr *eval.Rule) {
+	var heads func(eval.Binding) []eval.Fact
+	if k.Heads != nil {
+		heads = k.Heads[i]
+	}
+	ri := -1 // no per-rule attribution
+	if k.Forward {
+		ri = i
+	}
 	if k.Derived == nil {
-		cr.Fire(ctx, ri, nil, st.Emit)
+		cr.Fire(ctx, ri, heads, st.Emit)
 		return
 	}
+	if heads == nil {
+		heads = cr.ScratchHeads()
+	}
 	var b eval.Binding
-	heads := cr.ScratchHeads()
 	cr.Fire(ctx, ri, func(cur eval.Binding) []eval.Fact { b = cur; return heads(cur) }, func(f eval.Fact) bool {
 		ok := st.Emit(f)
 		if ok {

@@ -378,15 +378,14 @@ func (r *Rule) appendPlan(b []byte, ctx *Ctx, tab *slotTable, steps []step, coun
 // only when the instance actually changed. A cache for rules none of
 // which reads the domain (ReadsDomain) builds nothing.
 //
-// A stamp is (generation, cardinality) — and, unless the engine
-// declares itself insert-only, the relation fingerprint, which
+// A stamp is (generation, cardinality, fingerprint): the fingerprint
 // catches a delete+insert pair that leaves the cardinality unchanged
-// (sole-owner in-place writes do not bump the generation). Not safe
+// (sole-owner in-place writes do not bump the generation), and Insert
+// and Delete keep it current, so it costs nothing to read. Not safe
 // for concurrent use; engines own one cache per run.
 type AdomCache struct {
 	u          *value.Universe
 	consts     []value.Value
-	insertOnly bool
 	reads      bool
 	stamps     map[string]adomStamp
 	cached     []value.Value
@@ -400,12 +399,11 @@ type adomStamp struct {
 	fp  uint64
 }
 
-// NewAdomCache returns a cache over the given program constants.
-// insertOnly engines (facts are only ever added) skip the fingerprint
-// half of the stamp check. reads is whether a rule the engine enumerates
-// reads the domain (ReadsDomain); without one, Domain returns nil.
-func NewAdomCache(u *value.Universe, progConsts []value.Value, insertOnly, reads bool) *AdomCache {
-	return &AdomCache{u: u, consts: progConsts, insertOnly: insertOnly, reads: reads, stamps: map[string]adomStamp{}}
+// NewAdomCache returns a cache over the given program constants. reads
+// is whether a rule the engine enumerates reads the domain
+// (ReadsDomain); without one, Domain returns nil.
+func NewAdomCache(u *value.Universe, progConsts []value.Value, reads bool) *AdomCache {
+	return &AdomCache{u: u, consts: progConsts, reads: reads, stamps: map[string]adomStamp{}}
 }
 
 // Domain returns adom(P, in), recomputing only when in changed since
@@ -433,11 +431,7 @@ func (c *AdomCache) unchanged(in *tuple.Instance) bool {
 	in.EachRel(func(name string, r *tuple.Relation) {
 		n++
 		st, ok := c.stamps[name]
-		if !ok || st.gen != r.Generation() || st.n != r.Len() {
-			same = false
-			return
-		}
-		if !c.insertOnly && st.fp != r.Fingerprint() {
+		if !ok || st.gen != r.Generation() || st.n != r.Len() || st.fp != r.Fingerprint() {
 			same = false
 		}
 	})
@@ -447,10 +441,6 @@ func (c *AdomCache) unchanged(in *tuple.Instance) bool {
 func (c *AdomCache) restamp(in *tuple.Instance) {
 	clear(c.stamps)
 	in.EachRel(func(name string, r *tuple.Relation) {
-		st := adomStamp{gen: r.Generation(), n: r.Len()}
-		if !c.insertOnly {
-			st.fp = r.Fingerprint()
-		}
-		c.stamps[name] = st
+		c.stamps[name] = adomStamp{gen: r.Generation(), n: r.Len(), fp: r.Fingerprint()}
 	})
 }

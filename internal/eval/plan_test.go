@@ -28,7 +28,7 @@ func countFirings(r *Rule, ctx *Ctx) int {
 func TestAdomCacheStableAcrossStages(t *testing.T) {
 	u := value.New()
 	in := parser.MustParseFacts(`G(a,b). G(b,c).`, u)
-	c := NewAdomCache(u, nil, false, true)
+	c := NewAdomCache(u, nil, true)
 
 	base := c.Domain(in)
 	want := ActiveDomain(u, nil, in)
@@ -60,14 +60,14 @@ func TestAdomCacheStableAcrossStages(t *testing.T) {
 	}
 }
 
-// TestAdomCacheSeesDeleteReinsert guards the fingerprint mode: a
-// delete+reinsert cycle that restores the same tuple set must hit the
+// TestAdomCacheSeesDeleteReinsert guards the fingerprint in the stamp:
+// a delete+reinsert cycle that restores the same tuple set must hit the
 // cache, while a delete that removes a value's last occurrence must
-// recompute (insert-only stamping would miss it).
+// recompute (generation and cardinality alone would miss it).
 func TestAdomCacheSeesDeleteReinsert(t *testing.T) {
 	u := value.New()
 	in := parser.MustParseFacts(`P(a). P(b).`, u)
-	c := NewAdomCache(u, nil, false, true)
+	c := NewAdomCache(u, nil, true)
 	c.Domain(in)
 
 	b := tuple.Tuple{u.Sym("b")}
@@ -103,7 +103,7 @@ func TestAdomCacheBuildsNothingUnread(t *testing.T) {
 	if ReadsDomain(rules) {
 		t.Fatal("rules whose variables all occur in positive atoms read the domain")
 	}
-	c := NewAdomCache(u, nil, false, ReadsDomain(rules))
+	c := NewAdomCache(u, nil, ReadsDomain(rules))
 	if d := c.Domain(in); d != nil || c.Recomputes() != 0 {
 		t.Fatalf("domain %v after %d recomputes, want nil after none", d, c.Recomputes())
 	}

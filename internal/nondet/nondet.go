@@ -268,7 +268,7 @@ func Run(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Universe, s
 	// the second Domain call is a cache hit, and a step that only
 	// rearranges known values (delete + reinsert) skips the re-sort
 	// entirely.
-	adomc := eval.NewAdomCache(u, prog.consts, false, prog.readsDomain())
+	adomc := eval.NewAdomCache(u, prog.consts, prog.readsDomain())
 	var cands []candidate
 	aborted := false
 	steps, err := opt.ChooseLoop(col, opt.StageLimit(1<<20),
@@ -364,7 +364,7 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 	}
 
 	start := in.SnapshotWith(col.Cow())
-	adomc := eval.NewAdomCache(u, prog.consts, false, prog.readsDomain())
+	adomc := eval.NewAdomCache(u, prog.consts, prog.readsDomain())
 	queue := []*tuple.Instance{start}
 	remember(start)
 	eff := &EffectSet{}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unchained/internal/core"
+	"unchained/internal/stats"
 	"unchained/internal/tuple"
 	"unchained/internal/value"
 )
@@ -122,6 +123,28 @@ func TestCompiledABMatchesInterpreter(t *testing.T) {
 		if got != want {
 			t.Errorf("%q: compiled=%v interpreter=%v", w, got, want)
 		}
+	}
+}
+
+// TestParityRederivesLinearly holds the simulation to its real cost:
+// each stage fires only the instantiations a fact new at the stage before
+// enables, so parity over n cells rederives O(n) facts, not the O(n³) a
+// stage loop that fires every rule against the whole instance rederives
+// (1 445 513 at n = 100).
+func TestParityRederivesLinearly(t *testing.T) {
+	const n = 100
+	u := value.New()
+	m := ParityMachine()
+	p, err := Compile(m, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.EvalInvent(p, EncodeInput(m, unary(n), u), u, &core.Options{Stats: stats.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Stats; s.Rederived > 8*n {
+		t.Fatalf("parity over %d cells: %d firings rederive %d facts (derived %d), want at most %d", n, s.Firings, s.Rederived, s.Derived, 8*n)
 	}
 }
 
