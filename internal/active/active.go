@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"unchained/internal/ast"
@@ -74,16 +75,13 @@ const eventRelPrefix = "__event"
 
 func eventRel(arity int) string { return fmt.Sprintf("%s%d", eventRelPrefix, arity) }
 
-// compiledRule pairs a rule with its compiled matcher.
-type compiledRule struct {
-	src Rule
-	cr  *eval.Rule
-}
-
 // System is a set of ECA rules ready to process update streams.
 type System struct {
-	rules []compiledRule
-	u     *value.Universe
+	rules []Rule
+	// crs holds the rules compiled together (one predicate numbering, so
+	// that one matcher context serves them all), in the order of rules.
+	crs []*eval.Rule
+	u   *value.Universe
 	// readsDomain: a rule reads the active domain (eval.ReadsDomain).
 	readsDomain bool
 }
@@ -138,7 +136,8 @@ func (o *Options) shared() *engine.Options {
 
 // NewSystem validates and compiles the rules.
 func NewSystem(u *value.Universe, rules []Rule) (*System, error) {
-	s := &System{u: u}
+	s := &System{u: u, rules: slices.Clone(rules)}
+	src := make([]ast.Rule, len(rules))
 	for i, r := range rules {
 		if r.Pred == "" {
 			return nil, fmt.Errorf("active: rule %d (%s): empty trigger relation", i, r.Name)
@@ -158,18 +157,21 @@ func NewSystem(u *value.Universe, rules []Rule) (*System, error) {
 			evArgs[j] = ast.V(v)
 		}
 		body := append([]ast.Literal{ast.PosLit(ast.NewAtom(eventRel(len(r.Vars)), evArgs...))}, r.Cond...)
-		rule := ast.Rule{Head: r.Actions, Body: body}
-		prog := ast.NewProgram(rule)
-		if err := prog.Validate(ast.DialectNDatalogNegNeg); err != nil {
+		src[i] = ast.Rule{Head: r.Actions, Body: body}
+		if err := ast.NewProgram(src[i]).Validate(ast.DialectNDatalogNegNeg); err != nil {
 			return nil, fmt.Errorf("active: rule %d (%s): %w", i, r.Name, err)
 		}
-		cr, err := eval.Compile(rule)
-		if err != nil {
-			return nil, fmt.Errorf("active: rule %d (%s): %w", i, r.Name, err)
-		}
-		s.rules = append(s.rules, compiledRule{src: r, cr: cr})
-		s.readsDomain = s.readsDomain || eval.ReadsDomain([]*eval.Rule{cr})
 	}
+	var err error
+	if s.crs, err = eval.CompileProgram(ast.NewProgram(src...)); err != nil {
+		for i, r := range src { // name the rule that fails
+			if _, err := eval.Compile(r); err != nil {
+				return nil, fmt.Errorf("active: rule %d (%s): %w", i, rules[i].Name, err)
+			}
+		}
+		return nil, fmt.Errorf("active: %w", err)
+	}
+	s.readsDomain = eval.ReadsDomain(s.crs)
 	return s, nil
 }
 
@@ -191,7 +193,7 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 	col := eo.Collector()
 	if col.Enabled() {
 		col.Reset("active", len(s.rules), func(i int) string {
-			if name := s.rules[i].src.Name; name != "" {
+			if name := s.rules[i].Name; name != "" {
 				return name
 			}
 			return fmt.Sprintf("rule %d", i)
@@ -224,12 +226,12 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 		key     string
 	}
 	better := func(a, b *firing) bool {
-		pa, pb := s.rules[a.ri].src.Priority, s.rules[b.ri].src.Priority
+		pa, pb := s.rules[a.ri].Priority, s.rules[b.ri].Priority
 		if pa != pb {
 			return pa > pb
 		}
 		if opt != nil && opt.Specificity {
-			sa, sb := len(s.rules[a.ri].src.Cond), len(s.rules[b.ri].src.Cond)
+			sa, sb := len(s.rules[a.ri].Cond), len(s.rules[b.ri].Cond)
 			if sa != sb {
 				return sa > sb
 			}
@@ -247,6 +249,7 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 	// actions) fires at most once.
 	fired := map[string]bool{}
 	adomc := eval.NewAdomCache(s.u, nil, s.readsDomain)
+	ctx := eo.EvalCtx(col, wm, nil)
 	var best *firing
 	// Conflict resolution: among unfired instantiations whose
 	// condition currently holds, pick by priority, then event
@@ -258,20 +261,21 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 			// Bind the event by planting its tuple in the reserved
 			// __event relation once per event (not once per rule, as
 			// the engine used to), so the active-domain re-sort and
-			// the ctx are shared by every rule the event can trigger.
+			// the stage are shared by every rule the event can trigger.
 			planted := false
-			var ctx *eval.Ctx
 			for ri, r := range s.rules {
-				if r.src.Pred != ev.Pred || r.src.On != ev.Kind || len(r.src.Vars) != len(ev.Tuple) {
+				if r.Pred != ev.Pred || r.On != ev.Kind || len(r.Vars) != len(ev.Tuple) {
 					continue
 				}
+				cr := s.crs[ri]
 				if !planted {
 					wm.Ensure(eventRel(len(ev.Tuple)), len(ev.Tuple)).Insert(ev.Tuple)
 					planted = true
-					ctx = eo.EvalCtx(col, wm, adomc.Domain(wm))
+					ctx.Adom = adomc.Domain(wm)
+					ctx.NewStage()
 				}
-				r.cr.Enumerate(ctx, func(b eval.Binding) bool {
-					facts := r.cr.HeadFacts(b, nil)
+				cr.Enumerate(ctx, func(b eval.Binding) bool {
+					facts := cr.HeadFacts(b, nil)
 					key := fmt.Sprintf("%d|%d|", ri, ev.seq)
 					for _, f := range facts {
 						if f.Neg {
@@ -303,7 +307,7 @@ func (s *System) Run(in *tuple.Instance, updates []Event, opt *Options) (*Result
 		func(int) (engine.Outcome, error) {
 			fired[best.key] = true
 			if opt != nil && opt.Trace != nil {
-				opt.Trace(s.rules[best.ri].src.Name, agenda[best.evIndex])
+				opt.Trace(s.rules[best.ri].Name, agenda[best.evIndex])
 			}
 			inserted, deleted, noop := 0, 0, 0
 			for _, f := range best.facts {

@@ -78,9 +78,10 @@ func EvalNaive(p *ast.Program, in *tuple.Instance, u *value.Universe, opt *Optio
 	out := in.SnapshotWith(col.Cow())
 	adom := eval.DomainFor(rules, p, u, in)
 	st := eval.NewStaging(out)
+	ctx := opt.EvalCtx(col, out, adom)
+	ctx.Done = opt.Context().Done()
 	rounds, err := opt.Loop(col, 0, nil, func(round int) (engine.Outcome, error) {
-		ctx := opt.EvalCtx(col, out, adom)
-		ctx.Done = opt.Context().Done()
+		ctx.NewStage()
 		for _, cr := range rules {
 			cr.Fire(ctx, -1, nil, st.Emit)
 		}

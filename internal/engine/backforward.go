@@ -88,7 +88,11 @@ type bfPlan struct {
 // firings that derive it. forward holds the rules' delta variants pinned
 // at each positive body literal over the layer's predicates: the
 // variants a semi-naive run over the layer fires after its first round.
-// The caller has scheduled both; nothing is scheduled here.
+// Every plan runs in literal order: the pinned fact, or the few facts a
+// wave deleted, go first, and each join after them is the one with the
+// most columns bound. The planner leaves the head-pinned variants alone;
+// the forward ones are scheduled here, once (eval.Rule.Literal), and not
+// at a view's first batch.
 func NewBackwardForward(rules, heads []*eval.Rule, forward []DeltaVariant) *BackwardForward {
 	bf := &BackwardForward{forward: make([]bfPlan, 0, len(forward))}
 	for _, r := range rules {
@@ -111,7 +115,7 @@ func NewBackwardForward(rules, heads []*eval.Rule, forward []DeltaVariant) *Back
 	}
 	slices.SortStableFunc(bf.checks, func(a, b bfPlan) int { return min(len(a.own), 1) - min(len(b.own), 1) })
 	for _, v := range forward {
-		f := plan(v.Rule, bf.pred(v.Rule.Src.Body[v.Rule.DeltaLit()].Atom.Pred))
+		f := plan(v.Rule.Literal(), bf.pred(v.Rule.Src.Body[v.Rule.DeltaLit()].Atom.Pred))
 		f.heads = f.rule.ScratchHeads()
 		bf.forward = append(bf.forward, f)
 	}
@@ -147,12 +151,8 @@ func (bf *BackwardForward) Run(opt *Options, state, negIn *tuple.Instance, adom 
 		l.truncate(0)
 	}
 	r.from, r.need = r.from[:0], r.need[:0]
-	// A plan pinned at one fact keeps its literal-order schedule: the
-	// fact goes first and each join after it is the one with the most
-	// columns bound. Planning it afresh on every call would cost about as
-	// much as a check.
 	r.ctx = *opt.EvalCtx(col, state, adom)
-	r.ctx.NegIn, r.ctx.Buf, r.ctx.NoPlan = negIn, &r.buf, true
+	r.ctx.NegIn, r.ctx.Buf = negIn, &r.buf
 	for i, name := range bf.preds {
 		rels := &r.rels[i]
 		rels.state = state.Ensure(name, bf.arity[i])

@@ -131,7 +131,8 @@ type Options struct {
 	// Plans, if non-nil, shares planner-chosen join schedules across
 	// evaluations (the daemon hangs one cache off each cached
 	// program, so repeated requests skip re-planning). Safe for
-	// concurrent use; nil gives each compiled rule a private memo.
+	// concurrent use; nil keeps each evaluation's plans in its own
+	// matcher context.
 	Plans *eval.PlanCache
 
 	// Policy is the Datalog¬¬ conflict policy (default
@@ -279,13 +280,12 @@ func Finish(out *tuple.Instance, stages int, col *stats.Collector, err error) (*
 	return &Result{Out: out, Stages: stages, Stats: col.Summary()}, err
 }
 
-// EvalCtx returns the matcher environment for one enumeration pass
+// EvalCtx returns the matcher environment for the enumerations of a run
 // over in: the scan switch, the planner switch and the plan cache come
-// from the options, probes are charged to col, no body literal is
-// pinned to a delta, and plan spans are on (a caller whose pass is no
-// stage of the run turns PlanTrace off).
+// from the options, probes and plans are charged to col, and no body
+// literal is pinned to a delta.
 func (o *Options) EvalCtx(col *stats.Collector, in *tuple.Instance, adom []value.Value) *eval.Ctx {
-	ctx := &eval.Ctx{In: in, Adom: adom, DeltaLit: -1, Stats: col, PlanTrace: true}
+	ctx := &eval.Ctx{In: in, Adom: adom, DeltaLit: -1, Stats: col}
 	if o != nil {
 		ctx.Scan, ctx.NoPlan, ctx.Plans = o.Scan, o.LiteralOrder, o.Plans
 	}

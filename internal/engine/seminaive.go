@@ -31,8 +31,9 @@ import (
 // fire: it has nothing to enumerate.
 //
 // A SemiNaive may Run more than once (the Γ applications do, changing
-// NegIn in between): the delta variants are scheduled on the first Run
-// and keep their plan memos.
+// NegIn in between): the delta variants are made on the first Run, and
+// the Scratch the runs share (Buf, or the kernel's own) keeps their plan
+// picks.
 type SemiNaive struct {
 	Rules []*eval.Rule
 	// NegIn, if non-nil, is the fixed instance negative literals test.

@@ -47,7 +47,7 @@ func TestDomainFreeRulesNeverEnumerate(t *testing.T) {
 				variants = append(variants, r.Delta(len(r.lits)))
 			}
 			for _, v := range variants {
-				domainFree(t, where, v.deltaLit, v.steps)
+				domainFree(t, where, v.deltaLit, v.schedule(v.DeltaLit(), nil, nil))
 				ctx := &Ctx{In: in, DeltaLit: v.DeltaLit(), Delta: in}
 				tab := ctx.table()
 				tab.sync(ctx, v.prog)

@@ -38,9 +38,10 @@ func chainClosure(t *testing.T, n int) (*Rule, *Ctx) {
 	return cr, &Ctx{In: in, Adom: ActiveDomain(u, nil, in)}
 }
 
-// An enumeration allocates the buffer its binding and scratch tuples
-// share (and whatever the planner needs on a replan), nothing per
-// valuation.
+// The enumerations under one context share the Scratch the first one
+// made (a context without a Buf gets one), with the schedule it chose:
+// the next ones allocate nothing, per call or per valuation. When each
+// call allocated its binding buffer and its cursors, they read 2.
 func TestEnumerateAllocatesPerCallNotPerBinding(t *testing.T) {
 	for _, n := range []int{16, 256} {
 		cr, ctx := chainClosure(t, n)
@@ -52,8 +53,8 @@ func TestEnumerateAllocatesPerCallNotPerBinding(t *testing.T) {
 		if want := (n - 1) * (n - 2) / 2; bindings != want {
 			t.Fatalf("n=%d: %d bindings, want %d", n, bindings, want)
 		}
-		if got > 4 {
-			t.Errorf("n=%d: Enumerate allocates %.0f times per call over %d bindings, want <= 4", n, got, bindings)
+		if got != 0 {
+			t.Errorf("n=%d: Enumerate allocates %.0f times per call over %d bindings, want 0", n, got, bindings)
 		}
 	}
 }
@@ -77,9 +78,8 @@ func TestFireIntoStagingAllocatesOnlyGrowth(t *testing.T) {
 }
 
 // Firing under a context with a Buf allocates nothing, whatever the
-// rule's heads: the binding, the probe patterns, the relation table and
-// the head scratch all come from the Buf, and the plan from the rule's
-// memo.
+// rule's heads: the binding, the probe patterns, the relation table, the
+// head scratch and the plan all come from the Buf.
 func TestFireWithBufAllocatesNothing(t *testing.T) {
 	cr, ctx := chainClosure(t, 64)
 	u := value.New()
@@ -121,7 +121,7 @@ func TestFireWithBufAllocatesNothing(t *testing.T) {
 // its string, 48 reports took 150 allocations.
 func TestFireWithStatsAllocatesNothing(t *testing.T) {
 	cr, ctx := chainClosure(t, 64)
-	ctx.Buf, ctx.Stats, ctx.PlanTrace = &Scratch{}, stats.New(), true
+	ctx.Buf, ctx.Stats = &Scratch{}, stats.New()
 	emit := func(Fact) bool { return true }
 	cr.Fire(ctx, -1, nil, emit) // grows the Buf, files the plan
 	if got := testing.AllocsPerRun(10, func() { cr.Fire(ctx, -1, nil, emit) }); got != 0 {
@@ -134,7 +134,7 @@ func TestFireWithStatsAllocatesNothing(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for range reports {
 		ctx.NewStage()
-		cr.plan.emitted = 0 // the rule reports its plan at this stage again
+		ctx.table().pick(cr).emitted = 0 // the rule reports its plan at this stage again
 		cr.Fire(ctx, -1, nil, emit)
 	}
 	runtime.ReadMemStats(&after)
@@ -152,10 +152,12 @@ func TestFireWithStatsAllocatesNothing(t *testing.T) {
 	}
 }
 
-// A schedule is not a compilation: a replan and a delta variant of
-// Example 4.3's four-literal rule order the steps of the compiled text
-// again — the flags, the steps, the binds, and for a variant its Rule —
-// where compiling the rule anew from the AST took 44 allocations.
+// A schedule is not a compilation: a replan of Example 4.3's
+// four-literal rule orders the steps of the compiled text again — the
+// flags, the steps, the binds — where compiling the rule anew from the
+// AST took 44 allocations. A delta variant the planner orders is its
+// Rule alone: Delta schedules nothing the planner would replace (4 when
+// it did).
 func TestScheduleAllocations(t *testing.T) {
 	u := value.New()
 	r, err := parser.ParseRule("OldTExceptFinal(X,Y) :- T(X,Y), T(Xp,Zp), T(Zp,Yp), !T(Xp,Yp).", u)
@@ -172,14 +174,17 @@ func TestScheduleAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() { cr.schedule(-1, ctx, tab) }); got > 6 {
 		t.Errorf("a replan allocates %.0f times, want <= 6", got)
 	}
-	if got := testing.AllocsPerRun(10, func() { cr.Delta(1) }); got > 6 {
-		t.Errorf("a delta variant allocates %.0f times, want <= 6", got)
+	if got := testing.AllocsPerRun(10, func() { cr.Delta(1) }); got > 1 {
+		t.Errorf("a planned delta variant allocates %.0f times, want <= 1", got)
 	}
 }
 
-// Compiling delayed_ct.dl and scheduling its six delta variants costs
-// no more than compiling the five rules alone did when a compilation
-// interned variables in a map and every atom kept its own slices (156).
+// Compiling delayed_ct.dl and making its six delta variants allocates
+// 36 times: the compiled storage, a Rule per variant, and the schedules
+// of the two variants the planner leaves alone, the only ones Delta
+// schedules (48 when it scheduled all six, and 156 when a compilation
+// of the five rules alone interned variables in a map and every atom
+// kept its own slices).
 func TestCompileAllocations(t *testing.T) {
 	u := value.New()
 	p, err := parser.Parse(programs.Source("delayed_ct.dl"), u)
@@ -205,8 +210,8 @@ func TestCompileAllocations(t *testing.T) {
 	if variants != 6 {
 		t.Fatalf("%d delta variants, want 6", variants)
 	}
-	if got > 156 {
-		t.Errorf("compiling delayed_ct.dl with its delta variants allocates %.0f times, want <= 156", got)
+	if got > 36 {
+		t.Errorf("compiling delayed_ct.dl with its delta variants allocates %.0f times, want <= 36", got)
 	}
 	t.Logf("compile + variants: %.0f allocations", got)
 }

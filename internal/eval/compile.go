@@ -148,25 +148,28 @@ type text struct {
 // enumerate anything. The literal order does not matter.
 func (t *text) readsDomain() bool { return t.nEnum > 0 || t.forall }
 
-// Rule is a compiled rule ready for enumeration. The baseline steps
-// follow the seed's literal-order greedy schedule; the planner
-// (plan.go) may substitute a cardinality-ordered alternative per
-// evaluation context. A delta variant (Delta) is the same text under a
-// schedule that starts from one pinned literal, with a plan memo of its
-// own.
+// Rule is a compiled rule ready for enumeration, read-only once Compile,
+// Delta or Literal returns it: what an evaluation varies lives in its
+// context's Scratch. The baseline steps follow the seed's literal-order
+// greedy schedule; the planner (plan.go) may substitute a
+// cardinality-ordered alternative per evaluation context. A delta
+// variant (Delta) is the same text under a schedule that starts from one
+// pinned literal.
 type Rule struct {
 	*text
 	deltaLit int32 // pinned-first delta literal, or -1
 	// id numbers the rule among its program's planned rules and
 	// variants (-1: not planned): the index of its plan pick in a slot
 	// table (see slotTable.plan).
-	id    int32
+	id int32
+	// steps is the literal-order schedule: nil for a planned variant,
+	// whose one a context builds where the planner is off
+	// (slotTable.literal).
 	steps []step
-	plan  planState
 }
 
 // planned reports whether the planner may reorder the rule's schedule
-// (see planFor).
+// (see slotTable.plan).
 func (r *Rule) planned() bool { return r.id >= 0 }
 
 // planID returns the plan pick id of a schedule of the rule pinned at
@@ -337,9 +340,26 @@ func carve[T any](s *[]T, n int) []T {
 // that fact; head constants and repeated head variables are checks of
 // the pinned step like any other atom's.
 //
-// The variant is a schedule of the compiled text, not a compilation.
+// The variant is a schedule of the compiled text, not a compilation,
+// and Delta schedules it only for a variant the planner leaves alone
+// (see planID): a planned one is scheduled where it is enumerated.
 func (r *Rule) Delta(lit int) *Rule {
-	return &Rule{text: r.text, deltaLit: int32(lit), id: r.planID(lit), steps: r.schedule(lit, nil, nil)}
+	v := &Rule{text: r.text, deltaLit: int32(lit), id: r.planID(lit)}
+	if !v.planned() {
+		v.steps = v.schedule(lit, nil, nil)
+	}
+	return v
+}
+
+// Literal returns the rule under its literal-order schedule, never
+// planned: for an engine that runs the rule only in literal order, so
+// that the schedule is built here and not at its first enumeration.
+func (r *Rule) Literal() *Rule {
+	v := *r
+	if v.id = -1; v.steps == nil {
+		v.steps = r.schedule(int(r.deltaLit), nil, nil)
+	}
+	return &v
 }
 
 // compiler interns a rule's variables and compiles its terms. Every

@@ -1,6 +1,7 @@
-// The clause planner. A compiled rule carries the seed's
-// literal-order greedy schedule as its baseline; at enumeration time
-// the planner may substitute a cardinality-ordered alternative:
+// The clause planner. The seed's literal-order greedy schedule is the
+// baseline (a compiled rule carries it, a planned delta variant gets it
+// where it runs; see slotTable.literal); at enumeration time the
+// planner may substitute a cardinality-ordered alternative:
 // positive atoms are joined cheapest-estimate first (est = |R| /
 // 10^bound, with |R| the live cardinality of the relation the literal
 // matches against), equalities and negative checks are pushed down to
@@ -12,13 +13,15 @@
 //
 // A rule's schedule is chosen by its first enumeration of a stage that
 // began with a relation's size decade changed (see slotTable.plan), and
-// memoized on the rule keyed by a cardinality signature: the size decade
-// (digit count) of every joined relation, 4 bits per positive literal. Re-planning therefore happens
-// only when some relation's cardinality crosses a decade — cheap enough
-// to leave on for every engine, while still adapting as a fixpoint's
-// IDB grows. A daemon serving many requests over the same program
-// shares plans across compilations through a PlanCache (see
-// internal/serve).
+// kept in the context's plan pick for the rule with the cardinality
+// signature it was chosen for: the size decade (digit count) of every
+// relation the planner may join, 4 bits per positive literal.
+// Re-planning therefore happens only when some relation's cardinality
+// crosses a decade — cheap enough to leave on for every engine, while
+// still adapting as a fixpoint's IDB grows. A daemon serving many
+// requests over the same program shares plans across compilations
+// through a PlanCache (see internal/serve), the one memo that outlives
+// a context.
 package eval
 
 import (
@@ -33,46 +36,27 @@ import (
 	"unchained/internal/value"
 )
 
-// planState is the per-rule plan memo: the schedule last chosen (nil:
-// none yet) and the signature it was chosen for, the plan last reported,
-// and the key the rule's plans are filed under in a PlanCache.
-type planState struct {
-	mu      sync.Mutex
-	sig     uint64
-	steps   []step
-	emitted uint64 // dedup key of the last plan reported (planChanged)
-	body    uint64 // the body's hash (cacheKey), 0 until a PlanCache asks
-}
-
 // planFor returns the planner's schedule of a planned rule (Rule.planned)
-// for the cardinalities of the relations tab resolved under ctx. It runs
-// only when a stage began with a size decade changed (slotTable.plan).
-// It locks the rule's memo, though no caller is known to enumerate one
-// compiled rule from two goroutines at once.
-func (r *Rule) planFor(ctx *Ctx, tab *slotTable) []step {
-	sig := r.planSig(ctx, tab)
+// for the cardinalities of the relations tab resolved under ctx, whose
+// signature p.sig holds: from ctx.Plans when it has one, filed there if
+// it does not. It runs only when a stage began with a size decade
+// changed that changed the rule's signature (slotTable.plan).
+func (r *Rule) planFor(ctx *Ctx, tab *slotTable, p *pick) []step {
+	if ctx.Plans == nil {
+		return r.schedule(int(r.deltaLit), ctx, tab)
+	}
 	// planFor runs only while a stage enumerates a rule, so a lookup in
 	// a shared plan cache means a stage has begun; internal/serve's
 	// accounting test sets off its deadline on that.
-	r.plan.mu.Lock()
-	defer r.plan.mu.Unlock()
-	if ctx.Plans != nil {
-		if r.plan.body == 0 {
-			r.plan.body = r.cacheKey()
-		}
-		key := planCacheKey{r.plan.body, int(r.deltaLit), sig}
-		if st, ok := ctx.Plans.lookup(key, r.text); ok {
-			return st
-		}
-		st := r.schedule(int(r.deltaLit), ctx, tab)
-		ctx.Plans.store(key, r.text, st)
+	if p.body == 0 {
+		p.body = r.cacheKey()
+	}
+	key := planCacheKey{p.body, int(r.deltaLit), p.sig}
+	if st, ok := ctx.Plans.lookup(key, r.text); ok {
 		return st
 	}
-	if r.plan.steps != nil && r.plan.sig == sig {
-		return r.plan.steps
-	}
 	st := r.schedule(int(r.deltaLit), ctx, tab)
-	r.plan.sig, r.plan.steps = sig, st
+	ctx.Plans.store(key, r.text, st)
 	return st
 }
 
@@ -110,13 +94,17 @@ func decade(n int) uint64 {
 	return d
 }
 
-// planSig packs the size decade of every joined relation, in body
-// order, 4 bits each. Equal signatures mean every cardinality is in
-// the same decade as when the memoized plan was chosen.
+// planSig packs the size decade of every relation the planner may
+// join, in body order, 4 bits each: every positive atom's but the one
+// the rule pins, which schedule places first without reading its size.
+// Equal signatures mean every cardinality the planner reads is in the
+// same decade as when the pick's plan was chosen.
 func (r *Rule) planSig(ctx *Ctx, tab *slotTable) uint64 {
 	var sig uint64
 	for _, li := range r.posBody {
-		sig = sig<<4 | tab.decade(ctx, li, r.lits[li].id)
+		if li != int(r.deltaLit) {
+			sig = sig<<4 | tab.decade(ctx, li, r.lits[li].id)
+		}
 	}
 	return sig
 }
@@ -328,22 +316,18 @@ func eachJoin(ctx *Ctx, tab *slotTable, steps []step, f func(i int, st *step, cu
 	}
 }
 
-// planChanged reports whether the schedule about to run differs, in
-// join order or in any estimate, from the last one the rule reported,
-// and remembers it as reported: a plan is reported once per estimate
-// change, not once per stage. The key is a hash (FNV-1a over the
-// literal indexes and estimates), so comparing it formats nothing.
-func (r *Rule) planChanged(ctx *Ctx, tab *slotTable, steps []step) bool {
+// planKey is the key of the schedule about to run, which the pick
+// compares with that of the plan it last reported: a plan is reported
+// once per change of join order or estimate, not once per stage. It is
+// a hash (FNV-1a over the literal indexes and estimates), so comparing
+// it formats nothing.
+func (r *Rule) planKey(ctx *Ctx, tab *slotTable, steps []step) uint64 {
 	key := uint64(14695981039346656037)
 	eachJoin(ctx, tab, steps, func(_ int, st *step, cum int) {
 		key = (key ^ uint64(st.litIndex)) * 1099511628211
 		key = (key ^ uint64(cum)) * 1099511628211
 	})
-	r.plan.mu.Lock()
-	defer r.plan.mu.Unlock()
-	changed := r.plan.emitted != key
-	r.plan.emitted = key
-	return changed
+	return key
 }
 
 // appendPlan appends to b the chosen join order with estimated and

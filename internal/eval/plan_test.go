@@ -233,3 +233,48 @@ func TestPlannerJoinsTheConstantBearingLiteralFirst(t *testing.T) {
 		t.Fatalf("%d firings, want 1", n)
 	}
 }
+
+// TestVariantKeepsItsPlanAcrossDeltaDecades: the planner places a delta
+// variant's pinned literal first without reading its size, so its
+// signature leaves that literal out, and a variant fired over a delta
+// that alternates between 5 and 50 facts keeps the schedule its first
+// stage chose instead of choosing it again at every flip.
+func TestVariantKeepsItsPlanAcrossDeltaDecades(t *testing.T) {
+	u := value.New()
+	r, err := parser.ParseRule("T(X,Y) :- T(X,Z), G(Z,Y), H(Y).", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := Compile(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := cr.Delta(0)
+	in := tuple.NewInstance()
+	for i := range 30 {
+		in.Insert("T", tuple.Tuple{u.Int(int64(i)), u.Int(int64(i + 1))})
+		in.Insert("G", tuple.Tuple{u.Int(int64(i)), u.Int(int64(i % 3))})
+	}
+	for i := range 3 {
+		in.Insert("H", tuple.Tuple{u.Int(int64(i))})
+	}
+	deltas := [2]*tuple.Instance{tuple.NewInstance(), tuple.NewInstance()}
+	for i := range 50 {
+		if i < 5 {
+			deltas[0].Insert("T", tuple.Tuple{u.Int(int64(i)), u.Int(int64(i + 2))})
+		}
+		deltas[1].Insert("T", tuple.Tuple{u.Int(int64(i)), u.Int(int64(i + 2))})
+	}
+	ctx := &Ctx{In: in, Delta: deltas[0], DeltaLit: v.DeltaLit()}
+	first, _ := v.stepsFor(ctx, ctx.table())
+	for stage := 1; stage <= 4; stage++ {
+		ctx.Delta = deltas[stage%2]
+		ctx.NewStage()
+		if steps, _ := v.stepsFor(ctx, ctx.table()); &steps[0] != &first[0] {
+			t.Fatalf("stage %d, a delta of %d facts: the variant chose its schedule again", stage, ctx.Delta.Facts())
+		}
+	}
+	if n := countFirings(v, ctx); n == 0 {
+		t.Fatal("the variant fires nothing over the delta")
+	}
+}

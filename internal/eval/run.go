@@ -9,7 +9,8 @@ import (
 	"unchained/internal/value"
 )
 
-// Ctx carries the evaluation environment for one enumeration pass.
+// Ctx carries the evaluation environment of an engine's enumerations:
+// an engine holds one for a run and points it at each stage's instances.
 type Ctx struct {
 	// In is the instance positive literals match against and
 	// negative literals are checked against (the current K).
@@ -30,20 +31,22 @@ type Ctx struct {
 	DeltaLit int
 	// DeltaFact, if non-nil, is the one fact the literal with index
 	// DeltaLit matches, in place of Delta: a delta of a single fact,
-	// which needs no relation to hold it.
+	// which needs no relation to hold it. The rule then runs its
+	// literal-order schedule (see stepsFor).
 	DeltaFact tuple.Tuple
-	// Buf, if non-nil, is the storage of every Enumerate and Fire under
-	// this context (see Scratch), grown as needed, instead of storage
-	// allocated per call: for a caller that enumerates many times, one
-	// enumeration at a time.
+	// Buf is the storage of every Enumerate and Fire under this context
+	// (see Scratch), grown as needed, with the schedules its rules chose:
+	// enumerations under one context run one at a time. A context
+	// without one gets one at its first enumeration.
 	Buf *Scratch
 	// Stats, if non-nil, receives the index probes and full scans of
 	// every enumeration, tallied in the enumeration's frame and flushed
-	// in one ProbeBatch at its end, and, under PlanTrace, the plans it
-	// reports. An enumeration allocates nothing for it.
+	// in one ProbeBatch at its end, and the plans it reports. An
+	// enumeration allocates nothing for it.
 	Stats *stats.Collector
 	// Plans, if non-nil, shares planner schedules across rule
-	// compilations (see PlanCache); nil uses a per-rule memo.
+	// compilations and contexts (see PlanCache); every context keeps
+	// those its rules chose in its Buf anyway.
 	Plans *PlanCache
 	// Done, if non-nil, stops the enumerations under the context within
 	// 256 firings of its closing (one non-blocking check per 256): the
@@ -51,13 +54,6 @@ type Ctx struct {
 	// Stopped reports it. An engine that sets it must not apply a stage
 	// its enumerations did not finish.
 	Done <-chan struct{}
-
-	// tab is the slot table of a context without a Buf (see table).
-	tab *slotTable
-
-	// The poll counter and the flags go last, side by side: engines
-	// allocate a Ctx per stage, and padding after each would take its
-	// 128 bytes up a size class.
 
 	// polls counts the firings since Done was last checked.
 	polls uint32
@@ -69,10 +65,6 @@ type Ctx struct {
 	// their baseline literal-order schedule (the seed behavior, kept
 	// for oracle comparisons and ablation).
 	NoPlan bool
-	// PlanTrace allows Enumerate to report the chosen plan through
-	// Stats. engine.Options.EvalCtx sets it for a pass that is a stage
-	// of the run; a context made without it files no plan.
-	PlanTrace bool
 	// stopped: Done closed during an enumeration.
 	stopped bool
 }
@@ -102,10 +94,11 @@ type Binding []value.Value
 // Scratch is what an enumeration works in: the binding and every step's
 // probe pattern or check tuple (vals), every match step's cursor (its:
 // cursors, for the programs whose rules match at most four atoms), the
-// context's slot table (tab) and Fire's head facts (fire for a rule with
-// one small head, facts and heads for the others). The zero Scratch is
-// ready; Ctx.Buf hands one to every enumeration under a context, which
-// keeps the storage from one call to the next. A Scratch is not copied.
+// context's slot table (tab), with the schedule each rule chose, and
+// Fire's head facts (fire for a rule with one small head, facts and
+// heads for the others). The zero Scratch is ready; Ctx.Buf hands one to
+// every enumeration under a context, which keeps the storage and the
+// schedules from one call to the next. A Scratch is not copied.
 type Scratch struct {
 	vals    []value.Value
 	its     []tuple.Iterator
@@ -141,36 +134,34 @@ func (r *Rule) enumerate(ctx *Ctx, cut bool, emit func(Binding) bool) {
 	if ctx.stopped {
 		return
 	}
-	tab := ctx.table()
+	b := ctx.scratch()
+	tab := &b.tab
 	steps, report := r.stepsFor(ctx, tab)
 	// The binding and every step's probe pattern or check tuple share
 	// one buffer, and every match step has a cursor: the whole
-	// enumeration allocates those two (or reuses Buf) and nothing else,
-	// however many valuations it visits.
+	// enumeration takes those two from the Scratch, grown if they are
+	// too short, however many valuations it visits.
 	n, nc := len(r.Vars)+len(steps)*r.width, len(r.posBody)+1
-	var buf []value.Value
-	var its []tuple.Iterator
-	if ctx.Buf == nil {
-		buf, its = make([]value.Value, n), make([]tuple.Iterator, nc)
-	} else {
-		switch b := ctx.Buf; {
-		case len(b.its) >= nc:
-		case nc <= len(b.cursors):
-			b.its = b.cursors[:]
-		default:
-			b.its = make([]tuple.Iterator, max(nc, r.prog.cursors)) // room for every rule of the program
-		}
-		ctx.Buf.vals = grow(ctx.Buf.vals, n)
-		buf, its = ctx.Buf.vals, ctx.Buf.its
-		clear(buf[:len(r.Vars)])
+	switch {
+	case len(b.its) >= nc:
+	case nc <= len(b.cursors):
+		b.its = b.cursors[:]
+	default:
+		b.its = make([]tuple.Iterator, max(nc, r.prog.cursors)) // room for every rule of the program
 	}
+	b.vals = grow(b.vals, n)
+	buf, its := b.vals, b.its
+	clear(buf[:len(r.Vars)])
 	// Assigned field by field: a composite literal would be built aside
 	// and copied.
 	var f frame
 	f.ctx, f.steps, f.its, f.width, f.cuts = ctx, steps, its, r.width, cut
 	f.b, f.scratch = buf[:len(r.Vars):len(r.Vars)], buf[len(r.Vars):]
 	np := len(r.prog.preds)
-	f.rels, f.neg, f.delta = tab.rels, negSection(ctx)*np, secDelta*np
+	f.rels, f.neg, f.delta = tab.rels, secIn*np, secDelta*np
+	if ctx.NegIn != nil { // absence checks read NegIn, or In without one
+		f.neg = secNeg * np
+	}
 	if report {
 		tab.counts = grow(tab.counts, len(steps))
 		clear(tab.counts)
@@ -186,11 +177,17 @@ func (r *Rule) enumerate(ctx *Ctx, cut bool, emit func(Binding) bool) {
 // stepsFor brings tab up to date with ctx — it resolves the body
 // relations once per stage, not per call — and returns the schedule r
 // enumerates with under ctx and whether this enumeration reports it
-// (slotTable.plan).
+// (slotTable.plan). Under NoPlan a planned rule runs its literal-order
+// schedule, and so does a pin at one fact (DeltaFact): the fact goes
+// first and each join after it is the one with the most columns bound.
+// Planning it afresh on every call would cost about as much as a check.
 func (r *Rule) stepsFor(ctx *Ctx, tab *slotTable) ([]step, bool) {
 	tab.sync(ctx, r.prog)
-	if !r.planned() || ctx.NoPlan {
+	switch {
+	case !r.planned():
 		return r.steps, false
+	case ctx.NoPlan || ctx.DeltaFact != nil:
+		return tab.literal(r), false
 	}
 	return tab.plan(ctx, r)
 }
@@ -553,22 +550,16 @@ func (r *Rule) Fire(ctx *Ctx, ri int, heads func(Binding) []Fact, emit func(Fact
 	col.BeginRule(ri)
 	var scratch []Fact
 	var vals []value.Value
-	small := len(r.heads) == 1 && r.headWidth <= len(fireScratch{}.vals)
-	switch b := ctx.Buf; {
+	switch b := ctx.scratch(); {
 	case heads != nil:
-	case b != nil && small:
+	case len(r.heads) == 1 && r.headWidth <= len(b.fire.vals):
 		scratch, vals = b.fire.fact[:0], b.fire.vals[:r.headWidth]
-	case b != nil:
+	default:
 		if cap(b.facts) < len(r.heads) {
 			b.facts = make([]Fact, 0, len(r.heads))
 		}
 		b.heads = grow(b.heads, r.headWidth)
 		scratch, vals = b.facts[:0], b.heads
-	case small:
-		fs := &fireScratch{}
-		scratch, vals = fs.fact[:0], fs.vals[:r.headWidth]
-	default:
-		scratch, vals = make([]Fact, 0, len(r.heads)), make([]value.Value, r.headWidth)
 	}
 	var firings, derived, rederived uint64
 	r.enumerate(ctx, true, func(b Binding) bool {

@@ -7,8 +7,8 @@
 // firing indexes the table. The same table holds the schedule each rule
 // runs (its plan pick). At the start of a stage the table reads the size
 // decade of every relation; only when one changed does a rule's next
-// enumeration compute its planner signature and consult its memo, so
-// that the others compute no signature and take no lock.
+// enumeration compute its planner signature, and only when that changed
+// does it choose a schedule again.
 package eval
 
 import (
@@ -109,16 +109,19 @@ type slotTable struct {
 	counts []int64
 }
 
-// pick is the schedule a rule enumerates with, for one delta pin of the
-// context.
+// pick is what a context remembers of the schedules of one planned rule:
+// the planner's, for one delta pin of the context, and the literal-order
+// one of a delta variant (see literal). It references no instance.
 type pick struct {
-	plans, stage uint64 // slotTable.plans and stage when it was made
-	steps        []step
-	lit          int32 // ctx.DeltaLit when it was made
-	fact         bool  // whether ctx pinned one fact then
-	// report: the first enumeration of the stage with the pick reports
-	// its plan (see Rule.planChanged).
-	report bool
+	plans   uint64 // slotTable.plans when sig was computed
+	stage   uint64 // the stage of the last enumeration (0: report afresh)
+	sig     uint64 // the planner signature steps was chosen for
+	steps   []step
+	literal []step // the variant's literal-order schedule, once built
+	// emitted is the key of the plan last reported (Rule.planKey), body
+	// the rule's PlanCache hash (0 until a PlanCache asks).
+	emitted, body uint64
+	lit           int32 // ctx.DeltaLit when sig was computed
 }
 
 // The sections of a slot table.
@@ -134,26 +137,17 @@ func (t *slotTable) section(k int) []*tuple.Relation {
 	return t.rels[k*n : (k+1)*n : (k+1)*n]
 }
 
-// negSection is the section absence checks read under ctx: NegIn's, or
-// In's when it has none.
-func negSection(ctx *Ctx) int {
-	if ctx.NegIn != nil {
-		return secNeg
+// scratch returns ctx's Buf, which a context without one gets at its
+// first enumeration.
+func (ctx *Ctx) scratch() *Scratch {
+	if ctx.Buf == nil {
+		ctx.Buf = new(Scratch)
 	}
-	return secIn
+	return ctx.Buf
 }
 
-// table returns ctx's slot table: the Buf's, or one of the context's
-// own, made by its first enumeration.
-func (ctx *Ctx) table() *slotTable {
-	switch {
-	case ctx.Buf != nil:
-		return &ctx.Buf.tab
-	case ctx.tab == nil:
-		ctx.tab = new(slotTable)
-	}
-	return ctx.tab
-}
+// table returns the slot table of ctx's Buf.
+func (ctx *Ctx) table() *slotTable { return &ctx.scratch().tab }
 
 // NewStage starts a stage under ctx: the next enumeration reads the
 // cardinalities of the relations afresh, and a rule whose planner
@@ -166,13 +160,14 @@ func (ctx *Ctx) NewStage() { ctx.table().dirty = true }
 
 // Release drops what the scratch holds of the instances its enumerations
 // read (the relations of the slot table, the cursors), keeping its
-// storage: for an engine whose scratch outlives the evaluation.
+// storage and the rules' plan picks: for an engine whose scratch
+// outlives the evaluation, and whose next evaluation of the same rules
+// reuses their schedules.
 func (s *Scratch) Release() {
 	t := &s.tab
 	clear(t.rels)
-	clear(t.picks)
 	clear(s.its)
-	t.prog, t.srcIn, t.srcNeg, t.srcDelta = nil, nil, nil, nil
+	t.srcIn, t.srcNeg, t.srcDelta = nil, nil, nil
 }
 
 // sync brings t up to date with ctx for the rules prog numbers: a
@@ -244,69 +239,78 @@ func (t *slotTable) redecade(ctx *Ctx) bool {
 	return changed
 }
 
-// match returns the relation a match of the atom with body index li
-// over predicate id reads under ctx: Delta's for the literal ctx pins to
-// a delta relation, In's otherwise. (The literal ctx pins to one fact
-// reads DeltaFact instead; see size and frame.run.)
-func (t *slotTable) match(ctx *Ctx, li, id int) *tuple.Relation {
-	n := len(t.prog.preds)
-	if li == ctx.DeltaLit && ctx.Delta != nil {
-		return t.rels[secDelta*n+id]
-	}
-	return t.rels[secIn*n+id]
-}
-
-// size is the cardinality the atom with body index li over predicate id
-// joins against under ctx: one for the fact ctx pins, otherwise the size
-// of the relation it matches.
+// size is the cardinality of the relation a match of the atom with body
+// index li over predicate id reads under ctx: Delta's for the literal
+// ctx pins to a delta relation, In's otherwise.
 func (t *slotTable) size(ctx *Ctx, li, id int) int {
-	if ctx.DeltaFact != nil && li == ctx.DeltaLit {
-		return 1
+	if li == ctx.DeltaLit && ctx.Delta != nil {
+		id += secDelta * len(t.prog.preds)
 	}
-	if rel := t.match(ctx, li, id); rel != nil {
+	if rel := t.rels[id]; rel != nil {
 		return rel.Len()
 	}
 	return 0
 }
 
-// decade is decade(size(ctx, li, id)) as the stage began: one for the
-// fact ctx pins, otherwise what redecade read.
+// decade is decade(size(ctx, li, id)) as the stage began: what
+// redecade read.
 func (t *slotTable) decade(ctx *Ctx, li, id int) uint64 {
-	if ctx.DeltaFact != nil && li == ctx.DeltaLit {
-		return 1
-	}
 	if li == ctx.DeltaLit && ctx.Delta != nil {
 		id += len(t.prog.preds)
 	}
 	return uint64(t.decs[id])
 }
 
-// plan returns the schedule r enumerates with under ctx, choosing it
-// (Rule.planFor) when the rule has none for the decades of the stage,
-// and whether this enumeration reports it: the first of the stage
-// evaluates Rule.planChanged.
-func (t *slotTable) plan(ctx *Ctx, r *Rule) ([]step, bool) {
+// pick returns r's plan pick, making room for every id handed out so
+// far, variants included.
+func (t *slotTable) pick(r *Rule) *pick {
 	if id := int(r.id); id >= len(t.picks) {
-		// Room for every id handed out so far, variants included.
 		n := max(id+1, int(r.prog.planned.Load()))
 		t.picks = append(t.picks, make([]pick, n-len(t.picks))...)
 	}
+	return &t.picks[r.id]
+}
+
+// literal returns the literal-order schedule of a planned rule: the
+// compiled rule's own, or one a delta variant gets here the first time
+// a context asks for it.
+func (t *slotTable) literal(r *Rule) []step {
+	if r.steps != nil {
+		return r.steps
+	}
+	p := t.pick(r)
+	if p.literal == nil {
+		p.literal = r.schedule(int(r.deltaLit), nil, nil)
+	}
+	return p.literal
+}
+
+// plan returns the planner's schedule of r under ctx, and whether this
+// enumeration reports it: the first of the stage does when
+// Stats.PlanWanted holds and the plan differs from the one last
+// reported. After a decade changed, the pick's signature is computed
+// again, and only a new signature chooses a schedule again: the rule
+// schedules it (Rule.schedule), or takes it from ctx.Plans.
+func (t *slotTable) plan(ctx *Ctx, r *Rule) ([]step, bool) {
 	if t.stale {
 		t.stale = false
 		if t.redecade(ctx) {
 			t.plans++
 		}
 	}
-	p, fact := &t.picks[r.id], ctx.DeltaFact != nil
-	if p.plans != t.plans || int(p.lit) != ctx.DeltaLit || p.fact != fact {
-		p.plans, p.lit, p.fact, p.stage = t.plans, int32(ctx.DeltaLit), fact, 0
-		p.steps = r.planFor(ctx, t)
+	p := t.pick(r)
+	if p.plans != t.plans || int(p.lit) != ctx.DeltaLit {
+		sig := r.planSig(ctx, t)
+		if p.steps == nil || p.sig != sig || int(p.lit) != ctx.DeltaLit {
+			p.sig, p.steps = sig, r.planFor(ctx, t, p)
+		}
+		p.plans, p.lit, p.stage = t.plans, int32(ctx.DeltaLit), 0
 	}
-	if p.stage != t.stage {
-		p.stage = t.stage
-		p.report = ctx.PlanTrace && ctx.Stats.PlanWanted() && r.planChanged(ctx, t, p.steps)
+	report := false
+	if p.stage != t.stage && ctx.Stats.PlanWanted() {
+		key := r.planKey(ctx, t, p.steps)
+		report, p.emitted = key != p.emitted, key
 	}
-	report := p.report
-	p.report = false
+	p.stage = t.stage
 	return p.steps, report
 }

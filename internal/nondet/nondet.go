@@ -166,33 +166,20 @@ func changes(cur *tuple.Instance, facts []eval.Fact) (changing, consistent bool)
 	return false, true
 }
 
-// bottomApplicable reports whether any ⊥-rule instantiation is
-// applicable in cur. The caller supplies the active domain (shared
-// with the successors call on the same state via an eval.AdomCache).
-func (p *program) bottomApplicable(cur *tuple.Instance, adom []value.Value, opt *Options) bool {
-	if len(p.bottoms) == 0 {
-		return false
-	}
-	ctx := opt.EvalCtx(nil, cur, adom)
+// successors points ctx, the run's matcher environment, at state cur,
+// and enumerates the state-changing candidates there in a canonical
+// (sorted) order, so that a seeded random choice over them is
+// reproducible even though relation iteration order is not. A state
+// where a ⊥-rule instantiation is applicable is aborted: it has none.
+func (p *program) successors(ctx *eval.Ctx, adomc *eval.AdomCache, cur *tuple.Instance) (all []candidate, aborted bool) {
+	ctx.In, ctx.Adom = cur, adomc.Domain(cur)
+	ctx.NewStage()
 	for _, cr := range p.bottoms {
-		hit := false
-		cr.Enumerate(ctx, func(eval.Binding) bool {
-			hit = true
-			return false
-		})
-		if hit {
-			return true
+		cr.Enumerate(ctx, func(eval.Binding) bool { aborted = true; return false })
+		if aborted {
+			return nil, true
 		}
 	}
-	return false
-}
-
-// successors enumerates the state-changing candidates at cur in a
-// canonical (sorted) order, so that a seeded random choice over them
-// is reproducible even though relation iteration order is not.
-func (p *program) successors(cur *tuple.Instance, adom []value.Value, u *value.Universe, opt *Options) []candidate {
-	ctx := opt.EvalCtx(nil, cur, adom)
-	var all []candidate
 	var key []byte // every key is built here, then copied into its string
 	for ri, cr := range p.rules {
 		inventing := len(cr.HeadOnlyVarIDs()) > 0
@@ -232,7 +219,7 @@ func (p *program) successors(cur *tuple.Instance, adom []value.Value, u *value.U
 		})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	return all
+	return all, false
 }
 
 // Result is the outcome of one sampled computation.
@@ -263,23 +250,18 @@ func Run(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Universe, s
 	col.Reset("ndatalog", 0, nil)
 	rng := rand.New(rand.NewSource(seed))
 	cur := in.SnapshotWith(col.Cow())
-	// One domain computation per state instead of one per Enumerate
-	// batch: bottomApplicable and successors see the same instance, so
-	// the second Domain call is a cache hit, and a step that only
+	// One domain computation per state, and a step that only
 	// rearranges known values (delete + reinsert) skips the re-sort
-	// entirely.
+	// entirely. One matcher context serves every state.
 	adomc := eval.NewAdomCache(u, prog.consts, prog.readsDomain())
+	ctx := opt.EvalCtx(nil, nil, nil)
 	var cands []candidate
 	aborted := false
 	steps, err := opt.ChooseLoop(col, opt.StageLimit(1<<20),
 		func(steps int) error { return fmt.Errorf("%w (after %d steps)", ErrStepLimit, steps) },
 		func() bool {
-			adom := adomc.Domain(cur)
-			if aborted = prog.bottomApplicable(cur, adom, opt); aborted {
-				return false
-			}
-			cands = prog.successors(cur, adom, u, opt)
-			return len(cands) > 0
+			cands, aborted = prog.successors(ctx, adomc, cur)
+			return !aborted && len(cands) > 0
 		},
 		func(int) (engine.Outcome, error) {
 			var freshBefore int64
@@ -365,6 +347,7 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 
 	start := in.SnapshotWith(col.Cow())
 	adomc := eval.NewAdomCache(u, prog.consts, prog.readsDomain())
+	ctx := opt.EvalCtx(nil, nil, nil)
 	queue := []*tuple.Instance{start}
 	remember(start)
 	eff := &EffectSet{}
@@ -379,11 +362,9 @@ func Effects(p *ast.Program, d ast.Dialect, in *tuple.Instance, u *value.Univers
 		}
 		cur := queue[0]
 		queue = queue[1:]
-		adom := adomc.Domain(cur)
 		// A state with an applicable ⊥ rule is an abandoned
 		// computation: it contributes nothing.
-		if !prog.bottomApplicable(cur, adom, opt) {
-			cands := prog.successors(cur, adom, u, opt)
+		if cands, aborted := prog.successors(ctx, adomc, cur); !aborted {
 			if len(cands) == 0 {
 				fp := cur.Fingerprint()
 				dup := false

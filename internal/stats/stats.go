@@ -515,8 +515,7 @@ func (c *Collector) PlanText() []byte {
 // join chain, with estimated vs. actual cardinalities, appended) and
 // mirrors it as a pre-closed span, the one place a plan's text is a
 // string of its own. Like the rest of the tracing surface it is the
-// engine goroutine's: eval gates plan reports on Ctx.PlanTrace, which
-// engine.Options.EvalCtx sets for the passes that are stages.
+// engine goroutine's.
 func (c *Collector) PlanSpan(rule string, text []byte) {
 	if c == nil {
 		return
