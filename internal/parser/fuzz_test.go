@@ -125,6 +125,51 @@ func TestParseFactsOneDefect(t *testing.T) {
 			t.Errorf("ParseFacts(%q): %v", ok, got)
 		}
 	}
+	// A plain fact's punctuation, whitespace and lower-case names are
+	// read off the bytes, its other constants as tokens, and anything
+	// else by the rule grammar. Each row switches between them inside
+	// one fact; a defect after the switch gets the message it always
+	// got, at the line and column it always named.
+	for _, row := range []struct{ src, err string }{
+		{"G(a % c\n, b).", ""},
+		{"G(a // c\n, b) // d\n.", ""},
+		{"G(\na\n,\nb\n)\n.", ""},
+		{"G(a,\r\n\tb)\r\n\t.\r\nG(c\t,d).", ""},
+		{"G(\u00a0a\u0085,b)\u00a0.", ""},
+		{"G(a, 1, b, -2, c, \"x\\\"y\\n\", d).", ""},
+		{"G(é, a). G(aé, b). G(a, \"\").", ""},
+		{"G(not, bottom). G(forall, a).", ""},
+		{"G(a,b).G(b,c).", ""},
+		{"G(a % c\n, b c).", "2:5: expected ')', found identifier"},
+		{"G(a // c\n, b c).", "2:5: expected ')', found identifier"},
+		{"G(a,\nb,\n c d).", "3:4: expected ')', found identifier"},
+		{"G(a,\r\n\tb)\r\n\t.\r\nG(a\tb).", "4:5: expected ')', found identifier"},
+		{"G(a,\u00a0b, c\u0085d).", "1:11: expected ')', found identifier"},
+		{"G(a, 1, b, -2, c, \"x\\\"y\", d e).", "1:29: expected ')', found identifier"},
+		{"G(a, 1 b).", "1:8: expected ')', found identifier"},
+		{"G(a, -2 b).", "1:9: expected ')', found identifier"},
+		{"G(a, \"x\" b).", "1:10: expected ')', found identifier"},
+		{"G(a, é b).", "1:8: expected ')', found identifier"},
+		{"G(ü, a b).", "1:8: expected ')', found identifier"},
+		{"G(a, é, B).", "fact 1: argument 3 is a variable"},
+		{"G(Ab, c).", "fact 1: argument 1 is a variable"},
+		{"G(a, _, b).", "fact 1: argument 2 is a variable"},
+		{"G(a, \"x\\q\", b).", "1:6: unknown escape \\q"},
+		{"G(a, - 1).", "1:6: expected digit after '-'"},
+		{"G(a, 99999999999999999999, b).", "1:6: bad integer \"99999999999999999999\""},
+		{"G(not, bottom, a b).", "1:18: expected ')', found identifier"},
+		{"not (a, b).", "1:5: expected predicate name, found '('"},
+		{"bottom (a).", "1:8: expected '.', found '('"},
+		{"G(a,b).$", "1:8: unexpected character '$'"},
+		{"G(a,b).#G(b,c).", "1:8: unexpected character '#'"},
+		{"G(a).\u00a0G(b)\u0085.\u00a0@", "1:14: unexpected character '@'"},
+	} {
+		got, _ := sameFacts(t, row.src)
+		if msg := fmt.Sprint(got); row.err == "" && got != nil || row.err != "" && msg != row.err {
+			t.Errorf("ParseFacts(%q): %v, want %q", row.src, got, row.err)
+		}
+		sameFacts(t, "G(a,b). P.\n"+row.src)
+	}
 }
 
 // FuzzParseFacts holds the streaming fact-list parser to the oracle on
@@ -134,5 +179,11 @@ func FuzzParseFacts(f *testing.F) {
 	f.Add("G(a,b). G(b,c).")
 	f.Add("R(1, -2, x).")
 	f.Add("P :- . Q(). !G(a). G(a,X).")
+	// Where the byte path hands over to the token path or the rule
+	// grammar, and back.
+	f.Add("G(a % c\n, b // d\n) .\nG(c,\r\n\td).")
+	f.Add("G(\u00a0a\u0085, b). G(a, 1, b, -2, c, \"x\\\"y\", d).")
+	f.Add("G(é, aé, Ab). G(not, bottom). not(a). bottom(a).")
+	f.Add("G(a, 1 b). G(a,b).$")
 	f.Fuzz(func(t *testing.T, src string) { sameFacts(t, src) })
 }

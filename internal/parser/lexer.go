@@ -22,9 +22,11 @@
 // integers are constants.
 //
 // Facts files are the same syntax restricted to ground positive atoms.
-// ParseFacts reads them off the token stream into tuples, building no
-// rule, atom or term per fact; the rule grammar only sees the
-// statements that are not plainly "pred(const, ...).".
+// ParseFacts reads a fact's punctuation, whitespace and lower-case
+// names straight off the source bytes into a tuple, building no token,
+// rule, atom or term for them; only its other constants are tokens, and
+// the rule grammar only sees the statements that are not plainly
+// "pred(const, ...).".
 package parser
 
 import (
@@ -184,34 +186,39 @@ func (lx *Lexer) advance() rune {
 	return r
 }
 
+// skipSpaceAndComments moves the cursor past whitespace and comments.
+// An ASCII byte is decided by itself: only a byte at or past
+// utf8.RuneSelf can begin the rest of Unicode's whitespace.
 func (lx *Lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
-		switch lx.src[lx.pos] {
+		switch c := lx.src[lx.pos]; c {
 		case ' ', '\t', '\r', '\v', '\f':
 			lx.pos++
 			lx.col++
-			continue
 		case '\n':
 			lx.pos++
 			lx.line++
 			lx.col = 1
-			continue
-		}
-		r := lx.peek()
-		switch {
-		case unicode.IsSpace(r):
-			lx.advance()
-		case r == '%':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
+		case '%':
+			lx.skipLine()
+		case '/':
+			if !strings.HasPrefix(lx.src[lx.pos:], "//") {
+				return
 			}
-		case r == '/' && strings.HasPrefix(lx.src[lx.pos:], "//"):
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
-			}
+			lx.skipLine()
 		default:
-			return
+			if c < utf8.RuneSelf || !unicode.IsSpace(lx.peek()) {
+				return
+			}
+			lx.advance()
 		}
+	}
+}
+
+// skipLine moves the cursor to the end of the line, a comment's end.
+func (lx *Lexer) skipLine() {
+	for lx.pos < len(lx.src) && lx.peek() != '\n' {
+		lx.advance()
 	}
 }
 
@@ -233,19 +240,44 @@ func isIdentStart(r rune) bool {
 // scanName moves the cursor past the runes that continue a name:
 // letters, digits and '_'.
 func (lx *Lexer) scanName() {
-	for lx.pos < len(lx.src) {
-		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+	src, pos, col := lx.src, lx.pos, lx.col
+	for pos < len(src) {
+		if c := src[pos]; c < utf8.RuneSelf {
 			if !asciiIdent[c] {
-				return
+				break
 			}
-			lx.pos++
-		} else if r, w := utf8.DecodeRuneInString(lx.src[lx.pos:]); unicode.IsLetter(r) || unicode.IsDigit(r) {
-			lx.pos += w
+			pos++
+		} else if r, w := utf8.DecodeRuneInString(src[pos:]); unicode.IsLetter(r) || unicode.IsDigit(r) {
+			pos += w
 		} else {
-			return
+			break
 		}
-		lx.col++
+		col++
 	}
+	lx.pos, lx.col = pos, col
+}
+
+// skipByte moves the cursor past c, an ASCII byte other than a
+// newline, if it comes next, and reports whether it did.
+func (lx *Lexer) skipByte(c byte) bool {
+	if lx.pos < len(lx.src) && lx.src[lx.pos] == c {
+		lx.pos++
+		lx.col++
+		return true
+	}
+	return false
+}
+
+// lowerName moves the cursor past a name that begins with an ASCII
+// lower-case letter, which Next would return as an identifier, and
+// returns it; at anything else it returns "" and stays put.
+func (lx *Lexer) lowerName() string {
+	if lx.pos >= len(lx.src) || lx.src[lx.pos] < 'a' || lx.src[lx.pos] > 'z' {
+		return ""
+	}
+	start := lx.pos
+	lx.scanName()
+	return lx.src[start:lx.pos]
 }
 
 // Next returns the next token.

@@ -141,24 +141,30 @@ func ParseAtom(src string, u *value.Universe) (ast.Atom, error) {
 }
 
 // ParseFacts parses a sequence of ground facts ("G(a,b). P(1).") into
-// a fresh instance, interning constants into u. A fact is read off the
-// token stream straight into one scratch tuple and inserted; no rule,
-// atom or term is built for it. Only a statement that is not of the
-// plain shape "pred(const, ...)." is handed to the rule grammar, which
-// either accepts it as a fact in another spelling ("P :- .") or names
-// what is wrong with it. Such a rule is read off the stacks and
-// dropped, never settled.
+// a fresh instance, interning constants into u. A fact is read straight
+// into one scratch tuple and inserted; no rule, atom or term is built
+// for it, and a run of one predicate's facts finds its relation once.
+// Only a statement that is not of the plain shape "pred(const, ...)."
+// is handed to the rule grammar, which either accepts it as a fact in
+// another spelling ("P :- .") or names what is wrong with it. Such a
+// rule is read off the stacks and dropped, never settled.
 func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
 	p := &parser{lx: *NewLexer(src, datalogPunct), u: u}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	in := tuple.NewInstance()
-	var t tuple.Tuple // one scratch for every fact: Insert copies it
+	var (
+		buf  [8]value.Value         // a stack scratch for a fact of up to 8 constants
+		t    = tuple.Tuple(buf[:0]) // one scratch for every fact: Insert copies it
+		last string                 // the previous fact's predicate
+		rel  *tuple.Relation        // and its relation
+		ok   bool
+	)
 	for n := 1; p.tok.Kind != TokEOF; n++ {
 		lx, first := p.lx, p.tok
-		pred, ok := first.Text, p.plainFact(&t)
-		if !ok {
+		pred := first.Text
+		if t, ok = p.plainFact(t[:0]); !ok {
 			p.lx, p.tok = lx, first
 			r, err := p.rule()
 			if err != nil {
@@ -169,39 +175,56 @@ func ParseFacts(src string, u *value.Universe) (*tuple.Instance, error) {
 			}
 			p.drop()
 		}
-		if r := in.Relation(pred); r != nil && r.Arity() != len(t) {
-			return nil, fmt.Errorf("fact %d: %s has arity %d here but %d earlier", n, pred, len(t), r.Arity())
+		if rel == nil || pred != last {
+			if rel, last = in.Relation(pred), pred; rel == nil {
+				rel = in.Ensure(pred, len(t))
+			}
 		}
-		in.Insert(pred, t)
+		if rel.Arity() != len(t) {
+			return nil, fmt.Errorf("fact %d: %s has arity %d here but %d earlier", n, pred, len(t), rel.Arity())
+		}
+		rel.Insert(t)
 	}
 	return in, nil
 }
 
 // plainFact reads "pred ( const {, const} ) ." or "pred ." with the
-// predicate name current, leaving the constants in *t. On anything
-// else it reports false wherever it got to; the caller rewinds.
-func (p *parser) plainFact(t *tuple.Tuple) bool {
-	*t = (*t)[:0]
-	name := p.tok
-	if (name.Kind != TokIdent && name.Kind != TokVar) || name.Text == "not" || name.Text == "bottom" || p.advance() != nil {
-		return false
+// predicate name current, appending the constants to t and leaving the
+// token after the '.' current. It reads the source bytes itself:
+// punctuation and ASCII whitespace are byte compares, and a name that
+// begins with an ASCII lower-case letter is interned off the source.
+// Any other constant is a token, read from the byte where this stopped.
+// On anything else it reports false wherever it got to; the caller
+// rewinds.
+func (p *parser) plainFact(t tuple.Tuple) (tuple.Tuple, bool) {
+	if name := p.tok; (name.Kind != TokIdent && name.Kind != TokVar) || name.Text == "not" || name.Text == "bottom" {
+		return t, false
 	}
-	if p.tok.Kind == TokLParen {
-		for sep := TokLParen; p.tok.Kind == sep; sep = TokComma {
-			if p.advance() != nil || p.tok.Kind == TokVar {
-				return false
+	lx := &p.lx
+	lx.skipSpaceAndComments()
+	if lx.skipByte('(') {
+		for {
+			lx.skipSpaceAndComments()
+			var c value.Value
+			if name := lx.lowerName(); name != "" {
+				c = p.u.Sym(name)
+			} else if tok, err := lx.Next(); err != nil {
+				return t, false
+			} else if c, err = p.constant(tok); err != nil {
+				return t, false
 			}
-			c, err := p.term()
-			if err != nil {
-				return false
+			t = append(t, c)
+			lx.skipSpaceAndComments()
+			if lx.skipByte(')') {
+				break
 			}
-			*t = append(*t, c.Const)
+			if !lx.skipByte(',') {
+				return t, false
+			}
 		}
-		if p.tok.Kind != TokRParen || p.advance() != nil {
-			return false
-		}
+		lx.skipSpaceAndComments()
 	}
-	return p.tok.Kind == TokDot && p.advance() == nil
+	return t, lx.skipByte('.') && p.advance() == nil
 }
 
 // groundFact converts a parsed rule that must be a ground fact,
@@ -576,17 +599,23 @@ func (p *parser) nameToTermInner(t Token) (ast.Term, error) {
 			return ast.V("_anon" + strconv.Itoa(p.anon)), nil
 		}
 		return ast.V(t.Text), nil
-	case TokIdent:
-		return ast.C(p.u.Sym(t.Text)), nil
-	case TokString:
-		return ast.C(p.u.Sym(t.Text)), nil
+	}
+	c, err := p.constant(t)
+	return ast.C(c), err
+}
+
+// constant interns the constant the token t spells.
+func (p *parser) constant(t Token) (value.Value, error) {
+	switch t.Kind {
+	case TokIdent, TokString:
+		return p.u.Sym(t.Text), nil
 	case TokInt:
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return ast.Term{}, fmt.Errorf("%d:%d: bad integer %q", t.Line, t.Col, t.Text)
+			return value.None, fmt.Errorf("%d:%d: bad integer %q", t.Line, t.Col, t.Text)
 		}
-		return ast.C(p.u.Int(n)), nil
+		return p.u.Int(n), nil
 	default:
-		return ast.Term{}, fmt.Errorf("%d:%d: expected a term, found %s", t.Line, t.Col, t.Kind)
+		return value.None, fmt.Errorf("%d:%d: expected a term, found %s", t.Line, t.Col, t.Kind)
 	}
 }

@@ -294,3 +294,44 @@ func TestFactsDurableAcrossRestart(t *testing.T) {
 		t.Fatalf("recovered view: %v", ev.Facts)
 	}
 }
+
+// TestFactsBodiesAreNotKept: a database keeps copies of the names a
+// /v1/facts body adds, never slices of the body, so a body is garbage
+// once its request is answered. A thousand 64 KB bodies, each adding
+// one constant (and every hundredth a relation), leave the live heap
+// within 1 MB of one body.
+func TestFactsBodiesAreNotKept(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	pad := strings.Repeat("x", 64<<10)
+	assert := func(i int) {
+		body, err := json.Marshal(FactsRequest{DB: "pin", Assert: fmt.Sprintf("P%d(c%d). %% %s", i/100, i, pad)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/facts", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("body %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	assert(0) // opens the database
+	before := liveHeap()
+	for i := 1; i <= 1000; i++ {
+		assert(i)
+	}
+	grown := int64(liveHeap()) - int64(before)
+	t.Logf("the live heap grew %d KB", grown>>10)
+	if grown > 1<<20+int64(len(pad)) {
+		t.Fatalf("1 000 bodies of 64 KB grew the live heap by %d KB, want within 1 MB of one body", grown>>10)
+	}
+}
+
+// liveHeap is the heap still in use after two collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

@@ -14,6 +14,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"unchained/internal/tuple"
@@ -170,7 +171,14 @@ func (c *core) applyNet(b Batch) Applied {
 	var added, removed []Fact
 	addSet := map[string]bool{}
 	for _, f := range b.Assert {
-		if c.inst.Insert(f.Pred, f.Tuple) {
+		r := c.inst.Relation(f.Pred)
+		if r == nil {
+			// The relation outlives the batch: it is named by a copy,
+			// not by a slice of the text the batch was parsed from.
+			f.Pred = strings.Clone(f.Pred)
+			r = c.inst.Ensure(f.Pred, len(f.Tuple))
+		}
+		if r.Insert(f.Tuple) {
 			addSet[key(f)] = true
 			added = append(added, f)
 		}

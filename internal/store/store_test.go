@@ -3,6 +3,8 @@ package store_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"unchained/internal/store"
@@ -299,5 +301,38 @@ func TestWALPoisonedAfterInjectedFailure(t *testing.T) {
 	}
 	if _, err := w.Apply(store.Batch{Assert: []store.Fact{fact(u, "e", "b", "c")}}); err != store.ErrPoisoned {
 		t.Fatalf("poisoned store accepted a write: %v", err)
+	}
+}
+
+// liveHeap is the heap still in use after two collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestNewRelationKeepsNoText: a relation a batch creates is named by a
+// copy of its predicate, so a predicate sliced out of a large text (a
+// parsed request body) does not keep that text alive. Sixteen 1 MB
+// texts, each naming a new relation with its last two bytes, leave
+// under 64 KB live.
+func TestNewRelationKeepsNoText(t *testing.T) {
+	m := store.NewMem()
+	defer m.Close()
+	one := tuple.Tuple{m.Universe().Int(1)}
+	before := liveHeap()
+	for i := 0; i < 16; i++ {
+		text := strings.Repeat("x", 1<<20) + string(rune('A'+i)) + "0"
+		if _, err := m.Apply(store.Batch{Assert: []store.Fact{{Pred: text[len(text)-2:], Tuple: one}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live := int64(liveHeap()) - int64(before); live >= 64<<10 {
+		t.Fatalf("16 relations named by 2-byte slices of 1 MB texts leave %d KB live, want < 64", live>>10)
+	}
+	if n := len(m.Snapshot().Names()); n != 16 {
+		t.Fatalf("%d relations, want 16", n)
 	}
 }

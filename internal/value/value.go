@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Value is a handle to an interned domain constant. The zero Value is
@@ -70,8 +71,13 @@ type entry struct {
 type Universe struct {
 	entries []entry          // entries[0] is a dummy for the None sentinel
 	syms    map[string]Value // symbol text -> Value
-	ints    map[int64]Value  // integer -> Value
-	fresh   int64            // count of invented values issued
+	ints    map[int64]Value  // integer -> Value; nil until the first integer
+	// names is the chunk the next symbol's text is copied into: the
+	// bytes before its length are the texts of earlier symbols, which
+	// entries and syms point into and nothing writes again. A clone
+	// starts with none and copies its new names into chunks of its own.
+	names []byte
+	fresh int64 // count of invented values issued
 	// shared marks syms/ints as reachable from a clone and therefore
 	// read-only until promoted. Atomic so concurrent Clone calls on
 	// the same Universe (Session.Fork per request) are race-free.
@@ -83,7 +89,6 @@ func New() *Universe {
 	return &Universe{
 		entries: make([]entry, 1), // reserve index 0 for None
 		syms:    make(map[string]Value),
-		ints:    make(map[int64]Value),
 	}
 }
 
@@ -100,25 +105,59 @@ func (u *Universe) promote() {
 	for k, v := range u.syms {
 		syms[k] = v
 	}
-	ints := make(map[int64]Value, len(u.ints)+1)
-	for k, v := range u.ints {
-		ints[k] = v
+	var ints map[int64]Value
+	if len(u.ints) > 0 {
+		ints = make(map[int64]Value, len(u.ints)+1)
+		for k, v := range u.ints {
+			ints[k] = v
+		}
 	}
 	u.syms, u.ints = syms, ints
 	u.shared.Store(false)
 }
 
 // Sym interns the symbol with the given name and returns its Value.
-// Interning the same name twice returns the same Value.
+// Interning the same name twice returns the same Value. The universe
+// keeps a copy of a new name, never name itself, so interning a slice
+// of a larger text does not keep that text alive.
 func (u *Universe) Sym(name string) Value {
 	if v, ok := u.syms[name]; ok {
 		return v
 	}
 	u.promote()
+	name = u.own(name)
 	v := Value(len(u.entries))
 	u.entries = append(u.entries, entry{kind: KindSym, name: name})
 	u.syms[name] = v
 	return v
+}
+
+// A universe's first name chunk is firstChunk bytes, enough for the
+// names of a program; the next is nextChunk, enough for a facts file's
+// hundreds, and each after that doubles up to maxChunk. A name that
+// fits in none gets a chunk of its own size.
+const (
+	firstChunk = 256
+	nextChunk  = 2 << 10
+	maxChunk   = 64 << 10
+)
+
+// own copies name into the name chunk, starting a new chunk when it
+// does not fit, and returns the copy.
+func (u *Universe) own(name string) string {
+	if len(name) == 0 {
+		return ""
+	}
+	if len(name) > cap(u.names)-len(u.names) {
+		size := firstChunk
+		if c := cap(u.names); c > 0 {
+			size = min(max(2*c, nextChunk), maxChunk)
+		}
+		u.names = make([]byte, 0, max(size, len(name)))
+	}
+	n := len(u.names)
+	u.names = append(u.names, name...)
+	return unsafe.String(&u.names[n], len(name))
 }
 
 // Int interns the integer n and returns its Value.
@@ -127,6 +166,9 @@ func (u *Universe) Int(n int64) Value {
 		return v
 	}
 	u.promote()
+	if u.ints == nil {
+		u.ints = make(map[int64]Value)
+	}
 	v := Value(len(u.entries))
 	u.entries = append(u.entries, entry{kind: KindInt, num: n})
 	u.ints[n] = v
@@ -151,11 +193,11 @@ func (u *Universe) Fresh() Value {
 // Values of the original) evaluable against any number of clones
 // concurrently.
 //
-// The copy is O(1): both sides share the entry prefix and the
-// interning maps until one of them interns a new constant, which
-// promotes that side onto private maps. Concurrent Clone calls on the
-// same Universe are safe (the per-request fork in internal/serve
-// relies on this); concurrent interning is not.
+// The copy is O(1): both sides share the entry prefix, the chunks
+// its names are in and the interning maps until one of them interns a
+// new constant, which promotes that side onto private maps. Concurrent
+// Clone calls on the same Universe are safe (the per-request fork in
+// internal/serve relies on this); concurrent interning is not.
 func (u *Universe) Clone() *Universe {
 	u.shared.Store(true)
 	c := &Universe{

@@ -1,6 +1,10 @@
 package value
 
 import (
+	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -152,5 +156,63 @@ func TestCompareTotalOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// liveHeap is the heap still in use after two collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSymKeepsNoText: the universe copies the names it interns, so a
+// name sliced out of a large text (a parsed source) does not keep that
+// text alive. Interning the last two bytes of sixteen 1 MB texts into
+// a kept universe leaves under 64 KB live.
+func TestSymKeepsNoText(t *testing.T) {
+	u := New()
+	before := liveHeap()
+	for i := 0; i < 16; i++ {
+		text := strings.Repeat("x", 1<<20) + string(rune('a'+i)) + "0"
+		u.Sym(text[len(text)-2:])
+	}
+	if live := int64(liveHeap()) - int64(before); live >= 64<<10 {
+		t.Fatalf("16 two-byte names sliced from 1 MB texts leave %d KB live, want < 64", live>>10)
+	}
+	if u.Len() != 16 || u.Name(u.Lookup("p0")) != "p0" {
+		t.Fatalf("%d names, p0 = %q", u.Len(), u.Name(u.Lookup("p0")))
+	}
+}
+
+// TestSymChunks: names longer than a chunk, and enough names to fill
+// several, keep their texts and their values, in the universe and in
+// its clones.
+func TestSymChunks(t *testing.T) {
+	u := New()
+	long := strings.Repeat("l", 3*firstChunk)
+	var names []string
+	for i := 0; i < 5000; i++ {
+		names = append(names, fmt.Sprintf("n%d", i))
+		if i%1000 == 0 {
+			names = append(names, long+strconv.Itoa(i))
+		}
+	}
+	vals := make([]Value, len(names))
+	for i, n := range names {
+		vals[i] = u.Sym(n)
+	}
+	c := u.Clone()
+	cv := c.Sym("only-in-the-clone")
+	uv := u.Sym("only-in-the-parent")
+	for i, n := range names {
+		if u.Sym(n) != vals[i] || u.Name(vals[i]) != n || c.Name(vals[i]) != n || c.Lookup(n) != vals[i] {
+			t.Fatalf("name %d %.10q: value %d, names %.10q / %.10q", i, n, vals[i], u.Name(vals[i]), c.Name(vals[i]))
+		}
+	}
+	if c.Name(cv) != "only-in-the-clone" || u.Name(uv) != "only-in-the-parent" || u.Lookup("only-in-the-clone") != None {
+		t.Fatalf("clone %q, parent %q", c.Name(cv), u.Name(uv))
 	}
 }
